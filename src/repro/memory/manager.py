@@ -134,6 +134,14 @@ class MemoryManager:
         self._pending.pop((name, page), None)
         self._state[name][page] = PageState.VALID
 
+    def overwrite_vector(self, name: str) -> None:
+        """The solver fully overwrote every page of the vector — one call
+        with the effect of :meth:`overwrite` on each of its pages."""
+        states = self._state[name]
+        for key in [key for key in self._pending if key[0] == name]:
+            del self._pending[key]
+        states[:] = [PageState.VALID] * len(states)
+
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------

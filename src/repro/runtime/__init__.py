@@ -52,6 +52,7 @@ from repro.runtime.cost_model import CostModel
 from repro.runtime.graph import (GraphRace, GraphRaceError, TaskGraph,
                                  VERIFY_GRAPHS_ENV, find_races,
                                  verification_enabled, verify_graph)
+from repro.runtime.plan import IterationPlan, compile_plan
 from repro.runtime.scheduler import ListScheduler, ScheduleResult
 from repro.runtime.task import Task, TaskKind
 from repro.runtime.trace import ExecutionTrace, StateBreakdown
@@ -66,6 +67,7 @@ __all__ = [
     "ExecutionTrace",
     "GraphRace",
     "GraphRaceError",
+    "IterationPlan",
     "KernelEngine",
     "ListScheduler",
     "LocalKernelEngine",
@@ -84,6 +86,7 @@ __all__ = [
     "VERIFY_GRAPHS_ENV",
     "VulnerableWindowMonitor",
     "WallInterval",
+    "compile_plan",
     "make_backend",
     "make_kernel_engine",
     "find_races",

@@ -25,10 +25,11 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
-from repro.runtime.graph import TaskGraph, maybe_verify_graph
+from repro.runtime.graph import TaskGraph
+from repro.runtime.plan import IterationPlan
 from repro.runtime.scheduler import ListScheduler, ScheduleResult
 from repro.runtime.task import TaskKind
 from repro.runtime.trace import StateBreakdown
@@ -208,9 +209,21 @@ class ExecutionBackend(abc.ABC):
                                        charge_overhead=charge_overhead)
 
     # ------------------------------------------------------------------
-    def simulate(self, graph: TaskGraph, start_time: float = 0.0
+    def simulate(self, graph: Union[TaskGraph, IterationPlan],
+                 start_time: float = 0.0,
+                 durations: Optional[Sequence[float]] = None
                  ) -> ScheduleResult:
-        """Timing-only pass: schedule the graph, execute nothing."""
+        """Timing-only pass: schedule, execute nothing.
+
+        A :class:`TaskGraph` is compiled and scheduled from scratch; a
+        compiled :class:`IterationPlan` is only re-timed, with
+        ``durations`` (plan order) in place of its base durations.
+        """
+        if isinstance(graph, IterationPlan):
+            return self.scheduler.retime(graph, durations, start_time)
+        if durations is not None:
+            raise ValueError("durations re-time a compiled IterationPlan; "
+                             "a TaskGraph carries its own")
         return self.scheduler.run(graph, start_time=start_time,
                                   execute_actions=False)
 
@@ -254,7 +267,8 @@ class SimulatedBackend(ExecutionBackend):
 
     def run(self, graph: TaskGraph, start_time: float = 0.0
             ) -> ExecutionResult:
-        maybe_verify_graph(graph)  # opt-in REPRO_VERIFY_GRAPHS=1 assertion
+        # Compiling the graph validates it and runs the opt-in
+        # REPRO_VERIFY_GRAPHS=1 assertion.
         schedule = self.scheduler.run(graph, start_time=start_time,
                                       execute_actions=True)
         # wall_time stays 0.0: nothing executed concurrently, so there
@@ -274,8 +288,8 @@ class SimulatedBackend(ExecutionBackend):
         against.  The extra list schedule derives the launch order only;
         its timing is discarded (``result.schedule`` stays ``None``).
         """
-        graph.validate()
-        maybe_verify_graph(graph)  # opt-in REPRO_VERIFY_GRAPHS=1 assertion
+        # simulate() compiles the graph: validation plus the opt-in
+        # REPRO_VERIFY_GRAPHS=1 assertion.
         order = self.simulate(graph).order_started()
         tasks = {t.name: t for t in graph.tasks}
         intervals: Dict[str, WallInterval] = {}

@@ -1,0 +1,128 @@
+"""Compiled iteration plans: a task graph frozen into flat arrays.
+
+A CG iteration's graph has one of a handful of *shapes* (resilient or
+not, with or without a checkpoint task); between iterations only the
+start time and a few recovery durations change.  :func:`compile_plan`
+therefore pays for validation, the cycle check, the opt-in structural
+race check and the name-to-index resolution **once** per shape and
+freezes the result as an :class:`IterationPlan`.  The plan then has
+three consumers: the list scheduler *times* it
+(:meth:`ListScheduler.retime <repro.runtime.scheduler.ListScheduler.retime>`
+with a durations vector and a start time), the threaded/ranks
+re-enactment *runs* a :meth:`~IterationPlan.to_graph` projection of it,
+and :func:`~repro.runtime.graph.verify_graph` *checked* it at compile.
+
+Frozen: task order, integer dependencies/successors/indegrees/roots,
+priorities, kinds, base durations, declared resources and the named
+``roles`` (task indices the caller wants to look up without a name
+dict).  Free per use: the durations vector and the start time.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+
+from repro.runtime.graph import TaskGraph, maybe_verify_graph
+from repro.runtime.task import Task, TaskKind
+
+#: A role resolves to one task index or, for a group of tasks, a tuple.
+Role = Union[int, Tuple[int, ...]]
+
+
+@dataclass(frozen=True)
+class IterationPlan:
+    """An immutable, validated task graph in index form.
+
+    Index ``i`` everywhere refers to the ``i``-th task in the insertion
+    order of the graph the plan was compiled from — the scheduler's
+    final tie-break, which is why the order is part of the plan.
+    """
+
+    names: Tuple[str, ...]
+    #: ``deps[i]``: indices ``i`` waits for, as listed (duplicates kept).
+    deps: Tuple[Tuple[int, ...], ...]
+    #: ``successors[i]``: one entry per dependency edge leaving ``i``.
+    successors: Tuple[Tuple[int, ...], ...]
+    indegree: Tuple[int, ...]
+    roots: Tuple[int, ...]
+    priorities: Tuple[int, ...]
+    kinds: Tuple[TaskKind, ...]
+    durations: Tuple[float, ...]
+    #: The source tasks' declared ``(page, reads, writes)``, carried so a
+    #: projection can be verified and sanitised like the original graph.
+    resources: Tuple[tuple, ...]
+    roles: Mapping[str, Role]
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def index(self, name: str) -> int:
+        try:
+            return self.names.index(name)
+        except ValueError:
+            raise KeyError(f"no task named {name!r}") from None
+
+    def to_graph(self, durations: Optional[Sequence[float]] = None,
+                 names: Optional[Sequence[str]] = None) -> TaskGraph:
+        """Project the plan back into a mutable :class:`TaskGraph`.
+
+        ``durations`` replaces the base durations and ``names`` the task
+        names (both in plan order); actions are not part of a plan, the
+        caller attaches them.  The result is a fresh graph the caller may
+        rewire freely — the plan is unaffected.
+        """
+        durations = self.durations if durations is None else durations
+        names = self.names if names is None else names
+        if len(durations) != len(self) or len(names) != len(self):
+            raise ValueError(f"plan has {len(self)} tasks, got "
+                             f"{len(durations)} durations and "
+                             f"{len(names)} names")
+        graph = TaskGraph()
+        for i, (page, reads, writes) in enumerate(self.resources):
+            graph.add_task(names[i], durations[i], kind=self.kinds[i],
+                           priority=self.priorities[i],
+                           deps=[names[d] for d in self.deps[i]],
+                           page=page, reads=reads, writes=writes)
+        return graph
+
+
+def compile_plan(graph: TaskGraph,
+                 roles: Optional[Mapping[str, Union[str, Sequence[str]]]] = None
+                 ) -> IterationPlan:
+    """Validate ``graph`` and freeze it into an :class:`IterationPlan`.
+
+    Raises ``ValueError`` for a dangling dependency, a cycle or a
+    negative duration, and (under ``REPRO_VERIFY_GRAPHS=1``)
+    :class:`~repro.runtime.graph.GraphRaceError` for unordered
+    conflicting accesses.  ``roles`` maps a role to a task name, or to a
+    sequence of names for a group; it is stored resolved to indices.
+    """
+    graph.validate()
+    maybe_verify_graph(graph)
+    tasks: Sequence[Task] = graph.tasks
+    index: Dict[str, int] = {task.name: i for i, task in enumerate(tasks)}
+    deps = tuple(tuple(index[d] for d in task.deps) for task in tasks)
+    successors: Tuple[list, ...] = tuple([] for _ in tasks)
+    for i, task_deps in enumerate(deps):
+        for d in task_deps:
+            successors[d].append(i)
+    for task in tasks:
+        if task.duration < 0:
+            raise ValueError(f"task {task.name!r} has negative duration")
+    resolved: Dict[str, Role] = {}
+    for role, target in (roles or {}).items():
+        resolved[role] = (index[target] if isinstance(target, str)
+                          else tuple(index[name] for name in target))
+    return IterationPlan(
+        names=tuple(index),
+        deps=deps,
+        successors=tuple(tuple(s) for s in successors),
+        indegree=tuple(len(d) for d in deps),
+        roots=tuple(i for i, d in enumerate(deps) if not d),
+        priorities=tuple(task.priority for task in tasks),
+        kinds=tuple(task.kind for task in tasks),
+        durations=tuple(task.duration for task in tasks),
+        resources=tuple((task.page, task.reads, task.writes)
+                        for task in tasks),
+        roles=resolved)

@@ -1,8 +1,9 @@
 """Deterministic priority list scheduler over ``P`` workers.
 
 This is the discrete-event core of the OmpSs stand-in.  It executes a
-:class:`~repro.runtime.graph.TaskGraph` on a fixed number of workers
-using a work-conserving greedy policy:
+compiled :class:`~repro.runtime.plan.IterationPlan` (or a
+:class:`~repro.runtime.graph.TaskGraph`, compiled on the way in) on a
+fixed number of workers using a work-conserving greedy policy:
 
 * a task becomes *ready* when all its dependencies have finished;
 * whenever a worker is free and ready tasks exist, the highest-priority
@@ -19,50 +20,66 @@ same ordering the schedule implies.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence
 
 from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.runtime.graph import TaskGraph
+from repro.runtime.plan import IterationPlan, compile_plan
 from repro.runtime.task import ScheduledTask
 from repro.runtime.trace import ExecutionTrace
 
 
 @dataclass
 class ScheduleResult:
-    """Outcome of scheduling one task graph."""
+    """Outcome of scheduling one plan: placements as arrays in plan order.
 
+    ``starts``/``ends``/``workers`` are indexed like the plan's tasks;
+    the name-keyed views (``scheduled``, ``start_of`` ...) are derived on
+    demand, so re-timing a plan never pays for them.
+    """
+
+    plan: IterationPlan
     makespan: float
-    scheduled: Dict[str, ScheduledTask]
+    starts: List[float]
+    ends: List[float]
+    workers: List[int]
+    #: Task indices in the exact order the scheduler launched them.  This
+    #: is the order action replay uses and ``order_started()`` reports,
+    #: so the trace and the numerical replay can never disagree.
+    launch_order: List[int]
     trace: ExecutionTrace
     num_workers: int
     start_time: float = 0.0
-    #: Task names in the exact order the scheduler launched them.  This is
-    #: the order action replay uses; ``order_started()`` returns the same
-    #: sequence so the trace and the numerical replay can never disagree.
-    started: Optional[List[str]] = None
+    overhead: float = 0.0
     #: Return values of replayed task actions, keyed by task name
     #: (populated only when the run executed actions).
     values: Dict[str, object] = field(default_factory=dict)
 
+    @cached_property
+    def scheduled(self) -> Dict[str, ScheduledTask]:
+        """Per-task placements by name, in launch order (``seq`` is the
+        launch sequence number)."""
+        names, kinds = self.plan.names, self.plan.kinds
+        return {names[i]: ScheduledTask(
+                    name=names[i], worker=self.workers[i],
+                    start=self.starts[i], end=self.ends[i], kind=kinds[i],
+                    overhead=self.overhead, seq=seq)
+                for seq, i in enumerate(self.launch_order)}
+
     def start_of(self, name: str) -> float:
-        return self.scheduled[name].start
+        return self.starts[self.plan.index(name)]
 
     def end_of(self, name: str) -> float:
-        return self.scheduled[name].end
+        return self.ends[self.plan.index(name)]
 
     def order_started(self) -> List[str]:
-        """Task names ordered by simulated start time.
-
-        Ties (equal start times) are broken by launch order — the same
-        tie-break the action replay uses — not by task name, so the two
-        orderings agree for equal-priority, equal-start tasks.
-        """
-        if self.started is not None:
-            return list(self.started)
-        return [t.name for t in sorted(self.scheduled.values(),
-                                       key=lambda s: (s.start, s.seq))]
+        """Task names in launch order: by simulated start time, ties
+        (equal start times) broken by launch sequence — the same
+        tie-break the action replay uses — not by task name."""
+        names = self.plan.names
+        return [names[i] for i in self.launch_order]
 
 
 class ListScheduler:
@@ -80,96 +97,99 @@ class ListScheduler:
     # ------------------------------------------------------------------
     def run(self, graph: TaskGraph, start_time: float = 0.0,
             execute_actions: bool = True) -> ScheduleResult:
-        """Schedule ``graph`` and (optionally) replay its task actions."""
-        graph.validate()
-        tasks = {t.name: t for t in graph.tasks}
-        order_index = {name: i for i, name in enumerate(tasks)}
+        """Schedule ``graph`` and (optionally) replay its task actions.
 
-        remaining_deps = {name: sum(1 for d in t.deps if d in tasks)
-                          for name, t in tasks.items()}
-        successors: Dict[str, List[str]] = {name: [] for name in tasks}
-        for t in tasks.values():
-            for d in t.deps:
-                successors[d].append(t.name)
+        Compiles the graph (validation, cycle check), times the plan and
+        replays actions in launch order.
+        """
+        result = self.retime(compile_plan(graph), start_time=start_time)
+        if execute_actions:
+            for name in result.order_started():
+                action = graph.task(name).action
+                if action is not None:
+                    result.values[name] = action()
+        return result
 
-        # ready heap: (-priority, ready_time, insertion_order, name)
-        ready: List = []
-        counter = itertools.count()
-        for name, ndeps in remaining_deps.items():
-            if ndeps == 0:
-                heapq.heappush(ready, (-tasks[name].priority, start_time,
-                                       order_index[name], name))
+    def retime(self, plan: IterationPlan,
+               durations: Optional[Sequence[float]] = None,
+               start_time: float = 0.0) -> ScheduleResult:
+        """Schedule a compiled plan — the event loop of the runtime.
 
+        ``durations`` (plan order) replaces the plan's base durations;
+        negative entries are rejected on every call.  Ties are broken by
+        ``(-priority, ready time, plan index)``.
+        """
+        total = len(plan)
+        if durations is None:
+            durations = plan.durations
+        else:
+            if len(durations) != total:
+                raise ValueError(f"plan has {total} tasks, got "
+                                 f"{len(durations)} durations")
+            if total and min(durations) < 0:
+                bad = next(i for i, d in enumerate(durations) if d < 0)
+                raise ValueError(
+                    f"task {plan.names[bad]!r} has negative duration")
+        priorities, successors = plan.priorities, plan.successors
+        remaining_deps = list(plan.indegree)
+        push, pop = heapq.heappush, heapq.heappop
+
+        # ready heap: (-priority, ready_time, plan index)
+        ready = [(-priorities[i], start_time, i) for i in plan.roots]
+        heapq.heapify(ready)
         # worker availability heap: (free_time, worker_id)
         workers = [(start_time, w) for w in range(self.num_workers)]
-        heapq.heapify(workers)
-
-        # event heap of task completions: (end_time, seq, name, worker)
+        # event heap of task completions: (end_time, launch seq, index, worker)
         completions: List = []
-        scheduled: Dict[str, ScheduledTask] = {}
-        started_order: List[str] = []
+        starts = [0.0] * total
+        ends = [0.0] * total
+        placed = [0] * total
+        launch_order: List[int] = []
         now = start_time
         overhead = self.cost_model.task_overhead if self.charge_overhead else 0.0
 
         n_done = 0
-        total = len(tasks)
         while n_done < total:
             # Launch as many ready tasks as there are free workers at `now`.
-            launched = True
-            while launched:
-                launched = False
-                if ready and workers and workers[0][0] <= now + 1e-18:
-                    free_time, worker = heapq.heappop(workers)
-                    _, ready_time, _, name = heapq.heappop(ready)
-                    task = tasks[name]
-                    begin = max(now, free_time, ready_time)
-                    end = begin + overhead + task.duration
-                    scheduled[name] = ScheduledTask(
-                        name=name, worker=worker, start=begin, end=end,
-                        kind=task.kind, overhead=overhead,
-                        seq=len(started_order))
-                    started_order.append(name)
-                    heapq.heappush(completions, (end, next(counter), name, worker))
-                    launched = True
-            if n_done >= total:
-                break
+            while ready and workers and workers[0][0] <= now + 1e-18:
+                free_time, worker = pop(workers)
+                _, ready_time, i = pop(ready)
+                begin = max(now, free_time, ready_time)
+                end = begin + overhead + durations[i]
+                starts[i] = begin
+                ends[i] = end
+                placed[i] = worker
+                push(completions, (end, len(launch_order), i, worker))
+                launch_order.append(i)
             if not completions:
                 # No running tasks but not all done: either tasks are ready
                 # and a worker frees later, or the graph is inconsistent.
                 if not ready:
-                    missing = [n for n, d in remaining_deps.items()
-                               if d > 0 and n not in scheduled]
+                    launched = set(launch_order)
+                    missing = [plan.names[i] for i in range(total)
+                               if i not in launched]
                     raise RuntimeError(
                         f"scheduler deadlock; unfinished tasks: {missing[:5]}")
                 # Advance time to the next worker availability.
                 now = workers[0][0]
                 continue
             # Advance to next completion.
-            end, _, name, worker = heapq.heappop(completions)
+            end, _, i, worker = pop(completions)
             now = max(now, end)
-            heapq.heappush(workers, (end, worker))
+            push(workers, (end, worker))
             n_done += 1
-            for nxt in successors[name]:
+            for nxt in successors[i]:
                 remaining_deps[nxt] -= 1
                 if remaining_deps[nxt] == 0:
-                    heapq.heappush(ready, (-tasks[nxt].priority, end,
-                                           order_index[nxt], nxt))
+                    push(ready, (-priorities[nxt], end, nxt))
 
-        makespan = max((s.end for s in scheduled.values()), default=start_time)
-
-        values: Dict[str, object] = {}
-        if execute_actions:
-            for name in started_order:
-                action = tasks[name].action
-                if action is not None:
-                    values[name] = action()
-
-        trace = ExecutionTrace.from_schedule(
-            list(scheduled.values()), num_workers=self.num_workers,
-            start=start_time, end=makespan)
-        return ScheduleResult(makespan=makespan - start_time,
-                              scheduled=scheduled, trace=trace,
+        makespan = max(ends, default=start_time)
+        kinds = plan.kinds
+        trace = ExecutionTrace.from_spans(
+            ((ends[i] - starts[i], overhead, kinds[i]) for i in launch_order),
+            num_workers=self.num_workers, start=start_time, end=makespan)
+        return ScheduleResult(plan=plan, makespan=makespan - start_time,
+                              starts=starts, ends=ends, workers=placed,
+                              launch_order=launch_order, trace=trace,
                               num_workers=self.num_workers,
-                              start_time=start_time,
-                              started=started_order,
-                              values=values)
+                              start_time=start_time, overhead=overhead)

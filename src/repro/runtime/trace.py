@@ -15,7 +15,7 @@ is idle time.  Traces from successive iterations can be accumulated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Tuple
 
 from repro.runtime.task import ScheduledTask, TaskKind
 
@@ -86,30 +86,41 @@ class ExecutionTrace:
     def from_schedule(cls, scheduled: Iterable[ScheduledTask], *,
                       num_workers: int, start: float, end: float) -> "ExecutionTrace":
         """Build a trace from one schedule covering ``[start, end]``."""
-        trace = cls(num_workers=num_workers)
-        busy = 0.0
-        breakdown = trace.breakdown
+        return cls.from_spans(((st.duration, st.overhead, st.kind)
+                               for st in scheduled),
+                              num_workers=num_workers, start=start, end=end)
+
+    @classmethod
+    def from_spans(cls, spans: Iterable[Tuple[float, float, TaskKind]], *,
+                   num_workers: int, start: float, end: float) -> "ExecutionTrace":
+        """Build a trace from ``(occupied, overhead, kind)`` per task.
+
+        ``occupied`` is the time the task held its worker (overhead
+        included).  The sums run in iteration order, so callers that need
+        bit-reproducible breakdowns pass spans in launch order.
+        """
+        runtime = busy = useful = recovery = checkpoint = communication = 0.0
         count = 0
-        for st in scheduled:
+        for occupied, overhead, kind in spans:
             count += 1
-            work = st.duration - st.overhead
-            breakdown.runtime += st.overhead
-            busy += st.duration
-            if st.kind is TaskKind.RECOVERY:
-                breakdown.recovery += work
-            elif st.kind is TaskKind.CHECKPOINT:
-                breakdown.checkpoint += work
-            elif st.kind is TaskKind.COMMUNICATION:
-                breakdown.communication += work
-            elif st.kind is TaskKind.REDUCTION:
-                breakdown.useful += work
+            work = occupied - overhead
+            runtime += overhead
+            busy += occupied
+            if kind is TaskKind.RECOVERY:
+                recovery += work
+            elif kind is TaskKind.CHECKPOINT:
+                checkpoint += work
+            elif kind is TaskKind.COMMUNICATION:
+                communication += work
             else:
-                breakdown.useful += work
+                useful += work
         span = max(end - start, 0.0)
-        breakdown.idle += max(num_workers * span - busy, 0.0)
-        trace.wall_time = span
-        trace.task_count = count
-        return trace
+        return cls(num_workers=num_workers, wall_time=span, task_count=count,
+                   breakdown=StateBreakdown(
+                       useful=useful, runtime=runtime,
+                       idle=max(num_workers * span - busy, 0.0),
+                       recovery=recovery, checkpoint=checkpoint,
+                       communication=communication))
 
     # ------------------------------------------------------------------
     def accumulate(self, other: "ExecutionTrace") -> None:

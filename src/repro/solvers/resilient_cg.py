@@ -18,7 +18,12 @@ Execution model
 Numerical work is performed eagerly with NumPy, while *time* is
 simulated: each iteration's task graph is scheduled on ``num_workers``
 workers by the list scheduler and the makespan advances the simulated
-clock.  Fault injection times are interpreted on that clock.  With
+clock.  The graph has one of a few *shapes* (resilient or not, with or
+without a checkpoint task), so each shape is built and compiled into an
+:class:`~repro.runtime.plan.IterationPlan` once per solver and then only
+re-timed — with the clock as start time and the iteration's actual
+recovery durations.  Fault injection times are interpreted on that
+clock.  With
 ``SolverConfig(backend="threaded")`` the same graphs are *additionally*
 executed for real on worker threads each iteration — recovery tasks
 genuinely overlap the reductions, wall-clock time and per-state shares
@@ -52,8 +57,9 @@ rates pollute the reductions and slow convergence.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -76,6 +82,7 @@ from repro.runtime.backend import ExecutionResult
 from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.runtime.runtime import make_runtime
 from repro.runtime.graph import TaskGraph
+from repro.runtime.plan import IterationPlan, compile_plan
 from repro.runtime.scheduler import ScheduleResult
 from repro.runtime.task import TaskKind
 from repro.runtime.trace import ExecutionTrace
@@ -240,6 +247,8 @@ class ResilientCG:
         self._wall_clock = 0.0
         self._wall_trace: Optional[ExecutionTrace] = None
         self._chunk_bounds = self._compute_chunks()
+        #: Compiled iteration plans by shape ``(resilient, checkpoint)``.
+        self._plans: Dict[Tuple[bool, bool], IterationPlan] = {}
         self._template: Optional[_IterationTemplate] = None
         if self.strategy is not None and hasattr(self.strategy, "work_scale"):
             # Conflict fallbacks recompute a full vector; charge them at the
@@ -261,10 +270,7 @@ class ResilientCG:
 
     def ideal_iteration_time(self) -> float:
         """Makespan of one fault-free iteration without resilience tasks."""
-        graph = self._build_iteration_graph(iteration=0, resilient=False,
-                                            recovery_durations=None,
-                                            checkpoint=False)
-        return self.backend.simulate(graph).makespan
+        return self.backend.simulate(self._plan(False, False)).makespan
 
     def estimate_ideal_time(self, iterations_hint: Optional[int] = None) -> float:
         """Ideal solve time: iteration makespan times the iteration count.
@@ -311,7 +317,8 @@ class ResilientCG:
                                window_summary=self.monitor.summary())
 
         injections = self._build_injection_schedule(memory, ideal_time)
-        pending = list(injections)
+        # Time-sorted; each iteration takes its batch off the front.
+        pending = deque(injections)
         faults_injected = len(pending)
 
         t_iter_ideal = self.ideal_iteration_time()
@@ -354,24 +361,23 @@ class ResilientCG:
             use_template = (not checkpoint_now
                             and next_time > clock + template.makespan)
             if use_template:
-                graph1 = None
                 makespan1 = template.makespan
                 point_times = {k: clock + v
                                for k, v in template.rel_point_times.items()}
                 trace1 = template.trace
             else:
-                graph1 = self._build_iteration_graph(
-                    iteration, resilient=self._uses_recovery_tasks(),
-                    recovery_durations=None, checkpoint=checkpoint_now)
-                sched1 = self.backend.simulate(graph1, start_time=clock)
+                sched1 = self.backend.simulate(
+                    self._plan(self._uses_recovery_tasks(), checkpoint_now),
+                    start_time=clock)
                 makespan1 = sched1.makespan
                 point_times = {k: clock + v
-                               for k, v in self._point_times(sched1, iteration).items()}
+                               for k, v in self._point_times(sched1).items()}
                 trace1 = sched1.trace
 
             horizon_end = clock + makespan1
-            batch = [inj for inj in pending if inj.time <= horizon_end]
-            pending = [inj for inj in pending if inj.time > horizon_end]
+            batch: List[Injection] = []
+            while pending and pending[0].time <= horizon_end:
+                batch.append(pending.popleft())
             by_point = self._assign_to_points(batch, point_times)
 
             late: Dict[str, Set[int]] = {"g": set(), "x": set(),
@@ -388,8 +394,7 @@ class ResilientCG:
                 clock2 = self._advance_clock(
                     clock, iteration, makespan1, trace1, recovery_work,
                     fault_service, checkpoint_now, trace_total,
-                    faults=bool(batch), state=state, this_d=this_d,
-                    graph1=graph1)
+                    faults=bool(batch), state=state, this_d=this_d)
                 clock = clock2
                 rel = float(np.linalg.norm(g) / b_norm)
                 if cfg.record_history:
@@ -411,8 +416,8 @@ class ResilientCG:
             if self._uses_recovery_tasks():
                 skip_rho |= outcome_a["skip"]
             if restart_requested:
-                pending = sorted(by_point["B"] + by_point["C"] + by_point["D"]
-                                 + pending, key=lambda i: i.time)
+                self._put_back(by_point["B"] + by_point["C"] + by_point["D"],
+                               pending)
                 if rolled_back:
                     stats.rollbacks += 1
                 finish_restart()
@@ -429,8 +434,7 @@ class ResilientCG:
                 clock = self._advance_clock(
                     clock, iteration, makespan1, trace1, recovery_work,
                     fault_service, checkpoint_now, trace_total,
-                    faults=bool(batch), state=state, this_d=this_d,
-                    graph1=graph1)
+                    faults=bool(batch), state=state, this_d=this_d)
                 if true_rel <= cfg.tolerance * 10:
                     converged = True
                     rel = true_rel
@@ -450,8 +454,7 @@ class ResilientCG:
             # ---------------- d update (double buffered) --------------------
             state.current_d_name, state.previous_d_name = this_d, last_d
             self.engine.update_direction(d_cur, z, beta, d_prev)
-            for page in range(vectors[this_d].num_pages):
-                memory.overwrite(this_d, page)
+            memory.overwrite_vector(this_d)
 
             # ---------------- point B: before the mat-vec -------------------
             state.point = "B"
@@ -463,8 +466,7 @@ class ResilientCG:
             restart_requested |= outcome_b["restart"]
             rolled_back |= outcome_b["rollback"]
             if restart_requested:
-                pending = sorted(by_point["C"] + by_point["D"] + pending,
-                                 key=lambda i: i.time)
+                self._put_back(by_point["C"] + by_point["D"], pending)
                 if rolled_back:
                     stats.rollbacks += 1
                 finish_restart()
@@ -472,8 +474,7 @@ class ResilientCG:
 
             # ---------------- q = A d (halo exchange of d in rank mode) -----
             self.engine.spmv(d_cur, q)
-            for page in range(vectors["q"].num_pages):
-                memory.overwrite("q", page)
+            memory.overwrite_vector("q")
 
             # ---------------- point C: before alpha -------------------------
             state.point = "C"
@@ -484,7 +485,7 @@ class ResilientCG:
             restart_requested |= outcome_c["restart"]
             rolled_back |= outcome_c["rollback"]
             if restart_requested:
-                pending = sorted(by_point["D"] + pending, key=lambda i: i.time)
+                self._put_back(by_point["D"], pending)
                 if rolled_back:
                     stats.rollbacks += 1
                 finish_restart()
@@ -503,8 +504,7 @@ class ResilientCG:
                 clock = self._advance_clock(
                     clock, iteration, makespan1, trace1, recovery_work,
                     fault_service, checkpoint_now, trace_total,
-                    faults=bool(batch), state=state, this_d=this_d,
-                    graph1=graph1)
+                    faults=bool(batch), state=state, this_d=this_d)
                 rel = float(np.linalg.norm(g) / b_norm)
                 history.append(iteration, clock, rel)
                 continue
@@ -536,7 +536,7 @@ class ResilientCG:
             clock = self._advance_clock(
                 clock, iteration, makespan1, trace1, recovery_work,
                 fault_service, checkpoint_now, trace_total, faults=bool(batch),
-                state=state, this_d=this_d, graph1=graph1)
+                state=state, this_d=this_d)
 
             if restart_requested:
                 if rolled_back:
@@ -647,19 +647,26 @@ class ResilientCG:
                 raise ValueError(f"unknown chunk kind {kind!r}")
         return costs
 
-    def _build_iteration_graph(self, iteration: int, *, resilient: bool,
-                               recovery_durations: Optional[Dict[str, float]],
-                               checkpoint: bool) -> TaskGraph:
-        """One CG iteration as a task graph (Figure 1 of the paper)."""
+    def _build_iteration_graph(self, *, resilient: bool, checkpoint: bool
+                               ) -> Tuple[TaskGraph, Dict[str, object]]:
+        """One CG iteration as a task graph (Figure 1 of the paper).
+
+        Built once per shape and compiled (:meth:`_plan`).  Task names
+        are ``str.format`` templates over the iteration number
+        (``"beta{t}"``); recovery tasks carry the duration of a scan that
+        finds nothing.  Also returns the roles the timing passes look up:
+        the two scalars, the spmv chunks and the recovery tasks.
+        """
         cm = self.config.cost_model
         graph = TaskGraph()
-        t = iteration
+        t = "{t}"
         critical = (self.strategy.recovery_in_critical_path
                     if self.strategy is not None else False)
         rec_priority = (self.strategy.recovery_task_priority
                         if self.strategy is not None else 0)
-        rec = recovery_durations or {}
         check = cm.recovery_check()
+        dot_cost = self._chunk_cost("dot")
+        axpy_cost = self._chunk_cost("axpy")
 
         precond_names: List[str] = []
         if self.preconditioner is not None:
@@ -672,7 +679,7 @@ class ResilientCG:
 
         # --- rho partial dots + r2 + scalar (beta task) ----------------------
         rho_parts: List[str] = []
-        for c, dur in enumerate(self._chunk_cost("dot")):
+        for c, dur in enumerate(dot_cost):
             name = f"rho{t}:{c}"
             rho_reads = {f"seg:g[{c}]"}
             if precond_names:
@@ -684,8 +691,7 @@ class ResilientCG:
         scalar_rho_deps = list(rho_parts)
         if resilient:
             r2_deps = rho_parts if critical else precond_names
-            graph.add_task(f"r2_{t}", rec.get("r2", check),
-                           kind=TaskKind.RECOVERY,
+            graph.add_task(f"r2_{t}", check, kind=TaskKind.RECOVERY,
                            priority=rec_priority, deps=r2_deps)
             scalar_rho_deps.append(f"r2_{t}")
         graph.add_task(f"beta{t}", cm.scalar_task(), kind=TaskKind.REDUCTION,
@@ -695,7 +701,7 @@ class ResilientCG:
 
         # --- d update ---------------------------------------------------------
         d_parts: List[str] = []
-        for c, dur in enumerate(self._chunk_cost("axpy")):
+        for c, dur in enumerate(axpy_cost):
             name = f"d{t}:{c}"
             d_reads = {"scalar:beta", f"seg:d[{c}]",
                        f"seg:z[{c}]" if precond_names else f"seg:g[{c}]"}
@@ -716,7 +722,7 @@ class ResilientCG:
 
         # --- <d, q> partial dots + r1 + alpha ----------------------------------
         dq_parts: List[str] = []
-        for c, dur in enumerate(self._chunk_cost("dot")):
+        for c, dur in enumerate(dot_cost):
             name = f"dq{t}:{c}"
             graph.add_task(name, dur, kind=TaskKind.REDUCTION,
                            deps=[f"q{t}:{c}"],
@@ -726,8 +732,7 @@ class ResilientCG:
         scalar_alpha_deps = list(dq_parts)
         if resilient:
             r1_deps = dq_parts if critical else q_parts
-            graph.add_task(f"r1_{t}", rec.get("r1", check),
-                           kind=TaskKind.RECOVERY,
+            graph.add_task(f"r1_{t}", check, kind=TaskKind.RECOVERY,
                            priority=rec_priority, deps=r1_deps)
             scalar_alpha_deps.append(f"r1_{t}")
         graph.add_task(f"alpha{t}", cm.scalar_task(), kind=TaskKind.REDUCTION,
@@ -737,7 +742,7 @@ class ResilientCG:
 
         # --- x and g updates ----------------------------------------------------
         update_parts: List[str] = []
-        for c, dur in enumerate(self._chunk_cost("axpy")):
+        for c, dur in enumerate(axpy_cost):
             name = f"x{t}:{c}"
             graph.add_task(name, dur, kind=TaskKind.COMPUTE,
                            deps=[f"alpha{t}"],
@@ -745,7 +750,7 @@ class ResilientCG:
                                   f"seg:x[{c}]"},
                            writes={f"seg:x[{c}]"})
             update_parts.append(name)
-        for c, dur in enumerate(self._chunk_cost("axpy")):
+        for c, dur in enumerate(axpy_cost):
             name = f"g{t}:{c}"
             graph.add_task(name, dur, kind=TaskKind.COMPUTE,
                            deps=[f"alpha{t}"],
@@ -755,8 +760,7 @@ class ResilientCG:
             update_parts.append(name)
         if resilient:
             r3_deps = update_parts if critical else [f"alpha{t}"]
-            graph.add_task(f"r3_{t}", rec.get("r3", check),
-                           kind=TaskKind.RECOVERY,
+            graph.add_task(f"r3_{t}", check, kind=TaskKind.RECOVERY,
                            priority=rec_priority, deps=r3_deps)
 
         # --- checkpoint write ----------------------------------------------------
@@ -768,18 +772,31 @@ class ResilientCG:
                            reads={f"seg:{v}[{c}]"
                                   for v in ("x", "g")
                                   for c in range(len(self._chunk_bounds))})
-        return graph
+
+        roles: Dict[str, object] = {"beta": f"beta{t}", "alpha": f"alpha{t}",
+                                    "q": q_parts}
+        if resilient:
+            roles.update((key, f"{key}_{t}") for key in ("r1", "r2", "r3"))
+        return graph, roles
+
+    def _plan(self, resilient: bool, checkpoint: bool) -> IterationPlan:
+        """The compiled plan of one iteration shape, built on first use."""
+        shape = (resilient, checkpoint)
+        plan = self._plans.get(shape)
+        if plan is None:
+            graph, roles = self._build_iteration_graph(resilient=resilient,
+                                                       checkpoint=checkpoint)
+            plan = self._plans[shape] = compile_plan(graph, roles)
+        return plan
 
     def _iteration_template(self) -> _IterationTemplate:
         """Schedule of a fault-free iteration, cached across iterations."""
         if self._template is None:
-            graph = self._build_iteration_graph(
-                iteration=0, resilient=self._uses_recovery_tasks(),
-                recovery_durations=None, checkpoint=False)
-            sched = self.backend.simulate(graph)
-            rel_times = self._point_times(sched, 0)
+            sched = self.backend.simulate(
+                self._plan(self._uses_recovery_tasks(), False))
             self._template = _IterationTemplate(
-                makespan=sched.makespan, rel_point_times=rel_times,
+                makespan=sched.makespan,
+                rel_point_times=self._point_times(sched),
                 trace=sched.trace)
         return self._template
 
@@ -788,19 +805,17 @@ class ResilientCG:
     # ==================================================================
     def _execute_iteration_for_real(self, iteration: int, checkpoint_now: bool,
                                     state: CGState, this_d: str,
-                                    graph: Optional[TaskGraph] = None,
-                                    recovery_durations: Optional[
-                                        Dict[str, float]] = None) -> None:
+                                    durations: Optional[Sequence[float]] = None
+                                    ) -> None:
         """Re-enact this iteration's task graph for real (read-only).
 
-        The graph structure is the one the simulator timed — including
-        the enlarged recovery durations when this iteration repaired
-        faults, so pacing charges the same recovery work the simulated
-        timeline does.  ``graph`` is the iteration's already-built graph
-        when one exists; with the ``ranks`` placement a fresh copy is
-        always built here, because the re-enactment rewires dependencies
-        (the halo task, the r1 overlap) and must never mutate a graph
-        the pass-2 simulate will time.  Every task carries a real
+        The graph is a fresh projection of the plan the simulator timed,
+        named for this iteration and carrying ``durations`` — the
+        enlarged recovery durations when this iteration repaired faults,
+        so pacing charges the same recovery work the simulated timeline
+        does.  Being a projection, it can be rewired (the halo task, the
+        r1 overlap of the ``ranks`` placement) without touching the plan
+        the timing passes use.  Every task carries a real
         (read-only, bitwise-neutral) action: partial dot products for
         the reduction chunks, memory touches for the vector-update
         chunks, and the strategy's recovery scan for the r1/r2/r3 tasks
@@ -810,13 +825,10 @@ class ResilientCG:
         clock discard them (the execution still happens, so races and
         ordering are exercised, but wall time is not an output).
         """
-        distributed = self.runtime.spec.placement == "ranks"
-        if graph is None or distributed:
-            graph = self._build_iteration_graph(
-                iteration, resilient=self._uses_recovery_tasks(),
-                recovery_durations=recovery_durations,
-                checkpoint=checkpoint_now)
-        if distributed:
+        plan = self._plan(self._uses_recovery_tasks(), checkpoint_now)
+        graph = plan.to_graph(durations, names=[name.format(t=iteration)
+                                                for name in plan.names])
+        if self.runtime.spec.placement == "ranks":
             self._add_halo_reenactment(graph, iteration, state, this_d)
         self._attach_real_actions(graph, iteration, state, this_d)
         # execute(), not run(): the simulated timeline of this iteration
@@ -951,24 +963,32 @@ class ResilientCG:
         else:
             self._wall_trace.accumulate(step)
 
-    def _point_times(self, sched: ScheduleResult, iteration: int
-                     ) -> Dict[str, float]:
+    @staticmethod
+    def _point_times(sched: ScheduleResult) -> Dict[str, float]:
         """Check-point times relative to the schedule's start time."""
-        t = iteration
-        base = sched.start_time
-        times: Dict[str, float] = {}
-        times["A"] = sched.start_of(f"beta{t}") - base
-        times["B"] = min(sched.start_of(f"q{t}:{c}")
-                         for c in range(len(self._chunk_bounds))) - base
-        times["C"] = sched.start_of(f"alpha{t}") - base
-        times["D"] = sched.makespan
-        times["r1"] = (sched.start_of(f"r1_{t}") - base
-                       if f"r1_{t}" in sched.scheduled else times["C"])
-        times["r2"] = (sched.start_of(f"r2_{t}") - base
-                       if f"r2_{t}" in sched.scheduled else times["A"])
-        times["r3"] = (sched.start_of(f"r3_{t}") - base
-                       if f"r3_{t}" in sched.scheduled else times["D"])
+        roles, starts, base = sched.plan.roles, sched.starts, sched.start_time
+        times = {"A": starts[roles["beta"]] - base,
+                 "B": min(starts[i] for i in roles["q"]) - base,
+                 "C": starts[roles["alpha"]] - base,
+                 "D": sched.makespan}
+        # Without recovery tasks the covering scalar's point stands in.
+        for key, point in (("r1", "C"), ("r2", "A"), ("r3", "D")):
+            times[key] = (starts[roles[key]] - base if key in roles
+                          else times[point])
         return times
+
+    @staticmethod
+    def _put_back(unprocessed: List[Injection],
+                  pending: "deque[Injection]") -> None:
+        """Return an aborted iteration's unprocessed injections to the
+        front of the schedule.
+
+        They were taken from the front (all at or before the iteration's
+        horizon, everything still pending after it), so this equals a
+        stable ``sorted(unprocessed + pending, key=time)``.
+        """
+        pending.extendleft(reversed(sorted(unprocessed,
+                                           key=lambda inj: inj.time)))
 
     def _assign_to_points(self, batch: List[Injection],
                           point_times: Dict[str, float]
@@ -989,44 +1009,33 @@ class ResilientCG:
                        trace1: ExecutionTrace, recovery_work: Dict[str, float],
                        fault_service: float, checkpoint_now: bool,
                        trace_total: ExecutionTrace, faults: bool,
-                       state: CGState, this_d: str,
-                       graph1: Optional[TaskGraph] = None) -> float:
+                       state: CGState, this_d: str) -> float:
         """Second timing pass with the actual recovery durations.
 
         This is the single per-iteration choke point, so the threaded
         backend's real execution also runs here — with the *actual*
         recovery durations when faults enlarged the recovery tasks, so
         the measured wall clock and state shares account for the same
-        recovery work the simulated timeline charges.  ``graph1`` (the
-        pass-1 graph, when one was built this iteration) is reused for
-        the real execution in the common no-extra-recovery case instead
-        of constructing an identical graph again.
+        recovery work the simulated timeline charges.
         """
         extra_work = sum(recovery_work.values())
-        cm = self.config.cost_model
-        rec_graph = None
-        durations: Optional[Dict[str, float]] = None
+        plan = None
+        durations: Optional[List[float]] = None
         if (faults or extra_work != 0.0) and self._uses_recovery_tasks():
-            durations = {key: cm.recovery_check() + value
-                         for key, value in recovery_work.items()}
-            rec_graph = self._build_iteration_graph(
-                iteration, resilient=True, recovery_durations=durations,
-                checkpoint=checkpoint_now)
+            plan = self._plan(True, checkpoint_now)
+            check = self.config.cost_model.recovery_check()
+            durations = list(plan.durations)
+            for key, value in recovery_work.items():
+                durations[plan.roles[key]] = check + value
         if self.runtime.runs_reenactment:
-            # Reuse whichever graph this iteration already has; attaching
-            # actions is invisible to the pass-2 simulate below (it never
-            # executes them).  The ranks placement ignores the reused
-            # graph and rebuilds from ``durations`` (its re-enactment
-            # rewires dependencies and must not touch these graphs).
-            self._execute_iteration_for_real(
-                iteration, checkpoint_now, state, this_d,
-                graph=rec_graph if rec_graph is not None else graph1,
-                recovery_durations=durations)
+            self._execute_iteration_for_real(iteration, checkpoint_now, state,
+                                             this_d, durations)
         if not faults and extra_work == 0.0:
             trace_total.accumulate(trace1)
             return clock + makespan1
-        if rec_graph is not None:
-            sched = self.backend.simulate(rec_graph, start_time=clock)
+        if plan is not None:
+            sched = self.backend.simulate(plan, start_time=clock,
+                                          durations=durations)
             trace_total.accumulate(sched.trace)
             return clock + sched.makespan + fault_service
         # Signal-handler methods (Lossy/ckpt/Trivial): the recovery work is
@@ -1241,8 +1250,7 @@ class ResilientCG:
         x = state.vectors["x"].array
         g = state.vectors["g"].array
         self.engine.residual(x, self.b, g)
-        for page in range(state.vectors["g"].num_pages):
-            state.memory.overwrite("g", page)
+        state.memory.overwrite_vector("g")
 
     # ==================================================================
     # numerics helpers

@@ -93,6 +93,35 @@ class TestFaultLifecycle:
         assert mm.touch("x", 2, time=1.0) is None
         assert mm.fault_count() == 0
 
+    def test_overwrite_vector_equals_the_per_page_loop(self):
+        """One bulk call == ``overwrite`` on every page, on a manager
+        holding poisoned, lost and valid pages in two vectors."""
+        def manager():
+            mm = MemoryManager()
+            for name in ("q", "g"):
+                mm.register(PagedVector(np.arange(64, dtype=float), name=name,
+                                        page_size=16))
+                mm.poison(name, 0, time=0.1)            # latent poison
+                mm.poison(name, 2, time=0.2)
+                mm.touch(name, 2, time=0.3)             # detected: LOST
+            return mm
+
+        looped, bulk = manager(), manager()
+        for page in range(4):
+            looped.overwrite("q", page)
+        bulk.overwrite_vector("q")
+        for mm in (looped, bulk):
+            assert mm.lost_pages() == [("g", 0), ("g", 2)]
+            assert all(mm.is_available("q", page) for page in range(4))
+            # q's latent poison is cured; g's is still there to detect
+            assert mm.touch("q", 0, time=1.0) is None
+            assert mm.touch("g", 0, time=1.0) is not None
+            assert mm.fault_count() == 3
+        assert bulk._pending == looped._pending
+        assert bulk._state == looped._state
+        with pytest.raises(KeyError):
+            bulk.overwrite_vector("nope")
+
     def test_lost_pages_listing(self, manager_with_vector):
         mm, _ = manager_with_vector
         mm.poison("x", 1, time=0.0)

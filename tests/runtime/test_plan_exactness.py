@@ -1,0 +1,232 @@
+"""The compiled-plan event loop against an oracle that shares no code with it.
+
+``fixtures/schedule_oracle.json`` holds seeded random DAGs and real CG
+iteration graphs with the schedule the *parent commit's*
+``ListScheduler.run`` produced (see ``fixtures/generate_schedule_oracle.py``).
+Both ways into today's single event loop — ``ListScheduler.run(graph)``
+and re-timing a compiled plan — must reproduce every recorded float bit
+for bit.  Beside it: property tests of the schedule invariants on
+arbitrary DAGs, and the checks that must be able to fail.
+"""
+
+import dataclasses
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.runtime.backend import SimulatedBackend
+from repro.runtime.cost_model import CostModel
+from repro.runtime.graph import TaskGraph
+from repro.runtime.plan import compile_plan
+from repro.runtime.scheduler import ListScheduler
+from repro.runtime.task import TaskKind
+
+ORACLE = json.loads(
+    (Path(__file__).parent / "fixtures" / "schedule_oracle.json").read_text())
+CASES = ORACLE["cases"]
+BREAKDOWN = ("useful", "runtime", "idle", "recovery", "checkpoint",
+             "communication")
+
+
+def build(case, durations=None):
+    graph = TaskGraph()
+    names = [t[0] for t in case["tasks"]]
+    for i, (name, duration, kind, priority, deps) in enumerate(case["tasks"]):
+        graph.add_task(name, float.fromhex(duration) if durations is None
+                       else durations[i], kind=TaskKind(kind),
+                       priority=priority, deps=[names[d] for d in deps])
+    return graph
+
+
+def scheduler_of(case):
+    return ListScheduler(case["workers"], cost_model=CostModel(
+        task_overhead=float.fromhex(case["overhead"])))
+
+
+def assert_matches(case, result):
+    assert result.makespan.hex() == case["makespan"]
+    assert [s.hex() for s in result.starts] == case["start"]
+    assert [e.hex() for e in result.ends] == case["end"]
+    assert result.workers == case["worker"]
+    assert result.launch_order == case["order"]
+    for key in BREAKDOWN:
+        assert getattr(result.trace.breakdown, key).hex() == \
+            case["breakdown"][key], key
+    assert result.trace.wall_time.hex() == case["wall_time"]
+    assert result.trace.task_count == case["task_count"]
+
+
+class TestOracle:
+    def test_fixture_is_what_the_generator_describes(self):
+        assert ORACLE["recorded_at"] == "4ff29e5"
+        assert sum(c["label"] == "random" for c in CASES) >= 200
+        cg = {c["label"] for c in CASES if c["label"].startswith("cg-")}
+        # ideal, resilient, checkpoint shapes and fault-enlarged recovery
+        assert any(label.endswith("-res") for label in cg)
+        assert any(label.endswith("-ckpt") for label in cg)
+        assert any(label.endswith("-rec") for label in cg)
+        assert any(float.fromhex(c["start_time"]) > 0 for c in CASES)
+        assert any(float.fromhex(t[1]) == 0.0 for c in CASES for t in c["tasks"])
+        assert {c["workers"] for c in CASES} == set(range(1, 9))
+
+    @pytest.mark.parametrize("case", CASES,
+                             ids=[f"{i}-{c['label']}" for i, c in enumerate(CASES)])
+    def test_run_and_retime_reproduce_the_parent_schedule(self, case):
+        start = float.fromhex(case["start_time"])
+        scheduler = scheduler_of(case)
+        graph = build(case)
+        ran = scheduler.run(graph, start_time=start, execute_actions=False)
+        assert_matches(case, ran)
+        # the named views agree with the arrays
+        names = [t[0] for t in case["tasks"]]
+        assert ran.order_started() == [names[i] for i in case["order"]]
+        for seq, name in enumerate(ran.order_started()):
+            placed = ran.scheduled[name]
+            assert (placed.seq, placed.start.hex(), placed.end.hex()) == \
+                (seq, case["start"][names.index(name)],
+                 case["end"][names.index(name)])
+
+        # Re-time a plan compiled at *other* durations with this case's.
+        durations = [float.fromhex(t[1]) for t in case["tasks"]]
+        plan = compile_plan(build(case, durations=[1.0] * len(durations)))
+        assert_matches(case, scheduler.retime(plan, durations, start))
+        backend = SimulatedBackend(case["workers"], cost_model=scheduler.cost_model)
+        assert_matches(case, backend.simulate(plan, start, durations))
+
+
+# ----------------------------------------------------------------------
+# schedule invariants on arbitrary DAGs
+# ----------------------------------------------------------------------
+@st.composite
+def dags(draw):
+    n = draw(st.integers(0, 16))
+    tasks = []
+    for i in range(n):
+        deps = draw(st.lists(st.integers(0, i - 1), max_size=4)) if i else []
+        tasks.append((draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0))),
+                      draw(st.sampled_from(list(TaskKind))),
+                      draw(st.integers(-2, 2)), deps))
+    return tasks
+
+
+def graph_of(tasks):
+    graph = TaskGraph()
+    for i, (duration, kind, priority, deps) in enumerate(tasks):
+        graph.add_task(f"t{i}", duration, kind=kind, priority=priority,
+                       deps=[f"t{d}" for d in deps])
+    return graph
+
+
+class TestScheduleInvariants:
+    @given(tasks=dags(), workers=st.integers(1, 8),
+           start=st.floats(0.0, 1e3), overhead=st.sampled_from([0.0, 8e-6, 0.5]))
+    @settings(max_examples=150, deadline=None)
+    def test_arbitrary_dag(self, tasks, workers, start, overhead):
+        scheduler = ListScheduler(workers,
+                                  cost_model=CostModel(task_overhead=overhead))
+        graph = graph_of(tasks)
+        result = scheduler.run(graph, start_time=start, execute_actions=False)
+        # no task starts before its dependencies end, or before the clock
+        for i, (_, _, _, deps) in enumerate(tasks):
+            assert result.starts[i] >= start
+            for d in deps:
+                assert result.starts[i] >= result.ends[d]
+        # no two tasks overlap on a worker
+        by_worker = {}
+        for i in range(len(tasks)):
+            by_worker.setdefault(result.workers[i], []).append(
+                (result.starts[i], result.ends[i]))
+        assert all(0 <= w < workers for w in by_worker)
+        for spans in by_worker.values():
+            spans.sort()
+            for (_, first_end), (second_start, _) in zip(spans, spans[1:],
+                                                         strict=False):
+                assert second_start >= first_end
+        # every task launched once, in non-decreasing start order
+        assert sorted(result.launch_order) == list(range(len(tasks)))
+        launched = [result.starts[i] for i in result.launch_order]
+        assert launched == sorted(launched)
+        # re-timing the compiled plan with its base durations is the run
+        plan = compile_plan(graph)
+        for again in (scheduler.retime(plan, start_time=start),
+                      scheduler.retime(plan, list(plan.durations), start)):
+            assert again.starts == result.starts
+            assert again.ends == result.ends
+            assert again.workers == result.workers
+            assert again.launch_order == result.launch_order
+            assert again.makespan == result.makespan
+            assert again.trace.breakdown == result.trace.breakdown
+
+    @given(tasks=dags())
+    @settings(max_examples=50, deadline=None)
+    def test_projection_round_trips(self, tasks):
+        """A plan's TaskGraph projection compiles back to the same plan."""
+        plan = compile_plan(graph_of(tasks))
+        assert compile_plan(plan.to_graph()) == plan
+        renamed = plan.to_graph(names=[f"u{i}" for i in range(len(plan))])
+        again = compile_plan(renamed)
+        assert again.deps == plan.deps and again.durations == plan.durations
+
+
+# ----------------------------------------------------------------------
+# checks that must be able to fail
+# ----------------------------------------------------------------------
+class TestChecksCanFail:
+    def test_dangling_dependency_raises_at_compile(self):
+        graph = TaskGraph()
+        graph.add_task("a", 1.0, deps=["ghost"])
+        with pytest.raises(ValueError, match="unknown task 'ghost'"):
+            compile_plan(graph)
+
+    def test_cycle_raises_at_compile(self):
+        graph = TaskGraph()
+        graph.add_task("a", 1.0, deps=["b"])
+        graph.add_task("b", 1.0, deps=["a"])
+        with pytest.raises(ValueError, match="cycle"):
+            compile_plan(graph)
+        with pytest.raises(ValueError, match="cycle"):
+            ListScheduler(2).run(graph)
+
+    def test_negative_duration_raises_at_compile_and_at_retime(self):
+        graph = TaskGraph()
+        graph.add_task("r1", 1.0, kind=TaskKind.RECOVERY)
+        graph.add_task("alpha", 1.0, deps=["r1"])
+        plan = compile_plan(graph, roles={"r1": "r1"})
+        scheduler = ListScheduler(2)
+        durations = list(plan.durations)
+        durations[plan.roles["r1"]] = -1e-9
+        with pytest.raises(ValueError, match="'r1' has negative duration"):
+            scheduler.retime(plan, durations)
+        graph.task("r1").duration = -1.0     # mutated after construction
+        with pytest.raises(ValueError, match="negative duration"):
+            compile_plan(graph)
+
+    def test_wrong_length_durations_raise(self):
+        graph = TaskGraph()
+        graph.add_task("a", 1.0)
+        plan = compile_plan(graph)
+        with pytest.raises(ValueError, match="1 tasks, got 2 durations"):
+            ListScheduler(1).retime(plan, [1.0, 2.0])
+        with pytest.raises(ValueError, match="re-time a compiled"):
+            SimulatedBackend(1).simulate(graph, durations=[1.0])
+
+    def test_plan_without_roots_deadlocks(self):
+        graph = TaskGraph()
+        graph.add_task("a", 1.0)
+        graph.add_task("b", 1.0, deps=["a"])
+        plan = dataclasses.replace(compile_plan(graph), roots=())
+        with pytest.raises(RuntimeError, match="scheduler deadlock.*'a'"):
+            ListScheduler(2).retime(plan)
+
+    def test_roles_resolve_to_indices(self):
+        graph = TaskGraph()
+        for name in ("q:0", "q:1", "alpha"):
+            graph.add_task(name, 1.0)
+        plan = compile_plan(graph, roles={"alpha": "alpha",
+                                          "q": ["q:0", "q:1"]})
+        assert plan.roles == {"alpha": 2, "q": (0, 1)}
+        with pytest.raises(KeyError):
+            compile_plan(graph, roles={"beta": "beta"})

@@ -102,15 +102,15 @@ class TestBasicScheduling:
         assert order == ["b", "a"]
         assert result.order_started() == order
 
-    def test_order_started_fallback_sorts_by_launch_seq(self):
-        """Without the stored launch order the sort falls back to the
-        scheduler-assigned sequence numbers, not names."""
+    def test_scheduled_seq_is_the_launch_order(self):
+        """Sorting the materialised placements by (start, seq) gives the
+        launch order — sequence numbers, not names, break start ties."""
         graph = TaskGraph()
         graph.add_task("b", 1.0)
         graph.add_task("a", 1.0)
         result = scheduler(2).run(graph)
-        result.started = None
-        assert result.order_started() == ["b", "a"]
+        by_seq = sorted(result.scheduled.values(), key=lambda s: (s.start, s.seq))
+        assert [s.name for s in by_seq] == result.order_started() == ["b", "a"]
 
     def test_actions_can_be_disabled(self):
         called = []
