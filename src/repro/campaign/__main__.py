@@ -41,9 +41,7 @@ from repro.campaign.spec import CampaignSpec, SolverKnobs, parse_shard
 from repro.campaign.store import (GC_DEFAULT_DAYS, CampaignStore,
                                   StoreSchemaError, default_store_root)
 from repro.config import DEFAULT_SEED
-from repro.runtime.backend import BACKEND_NAMES
-from repro.runtime.runtime import (CLOCK_NAMES, PLACEMENT_NAMES,
-                                   SCHEDULER_NAMES)
+from repro.runtime.runtime import add_runtime_arguments, runtime_axes
 
 SUBCOMMANDS = ("run", "merge", "store")
 
@@ -68,30 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="campaign master seed")
     parser.add_argument("--executor", choices=EXECUTOR_NAMES,
                         default="serial")
-    parser.add_argument("--backend", choices=BACKEND_NAMES,
-                        default="simulated",
-                        help="deprecated alias for the runtime axes: "
-                             "'simulated' = --scheduler list --clock "
-                             "simulated, 'threaded' = --scheduler threaded "
-                             "--clock wall; explicit axes win")
-    parser.add_argument("--ranks", type=int, default=1,
-                        help="rank-parallel kernel execution inside each "
-                             "trial: strip-partitioned spmv with real halo "
-                             "exchange and tree allreduces; results and the "
-                             "fingerprint are bit-identical to --ranks 1 "
-                             "(>1 implies --placement ranks)")
-    parser.add_argument("--scheduler", choices=SCHEDULER_NAMES, default=None,
-                        help="runtime scheduler axis: 'list' (discrete-event "
-                             "only) or 'threaded' (graphs additionally "
-                             "execute on real threads; same fingerprint)")
-    parser.add_argument("--placement", choices=PLACEMENT_NAMES, default=None,
-                        help="runtime placement axis: 'local' (single "
-                             "address space) or 'ranks' (strip-partitioned "
-                             "kernels over rank workers)")
-    parser.add_argument("--clock", choices=CLOCK_NAMES, default=None,
-                        help="runtime clock axis: 'simulated' (report only "
-                             "the deterministic timeline) or 'wall' (also "
-                             "measure real wall intervals)")
+    add_runtime_arguments(parser)
     parser.add_argument("--workers", type=int, default=None,
                         help="pool worker count (pool executors only)")
     parser.add_argument("--chunk-size", type=int, default=None,
@@ -188,11 +163,7 @@ def main_run(argv) -> int:
                               max_iterations=args.max_iterations,
                               page_size=args.page_size,
                               preconditioned=args.preconditioned,
-                              backend=args.backend,
-                              ranks=args.ranks,
-                              scheduler=args.scheduler,
-                              placement=args.placement,
-                              clock=args.clock),
+                              **runtime_axes(args)),
             name="cli")
         executor = make_executor(args.executor, max_workers=args.workers,
                                  chunk_size=args.chunk_size)

@@ -37,29 +37,13 @@ from repro.campaign.results import CampaignResult, TrialResult
 from repro.campaign.spec import (CampaignSpec, MatrixSpec, SolverKnobs,
                                  TrialSpec, content_hash, shard_trials)
 from repro.campaign.store import CampaignStore, open_store
+from repro.config import derive_config
 
 # ----------------------------------------------------------------------
 # per-process memoisation (survives across trials within one worker)
 # ----------------------------------------------------------------------
 _PROBLEM_CACHE: Dict[MatrixSpec, tuple] = {}
 _IDEAL_CACHE: Dict[Tuple[MatrixSpec, SolverKnobs], float] = {}
-
-
-def _solver_config(knobs: SolverKnobs):
-    from repro.solvers.resilient_cg import SolverConfig
-    return SolverConfig(tolerance=knobs.tolerance,
-                        max_iterations=knobs.max_iterations,
-                        num_workers=knobs.num_workers,
-                        page_size=knobs.page_size,
-                        cost_model=knobs.cost_model,
-                        work_scale=knobs.work_scale,
-                        record_history=knobs.record_history,
-                        backend=knobs.backend,
-                        pace=knobs.pace,
-                        ranks=knobs.ranks,
-                        scheduler=knobs.scheduler,
-                        placement=knobs.placement,
-                        clock=knobs.clock)
 
 
 def _problem(matrix: MatrixSpec,
@@ -84,7 +68,7 @@ def _make_solver(matrix: MatrixSpec, knobs: SolverKnobs,
                  store: Optional[CampaignStore] = None):
     from repro.core.manager import make_strategy
     from repro.precond.block_jacobi import BlockJacobiPreconditioner
-    from repro.solvers.resilient_cg import ResilientCG
+    from repro.solvers.resilient_cg import ResilientCG, SolverConfig
     A, b = _problem(matrix, store=store)
     strategy = None
     if method is not None:
@@ -96,7 +80,7 @@ def _make_solver(matrix: MatrixSpec, knobs: SolverKnobs,
                                                    page_size=knobs.page_size)
     return ResilientCG(A, b, strategy=strategy,
                        preconditioner=preconditioner, scenario=scenario,
-                       config=_solver_config(knobs),
+                       config=derive_config(SolverConfig, knobs),
                        matrix_name=matrix.label)
 
 

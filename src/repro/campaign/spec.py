@@ -27,9 +27,8 @@ import numpy as np
 from repro.config import (DEFAULT_MAX_ITERATIONS, DEFAULT_SEED,
                           DEFAULT_TOLERANCE, DEFAULT_WORKERS)
 from repro.faults.scenarios import ErrorScenario
-from repro.runtime.backend import BACKEND_NAMES
 from repro.runtime.cost_model import DEFAULT_COST_MODEL, CostModel
-from repro.runtime.runtime import resolve_runtime_spec
+from repro.runtime.runtime import RuntimeSpec, resolve_runtime_spec
 
 def _operator_to_scipy(A):
     """SciPy CSR view of a SparseOperator (``sparse=False`` on a family
@@ -208,34 +207,22 @@ class SolverKnobs:
     checkpoint_interval: Optional[int] = None
     record_history: bool = False
     cost_model: CostModel = DEFAULT_COST_MODEL
-    #: Deprecated alias for the (scheduler, clock) runtime axes:
-    #: ``"simulated"`` -> (list, simulated), ``"threaded"`` ->
-    #: (threaded, wall).  The simulated timeline (and hence every
-    #: aggregate and the campaign fingerprint) is bit-identical in every
-    #: runtime cell.
-    backend: str = "simulated"
     #: Wall-clock pacing of the threaded scheduler (see ``SolverConfig``).
     pace: float = 1.0
-    #: Rank-parallel kernel execution inside each trial
-    #: (``SolverConfig.ranks``); the reproducible reductions keep every
-    #: aggregate and the campaign fingerprint bit-identical to 1 rank.
-    ranks: int = 1
-    #: Explicit runtime axes (``SolverConfig.scheduler`` / ``placement``
-    #: / ``clock``); ``None`` defers to the ``backend``/``ranks`` aliases.
-    scheduler: Optional[str] = None
+    #: The runtime cell of every trial (see ``SolverConfig``).  The
+    #: simulated timeline — and hence every aggregate and the campaign
+    #: fingerprint — is bit-identical in every cell.
+    scheduler: str = "list"
     placement: Optional[str] = None
-    clock: Optional[str] = None
+    clock: str = "simulated"
+    ranks: int = 1
 
     def __post_init__(self):
-        if self.backend not in BACKEND_NAMES:
-            raise ValueError(f"unknown execution backend {self.backend!r}; "
-                             f"known backends: {', '.join(BACKEND_NAMES)}")
         self.runtime_spec()  # validates the axis composition loudly
 
-    def runtime_spec(self):
+    def runtime_spec(self) -> RuntimeSpec:
         """The resolved (scheduler x placement x clock) cell of every trial."""
-        return resolve_runtime_spec(backend=self.backend,
-                                    scheduler=self.scheduler,
+        return resolve_runtime_spec(scheduler=self.scheduler,
                                     placement=self.placement,
                                     clock=self.clock, ranks=self.ranks)
 
@@ -246,16 +233,20 @@ class SolverKnobs:
         results (the runtime cell — the bit-identical invariant) still
         participate, so the store can never paper over a broken
         invariant by serving a trial cached under another cell.  The
-        runtime portion is emitted through the resolved spec's legacy
-        backend alias, so every previously expressible cell keeps its
-        store address byte-for-byte; only the genuinely new cell
-        (``placement='ranks'`` with ``ranks=1``) gains an extra
-        ``placement=`` token.
+        runtime portion is a *token format* fixed when the store was
+        introduced, not an input: the (list, simulated) cell is written
+        ``backend=simulated``, (threaded, wall) ``backend=threaded``,
+        any other pair ``backend=<scheduler>+<clock>``, and only
+        ``placement='ranks'`` with ``ranks=1`` adds a ``placement=``
+        token — so every store address ever written stays valid.
         """
         cost = ",".join(
             f"{f.name}={getattr(self.cost_model, f.name)!r}"
             for f in dataclasses.fields(self.cost_model))
         spec = self.runtime_spec()
+        cell_token = {("list", "simulated"): "simulated",
+                      ("threaded", "wall"): "threaded"}.get(
+            (spec.scheduler, spec.clock), f"{spec.scheduler}+{spec.clock}")
         placement_token = ("placement=ranks/"
                            if (spec.placement == "ranks" and spec.ranks == 1)
                            else "")
@@ -265,7 +256,7 @@ class SolverKnobs:
                 f"precond={int(self.preconditioned)}/"
                 f"ckpt={self.checkpoint_interval}/"
                 f"history={int(self.record_history)}/"
-                f"backend={spec.backend_alias()}/pace={self.pace!r}/"
+                f"backend={cell_token}/pace={self.pace!r}/"
                 f"{placement_token}"
                 f"ranks={spec.ranks}/cost[{cost}]")
 

@@ -8,8 +8,11 @@ relations and fault injectors in this package share these constants.
 
 from __future__ import annotations
 
+import dataclasses
 import os
-from typing import Optional
+from typing import Optional, Type, TypeVar
+
+T = TypeVar("T")
 
 #: Number of float64 values per memory page (4096 bytes / 8 bytes).
 PAGE_DOUBLES: int = 512
@@ -70,3 +73,19 @@ def resolve_worker_count(requested: Optional[int] = None) -> int:
     if cap is not None:
         count = min(count, cap)
     return max(1, count)
+
+
+def derive_config(target: Type[T], source, **overrides) -> T:
+    """Build the ``target`` dataclass from ``source``'s same-named fields.
+
+    ``SolverConfig``, ``SolverKnobs`` and ``ExperimentConfig`` spell a
+    shared knob (tolerance, page size, the four runtime axes, ...) with
+    one field name, so a knob added to two of them is carried across
+    without a hand-kept field list to forget it in.  Fields only
+    ``target`` has keep their defaults unless given in ``overrides``.
+    """
+    shared = ({f.name for f in dataclasses.fields(target)}
+              & {f.name for f in dataclasses.fields(source)})
+    values = {name: getattr(source, name) for name in shared}
+    values.update(overrides)
+    return target(**values)

@@ -16,9 +16,7 @@ import argparse
 import sys
 
 from repro.experiments.common import ExperimentConfig
-from repro.runtime.backend import BACKEND_NAMES
-from repro.runtime.runtime import (CLOCK_NAMES, PLACEMENT_NAMES,
-                                   SCHEDULER_NAMES)
+from repro.runtime.runtime import add_runtime_arguments, runtime_axes
 from repro.experiments.fig3 import format_fig3, run_fig3
 from repro.experiments.fig4 import format_fig4, run_fig4
 from repro.experiments.fig5 import (format_fig5, format_fig5_measured,
@@ -31,22 +29,18 @@ QUICK_RATES = (1.0, 10.0, 50.0)
 EXPERIMENTS = ("table2", "table3", "fig3", "fig4", "fig5")
 
 
-def make_config(quick: bool, backend: str = "simulated",
-                ranks: int = 1, scheduler=None, placement=None,
-                clock=None) -> ExperimentConfig:
-    axes = dict(backend=backend, ranks=ranks, scheduler=scheduler,
-                placement=placement, clock=clock)
+def make_config(quick: bool, **axes) -> ExperimentConfig:
+    """The experiment configuration; ``axes`` select the runtime cell
+    (``scheduler`` / ``placement`` / ``clock`` / ``ranks``)."""
     if quick:
         return ExperimentConfig(matrices=QUICK_MATRICES, repetitions=1,
                                 max_iterations=6000, tolerance=1e-9, **axes)
     return ExperimentConfig(repetitions=2, **axes)
 
 
-def run_one(name: str, quick: bool, backend: str = "simulated",
-            ranks: int = 1, measured: bool = False, store=None,
-            scheduler=None, placement=None, clock=None) -> str:
-    config = make_config(quick, backend, ranks, scheduler=scheduler,
-                         placement=placement, clock=clock)
+def run_one(name: str, quick: bool, measured: bool = False, store=None,
+            **axes) -> str:
+    config = make_config(quick, **axes)
     if name == "table2":
         return format_table2(run_table2(config))
     if name == "table3":
@@ -62,7 +56,8 @@ def run_one(name: str, quick: bool, backend: str = "simulated",
         text = format_fig5(run_fig5(calibration_points=16 if quick else 24,
                                     store=store))
         if measured:
-            rank_counts = (1, 2, 4) if ranks == 1 else (1, ranks)
+            rank_counts = ((1, 2, 4) if config.ranks == 1
+                           else (1, config.ranks))
             measured_result = run_fig5_measured(
                 ranks=rank_counts, points=8 if quick else 10)
             text += "\n\n" + format_fig5_measured(measured_result)
@@ -78,29 +73,7 @@ def main(argv=None) -> int:
                         help="which table/figure to regenerate")
     parser.add_argument("--quick", action="store_true",
                         help="use the reduced matrix/rate grid")
-    parser.add_argument("--backend", choices=BACKEND_NAMES,
-                        default="simulated",
-                        help="deprecated alias for the runtime axes of the "
-                             "solver-driven experiments: 'simulated' = "
-                             "--scheduler list --clock simulated, "
-                             "'threaded' = --scheduler threaded --clock "
-                             "wall; explicit axes win.  fig5's analytic "
-                             "projection runs no solver, so the alias does "
-                             "not apply to it")
-    parser.add_argument("--ranks", type=int, default=1,
-                        help="rank-parallel kernel execution inside every "
-                             "solver (strip partition, real halo exchange, "
-                             "tree allreduce); bit-identical to --ranks 1 "
-                             "(>1 implies --placement ranks)")
-    parser.add_argument("--scheduler", choices=SCHEDULER_NAMES, default=None,
-                        help="runtime scheduler axis: 'list' (discrete-"
-                             "event only) or 'threaded' (graphs also "
-                             "execute on real threads)")
-    parser.add_argument("--placement", choices=PLACEMENT_NAMES, default=None,
-                        help="runtime placement axis: 'local' or 'ranks'")
-    parser.add_argument("--clock", choices=CLOCK_NAMES, default=None,
-                        help="runtime clock axis: 'simulated' or 'wall' "
-                             "(measure real wall intervals)")
+    add_runtime_arguments(parser)
     parser.add_argument("--measured", action="store_true",
                         help="fig5 only: additionally run the measured "
                              "mini-Figure-5 — a small problem really "
@@ -134,10 +107,8 @@ def main(argv=None) -> int:
     targets = EXPERIMENTS if args.experiment == "all" else (args.experiment,)
     for name in targets:
         print(f"\n=== {name} ===")
-        print(run_one(name, args.quick, args.backend,
-                      ranks=args.ranks, measured=args.measured, store=store,
-                      scheduler=args.scheduler, placement=args.placement,
-                      clock=args.clock))
+        print(run_one(name, args.quick, measured=args.measured, store=store,
+                      **runtime_axes(args)))
     if store is not None:
         print(f"\n{store.stats_line()}")
     return 0

@@ -9,7 +9,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.analysis.convergence import ConvergenceRecord
-from repro.config import DEFAULT_SEED
+from repro.config import DEFAULT_SEED, derive_config
 from repro.core.manager import STRATEGY_NAMES, make_strategy
 from repro.faults.scenarios import ErrorScenario
 from repro.matrices.suite import PAPER_MATRICES, MatrixInfo
@@ -44,38 +44,19 @@ class ExperimentConfig:
     repetitions: int = 2
     preconditioned: bool = False
     checkpoint_interval: Optional[int] = None
-    #: Deprecated alias for the runtime's (scheduler, clock) axes:
-    #: ``"threaded"`` makes the drivers additionally report *measured*
-    #: wall-clock overheads next to the simulated ones; the simulated
-    #: numbers themselves are identical in every runtime cell.
-    backend: str = "simulated"
     #: Wall-clock pacing of the threaded scheduler (see ``SolverConfig``).
     pace: float = 1.0
-    #: Rank-parallel kernel execution (``SolverConfig.ranks``): with
-    #: ``ranks > 1`` every solver of the experiment strip-partitions its
-    #: kernels over that many rank workers with real halo exchange and
-    #: tree allreduces.  Results are bit-identical to ``ranks=1``.
-    ranks: int = 1
-    #: Explicit runtime axes (``SolverConfig.scheduler`` / ``placement``
-    #: / ``clock``); ``None`` defers to the ``backend``/``ranks`` aliases.
-    scheduler: Optional[str] = None
+    #: The runtime cell of every solver (see ``SolverConfig``).  A
+    #: ``"wall"`` clock makes the drivers additionally report *measured*
+    #: wall-clock overheads; the simulated numbers are identical in
+    #: every cell.
+    scheduler: str = "list"
     placement: Optional[str] = None
-    clock: Optional[str] = None
+    clock: str = "simulated"
+    ranks: int = 1
 
     def solver_config(self) -> SolverConfig:
-        return SolverConfig(tolerance=self.tolerance,
-                            max_iterations=self.max_iterations,
-                            num_workers=self.num_workers,
-                            page_size=self.page_size,
-                            cost_model=self.cost_model,
-                            work_scale=self.work_scale,
-                            record_history=True,
-                            backend=self.backend,
-                            pace=self.pace,
-                            ranks=self.ranks,
-                            scheduler=self.scheduler,
-                            placement=self.placement,
-                            clock=self.clock)
+        return derive_config(SolverConfig, self, record_history=True)
 
 
 @dataclass

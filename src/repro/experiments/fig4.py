@@ -32,6 +32,7 @@ from repro.campaign.executors import CampaignExecutor
 from repro.campaign.results import (DIVERGED_SLOWDOWN, CampaignResult,
                                     TrialResult)
 from repro.campaign.spec import CampaignSpec, MatrixSpec, SolverKnobs
+from repro.config import derive_config
 from repro.experiments.common import ExperimentConfig
 from repro.faults.scenarios import PAPER_ERROR_RATES
 
@@ -79,13 +80,7 @@ def campaign_spec(config: ExperimentConfig,
     """The Figure 4 sweep expressed as a campaign."""
     names = list(matrices if matrices is not None else config.matrices)
     methods = list(methods if methods is not None else config.methods)
-    knobs = SolverKnobs(
-        tolerance=config.tolerance, max_iterations=config.max_iterations,
-        num_workers=config.num_workers, page_size=config.page_size,
-        work_scale=config.work_scale, preconditioned=config.preconditioned,
-        checkpoint_interval=config.checkpoint_interval,
-        cost_model=config.cost_model,
-        backend=config.backend, pace=config.pace)
+    knobs = derive_config(SolverKnobs, config)
     return CampaignSpec(
         matrices=[MatrixSpec.suite(name, rhs_seed=config.seed)
                   for name in names],

@@ -60,7 +60,7 @@ def run_table2(config: Optional[ExperimentConfig] = None,
     """Reproduce Table 2: fault-free overheads of every method.
 
     The simulated overhead column is deterministic and identical on both
-    execution backends; with ``config.backend == "threaded"`` a measured
+    execution backends; with ``config.clock == "wall"`` a measured
     wall-clock overhead column is reported alongside it.
     """
     config = config or ExperimentConfig()

@@ -12,6 +12,7 @@ from repro.lint.findings import Finding
 #: vectors must be page-ordered to keep N-rank solves bit-identical.
 PAGED_MODULES = (
     "repro/solvers/resilient_cg.py",
+    "repro/solvers/cg_plan.py",
     "repro/runtime/kernels.py",
     "repro/distributed/ranks.py",
 )
@@ -42,8 +43,8 @@ vector and a per-page partial sum of the same vector differ in the last
 ulps, and *which* order runs depends on how many ranks own the vector.
 The repo's bit-identical N-rank guarantee therefore requires every
 reduction over solver vectors in the solver/kernel modules
-(solvers/resilient_cg.py, runtime/kernels.py, distributed/ranks.py) to
-go through repro.runtime.kernels.paged_dot / page_partials /
+(solvers/resilient_cg.py, solvers/cg_plan.py, runtime/kernels.py,
+distributed/ranks.py) to go through repro.runtime.kernels.paged_dot / page_partials /
 reduce_partials, which fix one page order and one combination tree.
 
 Flagged: np.dot / np.sum / np.inner / np.vdot / np.einsum / np.matmul /

@@ -7,8 +7,10 @@ be placed either in the critical path (FEIR) or overlapped with the
 reduction tasks (AFEIR, Figure 2) and that this changes load imbalance
 and overhead — are claims about *task scheduling*.
 
-The runtime is one composition of three orthogonal axes
-(:mod:`repro.runtime.runtime`), built with :func:`make_runtime`:
+The runtime is one composition of three orthogonal axes, resolved into
+a :class:`~repro.runtime.runtime.RuntimeSpec` from which a solver
+builds its graph executor (:func:`make_executor`) and its kernel engine
+(:func:`make_kernel_engine`):
 
 * **scheduler** — how iteration task graphs run: ``"list"`` is the
   deterministic discrete-event priority list scheduler over ``P``
@@ -32,22 +34,17 @@ The simulated timeline is authoritative for every clock-dependent
 decision in all cells, and every engine reduces dot products in fixed
 page order (:func:`~repro.runtime.kernels.paged_dot`), so each
 (scheduler x placement x clock) cell produces bit-identical results.
-``backend="simulated"``/``"threaded"`` remain as deprecated aliases for
-the (scheduler, clock) pairs in
-:data:`~repro.runtime.backend.BACKEND_ALIASES`.
 """
 
-from repro.runtime.backend import (BACKEND_ALIASES, BACKEND_NAMES,
-                                   ExecutionBackend, ExecutionResult,
-                                   SimulatedBackend, WallInterval,
-                                   make_backend)
+from repro.runtime.backend import (ExecutionBackend, ExecutionResult,
+                                   SimulatedBackend, WallInterval)
 from repro.runtime.async_exec import (PageLockTable, ThreadedBackend,
                                       VulnerableWindowMonitor)
 from repro.runtime.kernels import (KernelEngine, LocalKernelEngine,
                                    make_kernel_engine, paged_dot)
-from repro.runtime.runtime import (CLOCK_NAMES, PLACEMENT_NAMES, Runtime,
+from repro.runtime.runtime import (CLOCK_NAMES, PLACEMENT_NAMES,
                                    RuntimeSpec, SCHEDULER_NAMES,
-                                   make_runtime, resolve_runtime_spec)
+                                   make_executor, resolve_runtime_spec)
 from repro.runtime.cost_model import CostModel
 from repro.runtime.graph import (GraphRace, GraphRaceError, TaskGraph,
                                  VERIFY_GRAPHS_ENV, find_races,
@@ -58,8 +55,6 @@ from repro.runtime.task import Task, TaskKind
 from repro.runtime.trace import ExecutionTrace, StateBreakdown
 
 __all__ = [
-    "BACKEND_ALIASES",
-    "BACKEND_NAMES",
     "CLOCK_NAMES",
     "CostModel",
     "ExecutionBackend",
@@ -73,7 +68,6 @@ __all__ = [
     "LocalKernelEngine",
     "PLACEMENT_NAMES",
     "PageLockTable",
-    "Runtime",
     "RuntimeSpec",
     "SCHEDULER_NAMES",
     "ScheduleResult",
@@ -87,10 +81,9 @@ __all__ = [
     "VulnerableWindowMonitor",
     "WallInterval",
     "compile_plan",
-    "make_backend",
     "make_kernel_engine",
     "find_races",
-    "make_runtime",
+    "make_executor",
     "paged_dot",
     "resolve_runtime_spec",
     "verification_enabled",

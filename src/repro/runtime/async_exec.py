@@ -274,7 +274,6 @@ class ThreadedBackend(ExecutionBackend):
     """
 
     name = "threaded"
-    executes_real = True
 
     def __init__(self, num_workers: int,
                  cost_model: CostModel = DEFAULT_COST_MODEL,
@@ -301,10 +300,6 @@ class ThreadedBackend(ExecutionBackend):
         self._shutdown = False
         #: Serialises whole-graph runs (one graph in flight at a time).
         self._run_lock = make_lock("ThreadedBackend.run_lock")
-
-    def describe(self) -> str:
-        return (f"{self.name}({self.num_workers} simulated workers, "
-                f"{self.thread_count} threads)")
 
     # ------------------------------------------------------------------
     def run(self, graph: TaskGraph, start_time: float = 0.0

@@ -4,16 +4,19 @@ The discrete-event :class:`~repro.runtime.scheduler.ListScheduler` answers
 *"how long would this graph take on P workers?"* deterministically; the
 threaded backend (:mod:`repro.runtime.async_exec`) answers *"what happens
 when the same graph actually runs concurrently?"*.  Both sit behind the
-:class:`ExecutionBackend` protocol so the solver, campaign engine and
-experiment drivers can switch between them with a config string:
+:class:`ExecutionBackend` protocol so the solver runs on either one; the
+runtime's scheduler axis (:func:`repro.runtime.runtime.make_executor`)
+picks:
 
-* ``simulated`` — schedule with the list scheduler, then replay task
-  actions sequentially in launch order.  Deterministic, zero concurrency.
-* ``threaded`` — schedule with the list scheduler for the *simulated*
-  timeline (keeping every clock-dependent decision bit-identical to the
-  simulated backend), and additionally execute the graph for real on a
-  pool of worker threads: dependency-tracked dispatch, priority ordering,
-  per-page locks, measured wall-clock intervals per task.
+* ``simulated`` (scheduler ``"list"``) — schedule with the list
+  scheduler, then replay task actions sequentially in launch order.
+  Deterministic, zero concurrency.
+* ``threaded`` (scheduler ``"threaded"``) — schedule with the list
+  scheduler for the *simulated* timeline (keeping every clock-dependent
+  decision bit-identical to the simulated backend), and additionally
+  execute the graph for real on a pool of worker threads:
+  dependency-tracked dispatch, priority ordering, per-page locks,
+  measured wall-clock intervals per task.
 
 Every backend returns an :class:`ExecutionResult` carrying the simulated
 schedule plus (for real backends) the measured wall-clock data used by
@@ -33,19 +36,6 @@ from repro.runtime.plan import IterationPlan
 from repro.runtime.scheduler import ListScheduler, ScheduleResult
 from repro.runtime.task import TaskKind
 from repro.runtime.trace import StateBreakdown
-
-#: Legacy backend names and the (scheduler, clock) composition each one
-#: resolves to in the unified runtime (:mod:`repro.runtime.runtime`).
-#: ``backend=`` is kept as a deprecated alias for these compositions so
-#: existing configs and stored campaign keys keep working.
-BACKEND_ALIASES = {
-    "simulated": ("list", "simulated"),
-    "threaded": ("threaded", "wall"),
-}
-
-#: Backend names understood by :func:`make_backend` — derived from the
-#: registered alias compositions, not hand-kept.
-BACKEND_NAMES = tuple(sorted(BACKEND_ALIASES))
 
 
 @dataclass(frozen=True)
@@ -88,38 +78,6 @@ class ExecutionResult:
     #: Task kinds by name (from the graph), used by the measured-data
     #: queries so they never need the simulated schedule.
     kinds: Dict[str, TaskKind] = field(default_factory=dict)
-
-    # -- delegation to the simulated schedule ---------------------------
-    def _schedule(self) -> ScheduleResult:
-        if self.schedule is None:
-            raise ValueError("execution-only result carries no simulated "
-                             "schedule; use ExecutionBackend.run()")
-        return self.schedule
-
-    @property
-    def makespan(self) -> float:
-        return self._schedule().makespan
-
-    @property
-    def trace(self):
-        return self._schedule().trace
-
-    @property
-    def scheduled(self):
-        return self._schedule().scheduled
-
-    @property
-    def start_time(self) -> float:
-        return self._schedule().start_time
-
-    def start_of(self, name: str) -> float:
-        return self._schedule().start_of(name)
-
-    def end_of(self, name: str) -> float:
-        return self._schedule().end_of(name)
-
-    def order_started(self) -> List[str]:
-        return self._schedule().order_started()
 
     # -- measured-execution queries -------------------------------------
     def overlapped(self, name_a: str, name_b: str) -> bool:
@@ -197,8 +155,6 @@ class ExecutionBackend(abc.ABC):
     """
 
     name: str = "abstract"
-    #: True when :meth:`run` executes task actions on real threads.
-    executes_real: bool = False
 
     def __init__(self, num_workers: int,
                  cost_model: CostModel = DEFAULT_COST_MODEL,
@@ -232,19 +188,14 @@ class ExecutionBackend(abc.ABC):
             ) -> ExecutionResult:
         """Schedule the graph and execute its task actions."""
 
+    @abc.abstractmethod
     def execute(self, graph: TaskGraph) -> ExecutionResult:
         """Execute the graph's actions without re-deriving its simulated
         timeline (``result.schedule`` is ``None``); measured wall
-        intervals are still recorded.  Subclasses must implement this to
-        participate in the unified runtime's wall clock."""
-        raise NotImplementedError(f"backend {self.name!r} cannot execute "
-                                  f"without a schedule")
+        intervals are still recorded — the re-enactment's entry point."""
 
     def close(self) -> None:
         """Release any real resources (worker threads); idempotent."""
-
-    def describe(self) -> str:
-        return f"{self.name}({self.num_workers} workers)"
 
     def __enter__(self) -> "ExecutionBackend":
         return self
@@ -263,7 +214,6 @@ class SimulatedBackend(ExecutionBackend):
     """
 
     name = "simulated"
-    executes_real = False
 
     def run(self, graph: TaskGraph, start_time: float = 0.0
             ) -> ExecutionResult:
@@ -309,30 +259,3 @@ class SimulatedBackend(ExecutionBackend):
                                wall_time=wall_time, wall_intervals=intervals,
                                values=values,
                                kinds={t.name: t.kind for t in graph.tasks})
-
-
-def make_backend(name: str, num_workers: int,
-                 cost_model: CostModel = DEFAULT_COST_MODEL,
-                 charge_overhead: bool = True,
-                 max_threads: Optional[int] = None,
-                 pace: float = 1.0) -> ExecutionBackend:
-    """Build an execution backend from its registry name.
-
-    ``max_threads`` caps the *real* thread count of the threaded backend
-    (the simulated worker count stays ``num_workers`` so timing results
-    are unaffected); it defaults to ``num_workers`` capped by the
-    ``REPRO_MAX_WORKERS`` environment override.  ``pace`` is the threaded
-    backend's wall-clock pacing factor (see
-    :class:`~repro.runtime.async_exec.ThreadedBackend`).
-    """
-    key = name.strip().lower()
-    if key == "simulated":
-        return SimulatedBackend(num_workers, cost_model=cost_model,
-                                charge_overhead=charge_overhead)
-    if key == "threaded":
-        from repro.runtime.async_exec import ThreadedBackend
-        return ThreadedBackend(num_workers, cost_model=cost_model,
-                               charge_overhead=charge_overhead,
-                               max_threads=max_threads, pace=pace)
-    raise ValueError(f"unknown execution backend {name!r}; "
-                     f"known backends: {', '.join(BACKEND_NAMES)}")

@@ -21,11 +21,14 @@ reduction used by bitwise-reproducible MPI collectives.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Iterable, Optional, Set
+from typing import TYPE_CHECKING, Callable, Iterable, Set
 
 import numpy as np
 
 from repro.memory.pages import page_count
+
+if TYPE_CHECKING:
+    from repro.runtime.runtime import RuntimeSpec
 
 
 def page_partials(u: np.ndarray, v: np.ndarray, page_size: int) -> np.ndarray:
@@ -150,9 +153,6 @@ class KernelEngine(abc.ABC):
     def close(self) -> None:
         """Release real resources (rank worker threads); idempotent."""
 
-    def describe(self) -> str:
-        return f"{self.name}({self.ranks} rank(s))"
-
 
 class LocalKernelEngine(KernelEngine):
     """Single-address-space kernels: one NumPy call per operation.
@@ -204,30 +204,14 @@ class LocalKernelEngine(KernelEngine):
         return fn()
 
 
-def make_kernel_engine(blocked, ranks: int = 1,
-                       timeout: Optional[float] = None,
-                       placement: Optional[str] = None) -> KernelEngine:
-    """Build the kernel engine for a solve.
+def make_kernel_engine(blocked, spec: "RuntimeSpec") -> KernelEngine:
+    """The kernel engine of ``spec``'s placement axis, bound to ``blocked``.
 
-    ``placement`` is the unified runtime's placement axis: ``"local"``
-    forces the single-address-space engine (and rejects ``ranks > 1``),
-    ``"ranks"`` forces the rank runtime even for a single strip.  When
-    ``None`` (the legacy path) the placement is inferred from ``ranks``:
-    local for 1, rank-parallel otherwise.
+    ``spec`` is already validated (:class:`~repro.runtime.runtime.RuntimeSpec`
+    rejects ``placement="local"`` with ``ranks > 1``); ``"ranks"`` builds
+    the rank runtime even for a single strip.
     """
-    if ranks < 1:
-        raise ValueError(f"ranks must be >= 1, got {ranks}")
-    if placement is None:
-        placement = "ranks" if ranks > 1 else "local"
-    if placement == "local":
-        if ranks > 1:
-            raise ValueError(
-                f"placement='local' is a single address space and cannot "
-                f"host ranks={ranks}; use placement='ranks'")
+    if spec.placement == "local":
         return LocalKernelEngine(blocked.A, blocked.n, blocked.page_size)
-    if placement != "ranks":
-        raise ValueError(f"unknown placement {placement!r}; the placement "
-                         f"axis takes 'local' or 'ranks'")
     from repro.distributed.ranks import RankKernelEngine
-    kwargs = {} if timeout is None else {"timeout": timeout}
-    return RankKernelEngine(blocked, ranks, **kwargs)
+    return RankKernelEngine(blocked, spec.ranks)

@@ -1,56 +1,31 @@
-"""The composable runtime: scheduler x placement x clock.
+"""The runtime cell: scheduler x placement x clock, resolved and validated.
 
-PR 2 introduced the :class:`~repro.runtime.backend.ExecutionBackend`
-seam (how a task graph runs) and PR 3 the
-:class:`~repro.runtime.kernels.KernelEngine` seam (where the numerical
-kernels run).  They composed by convention — ``backend=`` and ``ranks=``
-were separate knobs whose combinations were partly forbidden — which
-made two cells of the design space unexpressible: the threaded task
-system over rank-sharded kernels, and AFEIR recovery overlapping the
-*halo exchange* on the owning rank.  This module replaces the
-convention with a single composition of three orthogonal axes:
+A runtime *cell* is one choice on each of the three orthogonal axes the
+package docstring (:mod:`repro.runtime`) describes — scheduler (how the
+iteration task graphs run), placement (where the numerical kernels
+run), clock (which timeline is reported) — plus the rank count, held as
+a :class:`RuntimeSpec`.  The simulated timeline is authoritative for
+every clock-dependent decision in **all** cells, and kernels reduce in
+fixed page order in all placements, so every cell produces bit-identical
+iterates, solve times, recovery decisions and campaign fingerprints —
+the repo's central invariant.
 
-scheduler
-    How the iteration task graphs run.  ``"list"`` is the deterministic
-    discrete-event list scheduler; ``"threaded"`` additionally executes
-    every graph for real on a dependency-tracked priority thread pool.
-placement
-    Where the numerical kernels run.  ``"local"`` is the single-address-
-    space NumPy engine; ``"ranks"`` strip-partitions every kernel over
-    N rank workers with a load-bearing halo exchange and tree
-    allreduces (:mod:`repro.distributed.ranks`).
-clock
-    Which timeline is *reported*.  ``"simulated"`` reports only the
-    deterministic discrete-event timeline; ``"wall"`` additionally
-    reports measured wall-clock intervals of the re-enacted execution
-    (task overlap, vulnerable windows, per-state wall shares).
-
-The simulated timeline is authoritative for every clock-dependent
-decision in **all** cells, and kernels reduce in fixed page order in
-all placements, so every (scheduler x placement x clock) cell produces
-bit-identical iterates, solve times, recovery decisions and campaign
-fingerprints — the repo's central invariant.
-
-``backend="simulated"``/``backend="threaded"`` and ``ranks=N`` remain
-accepted as deprecated aliases: a legacy backend name fills in whichever
-axes were not given explicitly (see :data:`~repro.runtime.backend.BACKEND_ALIASES`),
-and ``ranks > 1`` implies ``placement="ranks"``.  Existing configs,
-stored campaign keys and CLI invocations therefore keep working and keep
-their content addresses.
+A solver builds its two runtime objects straight from the resolved
+spec: :func:`make_executor` (scheduler axis) and
+:func:`~repro.runtime.kernels.make_kernel_engine` (placement axis).
+The command-line spelling of the axes lives here too
+(:func:`add_runtime_arguments` / :func:`runtime_axes`), so every CLI
+declares and reads them the same way.
 """
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
-from repro.runtime.backend import (BACKEND_ALIASES, BACKEND_NAMES,
-                                   ExecutionBackend, ExecutionResult,
-                                   SimulatedBackend)
+from repro.runtime.backend import ExecutionBackend, SimulatedBackend
 from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
-from repro.runtime.graph import TaskGraph
-from repro.runtime.kernels import KernelEngine, make_kernel_engine
-from repro.runtime.scheduler import ScheduleResult
 
 #: Values of the scheduler axis.
 SCHEDULER_NAMES = ("list", "threaded")
@@ -70,33 +45,22 @@ class RuntimeSpec:
     ranks: int = 1
 
     def __post_init__(self):
-        if self.scheduler not in SCHEDULER_NAMES:
-            raise ValueError(
-                f"unknown scheduler {self.scheduler!r}; the scheduler axis "
-                f"of make_runtime takes {' or '.join(SCHEDULER_NAMES)}")
-        if self.placement not in PLACEMENT_NAMES:
-            raise ValueError(
-                f"unknown placement {self.placement!r}; the placement axis "
-                f"of make_runtime takes {' or '.join(PLACEMENT_NAMES)}")
-        if self.clock not in CLOCK_NAMES:
-            raise ValueError(
-                f"unknown clock {self.clock!r}; the clock axis of "
-                f"make_runtime takes {' or '.join(CLOCK_NAMES)}")
+        for axis, names in (("scheduler", SCHEDULER_NAMES),
+                            ("placement", PLACEMENT_NAMES),
+                            ("clock", CLOCK_NAMES)):
+            if getattr(self, axis) not in names:
+                raise ValueError(
+                    f"unknown {axis} {getattr(self, axis)!r}; the {axis} "
+                    f"axis takes {' or '.join(names)}")
         if self.ranks < 1:
             raise ValueError(f"ranks must be >= 1, got {self.ranks}")
         if self.placement == "local" and self.ranks > 1:
             raise ValueError(
                 f"placement='local' is a single address space and cannot "
-                f"host ranks={self.ranks}; use "
-                f"make_runtime(placement='ranks', ranks={self.ranks}) or "
-                f"drop the ranks axis")
+                f"host ranks={self.ranks}; use placement='ranks' or drop "
+                f"the ranks axis")
 
     # ------------------------------------------------------------------
-    @property
-    def executes_real(self) -> bool:
-        """True when iteration graphs additionally run on real threads."""
-        return self.scheduler == "threaded"
-
     @property
     def measures_wall(self) -> bool:
         """True when measured wall intervals are reported to the caller."""
@@ -105,152 +69,75 @@ class RuntimeSpec:
     @property
     def runs_reenactment(self) -> bool:
         """True when the solver re-enacts each iteration graph for real
-        (either to exercise real concurrency or to measure wall time)."""
-        return self.executes_real or self.measures_wall
-
-    def backend_alias(self) -> str:
-        """The legacy ``backend=`` name of this (scheduler, clock) pair,
-        or the explicit ``scheduler+clock`` composition when the pair has
-        no legacy name.  Used by content tokens so every previously
-        expressible cell keeps its store address byte-for-byte."""
-        for name, (sched, clock) in BACKEND_ALIASES.items():
-            if (sched, clock) == (self.scheduler, self.clock):
-                return name
-        return f"{self.scheduler}+{self.clock}"
-
-    def describe(self) -> str:
-        return (f"runtime(scheduler={self.scheduler}, "
-                f"placement={self.placement}, clock={self.clock}, "
-                f"ranks={self.ranks})")
+        (either on real threads, to exercise real concurrency, or to
+        measure wall time)."""
+        return self.scheduler == "threaded" or self.measures_wall
 
 
-def resolve_runtime_spec(backend: Optional[str] = None,
-                         scheduler: Optional[str] = None,
+def resolve_runtime_spec(scheduler: str = "list",
                          placement: Optional[str] = None,
-                         clock: Optional[str] = None,
-                         ranks: Optional[int] = None) -> RuntimeSpec:
-    """Resolve legacy aliases and axis overrides into a :class:`RuntimeSpec`.
+                         clock: str = "simulated",
+                         ranks: int = 1) -> RuntimeSpec:
+    """Resolve the four axis values into a validated :class:`RuntimeSpec`.
 
-    ``backend`` (deprecated alias) fills in whichever of ``scheduler``
-    and ``clock`` were not given explicitly; an explicit axis always
-    wins.  ``ranks > 1`` implies ``placement="ranks"``; an explicit
-    ``placement="ranks"`` with ``ranks=1`` runs the rank runtime with a
-    single strip.  Invalid combinations raise a :class:`ValueError`
-    naming the factory axis to fix.
+    ``placement=None`` is inferred from ``ranks`` (``ranks > 1`` implies
+    ``"ranks"``); an explicit ``placement="ranks"`` with ``ranks=1`` runs
+    the rank runtime with a single strip.  Invalid values and
+    combinations raise a :class:`ValueError` naming the axis to fix.
     """
-    if backend is not None:
-        key = str(backend).strip().lower()
-        if key not in BACKEND_ALIASES:
-            raise ValueError(
-                f"unknown execution backend {backend!r}; known backends: "
-                f"{', '.join(BACKEND_NAMES)} (or compose the runtime axes "
-                f"directly: make_runtime(scheduler=..., placement=..., "
-                f"clock=...))")
-        alias_scheduler, alias_clock = BACKEND_ALIASES[key]
-        scheduler = scheduler if scheduler is not None else alias_scheduler
-        clock = clock if clock is not None else alias_clock
-    scheduler = "list" if scheduler is None else str(scheduler).strip().lower()
-    clock = "simulated" if clock is None else str(clock).strip().lower()
-    ranks = 1 if ranks is None else int(ranks)
+    ranks = int(ranks)
     if placement is None:
         placement = "ranks" if ranks > 1 else "local"
-    else:
-        placement = str(placement).strip().lower()
-    return RuntimeSpec(scheduler=scheduler, placement=placement,
-                       clock=clock, ranks=ranks)
+    return RuntimeSpec(scheduler=str(scheduler).strip().lower(),
+                       placement=str(placement).strip().lower(),
+                       clock=str(clock).strip().lower(), ranks=ranks)
 
 
-class Runtime:
-    """One composed runtime: a graph executor plus a kernel engine.
+def make_executor(spec: RuntimeSpec, num_workers: int,
+                  cost_model: CostModel = DEFAULT_COST_MODEL,
+                  max_threads: Optional[int] = None,
+                  pace: float = 1.0) -> ExecutionBackend:
+    """The graph executor of ``spec``'s scheduler axis.
 
-    The solver talks to exactly this object: ``simulate``/``execute``
-    run the iteration task graphs (scheduler + clock axes), ``engine``
-    runs the numerical kernels (placement axis), and ``spec`` answers
-    the cell-dependent questions (does the re-enactment run?  is wall
-    time reported?).
+    ``max_threads`` caps the *real* thread count of the threaded
+    executor (the simulated worker count stays ``num_workers``, so the
+    timeline is unaffected) and ``pace`` is its wall-clock pacing factor
+    (:class:`~repro.runtime.async_exec.ThreadedBackend`); the list
+    executor ignores both.
     """
-
-    def __init__(self, spec: RuntimeSpec, executor: ExecutionBackend,
-                 engine: KernelEngine):
-        self.spec = spec
-        self.executor = executor
-        self.engine = engine
-
-    # -- graph execution (scheduler/clock axes) -------------------------
-    def simulate(self, graph: TaskGraph,
-                 start_time: float = 0.0) -> ScheduleResult:
-        return self.executor.simulate(graph, start_time=start_time)
-
-    def run(self, graph: TaskGraph,
-            start_time: float = 0.0) -> ExecutionResult:
-        return self.executor.run(graph, start_time=start_time)
-
-    def execute(self, graph: TaskGraph) -> ExecutionResult:
-        return self.executor.execute(graph)
-
-    # -- delegated spec queries -----------------------------------------
-    @property
-    def executes_real(self) -> bool:
-        return self.spec.executes_real
-
-    @property
-    def measures_wall(self) -> bool:
-        return self.spec.measures_wall
-
-    @property
-    def runs_reenactment(self) -> bool:
-        return self.spec.runs_reenactment
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Release real resources of both halves (idempotent)."""
-        self.executor.close()
-        self.engine.close()
-
-    def describe(self) -> str:
-        return (f"{self.spec.describe()} -> {self.executor.describe()} + "
-                f"{self.engine.describe()}")
-
-    def __enter__(self) -> "Runtime":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def make_runtime(blocked, *,
-                 num_workers: int,
-                 cost_model: CostModel = DEFAULT_COST_MODEL,
-                 charge_overhead: bool = True,
-                 max_threads: Optional[int] = None,
-                 pace: float = 1.0,
-                 timeout: Optional[float] = None,
-                 backend: Optional[str] = None,
-                 scheduler: Optional[str] = None,
-                 placement: Optional[str] = None,
-                 clock: Optional[str] = None,
-                 ranks: Optional[int] = None,
-                 spec: Optional[RuntimeSpec] = None) -> Runtime:
-    """Build the composed runtime for one solve.
-
-    ``blocked`` is the solve's :class:`~repro.matrices.blocked.PageBlockedMatrix`
-    (the placement axis binds kernels to it); the remaining keyword
-    arguments select the cell — either a pre-resolved ``spec`` or the
-    axes/aliases :func:`resolve_runtime_spec` accepts.
-    """
-    if spec is None:
-        spec = resolve_runtime_spec(backend=backend, scheduler=scheduler,
-                                    placement=placement, clock=clock,
-                                    ranks=ranks)
     if spec.scheduler == "threaded":
         from repro.runtime.async_exec import ThreadedBackend
-        executor: ExecutionBackend = ThreadedBackend(
-            num_workers, cost_model=cost_model,
-            charge_overhead=charge_overhead, max_threads=max_threads,
-            pace=pace)
-    else:
-        executor = SimulatedBackend(num_workers, cost_model=cost_model,
-                                    charge_overhead=charge_overhead)
-    engine = make_kernel_engine(blocked, ranks=spec.ranks,
-                                timeout=timeout, placement=spec.placement)
-    return Runtime(spec=spec, executor=executor, engine=engine)
+        return ThreadedBackend(num_workers, cost_model=cost_model,
+                               max_threads=max_threads, pace=pace)
+    return SimulatedBackend(num_workers, cost_model=cost_model)
+
+
+# ----------------------------------------------------------------------
+# command-line spelling of the axes
+# ----------------------------------------------------------------------
+def add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the four runtime-axis flags on ``parser``."""
+    parser.add_argument("--scheduler", choices=SCHEDULER_NAMES,
+                        default="list",
+                        help="runtime scheduler axis: 'list' (discrete-event "
+                             "only) or 'threaded' (graphs additionally "
+                             "execute on real threads; same fingerprint)")
+    parser.add_argument("--placement", choices=PLACEMENT_NAMES, default=None,
+                        help="runtime placement axis: 'local' (single "
+                             "address space) or 'ranks' (strip-partitioned "
+                             "kernels over rank workers; implied by --ranks)")
+    parser.add_argument("--clock", choices=CLOCK_NAMES, default="simulated",
+                        help="runtime clock axis: 'simulated' (report only "
+                             "the deterministic timeline) or 'wall' (also "
+                             "measure real wall intervals)")
+    parser.add_argument("--ranks", type=int, default=1,
+                        help="rank workers the kernels are strip-partitioned "
+                             "over (real halo exchange, tree allreduces); "
+                             "bit-identical results to --ranks 1")
+
+
+def runtime_axes(args: argparse.Namespace) -> Dict[str, object]:
+    """The parsed axis flags as keyword arguments for ``SolverConfig``,
+    ``SolverKnobs`` or ``ExperimentConfig``."""
+    return dict(scheduler=args.scheduler, placement=args.placement,
+                clock=args.clock, ranks=args.ranks)

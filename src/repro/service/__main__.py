@@ -33,9 +33,7 @@ from repro.campaign.spec import CampaignSpec, SolverKnobs
 from repro.campaign.store import CampaignStore, StoreSchemaError, \
     default_store_root
 from repro.config import DEFAULT_SEED
-from repro.runtime.backend import BACKEND_NAMES
-from repro.runtime.runtime import (CLOCK_NAMES, PLACEMENT_NAMES,
-                                   SCHEDULER_NAMES)
+from repro.runtime.runtime import add_runtime_arguments, runtime_axes
 from repro.service.client import ServiceClient, ServiceError, default_url
 from repro.service.server import CampaignService, default_host, default_port
 
@@ -65,12 +63,7 @@ def add_spec_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-iterations", type=int, default=20000)
     parser.add_argument("--page-size", type=int, default=128)
     parser.add_argument("--preconditioned", action="store_true")
-    parser.add_argument("--backend", choices=BACKEND_NAMES,
-                        default="simulated")
-    parser.add_argument("--ranks", type=int, default=1)
-    parser.add_argument("--scheduler", choices=SCHEDULER_NAMES, default=None)
-    parser.add_argument("--placement", choices=PLACEMENT_NAMES, default=None)
-    parser.add_argument("--clock", choices=CLOCK_NAMES, default=None)
+    add_runtime_arguments(parser)
 
 
 def spec_from_args(args: argparse.Namespace) -> CampaignSpec:
@@ -81,9 +74,7 @@ def spec_from_args(args: argparse.Namespace) -> CampaignSpec:
                           max_iterations=args.max_iterations,
                           page_size=args.page_size,
                           preconditioned=args.preconditioned,
-                          backend=args.backend, ranks=args.ranks,
-                          scheduler=args.scheduler,
-                          placement=args.placement, clock=args.clock),
+                          **runtime_axes(args)),
         name="service-cli")
 
 

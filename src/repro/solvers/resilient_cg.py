@@ -16,22 +16,22 @@ executed by the discrete-event runtime, with
 Execution model
 ---------------
 Numerical work is performed eagerly with NumPy, while *time* is
-simulated: each iteration's task graph is scheduled on ``num_workers``
-workers by the list scheduler and the makespan advances the simulated
-clock.  The graph has one of a few *shapes* (resilient or not, with or
-without a checkpoint task), so each shape is built and compiled into an
-:class:`~repro.runtime.plan.IterationPlan` once per solver and then only
-re-timed — with the clock as start time and the iteration's actual
-recovery durations.  Fault injection times are interpreted on that
-clock.  With
-``SolverConfig(backend="threaded")`` the same graphs are *additionally*
-executed for real on worker threads each iteration — recovery tasks
-genuinely overlap the reductions, wall-clock time and per-state shares
-are measured, and the vulnerable-window monitor records the gap between
-each recovery task and its dependent scalar — while the simulated
-timeline stays authoritative for every clock-dependent decision, so the
-two backends agree bit-for-bit.  Within an iteration, faults are
-materialised at four check points:
+simulated.  The structure of an iteration — its task graph, the compiled
+:class:`~repro.runtime.plan.IterationPlan` of each *shape* (resilient or
+not, with or without a checkpoint task), where the check points fall —
+is owned by :class:`~repro.solvers.cg_plan.CGPlanner`; this module holds
+a planner and asks it to time an iteration from the current clock
+(fault-free durations first, then the iteration's actual recovery work)
+and, on the cells that execute for real, to re-enact it.  Fault
+injection times are interpreted on the simulated clock.  With
+``SolverConfig(scheduler="threaded")`` or ``clock="wall"`` the same
+graphs are *additionally* executed for real each iteration — recovery
+tasks genuinely overlap the reductions, wall-clock time and per-state
+shares are measured, and the vulnerable-window monitor records the gap
+between each recovery task and its dependent scalar — while the
+simulated timeline stays authoritative for every clock-dependent
+decision, so all runtime cells agree bit-for-bit.  Within an iteration,
+faults are materialised at four check points:
 
 =====  ==============================  =========================
 point  position in the iteration       covering recovery task
@@ -58,15 +58,13 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.analysis.convergence import ConvergenceRecord, ResidualHistory
-from repro.config import (DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE,
-                          DEFAULT_WORKERS, PAGE_DOUBLES)
 from repro.core.checkpoint import CheckpointStrategy
 from repro.core.relations import MatVecRelation, ResidualRelation
 from repro.core.strategy import RecoveryStats, RecoveryStrategy
@@ -77,128 +75,94 @@ from repro.matrices.sparse import SparseOperator
 from repro.memory.manager import MemoryManager
 from repro.memory.pages import PagedVector
 from repro.precond.base import Preconditioner
-from repro.runtime.async_exec import VulnerableWindowMonitor
-from repro.runtime.backend import ExecutionResult
-from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
-from repro.runtime.runtime import make_runtime
-from repro.runtime.graph import TaskGraph
-from repro.runtime.plan import IterationPlan, compile_plan
-from repro.runtime.scheduler import ScheduleResult
-from repro.runtime.task import TaskKind
+from repro.runtime.kernels import make_kernel_engine
+from repro.runtime.runtime import make_executor, resolve_runtime_spec
 from repro.runtime.trace import ExecutionTrace
+from repro.solvers.cg_plan import (COVERING_TASK, RECOVERY_TASKS, CGPlanner,
+                                   IterationTiming)
+from repro.solvers.cg_types import CGState, SolveResult, SolverConfig
 
 
-@dataclass
-class SolverConfig:
-    """Configuration of the resilient CG run."""
+@dataclass(frozen=True)
+class PointOutcome:
+    """What handling the faults of one check point cost and decided."""
 
-    tolerance: float = DEFAULT_TOLERANCE
-    max_iterations: int = DEFAULT_MAX_ITERATIONS
-    num_workers: int = DEFAULT_WORKERS
-    page_size: int = PAGE_DOUBLES
-    cost_model: CostModel = DEFAULT_COST_MODEL
-    #: Scale factor applied to compute-task durations (and checkpoint
-    #: volume) so the scaled-down test matrices are *timed* as if they
-    #: had the paper's problem sizes.  Purely a timing device; the
-    #: numerics are untouched.
-    work_scale: float = 200.0
-    #: Record the per-iteration residual history.
-    record_history: bool = True
-    #: Injection schedule horizon, as a multiple of the ideal solve time.
-    horizon_factor: float = 50.0
-    #: Extra simulated cost of servicing one page fault (signal delivery,
-    #: page re-mapping by the OS), charged per detected DUE.
-    fault_service_time: float = 0.5e-3
-    #: Deprecated alias for the runtime's (scheduler, clock) axes:
-    #: ``"simulated"`` resolves to (list, simulated), ``"threaded"`` to
-    #: (threaded, wall).  A legacy name only fills in axes not given
-    #: explicitly below.  The simulated timeline — and therefore every
-    #: clock-dependent decision — is bit-identical across all cells.
-    backend: str = "simulated"
-    #: Cap on the threaded scheduler's real thread count (``None``: one
-    #: thread per simulated worker, capped by ``REPRO_MAX_WORKERS``).
-    max_threads: Optional[int] = None
-    #: Wall-clock pacing of the threaded scheduler: each task occupies
-    #: its thread for at least ``duration * pace`` real seconds, so
-    #: schedule effects (overlap, barriers) are physically measurable.
-    #: 0 disables.
-    pace: float = 1.0
-    #: Rank-parallel execution (``repro.distributed.ranks``): with
-    #: ``ranks > 1`` the numerical kernels are strip-partitioned over
-    #: that many rank workers with real halo exchange, tree allreduces
-    #: and owner-local recovery.  The reductions are reproducibly
-    #: ordered, so results are bit-identical to ``ranks=1``; the
-    #: simulated timeline is unaffected either way.  ``ranks > 1``
-    #: implies ``placement="ranks"``.
-    ranks: int = 1
-    #: Runtime axes (:func:`repro.runtime.runtime.make_runtime`).  Each
-    #: ``None`` is filled in from the deprecated ``backend``/``ranks``
-    #: aliases above: scheduler "list"/"threaded" (how graphs run),
-    #: placement "local"/"ranks" (where kernels run), clock
-    #: "simulated"/"wall" (which timeline is reported).
-    scheduler: Optional[str] = None
-    placement: Optional[str] = None
-    clock: Optional[str] = None
+    #: Simulated recovery work, charged to the point's covering task.
+    work: float = 0.0
+    #: Simulated page-fault service time of the detected DUEs.
+    service: float = 0.0
+    restart: bool = False
+    rollback: bool = False
+    #: Pages FEIR/AFEIR could not repair: their contribution to the
+    #: point's reduction is skipped.
+    skip: FrozenSet[int] = frozenset()
 
 
-@dataclass
-class CGState:
-    """Solver state handed to recovery strategies (see ``core.strategy``)."""
-
-    blocked: PageBlockedMatrix
-    b: np.ndarray
-    vectors: Dict[str, PagedVector]
-    memory: MemoryManager
-    residual_relation: ResidualRelation
-    matvec_relation: MatVecRelation
-    preconditioner: Optional[Preconditioner]
-    current_d_name: str = "d0"
-    previous_d_name: str = "d1"
-    #: Where in the iteration we are ("A", "B", "C" or "D").
-    point: str = "A"
-    #: Scalars available for relation-based recovery (e.g. ``beta``).
-    scalars: Dict[str, float] = field(default_factory=dict)
+_NO_FAULTS = PointOutcome()
 
 
-@dataclass
-class SolveResult:
-    """Everything produced by one resilient solve."""
+class _Iteration:
+    """One iteration's timing, its faults and what handling them cost."""
 
-    x: np.ndarray
-    record: ConvergenceRecord
-    trace: ExecutionTrace
-    stats: RecoveryStats
-    ideal_iteration_time: float = 0.0
-    #: Measured wall-clock seconds of real graph execution (threaded
-    #: backend only; 0.0 under pure simulation).
-    wall_clock: float = 0.0
-    #: Measured per-state accounting of the real execution, mirroring
-    #: the simulated ``trace`` (threaded backend only).
-    wall_trace: Optional[ExecutionTrace] = None
-    #: Digest of the vulnerable-window monitor: recovery scans executed,
-    #: measured windows, observed real overlap, DUEs landing in-window.
-    window_summary: Optional[Dict[str, object]] = None
-    #: Measured inter-rank communication of the rank-parallel engine
-    #: (:class:`~repro.distributed.ranks.RankCommStats`); ``None`` for
-    #: single-rank solves.
-    rank_stats: Optional[object] = None
+    __slots__ = ("number", "this_d", "last_d", "checkpoint", "start",
+                 "timing", "by_point", "had_faults", "late", "recovery_work",
+                 "fault_service", "restart", "rolled_back")
 
-    @property
-    def converged(self) -> bool:
-        return self.record.converged
+    def __init__(self, number: int, checkpoint: bool, start: float,
+                 timing: IterationTiming):
+        self.number = number
+        #: Double-buffered search direction (Listing 2): this iteration
+        #: writes ``this_d`` from ``last_d``.
+        self.this_d, self.last_d = (("d0", "d1") if number % 2 == 1
+                                    else ("d1", "d0"))
+        self.checkpoint = checkpoint
+        #: The simulated clock when the iteration started.
+        self.start = start
+        self.timing = timing
+        self.by_point = {"A": [], "B": [], "C": [], "D": []}
+        self.had_faults = False
+        #: AFEIR pages hit too late for their scalar: contribution
+        #: skipped, update deferred, repaired exactly at point D.
+        self.late = {"g": set(), "x": set(), "d": set(), "q": set()}
+        #: Simulated work added to each recovery task by this
+        #: iteration's faults.
+        self.recovery_work = dict.fromkeys(RECOVERY_TASKS, 0.0)
+        self.fault_service = 0.0
+        self.restart = False
+        self.rolled_back = False
 
-    @property
-    def solve_time(self) -> float:
-        return self.record.solve_time
+    def time_of(self, key: str) -> float:
+        """Simulated time of a check point or recovery-task start."""
+        return self.start + self.timing.points[key]
+
+    def absorb(self, point: str, outcome: PointOutcome) -> None:
+        self.recovery_work[COVERING_TASK[point]] += outcome.work
+        self.fault_service += outcome.service
+        self.restart |= outcome.restart
+        self.rolled_back |= outcome.rollback
 
 
-@dataclass
-class _IterationTemplate:
-    """Cached schedule of a fault-free iteration (reused while no faults)."""
+class _Run:
+    """What one solve carries from iteration to iteration."""
 
-    makespan: float
-    rel_point_times: Dict[str, float]
-    trace: ExecutionTrace
+    __slots__ = ("state", "stats", "pending", "b_norm", "history", "trace",
+                 "clock", "rel", "rho_old", "restart_next", "converged")
+
+    def __init__(self, state: CGState, pending: "deque[Injection]",
+                 b_norm: float, num_workers: int):
+        self.state = state
+        self.stats = RecoveryStats()
+        #: Time-sorted injections; each iteration takes its batch off the
+        #: front.
+        self.pending = pending
+        self.b_norm = b_norm
+        self.history = ResidualHistory()
+        self.trace = ExecutionTrace(num_workers)
+        self.clock = 0.0
+        self.rel = math.inf
+        self.rho_old = 0.0
+        self.restart_next = True   # first iteration behaves like a restart
+        self.converged = False
 
 
 class ResilientCG:
@@ -213,8 +177,8 @@ class ResilientCG:
                  scenario: Optional[ErrorScenario] = None,
                  config: Optional[SolverConfig] = None,
                  matrix_name: str = ""):
-        self.config = config or SolverConfig()
-        self.blocked = PageBlockedMatrix(A, page_size=self.config.page_size)
+        self.config = cfg = config or SolverConfig()
+        self.blocked = PageBlockedMatrix(A, page_size=cfg.page_size)
         self.A = self.blocked.A
         self.n = self.blocked.n
         self.b = np.asarray(b, dtype=np.float64)
@@ -224,43 +188,34 @@ class ResilientCG:
         self.preconditioner = preconditioner
         self.scenario = scenario
         self.matrix_name = matrix_name
-        #: The composed runtime: one object owning the graph executor
-        #: (scheduler + clock axes) and the kernel engine (placement
-        #: axis).  All cells share one deterministic list scheduler for
-        #: the simulated timeline and reduce in fixed page order, so
-        #: every (scheduler x placement x clock) cell produces
+        #: The runtime cell.  All cells share one deterministic list
+        #: scheduler for the simulated timeline and reduce in fixed page
+        #: order, so every (scheduler x placement x clock) cell produces
         #: bit-identical iterates, solve times and recovery decisions.
-        self.runtime = make_runtime(self.blocked,
-                                    num_workers=self.config.num_workers,
-                                    cost_model=self.config.cost_model,
-                                    max_threads=self.config.max_threads,
-                                    pace=self.config.pace,
-                                    backend=self.config.backend,
-                                    scheduler=self.config.scheduler,
-                                    placement=self.config.placement,
-                                    clock=self.config.clock,
-                                    ranks=self.config.ranks)
-        self.backend = self.runtime.executor
-        self.scheduler = self.backend.scheduler
-        self.engine = self.runtime.engine
-        self.monitor = VulnerableWindowMonitor()
-        self._wall_clock = 0.0
-        self._wall_trace: Optional[ExecutionTrace] = None
-        self._chunk_bounds = self._compute_chunks()
-        #: Compiled iteration plans by shape ``(resilient, checkpoint)``.
-        self._plans: Dict[Tuple[bool, bool], IterationPlan] = {}
-        self._template: Optional[_IterationTemplate] = None
+        spec = resolve_runtime_spec(cfg.scheduler, cfg.placement, cfg.clock,
+                                    cfg.ranks)
+        #: Runs the numerical kernels (placement axis).
+        self.engine = make_kernel_engine(self.blocked, spec)
+        #: Owns the iteration structure — builds, times and re-enacts it —
+        #: and the graph executor it runs on (scheduler + clock axes).
+        self.planner = CGPlanner(
+            self.blocked, cfg, strategy=strategy,
+            preconditioned=preconditioner is not None, spec=spec,
+            executor=make_executor(spec, cfg.num_workers, cfg.cost_model,
+                                   cfg.max_threads, cfg.pace),
+            engine=self.engine)
         if self.strategy is not None and hasattr(self.strategy, "work_scale"):
             # Conflict fallbacks recompute a full vector; charge them at the
             # same simulated problem scale as the solver's compute tasks.
-            self.strategy.work_scale = self.config.work_scale
+            self.strategy.work_scale = cfg.work_scale
 
     # ==================================================================
     # public API
     # ==================================================================
     def close(self) -> None:
         """Release the runtime's real resources (idempotent)."""
-        self.runtime.close()
+        self.planner.executor.close()
+        self.engine.close()
 
     def __enter__(self) -> "ResilientCG":
         return self
@@ -268,17 +223,13 @@ class ResilientCG:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def ideal_iteration_time(self) -> float:
-        """Makespan of one fault-free iteration without resilience tasks."""
-        return self.backend.simulate(self._plan(False, False)).makespan
-
     def estimate_ideal_time(self, iterations_hint: Optional[int] = None) -> float:
         """Ideal solve time: iteration makespan times the iteration count.
 
         With no hint, a fault-free reference CG is run (NumPy only) to
         count iterations.
         """
-        t_iter = self.ideal_iteration_time()
+        t_iter = self.planner.ideal_iteration_time()
         if iterations_hint is None:
             from repro.solvers.reference import preconditioned_conjugate_gradient
             ref = preconditioned_conjugate_gradient(
@@ -292,11 +243,8 @@ class ResilientCG:
               ideal_time: Optional[float] = None) -> SolveResult:
         """Run the solver; returns the solution, record, trace and stats."""
         cfg = self.config
-        stats = RecoveryStats()
-        history = ResidualHistory()
-        self.monitor = VulnerableWindowMonitor()
-        self._wall_clock = 0.0
-        self._wall_trace = None
+        planner = self.planner
+        planner.begin_solve()
         memory = MemoryManager()
         vectors = self._allocate_vectors(memory, x0)
         state = CGState(
@@ -313,15 +261,16 @@ class ResilientCG:
                                        matrix=self.matrix_name)
             return SolveResult(x=np.zeros(self.n), record=record,
                                trace=ExecutionTrace(cfg.num_workers),
-                               stats=stats,
-                               window_summary=self.monitor.summary())
+                               stats=RecoveryStats(),
+                               window_summary=planner.monitor.summary())
 
-        injections = self._build_injection_schedule(memory, ideal_time)
-        # Time-sorted; each iteration takes its batch off the front.
-        pending = deque(injections)
-        faults_injected = len(pending)
+        run = _Run(state, deque(self._build_injection_schedule(memory,
+                                                               ideal_time)),
+                   b_norm, cfg.num_workers)
+        stats = run.stats
+        faults_injected = len(run.pending)
 
-        t_iter_ideal = self.ideal_iteration_time()
+        t_iter_ideal = planner.ideal_iteration_time()
         if isinstance(self.strategy, CheckpointStrategy):
             if self.strategy.interval is None:
                 mtbe = self._scenario_mtbe(ideal_time)
@@ -333,246 +282,125 @@ class ResilientCG:
 
         x = vectors["x"].array
         g = vectors["g"].array
-        self.engine.residual(x, self.b, g)
-        rel = float(np.linalg.norm(g) / b_norm)
-        clock = 0.0
-        history.append(0, clock, rel)
-
-        trace_total = ExecutionTrace(cfg.num_workers)
-        rho_old = 0.0
-        restart_next = True       # first iteration behaves like a restart
-        converged = rel <= cfg.tolerance
+        q = vectors["q"].array
+        engine = self.engine
+        engine.residual(x, self.b, g)
+        run.rel = self._relative_residual(run)
+        # The iteration-0 entry is always recorded; _close_iteration
+        # records the others, under cfg.record_history.
+        run.history.append(0, run.clock, run.rel)
+        run.converged = run.rel <= cfg.tolerance
         iteration = 0
 
-        while not converged and iteration < cfg.max_iterations:
+        while not run.converged and iteration < cfg.max_iterations:
             iteration += 1
-            this_d, last_d = (("d0", "d1") if iteration % 2 == 1
-                              else ("d1", "d0"))
-            d_cur = vectors[this_d].array
-            d_prev = vectors[last_d].array
-            q = vectors["q"].array
-
-            checkpoint_now = (isinstance(self.strategy, CheckpointStrategy)
-                              and self.strategy.should_checkpoint(iteration))
-
-            # -------- timing pass 1 (cached for fault-free iterations) ------
-            next_time = pending[0].time if pending else math.inf
-            template = self._iteration_template()
-            use_template = (not checkpoint_now
-                            and next_time > clock + template.makespan)
-            if use_template:
-                makespan1 = template.makespan
-                point_times = {k: clock + v
-                               for k, v in template.rel_point_times.items()}
-                trace1 = template.trace
-            else:
-                sched1 = self.backend.simulate(
-                    self._plan(self._uses_recovery_tasks(), checkpoint_now),
-                    start_time=clock)
-                makespan1 = sched1.makespan
-                point_times = {k: clock + v
-                               for k, v in self._point_times(sched1).items()}
-                trace1 = sched1.trace
-
-            horizon_end = clock + makespan1
-            batch: List[Injection] = []
-            while pending and pending[0].time <= horizon_end:
-                batch.append(pending.popleft())
-            by_point = self._assign_to_points(batch, point_times)
-
-            late: Dict[str, Set[int]] = {"g": set(), "x": set(),
-                                         "d": set(), "q": set()}
-            recovery_work = {"r1": 0.0, "r2": 0.0, "r3": 0.0}
-            fault_service = 0.0
-            restart_requested = False
-            rolled_back = False
-
-            def finish_restart():
-                nonlocal clock, rel, rho_old, restart_next, converged
-                # Unprocessed injections of this iteration go back to pending.
-                self._apply_restart(state)
-                clock2 = self._advance_clock(
-                    clock, iteration, makespan1, trace1, recovery_work,
-                    fault_service, checkpoint_now, trace_total,
-                    faults=bool(batch), state=state, this_d=this_d)
-                clock = clock2
-                rel = float(np.linalg.norm(g) / b_norm)
-                if cfg.record_history:
-                    history.append(iteration, clock, rel)
-                rho_old = 0.0
-                restart_next = True
-                converged = rel <= cfg.tolerance
+            it = self._begin_iteration(run, iteration)
+            d_cur = vectors[it.this_d].array
+            d_prev = vectors[it.last_d].array
 
             # ---------------- point A: before rho ---------------------------
-            state.point = "A"
-            state.current_d_name, state.previous_d_name = last_d, this_d
-            outcome_a = self._handle_point(state, by_point["A"], point_times,
-                                           "A", iteration, this_d, late, stats)
-            recovery_work["r2"] += outcome_a["work"]
-            fault_service += outcome_a["service"]
-            restart_requested |= outcome_a["restart"]
-            rolled_back |= outcome_a["rollback"]
-            skip_rho: Set[int] = set(late["g"])
-            if self._uses_recovery_tasks():
-                skip_rho |= outcome_a["skip"]
-            if restart_requested:
-                self._put_back(by_point["B"] + by_point["C"] + by_point["D"],
-                               pending)
-                if rolled_back:
-                    stats.rollbacks += 1
-                finish_restart()
+            state.current_d_name, state.previous_d_name = it.last_d, it.this_d
+            skip_rho = it.late["g"] | self._check_point(run, it, "A")
+            if it.restart:
+                self._abort_to_restart(run, it, unprocessed="BCD")
                 continue
 
             # ---------------- rho / beta ------------------------------------
             z = self.preconditioner.apply(g) if self.preconditioner else g
-            rho = self._masked_dot(g, z, skip_rho)
+            rho = engine.dot(g, z, skip_rho)
             stats.contributions_skipped += len(skip_rho)
-            norm_g_sq = self._masked_dot(g, g, skip_rho)
+            norm_g_sq = engine.dot(g, g, skip_rho)
             rel_recursive = math.sqrt(max(norm_g_sq, 0.0)) / b_norm
             if rel_recursive <= cfg.tolerance:
-                true_rel = float(np.linalg.norm(self.b - self.A @ x) / b_norm)
-                clock = self._advance_clock(
-                    clock, iteration, makespan1, trace1, recovery_work,
-                    fault_service, checkpoint_now, trace_total,
-                    faults=bool(batch), state=state, this_d=this_d)
+                true_rel = self._true_relative_residual(run)
+                self._advance_clock(run, it)
                 if true_rel <= cfg.tolerance * 10:
-                    converged = True
-                    rel = true_rel
-                    history.append(iteration, clock, rel)
+                    run.converged = True
+                    self._close_iteration(run, it, rel=true_rel)
                     break
-                self.engine.residual(x, self.b, g)  # resynchronise
-                restart_next = True
-                rho_old = 0.0
-                rel = float(np.linalg.norm(g) / b_norm)
-                history.append(iteration, clock, rel)
+                self._resync(run)
+                self._close_iteration(run, it)
                 continue
 
-            beta = 0.0 if (restart_next or rho_old == 0.0) else rho / rho_old
+            beta = (0.0 if (run.restart_next or run.rho_old == 0.0)
+                    else rho / run.rho_old)
             state.scalars["beta"] = beta
-            restart_next = False
+            run.restart_next = False
 
             # ---------------- d update (double buffered) --------------------
-            state.current_d_name, state.previous_d_name = this_d, last_d
-            self.engine.update_direction(d_cur, z, beta, d_prev)
-            memory.overwrite_vector(this_d)
+            state.current_d_name, state.previous_d_name = it.this_d, it.last_d
+            engine.update_direction(d_cur, z, beta, d_prev)
+            memory.overwrite_vector(it.this_d)
 
             # ---------------- point B: before the mat-vec -------------------
-            state.point = "B"
-            outcome_b = self._handle_point(state, by_point["B"], point_times,
-                                           "B", iteration, this_d, late, stats,
-                                           z=z, beta=beta)
-            recovery_work["r1"] += outcome_b["work"]
-            fault_service += outcome_b["service"]
-            restart_requested |= outcome_b["restart"]
-            rolled_back |= outcome_b["rollback"]
-            if restart_requested:
-                self._put_back(by_point["C"] + by_point["D"], pending)
-                if rolled_back:
-                    stats.rollbacks += 1
-                finish_restart()
+            self._check_point(run, it, "B", z=z, beta=beta)
+            if it.restart:
+                self._abort_to_restart(run, it, unprocessed="CD")
                 continue
 
             # ---------------- q = A d (halo exchange of d in rank mode) -----
-            self.engine.spmv(d_cur, q)
+            engine.spmv(d_cur, q)
             memory.overwrite_vector("q")
 
             # ---------------- point C: before alpha -------------------------
-            state.point = "C"
-            outcome_c = self._handle_point(state, by_point["C"], point_times,
-                                           "C", iteration, this_d, late, stats)
-            recovery_work["r1"] += outcome_c["work"]
-            fault_service += outcome_c["service"]
-            restart_requested |= outcome_c["restart"]
-            rolled_back |= outcome_c["rollback"]
-            if restart_requested:
-                self._put_back(by_point["D"], pending)
-                if rolled_back:
-                    stats.rollbacks += 1
-                finish_restart()
+            skip_c = self._check_point(run, it, "C")
+            if it.restart:
+                self._abort_to_restart(run, it, unprocessed="D")
                 continue
 
-            skip_dq: Set[int] = set(late["d"]) | set(late["q"])
-            if self._uses_recovery_tasks():
-                skip_dq |= outcome_c["skip"]
-            dq = self._masked_dot(d_cur, q, skip_dq)
+            skip_dq = it.late["d"] | it.late["q"] | skip_c
+            dq = engine.dot(d_cur, q, skip_dq)
             stats.contributions_skipped += len(skip_dq)
             if dq <= 0.0:
                 # Breakdown after unrecovered corruption: resynchronise.
-                self.engine.residual(x, self.b, g)
-                restart_next = True
-                rho_old = 0.0
-                clock = self._advance_clock(
-                    clock, iteration, makespan1, trace1, recovery_work,
-                    fault_service, checkpoint_now, trace_total,
-                    faults=bool(batch), state=state, this_d=this_d)
-                rel = float(np.linalg.norm(g) / b_norm)
-                history.append(iteration, clock, rel)
+                self._resync(run)
+                self._advance_clock(run, it)
+                self._close_iteration(run, it)
                 continue
             alpha = rho / dq
 
             # ---------------- x and g updates --------------------------------
-            self._masked_axpy(x, alpha, d_cur, skip_pages=late["x"] | late["d"])
-            self._masked_axpy(g, -alpha, q, skip_pages=late["g"] | late["q"])
-            rho_old = rho
+            # (pages whose update must be deferred are skipped)
+            engine.axpy(x, alpha, d_cur, it.late["x"] | it.late["d"])
+            engine.axpy(g, -alpha, q, it.late["g"] | it.late["q"])
+            run.rho_old = rho
 
             # ---------------- point D: end of the iteration ------------------
-            state.point = "D"
-            outcome_d = self._handle_point(state, by_point["D"], point_times,
-                                           "D", iteration, this_d, late, stats)
-            recovery_work["r3"] += outcome_d["work"]
-            fault_service += outcome_d["service"]
-            restart_requested |= outcome_d["restart"]
-            rolled_back |= outcome_d["rollback"]
+            self._check_point(run, it, "D")
+            self._repair_deferred(run, it, alpha)
 
-            deferred_work, deferred_restart = self._repair_deferred(
-                state, late, this_d, alpha, stats)
-            recovery_work["r3"] += deferred_work
-            restart_requested |= deferred_restart
-
-            if checkpoint_now and isinstance(self.strategy, CheckpointStrategy):
-                self.strategy.save(state, iteration, {"rho_old": rho_old})
+            if it.checkpoint:
+                self.strategy.save(state, iteration, {"rho_old": run.rho_old})
                 stats.checkpoints_written += 1
 
-            clock = self._advance_clock(
-                clock, iteration, makespan1, trace1, recovery_work,
-                fault_service, checkpoint_now, trace_total, faults=bool(batch),
-                state=state, this_d=this_d)
-
-            if restart_requested:
-                if rolled_back:
-                    stats.rollbacks += 1
-                self._apply_restart(state)
-                restart_next = True
-                rho_old = 0.0
-
-            rel = float(np.linalg.norm(g) / b_norm)
-            if cfg.record_history:
-                history.append(iteration, clock, rel)
-            if rel <= cfg.tolerance:
-                true_rel = float(np.linalg.norm(self.b - self.A @ x) / b_norm)
+            self._advance_clock(run, it)
+            if it.restart:
+                self._restart(run, it)
+            self._close_iteration(run, it)
+            if run.rel <= cfg.tolerance:
+                true_rel = self._true_relative_residual(run)
                 if true_rel <= cfg.tolerance * 10:
-                    converged = True
-                    rel = true_rel
+                    run.converged = True
+                    run.rel = true_rel
                 else:
-                    self.engine.residual(x, self.b, g)
-                    restart_next = True
-                    rho_old = 0.0
+                    self._resync(run)
 
-        final_residual = float(np.linalg.norm(self.b - self.A @ x) / b_norm)
         record = ConvergenceRecord(
-            converged=converged, iterations=iteration, solve_time=clock,
-            final_residual=final_residual, history=history,
+            converged=run.converged, iterations=iteration,
+            solve_time=run.clock,
+            final_residual=self._true_relative_residual(run),
+            history=run.history,
             method=self._method_name(), matrix=self.matrix_name,
             faults_injected=faults_injected,
             faults_detected=memory.fault_count(),
             restarts=stats.restarts, rollbacks=stats.rollbacks)
         return SolveResult(x=np.array(x, copy=True), record=record,
-                           trace=trace_total, stats=stats,
+                           trace=run.trace, stats=stats,
                            ideal_iteration_time=t_iter_ideal,
-                           wall_clock=self._wall_clock,
-                           wall_trace=self._wall_trace,
-                           window_summary=self.monitor.summary(),
-                           rank_stats=self.engine.comm_stats())
+                           wall_clock=planner.wall_clock,
+                           wall_trace=planner.wall_trace,
+                           window_summary=planner.monitor.summary(),
+                           rank_stats=engine.comm_stats())
 
     # ==================================================================
     # construction helpers
@@ -583,9 +411,6 @@ class ResilientCG:
             return f"{base}-ideal"
         return f"{base}-{self.strategy.name}"
 
-    def _uses_recovery_tasks(self) -> bool:
-        return self.strategy is not None and self.strategy.uses_recovery_tasks
-
     def _allocate_vectors(self, memory: MemoryManager,
                           x0: Optional[np.ndarray]) -> Dict[str, PagedVector]:
         vectors: Dict[str, PagedVector] = {}
@@ -595,13 +420,6 @@ class ResilientCG:
                 vec.fill_from(np.asarray(x0, dtype=np.float64))
             vectors[name] = memory.register(vec)
         return vectors
-
-    def _compute_chunks(self) -> List[Tuple[int, int]]:
-        """Strip-mine the row range into one chunk per worker."""
-        workers = self.config.num_workers
-        bounds = np.linspace(0, self.n, workers + 1).astype(int)
-        return [(int(bounds[i]), int(bounds[i + 1])) for i in range(workers)
-                if bounds[i + 1] > bounds[i]]
 
     def _scenario_mtbe(self, ideal_time: Optional[float]) -> float:
         if (self.scenario is None or self.scenario.is_fault_free
@@ -622,473 +440,166 @@ class ResilientCG:
         return self.scenario.schedule(ideal_time, horizon, memory.page_universe())
 
     # ==================================================================
-    # task graph construction and timing
+    # the iteration life cycle: begin, advance the clock, close
     # ==================================================================
-    def _chunk_cost(self, kind: str) -> List[float]:
-        """Durations of the strip-mined chunk tasks for one operation."""
-        cm = self.config.cost_model
-        scale = self.config.work_scale
-        costs: List[float] = []
-        for (start, stop) in self._chunk_bounds:
-            rows = stop - start
-            if kind == "spmv":
-                nnz = int(self.A.indptr[stop] - self.A.indptr[start])
-                costs.append(cm.kernel_time(2.0 * nnz, nnz * 12.0 + rows * 8.0)
-                             * scale)
-            elif kind == "axpy":
-                costs.append(cm.kernel_time(2.0 * rows, 24.0 * rows) * scale)
-            elif kind == "dot":
-                costs.append(cm.kernel_time(2.0 * rows, 16.0 * rows) * scale)
-            elif kind == "precond":
-                # Block-Jacobi triangular solves: ~2 * page_size flops/row.
-                flops = 2.0 * self.config.page_size * rows
-                costs.append(cm.kernel_time(flops, 24.0 * rows) * scale)
-            else:
-                raise ValueError(f"unknown chunk kind {kind!r}")
-        return costs
+    def _begin_iteration(self, run: _Run, number: int) -> _Iteration:
+        """Timing pass 1, then this iteration's faults by check point."""
+        checkpoint = (isinstance(self.strategy, CheckpointStrategy)
+                      and self.strategy.should_checkpoint(number))
+        pending = run.pending
+        timing = self.planner.time_iteration(
+            run.clock, checkpoint,
+            next_fault=pending[0].time if pending else math.inf)
+        it = _Iteration(number, checkpoint, run.clock, timing)
+        horizon_end = run.clock + timing.makespan
+        while pending and pending[0].time <= horizon_end:
+            inj = pending.popleft()
+            it.had_faults = True
+            point = next((p for p in "ABC" if inj.time <= it.time_of(p)), "D")
+            it.by_point[point].append(inj)
+        return it
 
-    def _build_iteration_graph(self, *, resilient: bool, checkpoint: bool
-                               ) -> Tuple[TaskGraph, Dict[str, object]]:
-        """One CG iteration as a task graph (Figure 1 of the paper).
+    def _advance_clock(self, run: _Run, it: _Iteration) -> None:
+        """Timing pass 2: advance the clock past this iteration, charging
+        the recovery work its faults actually caused.
 
-        Built once per shape and compiled (:meth:`_plan`).  Task names
-        are ``str.format`` templates over the iteration number
-        (``"beta{t}"``); recovery tasks carry the duration of a scan that
-        finds nothing.  Also returns the roles the timing passes look up:
-        the two scalars, the spmv chunks and the recovery tasks.
+        This is the single per-iteration choke point, so the real
+        re-enactment also runs here — with the *actual* recovery
+        durations when faults enlarged the recovery tasks, so the
+        measured wall clock and state shares account for the same
+        recovery work the simulated timeline charges.
         """
-        cm = self.config.cost_model
-        graph = TaskGraph()
-        t = "{t}"
-        critical = (self.strategy.recovery_in_critical_path
-                    if self.strategy is not None else False)
-        rec_priority = (self.strategy.recovery_task_priority
-                        if self.strategy is not None else 0)
-        check = cm.recovery_check()
-        dot_cost = self._chunk_cost("dot")
-        axpy_cost = self._chunk_cost("axpy")
-
-        precond_names: List[str] = []
-        if self.preconditioner is not None:
-            for c, dur in enumerate(self._chunk_cost("precond")):
-                name = f"z{t}:{c}"
-                graph.add_task(name, dur, kind=TaskKind.COMPUTE,
-                               reads={f"seg:g[{c}]"},
-                               writes={f"seg:z[{c}]"})
-                precond_names.append(name)
-
-        # --- rho partial dots + r2 + scalar (beta task) ----------------------
-        rho_parts: List[str] = []
-        for c, dur in enumerate(dot_cost):
-            name = f"rho{t}:{c}"
-            rho_reads = {f"seg:g[{c}]"}
-            if precond_names:
-                rho_reads.add(f"seg:z[{c}]")
-            graph.add_task(name, dur, kind=TaskKind.REDUCTION,
-                           deps=precond_names, reads=rho_reads,
-                           writes={f"part:rho[{c}]"})
-            rho_parts.append(name)
-        scalar_rho_deps = list(rho_parts)
-        if resilient:
-            r2_deps = rho_parts if critical else precond_names
-            graph.add_task(f"r2_{t}", check, kind=TaskKind.RECOVERY,
-                           priority=rec_priority, deps=r2_deps)
-            scalar_rho_deps.append(f"r2_{t}")
-        graph.add_task(f"beta{t}", cm.scalar_task(), kind=TaskKind.REDUCTION,
-                       deps=scalar_rho_deps,
-                       reads={f"part:rho[{c}]" for c in range(len(rho_parts))},
-                       writes={"scalar:beta"})
-
-        # --- d update ---------------------------------------------------------
-        d_parts: List[str] = []
-        for c, dur in enumerate(axpy_cost):
-            name = f"d{t}:{c}"
-            d_reads = {"scalar:beta", f"seg:d[{c}]",
-                       f"seg:z[{c}]" if precond_names else f"seg:g[{c}]"}
-            graph.add_task(name, dur, kind=TaskKind.COMPUTE,
-                           deps=[f"beta{t}"], reads=d_reads,
-                           writes={f"seg:d[{c}]"})
-            d_parts.append(name)
-
-        # --- q = A d (lattice: every chunk needs every d chunk) ---------------
-        q_parts: List[str] = []
-        for c, dur in enumerate(self._chunk_cost("spmv")):
-            name = f"q{t}:{c}"
-            graph.add_task(name, dur, kind=TaskKind.COMPUTE, deps=d_parts,
-                           reads={f"seg:d[{k}]"
-                                  for k in range(len(d_parts))},
-                           writes={f"seg:q[{c}]"})
-            q_parts.append(name)
-
-        # --- <d, q> partial dots + r1 + alpha ----------------------------------
-        dq_parts: List[str] = []
-        for c, dur in enumerate(dot_cost):
-            name = f"dq{t}:{c}"
-            graph.add_task(name, dur, kind=TaskKind.REDUCTION,
-                           deps=[f"q{t}:{c}"],
-                           reads={f"seg:d[{c}]", f"seg:q[{c}]"},
-                           writes={f"part:dq[{c}]"})
-            dq_parts.append(name)
-        scalar_alpha_deps = list(dq_parts)
-        if resilient:
-            r1_deps = dq_parts if critical else q_parts
-            graph.add_task(f"r1_{t}", check, kind=TaskKind.RECOVERY,
-                           priority=rec_priority, deps=r1_deps)
-            scalar_alpha_deps.append(f"r1_{t}")
-        graph.add_task(f"alpha{t}", cm.scalar_task(), kind=TaskKind.REDUCTION,
-                       deps=scalar_alpha_deps,
-                       reads={f"part:dq[{c}]" for c in range(len(dq_parts))},
-                       writes={"scalar:alpha"})
-
-        # --- x and g updates ----------------------------------------------------
-        update_parts: List[str] = []
-        for c, dur in enumerate(axpy_cost):
-            name = f"x{t}:{c}"
-            graph.add_task(name, dur, kind=TaskKind.COMPUTE,
-                           deps=[f"alpha{t}"],
-                           reads={"scalar:alpha", f"seg:d[{c}]",
-                                  f"seg:x[{c}]"},
-                           writes={f"seg:x[{c}]"})
-            update_parts.append(name)
-        for c, dur in enumerate(axpy_cost):
-            name = f"g{t}:{c}"
-            graph.add_task(name, dur, kind=TaskKind.COMPUTE,
-                           deps=[f"alpha{t}"],
-                           reads={"scalar:alpha", f"seg:q[{c}]",
-                                  f"seg:g[{c}]"},
-                           writes={f"seg:g[{c}]"})
-            update_parts.append(name)
-        if resilient:
-            r3_deps = update_parts if critical else [f"alpha{t}"]
-            graph.add_task(f"r3_{t}", check, kind=TaskKind.RECOVERY,
-                           priority=rec_priority, deps=r3_deps)
-
-        # --- checkpoint write ----------------------------------------------------
-        if checkpoint and isinstance(self.strategy, CheckpointStrategy):
-            volume = (self.strategy.checkpoint_bytes(self.n)
-                      * self.config.work_scale)
-            graph.add_task(f"ckpt{t}", cm.checkpoint_write(volume),
-                           kind=TaskKind.CHECKPOINT, deps=update_parts,
-                           reads={f"seg:{v}[{c}]"
-                                  for v in ("x", "g")
-                                  for c in range(len(self._chunk_bounds))})
-
-        roles: Dict[str, object] = {"beta": f"beta{t}", "alpha": f"alpha{t}",
-                                    "q": q_parts}
-        if resilient:
-            roles.update((key, f"{key}_{t}") for key in ("r1", "r2", "r3"))
-        return graph, roles
-
-    def _plan(self, resilient: bool, checkpoint: bool) -> IterationPlan:
-        """The compiled plan of one iteration shape, built on first use."""
-        shape = (resilient, checkpoint)
-        plan = self._plans.get(shape)
-        if plan is None:
-            graph, roles = self._build_iteration_graph(resilient=resilient,
-                                                       checkpoint=checkpoint)
-            plan = self._plans[shape] = compile_plan(graph, roles)
-        return plan
-
-    def _iteration_template(self) -> _IterationTemplate:
-        """Schedule of a fault-free iteration, cached across iterations."""
-        if self._template is None:
-            sched = self.backend.simulate(
-                self._plan(self._uses_recovery_tasks(), False))
-            self._template = _IterationTemplate(
-                makespan=sched.makespan,
-                rel_point_times=self._point_times(sched),
-                trace=sched.trace)
-        return self._template
-
-    # ==================================================================
-    # real (threaded) graph execution
-    # ==================================================================
-    def _execute_iteration_for_real(self, iteration: int, checkpoint_now: bool,
-                                    state: CGState, this_d: str,
-                                    durations: Optional[Sequence[float]] = None
-                                    ) -> None:
-        """Re-enact this iteration's task graph for real (read-only).
-
-        The graph is a fresh projection of the plan the simulator timed,
-        named for this iteration and carrying ``durations`` — the
-        enlarged recovery durations when this iteration repaired faults,
-        so pacing charges the same recovery work the simulated timeline
-        does.  Being a projection, it can be rewired (the halo task, the
-        r1 overlap of the ``ranks`` placement) without touching the plan
-        the timing passes use.  Every task carries a real
-        (read-only, bitwise-neutral) action: partial dot products for
-        the reduction chunks, memory touches for the vector-update
-        chunks, and the strategy's recovery scan for the r1/r2/r3 tasks
-        — shipped to the owning rank under the ranks placement.
-        Measured wall intervals feed the vulnerable-window monitor and
-        the wall-clock overhead accounting; cells with the simulated
-        clock discard them (the execution still happens, so races and
-        ordering are exercised, but wall time is not an output).
-        """
-        plan = self._plan(self._uses_recovery_tasks(), checkpoint_now)
-        graph = plan.to_graph(durations, names=[name.format(t=iteration)
-                                                for name in plan.names])
-        if self.runtime.spec.placement == "ranks":
-            self._add_halo_reenactment(graph, iteration, state, this_d)
-        self._attach_real_actions(graph, iteration, state, this_d)
-        # execute(), not run(): the simulated timeline of this iteration
-        # is already known (pass 1 / template), so only the measured side
-        # is computed here.
-        result = self.backend.execute(graph)
-        if not self.runtime.measures_wall:
-            result.wall_intervals = {}
-            result.wall_time = 0.0
-        pairs = (tuple(self.strategy.vulnerable_pairs(iteration))
-                 if self._uses_recovery_tasks() else ())
-        self.monitor.observe(result, pairs)
-        if self.runtime.measures_wall:
-            self._accumulate_wall(result)
-
-    def _add_halo_reenactment(self, graph: TaskGraph, iteration: int,
-                              state: CGState, this_d: str) -> None:
-        """Splice the rank halo exchange into the re-enactment graph.
-
-        The ``halo{t}`` task really moves the halo of the current search
-        direction over the rank channels (a read-only probe: it writes
-        the same ``d`` values the preceding spmv already exchanged), so
-        it has a measurable wall interval of :class:`TaskKind.COMMUNICATION`.
-        It is given duration 0.0 and lives only in this re-enactment
-        graph — the simulated timeline never sees it, which is what
-        keeps every runtime cell's simulated decisions bit-identical.
-
-        For strategies with off-critical-path recovery (AFEIR), ``r1``
-        is re-wired from the spmv chunks back to the d-update chunks so
-        it becomes *ready* at the same moment the halo exchange starts:
-        the paper's claim that exact forward recovery overlaps the
-        neighbour communication.  Critical-path strategies (FEIR) keep
-        their reduction-chain dependencies, so they structurally cannot
-        overlap the halo — the measured contrast the monitor reports.
-        """
-        t = iteration
-        d_parts = [name for name in
-                   (f"d{t}:{c}" for c in range(len(self._chunk_bounds)))
-                   if name in graph]
-        if not d_parts:
-            return
-        engine = self.engine
-        d_cur = state.vectors[this_d].array
-        halo_name = f"halo{t}"
-        graph.add_task(halo_name, 0.0, kind=TaskKind.COMMUNICATION,
-                       deps=list(d_parts),
-                       action=lambda: engine.halo_exchange(d_cur),
-                       reads={f"seg:d[{c}]"
-                              for c in range(len(self._chunk_bounds))},
-                       writes={"halo:d"})
-        for c in range(len(self._chunk_bounds)):
-            name = f"q{t}:{c}"
-            if name in graph:
-                task = graph.task(name).depends_on(halo_name)
-                # the spmv consumes the freshly-exchanged halo values
-                task.reads = task.reads | {"halo:d"}
-        if (self._uses_recovery_tasks()
-                and not self.strategy.recovery_in_critical_path
-                and f"r1_{t}" in graph):
-            graph.task(f"r1_{t}").deps = list(d_parts)
-
-    def _attach_real_actions(self, graph: TaskGraph, iteration: int,
-                             state: CGState, this_d: str) -> None:
-        """Give every task of one iteration graph a real executable body."""
-        t = iteration
-        vectors = state.vectors
-        g = vectors["g"].array
-        x = vectors["x"].array
-        q = vectors["q"].array
-        d_cur = vectors[this_d].array
-
-        def dot_chunk(u: np.ndarray, v: np.ndarray, sl: slice):
-            def action(u=u, v=v, sl=sl) -> float:
-                return float(u[sl] @ v[sl])  # repro-lint: allow[paged-reduction] single-chunk dot; one page, order already fixed
-            return action
-
-        def touch_chunk(u: np.ndarray, sl: slice):
-            def action(u=u, sl=sl) -> float:
-                return float(np.sum(u[sl]))  # repro-lint: allow[paged-reduction] single-chunk touch probe; value discarded
-            return action
-
-        for c, (start, stop) in enumerate(self._chunk_bounds):
-            sl = slice(start, stop)
-            chunk_actions = {
-                f"z{t}:{c}": touch_chunk(g, sl),
-                f"rho{t}:{c}": dot_chunk(g, g, sl),
-                f"d{t}:{c}": touch_chunk(d_cur, sl),
-                f"q{t}:{c}": touch_chunk(q, sl),
-                f"dq{t}:{c}": dot_chunk(d_cur, q, sl),
-                f"x{t}:{c}": touch_chunk(x, sl),
-                f"g{t}:{c}": touch_chunk(g, sl),
-            }
-            for name, action in chunk_actions.items():
-                if name in graph:
-                    graph.task(name).action = action
-        if self.strategy is not None:
-            distributed = self.runtime.spec.placement == "ranks"
-            num_pages = vectors["x"].num_pages
-            for key in ("r1", "r2", "r3"):
-                name = f"{key}_{t}"
-                if name in graph:
-                    probe = self.strategy.recovery_probe(
-                        state.memory, self.monitor, label=name)
-                    if distributed:
-                        # The paper's locality rule: the recovery scan
-                        # runs on the rank owning the (potentially) lost
-                        # page.  run_on_rank ships the probe without
-                        # counting it as a recovery dispatch.
-                        def shipped(probe=probe, memory=state.memory,
-                                    t=t, num_pages=num_pages):
-                            lost = memory.lost_pages()
-                            page = lost[0][1] if lost else t % num_pages
-                            return self.engine.run_on_rank(
-                                self.engine.page_owner(page), probe)
-                        graph.task(name).action = shipped
-                    else:
-                        graph.task(name).action = probe
-        ckpt_name = f"ckpt{t}"
-        if ckpt_name in graph:
-            graph.task(ckpt_name).action = touch_chunk(x, slice(0, self.n))
-
-    def _accumulate_wall(self, result: ExecutionResult) -> None:
-        self._wall_clock += result.wall_time
-        threads = getattr(self.backend, "thread_count",
-                          self.backend.num_workers)
-        step = ExecutionTrace(num_workers=threads)
-        step.breakdown.add(result.measured_breakdown(threads))
-        step.wall_time = result.wall_time
-        step.task_count = len(result.wall_intervals)
-        if self._wall_trace is None:
-            self._wall_trace = step
+        planner = self.planner
+        extra_work = sum(it.recovery_work.values())
+        disturbed = it.had_faults or extra_work != 0.0
+        durations: Optional[Sequence[float]] = None
+        if disturbed and planner.uses_recovery_tasks:
+            durations = planner.recovery_durations(it.checkpoint,
+                                                   it.recovery_work)
+        if planner.spec.runs_reenactment:
+            planner.reenact(it.number, it.checkpoint, run.state, it.this_d,
+                            durations)
+        if not disturbed:
+            run.trace.accumulate(it.timing.trace)
+            run.clock = it.start + it.timing.makespan
+        elif durations is not None:
+            sched = planner.retime(it.start, it.checkpoint, durations)
+            run.trace.accumulate(sched.trace)
+            run.clock = it.start + sched.makespan + it.fault_service
         else:
-            self._wall_trace.accumulate(step)
+            # Signal-handler methods (Lossy/ckpt/Trivial): the recovery work
+            # is done in the handler, serialising the faulting worker.
+            run.trace.accumulate(it.timing.trace)
+            run.clock = (it.start + it.timing.makespan + extra_work
+                         + it.fault_service)
 
-    @staticmethod
-    def _point_times(sched: ScheduleResult) -> Dict[str, float]:
-        """Check-point times relative to the schedule's start time."""
-        roles, starts, base = sched.plan.roles, sched.starts, sched.start_time
-        times = {"A": starts[roles["beta"]] - base,
-                 "B": min(starts[i] for i in roles["q"]) - base,
-                 "C": starts[roles["alpha"]] - base,
-                 "D": sched.makespan}
-        # Without recovery tasks the covering scalar's point stands in.
-        for key, point in (("r1", "C"), ("r2", "A"), ("r3", "D")):
-            times[key] = (starts[roles[key]] - base if key in roles
-                          else times[point])
-        return times
+    def _close_iteration(self, run: _Run, it: _Iteration,
+                         rel: Optional[float] = None) -> None:
+        """Record where the iteration ended: the relative residual
+        (recursive ``||g|| / ||b||`` unless the true one is given) and,
+        under ``record_history``, its history entry."""
+        run.rel = self._relative_residual(run) if rel is None else rel
+        if self.config.record_history:
+            run.history.append(it.number, run.clock, run.rel)
 
-    @staticmethod
-    def _put_back(unprocessed: List[Injection],
-                  pending: "deque[Injection]") -> None:
-        """Return an aborted iteration's unprocessed injections to the
+    def _relative_residual(self, run: _Run) -> float:
+        """``||g|| / ||b||`` of the recursive residual."""
+        g = run.state.vectors["g"].array
+        return float(np.linalg.norm(g) / run.b_norm)
+
+    def _true_relative_residual(self, run: _Run) -> float:
+        """``||b - A x|| / ||b||`` recomputed from the iterate."""
+        x = run.state.vectors["x"].array
+        return float(np.linalg.norm(self.b - self.A @ x) / run.b_norm)
+
+    def _resync(self, run: _Run) -> None:
+        """Recompute the residual from the iterate; the Krylov recurrence
+        restarts from it (``beta = 0`` next iteration)."""
+        vectors = run.state.vectors
+        self.engine.residual(vectors["x"].array, self.b, vectors["g"].array)
+        run.restart_next = True
+        run.rho_old = 0.0
+
+    def _restart(self, run: _Run, it: _Iteration) -> None:
+        """Apply the restart/rollback a recovery strategy asked for."""
+        if it.rolled_back:
+            run.stats.rollbacks += 1
+        self._resync(run)
+        run.state.memory.overwrite_vector("g")
+
+    def _abort_to_restart(self, run: _Run, it: _Iteration,
+                          unprocessed: str) -> None:
+        """Cut the iteration short at a check point that asked for a
+        restart; the ``unprocessed`` points' injections go back to the
         front of the schedule.
 
         They were taken from the front (all at or before the iteration's
         horizon, everything still pending after it), so this equals a
         stable ``sorted(unprocessed + pending, key=time)``.
         """
-        pending.extendleft(reversed(sorted(unprocessed,
-                                           key=lambda inj: inj.time)))
-
-    def _assign_to_points(self, batch: List[Injection],
-                          point_times: Dict[str, float]
-                          ) -> Dict[str, List[Injection]]:
-        out: Dict[str, List[Injection]] = {"A": [], "B": [], "C": [], "D": []}
-        for inj in batch:
-            if inj.time <= point_times["A"]:
-                out["A"].append(inj)
-            elif inj.time <= point_times["B"]:
-                out["B"].append(inj)
-            elif inj.time <= point_times["C"]:
-                out["C"].append(inj)
-            else:
-                out["D"].append(inj)
-        return out
-
-    def _advance_clock(self, clock: float, iteration: int, makespan1: float,
-                       trace1: ExecutionTrace, recovery_work: Dict[str, float],
-                       fault_service: float, checkpoint_now: bool,
-                       trace_total: ExecutionTrace, faults: bool,
-                       state: CGState, this_d: str) -> float:
-        """Second timing pass with the actual recovery durations.
-
-        This is the single per-iteration choke point, so the threaded
-        backend's real execution also runs here — with the *actual*
-        recovery durations when faults enlarged the recovery tasks, so
-        the measured wall clock and state shares account for the same
-        recovery work the simulated timeline charges.
-        """
-        extra_work = sum(recovery_work.values())
-        plan = None
-        durations: Optional[List[float]] = None
-        if (faults or extra_work != 0.0) and self._uses_recovery_tasks():
-            plan = self._plan(True, checkpoint_now)
-            check = self.config.cost_model.recovery_check()
-            durations = list(plan.durations)
-            for key, value in recovery_work.items():
-                durations[plan.roles[key]] = check + value
-        if self.runtime.runs_reenactment:
-            self._execute_iteration_for_real(iteration, checkpoint_now, state,
-                                             this_d, durations)
-        if not faults and extra_work == 0.0:
-            trace_total.accumulate(trace1)
-            return clock + makespan1
-        if plan is not None:
-            sched = self.backend.simulate(plan, start_time=clock,
-                                          durations=durations)
-            trace_total.accumulate(sched.trace)
-            return clock + sched.makespan + fault_service
-        # Signal-handler methods (Lossy/ckpt/Trivial): the recovery work is
-        # done in the handler, serialising the faulting worker.
-        trace_total.accumulate(trace1)
-        return clock + makespan1 + extra_work + fault_service
+        back = [inj for point in unprocessed for inj in it.by_point[point]]
+        run.pending.extendleft(reversed(sorted(back,
+                                               key=lambda inj: inj.time)))
+        self._restart(run, it)
+        self._advance_clock(run, it)
+        self._close_iteration(run, it)
+        run.converged = run.rel <= self.config.tolerance
 
     # ==================================================================
     # fault handling
     # ==================================================================
-    def _handle_point(self, state: CGState, injections: List[Injection],
-                      point_times: Dict[str, float], point: str,
-                      iteration: int, this_d: str,
-                      late: Dict[str, Set[int]], stats: RecoveryStats,
-                      z: Optional[np.ndarray] = None,
-                      beta: float = 0.0) -> Dict[str, object]:
+    def _check_point(self, run: _Run, it: _Iteration, point: str,
+                     z: Optional[np.ndarray] = None,
+                     beta: float = 0.0) -> FrozenSet[int]:
+        """Handle one check point's faults and absorb what that cost into
+        the iteration; returns the pages whose contribution to the
+        point's reduction must be skipped."""
+        run.state.point = point
+        outcome = self._handle_point(run, it, point, z, beta)
+        it.absorb(point, outcome)
+        return outcome.skip
+
+    def _handle_point(self, run: _Run, it: _Iteration, point: str,
+                      z: Optional[np.ndarray], beta: float) -> PointOutcome:
         """Materialise and handle the faults assigned to one check point."""
-        result: Dict[str, object] = {"work": 0.0, "service": 0.0,
-                                     "restart": False, "rollback": False,
-                                     "skip": set()}
+        injections = it.by_point[point]
         if not injections:
-            return result
+            return _NO_FAULTS
+        state, stats = run.state, run.stats
         memory = state.memory
-        detect_time = point_times[point]
+        monitor = self.planner.monitor
+        this_d = it.this_d
+        detect_time = it.time_of(point)
+        work = service = 0.0
         in_time: List[Tuple[str, int]] = []
         for inj in injections:
             memory.poison(inj.vector, inj.page, time=inj.time,
-                          iteration=iteration)
+                          iteration=it.number)
             event = memory.touch(inj.vector, inj.page, time=detect_time)
             if event is None:
                 continue
-            result["service"] += self.config.fault_service_time
-            if self._fault_is_late(point, inj, point_times, this_d):
+            service += self.config.fault_service_time
+            if self._fault_is_late(point, inj, it):
                 key = "d" if inj.vector == this_d else inj.vector
-                if key in late:
-                    late[key].add(inj.page)
+                if key in it.late:
+                    it.late[key].add(inj.page)
                     memory.mark_recovered(inj.vector, inj.page)
                     stats.contributions_skipped += 1
-                    self.monitor.note_due(inj.vector, inj.page, inj.time,
-                                          point, in_window=True)
+                    monitor.note_due(inj.vector, inj.page, inj.time,
+                                     point, in_window=True)
                     continue
-            self.monitor.note_due(inj.vector, inj.page, inj.time,
-                                  point, in_window=False)
+            monitor.note_due(inj.vector, inj.page, inj.time,
+                             point, in_window=False)
             in_time.append((inj.vector, inj.page))
 
         if not in_time:
-            return result
+            return PointOutcome(service=service)
 
         if self.strategy is None:
             for vector, page in in_time:
                 state.vectors[vector].zero_page(page)
                 memory.mark_recovered(vector, page)
-            return result
+            return PointOutcome(service=service)
 
         # Point B: a lost page of the freshly updated d is rebuilt from the
         # linear-combination relation d = z + beta * d_prev (Table 1, middle
@@ -1106,13 +617,13 @@ class ResilientCG:
                     memory.mark_recovered(this_d, page)
                     stats.pages_recovered += 1
                     sl = state.vectors[this_d].page_slice(page)
-                    result["work"] += self.config.cost_model.axpy_block(
+                    work += self.config.cost_model.axpy_block(
                         sl.stop - sl.start)
                 else:
                     remaining.append((vector, page))
             in_time = remaining
             if not in_time:
-                return result
+                return PointOutcome(work=work, service=service)
 
         # Recovery executes on the rank owning the first corrupted page
         # (rank engines; local engines run inline).  The whole batch goes
@@ -1123,41 +634,42 @@ class ResilientCG:
         outcome = self.engine.run_on_owner(
             in_time[0][1],
             lambda: self.strategy.handle_lost_pages(state, in_time,
-                                                    iteration))
+                                                    it.number))
         stats.pages_recovered += len(outcome.recovered)
         stats.pages_unrecoverable += len(outcome.unrecoverable)
         stats.recovery_work_time += outcome.work_time
-        result["work"] = float(result["work"]) + outcome.work_time
-        result["restart"] = outcome.restart_required
-        result["rollback"] = outcome.rolled_back
         if outcome.restart_required:
             stats.restarts += 1
-        result["skip"] = {page for _, page in outcome.unrecoverable}
-        return result
+        # Only the recovery-task methods skip reduction contributions.
+        skip = (frozenset(page for _, page in outcome.unrecoverable)
+                if self.planner.uses_recovery_tasks else frozenset())
+        return PointOutcome(work=work + outcome.work_time, service=service,
+                            restart=outcome.restart_required,
+                            rollback=outcome.rolled_back, skip=skip)
 
     def _fault_is_late(self, point: str, inj: Injection,
-                       point_times: Dict[str, float], this_d: str) -> bool:
+                       it: _Iteration) -> bool:
         """AFEIR vulnerability window: repaired too late for the next scalar?"""
-        if self.strategy is None or not self.strategy.uses_recovery_tasks:
-            return False
-        if self.strategy.recovery_in_critical_path:
+        if (not self.planner.uses_recovery_tasks
+                or self.strategy.recovery_in_critical_path):
             return False
         if point == "A" and inj.vector == "g":
-            return inj.time > point_times["r2"]
-        if point == "C" and inj.vector in (this_d, "q"):
-            return inj.time > point_times["r1"]
+            return inj.time > it.time_of("r2")
+        if point == "C" and inj.vector in (it.this_d, "q"):
+            return inj.time > it.time_of("r1")
         return False
 
-    def _repair_deferred(self, state: CGState, late: Dict[str, Set[int]],
-                         this_d: str, alpha: float,
-                         stats: RecoveryStats) -> Tuple[float, bool]:
+    def _repair_deferred(self, run: _Run, it: _Iteration,
+                         alpha: float) -> None:
         """Exactly repair AFEIR late pages at point D and redo skipped updates.
 
-        Returns the simulated recovery work time and whether a restart of the
-        Krylov recurrence is needed (related-data conflicts only).
+        The simulated recovery work is charged to ``r3``; a related-data
+        conflict additionally asks for a restart of the Krylov recurrence.
         """
+        late = it.late
         if not any(late.values()):
-            return 0.0, False
+            return
+        state, stats, this_d = run.state, run.stats, it.this_d
         cm = self.config.cost_model
         work = 0.0
         vectors = state.vectors
@@ -1243,30 +755,5 @@ class ResilientCG:
         for key in late:
             late[key].clear()
         stats.recovery_work_time += work
-        return work, need_residual_resync
-
-    def _apply_restart(self, state: CGState) -> None:
-        """Recompute the residual from the iterate after a restart/rollback."""
-        x = state.vectors["x"].array
-        g = state.vectors["g"].array
-        self.engine.residual(x, self.b, g)
-        state.memory.overwrite_vector("g")
-
-    # ==================================================================
-    # numerics helpers
-    # ==================================================================
-    def _masked_dot(self, u: np.ndarray, v: np.ndarray,
-                    skip_pages: Set[int]) -> float:
-        """Dot product excluding the contributions of ``skip_pages``.
-
-        Delegated to the kernel engine: the reduction is page-partitioned
-        and combined in fixed page order (skipped pages are zeroed before
-        the reduction, making the Section 3.3.2 skip protocol exact), so
-        single-rank and N-rank solves produce the same bits.
-        """
-        return self.engine.dot(u, v, skip_pages)
-
-    def _masked_axpy(self, y: np.ndarray, a: float, v: np.ndarray,
-                     skip_pages: Set[int]) -> None:
-        """``y += a * v`` skipping the pages whose update must be deferred."""
-        self.engine.axpy(y, a, v, skip_pages)
+        it.recovery_work["r3"] += work
+        it.restart |= need_residual_resync

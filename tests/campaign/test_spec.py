@@ -144,3 +144,81 @@ class TestCampaignSpec:
         knobs = SolverKnobs(tolerance=1e-6, page_size=32)
         trials = self.make_spec(knobs=knobs).expand()
         assert all(t.knobs.tolerance == 1e-6 for t in trials)
+
+
+class TestStoreAddressesArePinned:
+    """Literals recorded at commit dc5a72c, the last one that accepted the
+    ``backend=`` alias: the runtime portion of the knob token is a token
+    *format*, so removing the alias must not move one store address."""
+
+    DEFAULT_TOKEN = (
+        "knobs/tol=1e-10/maxit=20000/workers=8/page=128/scale=200.0/"
+        "precond=0/ckpt=None/history=0/backend=simulated/pace=1.0/ranks=1/"
+        "cost[flop_rate=2000000000.0,dense_flop_rate=16000000000.0,"
+        "mem_bandwidth=8000000000.0,task_overhead=8e-06,"
+        "reduction_latency=2e-06,disk_bandwidth=200000000.0,"
+        "disk_latency=0.005,network_latency=1.5e-06,"
+        "network_bandwidth=5000000000.0]")
+
+    @pytest.mark.parametrize("axes, runtime_token", [
+        (dict(), "backend=simulated/pace=1.0/ranks=1"),
+        (dict(scheduler="threaded", clock="wall"),
+         "backend=threaded/pace=1.0/ranks=1"),
+        (dict(scheduler="threaded"),
+         "backend=threaded+simulated/pace=1.0/ranks=1"),
+        (dict(clock="wall"), "backend=list+wall/pace=1.0/ranks=1"),
+        (dict(placement="ranks", ranks=1),
+         "backend=simulated/pace=1.0/placement=ranks/ranks=1"),
+        (dict(ranks=2), "backend=simulated/pace=1.0/ranks=2"),
+        (dict(scheduler="threaded", clock="wall", ranks=3),
+         "backend=threaded/pace=1.0/ranks=3"),
+    ])
+    def test_runtime_portion_of_the_knob_token(self, axes, runtime_token):
+        token = SolverKnobs(**axes).content_token()
+        assert token[token.index("backend="):token.index("/cost[")] == \
+            runtime_token
+
+    def test_full_default_knob_token(self):
+        assert SolverKnobs().content_token() == self.DEFAULT_TOKEN
+
+    def test_trial_and_campaign_store_keys(self):
+        spec = CampaignSpec(
+            matrices=["laplacian2d:10"], methods=("FEIR",), rates=(2.0,),
+            repetitions=1, seed=42, name="pin",
+            knobs=SolverKnobs(tolerance=1e-8, max_iterations=2000,
+                              num_workers=4, page_size=20))
+        assert spec.expand()[0].store_key() == \
+            "478ceba8ad33d8112e219a4071b193b90670d704f938cab17c223174811ac5ee"
+        assert spec.store_key() == \
+            "f7d722a348b704907d12ad49723ac4e9dc05f887c9ee87c984daaa5a0398c3d3"
+
+
+class TestRuntimeFlags:
+    """The four axis flags are declared once (``add_runtime_arguments``);
+    the removed ``--backend`` alias is an argparse error on every CLI."""
+
+    @pytest.mark.parametrize("module, argv", [
+        ("repro.campaign.__main__", ["--backend", "threaded"]),
+        ("repro.experiments.__main__", ["fig4", "--backend", "threaded"]),
+        ("repro.service.__main__", ["submit", "--backend", "threaded"]),
+    ])
+    def test_backend_flag_exits_2(self, module, argv, capsys):
+        import importlib
+        with pytest.raises(SystemExit) as exit_info:
+            importlib.import_module(module).main(argv)
+        assert exit_info.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
+    def test_axis_flags_reach_the_knobs(self):
+        import argparse
+        from repro.runtime.runtime import (add_runtime_arguments,
+                                           runtime_axes)
+        parser = argparse.ArgumentParser()
+        add_runtime_arguments(parser)
+        assert SolverKnobs(**runtime_axes(parser.parse_args([]))) == \
+            SolverKnobs()
+        args = parser.parse_args(["--scheduler", "threaded", "--clock",
+                                  "wall", "--ranks", "2"])
+        spec = SolverKnobs(**runtime_axes(args)).runtime_spec()
+        assert (spec.scheduler, spec.placement, spec.clock, spec.ranks) == \
+            ("threaded", "ranks", "wall", 2)

@@ -193,15 +193,23 @@ class TestWarmCampaigns:
                              store=CampaignStore(tmp_path / "store"))
         assert other.cache_hits == 0
 
-    def test_backend_knob_partitions_the_cache(self, tmp_path):
-        """The cross-backend bit-identity invariant is *checked*, never
-        assumed: a threaded-backend campaign must not be satisfied from
-        trials cached under the simulated backend."""
-        sim = tiny_spec().expand()[0]
-        thr = tiny_spec(knobs=SolverKnobs(
+    def test_runtime_cell_partitions_the_cache(self, tmp_path):
+        """The cross-cell bit-identity invariant is *checked*, never
+        assumed: a threaded-cell campaign must not be satisfied from
+        trials cached under the list cell."""
+        store = CampaignStore(tmp_path / "store")
+        run_campaign(tiny_spec(), executor=SerialExecutor(), store=store)
+        threaded = tiny_spec(knobs=SolverKnobs(
             tolerance=1e-8, max_iterations=2000, num_workers=4,
-            page_size=20, backend="threaded")).expand()[0]
-        assert sim.store_key() != thr.store_key()
+            page_size=20, scheduler="threaded", clock="wall", pace=0.0))
+        assert (tiny_spec().expand()[0].store_key()
+                != threaded.expand()[0].store_key())
+        clear_caches()
+        clear_store_cache()
+        served = run_campaign(threaded, executor=SerialExecutor(),
+                              store=CampaignStore(tmp_path / "store"))
+        assert served.cache_hits == 0
+        assert served.executed == threaded.num_trials
 
 
 class TestGc:

@@ -155,14 +155,15 @@ class TestRankValidation:
             ResilientCG(A, b, config=SolverConfig(ranks=0))
 
     def test_threaded_with_ranks_is_a_valid_cell(self, problem):
-        # The unified runtime lifted the old "ranks needs the simulated
-        # backend" restriction: threaded scheduling composes with the
+        # The unified runtime lifted the old "ranks needs the list
+        # scheduler" restriction: threaded scheduling composes with the
         # ranks placement, and the cell stays bit-identical.
         A, b = problem
         baseline = run_solver(A, b, ranks=2)
         with ResilientCG(A, b, config=SolverConfig(
                 page_size=PAGE, tolerance=1e-10, ranks=2,
-                backend="threaded", pace=0.0, max_threads=4)) as solver:
+                scheduler="threaded", clock="wall", pace=0.0,
+                max_threads=4)) as solver:
             threaded = solver.solve()
         assert np.array_equal(threaded.x, baseline.x)
         assert threaded.solve_time == baseline.solve_time

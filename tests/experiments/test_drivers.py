@@ -135,6 +135,47 @@ class TestFig4:
         assert "Figure 4" in text and "rate 10" in text
 
 
+#: The 11 runtime cells of tests/runtime/test_runtime_matrix.py.
+RUNTIME_CELLS = [
+    ("list", "local", "simulated", 1), ("list", "local", "wall", 1),
+    ("list", "ranks", "simulated", 2), ("list", "ranks", "simulated", 3),
+    ("list", "ranks", "wall", 4), ("list", "ranks", "wall", 1),
+    ("threaded", "local", "simulated", 1), ("threaded", "local", "wall", 1),
+    ("threaded", "ranks", "simulated", 2), ("threaded", "ranks", "wall", 2),
+    ("threaded", "ranks", "wall", 4),
+]
+
+
+class TestFig4CarriesTheRuntimeCell:
+    """``campaign_spec`` used to forward a hand-kept field list that
+    silently dropped scheduler/placement/clock/ranks, so fig4 always ran
+    list/local/simulated whatever the flags said."""
+
+    @pytest.mark.parametrize("cell", RUNTIME_CELLS,
+                             ids=lambda c: "-".join(map(str, c)))
+    def test_campaign_runs_the_configured_cell(self, cell):
+        from repro.experiments.fig4 import campaign_spec
+        from repro.runtime.cost_model import CostModel
+        from repro.runtime.runtime import resolve_runtime_spec
+        scheduler, placement, clock, ranks = cell
+        config = ExperimentConfig(
+            matrices=("qa8fm",), num_workers=3, page_size=48,
+            work_scale=17.0, checkpoint_interval=9, pace=0.0,
+            cost_model=CostModel(task_overhead=1e-5), scheduler=scheduler,
+            placement=placement, clock=clock, ranks=ranks)
+        knobs = campaign_spec(config).knobs
+        solver = config.solver_config()
+        assert knobs.runtime_spec() == resolve_runtime_spec(
+            solver.scheduler, solver.placement, solver.clock, solver.ranks)
+        assert knobs.runtime_spec() == resolve_runtime_spec(*cell)
+        for name in ("num_workers", "page_size", "work_scale", "cost_model",
+                     "pace", "tolerance", "max_iterations"):
+            assert getattr(knobs, name) == getattr(solver, name) \
+                == getattr(config, name), name
+        assert knobs.checkpoint_interval == config.checkpoint_interval == 9
+        assert solver.record_history and not knobs.record_history
+
+
 class TestFig5:
     @pytest.fixture(scope="class")
     def result(self):

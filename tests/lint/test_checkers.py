@@ -8,6 +8,7 @@ from repro.lint.engine import lint_source
 LIB = "src/repro/somemodule.py"           # generic library path
 STORE = "src/repro/campaign/store.py"     # fingerprint-critical module
 SOLVER = "src/repro/solvers/resilient_cg.py"  # paged-reduction module
+PLANNER = "src/repro/solvers/cg_plan.py"  # paged-reduction module (re-enactment probes)
 LOCKS = "src/repro/service/server.py"     # lock-graph module
 
 
@@ -175,6 +176,14 @@ class TestReductions:
     def test_rule_only_fires_in_paged_modules(self):
         src = "import numpy as np\nv = np.dot(u, w)\n"
         assert active_codes(src, LIB) == []
+
+    def test_rule_follows_the_reenactment_probes_into_the_plan_owner(self):
+        """Seeded canary: the per-chunk probe dots moved to cg_plan.py
+        with the re-enactment, and the rule moved with them."""
+        src = "import numpy as np\nv = np.dot(u, w)\n"
+        assert active_codes(src, PLANNER) == ["paged-reduction"]
+        assert active_codes("v = float(u[sl] @ w[sl])\n", PLANNER) == \
+            ["paged-reduction"]
 
     def test_pragma_suppressed(self):
         src = ("import numpy as np\n"

@@ -7,11 +7,14 @@ commit whose ``run`` owned a name-keyed event loop of its own — so the
 expectations share no code with the compiled-plan loop they check.  Every
 float is stored as ``float.hex``.
 
-Regenerate only from a checkout of that commit (the CG cases call its
-``ResilientCG._build_iteration_graph``)::
+The recorded file came from a checkout of that commit.  The generator is
+kept runnable against the current tree — the CG cases take their graphs
+from the iteration-plan owner, ``repro.solvers.cg_plan.CGPlanner`` — and
+must then print the committed file byte for byte (the cases, and the
+schedules today's scheduler gives them)::
 
-    git archive 4ff29e5 src | tar -x -C /tmp/parent
-    PYTHONPATH=/tmp/parent/src python tests/runtime/fixtures/generate_schedule_oracle.py
+    PYTHONPATH=src python tests/runtime/fixtures/generate_schedule_oracle.py
+    git diff --exit-code tests/runtime/fixtures/schedule_oracle.json
 """
 
 from __future__ import annotations
@@ -21,13 +24,16 @@ import random  # repro-lint: allow[unseeded-rng] a seeded random.Random instance
 from pathlib import Path
 
 from repro.core import make_strategy
-from repro.matrices.stencil import poisson_2d_5pt, stencil_rhs
-from repro.precond import BlockJacobiPreconditioner
+from repro.matrices.blocked import PageBlockedMatrix
+from repro.matrices.stencil import poisson_2d_5pt
 from repro.runtime.cost_model import CostModel
 from repro.runtime.graph import TaskGraph
+from repro.runtime.kernels import make_kernel_engine
+from repro.runtime.runtime import RuntimeSpec, make_executor
 from repro.runtime.scheduler import ListScheduler
 from repro.runtime.task import TaskKind
-from repro.solvers.resilient_cg import ResilientCG, SolverConfig
+from repro.solvers.cg_plan import RECOVERY_TASKS, CGPlanner
+from repro.solvers.resilient_cg import SolverConfig
 
 SEED = 20150715
 RANDOM_DAGS = 240
@@ -68,23 +74,24 @@ def random_case(rng: random.Random) -> dict:
 def cg_cases(rng: random.Random) -> list:
     """The four CG shapes (ideal, resilient, +/- checkpoint) at the base
     recovery durations and with fault-enlarged ones, at running clocks."""
-    A = poisson_2d_5pt(20)
-    b = stencil_rhs(A, kind="random", seed=3)
+    blocked = PageBlockedMatrix(poisson_2d_5pt(20), page_size=32)
+    spec = RuntimeSpec()
     cases = []
     for workers, method, precond in ((4, "feir", False), (8, "afeir", False),
                                      (3, "ckpt", False), (4, "afeir", True)):
         config = SolverConfig(num_workers=workers, page_size=32)
-        strategy = make_strategy(method, checkpoint_interval=5)
-        preconditioner = (BlockJacobiPreconditioner(A, page_size=32)
-                          if precond else None)
-        solver = ResilientCG(A, b, strategy=strategy, config=config,
-                             preconditioner=preconditioner)
+        planner = CGPlanner(
+            blocked, config,
+            strategy=make_strategy(method, checkpoint_interval=5),
+            preconditioned=precond, spec=spec,
+            executor=make_executor(spec, workers, config.cost_model),
+            engine=make_kernel_engine(blocked, spec))
         overhead = config.cost_model.task_overhead
         check = config.cost_model.recovery_check()
         shapes = [(False, False, None)]
         if method == "ckpt":
             shapes.append((False, True, None))
-        if solver._uses_recovery_tasks():
+        if planner.uses_recovery_tasks:
             shapes.append((True, False, None))
             for _ in range(3):
                 shapes.append((True, False, {
@@ -93,9 +100,12 @@ def cg_cases(rng: random.Random) -> list:
                     "r3": check + rng.uniform(0, 5e-3)}))
         clock = 0.0
         for resilient, checkpoint, recovery in shapes:
-            graph = solver._build_iteration_graph(
-                0, resilient=resilient, recovery_durations=recovery,
-                checkpoint=checkpoint)
+            plan = planner.plan(resilient, checkpoint)
+            durations = list(plan.durations)
+            for key in RECOVERY_TASKS if recovery else ():
+                durations[plan.roles[key]] = recovery[key]
+            graph = plan.to_graph(durations, names=[name.format(t=0)
+                                                    for name in plan.names])
             index = {t.name: i for i, t in enumerate(graph.tasks)}
             tasks = [{"name": t.name, "duration": t.duration,
                       "kind": t.kind.value, "priority": t.priority,
@@ -112,7 +122,6 @@ def cg_cases(rng: random.Random) -> list:
             # the next shape starts where a run of these iterations ends
             clock += 37 * ListScheduler(workers).run(
                 graph, execute_actions=False).makespan
-        solver.close()
     return cases
 
 

@@ -7,11 +7,11 @@ import pytest
 
 from repro.runtime.async_exec import (PageLockTable, ThreadedBackend,
                                       VulnerableWindowMonitor)
-from repro.runtime.backend import (BACKEND_NAMES, ExecutionResult,
-                                   SimulatedBackend, WallInterval,
-                                   make_backend)
+from repro.runtime.backend import (ExecutionResult, SimulatedBackend,
+                                   WallInterval)
 from repro.runtime.cost_model import CostModel
 from repro.runtime.graph import TaskGraph
+from repro.runtime.runtime import RuntimeSpec, make_executor
 from repro.runtime.task import TaskKind
 
 NO_OVERHEAD = CostModel(task_overhead=0.0)
@@ -43,16 +43,13 @@ def diamond_graph(log, lock):
 
 
 class TestFactoryAndProtocol:
-    def test_make_backend_names(self):
-        assert isinstance(make_backend("simulated", 2), SimulatedBackend)
-        backend = make_backend("threaded", 2)
+    def test_scheduler_axis_picks_the_executor(self):
+        assert isinstance(make_executor(RuntimeSpec(), 2), SimulatedBackend)
+        backend = make_executor(RuntimeSpec(scheduler="threaded"), 2,
+                                max_threads=1, pace=0.0)
         assert isinstance(backend, ThreadedBackend)
+        assert (backend.thread_count, backend.pace) == (1, 0.0)
         backend.close()
-
-    def test_make_backend_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown execution backend"):
-            make_backend("quantum", 2)
-        assert set(BACKEND_NAMES) == {"simulated", "threaded"}
 
     def test_simulated_backend_replays_actions_in_launch_order(self):
         log, lock = [], threading.Lock()
@@ -69,8 +66,9 @@ class TestFactoryAndProtocol:
         graph.add_task("b", 2.0, deps=["a"])
         sim = SimulatedBackend(4, cost_model=NO_OVERHEAD).run(graph)
         real = threaded.run(graph)
-        assert real.makespan == sim.makespan
-        assert real.order_started() == sim.order_started()
+        assert real.schedule.makespan == sim.schedule.makespan
+        assert real.schedule.order_started() == \
+            sim.schedule.order_started()
         assert real.executed_real
 
     def test_execution_result_delegates_schedule_queries(self, threaded):
@@ -78,8 +76,8 @@ class TestFactoryAndProtocol:
         graph.add_task("a", 1.0)
         result = threaded.run(graph)
         assert isinstance(result, ExecutionResult)
-        assert result.start_of("a") == 0.0
-        assert result.end_of("a") == pytest.approx(1.0)
+        assert result.schedule.start_of("a") == 0.0
+        assert result.schedule.end_of("a") == pytest.approx(1.0)
 
 
 class TestThreadedExecution:

@@ -11,6 +11,7 @@ from repro.matrices.stencil import poisson_2d_5pt
 from repro.runtime.kernels import (LocalKernelEngine, make_kernel_engine,
                                    page_partials, paged_dot,
                                    reduce_partials)
+from repro.runtime.runtime import resolve_runtime_spec
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +104,7 @@ class TestLocalKernelEngine:
 
     def test_factory_validation(self, setup):
         blocked, _ = setup
-        with pytest.raises(ValueError):
-            make_kernel_engine(blocked, ranks=0)
-        engine = make_kernel_engine(blocked, ranks=1)
+        with pytest.raises(ValueError, match="ranks"):
+            make_kernel_engine(blocked, resolve_runtime_spec(ranks=0))
+        engine = make_kernel_engine(blocked, resolve_runtime_spec(ranks=1))
         assert isinstance(engine, LocalKernelEngine)

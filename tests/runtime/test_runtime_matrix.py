@@ -1,10 +1,9 @@
 """The unified runtime's equivalence matrix.
 
-The repo's central invariant, stated over the composed runtime of
+The repo's central invariant, stated over the runtime cells of
 :mod:`repro.runtime.runtime`: every (scheduler x placement x clock)
-cell — including the cells the old ``backend=``/``ranks=`` convention
-could not express, such as threaded scheduling over rank-sharded
-kernels — produces bit-identical iterates, solve times and recovery
+cell — including threaded scheduling over rank-sharded kernels —
+produces bit-identical iterates, solve times and recovery
 decisions, and byte-identical campaign fingerprints.
 """
 
@@ -20,8 +19,7 @@ from repro.faults.injector import Injection
 from repro.faults.scenarios import multi_error_scenario
 from repro.matrices.sparse import SparseOperator
 from repro.matrices.stencil import poisson_2d_5pt, stencil_rhs
-from repro.runtime.runtime import (RuntimeSpec, make_runtime,
-                                   resolve_runtime_spec)
+from repro.runtime.runtime import RuntimeSpec, resolve_runtime_spec
 from repro.solvers.resilient_cg import ResilientCG, SolverConfig
 
 pytestmark = pytest.mark.ranks
@@ -88,15 +86,13 @@ def result_key(res):
 
 
 class TestSpecResolution:
-    def test_legacy_backends_resolve_to_their_cells(self):
-        assert resolve_runtime_spec(backend="simulated") == RuntimeSpec(
+    def test_defaults_are_the_reference_cell(self):
+        assert resolve_runtime_spec() == RuntimeSpec(
             scheduler="list", placement="local", clock="simulated", ranks=1)
-        assert resolve_runtime_spec(backend="threaded") == RuntimeSpec(
-            scheduler="threaded", placement="local", clock="wall", ranks=1)
 
-    def test_explicit_axes_override_the_alias(self):
-        spec = resolve_runtime_spec(backend="threaded", clock="simulated")
-        assert (spec.scheduler, spec.clock) == ("threaded", "simulated")
+    def test_axis_values_are_normalised(self):
+        spec = resolve_runtime_spec(scheduler=" Threaded ", clock="WALL")
+        assert (spec.scheduler, spec.clock) == ("threaded", "wall")
 
     def test_ranks_imply_the_ranks_placement(self):
         assert resolve_runtime_spec(ranks=3).placement == "ranks"
@@ -109,23 +105,13 @@ class TestSpecResolution:
         with pytest.raises(ValueError, match="placement"):
             resolve_runtime_spec(placement="local", ranks=2)
 
-    def test_unknown_backend_message_names_the_axes(self):
-        with pytest.raises(ValueError, match="unknown execution backend"):
-            resolve_runtime_spec(backend="quantum")
-
-    def test_axis_validation_names_the_factory(self):
-        for kwargs in (dict(scheduler="magic"), dict(placement="cloud"),
-                       dict(clock="sundial")):
-            with pytest.raises(ValueError, match="make_runtime"):
-                resolve_runtime_spec(**kwargs)
-
-    def test_backend_alias_round_trips(self):
-        assert resolve_runtime_spec(backend="simulated").backend_alias() \
-            == "simulated"
-        assert resolve_runtime_spec(backend="threaded").backend_alias() \
-            == "threaded"
-        assert resolve_runtime_spec(scheduler="threaded").backend_alias() \
-            == "threaded+simulated"
+    def test_axis_validation_names_the_axis(self):
+        for axis, value in (("scheduler", "magic"), ("placement", "cloud"),
+                            ("clock", "sundial")):
+            with pytest.raises(ValueError, match=f"{axis} axis"):
+                resolve_runtime_spec(**{axis: value})
+        with pytest.raises(ValueError, match="ranks must be >= 1"):
+            resolve_runtime_spec(ranks=0)
 
     def test_reenactment_flags(self):
         assert not resolve_runtime_spec().runs_reenactment
@@ -133,20 +119,21 @@ class TestSpecResolution:
         assert resolve_runtime_spec(scheduler="threaded",
                                     clock="simulated").runs_reenactment
         assert not resolve_runtime_spec(clock="simulated").measures_wall
+        assert resolve_runtime_spec(clock="wall").measures_wall
 
 
-class TestRuntimeFactory:
-    def test_compose_and_close(self, problem):
-        from repro.matrices.blocked import PageBlockedMatrix
-        A, _ = problem
-        blocked = PageBlockedMatrix(A, page_size=PAGE)
-        with make_runtime(blocked, num_workers=4, scheduler="threaded",
-                          placement="ranks", ranks=2, clock="wall",
-                          pace=0.0) as rt:
-            assert rt.executes_real and rt.measures_wall
-            assert rt.engine.ranks == 2
-            assert "threaded" in rt.describe()
-            assert "ranks" in rt.describe()
+class TestSolverRuntime:
+    def test_threaded_ranks_cell_composes_and_closes_twice(self, problem):
+        A, b = problem
+        solver = ResilientCG(A, b, config=cell_config("threaded", "ranks",
+                                                      "wall", 2))
+        assert solver.planner.spec == RuntimeSpec("threaded", "ranks",
+                                                  "wall", 2)
+        assert solver.engine.ranks == 2
+        assert solver.planner.executor.name == "threaded"
+        assert solver.solve().converged
+        solver.close()
+        solver.close()              # idempotent: threads already joined
 
 
 class TestEquivalenceMatrix:

@@ -20,6 +20,7 @@ from repro.runtime.graph import (GraphRace, GraphRaceError, TaskGraph,
                                  VERIFY_GRAPHS_ENV, find_races,
                                  verification_enabled, verify_graph)
 from repro.runtime.task import TaskKind
+from repro.solvers.cg_plan import CGPlanner
 from repro.solvers.resilient_cg import ResilientCG, SolverConfig
 
 
@@ -166,7 +167,7 @@ class TestSolverGraphs:
         dependency in a refactor and the race is caught structurally,
         naming both the halo task and the spmv chunk."""
         monkeypatch.setenv(VERIFY_GRAPHS_ENV, "1")
-        original = ResilientCG._add_halo_reenactment
+        original = CGPlanner._add_halo_reenactment
 
         def drop_edge(self, graph, iteration, state, this_d):
             original(self, graph, iteration, state, this_d)
@@ -176,7 +177,7 @@ class TestSolverGraphs:
                     if task.name.startswith(f"q{iteration}:"):
                         task.deps.remove(halo_name)
 
-        monkeypatch.setattr(ResilientCG, "_add_halo_reenactment", drop_edge)
+        monkeypatch.setattr(CGPlanner, "_add_halo_reenactment", drop_edge)
         # The halo task only exists in the re-enactment graph, so pick a
         # cell that re-enacts (clock="wall"); the list scheduler keeps the
         # verifying path in SimulatedBackend.execute.

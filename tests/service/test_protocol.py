@@ -96,6 +96,15 @@ class TestRejections:
         with pytest.raises(ProtocolError, match="warp_drive"):
             spec_from_payload(payload)
 
+    def test_removed_backend_alias_is_an_unknown_knob(self):
+        """A v1 payload written before the ``backend=`` alias was removed
+        is rejected by name, like any other knob this side does not know."""
+        payload = spec_to_payload(CampaignSpec(matrices=["laplacian2d:10"]))
+        assert "backend" not in payload["knobs"]
+        payload["knobs"]["backend"] = "threaded"
+        with pytest.raises(ProtocolError, match="unknown solver knob.*backend"):
+            spec_from_payload(payload)
+
     def test_bad_matrix_family(self):
         payload = spec_to_payload(CampaignSpec(matrices=["laplacian2d:10"]))
         payload["matrices"][0]["family"] = "hilbert"

@@ -256,6 +256,27 @@ class TestCancelAndShutdown:
             conn.close()
 
 
+class TestRemovedBackendAlias:
+    def test_backend_knob_is_a_400_not_a_500(self, client):
+        import http.client
+        import json
+        from repro.service.protocol import spec_to_payload
+        payload = spec_to_payload(tiny_spec())
+        payload["knobs"]["backend"] = "threaded"
+        conn = http.client.HTTPConnection(client.host, client.port,
+                                          timeout=10)
+        try:
+            conn.request("POST", "/jobs", body=json.dumps({"spec": payload}),
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            body = response.read().decode()
+        finally:
+            conn.close()
+        assert response.status == 400
+        assert "backend" in body
+        assert client.jobs() == []
+
+
 class TestMetricsAndHealth:
     def test_health_reports_protocol_version(self, client):
         from repro.service.protocol import PROTOCOL_VERSION

@@ -1,7 +1,8 @@
 """Backend equivalence: the threaded runtime must change *nothing* but
 the measurements.
 
-With zero injected faults the ``threaded`` and ``simulated`` backends
+With zero injected faults the ``threaded`` (threaded scheduler, wall
+clock) and ``simulated`` (list scheduler, simulated clock) runtime cells
 must produce bitwise-identical solver iterates, identical simulated
 timelines and identical campaign fingerprints; with faults they must
 take identical recovery decisions for the same injection schedule.  The
@@ -28,9 +29,14 @@ def problem():
     return A, b
 
 
+#: The two runtime cells compared throughout, by the executor they run on.
+CELLS = {"simulated": dict(scheduler="list", clock="simulated"),
+         "threaded": dict(scheduler="threaded", clock="wall")}
+
+
 def config(backend, **overrides):
     defaults = dict(num_workers=4, page_size=64, tolerance=1e-10,
-                    backend=backend)
+                    **CELLS[backend])
     defaults.update(overrides)
     return SolverConfig(**defaults)
 
@@ -130,7 +136,7 @@ class TestCampaignFingerprints:
             matrices=["laplacian2d:16"], methods=("FEIR", "AFEIR"),
             rates=rates, repetitions=2, seed=99,
             knobs=SolverKnobs(tolerance=1e-8, page_size=64,
-                              num_workers=4, backend=backend),
+                              num_workers=4, **CELLS[backend]),
             name=f"equiv-{backend}")
 
     @pytest.mark.parametrize("rates", [(0.0,), (1.0, 10.0)])
@@ -143,9 +149,11 @@ class TestCampaignFingerprints:
         clear_caches()
         assert fingerprints["simulated"] == fingerprints["threaded"]
 
-    def test_knobs_reject_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown execution backend"):
-            SolverKnobs(backend="warp-drive")
+    def test_knobs_reject_unknown_axis_values(self):
+        with pytest.raises(ValueError, match="scheduler axis"):
+            SolverKnobs(scheduler="warp-drive")
+        with pytest.raises(ValueError, match="clock axis"):
+            SolverKnobs(clock="sundial")
 
 
 class TestTable2OnBothBackends:
@@ -155,7 +163,7 @@ class TestTable2OnBothBackends:
         from repro.experiments.table2 import run_table2
         cfg = ExperimentConfig(matrices=("qa8fm",), repetitions=1,
                                max_iterations=6000, tolerance=1e-9,
-                               backend=backend)
+                               **CELLS[backend])
         result = run_table2(cfg)
         assert result.overheads["AFEIR"] < result.overheads["FEIR"]
         if backend == "threaded":
