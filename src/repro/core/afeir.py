@@ -12,7 +12,7 @@ is purely in scheduling (Section 3.3.2 and Figure 2):
   skipped, which slows convergence at high error rates (Section 5.4).
 
 The class overrides the scheduling flags (the algebra is inherited from
-FEIR unchanged) and names the (recovery task, scalar task) pairs whose
+FEIR unchanged) and names the (recovery task, scalar task) role pairs whose
 gap *is* the vulnerable window, so the threaded execution backend can
 measure that window on real threads and the monitor can attribute every
 late DUE to it.  The window's *enforcement* — skipping the lost page's
@@ -35,9 +35,8 @@ class AFEIRStrategy(FEIRStrategy):
     uses_recovery_tasks = True
     recovery_in_critical_path = False
 
-    def vulnerable_pairs(self, iteration: int) -> List[Tuple[str, str]]:
+    def vulnerable_pairs(self) -> List[Tuple[str, str]]:
         """The two overlapped windows of one iteration (Figure 2):
         ``r2`` may finish before the rho/beta scalar consumes the
         reduction it guards, and ``r1`` before the alpha scalar."""
-        t = iteration
-        return [(f"r2_{t}", f"beta{t}"), (f"r1_{t}", f"alpha{t}")]
+        return [("r2", "beta"), ("r1", "alpha")]

@@ -93,9 +93,9 @@ class RecoveryStrategy(abc.ABC):
         """
         return 0 if self.recovery_in_critical_path else -1
 
-    def vulnerable_pairs(self, iteration: int) -> List[Tuple[str, str]]:
-        """(recovery task, dependent scalar task) name pairs whose gap is
-        the method's vulnerable window in iteration ``iteration``.
+    def vulnerable_pairs(self) -> List[Tuple[str, str]]:
+        """(recovery task, dependent scalar task) role pairs of the
+        iteration plan whose gap is the method's vulnerable window.
 
         Critical-path methods have no window (the scalar waits for
         recovery inside the critical path), so the default is empty;

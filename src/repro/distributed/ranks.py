@@ -190,9 +190,13 @@ class RankRuntime:
         """``(A v)[start:stop]`` using the same kernel the full-matrix
         product uses, so strip results are bitwise equal to slices of
         the single-rank product."""
-        if not self.blocked.uses_sparse_operator:
-            self.blocked.row_slab(start, stop)    # build the cache eagerly
-        return lambda v: self.blocked.range_product(start, stop, v)
+        # Bound to the matrix, not the runtime: a rank state that referred
+        # back to its runtime would leave every closed runtime (strips,
+        # buffers, queues) to the cycle collector.
+        blocked = self.blocked
+        if not blocked.uses_sparse_operator:
+            blocked.row_slab(start, stop)    # build the cache eagerly
+        return lambda v: blocked.range_product(start, stop, v)
 
     def page_owner(self, page: int) -> int:
         """Rank owning memory page ``page`` (strips are page-aligned)."""

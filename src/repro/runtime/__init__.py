@@ -12,11 +12,11 @@ a :class:`~repro.runtime.runtime.RuntimeSpec` from which a solver
 builds its graph executor (:func:`make_executor`) and its kernel engine
 (:func:`make_kernel_engine`):
 
-* **scheduler** — how iteration task graphs run: ``"list"`` is the
+* **scheduler** — how compiled iteration plans run: ``"list"`` is the
   deterministic discrete-event priority list scheduler over ``P``
   workers with durations from a calibrated
   :class:`~repro.runtime.cost_model.CostModel`; ``"threaded"``
-  (:mod:`repro.runtime.async_exec`) additionally executes every graph
+  (:mod:`repro.runtime.async_exec`) additionally executes every plan
   for real on a dependency-tracked priority thread pool with per-page
   locks.
 * **placement** — where the numerical kernels run: ``"local"`` is the

@@ -1,13 +1,18 @@
-"""Real asynchronous execution of task graphs on worker threads.
+"""Real asynchronous execution of compiled plans on worker threads.
 
 This module is the "for real" counterpart of the discrete-event
-simulator: the same :class:`~repro.runtime.graph.TaskGraph` the list
+simulator: the same :class:`~repro.runtime.plan.IterationPlan` the list
 scheduler times is executed on a persistent pool of OS threads with
 
-* a dependency-tracking event loop — a task is dispatched only when all
-  of its dependencies have finished, and ready tasks are handed to free
+* a dependency-tracking dispatch loop that walks the plan's integer
+  arrays — a counter vector seeded from ``plan.indegree``, decremented
+  along ``plan.successors``, and a ready heap of
+  ``(-priority, seq, index)`` — so a task is dispatched only when all of
+  its dependencies have finished, and ready tasks are handed to free
   threads in priority order (recovery tasks carry the paper's lower
-  priority, so reductions really start first, Section 3.3.2);
+  priority, so reductions really start first, Section 3.3.2).  Nothing
+  is rebuilt per run: what changes between two runs of a plan is the
+  action table and the durations vector;
 * per-page locks — tasks that declare a ``page`` serialise against other
   tasks touching the same page.  This is the thread-safety backstop
   *mutating* recovery actions will need once repairs run concurrently
@@ -15,9 +20,10 @@ scheduler times is executed on a persistent pool of OS threads with
   deliberately read-only (bitwise neutrality across backends) and
   declare no page, so today the locks are exercised by the backend's
   own tests and by any custom graphs that opt in;
-* measured wall-clock intervals per task, from which the backend reports
-  real overlap (did recovery actually run while reductions ran?) and a
-  measured per-state breakdown next to the simulated one;
+* measured wall-clock intervals per task, written into plan-order
+  columns, from which the backend reports real overlap (did recovery
+  actually run while reductions ran?) and a measured per-state breakdown
+  next to the simulated one;
 * an explicit :class:`VulnerableWindowMonitor` recording AFEIR's trade
   window — the wall-clock gap between a recovery task finishing and the
   dependent scalar starting — and every DUE that lands *after* its
@@ -35,17 +41,21 @@ from __future__ import annotations
 import heapq
 import threading
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from contextlib import nullcontext
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config import resolve_worker_count
-from repro.runtime.backend import (ExecutionBackend, ExecutionResult,
-                                   WallInterval)
+from repro.runtime.backend import ExecutionBackend, ExecutionResult
 from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
-from repro.runtime.graph import TaskGraph, maybe_verify_graph
+from repro.runtime.graph import TaskGraph
+from repro.runtime.plan import IterationPlan
 from repro.sanitize import (make_condition, make_lock,
                             record_task_accesses, sanitizer_enabled)
+
+
+#: What a task that declares no page holds while it runs.
+_NO_PAGE = nullcontext()
 
 
 class PageLockTable:
@@ -72,15 +82,9 @@ class PageLockTable:
                 lock = self._locks[page] = make_lock(f"page:{page}.lock")
             return lock
 
-    @contextmanager
     def holding(self, page: Optional[int]):
         """Context manager: hold the page's lock, or nothing for ``None``."""
-        if page is None:
-            yield
-            return
-        lock = self.lock_for(int(page))
-        with lock:
-            yield
+        return _NO_PAGE if page is None else self.lock_for(int(page))
 
     def __len__(self) -> int:
         with self._guard:
@@ -201,26 +205,24 @@ class VulnerableWindowMonitor:
             if in_window:
                 self._summary.dues_in_window += 1
 
-    def observe(self, result: ExecutionResult,
-                pairs: Tuple[Tuple[str, str], ...] = ()) -> None:
+    def observe(self, result: Optional[ExecutionResult],
+                pairs: Sequence[Tuple[str, int, int]] = ()) -> None:
         """Digest one real execution: overlap counts plus the measured
-        window of every (recovery task, dependent scalar) pair."""
+        window of every ``(label, recovery index, scalar index)`` pair
+        (plan indices).  ``None`` counts a run whose wall side is not an
+        output (the simulated clock)."""
+        overlaps = halo_overlaps = 0
+        if result is not None:
+            overlaps = result.recovery_overlaps()
+            halo_overlaps = result.recovery_halo_overlaps()
         with self._lock:
             self._summary.runs += 1
-        if not result.wall_intervals:
-            return
-        overlaps = result.recovery_overlaps()
-        halo_overlaps = result.recovery_halo_overlaps()
-        if overlaps or halo_overlaps:
-            with self._lock:
-                self._summary.overlapped_recoveries += overlaps
-                self._summary.halo_overlapped_recoveries += halo_overlaps
-        for recovery_name, scalar_name in pairs:
-            rec = result.wall_intervals.get(recovery_name)
-            scal = result.wall_intervals.get(scalar_name)
-            if rec is not None and scal is not None:
-                self.record_window(f"{recovery_name}->{scalar_name}",
-                                   rec.end, scal.start)
+            self._summary.overlapped_recoveries += overlaps
+            self._summary.halo_overlapped_recoveries += halo_overlaps
+        if result is not None:
+            for label, recovery, scalar in pairs:
+                self.record_window(label, result.ends[recovery],
+                                   result.starts[scalar])
 
     # -- queries --------------------------------------------------------
     @property
@@ -243,34 +245,15 @@ class VulnerableWindowMonitor:
             return self._summary.as_dict()
 
 
-@dataclass
-class _RunState:
-    """Mutable bookkeeping of one in-flight graph execution."""
-
-    tasks: Dict[str, object]
-    remaining: Dict[str, int]
-    successors: Dict[str, List[str]]
-    ready: List[Tuple[int, int, str]] = field(default_factory=list)
-    intervals: Dict[str, WallInterval] = field(default_factory=dict)
-    values: Dict[str, object] = field(default_factory=dict)
-    n_done: int = 0
-    inflight: int = 0
-    error: Optional[BaseException] = None
-    t0: float = 0.0
-    #: Monotone tie-break counter so equal-priority ready tasks dispatch
-    #: in the order they became ready (mirrors the simulator's tie-break).
-    seq: int = 0
-
-
 class ThreadedBackend(ExecutionBackend):
     """Thread-pool execution backend (real concurrency, measured time).
 
     ``num_workers`` is the *simulated* worker count (paper semantics);
     the real thread count defaults to the same number capped by the
     ``REPRO_MAX_WORKERS`` environment override, or ``max_threads`` when
-    given.  Worker threads are started lazily on the first :meth:`run`
-    and persist across runs (a resilient solve executes one graph per
-    iteration); :meth:`close` joins them.
+    given.  Worker threads are started lazily on the first
+    :meth:`execute` and persist across runs (a resilient solve executes
+    one plan per iteration); :meth:`close` joins them.
     """
 
     name = "threaded"
@@ -294,43 +277,85 @@ class ThreadedBackend(ExecutionBackend):
         self.thread_count = resolve_worker_count(
             max_threads if max_threads is not None else num_workers)
         self.page_locks = PageLockTable()
-        self._cond = make_condition(name="ThreadedBackend.cond")
+        #: One lock under two conditions: workers wait on ``_cond`` for a
+        #: ready task, the submitting thread on ``_done`` for the end of
+        #: its run — so a completion wakes exactly the threads it has a
+        #: task (or the news) for.  Always entered as ``with self._cond``.
+        lock = make_lock("ThreadedBackend.lock")
+        self._cond = make_condition(lock)
+        self._done = make_condition(lock)
         self._threads: List[threading.Thread] = []
-        self._state: Optional[_RunState] = None
         self._shutdown = False
-        #: Serialises whole-graph runs (one graph in flight at a time).
+        #: Serialises whole-plan runs (one plan in flight at a time).
         self._run_lock = make_lock("ThreadedBackend.run_lock")
+        # -- the run in flight; everything below is guarded by the lock --
+        #: ``(plan, actions, durations, result, sanitized, t0)`` of the
+        #: live run.
+        self._run: Optional[tuple] = None
+        #: Unfinished-dependency counter per task (from ``plan.indegree``).
+        self._remaining: List[int] = []
+        #: Ready heap of ``(-priority, seq, index)``; ``seq`` is a
+        #: monotone counter so equal-priority tasks dispatch in the order
+        #: they became ready (mirrors the simulator's tie-break).
+        self._ready: List[Tuple[int, int, int]] = []
+        self._seq = 0
+        #: Tasks the run still waits for, and those of them on a thread.
+        self._unfinished = 0
+        self._inflight = 0
+        self._error: Optional[BaseException] = None
 
     # ------------------------------------------------------------------
-    def run(self, graph: TaskGraph, start_time: float = 0.0
-            ) -> ExecutionResult:
-        """Simulate the graph's timeline, then execute it for real."""
-        schedule = self.simulate(graph, start_time=start_time)
-        result = self.execute(graph)
-        result.schedule = schedule
-        return result
+    def execute(self, graph: Union[TaskGraph, IterationPlan],
+                actions: Optional[Sequence[Optional[Callable]]] = None,
+                durations: Optional[Sequence[float]] = None
+                ) -> ExecutionResult:
+        """Run the plan's actions on the worker threads, dependencies
+        and priorities respected, and measure every task's wall interval.
 
-    def execute(self, graph: TaskGraph) -> ExecutionResult:
-        """Execute the graph for real without re-deriving its simulated
-        timeline (``result.schedule`` is ``None``).
-
-        This is the hot path of the resilient solver, which has already
-        scheduled (or template-cached) the iteration's timeline and only
-        needs the measured side: paying a second ``O(V log V)`` list
-        schedule per iteration here would double the campaign cost.
+        This is the hot path of the resilient solver, which re-enacts
+        one compiled plan per iteration: nothing structural is derived
+        here — the counter vector is a copy of ``plan.indegree`` and the
+        ready heap starts from ``plan.roots``.  ``durations`` only pace
+        the tasks (``pace > 0``).  The first action to raise clears the
+        ready queue; the in-flight tasks drain and that error is
+        re-raised here, leaving the pool usable.
         """
-        graph.validate()
-        maybe_verify_graph(graph)  # opt-in REPRO_VERIFY_GRAPHS=1 assertion
-        state = self._execute(graph)
-        wall_time = 0.0
-        if state.intervals:
-            wall_time = (max(i.end for i in state.intervals.values())
-                         - min(i.start for i in state.intervals.values()))
-        return ExecutionResult(backend=self.name,
-                               executed_real=True, wall_time=wall_time,
-                               wall_intervals=dict(state.intervals),
-                               values=dict(state.values),
-                               kinds={t.name: t.kind for t in graph.tasks})
+        plan, actions, durations = self._bind(graph, actions, durations)
+        total = len(plan)
+        result = ExecutionResult(plan=plan, executed_real=True,
+                                 starts=[0.0] * total, ends=[0.0] * total,
+                                 workers=[0] * total, results=[None] * total)
+        if total == 0:
+            return result
+        priorities = plan.priorities
+        ready = [(-priorities[i], seq, i) for seq, i in enumerate(plan.roots)]
+        heapq.heapify(ready)
+        with self._run_lock:
+            self._ensure_pool()
+            with self._cond:
+                self._run = (plan, actions, durations, result,
+                             sanitizer_enabled(), time.perf_counter())  # repro-lint: allow[wall-clock] wall-interval origin for the overlap monitor, never fingerprinted
+                self._remaining = list(plan.indegree)
+                self._ready = ready
+                self._seq = len(ready)
+                self._unfinished = total
+                self._cond.notify(len(ready))
+                try:
+                    while self._unfinished:
+                        self._done.wait()
+                except BaseException as exc:
+                    # An interrupted wait (KeyboardInterrupt) stops the run
+                    # like a task error and drains it, so no worker books a
+                    # stale completion into the next run.
+                    self._abort(exc)
+                    while self._unfinished:
+                        self._done.wait()
+                self._run = None
+                error, self._error = self._error, None
+            if error is not None:
+                raise error
+        result.wall_time = max(result.ends) - min(result.starts)
+        return result
 
     def close(self) -> None:
         with self._cond:
@@ -352,104 +377,93 @@ class ThreadedBackend(ExecutionBackend):
             thread.start()
             self._threads.append(thread)
 
-    def _execute(self, graph: TaskGraph) -> _RunState:
-        with self._run_lock:
-            tasks = {t.name: t for t in graph.tasks}
-            remaining = {name: sum(1 for d in t.deps if d in tasks)
-                         for name, t in tasks.items()}
-            successors: Dict[str, List[str]] = {name: [] for name in tasks}
-            for t in tasks.values():
-                for dep in t.deps:
-                    if dep in successors:
-                        successors[dep].append(t.name)
-            state = _RunState(tasks=tasks, remaining=remaining,
-                              successors=successors)
-            for name, ndeps in remaining.items():
-                if ndeps == 0:
-                    heapq.heappush(state.ready,
-                                   (-tasks[name].priority, state.seq, name))
-                    state.seq += 1
-            state.t0 = time.perf_counter()  # repro-lint: allow[wall-clock] wall-interval origin for the overlap monitor, never fingerprinted
-            total = len(tasks)
-            if total == 0:
-                return state
-            self._ensure_pool()
-            with self._cond:
-                self._state = state
-                self._cond.notify_all()
-                # On error the recording worker clears the ready queue, so
-                # this loop just drains the in-flight tasks and returns.
-                while (state.n_done < total
-                       and not (state.error is not None
-                                and state.inflight == 0 and not state.ready)):
-                    self._cond.wait(timeout=1.0)
-                self._state = None
-            if state.error is not None:
-                raise state.error
-            return state
-
     def _worker(self, idx: int) -> None:
+        """The one worker body: under the lock, book the task this
+        thread just ran and take the next ready one; outside it, run."""
+        cond = self._cond
+        finished = None   # (index, began, ended, error) of the last task
         while True:
-            with self._cond:
-                while not self._shutdown and not (
-                        self._state is not None and self._state.ready):
-                    self._cond.wait()
+            with cond:
+                if finished is not None:
+                    self._complete(idx, *finished)
+                while not self._ready and not self._shutdown:
+                    cond.wait()
                 if self._shutdown:
                     return
-                state = self._state
-                _, _, name = heapq.heappop(state.ready)
-                task = state.tasks[name]
-                state.inflight += 1
-            value: object = None
-            error: Optional[BaseException] = None
-            began = ended = None
-            try:
-                with self.page_locks.holding(task.page):
-                    # The interval starts once the page lock is held, so
-                    # lock-wait time is not mistaken for concurrent work.
-                    began = time.perf_counter() - state.t0  # repro-lint: allow[wall-clock] measured task interval, reported not fingerprinted
-                    if sanitizer_enabled():
-                        # Bridge the task's declared resource sets into
-                        # dynamic accesses, from the thread that really
-                        # runs it and inside the page-lock critical
-                        # section so locksets include the page lock.
-                        record_task_accesses(task.reads,
-                                             task.resources_written(),
-                                             task=name)
-                    try:
-                        if task.action is not None:
-                            value = task.action()
-                        if self.pace > 0.0 and task.duration > 0.0:
-                            budget = task.duration * self.pace
-                            remaining = budget - (time.perf_counter()  # repro-lint: allow[wall-clock] pacing only shapes wall intervals, not iterates
-                                                  - state.t0 - began)
-                            if remaining > 0:
-                                time.sleep(remaining)
-                    finally:
-                        ended = time.perf_counter() - state.t0  # repro-lint: allow[wall-clock] measured task interval, reported not fingerprinted
-            except BaseException as exc:  # propagate to the caller
-                error = exc
+                i = heapq.heappop(self._ready)[2]
+                self._inflight += 1
+                run = self._run
+            finished = (i, *self._run_task(i, run))
+
+    def _run_task(self, i: int, run: tuple
+                  ) -> Tuple[float, float, Optional[BaseException]]:
+        """Run task ``i`` of ``run`` under its page lock; returns its
+        measured ``(began, ended)`` and the exception its action raised,
+        if any."""
+        plan, actions, durations, result, sanitized, t0 = run
+        page, reads, writes = plan.resources[i]
+        began = ended = None
+        try:
+            with self.page_locks.holding(page):
+                # The interval starts once the page lock is held, so
+                # lock-wait time is not mistaken for concurrent work.
+                began = time.perf_counter() - t0  # repro-lint: allow[wall-clock] measured task interval, reported not fingerprinted
+                if sanitized:
+                    # Bridge the task's declared resource sets into
+                    # dynamic accesses, from the thread that really runs
+                    # it and inside the page-lock critical section so
+                    # locksets include the page lock.
+                    record_task_accesses(reads, writes, task=plan.names[i])
+                try:
+                    action = actions[i]
+                    if action is not None:
+                        result.results[i] = action()
+                    if self.pace > 0.0 and durations[i] > 0.0:
+                        budget = durations[i] * self.pace
+                        remaining = budget - (time.perf_counter() - t0 - began)  # repro-lint: allow[wall-clock] pacing only shapes wall intervals, not iterates
+                        if remaining > 0:
+                            time.sleep(remaining)
+                finally:
+                    ended = time.perf_counter() - t0  # repro-lint: allow[wall-clock] measured task interval, reported not fingerprinted
+        except BaseException as exc:  # propagate to the caller
             if began is None or ended is None:
-                began = ended = time.perf_counter() - state.t0  # repro-lint: allow[wall-clock] measured task interval, reported not fingerprinted
-            with self._cond:
-                state.intervals[name] = WallInterval(start=began, end=ended,
-                                                     worker=idx)
-                state.values[name] = value
-                state.inflight -= 1
-                state.n_done += 1
-                if error is not None and state.error is None:
-                    state.error = error
-                if state.error is not None:
-                    # Stop the pipeline immediately — this thread already
-                    # holds the lock, so no other worker can pop a task
-                    # between the error being recorded and the clear.
-                    state.ready.clear()
-                if state.error is None:
-                    for nxt in state.successors[name]:
-                        state.remaining[nxt] -= 1
-                        if state.remaining[nxt] == 0:
-                            heapq.heappush(state.ready,
-                                           (-state.tasks[nxt].priority,
-                                            state.seq, nxt))
-                            state.seq += 1
-                self._cond.notify_all()
+                began = ended = time.perf_counter() - t0  # repro-lint: allow[wall-clock] measured task interval, reported not fingerprinted
+            return began, ended, exc
+        return began, ended, None
+
+    def _complete(self, idx: int, i: int, began: float, ended: float,
+                  error: Optional[BaseException]) -> None:
+        """Book task ``i`` as run by worker ``idx`` (lock held): record
+        its interval, release its successors and wake one waiting worker
+        per task that became ready beyond the one the caller takes."""
+        plan, _, _, result, _, _ = self._run
+        result.starts[i] = began
+        result.ends[i] = ended
+        result.workers[i] = idx
+        self._inflight -= 1
+        self._unfinished -= 1
+        if error is not None or self._error is not None:
+            self._abort(error)
+        else:
+            remaining, priorities = self._remaining, plan.priorities
+            released = 0
+            for nxt in plan.successors[i]:
+                remaining[nxt] -= 1
+                if remaining[nxt] == 0:
+                    heapq.heappush(self._ready,
+                                   (-priorities[nxt], self._seq, nxt))
+                    self._seq += 1
+                    released += 1
+            if released > 1:
+                self._cond.notify(released - 1)
+        if self._unfinished == 0:
+            self._done.notify()
+
+    def _abort(self, error: Optional[BaseException]) -> None:
+        """Keep the first error and stop the pipeline (lock held, so no
+        worker can pop a task between the error being recorded and the
+        clear); the run is left waiting for its in-flight tasks only."""
+        if self._error is None:
+            self._error = error
+        self._ready.clear()
+        self._unfinished = self._inflight

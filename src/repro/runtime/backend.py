@@ -8,19 +8,21 @@ when the same graph actually runs concurrently?"*.  Both sit behind the
 runtime's scheduler axis (:func:`repro.runtime.runtime.make_executor`)
 picks:
 
-* ``simulated`` (scheduler ``"list"``) — schedule with the list
-  scheduler, then replay task actions sequentially in launch order.
-  Deterministic, zero concurrency.
-* ``threaded`` (scheduler ``"threaded"``) — schedule with the list
-  scheduler for the *simulated* timeline (keeping every clock-dependent
-  decision bit-identical to the simulated backend), and additionally
-  execute the graph for real on a pool of worker threads:
-  dependency-tracked dispatch, priority ordering, per-page locks,
-  measured wall-clock intervals per task.
+* ``simulated`` (scheduler ``"list"``) — time plans with the list
+  scheduler; :meth:`~ExecutionBackend.execute` replays task actions
+  sequentially in launch order.  Deterministic, zero concurrency.
+* ``threaded`` (scheduler ``"threaded"``) — the same list scheduler for
+  the *simulated* timeline (keeping every clock-dependent decision
+  bit-identical to the simulated backend); ``execute`` runs the plan for
+  real on a pool of worker threads: dependency-tracked dispatch,
+  priority ordering, per-page locks, measured wall-clock intervals per
+  task.
 
-Every backend returns an :class:`ExecutionResult` carrying the simulated
-schedule plus (for real backends) the measured wall-clock data used by
-the vulnerable-window monitor and the overhead reports.
+Both halves consume a compiled :class:`~repro.runtime.plan.IterationPlan`
+(a :class:`~repro.runtime.graph.TaskGraph` is compiled on the way in):
+``simulate`` re-times it with a durations vector, ``execute`` runs it
+with an action table, and the measured side comes back as an
+:class:`ExecutionResult` of plan-order columns.
 """
 
 from __future__ import annotations
@@ -28,14 +30,15 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.runtime.graph import TaskGraph
-from repro.runtime.plan import IterationPlan
+from repro.runtime.plan import IterationPlan, compile_plan
 from repro.runtime.scheduler import ListScheduler, ScheduleResult
 from repro.runtime.task import TaskKind
-from repro.runtime.trace import StateBreakdown
+from repro.runtime.trace import ExecutionTrace, StateBreakdown
 
 
 @dataclass(frozen=True)
@@ -57,92 +60,75 @@ class WallInterval:
 
 @dataclass
 class ExecutionResult:
-    """Simulated schedule plus (optionally) measured real execution.
+    """Measured execution of one plan: columns in plan order.
 
-    ``schedule`` is ``None`` for execution-only runs
-    (:meth:`ThreadedBackend.execute <repro.runtime.async_exec.ThreadedBackend.execute>`),
-    where the caller already holds the simulated timeline and only the
-    measured data is new.
+    ``starts``/``ends`` (run-relative seconds), ``workers`` and
+    ``results`` are indexed like the plan's tasks; the name-keyed views
+    (``wall_intervals``, ``values``) are derived on demand, so
+    re-enacting an iteration never pays for them.
     """
 
-    schedule: Optional[ScheduleResult] = None
-    backend: str = "simulated"
+    plan: IterationPlan
     #: True when task actions ran concurrently on real threads.
     executed_real: bool = False
-    #: Wall-clock span of the real execution (0 for pure simulation).
+    starts: List[float] = field(default_factory=list)
+    ends: List[float] = field(default_factory=list)
+    workers: List[int] = field(default_factory=list)
+    #: Return values of the task actions.
+    results: List[object] = field(default_factory=list)
+    #: Wall-clock span of the execution.
     wall_time: float = 0.0
-    #: Per-task measured intervals, keyed by task name (real backends).
-    wall_intervals: Dict[str, WallInterval] = field(default_factory=dict)
-    #: Return values of the task actions, keyed by task name.
-    values: Dict[str, object] = field(default_factory=dict)
-    #: Task kinds by name (from the graph), used by the measured-data
-    #: queries so they never need the simulated schedule.
-    kinds: Dict[str, TaskKind] = field(default_factory=dict)
+
+    # -- name-keyed views -------------------------------------------------
+    @property
+    def wall_intervals(self) -> Dict[str, WallInterval]:
+        """Per-task measured intervals by task name."""
+        return {name: WallInterval(self.starts[i], self.ends[i],
+                                   self.workers[i])
+                for i, name in enumerate(self.plan.names)}
+
+    @property
+    def values(self) -> Dict[str, object]:
+        """Return values of the task actions by task name."""
+        return dict(zip(self.plan.names, self.results, strict=True))
 
     # -- measured-execution queries -------------------------------------
-    def overlapped(self, name_a: str, name_b: str) -> bool:
-        """True if two tasks measurably executed at the same wall time."""
-        a = self.wall_intervals.get(name_a)
-        b = self.wall_intervals.get(name_b)
-        return a is not None and b is not None and a.overlaps(b)
+    def _overlap(self, a: int, b: int) -> bool:
+        """True if tasks ``a`` and ``b`` measurably ran at the same time."""
+        return self.starts[a] < self.ends[b] and self.starts[b] < self.ends[a]
 
     def recovery_overlaps(self) -> int:
         """Recovery tasks whose wall interval overlapped a non-recovery
         task's interval on a different worker thread — the direct
         observation that recovery really ran off the critical path."""
-        if not self.wall_intervals:
-            return 0
-        recovery: List[Tuple[str, WallInterval]] = []
-        others: List[WallInterval] = []
-        for name, interval in self.wall_intervals.items():
-            if self.kinds.get(name) is TaskKind.RECOVERY:
-                recovery.append((name, interval))
-            else:
-                others.append(interval)
-        count = 0
-        for _, rec in recovery:
-            if any(rec.overlaps(o) and o.worker != rec.worker
-                   for o in others):
-                count += 1
-        return count
+        by_kind = self.plan.by_kind
+        workers = self.workers
+        others = [i for kind, indices in by_kind.items()
+                  if kind is not TaskKind.RECOVERY for i in indices]
+        return sum(
+            any(workers[o] != workers[r] and self._overlap(r, o)
+                for o in others)
+            for r in by_kind.get(TaskKind.RECOVERY, ()))
 
     def recovery_halo_overlaps(self) -> int:
         """Recovery tasks whose measured wall interval overlapped a
         communication task's interval (the re-enacted halo exchange of
         the ranks placement) — the paper's asynchrony claim at
         distributed scale, observed directly."""
-        comm = [interval for name, interval in self.wall_intervals.items()
-                if self.kinds.get(name) is TaskKind.COMMUNICATION]
-        if not comm:
-            return 0
-        count = 0
-        for name, interval in self.wall_intervals.items():
-            if self.kinds.get(name) is not TaskKind.RECOVERY:
-                continue
-            if any(interval.overlaps(c) for c in comm):
-                count += 1
-        return count
+        by_kind = self.plan.by_kind
+        comm = by_kind.get(TaskKind.COMMUNICATION, ())
+        return sum(any(self._overlap(r, c) for c in comm)
+                   for r in by_kind.get(TaskKind.RECOVERY, ()))
 
     def measured_breakdown(self, num_workers: int) -> StateBreakdown:
         """Per-state wall-clock accounting of the real execution,
-        mirroring the simulated :class:`StateBreakdown` of Table 3."""
-        breakdown = StateBreakdown()
-        if not self.wall_intervals:
-            return breakdown
-        busy = 0.0
-        for name, interval in self.wall_intervals.items():
-            kind = self.kinds.get(name, TaskKind.COMPUTE)
-            busy += interval.duration
-            if kind is TaskKind.RECOVERY:
-                breakdown.recovery += interval.duration
-            elif kind is TaskKind.CHECKPOINT:
-                breakdown.checkpoint += interval.duration
-            elif kind is TaskKind.COMMUNICATION:
-                breakdown.communication += interval.duration
-            else:
-                breakdown.useful += interval.duration
-        breakdown.idle = max(num_workers * self.wall_time - busy, 0.0)
-        return breakdown
+        mirroring the simulated :class:`StateBreakdown` of Table 3 (the
+        same kind-to-state accounting, with no runtime overhead)."""
+        return ExecutionTrace.from_spans(
+            ((end - start, 0.0, kind) for start, end, kind
+             in zip(self.starts, self.ends, self.plan.kinds, strict=True)),
+            num_workers=num_workers, start=0.0,
+            end=self.wall_time).breakdown
 
 
 class ExecutionBackend(abc.ABC):
@@ -180,19 +166,44 @@ class ExecutionBackend(abc.ABC):
         if durations is not None:
             raise ValueError("durations re-time a compiled IterationPlan; "
                              "a TaskGraph carries its own")
-        return self.scheduler.run(graph, start_time=start_time,
-                                  execute_actions=False)
+        return self.scheduler.run(graph, start_time=start_time)
 
     @abc.abstractmethod
-    def run(self, graph: TaskGraph, start_time: float = 0.0
-            ) -> ExecutionResult:
-        """Schedule the graph and execute its task actions."""
+    def execute(self, graph: Union[TaskGraph, IterationPlan],
+                actions: Optional[Sequence[Optional[Callable]]] = None,
+                durations: Optional[Sequence[float]] = None
+                ) -> ExecutionResult:
+        """Execute a plan's task bodies and measure their wall intervals
+        — the re-enactment's entry point; the simulated timeline is the
+        caller's (:meth:`simulate`).
 
-    @abc.abstractmethod
-    def execute(self, graph: TaskGraph) -> ExecutionResult:
-        """Execute the graph's actions without re-deriving its simulated
-        timeline (``result.schedule`` is ``None``); measured wall
-        intervals are still recorded — the re-enactment's entry point."""
+        A compiled :class:`IterationPlan` runs ``actions`` (plan order,
+        ``None`` for a task without a body) with ``durations`` in place
+        of its base durations; a :class:`TaskGraph` is compiled and
+        brings its tasks' own actions and durations.
+        """
+
+    @staticmethod
+    def _bind(graph: Union[TaskGraph, IterationPlan],
+              actions: Optional[Sequence[Optional[Callable]]],
+              durations: Optional[Sequence[float]]
+              ) -> Tuple[IterationPlan, Sequence[Optional[Callable]],
+                         Sequence[float]]:
+        """Resolve :meth:`execute`'s arguments into a validated ``(plan,
+        actions, durations)``.  Compiling a graph validates it and runs
+        the opt-in ``REPRO_VERIFY_GRAPHS=1`` assertion."""
+        if isinstance(graph, IterationPlan):
+            if actions is None:
+                actions = (None,) * len(graph)
+            elif len(actions) != len(graph):
+                raise ValueError(f"plan has {len(graph)} tasks, got "
+                                 f"{len(actions)} actions")
+            return graph, actions, graph.checked_durations(durations)
+        if actions is not None or durations is not None:
+            raise ValueError("actions and durations run a compiled "
+                             "IterationPlan; a TaskGraph carries its own")
+        plan = compile_plan(graph)
+        return plan, [task.action for task in graph.tasks], plan.durations
 
     def close(self) -> None:
         """Release any real resources (worker threads); idempotent."""
@@ -205,57 +216,46 @@ class ExecutionBackend(abc.ABC):
 
 
 class SimulatedBackend(ExecutionBackend):
-    """The discrete-event backend: schedule, then replay actions serially.
-
-    Action replay is the scheduler's own (launch order, the same order
-    :meth:`ScheduleResult.order_started` reports), so there is exactly
-    one replay code path and the trace and numerical side effects can
-    never disagree.
-    """
+    """The discrete-event backend: time plans, replay actions serially."""
 
     name = "simulated"
+    #: ``(plan, launch order)`` of the last plan replayed with its base
+    #: durations: consecutive iterations of a solve share both.
+    _launch: Optional[Tuple[IterationPlan, List[int]]] = None
 
-    def run(self, graph: TaskGraph, start_time: float = 0.0
-            ) -> ExecutionResult:
-        # Compiling the graph validates it and runs the opt-in
-        # REPRO_VERIFY_GRAPHS=1 assertion.
-        schedule = self.scheduler.run(graph, start_time=start_time,
-                                      execute_actions=True)
-        # wall_time stays 0.0: nothing executed concurrently, so there
-        # is no measured span (the field's contract for pure simulation).
-        return ExecutionResult(schedule=schedule, backend=self.name,
-                               executed_real=False,
-                               values=dict(schedule.values),
-                               kinds={t.name: t.kind for t in graph.tasks})
-
-    def execute(self, graph: TaskGraph) -> ExecutionResult:
+    def execute(self, graph: Union[TaskGraph, IterationPlan],
+                actions: Optional[Sequence[Optional[Callable]]] = None,
+                durations: Optional[Sequence[float]] = None
+                ) -> ExecutionResult:
         """Serial measured replay (the ``list`` scheduler's ``wall`` clock).
 
         Actions run back-to-back in the scheduler's launch order on the
         calling thread, each with a measured wall interval on worker 0.
         Nothing overlaps by construction — this is the serialised
         baseline the threaded scheduler's measured overlap is compared
-        against.  The extra list schedule derives the launch order only;
-        its timing is discarded (``result.schedule`` stays ``None``).
+        against.  The list schedule derives the launch order only; its
+        timing is discarded.
         """
-        # simulate() compiles the graph: validation plus the opt-in
-        # REPRO_VERIFY_GRAPHS=1 assertion.
-        order = self.simulate(graph).order_started()
-        tasks = {t.name: t for t in graph.tasks}
-        intervals: Dict[str, WallInterval] = {}
-        values: Dict[str, object] = {}
+        plan, actions, durations = self._bind(graph, actions, durations)
+        base = durations is plan.durations   # what _bind makes of None
+        if base and self._launch is not None and self._launch[0] is plan:
+            order = self._launch[1]
+        else:
+            order = self.simulate(plan, durations=durations).launch_order
+            if base:
+                self._launch = (plan, order)
+        total = len(plan)
+        result = ExecutionResult(plan=plan,
+                                 starts=[0.0] * total, ends=[0.0] * total,
+                                 workers=[0] * total, results=[None] * total)
+        starts, ends, results = result.starts, result.ends, result.results
         t0 = time.perf_counter()  # repro-lint: allow[wall-clock] measured serial intervals, reported not fingerprinted
-        for name in order:
-            action = tasks[name].action
-            began = time.perf_counter() - t0  # repro-lint: allow[wall-clock] measured serial intervals, reported not fingerprinted
-            value = action() if action is not None else None
-            ended = time.perf_counter() - t0  # repro-lint: allow[wall-clock] measured serial intervals, reported not fingerprinted
-            intervals[name] = WallInterval(start=began, end=ended, worker=0)
-            values[name] = value
-        wall_time = (max(i.end for i in intervals.values())
-                     - min(i.start for i in intervals.values())
-                     if intervals else 0.0)
-        return ExecutionResult(backend=self.name, executed_real=False,
-                               wall_time=wall_time, wall_intervals=intervals,
-                               values=values,
-                               kinds={t.name: t.kind for t in graph.tasks})
+        for i in order:
+            action = actions[i]
+            starts[i] = time.perf_counter() - t0  # repro-lint: allow[wall-clock] measured serial intervals, reported not fingerprinted
+            if action is not None:
+                results[i] = action()
+            ends[i] = time.perf_counter() - t0  # repro-lint: allow[wall-clock] measured serial intervals, reported not fingerprinted
+        if order:
+            result.wall_time = ends[order[-1]] - starts[order[0]]
+        return result

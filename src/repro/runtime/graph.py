@@ -5,8 +5,9 @@ structural happens-before verifier (:func:`verify_graph`): every pair of
 tasks whose declared resource sets conflict (write/write or read/write
 on the same page or vector segment) must be ordered by a dependency
 path, otherwise the schedule is free to race them.  Set
-``REPRO_VERIFY_GRAPHS=1`` to run the check inside both execution
-backends on every executed graph.
+``REPRO_VERIFY_GRAPHS=1`` to run the check whenever a graph is compiled
+into a plan (:func:`~repro.runtime.plan.compile_plan`): once per
+iteration shape, and on every graph handed to an execution backend.
 """
 
 from __future__ import annotations

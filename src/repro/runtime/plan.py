@@ -6,21 +6,27 @@ start time and a few recovery durations change.  :func:`compile_plan`
 therefore pays for validation, the cycle check, the opt-in structural
 race check and the name-to-index resolution **once** per shape and
 freezes the result as an :class:`IterationPlan`.  The plan then has
-three consumers: the list scheduler *times* it
+three consumers, all reading its integer arrays directly: the list
+scheduler *times* it
 (:meth:`ListScheduler.retime <repro.runtime.scheduler.ListScheduler.retime>`
-with a durations vector and a start time), the threaded/ranks
-re-enactment *runs* a :meth:`~IterationPlan.to_graph` projection of it,
-and :func:`~repro.runtime.graph.verify_graph` *checked* it at compile.
+with a durations vector and a start time), the execution backends *run*
+it (:meth:`ExecutionBackend.execute
+<repro.runtime.backend.ExecutionBackend.execute>` with an action table
+in plan order — the threaded dispatch loop walks ``successors`` /
+``indegree`` / ``priorities``), and
+:func:`~repro.runtime.graph.verify_graph` *checked* it at compile.
 
 Frozen: task order, integer dependencies/successors/indegrees/roots,
 priorities, kinds, base durations, declared resources and the named
 ``roles`` (task indices the caller wants to look up without a name
-dict).  Free per use: the durations vector and the start time.
+dict).  Free per use: the durations vector, the start time and the
+action table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.runtime.graph import TaskGraph, maybe_verify_graph
@@ -49,8 +55,10 @@ class IterationPlan:
     priorities: Tuple[int, ...]
     kinds: Tuple[TaskKind, ...]
     durations: Tuple[float, ...]
-    #: The source tasks' declared ``(page, reads, writes)``, carried so a
-    #: projection can be verified and sanitised like the original graph.
+    #: The source tasks' declared ``(page, reads, writes)`` — ``writes``
+    #: with the implicit ``page:N`` write included — from which the
+    #: threaded executor takes the page lock and the sanitizer its
+    #: access bridge.
     resources: Tuple[tuple, ...]
     roles: Mapping[str, Role]
 
@@ -63,28 +71,30 @@ class IterationPlan:
         except ValueError:
             raise KeyError(f"no task named {name!r}") from None
 
-    def to_graph(self, durations: Optional[Sequence[float]] = None,
-                 names: Optional[Sequence[str]] = None) -> TaskGraph:
-        """Project the plan back into a mutable :class:`TaskGraph`.
+    @cached_property
+    def by_kind(self) -> Dict[TaskKind, Tuple[int, ...]]:
+        """Task indices grouped by kind (the measured-side queries'
+        replacement for a name-to-kind dict)."""
+        groups: Dict[TaskKind, list] = {}
+        for i, kind in enumerate(self.kinds):
+            groups.setdefault(kind, []).append(i)
+        return {kind: tuple(indices) for kind, indices in groups.items()}
 
-        ``durations`` replaces the base durations and ``names`` the task
-        names (both in plan order); actions are not part of a plan, the
-        caller attaches them.  The result is a fresh graph the caller may
-        rewire freely — the plan is unaffected.
-        """
-        durations = self.durations if durations is None else durations
-        names = self.names if names is None else names
-        if len(durations) != len(self) or len(names) != len(self):
+    def checked_durations(self, durations: Optional[Sequence[float]]
+                          ) -> Sequence[float]:
+        """``durations`` (plan order) or, for ``None``, the base
+        durations; a wrong length or a negative entry is rejected on
+        every use."""
+        if durations is None:
+            return self.durations
+        if len(durations) != len(self):
             raise ValueError(f"plan has {len(self)} tasks, got "
-                             f"{len(durations)} durations and "
-                             f"{len(names)} names")
-        graph = TaskGraph()
-        for i, (page, reads, writes) in enumerate(self.resources):
-            graph.add_task(names[i], durations[i], kind=self.kinds[i],
-                           priority=self.priorities[i],
-                           deps=[names[d] for d in self.deps[i]],
-                           page=page, reads=reads, writes=writes)
-        return graph
+                             f"{len(durations)} durations")
+        if len(self) and min(durations) < 0:
+            bad = next(i for i, d in enumerate(durations) if d < 0)
+            raise ValueError(
+                f"task {self.names[bad]!r} has negative duration")
+        return durations
 
 
 def compile_plan(graph: TaskGraph,
@@ -123,6 +133,6 @@ def compile_plan(graph: TaskGraph,
         priorities=tuple(task.priority for task in tasks),
         kinds=tuple(task.kind for task in tasks),
         durations=tuple(task.duration for task in tasks),
-        resources=tuple((task.page, task.reads, task.writes)
+        resources=tuple((task.page, task.reads, task.resources_written())
                         for task in tasks),
         roles=resolved)

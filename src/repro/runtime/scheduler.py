@@ -12,15 +12,15 @@ fixed number of workers using a work-conserving greedy policy:
 * starting a task charges the per-task runtime overhead of the cost
   model on that worker, in addition to the task's duration.
 
-The scheduler also replays task ``action`` callables in the order the
-tasks *start* in simulated time, so numerical side effects observe the
-same ordering the schedule implies.
+The scheduler only times; task ``action`` callables are replayed by an
+execution backend, in the ``launch_order`` the schedule reports, so
+numerical side effects observe the same ordering the schedule implies.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
@@ -53,9 +53,6 @@ class ScheduleResult:
     num_workers: int
     start_time: float = 0.0
     overhead: float = 0.0
-    #: Return values of replayed task actions, keyed by task name
-    #: (populated only when the run executed actions).
-    values: Dict[str, object] = field(default_factory=dict)
 
     @cached_property
     def scheduled(self) -> Dict[str, ScheduledTask]:
@@ -95,20 +92,10 @@ class ListScheduler:
         self.charge_overhead = charge_overhead
 
     # ------------------------------------------------------------------
-    def run(self, graph: TaskGraph, start_time: float = 0.0,
-            execute_actions: bool = True) -> ScheduleResult:
-        """Schedule ``graph`` and (optionally) replay its task actions.
-
-        Compiles the graph (validation, cycle check), times the plan and
-        replays actions in launch order.
-        """
-        result = self.retime(compile_plan(graph), start_time=start_time)
-        if execute_actions:
-            for name in result.order_started():
-                action = graph.task(name).action
-                if action is not None:
-                    result.values[name] = action()
-        return result
+    def run(self, graph: TaskGraph,
+            start_time: float = 0.0) -> ScheduleResult:
+        """Compile ``graph`` (validation, cycle check) and time the plan."""
+        return self.retime(compile_plan(graph), start_time=start_time)
 
     def retime(self, plan: IterationPlan,
                durations: Optional[Sequence[float]] = None,
@@ -120,16 +107,7 @@ class ListScheduler:
         ``(-priority, ready time, plan index)``.
         """
         total = len(plan)
-        if durations is None:
-            durations = plan.durations
-        else:
-            if len(durations) != total:
-                raise ValueError(f"plan has {total} tasks, got "
-                                 f"{len(durations)} durations")
-            if total and min(durations) < 0:
-                bad = next(i for i, d in enumerate(durations) if d < 0)
-                raise ValueError(
-                    f"task {plan.names[bad]!r} has negative duration")
+        durations = plan.checked_durations(durations)
         priorities, successors = plan.priorities, plan.successors
         remaining_deps = list(plan.indegree)
         push, pop = heapq.heappush, heapq.heappop

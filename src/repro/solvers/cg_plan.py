@@ -1,4 +1,4 @@
-"""The shape of a resilient CG iteration: one plan, three projections.
+"""The shape of a resilient CG iteration: one plan, three consumers.
 
 Figure 1 / Listing 2 of the paper fix the structure of an iteration —
 the strip-mined CG recurrence, the r1/r2/r3 recovery tasks and where
@@ -20,11 +20,13 @@ the three questions the solver asks of it:
     ``r1``/``r2``/``r3`` relative to the iteration's start
     (:class:`IterationTiming`).
 *run it*
-    :meth:`~CGPlanner.reenact` projects the plan back into a task graph
-    named for one iteration, splices in the ranks placement's halo
-    exchange, attaches real (read-only) task bodies and executes it on
-    the threaded / wall-clock cells, feeding the measured side
-    (vulnerable-window monitor, wall clock, wall trace).
+    :meth:`~CGPlanner.reenact` hands the executor the compiled *run
+    shape* — the timing plan itself, or under the ranks placement its
+    halo-exchange variant, compiled once like every other shape — with
+    a table of real (read-only) task bodies bound once per solve, and
+    feeds the measured side (vulnerable-window monitor, wall clock, wall
+    trace).  Per iteration it passes a durations vector and an
+    iteration number; it builds no graph and formats no name.
 
 The solver (:mod:`repro.solvers.resilient_cg`) therefore holds a plan
 instead of building one: the recurrence and the fault-point state
@@ -35,7 +37,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,6 +60,24 @@ from repro.solvers.cg_types import CGState, SolverConfig
 #: one covers (the point's faults enlarge that task).
 RECOVERY_TASKS = ("r1", "r2", "r3")
 COVERING_TASK = {"A": "r2", "B": "r1", "C": "r1", "D": "r3"}
+
+
+def _dot_chunk(u: np.ndarray, v: np.ndarray) -> float:
+    return float(u @ v)
+
+
+def _touch_chunk(u: np.ndarray) -> float:
+    return float(np.sum(u))  # repro-lint: allow[paged-reduction] single-chunk touch probe; value discarded
+
+
+def _shipped_probe(probe: Callable[[], int], engine: KernelEngine, memory,
+                   iteration: List[int], num_pages: int) -> int:
+    """The paper's locality rule: the recovery scan runs on the rank
+    owning the (potentially) lost page.  ``run_on_rank`` ships the probe
+    without counting it as a recovery dispatch."""
+    lost = memory.lost_pages()
+    page = lost[0][1] if lost else iteration[0] % num_pages
+    return engine.run_on_rank(engine.page_owner(page), probe)
 
 
 @dataclass(frozen=True)
@@ -92,17 +113,33 @@ class CGPlanner:
                              in zip(bounds[:-1], bounds[1:], strict=True)
                              if hi > lo]
         self.chunk_costs = self._chunk_costs()
-        #: Compiled iteration plans by shape ``(resilient, checkpoint)``.
-        self._plans: Dict[Tuple[bool, bool], IterationPlan] = {}
+        #: Compiled iteration plans by shape ``(resilient, checkpoint,
+        #: halo)``: the timing shapes, plus under the ranks placement the
+        #: run shapes that carry the halo exchange.
+        self._plans: Dict[Tuple[bool, bool, bool], IterationPlan] = {}
         self._fault_free: Optional[IterationTiming] = None
+        #: The iteration being re-enacted, read by the shipped recovery
+        #: probes.  A cell rather than an attribute so that no task body
+        #: refers back to the planner that owns the action tables.
+        self._iteration = [0]
         self.begin_solve()
 
     def begin_solve(self) -> None:
-        """Start a fresh measured side (monitor, wall clock, wall trace)."""
+        """Start a fresh measured side (monitor, wall clock, wall trace)
+        and drop the previous solve's action tables."""
         self.monitor = VulnerableWindowMonitor()
         #: Measured wall-clock seconds of the re-enactments so far.
         self.wall_clock = 0.0
         self.wall_trace: Optional[ExecutionTrace] = None
+        #: Task bodies in run-plan order by ``(checkpoint, this_d)``,
+        #: bound to one solve's vectors: dropped here and by ``close()``.
+        self._actions: Dict[Tuple[bool, str], List[Optional[Callable]]] = {}
+
+    def close(self) -> None:
+        """Release the executor's threads and the action tables (which
+        hold the last solve's vectors); idempotent."""
+        self.executor.close()
+        self._actions = {}
 
     # ==================================================================
     # the shape: chunks, costs, the task graph, the compiled plan
@@ -128,15 +165,34 @@ class CGPlanner:
                 2.0 * self.config.page_size * rows, 24.0 * rows) * scale)
         return costs
 
-    def build_iteration_graph(self, *, resilient: bool, checkpoint: bool
+    def build_iteration_graph(self, *, resilient: bool, checkpoint: bool,
+                              halo: bool = False
                               ) -> Tuple[TaskGraph, Dict[str, object]]:
         """One CG iteration as a task graph (Figure 1 of the paper).
 
         Built once per shape and compiled (:meth:`plan`).  Task names
-        are ``str.format`` templates over the iteration number
-        (``"beta{t}"``); recovery tasks carry the duration of a scan that
-        finds nothing.  Also returns the roles the timing passes look up:
-        the two scalars, the spmv chunks and the recovery tasks.
+        are templates over the iteration number (``"beta{t}"``);
+        recovery tasks carry the duration of a scan that finds nothing.
+        Also returns the roles the consumers look up by index: the two
+        scalars, the recovery tasks and every chunk group.
+
+        ``halo`` builds the *run shape* of the ranks placement.  A
+        ``halo{t}`` task of :class:`TaskKind.COMMUNICATION` really moves
+        the halo of the current search direction over the rank channels
+        when executed (a read-only probe: it writes the same ``d`` values
+        the preceding spmv already exchanged), so it has a measurable
+        wall interval; every spmv chunk waits for it and reads
+        ``halo:d``.  It has duration 0.0 and exists only in the run
+        shape — the timing shapes, and so the simulated timeline, never
+        see it, which is what keeps every runtime cell's simulated
+        decisions bit-identical.  For strategies with
+        off-critical-path recovery (AFEIR), ``r1`` is wired to the
+        d-update chunks instead of the spmv chunks, so it becomes *ready*
+        at the same moment the halo exchange starts: the paper's claim
+        that exact forward recovery overlaps the neighbour
+        communication.  Critical-path strategies (FEIR) keep their
+        reduction-chain dependencies, so they structurally cannot
+        overlap the halo — the measured contrast the monitor reports.
         """
         cm = self.config.cost_model
         graph = TaskGraph()
@@ -192,13 +248,16 @@ class CGPlanner:
             d_parts.append(name)
 
         # --- q = A d (lattice: every chunk needs every d chunk) ---------------
+        d_segments = {f"seg:d[{k}]" for k in range(len(d_parts))}
+        q_deps, q_reads = d_parts, d_segments
+        if halo:
+            # the spmv consumes the freshly-exchanged halo values
+            q_deps, q_reads = [*d_parts, f"halo{t}"], d_segments | {"halo:d"}
         q_parts: List[str] = []
         for c, dur in enumerate(self.chunk_costs["spmv"]):
             name = f"q{t}:{c}"
-            graph.add_task(name, dur, kind=TaskKind.COMPUTE, deps=d_parts,
-                           reads={f"seg:d[{k}]"
-                                  for k in range(len(d_parts))},
-                           writes={f"seg:q[{c}]"})
+            graph.add_task(name, dur, kind=TaskKind.COMPUTE, deps=q_deps,
+                           reads=q_reads, writes={f"seg:q[{c}]"})
             q_parts.append(name)
 
         # --- <d, q> partial dots + r1 + alpha ----------------------------------
@@ -212,7 +271,8 @@ class CGPlanner:
             dq_parts.append(name)
         scalar_alpha_deps = list(dq_parts)
         if resilient:
-            r1_deps = dq_parts if critical else q_parts
+            r1_deps = (dq_parts if critical
+                       else d_parts if halo else q_parts)
             graph.add_task(f"r1_{t}", check, kind=TaskKind.RECOVERY,
                            priority=rec_priority, deps=r1_deps)
             scalar_alpha_deps.append(f"r1_{t}")
@@ -222,23 +282,18 @@ class CGPlanner:
                        writes={"scalar:alpha"})
 
         # --- x and g updates ----------------------------------------------------
-        update_parts: List[str] = []
-        for c, dur in enumerate(axpy_cost):
-            name = f"x{t}:{c}"
-            graph.add_task(name, dur, kind=TaskKind.COMPUTE,
-                           deps=[f"alpha{t}"],
-                           reads={"scalar:alpha", f"seg:d[{c}]",
-                                  f"seg:x[{c}]"},
-                           writes={f"seg:x[{c}]"})
-            update_parts.append(name)
-        for c, dur in enumerate(axpy_cost):
-            name = f"g{t}:{c}"
-            graph.add_task(name, dur, kind=TaskKind.COMPUTE,
-                           deps=[f"alpha{t}"],
-                           reads={"scalar:alpha", f"seg:q[{c}]",
-                                  f"seg:g[{c}]"},
-                           writes={f"seg:g[{c}]"})
-            update_parts.append(name)
+        x_parts: List[str] = []
+        g_parts: List[str] = []
+        for v, step, parts in (("x", "d", x_parts), ("g", "q", g_parts)):
+            for c, dur in enumerate(axpy_cost):
+                name = f"{v}{t}:{c}"
+                graph.add_task(name, dur, kind=TaskKind.COMPUTE,
+                               deps=[f"alpha{t}"],
+                               reads={"scalar:alpha", f"seg:{step}[{c}]",
+                                      f"seg:{v}[{c}]"},
+                               writes={f"seg:{v}[{c}]"})
+                parts.append(name)
+        update_parts = x_parts + g_parts
         if resilient:
             r3_deps = update_parts if critical else [f"alpha{t}"]
             graph.add_task(f"r3_{t}", check, kind=TaskKind.RECOVERY,
@@ -254,24 +309,45 @@ class CGPlanner:
                                   for v in ("x", "g")
                                   for c in range(len(self.chunk_bounds))})
 
-        roles: Dict[str, object] = {"beta": f"beta{t}", "alpha": f"alpha{t}",
-                                    "q": q_parts}
+        # --- halo exchange (run shape of the ranks placement) --------------------
+        # Added last, so every other task keeps its timing-shape index and
+        # a timing durations vector extends to the run shape by one 0.0.
+        if halo:
+            graph.add_task(f"halo{t}", 0.0, kind=TaskKind.COMMUNICATION,
+                           deps=d_parts, reads=d_segments, writes={"halo:d"})
+
+        roles: Dict[str, object] = {
+            "beta": f"beta{t}", "alpha": f"alpha{t}", "z": precond_names,
+            "rho": rho_parts, "d": d_parts, "q": q_parts, "dq": dq_parts,
+            "x": x_parts, "g": g_parts}
         if resilient:
             roles.update((key, f"{key}_{t}") for key in RECOVERY_TASKS)
+        for key in ("halo", "ckpt"):
+            if f"{key}{t}" in graph:
+                roles[key] = f"{key}{t}"
         return graph, roles
 
-    def plan(self, resilient: bool, checkpoint: bool) -> IterationPlan:
-        """The compiled plan of one iteration shape, built on first use."""
-        shape = (resilient, checkpoint)
+    def plan(self, resilient: bool, checkpoint: bool,
+             halo: bool = False) -> IterationPlan:
+        """The compiled plan of one iteration shape, built on first use:
+        validated, cycle-checked and (``REPRO_VERIFY_GRAPHS=1``) verified
+        exactly once."""
+        shape = (resilient, checkpoint, halo)
         plan = self._plans.get(shape)
         if plan is None:
-            graph, roles = self.build_iteration_graph(resilient=resilient,
-                                                      checkpoint=checkpoint)
+            graph, roles = self.build_iteration_graph(
+                resilient=resilient, checkpoint=checkpoint, halo=halo)
             plan = self._plans[shape] = compile_plan(graph, roles)
         return plan
 
+    def run_plan(self, checkpoint: bool) -> IterationPlan:
+        """The shape the re-enactment executes: the timing plan itself,
+        or its halo-exchange variant under the ranks placement."""
+        return self.plan(self.uses_recovery_tasks, checkpoint,
+                         halo=self.spec.placement == "ranks")
+
     # ==================================================================
-    # projection 1: the simulated timeline
+    # consumer 1: the simulated timeline
     # ==================================================================
     def ideal_iteration_time(self) -> float:
         """Makespan of one fault-free iteration without resilience tasks."""
@@ -328,20 +404,19 @@ class CGPlanner:
                                      start_time=clock, durations=durations)
 
     # ==================================================================
-    # projection 2: the real (threaded / wall-clock) re-enactment
+    # consumer 2: the real (threaded / wall-clock) re-enactment
     # ==================================================================
     def reenact(self, iteration: int, checkpoint: bool, state: CGState,
                 this_d: str, durations: Optional[Sequence[float]] = None
                 ) -> None:
-        """Re-enact one iteration's task graph for real (read-only).
+        """Re-enact one iteration's run shape for real (read-only).
 
-        The graph is a fresh projection of the plan the simulator timed,
-        named for this iteration and carrying ``durations`` — the
-        enlarged recovery durations when this iteration repaired faults,
-        so pacing charges the same recovery work the simulated timeline
-        does.  Being a projection, it can be rewired (the halo task, the
-        r1 overlap of the ``ranks`` placement) without touching the plan
-        the timing passes use.  Every task carries a real
+        The executor gets the compiled run plan, the solve's action
+        table and ``durations`` — the enlarged recovery durations when
+        this iteration repaired faults, so pacing charges the same
+        recovery work the simulated timeline does.  (A timing shape and
+        its run shape index their common tasks alike: the halo task of
+        the latter comes last and takes 0.0.)  Every task carries a real
         (read-only, bitwise-neutral) action: partial dot products for
         the reduction chunks, memory touches for the vector-update
         chunks, and the strategy's recovery scan for the r1/r2/r3 tasks
@@ -351,131 +426,62 @@ class CGPlanner:
         clock discard them (the execution still happens, so races and
         ordering are exercised, but wall time is not an output).
         """
-        plan = self.plan(self.uses_recovery_tasks, checkpoint)
-        graph = plan.to_graph(durations, names=[name.format(t=iteration)
-                                                for name in plan.names])
-        if self.spec.placement == "ranks":
-            self._add_halo_reenactment(graph, iteration, state, this_d)
-        self._attach_real_actions(graph, iteration, state, this_d)
-        # execute(), not run(): the simulated timeline of this iteration
-        # is already known (pass 1 / template), so only the measured side
-        # is computed here.
-        result = self.executor.execute(graph)
+        plan = self.run_plan(checkpoint)
+        if durations is not None and "halo" in plan.roles:
+            durations = [*durations, 0.0]
+        self._iteration[0] = iteration
+        result = self.executor.execute(
+            plan, self._action_table(plan, checkpoint, state, this_d),
+            durations)
         if not self.spec.measures_wall:
-            result.wall_intervals = {}
-            result.wall_time = 0.0
-        pairs = (tuple(self.strategy.vulnerable_pairs(iteration))
-                 if self.uses_recovery_tasks else ())
-        self.monitor.observe(result, pairs)
-        if self.spec.measures_wall:
-            self._accumulate_wall(result)
-
-    def _add_halo_reenactment(self, graph: TaskGraph, iteration: int,
-                              state: CGState, this_d: str) -> None:
-        """Splice the rank halo exchange into the re-enactment graph.
-
-        The ``halo{t}`` task really moves the halo of the current search
-        direction over the rank channels (a read-only probe: it writes
-        the same ``d`` values the preceding spmv already exchanged), so
-        it has a measurable wall interval of :class:`TaskKind.COMMUNICATION`.
-        It is given duration 0.0 and lives only in this re-enactment
-        graph — the simulated timeline never sees it, which is what
-        keeps every runtime cell's simulated decisions bit-identical.
-
-        For strategies with off-critical-path recovery (AFEIR), ``r1``
-        is re-wired from the spmv chunks back to the d-update chunks so
-        it becomes *ready* at the same moment the halo exchange starts:
-        the paper's claim that exact forward recovery overlaps the
-        neighbour communication.  Critical-path strategies (FEIR) keep
-        their reduction-chain dependencies, so they structurally cannot
-        overlap the halo — the measured contrast the monitor reports.
-        """
-        t = iteration
-        d_parts = [name for name in
-                   (f"d{t}:{c}" for c in range(len(self.chunk_bounds)))
-                   if name in graph]
-        if not d_parts:
+            self.monitor.observe(None)
             return
-        engine = self.engine
-        d_cur = state.vectors[this_d].array
-        halo_name = f"halo{t}"
-        graph.add_task(halo_name, 0.0, kind=TaskKind.COMMUNICATION,
-                       deps=list(d_parts),
-                       action=lambda: engine.halo_exchange(d_cur),
-                       reads={f"seg:d[{c}]"
-                              for c in range(len(self.chunk_bounds))},
-                       writes={"halo:d"})
-        for c in range(len(self.chunk_bounds)):
-            name = f"q{t}:{c}"
-            if name in graph:
-                task = graph.task(name).depends_on(halo_name)
-                # the spmv consumes the freshly-exchanged halo values
-                task.reads = task.reads | {"halo:d"}
-        if (self.uses_recovery_tasks
-                and not self.strategy.recovery_in_critical_path
-                and f"r1_{t}" in graph):
-            graph.task(f"r1_{t}").deps = list(d_parts)
+        roles = plan.roles
+        pairs = (self.strategy.vulnerable_pairs()
+                 if self.uses_recovery_tasks else ())
+        self.monitor.observe(result, [(recovery, roles[recovery], roles[scalar])
+                                      for recovery, scalar in pairs])
+        self._accumulate_wall(result)
 
-    def _attach_real_actions(self, graph: TaskGraph, iteration: int,
-                             state: CGState, this_d: str) -> None:
-        """Give every task of one iteration graph a real executable body."""
-        t = iteration
+    def _action_table(self, plan: IterationPlan, checkpoint: bool,
+                      state: CGState, this_d: str
+                      ) -> List[Optional[Callable]]:
+        """The real executable body of every task of ``plan``, in plan
+        order — bound on first use to the solve's vectors (their arrays
+        are stable for a solve; ``this_d`` picks the buffer of the
+        double-buffered search direction) and reused by every iteration.
+        """
+        table = self._actions.get((checkpoint, this_d))
+        if table is not None:
+            return table
         vectors = state.vectors
-        g = vectors["g"].array
-        x = vectors["x"].array
-        q = vectors["q"].array
-        d_cur = vectors[this_d].array
-
-        def dot_chunk(u: np.ndarray, v: np.ndarray, sl: slice):
-            def action(u=u, v=v, sl=sl) -> float:
-                return float(u[sl] @ v[sl])  # repro-lint: allow[paged-reduction] single-chunk dot; one page, order already fixed
-            return action
-
-        def touch_chunk(u: np.ndarray, sl: slice):
-            def action(u=u, sl=sl) -> float:
-                return float(np.sum(u[sl]))  # repro-lint: allow[paged-reduction] single-chunk touch probe; value discarded
-            return action
-
-        for c, (start, stop) in enumerate(self.chunk_bounds):
-            sl = slice(start, stop)
-            chunk_actions = {
-                f"z{t}:{c}": touch_chunk(g, sl),
-                f"rho{t}:{c}": dot_chunk(g, g, sl),
-                f"d{t}:{c}": touch_chunk(d_cur, sl),
-                f"q{t}:{c}": touch_chunk(q, sl),
-                f"dq{t}:{c}": dot_chunk(d_cur, q, sl),
-                f"x{t}:{c}": touch_chunk(x, sl),
-                f"g{t}:{c}": touch_chunk(g, sl),
-            }
-            for name, action in chunk_actions.items():
-                if name in graph:
-                    graph.task(name).action = action
-        if self.strategy is not None:
-            distributed = self.spec.placement == "ranks"
-            num_pages = vectors["x"].num_pages
-            for key in RECOVERY_TASKS:
-                name = f"{key}_{t}"
-                if name in graph:
-                    probe = self.strategy.recovery_probe(
-                        state.memory, self.monitor, label=name)
-                    if distributed:
-                        # The paper's locality rule: the recovery scan
-                        # runs on the rank owning the (potentially) lost
-                        # page.  run_on_rank ships the probe without
-                        # counting it as a recovery dispatch.
-                        def shipped(probe=probe, memory=state.memory,
-                                    t=t, num_pages=num_pages):
-                            lost = memory.lost_pages()
-                            page = lost[0][1] if lost else t % num_pages
-                            return self.engine.run_on_rank(
-                                self.engine.page_owner(page), probe)
-                        graph.task(name).action = shipped
-                    else:
-                        graph.task(name).action = probe
-        ckpt_name = f"ckpt{t}"
-        if ckpt_name in graph:
-            graph.task(ckpt_name).action = touch_chunk(
-                x, slice(0, self.blocked.n))
+        chunks = {name: [vectors[name].array[lo:hi]
+                         for lo, hi in self.chunk_bounds]
+                  for name in ("x", "g", "q", this_d)}
+        roles = plan.roles
+        table = self._actions[(checkpoint, this_d)] = [None] * len(plan)
+        for role, operands in (("z", ("g",)), ("rho", ("g", "g")),
+                               ("d", (this_d,)), ("q", ("q",)),
+                               ("dq", (this_d, "q")), ("x", ("x",)),
+                               ("g", ("g",))):
+            body = _dot_chunk if len(operands) == 2 else _touch_chunk
+            for c, index in enumerate(roles[role]):
+                table[index] = partial(body, *(chunks[v][c]
+                                               for v in operands))
+        if "ckpt" in roles:
+            table[roles["ckpt"]] = partial(_touch_chunk, vectors["x"].array)
+        if "halo" in roles:
+            table[roles["halo"]] = partial(self.engine.halo_exchange,
+                                           vectors[this_d].array)
+        for key in RECOVERY_TASKS if self.uses_recovery_tasks else ():
+            probe = self.strategy.recovery_probe(state.memory, self.monitor,
+                                                 label=key)
+            if self.spec.placement == "ranks":
+                probe = partial(_shipped_probe, probe, self.engine,
+                                state.memory, self._iteration,
+                                vectors["x"].num_pages)
+            table[roles[key]] = probe
+        return table
 
     def _accumulate_wall(self, result: ExecutionResult) -> None:
         self.wall_clock += result.wall_time
@@ -484,7 +490,7 @@ class CGPlanner:
         step = ExecutionTrace(num_workers=threads)
         step.breakdown.add(result.measured_breakdown(threads))
         step.wall_time = result.wall_time
-        step.task_count = len(result.wall_intervals)
+        step.task_count = len(result.plan)
         if self.wall_trace is None:
             self.wall_trace = step
         else:

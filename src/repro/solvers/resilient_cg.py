@@ -25,7 +25,7 @@ a planner and asks it to time an iteration from the current clock
 and, on the cells that execute for real, to re-enact it.  Fault
 injection times are interpreted on the simulated clock.  With
 ``SolverConfig(scheduler="threaded")`` or ``clock="wall"`` the same
-graphs are *additionally* executed for real each iteration — recovery
+plans are *additionally* executed for real each iteration — recovery
 tasks genuinely overlap the reductions, wall-clock time and per-state
 shares are measured, and the vulnerable-window monitor records the gap
 between each recovery task and its dependent scalar — while the
@@ -214,7 +214,7 @@ class ResilientCG:
     # ==================================================================
     def close(self) -> None:
         """Release the runtime's real resources (idempotent)."""
-        self.planner.executor.close()
+        self.planner.close()
         self.engine.close()
 
     def __enter__(self) -> "ResilientCG":
@@ -222,22 +222,6 @@ class ResilientCG:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def estimate_ideal_time(self, iterations_hint: Optional[int] = None) -> float:
-        """Ideal solve time: iteration makespan times the iteration count.
-
-        With no hint, a fault-free reference CG is run (NumPy only) to
-        count iterations.
-        """
-        t_iter = self.planner.ideal_iteration_time()
-        if iterations_hint is None:
-            from repro.solvers.reference import preconditioned_conjugate_gradient
-            ref = preconditioned_conjugate_gradient(
-                self.A, self.b, preconditioner=self.preconditioner,
-                tol=self.config.tolerance,
-                max_iterations=self.config.max_iterations)
-            iterations_hint = max(ref.record.iterations, 1)
-        return t_iter * iterations_hint
 
     def solve(self, x0: Optional[np.ndarray] = None,
               ideal_time: Optional[float] = None) -> SolveResult:
@@ -309,7 +293,8 @@ class ResilientCG:
             z = self.preconditioner.apply(g) if self.preconditioner else g
             rho = engine.dot(g, z, skip_rho)
             stats.contributions_skipped += len(skip_rho)
-            norm_g_sq = engine.dot(g, g, skip_rho)
+            # Unpreconditioned, z is g: the same reduction, the same bits.
+            norm_g_sq = rho if z is g else engine.dot(g, g, skip_rho)
             rel_recursive = math.sqrt(max(norm_g_sq, 0.0)) / b_norm
             if rel_recursive <= cfg.tolerance:
                 true_rel = self._true_relative_residual(run)

@@ -104,13 +104,12 @@ def cg_cases(rng: random.Random) -> list:
             durations = list(plan.durations)
             for key in RECOVERY_TASKS if recovery else ():
                 durations[plan.roles[key]] = recovery[key]
-            graph = plan.to_graph(durations, names=[name.format(t=0)
-                                                    for name in plan.names])
-            index = {t.name: i for i, t in enumerate(graph.tasks)}
-            tasks = [{"name": t.name, "duration": t.duration,
-                      "kind": t.kind.value, "priority": t.priority,
-                      "deps": [index[d] for d in t.deps]}
-                     for t in graph.tasks]
+            tasks = [{"name": plan.names[i].format(t=0),
+                      "duration": durations[i],
+                      "kind": plan.kinds[i].value,
+                      "priority": plan.priorities[i],
+                      "deps": list(plan.deps[i])}
+                     for i in range(len(plan))]
             for start in (0.0, clock):
                 cases.append({"label": f"cg-{method}-w{workers}"
                                        f"{'-pcg' if precond else ''}"
@@ -120,8 +119,8 @@ def cg_cases(rng: random.Random) -> list:
                               "workers": workers, "overhead": overhead,
                               "start_time": start, "tasks": tasks})
             # the next shape starts where a run of these iterations ends
-            clock += 37 * ListScheduler(workers).run(
-                graph, execute_actions=False).makespan
+            clock += 37 * ListScheduler(workers).retime(
+                plan, durations).makespan
     return cases
 
 
@@ -135,8 +134,7 @@ def record(case: dict) -> dict:
                        deps=[names[d] for d in t["deps"]])
     scheduler = ListScheduler(case["workers"],
                               cost_model=CostModel(task_overhead=case["overhead"]))
-    result = scheduler.run(graph, start_time=case["start_time"],
-                           execute_actions=False)
+    result = scheduler.run(graph, start_time=case["start_time"])
     placed = [result.scheduled[name] for name in names]
     breakdown = result.trace.breakdown
     return {

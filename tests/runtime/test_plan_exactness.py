@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.runtime.async_exec import ThreadedBackend
 from repro.runtime.backend import SimulatedBackend
 from repro.runtime.cost_model import CostModel
 from repro.runtime.graph import TaskGraph
@@ -78,7 +79,7 @@ class TestOracle:
         start = float.fromhex(case["start_time"])
         scheduler = scheduler_of(case)
         graph = build(case)
-        ran = scheduler.run(graph, start_time=start, execute_actions=False)
+        ran = scheduler.run(graph, start_time=start)
         assert_matches(case, ran)
         # the named views agree with the arrays
         names = [t[0] for t in case["tasks"]]
@@ -128,7 +129,7 @@ class TestScheduleInvariants:
         scheduler = ListScheduler(workers,
                                   cost_model=CostModel(task_overhead=overhead))
         graph = graph_of(tasks)
-        result = scheduler.run(graph, start_time=start, execute_actions=False)
+        result = scheduler.run(graph, start_time=start)
         # no task starts before its dependencies end, or before the clock
         for i, (_, _, _, deps) in enumerate(tasks):
             assert result.starts[i] >= start
@@ -160,15 +161,25 @@ class TestScheduleInvariants:
             assert again.makespan == result.makespan
             assert again.trace.breakdown == result.trace.breakdown
 
-    @given(tasks=dags())
+    @given(tasks=dags(), threads=st.integers(1, 4))
     @settings(max_examples=50, deadline=None)
-    def test_projection_round_trips(self, tasks):
-        """A plan's TaskGraph projection compiles back to the same plan."""
+    def test_both_executors_run_the_plan_in_dependency_order(self, tasks,
+                                                             threads):
+        """The plan's third consumer: the same compiled arrays, run."""
         plan = compile_plan(graph_of(tasks))
-        assert compile_plan(plan.to_graph()) == plan
-        renamed = plan.to_graph(names=[f"u{i}" for i in range(len(plan))])
-        again = compile_plan(renamed)
-        assert again.deps == plan.deps and again.durations == plan.durations
+        ran = []
+        actions = [lambda i=i: ran.append(i) or i for i in range(len(plan))]
+        with ThreadedBackend(threads, max_threads=threads,
+                             pace=0.0) as threaded:
+            for backend in (SimulatedBackend(threads), threaded):
+                del ran[:]
+                result = backend.execute(plan, actions)
+                assert sorted(ran) == list(range(len(plan)))
+                assert result.results == list(range(len(plan)))
+                for i, deps in enumerate(plan.deps):
+                    for d in deps:
+                        assert result.ends[d] <= result.starts[i]
+                        assert ran.index(d) < ran.index(i)
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.runtime.backend import SimulatedBackend
 from repro.runtime.cost_model import CostModel
 from repro.runtime.graph import TaskGraph
 from repro.runtime.scheduler import ListScheduler
@@ -81,16 +82,16 @@ class TestBasicScheduling:
         graph = TaskGraph()
         graph.add_task("a", 1.0, action=lambda: order.append("a"))
         graph.add_task("b", 1.0, deps=["a"], action=lambda: order.append("b"))
-        scheduler(2).run(graph)
+        SimulatedBackend(2, cost_model=NO_OVERHEAD).execute(graph)
         assert order == ["a", "b"]
 
     def test_trace_and_replay_agree_on_equal_start_ties(self):
         """Regression: two equal-priority tasks starting at the same time.
 
-        The action replay runs in launch order (insertion order for ties)
-        while ``order_started()`` used to sort ties by task *name* — so a
-        graph whose insertion order differs from its name order made the
-        trace and the numerical replay disagree.  They must be identical.
+        The backend's action replay runs in launch order (insertion order
+        for ties) while ``order_started()`` used to sort ties by task *name*
+        — so a graph whose insertion order differs from its name order made
+        the trace and the numerical replay disagree.  They must be identical.
         """
         order = []
         graph = TaskGraph()
@@ -98,6 +99,7 @@ class TestBasicScheduling:
         graph.add_task("b", 1.0, action=lambda: order.append("b"))
         graph.add_task("a", 1.0, action=lambda: order.append("a"))
         result = scheduler(2).run(graph)
+        SimulatedBackend(2, cost_model=NO_OVERHEAD).execute(graph)
         assert result.start_of("a") == result.start_of("b")
         assert order == ["b", "a"]
         assert result.order_started() == order
@@ -113,10 +115,11 @@ class TestBasicScheduling:
         assert [s.name for s in by_seq] == result.order_started() == ["b", "a"]
 
     def test_actions_can_be_disabled(self):
+        """Scheduling alone runs no action; a backend's execute does."""
         called = []
         graph = TaskGraph()
         graph.add_task("a", 1.0, action=lambda: called.append(1))
-        scheduler(1).run(graph, execute_actions=False)
+        scheduler(1).run(graph)
         assert called == []
 
     def test_overhead_charged_per_task(self):

@@ -98,7 +98,9 @@ class TestEnvWiring:
     def test_disabled_by_default(self, monkeypatch):
         monkeypatch.delenv(VERIFY_GRAPHS_ENV, raising=False)
         assert not verification_enabled()
-        SimulatedBackend(num_workers=2).run(two_writer_graph())  # no raise
+        backend = SimulatedBackend(num_workers=2)
+        backend.simulate(two_writer_graph())  # no raise
+        backend.execute(two_writer_graph())   # no raise
 
     @pytest.mark.parametrize("value,expected", [
         ("1", True), ("true", True), ("0", False), ("", False), ("no", False)])
@@ -109,7 +111,7 @@ class TestEnvWiring:
     def test_simulated_backend_raises_when_enabled(self, monkeypatch):
         monkeypatch.setenv(VERIFY_GRAPHS_ENV, "1")
         with pytest.raises(GraphRaceError):
-            SimulatedBackend(num_workers=2).run(two_writer_graph())
+            SimulatedBackend(num_workers=2).simulate(two_writer_graph())
         with pytest.raises(GraphRaceError):
             SimulatedBackend(num_workers=2).execute(two_writer_graph())
 
@@ -162,29 +164,35 @@ class TestSolverGraphs:
             result = solver.solve(ideal_time=0.001 if method else None)
         assert result.record.converged
 
-    def test_dropped_halo_edge_is_reported(self, monkeypatch):
+    @pytest.mark.parametrize("scheduler", ["list", "threaded"])
+    def test_dropped_halo_edge_is_reported(self, monkeypatch, scheduler):
         """The regression verify_graph exists for: lose the halo->spmv
         dependency in a refactor and the race is caught structurally,
-        naming both the halo task and the spmv chunk."""
+        naming both the halo task and the spmv chunk — when the ranks run
+        shape is compiled, before anything executes."""
         monkeypatch.setenv(VERIFY_GRAPHS_ENV, "1")
-        original = CGPlanner._add_halo_reenactment
+        original = CGPlanner.build_iteration_graph
 
-        def drop_edge(self, graph, iteration, state, this_d):
-            original(self, graph, iteration, state, this_d)
-            halo_name = f"halo{iteration}"
-            if halo_name in graph:
+        def drop_edge(self, **shape):
+            graph, roles = original(self, **shape)
+            if shape.get("halo"):
                 for task in graph.tasks:
-                    if task.name.startswith(f"q{iteration}:"):
-                        task.deps.remove(halo_name)
+                    if task.name.startswith("q{t}:"):
+                        task.deps.remove("halo{t}")
+            return graph, roles
 
-        monkeypatch.setattr(CGPlanner, "_add_halo_reenactment", drop_edge)
-        # The halo task only exists in the re-enactment graph, so pick a
-        # cell that re-enacts (clock="wall"); the list scheduler keeps the
-        # verifying path in SimulatedBackend.execute.
-        with make_solver("afeir", scheduler="list", placement="ranks",
+        monkeypatch.setattr(CGPlanner, "build_iteration_graph", drop_edge)
+        # The halo task only exists in the run shape, which only a cell
+        # that re-enacts (clock="wall") under the ranks placement compiles.
+        with make_solver("afeir", scheduler=scheduler, placement="ranks",
                          clock="wall", ranks=2) as solver:
+            executed = []
+            monkeypatch.setattr(solver.planner.executor, "execute",
+                                lambda *args: executed.append(args))
             with pytest.raises(GraphRaceError) as err:
                 solver.solve(ideal_time=0.001)
+            assert not executed
+            solver.planner.plan(True, False)      # the timing shape is clean
         race = err.value.races[0]
         assert race.resource == "halo:d"
         names = {race.task_a, race.task_b}

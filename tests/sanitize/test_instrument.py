@@ -66,7 +66,9 @@ class TestOnMode:
             assert isinstance(make_event("x"), TSanEvent)
             assert isinstance(make_queue("x"), TSanQueue)
 
-    def test_enabled_context_nests_and_restores(self):
+    def test_enabled_context_nests_and_restores(self, monkeypatch):
+        # Its own baseline: the sanitizer CI job runs with REPRO_TSAN=1.
+        monkeypatch.delenv(TSAN_ENV, raising=False)
         assert not sanitizer_enabled()
         with enabled(True):
             assert sanitizer_enabled()
@@ -74,6 +76,10 @@ class TestOnMode:
                 assert not sanitizer_enabled()
             assert sanitizer_enabled()
         assert not sanitizer_enabled()
+        monkeypatch.setenv(TSAN_ENV, "1")
+        with enabled(False):
+            assert not sanitizer_enabled()
+        assert sanitizer_enabled()
 
     def test_lock_records_acquire_release_and_lockset(self):
         with enabled(True):

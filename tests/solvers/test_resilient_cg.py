@@ -53,13 +53,6 @@ class TestIdealSolver:
         assert res.solve_time == pytest.approx(t_iter * res.record.iterations,
                                                rel=0.05)
 
-    def test_estimate_ideal_time(self, problem):
-        A, b = problem
-        solver = ResilientCG(A, b, config=config())
-        estimate = solver.estimate_ideal_time()
-        actual = solver.solve().solve_time
-        assert estimate == pytest.approx(actual, rel=0.1)
-
     def test_rhs_length_validation(self, problem):
         A, b = problem
         with pytest.raises(ValueError):
