@@ -9,14 +9,19 @@ campaign statistics.  Three are provided:
   reference for the equivalence tests.
 * :class:`ProcessPoolExecutor` — one task per trial on a
   ``concurrent.futures`` process pool; best when trials are slow
-  relative to pickling.
-* :class:`ChunkedExecutor` — batches of trials per pool task; amortises
-  process round-trips when trials are short and numerous.
+  relative to pickling.  It is the one owner of that pool: ``run()``
+  opens and closes one per campaign, ``open()``/``submit()``/``close()``
+  keep one alive across campaigns (the daemon in ``repro.service``).
+* :class:`ChunkedExecutor` — the same class fed batches of trials per
+  pool task; amortises process round-trips when trials are short and
+  numerous.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import functools
+import os
 from typing import Callable, Iterator, List, Optional, Sequence, TypeVar
 
 from repro.config import resolve_worker_count
@@ -93,34 +98,96 @@ class SerialExecutor(CampaignExecutor):
 
 
 class ProcessPoolExecutor(CampaignExecutor):
-    """One pool task per trial (``concurrent.futures`` process pool).
+    """One pool task per trial, on the one ``concurrent.futures`` process
+    pool this module constructs.
+
+    Un-opened, :meth:`run` opens a pool sized to the work, drains it and
+    closes it (the offline campaigns).  Opened — :meth:`open` or a
+    ``with`` block — the same children serve every :meth:`run` and
+    :meth:`submit` until :meth:`close` (the campaign daemon).
 
     Worker counts are validated (explicit non-positive requests raise)
-    and capped by the ``REPRO_MAX_WORKERS`` environment override; at run
-    time the pool never exceeds the number of items, so short campaigns
-    do not oversubscribe CI runners.
+    and capped by the ``REPRO_MAX_WORKERS`` environment override; a pool
+    that ``run()`` opens for itself never exceeds the number of tasks,
+    so short campaigns do not oversubscribe CI runners.
     """
 
     name = "process"
 
     def __init__(self, max_workers: Optional[int] = None):
         self.max_workers = resolve_worker_count(max_workers)
+        self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
 
     def describe(self) -> str:
         return f"{self.name}({self.max_workers} workers)"
 
+    # -- pool lifetime -------------------------------------------------
+    def open(self, workers: Optional[int] = None,
+             mp_context=None) -> "ProcessPoolExecutor":
+        """Start ``workers`` children (default ``max_workers``) and wait
+        until they answer, so the caller decides *when* the processes
+        are created: under the platform's default start method
+        (``mp_context=None``) every child exists when this returns.
+        """
+        if self._pool is not None:
+            raise RuntimeError(f"{self.describe()} is already open")
+        workers = workers or self.max_workers
+        pool = concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, mp_context=mp_context)
+        try:
+            for ready in [pool.submit(os.getpid) for _ in range(workers)]:
+                ready.result()
+        except BaseException:
+            pool.shutdown(wait=True, cancel_futures=True)
+            raise
+        self._pool = pool
+        return self
+
+    def close(self) -> None:
+        """Cancel what has not started, wait for what has, join and reap
+        every child.  Closing a closed (or never opened) executor is a
+        no-op."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+    def __enter__(self) -> "ProcessPoolExecutor":
+        return self.open()
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def pids(self) -> List[int]:
+        """Pids of the pool's live children (empty when not open)."""
+        # The stdlib pool has no public view of its children.
+        processes = getattr(self._pool, "_processes", None) or {}
+        return sorted(pid for pid, process in list(processes.items())
+                      if process.is_alive())
+
+    # -- work ----------------------------------------------------------
+    def submit(self, fn: Callable[[T], R], item: T
+               ) -> "concurrent.futures.Future[R]":
+        """Queue ``fn(item)`` on the open pool."""
+        if self._pool is None:
+            raise RuntimeError(f"{self.describe()} is not open")
+        return self._pool.submit(fn, item)
+
     def run(self, fn: Callable[[T], R], items: Sequence[T]) -> Iterator[R]:
         if not items:
             return
-        workers = max(1, min(self.max_workers, len(items)))
-        if workers == 1 or len(items) == 1:
-            # A one-worker pool only adds IPC; keep semantics, skip cost.
-            yield from SerialExecutor().run(fn, items)
-            return
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers) as pool:
-            futures = [pool.submit(fn, item) for item in items]
-            yield from _drain(futures)
+        own_pool = self._pool is None
+        if own_pool:
+            workers = min(self.max_workers, len(items))
+            if workers == 1:
+                # A one-worker pool only adds IPC; keep semantics, skip cost.
+                yield from SerialExecutor().run(fn, items)
+                return
+            self.open(workers)
+        try:
+            yield from _drain([self.submit(fn, item) for item in items])
+        finally:
+            if own_pool:
+                self.close()
 
 
 def _drain(futures) -> Iterator:
@@ -141,14 +208,14 @@ def _run_chunk(fn: Callable[[T], R], chunk: List[T]) -> List[R]:
     return [fn(item) for item in chunk]
 
 
-class ChunkedExecutor(CampaignExecutor):
-    """Process pool fed with fixed-size batches of trials per task."""
+class ChunkedExecutor(ProcessPoolExecutor):
+    """The same pool fed with fixed-size batches of trials per task."""
 
     name = "chunked"
 
     def __init__(self, max_workers: Optional[int] = None,
                  chunk_size: Optional[int] = None):
-        self.max_workers = resolve_worker_count(max_workers)
+        super().__init__(max_workers)
         if chunk_size is not None and chunk_size <= 0:
             raise ValueError(f"chunk size must be positive, got {chunk_size}")
         self.chunk_size = chunk_size
@@ -165,18 +232,9 @@ class ChunkedExecutor(CampaignExecutor):
         return [list(items[i:i + size]) for i in range(0, len(items), size)]
 
     def run(self, fn: Callable[[T], R], items: Sequence[T]) -> Iterator[R]:
-        if not items:
-            return
-        chunks = self._chunks(items)
-        workers = max(1, min(self.max_workers, len(chunks)))
-        if workers == 1 or len(chunks) == 1:
-            yield from SerialExecutor().run(fn, items)
-            return
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers) as pool:
-            futures = [pool.submit(_run_chunk, fn, chunk) for chunk in chunks]
-            for batch in _drain(futures):
-                yield from batch
+        for batch in super().run(functools.partial(_run_chunk, fn),
+                                 self._chunks(items)):
+            yield from batch
 
 
 def make_executor(name: str, max_workers: Optional[int] = None,

@@ -1,10 +1,12 @@
 """Campaign service: a long-running daemon for fault-injection campaigns.
 
 The paper's statistical workload — thousands of small solver trials per
-figure — amortises beautifully behind a persistent server: matrices,
-ideal baselines and finished trials stay warm in memory across
-submissions, a worker pool multiplexes shard jobs, and progress streams
-to clients as chunked JSONL.  See :mod:`repro.service.server` for the
+figure — amortises beautifully behind a persistent server: a process
+pool forked once at start-up runs the shard jobs (its children memoise
+matrices and ideal baselines per process over the campaign store, as
+offline pool workers do), finished trials stay warm in the daemon's
+memory across submissions, and progress streams to clients as chunked
+JSONL.  See :mod:`repro.service.server` for the
 daemon, :mod:`repro.service.client` for the client library and
 ``python -m repro.service`` for the CLI.
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 
 from repro.campaign.spec import CampaignSpec, SolverKnobs
@@ -118,6 +119,10 @@ def main_serve(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     service.start()
+    # ``kill <pid>`` is Ctrl-C: a non-drain shutdown that joins the pool,
+    # so no worker process outlives the daemon.  Installed after start()
+    # so the forked children keep the default disposition.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     print(f"campaign service listening on {service.url()} "
           f"({service.workers} workers, "
           f"store={store.root if store else 'none (RAM only)'})",

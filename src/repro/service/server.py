@@ -1,30 +1,41 @@
 """The campaign service daemon.
 
 A long-running process that amortises campaign startup cost across
-submissions: built matrices, fault-free ideal baselines and completed
-trial results stay warm in memory (keyed by the same content tokens the
-:class:`~repro.campaign.store.CampaignStore` uses on disk), submitted
-campaigns are multiplexed over a local worker pool as round-robin shard
-jobs, and per-trial progress streams to ``watch`` clients as chunked
-JSONL.
+submissions: one persistent process pool (the campaign executor
+protocol, :class:`~repro.campaign.executors.ProcessPoolExecutor`) is
+forked and warmed in :meth:`CampaignService.start` — before the HTTP
+socket is bound and before any ``service-*`` thread exists — and lives
+until :meth:`CampaignService.shutdown` joins and reaps it.  Its children
+memoise built matrices and fault-free ideal baselines per process over
+the :class:`~repro.campaign.store.CampaignStore`, exactly as offline
+pool workers do; the daemon itself keeps completed trial results warm in
+memory (keyed by the store's content addresses), multiplexes submitted
+campaigns over the pool as round-robin shard jobs — one ``service-worker``
+thread per shard, which only waits on the child's future — and streams
+per-trial progress to ``watch`` clients as chunked JSONL.
 
 Robustness model (asynchronous-HPC serving practice: worker loss is
 routine, not fatal):
 
-* every finished trial is persisted to the store *and* the in-memory
-  warm cache the moment it completes, so nothing a worker finished is
-  ever recomputed;
-* a worker that dies mid-shard (:class:`WorkerDied` — real crashes in
-  a thread worker surface the same way) gets its shard re-queued; the
-  retry consults the warm cache first, so only the genuinely lost
-  in-flight trial re-executes;
+* every finished trial is persisted to the store by the child that ran
+  it *before* the daemon hears of it, and enters the in-memory trial
+  tier the moment the daemon does, so nothing a worker finished is ever
+  recomputed;
+* a pool process that exits or is killed mid-trial breaks the stdlib
+  pool (``BrokenProcessPool`` on every in-flight future), which the
+  daemon maps to :class:`WorkerDied`: the pool is rebuilt once per
+  break, every affected shard is re-queued, and the retry consults the
+  trial tier and the store first, so only the genuinely lost in-flight
+  trials re-execute;
 * a daemon crash loses only in-flight trials: the store journal and
   per-trial persistence make a restarted daemon (or an offline
   ``python -m repro.campaign run``) resume from the last persisted
   trial;
 * graceful shutdown (``/shutdown``) stops accepting submissions, then
   either drains every queued/running job or cancels them after their
-  current trial, journalling an ``interrupted`` event either way.
+  current trial, journalling an ``interrupted`` event either way; it
+  closes the listening socket, joins the ``service-*`` threads and the
+  pool — no thread, socket or child outlives the daemon.
 
 Correctness anchor: a campaign executed through the daemon produces a
 fingerprint **byte-identical** to the same spec run offline, because
@@ -37,14 +48,17 @@ job assert it.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.campaign.engine import run_trial
+from repro.campaign.engine import StoreTrialRunner, run_trial
+from repro.campaign.executors import ProcessPoolExecutor
 from repro.campaign.results import CampaignResult, TrialResult
 from repro.campaign.spec import CampaignSpec, TrialSpec
 from repro.campaign.store import CampaignStore
@@ -86,15 +100,21 @@ def default_port() -> int:
 
 
 class WorkerDied(RuntimeError):
-    """A worker was lost mid-shard (chaos hook, or a real crash)."""
+    """A pool process was lost mid-shard (chaos hook, or a real crash)."""
+
+
+def _die(trial: TrialSpec) -> None:
+    """What the chaos hook runs in place of a trial: the child that
+    receives it exits hard, as an OOM kill or a segfault would."""
+    os._exit(1)
 
 
 class ChaosMonkey:
     """Deterministic worker-loss injection for tests and the CI job.
 
-    ``REPRO_SERVICE_CHAOS=kill-worker:N`` makes the first worker that
-    has executed N trials die (once) when it picks up its next trial —
-    exercising the shard-retry path end to end.
+    ``REPRO_SERVICE_CHAOS=kill-worker:N`` makes the pool process that
+    receives the N-th trial the daemon dispatches exit hard (once) —
+    exercising the broken-pool, rebuild and shard-retry path end to end.
     """
 
     def __init__(self, kill_after: int):
@@ -102,7 +122,7 @@ class ChaosMonkey:
             raise ValueError(f"chaos kill-after must be positive, "
                              f"got {kill_after}")
         self.kill_after = kill_after
-        self._fired = False
+        self._dispatched = 0
         self._lock = make_lock("ChaosMonkey.lock")
 
     @classmethod
@@ -116,104 +136,55 @@ class ChaosMonkey:
                              f"kill-worker:N, got {raw!r}")
         return cls(int(arg))
 
-    def __call__(self, worker_id: int, executed: int) -> None:
+    def strikes(self) -> bool:
+        """Count one dispatched trial; true for the N-th, exactly once."""
         with self._lock:
-            if self._fired or executed < self.kill_after:
-                return
-            self._fired = True
-        raise WorkerDied(f"chaos: worker {worker_id} killed after "
-                         f"{executed} executed trial(s)")
+            self._dispatched += 1
+            return self._dispatched == self.kill_after
 
 
 # ----------------------------------------------------------------------
 # warm cache
 # ----------------------------------------------------------------------
-class _KindStats:
-    __slots__ = ("hits", "misses")
-
-    def __init__(self):
-        self.hits = 0
-        self.misses = 0
-
-    def payload(self) -> Dict[str, object]:
-        total = self.hits + self.misses
-        return {"hits": self.hits, "misses": self.misses,
-                "hit_rate_percent":
-                    round(100.0 * self.hits / total, 1) if total else 0.0}
-
-
 class WarmCache:
-    """In-memory artifact cache fronting an optional on-disk store.
+    """The daemon's in-memory tier of completed trials, over an optional
+    on-disk store.
 
-    Implements the store interface the campaign engine consumes
-    (``get/put`` for matrices, baselines and trials), so it can be
-    passed wherever a :class:`CampaignStore` is expected.  Entries are
-    keyed by the same content hashes as the store; a RAM miss falls
-    through to the store (when present) and a store hit is promoted
-    into RAM.  Hit/miss counters feed ``/metrics``.
+    Entries are keyed by the store's content addresses; a RAM miss falls
+    through to the store (when present) and a store hit is promoted into
+    RAM.  Only the daemon's own threads use it: pool children persist
+    their trials to the store directly and memoise matrices and
+    baselines per process (``repro.campaign.engine``).  Hit/miss
+    counters feed ``/metrics``.
     """
 
     def __init__(self, store: Optional[CampaignStore] = None):
         self.store = store
-        self._matrices: Dict[str, tuple] = {}
-        self._baselines: Dict[str, float] = {}
         self._trials: Dict[str, TrialResult] = {}
         self._lock = make_lock("WarmCache.lock")
-        self.stats = {"matrices": _KindStats(), "baselines": _KindStats(),
-                      "trials": _KindStats()}
+        self.hits = 0
+        self.misses = 0
 
-    def _record(self, kind: str, hit: bool) -> None:
-        with self._lock:
-            stats = self.stats[kind]
-            if hit:
-                stats.hits += 1
-            else:
-                stats.misses += 1
-
-    # -- matrices ------------------------------------------------------
-    def get_matrix(self, key: str):
-        cached = self._matrices.get(key)
-        if cached is None and self.store is not None:
-            cached = self.store.get_matrix(key)
-            if cached is not None:
-                self._matrices[key] = cached
-        self._record("matrices", cached is not None)
-        return cached
-
-    def put_matrix(self, key: str, A, b) -> None:
-        self._matrices[key] = (A, b)
-        if self.store is not None:
-            self.store.put_matrix(key, A, b)
-
-    # -- baselines -----------------------------------------------------
-    def get_baseline(self, key: str) -> Optional[float]:
-        cached = self._baselines.get(key)
-        if cached is None and self.store is not None:
-            cached = self.store.get_baseline(key)
-            if cached is not None:
-                self._baselines[key] = cached
-        self._record("baselines", cached is not None)
-        return cached
-
-    def put_baseline(self, key: str, ideal_time: float) -> None:
-        self._baselines[key] = float(ideal_time)
-        if self.store is not None:
-            self.store.put_baseline(key, ideal_time)
-
-    # -- trials --------------------------------------------------------
     def get_trial(self, key: str) -> Optional[TrialResult]:
         cached = self._trials.get(key)
         if cached is None and self.store is not None:
             cached = self.store.get_trial(key)
             if cached is not None:
                 self._trials[key] = cached
-        self._record("trials", cached is not None)
+        with self._lock:
+            if cached is not None:
+                self.hits += 1
+            else:
+                self.misses += 1
         return cached
 
-    def put_trial(self, key: str, result: TrialResult) -> None:
+    def keep_trial(self, key: str, result: TrialResult) -> None:
+        """Remember a trial a pool child just returned.  RAM only: with
+        a store, the child persisted it before the daemon heard of it."""
         self._trials[key] = result
-        if self.store is not None:
-            self.store.put_trial(key, result)
+
+    def __len__(self) -> int:
+        return len(self._trials)
 
     # -- journal (delegates; RAM-only daemons skip journalling) --------
     def journal_append(self, campaign_key: str, event: dict) -> None:
@@ -221,7 +192,11 @@ class WarmCache:
             self.store.journal_append(campaign_key, event)
 
     def metrics_payload(self) -> Dict[str, object]:
-        return {kind: stats.payload() for kind, stats in self.stats.items()}
+        total = self.hits + self.misses
+        return {"trials": {
+            "hits": self.hits, "misses": self.misses,
+            "hit_rate_percent":
+                round(100.0 * self.hits / total, 1) if total else 0.0}}
 
 
 # ----------------------------------------------------------------------
@@ -287,11 +262,12 @@ class _ShardTask:
 # the daemon
 # ----------------------------------------------------------------------
 class CampaignService:
-    """The long-running campaign daemon (HTTP server + worker pool).
+    """The long-running campaign daemon (HTTP server + process pool).
 
-    ``port=0`` binds an ephemeral port (tests); the bound port is in
-    ``self.port`` after :meth:`start`.  ``store=None`` runs with the
-    in-memory warm cache only — nothing persists, but warm-resubmission
+    Constructing one creates no process, thread or socket; :meth:`start`
+    does.  ``port=0`` binds an ephemeral port (tests); the bound port is
+    in ``self.port`` after :meth:`start`.  ``store=None`` runs with the
+    in-memory trial tier only — nothing persists, but warm-resubmission
     semantics are identical.
     """
 
@@ -304,6 +280,14 @@ class CampaignService:
         self.workers = resolve_worker_count(workers)
         self.warm = WarmCache(store)
         self.chaos = chaos if chaos is not None else ChaosMonkey.from_env()
+        #: What a pool child runs per trial: with a store it persists the
+        #: result itself, as the offline pool workers do.
+        self._runner = (run_trial if store is None
+                        else StoreTrialRunner(store.root))
+        self._pool = ProcessPoolExecutor(self.workers)
+        #: Bumped by every rebuild, so the shard threads that all see one
+        #: break replace the pool once.
+        self._pool_generation = 0
         self.started = time.time()
         self.accepting = True
         self.worker_deaths = 0
@@ -320,15 +304,23 @@ class CampaignService:
         self._shard_queue = make_queue("CampaignService.shard_queue")
         self._threads: List[threading.Thread] = []
         self._httpd: Optional[ThreadingHTTPServer] = None
-        self._stopping = False
+        self._stopped = make_event()
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Bind the HTTP server and start scheduler + worker threads."""
-        handler = _make_handler(self)
-        self._httpd = ThreadingHTTPServer((self.host, self.port), handler)
+        """Fork and warm the pool, bind the HTTP server, start the
+        scheduler and one shard thread per pool process — in that order,
+        so every child is forked from a quiet process and inherits
+        neither the listening socket nor a lock some thread holds."""
+        self._pool.open()
+        try:
+            self._httpd = ThreadingHTTPServer((self.host, self.port),
+                                              _make_handler(self))
+        except BaseException:
+            self._pool.close()
+            raise
         self._httpd.daemon_threads = True
         self.port = self._httpd.server_address[1]
         self._threads = [
@@ -339,13 +331,14 @@ class CampaignService:
         ]
         for i in range(self.workers):
             self._threads.append(threading.Thread(
-                target=self._worker_loop, args=(i,),
-                name=f"service-worker-{i}", daemon=True))
+                target=self._worker_loop, name=f"service-worker-{i}",
+                daemon=True))
         for thread in self._threads:
             thread.start()
 
     def _serve_http(self) -> None:
-        self._httpd.serve_forever(poll_interval=0.1)
+        # shutdown() waits out one poll of this loop, so keep it short.
+        self._httpd.serve_forever(poll_interval=0.02)
 
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
@@ -353,51 +346,71 @@ class CampaignService:
     def serve_forever(self) -> None:
         """Block until the daemon is shut down (CLI foreground mode)."""
         try:
-            while not self._stopping:
-                time.sleep(0.2)
+            self._stopped.wait()
         except KeyboardInterrupt:
             self.shutdown(drain=False)
 
     def shutdown(self, drain: bool = True,
                  timeout: Optional[float] = None) -> None:
-        """Stop the daemon.
+        """Stop the daemon and everything it started.
 
         ``drain=True`` finishes every queued and running job first;
-        ``drain=False`` cancels them after their current trial.  Either
-        way in-flight jobs are journalled, so a subsequent daemon (or an
-        offline run) resumes from the last persisted trial.
+        ``drain=False`` cancels them after their current trial (the
+        in-flight future is awaited, not abandoned).  Either way
+        in-flight jobs are journalled, so a subsequent daemon (or an
+        offline run) resumes from the last persisted trial.  Then the
+        listening socket is closed, the ``service-*`` threads are joined
+        (within ``timeout``, which also bounds the drain) and the pool's
+        children are joined and reaped.  A second call only waits for
+        the first to finish.
         """
         with self._lock:
-            if self._stopping:
-                return
+            first = self.accepting
             self.accepting = False
         if not drain:
-            for job in self._snapshot_jobs():
-                if job.state not in TERMINAL_STATES:
-                    job.cancel_event.set()
+            self._cancel_unfinished()
+        if not first:
+            self._stopped.wait(timeout=timeout)
+            return
         deadline = None if timeout is None else time.time() + timeout
+
+        def remaining() -> Optional[float]:
+            return (None if deadline is None
+                    else max(0.0, deadline - time.time()))
+
         with self._drained:
             while any(j.state not in TERMINAL_STATES
                       for j in self._jobs.values()):
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.time()
-                    if remaining <= 0:
-                        break
-                self._drained.wait(timeout=remaining if remaining is not None
-                                   else 0.5)
-        self._stopping = True
-        self._job_queue.put(None)
-        for _ in range(self.workers):
-            self._shard_queue.put(None)
-        if self._httpd is not None:
-            threading.Thread(target=self._httpd.shutdown,
-                             daemon=True).start()
+                left = remaining()
+                if left == 0.0:
+                    break
+                self._drained.wait(timeout=0.5 if left is None else left)
         for job in self._snapshot_jobs():
             if job.state not in TERMINAL_STATES:
                 self._journal(job, {"event": "interrupted",
                                     "completed": job.completed,
                                     "state": job.state})
+        # Out of time with work still running: let it stop after the
+        # current trial rather than submit to a closed pool.
+        self._cancel_unfinished()
+        self._job_queue.put(None)
+        for _ in range(self.workers):
+            self._shard_queue.put(None)
+        if self._httpd is not None:
+            self._httpd.shutdown()
+            self._httpd.server_close()
+        for thread in self._threads:
+            thread.join(timeout=remaining())
+        with self._lock:
+            # A break seen from here on rebuilds nothing.
+            self._pool_generation += 1
+            self._pool.close()
+        self._stopped.set()
+
+    def _cancel_unfinished(self) -> None:
+        for job in self._snapshot_jobs():
+            if job.state not in TERMINAL_STATES:
+                job.cancel_event.set()
 
     # ------------------------------------------------------------------
     # submission + queries
@@ -532,41 +545,36 @@ class CampaignService:
     # ------------------------------------------------------------------
     # workers
     # ------------------------------------------------------------------
-    def _worker_loop(self, worker_id: int) -> None:
-        executed = 0
+    def _worker_loop(self) -> None:
         while True:
             task = self._shard_queue.get()
             if task is None:
                 return
             job = self._jobs[task.job_id]
             try:
-                executed += self._run_shard(job, task, worker_id, executed)
+                self._run_shard(job, task)
             except WorkerDied as exc:
-                with self._lock:
-                    self.worker_deaths += 1
                 self._retry_shard(job, task, str(exc))
             except Exception as exc:  # noqa: BLE001 - fail the job, keep the pool
                 job.error = f"{type(exc).__name__}: {exc}"
                 job.cancel_event.set()
                 self._shard_done(job)
-                continue
 
-    def _run_shard(self, job: Job, task: _ShardTask, worker_id: int,
-                   executed_before: int) -> int:
-        """Run one shard's trials; returns how many this call executed.
+    def _run_shard(self, job: Job, task: _ShardTask) -> None:
+        """Run one shard's trials on the pool, one future at a time.
 
         The retry path re-enters here with the same trial list: trials a
-        previous attempt already finished come back as warm-cache hits,
-        so only genuinely lost work re-executes.
+        previous attempt recorded are skipped, trials a lost child had
+        persisted come back from the store, so only genuinely lost work
+        re-executes.
         """
-        executed = 0
-        for trial in task.trials:
+        with self._lock:
+            # Only this shard's attempts record these indices, and they
+            # never overlap, so one look is exact for the whole attempt.
+            trials = [t for t in task.trials if t.index not in job.recorded]
+        for trial in trials:
             if job.cancel_event.is_set():
                 break
-            with self._lock:
-                already_recorded = trial.index in job.recorded
-            if already_recorded:
-                continue  # retry path: the dead worker finished this one
             key = trial.store_key()
             cached = self.warm.get_trial(key)
             if cached is not None:
@@ -575,18 +583,41 @@ class CampaignService:
                 self._record_result(job, cached, cached_hit=False,
                                     recovered=True)
                 continue
-            if self.chaos is not None:
-                self.chaos(worker_id, executed_before + executed)
-            result = run_trial(trial, store=self.warm)
-            self.warm.put_trial(key, result)
-            executed += 1
-            with self._lock:
-                self.executed_total += 1
-                self.executed_wall += result.wall_time
+            result = self._execute(trial)
+            self.warm.keep_trial(key, result)
             self._journal(job, {"event": "trial", "index": result.index})
             self._record_result(job, result, cached_hit=False)
         self._shard_done(job)
-        return executed
+
+    def _execute(self, trial: TrialSpec) -> TrialResult:
+        """One trial on a pool child; the calling shard thread only
+        waits.  A child lost while the future was in flight (this
+        trial's or another shard's — the stdlib pool breaks as a whole)
+        surfaces as :class:`WorkerDied`, after the pool is rebuilt."""
+        fn = self._runner
+        if self.chaos is not None and self.chaos.strikes():
+            fn = _die
+        try:
+            with self._lock:
+                generation = self._pool_generation
+                future = self._pool.submit(fn, trial)
+            return future.result()
+        except BrokenProcessPool as exc:
+            self._rebuild_pool(generation)
+            raise WorkerDied(f"a pool process died with trial "
+                             f"{trial.index} in flight") from exc
+
+    def _rebuild_pool(self, generation: int) -> None:
+        """Replace the broken pool — once per break, however many shard
+        threads saw it.  The daemon has threads by now, so the new
+        children are spawned, not forked."""
+        with self._lock:
+            if generation != self._pool_generation:
+                return
+            self._pool_generation += 1
+            self.worker_deaths += 1
+            self._pool.close()
+            self._pool.open(mp_context=multiprocessing.get_context("spawn"))
 
     def _retry_shard(self, job: Job, task: _ShardTask, reason: str) -> None:
         if task.attempt + 1 > MAX_SHARD_RETRIES:
@@ -615,6 +646,9 @@ class CampaignService:
                 self.cached_total += 1
             else:
                 job.executed += 1
+                if not recovered:
+                    self.executed_total += 1
+                    self.executed_wall += result.wall_time
             completed, total = job.completed, job.total
         job.emit({"event": "trial", "index": result.index,
                   "matrix": result.matrix, "method": result.method,

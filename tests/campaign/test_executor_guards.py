@@ -1,5 +1,9 @@
 """Guards on the campaign executors: worker caps, validation, empty input."""
 
+import multiprocessing
+import os
+import time
+
 import pytest
 
 from repro.campaign.executors import (ChunkedExecutor, ProcessPoolExecutor,
@@ -75,3 +79,80 @@ class TestRunGuards:
             ChunkedExecutor(chunk_size=bad)
         with pytest.raises(ValueError, match="chunk size"):
             make_executor("chunked", chunk_size=bad)
+
+
+def pid_of(_item):
+    return os.getpid()
+
+
+def slow_or_fail(item):
+    """Item 0 fails at once; the others are slow enough to still be
+    queued behind the two workers when it does."""
+    if item == 0:
+        raise ValueError("trial 0 failed")
+    time.sleep(0.2)
+    return item
+
+
+class TestPersistentPool:
+    """The opened form the campaign daemon holds for its lifetime."""
+
+    def test_an_opened_executor_serves_every_run_from_the_same_children(self):
+        with ProcessPoolExecutor(max_workers=2) as executor:
+            pids = executor.pids()
+            assert len(pids) == 2 and os.getpid() not in pids
+            first = set(executor.run(pid_of, range(8)))
+            second = set(executor.run(pid_of, [0]))  # no serial short cut
+            assert first <= set(pids) and second <= set(pids)
+            assert executor.pids() == pids
+            assert executor.submit(double, 21).result(timeout=60) == 42
+        assert executor.pids() == []
+        alive = {child.pid for child in multiprocessing.active_children()}
+        assert not alive & set(pids)
+
+    def test_chunk_tasks_run_on_the_same_class(self):
+        with ChunkedExecutor(max_workers=2, chunk_size=3) as executor:
+            pids = set(executor.pids())
+            assert sorted(executor.run(double, list(range(10)))) == \
+                [2 * i for i in range(10)]
+            assert set(executor.run(pid_of, list(range(10)))) <= pids
+
+    def test_close_twice_is_a_no_op_and_submit_after_close_raises(self):
+        executor = ProcessPoolExecutor(max_workers=2).open()
+        executor.close()
+        executor.close()
+        with pytest.raises(RuntimeError, match="not open"):
+            executor.submit(double, 1)
+        ProcessPoolExecutor(max_workers=2).close()  # never opened
+
+    def test_open_twice_raises(self):
+        with ProcessPoolExecutor(max_workers=2) as executor:
+            with pytest.raises(RuntimeError, match="already open"):
+                executor.open()
+
+    def test_an_unopened_run_opens_and_closes_its_own_pool(self):
+        executor = ProcessPoolExecutor(max_workers=2)
+        before = {child.pid for child in multiprocessing.active_children()}
+        pids = set(executor.run(pid_of, range(6)))
+        assert pids and os.getpid() not in pids
+        assert executor.pids() == []
+        after = {child.pid for child in multiprocessing.active_children()}
+        assert after <= before
+        with pytest.raises(RuntimeError, match="not open"):
+            executor.submit(double, 1)
+
+    @pytest.mark.parametrize("opened", [False, True])
+    def test_a_failing_trial_cancels_what_has_not_started(self, opened):
+        executor = ProcessPoolExecutor(max_workers=2)
+        if opened:
+            executor.open()
+        try:
+            started = time.monotonic()
+            with pytest.raises(ValueError, match="trial 0 failed"):
+                list(executor.run(slow_or_fail, list(range(40))))
+            # 39 slow items on two workers would take ~4 s if drained.
+            assert time.monotonic() - started < 2.0
+            if opened:  # and the pool is still good for the next run
+                assert list(executor.run(double, [4])) == [8]
+        finally:
+            executor.close()

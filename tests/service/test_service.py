@@ -8,10 +8,21 @@ not mocked.  The three invariants the service is built around:
 1. a daemon-run campaign's fingerprint is byte-identical to the offline
    ``python -m repro.campaign run`` of the same spec;
 2. a warm resubmission executes zero trials — everything is served from
-   the warm cache, and ``/metrics`` proves it;
-3. a worker death mid-job is absorbed: the shard is retried with the
-   already-recorded trials skipped and the fingerprint is unchanged.
+   the warm trial tier, and ``/metrics`` proves it;
+3. a pool process killed mid-job is absorbed: the pool is rebuilt, the
+   shards are retried with the already-recorded trials skipped and the
+   fingerprint is unchanged;
+
+and the lifecycle contract around them: a daemon creates its processes,
+threads and socket in ``start()`` only, and ``shutdown()`` leaves none
+of them behind.
 """
+
+import contextlib
+import multiprocessing
+import os
+import socket
+import threading
 
 import pytest
 
@@ -20,7 +31,7 @@ from repro.campaign.executors import SerialExecutor
 from repro.campaign.spec import CampaignSpec, SolverKnobs
 from repro.campaign.store import CampaignStore, clear_store_cache
 from repro.service import (CampaignService, ChaosMonkey, ServiceClient,
-                           ServiceError, WorkerDied)
+                           ServiceError)
 from repro.service.protocol import ProtocolError, TERMINAL_STATES
 
 
@@ -33,6 +44,33 @@ def tiny_spec(**overrides):
         name="tiny")
     defaults.update(overrides)
     return CampaignSpec(**defaults)
+
+
+@contextlib.contextmanager
+def running_daemon(workers=2, store=None, chaos=None):
+    """A started daemon and a client that has seen it answer; shut down
+    (no drain) on the way out."""
+    svc = CampaignService(host="127.0.0.1", port=0, workers=workers,
+                          store=store, chaos=chaos)
+    svc.start()
+    try:
+        client = ServiceClient(svc.url())
+        client.wait_until_up()
+        yield svc, client
+    finally:
+        svc.shutdown(drain=False, timeout=30)
+
+
+def assert_nothing_left_behind(svc, pool_pids):
+    """The daemon's children, threads and socket are gone."""
+    assert pool_pids, "the daemon under test never had a pool"
+    alive = {child.pid for child in multiprocessing.active_children()}
+    assert not alive & set(pool_pids)
+    assert svc._pool.pids() == []
+    assert not [t.name for t in threading.enumerate()
+                if t.name.startswith("service-")]
+    with pytest.raises(OSError):
+        socket.create_connection((svc.host, svc.port), timeout=5).close()
 
 
 def offline_fingerprint(spec):
@@ -54,11 +92,8 @@ def fresh_caches():
 
 @pytest.fixture()
 def service(tmp_path):
-    svc = CampaignService(host="127.0.0.1", port=0, workers=2,
-                          store=CampaignStore(tmp_path / "store"))
-    svc.start()
-    yield svc
-    svc.shutdown(drain=False, timeout=30)
+    with running_daemon(store=CampaignStore(tmp_path / "store")) as (svc, _):
+        yield svc
 
 
 @pytest.fixture()
@@ -120,53 +155,84 @@ class TestWarmResubmission:
         spec = tiny_spec()
         first = client.wait(client.submit(spec)["id"], timeout=120)
         assert first["state"] == "done"
+        service.shutdown(drain=True, timeout=30)
 
         clear_caches()
         clear_store_cache()
-        svc2 = CampaignService(host="127.0.0.1", port=0, workers=2,
-                               store=CampaignStore(tmp_path / "store"))
-        svc2.start()
-        try:
-            c2 = ServiceClient(svc2.url())
-            c2.wait_until_up()
+        with running_daemon(store=CampaignStore(tmp_path / "store")) \
+                as (_, c2):
             resumed = c2.wait(c2.submit(spec)["id"], timeout=120)
             assert resumed["state"] == "done"
             assert resumed["executed"] == 0
             assert resumed["cached"] == spec.num_trials
             assert resumed["fingerprint"] == first["fingerprint"]
-        finally:
-            svc2.shutdown(drain=False, timeout=30)
 
 
 class TestWorkerDeath:
     def test_chaos_kill_is_absorbed(self):
-        """A worker dying mid-shard must not fail the job or change one
-        bit of the result: the shard is requeued and already-recorded
-        trials are skipped."""
+        """A pool process dying mid-shard must not fail the job or change
+        one bit of the result: the pool is rebuilt once, the shards are
+        requeued and already-recorded trials are skipped."""
         spec = tiny_spec()
         reference = offline_fingerprint(spec)
-        svc = CampaignService(host="127.0.0.1", port=0, workers=2,
-                              store=None, chaos=ChaosMonkey(2))
-        svc.start()
-        try:
-            client = ServiceClient(svc.url())
-            client.wait_until_up()
+        with running_daemon(chaos=ChaosMonkey(2)) as (svc, client):
+            original_pids = svc._pool.pids()
             status = client.wait(client.submit(spec)["id"], timeout=120)
             assert status["state"] == "done"
             assert status["fingerprint"] == reference
             assert status["shard_retries"] >= 1
             metrics = client.metrics()
-            assert metrics["worker_deaths"] >= 1
-        finally:
-            svc.shutdown(drain=False, timeout=30)
+            assert metrics["worker_deaths"] == 1  # one break, counted once
+            # the daemon is whole again: a full, new set of children...
+            rebuilt_pids = svc._pool.pids()
+            assert len(rebuilt_pids) == metrics["workers"]
+            assert not set(rebuilt_pids) & set(original_pids)
+            # ...that runs a second job to the right answer
+            other = tiny_spec(seed=123, name="tiny-b")
+            second = client.wait(client.submit(other)["id"], timeout=120)
+            assert second["state"] == "done"
+            assert second["executed"] == other.num_trials
+            assert second["fingerprint"] == offline_fingerprint(other)
+        assert_nothing_left_behind(svc, original_pids + rebuilt_pids)
+
+    def test_chaos_kill_with_a_store_recovers_persisted_trials(self,
+                                                               tmp_path):
+        """What a lost child had persisted comes back from the store;
+        nothing is executed twice into the result."""
+        spec = tiny_spec()
+        reference = offline_fingerprint(spec)
+        with running_daemon(store=CampaignStore(tmp_path / "store"),
+                            chaos=ChaosMonkey(3)) as (_, client):
+            status = client.wait(client.submit(spec)["id"], timeout=120)
+            assert status["state"] == "done"
+            assert status["fingerprint"] == reference
+            assert status["completed"] == spec.num_trials
+            assert client.metrics()["worker_deaths"] == 1
+        # Exactly the campaign's artifacts (the pool terminates the dead
+        # child's siblings too, so a torn ``*.tmp`` beside them is fair).
+        stored = {path.stem for path in
+                  (tmp_path / "store" / "trials").glob("*/*.json")}
+        assert stored == {trial.store_key() for trial in spec.expand()}
+        assert CampaignStore(tmp_path / "store").verify().ok
+
+    def test_a_shard_gives_up_after_max_retries(self, monkeypatch):
+        """Every dispatch kills its child: the retries are capped and
+        the job fails loudly instead of looping."""
+        from repro.service import server
+        monkeypatch.setattr(server.ChaosMonkey, "strikes", lambda self: True)
+        with running_daemon(workers=1, chaos=ChaosMonkey(1)) as (_, client):
+            status = client.wait(client.submit(tiny_spec())["id"],
+                                 timeout=120)
+            assert status["state"] == "failed"
+            assert "lost its worker" in status["error"]
+            assert status["shard_retries"] == server.MAX_SHARD_RETRIES
+            assert client.metrics()["worker_deaths"] == \
+                server.MAX_SHARD_RETRIES + 1
 
     def test_chaos_monkey_fires_exactly_once(self):
         chaos = ChaosMonkey(3)
-        chaos(0, 1)
-        chaos(0, 2)
-        with pytest.raises(WorkerDied):
-            chaos(0, 3)
-        chaos(0, 4)  # second worker survives the same count
+        assert [chaos.strikes() for _ in range(5)] == \
+            [False, False, True, False, False]
 
     def test_chaos_monkey_env_parsing(self, monkeypatch):
         from repro.service.server import SERVICE_CHAOS_ENV
@@ -222,17 +288,14 @@ class TestCancelAndShutdown:
 
     def test_drain_shutdown_finishes_queued_work(self, tmp_path):
         spec = tiny_spec()
-        svc = CampaignService(host="127.0.0.1", port=0, workers=2,
-                              store=CampaignStore(tmp_path / "store"))
-        svc.start()
-        client = ServiceClient(svc.url())
-        client.wait_until_up()
-        job = client.submit(spec)
-        svc.shutdown(drain=True, timeout=120)
-        assert svc.job(job["id"]).state == "done"
-        assert svc.job(job["id"]).fingerprint is not None
-        with pytest.raises(ProtocolError, match="not accepting"):
-            svc.submit(spec)
+        with running_daemon(store=CampaignStore(tmp_path / "store")) \
+                as (svc, client):
+            job = client.submit(spec)
+            svc.shutdown(drain=True, timeout=120)
+            assert svc.job(job["id"]).state == "done"
+            assert svc.job(job["id"]).fingerprint is not None
+            with pytest.raises(ProtocolError, match="not accepting"):
+                svc.submit(spec)
 
     def test_jobs_listing_and_bad_ids(self, client):
         spec = tiny_spec()
@@ -291,7 +354,7 @@ class TestMetricsAndHealth:
         assert m["jobs"]["done"] == 1
         assert m["queue_depth"] == 0
         assert m["trials"]["completed"] == spec.num_trials
-        assert set(m["cache"]) >= {"matrices", "baselines", "trials"}
+        assert set(m["cache"]) == {"trials"}  # the daemon's only RAM tier
         assert m["store"] is not None
         for detail in m["jobs_detail"].values():
             assert detail["state"] in TERMINAL_STATES
@@ -312,3 +375,168 @@ class TestConcurrentSubmissions:
         assert done_a["fingerprint"] == ref_a
         assert done_b["fingerprint"] == ref_b
         assert done_a["fingerprint"] != done_b["fingerprint"]
+
+
+class TestLifecycle:
+    """Processes, threads and the socket exist between ``start()`` and
+    ``shutdown()`` and at no other time."""
+
+    def test_construction_creates_no_process_and_no_thread(self, tmp_path):
+        children = multiprocessing.active_children()
+        threads = threading.enumerate()
+        import repro.service.server  # noqa: F401 - the import is the test
+        svc = CampaignService(host="127.0.0.1", port=0, workers=2,
+                              store=CampaignStore(tmp_path / "store"))
+        assert svc._pool.pids() == []
+        assert multiprocessing.active_children() == children
+        assert threading.enumerate() == threads
+        svc.shutdown(timeout=5)  # never started: nothing to stop, no error
+
+    @pytest.mark.parametrize("drain", [True, False])
+    def test_shutdown_leaves_nothing_behind(self, tmp_path, drain):
+        with running_daemon(store=CampaignStore(tmp_path / "store")) \
+                as (svc, client):
+            pids = svc._pool.pids()
+            assert len(pids) == 2
+            job = client.submit(tiny_spec())
+            svc.shutdown(drain=drain, timeout=120)
+            assert svc.job(job["id"]).state in (("done",) if drain
+                                                else ("done", "cancelled"))
+            assert_nothing_left_behind(svc, pids)
+            svc.shutdown(drain=drain, timeout=5)  # idempotent
+
+    def test_no_drain_awaits_the_trial_in_flight(self, tmp_path):
+        """Cancelling stops dispatch, it does not abandon a future: what
+        the children were running is recorded and persisted."""
+        spec = tiny_spec(repetitions=25)
+        store = CampaignStore(tmp_path / "store")
+        with running_daemon(store=store) as (svc, client):
+            job = client.submit(spec)
+            for event in client.watch(job["id"], read_timeout=120):
+                if event["event"] == "trial":
+                    break
+        record = svc.job(job["id"])
+        assert record.state == "cancelled"
+        assert 0 < record.completed < spec.num_trials
+        assert store.entry_count()["trials"] == record.completed
+
+    def test_children_are_forked_from_a_quiet_process(self, monkeypatch):
+        """No fork while a ``service-*`` thread runs — neither at start
+        nor when the pool is rebuilt after a death (the only fork a
+        multi-threaded daemon could issue, and the one py3.12 warns
+        about)."""
+        forks = []
+        real_fork = os.fork
+
+        def spying_fork():
+            forks.append([t.name for t in threading.enumerate()
+                          if t.name.startswith("service-")])
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", spying_fork)
+        with running_daemon(chaos=ChaosMonkey(2)) as (_, client):
+            status = client.wait(client.submit(tiny_spec())["id"],
+                                 timeout=120)
+            assert status["state"] == "done"
+            assert client.metrics()["worker_deaths"] == 1
+        if multiprocessing.get_start_method() == "fork":
+            assert len(forks) == 2  # the start() pool, nothing since
+        assert forks == [[]] * len(forks)
+
+    def test_a_port_in_use_does_not_leak_the_pool(self, service):
+        clash = CampaignService(host="127.0.0.1", port=service.port,
+                                workers=2, store=None)
+        with pytest.raises(OSError):
+            clash.start()
+        assert clash._pool.pids() == []
+
+
+class TestOneFingerprint:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("stored", [False, True])
+    def test_workers_and_store_do_not_move_it(self, tmp_path, workers,
+                                              stored):
+        spec = tiny_spec()
+        reference = offline_fingerprint(spec)
+        store = CampaignStore(tmp_path / "store") if stored else None
+        with running_daemon(workers=workers, store=store) as (_, client):
+            status = client.wait(client.submit(spec)["id"], timeout=120)
+        assert status["state"] == "done"
+        assert status["executed"] == spec.num_trials
+        assert status["fingerprint"] == reference
+
+
+class CountingStore(CampaignStore):
+    """The daemon-side handle, counting what the *parent* writes."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.put_trial_calls = 0
+        self.trial_events = 0
+
+    def put_trial(self, key, result):
+        self.put_trial_calls += 1
+        super().put_trial(key, result)
+
+    def journal_append(self, campaign_key, event):
+        self.trial_events += event.get("event") == "trial"
+        super().journal_append(campaign_key, event)
+
+
+class TestParentSideWork:
+    def test_the_parent_never_rewrites_what_the_child_persisted(self,
+                                                                tmp_path):
+        spec = tiny_spec()
+        store = CountingStore(tmp_path / "store")
+        with running_daemon(store=store) as (svc, client):
+            cold = client.wait(client.submit(spec)["id"], timeout=120)
+            assert cold["executed"] == spec.num_trials
+            assert store.put_trial_calls == 0
+            assert store.trial_events == spec.num_trials
+            assert len(svc.warm) == spec.num_trials
+            warm = client.wait(client.submit(spec)["id"], timeout=120)
+            assert warm["executed"] == 0
+            assert store.put_trial_calls == 0
+            assert store.trial_events == spec.num_trials
+        assert store.entry_count()["trials"] == spec.num_trials
+        report = store.verify()
+        assert report.ok and report.legacy == 0
+
+    def test_ram_only_daemon_keeps_every_trial(self):
+        spec = tiny_spec()
+        with running_daemon() as (svc, client):
+            cold = client.wait(client.submit(spec)["id"], timeout=120)
+            assert cold["executed"] == spec.num_trials
+            assert len(svc.warm) == spec.num_trials
+            warm = client.wait(client.submit(spec)["id"], timeout=120)
+            assert warm["executed"] == 0
+            assert warm["cached"] == spec.num_trials
+            assert warm["fingerprint"] == cold["fingerprint"]
+
+
+class TestServeCommand:
+    def test_sigterm_is_a_shutdown_that_reaps_the_pool(self):
+        """``kill <daemon>`` must not orphan the worker processes."""
+        import signal
+        import subprocess
+        import sys
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        daemon = subprocess.Popen(
+            [sys.executable, "-m", "repro.service", "serve", "--port", "0",
+             "--workers", "2", "--no-store"],
+            stdout=subprocess.PIPE, text=True, env=env)
+        try:
+            assert "listening on" in daemon.stdout.readline()
+            children = subprocess.run(
+                ["pgrep", "-P", str(daemon.pid)], capture_output=True,
+                text=True).stdout.split()
+            assert len(children) == 2
+            daemon.send_signal(signal.SIGTERM)
+            assert daemon.wait(timeout=60) == 0
+            assert "campaign service stopped" in daemon.stdout.read()
+            for pid in children:
+                with pytest.raises(ProcessLookupError):
+                    os.kill(int(pid), 0)
+        finally:
+            daemon.kill()
+            daemon.wait(timeout=60)
