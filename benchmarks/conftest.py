@@ -13,6 +13,7 @@ import os
 
 import pytest
 
+from repro.campaign.spec import SolverKnobs
 from repro.experiments.common import ExperimentConfig
 
 FULL = os.environ.get("REPRO_FULL", "0") == "1"
@@ -38,9 +39,11 @@ QUICK_RATES = (1.0, 10.0, 50.0)
 def bench_config() -> ExperimentConfig:
     """Experiment configuration shared by the benchmark harness."""
     if FULL:
-        return ExperimentConfig(repetitions=2, max_iterations=20000)
-    return ExperimentConfig(matrices=QUICK_MATRICES, repetitions=1,
-                            max_iterations=6000, tolerance=1e-9)
+        return ExperimentConfig(repetitions=2,
+                                knobs=SolverKnobs(max_iterations=20000))
+    return ExperimentConfig(
+        matrices=QUICK_MATRICES, repetitions=1,
+        knobs=SolverKnobs(max_iterations=6000, tolerance=1e-9))
 
 
 @pytest.fixture(scope="session")

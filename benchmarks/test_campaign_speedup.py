@@ -23,7 +23,7 @@ import time
 
 import pytest
 
-from repro.campaign.engine import clear_caches, run_campaign
+from repro.campaign.engine import run_campaign
 from repro.campaign.executors import ProcessPoolExecutor, SerialExecutor
 from repro.campaign.spec import CampaignSpec, SolverKnobs
 
@@ -47,7 +47,6 @@ def acceptance_spec() -> CampaignSpec:
 
 @pytest.fixture(scope="module")
 def serial_run():
-    clear_caches()
     spec = acceptance_spec()
     started = time.perf_counter()
     result = run_campaign(spec, executor=SerialExecutor())

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.campaign.spec import SolverKnobs
 from repro.experiments.common import ExperimentConfig
 from repro.experiments.fig3 import format_fig3, run_fig3
 
@@ -49,8 +50,8 @@ def ascii_plot(result, width: int = 72, height: int = 18) -> str:
 
 
 def main() -> None:
-    config = ExperimentConfig(repetitions=1, tolerance=1e-9,
-                              max_iterations=8000)
+    config = ExperimentConfig(
+        repetitions=1, knobs=SolverKnobs(tolerance=1e-9, max_iterations=8000))
     result = run_fig3(config, matrix="thermal2", inject_fraction=0.4, page=3)
     print(format_fig3(result))
     print()

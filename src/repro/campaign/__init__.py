@@ -28,7 +28,7 @@ Quick start::
     print(result.format())
 """
 
-from repro.campaign.engine import run_campaign, run_trial, run_trials
+from repro.campaign.engine import run_campaign, run_trial, solve_trial
 from repro.campaign.executors import (EXECUTOR_NAMES, CampaignExecutor,
                                       CampaignInterrupted, ChunkedExecutor,
                                       ProcessPoolExecutor, SerialExecutor,
@@ -39,11 +39,12 @@ from repro.campaign.spec import (MATRIX_FAMILIES, CampaignSpec, MatrixSpec,
                                  SolverKnobs, TrialSpec, content_hash,
                                  parse_shard, shard_trials)
 from repro.campaign.store import (DEFAULT_STORE_PATH, STORE_ENV,
-                                  STORE_SCHEMA_VERSION, CampaignStore,
-                                  StoreSchemaError, VerifyReport,
-                                  default_store_root, open_store)
+                                  STORE_SCHEMA_VERSION, CampaignCache,
+                                  CampaignStore, StoreSchemaError,
+                                  VerifyReport, default_store_root)
 
 __all__ = [
+    "CampaignCache",
     "CampaignExecutor",
     "CampaignInterrupted",
     "CampaignResult",
@@ -69,10 +70,9 @@ __all__ = [
     "content_hash",
     "default_store_root",
     "make_executor",
-    "open_store",
     "parse_shard",
     "run_campaign",
     "run_trial",
-    "run_trials",
     "shard_trials",
+    "solve_trial",
 ]

@@ -37,11 +37,11 @@ import sys
 from repro.campaign.engine import run_campaign
 from repro.campaign.executors import EXECUTOR_NAMES, make_executor
 from repro.campaign.results import CampaignResult
-from repro.campaign.spec import CampaignSpec, SolverKnobs, parse_shard
+from repro.campaign.spec import (add_spec_arguments, parse_shard,
+                                 spec_from_args)
 from repro.campaign.store import (GC_DEFAULT_DAYS, CampaignStore,
-                                  StoreSchemaError, default_store_root)
-from repro.config import DEFAULT_SEED
-from repro.runtime.runtime import add_runtime_arguments, runtime_axes
+                                  StoreSchemaError, add_store_arguments,
+                                  store_from_args)
 
 SUBCOMMANDS = ("run", "merge", "store")
 
@@ -50,31 +50,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.campaign",
         description="Run a fault-injection campaign over the resilient CG.")
-    parser.add_argument("--matrix", nargs="+", default=["laplacian2d:45"],
-                        help="matrix specs: suite names (qa8fm) or "
-                             "parametric families (laplacian2d:45, "
-                             "laplacian2d:64x32, poisson3d27:12)")
-    parser.add_argument("--methods", nargs="+",
-                        default=["FEIR"],
-                        help="recovery methods (FEIR AFEIR Lossy ckpt "
-                             "Trivial)")
-    parser.add_argument("--rates", nargs="+", type=float, default=[1.0],
-                        help="normalised error rates")
-    parser.add_argument("--trials", type=int, default=1,
-                        help="repetitions per (matrix, method, rate) cell")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="campaign master seed")
+    add_spec_arguments(parser)
     parser.add_argument("--executor", choices=EXECUTOR_NAMES,
                         default="serial")
-    add_runtime_arguments(parser)
     parser.add_argument("--workers", type=int, default=None,
                         help="pool worker count (pool executors only)")
     parser.add_argument("--chunk-size", type=int, default=None,
                         help="trials per pool task (chunked executor only)")
-    parser.add_argument("--tolerance", type=float, default=1e-8)
-    parser.add_argument("--max-iterations", type=int, default=20000)
-    parser.add_argument("--page-size", type=int, default=128)
-    parser.add_argument("--preconditioned", action="store_true")
     parser.add_argument("--shard", type=parse_shard, default=None,
                         metavar="I/N",
                         help="run only the I-th of N round-robin shards of "
@@ -85,13 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None, metavar="FILE",
                         help="write the (possibly partial) campaign result "
                              "to FILE as JSON")
-    parser.add_argument("--store", default=None, metavar="DIR",
-                        help="content-addressed store directory (default: "
-                             "REPRO_CAMPAIGN_STORE or "
-                             "~/.cache/repro-campaign)")
-    parser.add_argument("--no-store", action="store_true",
-                        help="bypass the campaign store entirely (every "
-                             "trial executes, nothing is persisted)")
+    add_store_arguments(parser)
     parser.add_argument("--resume", action="store_true",
                         help="report what a previous (possibly interrupted) "
                              "run of this campaign already persisted before "
@@ -149,35 +125,16 @@ def build_store_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open_store(path) -> CampaignStore:
-    return CampaignStore(path if path is not None else default_store_root())
-
-
 def main_run(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
-        spec = CampaignSpec(
-            matrices=list(args.matrix), methods=list(args.methods),
-            rates=list(args.rates), repetitions=args.trials, seed=args.seed,
-            knobs=SolverKnobs(tolerance=args.tolerance,
-                              max_iterations=args.max_iterations,
-                              page_size=args.page_size,
-                              preconditioned=args.preconditioned,
-                              **runtime_axes(args)),
-            name="cli")
+        spec = spec_from_args(args, name="cli")
         executor = make_executor(args.executor, max_workers=args.workers,
                                  chunk_size=args.chunk_size)
-    except (ValueError, KeyError) as exc:
+        store = store_from_args(args)
+    except (ValueError, KeyError, StoreSchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    store = None
-    if not args.no_store:
-        try:
-            store = _open_store(args.store)
-        except StoreSchemaError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
 
     print(f"campaign: {spec.describe()}")
     print(f"executor: {executor.describe()}")
@@ -252,7 +209,7 @@ def main_store(argv) -> int:
               file=sys.stderr)
         return 2
     try:
-        store = _open_store(args.store)
+        store = CampaignStore(args.store)
     except StoreSchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,12 +1,20 @@
 """The campaign engine: expand a spec, execute trials, aggregate results.
 
+One pipeline builds, baselines and solves a cell — for the campaign
+grid, for the daemon's shards and for the Table 2 / Table 3 / Fig. 3
+drivers alike: :func:`solve_trial` resolves the problem and the
+fault-free *ideal* baseline through the
+:class:`~repro.campaign.store.CampaignCache` it is handed, builds the
+strategy, the preconditioner and the :class:`ResilientCG`, solves and
+closes.  :func:`run_trial` is that plus the reduction to a slim
+:class:`TrialResult`; the baseline is that for ``method=None``.
+
 The execution model keeps workers cheap and results deterministic:
 
-* each worker process rebuilds its problem from the :class:`MatrixSpec`
-  (matrices are never pickled across the pool) and memoises both the
-  built matrix and the fault-free *ideal* baseline per
-  ``(matrix, knobs)`` key, so a process touching 50 trials of the same
-  cell pays for one build and one baseline solve;
+* a worker process rebuilds its problem from the :class:`MatrixSpec`
+  (matrices are never pickled across the pool) and keeps the built
+  matrix and the baseline in its process's cache, so a process touching
+  50 trials of the same cell pays for one build and one baseline solve;
 * the ideal baseline is fully deterministic, so every process computes
   the exact same ``ideal_time`` and trials agree bit-for-bit no matter
   where they ran;
@@ -15,13 +23,14 @@ The execution model keeps workers cheap and results deterministic:
   through :class:`~repro.faults.scenarios.ErrorScenario` into the
   injector's private Generator.
 
-With a :class:`~repro.campaign.store.CampaignStore`, the per-process
-memoisation gains a persistent second level: built matrices, baselines
-and completed trials are looked up by content address before any work
-happens, already-completed trials are *never dispatched at all*, and
-workers persist each finished trial immediately — which is what makes
-campaigns incremental, resumable after an interruption, and shardable
-across machines (see ``campaign.store``).
+Over a :class:`~repro.campaign.store.CampaignStore` the cache's RAM tier
+has a persistent second level: built matrices, baselines and completed
+trials are looked up by content address before any work happens,
+already-completed trials are *never dispatched at all*, and workers
+persist each finished trial immediately — which is what makes campaigns
+incremental, resumable after an interruption, and shardable across
+machines (see ``campaign.store``).  There is no module state here: a
+fresh cache (a fresh ``run_campaign`` call, a fresh store) is a cold one.
 
 ``run_campaign`` streams results as the executor completes them into a
 :class:`CampaignResult` whose aggregation is order-independent.
@@ -30,58 +39,28 @@ across machines (see ``campaign.store``).
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
+
+import numpy as np
 
 from repro.campaign.executors import CampaignExecutor, SerialExecutor
 from repro.campaign.results import CampaignResult, TrialResult
 from repro.campaign.spec import (CampaignSpec, MatrixSpec, SolverKnobs,
                                  TrialSpec, content_hash, shard_trials)
-from repro.campaign.store import CampaignStore, open_store
+from repro.campaign.store import CampaignCache, CampaignStore
 from repro.config import derive_config
 
-# ----------------------------------------------------------------------
-# per-process memoisation (survives across trials within one worker)
-# ----------------------------------------------------------------------
-_PROBLEM_CACHE: Dict[MatrixSpec, tuple] = {}
-_IDEAL_CACHE: Dict[Tuple[MatrixSpec, SolverKnobs], float] = {}
 
-
-def _problem(matrix: MatrixSpec,
-             store: Optional[CampaignStore] = None) -> tuple:
-    if matrix in _PROBLEM_CACHE:
-        return _PROBLEM_CACHE[matrix]
-    problem = None
-    key = None
-    if store is not None:
-        key = content_hash(matrix.content_token())
-        problem = store.get_matrix(key)
+# ----------------------------------------------------------------------
+# one cell: problem, baseline, solver, solve
+# ----------------------------------------------------------------------
+def _problem(matrix: MatrixSpec, cache: CampaignCache) -> tuple:
+    key = content_hash(matrix.content_token())
+    problem = cache.get_matrix(key)
     if problem is None:
         problem = matrix.build()
-        if store is not None:
-            store.put_matrix(key, *problem)
-    _PROBLEM_CACHE[matrix] = problem
+        cache.put_matrix(key, *problem)
     return problem
-
-
-def _make_solver(matrix: MatrixSpec, knobs: SolverKnobs,
-                 method: Optional[str], scenario,
-                 store: Optional[CampaignStore] = None):
-    from repro.core.manager import make_strategy
-    from repro.precond.block_jacobi import BlockJacobiPreconditioner
-    from repro.solvers.resilient_cg import ResilientCG, SolverConfig
-    A, b = _problem(matrix, store=store)
-    strategy = None
-    if method is not None:
-        strategy = make_strategy(method, cost_model=knobs.cost_model,
-                                 checkpoint_interval=knobs.checkpoint_interval)
-    preconditioner = None
-    if knobs.preconditioned:
-        preconditioner = BlockJacobiPreconditioner(A,
-                                                   page_size=knobs.page_size)
-    return ResilientCG(A, b, strategy=strategy,
-                       preconditioner=preconditioner, scenario=scenario,
-                       config=derive_config(SolverConfig, knobs),
-                       matrix_name=matrix.label)
 
 
 def baseline_key(matrix: MatrixSpec, knobs: SolverKnobs) -> str:
@@ -90,51 +69,74 @@ def baseline_key(matrix: MatrixSpec, knobs: SolverKnobs) -> str:
                         f"{knobs.content_token()}")
 
 
-def _ideal_time(matrix: MatrixSpec, knobs: SolverKnobs,
-                store: Optional[CampaignStore] = None) -> float:
-    """Fault-free baseline solve time (memoised per process, then in the
-    store).  The baseline is fully deterministic, so a stored value is
-    bit-identical to a recomputed one (``float.hex`` round-trip)."""
-    key = (matrix, knobs)
-    if key in _IDEAL_CACHE:
-        return _IDEAL_CACHE[key]
-    skey = None
-    if store is not None:
-        skey = baseline_key(matrix, knobs)
-        cached = store.get_baseline(skey)
-        if cached is not None:
-            _IDEAL_CACHE[key] = cached
-            return cached
-    solver = _make_solver(matrix, knobs, None, None, store=store)
-    try:
-        result = solver.solve()
-    finally:
-        solver.close()
-    if not result.record.converged:
+def keep_baseline(matrix: MatrixSpec, knobs: SolverKnobs, ideal,
+                  cache: CampaignCache) -> float:
+    """Put the ideal run ``ideal`` (a ``SolveResult``) in the cache as
+    the baseline of ``(matrix, knobs)`` and return its solve time.  A
+    caller that already holds the ideal run (the experiment drivers)
+    seeds the cache with it instead of having it solved twice."""
+    if not ideal.record.converged:
         raise RuntimeError(
             f"ideal baseline did not converge on {matrix.label} "
             f"within {knobs.max_iterations} iterations; the campaign "
             f"overheads would be meaningless")
-    ideal = result.record.solve_time
-    _IDEAL_CACHE[key] = ideal
-    if store is not None:
-        store.put_baseline(skey, ideal)
+    cache.put_baseline(baseline_key(matrix, knobs), ideal.solve_time)
+    return ideal.solve_time
+
+
+def _ideal_time(matrix: MatrixSpec, knobs: SolverKnobs,
+                cache: CampaignCache) -> float:
+    """Fault-free baseline solve time, through the cache.  The baseline
+    is fully deterministic, so a stored value is bit-identical to a
+    recomputed one (``float.hex`` round-trip)."""
+    ideal = cache.get_baseline(baseline_key(matrix, knobs))
+    if ideal is None:
+        # The ideal cell: no method, no faults, and so no use for a seed.
+        cell = TrialSpec(index=0, matrix=matrix, method=None, rate=0.0,
+                         repetition=0, seed=np.random.SeedSequence(0),
+                         knobs=knobs)
+        ideal = keep_baseline(matrix, knobs, solve_trial(cell, cache), cache)
     return ideal
 
 
-def run_trial(trial: TrialSpec,
-              store: Optional[CampaignStore] = None) -> TrialResult:
-    """Execute one campaign trial (module-level: picklable for pools)."""
-    started = time.perf_counter()  # repro-lint: allow[wall-clock] trial wall_time metric, reported not fingerprinted
-    ideal_time = _ideal_time(trial.matrix, trial.knobs, store=store)
-    solver = _make_solver(trial.matrix, trial.knobs, trial.method,
-                          trial.make_scenario(), store=store)
+def solve_trial(trial: TrialSpec, cache: CampaignCache):
+    """Build, baseline and solve one cell; the full ``SolveResult``.
+
+    The only place a cell's solver is put together.  ``method=None`` is
+    the ideal run: no strategy, no scenario and no baseline of its own.
+    """
+    from repro.core.manager import make_strategy
+    from repro.precond.block_jacobi import BlockJacobiPreconditioner
+    from repro.solvers.resilient_cg import ResilientCG, SolverConfig
+    knobs = trial.knobs
+    A, b = _problem(trial.matrix, cache)
+    strategy = scenario = ideal_time = None
+    if trial.method is not None:
+        ideal_time = _ideal_time(trial.matrix, knobs, cache)
+        strategy = make_strategy(trial.method, cost_model=knobs.cost_model,
+                                 checkpoint_interval=knobs.checkpoint_interval)
+        scenario = trial.make_scenario()
+    preconditioner = None
+    if knobs.preconditioned:
+        preconditioner = BlockJacobiPreconditioner(A,
+                                                   page_size=knobs.page_size)
+    solver = ResilientCG(A, b, strategy=strategy,
+                         preconditioner=preconditioner, scenario=scenario,
+                         config=derive_config(SolverConfig, knobs),
+                         matrix_name=trial.matrix.label)
     try:
-        result = solver.solve(ideal_time=ideal_time)
+        return solver.solve(ideal_time=ideal_time)
     finally:
         # The threaded backend owns real worker threads; release them so
         # a 10^4-trial campaign does not accumulate thread pools.
         solver.close()
+
+
+def run_trial(trial: TrialSpec, cache: CampaignCache) -> TrialResult:
+    """Execute one campaign trial and reduce it to its slim record."""
+    started = time.perf_counter()  # repro-lint: allow[wall-clock] trial wall_time metric, reported not fingerprinted
+    ideal_time = _ideal_time(trial.matrix, trial.knobs, cache)
+    result = solve_trial(trial, cache)
     record = result.record
     return TrialResult(
         index=trial.index, matrix=trial.matrix.label, method=trial.method,
@@ -150,31 +152,25 @@ def run_trial(trial: TrialSpec,
         wall_time=time.perf_counter() - started)  # repro-lint: allow[wall-clock] trial wall_time metric, reported not fingerprinted
 
 
-class StoreTrialRunner:
-    """Picklable trial runner that persists every completed trial.
+class TrialRunner:
+    """What an executor maps over the pending trials: run one, persist
+    it, return it.
 
-    Carries only the store *root* across the pool; each worker process
-    opens (and caches) its own :class:`CampaignStore` handle on first
-    use.  Persisting from inside the worker — not the parent — is what
-    makes interrupted campaigns resumable: a chunked campaign killed
-    mid-stream has every finished trial on disk even though the parent
-    never saw the chunk complete.
+    In-process it reads and writes through the cache it was given; sent
+    across a pool, the cache arrives as the worker process's own (see
+    ``CampaignCache.__reduce__``).  Persisting from inside the worker —
+    not the parent — is what makes interrupted campaigns resumable: a
+    chunked campaign killed mid-stream has every finished trial on disk
+    even though the parent never saw the chunk complete.
     """
 
-    def __init__(self, root):
-        self.root = str(root)
+    def __init__(self, cache: CampaignCache):
+        self.cache = cache
 
     def __call__(self, trial: TrialSpec) -> TrialResult:
-        store = open_store(self.root)
-        result = run_trial(trial, store=store)
-        store.put_trial(trial.store_key(), result)
+        result = run_trial(trial, self.cache)
+        self.cache.put_trial(trial.store_key(), result)
         return result
-
-
-def clear_caches() -> None:
-    """Drop the per-process memoisation (tests, memory pressure)."""
-    _PROBLEM_CACHE.clear()
-    _IDEAL_CACHE.clear()
 
 
 # ----------------------------------------------------------------------
@@ -221,35 +217,32 @@ def run_campaign(spec: CampaignSpec,
                             spec_key=spec.store_key(), total_trials=total,
                             shard=shard)
 
-    pending = trials
+    cache = CampaignCache(store)
     campaign_key = spec.store_key()
-    if store is not None:
-        pending = []
-        for trial in trials:
-            cached = store.get_trial(trial.store_key())
-            if cached is not None:
-                result.add(cached)
-                result.cache_hits += 1
-            else:
-                pending.append(trial)
-        store.journal_append(campaign_key, {
-            "event": "start", "key": campaign_key,
-            "spec": spec.describe(), "total": total,
-            "shard": list(shard) if shard else None,
-            "cached": result.cache_hits, "pending": len(pending)})
+    pending = []
+    for trial in trials:
+        cached = cache.get_trial(trial.store_key())
+        if cached is not None:
+            result.add(cached)
+            result.cache_hits += 1
+        else:
+            pending.append(trial)
+    cache.journal_append(campaign_key, {
+        "event": "start", "key": campaign_key,
+        "spec": spec.describe(), "total": total,
+        "shard": list(shard) if shard else None,
+        "cached": result.cache_hits, "pending": len(pending)})
 
-    runner = run_trial if store is None else StoreTrialRunner(store.root)
     started = time.perf_counter()  # repro-lint: allow[wall-clock] campaign wall_time metric, reported not fingerprinted
     completed = result.cache_hits
     executed = 0
-    for trial_result in executor.run(runner, pending):
+    for trial_result in executor.run(TrialRunner(cache), pending):
         completed += 1
         executed += 1
         result.add(trial_result)
-        if store is not None:
-            store.journal_append(campaign_key, {
-                "event": "trial", "key": campaign_key,
-                "index": trial_result.index})
+        cache.journal_append(campaign_key, {
+            "event": "trial", "key": campaign_key,
+            "index": trial_result.index})
         if progress is not None:
             progress(trial_result, completed, len(trials))
         if trip is not None:
@@ -260,33 +253,8 @@ def run_campaign(spec: CampaignSpec,
         raise RuntimeError(f"executor {executor.describe()} returned "
                            f"{executed} results for {len(pending)} "
                            f"pending trials ({len(trials)} in the shard)")
-    if store is not None:
-        store.journal_append(campaign_key, {
-            "event": "done", "key": campaign_key, "executed": executed,
-            "cached": result.cache_hits,
-            "fingerprint": result.fingerprint()})
-    return result
-
-
-def run_trials(trials: Sequence[TrialSpec],
-               executor: Optional[CampaignExecutor] = None,
-               store: Optional[CampaignStore] = None) -> CampaignResult:
-    """Execute an explicit trial list (used by the experiment drivers)."""
-    executor = executor or SerialExecutor()
-    result = CampaignResult(executor=executor.describe())
-    runner = run_trial if store is None else StoreTrialRunner(store.root)
-    started = time.perf_counter()  # repro-lint: allow[wall-clock] campaign wall_time metric, reported not fingerprinted
-    if store is not None:
-        pending = []
-        for trial in trials:
-            cached = store.get_trial(trial.store_key())
-            if cached is not None:
-                result.add(cached)
-                result.cache_hits += 1
-            else:
-                pending.append(trial)
-        trials = pending
-    result.extend(executor.run(runner, list(trials)))
-    result.executed = len(trials)
-    result.wall_time = time.perf_counter() - started  # repro-lint: allow[wall-clock] campaign wall_time metric, reported not fingerprinted
+    cache.journal_append(campaign_key, {
+        "event": "done", "key": campaign_key, "executed": executed,
+        "cached": result.cache_hits,
+        "fingerprint": result.fingerprint()})
     return result

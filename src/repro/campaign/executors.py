@@ -69,12 +69,6 @@ class TripAfter:
             raise CampaignInterrupted(executed)
 
 
-def default_worker_count() -> int:
-    """Worker count for the pool executors: all cores, at least one,
-    capped by the ``REPRO_MAX_WORKERS`` environment override."""
-    return resolve_worker_count()
-
-
 class CampaignExecutor:
     """Base class: maps a function over items, yielding unordered results."""
 

@@ -17,6 +17,7 @@ runs the trials or in which order they complete.
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 from dataclasses import dataclass, field
@@ -28,7 +29,8 @@ from repro.config import (DEFAULT_MAX_ITERATIONS, DEFAULT_SEED,
                           DEFAULT_TOLERANCE, DEFAULT_WORKERS)
 from repro.faults.scenarios import ErrorScenario
 from repro.runtime.cost_model import DEFAULT_COST_MODEL, CostModel
-from repro.runtime.runtime import RuntimeSpec, resolve_runtime_spec
+from repro.runtime.runtime import (RuntimeSpec, add_runtime_arguments,
+                                   resolve_runtime_spec, runtime_axes)
 
 def _operator_to_scipy(A):
     """SciPy CSR view of a SparseOperator (``sparse=False`` on a family
@@ -449,3 +451,43 @@ def shard_trials(trials: Sequence[TrialSpec], index: int,
         raise ValueError(f"shard index {index} out of range for "
                          f"{count} shards")
     return [t for t in trials if t.index % count == index]
+
+
+# ----------------------------------------------------------------------
+# command-line spelling of the grid
+# ----------------------------------------------------------------------
+def add_spec_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the campaign-grid flags (and the four runtime-axis flags)
+    on ``parser``: what ``repro.campaign run`` executes is what
+    ``repro.service submit`` submits."""
+    parser.add_argument("--matrix", nargs="+", default=["laplacian2d:45"],
+                        help="matrix specs: suite names (qa8fm) or "
+                             "parametric families (laplacian2d:45, "
+                             "laplacian2d:64x32, poisson3d27:12)")
+    parser.add_argument("--methods", nargs="+", default=["FEIR"],
+                        help="recovery methods (FEIR AFEIR Lossy ckpt "
+                             "Trivial)")
+    parser.add_argument("--rates", nargs="+", type=float, default=[1.0],
+                        help="normalised error rates")
+    parser.add_argument("--trials", type=int, default=1,
+                        help="repetitions per (matrix, method, rate) cell")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                        help="campaign master seed")
+    parser.add_argument("--tolerance", type=float, default=1e-8)
+    parser.add_argument("--max-iterations", type=int, default=20000)
+    parser.add_argument("--page-size", type=int, default=128)
+    parser.add_argument("--preconditioned", action="store_true")
+    add_runtime_arguments(parser)
+
+
+def spec_from_args(args: argparse.Namespace, name: str) -> CampaignSpec:
+    """The :class:`CampaignSpec` the parsed grid flags describe."""
+    return CampaignSpec(
+        matrices=list(args.matrix), methods=list(args.methods),
+        rates=list(args.rates), repetitions=args.trials, seed=args.seed,
+        knobs=SolverKnobs(tolerance=args.tolerance,
+                          max_iterations=args.max_iterations,
+                          page_size=args.page_size,
+                          preconditioned=args.preconditioned,
+                          **runtime_axes(args)),
+        name=name)

@@ -32,10 +32,18 @@ arrays — the equivalence tests assert cold and warm fingerprints match
 bit-for-bit.  Writes go through a same-directory temp file plus
 ``os.replace``, so concurrent workers (process pools, parallel shards
 on a shared filesystem) never observe half-written artifacts.
+
+Nothing reads the store directly on the trial path: :class:`CampaignCache`
+puts a RAM tier in front of it (or of nothing, for a storeless run) and
+is the one cache the engine, the daemon and the experiment drivers are
+handed.  The module's only state is the per-process registry behind
+:func:`process_cache`, which pool children use; the ``--store`` /
+``--no-store`` flags of every CLI are declared here too.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -46,6 +54,8 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
+
+from repro.sanitize import make_lock
 
 #: Version of the on-disk layout and of every artifact payload.  Bump on
 #: any change to the serialization or to the content-token scheme.
@@ -554,27 +564,122 @@ class CampaignStore:
 
 
 # ----------------------------------------------------------------------
-# per-process store cache (worker processes reuse one handle)
+# command-line spelling of the store
 # ----------------------------------------------------------------------
-_STORE_CACHE: Dict[str, CampaignStore] = {}
+def add_store_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the ``--store`` / ``--no-store`` pair on ``parser``."""
+    parser.add_argument("--store", default=None, metavar="DIR",
+                        help=f"content-addressed store directory (default: "
+                             f"{STORE_ENV} or {DEFAULT_STORE_PATH})")
+    parser.add_argument("--no-store", action="store_true",
+                        help="run without the campaign store: nothing is "
+                             "read from or persisted to disk, everything "
+                             "executes")
 
 
-def open_store(root: Optional[os.PathLike] = None) -> CampaignStore:
-    """A per-process cached :class:`CampaignStore` for ``root``.
+def store_from_args(args: argparse.Namespace) -> Optional[CampaignStore]:
+    """The store the parsed pair selects (``None`` for ``--no-store``).
+    Raises :class:`StoreSchemaError` on an incompatible directory."""
+    return None if args.no_store else CampaignStore(args.store)
 
-    Pool workers call this once per trial; caching the handle keeps the
-    schema check off the per-trial path and lets hit/miss counters
-    aggregate per process.
+
+# ----------------------------------------------------------------------
+# the read-through cache: a RAM tier over an optional store
+# ----------------------------------------------------------------------
+class CampaignCache:
+    """Matrices, baselines and trials by content address: a RAM tier
+    over an optional :class:`CampaignStore`.
+
+    A RAM miss falls through to the store (when there is one) and a
+    store hit is promoted into RAM; a ``put_*`` writes through to both.
+    Callers hand one in rather than reach for one: ``run_campaign``
+    makes one per call around the store it is given, the daemon holds
+    one for its lifetime (the only instance more than one thread uses:
+    dictionary reads and writes are atomic, the counters take the
+    lock), and one pickled to a pool child arrives as that process's own
+    (:func:`process_cache`).
     """
-    resolved = str(Path(root).expanduser() if root is not None
-                   else default_store_root())
-    store = _STORE_CACHE.get(resolved)
-    if store is None:
-        store = CampaignStore(resolved)
-        _STORE_CACHE[resolved] = store
-    return store
+
+    KINDS = ("matrices", "baselines", "trials")
+
+    def __init__(self, store: Optional[CampaignStore] = None):
+        self.store = store
+        self._ram: Dict[str, dict] = {kind: {} for kind in self.KINDS}
+        #: Look-ups per kind, whichever tier answered (``/metrics``).
+        self.hits = dict.fromkeys(self.KINDS, 0)
+        self.misses = dict.fromkeys(self.KINDS, 0)
+        self._lock = make_lock("CampaignCache.lock")
+
+    def __reduce__(self):
+        """Across a pool only the store's root travels (``None`` without
+        a store); it unpickles to the worker process's own cache."""
+        return process_cache, (None if self.store is None
+                               else str(self.store.root),)
+
+    def _get(self, kind: str, key: str, load):
+        value = self._ram[kind].get(key)
+        if value is None and self.store is not None:
+            value = load(self.store, key)
+            if value is not None:
+                self._ram[kind][key] = value
+        with self._lock:
+            (self.misses if value is None else self.hits)[kind] += 1
+        return value
+
+    def get_matrix(self, key: str):
+        return self._get("matrices", key, CampaignStore.get_matrix)
+
+    def get_baseline(self, key: str) -> Optional[float]:
+        return self._get("baselines", key, CampaignStore.get_baseline)
+
+    def get_trial(self, key: str):
+        return self._get("trials", key, CampaignStore.get_trial)
+
+    def put_matrix(self, key: str, A, b) -> None:
+        self._ram["matrices"][key] = (A, b)
+        if self.store is not None:
+            self.store.put_matrix(key, A, b)
+
+    def put_baseline(self, key: str, ideal_time: float) -> None:
+        self._ram["baselines"][key] = ideal_time
+        if self.store is not None:
+            self.store.put_baseline(key, ideal_time)
+
+    def keep_trial(self, key: str, result) -> None:
+        """RAM only: for a trial a pool child has already written to the
+        store (the daemon's trial tier)."""
+        self._ram["trials"][key] = result
+
+    def put_trial(self, key: str, result) -> None:
+        self.keep_trial(key, result)
+        if self.store is not None:
+            self.store.put_trial(key, result)
+
+    def journal_append(self, campaign_key: str, event: dict) -> None:
+        """Journal pass-through; a storeless cache journals nothing."""
+        if self.store is not None:
+            self.store.journal_append(campaign_key, event)
+
+    def counts(self, kind: str) -> Dict[str, object]:
+        hits, misses = self.hits[kind], self.misses[kind]
+        total = hits + misses
+        return {"hits": hits, "misses": misses,
+                "hit_rate_percent":
+                    round(100.0 * hits / total, 1) if total else 0.0}
 
 
-def clear_store_cache() -> None:
-    """Forget per-process store handles (tests)."""
-    _STORE_CACHE.clear()
+#: The one per-process registry of the campaign package: what a cache
+#: unpickled in a pool child resolves its store root through, so the
+#: child builds each matrix and solves each baseline once however many
+#: trials (or, under the daemon, jobs) it is sent.
+_PROCESS_CACHES: Dict[Optional[str], CampaignCache] = {}
+
+
+def process_cache(root: Optional[str] = None) -> CampaignCache:
+    """This process's :class:`CampaignCache` for the store at ``root``
+    (``None``: a storeless run), created on first use."""
+    cache = _PROCESS_CACHES.get(root)
+    if cache is None:
+        cache = CampaignCache(None if root is None else CampaignStore(root))
+        _PROCESS_CACHES[root] = cache
+    return cache

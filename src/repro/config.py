@@ -75,17 +75,14 @@ def resolve_worker_count(requested: Optional[int] = None) -> int:
     return max(1, count)
 
 
-def derive_config(target: Type[T], source, **overrides) -> T:
+def derive_config(target: Type[T], source) -> T:
     """Build the ``target`` dataclass from ``source``'s same-named fields.
 
-    ``SolverConfig``, ``SolverKnobs`` and ``ExperimentConfig`` spell a
-    shared knob (tolerance, page size, the four runtime axes, ...) with
-    one field name, so a knob added to two of them is carried across
-    without a hand-kept field list to forget it in.  Fields only
-    ``target`` has keep their defaults unless given in ``overrides``.
+    ``SolverConfig`` and ``SolverKnobs`` spell a shared knob (tolerance,
+    page size, the four runtime axes, ...) with one field name, so a
+    knob added to both is carried across without a hand-kept field list
+    to forget it in.  Fields only ``target`` has keep their defaults.
     """
     shared = ({f.name for f in dataclasses.fields(target)}
               & {f.name for f in dataclasses.fields(source)})
-    values = {name: getattr(source, name) for name in shared}
-    values.update(overrides)
-    return target(**values)
+    return target(**{name: getattr(source, name) for name in shared})

@@ -126,9 +126,6 @@ class RecoveryStrategy(abc.ABC):
     def on_solve_start(self, state) -> None:
         """Called once before the first iteration (e.g. initial checkpoint)."""
 
-    def on_iteration_start(self, state, iteration: int) -> None:
-        """Called at the top of every iteration."""
-
     @abc.abstractmethod
     def handle_lost_pages(self, state, lost: List[Tuple[str, int]],
                           iteration: int) -> RecoveryOutcome:

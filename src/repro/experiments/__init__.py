@@ -15,7 +15,7 @@ Each driver exposes a ``run(...)`` returning structured results and a
 The benchmark harness under ``benchmarks/`` simply calls these drivers.
 """
 
-from repro.experiments.common import ExperimentConfig, MethodRun, run_method
+from repro.experiments.common import ExperimentConfig, MethodRun
 from repro.experiments.table2 import run_table2, format_table2
 from repro.experiments.table3 import run_table3, format_table3
 from repro.experiments.fig3 import run_fig3, format_fig3
@@ -33,7 +33,6 @@ __all__ = [
     "run_fig3",
     "run_fig4",
     "run_fig5",
-    "run_method",
     "run_table2",
     "run_table3",
 ]

@@ -15,6 +15,9 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.campaign.spec import SolverKnobs
+from repro.campaign.store import (StoreSchemaError, add_store_arguments,
+                                  store_from_args)
 from repro.experiments.common import ExperimentConfig
 from repro.runtime.runtime import add_runtime_arguments, runtime_axes
 from repro.experiments.fig3 import format_fig3, run_fig3
@@ -33,20 +36,21 @@ def make_config(quick: bool, **axes) -> ExperimentConfig:
     """The experiment configuration; ``axes`` select the runtime cell
     (``scheduler`` / ``placement`` / ``clock`` / ``ranks``)."""
     if quick:
-        return ExperimentConfig(matrices=QUICK_MATRICES, repetitions=1,
-                                max_iterations=6000, tolerance=1e-9, **axes)
-    return ExperimentConfig(repetitions=2, **axes)
+        return ExperimentConfig(
+            matrices=QUICK_MATRICES, repetitions=1,
+            knobs=SolverKnobs(max_iterations=6000, tolerance=1e-9, **axes))
+    return ExperimentConfig(repetitions=2, knobs=SolverKnobs(**axes))
 
 
 def run_one(name: str, quick: bool, measured: bool = False, store=None,
             **axes) -> str:
     config = make_config(quick, **axes)
     if name == "table2":
-        return format_table2(run_table2(config))
+        return format_table2(run_table2(config, store=store))
     if name == "table3":
-        return format_table3(run_table3(config))
+        return format_table3(run_table3(config, store=store))
     if name == "fig3":
-        return format_fig3(run_fig3(config, matrix="thermal2"))
+        return format_fig3(run_fig3(config, matrix="thermal2", store=store))
     if name == "fig4":
         rates = QUICK_RATES if quick else None
         result = run_fig4(config, rates=rates, store=store) if rates \
@@ -56,8 +60,8 @@ def run_one(name: str, quick: bool, measured: bool = False, store=None,
         text = format_fig5(run_fig5(calibration_points=16 if quick else 24,
                                     store=store))
         if measured:
-            rank_counts = ((1, 2, 4) if config.ranks == 1
-                           else (1, config.ranks))
+            rank_counts = ((1, 2, 4) if config.knobs.ranks == 1
+                           else (1, config.knobs.ranks))
             measured_result = run_fig5_measured(
                 ranks=rank_counts, points=8 if quick else 10)
             text += "\n\n" + format_fig5_measured(measured_result)
@@ -81,28 +85,16 @@ def main(argv=None) -> int:
                              "iteration halo/allreduce wall times reported "
                              "next to the analytic projection and used to "
                              "calibrate its interconnect constants")
-    parser.add_argument("--store", default=None, metavar="DIR",
-                        help="campaign store directory for the fig4 sweep "
-                             "and fig5 calibration solves (default: "
-                             "REPRO_CAMPAIGN_STORE or "
-                             "~/.cache/repro-campaign)")
-    parser.add_argument("--no-store", action="store_true",
-                        help="bypass the content-addressed campaign store "
-                             "(every trial and calibration solve executes)")
+    add_store_arguments(parser)
     args = parser.parse_args(argv)
     if args.measured and args.experiment not in ("fig5", "all"):
         parser.error("--measured only applies to fig5")
 
-    store = None
-    if not args.no_store:
-        from repro.campaign.store import (CampaignStore, StoreSchemaError,
-                                          default_store_root)
-        try:
-            store = CampaignStore(args.store if args.store is not None
-                                  else default_store_root())
-        except StoreSchemaError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    try:
+        store = store_from_args(args)
+    except StoreSchemaError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     targets = EXPERIMENTS if args.experiment == "all" else (args.experiment,)
     for name in targets:

@@ -1,62 +1,69 @@
-"""Shared configuration and helpers for the experiment drivers."""
+"""Shared configuration and cell helpers for the experiment drivers.
+
+The drivers own no solver stack.  Table 2, Table 3 and Fig. 3 describe
+each cell as a campaign :class:`~repro.campaign.spec.TrialSpec`
+(:meth:`ExperimentConfig.cell`: suite matrix, method — ``None`` for the
+ideal run — and an optional fixed-injection scenario) and solve it
+through :func:`repro.campaign.engine.solve_trial`, the one place a cell
+is built, baselined and solved, over the
+:class:`~repro.campaign.store.CampaignCache` they make around the store
+they are given; Fig. 4 hands the whole grid to ``run_campaign``.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.analysis.convergence import ConvergenceRecord
-from repro.config import DEFAULT_SEED, derive_config
-from repro.core.manager import STRATEGY_NAMES, make_strategy
+from repro.campaign.engine import keep_baseline, solve_trial
+from repro.campaign.spec import MatrixSpec, SolverKnobs, TrialSpec
+from repro.campaign.store import CampaignCache
+from repro.config import DEFAULT_SEED
+from repro.core.manager import STRATEGY_NAMES
 from repro.faults.scenarios import ErrorScenario
-from repro.matrices.suite import PAPER_MATRICES, MatrixInfo
-from repro.matrices.stencil import stencil_rhs
-from repro.precond.block_jacobi import BlockJacobiPreconditioner
-from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
-from repro.solvers.resilient_cg import ResilientCG, SolveResult, SolverConfig
+from repro.matrices.suite import PAPER_MATRICES
+from repro.solvers.resilient_cg import SolveResult
 
 
 @dataclass
 class ExperimentConfig:
-    """Knobs shared by all experiment drivers.
+    """The grid shared by all experiment drivers, beside the solver
+    ``knobs`` of every cell.
 
-    The defaults are chosen so the full Figure 4 sweep runs in minutes on
-    a laptop while keeping the page-to-vector geometry (tens of pages per
-    vector) representative of the paper's setup.
+    The knob defaults are chosen so the full Figure 4 sweep runs in
+    minutes on a laptop while keeping the page-to-vector geometry (tens
+    of pages per vector) representative of the paper's setup.  A
+    ``"wall"`` clock makes the drivers additionally report *measured*
+    wall-clock overheads; the simulated numbers are identical in every
+    runtime cell.
     """
 
-    num_workers: int = 8
-    #: Page size used by the scaled-down experiments.  The paper's
-    #: hardware page holds 512 doubles; with the scaled-down matrices we
-    #: shrink the page proportionally so each vector still spans tens of
-    #: pages (see DESIGN.md, substitution table).
-    page_size: int = 128
-    work_scale: float = 200.0
-    tolerance: float = 1e-10
-    max_iterations: int = 20000
-    seed: int = DEFAULT_SEED
-    cost_model: CostModel = DEFAULT_COST_MODEL
     matrices: Sequence[str] = tuple(PAPER_MATRICES)
     methods: Sequence[str] = STRATEGY_NAMES
     repetitions: int = 2
-    preconditioned: bool = False
-    checkpoint_interval: Optional[int] = None
-    #: Wall-clock pacing of the threaded scheduler (see ``SolverConfig``).
-    pace: float = 1.0
-    #: The runtime cell of every solver (see ``SolverConfig``).  A
-    #: ``"wall"`` clock makes the drivers additionally report *measured*
-    #: wall-clock overheads; the simulated numbers are identical in
-    #: every cell.
-    scheduler: str = "list"
-    placement: Optional[str] = None
-    clock: str = "simulated"
-    ranks: int = 1
+    #: Seeds the right-hand sides and the Figure 4 campaign.
+    seed: int = DEFAULT_SEED
+    knobs: SolverKnobs = SolverKnobs()
 
-    def solver_config(self) -> SolverConfig:
-        return derive_config(SolverConfig, self, record_history=True)
+    def matrix(self, name: str) -> MatrixSpec:
+        """Suite matrix ``name`` with this configuration's right-hand side."""
+        return MatrixSpec.suite(name, rhs_seed=self.seed)
+
+    def cell(self, name: str, method: Optional[str],
+             scenario: Optional[ErrorScenario] = None,
+             **knobs) -> TrialSpec:
+        """One driver cell as a campaign trial: ``method`` (``None``: the
+        ideal CG) on suite matrix ``name``, fault-free unless a fixed-
+        injection ``scenario`` is given; ``knobs`` override the
+        configuration's for this cell."""
+        return TrialSpec(index=0, matrix=self.matrix(name), method=method,
+                         rate=0.0, repetition=0,
+                         seed=np.random.SeedSequence(self.seed),
+                         knobs=replace(self.knobs, **knobs),
+                         scenario=scenario)
 
 
 @dataclass
@@ -93,62 +100,23 @@ class MethodRun:
                                          self.ideal_wall)
 
 
-def build_problem(name: str, config: ExperimentConfig
-                  ) -> Tuple[sp.csr_matrix, np.ndarray]:
-    """Matrix + right-hand side for one suite entry."""
-    info: MatrixInfo = PAPER_MATRICES[name]
-    A = info.build()
-    b = stencil_rhs(A, kind="random", seed=config.seed)
-    return A, b
+def ideal_runs(config: ExperimentConfig, cache: CampaignCache,
+               names: Optional[Sequence[str]] = None
+               ) -> Dict[str, SolveResult]:
+    """Solve the ideal baseline of every requested matrix once."""
+    return {name: solve_trial(config.cell(name, None), cache)
+            for name in (names if names is not None else config.matrices)}
 
 
-def make_solver(A: sp.spmatrix, b: np.ndarray, method: Optional[str],
-                scenario: Optional[ErrorScenario],
-                config: ExperimentConfig, matrix_name: str = "") -> ResilientCG:
-    """Construct a :class:`ResilientCG` for one experiment cell."""
-    strategy = None
-    if method is not None:
-        strategy = make_strategy(method, cost_model=config.cost_model,
-                                 checkpoint_interval=config.checkpoint_interval)
-    preconditioner = None
-    if config.preconditioned:
-        preconditioner = BlockJacobiPreconditioner(A, page_size=config.page_size)
-    return ResilientCG(A, b, strategy=strategy, preconditioner=preconditioner,
-                       scenario=scenario, config=config.solver_config(),
-                       matrix_name=matrix_name)
+def solve_cell(cell: TrialSpec, ideal: SolveResult,
+               cache: CampaignCache) -> MethodRun:
+    """Solve one method cell against the ideal run the driver holds.
 
-
-def run_ideal(A: sp.spmatrix, b: np.ndarray, config: ExperimentConfig,
-              matrix_name: str = "") -> SolveResult:
-    """Fault-free, resilience-free baseline used as the "ideal CG"."""
-    solver = make_solver(A, b, None, None, config, matrix_name)
-    try:
-        return solver.solve()
-    finally:
-        solver.close()
-
-
-def run_method(A: sp.spmatrix, b: np.ndarray, method: str,
-               scenario: Optional[ErrorScenario], ideal: SolveResult,
-               config: ExperimentConfig, matrix_name: str = "") -> MethodRun:
-    """Run one resilience method against the provided baseline."""
-    solver = make_solver(A, b, method, scenario, config, matrix_name)
-    try:
-        result = solver.solve(ideal_time=ideal.solve_time)
-    finally:
-        solver.close()
-    return MethodRun(matrix=matrix_name, method=method,
-                     scenario=scenario.name if scenario else "fault-free",
-                     result=result, ideal_time=ideal.solve_time,
+    That run becomes the cell's baseline in the cache, so it is not
+    solved a second time — nor a third under knobs the baseline does not
+    depend on (Table 2's checkpoint intervals, Fig. 3's history)."""
+    ideal_time = keep_baseline(cell.matrix, cell.knobs, ideal, cache)
+    return MethodRun(matrix=cell.matrix.label, method=cell.method,
+                     scenario=cell.make_scenario().name,
+                     result=solve_trial(cell, cache), ideal_time=ideal_time,
                      ideal_wall=ideal.wall_clock)
-
-
-def ideal_cache(config: ExperimentConfig,
-                names: Optional[Sequence[str]] = None
-                ) -> Dict[str, Tuple[sp.csr_matrix, np.ndarray, SolveResult]]:
-    """Build and solve the ideal baseline for every requested matrix once."""
-    cache: Dict[str, Tuple[sp.csr_matrix, np.ndarray, SolveResult]] = {}
-    for name in (names if names is not None else config.matrices):
-        A, b = build_problem(name, config)
-        cache[name] = (A, b, run_ideal(A, b, config, matrix_name=name))
-    return cache

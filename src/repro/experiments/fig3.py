@@ -21,8 +21,9 @@ from typing import Dict, List, Optional
 
 from repro.analysis.convergence import ResidualHistory
 from repro.analysis.report import format_table
-from repro.experiments.common import (ExperimentConfig, build_problem,
-                                      run_ideal, run_method)
+from repro.campaign.engine import solve_trial
+from repro.campaign.store import CampaignCache
+from repro.experiments.common import ExperimentConfig, solve_cell
 from repro.faults.scenarios import single_error_scenario
 
 
@@ -42,21 +43,25 @@ class Fig3Result:
 
 def run_fig3(config: Optional[ExperimentConfig] = None,
              matrix: str = "thermal2", inject_fraction: float = 0.4,
-             page: int = 3) -> Fig3Result:
-    """Reproduce Figure 3 on the thermal2 analogue (or any suite matrix)."""
+             page: int = 3, store=None) -> Fig3Result:
+    """Reproduce Figure 3 on the thermal2 analogue (or any suite matrix).
+
+    Every cell records its residual history, whatever ``config.knobs``
+    says: the curves are the figure.
+    """
     config = config or ExperimentConfig()
     if not 0.0 < inject_fraction < 1.0:
         raise ValueError("inject_fraction must be in (0, 1)")
-    A, b = build_problem(matrix, config)
-    ideal = run_ideal(A, b, config, matrix_name=matrix)
+    cache = CampaignCache(store)
+    ideal = solve_trial(config.cell(matrix, None, record_history=True), cache)
     t_inject = inject_fraction * ideal.solve_time
     scenario = single_error_scenario("x", page, t_inject,
                                      name=f"fig3-{matrix}")
     histories: Dict[str, ResidualHistory] = {"Ideal": ideal.record.history}
     final_times: Dict[str, float] = {"Ideal": ideal.solve_time}
     for method in ("AFEIR", "FEIR", "Lossy", "ckpt"):
-        run = run_method(A, b, method, scenario, ideal, config,
-                         matrix_name=matrix)
+        run = solve_cell(config.cell(matrix, method, scenario,
+                                     record_history=True), ideal, cache)
         histories[method] = run.record.history
         final_times[method] = run.result.solve_time
     return Fig3Result(matrix=matrix, injection_time=t_inject,

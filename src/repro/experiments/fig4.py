@@ -31,8 +31,7 @@ from repro.campaign.engine import run_campaign
 from repro.campaign.executors import CampaignExecutor
 from repro.campaign.results import (DIVERGED_SLOWDOWN, CampaignResult,
                                     TrialResult)
-from repro.campaign.spec import CampaignSpec, MatrixSpec, SolverKnobs
-from repro.config import derive_config
+from repro.campaign.spec import CampaignSpec
 from repro.experiments.common import ExperimentConfig
 from repro.faults.scenarios import PAPER_ERROR_RATES
 
@@ -80,13 +79,11 @@ def campaign_spec(config: ExperimentConfig,
     """The Figure 4 sweep expressed as a campaign."""
     names = list(matrices if matrices is not None else config.matrices)
     methods = list(methods if methods is not None else config.methods)
-    knobs = derive_config(SolverKnobs, config)
     return CampaignSpec(
-        matrices=[MatrixSpec.suite(name, rhs_seed=config.seed)
-                  for name in names],
+        matrices=[config.matrix(name) for name in names],
         methods=methods, rates=[float(r) for r in rates],
-        repetitions=config.repetitions, seed=config.seed, knobs=knobs,
-        name="fig4")
+        repetitions=config.repetitions, seed=config.seed,
+        knobs=config.knobs, name="fig4")
 
 
 def run_fig4(config: Optional[ExperimentConfig] = None,
@@ -126,7 +123,7 @@ def format_fig4(result: Fig4Result) -> str:
     """Render the per-method mean slowdown per rate (the "CG mean" block)."""
     rates = sorted({rate for (_, rate) in result.summary})
     headers = ["method"] + [f"rate {rate:g}" for rate in rates]
-    label = "PCG" if result.config.preconditioned else "CG"
+    label = "PCG" if result.config.knobs.preconditioned else "CG"
     return format_table(
         headers, result.summary_rows(),
         title=f"Figure 4 ({label} mean): slowdown % vs normalised error rate")

@@ -14,15 +14,16 @@ checkpointing configurations (every 1000 and every 200 iterations).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.analysis.report import format_table
 from repro.analysis.stats import harmonic_mean_overhead
-from repro.experiments.common import (ExperimentConfig, MethodRun, ideal_cache,
-                                      run_method)
+from repro.campaign.store import CampaignCache
+from repro.experiments.common import (ExperimentConfig, MethodRun,
+                                      ideal_runs, solve_cell)
 
 #: Paper reference numbers, used for side-by-side reporting only.
 PAPER_TABLE2 = {
@@ -56,15 +57,18 @@ class Table2Result:
 
 
 def run_table2(config: Optional[ExperimentConfig] = None,
-               matrices: Optional[Sequence[str]] = None) -> Table2Result:
+               matrices: Optional[Sequence[str]] = None,
+               store=None) -> Table2Result:
     """Reproduce Table 2: fault-free overheads of every method.
 
     The simulated overhead column is deterministic and identical on both
-    execution backends; with ``config.clock == "wall"`` a measured
-    wall-clock overhead column is reported alongside it.
+    execution backends; with ``config.knobs.clock == "wall"`` a measured
+    wall-clock overhead column is reported alongside it.  ``store`` (a
+    :class:`~repro.campaign.store.CampaignStore`) keeps the built
+    matrices and baselines across runs and shares them with Figure 4.
     """
     config = config or ExperimentConfig()
-    cache = ideal_cache(config, matrices)
+    cache = CampaignCache(store)
     methods = ["Lossy", "Trivial", "AFEIR", "FEIR"]
     runs: List[MethodRun] = []
     per_method: Dict[str, List[float]] = {m: [] for m in methods}
@@ -79,10 +83,10 @@ def run_table2(config: Optional[ExperimentConfig] = None,
         if measured is not None:
             per_method_wall[label].append(measured)
 
-    for name, (A, b, ideal) in cache.items():
+    for name, ideal in ideal_runs(config, cache, matrices).items():
         for method in methods:
-            collect(method, run_method(A, b, method, None, ideal, config,
-                                       matrix_name=name))
+            collect(method, solve_cell(config.cell(name, method), ideal,
+                                       cache))
         # The paper's fixed periods (1000 and 200 iterations) assume solves
         # of thousands of iterations.  The scaled-down analogues converge in
         # far fewer, so the two configurations are mapped to the equivalent
@@ -90,10 +94,9 @@ def run_table2(config: Optional[ExperimentConfig] = None,
         # roughly ten times per solve ("ckpt-200").
         iters = max(ideal.record.iterations, 1)
         for divisor, label in ((2, "ckpt-1000"), (10, "ckpt-200")):
-            interval = max(1, iters // divisor)
-            ckpt_config = replace(config, checkpoint_interval=interval)
-            collect(label, run_method(A, b, "ckpt", None, ideal, ckpt_config,
-                                      matrix_name=name))
+            cell = config.cell(name, "ckpt",
+                               checkpoint_interval=max(1, iters // divisor))
+            collect(label, solve_cell(cell, ideal, cache))
 
     overheads = {method: harmonic_mean_overhead(values)
                  for method, values in per_method.items()}

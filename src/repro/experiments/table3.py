@@ -25,7 +25,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.analysis.report import format_table
-from repro.experiments.common import (ExperimentConfig, ideal_cache, run_method)
+from repro.campaign.store import CampaignCache
+from repro.experiments.common import ExperimentConfig, ideal_runs, solve_cell
 
 PAPER_TABLE3 = {
     "AFEIR": {"imbalance": 4.30, "runtime": 8.11, "useful": 1.90},
@@ -56,10 +57,11 @@ class Table3Result:
 
 
 def run_table3(config: Optional[ExperimentConfig] = None,
-               matrices: Optional[Sequence[str]] = None) -> Table3Result:
+               matrices: Optional[Sequence[str]] = None,
+               store=None) -> Table3Result:
     """Reproduce Table 3: per-state time increase of FEIR and AFEIR."""
     config = config or ExperimentConfig()
-    cache = ideal_cache(config, matrices)
+    cache = CampaignCache(store)
     accum: Dict[str, Dict[str, List[float]]] = {
         "AFEIR": {"imbalance": [], "runtime": [], "useful": []},
         "FEIR": {"imbalance": [], "runtime": [], "useful": []},
@@ -67,11 +69,11 @@ def run_table3(config: Optional[ExperimentConfig] = None,
     measured_accum: Dict[str, Dict[str, List[float]]] = {
         "AFEIR": {}, "FEIR": {},
     }
-    for name, (A, b, ideal) in cache.items():
+    for name, ideal in ideal_runs(config, cache, matrices).items():
         base = ideal.trace.breakdown
         base_frac = base.fractions()
         for method in ("AFEIR", "FEIR"):
-            run = run_method(A, b, method, None, ideal, config, matrix_name=name)
+            run = solve_cell(config.cell(name, method), ideal, cache)
             wall_trace = run.result.wall_trace
             if wall_trace is not None:
                 for state, share in wall_trace.breakdown.fractions().items():

@@ -137,7 +137,7 @@ def add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def runtime_axes(args: argparse.Namespace) -> Dict[str, object]:
-    """The parsed axis flags as keyword arguments for ``SolverConfig``,
-    ``SolverKnobs`` or ``ExperimentConfig``."""
+    """The parsed axis flags as keyword arguments for ``SolverConfig``
+    or ``SolverKnobs``."""
     return dict(scheduler=args.scheduler, placement=args.placement,
                 clock=args.clock, ranks=args.ranks)

@@ -14,8 +14,7 @@ Three layers (the dynamic complement of ``repro.lint`` and
 * :mod:`repro.sanitize.detector` — vector-clock happens-before tracking
   with an Eraser-style lockset fallback over the recorded events; each
   surviving candidate race is reported with both thread stacks and the
-  locks held.  The :mod:`repro.sanitize.stale` allowlist sanctions
-  declared bounded-staleness reads (the async-iteration hook).
+  locks held.
 * :mod:`repro.sanitize.explore` — ``python -m repro.sanitize explore``:
   PCT-style seeded schedule perturbation; any interleaving that breaks
   bit-identity or trips the detector is replayable from its seed alone.
@@ -32,11 +31,8 @@ from repro.sanitize.instrument import (LOG, SANITIZE_SEED_ENV, TSAN_ENV,
                                        record_task_accesses, reset,
                                        sanitizer_enabled,
                                        set_preemption_hook)
-from repro.sanitize.stale import (ALLOWLIST, StaleAllowance,
-                                  StaleReadAllowlist, allow_stale)
 
 __all__ = [
-    "ALLOWLIST",
     "AccessRecord",
     "Event",
     "EventLog",
@@ -44,10 +40,7 @@ __all__ = [
     "RaceReport",
     "SANITIZE_SEED_ENV",
     "SanitizerReport",
-    "StaleAllowance",
-    "StaleReadAllowlist",
     "TSAN_ENV",
-    "allow_stale",
     "analyze",
     "analyze_events",
     "enabled",

@@ -17,10 +17,8 @@ through uninstrumented channels, an **Eraser-style lockset fallback**
 runs second: a candidate pair whose lockset intersection is non-empty is
 demoted to *lockset-protected* (consistently locked, so the missing
 edge is an instrumentation gap, not a bug).  What survives both filters
-is reported with both thread stacks and the locks each side held —
-unless the resource carries a stale-read allowance
-(:mod:`repro.sanitize.stale`), in which case the pair is *sanctioned*:
-the annotated, bounded staleness the async-iteration work will rely on.
+is a race, reported with both thread stacks and the locks each side
+held.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.sanitize.events import (Event, EventLog, OP_ACCESS, OP_ACQUIRE,
                                    OP_GET, OP_PUT, OP_RELEASE, OP_SET,
                                    OP_WAIT_EVENT)
-from repro.sanitize.stale import ALLOWLIST, StaleAllowance, StaleReadAllowlist
 
 VectorClock = Dict[str, int]
 
@@ -77,18 +74,12 @@ class RaceReport:
     resource: str
     first: AccessRecord
     second: AccessRecord
-    #: Non-None when a stale-read allowance sanctions this pair.
-    allowance: Optional[StaleAllowance] = None
 
     @property
     def access(self) -> str:
         a = "write" if self.first.write else "read"
         b = "write" if self.second.write else "read"
         return f"{a}/{b}"
-
-    @property
-    def sanctioned(self) -> bool:
-        return self.allowance is not None
 
     def signature(self) -> Tuple:
         """Order- and run-stable identity used for dedup and sorting."""
@@ -100,8 +91,6 @@ class RaceReport:
     def describe(self) -> str:
         head = (f"{self.access} race on {self.resource!r} between "
                 f"{self.first.thread!r} and {self.second.thread!r}")
-        if self.sanctioned:
-            head += f"  [SANCTIONED: {self.allowance.describe()}]"
         return "\n".join([head,
                           "  " + self.first.describe().replace("\n", "\n  "),
                           "  " + self.second.describe().replace("\n", "\n  ")])
@@ -112,7 +101,6 @@ class SanitizerReport:
     """Digest of one detection pass."""
 
     races: List[RaceReport] = field(default_factory=list)
-    sanctioned: List[RaceReport] = field(default_factory=list)
     lockset_protected: int = 0
     events: int = 0
     accesses: int = 0
@@ -126,7 +114,6 @@ class SanitizerReport:
         return {
             "ok": self.ok,
             "races": len(self.races),
-            "sanctioned": len(self.sanctioned),
             "lockset_protected": self.lockset_protected,
             "events": self.events,
             "accesses": self.accesses,
@@ -137,11 +124,9 @@ class SanitizerReport:
         lines: List[str] = []
         for race in self.races:
             lines.append(race.describe())
-        for race in self.sanctioned:
-            lines.append(race.describe())
         lines.append(
-            f"{len(self.races)} race(s), {len(self.sanctioned)} "
-            f"sanctioned, {self.lockset_protected} lockset-protected "
+            f"{len(self.races)} race(s), "
+            f"{self.lockset_protected} lockset-protected "
             f"candidate(s); {self.accesses} access(es) over "
             f"{self.events} event(s) from {self.threads} thread(s)")
         return "\n".join(lines)
@@ -174,11 +159,8 @@ class _ResourceHistory:
         table[record.thread] = record
 
 
-def analyze_events(events: List[Event],
-                   allowlist: Optional[StaleReadAllowlist] = None
-                   ) -> SanitizerReport:
+def analyze_events(events: List[Event]) -> SanitizerReport:
     """Run the hybrid detector over one recorded interleaving."""
-    allowlist = allowlist if allowlist is not None else ALLOWLIST
     clocks: Dict[str, VectorClock] = {}
     lock_clocks: Dict[str, VectorClock] = {}
     put_clocks: Dict[int, VectorClock] = {}
@@ -232,30 +214,17 @@ def analyze_events(events: List[Event],
                 if race.signature() in seen:
                     continue
                 seen.add(race.signature())
-                allowance = None
-                if not (prior.write and record.write):
-                    # Staleness sanctions lagging *reads*; two
-                    # unsynchronised writes are never a staleness.
-                    allowance = allowlist.lookup(event.obj)
-                if allowance is not None:
-                    report.sanctioned.append(
-                        RaceReport(resource=event.obj, first=prior,
-                                   second=record, allowance=allowance))
-                else:
-                    report.races.append(race)
+                report.races.append(race)
             hist.remember(record)
 
     report.threads = len(clocks)
     report.races.sort(key=RaceReport.signature)
-    report.sanctioned.sort(key=RaceReport.signature)
     return report
 
 
-def analyze(log: Optional[EventLog] = None,
-            allowlist: Optional[StaleReadAllowlist] = None
-            ) -> SanitizerReport:
+def analyze(log: Optional[EventLog] = None) -> SanitizerReport:
     """Analyze a log (default: the global one the wrappers record into)."""
     if log is None:
         from repro.sanitize.instrument import LOG
         log = LOG
-    return analyze_events(log.events(), allowlist)
+    return analyze_events(log.events())

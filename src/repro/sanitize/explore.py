@@ -21,7 +21,7 @@ byte-identical verdicts).
 Each explored schedule runs one resilient-CG solve in a chosen runtime
 cell with the sanitizer on, then checks the two invariants that define
 this repo: the solution must stay bit-identical to the unperturbed
-reference cell, and the race detector must find nothing unsanctioned.
+reference cell, and the race detector must find nothing.
 """
 
 from __future__ import annotations
@@ -183,7 +183,6 @@ def explore_schedule(problem: ExploreProblem, seed: int, schedule: int,
             {"resource": r.resource, "access": r.access,
              "first": r.first.location, "second": r.second.location}
             for r in report.races],
-        "sanctioned": len(report.sanctioned),
     }
 
 

@@ -2,11 +2,11 @@
 
 The paper's statistical workload — thousands of small solver trials per
 figure — amortises beautifully behind a persistent server: a process
-pool forked once at start-up runs the shard jobs (its children memoise
-matrices and ideal baselines per process over the campaign store, as
-offline pool workers do), finished trials stay warm in the daemon's
-memory across submissions, and progress streams to clients as chunked
-JSONL.  See :mod:`repro.service.server` for the
+pool forked once at start-up runs the shard jobs (its children keep
+matrices and ideal baselines in their process's campaign cache, as
+offline pool workers do), finished trials stay warm in the daemon's own
+campaign cache across submissions, and progress streams to clients as
+chunked JSONL.  See :mod:`repro.service.server` for the
 daemon, :mod:`repro.service.client` for the client library and
 ``python -m repro.service`` for the CLI.
 
@@ -22,8 +22,7 @@ from repro.service.protocol import (JOB_STATES, PROTOCOL_VERSION,
 from repro.service.server import (DEFAULT_HOST, DEFAULT_PORT,
                                   SERVICE_CHAOS_ENV, SERVICE_HOST_ENV,
                                   SERVICE_PORT_ENV, SERVICE_URL_ENV,
-                                  CampaignService, ChaosMonkey, WarmCache,
-                                  WorkerDied)
+                                  CampaignService, ChaosMonkey, WorkerDied)
 
 __all__ = [
     "CampaignService",
@@ -40,7 +39,6 @@ __all__ = [
     "ServiceClient",
     "ServiceError",
     "TERMINAL_STATES",
-    "WarmCache",
     "WorkerDied",
     "default_url",
     "spec_from_payload",

@@ -30,11 +30,9 @@ import json
 import signal
 import sys
 
-from repro.campaign.spec import CampaignSpec, SolverKnobs
-from repro.campaign.store import CampaignStore, StoreSchemaError, \
-    default_store_root
-from repro.config import DEFAULT_SEED
-from repro.runtime.runtime import add_runtime_arguments, runtime_axes
+from repro.campaign.spec import add_spec_arguments, spec_from_args
+from repro.campaign.store import (StoreSchemaError, add_store_arguments,
+                                  store_from_args)
 from repro.service.client import ServiceClient, ServiceError, default_url
 from repro.service.server import CampaignService, default_host, default_port
 
@@ -46,37 +44,6 @@ def add_client_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--url", default=None,
                         help=f"daemon URL (default: REPRO_SERVICE_URL or "
                              f"{default_url()})")
-
-
-def add_spec_arguments(parser: argparse.ArgumentParser) -> None:
-    """The campaign-grid arguments, mirroring ``repro.campaign run``."""
-    parser.add_argument("--matrix", nargs="+", default=["laplacian2d:45"],
-                        help="matrix specs (qa8fm, laplacian2d:45, ...)")
-    parser.add_argument("--methods", nargs="+", default=["FEIR"],
-                        help="recovery methods (FEIR AFEIR Lossy ckpt "
-                             "Trivial)")
-    parser.add_argument("--rates", nargs="+", type=float, default=[1.0],
-                        help="normalised error rates")
-    parser.add_argument("--trials", type=int, default=1,
-                        help="repetitions per (matrix, method, rate) cell")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--tolerance", type=float, default=1e-8)
-    parser.add_argument("--max-iterations", type=int, default=20000)
-    parser.add_argument("--page-size", type=int, default=128)
-    parser.add_argument("--preconditioned", action="store_true")
-    add_runtime_arguments(parser)
-
-
-def spec_from_args(args: argparse.Namespace) -> CampaignSpec:
-    return CampaignSpec(
-        matrices=list(args.matrix), methods=list(args.methods),
-        rates=list(args.rates), repetitions=args.trials, seed=args.seed,
-        knobs=SolverKnobs(tolerance=args.tolerance,
-                          max_iterations=args.max_iterations,
-                          page_size=args.page_size,
-                          preconditioned=args.preconditioned,
-                          **runtime_axes(args)),
-        name="service-cli")
 
 
 def build_serve_parser() -> argparse.ArgumentParser:
@@ -92,30 +59,17 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, default=None,
                         help="worker-thread count (default: all cores, "
                              "capped by REPRO_MAX_WORKERS)")
-    parser.add_argument("--store", default=None, metavar="DIR",
-                        help="content-addressed store directory (default: "
-                             "REPRO_CAMPAIGN_STORE or "
-                             "~/.cache/repro-campaign)")
-    parser.add_argument("--no-store", action="store_true",
-                        help="serve from the in-memory warm cache only; "
-                             "nothing persists across daemon restarts")
+    add_store_arguments(parser)
     return parser
 
 
 def main_serve(argv) -> int:
     args = build_serve_parser().parse_args(argv)
-    store = None
-    if not args.no_store:
-        try:
-            store = CampaignStore(args.store if args.store is not None
-                                  else default_store_root())
-        except StoreSchemaError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
+        store = store_from_args(args)
         service = CampaignService(host=args.host, port=args.port,
                                   workers=args.workers, store=store)
-    except ValueError as exc:
+    except (StoreSchemaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     service.start()
@@ -181,7 +135,7 @@ def main_submit(argv) -> int:
                         help="stream the job's progress until it finishes")
     args = parser.parse_args(argv)
     try:
-        spec = spec_from_args(args)
+        spec = spec_from_args(args, name="service-cli")
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

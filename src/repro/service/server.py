@@ -5,14 +5,17 @@ submissions: one persistent process pool (the campaign executor
 protocol, :class:`~repro.campaign.executors.ProcessPoolExecutor`) is
 forked and warmed in :meth:`CampaignService.start` — before the HTTP
 socket is bound and before any ``service-*`` thread exists — and lives
-until :meth:`CampaignService.shutdown` joins and reaps it.  Its children
-memoise built matrices and fault-free ideal baselines per process over
-the :class:`~repro.campaign.store.CampaignStore`, exactly as offline
-pool workers do; the daemon itself keeps completed trial results warm in
-memory (keyed by the store's content addresses), multiplexes submitted
-campaigns over the pool as round-robin shard jobs — one ``service-worker``
-thread per shard, which only waits on the child's future — and streams
-per-trial progress to ``watch`` clients as chunked JSONL.
+until :meth:`CampaignService.shutdown` joins and reaps it.  Every tier
+of caching is the campaign engine's one
+:class:`~repro.campaign.store.CampaignCache` (RAM over the
+:class:`~repro.campaign.store.CampaignStore`): each child keeps built
+matrices and fault-free ideal baselines in its process's instance,
+exactly as offline pool workers do, and the daemon holds one for its
+lifetime as its tier of completed trials (keyed by the store's content
+addresses).  It multiplexes submitted campaigns over the pool as
+round-robin shard jobs — one ``service-worker`` thread per shard, which
+only waits on the child's future — and streams per-trial progress to
+``watch`` clients as chunked JSONL.
 
 Robustness model (asynchronous-HPC serving practice: worker loss is
 routine, not fatal):
@@ -57,11 +60,14 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional
 
-from repro.campaign.engine import StoreTrialRunner, run_trial
+# run_trial is not called here (the runner calls it in the child); the
+# name stays bound because bench/test_bench.py, which this repo's PRs may
+# not edit, checks that its tracer re-binds it in this module.
+from repro.campaign.engine import TrialRunner, run_trial  # noqa: F401
 from repro.campaign.executors import ProcessPoolExecutor
 from repro.campaign.results import CampaignResult, TrialResult
 from repro.campaign.spec import CampaignSpec, TrialSpec
-from repro.campaign.store import CampaignStore
+from repro.campaign.store import CampaignCache, CampaignStore
 from repro.config import resolve_worker_count
 from repro.sanitize import (make_condition, make_event, make_lock,
                             make_queue, make_rlock)
@@ -144,62 +150,6 @@ class ChaosMonkey:
 
 
 # ----------------------------------------------------------------------
-# warm cache
-# ----------------------------------------------------------------------
-class WarmCache:
-    """The daemon's in-memory tier of completed trials, over an optional
-    on-disk store.
-
-    Entries are keyed by the store's content addresses; a RAM miss falls
-    through to the store (when present) and a store hit is promoted into
-    RAM.  Only the daemon's own threads use it: pool children persist
-    their trials to the store directly and memoise matrices and
-    baselines per process (``repro.campaign.engine``).  Hit/miss
-    counters feed ``/metrics``.
-    """
-
-    def __init__(self, store: Optional[CampaignStore] = None):
-        self.store = store
-        self._trials: Dict[str, TrialResult] = {}
-        self._lock = make_lock("WarmCache.lock")
-        self.hits = 0
-        self.misses = 0
-
-    def get_trial(self, key: str) -> Optional[TrialResult]:
-        cached = self._trials.get(key)
-        if cached is None and self.store is not None:
-            cached = self.store.get_trial(key)
-            if cached is not None:
-                self._trials[key] = cached
-        with self._lock:
-            if cached is not None:
-                self.hits += 1
-            else:
-                self.misses += 1
-        return cached
-
-    def keep_trial(self, key: str, result: TrialResult) -> None:
-        """Remember a trial a pool child just returned.  RAM only: with
-        a store, the child persisted it before the daemon heard of it."""
-        self._trials[key] = result
-
-    def __len__(self) -> int:
-        return len(self._trials)
-
-    # -- journal (delegates; RAM-only daemons skip journalling) --------
-    def journal_append(self, campaign_key: str, event: dict) -> None:
-        if self.store is not None:
-            self.store.journal_append(campaign_key, event)
-
-    def metrics_payload(self) -> Dict[str, object]:
-        total = self.hits + self.misses
-        return {"trials": {
-            "hits": self.hits, "misses": self.misses,
-            "hit_rate_percent":
-                round(100.0 * self.hits / total, 1) if total else 0.0}}
-
-
-# ----------------------------------------------------------------------
 # jobs
 # ----------------------------------------------------------------------
 @dataclass
@@ -278,12 +228,11 @@ class CampaignService:
         self.host = host if host is not None else default_host()
         self.port = port if port is not None else default_port()
         self.workers = resolve_worker_count(workers)
-        self.warm = WarmCache(store)
+        #: The daemon's trial tier: the campaign cache, held for its
+        #: lifetime.  Pool children resolve the runner to their own.
+        self.cache = CampaignCache(store)
         self.chaos = chaos if chaos is not None else ChaosMonkey.from_env()
-        #: What a pool child runs per trial: with a store it persists the
-        #: result itself, as the offline pool workers do.
-        self._runner = (run_trial if store is None
-                        else StoreTrialRunner(store.root))
+        self._runner = TrialRunner(self.cache)
         self._pool = ProcessPoolExecutor(self.workers)
         #: Bumped by every rebuild, so the shard threads that all see one
         #: break replace the pool once.
@@ -461,7 +410,7 @@ class CampaignService:
     # ------------------------------------------------------------------
     def metrics(self) -> Dict[str, object]:
         jobs = self._snapshot_jobs()
-        store = self.warm.store
+        store = self.cache.store
         per_sec = (self.executed_total / self.executed_wall
                    if self.executed_wall > 0 else 0.0)
         return {
@@ -473,7 +422,7 @@ class CampaignService:
             "shard_retries": sum(j.shard_retries for j in jobs),
             "queue_depth": sum(1 for j in jobs if j.state == "queued"),
             "jobs": describe_states(jobs),
-            "cache": self.warm.metrics_payload(),
+            "cache": {"trials": self.cache.counts("trials")},
             "trials": {
                 "executed": self.executed_total,
                 "cached": self.cached_total,
@@ -491,7 +440,7 @@ class CampaignService:
     # scheduling
     # ------------------------------------------------------------------
     def _journal(self, job: Job, event: dict) -> None:
-        self.warm.journal_append(job.spec_key, {
+        self.cache.journal_append(job.spec_key, {
             "key": job.spec_key, "source": "service", "job": job.id,
             **event})
 
@@ -519,7 +468,7 @@ class CampaignService:
             if job.cancel_event.is_set():
                 self._finalize(job, "cancelled")
                 return
-            cached = self.warm.get_trial(trial.store_key())
+            cached = self.cache.get_trial(trial.store_key())
             if cached is not None:
                 self._record_result(job, cached, cached_hit=True)
             else:
@@ -576,7 +525,7 @@ class CampaignService:
             if job.cancel_event.is_set():
                 break
             key = trial.store_key()
-            cached = self.warm.get_trial(key)
+            cached = self.cache.get_trial(key)
             if cached is not None:
                 # Persisted by a lost worker before it was recorded, or
                 # warmed by a duplicate submission running concurrently.
@@ -584,7 +533,8 @@ class CampaignService:
                                     recovered=True)
                 continue
             result = self._execute(trial)
-            self.warm.keep_trial(key, result)
+            # The child persisted it before the daemon heard of it.
+            self.cache.keep_trial(key, result)
             self._journal(job, {"event": "trial", "index": result.index})
             self._record_result(job, result, cached_hit=False)
         self._shard_done(job)

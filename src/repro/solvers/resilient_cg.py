@@ -663,75 +663,60 @@ class ResilientCG:
         g = vectors["g"].array
         d_cur = vectors[this_d].array
         q = vectors["q"].array
+        matvec, residual = state.matvec_relation, state.residual_relation
+
+        def spmv_cost(page: int) -> float:
+            return cm.spmv_block(blocked.nnz_of_block(page))
+
+        def solve_cost(page: int) -> float:
+            return cm.block_solve(blocked.block_size(page),
+                                  factorized=blocked.has_cached_factor(page))
 
         # q first (needed to repair d), then d (+ redo the x update), then g,
         # then x; all relations hold exactly at the end of the iteration.
-        # Each relation-based repair executes on the rank owning the page
-        # (the owner holds the strip of A and the slices the relation
-        # reads); local engines run the same closures inline.
+        # One row per vector: the relation that recovers a page, the update
+        # of the current iteration that skipped it (target array, factor),
+        # the cost charged, and the vector lost *with* it in a related-data
+        # conflict.  The second row of each pair owns the conflict: it
+        # blanks its page and resynchronises the residual afterwards so
+        # the invariants hold.
+        repairs = (
+            ("q", "q", lambda p: matvec.recover_lhs_page(p, d_cur),
+             (g, -alpha), spmv_cost, "d", False),
+            ("d", this_d, lambda p: matvec.recover_rhs_page(p, q, d_cur),
+             (x, alpha), solve_cost, "q", True),
+            ("g", "g", lambda p: residual.recover_residual_page(p, x),
+             None, spmv_cost, "x", False),
+            ("x", "x", lambda p: residual.recover_iterate_page(p, g, x),
+             None, solve_cost, "g", True),
+        )
         need_residual_resync = False
-        for page in sorted(late["q"]):
-            if page in late["d"]:
-                continue                     # related-data conflict, below
+        for key, name, recover, redo, cost, related, owns_conflict in repairs:
+            vector = vectors[name]
+            for page in sorted(late[key]):
+                if page in late[related]:
+                    if owns_conflict:
+                        vector.zero_page(page)
+                        state.memory.mark_recovered(name, page)
+                        state.memory.mark_recovered(related, page)
+                        stats.pages_unrecoverable += 1
+                        need_residual_resync = True
+                    continue
 
-            def repair_q(page=page) -> None:
-                values = state.matvec_relation.recover_lhs_page(page, d_cur)
-                vectors["q"].set_page(page, values)
-                sl = vectors["q"].page_slice(page)
-                g[sl] -= alpha * values                  # redo skipped g update
-            self.engine.run_on_owner(page, repair_q)
-            state.memory.mark_recovered("q", page)
-            work += cm.spmv_block(blocked.nnz_of_block(page))
-            stats.pages_recovered += 1
-        for page in sorted(late["d"]):
-            if page in late["q"]:
-                # Related data lost together: blank the direction page and
-                # resynchronise the residual afterwards so the invariants hold.
-                vectors[this_d].zero_page(page)
-                state.memory.mark_recovered(this_d, page)
-                state.memory.mark_recovered("q", page)
-                stats.pages_unrecoverable += 1
-                need_residual_resync = True
-                continue
-
-            def repair_d(page=page) -> None:
-                values = state.matvec_relation.recover_rhs_page(page, q, d_cur)
-                vectors[this_d].set_page(page, values)
-                sl = vectors[this_d].page_slice(page)
-                x[sl] += alpha * values                  # redo skipped x update
-            self.engine.run_on_owner(page, repair_d)
-            state.memory.mark_recovered(this_d, page)
-            work += cm.block_solve(blocked.block_size(page),
-                                   factorized=blocked.has_cached_factor(page))
-            stats.pages_recovered += 1
-        for page in sorted(late["g"]):
-            if page in late["x"]:
-                continue                     # related-data conflict, below
-
-            def repair_g(page=page) -> None:
-                values = state.residual_relation.recover_residual_page(page, x)
-                vectors["g"].set_page(page, values)
-            self.engine.run_on_owner(page, repair_g)
-            state.memory.mark_recovered("g", page)
-            work += cm.spmv_block(blocked.nnz_of_block(page))
-            stats.pages_recovered += 1
-        for page in sorted(late["x"]):
-            if page in late["g"]:
-                vectors["x"].zero_page(page)
-                state.memory.mark_recovered("x", page)
-                state.memory.mark_recovered("g", page)
-                stats.pages_unrecoverable += 1
-                need_residual_resync = True
-                continue
-
-            def repair_x(page=page) -> None:
-                values = state.residual_relation.recover_iterate_page(page, g, x)
-                vectors["x"].set_page(page, values)
-            self.engine.run_on_owner(page, repair_x)
-            state.memory.mark_recovered("x", page)
-            work += cm.block_solve(blocked.block_size(page),
-                                   factorized=blocked.has_cached_factor(page))
-            stats.pages_recovered += 1
+                def repair(page=page, vector=vector, recover=recover,
+                           redo=redo) -> None:
+                    values = recover(page)
+                    vector.set_page(page, values)
+                    if redo is not None:
+                        target, factor = redo
+                        target[vector.page_slice(page)] += factor * values
+                # Each relation-based repair executes on the rank owning
+                # the page (the owner holds the strip of A and the slices
+                # the relation reads); local engines run it inline.
+                self.engine.run_on_owner(page, repair)
+                state.memory.mark_recovered(name, page)
+                work += cost(page)
+                stats.pages_recovered += 1
         if need_residual_resync:
             self.engine.residual(x, self.b, g)
             work += cm.kernel_time(2.0 * self.A.nnz,

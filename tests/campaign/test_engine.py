@@ -8,11 +8,15 @@ pool completes trials.
 
 import pytest
 
-from repro.campaign.engine import clear_caches, run_campaign, run_trial
+import pickle
+
+from repro.campaign.engine import (TrialRunner, run_campaign, run_trial,
+                                   solve_trial)
 from repro.campaign.executors import (ChunkedExecutor, ProcessPoolExecutor,
                                       SerialExecutor, make_executor)
 from repro.campaign.results import CampaignResult, TrialResult
 from repro.campaign.spec import CampaignSpec, SolverKnobs
+from repro.campaign.store import CampaignCache, CampaignStore, process_cache
 
 
 def tiny_spec(**overrides):
@@ -27,17 +31,10 @@ def tiny_spec(**overrides):
     return CampaignSpec(**defaults)
 
 
-@pytest.fixture(autouse=True)
-def fresh_caches():
-    clear_caches()
-    yield
-    clear_caches()
-
-
 class TestRunTrial:
     def test_single_trial_runs_and_converges(self):
         trial = tiny_spec().expand()[0]
-        result = run_trial(trial)
+        result = run_trial(trial, CampaignCache())
         assert isinstance(result, TrialResult)
         assert result.converged
         assert result.iterations > 0
@@ -46,32 +43,86 @@ class TestRunTrial:
 
     def test_trial_is_reproducible(self):
         trial = tiny_spec().expand()[3]
-        a = run_trial(trial)
-        clear_caches()
-        b = run_trial(trial)
+        a = run_trial(trial, CampaignCache())
+        b = run_trial(trial, CampaignCache())
         assert a.solve_time == b.solve_time
         assert a.iterations == b.iterations
         assert a.faults_injected == b.faults_injected
 
     def test_fault_free_trial_has_zero_overhead(self):
         spec = tiny_spec(rates=(0.0,), methods=("FEIR",), repetitions=1)
-        result = run_trial(spec.expand()[0])
+        result = run_trial(spec.expand()[0], CampaignCache())
         assert result.faults_injected == 0
         # FEIR's recovery tasks overlap with compute on a fault-free run
         # but never cost more than a few percent.
         assert result.overhead_percent < 25.0
 
 
+class TestOnePipeline:
+    """``solve_trial`` is the only way a cell is built, baselined and
+    solved; ``run_trial`` is its reduction and the cache is handed in."""
+
+    def test_run_trial_is_the_reduction_of_solve_trial(self):
+        trial = tiny_spec().expand()[3]
+        cache = CampaignCache()
+        full = solve_trial(trial, cache)
+        slim = run_trial(trial, cache)
+        assert slim.solve_time == full.solve_time
+        assert slim.iterations == full.record.iterations
+        assert slim.pages_recovered == full.stats.pages_recovered
+
+    def test_one_cache_builds_and_baselines_once(self):
+        cache = CampaignCache()
+        for trial in tiny_spec().expand():
+            run_trial(trial, cache)
+        assert cache.misses["matrices"] == cache.misses["baselines"] == 1
+        assert cache.hits["baselines"] > 0
+
+    def test_fresh_stores_are_fresh_caches(self, tmp_path):
+        """No module state: two runs of one spec on two empty stores each
+        write their own matrix and baseline artifact."""
+        for name in ("a", "b"):
+            store = CampaignStore(tmp_path / name)
+            run_campaign(tiny_spec(), store=store)
+            counts = store.entry_count()
+            assert counts["matrices"] == counts["baselines"] == 1
+            assert counts["trials"] == tiny_spec().num_trials
+
+    def test_runner_pickles_to_the_process_cache_of_its_root(self, tmp_path):
+        store = CampaignStore(tmp_path / "store")
+        runner = TrialRunner(CampaignCache(store))
+        twice = [pickle.loads(pickle.dumps(runner)) for _ in range(2)]
+        assert twice[0].cache is twice[1].cache is process_cache(
+            str(store.root))
+        assert twice[0].cache is not runner.cache
+        assert twice[0].cache.store.root == store.root
+        storeless = pickle.loads(pickle.dumps(TrialRunner(CampaignCache())))
+        assert storeless.cache is process_cache(None)
+        assert storeless.cache.store is None
+
+    def test_warm_pass_reads_each_trial_from_the_store_once(self, tmp_path,
+                                                            monkeypatch):
+        store = CampaignStore(tmp_path / "store")
+        cold = run_campaign(tiny_spec(), store=store)
+        calls = []
+        real = CampaignStore.get_trial
+        monkeypatch.setattr(
+            CampaignStore, "get_trial",
+            lambda self, key: calls.append(key) or real(self, key))
+        warm = run_campaign(tiny_spec(), store=store)
+        assert warm.executed == 0
+        assert len(calls) == len(set(calls)) == tiny_spec().num_trials
+        assert warm.fingerprint() == cold.fingerprint()
+
+
 class TestDeterminism:
     def test_serial_repeat_is_byte_identical(self):
         a = run_campaign(tiny_spec(), executor=SerialExecutor())
-        clear_caches()
         b = run_campaign(tiny_spec(), executor=SerialExecutor())
         assert a.fingerprint() == b.fingerprint()
 
     def test_different_seed_changes_results(self):
         a = run_campaign(tiny_spec(), executor=SerialExecutor())
-        clear_caches()
         b = run_campaign(tiny_spec(seed=100), executor=SerialExecutor())
         assert a.fingerprint() != b.fingerprint()
 
@@ -88,7 +139,6 @@ class TestExecutorEquivalence:
 
     @pytest.fixture(scope="class")
     def serial_result(self):
-        clear_caches()
         return run_campaign(tiny_spec(), executor=SerialExecutor())
 
     def test_process_pool_matches_serial(self, serial_result):

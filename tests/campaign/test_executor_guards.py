@@ -7,8 +7,7 @@ import time
 import pytest
 
 from repro.campaign.executors import (ChunkedExecutor, ProcessPoolExecutor,
-                                      SerialExecutor, default_worker_count,
-                                      make_executor)
+                                      SerialExecutor, make_executor)
 from repro.config import (MAX_WORKERS_ENV, max_workers_override,
                           resolve_worker_count)
 
@@ -19,12 +18,12 @@ def double(x):
 
 class TestWorkerResolution:
     def test_default_is_at_least_one(self):
-        assert default_worker_count() >= 1
+        assert resolve_worker_count() >= 1
 
     def test_env_override_caps_default(self, monkeypatch):
         monkeypatch.setenv(MAX_WORKERS_ENV, "2")
         assert max_workers_override() == 2
-        assert default_worker_count() <= 2
+        assert resolve_worker_count() <= 2
 
     def test_env_override_caps_explicit_requests(self, monkeypatch):
         monkeypatch.setenv(MAX_WORKERS_ENV, "3")

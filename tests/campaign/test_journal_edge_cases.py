@@ -10,11 +10,11 @@ import json
 
 import pytest
 
-from repro.campaign.engine import clear_caches, run_campaign
+from repro.campaign.engine import run_campaign
 from repro.campaign.executors import (CampaignInterrupted, SerialExecutor,
                                       TripAfter)
 from repro.campaign.spec import CampaignSpec, SolverKnobs
-from repro.campaign.store import CampaignStore, clear_store_cache
+from repro.campaign.store import CampaignStore
 
 KEY_A = "a" * 64
 KEY_B = "b" * 64
@@ -29,15 +29,6 @@ def tiny_spec(**overrides):
         name="tiny")
     defaults.update(overrides)
     return CampaignSpec(**defaults)
-
-
-@pytest.fixture(autouse=True)
-def fresh_caches():
-    clear_caches()
-    clear_store_cache()
-    yield
-    clear_caches()
-    clear_store_cache()
 
 
 @pytest.fixture()
@@ -163,8 +154,6 @@ class TestEngineIntegration:
         with open(store.journal_path(key), "a") as handle:
             handle.write('{"event": "trial", "ind')
 
-        clear_caches()
-        clear_store_cache()
         resumed = run_campaign(spec, executor=SerialExecutor(),
                                store=CampaignStore(tmp_path / "store"))
         assert resumed.cache_hits >= 1

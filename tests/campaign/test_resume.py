@@ -10,11 +10,11 @@ deterministically (a real SIGKILL would race the pool's chunking).
 
 import pytest
 
-from repro.campaign.engine import clear_caches, run_campaign
+from repro.campaign.engine import run_campaign
 from repro.campaign.executors import (CampaignInterrupted, ChunkedExecutor,
                                       SerialExecutor, TripAfter)
 from repro.campaign.spec import CampaignSpec, SolverKnobs
-from repro.campaign.store import CampaignStore, clear_store_cache
+from repro.campaign.store import CampaignStore
 
 
 def tiny_spec(**overrides):
@@ -26,15 +26,6 @@ def tiny_spec(**overrides):
         name="tiny")
     defaults.update(overrides)
     return CampaignSpec(**defaults)
-
-
-@pytest.fixture(autouse=True)
-def fresh_caches():
-    clear_caches()
-    clear_store_cache()
-    yield
-    clear_caches()
-    clear_store_cache()
 
 
 class TestTripAfter:
@@ -60,8 +51,6 @@ class TestResume:
                                                          make_executor):
         reference = run_campaign(tiny_spec(), executor=SerialExecutor())
 
-        clear_caches()
-        clear_store_cache()
         store = CampaignStore(tmp_path / "store")
         kill_after = 3
         with pytest.raises(CampaignInterrupted):
@@ -74,8 +63,6 @@ class TestResume:
         survivors = store.entry_count()["trials"]
         assert kill_after <= survivors <= tiny_spec().num_trials
 
-        clear_caches()
-        clear_store_cache()
         resumed = run_campaign(tiny_spec(), executor=make_executor(),
                                store=CampaignStore(tmp_path / "store"))
         assert resumed.cache_hits == survivors
@@ -93,8 +80,6 @@ class TestResume:
         assert summary["persisted"] == 2
         assert summary["last"]["event"] == "trial"  # never reached "done"
 
-        clear_caches()
-        clear_store_cache()
         run_campaign(tiny_spec(), executor=SerialExecutor(),
                      store=CampaignStore(tmp_path / "store"))
         summary = store.journal_summary(key)
@@ -107,8 +92,6 @@ class TestResume:
         reference = run_campaign(tiny_spec(), executor=SerialExecutor())
         counts = []
         for limit in (2, 3):
-            clear_caches()
-            clear_store_cache()
             store = CampaignStore(tmp_path / "store")
             with pytest.raises(CampaignInterrupted):
                 run_campaign(tiny_spec(), executor=SerialExecutor(),
@@ -116,8 +99,6 @@ class TestResume:
             counts.append(store.entry_count()["trials"])
         assert counts[1] > counts[0]
 
-        clear_caches()
-        clear_store_cache()
         final = run_campaign(tiny_spec(), executor=SerialExecutor(),
                              store=CampaignStore(tmp_path / "store"))
         assert final.fingerprint() == reference.fingerprint()
@@ -128,8 +109,6 @@ class TestResume:
         fires — cache hits must not count toward the interruption."""
         store = CampaignStore(tmp_path / "store")
         run_campaign(tiny_spec(), executor=SerialExecutor(), store=store)
-        clear_caches()
-        clear_store_cache()
         warm = run_campaign(tiny_spec(), executor=SerialExecutor(),
                             store=CampaignStore(tmp_path / "store"),
                             trip=TripAfter(1))

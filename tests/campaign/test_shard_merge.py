@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.campaign.engine import clear_caches, run_campaign
+from repro.campaign.engine import run_campaign
 from repro.campaign.executors import SerialExecutor
 from repro.campaign.results import CampaignResult
 from repro.campaign.spec import (CampaignSpec, SolverKnobs, parse_shard,
@@ -25,13 +25,6 @@ def tiny_spec(**overrides):
         name="tiny")
     defaults.update(overrides)
     return CampaignSpec(**defaults)
-
-
-@pytest.fixture(autouse=True)
-def fresh_caches():
-    clear_caches()
-    yield
-    clear_caches()
 
 
 class TestShardPartition:
@@ -73,7 +66,6 @@ def run_shards(spec, count):
     """One partial CampaignResult per shard, fresh caches in between."""
     parts = []
     for i in range(count):
-        clear_caches()
         parts.append(run_campaign(spec, executor=SerialExecutor(),
                                   shard=(i, count)))
     return parts
@@ -154,7 +146,6 @@ class TestMergeValidation:
     def test_merge_rejects_mixed_campaigns(self):
         a = run_campaign(tiny_spec(), executor=SerialExecutor(),
                          shard=(0, 2))
-        clear_caches()
         b = run_campaign(tiny_spec(seed=100), executor=SerialExecutor(),
                          shard=(1, 2))
         with pytest.raises(ValueError, match="different campaigns"):

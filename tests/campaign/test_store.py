@@ -13,12 +13,12 @@ import time
 import numpy as np
 import pytest
 
-from repro.campaign.engine import clear_caches, run_campaign
+from repro.campaign.engine import run_campaign
 from repro.campaign.executors import ChunkedExecutor, SerialExecutor
 from repro.campaign.spec import CampaignSpec, MatrixSpec, SolverKnobs
 from repro.campaign.store import (STORE_SCHEMA_VERSION, CampaignStore,
-                                  StoreSchemaError, clear_store_cache,
-                                  default_store_root, open_store)
+                                  StoreSchemaError, default_store_root,
+                                  process_cache)
 
 
 def tiny_spec(**overrides):
@@ -30,15 +30,6 @@ def tiny_spec(**overrides):
         name="tiny")
     defaults.update(overrides)
     return CampaignSpec(**defaults)
-
-
-@pytest.fixture(autouse=True)
-def fresh_caches():
-    clear_caches()
-    clear_store_cache()
-    yield
-    clear_caches()
-    clear_store_cache()
 
 
 class TestStoreBasics:
@@ -93,10 +84,12 @@ class TestStoreBasics:
         assert store.get_scalar(key) is None
         assert not store._path("scalars", key).exists()
 
-    def test_open_store_caches_per_root(self, tmp_path):
-        a = open_store(tmp_path / "store")
-        b = open_store(tmp_path / "store")
+    def test_process_cache_is_one_per_root(self, tmp_path):
+        a = process_cache(str(tmp_path / "store"))
+        b = process_cache(str(tmp_path / "store"))
         assert a is b
+        assert a.store.root == tmp_path / "store"
+        assert process_cache(str(tmp_path / "other")) is not a
 
 
 class TestArtifactRoundTrips:
@@ -139,8 +132,6 @@ class TestWarmCampaigns:
         assert cold.executed == tiny_spec().num_trials
         assert cold.cache_hits == 0
 
-        clear_caches()
-        clear_store_cache()
         warm = run_campaign(tiny_spec(), executor=SerialExecutor(),
                             store=CampaignStore(tmp_path / "store"))
         assert warm.executed == 0
@@ -154,7 +145,6 @@ class TestWarmCampaigns:
     def test_store_run_matches_storeless_run(self, tmp_path):
         stored = run_campaign(tiny_spec(), executor=SerialExecutor(),
                               store=CampaignStore(tmp_path / "store"))
-        clear_caches()
         plain = run_campaign(tiny_spec(), executor=SerialExecutor())
         assert stored.fingerprint() == plain.fingerprint()
 
@@ -164,8 +154,6 @@ class TestWarmCampaigns:
         store = CampaignStore(tmp_path / "store")
         cold = run_campaign(tiny_spec(), executor=SerialExecutor(),
                             store=store)
-        clear_caches()
-        clear_store_cache()
         warm = run_campaign(
             tiny_spec(), executor=ChunkedExecutor(max_workers=2,
                                                   chunk_size=3),
@@ -176,8 +164,6 @@ class TestWarmCampaigns:
     def test_grid_growth_only_executes_new_cells(self, tmp_path):
         store = CampaignStore(tmp_path / "store")
         run_campaign(tiny_spec(), executor=SerialExecutor(), store=store)
-        clear_caches()
-        clear_store_cache()
         grown = run_campaign(tiny_spec(rates=(2.0, 5.0, 20.0)),
                              executor=SerialExecutor(),
                              store=CampaignStore(tmp_path / "store"))
@@ -187,8 +173,6 @@ class TestWarmCampaigns:
     def test_different_seed_misses_the_cache(self, tmp_path):
         store = CampaignStore(tmp_path / "store")
         run_campaign(tiny_spec(), executor=SerialExecutor(), store=store)
-        clear_caches()
-        clear_store_cache()
         other = run_campaign(tiny_spec(seed=100), executor=SerialExecutor(),
                              store=CampaignStore(tmp_path / "store"))
         assert other.cache_hits == 0
@@ -204,12 +188,39 @@ class TestWarmCampaigns:
             page_size=20, scheduler="threaded", clock="wall", pace=0.0))
         assert (tiny_spec().expand()[0].store_key()
                 != threaded.expand()[0].store_key())
-        clear_caches()
-        clear_store_cache()
         served = run_campaign(threaded, executor=SerialExecutor(),
                               store=CampaignStore(tmp_path / "store"))
         assert served.cache_hits == 0
         assert served.executed == threaded.num_trials
+
+
+class TestCliStoreLine:
+    """The ``store:`` line counts every look-up of an in-process run: the
+    trials go through the caller's own handle (they used to land on a
+    second one fetched per root, so the line under-counted)."""
+
+    ARGS = ["--matrix", "laplacian2d:10", "--methods", "FEIR", "--rates",
+            "1", "--trials", "2", "--quiet"]
+
+    def run(self, root, capsys):
+        from repro.campaign.__main__ import main
+        assert main([*self.ARGS, "--store", str(root)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        [store] = [line for line in lines if line.startswith("store: ")]
+        [executed] = [line for line in lines if line.startswith("executed: ")]
+        fields = dict(field.split("=") for field in store.split()[1:])
+        return fields, executed
+
+    def test_cold_counts_four_misses_and_warm_hits(self, tmp_path, capsys):
+        root = tmp_path / "store"
+        cold, executed = self.run(root, capsys)
+        # two trials, one matrix, one baseline
+        assert (cold["hits"], cold["misses"]) == ("0", "4")
+        assert executed.startswith("executed: 2 ")
+        warm, executed = self.run(root, capsys)
+        assert executed.startswith("executed: 0 ")
+        assert warm["misses"] == "0"
+        assert float(warm["hit-rate"].rstrip("%")) >= 90.0
 
 
 class TestGc:

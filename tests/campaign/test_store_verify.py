@@ -13,11 +13,10 @@ import json
 import pytest
 
 from repro.campaign.__main__ import main
-from repro.campaign.engine import clear_caches, run_campaign
+from repro.campaign.engine import run_campaign
 from repro.campaign.executors import SerialExecutor
 from repro.campaign.spec import CampaignSpec, SolverKnobs
-from repro.campaign.store import (STORE_SCHEMA_VERSION, CampaignStore,
-                                  clear_store_cache)
+from repro.campaign.store import STORE_SCHEMA_VERSION, CampaignStore
 
 
 def tiny_spec(**overrides):
@@ -29,15 +28,6 @@ def tiny_spec(**overrides):
         name="tiny")
     defaults.update(overrides)
     return CampaignSpec(**defaults)
-
-
-@pytest.fixture(autouse=True)
-def fresh_caches():
-    clear_caches()
-    clear_store_cache()
-    yield
-    clear_caches()
-    clear_store_cache()
 
 
 @pytest.fixture()
@@ -157,8 +147,6 @@ class TestRemove:
         assert populated.verify().ok
 
         # the removed trial is simply recomputed on the next run
-        clear_caches()
-        clear_store_cache()
         resumed = run_campaign(tiny_spec(), executor=SerialExecutor(),
                                store=CampaignStore(tmp_path / "store"))
         assert resumed.executed == 1

@@ -1,10 +1,16 @@
 """Integration tests for the experiment drivers (scaled-down configurations)."""
 
+import importlib.util
+import json
 import math
+from pathlib import Path
 
 import pytest
 
-from repro.experiments.common import ExperimentConfig, build_problem, run_ideal
+from repro.campaign.engine import solve_trial
+from repro.campaign.spec import SolverKnobs
+from repro.campaign.store import CampaignCache, CampaignStore
+from repro.experiments.common import ExperimentConfig, ideal_runs, solve_cell
 from repro.experiments.fig3 import format_fig3, run_fig3
 from repro.experiments.fig4 import format_fig4, run_fig4
 from repro.experiments.fig5 import (format_fig5, format_fig5_measured,
@@ -12,30 +18,102 @@ from repro.experiments.fig5 import (format_fig5, format_fig5_measured,
 from repro.experiments.table2 import format_table2, run_table2
 from repro.experiments.table3 import format_table3, run_table3
 
+FIXTURES = Path(__file__).with_name("fixtures")
+
+
+def load_generator():
+    """The generator's own ``quick_config``/``observed``: the test
+    measures exactly what the fixture recorded."""
+    spec = importlib.util.spec_from_file_location(
+        "generate_drivers_oracle", FIXTURES / "generate_drivers_oracle.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+oracle = load_generator()
 
 #: A small but representative subset so the driver tests stay quick.
 SMALL_MATRICES = ("qa8fm", "Dubcova3")
 
 
-def quick_config(**overrides):
-    defaults = dict(matrices=SMALL_MATRICES, repetitions=1,
-                    tolerance=1e-8, max_iterations=8000)
-    defaults.update(overrides)
-    return ExperimentConfig(**defaults)
+def quick_config(**knobs):
+    defaults = dict(tolerance=1e-8, max_iterations=8000)
+    defaults.update(knobs)
+    return ExperimentConfig(matrices=SMALL_MATRICES, repetitions=1,
+                            knobs=SolverKnobs(**defaults))
 
 
 class TestCommon:
-    def test_build_problem_shapes(self):
-        config = quick_config()
-        A, b = build_problem("qa8fm", config)
+    def test_cell_builds_the_suite_problem(self):
+        cell = quick_config().cell("qa8fm", None)
+        A, b = cell.matrix.build()
         assert A.shape[0] == b.shape[0]
+        assert cell.matrix.rhs_seed == quick_config().seed
 
-    def test_run_ideal_converges(self):
-        config = quick_config()
-        A, b = build_problem("qa8fm", config)
-        result = run_ideal(A, b, config, matrix_name="qa8fm")
+    def test_ideal_cell_converges(self):
+        result = solve_trial(quick_config().cell("qa8fm", None),
+                             CampaignCache())
         assert result.converged
         assert result.solve_time > 0
+
+    def test_the_held_ideal_run_is_the_baseline(self):
+        """``solve_cell`` seeds the cache with the ideal run the driver
+        holds: no cell solves the baseline a second time."""
+        config, cache = quick_config(), CampaignCache()
+        ideal = ideal_runs(config, cache, ("qa8fm",))["qa8fm"]
+        run = solve_cell(config.cell("qa8fm", "FEIR"), ideal, cache)
+        ckpt = solve_cell(config.cell("qa8fm", "ckpt", checkpoint_interval=7),
+                          ideal, cache)
+        assert run.ideal_time == ckpt.ideal_time == ideal.solve_time
+        assert cache.misses["baselines"] == 0
+        assert cache.misses["matrices"] == 1
+
+    def test_config_and_knobs_share_no_field(self):
+        import dataclasses
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert names == {"matrices", "methods", "repetitions", "seed",
+                         "knobs"}
+        assert not names & {f.name for f in dataclasses.fields(SolverKnobs)}
+
+
+class TestDriversOracle:
+    """Table 2, Table 3 and Fig. 3 through ``solve_trial`` reproduce, bit
+    for bit, what the drivers' own solver stack produced at the parent
+    commit (``fixtures/drivers_oracle.json``)."""
+
+    @pytest.fixture(scope="class")
+    def recorded(self):
+        payload = json.loads((FIXTURES / "drivers_oracle.json").read_text())
+        if payload["numerics_stack"] != oracle.numerics_stack():
+            pytest.skip(f"oracle recorded on {payload['numerics_stack']}")
+        return payload["observed"]
+
+    def test_drivers_reproduce_the_parent_commit(self, recorded):
+        assert oracle.observed(oracle.quick_config()) == recorded
+
+    def test_a_store_changes_no_number(self, recorded, tmp_path):
+        store = CampaignStore(tmp_path / "store")
+        for _ in ("cold", "warm"):
+            config = oracle.quick_config()
+            fig3 = run_fig3(config, store=store, **oracle.FIG3)
+            assert {m: t.hex() for m, t in fig3.final_times.items()} \
+                == recorded["fig3"]["final_times"]
+            table2 = run_table2(config, store=store)
+            assert {m: v.hex() for m, v in table2.overheads.items()} \
+                == recorded["table2"]
+        assert store.entry_count()["matrices"] == len(SMALL_MATRICES)
+
+    @pytest.mark.parametrize("mutation,moved", [
+        (dict(seed=7), ("table2", "table3", "fig3")),
+        # The fault-free tables do not depend on the page size; the
+        # single-page loss of Fig. 3 does.
+        (dict(page_size=96), ("fig3",)),
+    ], ids=["rhs_seed", "page_size"])
+    def test_the_oracle_can_fail(self, recorded, mutation, moved):
+        mutated = oracle.observed(oracle.quick_config(**mutation))
+        for section in moved:
+            assert mutated[section] != recorded[section]
 
 
 class TestTable2:
@@ -149,7 +227,8 @@ RUNTIME_CELLS = [
 class TestFig4CarriesTheRuntimeCell:
     """``campaign_spec`` used to forward a hand-kept field list that
     silently dropped scheduler/placement/clock/ranks, so fig4 always ran
-    list/local/simulated whatever the flags said."""
+    list/local/simulated whatever the flags said.  The configuration now
+    holds the knobs themselves, and every driver cell carries them."""
 
     @pytest.mark.parametrize("cell", RUNTIME_CELLS,
                              ids=lambda c: "-".join(map(str, c)))
@@ -158,22 +237,18 @@ class TestFig4CarriesTheRuntimeCell:
         from repro.runtime.cost_model import CostModel
         from repro.runtime.runtime import resolve_runtime_spec
         scheduler, placement, clock, ranks = cell
-        config = ExperimentConfig(
-            matrices=("qa8fm",), num_workers=3, page_size=48,
-            work_scale=17.0, checkpoint_interval=9, pace=0.0,
+        knobs = SolverKnobs(
+            num_workers=3, page_size=48, work_scale=17.0,
+            checkpoint_interval=9, pace=0.0,
             cost_model=CostModel(task_overhead=1e-5), scheduler=scheduler,
             placement=placement, clock=clock, ranks=ranks)
-        knobs = campaign_spec(config).knobs
-        solver = config.solver_config()
-        assert knobs.runtime_spec() == resolve_runtime_spec(
-            solver.scheduler, solver.placement, solver.clock, solver.ranks)
+        config = ExperimentConfig(matrices=("qa8fm",), knobs=knobs)
+        assert campaign_spec(config).knobs is knobs
         assert knobs.runtime_spec() == resolve_runtime_spec(*cell)
-        for name in ("num_workers", "page_size", "work_scale", "cost_model",
-                     "pace", "tolerance", "max_iterations"):
-            assert getattr(knobs, name) == getattr(solver, name) \
-                == getattr(config, name), name
-        assert knobs.checkpoint_interval == config.checkpoint_interval == 9
-        assert solver.record_history and not knobs.record_history
+        assert config.cell("qa8fm", "FEIR").knobs == knobs
+        history = config.cell("qa8fm", "FEIR", record_history=True).knobs
+        assert history.record_history and not knobs.record_history
+        assert history.runtime_spec() == knobs.runtime_spec()
 
 
 class TestFig5:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.manager import make_strategy
-from repro.campaign.engine import clear_caches, run_campaign
+from repro.campaign.engine import run_campaign
 from repro.campaign.executors import SerialExecutor
 from repro.campaign.spec import CampaignSpec, SolverKnobs
 from repro.faults.injector import Injection
@@ -192,12 +192,6 @@ def matrix_campaign_spec():
 class TestCampaignFingerprints:
     """Campaign fingerprints are byte-identical across runtime cells."""
 
-    @pytest.fixture(autouse=True)
-    def fresh_caches(self):
-        clear_caches()
-        yield
-        clear_caches()
-
     def test_fingerprints_identical_across_cells(self):
         cells = [
             dict(),                                        # reference
@@ -208,7 +202,6 @@ class TestCampaignFingerprints:
         ]
         fingerprints = []
         for knob_overrides in cells:
-            clear_caches()
             spec = matrix_campaign_spec()
             spec = CampaignSpec(
                 matrices=spec.matrices, methods=spec.methods,

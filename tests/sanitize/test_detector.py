@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.sanitize.detector import analyze_events
 from repro.sanitize.events import (Event, OP_ACCESS, OP_ACQUIRE, OP_GET,
                                    OP_PUT, OP_RELEASE, OP_SET, OP_WAIT_EVENT)
-from repro.sanitize.stale import StaleReadAllowlist
 
 
 def _ev(seq, thread, op, obj, **kw):
@@ -19,15 +16,12 @@ def _access(seq, thread, resource, *, write, held=(), task=None):
                stack=(f"fake.py:{seq} in t{seq}",), task=task)
 
 
-EMPTY = StaleReadAllowlist()
-
-
 class TestHappensBefore:
     def test_unordered_cross_thread_writes_race(self):
         report = analyze_events([
             _access(1, "a", "r", write=True),
             _access(2, "b", "r", write=True),
-        ], allowlist=EMPTY)
+        ])
         assert len(report.races) == 1
         assert report.races[0].access == "write/write"
         assert report.races[0].resource == "r"
@@ -41,7 +35,7 @@ class TestHappensBefore:
             # second access outside the lock: ordered purely by the edge
             _ev(5, "b", OP_RELEASE, "L", held=("L",)),
             _access(6, "b", "r", write=True),
-        ], allowlist=EMPTY)
+        ])
         assert report.ok
         assert report.lockset_protected == 0
 
@@ -51,7 +45,7 @@ class TestHappensBefore:
             _ev(2, "a", OP_PUT, "q"),            # token is the put's seq
             _ev(3, "b", OP_GET, "q", token=2),
             _access(4, "b", "r", write=True),
-        ], allowlist=EMPTY)
+        ])
         assert report.ok
 
     def test_get_with_foreign_token_does_not_order(self):
@@ -60,7 +54,7 @@ class TestHappensBefore:
             _ev(2, "a", OP_PUT, "q"),
             _ev(3, "b", OP_GET, "q", token=999),   # some other put
             _access(4, "b", "r", write=True),
-        ], allowlist=EMPTY)
+        ])
         assert len(report.races) == 1
 
     def test_event_set_wait_orders(self):
@@ -69,21 +63,21 @@ class TestHappensBefore:
             _ev(2, "a", OP_SET, "e"),
             _ev(3, "b", OP_WAIT_EVENT, "e"),
             _access(4, "b", "r", write=True),
-        ], allowlist=EMPTY)
+        ])
         assert report.ok
 
     def test_read_read_never_conflicts(self):
         report = analyze_events([
             _access(1, "a", "r", write=False),
             _access(2, "b", "r", write=False),
-        ], allowlist=EMPTY)
+        ])
         assert report.ok
 
     def test_write_read_conflicts(self):
         report = analyze_events([
             _access(1, "a", "r", write=True),
             _access(2, "b", "r", write=False),
-        ], allowlist=EMPTY)
+        ])
         assert len(report.races) == 1
         assert report.races[0].access == "write/read"
 
@@ -91,7 +85,7 @@ class TestHappensBefore:
         report = analyze_events([
             _access(1, "a", "r", write=True),
             _access(2, "a", "r", write=True),
-        ], allowlist=EMPTY)
+        ])
         assert report.ok
 
     def test_duplicate_race_sites_dedup(self):
@@ -105,7 +99,7 @@ class TestHappensBefore:
             seq += 1
             events.append(Event(seq=seq, thread="b", op=OP_ACCESS, obj="r",
                                 write=True, stack=("f.py:1 in bump",)))
-        report = analyze_events(events, allowlist=EMPTY)
+        report = analyze_events(events)
         assert len(report.races) == 1
 
 
@@ -116,7 +110,7 @@ class TestLocksetFallback:
         report = analyze_events([
             _access(1, "a", "r", write=True, held=("L",)),
             _access(2, "b", "r", write=True, held=("L",)),
-        ], allowlist=EMPTY)
+        ])
         assert report.ok
         assert report.lockset_protected == 1
 
@@ -124,55 +118,8 @@ class TestLocksetFallback:
         report = analyze_events([
             _access(1, "a", "r", write=True, held=("L1",)),
             _access(2, "b", "r", write=True, held=("L2",)),
-        ], allowlist=EMPTY)
+        ])
         assert len(report.races) == 1
-
-
-class TestStaleAllowlist:
-    def _allow(self, resource, bound=2):
-        allowlist = StaleReadAllowlist()
-        allowlist.allow(resource, bound=bound,
-                        reason="bounded staleness for the test")
-        return allowlist
-
-    def test_allowance_sanctions_write_read_pair(self):
-        report = analyze_events([
-            _access(1, "a", "page:3", write=True),
-            _access(2, "b", "page:3", write=False),
-        ], allowlist=self._allow("page:3"))
-        assert report.ok
-        assert len(report.sanctioned) == 1
-        assert report.sanctioned[0].allowance.bound == 2
-
-    def test_allowance_never_sanctions_write_write(self):
-        report = analyze_events([
-            _access(1, "a", "page:3", write=True),
-            _access(2, "b", "page:3", write=True),
-        ], allowlist=self._allow("page:3"))
-        assert len(report.races) == 1
-        assert not report.sanctioned
-
-    def test_prefix_pattern_matches(self):
-        report = analyze_events([
-            _access(1, "a", "page:7", write=True),
-            _access(2, "b", "page:7", write=False),
-        ], allowlist=self._allow("page:*"))
-        assert report.ok
-        assert len(report.sanctioned) == 1
-
-    def test_exact_match_wins_over_pattern(self):
-        allowlist = StaleReadAllowlist()
-        allowlist.allow("page:*", bound=1, reason="broad")
-        allowlist.allow("page:7", bound=9, reason="specific")
-        assert allowlist.lookup("page:7").bound == 9
-        assert allowlist.lookup("page:3").bound == 1
-
-    def test_allow_requires_reason_and_positive_bound(self):
-        allowlist = StaleReadAllowlist()
-        with pytest.raises(ValueError):
-            allowlist.allow("r", bound=0, reason="x")
-        with pytest.raises(ValueError):
-            allowlist.allow("r", bound=1, reason="")
 
 
 class TestReportRendering:
@@ -181,7 +128,7 @@ class TestReportRendering:
             _access(1, "thread-a", "r", write=True, held=("La",),
                     task="task-1"),
             _access(2, "thread-b", "r", write=True, held=("Lb",)),
-        ], allowlist=EMPTY)
+        ])
         text = report.races[0].describe()
         assert "thread-a" in text and "thread-b" in text
         assert "La" in text and "Lb" in text
@@ -192,7 +139,7 @@ class TestReportRendering:
         report = analyze_events([
             _access(1, "a", "r", write=True),
             _access(2, "b", "r", write=True),
-        ], allowlist=EMPTY)
+        ])
         summary = report.summary()
         assert summary["races"] == 1
         assert summary["accesses"] == 2

@@ -26,10 +26,10 @@ import threading
 
 import pytest
 
-from repro.campaign.engine import clear_caches, run_campaign
+from repro.campaign.engine import run_campaign
 from repro.campaign.executors import SerialExecutor
 from repro.campaign.spec import CampaignSpec, SolverKnobs
-from repro.campaign.store import CampaignStore, clear_store_cache
+from repro.campaign.store import CampaignStore
 from repro.service import (CampaignService, ChaosMonkey, ServiceClient,
                            ServiceError)
 from repro.service.protocol import ProtocolError, TERMINAL_STATES
@@ -75,19 +75,8 @@ def assert_nothing_left_behind(svc, pool_pids):
 
 def offline_fingerprint(spec):
     """The ground truth: a serial, storeless, single-process run."""
-    clear_caches()
     result = run_campaign(spec, executor=SerialExecutor())
-    clear_caches()
     return result.fingerprint()
-
-
-@pytest.fixture(autouse=True)
-def fresh_caches():
-    clear_caches()
-    clear_store_cache()
-    yield
-    clear_caches()
-    clear_store_cache()
 
 
 @pytest.fixture()
@@ -124,8 +113,6 @@ class TestFingerprintInvariant:
         status = client.wait(job["id"], timeout=120)
         assert status["state"] == "done"
 
-        clear_caches()
-        clear_store_cache()
         offline = run_campaign(spec, executor=SerialExecutor(),
                                store=CampaignStore(tmp_path / "store"))
         assert offline.executed == 0
@@ -144,6 +131,8 @@ class TestWarmResubmission:
         assert second["fingerprint"] == first["fingerprint"]
 
         metrics = client.metrics()
+        assert set(metrics["cache"]["trials"]) == {"hits", "misses",
+                                                   "hit_rate_percent"}
         assert metrics["cache"]["trials"]["hits"] >= spec.num_trials
         assert metrics["trials"]["executed"] == spec.num_trials
         assert metrics["trials"]["cached"] >= spec.num_trials
@@ -157,8 +146,6 @@ class TestWarmResubmission:
         assert first["state"] == "done"
         service.shutdown(drain=True, timeout=30)
 
-        clear_caches()
-        clear_store_cache()
         with running_daemon(store=CampaignStore(tmp_path / "store")) \
                 as (_, c2):
             resumed = c2.wait(c2.submit(spec)["id"], timeout=120)
@@ -472,7 +459,12 @@ class CountingStore(CampaignStore):
     def __init__(self, root):
         super().__init__(root)
         self.put_trial_calls = 0
+        self.get_trial_calls = 0
         self.trial_events = 0
+
+    def get_trial(self, key):
+        self.get_trial_calls += 1
+        return super().get_trial(key)
 
     def put_trial(self, key, result):
         self.put_trial_calls += 1
@@ -493,9 +485,12 @@ class TestParentSideWork:
             assert cold["executed"] == spec.num_trials
             assert store.put_trial_calls == 0
             assert store.trial_events == spec.num_trials
-            assert len(svc.warm) == spec.num_trials
+            # The resubmission is served from the daemon's RAM tier: it
+            # reads the store no more than it writes it.
+            reads = store.get_trial_calls
             warm = client.wait(client.submit(spec)["id"], timeout=120)
             assert warm["executed"] == 0
+            assert store.get_trial_calls == reads
             assert store.put_trial_calls == 0
             assert store.trial_events == spec.num_trials
         assert store.entry_count()["trials"] == spec.num_trials
@@ -507,7 +502,7 @@ class TestParentSideWork:
         with running_daemon() as (svc, client):
             cold = client.wait(client.submit(spec)["id"], timeout=120)
             assert cold["executed"] == spec.num_trials
-            assert len(svc.warm) == spec.num_trials
+            assert svc.cache.store is None
             warm = client.wait(client.submit(spec)["id"], timeout=120)
             assert warm["executed"] == 0
             assert warm["cached"] == spec.num_trials

@@ -13,7 +13,7 @@ and run in the quarantined ``threaded-backend`` CI job.
 import numpy as np
 import pytest
 
-from repro.campaign.engine import clear_caches, run_campaign
+from repro.campaign.engine import run_campaign
 from repro.campaign.spec import CampaignSpec, SolverKnobs
 from repro.core.manager import make_strategy
 from repro.faults.injector import Injection
@@ -143,10 +143,8 @@ class TestCampaignFingerprints:
     def test_fingerprints_identical_across_backends(self, rates):
         fingerprints = {}
         for backend in ("simulated", "threaded"):
-            clear_caches()
             result = run_campaign(self.spec(backend, rates))
             fingerprints[backend] = result.fingerprint()
-        clear_caches()
         assert fingerprints["simulated"] == fingerprints["threaded"]
 
     def test_knobs_reject_unknown_axis_values(self):
@@ -161,9 +159,10 @@ class TestTable2OnBothBackends:
     def test_afeir_fault_free_overhead_strictly_below_feir(self, backend):
         from repro.experiments.common import ExperimentConfig
         from repro.experiments.table2 import run_table2
-        cfg = ExperimentConfig(matrices=("qa8fm",), repetitions=1,
-                               max_iterations=6000, tolerance=1e-9,
-                               **CELLS[backend])
+        cfg = ExperimentConfig(
+            matrices=("qa8fm",), repetitions=1,
+            knobs=SolverKnobs(max_iterations=6000, tolerance=1e-9,
+                              **CELLS[backend]))
         result = run_table2(cfg)
         assert result.overheads["AFEIR"] < result.overheads["FEIR"]
         if backend == "threaded":
