@@ -41,7 +41,7 @@ class SparseOperator:
         Matrix shape ``(rows, cols)``.
     """
 
-    __slots__ = ("data", "indices", "indptr", "shape")
+    __slots__ = ("data", "indices", "indptr", "shape", "_rows")
 
     def __init__(self, data: np.ndarray, indices: np.ndarray,
                  indptr: np.ndarray, shape: Tuple[int, int]):
@@ -49,6 +49,7 @@ class SparseOperator:
         self.indices = np.asarray(indices, dtype=np.int64)
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.shape = (int(shape[0]), int(shape[1]))
+        self._rows = None  # of matvec, derived on first use, never shipped
         if self.indptr.shape[0] != self.shape[0] + 1:
             raise ValueError(f"indptr must have {self.shape[0] + 1} entries, "
                              f"got {self.indptr.shape[0]}")
@@ -56,6 +57,9 @@ class SparseOperator:
             raise ValueError("data and indices must have the same length")
         if int(self.indptr[-1]) != self.data.shape[0]:
             raise ValueError("indptr[-1] must equal nnz")
+
+    def __reduce__(self):  # the arrays only: a pickle carries no ``_rows``
+        return type(self), (self.data, self.indices, self.indptr, self.shape)
 
     # ------------------------------------------------------------------
     # constructors
@@ -126,12 +130,22 @@ class SparseOperator:
     # products
     # ------------------------------------------------------------------
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """``A @ v`` for a 1-d vector ``v``."""
-        return self.row_slab_matvec(0, self.shape[0], v)
+        """``A @ v`` for a 1-d vector ``v`` (its row offsets computed once)."""
+        if self._rows is None:
+            self._rows = self._row_offsets(0, self.shape[0])
+        return self._slab_matvec(0, self.shape[0], v, self._rows)
 
     def row_slab_matvec(self, start: int, stop: int,
                         v: np.ndarray) -> np.ndarray:
         """``(A @ v)[start:stop]`` touching only the slab's nonzeros."""
+        return self._slab_matvec(start, stop, v, None)
+
+    def _row_offsets(self, start: int, stop: int):
+        """The slab's non-empty rows and where each one's nonzeros begin."""
+        nonempty = np.flatnonzero(np.diff(self.indptr[start:stop + 1]))
+        return nonempty, (self.indptr[start:stop] - self.indptr[start])[nonempty]
+
+    def _slab_matvec(self, start, stop, v, rows) -> np.ndarray:
         if not (0 <= start <= stop <= self.shape[0]):
             raise ValueError(f"row slab [{start}, {stop}) out of range "
                              f"for {self.shape[0]} rows")
@@ -145,11 +159,9 @@ class SparseOperator:
         if p1 == p0:
             return out
         prod = self.data[p0:p1] * v[self.indices[p0:p1]]
-        counts = np.diff(self.indptr[start:stop + 1])
-        nonempty = np.flatnonzero(counts)
         # reduceat over the offsets of the non-empty rows: consecutive
         # offsets delimit exactly one row's nonzeros (empty rows own none).
-        offsets = (self.indptr[start:stop] - p0)[nonempty]
+        nonempty, offsets = rows or self._row_offsets(start, stop)
         out[nonempty] = np.add.reduceat(prod, offsets)
         return out
 

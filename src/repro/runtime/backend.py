@@ -219,9 +219,6 @@ class SimulatedBackend(ExecutionBackend):
     """The discrete-event backend: time plans, replay actions serially."""
 
     name = "simulated"
-    #: ``(plan, launch order)`` of the last plan replayed with its base
-    #: durations: consecutive iterations of a solve share both.
-    _launch: Optional[Tuple[IterationPlan, List[int]]] = None
 
     def execute(self, graph: Union[TaskGraph, IterationPlan],
                 actions: Optional[Sequence[Optional[Callable]]] = None,
@@ -237,13 +234,7 @@ class SimulatedBackend(ExecutionBackend):
         timing is discarded.
         """
         plan, actions, durations = self._bind(graph, actions, durations)
-        base = durations is plan.durations   # what _bind makes of None
-        if base and self._launch is not None and self._launch[0] is plan:
-            order = self._launch[1]
-        else:
-            order = self.simulate(plan, durations=durations).launch_order
-            if base:
-                self._launch = (plan, order)
+        order = self.simulate(plan, durations=durations).launch_order
         total = len(plan)
         result = ExecutionResult(plan=plan,
                                  starts=[0.0] * total, ends=[0.0] * total,

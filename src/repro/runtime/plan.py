@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import isfinite
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.runtime.graph import TaskGraph, maybe_verify_graph
@@ -83,17 +84,17 @@ class IterationPlan:
     def checked_durations(self, durations: Optional[Sequence[float]]
                           ) -> Sequence[float]:
         """``durations`` (plan order) or, for ``None``, the base
-        durations; a wrong length or a negative entry is rejected on
-        every use."""
+        durations; a wrong length or a negative or non-finite entry (a
+        NaN leaves a heap's order undefined) is rejected on every use."""
         if durations is None:
             return self.durations
         if len(durations) != len(self):
             raise ValueError(f"plan has {len(self)} tasks, got "
                              f"{len(durations)} durations")
-        if len(self) and min(durations) < 0:
-            bad = next(i for i, d in enumerate(durations) if d < 0)
-            raise ValueError(
-                f"task {self.names[bad]!r} has negative duration")
+        for name, d in zip(self.names, durations, strict=True):
+            if not (d >= 0 and isfinite(d)):  # a NaN is neither
+                kind = "negative" if d < 0 else "non-finite"
+                raise ValueError(f"task {name!r} has {kind} duration")
         return durations
 
 
@@ -103,7 +104,7 @@ def compile_plan(graph: TaskGraph,
     """Validate ``graph`` and freeze it into an :class:`IterationPlan`.
 
     Raises ``ValueError`` for a dangling dependency, a cycle or a
-    negative duration, and (under ``REPRO_VERIFY_GRAPHS=1``)
+    negative or non-finite duration, and (under ``REPRO_VERIFY_GRAPHS=1``)
     :class:`~repro.runtime.graph.GraphRaceError` for unordered
     conflicting accesses.  ``roles`` maps a role to a task name, or to a
     sequence of names for a group; it is stored resolved to indices.
@@ -117,14 +118,11 @@ def compile_plan(graph: TaskGraph,
     for i, task_deps in enumerate(deps):
         for d in task_deps:
             successors[d].append(i)
-    for task in tasks:
-        if task.duration < 0:
-            raise ValueError(f"task {task.name!r} has negative duration")
     resolved: Dict[str, Role] = {}
     for role, target in (roles or {}).items():
         resolved[role] = (index[target] if isinstance(target, str)
                           else tuple(index[name] for name in target))
-    return IterationPlan(
+    plan = IterationPlan(
         names=tuple(index),
         deps=deps,
         successors=tuple(tuple(s) for s in successors),
@@ -136,3 +134,5 @@ def compile_plan(graph: TaskGraph,
         resources=tuple((task.page, task.reads, task.resources_written())
                         for task in tasks),
         roles=resolved)
+    plan.checked_durations(plan.durations)
+    return plan

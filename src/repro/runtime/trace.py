@@ -15,9 +15,16 @@ is idle time.  Traces from successive iterations can be accumulated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from repro.runtime.task import ScheduledTask, TaskKind
+
+
+#: The states a task's work (occupied time minus runtime overhead) is
+#: charged to, and the index of the one each :class:`TaskKind` feeds.
+WORK_STATES = ("useful", "recovery", "checkpoint", "communication")
+WORK_STATE = {TaskKind.COMPUTE: 0, TaskKind.REDUCTION: 0, TaskKind.RECOVERY: 1,
+              TaskKind.CHECKPOINT: 2, TaskKind.COMMUNICATION: 3}
 
 
 @dataclass
@@ -99,28 +106,27 @@ class ExecutionTrace:
         included).  The sums run in iteration order, so callers that need
         bit-reproducible breakdowns pass spans in launch order.
         """
-        runtime = busy = useful = recovery = checkpoint = communication = 0.0
+        runtime = busy = 0.0
+        work = [0.0] * len(WORK_STATES)
         count = 0
         for occupied, overhead, kind in spans:
             count += 1
-            work = occupied - overhead
             runtime += overhead
             busy += occupied
-            if kind is TaskKind.RECOVERY:
-                recovery += work
-            elif kind is TaskKind.CHECKPOINT:
-                checkpoint += work
-            elif kind is TaskKind.COMMUNICATION:
-                communication += work
-            else:
-                useful += work
+            work[WORK_STATE[kind]] += occupied - overhead
+        return cls.from_sums(work, runtime, busy, count,
+                             num_workers=num_workers, start=start, end=end)
+
+    @classmethod
+    def from_sums(cls, work: Sequence[float], runtime: float, busy: float, count: int,
+                  *, num_workers: int, start: float, end: float) -> "ExecutionTrace":
+        """The trace of ``count`` tasks from their sums (``work`` by state)."""
         span = max(end - start, 0.0)
         return cls(num_workers=num_workers, wall_time=span, task_count=count,
                    breakdown=StateBreakdown(
-                       useful=useful, runtime=runtime,
+                       runtime=runtime,
                        idle=max(num_workers * span - busy, 0.0),
-                       recovery=recovery, checkpoint=checkpoint,
-                       communication=communication))
+                       **dict(zip(WORK_STATES, work, strict=True))))
 
     # ------------------------------------------------------------------
     def accumulate(self, other: "ExecutionTrace") -> None:

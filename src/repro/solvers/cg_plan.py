@@ -14,7 +14,8 @@ the three questions the solver asks of it:
     :meth:`~CGPlanner.time_iteration` re-times a shape from the current
     clock (pass 1, fault-free durations — cached while no fault is due)
     and :meth:`~CGPlanner.retime` with the iteration's actual recovery
-    work (pass 2); both go through ``executor.simulate(plan, ...)``.
+    work (pass 2); both go through ``executor.simulate(plan, ...)`` at
+    the iteration's own clock: after a shape's first timing, a replay.
 *where are the check points*
     every timing carries the start of ``A``/``B``/``C``/``D`` and of
     ``r1``/``r2``/``r3`` relative to the iteration's start
@@ -360,7 +361,10 @@ class CGPlanner:
 
         The schedule of the plain (no checkpoint) shape is the same
         relative to every start time, so it is computed once and reused
-        for every iteration that ends before ``next_fault`` is due.
+        for every iteration that ends before ``next_fault`` is due.  One
+        a fault may reach is re-timed (replayed) at ``clock``, not shifted:
+        ``(clock + a) - clock`` is not ``a`` in floating point, and its
+        bits reach ``solve_time`` and the A-D classification.
         """
         if not checkpoint:
             if self._fault_free is None:

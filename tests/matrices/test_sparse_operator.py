@@ -1,5 +1,8 @@
 """SparseOperator (SciPy-free CSR) parity and fast-path tests."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -100,6 +103,35 @@ class TestProducts:
             op.row_slab_matvec(0, op.n + 1, vector)
         with pytest.raises(ValueError):
             op.matvec(vector[:-1])
+
+    def test_matvec_is_the_full_row_slab_bit_for_bit(self, poisson_pair):
+        """``matvec`` keeps its row offsets; the floats cannot tell."""
+        rng = np.random.default_rng(7)
+        gappy = rng.standard_normal((9, 9)) * (rng.random((9, 9)) < 0.3)
+        gappy[[0, 4, 8]] = 0.0                  # empty first, inner, last row
+        for op in (poisson_pair[1], SparseOperator.from_dense(gappy),
+                   SparseOperator.from_dense(np.zeros((4, 4))),
+                   SparseOperator.from_dense(np.zeros((0, 0)))):
+            for _ in range(3):                  # derived, then reused
+                v = rng.standard_normal(op.n)
+                assert op.matvec(v).tobytes() == \
+                    op.row_slab_matvec(0, op.n, v).tobytes()
+                assert (op @ v).tobytes() == op.matvec(v).tobytes()
+            with pytest.raises(ValueError, match="vector has length"):
+                op.matvec(np.ones(op.n + 1))
+
+    def test_pickle_neither_carries_nor_needs_the_row_offsets(self,
+                                                              poisson_pair,
+                                                              vector):
+        op = SparseOperator.from_scipy(poisson_pair[0])
+        cold = pickle.dumps(op)
+        expected = op.matvec(vector)
+        assert op._rows is not None
+        assert len(pickle.dumps(op)) == len(cold)
+        for clone in (pickle.loads(pickle.dumps(op)), copy.deepcopy(op)):
+            assert type(clone) is SparseOperator and clone._rows is None
+            assert clone.shape == op.shape
+            assert clone.matvec(vector).tobytes() == expected.tobytes()
 
 
 class TestDenseExtraction:

@@ -6,7 +6,8 @@ iteration graphs with the schedule the *parent commit's*
 Both ways into today's single event loop — ``ListScheduler.run(graph)``
 and re-timing a compiled plan — must reproduce every recorded float bit
 for bit.  Beside it: property tests of the schedule invariants on
-arbitrary DAGs, and the checks that must be able to fail.
+arbitrary DAGs, the differential between a replayed schedule and a fresh
+event loop, and the checks that must be able to fail.
 """
 
 import dataclasses
@@ -14,7 +15,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.runtime.async_exec import ThreadedBackend
@@ -22,7 +23,7 @@ from repro.runtime.backend import SimulatedBackend
 from repro.runtime.cost_model import CostModel
 from repro.runtime.graph import TaskGraph
 from repro.runtime.plan import compile_plan
-from repro.runtime.scheduler import ListScheduler
+from repro.runtime.scheduler import ListScheduler, _Structure
 from repro.runtime.task import TaskKind
 
 ORACLE = json.loads(
@@ -96,6 +97,20 @@ class TestOracle:
         assert_matches(case, scheduler.retime(plan, durations, start))
         backend = SimulatedBackend(case["workers"], cost_model=scheduler.cost_model)
         assert_matches(case, backend.simulate(plan, start, durations))
+
+    @pytest.mark.parametrize("case", CASES,
+                             ids=[f"{i}-{c['label']}" for i, c in enumerate(CASES)])
+    def test_a_replay_reproduces_the_parent_schedule(self, case):
+        """Timed twice on one scheduler: the event loop, then a replay of
+        the structure it left — the same recorded bits both times."""
+        start = float.fromhex(case["start_time"])
+        scheduler = scheduler_of(case)
+        plan = compile_plan(build(case))
+        durations = [float.fromhex(t[1]) for t in case["tasks"]]
+        assert_matches(case, scheduler.retime(plan, durations, start))
+        assert (scheduler.loop_runs, scheduler.replays) == (1, 0)
+        assert_matches(case, scheduler.retime(plan, durations, start))
+        assert (scheduler.loop_runs, scheduler.replays) == (1, 1)
 
 
 # ----------------------------------------------------------------------
@@ -183,6 +198,83 @@ class TestScheduleInvariants:
 
 
 # ----------------------------------------------------------------------
+# a replayed schedule against a fresh event loop
+# ----------------------------------------------------------------------
+def assert_same_schedule(got, want):
+    for column in ("starts", "ends", "workers", "launch_order", "makespan",
+                   "start_time", "trace"):
+        assert getattr(got, column) == getattr(want, column), column
+
+
+def differential(tasks, workers, overhead, start, factors):
+    """Re-time ``tasks`` from ``start`` with durations scaled by
+    ``factors`` on a scheduler that first timed them as they are from 0.0
+    (so it may replay) and on a fresh one (the event loop): same bits."""
+    plan = compile_plan(graph_of(tasks))
+    durations = [d * f for d, f in zip(plan.durations, factors, strict=False)]
+    durations += plan.durations[len(durations):]
+    cost_model = CostModel(task_overhead=overhead)
+    warmed = ListScheduler(workers, cost_model=cost_model)
+    warmed.retime(plan)
+    got = warmed.retime(plan, durations, start)
+    fresh = ListScheduler(workers, cost_model=cost_model)
+    assert_same_schedule(got, fresh.retime(plan, durations, start))
+    assert (fresh.loop_runs, fresh.replays) == (1, 0)
+    assert warmed.loop_runs + warmed.replays == 2
+    return warmed.replays
+
+
+#: 1e9 * u absorbs the durations' low bits, so distinct ends tie; the
+#: factors move a task past its neighbours (or onto them, at 0.0).
+STARTS = st.one_of(st.just(0.0), st.floats(0.0, 4.0), st.just(1e3),
+                   st.floats(0.0, 1.0).map(lambda u: 1e9 * u))
+FACTORS = st.lists(st.sampled_from([1.0, 1.0, 1.0, 3.0, 100.0, 0.0]),
+                   max_size=16)
+DIFFERENTIAL = dict(tasks=dags(), workers=st.integers(1, 8),
+                    overhead=st.sampled_from([0.0, 8e-6, 0.5]),
+                    start=STARTS, factors=FACTORS)
+
+#: ``r`` (recovery) ends before ``a`` at its base duration and, enlarged
+#: by a fault, after it: the completion order the structure recorded
+#: breaks, and the task waiting for both starts elsewhere.
+OVERTAKING = dict(tasks=[(1.0, TaskKind.COMPUTE, 0, []),
+                         (0.25, TaskKind.RECOVERY, 0, []),
+                         (1.0, TaskKind.REDUCTION, 0, [0, 1])],
+                  workers=2, overhead=8e-6, start=2.5, factors=[1.0, 100.0])
+
+
+class TestReplayDifferential:
+    @given(**DIFFERENTIAL)
+    @settings(max_examples=150, deadline=None)
+    def test_warmed_scheduler_equals_a_fresh_one(self, **example):
+        event("replayed" if differential(**example) else "fell back")
+
+    @pytest.mark.slow
+    @given(**DIFFERENTIAL)
+    @settings(max_examples=5000, deadline=None)
+    def test_warmed_scheduler_equals_a_fresh_one_at_length(self, **example):
+        differential(**example)
+
+    def test_translation_alone_replays(self):
+        assert differential(**{**OVERTAKING, "factors": []}) == 1
+
+    def test_an_overtaking_recovery_task_falls_back_to_the_loop(self):
+        assert differential(**OVERTAKING) == 0
+        # ... and the structure that loop left is the one held from then on
+        plan = compile_plan(graph_of(OVERTAKING["tasks"]))
+        enlarged = [1.0, 25.0, 1.0]
+        scheduler = ListScheduler(2)
+        for durations, start, counts in ((None, 0.0, (1, 0)),
+                                        (enlarged, 2.5, (2, 0)),
+                                        (enlarged, 7.0, (2, 1)),
+                                        (None, 7.0, (3, 1))):
+            result = scheduler.retime(plan, durations, start)
+            assert (scheduler.loop_runs, scheduler.replays) == counts
+            assert_same_schedule(
+                result, ListScheduler(2).retime(plan, durations, start))
+
+
+# ----------------------------------------------------------------------
 # checks that must be able to fail
 # ----------------------------------------------------------------------
 class TestChecksCanFail:
@@ -211,9 +303,52 @@ class TestChecksCanFail:
         durations[plan.roles["r1"]] = -1e-9
         with pytest.raises(ValueError, match="'r1' has negative duration"):
             scheduler.retime(plan, durations)
+        # min([nan, 1.0]) < 0 is False: a NaN must not pass for that reason
+        for bad in (float("nan"), float("inf")):
+            for durations in ([bad, 1.0], [1.0, bad]):
+                name = plan.names[durations.index(bad)]
+                with pytest.raises(ValueError,
+                                   match=f"'{name}' has non-finite duration"):
+                    scheduler.retime(plan, durations)
+                with pytest.raises(ValueError, match="non-finite duration"):
+                    SimulatedBackend(2).execute(plan, durations=durations)
+        assert scheduler.loop_runs == 0
         graph.task("r1").duration = -1.0     # mutated after construction
         with pytest.raises(ValueError, match="negative duration"):
             compile_plan(graph)
+        graph.task("r1").duration = float("nan")
+        with pytest.raises(ValueError, match="'r1' has non-finite duration"):
+            compile_plan(graph)
+
+    def test_replay_check_rejects_a_structure_that_does_not_hold(self):
+        plan = compile_plan(graph_of(OVERTAKING["tasks"]))
+        scheduler = ListScheduler(2)
+        ends = scheduler.retime(plan).ends
+        (structure,) = scheduler._structures.values()
+        first, second, last = structure.completions
+        assert [tied for _, tied in structure.completions] == [False] * 3
+        assert structure.holds(ends, 0.0)
+        for broken in ([(first[0], True), second, last],    # a tie flag flipped
+                       [first, second, (last[0], True)],
+                       [second, first, last],               # two completions swapped
+                       [first, last, second]):
+            assert not structure._replace(
+                completions=tuple(broken)).holds(ends, 0.0)
+        # equal ends recorded as a tie hold only as a tie
+        tied = structure._replace(completions=(first, (second[0], True), last))
+        assert tied.holds([1.0, 1.0, 2.0], 0.0)
+        assert not structure.holds([1.0, 1.0, 2.0], 0.0)
+        # fail closed: a NaN satisfies neither relation
+        nan = float("nan")
+        assert not structure.holds([nan, ends[1], ends[2]], 0.0)
+        assert not structure.holds(ends, nan)
+        assert not tied.holds([nan, nan, 2.0], 0.0)
+
+    def test_differential_fails_on_a_check_that_accepts_everything(
+            self, monkeypatch):
+        monkeypatch.setattr(_Structure, "holds", lambda *args: True)
+        with pytest.raises(AssertionError, match="starts"):
+            differential(**OVERTAKING)
 
     def test_wrong_length_durations_raise(self):
         graph = TaskGraph()

@@ -97,6 +97,29 @@ def test_graph_count_does_not_grow_with_faults(graphs_built):
     assert graphs_few == graphs_many <= 4
 
 
+def test_event_loop_runs_do_not_grow_with_faults():
+    """Stack-independent: 5 or 95 detected faults, the event loop runs
+    once per shape; every other timing replays that schedule's structure."""
+    A, b = generator.problem()
+    ideal = generator.solve(None).solve_time
+    counts = []
+    for rate in (5.0, 50.0):
+        scenario = ErrorScenario(name=f"rate{rate:g}", normalized_rate=rate,
+                                 seed=3)
+        config = SolverConfig(num_workers=4, page_size=32, tolerance=1e-10)
+        with ResilientCG(A, b, strategy=make_strategy("AFEIR"),
+                         scenario=scenario, config=config) as solver:
+            record = solver.solve(ideal_time=ideal).record
+            scheduler = solver.planner.executor.scheduler
+            counts.append((record.faults_detected, scheduler.loop_runs,
+                           scheduler.replays))
+    (few, loops_few, replays_few), (many, loops_many, replays_many) = counts
+    assert many > 3 * few
+    assert 1 <= loops_few == loops_many <= 4
+    # pass 1 and pass 2 of every disturbed iteration
+    assert replays_few >= few and replays_many > 3 * replays_few
+
+
 #: The cells that execute every iteration for real (scheduler, placement,
 #: clock, ranks), beside the list cell the tests above pin.
 EXECUTING_CELLS = [("threaded", "local", "wall", 1),
