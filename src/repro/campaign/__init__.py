@@ -28,11 +28,12 @@ Quick start::
     print(result.format())
 """
 
-from repro.campaign.engine import run_campaign, run_trial, solve_trial
+from repro.campaign.engine import (CampaignRun, run_campaign, run_trial,
+                                   solve_trial)
 from repro.campaign.executors import (EXECUTOR_NAMES, CampaignExecutor,
                                       CampaignInterrupted, ChunkedExecutor,
                                       ProcessPoolExecutor, SerialExecutor,
-                                      TripAfter, make_executor)
+                                      TripAfter, WorkerLost, make_executor)
 from repro.campaign.results import (DIVERGED_SLOWDOWN, CampaignResult,
                                     CellStats, TrialResult)
 from repro.campaign.spec import (MATRIX_FAMILIES, CampaignSpec, MatrixSpec,
@@ -48,6 +49,7 @@ __all__ = [
     "CampaignExecutor",
     "CampaignInterrupted",
     "CampaignResult",
+    "CampaignRun",
     "CampaignSpec",
     "CampaignStore",
     "CellStats",
@@ -67,6 +69,7 @@ __all__ = [
     "TrialSpec",
     "TripAfter",
     "VerifyReport",
+    "WorkerLost",
     "content_hash",
     "default_store_root",
     "make_executor",

@@ -43,8 +43,6 @@ from repro.campaign.store import (GC_DEFAULT_DAYS, CampaignStore,
                                   StoreSchemaError, add_store_arguments,
                                   store_from_args)
 
-SUBCOMMANDS = ("run", "merge", "store")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -170,6 +168,9 @@ def main_run(argv) -> int:
         print(f"{store.stats_line()}")
         print(f"executed: {result.executed}  cache-hits: "
               f"{result.cache_hits}")
+    if executor.deaths:
+        print(f"worker-deaths: {executor.deaths} "
+              f"resubmitted: {executor.resubmitted}")
     print(f"fingerprint: {result.fingerprint()}")
     if args.out:
         result.save(args.out)

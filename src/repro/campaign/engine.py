@@ -32,14 +32,19 @@ incremental, resumable after an interruption, and shardable across
 machines (see ``campaign.store``).  There is no module state here: a
 fresh cache (a fresh ``run_campaign`` call, a fresh store) is a cold one.
 
-``run_campaign`` streams results as the executor completes them into a
-:class:`CampaignResult` whose aggregation is order-independent.
+One loop takes a campaign from spec to fingerprint, :class:`CampaignRun`
+(expand, cached/pending split, record, journal, finish), into a
+:class:`CampaignResult` whose aggregation is order-independent:
+``run_campaign`` drives one to completion as its executor completes
+trials, the daemon (``repro.service``) one per job, shard by shard.  A
+pool child lost on the way is the executor's business, not the loop's.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -49,6 +54,7 @@ from repro.campaign.spec import (CampaignSpec, MatrixSpec, SolverKnobs,
                                  TrialSpec, content_hash, shard_trials)
 from repro.campaign.store import CampaignCache, CampaignStore
 from repro.config import derive_config
+from repro.sanitize import make_lock
 
 
 # ----------------------------------------------------------------------
@@ -153,29 +159,131 @@ def run_trial(trial: TrialSpec, cache: CampaignCache) -> TrialResult:
 
 
 class TrialRunner:
-    """What an executor maps over the pending trials: run one, persist
-    it, return it.
+    """What an executor maps over the pending trials: the trial's result
+    — from the cache if it is there, else run, persisted and returned.
 
     In-process it reads and writes through the cache it was given; sent
     across a pool, the cache arrives as the worker process's own (see
     ``CampaignCache.__reduce__``).  Persisting from inside the worker —
     not the parent — is what makes interrupted campaigns resumable: a
     chunked campaign killed mid-stream has every finished trial on disk
-    even though the parent never saw the chunk complete.
+    even though the parent never saw the chunk complete.  Reading first
+    is what makes a trial safe to submit twice: resubmitted after its
+    pool broke (``campaign.executors``), one that a lost or terminated
+    child had persisted is a hit, never a second execution.
     """
 
     def __init__(self, cache: CampaignCache):
         self.cache = cache
 
     def __call__(self, trial: TrialSpec) -> TrialResult:
-        result = run_trial(trial, self.cache)
-        self.cache.put_trial(trial.store_key(), result)
+        key = trial.store_key()
+        result = self.cache.get_trial(key)
+        if result is None:
+            result = run_trial(trial, self.cache)
+            self.cache.put_trial(key, result)
+        elif result.index != trial.index:
+            # Stored under another grid's numbering: a position, not content.
+            result = dataclasses.replace(result, index=trial.index)
         return result
 
 
 # ----------------------------------------------------------------------
 # the engine
 # ----------------------------------------------------------------------
+class CampaignRun:
+    """One campaign from expansion to fingerprint: the one place where
+    cached trials are split from pending ones, results are recorded and
+    the journal is written.
+
+    Constructing one expands ``spec``, restricts it to ``shard``, serves
+    what ``cache`` already holds and journals ``start``; :attr:`pending`
+    is what is left to execute.  Whoever drives it (from any number of
+    threads) hands each result to :meth:`record` and ends with
+    :meth:`finish` or :meth:`abandon`.  ``executor`` names the driver in
+    the result; ``stamp`` is added to every journal line.
+    """
+
+    def __init__(self, spec: CampaignSpec, cache: CampaignCache,
+                 executor: str = "serial",
+                 shard: Optional[Tuple[int, int]] = None,
+                 stamp: Optional[dict] = None):
+        self.cache = cache
+        self.key = spec.store_key()
+        self._stamp = {"key": self.key, **(stamp or {})}
+        self._lock = make_lock("CampaignRun.lock")
+        trials = spec.expand()
+        self.result = CampaignResult(name=spec.name, executor=executor,
+                                     spec_key=self.key,
+                                     total_trials=len(trials), shard=shard)
+        if shard is not None:
+            trials = shard_trials(trials, *shard)
+        #: Trials this run answers for (the shard's, under ``shard``).
+        self.total = len(trials)
+        self.pending: List[TrialSpec] = []
+        #: Index -> store key of every pending trial not yet recorded.
+        self._awaited: Dict[int, str] = {}
+        for trial in trials:
+            key = trial.store_key()
+            cached = cache.get_trial(key)
+            if cached is not None:
+                self.result.add(cached)
+            else:
+                self.pending.append(trial)
+                self._awaited[trial.index] = key
+        self.cached = self.result.cache_hits = len(self.result)
+        self.executed = 0
+        self.fingerprint: Optional[str] = None
+        self._journal({"event": "start", "spec": spec.describe(),
+                       "total": self.result.total_trials,
+                       "shard": list(shard) if shard else None,
+                       "cached": self.cached, "pending": len(self.pending)})
+        self._started = time.perf_counter()  # repro-lint: allow[wall-clock] campaign wall_time metric, reported not fingerprinted
+
+    @property
+    def completed(self) -> int:
+        return self.cached + self.executed
+
+    def _journal(self, event: dict) -> None:
+        self.cache.journal_append(self.key, {**self._stamp, **event})
+
+    def record(self, result: TrialResult) -> int:
+        """Fold one executed trial in: the result, the cache's RAM tier
+        (its worker wrote the store), one ``trial`` journal line.  Returns
+        how many trials are now complete; 0 if this one was not awaited."""
+        with self._lock:
+            key = self._awaited.pop(result.index, None)
+            if key is None:
+                return 0
+            self.result.add(result)
+            self.executed += 1
+            completed = self.completed
+        self.cache.keep_trial(key, result)
+        self._journal({"event": "trial", "index": result.index})
+        return completed
+
+    def finish(self) -> CampaignResult:
+        """Every trial is in: fingerprint, ``done`` line, the result."""
+        if self._awaited:
+            raise RuntimeError(
+                f"executor {self.result.executor} returned {self.executed} "
+                f"results for {len(self.pending)} pending trials "
+                f"({self.total} in the shard)")
+        self.result.wall_time = time.perf_counter() - self._started  # repro-lint: allow[wall-clock] campaign wall_time metric, reported not fingerprinted
+        self.result.executed = self.executed
+        self.fingerprint = self.result.fingerprint()
+        self.pending = []  # none left: whoever holds the run keeps no specs
+        self._journal({"event": "done", "executed": self.executed,
+                       "cached": self.cached,
+                       "fingerprint": self.fingerprint})
+        return self.result
+
+    def abandon(self, event: str, **detail) -> None:
+        """Stopping short (``interrupted``, ``cancelled``, ``failed``):
+        one journal line saying so and how far the run got."""
+        self._journal({"event": event, "completed": self.completed, **detail})
+
+
 def run_campaign(spec: CampaignSpec,
                  executor: Optional[CampaignExecutor] = None,
                  progress: Optional[Callable[[TrialResult, int, int],
@@ -191,70 +299,29 @@ def run_campaign(spec: CampaignSpec,
     complete out of order under the pool executors.
 
     ``store`` (a :class:`~repro.campaign.store.CampaignStore`) enables
-    the content-addressed cache: trials whose content address is already
-    stored are loaded instead of dispatched, and every executed trial is
-    persisted by its worker the moment it finishes.  A warm re-run of an
-    unchanged campaign therefore executes zero trials and reproduces the
-    cold fingerprint byte-for-byte.
+    the content-addressed cache: trials already stored are loaded
+    instead of dispatched, and every executed trial is persisted by its
+    worker the moment it finishes.  A warm re-run of an unchanged
+    campaign executes zero trials and reproduces the cold fingerprint
+    byte-for-byte.
 
     ``shard=(i, N)`` restricts execution to the i-th round-robin shard
-    of the expanded trial list; the partial result can be merged with
-    the other shards via :meth:`CampaignResult.merge` into an aggregate
-    byte-identical to an unsharded run.
+    of the expanded trial list; :meth:`CampaignResult.merge` combines
+    the partial results into an aggregate byte-identical to an
+    unsharded run.
 
     ``trip`` (if given) is called with the number of *executed* (not
-    cached) trials after each one completes; raising
+    cached) trials after each one; raising
     :class:`~repro.campaign.executors.CampaignInterrupted` from it
-    simulates an interruption mid-campaign (tests exercise resume with
-    it via :class:`~repro.campaign.executors.TripAfter`).
+    simulates an interruption (see ``TripAfter``).
     """
     executor = executor or SerialExecutor()
-    trials = spec.expand()
-    total = len(trials)
-    if shard is not None:
-        trials = shard_trials(trials, *shard)
-    result = CampaignResult(name=spec.name, executor=executor.describe(),
-                            spec_key=spec.store_key(), total_trials=total,
-                            shard=shard)
-
     cache = CampaignCache(store)
-    campaign_key = spec.store_key()
-    pending = []
-    for trial in trials:
-        cached = cache.get_trial(trial.store_key())
-        if cached is not None:
-            result.add(cached)
-            result.cache_hits += 1
-        else:
-            pending.append(trial)
-    cache.journal_append(campaign_key, {
-        "event": "start", "key": campaign_key,
-        "spec": spec.describe(), "total": total,
-        "shard": list(shard) if shard else None,
-        "cached": result.cache_hits, "pending": len(pending)})
-
-    started = time.perf_counter()  # repro-lint: allow[wall-clock] campaign wall_time metric, reported not fingerprinted
-    completed = result.cache_hits
-    executed = 0
-    for trial_result in executor.run(TrialRunner(cache), pending):
-        completed += 1
-        executed += 1
-        result.add(trial_result)
-        cache.journal_append(campaign_key, {
-            "event": "trial", "key": campaign_key,
-            "index": trial_result.index})
+    run = CampaignRun(spec, cache, executor=executor.describe(), shard=shard)
+    for trial_result in executor.run(TrialRunner(cache), run.pending):
+        completed = run.record(trial_result)
         if progress is not None:
-            progress(trial_result, completed, len(trials))
+            progress(trial_result, completed, run.total)
         if trip is not None:
-            trip(executed)
-    result.wall_time = time.perf_counter() - started  # repro-lint: allow[wall-clock] campaign wall_time metric, reported not fingerprinted
-    result.executed = executed
-    if completed != len(trials):
-        raise RuntimeError(f"executor {executor.describe()} returned "
-                           f"{executed} results for {len(pending)} "
-                           f"pending trials ({len(trials)} in the shard)")
-    cache.journal_append(campaign_key, {
-        "event": "done", "key": campaign_key, "executed": executed,
-        "cached": result.cache_hits,
-        "fingerprint": result.fingerprint()})
-    return result
+            trip(run.executed)
+    return run.finish()

@@ -15,22 +15,41 @@ campaign statistics.  Three are provided:
 * :class:`ChunkedExecutor` — the same class fed batches of trials per
   pool task; amortises process round-trips when trials are short and
   numerous.
+
+A pool survives its children.  A child that exits or is killed breaks
+the stdlib pool as a whole (``BrokenProcessPool`` on every future in
+flight); only this module sees that exception.  ``run()`` reopens the
+pool — once per break however many threads share it — and resubmits
+what was in flight through ``submit()``; the caller's loop notices
+nothing but the ``deaths`` / ``resubmitted`` counters.  Items must be
+safe to run twice, which campaign trials are (pure functions of their
+spec, read back from the store by the runner before they are run).  A
+pool that keeps breaking with nothing completing in between gives up
+with :class:`WorkerLost` after :data:`MAX_RESUBMITS` resubmissions.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import functools
+import multiprocessing
 import os
+import threading
+from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterator, List, Optional, Sequence, TypeVar
 
 from repro.config import resolve_worker_count
+from repro.sanitize import make_lock
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 #: Registry of executor names understood by :func:`make_executor`.
 EXECUTOR_NAMES = ("serial", "process", "chunked")
+
+#: How often in a row — with no result in between — ``run()`` resubmits
+#: what a broken pool lost before it gives up with :class:`WorkerLost`.
+MAX_RESUBMITS = 3
 
 
 class CampaignInterrupted(RuntimeError):
@@ -46,6 +65,18 @@ class CampaignInterrupted(RuntimeError):
         super().__init__(f"campaign interrupted after {executed} "
                          f"executed trial(s)")
         self.executed = executed
+
+
+class WorkerLost(RuntimeError):
+    """The pool broke under ``item`` ``losses`` times in a row, one more
+    than ``run()`` resubmits."""
+
+    def __init__(self, item, losses: int):
+        name = (f"chunk [{', '.join(map(str, item))}]"
+                if isinstance(item, list) else item)
+        super().__init__(f"{name} lost its worker {losses} times; giving up")
+        self.item = item
+        self.losses = losses
 
 
 class TripAfter:
@@ -74,6 +105,10 @@ class CampaignExecutor:
 
     name = "base"
 
+    #: Pool breaks survived and items resubmitted after them: counters
+    #: to read, which only an executor with workers ever moves.
+    deaths = resubmitted = 0
+
     def run(self, fn: Callable[[T], R], items: Sequence[T]) -> Iterator[R]:
         raise NotImplementedError
 
@@ -98,7 +133,7 @@ class ProcessPoolExecutor(CampaignExecutor):
     Un-opened, :meth:`run` opens a pool sized to the work, drains it and
     closes it (the offline campaigns).  Opened — :meth:`open` or a
     ``with`` block — the same children serve every :meth:`run` and
-    :meth:`submit` until :meth:`close` (the campaign daemon).
+    :meth:`submit`, from any thread, until :meth:`close` (the daemon).
 
     Worker counts are validated (explicit non-positive requests raise)
     and capped by the ``REPRO_MAX_WORKERS`` environment override; a pool
@@ -111,37 +146,61 @@ class ProcessPoolExecutor(CampaignExecutor):
     def __init__(self, max_workers: Optional[int] = None):
         self.max_workers = resolve_worker_count(max_workers)
         self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
+        self._workers = 0
+        #: Which pool is current: bumped by every reopen and ``close()``,
+        #: stamped on every future by ``submit()``.
+        self._generation = 0
+        self._lock = make_lock("ProcessPoolExecutor.lock")
 
     def describe(self) -> str:
         return f"{self.name}({self.max_workers} workers)"
 
     # -- pool lifetime -------------------------------------------------
-    def open(self, workers: Optional[int] = None,
-             mp_context=None) -> "ProcessPoolExecutor":
-        """Start ``workers`` children (default ``max_workers``) and wait
-        until they answer, so the caller decides *when* the processes
-        are created: under the platform's default start method
-        (``mp_context=None``) every child exists when this returns.
-        """
-        if self._pool is not None:
-            raise RuntimeError(f"{self.describe()} is already open")
-        workers = workers or self.max_workers
+    def open(self, workers: Optional[int] = None) -> "ProcessPoolExecutor":
+        """Start ``workers`` children (default ``max_workers``) under the
+        platform's default start method and wait until they answer: the
+        caller decides *when* processes are created."""
+        with self._lock:
+            if self._pool is not None:
+                raise RuntimeError(f"{self.describe()} is already open")
+            self._workers = workers or self.max_workers
+            self._pool = self._start(None)
+        return self
+
+    def _start(self, mp_context) -> concurrent.futures.ProcessPoolExecutor:
         pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, mp_context=mp_context)
+            max_workers=self._workers, mp_context=mp_context)
         try:
-            for ready in [pool.submit(os.getpid) for _ in range(workers)]:
+            for ready in [pool.submit(os.getpid)
+                          for _ in range(self._workers)]:
                 ready.result()
         except BaseException:
             pool.shutdown(wait=True, cancel_futures=True)
             raise
-        self._pool = pool
-        return self
+        return pool
+
+    def _reopen(self, generation: int) -> None:
+        """Replace the pool a future of ``generation`` found broken:
+        once per break however many threads saw it, and not at all once
+        closed.  A process with live threads must not fork (a child can
+        inherit a held lock), so there the new children are spawned."""
+        with self._lock:
+            if generation != self._generation:
+                return
+            self._generation += 1
+            self.deaths += 1
+            self._pool.shutdown(wait=True, cancel_futures=True)
+            spawn = threading.active_count() > 1
+            self._pool = self._start(
+                multiprocessing.get_context("spawn") if spawn else None)
 
     def close(self) -> None:
         """Cancel what has not started, wait for what has, join and reap
         every child.  Closing a closed (or never opened) executor is a
         no-op."""
-        pool, self._pool = self._pool, None
+        with self._lock:
+            pool, self._pool = self._pool, None
+            self._generation += 1
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
 
@@ -161,15 +220,26 @@ class ProcessPoolExecutor(CampaignExecutor):
     # -- work ----------------------------------------------------------
     def submit(self, fn: Callable[[T], R], item: T
                ) -> "concurrent.futures.Future[R]":
-        """Queue ``fn(item)`` on the open pool."""
-        if self._pool is None:
-            raise RuntimeError(f"{self.describe()} is not open")
-        return self._pool.submit(fn, item)
+        """Queue ``fn(item)`` on the open pool.  The future alone does
+        not survive a lost child; :meth:`run` does."""
+        with self._lock:
+            if self._pool is None:
+                raise RuntimeError(f"{self.describe()} is not open")
+            try:
+                future = self._pool.submit(fn, item)
+            except BrokenProcessPool as exc:
+                # Broken under another item, not yet reopened: this one
+                # is lost like those already in flight.
+                future = concurrent.futures.Future()
+                future.set_exception(exc)
+            future.generation = self._generation
+        return future
 
     def run(self, fn: Callable[[T], R], items: Sequence[T]) -> Iterator[R]:
         if not items:
             return
-        own_pool = self._pool is None
+        with self._lock:  # a reopen in progress is an open pool
+            own_pool = self._pool is None
         if own_pool:
             workers = min(self.max_workers, len(items))
             if workers == 1:
@@ -178,23 +248,45 @@ class ProcessPoolExecutor(CampaignExecutor):
                 return
             self.open(workers)
         try:
-            yield from _drain([self.submit(fn, item) for item in items])
+            yield from self._drain(fn, list(items))
         finally:
             if own_pool:
                 self.close()
 
+    def _drain(self, fn: Callable[[T], R], items: List[T]) -> Iterator[R]:
+        """Yield ``fn(item)`` for every item as it completes.
 
-def _drain(futures) -> Iterator:
-    """Yield future results as completed; on any error cancel what has
-    not started yet so a failing trial surfaces immediately instead of
-    after the rest of the campaign."""
-    try:
-        for future in concurrent.futures.as_completed(futures):
-            yield future.result()
-    except BaseException:
-        for pending in futures:
-            pending.cancel()
-        raise
+        A broken pool fails every future in flight at once, so the round
+        drains promptly: what it lost is collected on the way, the pool
+        is reopened and the lost items are the next round.  Any other
+        error cancels what has not started, so a failing trial surfaces
+        immediately instead of after the rest of the campaign."""
+        losses = 0
+        while items:
+            flights = {self.submit(fn, item): item for item in items}
+            broken = set()
+            try:
+                for future in concurrent.futures.as_completed(flights):
+                    try:
+                        result = future.result()
+                    except BrokenProcessPool:
+                        broken.add(future)
+                        continue
+                    losses = 0
+                    yield result
+            except BaseException:
+                for pending in flights:
+                    pending.cancel()
+                raise
+            if not broken:
+                return
+            self._reopen(max(future.generation for future in broken))
+            items = [flights[future] for future in flights if future in broken]
+            losses += 1
+            if losses > MAX_RESUBMITS:
+                raise WorkerLost(items[0], losses)
+            with self._lock:
+                self.resubmitted += len(items)
 
 
 def _run_chunk(fn: Callable[[T], R], chunk: List[T]) -> List[R]:

@@ -61,12 +61,6 @@ class TrialResult:
         """Overhead used for aggregation; diverged trials are capped."""
         return self.overhead_percent if self.converged else DIVERGED_SLOWDOWN
 
-    @property
-    def record(self):
-        """Adapter to the :class:`ConvergenceRecord` interface bits the
-        experiment drivers read (duck-typed, history-free)."""
-        return self
-
 
 @dataclass
 class CellStats:

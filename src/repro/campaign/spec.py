@@ -278,6 +278,10 @@ class TrialSpec:
     #: injection grids; the per-trial seed is threaded in regardless).
     scenario: Optional[ErrorScenario] = None
 
+    def __str__(self) -> str:
+        return (f"trial {self.index} ({self.matrix.label} {self.method} "
+                f"rate={self.rate:g} rep={self.repetition})")
+
     def cell_token(self) -> str:
         """Canonical token of the trial's campaign cell (no seed/knobs)."""
         return (f"{self.matrix.content_token()}|method={self.method}|"

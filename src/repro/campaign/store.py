@@ -44,6 +44,7 @@ handed.  The module's only state is the per-process registry behind
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -162,12 +163,11 @@ class CampaignStore:
                 f"SCHEMA file — refusing to adopt it as a campaign store; "
                 f"delete it or point {STORE_ENV} at a fresh directory")
         self.root.mkdir(parents=True, exist_ok=True)
-        for kind in _KINDS:
+        for kind in (*_KINDS, "journals"):
             (self.root / kind).mkdir(exist_ok=True)
-        (self.root / "journals").mkdir(exist_ok=True)
-        self._atomic_write_text(
-            self._schema_path,
-            json.dumps({"schema": STORE_SCHEMA_VERSION}, sort_keys=True) + "\n")
+        schema = json.dumps({"schema": STORE_SCHEMA_VERSION}, sort_keys=True)
+        self._atomic_write(self._schema_path, "w",
+                           lambda handle: handle.write(schema + "\n"))
 
     # ------------------------------------------------------------------
     # low-level helpers
@@ -176,18 +176,19 @@ class CampaignStore:
         return self.root / kind / key[:2] / f"{key}{suffix}"
 
     @staticmethod
-    def _atomic_write_text(path: Path, text: str) -> None:
+    def _atomic_write(path: Path, mode: str, write) -> None:
+        """``write(handle)`` into a same-directory temporary, then
+        ``os.replace``: readers see the old entry or the new, never a
+        torn one."""
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
+            with os.fdopen(fd, mode) as handle:
+                write(handle)
             os.replace(tmp, path)
         except BaseException:
-            try:
+            with contextlib.suppress(OSError):
                 os.unlink(tmp)
-            except OSError:
-                pass
             raise
 
     @staticmethod
@@ -205,10 +206,8 @@ class CampaignStore:
         except FileNotFoundError:
             return None
         except (ValueError, OSError):
-            try:
+            with contextlib.suppress(OSError):
                 path.unlink()
-            except OSError:
-                pass
             return None
         found = payload.get("schema")
         if found != STORE_SCHEMA_VERSION:
@@ -219,6 +218,15 @@ class CampaignStore:
         self._touch(path)
         return payload
 
+    def _get_json(self, kind: str, key: str) -> Optional[dict]:
+        """The payload under ``key``, counted as a hit or a miss."""
+        payload = self._load_json(self._path(kind, key))
+        if payload is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return payload
+
     def _put_json(self, kind: str, key: str, payload: dict) -> None:
         body = {"schema": STORE_SCHEMA_VERSION, "key": key, **payload}
         # Self-describing integrity: the entry carries its own content
@@ -227,8 +235,9 @@ class CampaignStore:
         # misplaced and bit-rotted entries.  Readers ignore both fields;
         # pre-existing entries without them stay readable ("legacy").
         body["checksum"] = _payload_checksum(body)
-        self._atomic_write_text(self._path(kind, key),
-                                json.dumps(body, sort_keys=True))
+        text = json.dumps(body, sort_keys=True)
+        self._atomic_write(self._path(kind, key), "w",
+                           lambda handle: handle.write(text))
 
     # ------------------------------------------------------------------
     # trials
@@ -236,12 +245,8 @@ class CampaignStore:
     def get_trial(self, key: str):
         """The cached :class:`TrialResult` under ``key``, or ``None``."""
         from repro.campaign.results import TrialResult
-        payload = self._load_json(self._path("trials", key))
-        if payload is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return TrialResult(**payload["trial"])
+        payload = self._get_json("trials", key)
+        return None if payload is None else TrialResult(**payload["trial"])
 
     def put_trial(self, key: str, result) -> None:
         from dataclasses import asdict
@@ -251,12 +256,9 @@ class CampaignStore:
     # fault-free baselines
     # ------------------------------------------------------------------
     def get_baseline(self, key: str) -> Optional[float]:
-        payload = self._load_json(self._path("baselines", key))
-        if payload is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return float.fromhex(payload["ideal_time"])
+        payload = self._get_json("baselines", key)
+        return None if payload is None else float.fromhex(
+            payload["ideal_time"])
 
     def put_baseline(self, key: str, ideal_time: float) -> None:
         self._put_json("baselines", key,
@@ -284,10 +286,8 @@ class CampaignStore:
             self.misses += 1
             return None
         except (ValueError, OSError, KeyError):
-            try:
+            with contextlib.suppress(OSError):
                 path.unlink()
-            except OSError:
-                pass
             self.misses += 1
             return None
         self._touch(path)
@@ -301,33 +301,20 @@ class CampaignStore:
     def put_matrix(self, key: str, A, b) -> None:
         from repro.matrices.sparse import SparseOperator
         kind = "operator" if isinstance(A, SparseOperator) else "scipy"
-        path = self._path("matrices", key, suffix=".npz")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                np.savez(handle, kind=kind, key=key,
-                         shape=np.asarray(A.shape, dtype=np.int64),
-                         data=A.data, indices=A.indices, indptr=A.indptr,
-                         b=np.asarray(b))
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        self._atomic_write(
+            self._path("matrices", key, suffix=".npz"), "wb",
+            lambda handle: np.savez(
+                handle, kind=kind, key=key,
+                shape=np.asarray(A.shape, dtype=np.int64),
+                data=A.data, indices=A.indices, indptr=A.indptr,
+                b=np.asarray(b)))
 
     # ------------------------------------------------------------------
     # generic derived scalars (fig5 calibration iteration counts, ...)
     # ------------------------------------------------------------------
     def get_scalar(self, key: str):
-        payload = self._load_json(self._path("scalars", key))
-        if payload is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return payload["value"]
+        payload = self._get_json("scalars", key)
+        return None if payload is None else payload["value"]
 
     def put_scalar(self, key: str, value) -> None:
         self._put_json("scalars", key, {"value": value})
@@ -402,9 +389,6 @@ class CampaignStore:
     # ------------------------------------------------------------------
     # stats / maintenance
     # ------------------------------------------------------------------
-    def describe(self) -> str:
-        return f"store({self.root})"
-
     def stats_line(self) -> str:
         """Machine-greppable hit statistics (the CI store job parses
         this exact shape)."""
@@ -413,16 +397,17 @@ class CampaignStore:
         return (f"store: root={self.root} hits={self.hits} "
                 f"misses={self.misses} hit-rate={rate:.1f}%")
 
+    def _entries(self, kind: str) -> List[Path]:
+        """Committed entries of ``kind``, sorted: what ``os.replace``
+        has put under its final name.  A ``tmp*.tmp`` beside them (a
+        writer killed mid-write) is not an entry; ``gc`` ages it out."""
+        pattern = {"journals": "*.jsonl", "matrices": "*/*.npz"}.get(
+            kind, "*/*.json")
+        return sorted((self.root / kind).glob(pattern))
+
     def entry_count(self) -> Dict[str, int]:
-        counts = {}
-        for kind in _KINDS:
-            base = self.root / kind
-            counts[kind] = sum(1 for _ in sorted(base.glob("*/*"))) \
-                if base.exists() else 0
-        counts["journals"] = sum(
-            1 for _ in sorted((self.root / "journals").glob("*.jsonl"))) \
-            if (self.root / "journals").exists() else 0
-        return counts
+        return {kind: len(self._entries(kind))
+                for kind in (*_KINDS, "journals")}
 
     def gc(self, days: float = GC_DEFAULT_DAYS,
            now: Optional[float] = None) -> Tuple[int, int]:
@@ -439,11 +424,9 @@ class CampaignStore:
         cutoff = (now if now is not None else time.time()) - days * 86400.0
         removed = kept = 0
         for kind in (*_KINDS, "journals"):
-            base = self.root / kind
-            if not base.exists():
-                continue
+            # Everything by age, a writer's stale ``tmp*.tmp`` included.
             pattern = "*.jsonl" if kind == "journals" else "*/*"
-            for path in sorted(base.glob(pattern)):
+            for path in sorted((self.root / kind).glob(pattern)):
                 try:
                     if path.stat().st_mtime < cutoff:
                         path.unlink()
@@ -529,21 +512,12 @@ class CampaignStore:
         report = VerifyReport()
         checkers = {kind: self._verify_json_entry for kind in _KINDS}
         checkers["matrices"] = self._verify_matrix_entry
-        for kind in _KINDS:
-            base = self.root / kind
-            if not base.exists():
-                continue
-            suffix = ".npz" if kind == "matrices" else ".json"
-            for path in sorted(base.glob(f"*/*{suffix}")):
-                verdict, reason = checkers[kind](path)
+        checkers["journals"] = self._verify_journal_entry
+        for kind, check in checkers.items():
+            for path in self._entries(kind):
+                verdict, reason = check(path)
                 self._verify_record(report, kind, path, verdict, reason,
                                     remove)
-        journals = self.root / "journals"
-        if journals.exists():
-            for path in sorted(journals.glob("*.jsonl")):
-                verdict, reason = self._verify_journal_entry(path)
-                self._verify_record(report, "journals", path, verdict,
-                                    reason, remove)
         return report
 
     @staticmethod

@@ -6,8 +6,13 @@ pool forked once at start-up runs the shard jobs (its children keep
 matrices and ideal baselines in their process's campaign cache, as
 offline pool workers do), finished trials stay warm in the daemon's own
 campaign cache across submissions, and progress streams to clients as
-chunked JSONL.  See :mod:`repro.service.server` for the
-daemon, :mod:`repro.service.client` for the client library and
+chunked JSONL.  A job is the campaign engine's own
+:class:`~repro.campaign.engine.CampaignRun` driven shard by shard, and
+a pool child lost under it is survived by the engine's own executor
+(:mod:`repro.campaign.executors`) — the daemon adds the socket, the job
+table and the queues, not a second campaign loop.  See
+:mod:`repro.service.server` for the daemon,
+:mod:`repro.service.client` for the client library and
 ``python -m repro.service`` for the CLI.
 
 The correctness anchor is inherited from the campaign engine: a spec
@@ -22,7 +27,7 @@ from repro.service.protocol import (JOB_STATES, PROTOCOL_VERSION,
 from repro.service.server import (DEFAULT_HOST, DEFAULT_PORT,
                                   SERVICE_CHAOS_ENV, SERVICE_HOST_ENV,
                                   SERVICE_PORT_ENV, SERVICE_URL_ENV,
-                                  CampaignService, ChaosMonkey, WorkerDied)
+                                  CampaignService, ChaosMonkey)
 
 __all__ = [
     "CampaignService",
@@ -39,7 +44,6 @@ __all__ = [
     "ServiceClient",
     "ServiceError",
     "TERMINAL_STATES",
-    "WorkerDied",
     "default_url",
     "spec_from_payload",
     "spec_to_payload",

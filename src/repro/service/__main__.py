@@ -57,7 +57,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         help=f"bind port, 0 = ephemeral (default: "
                              f"REPRO_SERVICE_PORT or {default_port()})")
     parser.add_argument("--workers", type=int, default=None,
-                        help="worker-thread count (default: all cores, "
+                        help="pool process count (default: all cores, "
                              "capped by REPRO_MAX_WORKERS)")
     add_store_arguments(parser)
     return parser
@@ -125,6 +125,18 @@ def _print_event(event: dict) -> None:
               f"(spec key {event.get('spec_key', '')[:12]})")
 
 
+def _follow(client: ServiceClient, job_id: str, raw: bool = False) -> int:
+    """Print the job's events to its terminal one; 0 only for ``done``."""
+    final = None
+    for event in client.watch(job_id):
+        if raw:
+            print(json.dumps(event, sort_keys=True), flush=True)
+        else:
+            _print_event(event)
+        final = event
+    return 0 if final is not None and final.get("event") == "done" else 1
+
+
 def main_submit(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.service submit",
@@ -143,13 +155,7 @@ def main_submit(argv) -> int:
     job = client.submit(spec)
     print(f"submitted: {job['id']} ({job['total']} trials, "
           f"spec key {job['spec_key'][:12]})")
-    if not args.watch:
-        return 0
-    final = None
-    for event in client.watch(job["id"]):
-        _print_event(event)
-        final = event
-    return 0 if final is not None and final.get("event") == "done" else 1
+    return _follow(client, job["id"]) if args.watch else 0
 
 
 def main_status(argv) -> int:
@@ -160,15 +166,11 @@ def main_status(argv) -> int:
     parser.add_argument("job", nargs="?", default=None)
     args = parser.parse_args(argv)
     client = ServiceClient(args.url)
-    if args.job is not None:
-        _print_status(client.status(args.job))
-        return 0
-    jobs = client.jobs()
-    if not jobs:
-        print("no jobs")
-        return 0
+    jobs = client.jobs() if args.job is None else [client.status(args.job)]
     for status in jobs:
         _print_status(status)
+    if not jobs:
+        print("no jobs")
     return 0
 
 
@@ -181,15 +183,7 @@ def main_watch(argv) -> int:
     parser.add_argument("--raw", action="store_true",
                         help="print the JSONL lines instead of a summary")
     args = parser.parse_args(argv)
-    client = ServiceClient(args.url)
-    final = None
-    for event in client.watch(args.job):
-        if args.raw:
-            print(json.dumps(event, sort_keys=True), flush=True)
-        else:
-            _print_event(event)
-        final = event
-    return 0 if final is not None and final.get("event") == "done" else 1
+    return _follow(ServiceClient(args.url), args.job, raw=args.raw)
 
 
 def main_cancel(argv) -> int:

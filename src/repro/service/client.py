@@ -37,10 +37,8 @@ class ServiceError(RuntimeError):
 
 
 def default_url() -> str:
-    override = os.environ.get(SERVICE_URL_ENV, "").strip()
-    if override:
-        return override
-    return f"http://{default_host()}:{default_port()}"
+    return (os.environ.get(SERVICE_URL_ENV, "").strip()
+            or f"http://{default_host()}:{default_port()}")
 
 
 class ServiceClient:

@@ -30,6 +30,7 @@ POST      ``/shutdown``           ``{"drain": bool}`` — stop the daemon
 from __future__ import annotations
 
 import dataclasses
+import json
 from typing import Dict, List, Optional
 
 from repro.campaign.spec import CampaignSpec, MatrixSpec, SolverKnobs
@@ -41,9 +42,9 @@ from repro.runtime.cost_model import DEFAULT_COST_MODEL, CostModel
 PROTOCOL_VERSION = 1
 
 #: Job lifecycle states.  ``queued -> running -> done`` is the happy
-#: path; ``failed`` and ``cancelled`` are terminal too.  A shard whose
-#: worker dies does *not* fail the job — it is retried with the
-#: already-persisted trials skipped (see ``service.server``).
+#: path; ``failed`` and ``cancelled`` are terminal too.  A trial whose
+#: worker dies does *not* fail the job — the pool resubmits it (see
+#: ``campaign.executors``).
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 
 #: States in which a job will make no further progress.
@@ -192,13 +193,11 @@ def validate_job_id(job_id: str) -> str:
 # ----------------------------------------------------------------------
 def event_line(event: Dict[str, object]) -> str:
     """One watch-stream event as a JSONL line (without the newline)."""
-    import json
     return json.dumps(event, sort_keys=True)
 
 
 def parse_event_line(line: str) -> Optional[Dict[str, object]]:
     """Parse one watch-stream line; blank lines (keep-alives) are None."""
-    import json
     line = line.strip()
     if not line:
         return None

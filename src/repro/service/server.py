@@ -5,57 +5,51 @@ submissions: one persistent process pool (the campaign executor
 protocol, :class:`~repro.campaign.executors.ProcessPoolExecutor`) is
 forked and warmed in :meth:`CampaignService.start` — before the HTTP
 socket is bound and before any ``service-*`` thread exists — and lives
-until :meth:`CampaignService.shutdown` joins and reaps it.  Every tier
-of caching is the campaign engine's one
-:class:`~repro.campaign.store.CampaignCache` (RAM over the
-:class:`~repro.campaign.store.CampaignStore`): each child keeps built
-matrices and fault-free ideal baselines in its process's instance,
-exactly as offline pool workers do, and the daemon holds one for its
-lifetime as its tier of completed trials (keyed by the store's content
-addresses).  It multiplexes submitted campaigns over the pool as
-round-robin shard jobs — one ``service-worker`` thread per shard, which
-only waits on the child's future — and streams per-trial progress to
-``watch`` clients as chunked JSONL.
+until :meth:`CampaignService.shutdown` joins and reaps it.  Every cache
+tier is the engine's :class:`~repro.campaign.store.CampaignCache`: each
+child keeps matrices and ideal baselines in its process's instance, as
+offline pool workers do, and the daemon holds one for its lifetime as
+its tier of completed trials.
 
-Robustness model (asynchronous-HPC serving practice: worker loss is
-routine, not fatal):
+What is here is the daemon's own: HTTP, the job table, the scheduler
+and shard queues, cancel, the ``watch`` event log, ``/metrics`` and the
+chaos hook.  A job *is* a :class:`~repro.campaign.engine.CampaignRun` —
+the cached/pending split, recording, journal and fingerprint of an
+offline ``run_campaign`` — whose pending trials are dealt out as
+round-robin shards, one ``service-worker`` thread per shard, which only
+waits on the child's future and hands the result to the run.
 
-* every finished trial is persisted to the store by the child that ran
-  it *before* the daemon hears of it, and enters the in-memory trial
-  tier the moment the daemon does, so nothing a worker finished is ever
-  recomputed;
-* a pool process that exits or is killed mid-trial breaks the stdlib
-  pool (``BrokenProcessPool`` on every in-flight future), which the
-  daemon maps to :class:`WorkerDied`: the pool is rebuilt once per
-  break, every affected shard is re-queued, and the retry consults the
-  trial tier and the store first, so only the genuinely lost in-flight
-  trials re-execute;
-* a daemon crash loses only in-flight trials: the store journal and
-  per-trial persistence make a restarted daemon (or an offline
-  ``python -m repro.campaign run``) resume from the last persisted
-  trial;
-* graceful shutdown (``/shutdown``) stops accepting submissions, then
-  either drains every queued/running job or cancels them after their
-  current trial, journalling an ``interrupted`` event either way; it
-  closes the listening socket, joins the ``service-*`` threads and the
-  pool — no thread, socket or child outlives the daemon.
+Robustness model (worker loss is routine, not fatal):
+
+* every finished trial is persisted by the child that ran it *before*
+  the daemon hears of it, and enters the daemon's trial tier when it
+  does, so nothing a worker finished is ever recomputed;
+* a pool process lost mid-trial is the pool's business
+  (``campaign.executors``): it reopens itself once per break and
+  resubmits what was in flight, and the runner reads the store before
+  it runs anything, so only the genuinely lost trials re-execute.  The
+  daemon sees each resubmission pass through ``submit`` and reports it
+  (``shard-retry``, ``shard_retries``);
+* a daemon crash loses only in-flight trials: a restarted daemon (or an
+  offline ``python -m repro.campaign run``) resumes from the last
+  persisted trial;
+* ``/shutdown`` stops accepting submissions, then drains every job or
+  cancels it after its current trial (journalled ``interrupted``),
+  closes the socket and joins the ``service-*`` threads and the pool:
+  no thread, socket or child outlives the daemon.
 
 Correctness anchor: a campaign executed through the daemon produces a
-fingerprint **byte-identical** to the same spec run offline, because
-trials are self-contained deterministic units (content-keyed seeds) and
-:class:`~repro.campaign.results.CampaignResult` aggregation is
-order-independent.  The service tests and the ``campaign-service`` CI
-job assert it.
+fingerprint **byte-identical** to the same spec run offline — the same
+loop over the same deterministic trials, aggregated order-independently.
+The service tests and the ``campaign-service`` CI job assert it.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import threading
 import time
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional
@@ -63,9 +57,9 @@ from typing import Dict, List, Optional
 # run_trial is not called here (the runner calls it in the child); the
 # name stays bound because bench/test_bench.py, which this repo's PRs may
 # not edit, checks that its tracer re-binds it in this module.
-from repro.campaign.engine import TrialRunner, run_trial  # noqa: F401
+from repro.campaign.engine import CampaignRun, TrialRunner, run_trial  # noqa: F401
 from repro.campaign.executors import ProcessPoolExecutor
-from repro.campaign.results import CampaignResult, TrialResult
+from repro.campaign.results import TrialResult
 from repro.campaign.spec import CampaignSpec, TrialSpec
 from repro.campaign.store import CampaignCache, CampaignStore
 from repro.config import resolve_worker_count
@@ -86,9 +80,6 @@ SERVICE_CHAOS_ENV = "REPRO_SERVICE_CHAOS"
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8642
 
-#: A shard is re-queued at most this many times before its job fails.
-MAX_SHARD_RETRIES = 3
-
 
 def default_host() -> str:
     return os.environ.get(SERVICE_HOST_ENV, "").strip() or DEFAULT_HOST
@@ -96,17 +87,11 @@ def default_host() -> str:
 
 def default_port() -> int:
     raw = os.environ.get(SERVICE_PORT_ENV, "").strip()
-    if not raw:
-        return DEFAULT_PORT
     try:
-        return int(raw)
+        return int(raw) if raw else DEFAULT_PORT
     except ValueError:
         raise ValueError(f"{SERVICE_PORT_ENV} must be an integer, "
                          f"got {raw!r}") from None
-
-
-class WorkerDied(RuntimeError):
-    """A pool process was lost mid-shard (chaos hook, or a real crash)."""
 
 
 def _die(trial: TrialSpec) -> None:
@@ -119,8 +104,8 @@ class ChaosMonkey:
     """Deterministic worker-loss injection for tests and the CI job.
 
     ``REPRO_SERVICE_CHAOS=kill-worker:N`` makes the pool process that
-    receives the N-th trial the daemon dispatches exit hard (once) —
-    exercising the broken-pool, rebuild and shard-retry path end to end.
+    receives the N-th trial the daemon submits exit hard (once) —
+    exercising the broken-pool, reopen and resubmit path end to end.
     """
 
     def __init__(self, kill_after: int):
@@ -143,7 +128,7 @@ class ChaosMonkey:
         return cls(int(arg))
 
     def strikes(self) -> bool:
-        """Count one dispatched trial; true for the N-th, exactly once."""
+        """Count one submitted trial; true for the N-th, exactly once."""
         with self._lock:
             self._dispatched += 1
             return self._dispatched == self.kill_after
@@ -160,17 +145,11 @@ class Job:
     spec: CampaignSpec
     state: str = "queued"
     total: int = 0
-    cached: int = 0
-    executed: int = 0
-    completed: int = 0
     shards: int = 0
     shard_retries: int = 0
-    fingerprint: Optional[str] = None
     error: Optional[str] = None
-    results: List[TrialResult] = field(default_factory=list)
-    #: Trial indices already folded into ``results`` — a retried shard
-    #: must not double-count what the dead worker persisted.
-    recorded: set = field(default_factory=set)
+    #: The campaign itself, once the scheduler has picked the job up.
+    run: Optional[CampaignRun] = None
     events: List[dict] = field(default_factory=list)
     pending_shards: int = 0
     finalizing: bool = False
@@ -180,13 +159,13 @@ class Job:
     cancel_event: threading.Event = field(default_factory=make_event)
     cond: threading.Condition = field(default_factory=make_condition)
 
-    @property
-    def spec_key(self) -> str:
-        return self.spec.store_key()
-
-    @property
-    def name(self) -> str:
-        return self.spec.name
+    # Views of the spec, and of the run (zero until there is one).
+    spec_key = property(lambda job: job.spec.store_key())
+    name = property(lambda job: job.spec.name)
+    cached = property(lambda job: getattr(job.run, "cached", 0))
+    executed = property(lambda job: getattr(job.run, "executed", 0))
+    completed = property(lambda job: getattr(job.run, "completed", 0))
+    fingerprint = property(lambda job: getattr(job.run, "fingerprint", None))
 
     def emit(self, event: dict) -> None:
         """Append an event and wake every watcher."""
@@ -201,11 +180,41 @@ class Job:
 
 
 @dataclass
-class _ShardTask:
-    job_id: str
+class _Dispatch:
+    """What a shard thread hands the pool: one trial, whose it is and
+    how often the pool has resubmitted it."""
+
+    job: Job
     shard_no: int
-    trials: List[TrialSpec]
+    trial: TrialSpec
     attempt: int = 0
+
+    def __str__(self) -> str:
+        return str(self.trial)
+
+
+class _ServicePool(ProcessPoolExecutor):
+    """The daemon's pool.  Everything that reaches a child passes through
+    :meth:`submit`, a resubmission after a lost worker included: that is
+    where the chaos hook strikes (a resubmission is a fresh draw) and
+    where a retry becomes visible to the job's watchers."""
+
+    def __init__(self, workers: int, chaos: Optional[ChaosMonkey]):
+        super().__init__(workers)
+        self.chaos = chaos
+
+    def submit(self, fn, item: _Dispatch):
+        if item.attempt:
+            with item.job.cond:
+                item.job.shard_retries += 1
+            item.job.emit({
+                "event": "shard-retry", "shard": item.shard_no,
+                "attempt": item.attempt,
+                "reason": f"a pool process died with {item} in flight"})
+        item.attempt += 1
+        if self.chaos is not None and self.chaos.strikes():
+            fn = _die
+        return super().submit(fn, item.trial)
 
 
 # ----------------------------------------------------------------------
@@ -228,23 +237,16 @@ class CampaignService:
         self.host = host if host is not None else default_host()
         self.port = port if port is not None else default_port()
         self.workers = resolve_worker_count(workers)
-        #: The daemon's trial tier: the campaign cache, held for its
-        #: lifetime.  Pool children resolve the runner to their own.
+        #: The daemon's trial tier; pool children unpickle their own.
         self.cache = CampaignCache(store)
-        self.chaos = chaos if chaos is not None else ChaosMonkey.from_env()
         self._runner = TrialRunner(self.cache)
-        self._pool = ProcessPoolExecutor(self.workers)
-        #: Bumped by every rebuild, so the shard threads that all see one
-        #: break replace the pool once.
-        self._pool_generation = 0
+        self._pool = _ServicePool(
+            self.workers,
+            chaos if chaos is not None else ChaosMonkey.from_env())
         self.started = time.time()
         self.accepting = True
-        self.worker_deaths = 0
-        self.executed_total = 0
-        self.cached_total = 0
         self.executed_wall = 0.0
-        self._jobs: Dict[str, Job] = {}
-        self._order: List[str] = []
+        self._jobs: Dict[str, Job] = {}  # in submission order
         self._counter = 0
         self._lock = make_rlock("CampaignService.lock")
         self._drained = make_condition(self._lock,
@@ -272,22 +274,16 @@ class CampaignService:
             raise
         self._httpd.daemon_threads = True
         self.port = self._httpd.server_address[1]
-        self._threads = [
-            threading.Thread(target=self._serve_http, name="service-http",
-                             daemon=True),
-            threading.Thread(target=self._scheduler_loop,
-                             name="service-scheduler", daemon=True),
-        ]
-        for i in range(self.workers):
-            self._threads.append(threading.Thread(
-                target=self._worker_loop, name=f"service-worker-{i}",
-                daemon=True))
+        # shutdown() waits out one poll of the HTTP loop, so keep it short.
+        loops = [("http", lambda: self._httpd.serve_forever(0.02)),
+                 ("scheduler", self._scheduler_loop)]
+        loops += [(f"worker-{i}", self._worker_loop)
+                  for i in range(self.workers)]
+        self._threads = [threading.Thread(target=loop, name=f"service-{name}",
+                                          daemon=True)
+                         for name, loop in loops]
         for thread in self._threads:
             thread.start()
-
-    def _serve_http(self) -> None:
-        # shutdown() waits out one poll of this loop, so keep it short.
-        self._httpd.serve_forever(poll_interval=0.02)
 
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
@@ -328,17 +324,14 @@ class CampaignService:
                     else max(0.0, deadline - time.time()))
 
         with self._drained:
-            while any(j.state not in TERMINAL_STATES
-                      for j in self._jobs.values()):
+            while self._unfinished():
                 left = remaining()
                 if left == 0.0:
                     break
                 self._drained.wait(timeout=0.5 if left is None else left)
-        for job in self._snapshot_jobs():
-            if job.state not in TERMINAL_STATES:
-                self._journal(job, {"event": "interrupted",
-                                    "completed": job.completed,
-                                    "state": job.state})
+        for job in self._unfinished():
+            if job.run is not None:
+                job.run.abandon("interrupted", state=job.state)
         # Out of time with work still running: let it stop after the
         # current trial rather than submit to a closed pool.
         self._cancel_unfinished()
@@ -350,24 +343,16 @@ class CampaignService:
             self._httpd.server_close()
         for thread in self._threads:
             thread.join(timeout=remaining())
-        with self._lock:
-            # A break seen from here on rebuilds nothing.
-            self._pool_generation += 1
-            self._pool.close()
+        self._pool.close()
         self._stopped.set()
 
     def _cancel_unfinished(self) -> None:
-        for job in self._snapshot_jobs():
-            if job.state not in TERMINAL_STATES:
-                job.cancel_event.set()
+        for job in self._unfinished():
+            job.cancel_event.set()
 
     # ------------------------------------------------------------------
     # submission + queries
     # ------------------------------------------------------------------
-    def submit_payload(self, payload: dict) -> Job:
-        spec = spec_from_payload(payload)
-        return self.submit(spec)
-
     def submit(self, spec: CampaignSpec) -> Job:
         with self._lock:
             if not self.accepting:
@@ -377,7 +362,6 @@ class CampaignService:
             job = Job(id=f"j{self._counter}-{spec.store_key()[:8]}",
                       spec=spec, total=spec.num_trials)
             self._jobs[job.id] = job
-            self._order.append(job.id)
         job.emit({"event": "queued", "spec": spec.describe(),
                   "spec_key": job.spec_key})
         self._job_queue.put(job.id)
@@ -388,18 +372,19 @@ class CampaignService:
 
     def jobs(self) -> List[Job]:
         """All jobs, newest first."""
-        with self._lock:
-            return [self._jobs[jid] for jid in reversed(self._order)]
+        return self._snapshot_jobs()[::-1]
 
     def _snapshot_jobs(self) -> List[Job]:
         with self._lock:
             return list(self._jobs.values())
 
+    def _unfinished(self) -> List[Job]:
+        return [job for job in self._snapshot_jobs()
+                if job.state not in TERMINAL_STATES]
+
     def cancel(self, job_id: str) -> Optional[Job]:
         job = self.job(job_id)
-        if job is None:
-            return None
-        if job.state not in TERMINAL_STATES:
+        if job is not None and job.state not in TERMINAL_STATES:
             job.cancel_event.set()
             if job.state == "queued":
                 self._finalize(job, "cancelled")
@@ -411,22 +396,24 @@ class CampaignService:
     def metrics(self) -> Dict[str, object]:
         jobs = self._snapshot_jobs()
         store = self.cache.store
-        per_sec = (self.executed_total / self.executed_wall
+        executed = sum(j.executed for j in jobs)
+        cached = sum(j.cached for j in jobs)
+        per_sec = (executed / self.executed_wall
                    if self.executed_wall > 0 else 0.0)
         return {
             "version": PROTOCOL_VERSION,
             "uptime_s": round(time.time() - self.started, 3),
             "accepting": self.accepting,
             "workers": self.workers,
-            "worker_deaths": self.worker_deaths,
-            "shard_retries": sum(j.shard_retries for j in jobs),
+            "worker_deaths": self._pool.deaths,
+            "shard_retries": self._pool.resubmitted,
             "queue_depth": sum(1 for j in jobs if j.state == "queued"),
             "jobs": describe_states(jobs),
             "cache": {"trials": self.cache.counts("trials")},
             "trials": {
-                "executed": self.executed_total,
-                "cached": self.cached_total,
-                "completed": self.executed_total + self.cached_total,
+                "executed": executed,
+                "cached": cached,
+                "completed": executed + cached,
                 "executed_wall_s": round(self.executed_wall, 3),
                 "per_worker_per_sec": round(per_sec, 3),
             },
@@ -439,11 +426,6 @@ class CampaignService:
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    def _journal(self, job: Job, event: dict) -> None:
-        self.cache.journal_append(job.spec_key, {
-            "key": job.spec_key, "source": "service", "job": job.id,
-            **event})
-
     def _scheduler_loop(self) -> None:
         while True:
             job_id = self._job_queue.get()
@@ -459,26 +441,18 @@ class CampaignService:
                 self._finalize(job, "failed")
 
     def _prepare(self, job: Job) -> None:
-        """Expand the grid, serve cached trials, shard out the rest."""
+        """Open the job's run (which serves the cached trials) and shard
+        out what is pending."""
         job.started_at = time.time()
         job.set_state("running")
-        trials = job.spec.expand()
-        pending: List[TrialSpec] = []
-        for trial in trials:
-            if job.cancel_event.is_set():
-                self._finalize(job, "cancelled")
-                return
-            cached = self.cache.get_trial(trial.store_key())
-            if cached is not None:
-                self._record_result(job, cached, cached_hit=True)
-            else:
-                pending.append(trial)
-        shards = max(1, min(self.workers, len(pending)))
-        job.shards = shards if pending else 0
-        self._journal(job, {"event": "start", "spec": job.spec.describe(),
-                            "total": job.total, "shard": None,
-                            "cached": job.cached, "pending": len(pending)})
-        job.emit({"event": "start", "total": job.total, "cached": job.cached,
+        job.run = run = CampaignRun(
+            job.spec, self.cache, executor=f"service({self.workers} workers)",
+            stamp={"source": "service", "job": job.id})
+        for completed, cached in enumerate(run.result.trials, 1):
+            self._emit_trial(job, cached, True, completed)
+        pending = run.pending
+        job.shards = shards = min(self.workers, len(pending))
+        job.emit({"event": "start", "total": job.total, "cached": run.cached,
                   "pending": len(pending), "shards": job.shards})
         if not pending:
             self._finalize(job, "done")
@@ -488,142 +462,54 @@ class CampaignService:
         for shard_no in range(shards):
             # Round-robin over the pending list: balanced cell mix per
             # shard, same policy as the offline --shard i/N partition.
-            shard = pending[shard_no::shards]
-            self._shard_queue.put(_ShardTask(job.id, shard_no, shard))
+            self._shard_queue.put((job, shard_no, pending[shard_no::shards]))
 
     # ------------------------------------------------------------------
     # workers
     # ------------------------------------------------------------------
     def _worker_loop(self) -> None:
         while True:
-            task = self._shard_queue.get()
-            if task is None:
+            shard = self._shard_queue.get()
+            if shard is None:
                 return
-            job = self._jobs[task.job_id]
+            job = shard[0]
             try:
-                self._run_shard(job, task)
-            except WorkerDied as exc:
-                self._retry_shard(job, task, str(exc))
+                self._run_shard(*shard)
             except Exception as exc:  # noqa: BLE001 - fail the job, keep the pool
                 job.error = f"{type(exc).__name__}: {exc}"
                 job.cancel_event.set()
-                self._shard_done(job)
+            with self._lock:
+                job.pending_shards -= 1
+                last = job.pending_shards <= 0
+            if last:
+                self._finalize(job, "failed" if job.error is not None
+                               else "cancelled" if job.cancel_event.is_set()
+                               else "done")
 
-    def _run_shard(self, job: Job, task: _ShardTask) -> None:
-        """Run one shard's trials on the pool, one future at a time.
-
-        The retry path re-enters here with the same trial list: trials a
-        previous attempt recorded are skipped, trials a lost child had
-        persisted come back from the store, so only genuinely lost work
-        re-executes.
-        """
-        with self._lock:
-            # Only this shard's attempts record these indices, and they
-            # never overlap, so one look is exact for the whole attempt.
-            trials = [t for t in task.trials if t.index not in job.recorded]
+    def _run_shard(self, job: Job, shard_no: int,
+                   trials: List[TrialSpec]) -> None:
+        """One shard's trials through the pool, one in flight at a time:
+        the thread only waits, and a cancel takes effect after the
+        current trial.  A child lost under a trial is the pool's to
+        survive (``WorkerLost`` once it stops trying)."""
         for trial in trials:
             if job.cancel_event.is_set():
-                break
-            key = trial.store_key()
-            cached = self.cache.get_trial(key)
-            if cached is not None:
-                # Persisted by a lost worker before it was recorded, or
-                # warmed by a duplicate submission running concurrently.
-                self._record_result(job, cached, cached_hit=False,
-                                    recovered=True)
-                continue
-            result = self._execute(trial)
-            # The child persisted it before the daemon heard of it.
-            self.cache.keep_trial(key, result)
-            self._journal(job, {"event": "trial", "index": result.index})
-            self._record_result(job, result, cached_hit=False)
-        self._shard_done(job)
-
-    def _execute(self, trial: TrialSpec) -> TrialResult:
-        """One trial on a pool child; the calling shard thread only
-        waits.  A child lost while the future was in flight (this
-        trial's or another shard's — the stdlib pool breaks as a whole)
-        surfaces as :class:`WorkerDied`, after the pool is rebuilt."""
-        fn = self._runner
-        if self.chaos is not None and self.chaos.strikes():
-            fn = _die
-        try:
-            with self._lock:
-                generation = self._pool_generation
-                future = self._pool.submit(fn, trial)
-            return future.result()
-        except BrokenProcessPool as exc:
-            self._rebuild_pool(generation)
-            raise WorkerDied(f"a pool process died with trial "
-                             f"{trial.index} in flight") from exc
-
-    def _rebuild_pool(self, generation: int) -> None:
-        """Replace the broken pool — once per break, however many shard
-        threads saw it.  The daemon has threads by now, so the new
-        children are spawned, not forked."""
-        with self._lock:
-            if generation != self._pool_generation:
                 return
-            self._pool_generation += 1
-            self.worker_deaths += 1
-            self._pool.close()
-            self._pool.open(mp_context=multiprocessing.get_context("spawn"))
-
-    def _retry_shard(self, job: Job, task: _ShardTask, reason: str) -> None:
-        if task.attempt + 1 > MAX_SHARD_RETRIES:
-            job.error = (f"shard {task.shard_no} lost its worker "
-                         f"{task.attempt + 1} times; giving up ({reason})")
-            job.cancel_event.set()
-            self._shard_done(job)
-            return
-        with self._lock:
-            job.shard_retries += 1
-        job.emit({"event": "shard-retry", "shard": task.shard_no,
-                  "attempt": task.attempt + 1, "reason": reason})
-        self._shard_queue.put(_ShardTask(job.id, task.shard_no, task.trials,
-                                         attempt=task.attempt + 1))
-
-    def _record_result(self, job: Job, result: TrialResult,
-                       cached_hit: bool, recovered: bool = False) -> None:
-        with self._lock:
-            if result.index in job.recorded:  # pragma: no cover - raced retry
-                return
-            job.recorded.add(result.index)
-            job.results.append(result)
-            job.completed += 1
-            if cached_hit:
-                job.cached += 1
-                self.cached_total += 1
-            else:
-                job.executed += 1
-                if not recovered:
-                    self.executed_total += 1
+            for result in self._pool.run(
+                    self._runner, [_Dispatch(job, shard_no, trial)]):
+                completed = job.run.record(result)
+                with self._lock:
                     self.executed_wall += result.wall_time
-            completed, total = job.completed, job.total
-        job.emit({"event": "trial", "index": result.index,
-                  "matrix": result.matrix, "method": result.method,
-                  "rate": result.rate, "repetition": result.repetition,
-                  "converged": result.converged,
-                  "iterations": result.iterations,
-                  "cached": cached_hit, "recovered": recovered,
-                  "completed": completed, "total": total})
+                self._emit_trial(job, result, False, completed)
 
-    def _shard_done(self, job: Job) -> None:
-        with self._lock:
-            job.pending_shards -= 1
-            last = job.pending_shards <= 0
-        if not last:
-            return
-        if job.error is not None:
-            self._finalize(job, "failed")
-        elif job.cancel_event.is_set():
-            self._finalize(job, "cancelled")
-        elif job.completed == job.total:
-            self._finalize(job, "done")
-        else:  # pragma: no cover - defensive: lost results are a bug
-            job.error = (f"job finished its shards with "
-                         f"{job.completed}/{job.total} trials accounted for")
-            self._finalize(job, "failed")
+    @staticmethod
+    def _emit_trial(job: Job, result: TrialResult, cached: bool,
+                    completed: int) -> None:
+        fields = ("index", "matrix", "method", "rate", "repetition",
+                  "converged", "iterations")
+        job.emit({"event": "trial", "cached": cached, "completed": completed,
+                  "total": job.total,
+                  **{name: getattr(result, name) for name in fields}})
 
     def _finalize(self, job: Job, state: str) -> None:
         with self._lock:
@@ -632,38 +518,25 @@ class CampaignService:
             if job.finalizing:
                 return
             job.finalizing = True
+        run = job.run
+        try:
+            if state == "done":
+                run.finish()
+        except RuntimeError as exc:  # pragma: no cover - lost results are a bug
+            job.error, state = str(exc), "failed"
         job.finished_at = time.time()
         if state == "done":
-            job.fingerprint = self.result_of(job).fingerprint()
-            self._journal(job, {"event": "done", "executed": job.executed,
-                                "cached": job.cached,
-                                "fingerprint": job.fingerprint})
-            job.emit({"event": "done", "fingerprint": job.fingerprint,
-                      "executed": job.executed, "cached": job.cached,
+            job.emit({"event": "done", "fingerprint": run.fingerprint,
+                      "executed": run.executed, "cached": run.cached,
                       "wall_s": round(job.finished_at - job.submitted_at, 3)})
         else:
-            self._journal(job, {"event": state, "completed": job.completed,
-                                "error": job.error})
+            if run is not None:
+                run.abandon(state, error=job.error)
             job.emit({"event": state, "error": job.error,
                       "completed": job.completed})
         job.set_state(state)
         with self._drained:
             self._drained.notify_all()
-
-    def result_of(self, job: Job) -> CampaignResult:
-        """The job's :class:`CampaignResult` (order-independent, so the
-        fingerprint is byte-identical to the offline runner's)."""
-        result = CampaignResult(name=job.spec.name,
-                                executor=f"service({self.workers} workers)",
-                                spec_key=job.spec_key,
-                                total_trials=job.total,
-                                cache_hits=job.cached,
-                                executed=job.executed)
-        with self._lock:
-            result.extend(list(job.results))
-        if job.finished_at is not None:
-            result.wall_time = job.finished_at - job.submitted_at
-        return result
 
 
 # ----------------------------------------------------------------------
@@ -726,14 +599,10 @@ def _make_handler(service: CampaignService):
                                           for j in service.jobs()]})
             elif path.startswith("/jobs/") and path.endswith("/watch"):
                 self._watch(path.split("/")[2])
-            elif path.startswith("/jobs/"):
-                parts = path.split("/")
-                if len(parts) == 3:
-                    job = self._job_or_404(parts[2])
-                    if job is not None:
-                        self._send_json({"job": job_status_payload(job)})
-                else:
-                    self._send_error(f"unknown path {path!r}", status=404)
+            elif path.startswith("/jobs/") and path.count("/") == 2:
+                job = self._job_or_404(path.split("/")[2])
+                if job is not None:
+                    self._send_json({"job": job_status_payload(job)})
             else:
                 self._send_error(f"unknown path {path!r}", status=404)
 
@@ -742,7 +611,7 @@ def _make_handler(service: CampaignService):
             try:
                 if path == "/jobs":
                     body = self._read_body()
-                    job = service.submit_payload(body.get("spec"))
+                    job = service.submit(spec_from_payload(body.get("spec")))
                     self._send_json({"job": job_status_payload(job)},
                                     status=202)
                 elif path.startswith("/jobs/") and path.endswith("/cancel"):

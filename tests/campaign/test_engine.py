@@ -10,8 +10,8 @@ import pytest
 
 import pickle
 
-from repro.campaign.engine import (TrialRunner, run_campaign, run_trial,
-                                   solve_trial)
+from repro.campaign.engine import (CampaignRun, TrialRunner, run_campaign,
+                                   run_trial, solve_trial)
 from repro.campaign.executors import (ChunkedExecutor, ProcessPoolExecutor,
                                       SerialExecutor, make_executor)
 from repro.campaign.results import CampaignResult, TrialResult
@@ -113,6 +113,87 @@ class TestOnePipeline:
         assert warm.executed == 0
         assert len(calls) == len(set(calls)) == tiny_spec().num_trials
         assert warm.fingerprint() == cold.fingerprint()
+
+
+class TestCampaignRun:
+    """The one cached/pending -> record -> journal -> result loop, driven
+    by hand the way ``run_campaign`` and the daemon drive it."""
+
+    def test_split_record_finish(self, tmp_path):
+        spec = tiny_spec()
+        store = CampaignStore(tmp_path / "store")
+        cache = CampaignCache(store)
+        runner = TrialRunner(cache)
+        warmed = [runner(trial) for trial in spec.expand()[:3]]
+        run = CampaignRun(spec, cache, executor="by hand",
+                          stamp={"source": "test"})
+        assert (run.total, run.cached, run.executed) == (8, 3, 0)
+        assert [t.index for t in run.pending] == [3, 4, 5, 6, 7]
+        assert run.result.trials == warmed and run.fingerprint is None
+        with pytest.raises(RuntimeError, match="0 results for 5 pending"):
+            run.finish()
+        # any order; a result that is not awaited is not counted twice
+        counts = [run.record(runner(trial)) for trial in run.pending[::-1]]
+        assert counts == [4, 5, 6, 7, 8]
+        assert run.record(warmed[0]) == run.record(run.result.trials[-1]) == 0
+        assert (run.executed, run.completed) == (5, 8)
+        result = run.finish()
+        assert result is run.result and result.executor == "by hand"
+        assert (result.cache_hits, result.executed) == (3, 5)
+        assert run.fingerprint == result.fingerprint() == \
+            run_campaign(spec).fingerprint()
+        events = list(store.journal_events(spec.store_key()))
+        assert [e["event"] for e in events] == ["start"] + ["trial"] * 5 \
+            + ["done"]
+        assert all(e["source"] == "test" and e["key"] == run.key
+                   for e in events)
+        assert (events[0]["cached"], events[0]["pending"]) == (3, 5)
+        assert events[-1]["fingerprint"] == run.fingerprint
+
+    def test_abandon_says_how_far_it_got(self, tmp_path):
+        spec = tiny_spec()
+        store = CampaignStore(tmp_path / "store")
+        cache = CampaignCache(store)
+        run = CampaignRun(spec, cache)
+        run.record(TrialRunner(cache)(run.pending[0]))
+        run.abandon("cancelled", error=None)
+        last = list(store.journal_events(spec.store_key()))[-1]
+        assert last == {"event": "cancelled", "key": run.key,
+                        "completed": 1, "error": None}
+
+    def test_a_shard_run_answers_for_its_shard_only(self):
+        spec = tiny_spec()
+        run = CampaignRun(spec, CampaignCache(), shard=(1, 3))
+        assert [t.index for t in run.pending] == [1, 4, 7]
+        assert run.total == 3 and run.result.total_trials == 8
+        assert run.result.shard == (1, 3)
+
+    def test_concurrent_recording_counts_every_trial_once(self):
+        """More recorders than cores, each offering every result: a lost
+        update would count a trial twice or skip a completed-count."""
+        import sys
+        import threading
+        spec = tiny_spec()
+        cache = CampaignCache()
+        results = [TrialRunner(cache)(trial) for trial in spec.expand()]
+        run = CampaignRun(spec, CampaignCache())
+        counts = []
+        threads = [threading.Thread(
+            target=lambda: counts.extend(run.record(r) for r in results))
+            for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(counts) == [0] * 56 + list(range(1, 9))
+        assert (run.executed, run.completed) == (8, 8)
+        assert run.finish().fingerprint() == run_campaign(spec).fingerprint()
 
 
 class TestDeterminism:

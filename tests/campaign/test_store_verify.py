@@ -62,6 +62,27 @@ class TestCleanStore:
         assert report.verified == 0
 
 
+class TestTornTemporary:
+    """A writer killed between ``mkstemp`` and ``os.replace`` (a pool
+    sibling terminated with the broken pool) leaves a ``tmp*.tmp`` beside
+    the entries.  It was never committed, so it is not an entry."""
+
+    def test_it_is_not_counted_not_corrupt_and_ages_out(self, populated):
+        committed = populated.entry_count()
+        verified = populated.verify().verified
+        for kind, tail in (("trials", '{"schema": 1, "tri'),
+                           ("matrices", "PK\x03\x04")):
+            torn = populated.root / kind / "ab" / "tmp7dq_x3kz.tmp"
+            torn.parent.mkdir(exist_ok=True)
+            torn.write_text(tail)
+        assert populated.entry_count() == committed
+        report = populated.verify()
+        assert report.ok and report.verified == verified
+        removed, kept = populated.gc(days=0, now=2e10)
+        assert removed == sum(committed.values()) + 2 and kept == 0
+        assert not list(populated.root.glob("*/ab/*"))
+
+
 class TestJsonCorruption:
     def test_unparseable_trial_is_corrupt(self, populated):
         path = one_entry(populated, "trials", ".json")

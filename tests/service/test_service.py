@@ -9,9 +9,9 @@ not mocked.  The three invariants the service is built around:
    ``python -m repro.campaign run`` of the same spec;
 2. a warm resubmission executes zero trials — everything is served from
    the warm trial tier, and ``/metrics`` proves it;
-3. a pool process killed mid-job is absorbed: the pool is rebuilt, the
-   shards are retried with the already-recorded trials skipped and the
-   fingerprint is unchanged;
+3. a pool process killed mid-job is absorbed: the pool reopens itself
+   and resubmits what was in flight (``campaign.executors`` — the daemon
+   only reports it) and the fingerprint is unchanged;
 
 and the lifecycle contract around them: a daemon creates its processes,
 threads and socket in ``start()`` only, and ``shutdown()`` leaves none
@@ -158,8 +158,8 @@ class TestWarmResubmission:
 class TestWorkerDeath:
     def test_chaos_kill_is_absorbed(self):
         """A pool process dying mid-shard must not fail the job or change
-        one bit of the result: the pool is rebuilt once, the shards are
-        requeued and already-recorded trials are skipped."""
+        one bit of the result: the pool reopens itself once and the
+        trials in flight are resubmitted, visibly."""
         spec = tiny_spec()
         reference = offline_fingerprint(spec)
         with running_daemon(chaos=ChaosMonkey(2)) as (svc, client):
@@ -168,8 +168,14 @@ class TestWorkerDeath:
             assert status["state"] == "done"
             assert status["fingerprint"] == reference
             assert status["shard_retries"] >= 1
+            retries = [e for e in client.watch(status["id"], read_timeout=30)
+                       if e["event"] == "shard-retry"]
+            assert len(retries) == status["shard_retries"]
+            assert {e["attempt"] for e in retries} == {1}
+            assert all("trial " in e["reason"] for e in retries)
             metrics = client.metrics()
             assert metrics["worker_deaths"] == 1  # one break, counted once
+            assert metrics["shard_retries"] == status["shard_retries"]
             # the daemon is whole again: a full, new set of children...
             rebuilt_pids = svc._pool.pids()
             assert len(rebuilt_pids) == metrics["workers"]
@@ -203,18 +209,24 @@ class TestWorkerDeath:
         assert CampaignStore(tmp_path / "store").verify().ok
 
     def test_a_shard_gives_up_after_max_retries(self, monkeypatch):
-        """Every dispatch kills its child: the retries are capped and
-        the job fails loudly instead of looping."""
+        """Every submission kills its child: the pool's resubmissions
+        are capped (``campaign.executors``) and the job fails loudly,
+        naming the trial, instead of looping."""
+        from repro.campaign.executors import MAX_RESUBMITS
         from repro.service import server
         monkeypatch.setattr(server.ChaosMonkey, "strikes", lambda self: True)
-        with running_daemon(workers=1, chaos=ChaosMonkey(1)) as (_, client):
+        with running_daemon(workers=1, chaos=ChaosMonkey(1)) as (svc, client):
             status = client.wait(client.submit(tiny_spec())["id"],
                                  timeout=120)
             assert status["state"] == "failed"
+            assert status["error"].startswith("WorkerLost: trial 0 ")
             assert "lost its worker" in status["error"]
-            assert status["shard_retries"] == server.MAX_SHARD_RETRIES
-            assert client.metrics()["worker_deaths"] == \
-                server.MAX_SHARD_RETRIES + 1
+            assert status["shard_retries"] == MAX_RESUBMITS
+            metrics = client.metrics()
+            assert metrics["shard_retries"] == MAX_RESUBMITS
+            assert metrics["worker_deaths"] == MAX_RESUBMITS + 1
+            # the pool that gave up is whole again for the next job
+            assert len(svc._pool.pids()) == 1
 
     def test_chaos_monkey_fires_exactly_once(self):
         chaos = ChaosMonkey(3)
@@ -473,6 +485,59 @@ class CountingStore(CampaignStore):
     def journal_append(self, campaign_key, event):
         self.trial_events += event.get("event") == "trial"
         super().journal_append(campaign_key, event)
+
+
+class TestOneLoopTwoDrivers:
+    """A daemon job and an offline ``run_campaign`` are the same
+    ``CampaignRun``: on fresh stores they write the same journal."""
+
+    @staticmethod
+    def journal(store, spec):
+        """The events with the daemon's stamps dropped and the trial
+        lines (completion order is the pool's) sorted by index."""
+        events = [{k: v for k, v in event.items()
+                   if k not in ("source", "job")}
+                  for event in store.journal_events(spec.store_key())]
+        trials = sorted((e for e in events if e["event"] == "trial"),
+                        key=lambda e: e["index"])
+        return [e for e in events if e["event"] != "trial"], trials
+
+    @pytest.mark.parametrize("runs", [1, 2], ids=["cold", "cold+warm"])
+    def test_same_spec_same_journal(self, tmp_path, runs):
+        spec = tiny_spec()
+        offline = CampaignStore(tmp_path / "offline")
+        for _ in range(runs):
+            run_campaign(spec, executor=SerialExecutor(), store=offline)
+        served = CampaignStore(tmp_path / "served")
+        with running_daemon(store=served) as (_, client):
+            for _ in range(runs):
+                status = client.wait(client.submit(spec)["id"], timeout=120)
+                assert status["state"] == "done"
+        events = list(served.journal_events(spec.store_key()))
+        assert all(e["source"] == "service" and e["job"] for e in events)
+        marks, trials = self.journal(served, spec)
+        assert (marks, trials) == self.journal(offline, spec)
+        assert [e["event"] for e in marks] == ["start", "done"] * runs
+        assert len(trials) == spec.num_trials
+        assert marks[-1]["fingerprint"] == status["fingerprint"]
+        assert (marks[-1]["executed"], marks[-1]["cached"]) == \
+            ((0, spec.num_trials) if runs == 2 else (spec.num_trials, 0))
+
+    def test_a_cancelled_job_says_how_far_it_got(self, tmp_path):
+        spec = tiny_spec(repetitions=25)
+        store = CampaignStore(tmp_path / "store")
+        with running_daemon(store=store) as (svc, client):
+            job = client.submit(spec)
+            for event in client.watch(job["id"], read_timeout=120):
+                if event["event"] == "trial":
+                    client.cancel(job["id"])
+                    break
+            final = client.wait(job["id"], timeout=120)
+        assert final["state"] == "cancelled"
+        last = list(store.journal_events(spec.store_key()))[-1]
+        assert last["event"] == "cancelled"
+        assert last["completed"] == final["completed"] == \
+            store.entry_count()["trials"]
 
 
 class TestParentSideWork:
