@@ -139,10 +139,15 @@ def solve_trial(trial: TrialSpec, cache: CampaignCache):
 
 
 def run_trial(trial: TrialSpec, cache: CampaignCache) -> TrialResult:
-    """Execute one campaign trial and reduce it to its slim record."""
+    """Execute one campaign trial and reduce it to its slim record.  An
+    ideal trial (``method=None``) is its own baseline: solved once, kept."""
     started = time.perf_counter()  # repro-lint: allow[wall-clock] trial wall_time metric, reported not fingerprinted
-    ideal_time = _ideal_time(trial.matrix, trial.knobs, cache)
-    result = solve_trial(trial, cache)
+    if trial.method is None:
+        result = solve_trial(trial, cache)
+        ideal_time = keep_baseline(trial.matrix, trial.knobs, result, cache)
+    else:
+        ideal_time = _ideal_time(trial.matrix, trial.knobs, cache)
+        result = solve_trial(trial, cache)
     record = result.record
     return TrialResult(
         index=trial.index, matrix=trial.matrix.label, method=trial.method,
@@ -156,6 +161,17 @@ def run_trial(trial: TrialSpec, cache: CampaignCache) -> TrialResult:
         pages_recovered=result.stats.pages_recovered,
         pages_unrecoverable=result.stats.pages_unrecoverable,
         wall_time=time.perf_counter() - started)  # repro-lint: allow[wall-clock] trial wall_time metric, reported not fingerprinted
+
+
+def _cached_trial(cache: CampaignCache, key: str,
+                  index: int) -> Optional[TrialResult]:
+    """The result ``cache`` holds under ``key``, if any, numbered
+    ``index``: one persisted by another grid carries that grid's
+    numbering, which is a position, not content."""
+    result = cache.get_trial(key)
+    if result is not None and result.index != index:
+        result = dataclasses.replace(result, index=index)
+    return result
 
 
 class TrialRunner:
@@ -178,13 +194,10 @@ class TrialRunner:
 
     def __call__(self, trial: TrialSpec) -> TrialResult:
         key = trial.store_key()
-        result = self.cache.get_trial(key)
+        result = _cached_trial(self.cache, key, trial.index)
         if result is None:
             result = run_trial(trial, self.cache)
             self.cache.put_trial(key, result)
-        elif result.index != trial.index:
-            # Stored under another grid's numbering: a position, not content.
-            result = dataclasses.replace(result, index=trial.index)
         return result
 
 
@@ -225,7 +238,7 @@ class CampaignRun:
         self._awaited: Dict[int, str] = {}
         for trial in trials:
             key = trial.store_key()
-            cached = cache.get_trial(key)
+            cached = _cached_trial(cache, key, trial.index)
             if cached is not None:
                 self.result.add(cached)
             else:

@@ -31,7 +31,8 @@ class TrialResult:
 
     index: int
     matrix: str
-    method: str
+    #: ``None`` for a stored ideal run (its own baseline).
+    method: Optional[str]
     rate: float
     repetition: int
     converged: bool

@@ -89,14 +89,16 @@ class MatrixSpec:
     families use ``params`` (e.g. ``{'nx': 45, 'ny': 45}``).  With
     ``sparse=True`` the matrix is materialised as a SciPy-free
     :class:`~repro.matrices.sparse.SparseOperator`, the fast path that
-    makes n >= 10^4 trials affordable.
+    makes n >= 10^4 trials affordable.  ``rhs_seed`` seeds the random
+    unit solution behind the right-hand side; ``None`` is the seedless
+    ``b = A·1`` (the Figure 5 calibration's).
     """
 
     family: str = "suite"
     name: str = ""
     params: Tuple[Tuple[str, int], ...] = ()
     sparse: bool = False
-    rhs_seed: int = DEFAULT_SEED
+    rhs_seed: Optional[int] = DEFAULT_SEED
 
     def __post_init__(self):
         if self.family not in MATRIX_FAMILIES:
@@ -118,13 +120,14 @@ class MatrixSpec:
 
     @classmethod
     def suite(cls, name: str, sparse: bool = False,
-              rhs_seed: int = DEFAULT_SEED) -> "MatrixSpec":
+              rhs_seed: Optional[int] = DEFAULT_SEED) -> "MatrixSpec":
         return cls(family="suite", name=name, sparse=sparse,
                    rhs_seed=rhs_seed)
 
     @classmethod
     def parametric(cls, family: str, sparse: bool = True,
-                   rhs_seed: int = DEFAULT_SEED, **params: int) -> "MatrixSpec":
+                   rhs_seed: Optional[int] = DEFAULT_SEED,
+                   **params: int) -> "MatrixSpec":
         return cls(family=family, name="",
                    params=tuple(sorted(params.items())), sparse=sparse,
                    rhs_seed=rhs_seed)
@@ -192,8 +195,9 @@ class MatrixSpec:
                 A = SparseOperator.from_scipy(A)
         else:  # pragma: no cover - guarded by __post_init__
             raise ValueError(f"unknown matrix family {self.family!r}")
-        b = stencil_rhs(A, kind="random", seed=self.rhs_seed)
-        return A, b
+        if self.rhs_seed is None:
+            return A, stencil_rhs(A)
+        return A, stencil_rhs(A, kind="random", seed=self.rhs_seed)
 
 
 @dataclass(frozen=True)
@@ -269,7 +273,8 @@ class TrialSpec:
 
     index: int
     matrix: MatrixSpec
-    method: str
+    #: ``None`` is the fault-free ideal run (no strategy, no scenario).
+    method: Optional[str]
     rate: float
     repetition: int
     seed: np.random.SeedSequence

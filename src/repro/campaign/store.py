@@ -22,8 +22,9 @@ via the ``REPRO_CAMPAIGN_STORE`` environment variable)::
     trials/ab/<sha256>.json     # TrialResult payloads
     baselines/ab/<sha256>.json  # ideal fault-free solve times (hex floats)
     matrices/ab/<sha256>.npz    # built CSR matrices + right-hand sides
-    scalars/ab/<sha256>.json    # generic derived scalars (fig5 calibration)
     journals/<sha256>.jsonl     # per-campaign progress journal
+    scalars/                    # earlier versions only (the Figure 5
+                                # calibration, trials now): ignored
 
 Correctness anchor: a cache hit must be *byte-identical* to a cold
 computation.  JSON floats round-trip exactly in Python (``repr``-based),
@@ -69,7 +70,7 @@ STORE_ENV = "REPRO_CAMPAIGN_STORE"
 DEFAULT_STORE_PATH = "~/.cache/repro-campaign"
 
 #: Artifact kinds and their subdirectories.
-_KINDS = ("trials", "baselines", "matrices", "scalars")
+_KINDS = ("trials", "baselines", "matrices")
 
 #: Default age beyond which ``gc`` prunes unreferenced entries (days).
 GC_DEFAULT_DAYS = 30
@@ -308,16 +309,6 @@ class CampaignStore:
                 shape=np.asarray(A.shape, dtype=np.int64),
                 data=A.data, indices=A.indices, indptr=A.indptr,
                 b=np.asarray(b)))
-
-    # ------------------------------------------------------------------
-    # generic derived scalars (fig5 calibration iteration counts, ...)
-    # ------------------------------------------------------------------
-    def get_scalar(self, key: str):
-        payload = self._get_json("scalars", key)
-        return None if payload is None else payload["value"]
-
-    def put_scalar(self, key: str, value) -> None:
-        self._put_json("scalars", key, {"value": value})
 
     # ------------------------------------------------------------------
     # journal

@@ -16,7 +16,8 @@ This package now covers that setup from two complementary angles:
   every transfer wall-clock timed (``SolverConfig(ranks=N)``).
 * :class:`~repro.distributed.cluster.ClusterModel` projects the same
   iteration structure analytically to the paper's 512^3 problem on up
-  to 1024 cores, using a :class:`~repro.distributed.comm.CommunicationModel`
+  to 1024 cores, from iteration counts the Figure 5 driver measures
+  and hands it, using a :class:`~repro.distributed.comm.CommunicationModel`
   whose interconnect constants default to InfiniBand-era values and can
   be calibrated from the measured rank-runtime exchanges
   (:func:`~repro.distributed.comm.fit_communication_model`).

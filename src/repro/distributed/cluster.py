@@ -2,10 +2,12 @@
 
 The model is a hybrid:
 
-* *iteration counts* per method and error count come from real runs of
-  the single-node :class:`~repro.solvers.ResilientCG` machinery on a
-  small 27-point Poisson problem (so restart penalties, rollback losses
-  and exact-recovery behaviour are measured, not guessed);
+* *iteration counts* per method and error count are handed in: the
+  Figure 5 driver (:func:`repro.experiments.fig5.calibrate`) measures
+  them with real resilient-CG solves of a small 27-point Poisson
+  problem, as campaign trials (so restart penalties, rollback losses
+  and exact-recovery behaviour are measured, not guessed) — this module
+  solves nothing and holds no state;
 * *per-iteration time* at the target problem size (the paper's 512^3
   unknowns) and rank count is computed analytically from the cost model:
   per-rank roofline compute over 8 worker cores, strip-partition halo
@@ -22,16 +24,12 @@ count (64 cores = 8 ranks), exactly as in the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.manager import STRATEGY_NAMES, make_strategy
+from repro.core.manager import STRATEGY_NAMES
 from repro.distributed.comm import CommunicationModel
-from repro.faults.scenarios import ErrorScenario, multi_error_scenario
-from repro.faults.injector import Injection
-from repro.matrices.stencil import poisson_3d_27pt, stencil_rhs
 from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
-from repro.solvers.resilient_cg import ResilientCG, SolverConfig
 
 
 @dataclass
@@ -47,72 +45,9 @@ class ScalingResult:
     parallel_efficiency: float
 
 
-@dataclass(frozen=True)
-class CalibrationTask:
-    """One (method, error count) calibration solve — picklable, so the
-    calibration grid can be fanned out over a campaign executor."""
-
-    method: str
-    errors: int
-    calibration_points: int
-    workers_per_rank: int
-    tolerance: float
-    checkpoint_interval: int
-    tau: float
-    pages: int
-    cost_model: CostModel = DEFAULT_COST_MODEL
-
-    def content_token(self) -> str:
-        """Canonical token for the campaign store: the measured iteration
-        count is a pure function of these fields."""
-        import dataclasses
-        cost = ",".join(f"{f.name}={getattr(self.cost_model, f.name)!r}"
-                        for f in dataclasses.fields(self.cost_model))
-        return (f"fig5-calibration/v1|method={self.method}|"
-                f"errors={self.errors}|points={self.calibration_points}|"
-                f"wpr={self.workers_per_rank}|tol={self.tolerance!r}|"
-                f"ckpt={self.checkpoint_interval}|tau={self.tau!r}|"
-                f"pages={self.pages}|cost[{cost}]")
-
-
-#: Per-process cache of the calibration problem (the same 27-point
-#: Poisson system serves every cell of the grid).
-_CALIBRATION_PROBLEMS: Dict[int, tuple] = {}
-
-
-def _calibration_problem(points: int) -> tuple:
-    if points not in _CALIBRATION_PROBLEMS:
-        A = poisson_3d_27pt(points)
-        _CALIBRATION_PROBLEMS[points] = (A, stencil_rhs(A))
-    return _CALIBRATION_PROBLEMS[points]
-
-
-def run_calibration_task(task: CalibrationTask):
-    """``(task, measured iteration count)`` of one calibration cell.
-
-    Module-level so process-pool executors can pickle it; the task is
-    echoed back because pool executors complete work out of order.
-    """
-    A, b = _calibration_problem(task.calibration_points)
-    cfg = SolverConfig(num_workers=task.workers_per_rank, page_size=128,
-                       tolerance=task.tolerance, record_history=False)
-    if task.errors == 0:
-        scenario: Optional[ErrorScenario] = None
-    else:
-        # Errors hit pages of the iterate at evenly spread times,
-        # mirroring the paper's "1 and 2 errors per run".
-        injections = [Injection(time=task.tau * (k + 1) / (task.errors + 1),
-                                vector="x",
-                                page=(7 * (k + 1)) % max(task.pages, 1))
-                      for k in range(task.errors)]
-        scenario = multi_error_scenario(injections,
-                                        name=f"{task.method}-{task.errors}err")
-    strategy = make_strategy(task.method, cost_model=task.cost_model,
-                             checkpoint_interval=task.checkpoint_interval)
-    solver = ResilientCG(A, b, strategy=strategy, scenario=scenario,
-                         config=cfg)
-    record = solver.solve(ideal_time=task.tau).record
-    return task, max(record.iterations, 1)
+#: Measured iteration counts, ``calibration[method][errors]`` for every
+#: strategy name plus ``"ideal"`` and ``errors`` in (0, 1, 2).
+Calibration = Dict[str, Dict[int, int]]
 
 
 @dataclass
@@ -121,11 +56,12 @@ class ClusterModel:
 
     #: Unknowns per dimension of the *target* problem (the paper uses 512).
     target_points: int = 512
-    #: Unknowns per dimension of the small problem used to measure
-    #: iteration counts (kept small so the model builds in seconds).
+    #: Unknowns per dimension of the small problem the driver measures
+    #: iteration counts on (kept small so it calibrates in seconds).
     calibration_points: int = 24
     workers_per_rank: int = 8
     cost_model: CostModel = DEFAULT_COST_MODEL
+    #: Convergence threshold of the calibration solves.
     tolerance: float = 1e-10
     checkpoint_interval: int = 50
     #: Interconnect model used for halo/allreduce terms.  Defaults to the
@@ -134,94 +70,6 @@ class ClusterModel:
     #: :func:`~repro.distributed.comm.fit_communication_model` to anchor
     #: the projection on *measured* rank-runtime exchanges.
     comm_model: Optional[CommunicationModel] = None
-    _iteration_cache: Dict = field(default_factory=dict, repr=False)
-    _calibration: Dict = field(default_factory=dict, repr=False)
-
-    # ------------------------------------------------------------------
-    # calibration runs (real numerics on the small problem)
-    # ------------------------------------------------------------------
-    def _ideal_calibration_key(self) -> str:
-        """Content address of the ideal calibration solve's outcome."""
-        import dataclasses
-
-        from repro.campaign.spec import content_hash
-        cost = ",".join(f"{f.name}={getattr(self.cost_model, f.name)!r}"
-                        for f in dataclasses.fields(self.cost_model))
-        return content_hash(
-            f"fig5-ideal/v1|points={self.calibration_points}|"
-            f"wpr={self.workers_per_rank}|tol={self.tolerance!r}|"
-            f"page=128|cost[{cost}]")
-
-    def _calibrate(self, executor=None, store=None) -> Dict:
-        """Measure iteration counts per (method, errors) on the small problem.
-
-        ``executor`` is an optional
-        :class:`~repro.campaign.executors.CampaignExecutor`; the 15-cell
-        (method x error count) grid of real solver runs is independent
-        work, so it maps over the campaign executors exactly like
-        fault-injection trials do.  ``store`` (a
-        :class:`~repro.campaign.store.CampaignStore`) caches both the
-        ideal solve (``tau``, page count, iterations) and every cell's
-        measured iteration count by content address, so a warm Figure 5
-        re-run performs no calibration solves at all.
-        """
-        if self._calibration:
-            return self._calibration
-        from repro.campaign.spec import content_hash
-
-        ideal_key = self._ideal_calibration_key()
-        cached_ideal = store.get_scalar(ideal_key) if store is not None \
-            else None
-        if cached_ideal is not None:
-            tau = float.fromhex(cached_ideal["tau"])
-            pages = int(cached_ideal["pages"])
-            ideal_iterations = int(cached_ideal["iterations"])
-        else:
-            A, b = _calibration_problem(self.calibration_points)
-            cfg = SolverConfig(num_workers=self.workers_per_rank,
-                               page_size=128, tolerance=self.tolerance,
-                               record_history=False)
-            ideal_solver = ResilientCG(A, b, config=cfg)
-            pages = ideal_solver.blocked.num_blocks
-            ideal = ideal_solver.solve()
-            tau = ideal.record.solve_time
-            ideal_iterations = ideal.record.iterations
-            if store is not None:
-                store.put_scalar(ideal_key, {
-                    "tau": float(tau).hex(), "pages": pages,
-                    "iterations": ideal_iterations})
-        results: Dict = {"ideal": {0: ideal_iterations,
-                                   1: ideal_iterations,
-                                   2: ideal_iterations}}
-        tasks = [CalibrationTask(method=name, errors=errors,
-                                 calibration_points=self.calibration_points,
-                                 workers_per_rank=self.workers_per_rank,
-                                 tolerance=self.tolerance,
-                                 checkpoint_interval=self.checkpoint_interval,
-                                 tau=tau, pages=pages,
-                                 cost_model=self.cost_model)
-                 for name in STRATEGY_NAMES for errors in (0, 1, 2)]
-        iteration_counts: Dict = {}
-        pending = []
-        for task in tasks:
-            cached = store.get_scalar(content_hash(task.content_token())) \
-                if store is not None else None
-            if cached is not None:
-                iteration_counts[(task.method, task.errors)] = int(cached)
-            else:
-                pending.append(task)
-        if executor is None:
-            from repro.campaign.executors import SerialExecutor
-            executor = SerialExecutor()
-        for task, count in executor.run(run_calibration_task, pending):
-            iteration_counts[(task.method, task.errors)] = count
-            if store is not None:
-                store.put_scalar(content_hash(task.content_token()), count)
-        for name in STRATEGY_NAMES:
-            results[name] = {errors: iteration_counts[(name, errors)]
-                             for errors in (0, 1, 2)}
-        self._calibration = results
-        return results
 
     # ------------------------------------------------------------------
     # analytic per-iteration time at the target scale
@@ -233,9 +81,6 @@ class ClusterModel:
         """Per-iteration wall time of the hybrid CG at the target scale."""
         if num_ranks < 1:
             raise ValueError(f"num_ranks must be >= 1, got {num_ranks}")
-        key = (num_ranks, method)
-        if key in self._iteration_cache:
-            return self._iteration_cache[key]
         cm = self.cost_model
         n = self._target_rows()
         rows = n / num_ranks
@@ -256,7 +101,6 @@ class ClusterModel:
         elif method == "ckpt":
             volume = 2.0 * 8.0 * rows
             time += cm.checkpoint_write(volume) / self.checkpoint_interval
-        self._iteration_cache[key] = time
         return time
 
     def neighbour_planes(self, num_ranks: int) -> List[int]:
@@ -297,29 +141,21 @@ class ClusterModel:
         if method == "ckpt":
             rows = self._target_rows() / num_ranks
             return service + cm.checkpoint_read(2.0 * 8.0 * rows)
-        if method == "Trivial":
-            return service
-        return service
+        return service                  # Trivial
 
     # ------------------------------------------------------------------
     # the actual scaling sweep
     # ------------------------------------------------------------------
-    def run(self, core_counts: Sequence[int] = (64, 128, 256, 512, 1024),
+    def run(self, calibration: Calibration,
+            core_counts: Sequence[int] = (64, 128, 256, 512, 1024),
             error_counts: Sequence[int] = (1, 2),
-            methods: Sequence[str] = STRATEGY_NAMES,
-            executor=None, store=None) -> List[ScalingResult]:
-        """Produce the Figure 5 dataset: speedups per method/cores/errors.
-
-        ``executor`` (a campaign executor) parallelises the calibration
-        solves; the analytic extrapolation itself is instantaneous.
-        ``store`` caches the calibration solves content-addressed, so a
-        warm re-run skips them entirely.
-        """
+            methods: Sequence[str] = STRATEGY_NAMES) -> List[ScalingResult]:
+        """Produce the Figure 5 dataset — speedups per method/cores/errors
+        — from the measured iteration counts ``calibration``."""
         if not core_counts:
             raise ValueError("core_counts must not be empty")
         for cores in core_counts:
-            self._ranks_for(cores)      # validate before any solve runs
-        calibration = self._calibrate(executor=executor, store=store)
+            self._ranks_for(cores)      # refuse degenerate configurations
         results: List[ScalingResult] = []
         ref_cores = min(core_counts)
         ref_ranks = self._ranks_for(ref_cores)

@@ -12,7 +12,10 @@ driver            paper result
 
 Each driver exposes a ``run(...)`` returning structured results and a
 ``format_*`` helper printing the same rows/series the paper reports.
-The benchmark harness under ``benchmarks/`` simply calls these drivers.
+The drivers own the solves — every cell is a campaign trial through
+``campaign.engine.solve_trial`` (Figure 5's ``ClusterModel`` is handed
+the iteration counts its driver measures).  The benchmark harness under
+``benchmarks/`` simply calls these drivers.
 """
 
 from repro.experiments.common import ExperimentConfig, MethodRun

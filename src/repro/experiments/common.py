@@ -1,11 +1,12 @@
 """Shared configuration and cell helpers for the experiment drivers.
 
-The drivers own no solver stack.  Table 2, Table 3 and Fig. 3 describe
-each cell as a campaign :class:`~repro.campaign.spec.TrialSpec`
-(:meth:`ExperimentConfig.cell`: suite matrix, method — ``None`` for the
-ideal run — and an optional fixed-injection scenario) and solve it
-through :func:`repro.campaign.engine.solve_trial`, the one place a cell
-is built, baselined and solved, over the
+The drivers own no solver stack.  Table 2, Table 3, Fig. 3 and Fig. 5
+describe each cell as a campaign :class:`~repro.campaign.spec.TrialSpec`
+(:func:`driver_cell`: matrix, method — ``None`` for the ideal run — and
+an optional fixed-injection scenario; :meth:`ExperimentConfig.cell` for
+a suite matrix) and solve it through
+:func:`repro.campaign.engine.solve_trial`, the one place a cell is
+built, baselined and solved, over the
 :class:`~repro.campaign.store.CampaignCache` they make around the store
 they are given; Fig. 4 hands the whole grid to ``run_campaign``.
 """
@@ -26,6 +27,18 @@ from repro.core.manager import STRATEGY_NAMES
 from repro.faults.scenarios import ErrorScenario
 from repro.matrices.suite import PAPER_MATRICES
 from repro.solvers.resilient_cg import SolveResult
+
+
+def driver_cell(matrix: MatrixSpec, knobs: SolverKnobs,
+                method: Optional[str],
+                scenario: Optional[ErrorScenario] = None,
+                seed: int = DEFAULT_SEED) -> TrialSpec:
+    """One driver cell as a campaign trial: ``method`` (``None``: the
+    ideal CG) on ``matrix``, fault-free unless a fixed-injection
+    ``scenario`` is given."""
+    return TrialSpec(index=0, matrix=matrix, method=method, rate=0.0,
+                     repetition=0, seed=np.random.SeedSequence(seed),
+                     knobs=knobs, scenario=scenario)
 
 
 @dataclass
@@ -55,15 +68,10 @@ class ExperimentConfig:
     def cell(self, name: str, method: Optional[str],
              scenario: Optional[ErrorScenario] = None,
              **knobs) -> TrialSpec:
-        """One driver cell as a campaign trial: ``method`` (``None``: the
-        ideal CG) on suite matrix ``name``, fault-free unless a fixed-
-        injection ``scenario`` is given; ``knobs`` override the
-        configuration's for this cell."""
-        return TrialSpec(index=0, matrix=self.matrix(name), method=method,
-                         rate=0.0, repetition=0,
-                         seed=np.random.SeedSequence(self.seed),
-                         knobs=replace(self.knobs, **knobs),
-                         scenario=scenario)
+        """The :func:`driver_cell` of ``method`` on suite matrix ``name``;
+        ``knobs`` override the configuration's for this cell."""
+        return driver_cell(self.matrix(name), replace(self.knobs, **knobs),
+                           method, scenario, self.seed)
 
 
 @dataclass

@@ -8,18 +8,34 @@ Shapes to reproduce (paper, 27-point Poisson on 512^3 unknowns):
 * the Lossy Restart trails them (8.2 / 4.8);
 * checkpointing and the trivial method stay below a third of the ideal
   CG's speedup.
+
+The driver owns every solve: the calibration grid and the measured rows
+are campaign trials (:func:`~repro.experiments.common.driver_cell`)
+through the one trial pipeline, and
+:class:`~repro.distributed.cluster.ClusterModel` is handed the iteration
+counts they measure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import format_table
-from repro.distributed.cluster import ClusterModel, ScalingResult
+from repro.campaign.engine import TrialRunner, solve_trial
+from repro.campaign.spec import MatrixSpec, SolverKnobs, TrialSpec
+from repro.campaign.store import CampaignCache
+from repro.core.manager import STRATEGY_NAMES
+from repro.distributed.cluster import (Calibration, ClusterModel,
+                                       ScalingResult)
 from repro.distributed.comm import (CommunicationModel,
                                     fit_communication_model)
 from repro.distributed.partition import StripPartition
+from repro.distributed.ranks import RankCommStats
+from repro.experiments.common import driver_cell, solve_cell
+from repro.faults.injector import Injection
+from repro.faults.scenarios import ErrorScenario, multi_error_scenario
+from repro.memory.pages import page_count
 
 #: Paper reference speedups on 1024 cores for quick comparison.
 PAPER_FIG5_1024 = {
@@ -43,9 +59,50 @@ class Fig5Result:
         raise KeyError(f"no result for {method} at {cores} cores, "
                        f"{errors} errors")
 
-    def by_errors(self, errors: int) -> List[ScalingResult]:
-        return [r for r in self.results
-                if r.errors == errors or r.method == "Ideal"]
+
+def calibration_cell(model: ClusterModel, method: Optional[str],
+                     scenario: Optional[ErrorScenario] = None) -> TrialSpec:
+    """One calibration solve of ``model`` as a campaign trial: the
+    27-point Poisson problem at ``model.calibration_points`` with the
+    seedless right-hand side ``b = A·1``, under the model's workers,
+    tolerance, checkpoint interval and cost model."""
+    return driver_cell(
+        MatrixSpec.parametric("poisson3d27", sparse=False, rhs_seed=None,
+                              nx=model.calibration_points),
+        SolverKnobs(num_workers=model.workers_per_rank, page_size=128,
+                    tolerance=model.tolerance,
+                    checkpoint_interval=model.checkpoint_interval,
+                    cost_model=model.cost_model),
+        method, scenario)
+
+
+def calibrate(model: ClusterModel, cache: CampaignCache) -> Calibration:
+    """Measure ``model``'s iteration counts per (method, errors).
+
+    The grid — the ideal run, then every method under 0, 1 and 2 errors
+    injected at fixed fractions of the ideal solve time — goes cell by
+    cell through the read-through :class:`TrialRunner`, so over a store
+    a warm Figure 5 performs no solve at all.
+    """
+    run = TrialRunner(cache)
+    ideal_cell = calibration_cell(model, None)
+    ideal = run(ideal_cell)
+    pages = page_count(model.calibration_points ** 3,
+                       ideal_cell.knobs.page_size)
+    calibration = {"ideal": dict.fromkeys((0, 1, 2), ideal.iterations)}
+    for method in STRATEGY_NAMES:
+        calibration[method] = {}
+        for errors in (0, 1, 2):
+            # Errors hit pages of the iterate at evenly spread times,
+            # mirroring the paper's "1 and 2 errors per run".
+            scenario = multi_error_scenario(
+                [Injection(time=ideal.solve_time * (k + 1) / (errors + 1),
+                           vector="x", page=(7 * (k + 1)) % pages)
+                 for k in range(errors)],
+                name=f"{method}-{errors}err") if errors else None
+            result = run(calibration_cell(model, method, scenario))
+            calibration[method][errors] = max(result.iterations, 1)
+    return calibration
 
 
 def run_fig5(core_counts: Sequence[int] = (64, 128, 256, 512, 1024),
@@ -53,22 +110,18 @@ def run_fig5(core_counts: Sequence[int] = (64, 128, 256, 512, 1024),
              calibration_points: int = 24,
              target_points: int = 512,
              model: Optional[ClusterModel] = None,
-             executor=None, store=None) -> Fig5Result:
+             store=None) -> Fig5Result:
     """Reproduce the Figure 5 scaling study with the simulated cluster.
 
-    The calibration solves (one real resilient-CG run per method and
-    error count) are independent, so they run through the same pluggable
-    campaign executors as the Figure 4 sweep — pass
-    ``executor=make_executor('process')`` to fan them out.  ``store``
-    (a :class:`~repro.campaign.store.CampaignStore`) caches each
-    calibration cell's measured iteration count by content address, so
-    warm re-runs skip the solves.
+    The 16 calibration solves (:func:`calibrate`) are stored trials of
+    ``store`` (a :class:`~repro.campaign.store.CampaignStore`), so a
+    warm re-run executes none of them.
     """
     model = model or ClusterModel(target_points=target_points,
                                   calibration_points=calibration_points)
-    results = model.run(core_counts=core_counts, error_counts=error_counts,
-                        executor=executor, store=store)
-    return Fig5Result(results=results, model=model)
+    calibration = calibrate(model, CampaignCache(store))
+    return Fig5Result(results=model.run(calibration, core_counts,
+                                        error_counts), model=model)
 
 
 def format_fig5(result: Fig5Result) -> str:
@@ -161,11 +214,13 @@ def run_fig5_measured(ranks: Sequence[int] = (1, 2, 4),
                       target_points: int = 512) -> MeasuredFig5Result:
     """Execute the Figure 5 strip partition for real at small scale.
 
-    For each rank count a :class:`~repro.solvers.ResilientCG` solve runs
-    with ``SolverConfig(ranks=N)`` — one worker per strip, real halo
-    exchange of the search direction, reproducibly-ordered tree
-    allreduces, recovery on the page owner — and the measured wall times
-    of the exchanges are reported next to what the analytic
+    For each rank count a trial with ``SolverKnobs(ranks=N)`` goes
+    through :func:`~repro.campaign.engine.solve_trial` (over a storeless
+    cache: these are measurements, always executed) — one worker per
+    strip, real halo exchange of the search direction, reproducibly-
+    ordered tree allreduces, recovery on the page owner — and the
+    measured wall times of the exchanges are reported next to what the
+    analytic
     :class:`~repro.distributed.comm.CommunicationModel` predicts for the
     same partition.  The measured point-to-point transfers then
     calibrate the interconnect constants of the 512^3 projection
@@ -179,21 +234,18 @@ def run_fig5_measured(ranks: Sequence[int] = (1, 2, 4),
     recovery scan's wall interval overlapped the halo exchange on the
     owning rank (AFEIR: yes; FEIR: structurally never).
     """
-    from repro.core.manager import make_strategy
-    from repro.faults.injector import Injection
-    from repro.faults.scenarios import multi_error_scenario
-    from repro.matrices.stencil import poisson_3d_27pt, stencil_rhs
-    from repro.solvers.resilient_cg import ResilientCG, SolverConfig
-
-    A = poisson_3d_27pt(points)
-    b = stencil_rhs(A, kind="random", seed=7)
+    matrix = MatrixSpec.parametric("poisson3d27", sparse=False, rhs_seed=7,
+                                   nx=points)
+    knobs = SolverKnobs(page_size=page_size, tolerance=tolerance)
+    cache = CampaignCache()
+    A, _ = matrix.build()       # partitioned for the model's columns
     n = A.shape[0]
+    num_pages = page_count(n, page_size)
     comm_default = CommunicationModel()
-    with ResilientCG(A, b, config=SolverConfig(
-            page_size=page_size, tolerance=tolerance,
-            record_history=False)) as ideal_solver:
-        tau = ideal_solver.solve().record.solve_time
-        num_pages = ideal_solver.blocked.num_blocks
+    ideal = solve_trial(driver_cell(matrix, knobs, None), cache)
+    one_error = multi_error_scenario(
+        [Injection(time=ideal.solve_time * 0.5, vector="x",
+                   page=num_pages // 2)], name="measured")
 
     rows: List[MeasuredRankRow] = []
     samples: List[Tuple[float, float]] = []
@@ -203,49 +255,37 @@ def run_fig5_measured(ranks: Sequence[int] = (1, 2, 4),
                          for p in part.partitions)
         model_allreduce = comm_default.allreduce(r, values=num_pages)
         for method in methods:
-            strategy = None
-            scenario = None
-            if method != "ideal":
-                strategy = make_strategy(method)
-                scenario = multi_error_scenario(
-                    [Injection(time=tau * 0.5, vector="x",
-                               page=num_pages // 2)],
-                    name=f"measured-{method}")
-            if method == "ideal" or r == 1:
-                # Ideal rows (and single-strip runs, which have no halo
-                # to overlap) stay on the cheap legacy cell.
-                cfg = SolverConfig(page_size=page_size, tolerance=tolerance,
-                                   record_history=False, ranks=r)
+            # Ideal rows (and single-strip runs, which have no halo to
+            # overlap) stay on the cheap list cell; the others take the
+            # threaded re-enactment over the rank placement with the
+            # wall clock.  pace=0.0 replays actions as fast as possible
+            # (the real halo/probe work still takes measurable wall time).
+            cell_knobs = replace(knobs, ranks=r)
+            if method == "ideal":
+                result = solve_trial(driver_cell(matrix, cell_knobs, None),
+                                     cache)
             else:
-                # The new runtime cell: threaded re-enactment over the
-                # rank placement with the wall clock.  pace=0.0 replays
-                # actions as fast as possible (the real halo/probe work
-                # still takes measurable wall time).
-                cfg = SolverConfig(page_size=page_size, tolerance=tolerance,
-                                   record_history=False, ranks=r,
-                                   scheduler="threaded", placement="ranks",
-                                   clock="wall", pace=0.0)
-            with ResilientCG(A, b, strategy=strategy, scenario=scenario,
-                             config=cfg) as solver:
-                result = solver.solve(ideal_time=tau)
-            st = result.rank_stats
-            if st is not None:
-                samples.extend(st.message_samples)
+                if r > 1:
+                    cell_knobs = replace(
+                        cell_knobs, scheduler="threaded", placement="ranks",
+                        clock="wall", pace=0.0)
+                result = solve_cell(
+                    driver_cell(matrix, cell_knobs, method, one_error),
+                    ideal, cache).result
+            # A single strip exchanges nothing and keeps no statistics.
+            st = result.rank_stats or RankCommStats(ranks=r)
+            samples.extend(st.message_samples)
             window = result.window_summary or {}
             rows.append(MeasuredRankRow(
                 ranks=r, method=method,
                 iterations=result.record.iterations,
-                halo_exchanges=st.halo_exchanges if st else 0,
-                allreduces=st.allreduces if st else 0,
-                measured_halo_ms=(1e3 * st.halo_seconds_per_exchange()
-                                  if st else 0.0),
-                measured_allreduce_ms=(1e3 * st.allreduce_seconds_per_op()
-                                       if st else 0.0),
+                halo_exchanges=st.halo_exchanges, allreduces=st.allreduces,
+                measured_halo_ms=1e3 * st.halo_seconds_per_exchange(),
+                measured_allreduce_ms=1e3 * st.allreduce_seconds_per_op(),
                 model_halo_ms=1e3 * model_halo,
                 model_allreduce_ms=1e3 * model_allreduce,
-                halo_bytes=st.halo_bytes if st else 0,
-                recoveries_by_rank=(dict(st.recoveries_by_rank)
-                                    if st else {}),
+                halo_bytes=st.halo_bytes,
+                recoveries_by_rank=dict(st.recoveries_by_rank),
                 halo_overlapped=int(
                     window.get("halo_overlapped_recoveries", 0) or 0)))
 

@@ -70,12 +70,13 @@ def _matrix_to_payload(matrix: MatrixSpec) -> Dict[str, object]:
 
 def _matrix_from_payload(payload: Dict[str, object]) -> MatrixSpec:
     try:
+        rhs_seed = payload["rhs_seed"]
         return MatrixSpec(
             family=str(payload["family"]),
             name=str(payload["name"]),
             params=tuple((str(k), int(v)) for k, v in payload["params"]),
             sparse=bool(payload["sparse"]),
-            rhs_seed=int(payload["rhs_seed"]))
+            rhs_seed=None if rhs_seed is None else int(rhs_seed))
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"bad matrix payload {payload!r}: {exc}") \
             from None

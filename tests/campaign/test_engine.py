@@ -8,6 +8,7 @@ pool completes trials.
 
 import pytest
 
+import dataclasses
 import pickle
 
 from repro.campaign.engine import (CampaignRun, TrialRunner, run_campaign,
@@ -87,6 +88,29 @@ class TestOnePipeline:
             counts = store.entry_count()
             assert counts["matrices"] == counts["baselines"] == 1
             assert counts["trials"] == tiny_spec().num_trials
+
+    def test_an_ideal_trial_is_its_own_baseline_and_solves_once(
+            self, monkeypatch):
+        """``method=None`` through ``run_trial``: one solve cold, none
+        through the runner on the same cache, and a method trial of the
+        same ``(matrix, knobs)`` solves no second baseline."""
+        from repro.solvers.resilient_cg import ResilientCG
+        solves = []
+        real = ResilientCG.solve
+        monkeypatch.setattr(
+            ResilientCG, "solve",
+            lambda self, **kw: solves.append(kw) or real(self, **kw))
+        trial = tiny_spec().expand()[0]
+        ideal = dataclasses.replace(trial, method=None, rate=0.0)
+        cache = CampaignCache()
+        runner = TrialRunner(cache)
+        result = runner(ideal)
+        assert len(solves) == 1
+        assert result.method is None and result.converged
+        assert result.ideal_time == result.solve_time > 0
+        assert runner(ideal) == result and len(solves) == 1
+        assert run_trial(trial, cache).ideal_time == result.solve_time
+        assert len(solves) == 2 and cache.misses["baselines"] == 0
 
     def test_runner_pickles_to_the_process_cache_of_its_root(self, tmp_path):
         store = CampaignStore(tmp_path / "store")

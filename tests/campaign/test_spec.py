@@ -56,6 +56,20 @@ class TestMatrixSpec:
         assert np.array_equal(A1.data, A2.data)
         assert np.array_equal(b1, b2)
 
+    def test_no_rhs_seed_is_the_seedless_right_hand_side(self):
+        """``rhs_seed=None`` is ``b = A·1``: a token no integer seed
+        renders, while every integer-seeded token stays as it was."""
+        seeded = MatrixSpec.parametric("poisson3d27", sparse=False, nx=4)
+        seedless = MatrixSpec.parametric("poisson3d27", sparse=False,
+                                         rhs_seed=None, nx=4)
+        assert seeded.content_token() == \
+            "matrix/poisson3d27//[nx=4]/sparse=0/rhs_seed=20150715"
+        assert seedless.content_token() == \
+            "matrix/poisson3d27//[nx=4]/sparse=0/rhs_seed=None"
+        A, b = seedless.build()
+        assert np.array_equal(b, A @ np.ones(A.shape[0]))
+        assert not np.array_equal(b, seeded.build()[1])
+
 
 class TestCampaignSpec:
     def make_spec(self, **overrides):

@@ -15,6 +15,7 @@ import pytest
 
 from repro.campaign.engine import run_campaign
 from repro.campaign.executors import ChunkedExecutor, SerialExecutor
+from repro.campaign.results import CampaignResult
 from repro.campaign.spec import CampaignSpec, MatrixSpec, SolverKnobs
 from repro.campaign.store import (STORE_SCHEMA_VERSION, CampaignStore,
                                   StoreSchemaError, default_store_root,
@@ -37,8 +38,27 @@ class TestStoreBasics:
         store = CampaignStore(tmp_path / "store")
         schema = json.loads((store.root / "SCHEMA").read_text())
         assert schema["schema"] == STORE_SCHEMA_VERSION
-        for kind in ("trials", "baselines", "matrices", "scalars"):
+        for kind in ("trials", "baselines", "matrices"):
             assert (store.root / kind).is_dir()
+        assert not (store.root / "scalars").exists()
+
+    def test_a_scalars_directory_from_an_older_version_is_ignored(
+            self, tmp_path):
+        """A store laid out before Figure 5's calibration became trials
+        may carry ``scalars/``: it opens, verifies and is not counted."""
+        root = tmp_path / "store"
+        for kind in ("trials", "baselines", "matrices", "scalars",
+                     "journals"):
+            (root / kind).mkdir(parents=True)
+        (root / "SCHEMA").write_text(
+            json.dumps({"schema": STORE_SCHEMA_VERSION}) + "\n")
+        key = "ab" + "0" * 62
+        (root / "scalars" / "ab").mkdir()
+        (root / "scalars" / "ab" / f"{key}.json").write_text(json.dumps(
+            {"schema": STORE_SCHEMA_VERSION, "key": key, "value": 27}))
+        store = CampaignStore(root)
+        assert store.verify().ok
+        assert "scalars" not in store.entry_count()
 
     def test_env_override_controls_default_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CAMPAIGN_STORE", str(tmp_path / "env"))
@@ -68,21 +88,21 @@ class TestStoreBasics:
     def test_incompatible_artifact_fails_loudly(self, tmp_path):
         store = CampaignStore(tmp_path / "store")
         key = "ab" + "0" * 62
-        store._put_json("scalars", key, {"value": 1})
-        path = store._path("scalars", key)
+        store.put_baseline(key, 1.0)
+        path = store._path("baselines", key)
         payload = json.loads(path.read_text())
         payload["schema"] = 0
         path.write_text(json.dumps(payload))
         with pytest.raises(StoreSchemaError, match="schema v0"):
-            store.get_scalar(key)
+            store.get_baseline(key)
 
     def test_corrupt_artifact_self_heals_as_miss(self, tmp_path):
         store = CampaignStore(tmp_path / "store")
         key = "cd" + "0" * 62
-        store._put_json("scalars", key, {"value": 1})
-        store._path("scalars", key).write_text("{torn")
-        assert store.get_scalar(key) is None
-        assert not store._path("scalars", key).exists()
+        store.put_baseline(key, 1.0)
+        store._path("baselines", key).write_text("{torn")
+        assert store.get_baseline(key) is None
+        assert not store._path("baselines", key).exists()
 
     def test_process_cache_is_one_per_root(self, tmp_path):
         a = process_cache(str(tmp_path / "store"))
@@ -121,7 +141,6 @@ class TestArtifactRoundTrips:
         assert store.get_trial(key) is None
         assert store.get_baseline(key) is None
         assert store.get_matrix(key) is None
-        assert store.get_scalar(key) is None
 
 
 class TestWarmCampaigns:
@@ -169,6 +188,32 @@ class TestWarmCampaigns:
                              store=CampaignStore(tmp_path / "store"))
         assert grown.cache_hits == tiny_spec().num_trials
         assert grown.executed == grown.total_trials - grown.cache_hits
+
+    @pytest.mark.parametrize("reps", [3, 4, 5])
+    def test_a_grid_served_from_another_grids_store_is_its_own_cold_run(
+            self, tmp_path, reps):
+        """Results persisted under another grid's enumeration are
+        renumbered by the cached/pending split: the grown grid sorts,
+        fingerprints and shard-merges exactly like its own cold run."""
+        grid = dict(matrices=["laplacian2d:16"], methods=("FEIR", "Lossy"),
+                    knobs=SolverKnobs(tolerance=1e-8))
+        grown = tiny_spec(rates=(10.0,), repetitions=reps, **grid)
+        cold = run_campaign(grown)
+        store = CampaignStore(tmp_path / "store")
+        run_campaign(tiny_spec(rates=(1.0, 10.0), repetitions=2, **grid),
+                     store=store)
+        warm = run_campaign(grown, store=store)
+        assert warm.cache_hits == 4
+        assert [t.index for t in warm.sorted_trials()] == \
+            list(range(grown.num_trials))
+        assert [t.repetition for t in warm.sorted_trials()] == \
+            [t.repetition for t in cold.sorted_trials()]
+        assert warm.fingerprint() == cold.fingerprint()
+        parts = [run_campaign(grown, store=store, shard=(i, 2))
+                 for i in range(2)]
+        assert sum(p.executed for p in parts) == 0
+        assert CampaignResult.merge(parts).fingerprint() == \
+            cold.fingerprint()
 
     def test_different_seed_misses_the_cache(self, tmp_path):
         store = CampaignStore(tmp_path / "store")
@@ -244,11 +289,11 @@ class TestGc:
 
     def test_reads_refresh_entry_age(self, tmp_path):
         store = CampaignStore(tmp_path / "store")
-        store.put_scalar("aa" + "0" * 62, 7)
-        path = store._path("scalars", "aa" + "0" * 62)
+        store.put_baseline("aa" + "0" * 62, 7.0)
+        path = store._path("baselines", "aa" + "0" * 62)
         old = time.time() - 40 * 86400.0
         os.utime(path, (old, old))
-        assert store.get_scalar("aa" + "0" * 62) == 7  # touches mtime
+        assert store.get_baseline("aa" + "0" * 62) == 7.0  # touches mtime
         removed, kept = store.gc(days=30)
         assert removed == 0 and kept == 1
 
@@ -261,18 +306,18 @@ class TestGc:
         from repro.campaign.__main__ import main_store
 
         store = CampaignStore(tmp_path / "store")
-        store.put_scalar("aa" + "0" * 62, 7)
+        store.put_baseline("aa" + "0" * 62, 7.0)
         root = str(tmp_path / "store")
         # From the perspective of "now" = one second from now, nothing
         # is 30 days old yet.
         rc = main_store(["--store", root, "--gc", "--days", "30",
                          "--now", str(time.time() + 1.0)])
         assert rc == 0
-        assert store.entry_count()["scalars"] == 1
+        assert store.entry_count()["baselines"] == 1
         # A "now" 31 days in the future ages everything out.
         rc = main_store(["--store", root, "--gc", "--days", "30",
                          "--now", str(time.time() + 31 * 86400.0)])
         assert rc == 0
-        assert store.entry_count()["scalars"] == 0
+        assert store.entry_count()["baselines"] == 0
         out = capsys.readouterr().out
         assert "removed 1" in out

@@ -51,10 +51,9 @@ class TestCleanStore:
         assert report.corrupt == []
         assert report.legacy == 0
         counts = populated.entry_count()
-        expected = (counts["trials"] + counts["matrices"] +
-                    counts["scalars"] + counts["baselines"] +
-                    counts["journals"])
-        assert report.verified == expected
+        assert set(counts) == {"trials", "matrices", "baselines",
+                               "journals"}
+        assert report.verified == sum(counts.values())
 
     def test_empty_store_verifies(self, tmp_path):
         report = CampaignStore(tmp_path / "store").verify()

@@ -3,9 +3,11 @@
 
 import pytest
 
+from repro.campaign.store import CampaignCache
 from repro.distributed.cluster import ClusterModel
 from repro.distributed.comm import CommunicationModel
 from repro.distributed.partition import StripPartition
+from repro.experiments.fig5 import calibrate
 from repro.matrices.stencil import poisson_3d_27pt
 from repro.runtime.cost_model import DEFAULT_COST_MODEL
 
@@ -77,6 +79,15 @@ class TestClusterModel:
         return ClusterModel(target_points=256, calibration_points=12,
                             checkpoint_interval=20)
 
+    @pytest.fixture(scope="class")
+    def cache(self):
+        return CampaignCache()
+
+    @pytest.fixture(scope="class")
+    def calibration(self, model, cache):
+        """The iteration counts the model is handed, measured once."""
+        return calibrate(model, cache)
+
     def test_iteration_time_decreases_with_ranks(self, model):
         assert model.iteration_time(64) < model.iteration_time(8)
 
@@ -90,15 +101,17 @@ class TestClusterModel:
         eff = model.ideal_parallel_efficiency(1024)
         assert 0.4 < eff <= 1.0
 
-    def test_run_produces_full_grid(self, model):
-        results = model.run(core_counts=(64, 128), error_counts=(1,))
+    def test_run_produces_full_grid(self, model, calibration):
+        results = model.run(calibration, core_counts=(64, 128),
+                            error_counts=(1,))
         methods = {r.method for r in results}
         assert "Ideal" in methods and "FEIR" in methods
         cores = {r.cores for r in results}
         assert cores == {64, 128}
 
-    def test_speedups_relative_to_64_core_ideal(self, model):
-        results = model.run(core_counts=(64, 128), error_counts=(1,))
+    def test_speedups_relative_to_64_core_ideal(self, model, calibration):
+        results = model.run(calibration, core_counts=(64, 128),
+                            error_counts=(1,))
         ideal64 = [r for r in results
                    if r.method == "Ideal" and r.cores == 64][0]
         assert ideal64.speedup == pytest.approx(1.0)
@@ -106,18 +119,46 @@ class TestClusterModel:
                     if r.method == "Ideal" and r.cores == 128][0]
         assert 1.0 < ideal128.speedup <= 2.0
 
-    def test_exact_recovery_scales_better_than_checkpoint(self, model):
-        results = model.run(core_counts=(64, 512), error_counts=(1,))
+    def test_exact_recovery_scales_better_than_checkpoint(self, model,
+                                                          calibration):
+        results = model.run(calibration, core_counts=(64, 512),
+                            error_counts=(1,))
         def speedup(method, cores):
             return [r for r in results
                     if r.method == method and r.cores == cores][0].speedup
         assert speedup("FEIR", 512) > speedup("ckpt", 512)
         assert speedup("AFEIR", 512) > speedup("ckpt", 512)
 
-    def test_calibration_is_cached(self, model):
-        first = model._calibrate()
-        second = model._calibrate()
-        assert first is second
+    def test_a_second_calibration_on_the_same_cache_executes_nothing(
+            self, model, cache, calibration, monkeypatch):
+        from repro.solvers.resilient_cg import ResilientCG
+        monkeypatch.setattr(ResilientCG, "solve", None)  # any solve raises
+        misses = dict(cache.misses)
+        assert calibrate(model, cache) == calibration
+        assert cache.misses == misses
+
+    def test_the_model_solves_nothing_and_holds_no_state(self, model):
+        """``distributed/cluster.py`` is a pure model: no solver, fault or
+        campaign import at any depth, no module-level container, no memo
+        field on the instance."""
+        import ast
+        import dataclasses
+        import inspect
+
+        from repro.distributed import cluster
+        tree = ast.parse(inspect.getsource(cluster))
+        imported = {node.module for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)}
+        imported |= {alias.name for node in ast.walk(tree)
+                     if isinstance(node, ast.Import) for alias in node.names}
+        assert not [name for name in imported if name.startswith(
+            ("repro.solvers", "repro.faults", "repro.campaign"))]
+        assert not [name for name, value in vars(cluster).items()
+                    if isinstance(value, (dict, list, set))
+                    and not name.startswith("__")]
+        assert {f.name for f in dataclasses.fields(model)} == {
+            "target_points", "calibration_points", "workers_per_rank",
+            "cost_model", "tolerance", "checkpoint_interval", "comm_model"}
 
 
 class TestClusterModelFixes:
@@ -152,11 +193,11 @@ class TestClusterModelFixes:
     def test_degenerate_core_counts_are_loud(self):
         model = ClusterModel(target_points=256, calibration_points=12)
         with pytest.raises(ValueError, match="clamp"):
-            model.run(core_counts=(4, 64))
+            model.run({}, core_counts=(4, 64))
         with pytest.raises(ValueError, match="clamp"):
             model.ideal_parallel_efficiency(4)
         with pytest.raises(ValueError, match="empty"):
-            model.run(core_counts=())
+            model.run({}, core_counts=())
         with pytest.raises(ValueError, match="num_ranks"):
             model.iteration_time(0)
 

@@ -1,5 +1,6 @@
 """Integration tests for the experiment drivers (scaled-down configurations)."""
 
+import dataclasses
 import importlib.util
 import json
 import math
@@ -10,6 +11,8 @@ import pytest
 from repro.campaign.engine import solve_trial
 from repro.campaign.spec import SolverKnobs
 from repro.campaign.store import CampaignCache, CampaignStore
+from repro.distributed.cluster import ClusterModel
+from repro.experiments import fig5
 from repro.experiments.common import ExperimentConfig, ideal_runs, solve_cell
 from repro.experiments.fig3 import format_fig3, run_fig3
 from repro.experiments.fig4 import format_fig4, run_fig4
@@ -21,17 +24,18 @@ from repro.experiments.table3 import format_table3, run_table3
 FIXTURES = Path(__file__).with_name("fixtures")
 
 
-def load_generator():
+def load_generator(name):
     """The generator's own ``quick_config``/``observed``: the test
     measures exactly what the fixture recorded."""
-    spec = importlib.util.spec_from_file_location(
-        "generate_drivers_oracle", FIXTURES / "generate_drivers_oracle.py")
+    spec = importlib.util.spec_from_file_location(name,
+                                                  FIXTURES / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-oracle = load_generator()
+oracle = load_generator("generate_drivers_oracle")
+fig5_oracle = load_generator("generate_fig5_oracle")
 
 #: A small but representative subset so the driver tests stay quick.
 SMALL_MATRICES = ("qa8fm", "Dubcova3")
@@ -266,6 +270,73 @@ class TestFig5:
     def test_formatting(self, result):
         text = format_fig5(result)
         assert "Figure 5" in text and "parallel efficiency" in text
+
+
+class TestFig5Oracle:
+    """Figure 5's calibration grid and measured rows as ``TrialSpec``s
+    through the trial pipeline reproduce, bit for bit, what
+    ``distributed.cluster``'s own solver stack produced at the parent
+    commit (``fixtures/fig5_oracle.json``)."""
+
+    @pytest.fixture(scope="class")
+    def recorded(self):
+        payload = json.loads((FIXTURES / "fig5_oracle.json").read_text())
+        if payload["numerics_stack"] != fig5_oracle.numerics_stack():
+            pytest.skip(f"oracle recorded on {payload['numerics_stack']}")
+        return payload["observed"]
+
+    @pytest.mark.ranks
+    def test_the_driver_reproduces_the_parent_commit(self, recorded):
+        assert fig5_oracle.observed() == recorded
+
+    def test_a_store_changes_no_number_and_a_warm_run_solves_nothing(
+            self, recorded, tmp_path):
+        store = CampaignStore(tmp_path / "store")
+        with fig5_oracle.counted_solves() as solves:
+            assert fig5_oracle.modeled(store) == recorded["modeled"]
+        assert len(solves) == 16 and store.hits == 0
+        cold_misses = store.misses
+        with fig5_oracle.counted_solves() as solves:
+            assert fig5_oracle.modeled(store) == recorded["modeled"]
+            assert fig5_oracle.calibration_table(16, store) \
+                == recorded["calibration"]["16"]
+        assert solves == [] and store.misses == cold_misses
+        assert store.hits == 32
+
+    def test_every_store_gets_its_own_artifacts(self, tmp_path):
+        """No module-level problem cache stands between two stores."""
+        for name in ("first", "second"):
+            store = CampaignStore(tmp_path / name)
+            fig5.run_fig5(calibration_points=12, store=store)
+            counts = store.entry_count()
+            assert (counts["matrices"], counts["baselines"],
+                    counts["trials"]) == (1, 1, 16)
+            assert store.verify().ok
+
+    def test_the_cells_carry_the_models_five_values(self):
+        from repro.runtime.cost_model import DEFAULT_COST_MODEL
+        model = ClusterModel(
+            calibration_points=12, workers_per_rank=4, tolerance=1e-7,
+            checkpoint_interval=9,
+            cost_model=DEFAULT_COST_MODEL.scaled(task_overhead=1e-5))
+        for method in (None, "ckpt"):
+            knobs = fig5.calibration_cell(model, method).knobs
+            assert (knobs.num_workers, knobs.page_size, knobs.tolerance,
+                    knobs.checkpoint_interval, knobs.cost_model) == (
+                4, 128, 1e-7, 9, model.cost_model)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda cell: dataclasses.replace(cell, matrix=dataclasses.replace(
+            cell.matrix, rhs_seed=7)),
+        lambda cell: dataclasses.replace(cell, knobs=dataclasses.replace(
+            cell.knobs, page_size=96)),
+    ], ids=["rhs_seed", "page_size"])
+    def test_the_oracle_can_fail(self, recorded, mutate, monkeypatch):
+        cell = fig5.calibration_cell
+        monkeypatch.setattr(fig5, "calibration_cell",
+                            lambda *args: mutate(cell(*args)))
+        assert fig5_oracle.calibration_table(16) \
+            != recorded["calibration"]["16"]
 
 
 @pytest.mark.ranks

@@ -7,6 +7,8 @@ round-tripping (``repr``-based) makes this exact, and these tests pin
 it down for every knob family.
 """
 
+import json
+
 import pytest
 
 from repro.campaign.spec import CampaignSpec, MatrixSpec, SolverKnobs
@@ -57,9 +59,18 @@ class TestSpecRoundTrip:
         assert back.knobs.cost_model == knobs.cost_model
         assert back.store_key() == spec.store_key()
 
-    def test_suite_matrix(self):
-        spec = CampaignSpec(matrices=[MatrixSpec.suite("qa8fm", sparse=True)])
-        assert round_trip(spec).store_key() == spec.store_key()
+    @pytest.mark.parametrize("matrix", [
+        MatrixSpec.suite("qa8fm", sparse=True),
+        # b = A·1: a JSON null on the wire (``int(None)`` was a 400).
+        MatrixSpec.parametric("poisson3d27", sparse=False, rhs_seed=None,
+                              nx=6),
+    ], ids=["suite", "seedless_rhs"])
+    def test_explicit_matrix_spec(self, matrix):
+        spec = CampaignSpec(matrices=[matrix])
+        back = spec_from_payload(json.loads(json.dumps(
+            spec_to_payload(spec))))
+        assert back.matrices == spec.matrices
+        assert back.store_key() == spec.store_key()
 
     def test_trial_seeds_survive_the_wire(self):
         """Per-trial seed material is content-keyed, so equal tokens

@@ -270,6 +270,24 @@ class TestWatchStream:
         assert len([e for e in events if e["event"] == "trial"]) == \
             spec.num_trials
 
+    def test_cached_trial_events_carry_the_new_grids_indices(self, client):
+        """A job served in part by what another grid persisted numbers
+        its cached ``trial`` events, like its fingerprint, as its own
+        cold run would."""
+        client.wait(client.submit(tiny_spec())["id"], timeout=120)
+        grown = tiny_spec(rates=(20.0,), repetitions=4)
+        job = client.submit(grown)
+        events = list(client.watch(job["id"], read_timeout=120))
+        trials = [e for e in events if e["event"] == "trial"]
+        assert len([e for e in trials if e["cached"]]) == 4
+        assert sorted(e["index"] for e in trials) == \
+            list(range(grown.num_trials))
+        by_index = {t.index: t for t in grown.expand()}
+        assert all((e["method"], e["repetition"]) ==
+                   (by_index[e["index"]].method,
+                    by_index[e["index"]].repetition) for e in trials)
+        assert events[-1]["fingerprint"] == offline_fingerprint(grown)
+
     def test_watch_unknown_job(self, client):
         with pytest.raises(ServiceError):
             list(client.watch("j999-deadbeef", read_timeout=10))
