@@ -8,9 +8,9 @@ workload first-class:
 * :class:`CampaignSpec` declares the grid (matrix family x method x
   error rate x repetitions) plus solver knobs and a campaign seed;
 * :func:`run_campaign` expands it into independent, picklable trials
-  and executes them through a pluggable executor — serial,
-  process-pool, or chunked batches — streaming slim per-trial records
-  into a :class:`CampaignResult`;
+  and executes them through a pluggable executor — serial or a
+  process pool — streaming slim per-trial records into a
+  :class:`CampaignResult`;
 * aggregation is deterministic: identical statistics (bit-for-bit)
   regardless of executor and completion order, because every trial owns
   a :class:`numpy.random.SeedSequence` spawned from the campaign seed.
@@ -31,7 +31,7 @@ Quick start::
 from repro.campaign.engine import (CampaignRun, run_campaign, run_trial,
                                    solve_trial)
 from repro.campaign.executors import (EXECUTOR_NAMES, CampaignExecutor,
-                                      CampaignInterrupted, ChunkedExecutor,
+                                      CampaignInterrupted,
                                       ProcessPoolExecutor, SerialExecutor,
                                       TripAfter, WorkerLost, make_executor)
 from repro.campaign.results import (DIVERGED_SLOWDOWN, CampaignResult,
@@ -53,7 +53,6 @@ __all__ = [
     "CampaignSpec",
     "CampaignStore",
     "CellStats",
-    "ChunkedExecutor",
     "DEFAULT_STORE_PATH",
     "DIVERGED_SLOWDOWN",
     "EXECUTOR_NAMES",

@@ -52,9 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--executor", choices=EXECUTOR_NAMES,
                         default="serial")
     parser.add_argument("--workers", type=int, default=None,
-                        help="pool worker count (pool executors only)")
-    parser.add_argument("--chunk-size", type=int, default=None,
-                        help="trials per pool task (chunked executor only)")
+                        help="pool worker count (process executor only)")
     parser.add_argument("--shard", type=parse_shard, default=None,
                         metavar="I/N",
                         help="run only the I-th of N round-robin shards of "
@@ -127,8 +125,7 @@ def main_run(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
         spec = spec_from_args(args, name="cli")
-        executor = make_executor(args.executor, max_workers=args.workers,
-                                 chunk_size=args.chunk_size)
+        executor = make_executor(args.executor, max_workers=args.workers)
         store = store_from_args(args)
     except (ValueError, KeyError, StoreSchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -182,8 +182,8 @@ class TrialRunner:
     across a pool, the cache arrives as the worker process's own (see
     ``CampaignCache.__reduce__``).  Persisting from inside the worker —
     not the parent — is what makes interrupted campaigns resumable: a
-    chunked campaign killed mid-stream has every finished trial on disk
-    even though the parent never saw the chunk complete.  Reading first
+    pool campaign killed mid-stream has every finished trial on disk
+    even though the parent never saw its future complete.  Reading first
     is what makes a trial safe to submit twice: resubmitted after its
     pool broke (``campaign.executors``), one that a lost or terminated
     child had persisted is a hit, never a second execution.

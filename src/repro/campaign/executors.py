@@ -1,9 +1,9 @@
-"""Pluggable trial executors: serial, process pool, chunked batches.
+"""Pluggable trial executors: serial and process pool.
 
-All executors implement the same contract: ``run(fn, items)`` yields
+Both implement the same contract: ``run(fn, items)`` yields
 ``fn(item)`` results *as they complete* (any order); the engine reorders
 by trial index before aggregating, so every executor produces identical
-campaign statistics.  Three are provided:
+campaign statistics:
 
 * :class:`SerialExecutor` — in-process loop; zero overhead, the
   reference for the equivalence tests.
@@ -12,9 +12,6 @@ campaign statistics.  Three are provided:
   relative to pickling.  It is the one owner of that pool: ``run()``
   opens and closes one per campaign, ``open()``/``submit()``/``close()``
   keep one alive across campaigns (the daemon in ``repro.service``).
-* :class:`ChunkedExecutor` — the same class fed batches of trials per
-  pool task; amortises process round-trips when trials are short and
-  numerous.
 
 A pool survives its children.  A child that exits or is killed breaks
 the stdlib pool as a whole (``BrokenProcessPool`` on every future in
@@ -31,7 +28,6 @@ with :class:`WorkerLost` after :data:`MAX_RESUBMITS` resubmissions.
 from __future__ import annotations
 
 import concurrent.futures
-import functools
 import multiprocessing
 import os
 import threading
@@ -45,7 +41,7 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 #: Registry of executor names understood by :func:`make_executor`.
-EXECUTOR_NAMES = ("serial", "process", "chunked")
+EXECUTOR_NAMES = ("serial", "process")
 
 #: How often in a row — with no result in between — ``run()`` resubmits
 #: what a broken pool lost before it gives up with :class:`WorkerLost`.
@@ -72,9 +68,7 @@ class WorkerLost(RuntimeError):
     than ``run()`` resubmits."""
 
     def __init__(self, item, losses: int):
-        name = (f"chunk [{', '.join(map(str, item))}]"
-                if isinstance(item, list) else item)
-        super().__init__(f"{name} lost its worker {losses} times; giving up")
+        super().__init__(f"{item} lost its worker {losses} times; giving up")
         self.item = item
         self.losses = losses
 
@@ -289,49 +283,13 @@ class ProcessPoolExecutor(CampaignExecutor):
                 self.resubmitted += len(items)
 
 
-def _run_chunk(fn: Callable[[T], R], chunk: List[T]) -> List[R]:
-    """Module-level so chunk tasks stay picklable."""
-    return [fn(item) for item in chunk]
-
-
-class ChunkedExecutor(ProcessPoolExecutor):
-    """The same pool fed with fixed-size batches of trials per task."""
-
-    name = "chunked"
-
-    def __init__(self, max_workers: Optional[int] = None,
-                 chunk_size: Optional[int] = None):
-        super().__init__(max_workers)
-        if chunk_size is not None and chunk_size <= 0:
-            raise ValueError(f"chunk size must be positive, got {chunk_size}")
-        self.chunk_size = chunk_size
-
-    def describe(self) -> str:
-        return (f"{self.name}({self.max_workers} workers, "
-                f"chunk={self.chunk_size or 'auto'})")
-
-    def _chunks(self, items: Sequence[T]) -> List[List[T]]:
-        size = self.chunk_size
-        if size is None:
-            # ~4 chunks per worker balances load without per-trial IPC.
-            size = max(1, len(items) // (4 * self.max_workers) or 1)
-        return [list(items[i:i + size]) for i in range(0, len(items), size)]
-
-    def run(self, fn: Callable[[T], R], items: Sequence[T]) -> Iterator[R]:
-        for batch in super().run(functools.partial(_run_chunk, fn),
-                                 self._chunks(items)):
-            yield from batch
-
-
-def make_executor(name: str, max_workers: Optional[int] = None,
-                  chunk_size: Optional[int] = None) -> CampaignExecutor:
+def make_executor(name: str,
+                  max_workers: Optional[int] = None) -> CampaignExecutor:
     """Build an executor from its registry name."""
     key = name.strip().lower()
     if key == "serial":
         return SerialExecutor()
-    if key in ("process", "pool", "process-pool"):
+    if key == "process":
         return ProcessPoolExecutor(max_workers=max_workers)
-    if key in ("chunked", "chunk", "batch"):
-        return ChunkedExecutor(max_workers=max_workers, chunk_size=chunk_size)
     raise ValueError(f"unknown executor {name!r}; "
                      f"known executors: {', '.join(EXECUTOR_NAMES)}")

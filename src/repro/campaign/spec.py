@@ -11,8 +11,8 @@ them).  :class:`CampaignSpec` describes the grid declaratively;
 :class:`TrialSpec` objects, each carrying everything a worker process
 needs to rebuild its problem and run its solve — including a private
 :class:`numpy.random.SeedSequence` spawned from the campaign seed, so
-results do not depend on which executor (serial, process pool, chunked)
-runs the trials or in which order they complete.
+results do not depend on which executor (serial, process pool) runs the
+trials or in which order they complete.
 """
 
 from __future__ import annotations

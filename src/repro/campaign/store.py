@@ -51,6 +51,7 @@ import json
 import os
 import tempfile
 import time
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -199,16 +200,24 @@ class CampaignStore:
         except OSError:
             pass  # read-only shared store: hits still work, gc won't
 
+    @staticmethod
+    def _discard(path: Path) -> None:
+        """Drop a corrupt entry: the next read is a plain miss and the
+        artifact is recomputed (what ``verify(remove=True)`` does)."""
+        with contextlib.suppress(OSError):
+            path.unlink()
+
     def _load_json(self, path: Path) -> Optional[dict]:
         """Read an artifact payload; unreadable entries self-heal as
         misses, incompatible schemas fail loudly."""
         try:
             payload = json.loads(path.read_text())
+            if not isinstance(payload, dict):
+                raise ValueError("payload is not an object")
         except FileNotFoundError:
             return None
         except (ValueError, OSError):
-            with contextlib.suppress(OSError):
-                path.unlink()
+            self._discard(path)
             return None
         found = payload.get("schema")
         if found != STORE_SCHEMA_VERSION:
@@ -219,14 +228,23 @@ class CampaignStore:
         self._touch(path)
         return payload
 
-    def _get_json(self, kind: str, key: str) -> Optional[dict]:
-        """The payload under ``key``, counted as a hit or a miss."""
-        payload = self._load_json(self._path(kind, key))
-        if payload is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return payload
+    def _get_json(self, kind: str, key: str, decode):
+        """``decode(payload)`` of the entry under ``key``, counted as a
+        hit or a miss.  A payload of the right schema that does not
+        decode (a missing or mistyped field) is garbage like any other:
+        discarded, a miss."""
+        path = self._path(kind, key)
+        payload = self._load_json(path)
+        if payload is not None:
+            try:
+                value = decode(payload)
+            except (KeyError, TypeError, ValueError):
+                self._discard(path)
+            else:
+                self.hits += 1
+                return value
+        self.misses += 1
+        return None
 
     def _put_json(self, kind: str, key: str, payload: dict) -> None:
         body = {"schema": STORE_SCHEMA_VERSION, "key": key, **payload}
@@ -246,8 +264,8 @@ class CampaignStore:
     def get_trial(self, key: str):
         """The cached :class:`TrialResult` under ``key``, or ``None``."""
         from repro.campaign.results import TrialResult
-        payload = self._get_json("trials", key)
-        return None if payload is None else TrialResult(**payload["trial"])
+        return self._get_json(
+            "trials", key, lambda payload: TrialResult(**payload["trial"]))
 
     def put_trial(self, key: str, result) -> None:
         from dataclasses import asdict
@@ -257,9 +275,9 @@ class CampaignStore:
     # fault-free baselines
     # ------------------------------------------------------------------
     def get_baseline(self, key: str) -> Optional[float]:
-        payload = self._get_json("baselines", key)
-        return None if payload is None else float.fromhex(
-            payload["ideal_time"])
+        return self._get_json(
+            "baselines", key,
+            lambda payload: float.fromhex(payload["ideal_time"]))
 
     def put_baseline(self, key: str, ideal_time: float) -> None:
         self._put_json("baselines", key,
@@ -286,9 +304,11 @@ class CampaignStore:
         except FileNotFoundError:
             self.misses += 1
             return None
-        except (ValueError, OSError, KeyError):
-            with contextlib.suppress(OSError):
-                path.unlink()
+        except (ValueError, OSError, KeyError, EOFError,
+                zipfile.BadZipFile):
+            # garbage, a missing member, an emptied or truncated
+            # archive, a failed zip CRC: what ``verify`` calls corrupt
+            self._discard(path)
             self.misses += 1
             return None
         self._touch(path)

@@ -56,12 +56,8 @@ class FEIRStrategy(RecoveryStrategy):
     uses_recovery_tasks = True
     recovery_in_critical_path = True
 
-    def __init__(self, cost_model: CostModel = DEFAULT_COST_MODEL,
-                 use_coupled_solve: bool = True):
+    def __init__(self, cost_model: CostModel = DEFAULT_COST_MODEL):
         self.cost_model = cost_model
-        #: Recover multiple lost pages of the same vector with one coupled
-        #: solve (Section 2.4 case 1) instead of page-by-page solves.
-        self.use_coupled_solve = use_coupled_solve
         #: Timing scale of full-vector recomputations (set by the solver so
         #: conflict fallbacks are charged at the simulated problem scale).
         self.work_scale = 1.0
@@ -219,7 +215,7 @@ class FEIRStrategy(RecoveryStrategy):
     def _solve_x_pages(self, state, pages: Sequence[int]) -> None:
         x = state.vectors["x"]
         g = state.vectors["g"]
-        if len(pages) == 1 or not self.use_coupled_solve:
+        if len(pages) == 1:
             for page in pages:
                 values = state.residual_relation.recover_iterate_page(
                     page, g.array, x.array)
@@ -238,7 +234,7 @@ class FEIRStrategy(RecoveryStrategy):
         q = state.vectors["q"]
         from repro.core.interpolation import (coupled_block_interpolation,
                                               scatter_coupled_solution)
-        if len(pages) == 1 or not self.use_coupled_solve:
+        if len(pages) == 1:
             for page in pages:
                 values = state.matvec_relation.recover_rhs_page(
                     page, q.array, d.array)

@@ -20,8 +20,10 @@ code                      what it catches
                           inside fingerprint-critical modules
 ``paged-reduction``       raw NumPy reductions in solver/kernel modules
                           that bypass the page-ordered ``paged_dot`` path
-``lock-discipline``       lock-order cycles (potential deadlock) and
-                          bare ``.acquire()`` without ``with``/finally
+``lock-discipline``       bare ``.acquire()`` without ``with``/finally
+``sanitizer-factory``     ``threading``/``queue`` primitives under
+                          ``repro/`` not built by the ``repro.sanitize``
+                          factories (invisible to the sanitizer)
 ========================  ==============================================
 
 Findings are suppressible only via justified inline pragmas::
@@ -29,18 +31,19 @@ Findings are suppressible only via justified inline pragmas::
     t0 = time.perf_counter()  # repro-lint: allow[wall-clock] measured wall interval, not a clock decision
 
 Run it with ``python -m repro.lint src/ tests/``; ``--explain CODE``
-documents each rule, ``--format json`` emits machine-readable findings.
+documents each rule, ``--show-unused-pragmas`` lists stale grants.
 
-The dynamic counterpart for *executed* task graphs is
+The dynamic counterparts: for *executed* task graphs,
 :func:`repro.runtime.graph.verify_graph` — a structural happens-before
 check (set ``REPRO_VERIFY_GRAPHS=1`` to run it inside both execution
-backends).
+backends); for real threads, ``repro.sanitize`` (``REPRO_TSAN=1``) —
+data races and lock-order cycles, which no static pass here looks for.
 """
 
 from repro.lint.engine import FileContext, LintResult, lint_paths, lint_source
 from repro.lint.findings import Finding
 from repro.lint.pragmas import PragmaSheet
-from repro.lint.checkers import ALL_CHECKERS, checker_for_code
+from repro.lint.checkers import ALL_CHECKERS
 
 __all__ = [
     "ALL_CHECKERS",
@@ -48,7 +51,6 @@ __all__ = [
     "Finding",
     "LintResult",
     "PragmaSheet",
-    "checker_for_code",
     "lint_paths",
     "lint_source",
 ]

@@ -10,9 +10,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.lint.checkers import ALL_CHECKERS
 from repro.lint.engine import lint_paths
-from repro.lint.report import render_explanation, render_human, render_json, render_rule_list
+from repro.lint.report import render_explanation, render_human, render_rule_list
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -22,12 +21,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("paths", nargs="*", type=Path, help="files or directories to lint")
     parser.add_argument(
-        "--format",
-        choices=("human", "json"),
-        default="human",
-        help="report format (default: human)",
-    )
-    parser.add_argument(
         "--explain",
         metavar="CODE",
         help="print the rationale for one rule code and exit",
@@ -36,16 +29,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-rules",
         action="store_true",
         help="list rule codes and exit",
-    )
-    parser.add_argument(
-        "--select",
-        metavar="CODES",
-        help="comma-separated rule codes to run (default: all)",
-    )
-    parser.add_argument(
-        "--show-suppressed",
-        action="store_true",
-        help="also print pragma-suppressed findings (human format)",
     )
     parser.add_argument(
         "--show-unused-pragmas",
@@ -73,25 +56,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not args.paths:
         parser.error("no paths given (or use --explain/--list-rules)")
 
-    checkers = ALL_CHECKERS
-    if args.select:
-        wanted = {code.strip() for code in args.select.split(",") if code.strip()}
-        known = {c.code for c in ALL_CHECKERS}
-        unknown = wanted - known
-        if unknown:
-            parser.error(f"unknown rule code(s): {', '.join(sorted(unknown))}")
-        checkers = [c for c in ALL_CHECKERS if c.code in wanted]
-
     missing: List[Path] = [p for p in args.paths if not p.exists()]
     if missing:
         parser.error(f"no such path(s): {', '.join(str(p) for p in missing)}")
 
-    result = lint_paths(args.paths, checkers)
-    if args.format == "json":
-        print(render_json(result))
-    else:
-        print(render_human(result, show_suppressed=args.show_suppressed,
-                           show_unused_pragmas=args.show_unused_pragmas))
+    result = lint_paths(args.paths)
+    print(render_human(result, show_unused_pragmas=args.show_unused_pragmas))
     if not result.ok:
         return 1
     if args.show_unused_pragmas and result.unused_pragmas:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.lint.findings import Finding
 from repro.lint.imports import ImportMap
@@ -49,14 +49,13 @@ class FileContext:
                     self._parents[id(child)] = parent
         return self._parents.get(id(node))
 
-    def finding(self, node: ast.AST, code: str, message: str, *, related: Tuple[str, ...] = ()) -> Finding:
+    def finding(self, node: ast.AST, code: str, message: str) -> Finding:
         return Finding(
             path=self.path,
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
             code=code,
             message=message,
-            related=tuple(related),
         )
 
 

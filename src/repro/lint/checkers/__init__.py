@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.lint.base import Checker
 from repro.lint.checkers.locks import LockChecker
@@ -22,13 +22,6 @@ ALL_CHECKERS: List[Checker] = [
 ]
 
 
-def checker_for_code(code: str) -> Optional[Checker]:
-    for checker in ALL_CHECKERS:
-        if checker.code == code:
-            return checker
-    return None
-
-
 __all__ = [
     "ALL_CHECKERS",
     "LockChecker",
@@ -37,5 +30,4 @@ __all__ = [
     "RngChecker",
     "SanitizeFactoryChecker",
     "WallClockChecker",
-    "checker_for_code",
 ]

@@ -1,111 +1,42 @@
-"""lock-discipline: lock-order cycles and bare ``.acquire()`` calls.
+"""lock-discipline: bare ``.acquire()`` calls.
 
-The lock-graph analysis is deliberately simple and static:
+An acquire that is not a ``with`` statement and not paired with a
+``release()`` of the same receiver in an enclosing or immediately
+following ``try``/``finally`` leaks the lock on any exception.
 
-* lock objects are discovered from assignments whose value constructs a
-  ``threading`` primitive (including dataclass
-  ``field(default_factory=threading.Condition)``), keyed as
-  ``ClassName.attr`` (or a bare name for module/function locals);
-* per function, ``with`` statements record acquisition order — holding
-  A while entering ``with B`` adds the edge A -> B;
-* one level of interprocedural propagation: calling ``self.meth()`` (or a
-  same-module function, or a method defined by exactly one class in the
-  module) while holding A adds edges from A to every lock the callee may
-  acquire (computed to a fixpoint);
-* a cycle in the resulting digraph is a potential deadlock and is
-  reported once per cycle with the contributing edges.
+Lock *order* is not checked here: the sanitizer derives the lock-order
+graph from the acquires an instrumented run really made
+(:func:`repro.sanitize.detector.analyze_events`), over every
+factory-made lock in every module.
 """
 
 from __future__ import annotations
 
 import ast
-from collections import defaultdict
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, Optional
 
 from repro.lint.base import Checker, FileContext
 from repro.lint.findings import Finding
 
-LOCK_FACTORIES = frozenset(
-    {
-        "threading.Lock",
-        "threading.RLock",
-        "threading.Condition",
-        "threading.Semaphore",
-        "threading.BoundedSemaphore",
-        # sanitizer-aware factories (repro.sanitize) — the threaded
-        # modules construct locks through these (the sanitizer-factory
-        # rule enforces it), and the lock-graph must keep seeing them.
-        "repro.sanitize.make_lock",
-        "repro.sanitize.make_rlock",
-        "repro.sanitize.make_condition",
-        "repro.sanitize.instrument.make_lock",
-        "repro.sanitize.instrument.make_rlock",
-        "repro.sanitize.instrument.make_condition",
-    }
-)
-
-#: Modules holding the repo's thread coordination; only these get the
-#: lock-graph pass (bare-acquire is checked everywhere).
-LOCK_GRAPH_MODULES = (
-    "repro/runtime/async_exec.py",
-    "repro/distributed/ranks.py",
-    "repro/service/server.py",
-)
-
-
-@dataclass(frozen=True)
-class LockEdge:
-    held: str
-    acquired: str
-    line: int
-    col: int
-    function: str
-
-
-class _FunctionInfo:
-    def __init__(self, qualname: str) -> None:
-        self.qualname = qualname
-        self.direct_acquires: Set[str] = set()
-        self.edges: List[LockEdge] = []
-        # (held locks at the call site, callee key, line)
-        self.calls: List[Tuple[Tuple[str, ...], str, int]] = []
-
 
 class LockChecker(Checker):
     code = "lock-discipline"
-    title = "no lock-order cycles; no bare .acquire() outside with/try-finally"
+    title = "no bare .acquire() outside with/try-finally"
     rationale = """\
-The threaded backend, the rank runtime, and the campaign daemon each
-coordinate with several locks.  Two static hazards:
+The threaded backend, the rank runtime, the campaign engine and the
+daemon each coordinate with locks.  An acquire not paired with release
+in a `with` statement or an enclosing / immediately-following
+try/finally leaks the lock on any exception, hanging every other
+thread.  (Lock-order cycles are the sanitizer's to find: it derives the
+lock-order graph from what a `REPRO_TSAN=1` run acquires.)
 
-  * lock-order cycles — if one code path acquires A then B and another
-    acquires B then A, the two can deadlock; the checker extracts each
-    function's `with` acquisition order (following same-module calls),
-    builds the lock graph over runtime/async_exec.py,
-    distributed/ranks.py, and service/server.py, and flags every cycle;
-  * bare `.acquire()` — an acquire not paired with release in a
-    `with` statement or an immediately-following try/finally leaks the
-    lock on any exception, hanging every other thread.  (Checked in all
-    files, not just the lock-graph modules.)
-
-Fix cycles by choosing one global order (document it next to the lock
-definitions); fix bare acquires with `with lock:` or try/finally.  A
-justified exception (e.g. handoff protocols where release happens on
-another thread) takes a pragma:
+Fix with `with lock:` or try/finally.  A justified exception (e.g.
+handoff protocols where release happens on another thread) takes a
+pragma:
 
     self._baton.acquire()  # repro-lint: allow[lock-discipline] released by the worker that takes the baton"""
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
-        yield from self._check_bare_acquire(ctx)
-        if ctx.module_is(*LOCK_GRAPH_MODULES):
-            yield from self._check_lock_graph(ctx)
-
-    # ------------------------------------------------------------------
-    # bare .acquire()
-    # ------------------------------------------------------------------
-
-    def _check_bare_acquire(self, ctx: FileContext) -> Iterable[Finding]:
         for call in ast.walk(ctx.tree):
             if not (
                 isinstance(call, ast.Call)
@@ -163,254 +94,6 @@ another thread) takes a pragma:
                     ):
                         return True
         return False
-
-    # ------------------------------------------------------------------
-    # lock graph
-    # ------------------------------------------------------------------
-
-    def _check_lock_graph(self, ctx: FileContext) -> Iterable[Finding]:
-        decl_class: Dict[str, Set[str]] = defaultdict(set)  # attr -> classes declaring it
-        self._discover_locks(ctx, decl_class)
-
-        functions: Dict[str, _FunctionInfo] = {}
-        methods_by_name: Dict[str, Set[str]] = defaultdict(set)  # meth -> {Class.meth}
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        qual = f"{node.name}.{item.name}"
-                        info = _FunctionInfo(qual)
-                        self._analyse_function(item, node.name, decl_class, info)
-                        functions[qual] = info
-                        methods_by_name[item.name].add(qual)
-        for node in getattr(ctx.tree, "body", []):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                info = _FunctionInfo(node.name)
-                self._analyse_function(node, None, decl_class, info)
-                functions[node.name] = info
-
-        # fixpoint: the set of locks each function may (transitively) acquire
-        acquires: Dict[str, Set[str]] = {
-            name: set(info.direct_acquires) for name, info in functions.items()
-        }
-        changed = True
-        while changed:
-            changed = False
-            for name, info in functions.items():
-                for _, callee_name, _ in info.calls:
-                    for callee in _resolve_callees(callee_name, name, functions, methods_by_name):
-                        before = len(acquires[name])
-                        acquires[name] |= acquires[callee]
-                        if len(acquires[name]) != before:
-                            changed = True
-
-        edges: Dict[Tuple[str, str], LockEdge] = {}
-        for info in functions.values():
-            for edge in info.edges:
-                edges.setdefault((edge.held, edge.acquired), edge)
-            for held, callee_name, line in info.calls:
-                if not held:
-                    continue
-                for callee in _resolve_callees(callee_name, info.qualname, functions, methods_by_name):
-                    for acquired in acquires[callee]:
-                        for h in held:
-                            if h == acquired:
-                                continue
-                            edges.setdefault(
-                                (h, acquired),
-                                LockEdge(h, acquired, line, 0, info.qualname),
-                            )
-
-        for cycle in _find_cycles({k for k in edges}):
-            cycle_edges = [
-                edges[(cycle[i], cycle[(i + 1) % len(cycle)])] for i in range(len(cycle))
-            ]
-            first = min(cycle_edges, key=lambda e: e.line)
-            order = " -> ".join(cycle + (cycle[0],))
-            yield Finding(
-                path=ctx.path,
-                line=first.line,
-                col=first.col,
-                code=self.code,
-                message=f"lock-order cycle {order}; two threads taking these locks in "
-                "different orders can deadlock — pick one global order",
-                related=tuple(
-                    f"{e.held} -> {e.acquired} in {e.function} (line {e.line})"
-                    for e in cycle_edges
-                ),
-            )
-
-    def _discover_locks(self, ctx: FileContext, decl_class: Dict[str, Set[str]]) -> None:
-        def handle_assign(target: ast.expr, value: ast.expr, cls: Optional[str]) -> None:
-            if not _constructs_lock(value, ctx):
-                return
-            if isinstance(target, ast.Attribute):
-                decl_class[target.attr].add(cls or "<module>")
-            elif isinstance(target, ast.Name):
-                decl_class[target.id].add(cls or "<module>")
-
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ClassDef):
-                cls: Optional[str] = node.name
-                scope: Iterable[ast.AST] = ast.walk(node)
-            else:
-                continue
-            for sub in scope:
-                if isinstance(sub, ast.Assign):
-                    for tgt in sub.targets:
-                        handle_assign(tgt, sub.value, cls)
-                elif isinstance(sub, ast.AnnAssign) and sub.value is not None:
-                    handle_assign(sub.target, sub.value, cls)
-        # module/function-level locks outside any class
-        class_spans = [n for n in ast.walk(ctx.tree) if isinstance(n, ast.ClassDef)]
-
-        def in_class(node: ast.AST) -> bool:
-            return any(
-                hasattr(c, "lineno")
-                and c.lineno <= getattr(node, "lineno", 0) <= (c.end_lineno or c.lineno)
-                for c in class_spans
-            )
-
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Assign) and not in_class(node):
-                for tgt in node.targets:
-                    handle_assign(tgt, node.value, None)
-            elif isinstance(node, ast.AnnAssign) and node.value is not None and not in_class(node):
-                handle_assign(node.target, node.value, None)
-
-    def _analyse_function(
-        self,
-        func: ast.AST,
-        cls: Optional[str],
-        decl_class: Dict[str, Set[str]],
-        info: _FunctionInfo,
-    ) -> None:
-        def identify(expr: ast.expr) -> Optional[str]:
-            if isinstance(expr, ast.Attribute):
-                attr = expr.attr
-                owners = decl_class.get(attr)
-                if not owners:
-                    return None
-                if (
-                    isinstance(expr.value, ast.Name)
-                    and expr.value.id == "self"
-                    and cls in owners
-                ):
-                    return f"{cls}.{attr}"
-                if len(owners) == 1:
-                    return f"{next(iter(owners))}.{attr}"
-                return attr  # ambiguous receiver: merge conservatively
-            if isinstance(expr, ast.Name) and decl_class.get(expr.id):
-                return f"<local>.{expr.id}"
-            return None
-
-        def walk(node: ast.AST, held: Tuple[str, ...]) -> None:
-            if isinstance(node, (ast.With, ast.AsyncWith)):
-                for item in node.items:
-                    lock_id = identify(item.context_expr)
-                    if lock_id is not None:
-                        info.direct_acquires.add(lock_id)
-                        for h in held:
-                            if h != lock_id:
-                                info.edges.append(
-                                    LockEdge(
-                                        h,
-                                        lock_id,
-                                        item.context_expr.lineno,
-                                        item.context_expr.col_offset,
-                                        info.qualname,
-                                    )
-                                )
-                        held = held + (lock_id,)
-                for child in node.body:
-                    walk(child, held)
-                return
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node is not func:
-                # nested defs run later, with no locks held at def site
-                for child in node.body:
-                    walk(child, ())
-                return
-            if isinstance(node, ast.Call):
-                callee = _call_key(node)
-                if callee is not None:
-                    info.calls.append((held, callee, node.lineno))
-            for child in ast.iter_child_nodes(node):
-                walk(child, held)
-
-        for stmt in func.body:
-            walk(stmt, ())
-
-
-def _constructs_lock(value: ast.expr, ctx: FileContext) -> bool:
-    for node in ast.walk(value):
-        if isinstance(node, ast.Call):
-            qualified = ctx.imports.resolve_call(node)
-            if qualified in LOCK_FACTORIES:
-                return True
-            # dataclasses.field(default_factory=threading.Condition)
-            for kw in node.keywords:
-                if kw.arg == "default_factory" and ctx.imports.resolve(kw.value) in LOCK_FACTORIES:
-                    return True
-    return False
-
-
-def _call_key(node: ast.Call) -> Optional[str]:
-    if isinstance(node.func, ast.Name):
-        return node.func.id
-    if isinstance(node.func, ast.Attribute):
-        if isinstance(node.func.value, ast.Name) and node.func.value.id == "self":
-            return f"self.{node.func.attr}"
-        return f".{node.func.attr}"
-    return None
-
-
-def _resolve_callees(
-    callee_key: str,
-    caller_qualname: str,
-    functions: Dict[str, _FunctionInfo],
-    methods_by_name: Dict[str, Set[str]],
-) -> List[str]:
-    if callee_key.startswith("self."):
-        meth = callee_key[5:]
-        cls = caller_qualname.split(".")[0] if "." in caller_qualname else None
-        if cls is not None and f"{cls}.{meth}" in functions:
-            return [f"{cls}.{meth}"]
-        return []
-    if callee_key.startswith("."):
-        meth = callee_key[1:]
-        owners = methods_by_name.get(meth, set())
-        # only follow unambiguous cross-class method calls
-        if len(owners) == 1:
-            return list(owners)
-        return []
-    if callee_key in functions:
-        return [callee_key]
-    return []
-
-
-def _find_cycles(edges: Set[Tuple[str, str]]) -> List[Tuple[str, ...]]:
-    """Return elementary cycles as node tuples (rotation-normalised)."""
-    graph: Dict[str, List[str]] = defaultdict(list)
-    for a, b in sorted(edges):
-        graph[a].append(b)
-    cycles: Set[Tuple[str, ...]] = set()
-
-    def dfs(start: str, node: str, path: List[str], on_path: Set[str]) -> None:
-        for nxt in graph.get(node, ()):  # sorted at insertion
-            if nxt == start:
-                rotation = min(range(len(path)), key=lambda i: path[i])
-                cycles.add(tuple(path[rotation:] + path[:rotation]))
-            elif nxt not in on_path and nxt > start:
-                # enumerate each cycle once from its smallest node
-                path.append(nxt)
-                on_path.add(nxt)
-                dfs(start, nxt, path, on_path)
-                on_path.discard(nxt)
-                path.pop()
-
-    for node in sorted(graph):
-        dfs(node, node, [node], {node})
-    return sorted(cycles)
 
 
 def _expr_text(node: ast.expr) -> str:

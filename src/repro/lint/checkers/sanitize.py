@@ -1,13 +1,14 @@
-"""sanitizer-factory: threaded modules must construct synchronisation
+"""sanitizer-factory: library code must construct synchronisation
 primitives through ``repro.sanitize``.
 
 The concurrency sanitizer can only observe what flows through its
-instrumented wrappers.  A raw ``threading.Lock()`` in the threaded
-backend, the rank runtime or the campaign daemon is invisible to the
-race detector and to the schedule explorer's preemption points, so a
+instrumented wrappers.  A raw ``threading.Lock()`` anywhere under
+``repro/`` is invisible to the race detector, to the lock-order
+analysis and to the schedule explorer's preemption points, so a
 ``REPRO_TSAN=1`` run would silently report partial coverage.  This rule
 keeps coverage total by flagging direct construction of stdlib
-primitives in those modules.
+primitives everywhere but in ``repro/sanitize/`` itself, which builds
+the raw primitives the factories wrap.
 """
 
 from __future__ import annotations
@@ -31,42 +32,36 @@ FACTORY_FOR = {
     "queue.PriorityQueue": "repro.sanitize.make_queue",
 }
 
-#: Modules whose thread coordination the sanitizer must see in full —
-#: the same set the lock-graph pass covers.
-THREADED_MODULES = (
-    "repro/runtime/async_exec.py",
-    "repro/distributed/ranks.py",
-    "repro/service/server.py",
-)
-
 
 class SanitizeFactoryChecker(Checker):
     code = "sanitizer-factory"
-    title = "threaded modules construct locks/queues via repro.sanitize factories"
+    title = "repro/ constructs locks/queues via repro.sanitize factories"
     rationale = """\
-The race detector (`REPRO_TSAN=1`) and the schedule explorer
-(`python -m repro.sanitize explore`) only see synchronisation that goes
-through the instrumented factories — `make_lock`, `make_rlock`,
-`make_condition`, `make_event`, `make_queue`.  A primitive built
-directly from `threading`/`queue` in one of the threaded modules
-(runtime/async_exec.py, distributed/ranks.py, service/server.py)
-creates a blind spot: the lock still synchronises at runtime, but the
-detector never learns the happens-before edges it creates, so real
-orderings get misreported as races (or real races stay hidden behind
-phantom ones).  With the sanitizer off the factories return the raw
-stdlib objects, so there is no cost to routing through them.
+The race detector and lock-order analysis (`REPRO_TSAN=1`) and the
+schedule explorer (`python -m repro.sanitize explore`) only see
+synchronisation that goes through the instrumented factories —
+`make_lock`, `make_rlock`, `make_condition`, `make_event`,
+`make_queue`.  A primitive built directly from `threading`/`queue`
+anywhere under repro/ creates a blind spot: the lock still synchronises
+at runtime, but the detector never learns the happens-before edges it
+creates or the order it is taken in, so real orderings get misreported
+as races (or real races stay hidden behind phantom ones).  With the
+sanitizer off the factories return the raw stdlib objects, so there is
+no cost to routing through them.
 
 Fix by swapping the constructor for its factory (same call shape;
 `field(default_factory=threading.Event)` becomes
 `field(default_factory=make_event)`).  Primitives that deliberately
 bypass instrumentation — e.g. the event log's own internal lock, which
-must not record into itself — live outside these modules; if one truly
-belongs here, say why:
+must not record into itself — live in repro/sanitize/, which the rule
+skips; if one truly belongs elsewhere, say why:
 
     self._baton = threading.Lock()  # repro-lint: allow[sanitizer-factory] bootstrap lock guarding the sanitizer's own state"""
 
     def applies_to(self, ctx: FileContext) -> bool:
-        return ctx.module_is(*THREADED_MODULES)
+        parts = ctx.path.split("/")
+        return ("repro" in parts and "sanitize" not in parts
+                and not ctx.is_relaxed)
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         for node in ast.walk(ctx.tree):
@@ -77,7 +72,7 @@ belongs here, say why:
                 yield ctx.finding(
                     node,
                     self.code,
-                    f"raw `{qualified}()` in a threaded module is invisible to "
+                    f"raw `{qualified}()` is invisible to "
                     f"the sanitizer — construct it via "
                     f"`{FACTORY_FOR[qualified]}` (returns the raw primitive "
                     "when REPRO_TSAN is off)",
@@ -92,7 +87,7 @@ belongs here, say why:
                     yield ctx.finding(
                         kw.value,
                         self.code,
-                        f"raw `default_factory={factory}` in a threaded "
-                        f"module is invisible to the sanitizer — use "
+                        f"raw `default_factory={factory}` is "
+                        f"invisible to the sanitizer — use "
                         f"`{FACTORY_FOR[factory]}`",
                     )

@@ -5,9 +5,9 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
-from repro.lint.base import Checker, FileContext
+from repro.lint.base import FileContext
 from repro.lint.checkers import ALL_CHECKERS
 from repro.lint.findings import Finding
 from repro.lint.imports import ImportMap
@@ -46,11 +46,7 @@ class LintResult:
         self.unused_pragmas.extend(other.unused_pragmas)
 
 
-def lint_source(
-    source: str,
-    path: str,
-    checkers: Optional[Sequence[Checker]] = None,
-) -> LintResult:
+def lint_source(source: str, path: str) -> LintResult:
     """Lint one in-memory source buffer (the unit the tests drive)."""
     result = LintResult(files_checked=1)
     path = Path(path).as_posix()
@@ -73,25 +69,18 @@ def lint_source(
         return result
 
     ctx = FileContext(path=path, source=source, tree=tree, imports=ImportMap.from_tree(tree))
-    ran = checkers if checkers is not None else ALL_CHECKERS
     raw: List[Finding] = []
-    for checker in ran:
+    for checker in ALL_CHECKERS:
         raw.extend(checker.run(ctx))
     for finding in raw:
         reason = sheet.reason_for(finding.line, finding.code)
         result.findings.append(finding if reason is None else finding.suppress(reason))
-    result.unused_pragmas.extend(
-        sheet.unused_findings(
-            path,
-            ran_codes=frozenset(c.code for c in ran),
-            known_codes=frozenset(c.code for c in ALL_CHECKERS),
-        )
-    )
+    result.unused_pragmas.extend(sheet.unused_findings(path))
     result.findings.sort(key=Finding.sort_key)
     return result
 
 
-def lint_file(path: Path, checkers: Optional[Sequence[Checker]] = None) -> LintResult:
+def lint_file(path: Path) -> LintResult:
     try:
         source = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -106,7 +95,7 @@ def lint_file(path: Path, checkers: Optional[Sequence[Checker]] = None) -> LintR
             )
         )
         return result
-    return lint_source(source, path.as_posix(), checkers)
+    return lint_source(source, path.as_posix())
 
 
 def discover(paths: Iterable[Path]) -> List[Path]:
@@ -123,12 +112,9 @@ def discover(paths: Iterable[Path]) -> List[Path]:
     return sorted(set(files), key=lambda p: p.as_posix())
 
 
-def lint_paths(
-    paths: Sequence[Path],
-    checkers: Optional[Sequence[Checker]] = None,
-) -> LintResult:
+def lint_paths(paths: Sequence[Path]) -> LintResult:
     result = LintResult()
     for path in discover(paths):
-        result.extend(lint_file(path, checkers))
+        result.extend(lint_file(path))
     result.findings.sort(key=Finding.sort_key)
     return result

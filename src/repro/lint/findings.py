@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 
@@ -22,7 +22,6 @@ class Finding:
     message: str
     suppressed: bool = False
     suppression_reason: Optional[str] = None
-    related: Tuple[str, ...] = field(default_factory=tuple)
 
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.code)
@@ -31,22 +30,4 @@ class Finding:
         return replace(self, suppressed=True, suppression_reason=reason)
 
     def format_human(self) -> str:
-        text = f"{self.path}:{self.line}:{self.col + 1}: [{self.code}] {self.message}"
-        for extra in self.related:
-            text += f"\n    note: {extra}"
-        return text
-
-    def to_json(self) -> dict:
-        payload = {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "code": self.code,
-            "message": self.message,
-            "suppressed": self.suppressed,
-        }
-        if self.suppression_reason is not None:
-            payload["suppression_reason"] = self.suppression_reason
-        if self.related:
-            payload["related"] = list(self.related)
-        return payload
+        return f"{self.path}:{self.line}:{self.col + 1}: [{self.code}] {self.message}"

@@ -55,9 +55,3 @@ class ImportMap:
 
     def resolve_call(self, call: ast.Call) -> Optional[str]:
         return self.resolve(call.func)
-
-    def imports_module(self, module: str) -> bool:
-        return any(
-            qualified == module or qualified.startswith(module + ".")
-            for qualified in self._aliases.values()
-        )

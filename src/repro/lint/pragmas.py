@@ -110,21 +110,14 @@ class PragmaSheet:
             for line, col, message in self._errors
         ]
 
-    def unused_findings(self, path: str, ran_codes: frozenset,
-                        known_codes: frozenset) -> List[Finding]:
-        """Pragmas that suppressed nothing this run, as findings.
-
-        Only grants whose rule actually ran are judged (a `wall-clock`
-        pragma is not stale just because the run was
-        `--select lock-discipline`); grants naming a code no checker has
-        ever had are always stale.
-        """
+    def unused_findings(self, path: str) -> List[Finding]:
+        """Pragmas that suppressed nothing this run, as findings (a
+        grant naming a code no checker has is stale like any other)."""
         stale = [
             entry
             for slot in self._by_line.values()
             for entry in slot.values()
             if not entry.used
-            and (entry.code in ran_codes or entry.code not in known_codes)
         ]
         stale.sort(key=lambda e: (e.pragma_line, e.col, e.code))
         return [

@@ -1,22 +1,15 @@
-"""Human and JSON reporters."""
+"""Human-readable reporters."""
 
 from __future__ import annotations
 
-import json
 from typing import List
 
 from repro.lint.checkers import ALL_CHECKERS
 from repro.lint.engine import LintResult
 
 
-def render_human(result: LintResult, *, show_suppressed: bool = False,
-                 show_unused_pragmas: bool = False) -> str:
+def render_human(result: LintResult, *, show_unused_pragmas: bool = False) -> str:
     lines: List[str] = [f.format_human() for f in result.active]
-    if show_suppressed:
-        lines.extend(
-            f"{f.format_human()}  (suppressed: {f.suppression_reason})"
-            for f in result.suppressed
-        )
     if show_unused_pragmas:
         lines.extend(f.format_human() for f in result.unused_pragmas)
     summary = (
@@ -29,18 +22,6 @@ def render_human(result: LintResult, *, show_suppressed: bool = False,
         summary += f", {len(result.unused_pragmas)} unused pragma(s)"
     lines.append(summary)
     return "\n".join(lines)
-
-
-def render_json(result: LintResult) -> str:
-    payload = {
-        "files_checked": result.files_checked,
-        "parse_errors": result.parse_errors,
-        "findings": [f.to_json() for f in result.active],
-        "suppressed": [f.to_json() for f in result.suppressed],
-        "unused_pragmas": [f.to_json() for f in result.unused_pragmas],
-        "ok": result.ok,
-    }
-    return json.dumps(payload, sort_keys=True, indent=2)
 
 
 def render_rule_list() -> str:

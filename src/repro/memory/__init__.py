@@ -7,20 +7,16 @@ This package reproduces that *contract* in pure Python:
 
 * :class:`~repro.memory.pages.PagedVector` partitions a ``float64``
   vector into pages of 512 values.
-* :class:`~repro.memory.bitmask.Bitmask` tracks per-page status flags,
-  mirroring the atomic bitmask protocol of Section 3.3.2.
 * :class:`~repro.memory.manager.MemoryManager` registers vectors,
   poisons pages (the injected DUE), retires and re-maps them (blank
   replacement page) and records fault events.
 """
 
-from repro.memory.bitmask import Bitmask
 from repro.memory.events import PageFaultEvent, PageState
 from repro.memory.manager import MemoryManager
 from repro.memory.pages import PagedVector, page_count, page_of_index, page_slice
 
 __all__ = [
-    "Bitmask",
     "MemoryManager",
     "PageFaultEvent",
     "PageState",

@@ -260,11 +260,9 @@ class ThreadedBackend(ExecutionBackend):
 
     def __init__(self, num_workers: int,
                  cost_model: CostModel = DEFAULT_COST_MODEL,
-                 charge_overhead: bool = True,
                  max_threads: Optional[int] = None,
                  pace: float = 1.0):
-        super().__init__(num_workers, cost_model=cost_model,
-                         charge_overhead=charge_overhead)
+        super().__init__(num_workers, cost_model=cost_model)
         if pace < 0:
             raise ValueError(f"pace must be non-negative, got {pace}")
         #: Wall-clock pacing: every task occupies its thread for at least

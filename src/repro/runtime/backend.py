@@ -143,12 +143,10 @@ class ExecutionBackend(abc.ABC):
     name: str = "abstract"
 
     def __init__(self, num_workers: int,
-                 cost_model: CostModel = DEFAULT_COST_MODEL,
-                 charge_overhead: bool = True):
+                 cost_model: CostModel = DEFAULT_COST_MODEL):
         self.num_workers = int(num_workers)
         self.cost_model = cost_model
-        self.scheduler = ListScheduler(num_workers, cost_model=cost_model,
-                                       charge_overhead=charge_overhead)
+        self.scheduler = ListScheduler(num_workers, cost_model=cost_model)
 
     # ------------------------------------------------------------------
     def simulate(self, graph: Union[TaskGraph, IterationPlan],

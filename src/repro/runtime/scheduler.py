@@ -132,13 +132,11 @@ class ListScheduler:
     """Greedy priority list scheduler (deterministic)."""
 
     def __init__(self, num_workers: int,
-                 cost_model: CostModel = DEFAULT_COST_MODEL,
-                 charge_overhead: bool = True):
+                 cost_model: CostModel = DEFAULT_COST_MODEL):
         if num_workers <= 0:
             raise ValueError(f"num_workers must be positive, got {num_workers}")
         self.num_workers = int(num_workers)
         self.cost_model = cost_model
-        self.charge_overhead = charge_overhead
         #: The last structure the loop produced, by ``(id(plan), workers)``,
         #: and (evidence for tests only) how often it ran / was replayed.
         self._structures: Dict[Tuple[int, int], _Structure] = {}
@@ -173,10 +171,6 @@ class ListScheduler:
         held = self._structures[key] = self._discover(plan, durations, start_time)
         return self._evaluate(held, durations, start_time)
 
-    @property
-    def _overhead(self) -> float:
-        return self.cost_model.task_overhead if self.charge_overhead else 0.0
-
     def _discover(self, plan: IterationPlan, durations: Sequence[float],
                   start_time: float) -> _Structure:
         """The event loop of the runtime: list-schedule ``plan`` and
@@ -184,7 +178,8 @@ class ListScheduler:
         self.loop_runs += 1
         priorities, successors = plan.priorities, plan.successors
         remaining_deps = list(plan.indegree)
-        push, pop, overhead = heapq.heappush, heapq.heappop, self._overhead
+        push, pop = heapq.heappush, heapq.heappop
+        overhead = self.cost_model.task_overhead
 
         # ready heap: (-priority, ready_time, plan index)
         ready = [(-priorities[i], start_time, i) for i in plan.roots]
@@ -224,7 +219,7 @@ class ListScheduler:
                   start_time: float) -> ScheduleResult:
         """The schedule ``structure`` implies: the one site of the timeline's
         arithmetic (trace sums as :meth:`ExecutionTrace.from_spans` adds them)."""
-        plan, overhead = structure.plan, self._overhead
+        plan, overhead = structure.plan, self.cost_model.task_overhead
         starts = [start_time] * len(plan)
         ends = [start_time] * (len(plan) + 1)  # [-1]: the start, trigger -1
         work = [0.0] * len(WORK_STATES)

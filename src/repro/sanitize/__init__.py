@@ -1,6 +1,7 @@
-"""Concurrency sanitizer runtime: hybrid race detection + seeded
-schedule exploration for the threaded backend, the rank runtime and the
-campaign-service worker pool.
+"""Concurrency sanitizer runtime: hybrid race detection, lock-order
+analysis and seeded schedule exploration for every thread the library
+starts — the threaded backend, the rank runtime, the campaign engine's
+pool and the daemon.
 
 Three layers (the dynamic complement of ``repro.lint`` and
 ``verify_graph``):
@@ -14,13 +15,18 @@ Three layers (the dynamic complement of ``repro.lint`` and
 * :mod:`repro.sanitize.detector` — vector-clock happens-before tracking
   with an Eraser-style lockset fallback over the recorded events; each
   surviving candidate race is reported with both thread stacks and the
-  locks held.
+  locks held.  The same replay builds the lock-order graph from the
+  ``held`` set of every acquire and reports its cycles (potential
+  deadlocks) — the repo's only lock-order analysis.  Under
+  ``REPRO_TSAN=1`` the test suite ends every test in this verdict
+  (``tests/conftest.py``).
 * :mod:`repro.sanitize.explore` — ``python -m repro.sanitize explore``:
   PCT-style seeded schedule perturbation; any interleaving that breaks
   bit-identity or trips the detector is replayable from its seed alone.
+  ``python -m repro.sanitize canary`` proves the detector can fire.
 """
 
-from repro.sanitize.detector import (AccessRecord, RaceReport,
+from repro.sanitize.detector import (AccessRecord, LockCycle, RaceReport,
                                      SanitizerReport, analyze,
                                      analyze_events)
 from repro.sanitize.events import Event, EventLog
@@ -37,6 +43,7 @@ __all__ = [
     "Event",
     "EventLog",
     "LOG",
+    "LockCycle",
     "RaceReport",
     "SANITIZE_SEED_ENV",
     "SanitizerReport",

@@ -2,8 +2,9 @@
 
 ``explore`` runs seeded schedule exploration of one runtime cell and
 prints a deterministic JSON verdict (byte-identical for the same seed);
-``canary`` runs the deliberately racy counter the detector must flag
-(CI's guard against a silently no-op sanitizer).
+``canary`` runs the deliberately racy counter and the inverted lock
+order the detector must flag (CI's guard against a silently no-op
+sanitizer).
 
 Exit codes: 0 clean, 1 a schedule broke bit-identity / tripped the
 detector / the canary went undetected, 2 usage error.
@@ -67,8 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--quiet", action="store_true",
                     help="suppress per-schedule progress lines")
 
-    sub.add_parser("canary", help="run the seeded-race canary the "
-                                  "detector must flag")
+    sub.add_parser("canary", help="run the seeded race and lock-order "
+                                  "canaries the detector must flag")
     return parser
 
 
@@ -79,8 +80,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         lines = canary_verdict()
         if not lines:
             print("canary FAILED: the detector missed a deliberately "
-                  "unsynchronised counter (or flagged the locked "
-                  "control) — the sanitizer is a no-op", file=sys.stderr)
+                  "unsynchronised counter or an inverted lock order (or "
+                  "flagged a clean control) — the sanitizer is a no-op",
+                  file=sys.stderr)
             return 1
         for line in lines:
             print(line)
@@ -92,11 +94,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     def progress(record):
         if not args.quiet:
-            status = "ok" if record["bit_identical"] and not record["races"] \
-                else "FAIL"
-            print(f"schedule {record['schedule']:3d}: {status} "
+            clean = (record["bit_identical"] and not record["races"]
+                     and not record["lock_cycles"])
+            print(f"schedule {record['schedule']:3d}: "
+                  f"{'ok' if clean else 'FAIL'} "
                   f"({record['iterations']} iters, "
-                  f"{len(record['races'])} race(s))", file=sys.stderr)
+                  f"{len(record['races'])} race(s), "
+                  f"{record['lock_cycles']} lock-order cycle(s))",
+                  file=sys.stderr)
 
     verdict = explore(seed, args.schedules, scheduler=args.scheduler,
                       placement=args.placement, clock=args.clock,

@@ -1,8 +1,8 @@
-"""The seeded-race canary: a bug the detector must always catch.
+"""The seeded canary: bugs the detector must always catch.
 
 A sanitizer that silently stops seeing races is worse than none, so CI
-runs this deliberately unsynchronised workload and fails unless the
-detector flags it.  Two flavours:
+runs these deliberately broken workloads and fails unless the detector
+flags them.  Three halves:
 
 * :func:`run_counter_canary` — the textbook bug: worker threads bump a
   shared counter with no lock.  Accesses are recorded against the
@@ -13,6 +13,11 @@ detector flags it.  Two flavours:
   lock around the increment.  The detector must stay silent: the lock's
   release->acquire edges order every pair.  Running both proves the
   detector distinguishes, rather than flagging everything or nothing.
+* :func:`run_lock_order_canary` — two threads nest two factory-made
+  locks, one A -> B and the other B -> A, *one after the other* (the
+  second starts when the first has finished), so the run can never
+  deadlock yet records the cycle that could; with both threads nesting
+  A -> B the detector must stay silent.
 """
 
 from __future__ import annotations
@@ -90,15 +95,41 @@ def run_locked_control(threads: int = 4, increments: int = 25
     return report
 
 
+def run_lock_order_canary(inverted: bool = True) -> SanitizerReport:
+    """Two threads nest locks A and B, the second in the opposite order
+    when ``inverted`` — run back to back, so nothing can deadlock."""
+    with instrument.enabled(True):
+        instrument.reset()
+        a = instrument.make_lock("canary-lock-A")
+        b = instrument.make_lock("canary-lock-B")
+
+        def nest(outer, inner) -> None:
+            with outer:
+                with inner:
+                    pass
+
+        for index, order in enumerate([(a, b), (b, a) if inverted else (a, b)]):
+            worker = threading.Thread(target=nest, args=order,
+                                      name=f"canary-worker-{index}")
+            worker.start()
+            worker.join()
+        report = detector.analyze()
+        instrument.reset()
+    return report
+
+
 def canary_verdict(threads: int = 4, increments: int = 25) -> List[str]:
     """Human-readable verdict lines; empty means the canary FAILED."""
     racy = run_counter_canary(threads, increments)
     quiet = run_locked_control(threads, increments)
-    lines: List[str] = []
-    if racy.races:
-        lines.append(f"canary: unsynchronised counter flagged "
-                     f"({len(racy.races)} race(s)) — detector alive")
-    if quiet.ok:
-        lines.append("canary: locked control clean — detector "
-                     "distinguishes locked from racy")
-    return lines if (racy.races and quiet.ok) else []
+    inverted = run_lock_order_canary(inverted=True)
+    ordered = run_lock_order_canary(inverted=False)
+    if not (racy.races and quiet.ok
+            and inverted.lock_cycles and ordered.ok):
+        return []
+    return [f"canary: unsynchronised counter flagged "
+            f"({len(racy.races)} race(s)) — detector alive",
+            "canary: locked control clean — detector "
+            "distinguishes locked from racy",
+            "canary: A->B / B->A lock order flagged without a deadlock, "
+            "A->B twice clean — lock-order analysis alive"]

@@ -19,12 +19,23 @@ demoted to *lockset-protected* (consistently locked, so the missing
 edge is an instrumentation gap, not a bug).  What survives both filters
 is a race, reported with both thread stacks and the locks each side
 held.
+
+The same replay derives the **lock-order graph**: every ``acquire``
+event carries the locks its thread already held, so holding A while
+taking B is the edge A -> B (keyed by lock *name*, so all instances of
+``ThreadedBackend.lock`` are one node, as in the kernel's lockdep).  A
+cycle is a potential deadlock — two threads taking those locks in
+different orders can block each other for ever — and is reported even
+when the run that recorded it never deadlocked.  It is the repo's only
+lock-order analysis: it sees every factory-made lock in every module,
+on the paths the instrumented run executed.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.sanitize.events import (Event, EventLog, OP_ACCESS, OP_ACQUIRE,
                                    OP_GET, OP_PUT, OP_RELEASE, OP_SET,
@@ -96,11 +107,32 @@ class RaceReport:
                           "  " + self.second.describe().replace("\n", "\n  ")])
 
 
+@dataclass(frozen=True)
+class LockCycle:
+    """Locks taken in a circular order, with the acquire that first
+    witnessed each edge ``locks[i] -> locks[i + 1]`` (wrapping)."""
+
+    locks: Tuple[str, ...]
+    witnesses: Tuple[Event, ...]
+
+    def describe(self) -> str:
+        order = " -> ".join(self.locks + self.locks[:1])
+        lines = [f"lock-order cycle {order}; two threads taking these "
+                 f"locks in different orders can deadlock"]
+        for held, event in zip(self.locks, self.witnesses):
+            lines.append(f"  {held} -> {event.obj}: first by "
+                         f"{event.thread!r} (event {event.seq})")
+        return "\n".join(lines)
+
+
 @dataclass
 class SanitizerReport:
     """Digest of one detection pass."""
 
     races: List[RaceReport] = field(default_factory=list)
+    #: (held, acquired) -> the acquire event that first witnessed it.
+    lock_order: Dict[Tuple[str, str], Event] = field(default_factory=dict)
+    lock_cycles: List[LockCycle] = field(default_factory=list)
     lockset_protected: int = 0
     events: int = 0
     accesses: int = 0
@@ -108,12 +140,13 @@ class SanitizerReport:
 
     @property
     def ok(self) -> bool:
-        return not self.races
+        return not self.races and not self.lock_cycles
 
     def summary(self) -> Dict[str, object]:
         return {
             "ok": self.ok,
             "races": len(self.races),
+            "lock_cycles": len(self.lock_cycles),
             "lockset_protected": self.lockset_protected,
             "events": self.events,
             "accesses": self.accesses,
@@ -124,8 +157,11 @@ class SanitizerReport:
         lines: List[str] = []
         for race in self.races:
             lines.append(race.describe())
+        for cycle in self.lock_cycles:
+            lines.append(cycle.describe())
         lines.append(
             f"{len(self.races)} race(s), "
+            f"{len(self.lock_cycles)} lock-order cycle(s), "
             f"{self.lockset_protected} lockset-protected "
             f"candidate(s); {self.accesses} access(es) over "
             f"{self.events} event(s) from {self.threads} thread(s)")
@@ -159,6 +195,36 @@ class _ResourceHistory:
         table[record.thread] = record
 
 
+def _order_edges(event: Event) -> List[Tuple[str, str]]:
+    """The lock-order edges one ``acquire`` witnesses: every lock its
+    thread already held -> the one it took.  ``held`` is snapshotted
+    after the acquire, so it names the lock itself — a re-entrant
+    acquire, or a condition's re-acquire after ``wait``, adds nothing."""
+    return [(held, event.obj) for held in event.held if held != event.obj]
+
+
+def _find_cycles(edges: Iterable[Tuple[str, str]]) -> List[Tuple[str, ...]]:
+    """Elementary cycles as node tuples, each once, from its smallest
+    node."""
+    graph: Dict[str, List[str]] = defaultdict(list)
+    for a, b in sorted(edges):
+        graph[a].append(b)
+    cycles: List[Tuple[str, ...]] = []
+
+    def dfs(start: str, node: str, path: List[str]) -> None:
+        for nxt in graph.get(node, ()):
+            if nxt == start:
+                cycles.append(tuple(path))
+            elif nxt > start and nxt not in path:
+                path.append(nxt)
+                dfs(start, nxt, path)
+                path.pop()
+
+    for node in sorted(graph):
+        dfs(node, node, [node])
+    return cycles
+
+
 def analyze_events(events: List[Event]) -> SanitizerReport:
     """Run the hybrid detector over one recorded interleaving."""
     clocks: Dict[str, VectorClock] = {}
@@ -176,6 +242,8 @@ def analyze_events(events: List[Event]) -> SanitizerReport:
             released = lock_clocks.get(event.obj)
             if released is not None:
                 _join(clock, released)
+            for edge in _order_edges(event):
+                report.lock_order.setdefault(edge, event)
         elif event.op == OP_RELEASE:
             _join(lock_clocks.setdefault(event.obj, {}), clock)
         elif event.op == OP_PUT:
@@ -219,6 +287,10 @@ def analyze_events(events: List[Event]) -> SanitizerReport:
 
     report.threads = len(clocks)
     report.races.sort(key=RaceReport.signature)
+    for locks in _find_cycles(report.lock_order):
+        report.lock_cycles.append(LockCycle(locks, tuple(
+            report.lock_order[edge]
+            for edge in zip(locks, locks[1:] + locks[:1]))))
     return report
 
 

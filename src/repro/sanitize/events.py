@@ -33,8 +33,8 @@ OP_WAIT_EVENT = "wait-event"
 OP_NOTIFY = "notify"
 OP_ACCESS = "access"
 
-SYNC_OPS = frozenset({OP_ACQUIRE, OP_RELEASE, OP_PUT, OP_GET, OP_SET,
-                      OP_WAIT_EVENT, OP_NOTIFY})
+#: Innermost caller frames kept on an access event.
+STACK_FRAMES = 6
 
 
 @dataclass(frozen=True)
@@ -63,11 +63,10 @@ class Event:
 class EventLog:
     """Thread-safe append-only log of sanitizer events."""
 
-    def __init__(self, stack_depth: int = 6) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._events: List[Event] = []
         self._seq = 0
-        self.stack_depth = int(stack_depth)
 
     def append(self, thread: str, op: str, obj: str, *,
                write: bool = False, token: Optional[int] = None,
@@ -78,7 +77,7 @@ class EventLog:
         stack: Tuple[str, ...] = ()
         if with_stack:
             # Skip the two innermost frames (this method + the wrapper).
-            frames = traceback.extract_stack(limit=self.stack_depth + 2)[:-2]
+            frames = traceback.extract_stack(limit=STACK_FRAMES + 2)[:-2]
             stack = tuple(f"{f.filename}:{f.lineno} in {f.name}"
                           for f in frames)
         with self._lock:

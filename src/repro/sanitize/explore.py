@@ -21,7 +21,8 @@ byte-identical verdicts).
 Each explored schedule runs one resilient-CG solve in a chosen runtime
 cell with the sanitizer on, then checks the two invariants that define
 this repo: the solution must stay bit-identical to the unperturbed
-reference cell, and the race detector must find nothing.
+reference cell, and the detector must find nothing — no race and no
+lock-order cycle.
 """
 
 from __future__ import annotations
@@ -183,6 +184,7 @@ def explore_schedule(problem: ExploreProblem, seed: int, schedule: int,
             {"resource": r.resource, "access": r.access,
              "first": r.first.location, "second": r.second.location}
             for r in report.races],
+        "lock_cycles": len(report.lock_cycles),
     }
 
 
@@ -203,7 +205,8 @@ def explore(seed: int, schedules: int, *, scheduler: str = "threaded",
         if progress is not None:
             progress(record)
     broken = [r["schedule"] for r in records if not r["bit_identical"]]
-    racy = [r["schedule"] for r in records if r["races"]]
+    racy = [r["schedule"] for r in records
+            if r["races"] or r["lock_cycles"]]
     return {
         "kind": "sanitize-explore",
         "seed": int(seed),

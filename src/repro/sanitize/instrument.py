@@ -1,8 +1,9 @@
 """Sanitizer-aware drop-in factories for threading/queue primitives.
 
-The threaded backend, the rank runtime and the campaign daemon construct
-their locks, conditions, events and queues through these factories
-instead of calling ``threading.Lock()`` / ``queue.Queue()`` directly
+The threaded backend, the rank runtime, the campaign engine and the
+daemon — everything under ``repro/`` — construct their locks,
+conditions, events and queues through these factories instead of
+calling ``threading.Lock()`` / ``queue.Queue()`` directly
 (the ``sanitizer-factory`` lint rule enforces it).  The contract:
 
 * **sanitizer off** (``REPRO_TSAN`` unset, the default) the factory
@@ -225,16 +226,19 @@ class TSanCondition:
     def wait(self, timeout: Optional[float] = None) -> bool:
         # wait() atomically releases the lock and re-acquires it before
         # returning; record both halves so the detector sees the same
-        # happens-before edges the real primitive creates.
+        # happens-before edges the real primitive creates — under the
+        # *lock's* name: it is the lock that leaves and re-enters the
+        # thread's lockset, whatever the condition is called.
         _visit("wait", self.name)
-        LOG.append(_thread_name(), OP_RELEASE, self.name,
+        lock = self.lock.name
+        LOG.append(_thread_name(), OP_RELEASE, lock,
                    held=_lock_state().snapshot())
-        _lock_state().pop(self.name)
+        _lock_state().pop(lock)
         try:
             return self.raw.wait(timeout)
         finally:
-            _lock_state().push(self.name)
-            LOG.append(_thread_name(), OP_ACQUIRE, self.name,
+            _lock_state().push(lock)
+            LOG.append(_thread_name(), OP_ACQUIRE, lock,
                        held=_lock_state().snapshot())
 
     def wait_for(self, predicate, timeout: Optional[float] = None):

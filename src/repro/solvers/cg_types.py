@@ -43,11 +43,6 @@ class SolverConfig:
     work_scale: float = 200.0
     #: Record the per-iteration residual history.
     record_history: bool = True
-    #: Injection schedule horizon, as a multiple of the ideal solve time.
-    horizon_factor: float = 50.0
-    #: Extra simulated cost of servicing one page fault (signal delivery,
-    #: page re-mapping by the OS), charged per detected DUE.
-    fault_service_time: float = 0.5e-3
     #: Cap on the threaded scheduler's real thread count (``None``: one
     #: thread per simulated worker, capped by ``REPRO_MAX_WORKERS``).
     max_threads: Optional[int] = None

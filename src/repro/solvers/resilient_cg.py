@@ -82,6 +82,12 @@ from repro.solvers.cg_plan import (COVERING_TASK, RECOVERY_TASKS, CGPlanner,
                                    IterationTiming)
 from repro.solvers.cg_types import CGState, SolveResult, SolverConfig
 
+#: Injection schedule horizon, as a multiple of the ideal solve time.
+HORIZON_FACTOR = 50.0
+#: Extra simulated cost of servicing one page fault (signal delivery,
+#: page re-mapping by the OS), charged per detected DUE.
+FAULT_SERVICE_TIME = 0.5e-3
+
 
 @dataclass(frozen=True)
 class PointOutcome:
@@ -421,7 +427,7 @@ class ResilientCG:
         if ideal_time is None:
             raise ValueError("a rate-based ErrorScenario needs ideal_time to "
                              "normalise the MTBE (pass ideal_time to solve())")
-        horizon = ideal_time * self.config.horizon_factor
+        horizon = ideal_time * HORIZON_FACTOR
         return self.scenario.schedule(ideal_time, horizon, memory.page_universe())
 
     # ==================================================================
@@ -563,7 +569,7 @@ class ResilientCG:
             event = memory.touch(inj.vector, inj.page, time=detect_time)
             if event is None:
                 continue
-            service += self.config.fault_service_time
+            service += FAULT_SERVICE_TIME
             if self._fault_is_late(point, inj, it):
                 key = "d" if inj.vector == this_d else inj.vector
                 if key in it.late:

@@ -13,8 +13,8 @@ import pickle
 
 from repro.campaign.engine import (CampaignRun, TrialRunner, run_campaign,
                                    run_trial, solve_trial)
-from repro.campaign.executors import (ChunkedExecutor, ProcessPoolExecutor,
-                                      SerialExecutor, make_executor)
+from repro.campaign.executors import (ProcessPoolExecutor, SerialExecutor,
+                                      make_executor)
 from repro.campaign.results import CampaignResult, TrialResult
 from repro.campaign.spec import CampaignSpec, SolverKnobs
 from repro.campaign.store import CampaignCache, CampaignStore, process_cache
@@ -240,7 +240,7 @@ class TestDeterminism:
 
 
 class TestExecutorEquivalence:
-    """Serial vs process-pool vs chunked: identical statistics."""
+    """Serial vs process pool: identical statistics."""
 
     @pytest.fixture(scope="class")
     def serial_result(self):
@@ -253,12 +253,6 @@ class TestExecutorEquivalence:
         for a, b in zip(pool.sorted_trials(), serial_result.sorted_trials(), strict=True):
             assert a.solve_time == b.solve_time
             assert a.iterations == b.iterations
-
-    def test_chunked_matches_serial(self, serial_result):
-        chunked = run_campaign(
-            tiny_spec(), executor=ChunkedExecutor(max_workers=2,
-                                                  chunk_size=3))
-        assert chunked.fingerprint() == serial_result.fingerprint()
 
     def test_all_trials_accounted_for(self, serial_result):
         assert len(serial_result) == tiny_spec().num_trials
@@ -276,13 +270,8 @@ class TestEngineApi:
     def test_make_executor_registry(self):
         assert isinstance(make_executor("serial"), SerialExecutor)
         assert isinstance(make_executor("process"), ProcessPoolExecutor)
-        assert isinstance(make_executor("chunked"), ChunkedExecutor)
         with pytest.raises(ValueError):
             make_executor("gpu")
-
-    def test_chunked_rejects_bad_chunk_size(self):
-        with pytest.raises(ValueError):
-            ChunkedExecutor(chunk_size=0)
 
     def test_summary_and_cells_agree_on_grid(self):
         result = run_campaign(tiny_spec(), executor=SerialExecutor())

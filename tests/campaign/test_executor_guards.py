@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.campaign.executors import (ChunkedExecutor, ProcessPoolExecutor,
+from repro.campaign.executors import (EXECUTOR_NAMES, ProcessPoolExecutor,
                                       SerialExecutor, make_executor)
 from repro.config import (MAX_WORKERS_ENV, max_workers_override,
                           resolve_worker_count)
@@ -28,7 +28,6 @@ class TestWorkerResolution:
     def test_env_override_caps_explicit_requests(self, monkeypatch):
         monkeypatch.setenv(MAX_WORKERS_ENV, "3")
         assert ProcessPoolExecutor(max_workers=16).max_workers == 3
-        assert ChunkedExecutor(max_workers=16).max_workers == 3
 
     def test_blank_env_is_ignored(self, monkeypatch):
         monkeypatch.setenv(MAX_WORKERS_ENV, "  ")
@@ -46,15 +45,12 @@ class TestWorkerResolution:
             resolve_worker_count(bad)
         with pytest.raises(ValueError, match="must be positive"):
             ProcessPoolExecutor(max_workers=bad)
-        with pytest.raises(ValueError, match="must be positive"):
-            ChunkedExecutor(max_workers=bad)
 
 
 class TestRunGuards:
     @pytest.mark.parametrize("executor", [
         SerialExecutor(),
         ProcessPoolExecutor(max_workers=2),
-        ChunkedExecutor(max_workers=2, chunk_size=2),
     ])
     def test_empty_items_yield_nothing(self, executor):
         assert list(executor.run(double, [])) == []
@@ -66,18 +62,11 @@ class TestRunGuards:
             lambda x: bump.append(x) or x + 1, [41]))
         assert results == [42] and bump == [41]
 
-    def test_chunked_single_chunk_short_circuits_to_serial(self):
-        bump = []
-        results = list(ChunkedExecutor(max_workers=4, chunk_size=10).run(
-            lambda x: bump.append(x) or x, [1, 2, 3]))
-        assert results == [1, 2, 3] and bump == [1, 2, 3]
-
-    @pytest.mark.parametrize("bad", [0, -2])
-    def test_invalid_chunk_size_raises(self, bad):
-        with pytest.raises(ValueError, match="chunk size"):
-            ChunkedExecutor(chunk_size=bad)
-        with pytest.raises(ValueError, match="chunk size"):
-            make_executor("chunked", chunk_size=bad)
+    def test_the_registry_is_serial_and_process(self):
+        assert EXECUTOR_NAMES == ("serial", "process")
+        for gone in ("chunked", "pool", "process-pool", "chunk", "batch"):
+            with pytest.raises(ValueError, match="unknown executor"):
+                make_executor(gone)
 
 
 def pid_of(_item):
@@ -108,13 +97,6 @@ class TestPersistentPool:
         assert executor.pids() == []
         alive = {child.pid for child in multiprocessing.active_children()}
         assert not alive & set(pids)
-
-    def test_chunk_tasks_run_on_the_same_class(self):
-        with ChunkedExecutor(max_workers=2, chunk_size=3) as executor:
-            pids = set(executor.pids())
-            assert sorted(executor.run(double, list(range(10)))) == \
-                [2 * i for i in range(10)]
-            assert set(executor.run(pid_of, list(range(10)))) <= pids
 
     def test_close_twice_is_a_no_op_and_submit_after_close_raises(self):
         executor = ProcessPoolExecutor(max_workers=2).open()

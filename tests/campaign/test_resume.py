@@ -5,14 +5,15 @@ the moment it completes, so killing a campaign mid-stream loses only
 in-flight work: a re-run serves the persisted trials as cache hits and
 executes just the remainder, converging on a fingerprint identical to a
 never-interrupted run.  :class:`TripAfter` simulates the kill
-deterministically (a real SIGKILL would race the pool's chunking).
+deterministically (a real SIGKILL would race the pool).
 """
 
 import pytest
 
 from repro.campaign.engine import run_campaign
-from repro.campaign.executors import (CampaignInterrupted, ChunkedExecutor,
-                                      SerialExecutor, TripAfter)
+from repro.campaign.executors import (CampaignInterrupted,
+                                      ProcessPoolExecutor, SerialExecutor,
+                                      TripAfter)
 from repro.campaign.spec import CampaignSpec, SolverKnobs
 from repro.campaign.store import CampaignStore
 
@@ -45,8 +46,8 @@ class TestTripAfter:
 class TestResume:
     @pytest.mark.parametrize("make_executor", [
         SerialExecutor,
-        lambda: ChunkedExecutor(max_workers=2, chunk_size=2),
-    ], ids=["serial", "chunked"])
+        lambda: ProcessPoolExecutor(max_workers=2),
+    ], ids=["serial", "process"])
     def test_interrupt_then_resume_matches_uninterrupted(self, tmp_path,
                                                          make_executor):
         reference = run_campaign(tiny_spec(), executor=SerialExecutor())
@@ -58,7 +59,7 @@ class TestResume:
                          store=store, trip=TripAfter(kill_after))
 
         # The killed run persisted at least the trials the parent saw
-        # complete (pool chunks in flight may finish a few more — on a
+        # complete (pool trials in flight may finish a few more — on a
         # grid this small possibly even all of them).
         survivors = store.entry_count()["trials"]
         assert kill_after <= survivors <= tiny_spec().num_trials

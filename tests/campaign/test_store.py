@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.campaign.engine import run_campaign
-from repro.campaign.executors import ChunkedExecutor, SerialExecutor
+from repro.campaign.executors import ProcessPoolExecutor, SerialExecutor
 from repro.campaign.results import CampaignResult
 from repro.campaign.spec import CampaignSpec, MatrixSpec, SolverKnobs
 from repro.campaign.store import (STORE_SCHEMA_VERSION, CampaignStore,
@@ -104,6 +104,48 @@ class TestStoreBasics:
         assert store.get_baseline(key) is None
         assert not store._path("baselines", key).exists()
 
+    @pytest.mark.parametrize("text", [
+        "[1, 2]",                                   # not an object
+        json.dumps({"schema": STORE_SCHEMA_VERSION}),   # no payload field
+        json.dumps({"schema": STORE_SCHEMA_VERSION, "ideal_time": 3,
+                    "trial": "x"}),                 # fields of wrong type
+        json.dumps({"schema": STORE_SCHEMA_VERSION, "ideal_time": "zz",
+                    "trial": {"no_such_field": 1}}),    # undecodable
+    ], ids=["list", "bare-schema", "mistyped", "undecodable"])
+    @pytest.mark.parametrize("kind", ["baselines", "trials"])
+    def test_a_wellformed_but_wrong_json_entry_is_a_miss(self, tmp_path,
+                                                         kind, text):
+        """What ``store --verify`` calls corrupt must not raise out of a
+        read (out of a trial): unlink, count a miss, recompute."""
+        store = CampaignStore(tmp_path / "store")
+        key = "cd" + "0" * 62
+        path = store._path(kind, key)
+        path.parent.mkdir(parents=True)
+        path.write_text(text)
+        get = store.get_baseline if kind == "baselines" else store.get_trial
+        assert get(key) is None
+        assert not path.exists()
+        assert (store.hits, store.misses) == (0, 1)
+
+    @pytest.mark.parametrize("damage", [
+        lambda raw: raw[:len(raw) // 2],            # torn write
+        lambda raw: b"",                            # emptied
+        lambda raw: raw[:200] + bytes([raw[200] ^ 0xFF]) + raw[201:],
+        lambda raw: b"not a zip archive",
+    ], ids=["truncated", "empty", "bit-flip", "garbage"])
+    def test_a_damaged_matrix_archive_is_a_miss(self, tmp_path, damage):
+        store = CampaignStore(tmp_path / "store")
+        key = "aa" + "0" * 62
+        A, b = MatrixSpec.parse("laplacian2d:9").build()
+        store.put_matrix(key, A, b)
+        path = store._path("matrices", key, suffix=".npz")
+        path.write_bytes(damage(path.read_bytes()))
+        assert store.get_matrix(key) is None
+        assert not path.exists()
+        assert (store.hits, store.misses) == (0, 1)
+        store.put_matrix(key, A, b)                 # ... and recomputes
+        assert np.array_equal(store.get_matrix(key)[1], b)
+
     def test_process_cache_is_one_per_root(self, tmp_path):
         a = process_cache(str(tmp_path / "store"))
         b = process_cache(str(tmp_path / "store"))
@@ -168,17 +210,33 @@ class TestWarmCampaigns:
         assert stored.fingerprint() == plain.fingerprint()
 
     def test_warm_hit_rate_survives_executor_swap(self, tmp_path):
-        """Trials cached by the serial executor satisfy a chunked run —
+        """Trials cached by the serial executor satisfy a pool run —
         the store is executor-agnostic, like the fingerprints."""
         store = CampaignStore(tmp_path / "store")
         cold = run_campaign(tiny_spec(), executor=SerialExecutor(),
                             store=store)
         warm = run_campaign(
-            tiny_spec(), executor=ChunkedExecutor(max_workers=2,
-                                                  chunk_size=3),
+            tiny_spec(), executor=ProcessPoolExecutor(max_workers=2),
             store=CampaignStore(tmp_path / "store"))
         assert warm.executed == 0
         assert warm.fingerprint() == cold.fingerprint()
+
+    def test_a_damaged_entry_of_each_kind_costs_a_recompute_and_nothing_else(
+            self, tmp_path):
+        store = CampaignStore(tmp_path / "store")
+        cold = run_campaign(tiny_spec(), executor=SerialExecutor(),
+                            store=store)
+        [matrix] = store._entries("matrices")
+        [baseline] = store._entries("baselines")
+        trial = store._entries("trials")[0]
+        matrix.write_bytes(matrix.read_bytes()[:100])
+        baseline.write_text(json.dumps({"schema": STORE_SCHEMA_VERSION}))
+        trial.write_text("[1, 2]")
+        healed = run_campaign(tiny_spec(), executor=SerialExecutor(),
+                              store=CampaignStore(tmp_path / "store"))
+        assert healed.fingerprint() == cold.fingerprint()
+        assert healed.executed == 1
+        assert CampaignStore(tmp_path / "store").verify().ok
 
     def test_grid_growth_only_executes_new_cells(self, tmp_path):
         store = CampaignStore(tmp_path / "store")

@@ -1,8 +1,8 @@
 """A lost pool child is the executor's problem, offline as in the daemon.
 
 A child that exits hard breaks the stdlib pool as a whole.  The pool
-executors reopen themselves — once per break, spawning when the process
-has other threads — and resubmit what was in flight, and the runner in
+executor reopens itself — once per break, spawning when the process
+has other threads — and resubmits what was in flight, and the runner in
 the child reads the store before it runs anything, so a campaign that
 lost a worker ends with the serial fingerprint, exactly its own
 artifacts and no manual resume.  A pool that only ever dies gives up
@@ -18,9 +18,8 @@ import pytest
 
 from repro.campaign import engine
 from repro.campaign.engine import TrialRunner, run_campaign
-from repro.campaign.executors import (MAX_RESUBMITS, ChunkedExecutor,
-                                      ProcessPoolExecutor, SerialExecutor,
-                                      WorkerLost)
+from repro.campaign.executors import (MAX_RESUBMITS, ProcessPoolExecutor,
+                                      SerialExecutor, WorkerLost)
 from repro.campaign.spec import CampaignSpec, SolverKnobs
 from repro.campaign.store import CampaignCache, CampaignStore
 
@@ -60,13 +59,8 @@ class StruckPool(Struck, ProcessPoolExecutor):
     pass
 
 
-class StruckChunks(Struck, ChunkedExecutor):
-    pass
-
-
 def struck_executors():
-    return [StruckPool(max_workers=2),
-            StruckChunks(max_workers=2, chunk_size=3)]
+    return [StruckPool(max_workers=2)]
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +70,7 @@ def serial_fingerprint():
 
 class TestOfflineCampaignSurvivesAChild:
     @pytest.mark.parametrize("executor", struck_executors(),
-                             ids=["process", "chunked"])
+                             ids=["process"])
     def test_storeless_run_ends_with_the_serial_fingerprint(
             self, executor, serial_fingerprint):
         result = run_campaign(tiny_spec(), executor=executor)
@@ -87,7 +81,7 @@ class TestOfflineCampaignSurvivesAChild:
         assert executor.pids() == []
 
     @pytest.mark.parametrize("executor", struck_executors(),
-                             ids=["process", "chunked"])
+                             ids=["process"])
     def test_stored_run_leaves_exactly_its_artifacts(
             self, executor, serial_fingerprint, tmp_path):
         spec = tiny_spec()
@@ -114,7 +108,7 @@ class TestOfflineCampaignSurvivesAChild:
         assert again.executed == 0
 
     @pytest.mark.parametrize("executor", struck_executors(),
-                             ids=["process", "chunked"])
+                             ids=["process"])
     def test_a_pool_that_only_dies_gives_up(self, executor):
         executor.strike = 0
         with pytest.raises(WorkerLost, match="lost its worker") as info:

@@ -7,6 +7,24 @@ import pytest
 
 from repro.matrices.stencil import poisson_2d_5pt, stencil_rhs
 from repro.matrices.random_spd import random_dense_spd, random_sparse_spd
+from repro.sanitize import analyze, reset, sanitizer_enabled
+
+
+@pytest.fixture(autouse=True)
+def sanitizer_verdict():
+    """Under ``REPRO_TSAN=1`` every test ends in the sanitizer's verdict
+    on its own events: a data race or a lock-order cycle among the
+    factory-made locks it took fails it.  (It is the repo's lock-order
+    check, and what lets the ``REPRO_TSAN=1`` CI steps go red.)"""
+    if not sanitizer_enabled():
+        yield
+        return
+    reset()
+    yield
+    report = analyze()
+    reset()
+    if not report.ok:
+        pytest.fail(report.render())
 
 
 @pytest.fixture(scope="session")

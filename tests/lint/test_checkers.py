@@ -9,7 +9,6 @@ LIB = "src/repro/somemodule.py"           # generic library path
 STORE = "src/repro/campaign/store.py"     # fingerprint-critical module
 SOLVER = "src/repro/solvers/resilient_cg.py"  # paged-reduction module
 PLANNER = "src/repro/solvers/cg_plan.py"  # paged-reduction module (re-enactment probes)
-LOCKS = "src/repro/service/server.py"     # lock-graph module
 
 
 def active_codes(src, path):
@@ -193,12 +192,12 @@ class TestReductions:
 
 
 # ----------------------------------------------------------------------
-# lock-discipline (bare acquire; cycles are in test_lock_graph.py)
+# lock-discipline (bare acquire; lock order is the sanitizer's)
 # ----------------------------------------------------------------------
 class TestBareAcquire:
     def test_violation_bare_acquire(self):
-        src = ("import threading\n"
-               "lock = threading.Lock()\n"
+        src = ("from repro.sanitize import make_lock\n"
+               "lock = make_lock()\n"
                "def f():\n"
                "    lock.acquire()\n"
                "    work()\n"
@@ -206,16 +205,16 @@ class TestBareAcquire:
         assert active_codes(src, LIB) == ["lock-discipline"]
 
     def test_clean_with_statement(self):
-        src = ("import threading\n"
-               "lock = threading.Lock()\n"
+        src = ("from repro.sanitize import make_lock\n"
+               "lock = make_lock()\n"
                "def f():\n"
                "    with lock:\n"
                "        work()\n")
         assert active_codes(src, LIB) == []
 
     def test_clean_try_finally(self):
-        src = ("import threading\n"
-               "lock = threading.Lock()\n"
+        src = ("from repro.sanitize import make_lock\n"
+               "lock = make_lock()\n"
                "def f():\n"
                "    lock.acquire()\n"
                "    try:\n"
@@ -225,8 +224,8 @@ class TestBareAcquire:
         assert active_codes(src, LIB) == []
 
     def test_clean_acquire_inside_try(self):
-        src = ("import threading\n"
-               "lock = threading.Lock()\n"
+        src = ("from repro.sanitize import make_lock\n"
+               "lock = make_lock()\n"
                "def f():\n"
                "    try:\n"
                "        lock.acquire()\n"
@@ -236,8 +235,8 @@ class TestBareAcquire:
         assert active_codes(src, LIB) == []
 
     def test_pragma_suppressed(self):
-        src = ("import threading\n"
-               "baton = threading.Lock()\n"
+        src = ("from repro.sanitize import make_lock\n"
+               "baton = make_lock()\n"
                "def f():\n"
                "    baton.acquire()  # repro-lint: allow[lock-discipline] released by the taker thread\n")
         result = run(src, LIB)
@@ -255,7 +254,7 @@ class TestFramework:
 
     @pytest.mark.parametrize("code", [
         "wall-clock", "unseeded-rng", "unordered-iter",
-        "paged-reduction", "lock-discipline"])
+        "paged-reduction", "lock-discipline", "sanitizer-factory"])
     def test_every_rule_has_explanation(self, code):
         from repro.lint.report import render_explanation
         text = render_explanation(code)

@@ -1,7 +1,6 @@
-"""CLI behaviour: exit codes, JSON output, --explain, and the canary
+"""CLI behaviour: exit codes, --explain, --list-rules, and the canary
 property the CI job relies on (a violating tempfile fails the lint)."""
 
-import json
 import subprocess
 import sys
 from pathlib import Path
@@ -42,17 +41,6 @@ class TestExitCodes:
 
 
 class TestOutput:
-    def test_json_format(self, tmp_path):
-        canary = tmp_path / "canary.py"
-        canary.write_text("import time\nt = time.time()\n")
-        proc = run_lint("--format", "json", str(canary))
-        payload = json.loads(proc.stdout)
-        assert payload["ok"] is False
-        assert payload["files_checked"] == 1
-        [finding] = payload["findings"]
-        assert finding["code"] == "wall-clock"
-        assert finding["line"] == 2
-
     def test_explain_prints_rationale(self):
         proc = run_lint("--explain", "paged-reduction")
         assert proc.returncode == 0
@@ -62,14 +50,9 @@ class TestOutput:
         proc = run_lint("--list-rules")
         assert proc.returncode == 0
         for code in ("wall-clock", "unseeded-rng", "unordered-iter",
-                     "paged-reduction", "lock-discipline"):
+                     "paged-reduction", "lock-discipline",
+                     "sanitizer-factory"):
             assert code in proc.stdout
-
-    def test_select_restricts_rules(self, tmp_path):
-        canary = tmp_path / "canary.py"
-        canary.write_text("import time\nt = time.time()\n")
-        proc = run_lint("--select", "unseeded-rng", str(canary))
-        assert proc.returncode == 0
 
 
 class TestRepoIsClean:

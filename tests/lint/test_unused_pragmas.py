@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import json
 import subprocess
 import sys
 from pathlib import Path
 
-from repro.lint.checkers import ALL_CHECKERS
 from repro.lint.engine import lint_source
 
 PATH = "src/repro/x.py"
@@ -62,14 +60,6 @@ class TestEngine:
         [stale] = result.unused_pragmas
         assert "no-such-rule" in stale.message
 
-    def test_select_does_not_misjudge_other_rules(self):
-        # under --select lock-discipline a wall-clock pragma must not be
-        # called stale: its rule simply did not run
-        lock_only = [c for c in ALL_CHECKERS if c.code == "lock-discipline"]
-        src = "import time\nt = time.time()  # repro-lint: allow[wall-clock] measured\n"
-        result = lint_source(src, PATH, checkers=lock_only)
-        assert result.unused_pragmas == []
-
     def test_stale_pragmas_do_not_fail_ok(self):
         src = "x = 1  # repro-lint: allow[wall-clock] stale\n"
         result = lint_source(src, PATH)
@@ -106,12 +96,3 @@ class TestCli:
         stale.write_text("x = 1  # repro-lint: allow[wall-clock] long gone\n")
         proc = run_lint(str(stale))
         assert proc.returncode == 0
-
-    def test_json_output_lists_unused_pragmas(self, tmp_path):
-        stale = tmp_path / "stale.py"
-        stale.write_text("x = 1  # repro-lint: allow[wall-clock] long gone\n")
-        proc = run_lint("--format", "json", str(stale))
-        payload = json.loads(proc.stdout)
-        [entry] = payload["unused_pragmas"]
-        assert entry["code"] == "unused-pragma"
-        assert payload["ok"] is True  # json reports; the flag enforces

@@ -24,14 +24,6 @@ from repro.sanitize.explore import (ExploreProblem, _solve_cell,
                                     reference_token, solution_token)
 
 
-@pytest.fixture()
-def tsan():
-    with enabled(True):
-        instrument.reset()
-        yield
-        instrument.reset()
-
-
 def _two_same_page_tasks(graph_action_a, graph_action_b):
     graph = TaskGraph()
     graph.add_task("a", 0.0, page=0, action=graph_action_a)

@@ -1,7 +1,12 @@
-"""Unit tests of the hybrid race detector over synthetic event streams."""
+"""Unit tests of the hybrid race detector and the lock-order analysis,
+over synthetic event streams and tiny threaded runs."""
 
 from __future__ import annotations
 
+import threading
+from dataclasses import dataclass, field
+
+from repro.sanitize import analyze, make_condition, make_lock, make_rlock
 from repro.sanitize.detector import analyze_events
 from repro.sanitize.events import (Event, OP_ACCESS, OP_ACQUIRE, OP_GET,
                                    OP_PUT, OP_RELEASE, OP_SET, OP_WAIT_EVENT)
@@ -122,6 +127,150 @@ class TestLocksetFallback:
         assert len(report.races) == 1
 
 
+def _nest(seq, thread, *locks):
+    """Events of one thread taking ``locks`` nested in that order and
+    releasing them innermost first, numbered from ``seq``."""
+    events, held = [], ()
+    for lock in locks:
+        held = tuple(sorted(held + (lock,)))
+        events.append(_ev(seq + len(events), thread, OP_ACQUIRE, lock,
+                          held=held))
+    for lock in reversed(locks):
+        events.append(_ev(seq + len(events), thread, OP_RELEASE, lock,
+                          held=held))
+        held = tuple(h for h in held if h != lock)
+    return events
+
+
+def _in_turn(*bodies):
+    """Run each body on a thread of its own, one after the other —
+    inverted orders are recorded, never raced, so nothing can deadlock."""
+    for index, body in enumerate(bodies):
+        thread = threading.Thread(target=body, name=f"order-{index}")
+        thread.start()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+
+
+class TestLockOrder:
+    """The scenarios of the deleted static lock-graph pass, seen from
+    the acquires a run really makes."""
+
+    def test_ab_ba_cycle_detected_with_both_witnesses(self):
+        report = analyze_events(_nest(1, "one", "S.a", "S.b")
+                                + _nest(5, "two", "S.b", "S.a"))
+        [cycle] = report.lock_cycles
+        assert cycle.locks == ("S.a", "S.b")
+        assert [(w.thread, w.seq) for w in cycle.witnesses] == [
+            ("one", 2), ("two", 6)]
+        assert not report.ok and report.summary()["lock_cycles"] == 1
+        text = report.render()
+        assert "lock-order cycle S.a -> S.b -> S.a" in text
+        assert "'one' (event 2)" in text and "'two' (event 6)" in text
+
+    def test_consistent_order_is_clean(self):
+        report = analyze_events(_nest(1, "one", "S.a", "S.b")
+                                + _nest(5, "two", "S.a", "S.b"))
+        assert report.ok and report.lock_cycles == []
+        assert set(report.lock_order) == {("S.a", "S.b")}
+        assert report.lock_order[("S.a", "S.b")].seq == 2  # first witness
+
+    def test_one_thread_inverting_its_own_order_is_a_cycle(self):
+        # never a deadlock in this run, one as soon as two threads do it
+        report = analyze_events(_nest(1, "t", "S.a", "S.b")
+                                + _nest(5, "t", "S.b", "S.a"))
+        assert len(report.lock_cycles) == 1
+
+    def test_three_lock_cycle(self):
+        report = analyze_events(_nest(1, "f", "S.a", "S.b")
+                                + _nest(5, "g", "S.b", "S.c")
+                                + _nest(9, "h", "S.c", "S.a"))
+        [cycle] = report.lock_cycles
+        assert cycle.locks == ("S.a", "S.b", "S.c")
+        assert len(cycle.witnesses) == 3
+
+    def test_cycle_through_a_called_method(self, tsan):
+        # one() holds a and calls helper(), which takes b; two() nests
+        # b -> a directly.  A run sees through calls for free.
+        class S:
+            def __init__(self):
+                self.a = make_lock("S.a")
+                self.b = make_lock("S.b")
+
+            def helper(self):
+                with self.b:
+                    pass
+
+            def one(self):
+                with self.a:
+                    self.helper()
+
+            def two(self):
+                with self.b:
+                    with self.a:
+                        pass
+
+        s = S()
+        _in_turn(s.one, s.two)
+        [cycle] = analyze().lock_cycles
+        assert cycle.locks == ("S.a", "S.b")
+
+    def test_dataclass_condition_field_is_a_lock(self, tsan):
+        @dataclass
+        class Job:
+            cond: object = field(
+                default_factory=lambda: make_condition(name="Job.cond"))
+
+        lk, job = make_lock("S.lk"), Job()
+
+        def one():
+            with lk:
+                with job.cond:
+                    pass
+
+        def two():
+            with job.cond:
+                with lk:
+                    pass
+
+        _in_turn(one, two)
+        [cycle] = analyze().lock_cycles
+        assert cycle.locks == ("Job.cond", "S.lk")
+
+    def test_same_attribute_on_two_classes_is_two_locks(self, tsan):
+        # A._lock and B._lock are different locks: B's inside A's here
+        # and, elsewhere, each alone is not a cycle — the names carry
+        # the class, so nothing is merged.
+        a, b = make_lock("A._lock"), make_lock("B._lock")
+
+        def f():
+            with a:
+                with b:
+                    pass
+
+        def g():
+            with b:
+                pass
+            with a:
+                pass
+
+        _in_turn(f, g)
+        report = analyze()
+        assert report.ok
+        assert set(report.lock_order) == {("A._lock", "B._lock")}
+
+    def test_reentry_and_wait_reacquire_add_no_self_edge(self, tsan):
+        lock = make_rlock("S.lock")
+        cond = make_condition(lock, name="S.drained")
+        with lock:
+            with lock:
+                pass
+            with cond:
+                cond.wait(0.01)
+        report = analyze()
+        assert report.lock_order == {} and report.ok
+
+
 class TestReportRendering:
     def test_race_report_carries_both_stacks_and_locks(self):
         report = analyze_events([
@@ -142,6 +291,7 @@ class TestReportRendering:
         ])
         summary = report.summary()
         assert summary["races"] == 1
+        assert summary["lock_cycles"] == 0
         assert summary["accesses"] == 2
         assert summary["threads"] == 2
         assert summary["ok"] is False

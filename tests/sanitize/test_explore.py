@@ -61,6 +61,8 @@ class TestCli:
         assert sanitize_main(["canary"]) == 0
         out = capsys.readouterr().out
         assert "detector alive" in out
+        assert "locked control clean" in out
+        assert "lock-order analysis alive" in out
 
     def test_explore_subcommand_writes_verdict(self, tmp_path, capsys):
         out_file = tmp_path / "verdict.json"
@@ -71,6 +73,7 @@ class TestCli:
         payload = json.loads(out_file.read_text())
         assert payload["ok"] is True
         assert payload["seed"] == 99
-        assert len(payload["schedules"]) == 1
+        [schedule] = payload["schedules"]
+        assert schedule["races"] == [] and schedule["lock_cycles"] == 0
         # stdout carries the same JSON
         assert json.loads(capsys.readouterr().out) == payload

@@ -6,7 +6,10 @@ import queue
 import threading
 
 from repro.sanitize import instrument
-from repro.sanitize.canary import run_counter_canary, run_locked_control
+from repro.sanitize import __main__ as sanitize_cli
+from repro.sanitize import detector
+from repro.sanitize.canary import (run_counter_canary, run_lock_order_canary,
+                                   run_locked_control)
 from repro.sanitize.instrument import (TSAN_ENV, TSanCondition, TSanEvent,
                                        TSanLock, TSanQueue, enabled,
                                        held_locks, make_condition,
@@ -162,10 +165,28 @@ class TestOnMode:
             assert {"acquire", "release", "notify"} <= ops
             instrument.reset()
 
+    def test_condition_wait_books_the_lock_not_the_condition(self):
+        # The lockset holds the *lock's* name: a wait() that pops and
+        # pushes the condition's leaves a phantom "C" held for ever,
+        # which would let the lockset fallback excuse a real race.
+        with enabled(True):
+            instrument.reset()
+            cond = make_condition(make_rlock("L"), name="C")
+            with cond:
+                assert held_locks() == ("L",)
+                cond.wait(0.01)
+                assert held_locks() == ("L",)
+            assert held_locks() == ()
+            events = [(e.op, e.obj) for e in instrument.LOG.events()]
+            assert events == [("acquire", "L"), ("release", "L"),
+                              ("acquire", "L"), ("release", "L")]
+            instrument.reset()
+
 
 class TestCanary:
-    """The deliberately unsynchronised counter the detector must flag —
-    CI's proof the sanitizer is not a silent no-op."""
+    """The deliberately unsynchronised counter and the inverted lock
+    order the detector must flag — CI's proof the sanitizer is not a
+    silent no-op."""
 
     def test_unsynchronised_counter_is_flagged(self):
         report = run_counter_canary(threads=4, increments=10)
@@ -175,3 +196,22 @@ class TestCanary:
     def test_locked_control_is_clean(self):
         report = run_locked_control(threads=4, increments=10)
         assert report.ok, report.render()
+
+    def test_inverted_lock_order_is_flagged_without_deadlocking(self):
+        report = run_lock_order_canary(inverted=True)
+        [cycle] = report.lock_cycles
+        assert cycle.locks == ("canary-lock-A", "canary-lock-B")
+        assert not report.races and not report.ok
+
+    def test_one_lock_order_is_clean(self):
+        report = run_lock_order_canary(inverted=False)
+        assert report.ok, report.render()
+        assert set(report.lock_order) == {("canary-lock-A", "canary-lock-B")}
+
+    def test_canary_goes_red_when_the_lock_order_pass_is_blinded(
+            self, monkeypatch, capsys):
+        assert sanitize_cli.main(["canary"]) == 0
+        assert "lock-order analysis alive" in capsys.readouterr().out
+        monkeypatch.setattr(detector, "_order_edges", lambda event: [])
+        assert sanitize_cli.main(["canary"]) == 1
+        assert "canary FAILED" in capsys.readouterr().err
