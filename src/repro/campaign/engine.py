@@ -129,7 +129,8 @@ def solve_trial(trial: TrialSpec, cache: CampaignCache):
     solver = ResilientCG(A, b, strategy=strategy,
                          preconditioner=preconditioner, scenario=scenario,
                          config=derive_config(SolverConfig, knobs),
-                         matrix_name=trial.matrix.label)
+                         matrix_name=trial.matrix.label,
+                         compiled=cache.compiled)
     try:
         return solver.solve(ideal_time=ideal_time)
     finally:

@@ -23,6 +23,12 @@ safe to run twice, which campaign trials are (pure functions of their
 spec, read back from the store by the runner before they are run).  A
 pool that keeps breaking with nothing completing in between gives up
 with :class:`WorkerLost` after :data:`MAX_RESUBMITS` resubmissions.
+
+A run puts all its items in the pool at once (the pool's call queue
+then always holds a child's next item), so ending one early is a
+wind-down, not a missing ``submit``: ``run(fn, items, stop=event)``
+cancels, once ``event`` is set after a completion, what no child holds
+yet, still yields what one does hold, and resubmits nothing.
 """
 
 from __future__ import annotations
@@ -229,7 +235,11 @@ class ProcessPoolExecutor(CampaignExecutor):
             future.generation = self._generation
         return future
 
-    def run(self, fn: Callable[[T], R], items: Sequence[T]) -> Iterator[R]:
+    def run(self, fn: Callable[[T], R], items: Sequence[T],
+            stop: Optional[threading.Event] = None) -> Iterator[R]:
+        """``fn(item)`` for every item, as they complete.  ``stop`` (an
+        event, say a job's cancel) ends the run early without abandoning
+        anything: see :meth:`_drain`."""
         if not items:
             return
         with self._lock:  # a reopen in progress is an open pool
@@ -238,29 +248,45 @@ class ProcessPoolExecutor(CampaignExecutor):
             workers = min(self.max_workers, len(items))
             if workers == 1:
                 # A one-worker pool only adds IPC; keep semantics, skip cost.
-                yield from SerialExecutor().run(fn, items)
+                for item in items:
+                    if _is_set(stop):
+                        return
+                    yield fn(item)
                 return
             self.open(workers)
         try:
-            yield from self._drain(fn, list(items))
+            yield from self._drain(fn, list(items), stop)
         finally:
             if own_pool:
                 self.close()
 
-    def _drain(self, fn: Callable[[T], R], items: List[T]) -> Iterator[R]:
+    def _drain(self, fn: Callable[[T], R], items: List[T],
+               stop: Optional[threading.Event] = None) -> Iterator[R]:
         """Yield ``fn(item)`` for every item as it completes.
 
-        A broken pool fails every future in flight at once, so the round
-        drains promptly: what it lost is collected on the way, the pool
-        is reopened and the lost items are the next round.  Any other
-        error cancels what has not started, so a failing trial surfaces
-        immediately instead of after the rest of the campaign."""
+        Every item is submitted at once, so the pool's call queue holds
+        a child's next item before it finishes the current one.  A broken
+        pool fails every future in flight at once, so the round drains
+        promptly: what it lost is collected on the way, the pool is
+        reopened and the lost items are the next round.  Any other error
+        cancels what has not started, so a failing trial surfaces
+        immediately instead of after the rest of the campaign.
+
+        Once ``stop`` is set after a completion the run winds down:
+        futures no child holds yet are cancelled, those one does hold —
+        running, or already in the call queue — are still awaited and
+        yielded, and a break on the way is nobody's to resubmit."""
         losses = 0
-        while items:
+        while items and not _is_set(stop):
+            if losses > MAX_RESUBMITS:
+                raise WorkerLost(items[0], losses)
+            if losses:
+                with self._lock:
+                    self.resubmitted += len(items)
             flights = {self.submit(fn, item): item for item in items}
             broken = set()
             try:
-                for future in concurrent.futures.as_completed(flights):
+                for future in _as_completed(flights, stop):
                     try:
                         result = future.result()
                     except BrokenProcessPool:
@@ -270,17 +296,51 @@ class ProcessPoolExecutor(CampaignExecutor):
                     yield result
             except BaseException:
                 for pending in flights:
-                    pending.cancel()
+                    _cancel(pending)
                 raise
             if not broken:
                 return
             self._reopen(max(future.generation for future in broken))
             items = [flights[future] for future in flights if future in broken]
             losses += 1
-            if losses > MAX_RESUBMITS:
-                raise WorkerLost(items[0], losses)
-            with self._lock:
-                self.resubmitted += len(items)
+
+
+def _is_set(stop: Optional[threading.Event]) -> bool:
+    return stop is not None and stop.is_set()
+
+
+def _cancel(future: concurrent.futures.Future) -> bool:
+    """Cancel ``future`` unless a child already holds it.
+
+    A cancelled future stays in the stdlib pool until its manager thread
+    gets round to it, and a pool that breaks before then fails *every*
+    future it holds: on CPython 3.11 ``set_exception`` on the cancelled
+    one raises ``InvalidStateError`` in the manager thread, which dies
+    with the other futures unresolved and the children alive (later
+    releases catch it there).  A cancelled future is nobody's any more,
+    so it takes that news in silence."""
+    cancelled = future.cancel()
+    if cancelled:
+        future.set_exception = _ignore
+    return cancelled
+
+
+def _ignore(_exception: BaseException) -> None:
+    """What a cancelled future does with a broken pool's exception."""
+
+
+def _as_completed(flights, stop: Optional[threading.Event]):
+    """The futures of ``flights`` as they complete; once ``stop`` is set
+    after one, only those that can no longer be cancelled."""
+    waiting = set(flights)
+    while waiting:
+        for future in concurrent.futures.as_completed(waiting):
+            waiting.discard(future)
+            yield future
+            if _is_set(stop):
+                waiting = {held for held in waiting if not _cancel(held)}
+                stop = None  # wound down: what is left is awaited
+                break
 
 
 def make_executor(name: str,

@@ -590,6 +590,12 @@ class CampaignCache:
     def __init__(self, store: Optional[CampaignStore] = None):
         self.store = store
         self._ram: Dict[str, dict] = {kind: {} for kind in self.KINDS}
+        #: Iteration shapes compiled in this process, keyed and filled by
+        #: ``solvers.cg_plan.CGPlanner`` (``solve_trial`` hands it to each
+        #: solver).  RAM only: never stored, and never pickled — a pool
+        #: child grows its own.  No eviction: an entry is a few KB per
+        #: distinct shape.
+        self.compiled: dict = {}
         #: Look-ups per kind, whichever tier answered (``/metrics``).
         self.hits = dict.fromkeys(self.KINDS, 0)
         self.misses = dict.fromkeys(self.KINDS, 0)

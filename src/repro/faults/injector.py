@@ -12,8 +12,7 @@ reproducible and statistically independent), or an existing Generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from typing import List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -38,9 +37,12 @@ def derive_rng(seed: SeedLike = DEFAULT_SEED) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-@dataclass(frozen=True)
-class Injection:
-    """One scheduled DUE: at ``time``, page ``page`` of ``vector`` is lost."""
+class Injection(NamedTuple):
+    """One scheduled DUE: at ``time``, page ``page`` of ``vector`` is lost.
+
+    A tuple, not a dataclass: a campaign schedules several times the
+    injections a solve ever reaches, so constructing one is on the hot
+    path and stays a single allocation."""
 
     time: float
     vector: str
@@ -113,8 +115,8 @@ class ExponentialInjector:
             return []
         times = self.sample_times(horizon)
         picks = self._rng.integers(0, len(pages), size=len(times))
-        return [Injection(time=t, vector=pages[int(k)][0], page=pages[int(k)][1])
-                for t, k in zip(times, picks, strict=True)]
+        return [Injection(t, *pages[k])
+                for t, k in zip(times, picks.tolist(), strict=True)]
 
     def expected_errors(self, horizon: float) -> float:
         """Expected number of errors over ``horizon``."""

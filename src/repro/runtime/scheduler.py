@@ -137,9 +137,13 @@ class ListScheduler:
             raise ValueError(f"num_workers must be positive, got {num_workers}")
         self.num_workers = int(num_workers)
         self.cost_model = cost_model
-        #: The last structure the loop produced, by ``(id(plan), workers)``,
-        #: and (evidence for tests only) how often it ran / was replayed.
-        self._structures: Dict[Tuple[int, int], _Structure] = {}
+        #: The last structure the loop produced, by ``(id(plan), workers)``.
+        #: Whoever keeps plans beyond one scheduler may put the table it
+        #: keeps with them here: a structure holds its plan, so the
+        #: ``id()`` neither dangles nor aliases, and a replay is checked
+        #: (``holds``) wherever the structure came from.
+        self.structures: Dict[Tuple[int, int], _Structure] = {}
+        #: Evidence for tests only: how often the loop ran / was replayed.
         self.loop_runs = self.replays = 0
 
     # ------------------------------------------------------------------
@@ -162,13 +166,13 @@ class ListScheduler:
         ``(-priority, ready time, plan index)``."""
         durations = plan.checked_durations(durations)
         key = (id(plan), self.num_workers)
-        held = self._structures.get(key)
+        held = self.structures.get(key)
         if held is not None:
             result = self._evaluate(held, durations, start_time)
             if held.holds(result.ends, start_time):
                 self.replays += 1
                 return result
-        held = self._structures[key] = self._discover(plan, durations, start_time)
+        held = self.structures[key] = self._discover(plan, durations, start_time)
         return self._evaluate(held, durations, start_time)
 
     def _discover(self, plan: IterationPlan, durations: Sequence[float],

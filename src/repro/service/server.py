@@ -16,8 +16,9 @@ and shard queues, cancel, the ``watch`` event log, ``/metrics`` and the
 chaos hook.  A job *is* a :class:`~repro.campaign.engine.CampaignRun` —
 the cached/pending split, recording, journal and fingerprint of an
 offline ``run_campaign`` — whose pending trials are dealt out as
-round-robin shards, one ``service-worker`` thread per shard, which only
-waits on the child's future and hands the result to the run.
+round-robin shards, one ``service-worker`` thread per shard, which puts
+its shard in the pool whole (no child waits for the daemon between two
+trials) and hands each result to the run as it completes.
 
 Robustness model (worker loss is routine, not fatal):
 
@@ -26,17 +27,19 @@ Robustness model (worker loss is routine, not fatal):
   does, so nothing a worker finished is ever recomputed;
 * a pool process lost mid-trial is the pool's business
   (``campaign.executors``): it reopens itself once per break and
-  resubmits what was in flight, and the runner reads the store before
-  it runs anything, so only the genuinely lost trials re-execute.  The
-  daemon sees each resubmission pass through ``submit`` and reports it
-  (``shard-retry``, ``shard_retries``);
+  resubmits what was in flight (the trials queued behind the lost one
+  too), and the runner reads the store before it runs anything, so only
+  the genuinely lost trials re-execute.  The daemon sees each
+  resubmission pass through ``submit`` and reports it (``shard-retry``,
+  ``shard_retries``);
 * a daemon crash loses only in-flight trials: a restarted daemon (or an
   offline ``python -m repro.campaign run``) resumes from the last
   persisted trial;
 * ``/shutdown`` stops accepting submissions, then drains every job or
-  cancels it after its current trial (journalled ``interrupted``),
-  closes the socket and joins the ``service-*`` threads and the pool:
-  no thread, socket or child outlives the daemon.
+  cancels it (journalled ``interrupted``; trials no child holds yet are
+  withdrawn, those one holds awaited and recorded), closes the socket
+  and joins the ``service-*`` threads and the pool: no thread, socket
+  or child outlives the daemon.
 
 Correctness anchor: a campaign executed through the daemon produces a
 fingerprint **byte-identical** to the same spec run offline — the same
@@ -181,8 +184,8 @@ class Job:
 
 @dataclass
 class _Dispatch:
-    """What a shard thread hands the pool: one trial, whose it is and
-    how often the pool has resubmitted it."""
+    """What a shard thread hands the pool, a shard's worth at a time:
+    one trial, whose it is and how often the pool has resubmitted it."""
 
     job: Job
     shard_no: int
@@ -300,14 +303,13 @@ class CampaignService:
         """Stop the daemon and everything it started.
 
         ``drain=True`` finishes every queued and running job first;
-        ``drain=False`` cancels them after their current trial (the
-        in-flight future is awaited, not abandoned).  Either way
-        in-flight jobs are journalled, so a subsequent daemon (or an
-        offline run) resumes from the last persisted trial.  Then the
-        listening socket is closed, the ``service-*`` threads are joined
-        (within ``timeout``, which also bounds the drain) and the pool's
-        children are joined and reaped.  A second call only waits for
-        the first to finish.
+        ``drain=False`` cancels them (a trial no child holds yet is
+        withdrawn, a future one holds is awaited, not abandoned).  Either
+        way in-flight jobs are journalled, so a later daemon or offline
+        run resumes from the last persisted trial.  Then the listening
+        socket is closed, the ``service-*`` threads are joined (within
+        ``timeout``, which also bounds the drain) and the pool's children
+        are joined and reaped.  A second call only waits for the first.
         """
         with self._lock:
             first = self.accepting
@@ -332,8 +334,7 @@ class CampaignService:
         for job in self._unfinished():
             if job.run is not None:
                 job.run.abandon("interrupted", state=job.state)
-        # Out of time with work still running: let it stop after the
-        # current trial rather than submit to a closed pool.
+        # Out of time with work still running: wind it down.
         self._cancel_unfinished()
         self._job_queue.put(None)
         for _ in range(self.workers):
@@ -488,19 +489,19 @@ class CampaignService:
 
     def _run_shard(self, job: Job, shard_no: int,
                    trials: List[TrialSpec]) -> None:
-        """One shard's trials through the pool, one in flight at a time:
-        the thread only waits, and a cancel takes effect after the
-        current trial.  A child lost under a trial is the pool's to
-        survive (``WorkerLost`` once it stops trying)."""
-        for trial in trials:
-            if job.cancel_event.is_set():
-                return
-            for result in self._pool.run(
-                    self._runner, [_Dispatch(job, shard_no, trial)]):
-                completed = job.run.record(result)
-                with self._lock:
-                    self.executed_wall += result.wall_time
-                self._emit_trial(job, result, False, completed)
+        """One shard's trials through the pool, handed over at once (a
+        child's next trial waits in the call queue, not behind this
+        thread) and recorded as they complete.  A cancel takes effect at
+        the next completion: what no child holds yet is withdrawn, what
+        one does is awaited and recorded.  A lost child is the pool's
+        business (``WorkerLost`` once it stops trying)."""
+        items = [_Dispatch(job, shard_no, trial) for trial in trials]
+        for result in self._pool.run(self._runner, items,
+                                     stop=job.cancel_event):
+            completed = job.run.record(result)
+            with self._lock:
+                self.executed_wall += result.wall_time
+            self._emit_trial(job, result, False, completed)
 
     @staticmethod
     def _emit_trial(job: Job, result: TrialResult, cached: bool,
@@ -632,10 +633,8 @@ def _make_handler(service: CampaignService):
                 self._send_error(str(exc), status=400)
 
         # -- watch streaming -------------------------------------------
-        def _send_chunk(self, data: bytes) -> None:
-            self.wfile.write(f"{len(data):X}\r\n".encode("ascii"))
-            self.wfile.write(data + b"\r\n")
-            self.wfile.flush()
+        def _send_chunk(self, data: bytes) -> None:  # one write = one send
+            self.wfile.write(b"%X\r\n%s\r\n" % (len(data), data))
 
         def _watch(self, job_id: str) -> None:
             job = self._job_or_404(job_id)
@@ -644,6 +643,8 @@ def _make_handler(service: CampaignService):
             self.send_response(200)
             self.send_header("Content-Type", "application/x-ndjson")
             self.send_header("Transfer-Encoding", "chunked")
+            # The watcher hangs up on the terminal event: expect no more.
+            self.send_header("Connection", "close")
             self.end_headers()
             index = 0
             try:
@@ -656,15 +657,14 @@ def _make_handler(service: CampaignService):
                         index += len(fresh)
                         finished = (job.state in TERMINAL_STATES
                                     and index >= len(job.events))
-                    for event in fresh:
-                        self._send_chunk(
-                            (event_line(event) + "\n").encode("utf-8"))
-                    if not fresh and not finished:
+                    if fresh:  # everything since the last wake-up, one chunk
+                        lines = [event_line(event) + "\n" for event in fresh]
+                        self._send_chunk("".join(lines).encode("utf-8"))
+                    elif not finished:
                         self._send_chunk(b"\n")  # keep-alive
                     if finished:
                         break
                 self.wfile.write(b"0\r\n\r\n")
-                self.wfile.flush()
             except (BrokenPipeError, ConnectionResetError):
                 pass  # watcher went away; the job does not care
 

@@ -32,12 +32,23 @@ the three questions the solver asks of it:
 The solver (:mod:`repro.solvers.resilient_cg`) therefore holds a plan
 instead of building one: the recurrence and the fault-point state
 machine never see a task graph.
+
+**Compiled once per process.**  Everything above that is a function of
+the shape alone — chunk costs, the compiled plans, the scheduler's
+structure table, the fault-free timing, the ideal makespan — lives in a
+:class:`_Compiled` entry of the ``compiled`` table the planner is handed
+(the campaign's: ``CampaignCache.compiled``), under a key the planner
+derives from everything those are computed from (:meth:`CGPlanner._key`).
+A planner handed no table makes its own and compiles for itself, on the
+same code path.  What is bound to one solve stays with the solver: the
+action tables (a solve's vectors), the executor and its threads, and the
+page-blocked matrix, whose cached LU factors feed the simulated clock.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -92,13 +103,33 @@ class IterationTiming:
     trace: ExecutionTrace
 
 
+@dataclass
+class _Compiled:
+    """What one shape key determines, compiled on first use and shared by
+    every planner of that key: immutable, content-determined artefacts
+    only (the structure table changes, but only between structures the
+    scheduler's ``holds`` check makes interchangeable)."""
+
+    #: Durations of the strip-mined chunk tasks, per operation.
+    chunk_costs: Dict[str, List[float]]
+    #: Compiled iteration plans by shape ``(resilient, checkpoint,
+    #: halo)``: the timing shapes, plus under the ranks placement the
+    #: run shapes that carry the halo exchange.
+    plans: Dict[Tuple[bool, bool, bool], IterationPlan] = field(
+        default_factory=dict)
+    #: The list scheduler's structure table for those plans.
+    structures: dict = field(default_factory=dict)
+    fault_free: Optional[IterationTiming] = None
+    ideal_makespan: Optional[float] = None
+
+
 class CGPlanner:
     """Builds, times and re-enacts the iteration shapes of one solver."""
 
     def __init__(self, blocked: PageBlockedMatrix, config: SolverConfig, *,
                  strategy: Optional[RecoveryStrategy], preconditioned: bool,
                  spec: RuntimeSpec, executor: ExecutionBackend,
-                 engine: KernelEngine):
+                 engine: KernelEngine, compiled: Optional[dict] = None):
         self.blocked = blocked
         self.config = config
         self.strategy = strategy
@@ -113,12 +144,25 @@ class CGPlanner:
         self.chunk_bounds = [(int(lo), int(hi)) for lo, hi
                              in zip(bounds[:-1], bounds[1:], strict=True)
                              if hi > lo]
-        self.chunk_costs = self._chunk_costs()
-        #: Compiled iteration plans by shape ``(resilient, checkpoint,
-        #: halo)``: the timing shapes, plus under the ranks placement the
-        #: run shapes that carry the halo exchange.
-        self._plans: Dict[Tuple[bool, bool, bool], IterationPlan] = {}
-        self._fault_free: Optional[IterationTiming] = None
+        indptr = blocked.A.indptr
+        chunk_nnz = [int(indptr[hi] - indptr[lo])
+                     for lo, hi in self.chunk_bounds]
+        #: Bytes of one checkpoint write at the simulated problem scale
+        #: (``None``: the strategy writes none).
+        self._checkpoint_volume = (
+            strategy.checkpoint_bytes(blocked.n) * config.work_scale
+            if isinstance(strategy, CheckpointStrategy) else None)
+        if compiled is None:
+            compiled = {}  # handed no table: compile for this planner alone
+        key = self._key(chunk_nnz)
+        #: This planner's entry of the ``compiled`` table.
+        self._compiled = compiled.get(key)
+        if self._compiled is None:
+            self._compiled = compiled[key] = _Compiled(
+                self._chunk_costs(chunk_nnz))
+        self.chunk_costs = self._compiled.chunk_costs
+        # The structures travel with the plans they were discovered for.
+        executor.scheduler.structures = self._compiled.structures
         #: The iteration being re-enacted, read by the shipped recovery
         #: probes.  A cell rather than an attribute so that no task body
         #: refers back to the planner that owns the action tables.
@@ -145,16 +189,36 @@ class CGPlanner:
     # ==================================================================
     # the shape: chunks, costs, the task graph, the compiled plan
     # ==================================================================
-    def _chunk_costs(self) -> Dict[str, List[float]]:
+    def _recovery_shape(self) -> Tuple[bool, int]:
+        """How the strategy wires its recovery tasks: on the critical
+        path or off it, and at which priority."""
+        if self.strategy is None:
+            return False, 0
+        return (self.strategy.recovery_in_critical_path,
+                self.strategy.recovery_task_priority)
+
+    def _key(self, chunk_nnz: Sequence[int]) -> tuple:
+        """Everything a :class:`_Compiled` entry is a function of: what
+        :meth:`_chunk_costs` and :meth:`build_iteration_graph` read, and
+        the scheduler the shapes are timed on.  Contents, not identities,
+        so the same shape built twice is one entry."""
+        cfg, executor = self.config, self.executor
+        return (self.blocked.n, tuple(self.chunk_bounds), tuple(chunk_nnz),
+                cfg.cost_model, cfg.work_scale, cfg.page_size,
+                executor.num_workers, executor.cost_model,
+                self.preconditioned, self.uses_recovery_tasks,
+                self._recovery_shape(), self._checkpoint_volume)
+
+    def _chunk_costs(self, chunk_nnz: Sequence[int]
+                     ) -> Dict[str, List[float]]:
         """Durations of the strip-mined chunk tasks, per operation."""
         cm = self.config.cost_model
         scale = self.config.work_scale
-        indptr = self.blocked.A.indptr
         costs: Dict[str, List[float]] = {"spmv": [], "axpy": [], "dot": [],
                                          "precond": []}
-        for (start, stop) in self.chunk_bounds:
+        for (start, stop), nnz in zip(self.chunk_bounds, chunk_nnz,
+                                      strict=True):
             rows = stop - start
-            nnz = int(indptr[stop] - indptr[start])
             costs["spmv"].append(
                 cm.kernel_time(2.0 * nnz, nnz * 12.0 + rows * 8.0) * scale)
             costs["axpy"].append(
@@ -198,10 +262,7 @@ class CGPlanner:
         cm = self.config.cost_model
         graph = TaskGraph()
         t = "{t}"
-        critical = (self.strategy.recovery_in_critical_path
-                    if self.strategy is not None else False)
-        rec_priority = (self.strategy.recovery_task_priority
-                        if self.strategy is not None else 0)
+        critical, rec_priority = self._recovery_shape()
         check = cm.recovery_check()
         dot_cost = self.chunk_costs["dot"]
         axpy_cost = self.chunk_costs["axpy"]
@@ -301,10 +362,9 @@ class CGPlanner:
                            priority=rec_priority, deps=r3_deps)
 
         # --- checkpoint write ----------------------------------------------------
-        if checkpoint and isinstance(self.strategy, CheckpointStrategy):
-            volume = (self.strategy.checkpoint_bytes(self.blocked.n)
-                      * self.config.work_scale)
-            graph.add_task(f"ckpt{t}", cm.checkpoint_write(volume),
+        if checkpoint and self._checkpoint_volume is not None:
+            graph.add_task(f"ckpt{t}",
+                           cm.checkpoint_write(self._checkpoint_volume),
                            kind=TaskKind.CHECKPOINT, deps=update_parts,
                            reads={f"seg:{v}[{c}]"
                                   for v in ("x", "g")
@@ -330,15 +390,15 @@ class CGPlanner:
 
     def plan(self, resilient: bool, checkpoint: bool,
              halo: bool = False) -> IterationPlan:
-        """The compiled plan of one iteration shape, built on first use:
-        validated, cycle-checked and (``REPRO_VERIFY_GRAPHS=1``) verified
-        exactly once."""
-        shape = (resilient, checkpoint, halo)
-        plan = self._plans.get(shape)
+        """The compiled plan of one iteration shape, built on first use
+        by any planner sharing this one's table: validated, cycle-checked
+        and (``REPRO_VERIFY_GRAPHS=1``) verified exactly once."""
+        plans, shape = self._compiled.plans, (resilient, checkpoint, halo)
+        plan = plans.get(shape)
         if plan is None:
             graph, roles = self.build_iteration_graph(
                 resilient=resilient, checkpoint=checkpoint, halo=halo)
-            plan = self._plans[shape] = compile_plan(graph, roles)
+            plan = plans[shape] = compile_plan(graph, roles)
         return plan
 
     def run_plan(self, checkpoint: bool) -> IterationPlan:
@@ -352,7 +412,11 @@ class CGPlanner:
     # ==================================================================
     def ideal_iteration_time(self) -> float:
         """Makespan of one fault-free iteration without resilience tasks."""
-        return self.executor.simulate(self.plan(False, False)).makespan
+        compiled = self._compiled
+        if compiled.ideal_makespan is None:
+            compiled.ideal_makespan = self.executor.simulate(
+                self.plan(False, False)).makespan
+        return compiled.ideal_makespan
 
     def time_iteration(self, clock: float, checkpoint: bool,
                        next_fault: float = math.inf) -> IterationTiming:
@@ -367,11 +431,13 @@ class CGPlanner:
         bits reach ``solve_time`` and the A-D classification.
         """
         if not checkpoint:
-            if self._fault_free is None:
-                self._fault_free = self._timing(self.executor.simulate(
-                    self.plan(self.uses_recovery_tasks, False)))
-            if next_fault > clock + self._fault_free.makespan:
-                return self._fault_free
+            fault_free = self._compiled.fault_free
+            if fault_free is None:
+                fault_free = self._compiled.fault_free = self._timing(
+                    self.executor.simulate(
+                        self.plan(self.uses_recovery_tasks, False)))
+            if next_fault > clock + fault_free.makespan:
+                return fault_free
         return self._timing(self.executor.simulate(
             self.plan(self.uses_recovery_tasks, checkpoint),
             start_time=clock))

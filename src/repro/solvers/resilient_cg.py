@@ -182,7 +182,12 @@ class ResilientCG:
                  preconditioner: Optional[Preconditioner] = None,
                  scenario: Optional[ErrorScenario] = None,
                  config: Optional[SolverConfig] = None,
-                 matrix_name: str = ""):
+                 matrix_name: str = "",
+                 compiled: Optional[dict] = None):
+        """``compiled`` is the table iteration shapes are compiled into
+        and read from (see :mod:`repro.solvers.cg_plan`): a campaign
+        hands every solver its cache's, so a process compiles each shape
+        once; a solver handed none compiles for itself."""
         self.config = cfg = config or SolverConfig()
         self.blocked = PageBlockedMatrix(A, page_size=cfg.page_size)
         self.A = self.blocked.A
@@ -209,7 +214,7 @@ class ResilientCG:
             preconditioned=preconditioner is not None, spec=spec,
             executor=make_executor(spec, cfg.num_workers, cfg.cost_model,
                                    cfg.max_threads, cfg.pace),
-            engine=self.engine)
+            engine=self.engine, compiled=compiled)
         if self.strategy is not None and hasattr(self.strategy, "work_scale"):
             # Conflict fallbacks recompute a full vector; charge them at the
             # same simulated problem scale as the solver's compute tasks.

@@ -324,7 +324,7 @@ class TestChecksCanFail:
         plan = compile_plan(graph_of(OVERTAKING["tasks"]))
         scheduler = ListScheduler(2)
         ends = scheduler.retime(plan).ends
-        (structure,) = scheduler._structures.values()
+        (structure,) = scheduler.structures.values()
         first, second, last = structure.completions
         assert [tied for _, tied in structure.completions] == [False] * 3
         assert structure.holds(ends, 0.0)

@@ -211,19 +211,26 @@ class TestWorkerDeath:
     def test_a_shard_gives_up_after_max_retries(self, monkeypatch):
         """Every submission kills its child: the pool's resubmissions
         are capped (``campaign.executors``) and the job fails loudly,
-        naming the trial, instead of looping."""
+        naming the trial, instead of looping.
+
+        A shard's trials are all in the pool at once, so a break loses
+        the whole shard — the trial the child died under and everything
+        queued behind it — and each of the ``MAX_RESUBMITS`` rounds
+        resubmits all of it: retries count trials, not rounds (with one
+        trial in flight per shard the two were the same number)."""
         from repro.campaign.executors import MAX_RESUBMITS
         from repro.service import server
         monkeypatch.setattr(server.ChaosMonkey, "strikes", lambda self: True)
+        spec = tiny_spec()
         with running_daemon(workers=1, chaos=ChaosMonkey(1)) as (svc, client):
-            status = client.wait(client.submit(tiny_spec())["id"],
-                                 timeout=120)
+            status = client.wait(client.submit(spec)["id"], timeout=120)
             assert status["state"] == "failed"
             assert status["error"].startswith("WorkerLost: trial 0 ")
             assert "lost its worker" in status["error"]
-            assert status["shard_retries"] == MAX_RESUBMITS
+            in_flight = spec.num_trials  # one worker: one shard holds them all
+            assert status["shard_retries"] == MAX_RESUBMITS * in_flight == 24
             metrics = client.metrics()
-            assert metrics["shard_retries"] == MAX_RESUBMITS
+            assert metrics["shard_retries"] == MAX_RESUBMITS * in_flight
             assert metrics["worker_deaths"] == MAX_RESUBMITS + 1
             # the pool that gave up is whole again for the next job
             assert len(svc._pool.pids()) == 1
@@ -556,6 +563,42 @@ class TestOneLoopTwoDrivers:
         assert last["event"] == "cancelled"
         assert last["completed"] == final["completed"] == \
             store.entry_count()["trials"]
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_shard_is_in_the_pool_before_its_first_result_is_recorded(
+            self, monkeypatch, workers):
+        """A shard's trials are all submitted up front — a child finds
+        its next trial in the pool's call queue instead of waiting for
+        the shard thread's round trip — so when the job records its
+        first ``trial`` event the whole shard that trial belongs to has
+        passed ``_ServicePool.submit``."""
+        from repro.service import server
+        submitted, first = [], []
+        submit, emit = server._ServicePool.submit, server.Job.emit
+
+        def spying_submit(pool, fn, item):
+            submitted.append(item.shard_no)
+            return submit(pool, fn, item)
+
+        def spying_emit(job, event):
+            if event["event"] == "trial" and not first:
+                first.append((event["index"], list(submitted)))
+            emit(job, event)
+
+        monkeypatch.setattr(server._ServicePool, "submit", spying_submit)
+        monkeypatch.setattr(server.Job, "emit", spying_emit)
+        spec = tiny_spec()
+        with running_daemon(workers=workers) as (_, client):
+            status = client.wait(client.submit(spec)["id"], timeout=120)
+        assert status["state"] == "done"
+        assert status["shards"] == workers
+        [(index, seen)] = first
+        # a cold job deals trial i to shard i mod shards
+        shard = index % workers
+        assert seen.count(shard) == len(range(shard, spec.num_trials, workers))
+        assert len(submitted) == spec.num_trials  # each exactly once
 
 
 class TestParentSideWork:
