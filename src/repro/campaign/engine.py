@@ -1,7 +1,7 @@
 """The campaign engine: expand a spec, execute trials, aggregate results.
 
 One pipeline builds, baselines and solves a cell — for the campaign
-grid, for the daemon's shards and for the Table 2 / Table 3 / Fig. 3
+grid, for the daemon's jobs and for the Table 2 / Table 3 / Fig. 3
 drivers alike: :func:`solve_trial` resolves the problem and the
 fault-free *ideal* baseline through the
 :class:`~repro.campaign.store.CampaignCache` it is handed, builds the
@@ -36,8 +36,9 @@ One loop takes a campaign from spec to fingerprint, :class:`CampaignRun`
 (expand, cached/pending split, record, journal, finish), into a
 :class:`CampaignResult` whose aggregation is order-independent:
 ``run_campaign`` drives one to completion as its executor completes
-trials, the daemon (``repro.service``) one per job, shard by shard.  A
-pool child lost on the way is the executor's business, not the loop's.
+trials, the daemon (``repro.service``) one per job, all its pending
+trials in the pool at once.  A pool child lost on the way is the
+executor's business, not the loop's.
 """
 
 from __future__ import annotations

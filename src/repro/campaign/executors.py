@@ -16,11 +16,11 @@ campaign statistics:
 A pool survives its children.  A child that exits or is killed breaks
 the stdlib pool as a whole (``BrokenProcessPool`` on every future in
 flight); only this module sees that exception.  ``run()`` reopens the
-pool — once per break however many threads share it — and resubmits
-what was in flight through ``submit()``; the caller's loop notices
-nothing but the ``deaths`` / ``resubmitted`` counters.  Items must be
-safe to run twice, which campaign trials are (pure functions of their
-spec, read back from the store by the runner before they are run).  A
+pool — once per break — and resubmits what was in flight through
+``submit()``; the caller's loop notices nothing but the ``deaths`` /
+``resubmitted`` counters.  Items must be safe to run twice, which
+campaign trials are (pure functions of their spec, read back from the
+store by the runner before they are run).  A
 pool that keeps breaking with nothing completing in between gives up
 with :class:`WorkerLost` after :data:`MAX_RESUBMITS` resubmissions.
 
@@ -133,7 +133,8 @@ class ProcessPoolExecutor(CampaignExecutor):
     Un-opened, :meth:`run` opens a pool sized to the work, drains it and
     closes it (the offline campaigns).  Opened — :meth:`open` or a
     ``with`` block — the same children serve every :meth:`run` and
-    :meth:`submit`, from any thread, until :meth:`close` (the daemon).
+    :meth:`submit` until :meth:`close` (the daemon).  A pool has one
+    caller at a time; only :meth:`close` may come from another thread.
 
     Worker counts are validated (explicit non-positive requests raise)
     and capped by the ``REPRO_MAX_WORKERS`` environment override; a pool
@@ -147,9 +148,6 @@ class ProcessPoolExecutor(CampaignExecutor):
         self.max_workers = resolve_worker_count(max_workers)
         self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
         self._workers = 0
-        #: Which pool is current: bumped by every reopen and ``close()``,
-        #: stamped on every future by ``submit()``.
-        self._generation = 0
         self._lock = make_lock("ProcessPoolExecutor.lock")
 
     def describe(self) -> str:
@@ -179,15 +177,13 @@ class ProcessPoolExecutor(CampaignExecutor):
             raise
         return pool
 
-    def _reopen(self, generation: int) -> None:
-        """Replace the pool a future of ``generation`` found broken:
-        once per break however many threads saw it, and not at all once
-        closed.  A process with live threads must not fork (a child can
+    def _reopen(self) -> None:
+        """Replace the broken pool, unless :meth:`close` got there
+        first.  A process with live threads must not fork (a child can
         inherit a held lock), so there the new children are spawned."""
         with self._lock:
-            if generation != self._generation:
+            if self._pool is None:
                 return
-            self._generation += 1
             self.deaths += 1
             self._pool.shutdown(wait=True, cancel_futures=True)
             spawn = threading.active_count() > 1
@@ -200,7 +196,6 @@ class ProcessPoolExecutor(CampaignExecutor):
         no-op."""
         with self._lock:
             pool, self._pool = self._pool, None
-            self._generation += 1
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
 
@@ -232,7 +227,6 @@ class ProcessPoolExecutor(CampaignExecutor):
                 # is lost like those already in flight.
                 future = concurrent.futures.Future()
                 future.set_exception(exc)
-            future.generation = self._generation
         return future
 
     def run(self, fn: Callable[[T], R], items: Sequence[T],
@@ -242,7 +236,7 @@ class ProcessPoolExecutor(CampaignExecutor):
         anything: see :meth:`_drain`."""
         if not items:
             return
-        with self._lock:  # a reopen in progress is an open pool
+        with self._lock:  # close() may run on another thread
             own_pool = self._pool is None
         if own_pool:
             workers = min(self.max_workers, len(items))
@@ -300,7 +294,7 @@ class ProcessPoolExecutor(CampaignExecutor):
                 raise
             if not broken:
                 return
-            self._reopen(max(future.generation for future in broken))
+            self._reopen()
             items = [flights[future] for future in flights if future in broken]
             losses += 1
 

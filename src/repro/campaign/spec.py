@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -46,6 +47,11 @@ def _operator_to_scipy(A):
 #: ``poisson2d``/``poisson3d27`` use the stencil generators.
 MATRIX_FAMILIES = ("suite", "laplacian1d", "laplacian2d", "poisson2d",
                    "poisson3d27")
+
+#: The parameters each parametric family's ``build`` reads, the required
+#: one first.
+_FAMILY_PARAMS = {"laplacian1d": ("n",), "laplacian2d": ("nx", "ny"),
+                  "poisson2d": ("nx", "ny"), "poisson3d27": ("nx",)}
 
 
 # ----------------------------------------------------------------------
@@ -104,6 +110,27 @@ class MatrixSpec:
         if self.family not in MATRIX_FAMILIES:
             raise ValueError(f"unknown matrix family {self.family!r}; "
                              f"known families: {', '.join(MATRIX_FAMILIES)}")
+        if self.family == "suite":
+            from repro.matrices.suite import PAPER_MATRICES
+            if self.name not in PAPER_MATRICES:
+                raise ValueError(
+                    f"unknown suite matrix {self.name!r}; available: "
+                    f"{', '.join(sorted(PAPER_MATRICES))} (or a parametric "
+                    f"family like laplacian2d:45)")
+            return
+        params = dict(self.params)
+        allowed = _FAMILY_PARAMS[self.family]
+        if allowed[0] not in params:
+            raise ValueError(f"matrix family {self.family!r} needs the "
+                             f"parameter {allowed[0]!r}, got {params}")
+        for key, value in params.items():
+            if key not in allowed:
+                raise ValueError(f"matrix family {self.family!r} takes no "
+                                 f"parameter {key!r}; it takes "
+                                 f"{', '.join(allowed)}")
+            if value <= 0:
+                raise ValueError(f"matrix parameter {key}={value} of "
+                                 f"{self.family!r} must be positive")
 
     @property
     def label(self) -> str:
@@ -137,12 +164,6 @@ class MatrixSpec:
         """Parse CLI shorthand: ``qa8fm``, ``laplacian2d:45`` or
         ``laplacian2d:45x52``."""
         if ":" not in text:
-            from repro.matrices.suite import PAPER_MATRICES
-            if text not in PAPER_MATRICES:
-                raise ValueError(
-                    f"unknown suite matrix {text!r}; available: "
-                    f"{', '.join(sorted(PAPER_MATRICES))} (or a parametric "
-                    f"family like laplacian2d:45)")
             return cls.suite(text, sparse=sparse)
         family, _, args = text.partition(":")
         try:
@@ -349,6 +370,13 @@ class CampaignSpec:
             raise ValueError("a campaign needs at least one matrix")
         if not self.methods:
             raise ValueError("a campaign needs at least one method")
+        from repro.core.manager import make_strategy
+        for method in self.methods:
+            make_strategy(method)  # raises on a name no trial could run
+        for rate in map(float, self.rates):
+            if not (math.isfinite(rate) and rate >= 0):
+                raise ValueError(f"error rates must be finite and "
+                                 f"non-negative, got {rate!r}")
 
     @property
     def num_trials(self) -> int:

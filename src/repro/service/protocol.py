@@ -175,6 +175,7 @@ def job_status_payload(job) -> Dict[str, object]:
         "cached": job.cached,
         "executed": job.executed,
         "completed": job.completed,
+        # A job goes to the pool as one shard: 1 if anything is pending.
         "shards": job.shards,
         "shard_retries": job.shard_retries,
         "fingerprint": job.fingerprint,

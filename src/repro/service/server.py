@@ -11,14 +11,16 @@ child keeps matrices and ideal baselines in its process's instance, as
 offline pool workers do, and the daemon holds one for its lifetime as
 its tier of completed trials.
 
-What is here is the daemon's own: HTTP, the job table, the scheduler
-and shard queues, cancel, the ``watch`` event log, ``/metrics`` and the
-chaos hook.  A job *is* a :class:`~repro.campaign.engine.CampaignRun` —
-the cached/pending split, recording, journal and fingerprint of an
-offline ``run_campaign`` — whose pending trials are dealt out as
-round-robin shards, one ``service-worker`` thread per shard, which puts
-its shard in the pool whole (no child waits for the daemon between two
-trials) and hands each result to the run as it completes.
+What is here is the daemon's own: HTTP, the job table, the job queue,
+cancel, the ``watch`` event log, ``/metrics`` and the chaos hook.  A job
+*is* a :class:`~repro.campaign.engine.CampaignRun` — the cached/pending
+split, recording, journal and fingerprint of an offline
+``run_campaign``.  ``submit`` opens it and serves the cached trials at
+once, so a warm job is done however busy the pool is; a job with trials
+to run waits for the one scheduler thread, which puts every pending
+trial in the pool at once (a free child takes the next) and records
+each result as it completes: such jobs run one at a time, in submission
+order, each spread over every child.
 
 Robustness model (worker loss is routine, not fatal):
 
@@ -31,7 +33,7 @@ Robustness model (worker loss is routine, not fatal):
   too), and the runner reads the store before it runs anything, so only
   the genuinely lost trials re-execute.  The daemon sees each
   resubmission pass through ``submit`` and reports it (``shard-retry``,
-  ``shard_retries``);
+  ``shard_retries``; a job goes to the pool as one shard, shard 0);
 * a daemon crash loses only in-flight trials: a restarted daemon (or an
   offline ``python -m repro.campaign run``) resumes from the last
   persisted trial;
@@ -66,8 +68,8 @@ from repro.campaign.results import TrialResult
 from repro.campaign.spec import CampaignSpec, TrialSpec
 from repro.campaign.store import CampaignCache, CampaignStore
 from repro.config import resolve_worker_count
-from repro.sanitize import (make_condition, make_event, make_lock,
-                            make_queue, make_rlock)
+from repro.sanitize import (make_condition, make_event, make_queue,
+                            make_rlock)
 from repro.service.protocol import (PROTOCOL_VERSION, TERMINAL_STATES,
                                     ProtocolError, describe_states,
                                     event_line, job_status_payload,
@@ -117,7 +119,6 @@ class ChaosMonkey:
                              f"got {kill_after}")
         self.kill_after = kill_after
         self._dispatched = 0
-        self._lock = make_lock("ChaosMonkey.lock")
 
     @classmethod
     def from_env(cls) -> Optional["ChaosMonkey"]:
@@ -131,10 +132,10 @@ class ChaosMonkey:
         return cls(int(arg))
 
     def strikes(self) -> bool:
-        """Count one submitted trial; true for the N-th, exactly once."""
-        with self._lock:
-            self._dispatched += 1
-            return self._dispatched == self.kill_after
+        """Count one submitted trial; true for the N-th, exactly once.
+        Only the pool's one caller, the scheduler thread, counts."""
+        self._dispatched += 1
+        return self._dispatched == self.kill_after
 
 
 # ----------------------------------------------------------------------
@@ -151,11 +152,9 @@ class Job:
     shards: int = 0
     shard_retries: int = 0
     error: Optional[str] = None
-    #: The campaign itself, once the scheduler has picked the job up.
+    #: The campaign itself, once ``submit`` has opened it.
     run: Optional[CampaignRun] = None
     events: List[dict] = field(default_factory=list)
-    pending_shards: int = 0
-    finalizing: bool = False
     submitted_at: float = field(default_factory=time.time)
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
@@ -184,11 +183,10 @@ class Job:
 
 @dataclass
 class _Dispatch:
-    """What a shard thread hands the pool, a shard's worth at a time:
-    one trial, whose it is and how often the pool has resubmitted it."""
+    """What the scheduler hands the pool, a job's worth at a time: one
+    trial, whose it is and how often the pool has resubmitted it."""
 
     job: Job
-    shard_no: int
     trial: TrialSpec
     attempt: int = 0
 
@@ -207,11 +205,10 @@ class _ServicePool(ProcessPoolExecutor):
         self.chaos = chaos
 
     def submit(self, fn, item: _Dispatch):
-        if item.attempt:
-            with item.job.cond:
-                item.job.shard_retries += 1
+        if item.attempt:  # on the scheduler thread, the only writer
+            item.job.shard_retries += 1
             item.job.emit({
-                "event": "shard-retry", "shard": item.shard_no,
+                "event": "shard-retry", "shard": 0,
                 "attempt": item.attempt,
                 "reason": f"a pool process died with {item} in flight"})
         item.attempt += 1
@@ -255,7 +252,6 @@ class CampaignService:
         self._drained = make_condition(self._lock,
                                        name="CampaignService.drained")
         self._job_queue = make_queue("CampaignService.job_queue")
-        self._shard_queue = make_queue("CampaignService.shard_queue")
         self._threads: List[threading.Thread] = []
         self._httpd: Optional[ThreadingHTTPServer] = None
         self._stopped = make_event()
@@ -264,24 +260,22 @@ class CampaignService:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Fork and warm the pool, bind the HTTP server, start the
-        scheduler and one shard thread per pool process — in that order,
-        so every child is forked from a quiet process and inherits
-        neither the listening socket nor a lock some thread holds."""
+        """Fork and warm the pool, bind the HTTP server, start the HTTP
+        and scheduler threads — in that order, so every child is forked
+        from a quiet process and inherits neither the listening socket
+        nor a lock some thread holds."""
         self._pool.open()
         try:
             self._httpd = ThreadingHTTPServer((self.host, self.port),
-                                              _make_handler(self))
+                                              _Handler)
         except BaseException:
             self._pool.close()
             raise
-        self._httpd.daemon_threads = True
+        self._httpd.service = self
         self.port = self._httpd.server_address[1]
         # shutdown() waits out one poll of the HTTP loop, so keep it short.
         loops = [("http", lambda: self._httpd.serve_forever(0.02)),
                  ("scheduler", self._scheduler_loop)]
-        loops += [(f"worker-{i}", self._worker_loop)
-                  for i in range(self.workers)]
         self._threads = [threading.Thread(target=loop, name=f"service-{name}",
                                           daemon=True)
                          for name, loop in loops]
@@ -337,11 +331,10 @@ class CampaignService:
         # Out of time with work still running: wind it down.
         self._cancel_unfinished()
         self._job_queue.put(None)
-        for _ in range(self.workers):
-            self._shard_queue.put(None)
         if self._httpd is not None:
             self._httpd.shutdown()
             self._httpd.server_close()
+            self._httpd = None  # it points back here: no cycle outlives us
         for thread in self._threads:
             thread.join(timeout=remaining())
         self._pool.close()
@@ -355,6 +348,10 @@ class CampaignService:
     # submission + queries
     # ------------------------------------------------------------------
     def submit(self, spec: CampaignSpec) -> Job:
+        """Create the job and serve what the cache holds right away, on
+        the caller's thread: a job with nothing pending is done before
+        this returns, whatever the pool is busy with.  Only a job with
+        trials to run waits for the scheduler."""
         with self._lock:
             if not self.accepting:
                 raise ProtocolError("daemon is shutting down; "
@@ -365,7 +362,25 @@ class CampaignService:
             self._jobs[job.id] = job
         job.emit({"event": "queued", "spec": spec.describe(),
                   "spec_key": job.spec_key})
-        self._job_queue.put(job.id)
+        job.started_at = time.time()
+        job.set_state("running")
+        try:
+            job.run = run = CampaignRun(
+                spec, self.cache, executor=f"service({self.workers} workers)",
+                stamp={"source": "service", "job": job.id})
+        except Exception as exc:  # noqa: BLE001 - job-fatal, not daemon-fatal
+            job.error = f"{type(exc).__name__}: {exc}"
+            self._finalize(job, "failed")
+            return job
+        for completed, cached in enumerate(run.result.trials, 1):
+            self._emit_trial(job, cached, True, completed)
+        job.shards = 1 if run.pending else 0  # a job is one shard, or none
+        job.emit({"event": "start", "total": job.total, "cached": run.cached,
+                  "pending": len(run.pending), "shards": job.shards})
+        if job.shards:
+            self._job_queue.put(job)
+        else:
+            self._finalize(job, "done")
         return job
 
     def job(self, job_id: str) -> Optional[Job]:
@@ -387,8 +402,6 @@ class CampaignService:
         job = self.job(job_id)
         if job is not None and job.state not in TERMINAL_STATES:
             job.cancel_event.set()
-            if job.state == "queued":
-                self._finalize(job, "cancelled")
         return job
 
     # ------------------------------------------------------------------
@@ -428,80 +441,29 @@ class CampaignService:
     # scheduling
     # ------------------------------------------------------------------
     def _scheduler_loop(self) -> None:
+        """The pool's one caller.  Each job with trials pending, in
+        submission order, hands the pool all of them at once and records
+        each result as it completes.  A cancel takes effect at the next
+        completion (a job cancelled while it waited its turn sends the
+        pool nothing): what no child holds yet is withdrawn, what one
+        does is awaited and recorded.  A lost child is the pool's
+        business (``WorkerLost`` once it stops trying)."""
         while True:
-            job_id = self._job_queue.get()
-            if job_id is None:
+            job = self._job_queue.get()
+            if job is None:
                 return
-            job = self._jobs[job_id]
-            if job.state in TERMINAL_STATES:  # cancelled while queued
-                continue
+            items = [_Dispatch(job, trial) for trial in job.run.pending]
             try:
-                self._prepare(job)
+                for result in self._pool.run(self._runner, items,
+                                             stop=job.cancel_event):
+                    completed = job.run.record(result)
+                    self.executed_wall += result.wall_time  # this thread only
+                    self._emit_trial(job, result, False, completed)
             except Exception as exc:  # noqa: BLE001 - job-fatal, not daemon-fatal
                 job.error = f"{type(exc).__name__}: {exc}"
-                self._finalize(job, "failed")
-
-    def _prepare(self, job: Job) -> None:
-        """Open the job's run (which serves the cached trials) and shard
-        out what is pending."""
-        job.started_at = time.time()
-        job.set_state("running")
-        job.run = run = CampaignRun(
-            job.spec, self.cache, executor=f"service({self.workers} workers)",
-            stamp={"source": "service", "job": job.id})
-        for completed, cached in enumerate(run.result.trials, 1):
-            self._emit_trial(job, cached, True, completed)
-        pending = run.pending
-        job.shards = shards = min(self.workers, len(pending))
-        job.emit({"event": "start", "total": job.total, "cached": run.cached,
-                  "pending": len(pending), "shards": job.shards})
-        if not pending:
-            self._finalize(job, "done")
-            return
-        with self._lock:
-            job.pending_shards = shards
-        for shard_no in range(shards):
-            # Round-robin over the pending list: balanced cell mix per
-            # shard, same policy as the offline --shard i/N partition.
-            self._shard_queue.put((job, shard_no, pending[shard_no::shards]))
-
-    # ------------------------------------------------------------------
-    # workers
-    # ------------------------------------------------------------------
-    def _worker_loop(self) -> None:
-        while True:
-            shard = self._shard_queue.get()
-            if shard is None:
-                return
-            job = shard[0]
-            try:
-                self._run_shard(*shard)
-            except Exception as exc:  # noqa: BLE001 - fail the job, keep the pool
-                job.error = f"{type(exc).__name__}: {exc}"
-                job.cancel_event.set()
-            with self._lock:
-                job.pending_shards -= 1
-                last = job.pending_shards <= 0
-            if last:
-                self._finalize(job, "failed" if job.error is not None
-                               else "cancelled" if job.cancel_event.is_set()
-                               else "done")
-
-    def _run_shard(self, job: Job, shard_no: int,
-                   trials: List[TrialSpec]) -> None:
-        """One shard's trials through the pool, handed over at once (a
-        child's next trial waits in the call queue, not behind this
-        thread) and recorded as they complete.  A cancel takes effect at
-        the next completion: what no child holds yet is withdrawn, what
-        one does is awaited and recorded.  A lost child is the pool's
-        business (``WorkerLost`` once it stops trying)."""
-        items = [_Dispatch(job, shard_no, trial) for trial in trials]
-        for result in self._pool.run(self._runner, items,
-                                     stop=job.cancel_event):
-            completed = job.run.record(result)
-            with self._lock:
-                self.executed_wall += result.wall_time
-            self._emit_trial(job, result, False, completed)
+            self._finalize(job, "failed" if job.error is not None
+                           else "cancelled" if job.cancel_event.is_set()
+                           else "done")
 
     @staticmethod
     def _emit_trial(job: Job, result: TrialResult, cached: bool,
@@ -513,12 +475,8 @@ class CampaignService:
                   **{name: getattr(result, name) for name in fields}})
 
     def _finalize(self, job: Job, state: str) -> None:
-        with self._lock:
-            # A cancel racing the scheduler may reach here twice; the
-            # first transition wins.
-            if job.finalizing:
-                return
-            job.finalizing = True
+        """The job's one terminal transition: ``submit`` makes it for a
+        job the pool never sees, the scheduler for every other."""
         run = job.run
         try:
             if state == "done":
@@ -543,129 +501,129 @@ class CampaignService:
 # ----------------------------------------------------------------------
 # HTTP plumbing
 # ----------------------------------------------------------------------
-def _make_handler(service: CampaignService):
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
+class _Handler(BaseHTTPRequestHandler):
+    """The daemon's routes; the daemon is the server's, not the class's."""
 
-        # Silence per-request stderr lines; the daemon has /metrics.
-        def log_message(self, format, *args):  # noqa: A002
-            pass
+    protocol_version = "HTTP/1.1"
+    service = property(lambda handler: handler.server.service)
 
-        # -- helpers ---------------------------------------------------
-        def _send_json(self, payload: dict, status: int = 200) -> None:
-            body = (json.dumps({"version": PROTOCOL_VERSION, **payload},
-                               sort_keys=True) + "\n").encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+    # Silence per-request stderr lines; the daemon has /metrics.
+    def log_message(self, format, *args):  # noqa: A002
+        pass
 
-        def _send_error(self, message: str, status: int = 400) -> None:
-            self._send_json({"error": message}, status=status)
+    # -- helpers -------------------------------------------------------
+    def _send_json(self, payload: dict, status: int = 200) -> None:
+        body = (json.dumps({"version": PROTOCOL_VERSION, **payload},
+                           sort_keys=True) + "\n").encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
 
-        def _read_body(self) -> dict:
-            length = int(self.headers.get("Content-Length") or 0)
-            raw = self.rfile.read(length) if length else b"{}"
-            try:
-                payload = json.loads(raw.decode("utf-8") or "{}")
-            except ValueError as exc:
-                raise ProtocolError(f"request body is not JSON: {exc}") \
-                    from None
-            if not isinstance(payload, dict):
-                raise ProtocolError("request body must be a JSON object")
-            return payload
+    def _send_error(self, message: str, status: int = 400) -> None:
+        self._send_json({"error": message}, status=status)
 
-        def _job_or_404(self, job_id: str):
-            try:
-                validate_job_id(job_id)
-            except ProtocolError as exc:
-                self._send_error(str(exc), status=400)
-                return None
-            job = service.job(job_id)
-            if job is None:
-                self._send_error(f"no such job {job_id!r}", status=404)
-            return job
+    def _read_body(self) -> dict:
+        length = int(self.headers.get("Content-Length") or 0)
+        raw = self.rfile.read(length) if length else b"{}"
+        try:
+            payload = json.loads(raw.decode("utf-8") or "{}")
+        except ValueError as exc:
+            raise ProtocolError(f"request body is not JSON: {exc}") \
+                from None
+        if not isinstance(payload, dict):
+            raise ProtocolError("request body must be a JSON object")
+        return payload
 
-        # -- routes ----------------------------------------------------
-        def do_GET(self):  # noqa: N802 - http.server API
-            path = self.path.split("?", 1)[0].rstrip("/") or "/"
-            if path == "/healthz":
-                self._send_json({"ok": True, "uptime_s": round(
-                    time.time() - service.started, 3)})
-            elif path == "/metrics":
-                self._send_json(service.metrics())
-            elif path == "/jobs":
-                self._send_json({"jobs": [job_status_payload(j)
-                                          for j in service.jobs()]})
-            elif path.startswith("/jobs/") and path.endswith("/watch"):
-                self._watch(path.split("/")[2])
-            elif path.startswith("/jobs/") and path.count("/") == 2:
+    def _job_or_404(self, job_id: str):
+        try:
+            validate_job_id(job_id)
+        except ProtocolError as exc:
+            self._send_error(str(exc), status=400)
+            return None
+        job = self.service.job(job_id)
+        if job is None:
+            self._send_error(f"no such job {job_id!r}", status=404)
+        return job
+
+    # -- routes --------------------------------------------------------
+    def do_GET(self):  # noqa: N802 - http.server API
+        path = self.path.split("?", 1)[0].rstrip("/") or "/"
+        if path == "/healthz":
+            self._send_json({"ok": True, "uptime_s": round(
+                time.time() - self.service.started, 3)})
+        elif path == "/metrics":
+            self._send_json(self.service.metrics())
+        elif path == "/jobs":
+            self._send_json({"jobs": [job_status_payload(j)
+                                      for j in self.service.jobs()]})
+        elif path.startswith("/jobs/") and path.endswith("/watch"):
+            self._watch(path.split("/")[2])
+        elif path.startswith("/jobs/") and path.count("/") == 2:
+            job = self._job_or_404(path.split("/")[2])
+            if job is not None:
+                self._send_json({"job": job_status_payload(job)})
+        else:
+            self._send_error(f"unknown path {path!r}", status=404)
+
+    def do_POST(self):  # noqa: N802 - http.server API
+        path = self.path.split("?", 1)[0].rstrip("/")
+        try:
+            if path == "/jobs":
+                body = self._read_body()
+                job = self.service.submit(spec_from_payload(body.get("spec")))
+                self._send_json({"job": job_status_payload(job)},
+                                status=202)
+            elif path.startswith("/jobs/") and path.endswith("/cancel"):
                 job = self._job_or_404(path.split("/")[2])
                 if job is not None:
+                    self.service.cancel(job.id)
                     self._send_json({"job": job_status_payload(job)})
+            elif path == "/shutdown":
+                body = self._read_body()
+                drain = bool(body.get("drain", True))
+                self._send_json({"shutting_down": True, "drain": drain})
+                threading.Thread(target=self.service.shutdown,
+                                 kwargs={"drain": drain},
+                                 daemon=True).start()
             else:
                 self._send_error(f"unknown path {path!r}", status=404)
+        except ProtocolError as exc:
+            self._send_error(str(exc), status=400)
 
-        def do_POST(self):  # noqa: N802 - http.server API
-            path = self.path.split("?", 1)[0].rstrip("/")
-            try:
-                if path == "/jobs":
-                    body = self._read_body()
-                    job = service.submit(spec_from_payload(body.get("spec")))
-                    self._send_json({"job": job_status_payload(job)},
-                                    status=202)
-                elif path.startswith("/jobs/") and path.endswith("/cancel"):
-                    job = self._job_or_404(path.split("/")[2])
-                    if job is not None:
-                        service.cancel(job.id)
-                        self._send_json({"job": job_status_payload(job)})
-                elif path == "/shutdown":
-                    body = self._read_body()
-                    drain = bool(body.get("drain", True))
-                    self._send_json({"shutting_down": True, "drain": drain})
-                    threading.Thread(target=service.shutdown,
-                                     kwargs={"drain": drain},
-                                     daemon=True).start()
-                else:
-                    self._send_error(f"unknown path {path!r}", status=404)
-            except ProtocolError as exc:
-                self._send_error(str(exc), status=400)
+    # -- watch streaming -----------------------------------------------
+    def _send_chunk(self, data: bytes) -> None:  # one write = one send
+        self.wfile.write(b"%X\r\n%s\r\n" % (len(data), data))
 
-        # -- watch streaming -------------------------------------------
-        def _send_chunk(self, data: bytes) -> None:  # one write = one send
-            self.wfile.write(b"%X\r\n%s\r\n" % (len(data), data))
-
-        def _watch(self, job_id: str) -> None:
-            job = self._job_or_404(job_id)
-            if job is None:
-                return
-            self.send_response(200)
-            self.send_header("Content-Type", "application/x-ndjson")
-            self.send_header("Transfer-Encoding", "chunked")
-            # The watcher hangs up on the terminal event: expect no more.
-            self.send_header("Connection", "close")
-            self.end_headers()
-            index = 0
-            try:
-                while True:
-                    with job.cond:
-                        while (index >= len(job.events)
-                               and job.state not in TERMINAL_STATES):
-                            job.cond.wait(timeout=5.0)
-                        fresh = job.events[index:]
-                        index += len(fresh)
-                        finished = (job.state in TERMINAL_STATES
-                                    and index >= len(job.events))
-                    if fresh:  # everything since the last wake-up, one chunk
-                        lines = [event_line(event) + "\n" for event in fresh]
-                        self._send_chunk("".join(lines).encode("utf-8"))
-                    elif not finished:
-                        self._send_chunk(b"\n")  # keep-alive
-                    if finished:
-                        break
-                self.wfile.write(b"0\r\n\r\n")
-            except (BrokenPipeError, ConnectionResetError):
-                pass  # watcher went away; the job does not care
-
-    return Handler
+    def _watch(self, job_id: str) -> None:
+        job = self._job_or_404(job_id)
+        if job is None:
+            return
+        self.send_response(200)
+        self.send_header("Content-Type", "application/x-ndjson")
+        self.send_header("Transfer-Encoding", "chunked")
+        # The watcher hangs up on the terminal event: expect no more.
+        self.send_header("Connection", "close")
+        self.end_headers()
+        index = 0
+        try:
+            while True:
+                with job.cond:
+                    while (index >= len(job.events)
+                           and job.state not in TERMINAL_STATES):
+                        job.cond.wait(timeout=5.0)
+                    fresh = job.events[index:]
+                    index += len(fresh)
+                    finished = (job.state in TERMINAL_STATES
+                                and index >= len(job.events))
+                if fresh:  # everything since the last wake-up, one chunk
+                    lines = [event_line(event) + "\n" for event in fresh]
+                    self._send_chunk("".join(lines).encode("utf-8"))
+                elif not finished:
+                    self._send_chunk(b"\n")  # keep-alive
+                if finished:
+                    break
+            self.wfile.write(b"0\r\n\r\n")
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # watcher went away; the job does not care

@@ -36,6 +36,27 @@ class TestMatrixSpec:
         with pytest.raises(ValueError):
             MatrixSpec(family="dense")
 
+    def test_unknown_suite_name_rejected_at_construction(self):
+        """Not only ``parse``: a suite name that reaches the constructor
+        another way (the wire) is refused before any build."""
+        with pytest.raises(ValueError, match="unknown suite matrix"):
+            MatrixSpec.suite("nosuch")
+
+    @pytest.mark.parametrize("family, params", [
+        ("laplacian2d", (("zz", 3),)),
+        ("laplacian1d", (("nx", 3),)),
+        ("poisson3d27", ()),
+        ("laplacian2d", (("nx", 0),)),
+        ("poisson2d", (("nx", 4), ("ny", -1))),
+        # a name build() would ignore would still move the store key
+        ("laplacian2d", (("nx", 8), ("zz", 3))),
+        ("laplacian1d", (("n", 8), ("nx", 3))),
+        ("poisson3d27", (("nx", 4), ("ny", 4))),
+    ])
+    def test_parametric_family_needs_a_positive_size(self, family, params):
+        with pytest.raises(ValueError, match="parameter"):
+            MatrixSpec(family=family, params=params)
+
     def test_build_sparse_operator_backend(self):
         from repro.matrices.sparse import SparseOperator
         A, b = MatrixSpec.parse("laplacian2d:8").build()
@@ -137,6 +158,22 @@ class TestCampaignSpec:
             self.make_spec(methods=())
         with pytest.raises(ValueError):
             self.make_spec(repetitions=0)
+
+    def test_rejects_an_unknown_method(self):
+        with pytest.raises(ValueError, match="unknown recovery strategy"):
+            self.make_spec(methods=("FEIR", "NOPE"))
+
+    def test_method_spelling_is_kept_verbatim(self):
+        """Validation goes through ``make_strategy``; it does not
+        normalise, so no content token moves."""
+        spec = self.make_spec(methods=("feir", "lossy restart"))
+        assert spec.methods == ("feir", "lossy restart")
+        assert "methods=[feir,lossy restart]" in spec.content_token()
+
+    @pytest.mark.parametrize("rate", [-1.0, float("nan"), float("inf")])
+    def test_rejects_a_negative_or_non_finite_rate(self, rate):
+        with pytest.raises(ValueError, match="error rates"):
+            self.make_spec(rates=(1.0, rate))
 
     def test_make_scenario_threads_trial_seed(self):
         trial = self.make_spec().expand()[0]

@@ -151,33 +151,6 @@ def slow_or_die_once(item):
 
 
 class TestOneBreakOneReopen:
-    def test_two_threads_on_one_pool_reopen_it_once(self, tmp_path):
-        """Both threads have an item in flight when the child dies and
-        both see the break; the pool is replaced once and both items
-        come back from the new children."""
-        marker = str(tmp_path / "died")
-        results = {}
-        with ProcessPoolExecutor(max_workers=2) as executor:
-            before = executor.pids()
-
-            def drive(name, item):
-                results[name] = list(executor.run(slow_or_die_once, [item]))
-
-            threads = [
-                threading.Thread(target=drive, args=("victim", (marker, 0.2))),
-                threading.Thread(target=drive, args=("bystander", (None, 1.0))),
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-            after = executor.pids()
-            assert executor.deaths == 1
-            assert executor.resubmitted == 2
-            assert len(after) == 2 and not set(after) & set(before)
-            assert set(results["victim"] + results["bystander"]) <= set(after)
-        assert executor.pids() == []
-
     def test_a_reopen_beside_a_live_thread_does_not_fork(self, tmp_path,
                                                          monkeypatch):
         """The executor-level twin of the daemon's
@@ -214,7 +187,7 @@ class TestOneBreakOneReopen:
         with pytest.raises(Exception, match="terminated abruptly"):
             future.result(timeout=60)
         executor.close()
-        executor._reopen(future.generation)
+        executor._reopen()
         assert executor.deaths == 0
         assert executor.pids() == []
         with pytest.raises(RuntimeError, match="not open"):

@@ -364,6 +364,43 @@ class TestRemovedBackendAlias:
         assert client.jobs() == []
 
 
+class TestPreflight:
+    def test_a_spec_no_trial_could_run_is_a_400_at_submit(self, client):
+        """Refused before a job exists: not queued, then failed."""
+        import http.client
+        import json
+        from repro.service.protocol import spec_to_payload
+
+        def spoil(edit):
+            payload = spec_to_payload(tiny_spec())
+            edit(payload)
+            return payload
+
+        bad = {
+            "unknown recovery strategy": spoil(
+                lambda p: p.update(methods=["NOPE"])),
+            "needs the parameter 'nx'": spoil(
+                lambda p: p["matrices"][0].update(params=[["zz", 3]])),
+            "error rates": spoil(lambda p: p.update(rates=[-1.0])),
+            "unknown suite matrix": spoil(lambda p: p["matrices"][0].update(
+                family="suite", name="nosuch", params=[])),
+        }
+        for message, payload in bad.items():
+            conn = http.client.HTTPConnection(client.host, client.port,
+                                              timeout=10)
+            try:
+                conn.request("POST", "/jobs",
+                             body=json.dumps({"spec": payload}),
+                             headers={"Content-Type": "application/json"})
+                response = conn.getresponse()
+                body = response.read().decode()
+            finally:
+                conn.close()
+            assert response.status == 400, body
+            assert message in body
+        assert client.jobs() == []
+
+
 class TestMetricsAndHealth:
     def test_health_reports_protocol_version(self, client):
         from repro.service.protocol import PROTOCOL_VERSION
@@ -467,6 +504,54 @@ class TestLifecycle:
             assert len(forks) == 2  # the start() pool, nothing since
         assert forks == [[]] * len(forks)
 
+    def test_a_running_job_is_driven_by_the_scheduler_alone(self):
+        """One driver over one pool: no thread per shard or per worker.
+        The names are read as trial events arrive, whether or not the
+        job has finished by the time the test looks."""
+        seen = set()
+        with running_daemon() as (_, client):
+            job = client.submit(tiny_spec(repetitions=25))
+            for event in client.watch(job["id"], read_timeout=120):
+                if event["event"] == "trial":
+                    seen.add(tuple(sorted(
+                        t.name for t in threading.enumerate()
+                        if t.name.startswith("service-"))))
+        assert seen == {("service-http", "service-scheduler")}
+
+    def test_a_warm_job_does_not_wait_for_a_running_one(self):
+        """What the cache holds is served at submission: a resubmitted
+        job is done while a cold one still has the pool."""
+        warm_spec = tiny_spec()
+        with running_daemon() as (_, client):
+            client.wait(client.submit(warm_spec)["id"], timeout=120)
+            cold = client.submit(tiny_spec(seed=7, repetitions=500))
+            warm = client.wait(client.submit(warm_spec)["id"], timeout=30)
+            assert (warm["state"], warm["executed"]) == ("done", 0)
+            assert client.status(cold["id"])["state"] == "running"
+
+    def test_a_shut_down_daemon_is_freed_by_refcount(self):
+        """Nothing it leaves behind points back at it, so it does not
+        wait for the cycle collector (and keep its jobs until then)."""
+        import gc
+        import time
+        import weakref
+        gc.collect()
+        gc.disable()
+        try:
+            with running_daemon() as (svc, client):
+                status = client.wait(client.submit(tiny_spec())["id"],
+                                     timeout=120)
+                assert status["state"] == "done"
+            freed = weakref.ref(svc)
+            del svc, client
+            # A request thread may still be closing its connection.
+            deadline = time.monotonic() + 10
+            while freed() is not None and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert freed() is None
+        finally:
+            gc.enable()
+
     def test_a_port_in_use_does_not_leak_the_pool(self, service):
         clash = CampaignService(host="127.0.0.1", port=service.port,
                                 workers=2, store=None)
@@ -569,22 +654,22 @@ class TestDispatch:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_shard_is_in_the_pool_before_its_first_result_is_recorded(
             self, monkeypatch, workers):
-        """A shard's trials are all submitted up front — a child finds
+        """A job goes to the pool as one shard, whole — a child finds
         its next trial in the pool's call queue instead of waiting for
-        the shard thread's round trip — so when the job records its
-        first ``trial`` event the whole shard that trial belongs to has
-        passed ``_ServicePool.submit``."""
+        the scheduler's round trip — so when the job records its first
+        ``trial`` event every pending trial has passed
+        ``_ServicePool.submit``, exactly once."""
         from repro.service import server
         submitted, first = [], []
         submit, emit = server._ServicePool.submit, server.Job.emit
 
         def spying_submit(pool, fn, item):
-            submitted.append(item.shard_no)
+            submitted.append(item.trial.index)
             return submit(pool, fn, item)
 
         def spying_emit(job, event):
             if event["event"] == "trial" and not first:
-                first.append((event["index"], list(submitted)))
+                first.append(sorted(submitted))
             emit(job, event)
 
         monkeypatch.setattr(server._ServicePool, "submit", spying_submit)
@@ -592,13 +677,12 @@ class TestDispatch:
         spec = tiny_spec()
         with running_daemon(workers=workers) as (_, client):
             status = client.wait(client.submit(spec)["id"], timeout=120)
-        assert status["state"] == "done"
-        assert status["shards"] == workers
-        [(index, seen)] = first
-        # a cold job deals trial i to shard i mod shards
-        shard = index % workers
-        assert seen.count(shard) == len(range(shard, spec.num_trials, workers))
-        assert len(submitted) == spec.num_trials  # each exactly once
+            warm = client.wait(client.submit(spec)["id"], timeout=120)
+        assert status["state"] == warm["state"] == "done"
+        assert (status["shards"], warm["shards"]) == (1, 0)
+        every = list(range(spec.num_trials))
+        assert first == [every]
+        assert sorted(submitted) == every
 
 
 class TestParentSideWork:
