@@ -12,7 +12,9 @@ reproducible and statistically independent), or an existing Generator.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Sequence, Tuple, Union
+import math
+from collections import deque
+from typing import Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -47,6 +49,56 @@ class Injection(NamedTuple):
     time: float
     vector: str
     page: int
+
+
+class InjectionQueue:
+    """A time-sorted injection schedule, taken from the front.
+
+    The schedule spans 50 ideal solve times while a solve reaches a
+    fraction of it, so the queue keeps the drawn times and page picks and
+    builds an :class:`Injection` only when :meth:`popleft` takes it.
+    Injections handed back with :meth:`push_front` are taken first again.
+    """
+
+    __slots__ = ("_times", "_picks", "_pages", "_next", "_front")
+
+    def __init__(self, times: Sequence[float] = (), picks: Sequence[int] = (),
+                 pages: Sequence[Tuple[str, int]] = (),
+                 front: Iterable[Injection] = ()):
+        self._times = times
+        self._picks = picks
+        self._pages = pages
+        self._next = 0
+        self._front = deque(front)
+
+    def __len__(self) -> int:
+        return len(self._front) + len(self._times) - self._next
+
+    def next_time(self) -> float:
+        """Time of the injection :meth:`popleft` would take (``inf`` if none)."""
+        if self._front:
+            return self._front[0].time
+        if self._next < len(self._times):
+            return self._times[self._next]
+        return math.inf
+
+    def popleft(self) -> Injection:
+        if self._front:
+            return self._front.popleft()
+        k = self._next
+        if k >= len(self._times):
+            raise IndexError("pop from an empty injection queue")
+        self._next = k + 1
+        return Injection(self._times[k], *self._pages[self._picks[k]])
+
+    def push_front(self, injections: Iterable[Injection]) -> None:
+        """Hand back time-sorted injections, each at or before every one
+        still queued; they are taken next, in order."""
+        self._front.extendleft(reversed(list(injections)))
+
+    def drain(self) -> List[Injection]:
+        """Take every remaining injection, in order."""
+        return [self.popleft() for _ in range(len(self))]
 
 
 class ExponentialInjector:
@@ -89,34 +141,42 @@ class ExponentialInjector:
 
     # ------------------------------------------------------------------
     def sample_times(self, horizon: float) -> List[float]:
-        """Error times in ``[0, horizon)`` drawn from the Poisson process."""
+        """Error times in ``[0, horizon)`` drawn from the Poisson process.
+
+        The times are the running sums of exponential gaps up to the first
+        one at or past the horizon, at most ``max_events`` of them.  All
+        candidate gaps are drawn in one call and summed by ``np.cumsum``
+        (sequential, so each time has the bits of ``t += gap``); then the
+        generator is rewound and advanced by exactly the gaps a draw-one-
+        at-a-time loop would have taken, crossing gap included, so what it
+        draws next is unchanged.
+        """
         if horizon <= 0:
             return []
-        times: List[float] = []
-        t = 0.0
-        # Draw inter-arrival gaps until the horizon is passed.  The number
-        # of draws is O(horizon / mtbe), bounded for sanity.
+        # The number of draws is O(horizon / mtbe), bounded for sanity.
         max_events = max(16, int(8 * horizon / self.mtbe) + 16)
-        for _ in range(max_events):
-            t += float(self._rng.exponential(self.mtbe))
-            if t >= horizon:
-                break
-            times.append(t)
-        return times
+        bit_generator = self._rng.bit_generator
+        rewind = bit_generator.state
+        times = np.cumsum(self._rng.exponential(self.mtbe, size=max_events))
+        count = int(np.searchsorted(times, horizon))  # first time >= horizon
+        bit_generator.state = rewind
+        self._rng.exponential(self.mtbe, size=min(count + 1, max_events))
+        return times[:count].tolist()
 
-    def schedule(self, horizon: float,
-                 pages: Sequence[Tuple[str, int]]) -> List[Injection]:
-        """Full DUE schedule over ``[0, horizon)`` targeting ``pages``.
+    def queue(self, horizon: float,
+              pages: Sequence[Tuple[str, int]]) -> InjectionQueue:
+        """Full DUE schedule over ``[0, horizon)`` targeting ``pages``, as
+        a queue that builds each :class:`Injection` only when it is taken
+        (:meth:`InjectionQueue.drain` lists them all).
 
         ``pages`` is the page universe of the memory manager: a list of
         (vector name, page index) pairs.  Each error picks one uniformly.
         """
         if not pages:
-            return []
+            return InjectionQueue()
         times = self.sample_times(horizon)
         picks = self._rng.integers(0, len(pages), size=len(times))
-        return [Injection(t, *pages[k])
-                for t, k in zip(times, picks.tolist(), strict=True)]
+        return InjectionQueue(times, picks.tolist(), pages)
 
     def expected_errors(self, horizon: float) -> float:
         """Expected number of errors over ``horizon``."""

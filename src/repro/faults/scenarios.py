@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 from repro.config import DEFAULT_SEED
-from repro.faults.injector import (ExponentialInjector, Injection, SeedLike,
-                                   null_injector)
+from repro.faults.injector import (ExponentialInjector, Injection,
+                                   InjectionQueue, SeedLike, null_injector)
 
 #: The normalised error frequencies of Figure 4.
 PAPER_ERROR_RATES: Tuple[float, ...] = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0)
@@ -56,12 +56,14 @@ class ErrorScenario:
         return ExponentialInjector.from_normalized_rate(
             self.normalized_rate, ideal_time, rng=self.seed)
 
-    def schedule(self, ideal_time: float, horizon: float,
-                 pages: Sequence[Tuple[str, int]]) -> List[Injection]:
-        """Concrete injection schedule for this scenario."""
+    def queue(self, ideal_time: float, horizon: float,
+              pages: Sequence[Tuple[str, int]]) -> InjectionQueue:
+        """Concrete injection schedule for this scenario, as a queue that
+        builds each injection only when a solve takes it."""
         if self.fixed_injections:
-            return sorted(self.fixed_injections, key=lambda inj: inj.time)
-        return self.injector(ideal_time).schedule(horizon, pages)
+            return InjectionQueue(front=sorted(self.fixed_injections,
+                                               key=lambda inj: inj.time))
+        return self.injector(ideal_time).queue(horizon, pages)
 
     @property
     def is_fault_free(self) -> bool:

@@ -31,6 +31,9 @@ from repro.config import PAGE_DOUBLES
 from repro.matrices.sparse import SparseOperator
 from repro.memory.pages import page_count, page_slice
 
+#: Double-precision LU solve (the routine ``lu_solve`` picks for float64).
+_GETRS, = la.get_lapack_funcs(("getrs",), (np.empty((1, 1)),))
+
 
 class PageBlockedMatrix:
     """CSR matrix with page-aligned row-block structure and cached factors."""
@@ -170,13 +173,25 @@ class PageBlockedMatrix:
         return full - diag_part
 
     def solve_diag(self, block: int, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``A_ii y = rhs`` with the cached LU factors."""
+        """Solve ``A_ii y = rhs`` with the cached LU factors.
+
+        LAPACK ``getrs`` called directly: what ``scipy.linalg.lu_solve``
+        calls after its checks, bit for bit, without their per-call cost.
+        A non-finite ``rhs`` raises the ``ValueError`` ``lu_solve`` raises.
+        """
         rhs = np.asarray(rhs, dtype=np.float64)
         expected = self.block_size(block)
         if rhs.shape[0] != expected:
             raise ValueError(f"rhs for block {block} must have {expected} "
                              f"entries, got {rhs.shape[0]}")
-        return la.lu_solve(self.diag_factor(block), rhs)
+        if not np.isfinite(rhs).all():
+            raise ValueError("array must not contain infs or NaNs")
+        lu, piv = self.diag_factor(block)
+        x, info = _GETRS(lu, piv, rhs)
+        if info != 0:
+            raise ValueError(f"illegal value in {-info}th argument of "
+                             f"internal getrs")
+        return x
 
     def coupled_diag_solve(self, blocks: List[int], rhs: np.ndarray) -> np.ndarray:
         """Solve the coupled system over several diagonal blocks.

@@ -11,6 +11,9 @@ the page-blocked solver and the Table 1 recovery relations need:
 * ``matvec`` / ``row_slab_matvec`` — full and row-range products, both
   implemented with one ``np.add.reduceat`` over the slab's nonzeros, so
   recovering a page costs O(nnz of the block row), never O(n^2);
+  ``matvec_into`` is ``matvec`` into the caller's output and scratch (the
+  operator holds no scratch of its own: it is immutable, and rank
+  threads multiply with one operator concurrently);
 * ``dense_block`` — a dense rectangular sub-block (diagonal blocks for
   the LU solves, column slabs for least-squares interpolation);
 * ``gather_dense`` — the dense principal submatrix over a set of rows
@@ -36,7 +39,8 @@ class SparseOperator:
     ----------
     data, indices, indptr:
         Standard CSR arrays.  Column indices must be sorted within each
-        row and contain no duplicates (all constructors guarantee this).
+        row and contain no duplicates (all constructors guarantee this);
+        an index outside ``[0, cols)`` is refused.
     shape:
         Matrix shape ``(rows, cols)``.
     """
@@ -57,6 +61,9 @@ class SparseOperator:
             raise ValueError("data and indices must have the same length")
         if int(self.indptr[-1]) != self.data.shape[0]:
             raise ValueError("indptr[-1] must equal nnz")
+        if self.indices.size and not (
+                0 <= self.indices.min() and self.indices.max() < self.shape[1]):
+            raise ValueError(f"column indices must lie in [0, {self.shape[1]})")
 
     def __reduce__(self):  # the arrays only: a pickle carries no ``_rows``
         return type(self), (self.data, self.indices, self.indptr, self.shape)
@@ -134,6 +141,24 @@ class SparseOperator:
         if self._rows is None:
             self._rows = self._row_offsets(0, self.shape[0])
         return self._slab_matvec(0, self.shape[0], v, self._rows)
+
+    def has_empty_rows(self) -> bool:
+        """True if some row holds no nonzero (:meth:`matvec_into` needs none)."""
+        return bool(np.any(self.indptr[1:] == self.indptr[:-1]))
+
+    def matvec_into(self, v: np.ndarray, out: np.ndarray,
+                    scratch: np.ndarray) -> None:
+        """``out <- A @ v`` allocating nothing, bit for bit :meth:`matvec`.
+
+        ``scratch`` (``nnz`` doubles, the caller's) holds the products.
+        Only for a matrix without empty rows: each row's nonzeros are then
+        the ``reduceat`` segment that starts at its ``indptr`` entry.  The
+        column indices are in range (``__init__`` refuses any other), so
+        the gather need not check them.
+        """
+        v.take(self.indices, out=scratch, mode="clip")
+        np.multiply(self.data, scratch, out=scratch)
+        np.add.reduceat(scratch, self.indptr[:-1], out=out)
 
     def row_slab_matvec(self, start: int, stop: int,
                         v: np.ndarray) -> np.ndarray:

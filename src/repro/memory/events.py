@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
 class PageState(enum.Enum):
@@ -25,9 +25,11 @@ class PageState(enum.Enum):
     LOST = "lost"
 
 
-@dataclass(frozen=True)
-class PageFaultEvent:
+class PageFaultEvent(NamedTuple):
     """One detected-and-uncorrected error on one page of one vector.
+
+    A tuple, like :class:`~repro.faults.injector.Injection`: every
+    detected DUE makes one, so constructing it stays a single allocation.
 
     Attributes
     ----------
@@ -52,9 +54,7 @@ class PageFaultEvent:
 
     def detected(self, time: float) -> "PageFaultEvent":
         """Return a copy stamped with its detection time."""
-        return PageFaultEvent(vector=self.vector, page=self.page,
-                              inject_time=self.inject_time,
-                              detect_time=time, iteration=self.iteration)
+        return self._replace(detect_time=time)
 
 
 @dataclass

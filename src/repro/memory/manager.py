@@ -115,6 +115,28 @@ class MemoryManager:
             return event
         return None
 
+    def detect_batch(self, injections: Iterable[Tuple[float, str, int]],
+                     time: float, iteration: Optional[int] = None) -> None:
+        """Inject a batch of DUEs that an access at ``time`` detects.
+
+        Each ``(inject_time, vector, page)`` item, in order, has the effect
+        of :meth:`poison` at ``inject_time`` followed by :meth:`touch` at
+        ``time`` — which always detects, so the page is blanked, becomes
+        ``LOST`` and its event is logged.  A page may appear more than
+        once: each item is a DUE of its own.
+        """
+        events = self.log.events
+        for inject_time, name, page in injections:
+            vec = self.vector(name)
+            if not 0 <= page < vec.num_pages:
+                raise IndexError(f"page {page} out of range for vector "
+                                 f"{name!r} ({vec.num_pages} pages)")
+            vec.zero_page(page)
+            self._pending.pop((name, page), None)
+            self._state[name][page] = PageState.LOST
+            events.append(PageFaultEvent(name, page, inject_time, time,
+                                         iteration))
+
     def mark_recovered(self, name: str, page: int) -> None:
         """A recovery method has restored this page's contents."""
         if self.state(name, page) is PageState.POISONED:

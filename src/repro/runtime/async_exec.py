@@ -43,7 +43,8 @@ import threading
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.config import resolve_worker_count
 from repro.runtime.backend import ExecutionBackend, ExecutionResult
@@ -104,9 +105,9 @@ class WindowRecord:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
-class DueRecord:
-    """One DUE observation relative to the vulnerable window."""
+class DueRecord(NamedTuple):
+    """One DUE observation relative to the vulnerable window (a tuple:
+    every detected DUE makes one)."""
 
     vector: str
     page: int
@@ -196,14 +197,13 @@ class VulnerableWindowMonitor:
             self._summary.windows += 1
             self._summary.total_window += end - start
 
-    def note_due(self, vector: str, page: int, sim_time: float,
-                 point: str, in_window: bool) -> None:
+    def note_dues(self, records: Sequence[DueRecord]) -> None:
+        """Record a check point's DUEs under one lock acquisition."""
+        in_window = sum(record.in_window for record in records)
         with self._lock:
-            self.due_records.append(DueRecord(vector, page, sim_time,
-                                              point, in_window))
-            self._summary.dues_observed += 1
-            if in_window:
-                self._summary.dues_in_window += 1
+            self.due_records.extend(records)
+            self._summary.dues_observed += len(records)
+            self._summary.dues_in_window += in_window
 
     def observe(self, result: Optional[ExecutionResult],
                 pairs: Sequence[Tuple[str, int, int]] = ()) -> None:

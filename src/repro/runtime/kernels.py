@@ -4,7 +4,8 @@ The :class:`~repro.solvers.resilient_cg.ResilientCG` iteration structure
 is fixed by the paper (Figure 1), but *where* its kernels run is not:
 
 * :class:`LocalKernelEngine` — the historical single-address-space path:
-  every spmv/axpy/dot is one vectorised NumPy call on the full arrays.
+  every spmv/axpy/dot is a few vectorised NumPy calls on the full
+  arrays, writing into scratch the engine owns.
 * :class:`~repro.distributed.ranks.RankKernelEngine` — the rank-parallel
   path of Section 3.4: each kernel is strip-partitioned over N rank
   workers that exchange halos and tree-allreduce the dot products for
@@ -21,37 +22,44 @@ reduction used by bitwise-reproducible MPI collectives.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Callable, Iterable, Set
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Set
 
 import numpy as np
 
+from repro.matrices.sparse import SparseOperator
 from repro.memory.pages import page_count
 
 if TYPE_CHECKING:
     from repro.runtime.runtime import RuntimeSpec
 
 
-def page_partials(u: np.ndarray, v: np.ndarray, page_size: int) -> np.ndarray:
+def page_partials(u: np.ndarray, v: np.ndarray, page_size: int,
+                  prod: Optional[np.ndarray] = None,
+                  parts: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-page partial dot products of two page-aligned array slices.
 
     ``u`` and ``v`` must start on a page boundary; only the final page
     may be ragged.  The per-page reduction is NumPy's pairwise sum over
     exactly one page, so the partial of a page depends only on that
     page's values — never on which rank's strip the page sits in.
+
+    ``prod`` (``len(u)`` doubles) and ``parts`` (one per page) are the
+    caller's buffers for the elementwise products and the partials;
+    fresh ones are allocated when omitted.  Returns ``parts``.
     """
     n = u.shape[0]
     if v.shape[0] != n:
         raise ValueError(f"length mismatch: {n} vs {v.shape[0]}")
-    full = (n // page_size) * page_size
-    if full:
-        prod = (u[:full].reshape(-1, page_size)
-                * v[:full].reshape(-1, page_size))
-        parts = np.add.reduce(prod, axis=1)  # repro-lint: allow[paged-reduction] this is the page-order primitive itself
-    else:
-        parts = np.zeros(0, dtype=np.float64)
-    if full < n:
-        tail = np.add.reduce(u[full:] * v[full:])  # repro-lint: allow[paged-reduction] this is the page-order primitive itself
-        parts = np.concatenate([parts, [tail]])
+    if prod is None:
+        prod = np.empty(n)
+    if parts is None:
+        parts = np.empty(page_count(n, page_size))
+    full = n // page_size
+    np.multiply(u, v, out=prod)
+    by_page = prod[:full * page_size].reshape(full, page_size)
+    np.add.reduce(by_page, axis=1, out=parts[:full])  # repro-lint: allow[paged-reduction] this is the page-order primitive itself
+    if full < parts.shape[0]:
+        parts[full] = np.add.reduce(prod[full * page_size:])  # repro-lint: allow[paged-reduction] this is the page-order primitive itself
     return parts
 
 
@@ -60,21 +68,23 @@ def reduce_partials(parts: np.ndarray,
     """Combine per-page partials into the scalar the solver uses.
 
     Skipped pages (the Section 3.3.2 protocol for contributions of lost
-    pages) are zeroed *before* the reduction, so skipping is exact
-    rather than a subtract-after-the-fact cancellation.  The reduction
+    pages) are zeroed in ``parts``, in place, *before* the reduction, so
+    skipping is exact rather than a subtract-after-the-fact
+    cancellation; pages outside ``parts`` are ignored.  The reduction
     itself is a fixed-order NumPy sum over the page axis — identical no
     matter who computed the partials.
     """
-    skip = [p for p in skip_pages if 0 <= p < parts.shape[0]]
-    if skip:
-        parts = parts.copy()
-        parts[skip] = 0.0
+    pages = parts.shape[0]
+    for page in skip_pages:
+        if 0 <= page < pages:
+            parts[page] = 0.0
     return float(np.add.reduce(parts))  # repro-lint: allow[paged-reduction] fixed-order combine over the page axis, the sanctioned primitive
 
 
 def paged_dot(u: np.ndarray, v: np.ndarray, page_size: int,
               skip_pages: Iterable[int] = ()) -> float:
-    """Deterministic page-blocked dot product (optionally masked)."""
+    """Deterministic page-blocked dot product (optionally masked), into
+    freshly allocated buffers."""
     return reduce_partials(page_partials(u, v, page_size), skip_pages)
 
 
@@ -155,11 +165,18 @@ class KernelEngine(abc.ABC):
 
 
 class LocalKernelEngine(KernelEngine):
-    """Single-address-space kernels: one NumPy call per operation.
+    """Single-address-space kernels: a few NumPy calls per operation,
+    writing into scratch the engine owns instead of fresh arrays.
 
     The dot products go through the same page-partitioned fixed-order
     reduction the rank runtime uses, so a single-rank solve and an
     N-rank solve of the same problem produce bit-identical scalars.
+    Every kernel performs the floating-point operations of its
+    allocating spelling (:func:`paged_dot`, ``A @ d``, ``z + beta *
+    d_prev``, ``y += a * v``), in the same order.  The scratch is one
+    engine's — one solver's, called from its solve loop only — never the
+    matrix's: a :class:`~repro.matrices.sparse.SparseOperator` stays
+    immutable and shareable.
     """
 
     name = "local"
@@ -167,25 +184,43 @@ class LocalKernelEngine(KernelEngine):
 
     def __init__(self, A, n: int, page_size: int):
         self.A = A
-        self.n = int(n)
+        self.n = n = int(n)
         self.page_size = int(page_size)
-        self.num_pages = page_count(self.n, self.page_size)
+        self.num_pages = pages = page_count(n, self.page_size)
+        #: ``A @ v`` without allocation: a SciPy-free operator without
+        #: empty rows (then ``_gather`` holds its nonzeros' products).
+        fast_product = (isinstance(A, SparseOperator) and n > 0
+                        and not A.has_empty_rows())
+        # The dot's partials and the product's gathered nonzeros are
+        # never live at once, so they share the region after ``n``.
+        scratch = np.empty(n + max(pages, A.nnz if fast_product else 0))
+        #: Elementwise products (the dot's; ``a * v`` of an axpy).
+        self._prod = scratch[:n]
+        self._parts = scratch[n:n + pages]
+        self._gather = scratch[n:n + A.nnz] if fast_product else None
 
     def dot(self, u: np.ndarray, v: np.ndarray,
             skip_pages: Set[int] = frozenset()) -> float:
-        return paged_dot(u, v, self.page_size, skip_pages)
+        """:func:`paged_dot` into the engine's scratch."""
+        return reduce_partials(
+            page_partials(u, v, self.page_size, self._prod, self._parts),
+            skip_pages)
 
     def spmv(self, d: np.ndarray, out: np.ndarray) -> None:
-        np.copyto(out, self.A @ d)
+        if self._gather is not None:
+            self.A.matvec_into(d, out, self._gather)
+        else:
+            np.copyto(out, self.A @ d)
 
     def update_direction(self, d_cur: np.ndarray, z: np.ndarray,
                          beta: float, d_prev: np.ndarray) -> None:
-        np.copyto(d_cur, z + beta * d_prev)
+        np.multiply(d_prev, beta, out=d_cur)
+        d_cur += z
 
     def axpy(self, y: np.ndarray, a: float, v: np.ndarray,
              skip_pages: Set[int] = frozenset()) -> None:
         if not skip_pages:
-            y += a * v
+            y += np.multiply(v, a, out=self._prod)
             return
         psize = self.page_size
         keep = np.ones(self.n, dtype=bool)
@@ -198,7 +233,11 @@ class LocalKernelEngine(KernelEngine):
 
     def residual(self, x: np.ndarray, b: np.ndarray,
                  out: np.ndarray) -> None:
-        np.copyto(out, b - self.A @ x)
+        if self._gather is not None:
+            self.A.matvec_into(x, out, self._gather)
+            np.subtract(b, out, out=out)
+        else:
+            np.copyto(out, b - self.A @ x)
 
     def run_on_owner(self, page: int, fn: Callable[[], object]) -> object:
         return fn()

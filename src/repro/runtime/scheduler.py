@@ -75,11 +75,11 @@ class ScheduleResult:
     makespan: float
     starts: List[float]
     ends: List[float]
-    workers: List[int]
+    workers: Sequence[int]
     #: Task indices in the exact order the scheduler launched them.  This
     #: is the order action replay uses and ``order_started()`` reports,
     #: so the trace and the numerical replay can never disagree.
-    launch_order: List[int]
+    launch_order: Sequence[int]
     trace: ExecutionTrace
     num_workers: int
     start_time: float = 0.0
@@ -117,6 +117,7 @@ class _Structure(NamedTuple):
     launches: Tuple[Tuple[int, int, int], ...]  # (task, trigger, work state)
     workers: Tuple[int, ...]  # plan order
     completions: Tuple[Tuple[int, bool], ...]  # (task, tied)
+    order: Tuple[int, ...]  # the launches' tasks: the launch order
 
     def holds(self, ends: Sequence[float], start_time: float) -> bool:
         """True iff ``ends`` order the completions as recorded."""
@@ -217,7 +218,8 @@ class ListScheduler:
                 if remaining_deps[nxt] == 0:
                     push(ready, (-priorities[nxt], end, nxt))
         return _Structure(plan, tuple(launches), tuple(placed),
-                          tuple(completions))
+                          tuple(completions),
+                          tuple(launch[0] for launch in launches))
 
     def _evaluate(self, structure: _Structure, durations: Sequence[float],
                   start_time: float) -> ScheduleResult:
@@ -242,7 +244,7 @@ class ListScheduler:
             start=start_time, end=makespan)
         return ScheduleResult(
             plan=plan, makespan=makespan - start_time, starts=starts,
-            ends=ends, workers=list(structure.workers),
-            launch_order=[launch[0] for launch in structure.launches],
+            ends=ends, workers=structure.workers,
+            launch_order=structure.order,
             trace=trace, num_workers=self.num_workers,
             start_time=start_time, overhead=overhead)

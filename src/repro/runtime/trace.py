@@ -122,11 +122,10 @@ class ExecutionTrace:
                   *, num_workers: int, start: float, end: float) -> "ExecutionTrace":
         """The trace of ``count`` tasks from their sums (``work`` by state)."""
         span = max(end - start, 0.0)
-        return cls(num_workers=num_workers, wall_time=span, task_count=count,
-                   breakdown=StateBreakdown(
-                       runtime=runtime,
-                       idle=max(num_workers * span - busy, 0.0),
-                       **dict(zip(WORK_STATES, work, strict=True))))
+        useful, recovery, checkpoint, communication = work  # WORK_STATES
+        return cls(num_workers, StateBreakdown(
+            useful, runtime, max(num_workers * span - busy, 0.0), recovery,
+            checkpoint, communication), span, count)
 
     # ------------------------------------------------------------------
     def accumulate(self, other: "ExecutionTrace") -> None:

@@ -82,8 +82,6 @@ class CGState:
     preconditioner: Optional[Preconditioner]
     current_d_name: str = "d0"
     previous_d_name: str = "d1"
-    #: Where in the iteration we are ("A", "B", "C" or "D").
-    point: str = "A"
     #: Scalars available for relation-based recovery (e.g. ``beta``).
     scalars: Dict[str, float] = field(default_factory=dict)
 

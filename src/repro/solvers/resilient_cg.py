@@ -57,9 +57,10 @@ rates pollute the reductions and slow convergence.
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from functools import partial
+from types import MappingProxyType
+from typing import (Callable, Dict, FrozenSet, Iterator, List, NamedTuple,
+                    Optional, Sequence, Set, Tuple)
 
 import numpy as np
 import scipy.sparse as sp
@@ -68,13 +69,14 @@ from repro.analysis.convergence import ConvergenceRecord, ResidualHistory
 from repro.core.checkpoint import CheckpointStrategy
 from repro.core.relations import MatVecRelation, ResidualRelation
 from repro.core.strategy import RecoveryStats, RecoveryStrategy
-from repro.faults.injector import Injection
+from repro.faults.injector import Injection, InjectionQueue
 from repro.faults.scenarios import ErrorScenario
 from repro.matrices.blocked import PageBlockedMatrix
 from repro.matrices.sparse import SparseOperator
 from repro.memory.manager import MemoryManager
 from repro.memory.pages import PagedVector
 from repro.precond.base import Preconditioner
+from repro.runtime.async_exec import DueRecord
 from repro.runtime.kernels import make_kernel_engine
 from repro.runtime.runtime import make_executor, resolve_runtime_spec
 from repro.runtime.trace import ExecutionTrace
@@ -89,8 +91,7 @@ HORIZON_FACTOR = 50.0
 FAULT_SERVICE_TIME = 0.5e-3
 
 
-@dataclass(frozen=True)
-class PointOutcome:
+class PointOutcome(NamedTuple):
     """What handling the faults of one check point cost and decided."""
 
     #: Simulated recovery work, charged to the point's covering task.
@@ -104,7 +105,46 @@ class PointOutcome:
     skip: FrozenSet[int] = frozenset()
 
 
-_NO_FAULTS = PointOutcome()
+def _owner_runs(pages: Sequence[int], conflicts: Set[int],
+                owner_of: Callable[[int], int]) -> Iterator[List[int]]:
+    """Split sorted ``pages``, in order, into runs: a page in
+    ``conflicts`` alone, the others in maximal runs of consecutive pages
+    with one owner."""
+    run: List[int] = []
+    for page in pages:
+        if page in conflicts:
+            if run:
+                yield run
+                run = []
+            yield [page]
+        elif run and owner_of(page) != owner_of(run[0]):
+            yield run
+            run = [page]
+        else:
+            run.append(page)
+    if run:
+        yield run
+
+
+def _repair_pages(pages: Sequence[int], vector: PagedVector,
+                  recover: Callable[[int], np.ndarray],
+                  redo: Optional[Tuple[np.ndarray, float]]) -> None:
+    """Recover ``pages`` of ``vector`` in order, each from its relation,
+    and redo the update of the iteration that skipped it."""
+    for page in pages:
+        values = recover(page)
+        vector.set_page(page, values)
+        if redo is not None:
+            target, factor = redo
+            target[vector.page_slice(page)] += factor * values
+
+
+_NO_SKIP: FrozenSet[int] = frozenset()
+#: The containers of an iteration no injection reaches: read-only and
+#: shared, so an undisturbed iteration allocates none.
+_NO_INJECTIONS = MappingProxyType(dict.fromkeys("ABCD", ()))
+_NO_LATE = MappingProxyType(dict.fromkeys("gxdq", _NO_SKIP))
+_NO_WORK = MappingProxyType(dict.fromkeys(RECOVERY_TASKS, 0.0))
 
 
 class _Iteration:
@@ -125,17 +165,27 @@ class _Iteration:
         #: The simulated clock when the iteration started.
         self.start = start
         self.timing = timing
-        self.by_point = {"A": [], "B": [], "C": [], "D": []}
+        #: The injections each check point materialises.
+        self.by_point = _NO_INJECTIONS
         self.had_faults = False
         #: AFEIR pages hit too late for their scalar: contribution
         #: skipped, update deferred, repaired exactly at point D.
-        self.late = {"g": set(), "x": set(), "d": set(), "q": set()}
+        self.late = _NO_LATE
         #: Simulated work added to each recovery task by this
         #: iteration's faults.
-        self.recovery_work = dict.fromkeys(RECOVERY_TASKS, 0.0)
+        self.recovery_work = _NO_WORK
         self.fault_service = 0.0
         self.restart = False
         self.rolled_back = False
+
+    def disturb(self) -> Dict[str, List[Injection]]:
+        """Give the iteration containers of its own, as injections reach
+        it; returns its ``by_point``."""
+        self.had_faults = True
+        self.by_point = {"A": [], "B": [], "C": [], "D": []}
+        self.late = {"g": set(), "x": set(), "d": set(), "q": set()}
+        self.recovery_work = dict.fromkeys(RECOVERY_TASKS, 0.0)
+        return self.by_point
 
     def time_of(self, key: str) -> float:
         """Simulated time of a check point or recovery-task start."""
@@ -154,7 +204,7 @@ class _Run:
     __slots__ = ("state", "stats", "pending", "b_norm", "history", "trace",
                  "clock", "rel", "rho_old", "restart_next", "converged")
 
-    def __init__(self, state: CGState, pending: "deque[Injection]",
+    def __init__(self, state: CGState, pending: InjectionQueue,
                  b_norm: float, num_workers: int):
         self.state = state
         self.stats = RecoveryStats()
@@ -259,8 +309,7 @@ class ResilientCG:
                                stats=RecoveryStats(),
                                window_summary=planner.monitor.summary())
 
-        run = _Run(state, deque(self._build_injection_schedule(memory,
-                                                               ideal_time)),
+        run = _Run(state, self._build_injection_schedule(memory, ideal_time),
                    b_norm, cfg.num_workers)
         stats = run.stats
         faults_injected = len(run.pending)
@@ -424,16 +473,16 @@ class ResilientCG:
         return ideal_time / self.scenario.normalized_rate
 
     def _build_injection_schedule(self, memory: MemoryManager,
-                                  ideal_time: Optional[float]) -> List[Injection]:
-        if self.scenario is None or self.scenario.is_fault_free:
-            return []
-        if self.scenario.fixed_injections:
-            return sorted(self.scenario.fixed_injections, key=lambda i: i.time)
-        if ideal_time is None:
+                                  ideal_time: Optional[float]) -> InjectionQueue:
+        scenario = self.scenario
+        if scenario is None or scenario.is_fault_free:
+            return InjectionQueue()
+        if ideal_time is None and not scenario.fixed_injections:
             raise ValueError("a rate-based ErrorScenario needs ideal_time to "
                              "normalise the MTBE (pass ideal_time to solve())")
-        horizon = ideal_time * HORIZON_FACTOR
-        return self.scenario.schedule(ideal_time, horizon, memory.page_universe())
+        # A fixed schedule reads neither the ideal time nor the horizon.
+        horizon = math.inf if ideal_time is None else ideal_time * HORIZON_FACTOR
+        return scenario.queue(ideal_time, horizon, memory.page_universe())
 
     # ==================================================================
     # the iteration life cycle: begin, advance the clock, close
@@ -443,16 +492,18 @@ class ResilientCG:
         checkpoint = (isinstance(self.strategy, CheckpointStrategy)
                       and self.strategy.should_checkpoint(number))
         pending = run.pending
-        timing = self.planner.time_iteration(
-            run.clock, checkpoint,
-            next_fault=pending[0].time if pending else math.inf)
+        timing = self.planner.time_iteration(run.clock, checkpoint,
+                                             next_fault=pending.next_time())
         it = _Iteration(number, checkpoint, run.clock, timing)
         horizon_end = run.clock + timing.makespan
-        while pending and pending[0].time <= horizon_end:
-            inj = pending.popleft()
-            it.had_faults = True
-            point = next((p for p in "ABC" if inj.time <= it.time_of(p)), "D")
-            it.by_point[point].append(inj)
+        if pending.next_time() <= horizon_end:
+            by_point = it.disturb()
+            at_a, at_b, at_c = it.time_of("A"), it.time_of("B"), it.time_of("C")
+            while pending.next_time() <= horizon_end:
+                inj = pending.popleft()
+                t = inj.time
+                by_point["A" if t <= at_a else "B" if t <= at_b
+                         else "C" if t <= at_c else "D"].append(inj)
         return it
 
     def _advance_clock(self, run: _Run, it: _Iteration) -> None:
@@ -466,8 +517,8 @@ class ResilientCG:
         recovery work the simulated timeline charges.
         """
         planner = self.planner
-        extra_work = sum(it.recovery_work.values())
-        disturbed = it.had_faults or extra_work != 0.0
+        # Only an iteration that injections reached has recovery work.
+        disturbed = it.had_faults
         durations: Optional[Sequence[float]] = None
         if disturbed and planner.uses_recovery_tasks:
             durations = planner.recovery_durations(it.checkpoint,
@@ -486,8 +537,8 @@ class ResilientCG:
             # Signal-handler methods (Lossy/ckpt/Trivial): the recovery work
             # is done in the handler, serialising the faulting worker.
             run.trace.accumulate(it.timing.trace)
-            run.clock = (it.start + it.timing.makespan + extra_work
-                         + it.fault_service)
+            run.clock = (it.start + it.timing.makespan
+                         + sum(it.recovery_work.values()) + it.fault_service)
 
     def _close_iteration(self, run: _Run, it: _Iteration,
                          rel: Optional[float] = None) -> None:
@@ -499,9 +550,11 @@ class ResilientCG:
             run.history.append(it.number, run.clock, run.rel)
 
     def _relative_residual(self, run: _Run) -> float:
-        """``||g|| / ||b||`` of the recursive residual."""
+        """``||g|| / ||b||`` of the recursive residual.  ``sqrt(g . g)`` is
+        what ``np.linalg.norm`` computes for a 1-d float64 vector, without
+        its dispatch; it stays a reduction of its own, apart from ``rho``."""
         g = run.state.vectors["g"].array
-        return float(np.linalg.norm(g) / run.b_norm)
+        return math.sqrt(g.dot(g)) / run.b_norm  # repro-lint: allow[paged-reduction] the reduction np.linalg.norm performs: a residual norm, not a CG scalar
 
     def _true_relative_residual(self, run: _Run) -> float:
         """``||b - A x|| / ||b||`` recomputed from the iterate."""
@@ -534,8 +587,7 @@ class ResilientCG:
         stable ``sorted(unprocessed + pending, key=time)``.
         """
         back = [inj for point in unprocessed for inj in it.by_point[point]]
-        run.pending.extendleft(reversed(sorted(back,
-                                               key=lambda inj: inj.time)))
+        run.pending.push_front(sorted(back, key=lambda inj: inj.time))
         self._restart(run, it)
         self._advance_clock(run, it)
         self._close_iteration(run, it)
@@ -550,43 +602,38 @@ class ResilientCG:
         """Handle one check point's faults and absorb what that cost into
         the iteration; returns the pages whose contribution to the
         point's reduction must be skipped."""
-        run.state.point = point
-        outcome = self._handle_point(run, it, point, z, beta)
+        injections = it.by_point[point]
+        if not injections:
+            return _NO_SKIP
+        outcome = self._handle_point(run, it, point, injections, z, beta)
         it.absorb(point, outcome)
         return outcome.skip
 
     def _handle_point(self, run: _Run, it: _Iteration, point: str,
+                      injections: List[Injection],
                       z: Optional[np.ndarray], beta: float) -> PointOutcome:
-        """Materialise and handle the faults assigned to one check point."""
-        injections = it.by_point[point]
-        if not injections:
-            return _NO_FAULTS
+        """Materialise and handle the faults assigned to one check point:
+        the access at the point detects every one of them."""
         state, stats = run.state, run.stats
         memory = state.memory
-        monitor = self.planner.monitor
         this_d = it.this_d
-        detect_time = it.time_of(point)
+        memory.detect_batch(injections, it.time_of(point), it.number)
         work = service = 0.0
+        late_after, late_vectors = self._late_window(point, it)
+        dues: List[DueRecord] = []
         in_time: List[Tuple[str, int]] = []
         for inj in injections:
-            memory.poison(inj.vector, inj.page, time=inj.time,
-                          iteration=it.number)
-            event = memory.touch(inj.vector, inj.page, time=detect_time)
-            if event is None:
-                continue
             service += FAULT_SERVICE_TIME
-            if self._fault_is_late(point, inj, it):
-                key = "d" if inj.vector == this_d else inj.vector
-                if key in it.late:
-                    it.late[key].add(inj.page)
-                    memory.mark_recovered(inj.vector, inj.page)
-                    stats.contributions_skipped += 1
-                    monitor.note_due(inj.vector, inj.page, inj.time,
-                                     point, in_window=True)
-                    continue
-            monitor.note_due(inj.vector, inj.page, inj.time,
-                             point, in_window=False)
-            in_time.append((inj.vector, inj.page))
+            vector, page = inj.vector, inj.page
+            late = vector in late_vectors and inj.time > late_after
+            dues.append(DueRecord(vector, page, inj.time, point, late))
+            if late:
+                it.late["d" if vector == this_d else vector].add(page)
+                memory.mark_recovered(vector, page)
+                stats.contributions_skipped += 1
+            else:
+                in_time.append((vector, page))
+        self.planner.monitor.note_dues(dues)
 
         if not in_time:
             return PointOutcome(service=service)
@@ -643,17 +690,19 @@ class ResilientCG:
                             restart=outcome.restart_required,
                             rollback=outcome.rolled_back, skip=skip)
 
-    def _fault_is_late(self, point: str, inj: Injection,
-                       it: _Iteration) -> bool:
-        """AFEIR vulnerability window: repaired too late for the next scalar?"""
+    def _late_window(self, point: str,
+                     it: _Iteration) -> Tuple[float, Tuple[str, ...]]:
+        """AFEIR's vulnerability window at ``point``: a DUE on one of the
+        returned vectors injected after the returned time is repaired too
+        late for the point's scalar."""
         if (not self.planner.uses_recovery_tasks
                 or self.strategy.recovery_in_critical_path):
-            return False
-        if point == "A" and inj.vector == "g":
-            return inj.time > it.time_of("r2")
-        if point == "C" and inj.vector in (it.this_d, "q"):
-            return inj.time > it.time_of("r1")
-        return False
+            return math.inf, ()
+        if point == "A":
+            return it.time_of("r2"), ("g",)
+        if point == "C":
+            return it.time_of("r1"), (it.this_d, "q")
+        return math.inf, ()
 
     def _repair_deferred(self, run: _Run, it: _Iteration,
                          alpha: float) -> None:
@@ -704,30 +753,28 @@ class ResilientCG:
         need_residual_resync = False
         for key, name, recover, redo, cost, related, owns_conflict in repairs:
             vector = vectors[name]
-            for page in sorted(late[key]):
-                if page in late[related]:
+            conflicts = late[related]
+            for pages in _owner_runs(sorted(late[key]), conflicts,
+                                     self.engine.page_owner):
+                if pages[0] in conflicts:
                     if owns_conflict:
-                        vector.zero_page(page)
-                        state.memory.mark_recovered(name, page)
-                        state.memory.mark_recovered(related, page)
+                        vector.zero_page(pages[0])
+                        state.memory.mark_recovered(name, pages[0])
+                        state.memory.mark_recovered(related, pages[0])
                         stats.pages_unrecoverable += 1
                         need_residual_resync = True
                     continue
-
-                def repair(page=page, vector=vector, recover=recover,
-                           redo=redo) -> None:
-                    values = recover(page)
-                    vector.set_page(page, values)
-                    if redo is not None:
-                        target, factor = redo
-                        target[vector.page_slice(page)] += factor * values
-                # Each relation-based repair executes on the rank owning
-                # the page (the owner holds the strip of A and the slices
-                # the relation reads); local engines run it inline.
-                self.engine.run_on_owner(page, repair)
-                state.memory.mark_recovered(name, page)
-                work += cost(page)
-                stats.pages_recovered += 1
+                # Relation-based repairs execute on the rank owning the
+                # pages (the owner holds the strip of A and the slices the
+                # relation reads), one crossing per run of pages; local
+                # engines run them inline.
+                self.engine.run_on_owner(
+                    pages[0], partial(_repair_pages, pages, vector, recover,
+                                      redo))
+                for page in pages:
+                    state.memory.mark_recovered(name, page)
+                    work += cost(page)
+                    stats.pages_recovered += 1
         if need_residual_resync:
             self.engine.residual(x, self.b, g)
             work += cm.kernel_time(2.0 * self.A.nnz,

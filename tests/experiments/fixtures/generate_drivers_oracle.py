@@ -73,7 +73,12 @@ def observed(config: ExperimentConfig) -> dict:
 
 
 def numerics_stack() -> str:
-    """Solve times are bit-exact only on the stack that recorded them."""
+    """Solve times are bit-exact only on the stack that recorded them.
+
+    The BLAS thread count is left out, unlike in ``tests/solvers``'
+    solve oracle, whose preconditioned cases move with it: these
+    unpreconditioned solves read the same bits under
+    ``OPENBLAS_NUM_THREADS=1`` as with it unset."""
     return f"{platform.machine()}|numpy {numpy.__version__}|scipy {scipy.__version__}"
 
 

@@ -1,7 +1,11 @@
 """Tests for the exponential-MTBE fault injector."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults.injector import ExponentialInjector, Injection, null_injector
 
@@ -35,7 +39,7 @@ class TestExponentialInjector:
     def test_schedule_targets_registered_pages(self):
         pages = [("x", 0), ("x", 1), ("g", 0)]
         inj = ExponentialInjector(mtbe=0.3, rng=3)
-        schedule = inj.schedule(20.0, pages)
+        schedule = inj.queue(20.0, pages).drain()
         assert len(schedule) > 0
         for item in schedule:
             assert isinstance(item, Injection)
@@ -43,7 +47,7 @@ class TestExponentialInjector:
 
     def test_schedule_empty_pages(self):
         inj = ExponentialInjector(mtbe=0.3, rng=3)
-        assert inj.schedule(20.0, []) == []
+        assert inj.queue(20.0, []).drain() == []
 
     def test_expected_errors(self):
         inj = ExponentialInjector(mtbe=2.0, rng=0)
@@ -74,7 +78,7 @@ class TestPageTargetingDistribution:
         """Pages should be hit roughly uniformly (paper: uniform distribution)."""
         pages = [("v", p) for p in range(8)]
         inj = ExponentialInjector(mtbe=0.01, rng=99)
-        schedule = inj.schedule(50.0, pages)
+        schedule = inj.queue(50.0, pages).drain()
         counts = np.zeros(8)
         for item in schedule:
             counts[item.page] += 1
@@ -83,3 +87,68 @@ class TestPageTargetingDistribution:
         mean = counts.mean()
         assert np.all(counts > 0.6 * mean)
         assert np.all(counts < 1.4 * mean)
+
+
+def loop_sample_times(rng: np.random.Generator, mtbe: float,
+                      horizon: float) -> list:
+    """The draw-one-gap-at-a-time loop ``sample_times`` replaced: the
+    oracle of its vectorised draw."""
+    if horizon <= 0:
+        return []
+    times = []
+    t = 0.0
+    max_events = max(16, int(8 * horizon / mtbe) + 16)
+    for _ in range(max_events):
+        t += float(rng.exponential(mtbe))
+        if t >= horizon:
+            break
+        times.append(t)
+    return times
+
+
+class _TinyGaps(np.random.Generator):
+    """Gaps a billion times too short: no draw reaches the horizon, so
+    the ``max_events`` cap ends the schedule."""
+
+    def exponential(self, scale=1.0, size=None):
+        return super().exponential(scale, size) * 1e-9
+
+
+class TestVectorisedDraw:
+    @given(seed=st.integers(0, 2 ** 32 - 1), mtbe=st.floats(1e-3, 10.0),
+           horizon=st.floats(-5.0, 200.0), capped=st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_sample_times_is_the_loop(self, seed, mtbe, horizon, capped):
+        """Same times (``float.hex``) and the same generator state after:
+        the page picks and anything drawn next are unchanged."""
+        make = _TinyGaps if capped else np.random.Generator
+        ours, oracle = make(np.random.PCG64(seed)), make(np.random.PCG64(seed))
+        times = ExponentialInjector(mtbe, rng=ours).sample_times(horizon)
+        expected = loop_sample_times(oracle, mtbe, horizon)
+        assert [t.hex() for t in times] == [t.hex() for t in expected]
+        if capped and horizon >= 1e-3:
+            assert len(times) == max(16, int(8 * horizon / mtbe) + 16)
+        assert ours.bit_generator.state == oracle.bit_generator.state
+        assert ours.integers(0, 1000, size=4).tolist() == \
+            oracle.integers(0, 1000, size=4).tolist()
+
+    def test_queue_builds_the_schedule_as_it_is_taken(self):
+        """Against the eager list the queue replaced: the times, then one
+        ``integers`` call for the page picks, from the same generator."""
+        pages = [("x", 0), ("x", 1), ("g", 0)]
+        rng = np.random.default_rng(3)
+        times = ExponentialInjector(mtbe=0.3, rng=rng).sample_times(20.0)
+        picks = rng.integers(0, len(pages), size=len(times)).tolist()
+        schedule = [Injection(t, *pages[k]) for t, k in zip(times, picks, strict=True)]
+        queue = ExponentialInjector(
+            mtbe=0.3, rng=np.random.default_rng(3)).queue(20.0, pages)
+        assert len(queue) == len(schedule) > 2
+        assert queue.next_time() == schedule[0].time
+        first, second = queue.popleft(), queue.popleft()
+        assert [first, second] == schedule[:2]
+        queue.push_front([first, second])
+        assert len(queue) == len(schedule)
+        assert queue.drain() == schedule
+        assert queue.next_time() == math.inf
+        with pytest.raises(IndexError):
+            queue.popleft()

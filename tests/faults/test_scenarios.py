@@ -16,7 +16,7 @@ class TestScenarioConstruction:
     def test_fault_free(self):
         scen = fault_free_scenario()
         assert scen.is_fault_free
-        assert scen.schedule(1.0, 10.0, [("x", 0)]) == []
+        assert scen.queue(1.0, 10.0, [("x", 0)]).drain() == []
 
     def test_rate_scenarios_grid(self):
         scens = normalized_rate_scenarios(rates=(1, 2), repetitions=3)
@@ -31,7 +31,7 @@ class TestScenarioConstruction:
 
     def test_single_error_scenario(self):
         scen = single_error_scenario("x", 3, 1.5)
-        schedule = scen.schedule(1.0, 10.0, [("x", 0)])
+        schedule = scen.queue(1.0, 10.0, [("x", 0)]).drain()
         assert schedule == [Injection(time=1.5, vector="x", page=3)]
         assert not scen.is_fault_free
 
@@ -42,7 +42,7 @@ class TestScenarioConstruction:
     def test_multi_error_scenario_sorted(self):
         scen = multi_error_scenario([Injection(2.0, "g", 1),
                                      Injection(1.0, "x", 0)])
-        schedule = scen.schedule(1.0, 10.0, [])
+        schedule = scen.queue(1.0, 10.0, []).drain()
         assert [inj.time for inj in schedule] == [1.0, 2.0]
 
 
@@ -51,8 +51,8 @@ class TestScenarioInjector:
         pages = [("x", p) for p in range(16)]
         low = ErrorScenario(normalized_rate=1.0, seed=5)
         high = ErrorScenario(normalized_rate=20.0, seed=5)
-        n_low = len(low.schedule(1.0, 50.0, pages))
-        n_high = len(high.schedule(1.0, 50.0, pages))
+        n_low = len(low.queue(1.0, 50.0, pages))
+        n_high = len(high.queue(1.0, 50.0, pages))
         assert n_high > 5 * max(n_low, 1)
 
     def test_zero_rate_gives_null_injector(self):
@@ -62,4 +62,4 @@ class TestScenarioInjector:
     def test_fixed_injections_take_priority(self):
         scen = ErrorScenario(normalized_rate=10.0,
                              fixed_injections=[Injection(0.5, "x", 0)])
-        assert len(scen.schedule(1.0, 100.0, [("x", 0)])) == 1
+        assert len(scen.queue(1.0, 100.0, [("x", 0)])) == 1

@@ -56,10 +56,10 @@ class TestScenarioSeeding:
         pages = [("x", p) for p in range(6)]
         scen = ErrorScenario(name="s", normalized_rate=5.0,
                              seed=np.random.SeedSequence(77))
-        a = scen.schedule(1.0, 20.0, pages)
+        a = scen.queue(1.0, 20.0, pages).drain()
         scen2 = ErrorScenario(name="s", normalized_rate=5.0,
                               seed=np.random.SeedSequence(77))
-        b = scen2.schedule(1.0, 20.0, pages)
+        b = scen2.queue(1.0, 20.0, pages).drain()
         assert a == b
         assert len(a) > 0
 
@@ -69,8 +69,8 @@ class TestScenarioSeeding:
         clone = scen.reseeded(np.random.SeedSequence(2), name="s2")
         assert clone.name == "s2"
         assert clone.normalized_rate == scen.normalized_rate
-        assert scen.schedule(1.0, 20.0, pages) \
-            != clone.schedule(1.0, 20.0, pages)
+        assert scen.queue(1.0, 20.0, pages).drain() \
+            != clone.queue(1.0, 20.0, pages).drain()
 
     def test_resilient_solver_runs_with_spawned_scenario(self):
         """End-to-end: a SeedSequence-seeded scenario drives a real solve."""

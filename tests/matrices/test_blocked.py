@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as la
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.matrices.blocked import PageBlockedMatrix
+from repro.matrices.sparse import SparseOperator
 from repro.matrices.stencil import poisson_2d_5pt
 
 
@@ -98,3 +103,31 @@ class TestSolves:
             blocked.coupled_diag_solve([], np.zeros(0))
         with pytest.raises(ValueError):
             blocked.coupled_diag_solve([0], np.zeros(3))
+
+    @given(n=st.integers(1, 90), page_size=st.integers(1, 50),
+           seed=st.integers(0, 2 ** 32 - 1), sparse=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_solve_diag_is_lu_solve(self, n, page_size, seed, sparse):
+        """The direct ``getrs`` call against ``lu_solve`` on the same
+        factors, bit for bit, on both backends."""
+        rng = np.random.default_rng(seed)
+        dense = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.4)
+        dense += np.diag(np.abs(dense).sum(axis=1) + rng.uniform(0.1, 2.0, n))
+        A = SparseOperator.from_dense(dense) if sparse else sp.csr_matrix(dense)
+        blocked = PageBlockedMatrix(A, page_size=page_size)
+        for block in range(blocked.num_blocks):
+            rhs = rng.standard_normal(blocked.block_size(block)) * 1e3
+            assert blocked.solve_diag(block, rhs).tobytes() == \
+                la.lu_solve(blocked.diag_factor(block), rhs).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_solve_diag_refuses_a_non_finite_rhs_as_lu_solve_does(self,
+                                                                   blocked,
+                                                                   bad):
+        rhs = np.ones(blocked.block_size(1))
+        rhs[5] = bad
+        with pytest.raises(ValueError) as ours:
+            blocked.solve_diag(1, rhs)
+        with pytest.raises(ValueError) as theirs:
+            la.lu_solve(blocked.diag_factor(1), rhs)
+        assert str(ours.value) == str(theirs.value)

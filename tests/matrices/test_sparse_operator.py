@@ -5,6 +5,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.matrices.blocked import PageBlockedMatrix
 from repro.matrices.laplacian import laplacian_1d
@@ -49,6 +51,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SparseOperator(np.ones(2), np.zeros(2), np.array([0, 1, 1]),
                            (2, 2))
+
+    @pytest.mark.parametrize("col", [5, 3, -1])
+    def test_out_of_range_columns_refused(self, col):
+        """``matvec_into`` gathers unchecked; no operator reaches it with
+        a column it would clip."""
+        with pytest.raises(ValueError, match="column indices"):
+            SparseOperator.from_coo([0], [col], [1.0], (3, 3))
+        with pytest.raises(ValueError, match="column indices"):
+            SparseOperator(np.ones(1), np.array([col]), np.array([0, 1, 1, 1]),
+                           (3, 3))
+        assert SparseOperator.from_coo([0], [2], [1.0], (3, 3)).nnz == 1
 
     def test_ensure_operator_idempotent(self, poisson_pair):
         _, op, _ = poisson_pair
@@ -119,6 +132,27 @@ class TestProducts:
                 assert (op @ v).tobytes() == op.matvec(v).tobytes()
             with pytest.raises(ValueError, match="vector has length"):
                 op.matvec(np.ones(op.n + 1))
+
+    @given(n=st.integers(1, 40), density=st.floats(0.0, 0.6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_matvec_into_is_matvec(self, n, density, seed):
+        """The product into the caller's ``out`` and scratch, bit for bit,
+        for every matrix without an empty row; with one, the engine keeps
+        ``matvec`` (``has_empty_rows`` says which)."""
+        rng = np.random.default_rng(seed)
+        dense = (rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-6, 6, (n, n))
+                 * (rng.random((n, n)) < density))
+        op = SparseOperator.from_dense(dense)
+        assert op.has_empty_rows() == (not np.all(dense.any(axis=1)))
+        np.fill_diagonal(dense, 1.0 + np.abs(np.diag(dense)))
+        op = SparseOperator.from_dense(dense)
+        assert not op.has_empty_rows()
+        out, scratch = np.full(n, np.nan), np.full(op.nnz, np.nan)
+        for _ in range(2):                      # scratch reused
+            v = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6, n)
+            op.matvec_into(v, out, scratch)
+            assert out.tobytes() == op.matvec(v).tobytes()
 
     def test_pickle_neither_carries_nor_needs_the_row_offsets(self,
                                                               poisson_pair,

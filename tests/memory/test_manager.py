@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.memory.events import PageState
 from repro.memory.manager import MemoryManager
@@ -147,3 +149,55 @@ class TestFaultLifecycle:
         mm.poison("x", 1, time=0.2)
         mm.touch("x", 1, time=0.3)
         assert mm.log.by_vector() == {"x": 2}
+
+
+def _manager(latent, lost):
+    """Two vectors of 4 pages, some pages latently poisoned or LOST."""
+    mm = MemoryManager()
+    for name in ("x", "g"):
+        mm.register(PagedVector(np.arange(1.0, 65.0), name=name, page_size=16))
+    for name, page in latent:
+        mm.poison(name, page, time=0.01)
+    for name, page in lost:
+        mm.poison(name, page, time=0.02)
+        mm.touch(name, page, time=0.03)
+    return mm
+
+
+_PAGE = st.tuples(st.sampled_from(["x", "g"]), st.integers(0, 3))
+
+
+class TestDetectBatch:
+    @given(injections=st.lists(st.tuples(st.floats(0.0, 1.0), _PAGE),
+                               max_size=12),
+           latent=st.lists(_PAGE, max_size=3), lost=st.lists(_PAGE, max_size=3),
+           iteration=st.integers(0, 50))
+    @settings(max_examples=120, deadline=None)
+    def test_batch_is_poison_then_touch_per_injection(self, injections, latent,
+                                                      lost, iteration):
+        """In order, duplicates included (a page hit twice in one batch):
+        the same states, pending poison, event log and page contents."""
+        batch = [(t, name, page) for t, (name, page) in injections]
+        looped, batched = _manager(latent, lost), _manager(latent, lost)
+        for t, name, page in batch:
+            looped.poison(name, page, time=t, iteration=iteration)
+            assert looped.touch(name, page, time=1.5) is not None
+        batched.detect_batch(batch, 1.5, iteration)
+        assert batched._state == looped._state
+        assert batched._pending == looped._pending
+        assert batched.log.events == looped.log.events
+        for name in ("x", "g"):
+            assert batched.vector(name).array.tobytes() == \
+                looped.vector(name).array.tobytes()
+
+    def test_a_page_out_of_range_stops_the_batch_where_poison_would(self):
+        looped, batched = _manager([], []), _manager([], [])
+        batch = [(0.1, "x", 1), (0.2, "g", 9), (0.3, "x", 2)]
+        with pytest.raises(IndexError):
+            for t, name, page in batch:
+                looped.poison(name, page, time=t)
+                looped.touch(name, page, time=1.0)
+        with pytest.raises(IndexError):
+            batched.detect_batch(batch, 1.0)
+        assert batched._state == looped._state
+        assert batched.log.events == looped.log.events

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro.runtime.async_exec import (PageLockTable, ThreadedBackend,
+from repro.runtime.async_exec import (DueRecord, PageLockTable, ThreadedBackend,
                                       VulnerableWindowMonitor)
 from repro.runtime.backend import (ExecutionResult, SimulatedBackend,
                                    WallInterval)
@@ -371,8 +371,11 @@ class TestVulnerableWindowMonitor:
         monitor = VulnerableWindowMonitor()
         monitor.record_window("r2->beta", 1.0, 1.5)
         monitor.record_window("degenerate", 2.0, 2.0)   # ignored
-        monitor.note_due("g", 3, sim_time=1.2, point="A", in_window=True)
-        monitor.note_due("x", 1, sim_time=0.1, point="A", in_window=False)
+        monitor.note_dues([DueRecord("g", 3, sim_time=1.2, point="A",
+                                     in_window=True),
+                           DueRecord("x", 1, sim_time=0.1, point="A",
+                                     in_window=False)])
+        monitor.note_dues([])
         summary = monitor.summary()
         assert summary["windows"] == 1
         assert summary["total_window"] == pytest.approx(0.5)

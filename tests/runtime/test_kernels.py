@@ -5,8 +5,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.matrices.blocked import PageBlockedMatrix
+from repro.matrices.sparse import SparseOperator, laplacian_2d_operator
 from repro.matrices.stencil import poisson_2d_5pt
 from repro.runtime.kernels import (LocalKernelEngine, make_kernel_engine,
                                    page_partials, paged_dot,
@@ -57,7 +60,17 @@ class TestPagedDot:
     def test_reduce_partials_order_fixed(self):
         parts = np.array([1e16, 1.0, -1e16, 2.0])
         assert reduce_partials(parts) == float(np.add.reduce(parts))
-        assert reduce_partials(parts, {0, 2}) == 3.0
+        assert reduce_partials(parts.copy(), {0, 2}) == 3.0
+
+    def test_caller_buffers_are_written_and_skips_zeroed_in_place(self, vectors):
+        u, v = vectors
+        psize = 128
+        prod, parts = np.empty(u.size), np.empty(8)
+        assert page_partials(u, v, psize, prod, parts) is parts
+        assert prod.tobytes() == (u * v).tobytes()
+        assert parts.tobytes() == page_partials(u, v, psize).tobytes()
+        assert reduce_partials(parts, {2, 99}) == paged_dot(u, v, psize, {2})
+        assert parts[2] == 0.0
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -108,3 +121,84 @@ class TestLocalKernelEngine:
             make_kernel_engine(blocked, resolve_runtime_spec(ranks=0))
         engine = make_kernel_engine(blocked, resolve_runtime_spec(ranks=1))
         assert isinstance(engine, LocalKernelEngine)
+
+
+def _spread(seed: int, n: int) -> np.ndarray:
+    """Values over 16 decades, so a reduction's order shows in its bits."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+
+
+def _allocating_paged_dot(u, v, page_size, skip_pages) -> float:
+    """The allocating page-ordered dot the buffered primitives replaced,
+    kept as their oracle: full pages multiplied as ``(pages, page_size)``
+    slices, the ragged page reduced alone, out-of-range skips dropped,
+    the partials combined by one ``np.add.reduce``."""
+    n = u.shape[0]
+    full = (n // page_size) * page_size
+    parts = np.add.reduce(u[:full].reshape(-1, page_size)
+                          * v[:full].reshape(-1, page_size), axis=1)
+    if full < n:
+        parts = np.concatenate([parts, [np.add.reduce(u[full:] * v[full:])]])
+    skip = [p for p in skip_pages if 0 <= p < parts.shape[0]]
+    if skip:
+        parts = parts.copy()
+        parts[skip] = 0.0
+    return float(np.add.reduce(parts))
+
+
+class TestEngineScratchDifferential:
+    """The engine's allocation-free kernels against their allocating
+    spellings, bit for bit (``float.hex`` / ``tobytes``)."""
+
+    @given(n=st.integers(0, 1500), page_size=st.integers(1, 160),
+           seed=st.integers(0, 2 ** 32 - 1),
+           skips=st.lists(st.lists(st.integers(-12, 40), max_size=6),
+                          min_size=1, max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_dot_is_the_allocating_paged_dot(self, n, page_size, seed, skips):
+        """Ragged last pages, empty skip sets, out-of-range and duplicate
+        pages; one engine for every call, so no call sees the last one's
+        scratch (nor the skips zeroed in it)."""
+        engine = LocalKernelEngine(None, n, page_size)
+        u, v = _spread(seed, n), _spread(seed + 1, n)
+        for skip in skips + [[]]:
+            for a, b, pages in ((u, v, skip), (u, u, set(skip))):
+                expected = _allocating_paged_dot(a, b, page_size, pages).hex()
+                assert engine.dot(a, b, pages).hex() == expected
+                assert paged_dot(a, b, page_size, pages).hex() == expected
+
+    @given(nx=st.integers(1, 12), ny=st.integers(1, 12),
+           page_size=st.integers(1, 40), beta=st.floats(-1e3, 1e3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_vector_kernels_are_their_allocating_spellings(
+            self, nx, ny, page_size, beta, seed):
+        A = laplacian_2d_operator(nx, ny, shift=0.5)
+        n = A.n
+        engine = LocalKernelEngine(A, n, page_size)
+        assert engine._gather is not None
+        d, z, b = _spread(seed, n), _spread(seed + 1, n), _spread(seed + 2, n)
+        out = np.empty(n)
+        engine.spmv(d, out)
+        assert out.tobytes() == (A @ d).tobytes()
+        engine.residual(d, b, out)
+        assert out.tobytes() == (b - A @ d).tobytes()
+        engine.update_direction(out, z, beta, d)
+        assert out.tobytes() == (z + beta * d).tobytes()
+        y, expected = b.copy(), b.copy()
+        engine.axpy(y, beta, z)
+        expected += beta * z
+        assert y.tobytes() == expected.tobytes()
+
+    def test_an_empty_row_takes_the_allocating_product(self):
+        rows, cols = [0, 0, 2, 2], [0, 2, 0, 2]
+        A = SparseOperator.from_coo(rows, cols, [2.0, -1.0, -1.0, 3.0], (3, 3))
+        assert A.has_empty_rows()
+        engine = LocalKernelEngine(A, 3, 2)
+        assert engine._gather is None
+        d, out = np.array([1.5, -2.0, 0.25]), np.empty(3)
+        engine.spmv(d, out)
+        assert out.tobytes() == (A @ d).tobytes()
+        engine.residual(d, np.ones(3), out)
+        assert out.tobytes() == (np.ones(3) - A @ d).tobytes()

@@ -52,8 +52,8 @@ def assert_matches(case, result):
     assert result.makespan.hex() == case["makespan"]
     assert [s.hex() for s in result.starts] == case["start"]
     assert [e.hex() for e in result.ends] == case["end"]
-    assert result.workers == case["worker"]
-    assert result.launch_order == case["order"]
+    assert list(result.workers) == case["worker"]
+    assert list(result.launch_order) == case["order"]
     for key in BREAKDOWN:
         assert getattr(result.trace.breakdown, key).hex() == \
             case["breakdown"][key], key

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import platform
 from pathlib import Path
 
@@ -72,7 +73,23 @@ def numerics_stack() -> str:
     return f"{platform.machine()}|numpy {numpy.__version__}|scipy {scipy.__version__}"
 
 
+#: ``OPENBLAS_NUM_THREADS`` when ``solve_oracle.json`` was recorded: unset,
+#: spelled as ``bench/harness.py::host_description`` spells it.  The stack
+#: string above predates the setting and leaves it out, but iterates
+#: depend on it: under ``1``, FEIR's and AFEIR's rate-50 preconditioned
+#: cases differ.
+RECORDED_BLAS_THREADS = "default"
+
+
+def blas_threads() -> str:
+    """This process's ``OPENBLAS_NUM_THREADS``, in the same spelling."""
+    return os.environ.get("OPENBLAS_NUM_THREADS", "default")
+
+
 def main() -> None:
+    if blas_threads() != RECORDED_BLAS_THREADS:
+        raise SystemExit(f"record with OPENBLAS_NUM_THREADS unset, as the "
+                         f"committed oracle was (here: {blas_threads()})")
     cases = []
     for rate, seed, preconditioned in SCENARIOS:
         ideal = solve(None, preconditioned=preconditioned).solve_time

@@ -72,6 +72,9 @@ def tasks_added(monkeypatch):
 def test_solve_matches_the_parent_commit(case, graphs_built):
     if generator.numerics_stack() != ORACLE["stack"]:
         pytest.skip(f"iterates were recorded on {ORACLE['stack']}")
+    if generator.blas_threads() != generator.RECORDED_BLAS_THREADS:
+        pytest.skip(f"iterates were recorded with OPENBLAS_NUM_THREADS "
+                    f"unset; here it is {generator.blas_threads()}")
     result = generator.solve(case["method"], case["rate"], case["seed"],
                              case["preconditioned"],
                              ideal_time=float.fromhex(case["ideal_time"]))

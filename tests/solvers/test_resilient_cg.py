@@ -1,7 +1,11 @@
 """Tests for the resilient task-decomposed CG (fault-free behaviour)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.manager import make_strategy
 from repro.matrices.stencil import poisson_2d_5pt, stencil_rhs
@@ -152,3 +156,17 @@ class TestPreconditionedSolver:
         assert ResilientCG(A, b, preconditioner=M,
                            strategy=make_strategy("FEIR"),
                            config=config())._method_name() == "PCG-FEIR"
+
+
+@given(n=st.integers(0, 3000), seed=st.integers(0, 2 ** 32 - 1),
+       b_norm=st.floats(1e-100, 1e100))
+@settings(max_examples=80, deadline=None)
+def test_relative_residual_is_the_norm_it_replaced(n, seed, b_norm):
+    """``sqrt(g . g) / ||b||`` against ``np.linalg.norm(g) / ||b||``."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal(n) * 10.0 ** rng.uniform(-100, 100, n)
+    run = SimpleNamespace(b_norm=b_norm, state=SimpleNamespace(
+        vectors={"g": SimpleNamespace(array=g)}))
+    solver = ResilientCG(np.eye(1), np.ones(1))
+    assert solver._relative_residual(run).hex() == \
+        float(np.linalg.norm(g) / b_norm).hex()
