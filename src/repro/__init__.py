@@ -3,8 +3,9 @@ for DUE in Iterative Solvers" (Jaulmes et al., SC 2015).
 
 The package provides:
 
-* page-blocked Krylov solvers (CG, PCG, BiCGStab, GMRES) and a
-  task-decomposed resilient CG (:class:`repro.solvers.ResilientCG`),
+* a task-decomposed, page-blocked resilient CG/PCG
+  (:class:`repro.solvers.resilient_cg.ResilientCG`), with textbook CG and
+  PCG beside it as the tests' oracle (:mod:`repro.solvers.reference`),
 * the forward exact interpolation recoveries FEIR and AFEIR, plus the
   Lossy Restart, checkpoint/rollback and trivial baselines
   (:mod:`repro.core`),
@@ -31,44 +32,14 @@ Quick start::
     print(result.record.summary())
 """
 
-from repro.config import PAGE_BYTES, PAGE_DOUBLES
-from repro.core import (AFEIRStrategy, CheckpointStrategy, FEIRStrategy,
-                        LossyRestartStrategy, RecoveryStrategy, TrivialStrategy,
-                        make_strategy)
-from repro.faults import ErrorScenario, single_error_scenario
-from repro.memory import MemoryManager, PagedVector
-from repro.precond import (BlockJacobiPreconditioner, IdentityPreconditioner,
-                           JacobiPreconditioner)
-from repro.runtime import CostModel
-from repro.solvers import (ResilientCG, SolverConfig, bicgstab,
-                           conjugate_gradient, gmres,
-                           preconditioned_conjugate_gradient)
+from repro.core.manager import make_strategy
+from repro.solvers.resilient_cg import ResilientCG, SolverConfig
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "AFEIRStrategy",
-    "BlockJacobiPreconditioner",
-    "CheckpointStrategy",
-    "CostModel",
-    "ErrorScenario",
-    "FEIRStrategy",
-    "IdentityPreconditioner",
-    "JacobiPreconditioner",
-    "LossyRestartStrategy",
-    "MemoryManager",
-    "PAGE_BYTES",
-    "PAGE_DOUBLES",
-    "PagedVector",
-    "RecoveryStrategy",
     "ResilientCG",
     "SolverConfig",
-    "TrivialStrategy",
-    "bicgstab",
-    "conjugate_gradient",
-    "gmres",
     "make_strategy",
-    "preconditioned_conjugate_gradient",
-    "single_error_scenario",
     "__version__",
 ]

@@ -1,18 +1,1 @@
 """Analysis utilities: convergence histories, overhead statistics, reports."""
-
-from repro.analysis.convergence import ConvergenceRecord, ResidualHistory
-from repro.analysis.overheads import overhead_percent, slowdown_percent, speedup
-from repro.analysis.stats import geometric_mean, harmonic_mean, harmonic_mean_overhead
-from repro.analysis.report import format_table
-
-__all__ = [
-    "ConvergenceRecord",
-    "ResidualHistory",
-    "format_table",
-    "geometric_mean",
-    "harmonic_mean",
-    "harmonic_mean_overhead",
-    "overhead_percent",
-    "slowdown_percent",
-    "speedup",
-]

@@ -9,7 +9,7 @@ convergence-vs-slowdown comparisons of Figure 4) can be regenerated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List
 
 import numpy as np
 
@@ -37,10 +37,6 @@ class ResidualHistory:
         return self.residuals[-1] if self.residuals else float("inf")
 
     @property
-    def final_time(self) -> float:
-        return self.times[-1] if self.times else 0.0
-
-    @property
     def final_iteration(self) -> int:
         return self.iterations[-1] if self.iterations else 0
 
@@ -49,25 +45,6 @@ class ResidualHistory:
         res = np.asarray(self.residuals, dtype=np.float64)
         res = np.maximum(res, np.finfo(np.float64).tiny)
         return np.log10(res)
-
-    def as_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (np.asarray(self.iterations), np.asarray(self.times),
-                np.asarray(self.residuals))
-
-    def is_monotone(self, tolerance: float = 0.0) -> bool:
-        """True if residuals never increase by more than ``tolerance`` (relative)."""
-        res = np.asarray(self.residuals)
-        if res.size < 2:
-            return True
-        increases = np.diff(res) > tolerance * np.maximum(res[:-1], 1e-300)
-        return not bool(np.any(increases))
-
-    def time_to_reach(self, threshold: float) -> Optional[float]:
-        """Earliest recorded time at which the residual dropped below ``threshold``."""
-        for t, r in zip(self.times, self.residuals, strict=True):
-            if r <= threshold:
-                return t
-        return None
 
 
 @dataclass

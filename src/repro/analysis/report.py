@@ -37,8 +37,3 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
     for row in str_rows:
         lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths, strict=True)))
     return "\n".join(lines)
-
-
-def format_percent(value: float, decimals: int = 2) -> str:
-    """Format a percentage the way the paper's tables do (e.g. ``5.37%``)."""
-    return f"{value:.{decimals}f}%"

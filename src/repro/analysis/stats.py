@@ -7,7 +7,7 @@ across repetitions.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -41,27 +41,9 @@ def harmonic_mean_overhead(overheads_percent: Sequence[float]) -> float:
     return 100.0 * (hm - 1.0)
 
 
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean of positive values."""
-    arr = np.asarray(list(values), dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("geometric mean of an empty sequence")
-    if np.any(arr <= 0):
-        raise ValueError("geometric mean requires strictly positive values")
-    return float(np.exp(np.mean(np.log(arr))))
-
-
 def mean_and_std(values: Sequence[float]) -> Tuple[float, float]:
     """Arithmetic mean and standard deviation (ddof=0)."""
     arr = np.asarray(list(values), dtype=np.float64)
     if arr.size == 0:
         raise ValueError("mean of an empty sequence")
     return float(arr.mean()), float(arr.std())
-
-
-def aggregate_by_key(pairs: Iterable[Tuple[str, float]]) -> Dict[str, List[float]]:
-    """Group (key, value) pairs into key -> list of values."""
-    out: Dict[str, List[float]] = {}
-    for key, value in pairs:
-        out.setdefault(key, []).append(value)
-    return out

@@ -28,53 +28,20 @@ Quick start::
     print(result.format())
 """
 
-from repro.campaign.engine import (CampaignRun, run_campaign, run_trial,
-                                   solve_trial)
-from repro.campaign.executors import (EXECUTOR_NAMES, CampaignExecutor,
-                                      CampaignInterrupted,
-                                      ProcessPoolExecutor, SerialExecutor,
-                                      TripAfter, WorkerLost, make_executor)
-from repro.campaign.results import (DIVERGED_SLOWDOWN, CampaignResult,
-                                    CellStats, TrialResult)
-from repro.campaign.spec import (MATRIX_FAMILIES, CampaignSpec, MatrixSpec,
-                                 SolverKnobs, TrialSpec, content_hash,
-                                 parse_shard, shard_trials)
-from repro.campaign.store import (DEFAULT_STORE_PATH, STORE_ENV,
-                                  STORE_SCHEMA_VERSION, CampaignCache,
-                                  CampaignStore, StoreSchemaError,
-                                  VerifyReport, default_store_root)
+from repro.campaign.engine import run_campaign, run_trial
+from repro.campaign.executors import SerialExecutor, make_executor
+from repro.campaign.results import DIVERGED_SLOWDOWN
+from repro.campaign.spec import CampaignSpec, MatrixSpec, SolverKnobs
+from repro.campaign.store import CampaignStore
 
 __all__ = [
-    "CampaignCache",
-    "CampaignExecutor",
-    "CampaignInterrupted",
-    "CampaignResult",
-    "CampaignRun",
     "CampaignSpec",
     "CampaignStore",
-    "CellStats",
-    "DEFAULT_STORE_PATH",
     "DIVERGED_SLOWDOWN",
-    "EXECUTOR_NAMES",
-    "MATRIX_FAMILIES",
     "MatrixSpec",
-    "ProcessPoolExecutor",
-    "STORE_ENV",
-    "STORE_SCHEMA_VERSION",
     "SerialExecutor",
     "SolverKnobs",
-    "StoreSchemaError",
-    "TrialResult",
-    "TrialSpec",
-    "TripAfter",
-    "VerifyReport",
-    "WorkerLost",
-    "content_hash",
-    "default_store_root",
     "make_executor",
-    "parse_shard",
     "run_campaign",
     "run_trial",
-    "shard_trials",
-    "solve_trial",
 ]

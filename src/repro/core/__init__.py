@@ -18,35 +18,6 @@ This package is the paper's primary contribution:
   keep going).
 """
 
-from repro.core.afeir import AFEIRStrategy
-from repro.core.checkpoint import CheckpointStrategy, optimal_checkpoint_interval
-from repro.core.feir import FEIRStrategy
-from repro.core.interpolation import (exact_block_interpolation,
-                                      least_squares_interpolation,
-                                      coupled_block_interpolation)
-from repro.core.lossy import LossyRestartStrategy, lossy_interpolate
-from repro.core.manager import STRATEGY_NAMES, make_strategy
-from repro.core.relations import (LinearCombinationRelation, MatVecRelation,
-                                  ResidualRelation)
-from repro.core.strategy import RecoveryStrategy, RecoveryStats
-from repro.core.trivial import TrivialStrategy
+from repro.core.manager import make_strategy
 
-__all__ = [
-    "AFEIRStrategy",
-    "CheckpointStrategy",
-    "FEIRStrategy",
-    "LinearCombinationRelation",
-    "LossyRestartStrategy",
-    "MatVecRelation",
-    "RecoveryStats",
-    "RecoveryStrategy",
-    "ResidualRelation",
-    "STRATEGY_NAMES",
-    "TrivialStrategy",
-    "coupled_block_interpolation",
-    "exact_block_interpolation",
-    "least_squares_interpolation",
-    "lossy_interpolate",
-    "make_strategy",
-    "optimal_checkpoint_interval",
-]
+__all__ = ["make_strategy"]

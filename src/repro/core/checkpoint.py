@@ -57,8 +57,6 @@ class CheckpointStrategy(RecoveryStrategy):
         self.interval = interval
         self.cost_model = cost_model
         self._saved: Optional[Dict[str, np.ndarray]] = None
-        self._saved_iteration: int = 0
-        self._saved_scalars: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
     def configure_interval(self, mtbe: float, iteration_time: float,
@@ -82,24 +80,14 @@ class CheckpointStrategy(RecoveryStrategy):
     def on_solve_start(self, state) -> None:
         # Take checkpoint zero so a very early error has something to
         # roll back to.
-        self.save(state, iteration=0, scalars={})
+        self.save(state)
 
-    def save(self, state, iteration: int, scalars: Dict[str, float]) -> None:
+    def save(self, state) -> None:
         """Write a checkpoint (deep copies of x and the current d buffer)."""
         self._saved = {
             "x": np.array(state.vectors["x"].array, copy=True),
             "d": np.array(state.vectors[state.current_d_name].array, copy=True),
         }
-        self._saved_scalars = dict(scalars)
-        self._saved_iteration = iteration
-
-    @property
-    def saved_iteration(self) -> int:
-        return self._saved_iteration
-
-    @property
-    def saved_scalars(self) -> Dict[str, float]:
-        return dict(self._saved_scalars)
 
     def handle_lost_pages(self, state, lost: List[Tuple[str, int]],
                           iteration: int) -> RecoveryOutcome:

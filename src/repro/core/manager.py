@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.core.afeir import AFEIRStrategy
 from repro.core.checkpoint import CheckpointStrategy
@@ -38,10 +38,3 @@ def make_strategy(name: str, *, cost_model: CostModel = DEFAULT_COST_MODEL,
         return TrivialStrategy()
     raise ValueError(f"unknown recovery strategy {name!r}; "
                      f"known strategies: {', '.join(STRATEGY_NAMES)}")
-
-
-def all_strategies(cost_model: CostModel = DEFAULT_COST_MODEL
-                   ) -> Dict[str, RecoveryStrategy]:
-    """One instance of every method, keyed by canonical name."""
-    return {name: make_strategy(name, cost_model=cost_model)
-            for name in STRATEGY_NAMES}

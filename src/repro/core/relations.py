@@ -80,12 +80,6 @@ class LinearCombinationRelation:
             raise ZeroDivisionError("cannot invert the relation when beta == 0")
         return (u_page - self.alpha * v_page) / self.beta
 
-    def recover_v_page(self, u_page: np.ndarray, w_page: np.ndarray) -> np.ndarray:
-        """``v_i = (u_i - beta w_i) / alpha``."""
-        if self.alpha == 0.0:
-            raise ZeroDivisionError("cannot invert the relation when alpha == 0")
-        return (u_page - self.beta * w_page) / self.alpha
-
 
 @dataclass
 class ResidualRelation:

@@ -15,7 +15,6 @@ typed, to avoid a circular dependency on the solver module):
 ``memory``             the :class:`~repro.memory.manager.MemoryManager`
 ``residual_relation``  a :class:`~repro.core.relations.ResidualRelation`
 ``matvec_relation``    a :class:`~repro.core.relations.MatVecRelation`
-``preconditioner``     the preconditioner (or ``None``)
 """
 
 from __future__ import annotations

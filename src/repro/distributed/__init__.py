@@ -22,21 +22,3 @@ This package now covers that setup from two complementary angles:
   be calibrated from the measured rank-runtime exchanges
   (:func:`~repro.distributed.comm.fit_communication_model`).
 """
-
-from repro.distributed.partition import RankPartition, StripPartition
-from repro.distributed.comm import CommunicationModel, fit_communication_model
-from repro.distributed.cluster import ClusterModel, ScalingResult
-from repro.distributed.ranks import (RankCommStats, RankKernelEngine,
-                                     RankRuntime)
-
-__all__ = [
-    "ClusterModel",
-    "CommunicationModel",
-    "RankCommStats",
-    "RankKernelEngine",
-    "RankPartition",
-    "RankRuntime",
-    "ScalingResult",
-    "StripPartition",
-    "fit_communication_model",
-]

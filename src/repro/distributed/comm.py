@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple, Union
 
@@ -60,15 +59,6 @@ class CommunicationModel:
         if values < 0:
             raise ValueError(f"values must be >= 0, got {values}")
         return self.cost_model.allreduce(8.0 * values, num_ranks)
-
-    def broadcast(self, num_ranks: int, num_bytes: float) -> float:
-        """Tree broadcast (used for initial data distribution, not timed in CG)."""
-        if num_ranks <= 1:
-            return 0.0
-        if num_bytes < 0:
-            raise ValueError(f"num_bytes must be >= 0, got {num_bytes}")
-        stages = math.ceil(math.log2(num_ranks))
-        return stages * self.cost_model.message(num_bytes)
 
 
 def fit_communication_model(

@@ -26,10 +26,6 @@ class RankPartition:
     #: Nonzeros in the local block of rows.
     local_nnz: int
 
-    @property
-    def local_rows(self) -> int:
-        return self.row_stop - self.row_start
-
     def halo_sizes(self) -> Tuple[int, ...]:
         """Entries read from each neighbour, in ``neighbours`` order
         (the per-neighbour shares the communication model charges)."""
@@ -167,14 +163,3 @@ class StripPartition:
             if idx is not None and idx.size:
                 plan[other] = idx.copy()
         return plan
-
-    def max_halo(self) -> int:
-        return max(p.halo_size for p in self._partitions)
-
-    def max_local_nnz(self) -> int:
-        return max(p.local_nnz for p in self._partitions)
-
-    def load_imbalance(self) -> float:
-        """Ratio of the heaviest rank's nnz to the average (1.0 = balanced)."""
-        nnzs = [p.local_nnz for p in self._partitions]
-        return max(nnzs) / (sum(nnzs) / len(nnzs))

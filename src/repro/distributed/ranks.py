@@ -456,7 +456,7 @@ class RankRuntime:
 
 class RankKernelEngine(KernelEngine):
     """The :class:`~repro.runtime.kernels.KernelEngine` face of the
-    rank runtime, pluggable into :class:`~repro.solvers.ResilientCG`."""
+    rank runtime, pluggable into :class:`~repro.solvers.resilient_cg.ResilientCG`."""
 
     name = "ranks"
 

@@ -17,25 +17,3 @@ The drivers own the solves — every cell is a campaign trial through
 the iteration counts its driver measures).  The benchmark harness under
 ``benchmarks/`` simply calls these drivers.
 """
-
-from repro.experiments.common import ExperimentConfig, MethodRun
-from repro.experiments.table2 import run_table2, format_table2
-from repro.experiments.table3 import run_table3, format_table3
-from repro.experiments.fig3 import run_fig3, format_fig3
-from repro.experiments.fig4 import run_fig4, format_fig4
-from repro.experiments.fig5 import run_fig5, format_fig5
-
-__all__ = [
-    "ExperimentConfig",
-    "MethodRun",
-    "format_fig3",
-    "format_fig4",
-    "format_fig5",
-    "format_table2",
-    "format_table3",
-    "run_fig3",
-    "run_fig4",
-    "run_fig5",
-    "run_table2",
-    "run_table3",
-]

@@ -37,9 +37,6 @@ class Fig3Result:
     final_times: Dict[str, float]
     config: ExperimentConfig
 
-    def series(self, method: str) -> ResidualHistory:
-        return self.histories[method]
-
 
 def run_fig3(config: Optional[ExperimentConfig] = None,
              matrix: str = "thermal2", inject_fraction: float = 0.4,

@@ -29,14 +29,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.analysis.report import format_table
 from repro.campaign.engine import run_campaign
 from repro.campaign.executors import CampaignExecutor
-from repro.campaign.results import (DIVERGED_SLOWDOWN, CampaignResult,
-                                    TrialResult)
+from repro.campaign.results import CampaignResult, TrialResult
 from repro.campaign.spec import CampaignSpec
 from repro.experiments.common import ExperimentConfig
 from repro.faults.scenarios import PAPER_ERROR_RATES
-
-__all__ = ["DIVERGED_SLOWDOWN", "Fig4Cell", "Fig4Result", "campaign_spec",
-           "run_fig4", "format_fig4", "format_fig4_per_matrix"]
 
 
 @dataclass

@@ -10,20 +10,6 @@ schedule of (time, vector, page) injections that the simulated run
 replays.
 """
 
-from repro.faults.injector import (ExponentialInjector, Injection, SeedLike,
-                                   derive_rng, null_injector)
-from repro.faults.scenarios import (ErrorScenario, multi_error_scenario,
-                                    normalized_rate_scenarios,
-                                    single_error_scenario)
+from repro.faults.scenarios import single_error_scenario
 
-__all__ = [
-    "ExponentialInjector",
-    "Injection",
-    "SeedLike",
-    "derive_rng",
-    "null_injector",
-    "ErrorScenario",
-    "multi_error_scenario",
-    "normalized_rate_scenarios",
-    "single_error_scenario",
-]
+__all__ = ["single_error_scenario"]

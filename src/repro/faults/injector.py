@@ -178,10 +178,6 @@ class ExponentialInjector:
         picks = self._rng.integers(0, len(pages), size=len(times))
         return InjectionQueue(times, picks.tolist(), pages)
 
-    def expected_errors(self, horizon: float) -> float:
-        """Expected number of errors over ``horizon``."""
-        return horizon / self.mtbe
-
 
 class _NullInjector(ExponentialInjector):
     """Injector that never fires (normalised rate zero)."""
@@ -193,9 +189,6 @@ class _NullInjector(ExponentialInjector):
 
     def sample_times(self, horizon: float) -> List[float]:
         return []
-
-    def expected_errors(self, horizon: float) -> float:
-        return 0.0
 
 
 def null_injector(rng: SeedLike = DEFAULT_SEED) -> ExponentialInjector:

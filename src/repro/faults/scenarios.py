@@ -70,29 +70,6 @@ class ErrorScenario:
         return self.normalized_rate <= 0 and not self.fixed_injections
 
 
-def fault_free_scenario() -> ErrorScenario:
-    """The baseline scenario with no injected errors."""
-    return ErrorScenario(name="fault-free", normalized_rate=0.0)
-
-
-def normalized_rate_scenarios(rates: Sequence[float] = PAPER_ERROR_RATES,
-                              repetitions: int = 1,
-                              base_seed: int = DEFAULT_SEED) -> List[ErrorScenario]:
-    """The Figure 4 scenario grid: each rate repeated with distinct seeds."""
-    if repetitions <= 0:
-        raise ValueError(f"repetitions must be positive, got {repetitions}")
-    scenarios: List[ErrorScenario] = []
-    for rate in rates:
-        if rate <= 0:
-            raise ValueError(f"normalised rates must be positive, got {rate}")
-        for rep in range(repetitions):
-            scenarios.append(ErrorScenario(
-                name=f"rate{rate:g}-rep{rep}",
-                normalized_rate=float(rate),
-                seed=base_seed + 7919 * rep + int(1000 * rate)))
-    return scenarios
-
-
 def single_error_scenario(vector: str, page: int, time: float,
                           name: Optional[str] = None) -> ErrorScenario:
     """The Figure 3 scenario: one DUE in ``vector`` page ``page`` at ``time``."""

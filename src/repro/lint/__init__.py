@@ -39,18 +39,3 @@ check (set ``REPRO_VERIFY_GRAPHS=1`` to run it inside both execution
 backends); for real threads, ``repro.sanitize`` (``REPRO_TSAN=1``) —
 data races and lock-order cycles, which no static pass here looks for.
 """
-
-from repro.lint.engine import FileContext, LintResult, lint_paths, lint_source
-from repro.lint.findings import Finding
-from repro.lint.pragmas import PragmaSheet
-from repro.lint.checkers import ALL_CHECKERS
-
-__all__ = [
-    "ALL_CHECKERS",
-    "FileContext",
-    "Finding",
-    "LintResult",
-    "PragmaSheet",
-    "lint_paths",
-    "lint_source",
-]

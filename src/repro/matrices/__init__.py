@@ -14,34 +14,6 @@ The collection is not redistributable offline, so this package provides:
   drives the paper's per-matrix differences.
 """
 
-from repro.matrices.laplacian import laplacian_1d, laplacian_2d, laplacian_3d
-from repro.matrices.properties import (bandwidth, is_spd, is_symmetric,
-                                        nnz_per_row, spd_check)
-from repro.matrices.random_spd import random_sparse_spd
-from repro.matrices.sparse import (SparseOperator, ensure_operator,
-                                   laplacian_1d_operator, laplacian_2d_operator)
-from repro.matrices.stencil import poisson_2d_5pt, poisson_3d_7pt, poisson_3d_27pt
-from repro.matrices.suite import MatrixInfo, PAPER_MATRICES, load_suite, make_matrix
+from repro.matrices.stencil import poisson_2d_5pt
 
-__all__ = [
-    "MatrixInfo",
-    "PAPER_MATRICES",
-    "SparseOperator",
-    "ensure_operator",
-    "laplacian_1d_operator",
-    "laplacian_2d_operator",
-    "bandwidth",
-    "is_spd",
-    "is_symmetric",
-    "laplacian_1d",
-    "laplacian_2d",
-    "laplacian_3d",
-    "load_suite",
-    "make_matrix",
-    "nnz_per_row",
-    "poisson_2d_5pt",
-    "poisson_3d_7pt",
-    "poisson_3d_27pt",
-    "random_sparse_spd",
-    "spd_check",
-]
+__all__ = ["poisson_2d_5pt"]

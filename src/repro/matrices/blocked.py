@@ -4,7 +4,6 @@ All recovery relations of Table 1 are expressed per block of rows, where
 a block is the set of rows whose vector entries live on one memory page
 (512 values).  This class provides, for a CSR matrix ``A``:
 
-* ``row_block(i)``      — the rows of block ``i`` (a CSR slice),
 * ``diag_block(i)``     — the dense diagonal block ``A_ii``,
 * ``offdiag_product(i, v)`` — ``sum_{j != i} A_ij v_j`` computed as the
   full block-row product minus the diagonal-block contribution,
@@ -67,18 +66,6 @@ class PageBlockedMatrix:
     def uses_sparse_operator(self) -> bool:
         """True when the SciPy-free fast-path backend is in use."""
         return isinstance(self.A, SparseOperator)
-
-    def row_block(self, block: int) -> sp.csr_matrix:
-        """CSR view of the rows in ``block`` (all columns)."""
-        sl = self.block_slice(block)
-        if self.uses_sparse_operator:
-            p0 = int(self.A.indptr[sl.start])
-            p1 = int(self.A.indptr[sl.stop])
-            return sp.csr_matrix(
-                (self.A.data[p0:p1], self.A.indices[p0:p1],
-                 self.A.indptr[sl.start:sl.stop + 1] - p0),
-                shape=(sl.stop - sl.start, self.n))
-        return self.A[sl.start:sl.stop, :]
 
     def diag_block(self, block: int) -> np.ndarray:
         """Dense diagonal block ``A_ii`` (cached)."""

@@ -49,15 +49,6 @@ def smallest_eigenvalue(A: sp.spmatrix) -> float:
         return float(np.min(diag - off))
 
 
-def bandwidth(A: sp.spmatrix) -> int:
-    """Maximum |i - j| over the (numerically) nonzero entries of ``A``."""
-    coo = sp.coo_matrix(A)
-    coo.eliminate_zeros()
-    if coo.nnz == 0:
-        return 0
-    return int(np.max(np.abs(coo.row - coo.col)))
-
-
 def nnz_per_row(A: sp.spmatrix) -> float:
     """Average number of nonzeros per row."""
     A = sp.csr_matrix(A)
@@ -72,10 +63,6 @@ class SpdReport:
     smallest_eigenvalue: float
     n: int
     nnz: int
-
-    @property
-    def spd(self) -> bool:
-        return self.symmetric and self.smallest_eigenvalue > 0
 
 
 def spd_check(A: sp.spmatrix) -> SpdReport:

@@ -1,4 +1,4 @@
-"""Random sparse SPD matrix generators (for property-based tests and the suite)."""
+"""Random sparse SPD matrices: non-stencil sparsity for the tests."""
 
 from __future__ import annotations
 
@@ -38,21 +38,3 @@ def random_sparse_spd(n: int, density: float = 0.01, *,
     diag = row_abs * (1.0 + 0.1 * condition_boost) + 1e-3 * condition_boost
     A = S + sp.diags(diag)
     return A.tocsr()
-
-
-def random_dense_spd(n: int, condition: float = 100.0,
-                     seed: int = DEFAULT_SEED) -> np.ndarray:
-    """A dense SPD matrix with approximately the requested condition number.
-
-    Built from a random orthogonal basis and a log-spaced spectrum, so it
-    is exactly SPD and the conditioning is controlled; used for testing
-    the recovery relations on diagonal blocks.
-    """
-    if n <= 0:
-        raise ValueError("n must be positive")
-    if condition < 1:
-        raise ValueError("condition must be >= 1")
-    rng = derive_rng(seed)
-    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    eigenvalues = np.logspace(0.0, np.log10(condition), n)
-    return (Q * eigenvalues) @ Q.T

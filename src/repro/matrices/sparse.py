@@ -254,21 +254,8 @@ class SparseOperator:
         """Full dense copy (tests and tiny matrices only)."""
         return self.dense_block(0, self.shape[0], 0, self.shape[1])
 
-    def row_slab_nnz(self, start: int, stop: int) -> int:
-        """Number of nonzeros in rows ``[start, stop)``."""
-        return int(self.indptr[stop] - self.indptr[start])
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"SparseOperator(shape={self.shape}, nnz={self.nnz})")
-
-
-def ensure_operator(A) -> SparseOperator:
-    """Coerce a SciPy matrix / dense array / operator to a SparseOperator."""
-    if isinstance(A, SparseOperator):
-        return A
-    if hasattr(A, "tocsr"):
-        return SparseOperator.from_scipy(A)
-    return SparseOperator.from_dense(np.asarray(A))
 
 
 # ----------------------------------------------------------------------

@@ -15,20 +15,20 @@ spread the paper's discussion relies on: some problems converge in a few
 dozen iterations (qa8fm-like), some in hundreds (thermal-like), they have
 different nnz/row, and all are SPD so CG and the exact recovery relations
 apply.  The :class:`MatrixInfo` records carry the original matrix's
-published size/nnz so DESIGN/EXPERIMENTS can report the substitution.
+published size/nnz, so each analogue states what it stands in for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.faults.injector import derive_rng
 from repro.matrices.laplacian import graph_laplacian, laplacian_2d, laplacian_3d
-from repro.matrices.stencil import poisson_2d_5pt, poisson_3d_7pt, poisson_3d_27pt
+from repro.matrices.stencil import poisson_2d_5pt, poisson_3d_7pt
 
 
 @dataclass(frozen=True)
@@ -154,34 +154,3 @@ PAPER_MATRICES: Dict[str, MatrixInfo] = {
     "thermomech": MatrixInfo("thermomech", 15 ** 3, 204316, 1423116,
                              "thermomechanical FEM (thermomech_dM)", _thermomech_like),
 }
-
-
-def make_matrix(name: str) -> sp.csr_matrix:
-    """Build the synthetic analogue for one of the paper's matrices."""
-    try:
-        info = PAPER_MATRICES[name]
-    except KeyError:
-        raise KeyError(f"unknown matrix {name!r}; available: "
-                       f"{sorted(PAPER_MATRICES)}") from None
-    return info.build()
-
-
-def load_suite(names: Optional[List[str]] = None
-               ) -> List[Tuple[MatrixInfo, sp.csr_matrix]]:
-    """Materialise (info, matrix) pairs for the requested suite entries."""
-    selected = list(PAPER_MATRICES) if names is None else list(names)
-    out: List[Tuple[MatrixInfo, sp.csr_matrix]] = []
-    for name in selected:
-        info = PAPER_MATRICES[name]
-        out.append((info, info.build()))
-    return out
-
-
-def scaling_matrix(points_per_dim: int = 48) -> sp.csr_matrix:
-    """The 27-point Poisson operator used for the Figure 5 scaling study.
-
-    The paper uses 512^3 unknowns; the default here is far smaller so the
-    simulated-cluster benchmark stays laptop-sized.  The cost model of the
-    distributed layer extrapolates timing to the paper's problem size.
-    """
-    return poisson_3d_27pt(points_per_dim)

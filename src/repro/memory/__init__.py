@@ -11,17 +11,3 @@ This package reproduces that *contract* in pure Python:
   poisons pages (the injected DUE), retires and re-maps them (blank
   replacement page) and records fault events.
 """
-
-from repro.memory.events import PageFaultEvent, PageState
-from repro.memory.manager import MemoryManager
-from repro.memory.pages import PagedVector, page_count, page_of_index, page_slice
-
-__all__ = [
-    "MemoryManager",
-    "PageFaultEvent",
-    "PageState",
-    "PagedVector",
-    "page_count",
-    "page_of_index",
-    "page_slice",
-]

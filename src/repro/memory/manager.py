@@ -47,12 +47,6 @@ class MemoryManager:
         self._state[vector.name] = [PageState.VALID] * vector.num_pages
         return vector
 
-    def unregister(self, name: str) -> None:
-        """Remove a vector from protection (e.g. temporary buffers)."""
-        self._vectors.pop(name, None)
-        self._state.pop(name, None)
-        self._pending = {k: v for k, v in self._pending.items() if k[0] != name}
-
     def vector(self, name: str) -> PagedVector:
         """Look up a registered vector by name."""
         try:
@@ -60,11 +54,6 @@ class MemoryManager:
         except KeyError:
             raise KeyError(f"no protected vector named {name!r} "
                            f"(known: {sorted(self._vectors)})") from None
-
-    @property
-    def vector_names(self) -> List[str]:
-        """Names of all registered vectors, in registration order."""
-        return list(self._vectors)
 
     def total_pages(self) -> int:
         """Total number of protected pages across all vectors."""
@@ -147,18 +136,13 @@ class MemoryManager:
             self.log.record(event)
         self._state[name][page] = PageState.VALID
 
-    def overwrite(self, name: str, page: int) -> None:
-        """The solver fully overwrote the page; any latent poison is cured.
+    def overwrite_vector(self, name: str) -> None:
+        """The solver fully overwrote every page of the vector: any latent
+        poison is cured and every page is valid again.
 
         This mirrors the OS hope that a poisoned page "will be freed or
         overwritten completely" before being read (Section 3.1).
         """
-        self._pending.pop((name, page), None)
-        self._state[name][page] = PageState.VALID
-
-    def overwrite_vector(self, name: str) -> None:
-        """The solver fully overwrote every page of the vector — one call
-        with the effect of :meth:`overwrite` on each of its pages."""
         states = self._state[name]
         for key in [key for key in self._pending if key[0] == name]:
             del self._pending[key]
@@ -173,10 +157,6 @@ class MemoryManager:
         if not 0 <= page < vec.num_pages:
             raise IndexError(f"page {page} out of range for vector {name!r}")
         return self._state[name][page]
-
-    def is_available(self, name: str, page: int) -> bool:
-        """True if the page currently holds valid data."""
-        return self.state(name, page) is PageState.VALID
 
     def lost_pages(self, name: Optional[str] = None) -> List[Tuple[str, int]]:
         """(vector, page) pairs in POISONED or LOST state."""
@@ -196,12 +176,6 @@ class MemoryManager:
     def fault_count(self) -> int:
         """Total detected faults so far."""
         return self.log.count()
-
-    def reset_faults(self) -> None:
-        """Forget all fault state (contents are left as-is)."""
-        for name in self._state:
-            self._state[name] = [PageState.VALID] * self._vectors[name].num_pages
-        self._pending.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"MemoryManager(vectors={len(self._vectors)}, "

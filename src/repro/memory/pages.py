@@ -35,13 +35,6 @@ def page_slice(page: int, n: int, page_size: int = PAGE_DOUBLES) -> slice:
     return slice(start, stop)
 
 
-def page_of_index(index: int, page_size: int = PAGE_DOUBLES) -> int:
-    """Page number containing global index ``index``."""
-    if index < 0:
-        raise IndexError(f"negative index {index}")
-    return index // page_size
-
-
 class PagedVector:
     """A dense ``float64`` vector partitioned into memory pages.
 
@@ -129,11 +122,6 @@ class PagedVector:
         """Iterate over page views in order."""
         for p in range(self._npages):
             yield self.page(p)
-
-    def page_indices(self, page: int) -> np.ndarray:
-        """Global indices covered by ``page`` (for sparse row selection)."""
-        sl = self.page_slice(page)
-        return np.arange(sl.start, sl.stop)
 
     # ------------------------------------------------------------------
     # whole-vector operations used by solvers

@@ -1,20 +1,7 @@
 """Preconditioners.
 
 The paper's preconditioned experiments use block-Jacobi with page-sized
-(512 x 512) diagonal blocks, chosen because it is trivially applicable to
-a subset of a vector (partial application, needed for cheap recovery of
-preconditioned vectors, Section 3.2) and because its factorised diagonal
-blocks double as the factors needed by the recovery interpolation.
+(512 x 512) diagonal blocks, chosen because its factorised diagonal
+blocks double as the factors needed by the recovery interpolation
+(Section 5.1).
 """
-
-from repro.precond.base import Preconditioner
-from repro.precond.block_jacobi import BlockJacobiPreconditioner
-from repro.precond.identity import IdentityPreconditioner
-from repro.precond.jacobi import JacobiPreconditioner
-
-__all__ = [
-    "BlockJacobiPreconditioner",
-    "IdentityPreconditioner",
-    "JacobiPreconditioner",
-    "Preconditioner",
-]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import abc
-from typing import Sequence
 
 import numpy as np
 
@@ -11,32 +10,12 @@ import numpy as np
 class Preconditioner(abc.ABC):
     """Solves ``M z = v`` (the generic preconditioning operation of §3.2).
 
-    Besides the usual full application, resilient solvers need *partial*
-    application: re-solving only the rows needed to regenerate a lost
-    page of the preconditioned vector.  Preconditioners that can do this
-    cheaply (block-diagonal ones in particular) override
-    :meth:`apply_partial`; the default falls back to a full apply, which
-    is "a viable, though slow, forward recovery" as the paper puts it.
+    The resilient PCG applies ``M`` to the whole residual once per
+    iteration; ``z`` is not a protected vector (it is recomputed from
+    ``g`` every iteration), so no recovery path ever re-applies ``M`` to
+    part of a vector.
     """
 
     @abc.abstractmethod
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Return ``z`` with ``M z = v``."""
-
-    def apply_partial(self, v: np.ndarray, rows: Sequence[int]) -> np.ndarray:
-        """Return the entries ``z[rows]`` of the solution of ``M z = v``.
-
-        ``rows`` is a sorted sequence of global row indices (typically one
-        memory page).  The default implementation recomputes everything.
-        """
-        full = self.apply(v)
-        return full[np.asarray(rows, dtype=np.int64)]
-
-    @property
-    def supports_partial(self) -> bool:
-        """True if :meth:`apply_partial` is cheaper than a full apply."""
-        return False
-
-    @property
-    def name(self) -> str:
-        return type(self).__name__

@@ -4,45 +4,30 @@ The paper's preconditioned CG uses diagonal blocks of 512 x 512 elements
 so that the block size coincides with the memory page size; then the
 factorisation of diagonal blocks needed by the exact recovery
 interpolation is already available from the preconditioner (Section 5.1).
-This class therefore exposes its :class:`PageBlockedMatrix` so the
-recovery code can reuse the cached LU factors.
+Here the factors are not shared: this class factorises its own
+:class:`PageBlockedMatrix` up front, and the solver's recovery factorises
+(and caches) the blocks it recovers.
 """
 
 from __future__ import annotations
-
-from typing import List, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.config import PAGE_DOUBLES
 from repro.matrices.blocked import PageBlockedMatrix
-from repro.memory.pages import page_of_index
 from repro.precond.base import Preconditioner
 
 
 class BlockJacobiPreconditioner(Preconditioner):
     """``M = blockdiag(A_00, ..., A_kk)`` with page-sized blocks."""
 
-    def __init__(self, A: sp.spmatrix, page_size: int = PAGE_DOUBLES,
-                 blocked: PageBlockedMatrix = None):
-        if blocked is not None:
-            self.blocked = blocked
-        else:
-            self.blocked = PageBlockedMatrix(A, page_size=page_size)
+    def __init__(self, A: sp.spmatrix, page_size: int = PAGE_DOUBLES):
+        self.blocked = PageBlockedMatrix(A, page_size=page_size)
         # Factorise everything up front: the paper counts this as constant
         # (setup) data, reloadable from a reliable store.
         self.blocked.precompute_factors()
 
-    @property
-    def page_size(self) -> int:
-        return self.blocked.page_size
-
-    @property
-    def num_blocks(self) -> int:
-        return self.blocked.num_blocks
-
-    # ------------------------------------------------------------------
     def apply(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
         if v.shape[0] != self.blocked.n:
@@ -53,33 +38,3 @@ class BlockJacobiPreconditioner(Preconditioner):
             sl = self.blocked.block_slice(block)
             out[sl] = self.blocked.solve_diag(block, v[sl])
         return out
-
-    def apply_block(self, v: np.ndarray, block: int) -> np.ndarray:
-        """Apply only diagonal block ``block``: solve ``A_bb z_b = v_b``."""
-        sl = self.blocked.block_slice(block)
-        return self.blocked.solve_diag(block, np.asarray(v)[sl])
-
-    def apply_partial(self, v: np.ndarray, rows: Sequence[int]) -> np.ndarray:
-        """Recompute only the blocks that contain ``rows``.
-
-        This is the partial application of Section 3.2: for a
-        block-diagonal M, solving ``M u = v`` "only on the set of blocks
-        that supersedes the lost data" regenerates the lost entries.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        blocks: List[int] = sorted({page_of_index(int(r), self.page_size)
-                                    for r in rows})
-        partial = {}
-        for block in blocks:
-            sl = self.blocked.block_slice(block)
-            partial[block] = (sl.start, self.apply_block(v, block))
-        out = np.empty(rows.shape[0], dtype=np.float64)
-        for k, r in enumerate(rows):
-            block = page_of_index(int(r), self.page_size)
-            start, values = partial[block]
-            out[k] = values[int(r) - start]
-        return out
-
-    @property
-    def supports_partial(self) -> bool:
-        return True

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.precond.base import Preconditioner
@@ -14,11 +12,3 @@ class IdentityPreconditioner(Preconditioner):
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return np.array(v, dtype=np.float64, copy=True)
-
-    def apply_partial(self, v: np.ndarray, rows: Sequence[int]) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.int64)
-        return np.array(v, dtype=np.float64)[rows]
-
-    @property
-    def supports_partial(self) -> bool:
-        return True

@@ -35,57 +35,3 @@ decision in all cells, and every engine reduces dot products in fixed
 page order (:func:`~repro.runtime.kernels.paged_dot`), so each
 (scheduler x placement x clock) cell produces bit-identical results.
 """
-
-from repro.runtime.backend import (ExecutionBackend, ExecutionResult,
-                                   SimulatedBackend, WallInterval)
-from repro.runtime.async_exec import (PageLockTable, ThreadedBackend,
-                                      VulnerableWindowMonitor)
-from repro.runtime.kernels import (KernelEngine, LocalKernelEngine,
-                                   make_kernel_engine, paged_dot)
-from repro.runtime.runtime import (CLOCK_NAMES, PLACEMENT_NAMES,
-                                   RuntimeSpec, SCHEDULER_NAMES,
-                                   make_executor, resolve_runtime_spec)
-from repro.runtime.cost_model import CostModel
-from repro.runtime.graph import (GraphRace, GraphRaceError, TaskGraph,
-                                 VERIFY_GRAPHS_ENV, find_races,
-                                 verification_enabled, verify_graph)
-from repro.runtime.plan import IterationPlan, compile_plan
-from repro.runtime.scheduler import ListScheduler, ScheduleResult
-from repro.runtime.task import Task, TaskKind
-from repro.runtime.trace import ExecutionTrace, StateBreakdown
-
-__all__ = [
-    "CLOCK_NAMES",
-    "CostModel",
-    "ExecutionBackend",
-    "ExecutionResult",
-    "ExecutionTrace",
-    "GraphRace",
-    "GraphRaceError",
-    "IterationPlan",
-    "KernelEngine",
-    "ListScheduler",
-    "LocalKernelEngine",
-    "PLACEMENT_NAMES",
-    "PageLockTable",
-    "RuntimeSpec",
-    "SCHEDULER_NAMES",
-    "ScheduleResult",
-    "SimulatedBackend",
-    "StateBreakdown",
-    "Task",
-    "TaskGraph",
-    "TaskKind",
-    "ThreadedBackend",
-    "VERIFY_GRAPHS_ENV",
-    "VulnerableWindowMonitor",
-    "WallInterval",
-    "compile_plan",
-    "make_kernel_engine",
-    "find_races",
-    "make_executor",
-    "paged_dot",
-    "resolve_runtime_spec",
-    "verification_enabled",
-    "verify_graph",
-]

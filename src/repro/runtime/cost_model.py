@@ -81,12 +81,6 @@ class CostModel:
         bytes_moved = 3.0 * 8 * n_block
         return self.kernel_time(flops, bytes_moved)
 
-    def dot_block(self, n_block: int = PAGE_DOUBLES) -> float:
-        """Partial dot product on one block."""
-        flops = 2.0 * n_block
-        bytes_moved = 2.0 * 8 * n_block
-        return self.kernel_time(flops, bytes_moved)
-
     def scalar_task(self) -> float:
         """A reduction/scalar task combining per-block partial results."""
         return self.reduction_latency
@@ -109,11 +103,6 @@ class CostModel:
     def recovery_check(self) -> float:
         """Cost of a recovery task that finds nothing to do (bitmask scan)."""
         return 1.0e-6
-
-    def preconditioner_block(self, block_size: int = PAGE_DOUBLES) -> float:
-        """Apply a factorised block-Jacobi block (two triangular solves)."""
-        b = float(block_size)
-        return self.kernel_time(2.0 * b * b, 8.0 * b * b)
 
     # ------------------------------------------------------------------
     # checkpoint / communication

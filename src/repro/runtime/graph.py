@@ -72,12 +72,6 @@ class TaskGraph:
         """All tasks in insertion order."""
         return list(self._tasks.values())
 
-    def predecessors(self, name: str) -> List[str]:
-        return list(self.task(name).deps)
-
-    def successors(self, name: str) -> List[str]:
-        return [t.name for t in self._tasks.values() if name in t.deps]
-
     # ------------------------------------------------------------------
     def validate(self) -> None:
         """Check that all dependencies exist and the graph is acyclic."""
@@ -114,19 +108,6 @@ class TaskGraph:
         return order
 
     # ------------------------------------------------------------------
-    def critical_path_length(self) -> float:
-        """Length of the longest dependency chain (infinite workers)."""
-        finish: Dict[str, float] = {}
-        for name in self.topological_order():
-            task = self._tasks[name]
-            start = max((finish[d] for d in task.deps if d in finish), default=0.0)
-            finish[name] = start + task.duration
-        return max(finish.values(), default=0.0)
-
-    def total_work(self) -> float:
-        """Sum of all task durations (one-worker lower bound)."""
-        return sum(t.duration for t in self._tasks.values())
-
     def merge(self, other: "TaskGraph", link_from: Iterable[str] = (),
               link_to: Iterable[str] = ()) -> None:
         """Append ``other``'s tasks, optionally adding cross-graph edges.

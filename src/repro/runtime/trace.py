@@ -67,17 +67,6 @@ class StateBreakdown:
         self.checkpoint += other.checkpoint
         self.communication += other.communication
 
-    def increase_over(self, baseline: "StateBreakdown") -> Dict[str, float]:
-        """Percentage-point increase of each state share vs a baseline.
-
-        This is the quantity reported in Table 3: how much larger the
-        share of time spent idle / in the runtime / doing useful work is
-        for a resilient run compared to the ideal run.
-        """
-        mine = self.fractions()
-        base = baseline.fractions()
-        return {key: 100.0 * (mine[key] - base[key]) for key in mine}
-
 
 @dataclass
 class ExecutionTrace:
@@ -142,10 +131,3 @@ class ExecutionTrace:
                              task_count=self.task_count)
         out.breakdown.add(self.breakdown)
         return out
-
-    def utilization(self) -> float:
-        """Fraction of worker-seconds spent doing anything but idling."""
-        total = self.breakdown.total
-        if total <= 0:
-            return 0.0
-        return 1.0 - self.breakdown.idle / total

@@ -26,32 +26,15 @@ Three layers (the dynamic complement of ``repro.lint`` and
   ``python -m repro.sanitize canary`` proves the detector can fire.
 """
 
-from repro.sanitize.detector import (AccessRecord, LockCycle, RaceReport,
-                                     SanitizerReport, analyze,
-                                     analyze_events)
-from repro.sanitize.events import Event, EventLog
-from repro.sanitize.instrument import (LOG, SANITIZE_SEED_ENV, TSAN_ENV,
-                                       enabled, held_locks, make_condition,
-                                       make_event, make_lock, make_queue,
-                                       make_rlock, record_access,
-                                       record_task_accesses, reset,
-                                       sanitizer_enabled,
-                                       set_preemption_hook)
+from repro.sanitize.detector import analyze
+from repro.sanitize.instrument import (enabled, make_condition, make_event,
+                                       make_lock, make_queue, make_rlock,
+                                       record_access, record_task_accesses,
+                                       reset, sanitizer_enabled)
 
 __all__ = [
-    "AccessRecord",
-    "Event",
-    "EventLog",
-    "LOG",
-    "LockCycle",
-    "RaceReport",
-    "SANITIZE_SEED_ENV",
-    "SanitizerReport",
-    "TSAN_ENV",
     "analyze",
-    "analyze_events",
     "enabled",
-    "held_locks",
     "make_condition",
     "make_event",
     "make_lock",
@@ -61,5 +44,4 @@ __all__ = [
     "record_task_accesses",
     "reset",
     "sanitizer_enabled",
-    "set_preemption_hook",
 ]

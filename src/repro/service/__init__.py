@@ -21,31 +21,12 @@ submitted to the daemon yields a fingerprint byte-identical to the same
 spec run offline through ``python -m repro.campaign run``.
 """
 
-from repro.service.client import ServiceClient, ServiceError, default_url
-from repro.service.protocol import (JOB_STATES, PROTOCOL_VERSION,
-                                    TERMINAL_STATES, ProtocolError,
-                                    spec_from_payload, spec_to_payload)
-from repro.service.server import (DEFAULT_HOST, DEFAULT_PORT,
-                                  SERVICE_CHAOS_ENV, SERVICE_HOST_ENV,
-                                  SERVICE_PORT_ENV, SERVICE_URL_ENV,
-                                  CampaignService, ChaosMonkey)
+from repro.service.client import ServiceClient, ServiceError
+from repro.service.server import CampaignService, ChaosMonkey
 
 __all__ = [
     "CampaignService",
     "ChaosMonkey",
-    "DEFAULT_HOST",
-    "DEFAULT_PORT",
-    "JOB_STATES",
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "SERVICE_CHAOS_ENV",
-    "SERVICE_HOST_ENV",
-    "SERVICE_PORT_ENV",
-    "SERVICE_URL_ENV",
     "ServiceClient",
     "ServiceError",
-    "TERMINAL_STATES",
-    "default_url",
-    "spec_from_payload",
-    "spec_to_payload",
 ]

@@ -2,24 +2,11 @@
 
 Two layers:
 
-* :mod:`repro.solvers.reference` — textbook CG / PCG / BiCGStab / GMRES
-  implementations (Listings 1, 3, 4, 5, 6, 7 of the paper), used as the
-  "ideal" baseline and to validate the resilient variants numerically.
+* :mod:`repro.solvers.reference` — textbook CG and PCG (Listings 1 and 5
+  of the paper), an independent oracle the tests validate the resilient
+  solver against.
 * :mod:`repro.solvers.resilient_cg` — the task-decomposed, page-blocked
   CG/PCG with double-buffered ``d``, fault injection hooks, bitmask skip
   protocol and pluggable recovery strategies (the paper's implementation
   target, Section 3.3).
 """
-
-from repro.solvers.reference import (bicgstab, conjugate_gradient, gmres,
-                                     preconditioned_conjugate_gradient)
-from repro.solvers.resilient_cg import ResilientCG, SolverConfig
-
-__all__ = [
-    "ResilientCG",
-    "SolverConfig",
-    "bicgstab",
-    "conjugate_gradient",
-    "gmres",
-    "preconditioned_conjugate_gradient",
-]

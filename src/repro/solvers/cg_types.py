@@ -9,7 +9,7 @@ iteration-plan owner (:mod:`repro.solvers.cg_plan`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
@@ -22,7 +22,6 @@ from repro.core.strategy import RecoveryStats
 from repro.matrices.blocked import PageBlockedMatrix
 from repro.memory.manager import MemoryManager
 from repro.memory.pages import PagedVector
-from repro.precond.base import Preconditioner
 from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.runtime.trace import ExecutionTrace
 
@@ -79,11 +78,8 @@ class CGState:
     memory: MemoryManager
     residual_relation: ResidualRelation
     matvec_relation: MatVecRelation
-    preconditioner: Optional[Preconditioner]
     current_d_name: str = "d0"
     previous_d_name: str = "d1"
-    #: Scalars available for relation-based recovery (e.g. ``beta``).
-    scalars: Dict[str, float] = field(default_factory=dict)
 
 
 @dataclass

@@ -8,7 +8,7 @@ executed by the discrete-event runtime, with
   update never destroys the only copy of recoverable data,
 * a per-page skip protocol for reduction contributions of pages known to
   be lost (Section 3.3.2),
-* fault injection according to an :class:`~repro.faults.ErrorScenario`,
+* fault injection according to an :class:`~repro.faults.scenarios.ErrorScenario`,
 * a pluggable recovery strategy (FEIR, AFEIR, Lossy Restart,
   checkpoint/rollback, trivial); FEIR/AFEIR add r1/r2/r3 recovery tasks
   to every iteration, either in the critical path or overlapped.
@@ -295,8 +295,7 @@ class ResilientCG:
         state = CGState(
             blocked=self.blocked, b=self.b, vectors=vectors, memory=memory,
             residual_relation=ResidualRelation(self.blocked, self.b),
-            matvec_relation=MatVecRelation(self.blocked),
-            preconditioner=self.preconditioner)
+            matvec_relation=MatVecRelation(self.blocked))
 
         b_norm = float(np.linalg.norm(self.b))
         if b_norm == 0.0:
@@ -369,7 +368,6 @@ class ResilientCG:
 
             beta = (0.0 if (run.restart_next or run.rho_old == 0.0)
                     else rho / run.rho_old)
-            state.scalars["beta"] = beta
             run.restart_next = False
 
             # ---------------- d update (double buffered) --------------------
@@ -415,7 +413,7 @@ class ResilientCG:
             self._repair_deferred(run, it, alpha)
 
             if it.checkpoint:
-                self.strategy.save(state, iteration, {"rho_old": run.rho_old})
+                self.strategy.save(state)
                 stats.checkpoints_written += 1
 
             self._advance_clock(run, it)

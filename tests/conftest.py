@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.matrices.stencil import poisson_2d_5pt, stencil_rhs
-from repro.matrices.random_spd import random_dense_spd, random_sparse_spd
+from repro.matrices.random_spd import random_sparse_spd
 from repro.sanitize import analyze, reset, sanitizer_enabled
 
 
@@ -44,12 +44,6 @@ def medium_spd_system():
     x_star = rng.standard_normal(A.shape[0])
     b = A @ x_star
     return A, b, x_star
-
-
-@pytest.fixture(scope="session")
-def dense_spd_block():
-    """A dense SPD matrix for diagonal-block recovery tests."""
-    return random_dense_spd(48, condition=50.0, seed=3)
 
 
 @pytest.fixture(scope="session")

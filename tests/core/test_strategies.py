@@ -7,7 +7,7 @@ from repro.core.afeir import AFEIRStrategy
 from repro.core.checkpoint import CheckpointStrategy, optimal_checkpoint_interval
 from repro.core.feir import FEIRStrategy
 from repro.core.lossy import LossyRestartStrategy
-from repro.core.manager import STRATEGY_NAMES, all_strategies, make_strategy
+from repro.core.manager import STRATEGY_NAMES, make_strategy
 from repro.core.relations import MatVecRelation, ResidualRelation
 from repro.core.trivial import TrivialStrategy
 from repro.matrices.blocked import PageBlockedMatrix
@@ -37,8 +37,7 @@ def make_state(page_size=32, seed=0):
     state = CGState(blocked=blocked, b=b, vectors=vectors, memory=memory,
                     residual_relation=ResidualRelation(blocked, b),
                     matvec_relation=MatVecRelation(blocked),
-                    preconditioner=None, current_d_name="d0",
-                    previous_d_name="d1")
+                    current_d_name="d0", previous_d_name="d1")
     return state, A
 
 
@@ -52,8 +51,8 @@ def lose(state, vector, page):
 class TestStrategyFactory:
     def test_all_names(self):
         assert set(STRATEGY_NAMES) == {"AFEIR", "FEIR", "Lossy", "ckpt", "Trivial"}
-        strategies = all_strategies()
-        assert set(strategies) == set(STRATEGY_NAMES)
+        assert {make_strategy(name).name for name in STRATEGY_NAMES} \
+            == set(STRATEGY_NAMES)
 
     @pytest.mark.parametrize("name,cls", [
         ("FEIR", FEIRStrategy), ("afeir", AFEIRStrategy),

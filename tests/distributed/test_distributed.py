@@ -31,10 +31,7 @@ class TestStripPartition:
         assert len(interior.neighbours) >= 2
 
     def test_halo_positive_for_stencil(self, partition):
-        assert partition.max_halo() > 0
-
-    def test_load_imbalance_close_to_one(self, partition):
-        assert 1.0 <= partition.load_imbalance() < 1.3
+        assert max(p.halo_size for p in partition.partitions) > 0
 
     def test_validation(self):
         A = poisson_3d_27pt(4)
@@ -65,11 +62,6 @@ class TestCommunicationModel:
         comm = CommunicationModel(DEFAULT_COST_MODEL)
         assert comm.allreduce(1) == 0.0
         assert comm.allreduce(16) == pytest.approx(comm.allreduce(2) * 4)
-
-    def test_broadcast(self):
-        comm = CommunicationModel(DEFAULT_COST_MODEL)
-        assert comm.broadcast(1, 100.0) == 0.0
-        assert comm.broadcast(8, 100.0) > 0.0
 
 
 class TestClusterModel:

@@ -106,19 +106,6 @@ class TestCommunicationEdgeCases:
     def comm(self):
         return CommunicationModel(DEFAULT_COST_MODEL)
 
-    def test_broadcast_edges(self, comm):
-        assert comm.broadcast(0, 100.0) == 0.0
-        assert comm.broadcast(1, 100.0) == 0.0
-        assert comm.broadcast(2, 0.0) == pytest.approx(
-            DEFAULT_COST_MODEL.network_latency)
-        with pytest.raises(ValueError):
-            comm.broadcast(4, -1.0)
-
-    def test_broadcast_stage_count(self, comm):
-        one_msg = comm.broadcast(2, 800.0)
-        assert comm.broadcast(8, 800.0) == pytest.approx(3 * one_msg)
-        assert comm.broadcast(5, 800.0) == pytest.approx(3 * one_msg)
-
     def test_allreduce_edges(self, comm):
         assert comm.allreduce(0) == 0.0
         assert comm.allreduce(1) == 0.0

@@ -13,7 +13,7 @@ from repro.faults.scenarios import ErrorScenario, multi_error_scenario
 from repro.matrices.blocked import PageBlockedMatrix
 from repro.matrices.sparse import SparseOperator
 from repro.matrices.stencil import poisson_3d_27pt, stencil_rhs
-from repro.precond import JacobiPreconditioner
+from repro.precond.block_jacobi import BlockJacobiPreconditioner
 from repro.runtime.kernels import LocalKernelEngine
 from repro.solvers.resilient_cg import ResilientCG, SolverConfig
 
@@ -137,7 +137,8 @@ class TestMeasuredCommunication:
         """<g, z> and <g, g> differ once z = M^-1 g: both are reduced."""
         A, b = problem
         result = run_solver(A, b, ranks=4,
-                            preconditioner=JacobiPreconditioner(A))
+                            preconditioner=BlockJacobiPreconditioner(
+                                A, page_size=PAGE))
         assert result.converged
         assert result.rank_stats.allreduces >= 3 * result.record.iterations
 

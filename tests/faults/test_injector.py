@@ -49,10 +49,6 @@ class TestExponentialInjector:
         inj = ExponentialInjector(mtbe=0.3, rng=3)
         assert inj.queue(20.0, []).drain() == []
 
-    def test_expected_errors(self):
-        inj = ExponentialInjector(mtbe=2.0, rng=0)
-        assert inj.expected_errors(10.0) == pytest.approx(5.0)
-
     def test_from_normalized_rate(self):
         inj = ExponentialInjector.from_normalized_rate(rate=5.0, ideal_time=10.0)
         assert inj.mtbe == pytest.approx(2.0)
@@ -60,7 +56,6 @@ class TestExponentialInjector:
     def test_from_normalized_rate_zero_gives_null(self):
         inj = ExponentialInjector.from_normalized_rate(rate=0.0, ideal_time=10.0)
         assert inj.sample_times(100.0) == []
-        assert inj.expected_errors(100.0) == 0.0
 
     def test_from_normalized_rate_validation(self):
         with pytest.raises(ValueError):

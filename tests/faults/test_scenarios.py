@@ -1,11 +1,10 @@
-"""Tests for error scenarios (rate sweeps, single-error, multi-error)."""
+"""Tests for error scenarios (rate-driven, single-error, multi-error)."""
 
 import pytest
 
 from repro.faults.injector import Injection
 from repro.faults.scenarios import (PAPER_ERROR_RATES, ErrorScenario,
-                                    fault_free_scenario, multi_error_scenario,
-                                    normalized_rate_scenarios,
+                                    multi_error_scenario,
                                     single_error_scenario)
 
 
@@ -14,20 +13,9 @@ class TestScenarioConstruction:
         assert PAPER_ERROR_RATES == (1.0, 2.0, 5.0, 10.0, 20.0, 50.0)
 
     def test_fault_free(self):
-        scen = fault_free_scenario()
+        scen = ErrorScenario(name="fault-free", normalized_rate=0.0)
         assert scen.is_fault_free
         assert scen.queue(1.0, 10.0, [("x", 0)]).drain() == []
-
-    def test_rate_scenarios_grid(self):
-        scens = normalized_rate_scenarios(rates=(1, 2), repetitions=3)
-        assert len(scens) == 6
-        assert len({s.seed for s in scens}) == 6
-
-    def test_rate_scenarios_validation(self):
-        with pytest.raises(ValueError):
-            normalized_rate_scenarios(repetitions=0)
-        with pytest.raises(ValueError):
-            normalized_rate_scenarios(rates=(0.0,))
 
     def test_single_error_scenario(self):
         scen = single_error_scenario("x", 3, 1.5)
@@ -57,7 +45,7 @@ class TestScenarioInjector:
 
     def test_zero_rate_gives_null_injector(self):
         scen = ErrorScenario(normalized_rate=0.0)
-        assert scen.injector(1.0).expected_errors(100.0) == 0.0
+        assert scen.injector(1.0).sample_times(100.0) == []
 
     def test_fixed_injections_take_priority(self):
         scen = ErrorScenario(normalized_rate=10.0,

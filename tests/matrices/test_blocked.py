@@ -37,10 +37,6 @@ class TestStructure:
         with pytest.raises(ValueError):
             PageBlockedMatrix(poisson_2d_5pt(4), page_size=0)
 
-    def test_row_block_shape(self, blocked):
-        rb = blocked.row_block(1)
-        assert rb.shape == (64, 256)
-
     def test_diag_block_matches_dense(self, blocked):
         dense = blocked.A.toarray()
         np.testing.assert_allclose(blocked.diag_block(2),

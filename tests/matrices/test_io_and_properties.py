@@ -1,57 +1,13 @@
-"""Tests for Matrix Market I/O and matrix property checks."""
+"""Tests for the matrix property checks and the random SPD generator."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.matrices.io import read_matrix_market, write_matrix_market
-from repro.matrices.properties import (bandwidth, is_spd, is_symmetric,
-                                       nnz_per_row, smallest_eigenvalue,
-                                       spd_check)
-from repro.matrices.random_spd import random_dense_spd, random_sparse_spd
+from repro.matrices.properties import (is_spd, is_symmetric, nnz_per_row,
+                                       smallest_eigenvalue, spd_check)
+from repro.matrices.random_spd import random_sparse_spd
 from repro.matrices.stencil import poisson_2d_5pt
-
-
-class TestMatrixMarketIO:
-    def test_roundtrip_symmetric(self, tmp_path):
-        A = poisson_2d_5pt(6)
-        path = tmp_path / "poisson.mtx"
-        write_matrix_market(A, path, comment="5-point Poisson")
-        B = read_matrix_market(path)
-        assert (A != B).nnz == 0
-
-    def test_roundtrip_general(self, tmp_path):
-        rng = np.random.default_rng(0)
-        A = sp.random(20, 20, density=0.1, random_state=rng).tocsr()
-        path = tmp_path / "general.mtx"
-        write_matrix_market(A, path, symmetric=False)
-        B = read_matrix_market(path)
-        assert np.allclose((A - B).toarray(), 0.0, atol=1e-14)
-
-    def test_header_declares_symmetry(self, tmp_path):
-        path = tmp_path / "sym.mtx"
-        write_matrix_market(poisson_2d_5pt(4), path)
-        assert "symmetric" in path.read_text().splitlines()[0]
-
-    def test_rejects_non_matrixmarket(self, tmp_path):
-        path = tmp_path / "bad.mtx"
-        path.write_text("this is not a matrix\n")
-        with pytest.raises(ValueError):
-            read_matrix_market(path)
-
-    def test_rejects_unsupported_field(self, tmp_path):
-        path = tmp_path / "complex.mtx"
-        path.write_text("%%MatrixMarket matrix coordinate complex general\n"
-                        "1 1 1\n1 1 1.0 2.0\n")
-        with pytest.raises(ValueError):
-            read_matrix_market(path)
-
-    def test_truncated_file(self, tmp_path):
-        path = tmp_path / "trunc.mtx"
-        path.write_text("%%MatrixMarket matrix coordinate real general\n"
-                        "2 2 2\n1 1 1.0\n")
-        with pytest.raises(ValueError):
-            read_matrix_market(path)
 
 
 class TestProperties:
@@ -62,7 +18,6 @@ class TestProperties:
 
     def test_is_spd_true(self):
         assert is_spd(poisson_2d_5pt(6))
-        assert is_spd(sp.csr_matrix(random_dense_spd(30, condition=10)))
 
     def test_is_spd_false_for_indefinite(self):
         A = sp.diags([1.0, -1.0, 2.0]).tocsr()
@@ -80,18 +35,43 @@ class TestProperties:
         A = random_sparse_spd(700, density=0.005, seed=1)
         assert smallest_eigenvalue(A) > 0
 
-    def test_bandwidth(self):
-        assert bandwidth(sp.eye(5).tocsr()) == 0
-        assert bandwidth(poisson_2d_5pt(4)) == 4
-
     def test_nnz_per_row(self):
         assert nnz_per_row(sp.eye(10).tocsr()) == pytest.approx(1.0)
 
     def test_spd_check_report(self):
         report = spd_check(poisson_2d_5pt(5))
-        assert report.spd
+        assert report.symmetric and report.smallest_eigenvalue > 0
         assert report.n == 25
         assert report.nnz > 0
+
+    def test_is_symmetric_within_tolerance(self):
+        A = poisson_2d_5pt(4).tolil()
+        A[0, 1] += 1e-14
+        assert is_symmetric(A.tocsr())
+        A[0, 1] += 1e-6
+        assert not is_symmetric(A.tocsr())
+
+    def test_is_spd_false_for_singular(self):
+        """A pure graph Laplacian has the constant vector in its kernel."""
+        A = sp.diags([[-1.0] * 4, [1.0, 2.0, 2.0, 2.0, 1.0], [-1.0] * 4],
+                     [-1, 0, 1]).tocsr()
+        assert is_symmetric(A)
+        assert not is_spd(A)
+
+    def test_smallest_eigenvalue_large_matrix_is_accurate(self):
+        A = sp.diags(np.linspace(0.5, 10.0, 700)).tocsr()
+        assert smallest_eigenvalue(A) == pytest.approx(0.5, rel=1e-5)
+
+    def test_nnz_per_row_of_the_5pt_stencil(self):
+        k = 6
+        assert nnz_per_row(poisson_2d_5pt(k)) == pytest.approx(
+            (5 * k * k - 4 * k) / (k * k))
+
+    def test_spd_check_of_asymmetric_matrix(self):
+        report = spd_check(sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 2.0]])))
+        assert not report.symmetric
+        assert np.isnan(report.smallest_eigenvalue)
+        assert (report.n, report.nnz) == (2, 3)
 
 
 class TestRandomSPD:
@@ -106,14 +86,13 @@ class TestRandomSPD:
         with pytest.raises(ValueError):
             random_sparse_spd(10, condition_boost=-1.0)
 
-    def test_random_dense_spd_condition(self):
-        A = random_dense_spd(40, condition=100.0, seed=0)
-        eigs = np.linalg.eigvalsh(A)
-        assert eigs.min() > 0
-        assert eigs.max() / eigs.min() == pytest.approx(100.0, rel=0.05)
+    def test_random_sparse_spd_is_reproducible_by_seed(self):
+        a = random_sparse_spd(80, density=0.05, seed=4)
+        assert (a != random_sparse_spd(80, density=0.05, seed=4)).nnz == 0
+        assert (a != random_sparse_spd(80, density=0.05, seed=5)).nnz > 0
 
-    def test_random_dense_spd_validation(self):
-        with pytest.raises(ValueError):
-            random_dense_spd(0)
-        with pytest.raises(ValueError):
-            random_dense_spd(5, condition=0.5)
+    def test_random_sparse_spd_is_diagonally_dominant(self):
+        A = random_sparse_spd(150, density=0.03, seed=6)
+        off = np.asarray(abs(A).sum(axis=1)).ravel() - A.diagonal()
+        assert A.shape == (150, 150)
+        assert np.all(A.diagonal() > off)

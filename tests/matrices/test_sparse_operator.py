@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.matrices.blocked import PageBlockedMatrix
 from repro.matrices.laplacian import laplacian_1d
-from repro.matrices.sparse import (SparseOperator, ensure_operator,
+from repro.matrices.sparse import (SparseOperator,
                                    laplacian_1d_operator,
                                    laplacian_2d_operator)
 from repro.matrices.stencil import poisson_2d_5pt, stencil_rhs
@@ -62,12 +62,6 @@ class TestConstruction:
             SparseOperator(np.ones(1), np.array([col]), np.array([0, 1, 1, 1]),
                            (3, 3))
         assert SparseOperator.from_coo([0], [2], [1.0], (3, 3)).nnz == 1
-
-    def test_ensure_operator_idempotent(self, poisson_pair):
-        _, op, _ = poisson_pair
-        assert ensure_operator(op) is op
-        assert isinstance(ensure_operator(poisson_pair[0]), SparseOperator)
-        assert isinstance(ensure_operator(np.eye(3)), SparseOperator)
 
     def test_scipy_free_builders_match_scipy(self):
         assert np.array_equal(laplacian_1d_operator(9, shift=0.25).toarray(),
@@ -238,11 +232,6 @@ class TestBlockedDualBackend:
         scipy_blocked, op_blocked = pair
         assert np.array_equal(scipy_blocked.column_block_dense(2),
                               op_blocked.column_block_dense(2))
-
-    def test_row_block_agree(self, pair):
-        scipy_blocked, op_blocked = pair
-        assert np.array_equal(scipy_blocked.row_block(1).toarray(),
-                              op_blocked.row_block(1).toarray())
 
 
 class TestSolverFastPath:

@@ -1,10 +1,11 @@
 """Tests for the synthetic UFL-analogue matrix suite."""
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.matrices.properties import nnz_per_row, spd_check
-from repro.matrices.suite import (PAPER_MATRICES, load_suite, make_matrix,
-                                  scaling_matrix)
+from repro.matrices.suite import PAPER_MATRICES
 
 EXPECTED_NAMES = {"af_shell8", "cfd2", "consph", "Dubcova3", "ecology2",
                   "parabolic_fem", "qa8fm", "thermal2", "thermomech"}
@@ -20,17 +21,9 @@ class TestSuiteContents:
             assert info.original_nnz > 0
             assert info.family
 
-    def test_make_matrix_unknown_name(self):
-        with pytest.raises(KeyError):
-            make_matrix("not-a-matrix")
-
-    def test_load_suite_subset(self):
-        pairs = load_suite(["qa8fm", "thermal2"])
-        assert [info.name for info, _ in pairs] == ["qa8fm", "thermal2"]
-
     @pytest.mark.parametrize("name", sorted(EXPECTED_NAMES))
     def test_every_analogue_is_spd(self, name):
-        A = make_matrix(name)
+        A = PAPER_MATRICES[name].build()
         report = spd_check(A)
         assert report.symmetric, f"{name} analogue is not symmetric"
         assert report.smallest_eigenvalue > 0, f"{name} analogue is not PD"
@@ -38,20 +31,23 @@ class TestSuiteContents:
     @pytest.mark.parametrize("name", sorted(EXPECTED_NAMES))
     def test_analogue_size_matches_metadata(self, name):
         info = PAPER_MATRICES[name]
-        A = make_matrix(name)
+        A = PAPER_MATRICES[name].build()
         assert A.shape == (info.n, info.n)
 
     @pytest.mark.parametrize("name", sorted(EXPECTED_NAMES))
     def test_reasonable_sparsity(self, name):
-        A = make_matrix(name)
+        A = PAPER_MATRICES[name].build()
         assert 2.0 < nnz_per_row(A) < 40.0
 
-    def test_scaling_matrix_is_27pt(self):
-        A = scaling_matrix(8)
-        assert A.shape == (512, 512)
-        assert A.diagonal().max() == 26.0
-
     def test_builders_are_deterministic(self):
-        a = make_matrix("cfd2")
-        b = make_matrix("cfd2")
+        a = PAPER_MATRICES["cfd2"].build()
+        b = PAPER_MATRICES["cfd2"].build()
         assert (a != b).nnz == 0
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED_NAMES))
+    def test_build_is_a_reproducible_float64_csr(self, name):
+        info = PAPER_MATRICES[name]
+        A = info.build()
+        assert info.name == name
+        assert sp.isspmatrix_csr(A) and A.dtype == np.float64
+        assert (A != info.build()).nnz == 0

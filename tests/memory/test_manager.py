@@ -40,11 +40,6 @@ class TestRegistration:
         assert mm.total_pages() == 4
         assert mm.page_universe() == [("x", p) for p in range(4)]
 
-    def test_unregister(self, manager_with_vector):
-        mm, _ = manager_with_vector
-        mm.unregister("x")
-        assert mm.total_pages() == 0
-
 
 class TestFaultLifecycle:
     def test_poison_is_silent_until_touched(self, manager_with_vector):
@@ -77,7 +72,7 @@ class TestFaultLifecycle:
         mm.poison("x", 0, time=0.5)
         mm.touch("x", 0, time=1.0)
         mm.mark_recovered("x", 0)
-        assert mm.is_available("x", 0)
+        assert mm.state("x", 0) is PageState.VALID
         assert not mm.has_faults()
 
     def test_mark_recovered_on_latent_poison_logs_event(self, manager_with_vector):
@@ -90,39 +85,31 @@ class TestFaultLifecycle:
     def test_overwrite_cures_latent_poison(self, manager_with_vector):
         mm, vec = manager_with_vector
         mm.poison("x", 2, time=0.1)
-        mm.overwrite("x", 2)
-        assert mm.is_available("x", 2)
+        mm.overwrite_vector("x")
+        assert mm.state("x", 2) is PageState.VALID
         assert mm.touch("x", 2, time=1.0) is None
         assert mm.fault_count() == 0
 
-    def test_overwrite_vector_equals_the_per_page_loop(self):
-        """One bulk call == ``overwrite`` on every page, on a manager
-        holding poisoned, lost and valid pages in two vectors."""
-        def manager():
-            mm = MemoryManager()
-            for name in ("q", "g"):
-                mm.register(PagedVector(np.arange(64, dtype=float), name=name,
-                                        page_size=16))
-                mm.poison(name, 0, time=0.1)            # latent poison
-                mm.poison(name, 2, time=0.2)
-                mm.touch(name, 2, time=0.3)             # detected: LOST
-            return mm
-
-        looped, bulk = manager(), manager()
-        for page in range(4):
-            looped.overwrite("q", page)
-        bulk.overwrite_vector("q")
-        for mm in (looped, bulk):
-            assert mm.lost_pages() == [("g", 0), ("g", 2)]
-            assert all(mm.is_available("q", page) for page in range(4))
-            # q's latent poison is cured; g's is still there to detect
-            assert mm.touch("q", 0, time=1.0) is None
-            assert mm.touch("g", 0, time=1.0) is not None
-            assert mm.fault_count() == 3
-        assert bulk._pending == looped._pending
-        assert bulk._state == looped._state
+    def test_overwrite_vector_cures_only_its_own_pages(self):
+        """On a manager holding poisoned, lost and valid pages in two
+        vectors, overwriting one leaves the other's faults in place."""
+        mm = MemoryManager()
+        for name in ("q", "g"):
+            mm.register(PagedVector(np.arange(64, dtype=float), name=name,
+                                    page_size=16))
+            mm.poison(name, 0, time=0.1)            # latent poison
+            mm.poison(name, 2, time=0.2)
+            mm.touch(name, 2, time=0.3)             # detected: LOST
+        mm.overwrite_vector("q")
+        assert mm.lost_pages() == [("g", 0), ("g", 2)]
+        assert all(mm.state("q", page) is PageState.VALID
+                   for page in range(4))
+        # q's latent poison is cured; g's is still there to detect
+        assert mm.touch("q", 0, time=1.0) is None
+        assert mm.touch("g", 0, time=1.0) is not None
+        assert mm.fault_count() == 3
         with pytest.raises(KeyError):
-            bulk.overwrite_vector("nope")
+            mm.overwrite_vector("nope")
 
     def test_lost_pages_listing(self, manager_with_vector):
         mm, _ = manager_with_vector
@@ -130,12 +117,6 @@ class TestFaultLifecycle:
         mm.poison("x", 3, time=0.0)
         assert mm.lost_pages() == [("x", 1), ("x", 3)]
         assert mm.lost_pages("x") == [("x", 1), ("x", 3)]
-
-    def test_reset_faults(self, manager_with_vector):
-        mm, _ = manager_with_vector
-        mm.poison("x", 1, time=0.0)
-        mm.reset_faults()
-        assert not mm.has_faults()
 
     def test_poison_out_of_range(self, manager_with_vector):
         mm, _ = manager_with_vector

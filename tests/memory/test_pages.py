@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import PAGE_DOUBLES
-from repro.memory.pages import PagedVector, page_count, page_of_index, page_slice
+from repro.memory.pages import PagedVector, page_count, page_slice
 
 
 class TestPageArithmetic:
@@ -37,15 +37,6 @@ class TestPageArithmetic:
     def test_page_slice_out_of_range(self):
         with pytest.raises(IndexError):
             page_slice(3, 1000, 512)
-
-    def test_page_of_index(self):
-        assert page_of_index(0, 512) == 0
-        assert page_of_index(511, 512) == 0
-        assert page_of_index(512, 512) == 1
-
-    def test_page_of_index_negative(self):
-        with pytest.raises(IndexError):
-            page_of_index(-1)
 
     @given(n=st.integers(1, 5000), page_size=st.integers(1, 700))
     @settings(max_examples=60, deadline=None)
@@ -112,10 +103,6 @@ class TestPagedVector:
         v = PagedVector(np.array([3.0, 4.0]))
         assert v.norm() == pytest.approx(5.0)
 
-    def test_page_indices(self):
-        v = PagedVector(40, page_size=16)
-        assert list(v.page_indices(2)) == list(range(32, 40))
-
     def test_pages_iterator_covers_everything(self):
         v = PagedVector(np.arange(50, dtype=float), page_size=16)
         rebuilt = np.concatenate(list(v.pages()))
@@ -124,6 +111,33 @@ class TestPagedVector:
     def test_invalid_page_size(self):
         with pytest.raises(ValueError):
             PagedVector(10, page_size=0)
+
+    def test_len_is_size(self):
+        v = PagedVector(np.ones((3, 4)), page_size=5)
+        assert len(v) == v.size == 12
+        assert v.num_pages == 3
+
+    def test_copy_keeps_name_and_page_size(self):
+        w = PagedVector(np.arange(20, dtype=float), name="g",
+                        page_size=8).copy()
+        assert w.name == "g" and w.page_size == 8 and w.num_pages == 3
+
+    def test_short_last_page_slice(self):
+        v = PagedVector(40, page_size=16)
+        assert v.page_slice(2) == slice(32, 40)
+        assert v.page(2).size == 8
+
+    def test_page_out_of_range(self):
+        v = PagedVector(40, page_size=16)
+        with pytest.raises(IndexError):
+            v.page(3)
+        with pytest.raises(IndexError):
+            v.page(-1)
+
+    def test_empty_vector_has_no_pages(self):
+        v = PagedVector(0, page_size=16)
+        assert v.num_pages == 0
+        assert list(v.pages()) == []
 
     @given(n=st.integers(1, 2000), page_size=st.integers(1, 600))
     @settings(max_examples=40, deadline=None)

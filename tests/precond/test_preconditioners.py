@@ -1,13 +1,12 @@
-"""Tests for preconditioners, including the partial application used by recovery."""
+"""Tests for the identity and block-Jacobi preconditioners."""
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
+from repro.matrices.sparse import SparseOperator
 from repro.matrices.stencil import poisson_2d_5pt
 from repro.precond.block_jacobi import BlockJacobiPreconditioner
 from repro.precond.identity import IdentityPreconditioner
-from repro.precond.jacobi import JacobiPreconditioner
 
 
 @pytest.fixture(scope="module")
@@ -27,34 +26,10 @@ class TestIdentity:
         z[0] = 99
         assert v[0] != 99
 
-    def test_partial(self, system):
-        _, v = system
-        M = IdentityPreconditioner()
-        np.testing.assert_array_equal(M.apply_partial(v, [3, 5]), v[[3, 5]])
-        assert M.supports_partial
-
-
-class TestJacobi:
-    def test_apply_matches_diagonal_solve(self, system):
-        A, v = system
-        M = JacobiPreconditioner(A)
-        np.testing.assert_allclose(M.apply(v), v / A.diagonal())
-
-    def test_partial_matches_full(self, system):
-        A, v = system
-        M = JacobiPreconditioner(A)
-        rows = [0, 7, 100]
-        np.testing.assert_allclose(M.apply_partial(v, rows), M.apply(v)[rows])
-
-    def test_zero_diagonal_rejected(self):
-        A = sp.diags([0.0, 1.0]).tocsr()
-        with pytest.raises(ValueError):
-            JacobiPreconditioner(A)
-
-    def test_length_mismatch(self, system):
-        A, v = system
-        with pytest.raises(ValueError):
-            JacobiPreconditioner(A).apply(v[:-1])
+    def test_apply_returns_float64(self):
+        z = IdentityPreconditioner().apply([1, 2, 3])
+        assert z.dtype == np.float64
+        np.testing.assert_array_equal(z, [1.0, 2.0, 3.0])
 
 
 class TestBlockJacobi:
@@ -62,36 +37,15 @@ class TestBlockJacobi:
         A, v = system
         M = BlockJacobiPreconditioner(A, page_size=36)
         z = M.apply(v)
-        for block in range(M.num_blocks):
+        for block in range(M.blocked.num_blocks):
             sl = M.blocked.block_slice(block)
             np.testing.assert_allclose(M.blocked.diag_block(block) @ z[sl],
                                        v[sl], atol=1e-9)
 
-    def test_apply_block(self, system):
-        A, v = system
-        M = BlockJacobiPreconditioner(A, page_size=36)
-        z = M.apply(v)
-        sl = M.blocked.block_slice(1)
-        np.testing.assert_allclose(M.apply_block(v, 1), z[sl], atol=1e-12)
-
-    def test_partial_application_matches_full(self, system):
-        """Partial application (Section 3.2) must agree with the full solve
-        on the requested rows — this is what makes recovery of
-        preconditioned vectors cheap."""
-        A, v = system
-        M = BlockJacobiPreconditioner(A, page_size=36)
-        rows = [1, 40, 41, 143]
-        np.testing.assert_allclose(M.apply_partial(v, rows), M.apply(v)[rows],
-                                   atol=1e-12)
-
-    def test_supports_partial_flag(self, system):
-        A, _ = system
-        assert BlockJacobiPreconditioner(A, page_size=36).supports_partial
-
     def test_factors_are_precomputed(self, system):
         A, _ = system
         M = BlockJacobiPreconditioner(A, page_size=36)
-        assert all(M.blocked.has_cached_factor(b) for b in range(M.num_blocks))
+        assert all(M.blocked.has_cached_factor(b) for b in range(M.blocked.num_blocks))
 
     def test_wrong_length_rejected(self, system):
         A, v = system
@@ -99,13 +53,55 @@ class TestBlockJacobi:
         with pytest.raises(ValueError):
             M.apply(v[:-1])
 
-    def test_improves_conditioning(self, system):
-        """Block-Jacobi should beat point-Jacobi in CG iteration counts."""
-        from repro.solvers.reference import preconditioned_conjugate_gradient
-        A, _ = system
-        b = A @ np.ones(A.shape[0])
-        block = preconditioned_conjugate_gradient(
-            A, b, preconditioner=BlockJacobiPreconditioner(A, page_size=36))
-        point = preconditioned_conjugate_gradient(
-            A, b, preconditioner=JacobiPreconditioner(A))
-        assert block.iterations <= point.iterations
+    def test_single_row_blocks_are_point_jacobi(self, system):
+        A, v = system
+        M = BlockJacobiPreconditioner(A, page_size=1)
+        np.testing.assert_allclose(M.apply(v), v / A.diagonal(), rtol=1e-14)
+
+    def test_one_block_is_an_exact_solve(self, system):
+        A, v = system
+        M = BlockJacobiPreconditioner(A, page_size=A.shape[0])
+        np.testing.assert_allclose(A @ M.apply(v), v, atol=1e-9)
+
+    @pytest.mark.parametrize("page_size", [5, 50, 89])
+    def test_short_last_block_is_solved(self, system, page_size):
+        A, v = system
+        M = BlockJacobiPreconditioner(A, page_size=page_size)
+        z = M.apply(v)
+        last = M.blocked.block_slice(M.blocked.num_blocks - 1)
+        assert last.stop == A.shape[0]
+        assert last.stop - last.start < page_size
+        np.testing.assert_allclose(
+            M.blocked.diag_block(M.blocked.num_blocks - 1) @ z[last], v[last],
+            atol=1e-9)
+
+    def test_operator_is_symmetric_positive_definite(self, system):
+        """PCG needs ``M^-1`` SPD: a block diagonal of SPD blocks is."""
+        A, v = system
+        M = BlockJacobiPreconditioner(A, page_size=36)
+        u = np.random.default_rng(1).standard_normal(v.shape[0])
+        assert u @ M.apply(v) == pytest.approx(v @ M.apply(u), rel=1e-12)
+        assert v @ M.apply(v) > 0
+        assert u @ M.apply(u) > 0
+
+    def test_apply_is_linear(self, system):
+        A, v = system
+        M = BlockJacobiPreconditioner(A, page_size=36)
+        u = np.random.default_rng(2).standard_normal(v.shape[0])
+        np.testing.assert_allclose(M.apply(2.0 * u - 0.5 * v),
+                                   2.0 * M.apply(u) - 0.5 * M.apply(v),
+                                   atol=1e-12)
+
+    def test_apply_leaves_its_input_alone(self, system):
+        A, v = system
+        before = v.copy()
+        z = BlockJacobiPreconditioner(A, page_size=36).apply(v)
+        np.testing.assert_array_equal(v, before)
+        assert not np.shares_memory(z, v)
+
+    def test_sparse_operator_backend_agrees(self, system):
+        A, v = system
+        op = SparseOperator.from_scipy(A)
+        np.testing.assert_allclose(
+            BlockJacobiPreconditioner(op, page_size=36).apply(v),
+            BlockJacobiPreconditioner(A, page_size=36).apply(v), rtol=1e-14)

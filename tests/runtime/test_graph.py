@@ -58,28 +58,6 @@ class TestTaskGraph:
         order = graph.topological_order()
         assert order.index("a") < order.index("b") < order.index("c")
 
-    def test_predecessors_and_successors(self):
-        graph = TaskGraph()
-        graph.add_task("a", 1.0)
-        graph.add_task("b", 1.0, deps=["a"])
-        assert graph.predecessors("b") == ["a"]
-        assert graph.successors("a") == ["b"]
-
-    def test_critical_path_chain(self):
-        graph = chain_graph([1.0, 2.0, 3.0])
-        assert graph.critical_path_length() == pytest.approx(6.0)
-
-    def test_critical_path_parallel_tasks(self):
-        graph = TaskGraph()
-        graph.add_task("a", 1.0)
-        graph.add_task("b", 5.0)
-        graph.add_task("join", 1.0, deps=["a", "b"])
-        assert graph.critical_path_length() == pytest.approx(6.0)
-
-    def test_total_work(self):
-        graph = chain_graph([1.0, 2.0, 3.0])
-        assert graph.total_work() == pytest.approx(6.0)
-
     def test_depends_on_builder(self):
         task = Task(name="t", duration=1.0)
         task.depends_on("a", "b").depends_on("a")
@@ -97,3 +75,28 @@ class TestTaskGraph:
         graph = TaskGraph()
         t = graph.add_task("a", 1.0)
         assert t.kind is TaskKind.COMPUTE
+
+    def test_tasks_in_insertion_order(self):
+        graph = TaskGraph()
+        for name in ("z", "a", "m"):
+            graph.add_task(name, 1.0)
+        assert [t.name for t in graph.tasks] == ["z", "a", "m"]
+
+    def test_topological_order_breaks_ties_by_name(self):
+        graph = TaskGraph()
+        for name in ("c", "a", "b"):
+            graph.add_task(name, 1.0)
+        graph.add_task("join", 1.0, deps=["c", "a", "b"])
+        assert graph.topological_order() == ["a", "b", "c", "join"]
+
+    def test_merge_rejects_duplicate_names(self):
+        first = chain_graph([1.0, 1.0])
+        with pytest.raises(ValueError):
+            first.merge(chain_graph([1.0]))
+
+    def test_add_task_records_resources(self):
+        t = TaskGraph().add_task("w", 1.0, page=3, reads=["g", "g"],
+                                 writes=["x"])
+        assert t.reads == frozenset({"g"})
+        assert t.writes == frozenset({"x"})
+        assert t.page == 3

@@ -26,13 +26,6 @@ class TestStateBreakdown:
         a.add(StateBreakdown(useful=2.0, idle=1.0))
         assert a.useful == 3.0 and a.idle == 1.0
 
-    def test_increase_over_baseline(self):
-        base = StateBreakdown(useful=8.0, runtime=1.0, idle=1.0)
-        other = StateBreakdown(useful=8.0, runtime=1.0, idle=3.0)
-        increase = other.increase_over(base)
-        assert increase["idle"] > 0
-        assert increase["useful"] < 0   # share shrinks when idle grows
-
 
 class TestExecutionTrace:
     def test_accounts_overhead_as_runtime(self):
@@ -75,11 +68,6 @@ class TestExecutionTrace:
         t2 = ExecutionTrace(num_workers=4)
         with pytest.raises(ValueError):
             t1.accumulate(t2)
-
-    def test_utilization(self):
-        tasks = [ScheduledTask("a", 0, 0.0, 1.0, TaskKind.COMPUTE)]
-        trace = make_trace(tasks, workers=2)
-        assert trace.utilization() == pytest.approx(0.5)
 
     def test_copy_is_independent(self):
         trace = make_trace([ScheduledTask("a", 0, 0.0, 1.0, TaskKind.COMPUTE)],

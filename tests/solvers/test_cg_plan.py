@@ -73,8 +73,7 @@ def make_state(blocked):
         vec.fill_from(np.arange(blocked.n, dtype=np.float64) + k)
     return CGState(blocked=blocked, b=b, vectors=vectors, memory=memory,
                    residual_relation=ResidualRelation(blocked, b),
-                   matvec_relation=MatVecRelation(blocked),
-                   preconditioner=None)
+                   matvec_relation=MatVecRelation(blocked))
 
 
 class TestShapes:

@@ -1,12 +1,12 @@
-"""Tests for the reference Krylov solvers (Listings 1, 3, 4 and 5-7)."""
+"""Tests for the reference CG and PCG (Listings 1 and 5)."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.matrices.sparse import SparseOperator
 from repro.precond.block_jacobi import BlockJacobiPreconditioner
-from repro.precond.jacobi import JacobiPreconditioner
-from repro.solvers.reference import (bicgstab, conjugate_gradient, gmres,
+from repro.solvers.reference import (conjugate_gradient,
                                      preconditioned_conjugate_gradient)
 
 
@@ -66,91 +66,84 @@ class TestConjugateGradient:
 
 
 class TestPreconditionedCG:
-    def test_jacobi_preconditioner(self, small_spd_system):
-        A, b, x_star = small_spd_system
-        result = preconditioned_conjugate_gradient(
-            A, b, preconditioner=JacobiPreconditioner(A))
-        assert result.converged
-        np.testing.assert_allclose(result.x, x_star, atol=1e-6)
-
     def test_block_jacobi_reduces_iterations(self, medium_spd_system):
-        A, b, _ = medium_spd_system
+        A, b, x_star = medium_spd_system
         plain = conjugate_gradient(A, b)
         pcg = preconditioned_conjugate_gradient(
             A, b, preconditioner=BlockJacobiPreconditioner(A, page_size=128))
         assert pcg.converged
         assert pcg.iterations < plain.iterations
+        np.testing.assert_allclose(pcg.x, x_star, atol=1e-6)
 
+    def test_no_preconditioner_is_plain_cg(self, small_spd_system):
+        A, b, _ = small_spd_system
+        plain = conjugate_gradient(A, b)
+        pcg = preconditioned_conjugate_gradient(A, b)
+        assert pcg.iterations == plain.iterations
+        np.testing.assert_array_equal(pcg.x, plain.x)
+        assert plain.record.method == "CG (reference)"
+        assert pcg.record.method == "PCG (reference)"
 
-class TestBiCGStab:
-    def test_solves_spd_system(self, small_spd_system):
+    def test_exact_preconditioner_converges_in_one_iteration(
+            self, small_spd_system):
+        """One block covering the whole matrix makes ``M = A``."""
         A, b, x_star = small_spd_system
-        result = bicgstab(A, b, tol=1e-10)
-        assert result.converged
-        np.testing.assert_allclose(result.x, x_star, atol=1e-5)
-
-    def test_solves_nonsymmetric_system(self):
-        rng = np.random.default_rng(0)
-        n = 120
-        A = sp.diags(np.linspace(1.0, 4.0, n)).tolil()
-        A[0, n - 1] = 0.3
-        A[n - 1, 0] = -0.2
-        A = A.tocsr()
-        x_star = rng.standard_normal(n)
-        result = bicgstab(A, A @ x_star, tol=1e-10)
-        assert result.converged
-        np.testing.assert_allclose(result.x, x_star, atol=1e-6)
-
-    def test_preconditioned_variant(self, small_spd_system):
-        A, b, x_star = small_spd_system
-        result = bicgstab(A, b, preconditioner=JacobiPreconditioner(A))
-        assert result.converged
+        result = preconditioned_conjugate_gradient(
+            A, b, preconditioner=BlockJacobiPreconditioner(
+                A, page_size=A.shape[0]))
+        assert result.converged and result.iterations == 1
+        np.testing.assert_allclose(result.x, x_star, atol=1e-8)
 
     def test_zero_rhs(self, small_spd_system):
         A, _, _ = small_spd_system
-        assert bicgstab(A, np.zeros(A.shape[0])).converged
+        result = preconditioned_conjugate_gradient(
+            A, np.zeros(A.shape[0]),
+            preconditioner=BlockJacobiPreconditioner(A, page_size=64))
+        assert result.converged and result.iterations == 0
+        assert not result.x.any()
 
     def test_dimension_mismatch(self, small_spd_system):
         A, b, _ = small_spd_system
         with pytest.raises(ValueError):
-            bicgstab(A, b[:-2])
+            preconditioned_conjugate_gradient(
+                A, b[:-1], preconditioner=BlockJacobiPreconditioner(
+                    A, page_size=64))
 
-
-class TestGMRES:
-    def test_solves_spd_system(self, small_spd_system):
-        A, b, x_star = small_spd_system
-        result = gmres(A, b, restart=40, tol=1e-10)
-        assert result.converged
-        np.testing.assert_allclose(result.x, x_star, atol=1e-5)
-
-    def test_solves_nonsymmetric_system(self):
-        rng = np.random.default_rng(3)
-        n = 80
-        A = sp.eye(n).tolil()
-        for i in range(n - 1):
-            A[i, i + 1] = 0.4
-        A = (A + sp.diags(np.linspace(1, 2, n))).tocsr()
-        x_star = rng.standard_normal(n)
-        result = gmres(A, A @ x_star, restart=30, tol=1e-10)
-        assert result.converged
-        np.testing.assert_allclose(result.x, x_star, atol=1e-5)
-
-    def test_restart_parameter_validation(self, small_spd_system):
+    def test_max_iterations_respected(self, small_spd_system):
         A, b, _ = small_spd_system
-        with pytest.raises(ValueError):
-            gmres(A, b, restart=0)
+        result = preconditioned_conjugate_gradient(
+            A, b, preconditioner=BlockJacobiPreconditioner(A, page_size=64),
+            tol=1e-14, max_iterations=2)
+        assert result.iterations == 2
+        assert not result.converged
 
-    def test_preconditioned_gmres(self, small_spd_system):
-        A, b, x_star = small_spd_system
-        result = gmres(A, b, restart=30,
-                       preconditioner=JacobiPreconditioner(A))
-        assert result.converged
 
-    def test_zero_rhs(self, small_spd_system):
-        A, _, _ = small_spd_system
-        assert gmres(A, np.zeros(A.shape[0])).converged
-
-    def test_max_iterations(self, small_spd_system):
+class TestInputs:
+    def test_sparse_operator_matches_csr(self, small_spd_system):
         A, b, _ = small_spd_system
-        result = gmres(A, b, restart=5, tol=1e-14, max_iterations=8)
-        assert result.iterations <= 8
+        on_csr = conjugate_gradient(A, b)
+        on_op = conjugate_gradient(SparseOperator.from_scipy(A), b)
+        assert on_op.iterations == on_csr.iterations
+        np.testing.assert_allclose(on_op.x, on_csr.x, rtol=1e-12, atol=1e-14)
+
+    def test_dense_matrix_is_accepted(self):
+        A = np.array([[4.0, 1.0], [1.0, 3.0]])
+        x_star = np.array([1.0, -2.0])
+        result = conjugate_gradient(A, A @ x_star)
+        assert result.converged
+        np.testing.assert_allclose(result.x, x_star, atol=1e-9)
+
+    def test_initial_guess_is_not_modified(self, small_spd_system):
+        A, b, _ = small_spd_system
+        x0 = np.full(A.shape[0], 0.5)
+        result = conjugate_gradient(A, b, x0=x0)
+        assert result.converged
+        assert np.all(x0 == 0.5)
+
+    def test_final_residual_is_the_true_residual(self, random_sparse_system):
+        A, b = random_sparse_system
+        result = conjugate_gradient(A, b, tol=1e-10)
+        assert result.converged
+        true = np.linalg.norm(b - A @ result.x) / np.linalg.norm(b)
+        assert result.record.final_residual == pytest.approx(true, rel=1e-12)
+        assert result.record.final_residual <= 1e-9
