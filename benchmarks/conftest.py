@@ -14,7 +14,8 @@ import os
 import pytest
 
 from repro.campaign.spec import SolverKnobs
-from repro.experiments.common import ExperimentConfig
+from repro.experiments.common import (QUICK_MATRICES, QUICK_RATES,
+                                      ExperimentConfig)
 
 FULL = os.environ.get("REPRO_FULL", "0") == "1"
 
@@ -28,11 +29,6 @@ def pytest_collection_modifyitems(items):
     for item in items:
         item.add_marker(pytest.mark.bench)
         item.add_marker(pytest.mark.slow)
-
-#: Matrices used by the scaled-down default benchmark runs.
-QUICK_MATRICES = ("qa8fm", "Dubcova3", "consph", "thermomech")
-#: Error rates used by the scaled-down Figure 4 sweep.
-QUICK_RATES = (1.0, 10.0, 50.0)
 
 
 @pytest.fixture(scope="session")

@@ -14,13 +14,14 @@ from repro.core.interpolation import (exact_block_interpolation,
                                       least_squares_interpolation)
 from repro.core.manager import make_strategy
 from repro.matrices.blocked import PageBlockedMatrix
-from repro.matrices.stencil import poisson_2d_5pt, stencil_rhs
+from repro.matrices.laplacian import laplacian_2d
+from repro.matrices.stencil import stencil_rhs
 from repro.runtime.cost_model import DEFAULT_COST_MODEL
 from repro.solvers.resilient_cg import ResilientCG, SolverConfig
 
 
 def _problem():
-    A = poisson_2d_5pt(48)
+    A = laplacian_2d(48)
     b = stencil_rhs(A, kind="random", seed=3)
     return A, b
 
@@ -47,7 +48,7 @@ def test_ablation_recovery_task_placement(benchmark):
 
 def test_ablation_direct_vs_least_squares(benchmark):
     """Both interpolations are exact; the direct solve is cheaper."""
-    A = poisson_2d_5pt(32)
+    A = laplacian_2d(32)
     blocked = PageBlockedMatrix(A, page_size=128)
     rng = np.random.default_rng(0)
     p = rng.standard_normal(A.shape[0])

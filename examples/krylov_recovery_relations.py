@@ -19,7 +19,8 @@ import numpy as np
 from repro.core.relations import (HessenbergRelation, LinearCombinationRelation,
                                   MatVecRelation, ResidualRelation)
 from repro.matrices.blocked import PageBlockedMatrix
-from repro.matrices.stencil import poisson_2d_5pt, stencil_rhs
+from repro.matrices.laplacian import laplacian_2d
+from repro.matrices.stencil import stencil_rhs
 
 
 def report(label: str, recovered: np.ndarray, original: np.ndarray) -> None:
@@ -29,7 +30,7 @@ def report(label: str, recovered: np.ndarray, original: np.ndarray) -> None:
 
 
 def main() -> None:
-    A = poisson_2d_5pt(48)                     # n = 2304
+    A = laplacian_2d(48)                       # n = 2304
     blocked = PageBlockedMatrix(A, page_size=256)
     rng = np.random.default_rng(0)
     b = stencil_rhs(A, kind="random", seed=1)

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 from repro import ResilientCG, SolverConfig, make_strategy
 from repro.faults import single_error_scenario
-from repro.matrices import poisson_2d_5pt
+from repro.matrices import laplacian_2d
 from repro.matrices.stencil import stencil_rhs
 
 
 def main() -> None:
     # 1. Build a problem: a 64x64 Poisson grid (4096 unknowns).
-    A = poisson_2d_5pt(64)
+    A = laplacian_2d(64)
     b = stencil_rhs(A, kind="random", seed=0)
     config = SolverConfig(num_workers=8, page_size=128)
 

@@ -21,10 +21,10 @@ Quick start::
 
     import numpy as np
     from repro import ResilientCG, SolverConfig, make_strategy
-    from repro.matrices import poisson_2d_5pt
+    from repro.matrices import laplacian_2d
     from repro.matrices.stencil import stencil_rhs
 
-    A = poisson_2d_5pt(64)
+    A = laplacian_2d(64)
     b = stencil_rhs(A)
     solver = ResilientCG(A, b, strategy=make_strategy("FEIR"),
                          config=SolverConfig(num_workers=8))

@@ -54,7 +54,6 @@ from repro.campaign.results import CampaignResult, TrialResult
 from repro.campaign.spec import (CampaignSpec, MatrixSpec, SolverKnobs,
                                  TrialSpec, content_hash, shard_trials)
 from repro.campaign.store import CampaignCache, CampaignStore
-from repro.config import derive_config
 from repro.sanitize import make_lock
 
 
@@ -114,7 +113,7 @@ def solve_trial(trial: TrialSpec, cache: CampaignCache):
     """
     from repro.core.manager import make_strategy
     from repro.precond.block_jacobi import BlockJacobiPreconditioner
-    from repro.solvers.resilient_cg import ResilientCG, SolverConfig
+    from repro.solvers.resilient_cg import ResilientCG
     knobs = trial.knobs
     A, b = _problem(trial.matrix, cache)
     strategy = scenario = ideal_time = None
@@ -129,7 +128,7 @@ def solve_trial(trial: TrialSpec, cache: CampaignCache):
                                                    page_size=knobs.page_size)
     solver = ResilientCG(A, b, strategy=strategy,
                          preconditioner=preconditioner, scenario=scenario,
-                         config=derive_config(SolverConfig, knobs),
+                         config=knobs,
                          matrix_name=trial.matrix.label,
                          compiled=cache.compiled)
     try:

@@ -26,25 +26,16 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.config import (DEFAULT_MAX_ITERATIONS, DEFAULT_SEED,
-                          DEFAULT_TOLERANCE, DEFAULT_WORKERS)
+from repro.config import DEFAULT_SEED
 from repro.faults.scenarios import ErrorScenario
-from repro.runtime.cost_model import DEFAULT_COST_MODEL, CostModel
-from repro.runtime.runtime import (RuntimeSpec, add_runtime_arguments,
-                                   resolve_runtime_spec, runtime_axes)
-
-def _operator_to_scipy(A):
-    """SciPy CSR view of a SparseOperator (``sparse=False`` on a family
-    that builds SciPy-free by default)."""
-    import scipy.sparse as sp
-    return sp.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)
-
+from repro.runtime.runtime import add_runtime_arguments, runtime_axes
+from repro.solvers.cg_types import SolverConfig
 
 #: Matrix families the campaign engine can build by name.  ``suite:*``
 #: entries come from :data:`repro.matrices.suite.PAPER_MATRICES`;
-#: ``laplacian1d``/``laplacian2d`` are built SciPy-free directly as
-#: :class:`~repro.matrices.sparse.SparseOperator` CSR;
-#: ``poisson2d``/``poisson3d27`` use the stencil generators.
+#: ``laplacian1d`` (shifted by 1e-3), ``laplacian2d`` and its alias
+#: ``poisson2d`` from :mod:`repro.matrices.laplacian`; ``poisson3d27``
+#: is the 27-point stencil.
 MATRIX_FAMILIES = ("suite", "laplacian1d", "laplacian2d", "poisson2d",
                    "poisson3d27")
 
@@ -77,6 +68,14 @@ def _scenario_token(scenario: Optional[ErrorScenario]) -> str:
     fixed = ";".join(f"{inj.time!r}@{inj.vector}[{inj.page}]"
                      for inj in scenario.fixed_injections)
     return f"rate={float(scenario.normalized_rate)!r}/fixed=[{fixed}]"
+
+
+def _cell_token(matrix: MatrixSpec, method: Optional[str], rate: float,
+                scenario: Optional[ErrorScenario]) -> str:
+    """Canonical token of one campaign cell: what a trial is, short of
+    its repetition, seed and knobs."""
+    return (f"{matrix.content_token()}|method={method}|"
+            f"rate={float(rate)!r}|scenario={_scenario_token(scenario)}")
 
 
 def _seed_token(seed: np.random.SeedSequence) -> str:
@@ -185,73 +184,40 @@ class MatrixSpec:
         raise ValueError(f"unknown matrix family {family!r}")
 
     def build(self):
-        """Materialise ``(A, b)`` for this spec (runs inside workers)."""
-        from repro.matrices.sparse import (SparseOperator,
-                                           laplacian_1d_operator,
-                                           laplacian_2d_operator)
-        from repro.matrices.stencil import stencil_rhs
+        """Materialise ``(A, b)`` for this spec (runs inside workers):
+        every family as SciPy CSR, converted once under ``sparse``."""
+        from repro.matrices import stencil
+        from repro.matrices.laplacian import laplacian_1d, laplacian_2d
+        from repro.matrices.sparse import SparseOperator
         params = dict(self.params)
         if self.family == "suite":
             from repro.matrices.suite import PAPER_MATRICES
             A = PAPER_MATRICES[self.name].build()
-            if self.sparse:
-                A = SparseOperator.from_scipy(A)
         elif self.family == "laplacian1d":
-            A = laplacian_1d_operator(params["n"], shift=1e-3)
-            if not self.sparse:
-                A = _operator_to_scipy(A)
-        elif self.family == "laplacian2d":
-            A = laplacian_2d_operator(params["nx"], params.get("ny"))
-            if not self.sparse:
-                A = _operator_to_scipy(A)
-        elif self.family == "poisson2d":
-            from repro.matrices.stencil import poisson_2d_5pt
-            A = poisson_2d_5pt(params["nx"], params.get("ny"))
-            if self.sparse:
-                A = SparseOperator.from_scipy(A)
+            A = laplacian_1d(params["n"], shift=1e-3)
         elif self.family == "poisson3d27":
-            from repro.matrices.stencil import poisson_3d_27pt
-            A = poisson_3d_27pt(params["nx"])
-            if self.sparse:
-                A = SparseOperator.from_scipy(A)
-        else:  # pragma: no cover - guarded by __post_init__
-            raise ValueError(f"unknown matrix family {self.family!r}")
+            A = stencil.poisson_3d_27pt(params["nx"])
+        else:  # laplacian2d, poisson2d
+            A = laplacian_2d(params["nx"], params.get("ny"))
+        if self.sparse:
+            A = SparseOperator.from_scipy(A)
         if self.rhs_seed is None:
-            return A, stencil_rhs(A)
-        return A, stencil_rhs(A, kind="random", seed=self.rhs_seed)
+            return A, stencil.stencil_rhs(A)
+        return A, stencil.stencil_rhs(A, kind="random", seed=self.rhs_seed)
 
 
 @dataclass(frozen=True)
-class SolverKnobs:
-    """Solver configuration shared by every trial of a campaign."""
+class SolverKnobs(SolverConfig):
+    """The :class:`~repro.solvers.cg_types.SolverConfig` shared by every
+    trial of a campaign, plus the two knobs that pick the trial's
+    preconditioner and checkpoint interval.  ``page_size`` and
+    ``record_history`` default differently from a standalone solver's:
+    those defaults are part of every store address already written."""
 
-    tolerance: float = DEFAULT_TOLERANCE
-    max_iterations: int = DEFAULT_MAX_ITERATIONS
-    num_workers: int = DEFAULT_WORKERS
     page_size: int = 128
-    work_scale: float = 200.0
+    record_history: bool = False
     preconditioned: bool = False
     checkpoint_interval: Optional[int] = None
-    record_history: bool = False
-    cost_model: CostModel = DEFAULT_COST_MODEL
-    #: Wall-clock pacing of the threaded scheduler (see ``SolverConfig``).
-    pace: float = 1.0
-    #: The runtime cell of every trial (see ``SolverConfig``).  The
-    #: simulated timeline — and hence every aggregate and the campaign
-    #: fingerprint — is bit-identical in every cell.
-    scheduler: str = "list"
-    placement: Optional[str] = None
-    clock: str = "simulated"
-    ranks: int = 1
-
-    def __post_init__(self):
-        self.runtime_spec()  # validates the axis composition loudly
-
-    def runtime_spec(self) -> RuntimeSpec:
-        """The resolved (scheduler x placement x clock) cell of every trial."""
-        return resolve_runtime_spec(scheduler=self.scheduler,
-                                    placement=self.placement,
-                                    clock=self.clock, ranks=self.ranks)
 
     def content_token(self) -> str:
         """Canonical token over every knob.
@@ -310,9 +276,8 @@ class TrialSpec:
 
     def cell_token(self) -> str:
         """Canonical token of the trial's campaign cell (no seed/knobs)."""
-        return (f"{self.matrix.content_token()}|method={self.method}|"
-                f"rate={float(self.rate)!r}|"
-                f"scenario={_scenario_token(self.scenario)}")
+        return _cell_token(self.matrix, self.method, self.rate,
+                           self.scenario)
 
     def content_token(self) -> str:
         """Canonical token over everything that determines this trial's
@@ -395,9 +360,7 @@ class CampaignSpec:
         leaves every pre-existing trial's seed untouched, which is what
         makes warm-store campaigns incremental under grid growth.
         """
-        token = (f"{matrix.content_token()}|method={method}|"
-                 f"rate={float(rate)!r}|"
-                 f"scenario={_scenario_token(self.scenario)}|"
+        token = (f"{_cell_token(matrix, method, rate, self.scenario)}|"
                  f"rep={repetition}")
         digest = hashlib.sha256(token.encode("utf-8")).digest()
         words = [int.from_bytes(digest[i:i + 4], "big")

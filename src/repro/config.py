@@ -8,11 +8,8 @@ relations and fault injectors in this package share these constants.
 
 from __future__ import annotations
 
-import dataclasses
 import os
-from typing import Optional, Type, TypeVar
-
-T = TypeVar("T")
+from typing import Optional
 
 #: Number of float64 values per memory page (4096 bytes / 8 bytes).
 PAGE_DOUBLES: int = 512
@@ -33,9 +30,6 @@ DEFAULT_SEED: int = 20150715
 #: Default number of workers, matching the paper's single-socket setup
 #: (Intel Xeon E5-2670, 8 cores, Section 5.1).
 DEFAULT_WORKERS: int = 8
-
-#: Names of the dynamic (protected, fault-injectable) CG vectors.
-PROTECTED_CG_VECTORS = ("x", "g", "d0", "d1", "q")
 
 #: Environment variable capping every real worker pool (campaign process
 #: pools, threaded execution backend) so shared CI runners are not
@@ -74,15 +68,3 @@ def resolve_worker_count(requested: Optional[int] = None) -> int:
         count = min(count, cap)
     return max(1, count)
 
-
-def derive_config(target: Type[T], source) -> T:
-    """Build the ``target`` dataclass from ``source``'s same-named fields.
-
-    ``SolverConfig`` and ``SolverKnobs`` spell a shared knob (tolerance,
-    page size, the four runtime axes, ...) with one field name, so a
-    knob added to both is carried across without a hand-kept field list
-    to forget it in.  Fields only ``target`` has keep their defaults.
-    """
-    shared = ({f.name for f in dataclasses.fields(target)}
-              & {f.name for f in dataclasses.fields(source)})
-    return target(**{name: getattr(source, name) for name in shared})

@@ -74,7 +74,7 @@ class RankCommStats:
     recovery_seconds: float = 0.0
     recoveries_by_rank: Dict[int, int] = field(default_factory=dict)
     #: Probe-grade halo exchanges re-enacted for the wall-clock
-    #: measurement (:meth:`RankRuntime.halo_exchange`).  Counted apart
+    #: measurement (:meth:`RankKernelEngine.halo_exchange`).  Counted apart
     #: from the load-bearing ``halo_exchanges`` so per-exchange averages
     #: keep meaning "one distributed spmv".
     probe_exchanges: int = 0
@@ -131,39 +131,43 @@ class _RankState:
         self.inbox = make_queue(f"rank-inbox:{rank}")
 
 
-class RankRuntimeError(RuntimeError):
+class RankError(RuntimeError):
     """A rank worker failed or a message timed out."""
 
 
-class RankRuntime:
-    """Thread-per-rank executor of strip-partitioned CG kernels."""
+class RankKernelEngine(KernelEngine):
+    """The rank runtime: thread-per-rank execution of the strip-partitioned
+    CG kernels, behind the :class:`~repro.runtime.kernels.KernelEngine`
+    face :class:`~repro.solvers.resilient_cg.ResilientCG` plugs in."""
 
-    def __init__(self, blocked: PageBlockedMatrix, num_ranks: int,
+    name = "ranks"
+
+    def __init__(self, blocked: PageBlockedMatrix, ranks: int,
                  timeout: float = 60.0):
-        if num_ranks < 1:
-            raise ValueError(f"num_ranks must be >= 1, got {num_ranks}")
+        if ranks < 1:
+            raise ValueError(f"ranks must be >= 1, got {ranks}")
         self.blocked = blocked
         self.n = blocked.n
         self.page_size = blocked.page_size
-        self.num_ranks = int(num_ranks)
+        self.ranks = int(ranks)
         self.timeout = float(timeout)
-        self.partition = StripPartition(blocked.A, self.num_ranks,
+        self.partition = StripPartition(blocked.A, self.ranks,
                                         align=self.page_size)
-        self.stats = RankCommStats(ranks=self.num_ranks)
+        self.stats = RankCommStats(ranks=self.ranks)
         #: Per-op reply queues keyed by sequence number, so concurrent
         #: orchestrator calls (the threaded scheduler dispatches halo
         #: re-enactments and owner probes from different backend worker
         #: threads) never consume each other's replies.
         self._pending: Dict[int, "queue.Queue"] = {}
-        self._post_lock = make_lock("RankRuntime.post_lock")
+        self._post_lock = make_lock("RankKernelEngine.post_lock")
         #: Serialises collectives: the per-pair channels pair sends with
         #: receives positionally, so two collectives must never be in
         #: flight at once.
-        self._collective_lock = make_lock("RankRuntime.collective_lock")
+        self._collective_lock = make_lock("RankKernelEngine.collective_lock")
         self._chan: Dict[Tuple[int, int], "queue.Queue"] = {
             (src, dst): make_queue(f"rank-chan:{src}->{dst}")
-            for src in range(self.num_ranks)
-            for dst in range(self.num_ranks) if src != dst}
+            for src in range(self.ranks)
+            for dst in range(self.ranks) if src != dst}
         self._states: List[_RankState] = []
         for part in self.partition.partitions:
             self._states.append(_RankState(
@@ -173,12 +177,14 @@ class RankRuntime:
                 n=self.n,
                 slab_matvec=self._make_slab_matvec(part.row_start,
                                                    part.row_stop)))
+        #: Scratch of the distributed residual's ``A x``.
+        self._tmp = np.zeros(self.n, dtype=np.float64)
         self._seq = 0
         self._closed = False
         self._threads = [threading.Thread(target=self._worker, args=(r,),
                                           name=f"repro-rank-{r}",
                                           daemon=True)
-                         for r in range(self.num_ranks)]
+                         for r in range(self.ranks)]
         for t in self._threads:
             t.start()
 
@@ -218,7 +224,7 @@ class RankRuntime:
         while a halo re-enactment collective is still in flight.
         """
         if self._closed:
-            raise RankRuntimeError("rank runtime already closed")
+            raise RankError("rank runtime already closed")
         with self._post_lock:
             self._seq += 1
             seq = self._seq
@@ -236,7 +242,7 @@ class RankRuntime:
                     rank, result, exc = reply_queue.get(
                         timeout=max(remaining, 1e-3))
                 except queue.Empty:
-                    raise RankRuntimeError(
+                    raise RankError(
                         f"rank runtime timed out after {self.timeout}s "
                         f"waiting for op {op!r} (ranks {ranks})") from None
                 if exc is not None and failure is None:
@@ -246,13 +252,13 @@ class RankRuntime:
             with self._post_lock:
                 self._pending.pop(seq, None)
         if failure is not None:
-            raise RankRuntimeError(
+            raise RankError(
                 f"rank worker failed during op {op!r}") from failure
         return replies
 
     def _collective(self, op: str, payload) -> Dict[int, object]:
         with self._collective_lock:
-            return self._post(list(range(self.num_ranks)), op, payload)
+            return self._post(list(range(self.ranks)), op, payload)
 
     # ------------------------------------------------------------------
     # public kernel operations
@@ -303,9 +309,9 @@ class RankRuntime:
     def run_on_rank(self, rank: int, fn: Callable[[], object]) -> object:
         """Execute ``fn`` on a specific rank's worker without recovery
         accounting (probe work of the wall-clock re-enactment)."""
-        if not 0 <= rank < self.num_ranks:
+        if not 0 <= rank < self.ranks:
             raise IndexError(f"rank {rank} out of range for "
-                             f"{self.num_ranks} ranks")
+                             f"{self.ranks} ranks")
         return self._post([rank], "run", fn)[rank]["value"]
 
     def run_on_owner(self, page: int, fn: Callable[[], object]) -> object:
@@ -318,6 +324,47 @@ class RankRuntime:
             self.stats.recoveries_by_rank.get(owner, 0) + 1
         return reply["value"]
 
+    def update_direction(self, d_cur: np.ndarray, z: np.ndarray,
+                         beta: float, d_prev: np.ndarray) -> None:
+        def body(rank: int, start: int, stop: int) -> None:
+            d_cur[start:stop] = z[start:stop] + beta * d_prev[start:stop]
+        self.strip_map(body)
+
+    def axpy(self, y: np.ndarray, a: float, v: np.ndarray,
+             skip_pages: Set[int] = frozenset()) -> None:
+        psize = self.page_size
+        n = self.n
+        skip = frozenset(skip_pages)
+
+        def body(rank: int, start: int, stop: int) -> None:
+            if not skip:
+                y[start:stop] += a * v[start:stop]
+                return
+            keep = np.ones(stop - start, dtype=bool)
+            for page in skip:
+                lo = max(page * psize, start)
+                hi = min(min(page * psize + psize, n), stop)
+                if lo < hi:
+                    keep[lo - start:hi - start] = False
+            ys = y[start:stop]
+            vs = v[start:stop]
+            ys[keep] += a * vs[keep]
+        self.strip_map(body)
+
+    def residual(self, x: np.ndarray, b: np.ndarray,
+                 out: np.ndarray) -> None:
+        # A real distributed residual: halo-exchange x, then each rank
+        # forms its strip of b - A x locally.
+        tmp = self._tmp
+        self.spmv(x, tmp)
+
+        def body(rank: int, start: int, stop: int) -> None:
+            out[start:stop] = b[start:stop] - tmp[start:stop]
+        self.strip_map(body)
+
+    def comm_stats(self) -> RankCommStats:
+        return self.stats
+
     def close(self) -> None:
         if self._closed:
             return
@@ -327,7 +374,7 @@ class RankRuntime:
         for t in self._threads:
             t.join(timeout=self.timeout)
 
-    def __enter__(self) -> "RankRuntime":
+    def __enter__(self) -> "RankKernelEngine":
         return self
 
     def __exit__(self, *exc) -> None:
@@ -376,7 +423,7 @@ class RankRuntime:
         try:
             return self._chan[(src, dst)].get(timeout=self.timeout)
         except queue.Empty:
-            raise RankRuntimeError(
+            raise RankError(
                 f"rank {dst} timed out waiting for a message from rank "
                 f"{src} after {self.timeout}s") from None
 
@@ -421,7 +468,7 @@ class RankRuntime:
         comm = 0.0
         bytes_sent = 0
         children = [c for c in (2 * rank + 1, 2 * rank + 2)
-                    if c < self.num_ranks]
+                    if c < self.ranks]
         parent = (rank - 1) // 2
         # Gather per-page partials up the binary rank tree.  The waits
         # measured here include subtree compute and barrier skew, so —
@@ -452,83 +499,3 @@ class RankRuntime:
             self._chan[(rank, child)].put(value)
             bytes_sent += 8
         return {"value": value, "comm": comm, "bytes_sent": bytes_sent}
-
-
-class RankKernelEngine(KernelEngine):
-    """The :class:`~repro.runtime.kernels.KernelEngine` face of the
-    rank runtime, pluggable into :class:`~repro.solvers.resilient_cg.ResilientCG`."""
-
-    name = "ranks"
-
-    def __init__(self, blocked: PageBlockedMatrix, ranks: int,
-                 timeout: float = 60.0):
-        self.runtime = RankRuntime(blocked, ranks, timeout=timeout)
-        self.ranks = self.runtime.num_ranks
-        self.page_size = blocked.page_size
-        self.n = blocked.n
-        self._tmp = np.zeros(self.n, dtype=np.float64)
-
-    # ------------------------------------------------------------------
-    def dot(self, u: np.ndarray, v: np.ndarray,
-            skip_pages: Set[int] = frozenset()) -> float:
-        return self.runtime.dot(u, v, skip_pages)
-
-    def spmv(self, d: np.ndarray, out: np.ndarray) -> None:
-        self.runtime.spmv(d, out)
-
-    def update_direction(self, d_cur: np.ndarray, z: np.ndarray,
-                         beta: float, d_prev: np.ndarray) -> None:
-        def body(rank: int, start: int, stop: int) -> None:
-            d_cur[start:stop] = z[start:stop] + beta * d_prev[start:stop]
-        self.runtime.strip_map(body)
-
-    def axpy(self, y: np.ndarray, a: float, v: np.ndarray,
-             skip_pages: Set[int] = frozenset()) -> None:
-        psize = self.page_size
-        n = self.n
-        skip = frozenset(skip_pages)
-
-        def body(rank: int, start: int, stop: int) -> None:
-            if not skip:
-                y[start:stop] += a * v[start:stop]
-                return
-            keep = np.ones(stop - start, dtype=bool)
-            for page in skip:
-                lo = max(page * psize, start)
-                hi = min(min(page * psize + psize, n), stop)
-                if lo < hi:
-                    keep[lo - start:hi - start] = False
-            ys = y[start:stop]
-            vs = v[start:stop]
-            ys[keep] += a * vs[keep]
-        self.runtime.strip_map(body)
-
-    def residual(self, x: np.ndarray, b: np.ndarray,
-                 out: np.ndarray) -> None:
-        # A real distributed residual: halo-exchange x, then each rank
-        # forms its strip of b - A x locally.
-        tmp = self._tmp
-        self.runtime.spmv(x, tmp)
-
-        def body(rank: int, start: int, stop: int) -> None:
-            out[start:stop] = b[start:stop] - tmp[start:stop]
-        self.runtime.strip_map(body)
-
-    def run_on_owner(self, page: int, fn: Callable[[], object]) -> object:
-        return self.runtime.run_on_owner(page, fn)
-
-    def page_owner(self, page: int) -> int:
-        return self.runtime.page_owner(page)
-
-    def run_on_rank(self, rank: int, fn: Callable[[], object]) -> object:
-        return self.runtime.run_on_rank(rank, fn)
-
-    def halo_exchange(self, d: np.ndarray) -> float:
-        return self.runtime.halo_exchange(d)
-
-    # ------------------------------------------------------------------
-    def comm_stats(self) -> RankCommStats:
-        return self.runtime.stats
-
-    def close(self) -> None:
-        self.runtime.close()

@@ -18,7 +18,8 @@ import sys
 from repro.campaign.spec import SolverKnobs
 from repro.campaign.store import (StoreSchemaError, add_store_arguments,
                                   store_from_args)
-from repro.experiments.common import ExperimentConfig
+from repro.experiments.common import (QUICK_MATRICES, QUICK_RATES,
+                                      ExperimentConfig)
 from repro.runtime.runtime import add_runtime_arguments, runtime_axes
 from repro.experiments.fig3 import format_fig3, run_fig3
 from repro.experiments.fig4 import format_fig4, run_fig4
@@ -27,8 +28,6 @@ from repro.experiments.fig5 import (format_fig5, format_fig5_measured,
 from repro.experiments.table2 import format_table2, run_table2
 from repro.experiments.table3 import format_table3, run_table3
 
-QUICK_MATRICES = ("qa8fm", "Dubcova3", "consph", "thermomech")
-QUICK_RATES = (1.0, 10.0, 50.0)
 EXPERIMENTS = ("table2", "table3", "fig3", "fig4", "fig5")
 
 

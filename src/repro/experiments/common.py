@@ -28,6 +28,10 @@ from repro.faults.scenarios import ErrorScenario
 from repro.matrices.suite import PAPER_MATRICES
 from repro.solvers.resilient_cg import SolveResult
 
+#: The reduced grid of ``--quick`` runs and the scaled-down benchmarks.
+QUICK_MATRICES = ("qa8fm", "Dubcova3", "consph", "thermomech")
+QUICK_RATES = (1.0, 10.0, 50.0)
+
 
 def driver_cell(matrix: MatrixSpec, knobs: SolverKnobs,
                 method: Optional[str],
@@ -83,8 +87,8 @@ class MethodRun:
     scenario: str
     result: SolveResult
     ideal_time: float
-    #: Measured wall-clock of the ideal baseline's real execution
-    #: (threaded backend only; 0.0 under pure simulation).
+    #: Measured wall-clock of the ideal baseline's real execution (every
+    #: ``clock="wall"`` cell; 0.0 under the simulated clock).
     ideal_wall: float = 0.0
 
     @property
@@ -100,7 +104,7 @@ class MethodRun:
     @property
     def measured_overhead_percent(self) -> Optional[float]:
         """Wall-clock overhead of the real execution versus the ideal
-        run's real execution, or ``None`` under pure simulation."""
+        run's real execution, or ``None`` under the simulated clock."""
         if self.ideal_wall <= 0 or self.result.wall_clock <= 0:
             return None
         from repro.analysis.overheads import measured_overhead_percent

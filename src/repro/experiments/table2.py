@@ -40,7 +40,7 @@ class Table2Result:
     runs: List[MethodRun]
     config: ExperimentConfig
     #: Mean *measured* wall-clock overhead per method — only populated
-    #: when the experiment ran on the threaded backend.  Noisy (plain
+    #: when the experiment ran in a ``clock="wall"`` cell.  Noisy (plain
     #: mean, may be negative) but a direct observation: AFEIR's extra
     #: work really hides under the reductions, FEIR's barrier really
     #: serialises the critical path.

@@ -107,7 +107,7 @@ def format_table3(result: Table3Result) -> str:
         result.as_rows(),
         title="Table 3: increase of time spent per state (FEIR methods)")
     if result.measured_shares:
-        lines = [table, "", "measured wall-clock shares (threaded backend):"]
+        lines = [table, "", "measured wall-clock shares (clock=wall):"]
         for method, states in result.measured_shares.items():
             shares = "  ".join(f"{state}={value:.1f}%"
                                for state, value in sorted(states.items()))

@@ -257,45 +257,3 @@ class SparseOperator:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"SparseOperator(shape={self.shape}, nnz={self.nnz})")
 
-
-# ----------------------------------------------------------------------
-# SciPy-free stencil builders (campaign matrix families)
-# ----------------------------------------------------------------------
-def laplacian_1d_operator(n: int, shift: float = 0.0) -> SparseOperator:
-    """1-D Dirichlet Laplacian ([-1, 2, -1]) built without SciPy."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    diag = np.arange(n)
-    rows = [diag, diag[:-1], diag[1:]]
-    cols = [diag, diag[1:], diag[:-1]]
-    vals = [np.full(n, 2.0 + shift), np.full(n - 1, -1.0),
-            np.full(n - 1, -1.0)]
-    return SparseOperator.from_coo(np.concatenate(rows),
-                                   np.concatenate(cols),
-                                   np.concatenate(vals), (n, n))
-
-
-def laplacian_2d_operator(nx: int, ny: int = None,
-                          shift: float = 0.0) -> SparseOperator:
-    """2-D 5-point Laplacian on an ``nx x ny`` grid, built without SciPy."""
-    ny = nx if ny is None else ny
-    if min(nx, ny) < 1:
-        raise ValueError("grid dimensions must be >= 1")
-    n = nx * ny
-    idx = np.arange(n).reshape(ny, nx)
-    rows, cols, vals = [], [], []
-    rows.append(idx.ravel())
-    cols.append(idx.ravel())
-    vals.append(np.full(n, 4.0 + shift))
-    for src, dst in (((slice(None), slice(0, nx - 1)),
-                      (slice(None), slice(1, nx))),
-                     ((slice(0, ny - 1), slice(None)),
-                      (slice(1, ny), slice(None)))):
-        a = idx[src].ravel()
-        b = idx[dst].ravel()
-        rows.extend((a, b))
-        cols.extend((b, a))
-        vals.extend((np.full(a.size, -1.0), np.full(a.size, -1.0)))
-    return SparseOperator.from_coo(np.concatenate(rows),
-                                   np.concatenate(cols),
-                                   np.concatenate(vals), (n, n))

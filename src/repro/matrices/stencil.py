@@ -58,42 +58,6 @@ def poisson_3d_27pt(nx: int, ny: int = None, nz: int = None) -> sp.csr_matrix:
     return A.tocsr()
 
 
-def poisson_3d_7pt(nx: int, ny: int = None, nz: int = None) -> sp.csr_matrix:
-    """Standard 7-point finite-difference Laplacian in 3-D."""
-    ny = nx if ny is None else ny
-    nz = nx if nz is None else nz
-    if min(nx, ny, nz) < 1:
-        raise ValueError("grid dimensions must be >= 1")
-    ex = sp.eye(nx, format="csr")
-    ey = sp.eye(ny, format="csr")
-    ez = sp.eye(nz, format="csr")
-    tx = _tridiag(nx)
-    ty = _tridiag(ny)
-    tz = _tridiag(nz)
-    A = (sp.kron(sp.kron(ez, ey), tx)
-         + sp.kron(sp.kron(ez, ty), ex)
-         + sp.kron(sp.kron(tz, ey), ex))
-    return A.tocsr()
-
-
-def poisson_2d_5pt(nx: int, ny: int = None) -> sp.csr_matrix:
-    """Standard 5-point finite-difference Laplacian in 2-D."""
-    ny = nx if ny is None else ny
-    if min(nx, ny) < 1:
-        raise ValueError("grid dimensions must be >= 1")
-    ex = sp.eye(nx, format="csr")
-    ey = sp.eye(ny, format="csr")
-    A = sp.kron(ey, _tridiag(nx)) + sp.kron(_tridiag(ny), ex)
-    return A.tocsr()
-
-
-def _tridiag(n: int) -> sp.csr_matrix:
-    """1-D [-1, 2, -1] operator."""
-    main = 2.0 * np.ones(n)
-    off = -1.0 * np.ones(n - 1)
-    return sp.diags([off, main, off], offsets=[-1, 0, 1], format="csr")
-
-
 def stencil_rhs(A: sp.spmatrix, kind: str = "ones", seed: int = 0) -> np.ndarray:
     """A right-hand side consistent with a known solution.
 

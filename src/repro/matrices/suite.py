@@ -28,7 +28,6 @@ import scipy.sparse as sp
 
 from repro.faults.injector import derive_rng
 from repro.matrices.laplacian import graph_laplacian, laplacian_2d, laplacian_3d
-from repro.matrices.stencil import poisson_2d_5pt, poisson_3d_7pt
 
 
 @dataclass(frozen=True)
@@ -73,9 +72,8 @@ def _af_shell8_like() -> sp.csr_matrix:
 def _cfd2_like() -> sp.csr_matrix:
     """CFD pressure-matrix-like: 3-D 7-point Laplacian with mild random
     symmetric perturbation of the couplings."""
-    A = poisson_3d_7pt(17, 17, 17).tolil()
+    A = laplacian_3d(17, 17, 17)
     rng = derive_rng(1202)
-    A = A.tocsr()
     noise = sp.random(A.shape[0], A.shape[0], density=5e-4, random_state=rng,
                       data_rvs=lambda k: -0.1 * rng.random(k))
     noise = (noise + noise.T) * 0.5
@@ -91,7 +89,7 @@ def _consph_like() -> sp.csr_matrix:
 
 def _dubcova3_like() -> sp.csr_matrix:
     """PDE FEM-like (Dubcova): 2-D 5-point Poisson on a square grid."""
-    return poisson_2d_5pt(64, 64)
+    return laplacian_2d(64, 64)
 
 
 def _ecology2_like() -> sp.csr_matrix:
@@ -102,7 +100,7 @@ def _ecology2_like() -> sp.csr_matrix:
 
 def _parabolic_fem_like() -> sp.csr_matrix:
     """Parabolic FEM (diffusion time step): Laplacian plus mass-like shift."""
-    A = poisson_2d_5pt(64, 64)
+    A = laplacian_2d(64, 64)
     return (0.01 * A + sp.eye(A.shape[0])).tocsr()
 
 

@@ -95,20 +95,17 @@ def resolve_runtime_spec(scheduler: str = "list",
 
 def make_executor(spec: RuntimeSpec, num_workers: int,
                   cost_model: CostModel = DEFAULT_COST_MODEL,
-                  max_threads: Optional[int] = None,
                   pace: float = 1.0) -> ExecutionBackend:
     """The graph executor of ``spec``'s scheduler axis.
 
-    ``max_threads`` caps the *real* thread count of the threaded
-    executor (the simulated worker count stays ``num_workers``, so the
-    timeline is unaffected) and ``pace`` is its wall-clock pacing factor
-    (:class:`~repro.runtime.async_exec.ThreadedBackend`); the list
-    executor ignores both.
+    ``pace`` is the threaded executor's wall-clock pacing factor
+    (:class:`~repro.runtime.async_exec.ThreadedBackend`, whose real
+    thread count ``REPRO_MAX_WORKERS`` caps); the list executor ignores
+    it.
     """
     if spec.scheduler == "threaded":
         from repro.runtime.async_exec import ThreadedBackend
-        return ThreadedBackend(num_workers, cost_model=cost_model,
-                               max_threads=max_threads, pace=pace)
+        return ThreadedBackend(num_workers, cost_model=cost_model, pace=pace)
     return SimulatedBackend(num_workers, cost_model=cost_model)
 
 

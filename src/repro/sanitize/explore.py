@@ -39,7 +39,8 @@ import numpy as np
 from repro.core.manager import make_strategy
 from repro.faults.injector import Injection
 from repro.faults.scenarios import multi_error_scenario
-from repro.matrices.stencil import poisson_2d_5pt, stencil_rhs
+from repro.matrices.laplacian import laplacian_2d
+from repro.matrices.stencil import stencil_rhs
 from repro.sanitize import detector, instrument
 from repro.solvers.resilient_cg import ResilientCG, SolverConfig
 
@@ -110,7 +111,7 @@ class ExploreProblem:
     tolerance: float = 1e-8
 
     def build(self):
-        A = poisson_2d_5pt(self.points)
+        A = laplacian_2d(self.points)
         b = stencil_rhs(A, kind="random", seed=7)
         return A, b
 

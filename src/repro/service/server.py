@@ -525,7 +525,12 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json({"error": message}, status=status)
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        length = int(header) if header.strip().isdecimal() else -1
+        if length < 0:
+            # The body's end is unknown: answer, then drop the connection.
+            self.close_connection = True
+            raise ProtocolError(f"bad Content-Length {header!r}")
         raw = self.rfile.read(length) if length else b"{}"
         try:
             payload = json.loads(raw.decode("utf-8") or "{}")

@@ -62,7 +62,6 @@ from repro.runtime.backend import ExecutionBackend, ExecutionResult
 from repro.runtime.graph import TaskGraph
 from repro.runtime.kernels import KernelEngine
 from repro.runtime.plan import IterationPlan, compile_plan
-from repro.runtime.runtime import RuntimeSpec
 from repro.runtime.scheduler import ScheduleResult
 from repro.runtime.task import TaskKind
 from repro.runtime.trace import ExecutionTrace
@@ -128,15 +127,16 @@ class CGPlanner:
 
     def __init__(self, blocked: PageBlockedMatrix, config: SolverConfig, *,
                  strategy: Optional[RecoveryStrategy], preconditioned: bool,
-                 spec: RuntimeSpec, executor: ExecutionBackend,
-                 engine: KernelEngine, compiled: Optional[dict] = None):
+                 executor: ExecutionBackend, engine: KernelEngine,
+                 compiled: Optional[dict] = None):
         self.blocked = blocked
         self.config = config
         self.strategy = strategy
         self.uses_recovery_tasks = (strategy is not None
                                     and strategy.uses_recovery_tasks)
         self.preconditioned = preconditioned
-        self.spec = spec
+        #: The runtime cell the solve runs in.
+        self.spec = config.runtime_spec()
         self.executor = executor
         self.engine = engine
         bounds = np.linspace(0, blocked.n, config.num_workers + 1).astype(int)

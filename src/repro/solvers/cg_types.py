@@ -23,12 +23,17 @@ from repro.matrices.blocked import PageBlockedMatrix
 from repro.memory.manager import MemoryManager
 from repro.memory.pages import PagedVector
 from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
+from repro.runtime.runtime import RuntimeSpec, resolve_runtime_spec
 from repro.runtime.trace import ExecutionTrace
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
-    """Configuration of the resilient CG run."""
+    """Configuration of the resilient CG run.
+
+    The runtime cell is validated on construction: a combination no
+    solve could run fails here, naming the axis to fix.
+    """
 
     tolerance: float = DEFAULT_TOLERANCE
     max_iterations: int = DEFAULT_MAX_ITERATIONS
@@ -42,9 +47,6 @@ class SolverConfig:
     work_scale: float = 200.0
     #: Record the per-iteration residual history.
     record_history: bool = True
-    #: Cap on the threaded scheduler's real thread count (``None``: one
-    #: thread per simulated worker, capped by ``REPRO_MAX_WORKERS``).
-    max_threads: Optional[int] = None
     #: Wall-clock pacing of the threaded scheduler: each task occupies
     #: its thread for at least ``duration * pace`` real seconds, so
     #: schedule effects (overlap, barriers) are physically measurable.
@@ -66,6 +68,15 @@ class SolverConfig:
     #: ordered, so results are bit-identical to ``ranks=1``; the
     #: simulated timeline is unaffected either way.
     ranks: int = 1
+
+    def __post_init__(self):
+        self.runtime_spec()
+
+    def runtime_spec(self) -> RuntimeSpec:
+        """The resolved (scheduler x placement x clock) cell."""
+        return resolve_runtime_spec(scheduler=self.scheduler,
+                                    placement=self.placement,
+                                    clock=self.clock, ranks=self.ranks)
 
 
 @dataclass
@@ -91,11 +102,12 @@ class SolveResult:
     trace: ExecutionTrace
     stats: RecoveryStats
     ideal_iteration_time: float = 0.0
-    #: Measured wall-clock seconds of real graph execution (threaded
-    #: backend only; 0.0 under pure simulation).
+    #: Measured wall-clock seconds of real graph execution: filled by
+    #: every ``clock="wall"`` cell, the list scheduler's serial replay
+    #: included; 0.0 under the simulated clock.
     wall_clock: float = 0.0
     #: Measured per-state accounting of the real execution, mirroring
-    #: the simulated ``trace`` (threaded backend only).
+    #: the simulated ``trace`` (``clock="wall"`` cells only).
     wall_trace: Optional[ExecutionTrace] = None
     #: Digest of the vulnerable-window monitor: recovery scans executed,
     #: measured windows, observed real overlap, DUEs landing in-window.

@@ -67,7 +67,8 @@ import scipy.sparse as sp
 
 from repro.analysis.convergence import ConvergenceRecord, ResidualHistory
 from repro.core.checkpoint import CheckpointStrategy
-from repro.core.relations import MatVecRelation, ResidualRelation
+from repro.core.relations import (LinearCombinationRelation,
+                                  MatVecRelation, ResidualRelation)
 from repro.core.strategy import RecoveryStats, RecoveryStrategy
 from repro.faults.injector import Injection, InjectionQueue
 from repro.faults.scenarios import ErrorScenario
@@ -78,7 +79,7 @@ from repro.memory.pages import PagedVector
 from repro.precond.base import Preconditioner
 from repro.runtime.async_exec import DueRecord
 from repro.runtime.kernels import make_kernel_engine
-from repro.runtime.runtime import make_executor, resolve_runtime_spec
+from repro.runtime.runtime import make_executor
 from repro.runtime.trace import ExecutionTrace
 from repro.solvers.cg_plan import (COVERING_TASK, RECOVERY_TASKS, CGPlanner,
                                    IterationTiming)
@@ -253,17 +254,16 @@ class ResilientCG:
         #: scheduler for the simulated timeline and reduce in fixed page
         #: order, so every (scheduler x placement x clock) cell produces
         #: bit-identical iterates, solve times and recovery decisions.
-        spec = resolve_runtime_spec(cfg.scheduler, cfg.placement, cfg.clock,
-                                    cfg.ranks)
+        spec = cfg.runtime_spec()
         #: Runs the numerical kernels (placement axis).
         self.engine = make_kernel_engine(self.blocked, spec)
         #: Owns the iteration structure — builds, times and re-enacts it —
         #: and the graph executor it runs on (scheduler + clock axes).
         self.planner = CGPlanner(
             self.blocked, cfg, strategy=strategy,
-            preconditioned=preconditioner is not None, spec=spec,
+            preconditioned=preconditioner is not None,
             executor=make_executor(spec, cfg.num_workers, cfg.cost_model,
-                                   cfg.max_threads, cfg.pace),
+                                   cfg.pace),
             engine=self.engine, compiled=compiled)
         if self.strategy is not None and hasattr(self.strategy, "work_scale"):
             # Conflict fallbacks recompute a full vector; charge them at the
@@ -646,6 +646,7 @@ class ResilientCG:
         # linear-combination relation d = z + beta * d_prev (Table 1, middle
         # row) because q does not yet reflect the new d.
         if point == "B" and z is not None:
+            direction = LinearCombinationRelation(1.0, beta)
             remaining: List[Tuple[str, int]] = []
             for vector, page in in_time:
                 if vector == this_d:
@@ -653,7 +654,8 @@ class ResilientCG:
                         d_vec = state.vectors[this_d]
                         sl = d_vec.page_slice(page)
                         d_prev = state.vectors[state.previous_d_name].array
-                        d_vec.set_page(page, z[sl] + beta * d_prev[sl])
+                        d_vec.set_page(page, direction.recover_lhs_page(
+                            z[sl], d_prev[sl]))
                     self.engine.run_on_owner(page, rebuild)
                     memory.mark_recovered(this_d, page)
                     stats.pages_recovered += 1

@@ -21,10 +21,9 @@ from repro.campaign.engine import (CampaignRun, TrialRunner, run_campaign,
 from repro.campaign.executors import SerialExecutor
 from repro.campaign.spec import CampaignSpec, MatrixSpec, SolverKnobs
 from repro.campaign.store import CampaignCache, CampaignStore, process_cache
-from repro.config import derive_config
 from repro.core.manager import make_strategy
 from repro.matrices.blocked import PageBlockedMatrix
-from repro.matrices.stencil import poisson_2d_5pt
+from repro.matrices.laplacian import laplacian_2d
 from repro.precond.block_jacobi import BlockJacobiPreconditioner
 from repro.runtime import graph as graph_module
 from repro.runtime.backend import SimulatedBackend
@@ -32,7 +31,6 @@ from repro.runtime.cost_model import CostModel
 from repro.runtime.graph import (VERIFY_GRAPHS_ENV, GraphRaceError,
                                  TaskGraph)
 from repro.runtime.kernels import make_kernel_engine
-from repro.runtime.runtime import resolve_runtime_spec
 from repro.runtime.scheduler import ListScheduler
 from repro.solvers.cg_plan import CGPlanner
 from repro.solvers.resilient_cg import ResilientCG, SolverConfig
@@ -99,12 +97,11 @@ def standalone(trial):
     and a ``ResilientCG`` that is handed no table."""
     knobs = trial.knobs
     A, b = trial.matrix.build()
-    config = derive_config(SolverConfig, knobs)
 
     def solver(**kwargs):
         preconditioner = (BlockJacobiPreconditioner(
             A, page_size=knobs.page_size) if knobs.preconditioned else None)
-        return ResilientCG(A, b, preconditioner=preconditioner, config=config,
+        return ResilientCG(A, b, preconditioner=preconditioner, config=knobs,
                            matrix_name=trial.matrix.label, **kwargs)
 
     with solver() as ideal:
@@ -226,18 +223,16 @@ class TestTransparency:
 # ----------------------------------------------------------------------
 def planner(compiled, *, n=12, method="FEIR", workers=4, page=16,
             cost_model=None, preconditioned=False, checkpoint_bytes=None):
-    blocked = PageBlockedMatrix(poisson_2d_5pt(n), page_size=page)
+    blocked = PageBlockedMatrix(laplacian_2d(n), page_size=page)
     config = SolverConfig(page_size=page, num_workers=workers,
                           **({"cost_model": cost_model} if cost_model else {}))
-    spec = resolve_runtime_spec(config.scheduler, config.placement,
-                                config.clock, config.ranks)
     strategy = make_strategy(method, checkpoint_interval=5) if method else None
     if checkpoint_bytes is not None:
         strategy.checkpoint_bytes = lambda n: checkpoint_bytes
     return CGPlanner(blocked, config, strategy=strategy,
-                     preconditioned=preconditioned, spec=spec,
+                     preconditioned=preconditioned,
                      executor=SimulatedBackend(workers, config.cost_model),
-                     engine=make_kernel_engine(blocked, spec),
+                     engine=make_kernel_engine(blocked, config.runtime_spec()),
                      compiled=compiled)
 
 

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.matrices.stencil import poisson_2d_5pt, stencil_rhs
+from repro.matrices.laplacian import laplacian_2d
+from repro.matrices.stencil import stencil_rhs
 from repro.matrices.random_spd import random_sparse_spd
 from repro.sanitize import analyze, reset, sanitizer_enabled
 
@@ -30,7 +31,7 @@ def sanitizer_verdict():
 @pytest.fixture(scope="session")
 def small_spd_system():
     """A small SPD system (2-D Poisson) with a known solution."""
-    A = poisson_2d_5pt(24)           # n = 576
+    A = laplacian_2d(24)             # n = 576
     x_star = np.ones(A.shape[0])
     b = A @ x_star
     return A, b, x_star
@@ -39,7 +40,7 @@ def small_spd_system():
 @pytest.fixture(scope="session")
 def medium_spd_system():
     """A medium SPD system used by the resilient solver tests."""
-    A = poisson_2d_5pt(40)           # n = 1600
+    A = laplacian_2d(40)             # n = 1600
     rng = np.random.default_rng(7)
     x_star = rng.standard_normal(A.shape[0])
     b = A @ x_star

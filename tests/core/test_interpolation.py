@@ -16,12 +16,12 @@ from repro.core.interpolation import (coupled_block_interpolation,
                                       least_squares_interpolation,
                                       scatter_coupled_solution)
 from repro.matrices.blocked import PageBlockedMatrix
+from repro.matrices.laplacian import laplacian_2d
 from repro.matrices.random_spd import random_sparse_spd
-from repro.matrices.stencil import poisson_2d_5pt
 
 
 def make_case(seed, n_grid=12, page_size=24):
-    A = poisson_2d_5pt(n_grid)
+    A = laplacian_2d(n_grid)
     blocked = PageBlockedMatrix(A, page_size=page_size)
     rng = np.random.default_rng(seed)
     p = rng.standard_normal(A.shape[0])

@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 
 from repro.core.lossy import a_norm, interpolation_error_norm, lossy_interpolate
 from repro.matrices.blocked import PageBlockedMatrix
+from repro.matrices.laplacian import laplacian_2d
 from repro.matrices.random_spd import random_sparse_spd
-from repro.matrices.stencil import poisson_2d_5pt
 
 
 def make_problem(seed, n_grid=10, page_size=20):
-    A = poisson_2d_5pt(n_grid)
+    A = laplacian_2d(n_grid)
     blocked = PageBlockedMatrix(A, page_size=page_size)
     rng = np.random.default_rng(seed)
     x_star = rng.standard_normal(A.shape[0])
@@ -114,6 +114,6 @@ class TestFixedPointAndEdgeCases:
         np.testing.assert_allclose(out_zero, out_garbage, atol=1e-9)
 
     def test_a_norm_nonnegative(self):
-        A = poisson_2d_5pt(5)
+        A = laplacian_2d(5)
         assert a_norm(A, np.zeros(25)) == 0.0
         assert a_norm(A, np.ones(25)) > 0.0

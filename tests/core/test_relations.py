@@ -6,12 +6,12 @@ import pytest
 from repro.core.relations import (HessenbergRelation, LinearCombinationRelation,
                                   MatVecRelation, ResidualRelation)
 from repro.matrices.blocked import PageBlockedMatrix
-from repro.matrices.stencil import poisson_2d_5pt
+from repro.matrices.laplacian import laplacian_2d
 
 
 @pytest.fixture(scope="module")
 def system():
-    A = poisson_2d_5pt(16)               # n = 256
+    A = laplacian_2d(16)                 # n = 256
     blocked = PageBlockedMatrix(A, page_size=64)
     rng = np.random.default_rng(42)
     x = rng.standard_normal(256)

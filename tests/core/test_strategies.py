@@ -11,7 +11,7 @@ from repro.core.manager import STRATEGY_NAMES, make_strategy
 from repro.core.relations import MatVecRelation, ResidualRelation
 from repro.core.trivial import TrivialStrategy
 from repro.matrices.blocked import PageBlockedMatrix
-from repro.matrices.stencil import poisson_2d_5pt
+from repro.matrices.laplacian import laplacian_2d
 from repro.memory.manager import MemoryManager
 from repro.memory.pages import PagedVector
 from repro.solvers.resilient_cg import CGState
@@ -19,7 +19,7 @@ from repro.solvers.resilient_cg import CGState
 
 def make_state(page_size=32, seed=0):
     """A consistent CG state: g = b - Ax and q = A d hold exactly."""
-    A = poisson_2d_5pt(12)                       # n = 144
+    A = laplacian_2d(12)                         # n = 144
     blocked = PageBlockedMatrix(A, page_size=page_size)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(144)

@@ -10,13 +10,14 @@ import scipy.sparse as sp
 from repro.distributed.comm import (CommunicationModel,
                                     fit_communication_model)
 from repro.distributed.partition import StripPartition
+from repro.matrices.laplacian import laplacian_2d
 from repro.matrices.random_spd import random_sparse_spd
-from repro.matrices.stencil import poisson_2d_5pt, poisson_3d_27pt
+from repro.matrices.stencil import poisson_3d_27pt
 from repro.runtime.cost_model import DEFAULT_COST_MODEL
 
 MATRICES = {
     "poisson3d": lambda: poisson_3d_27pt(8),
-    "poisson2d": lambda: poisson_2d_5pt(20),
+    "poisson2d": lambda: laplacian_2d(20),
     "random_sparse": lambda: random_sparse_spd(400, density=0.02, seed=11),
 }
 

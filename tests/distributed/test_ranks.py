@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.manager import make_strategy
-from repro.distributed.ranks import RankKernelEngine, RankRuntime
+from repro.distributed.ranks import RankKernelEngine
 from repro.faults.injector import Injection
 from repro.faults.scenarios import ErrorScenario, multi_error_scenario
 from repro.matrices.blocked import PageBlockedMatrix
@@ -174,8 +174,8 @@ class TestRankValidation:
         baseline = run_solver(A, b, ranks=2)
         with ResilientCG(A, b, config=SolverConfig(
                 page_size=PAGE, tolerance=1e-10, ranks=2,
-                scheduler="threaded", clock="wall", pace=0.0,
-                max_threads=4)) as solver:
+                scheduler="threaded", clock="wall",
+                pace=0.0)) as solver:
             threaded = solver.solve()
         assert np.array_equal(threaded.x, baseline.x)
         assert threaded.solve_time == baseline.solve_time
@@ -240,16 +240,16 @@ class TestRankRuntimeUnit:
     def test_runtime_close_is_idempotent(self, problem):
         A, _ = problem
         blocked = PageBlockedMatrix(A, page_size=PAGE)
-        runtime = RankRuntime(blocked, 2)
-        runtime.close()
-        runtime.close()
+        engine = RankKernelEngine(blocked, 2)
+        engine.close()
+        engine.close()
 
     def test_page_owner_mapping(self, problem):
         A, _ = problem
         blocked = PageBlockedMatrix(A, page_size=PAGE)
-        with RankRuntime(blocked, 4) as runtime:
-            owners = [runtime.page_owner(p) for p in range(8)]
+        with RankKernelEngine(blocked, 4) as engine:
+            owners = [engine.page_owner(p) for p in range(8)]
             assert owners == sorted(owners)
             assert set(owners) == {0, 1, 2, 3}
             with pytest.raises(IndexError):
-                runtime.page_owner(8)
+                engine.page_owner(8)

@@ -75,10 +75,11 @@ class TestScenarioSeeding:
     def test_resilient_solver_runs_with_spawned_scenario(self):
         """End-to-end: a SeedSequence-seeded scenario drives a real solve."""
         from repro.core.manager import make_strategy
-        from repro.matrices.stencil import poisson_2d_5pt, stencil_rhs
+        from repro.matrices.laplacian import laplacian_2d
+        from repro.matrices.stencil import stencil_rhs
         from repro.solvers.resilient_cg import ResilientCG, SolverConfig
 
-        A = poisson_2d_5pt(10)
+        A = laplacian_2d(10)
         b = stencil_rhs(A)
         cfg = SolverConfig(num_workers=4, page_size=20, tolerance=1e-8)
         ideal = ResilientCG(A, b, config=cfg).solve()

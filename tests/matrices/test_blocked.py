@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.matrices.blocked import PageBlockedMatrix
+from repro.matrices.laplacian import laplacian_2d
 from repro.matrices.sparse import SparseOperator
-from repro.matrices.stencil import poisson_2d_5pt
 
 
 @pytest.fixture(scope="module")
 def blocked():
-    A = poisson_2d_5pt(16)          # n = 256
+    A = laplacian_2d(16)            # n = 256
     return PageBlockedMatrix(A, page_size=64)
 
 
@@ -23,7 +23,7 @@ class TestStructure:
         assert blocked.num_blocks == 4
 
     def test_uneven_last_block(self):
-        A = poisson_2d_5pt(9)        # n = 81
+        A = laplacian_2d(9)          # n = 81
         b = PageBlockedMatrix(A, page_size=32)
         assert b.num_blocks == 3
         assert b.block_size(2) == 81 - 64
@@ -35,7 +35,7 @@ class TestStructure:
 
     def test_invalid_page_size(self):
         with pytest.raises(ValueError):
-            PageBlockedMatrix(poisson_2d_5pt(4), page_size=0)
+            PageBlockedMatrix(laplacian_2d(4), page_size=0)
 
     def test_diag_block_matches_dense(self, blocked):
         dense = blocked.A.toarray()
@@ -79,7 +79,7 @@ class TestSolves:
         assert blocked.has_cached_factor(3)
 
     def test_precompute_factors(self):
-        b = PageBlockedMatrix(poisson_2d_5pt(8), page_size=16)
+        b = PageBlockedMatrix(laplacian_2d(8), page_size=16)
         b.precompute_factors()
         assert all(b.has_cached_factor(i) for i in range(b.num_blocks))
 

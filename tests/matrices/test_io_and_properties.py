@@ -4,20 +4,20 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.matrices.laplacian import laplacian_2d
 from repro.matrices.properties import (is_spd, is_symmetric, nnz_per_row,
                                        smallest_eigenvalue, spd_check)
 from repro.matrices.random_spd import random_sparse_spd
-from repro.matrices.stencil import poisson_2d_5pt
 
 
 class TestProperties:
     def test_is_symmetric(self):
-        assert is_symmetric(poisson_2d_5pt(5))
+        assert is_symmetric(laplacian_2d(5))
         A = sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
         assert not is_symmetric(A)
 
     def test_is_spd_true(self):
-        assert is_spd(poisson_2d_5pt(6))
+        assert is_spd(laplacian_2d(6))
 
     def test_is_spd_false_for_indefinite(self):
         A = sp.diags([1.0, -1.0, 2.0]).tocsr()
@@ -39,13 +39,13 @@ class TestProperties:
         assert nnz_per_row(sp.eye(10).tocsr()) == pytest.approx(1.0)
 
     def test_spd_check_report(self):
-        report = spd_check(poisson_2d_5pt(5))
+        report = spd_check(laplacian_2d(5))
         assert report.symmetric and report.smallest_eigenvalue > 0
         assert report.n == 25
         assert report.nnz > 0
 
     def test_is_symmetric_within_tolerance(self):
-        A = poisson_2d_5pt(4).tolil()
+        A = laplacian_2d(4).tolil()
         A[0, 1] += 1e-14
         assert is_symmetric(A.tocsr())
         A[0, 1] += 1e-6
@@ -64,7 +64,7 @@ class TestProperties:
 
     def test_nnz_per_row_of_the_5pt_stencil(self):
         k = 6
-        assert nnz_per_row(poisson_2d_5pt(k)) == pytest.approx(
+        assert nnz_per_row(laplacian_2d(k)) == pytest.approx(
             (5 * k * k - 4 * k) / (k * k))
 
     def test_spd_check_of_asymmetric_matrix(self):

@@ -9,11 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.matrices.blocked import PageBlockedMatrix
-from repro.matrices.laplacian import laplacian_1d
-from repro.matrices.sparse import (SparseOperator,
-                                   laplacian_1d_operator,
-                                   laplacian_2d_operator)
-from repro.matrices.stencil import poisson_2d_5pt, stencil_rhs
+from repro.matrices.laplacian import laplacian_2d
+from repro.matrices.sparse import SparseOperator
+from repro.matrices.stencil import stencil_rhs
 
 PARITY = 1e-12
 
@@ -21,7 +19,7 @@ PARITY = 1e-12
 @pytest.fixture(scope="module")
 def poisson_pair():
     """(scipy CSR, SparseOperator, dense) of the same 2-D Poisson matrix."""
-    A = poisson_2d_5pt(13, 9)
+    A = laplacian_2d(13, 9)
     return A, SparseOperator.from_scipy(A), A.toarray()
 
 
@@ -62,12 +60,6 @@ class TestConstruction:
             SparseOperator(np.ones(1), np.array([col]), np.array([0, 1, 1, 1]),
                            (3, 3))
         assert SparseOperator.from_coo([0], [2], [1.0], (3, 3)).nnz == 1
-
-    def test_scipy_free_builders_match_scipy(self):
-        assert np.array_equal(laplacian_1d_operator(9, shift=0.25).toarray(),
-                              laplacian_1d(9, shift=0.25).toarray())
-        assert np.array_equal(laplacian_2d_operator(7, 5).toarray(),
-                              poisson_2d_5pt(7, 5).toarray())
 
 
 class TestProducts:
@@ -184,7 +176,7 @@ class TestBlockedDualBackend:
 
     @pytest.fixture(scope="class")
     def pair(self):
-        A = poisson_2d_5pt(12, 12)
+        A = laplacian_2d(12, 12)
         return (PageBlockedMatrix(A, page_size=16),
                 PageBlockedMatrix(SparseOperator.from_scipy(A),
                                   page_size=16))
@@ -242,7 +234,7 @@ class TestSolverFastPath:
         from repro.faults.scenarios import single_error_scenario
         from repro.solvers.resilient_cg import ResilientCG, SolverConfig
 
-        A = poisson_2d_5pt(13, 9)
+        A = laplacian_2d(13, 9)
         op = SparseOperator.from_scipy(A)
         b = stencil_rhs(A, kind="random", seed=3)
         cfg = SolverConfig(num_workers=4, page_size=16)
@@ -263,7 +255,7 @@ class TestSolverFastPath:
 
     def test_reference_cg_accepts_operator(self):
         from repro.solvers.reference import conjugate_gradient
-        A = poisson_2d_5pt(10)
+        A = laplacian_2d(10)
         op = SparseOperator.from_scipy(A)
         b = stencil_rhs(A)
         ref = conjugate_gradient(A, b, tol=1e-10)

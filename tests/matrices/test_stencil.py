@@ -7,8 +7,7 @@ import scipy.sparse as sp
 from repro.matrices.laplacian import (graph_laplacian, laplacian_1d,
                                       laplacian_2d, laplacian_3d)
 from repro.matrices.properties import is_spd, is_symmetric
-from repro.matrices.stencil import (poisson_2d_5pt, poisson_3d_7pt,
-                                    poisson_3d_27pt, stencil_rhs)
+from repro.matrices.stencil import poisson_3d_27pt, stencil_rhs
 
 
 class TestPoisson27:
@@ -48,37 +47,37 @@ class TestPoisson27:
 
 class TestClassicStencils:
     def test_poisson_5pt_structure(self):
-        A = poisson_2d_5pt(10)
+        A = laplacian_2d(10)
         assert A.shape == (100, 100)
         assert np.all(A.diagonal() == 4.0)
         assert is_spd(A)
 
     def test_poisson_7pt_structure(self):
-        A = poisson_3d_7pt(5)
+        A = laplacian_3d(5)
         assert A.shape == (125, 125)
         assert np.all(A.diagonal() == 6.0)
         assert is_spd(A)
 
     def test_invalid_grid(self):
         with pytest.raises(ValueError):
-            poisson_2d_5pt(0)
+            laplacian_2d(0)
         with pytest.raises(ValueError):
-            poisson_3d_7pt(0)
+            laplacian_3d(0)
 
     def test_rhs_ones_solution(self):
-        A = poisson_2d_5pt(8)
+        A = laplacian_2d(8)
         b = stencil_rhs(A, kind="ones")
         x = sp.linalg.spsolve(A.tocsc(), b)
         assert np.allclose(x, 1.0, atol=1e-8)
 
     def test_rhs_random_is_reproducible(self):
-        A = poisson_2d_5pt(8)
+        A = laplacian_2d(8)
         assert np.allclose(stencil_rhs(A, kind="random", seed=3),
                            stencil_rhs(A, kind="random", seed=3))
 
     def test_rhs_unknown_kind(self):
         with pytest.raises(ValueError):
-            stencil_rhs(poisson_2d_5pt(4), kind="nope")
+            stencil_rhs(laplacian_2d(4), kind="nope")
 
 
 class TestLaplacians:

@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.matrices.laplacian import laplacian_2d
 from repro.matrices.sparse import SparseOperator
-from repro.matrices.stencil import poisson_2d_5pt
 from repro.precond.block_jacobi import BlockJacobiPreconditioner
 from repro.precond.identity import IdentityPreconditioner
 
 
 @pytest.fixture(scope="module")
 def system():
-    A = poisson_2d_5pt(12)              # n = 144
+    A = laplacian_2d(12)                # n = 144
     rng = np.random.default_rng(0)
     v = rng.standard_normal(144)
     return A, v

@@ -25,7 +25,7 @@ from pathlib import Path
 
 from repro.core import make_strategy
 from repro.matrices.blocked import PageBlockedMatrix
-from repro.matrices.stencil import poisson_2d_5pt
+from repro.matrices.laplacian import laplacian_2d
 from repro.runtime.cost_model import CostModel
 from repro.runtime.graph import TaskGraph
 from repro.runtime.kernels import make_kernel_engine
@@ -74,7 +74,7 @@ def random_case(rng: random.Random) -> dict:
 def cg_cases(rng: random.Random) -> list:
     """The four CG shapes (ideal, resilient, +/- checkpoint) at the base
     recovery durations and with fault-enlarged ones, at running clocks."""
-    blocked = PageBlockedMatrix(poisson_2d_5pt(20), page_size=32)
+    blocked = PageBlockedMatrix(laplacian_2d(20), page_size=32)
     spec = RuntimeSpec()
     cases = []
     for workers, method, precond in ((4, "feir", False), (8, "afeir", False),
@@ -83,7 +83,7 @@ def cg_cases(rng: random.Random) -> list:
         planner = CGPlanner(
             blocked, config,
             strategy=make_strategy(method, checkpoint_interval=5),
-            preconditioned=precond, spec=spec,
+            preconditioned=precond,
             executor=make_executor(spec, workers, config.cost_model),
             engine=make_kernel_engine(blocked, spec))
         overhead = config.cost_model.task_overhead

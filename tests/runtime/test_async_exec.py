@@ -46,8 +46,8 @@ def diamond_graph(log, lock):
 class TestFactoryAndProtocol:
     def test_scheduler_axis_picks_the_executor(self):
         assert isinstance(make_executor(RuntimeSpec(), 2), SimulatedBackend)
-        backend = make_executor(RuntimeSpec(scheduler="threaded"), 2,
-                                max_threads=1, pace=0.0)
+        backend = make_executor(RuntimeSpec(scheduler="threaded"), 1,
+                                pace=0.0)
         assert isinstance(backend, ThreadedBackend)
         assert (backend.thread_count, backend.pace) == (1, 0.0)
         backend.close()

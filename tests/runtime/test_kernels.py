@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.matrices.blocked import PageBlockedMatrix
-from repro.matrices.sparse import SparseOperator, laplacian_2d_operator
-from repro.matrices.stencil import poisson_2d_5pt
+from repro.matrices.laplacian import laplacian_2d
+from repro.matrices.sparse import SparseOperator
 from repro.runtime.kernels import (LocalKernelEngine, make_kernel_engine,
                                    page_partials, paged_dot,
                                    reduce_partials)
@@ -80,7 +80,7 @@ class TestPagedDot:
 class TestLocalKernelEngine:
     @pytest.fixture(scope="class")
     def setup(self):
-        A = poisson_2d_5pt(20)          # n = 400
+        A = laplacian_2d(20)            # n = 400
         blocked = PageBlockedMatrix(A, page_size=64)
         rng = np.random.default_rng(9)
         return blocked, rng.standard_normal(400)
@@ -174,7 +174,7 @@ class TestEngineScratchDifferential:
     @settings(max_examples=60, deadline=None)
     def test_vector_kernels_are_their_allocating_spellings(
             self, nx, ny, page_size, beta, seed):
-        A = laplacian_2d_operator(nx, ny, shift=0.5)
+        A = SparseOperator.from_scipy(laplacian_2d(nx, ny, shift=0.5))
         n = A.n
         engine = LocalKernelEngine(A, n, page_size)
         assert engine._gather is not None

@@ -17,8 +17,9 @@ from repro.campaign.executors import SerialExecutor
 from repro.campaign.spec import CampaignSpec, SolverKnobs
 from repro.faults.injector import Injection
 from repro.faults.scenarios import multi_error_scenario
+from repro.matrices.laplacian import laplacian_2d
 from repro.matrices.sparse import SparseOperator
-from repro.matrices.stencil import poisson_2d_5pt, stencil_rhs
+from repro.matrices.stencil import stencil_rhs
 from repro.runtime.runtime import RuntimeSpec, resolve_runtime_spec
 from repro.solvers.resilient_cg import ResilientCG, SolverConfig
 
@@ -47,7 +48,7 @@ CELLS = [
 
 @pytest.fixture(scope="module")
 def problem():
-    A = poisson_2d_5pt(12)                        # n = 144, 9 pages of 16
+    A = laplacian_2d(12)                          # n = 144, 9 pages of 16
     b = stencil_rhs(A, kind="random", seed=11)
     return A, b
 

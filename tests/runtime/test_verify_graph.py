@@ -13,7 +13,8 @@ import pytest
 from repro.core.manager import make_strategy
 from repro.faults.injector import Injection
 from repro.faults.scenarios import multi_error_scenario
-from repro.matrices.stencil import poisson_2d_5pt, stencil_rhs
+from repro.matrices.laplacian import laplacian_2d
+from repro.matrices.stencil import stencil_rhs
 from repro.runtime.backend import SimulatedBackend
 from repro.runtime.async_exec import ThreadedBackend
 from repro.runtime.graph import (GraphRace, GraphRaceError, TaskGraph,
@@ -137,7 +138,7 @@ CELLS = [
 
 
 def make_solver(method="afeir", **overrides):
-    A = poisson_2d_5pt(10)
+    A = laplacian_2d(10)
     b = stencil_rhs(A, kind="random", seed=11)
     strategy = make_strategy(method) if method else None
     scenario = None

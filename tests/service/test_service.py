@@ -400,6 +400,25 @@ class TestPreflight:
             assert message in body
         assert client.jobs() == []
 
+    @pytest.mark.parametrize("length", ["-1", "abc"])
+    def test_a_malformed_content_length_is_a_400(self, client, length):
+        """Raw bytes, since no HTTP client sends such a header: the
+        request is answered at once, not left waiting for EOF (-1) and
+        not dropped unanswered (abc)."""
+        request = (f"POST /jobs HTTP/1.1\r\nHost: {client.host}\r\n"
+                   f"Content-Type: application/json\r\n"
+                   f"Content-Length: {length}\r\n\r\n"
+                   '{"spec": {}}').encode()
+        reply = b""
+        with socket.create_connection((client.host, client.port),
+                                      timeout=3) as sock:
+            sock.sendall(request)
+            while chunk := sock.recv(4096):
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400 "), reply
+        assert b"bad Content-Length" in reply
+        assert client.jobs() == []
+
 
 class TestMetricsAndHealth:
     def test_health_reports_protocol_version(self, client):

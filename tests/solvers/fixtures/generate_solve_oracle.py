@@ -25,7 +25,8 @@ import scipy
 
 from repro.core.manager import make_strategy
 from repro.faults.scenarios import ErrorScenario
-from repro.matrices.stencil import poisson_2d_5pt, stencil_rhs
+from repro.matrices.laplacian import laplacian_2d
+from repro.matrices.stencil import stencil_rhs
 from repro.precond.block_jacobi import BlockJacobiPreconditioner
 from repro.solvers.resilient_cg import ResilientCG, SolverConfig
 
@@ -39,7 +40,7 @@ BREAKDOWN = ("useful", "runtime", "idle", "recovery", "checkpoint",
 
 
 def problem():
-    A = poisson_2d_5pt(20)
+    A = laplacian_2d(20)
     return A, stencil_rhs(A, kind="random", seed=7)
 
 

@@ -18,13 +18,14 @@ from repro.campaign.spec import CampaignSpec, SolverKnobs
 from repro.core.manager import make_strategy
 from repro.faults.injector import Injection
 from repro.faults.scenarios import multi_error_scenario
-from repro.matrices.stencil import poisson_2d_5pt, stencil_rhs
+from repro.matrices.laplacian import laplacian_2d
+from repro.matrices.stencil import stencil_rhs
 from repro.solvers.resilient_cg import ResilientCG, SolverConfig
 
 
 @pytest.fixture(scope="module")
 def problem():
-    A = poisson_2d_5pt(20)               # n = 400, several pages of 64
+    A = laplacian_2d(20)                 # n = 400, several pages of 64
     b = stencil_rhs(A, kind="random", seed=7)
     return A, b
 

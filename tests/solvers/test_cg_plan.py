@@ -17,13 +17,13 @@ import pytest
 from repro.core.manager import make_strategy
 from repro.core.relations import MatVecRelation, ResidualRelation
 from repro.matrices.blocked import PageBlockedMatrix
-from repro.matrices.stencil import poisson_2d_5pt, stencil_rhs
+from repro.matrices.laplacian import laplacian_2d
+from repro.matrices.stencil import stencil_rhs
 from repro.memory.manager import MemoryManager
 from repro.memory.pages import PagedVector
 from repro.runtime.backend import SimulatedBackend
 from repro.runtime.graph import TaskGraph, find_races, verify_graph
 from repro.runtime.kernels import make_kernel_engine
-from repro.runtime.runtime import resolve_runtime_spec
 from repro.runtime.task import TaskKind
 from repro.solvers.cg_plan import RECOVERY_TASKS, CGPlanner
 from repro.solvers.resilient_cg import CGState, ResilientCG, SolverConfig
@@ -47,20 +47,17 @@ class RecordingBackend(SimulatedBackend):
 
 @pytest.fixture(scope="module")
 def blocked():
-    return PageBlockedMatrix(poisson_2d_5pt(12), page_size=PAGE)
+    return PageBlockedMatrix(laplacian_2d(12), page_size=PAGE)
 
 
 def make_planner(blocked, method, **axes):
     config = SolverConfig(page_size=PAGE, num_workers=WORKERS, pace=0.0,
                           **axes)
-    spec = resolve_runtime_spec(config.scheduler, config.placement,
-                                config.clock, config.ranks)
     strategy = (make_strategy(method, checkpoint_interval=5)
                 if method else None)
     return CGPlanner(blocked, config, strategy=strategy, preconditioned=False,
-                     spec=spec,
                      executor=RecordingBackend(WORKERS, config.cost_model),
-                     engine=make_kernel_engine(blocked, spec))
+                     engine=make_kernel_engine(blocked, config.runtime_spec()))
 
 
 def make_state(blocked):

@@ -1,0 +1,99 @@
+"""AFEIR's deferred repair against the Table 1 relations.
+
+A page AFEIR loses too late for its scalar is repaired exactly at point
+D (``ResilientCG._repair_deferred``), and right after that repair the
+relations ``g = b - A x`` and ``q = A d`` must hold again: the paper's
+exact forward recovery costs time, never data (unlike Coleman &
+Sosonkina's treatment, where a lost block costs convergence by design).
+
+The grid is 24 x 24 with 24-double pages, so each page is one grid row
+and page p couples to pages p - 1 and p + 1.  Every DUE lands in
+iteration 11 (``this_d = d0``), inside AFEIR's vulnerable window: between
+the start of ``r1`` and point C for ``d``/``q``, between the start of
+``r2`` and point A for ``g``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.core.manager import make_strategy
+from repro.faults.injector import Injection
+from repro.faults.scenarios import multi_error_scenario
+from repro.matrices.laplacian import laplacian_2d
+from repro.matrices.stencil import stencil_rhs
+from repro.solvers.resilient_cg import ResilientCG, SolverConfig
+
+GRID = 24
+ITERATION = 11
+#: Relative error a relation may show after an exact repair.
+EXACT = 1e-12
+
+COUPLED = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 5: the repair table re-derives q before d and g "
+           "before x, and solves several pages of one vector one at a "
+           "time, so a lost page is rebuilt from a neighbour still blank")
+
+
+class _Probe(ResilientCG):
+    """Records iteration ``ITERATION``'s check-point times and, right
+    after its deferred repair, how far the two relations are off."""
+
+    times = None
+    errors = None
+
+    def _begin_iteration(self, run, number):
+        it = super()._begin_iteration(run, number)
+        if number == ITERATION:
+            self.times = {key: it.time_of(key) for key in ("r1", "r2", "A",
+                                                           "C")}
+        return it
+
+    def _repair_deferred(self, run, it, alpha):
+        super()._repair_deferred(run, it, alpha)
+        if it.number == ITERATION:
+            v = {name: vec.array for name, vec in run.state.vectors.items()}
+            A = self.blocked.A
+            g, q, d = v["g"], v["q"], v[it.this_d]
+            self.errors = {
+                "g = b - Ax": (np.max(np.abs(g - (self.b - A @ v["x"])))
+                               / np.max(np.abs(g))),
+                "q = Ad": np.max(np.abs(q - A @ d)) / np.max(np.abs(q))}
+
+
+def solve(injections=()):
+    A = laplacian_2d(GRID)
+    b = stencil_rhs(A, kind="random", seed=5)
+    solver = _Probe(A, b, strategy=make_strategy("AFEIR"),
+                    scenario=multi_error_scenario(injections) if injections
+                    else None,
+                    config=SolverConfig(page_size=GRID, tolerance=1e-10))
+    with solver:
+        solver.solve()
+    return solver
+
+
+@pytest.fixture(scope="module")
+def times():
+    return solve().times
+
+
+@pytest.mark.parametrize("lost,window", [
+    ((("d0", 5),), "C"),
+    ((("q", 6),), "C"),
+    ((("g", 5), ("g", 6)), "A"),
+    pytest.param((("d0", 5), ("q", 6)), "C", marks=COUPLED),
+    pytest.param((("d0", 5), ("d0", 6)), "C", marks=COUPLED),
+], ids=["d-page", "q-page", "g-pages", "d-and-q-coupled",
+        "d-pages-coupled"])
+def test_relations_hold_after_the_deferred_repair(times, lost, window):
+    opens = times["r1" if window == "C" else "r2"]
+    at = 0.5 * (opens + times[window])
+    assert opens < at < times[window]
+    solver = solve([Injection(time=at, vector=vector, page=page)
+                    for vector, page in lost])
+    assert solver.errors is not None
+    for relation, error in solver.errors.items():
+        assert error <= EXACT, f"{relation} off by {error:.2e}"

@@ -19,7 +19,8 @@ import scipy
 
 from repro.core.manager import make_strategy
 from repro.faults.scenarios import ErrorScenario
-from repro.matrices.stencil import poisson_2d_5pt, stencil_rhs
+from repro.matrices.laplacian import laplacian_2d
+from repro.matrices.stencil import stencil_rhs
 from repro.solvers.resilient_cg import ResilientCG, SolverConfig
 
 #: (method, scenario seed) -> entries and sha256 of the
@@ -42,7 +43,7 @@ IDEAL_TIME = float.fromhex("0x1.1a6d698fe6926p-7")
 
 
 def solve(method, seed, record_history):
-    A = poisson_2d_5pt(12)
+    A = laplacian_2d(12)
     b = stencil_rhs(A, kind="random", seed=11)
     config = SolverConfig(page_size=16, tolerance=1e-8, num_workers=4,
                           record_history=record_history)

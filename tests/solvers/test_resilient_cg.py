@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.manager import make_strategy
-from repro.matrices.stencil import poisson_2d_5pt, stencil_rhs
+from repro.matrices.laplacian import laplacian_2d
+from repro.matrices.stencil import stencil_rhs
 from repro.precond.block_jacobi import BlockJacobiPreconditioner
 from repro.solvers.reference import conjugate_gradient
 from repro.solvers.resilient_cg import ResilientCG, SolverConfig
@@ -16,7 +17,7 @@ from repro.solvers.resilient_cg import ResilientCG, SolverConfig
 
 @pytest.fixture(scope="module")
 def problem():
-    A = poisson_2d_5pt(32)               # n = 1024
+    A = laplacian_2d(32)                 # n = 1024
     b = stencil_rhs(A, kind="random", seed=1)
     return A, b
 

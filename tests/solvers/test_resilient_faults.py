@@ -7,13 +7,14 @@ from repro.core.manager import make_strategy
 from repro.faults.injector import Injection
 from repro.faults.scenarios import (ErrorScenario, multi_error_scenario,
                                     single_error_scenario)
-from repro.matrices.stencil import poisson_2d_5pt, stencil_rhs
+from repro.matrices.laplacian import laplacian_2d
+from repro.matrices.stencil import stencil_rhs
 from repro.solvers.resilient_cg import ResilientCG, SolverConfig
 
 
 @pytest.fixture(scope="module")
 def problem():
-    A = poisson_2d_5pt(32)               # n = 1024, 8 pages of 128
+    A = laplacian_2d(32)                 # n = 1024, 8 pages of 128
     b = stencil_rhs(A, kind="random", seed=1)
     return A, b
 
