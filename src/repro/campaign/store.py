@@ -51,7 +51,6 @@ import json
 import os
 import tempfile
 import time
-import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -92,12 +91,125 @@ def default_store_root() -> Path:
     return Path(DEFAULT_STORE_PATH).expanduser()
 
 
-def _payload_checksum(body: dict) -> str:
-    """Integrity checksum of a JSON artifact payload: SHA-256 of the
-    canonical serialization of everything except the checksum itself."""
-    canon = json.dumps({k: v for k, v in body.items() if k != "checksum"},
-                       sort_keys=True)
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+def _sealed(body: dict) -> str:
+    """The stored text of a JSON artifact: ``body``'s canonical
+    serialization (sorted keys) with a leading ``"checksum"`` member,
+    the SHA-256 of that serialization.  The member leads, so a reader
+    re-hashes the bytes after it (:func:`_seal_holds`) instead of
+    re-serializing the payload."""
+    canon = json.dumps(body, sort_keys=True)
+    checksum = hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return f'{{"checksum": "{checksum}", {canon[1:]}'
+
+
+def _seal_holds(data: bytes, checksum: object) -> bool:
+    """True iff ``data`` is what :func:`_sealed` writes for a checksum
+    of ``checksum``: it leads with that member and the rest hashes to it."""
+    head = f'{{"checksum": "{checksum}", '.encode("utf-8")
+    if not data.startswith(head):
+        return False
+    digest = hashlib.sha256(b"{")
+    digest.update(memoryview(data)[len(head):])
+    return digest.hexdigest() == checksum
+
+
+#: What an integrity check returns: ``(verdict, reason, content)``.  The
+#: verdict is ``"ok"``; ``"legacy"`` for an entry written before keys
+#: (and checksums) were embedded, readable but not re-hashable;
+#: ``"schema"`` for another schema version (a read raises, ``verify``
+#: counts it corrupt); ``"missing"``; or ``"corrupt"``.  ``content`` is
+#: the parsed entry, ``None`` unless it is ok, legacy or of another
+#: schema.
+Verdict = Tuple[str, str, Optional[dict]]
+
+
+def _key_mismatch(key: object, path: Path) -> str:
+    return (f"embedded key {str(key)[:12]}... does not match filename "
+            f"{path.stem[:12]}...")
+
+
+def _judge_json(path: Path) -> Verdict:
+    """The one integrity check of a stored JSON artifact, shared by the
+    read path and :meth:`CampaignStore.verify`."""
+    try:
+        data = path.read_bytes()
+        payload = json.loads(data)
+    except FileNotFoundError:
+        return "missing", "entry is gone", None
+    except (ValueError, OSError) as exc:
+        return "corrupt", f"unreadable JSON: {exc}", None
+    if not isinstance(payload, dict):
+        return "corrupt", "payload is not an object", None
+    found = payload.get("schema")
+    if found != STORE_SCHEMA_VERSION:
+        return "schema", (f"schema v{found}, expected "
+                          f"v{STORE_SCHEMA_VERSION}"), payload
+    key, checksum = payload.get("key"), payload.get("checksum")
+    if key is None and checksum is None:
+        return "legacy", "entry predates embedded keys/checksums", payload
+    if key is not None and key != path.stem:
+        return "corrupt", _key_mismatch(key, path), None
+    if checksum is not None and not _seal_holds(data, checksum):
+        return "corrupt", "payload checksum mismatch (bit rot?)", None
+    return "ok", "", payload
+
+
+def _judge_matrix(path: Path) -> Verdict:
+    """The one integrity check of a stored matrix archive, shared by the
+    read path and :meth:`CampaignStore.verify`: every member is
+    decompressed (which checks its zip CRC) and the embedded key must
+    match the filename."""
+    try:
+        with np.load(path) as archive:
+            members = {name: archive[name] for name in archive.files}
+    except FileNotFoundError:
+        return "missing", "entry is gone", None
+    except Exception as exc:  # noqa: BLE001 - any load failure = corrupt
+        return "corrupt", f"unreadable npz: {exc}", None
+    if "key" not in members:
+        return "legacy", "matrix predates embedded keys", members
+    if str(members["key"]) != path.stem:
+        return "corrupt", _key_mismatch(members["key"], path), None
+    return "ok", "", members
+
+
+def _decode_matrix(members: dict):
+    """The ``(A, b)`` problem of a matrix archive's members, in the CSR
+    backend it was stored from."""
+    shape = tuple(int(s) for s in members["shape"])
+    arrays = (members["data"], members["indices"], members["indptr"])
+    if str(members["kind"]) == "operator":
+        from repro.matrices.sparse import SparseOperator
+        return SparseOperator(*arrays, shape), members["b"]
+    import scipy.sparse as sp
+    return sp.csr_matrix(arrays, shape=shape), members["b"]
+
+
+def _judge_journal(path: Path) -> Verdict:
+    """The integrity check of a campaign journal: every line decodes but
+    a torn trailing one."""
+    try:
+        lines = path.read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        return "corrupt", f"unreadable journal: {exc}", None
+    for position, line in enumerate(lines):
+        if not line.strip():
+            continue
+        try:
+            json.loads(line)
+        except ValueError:
+            if position == len(lines) - 1:
+                # Torn tail from a crash mid-append: expected, and
+                # journal_events already skips it on read.
+                return "ok", "", None
+            return "corrupt", f"undecodable line {position + 1}", None
+    return "ok", "", None
+
+
+#: Each artifact kind's file suffix and integrity check.
+_FORMATS = {"trials": (".json", _judge_json),
+            "baselines": (".json", _judge_json),
+            "matrices": (".npz", _judge_matrix)}
 
 
 @dataclass
@@ -207,54 +319,42 @@ class CampaignStore:
         with contextlib.suppress(OSError):
             path.unlink()
 
-    def _load_json(self, path: Path) -> Optional[dict]:
-        """Read an artifact payload; unreadable entries self-heal as
-        misses, incompatible schemas fail loudly."""
-        try:
-            payload = json.loads(path.read_text())
-            if not isinstance(payload, dict):
-                raise ValueError("payload is not an object")
-        except FileNotFoundError:
-            return None
-        except (ValueError, OSError):
-            self._discard(path)
-            return None
-        found = payload.get("schema")
-        if found != STORE_SCHEMA_VERSION:
+    def _get(self, kind: str, key: str, decode):
+        """``decode(content)`` of the entry under ``key``, counted as a
+        hit or a miss.  An entry the integrity check calls corrupt, or
+        whose content does not decode (a missing or mistyped field), is
+        discarded and read as a miss, so it is recomputed; another
+        schema version fails loudly."""
+        suffix, judge = _FORMATS[kind]
+        path = self._path(kind, key, suffix)
+        verdict, reason, content = judge(path)
+        if verdict == "schema":
             raise StoreSchemaError(
-                f"artifact {path} carries schema v{found}, expected "
-                f"v{STORE_SCHEMA_VERSION}; run `python -m repro.campaign "
-                f"store --gc --days 0` or delete the store at {self.root}")
-        self._touch(path)
-        return payload
-
-    def _get_json(self, kind: str, key: str, decode):
-        """``decode(payload)`` of the entry under ``key``, counted as a
-        hit or a miss.  A payload of the right schema that does not
-        decode (a missing or mistyped field) is garbage like any other:
-        discarded, a miss."""
-        path = self._path(kind, key)
-        payload = self._load_json(path)
-        if payload is not None:
+                f"artifact {path} carries {reason}; run `python -m "
+                f"repro.campaign store --gc --days 0` or delete the store "
+                f"at {self.root}")
+        if content is not None:
             try:
-                value = decode(payload)
+                value = decode(content)
             except (KeyError, TypeError, ValueError):
-                self._discard(path)
+                pass
             else:
+                self._touch(path)
                 self.hits += 1
                 return value
+        if verdict != "missing":
+            self._discard(path)
         self.misses += 1
         return None
 
     def _put_json(self, kind: str, key: str, payload: dict) -> None:
-        body = {"schema": STORE_SCHEMA_VERSION, "key": key, **payload}
         # Self-describing integrity: the entry carries its own content
         # address ("key" — must match the filename) and a checksum over
-        # the canonical serialization, so ``verify`` can detect both
-        # misplaced and bit-rotted entries.  Readers ignore both fields;
-        # pre-existing entries without them stay readable ("legacy").
-        body["checksum"] = _payload_checksum(body)
-        text = json.dumps(body, sort_keys=True)
+        # the canonical serialization, so a misplaced or bit-rotted entry
+        # is caught, on every read and by ``verify``.  Entries without
+        # either field stay readable ("legacy").
+        text = _sealed({"schema": STORE_SCHEMA_VERSION, "key": key,
+                        **payload})
         self._atomic_write(self._path(kind, key), "w",
                            lambda handle: handle.write(text))
 
@@ -264,7 +364,7 @@ class CampaignStore:
     def get_trial(self, key: str):
         """The cached :class:`TrialResult` under ``key``, or ``None``."""
         from repro.campaign.results import TrialResult
-        return self._get_json(
+        return self._get(
             "trials", key, lambda payload: TrialResult(**payload["trial"]))
 
     def put_trial(self, key: str, result) -> None:
@@ -275,7 +375,7 @@ class CampaignStore:
     # fault-free baselines
     # ------------------------------------------------------------------
     def get_baseline(self, key: str) -> Optional[float]:
-        return self._get_json(
+        return self._get(
             "baselines", key,
             lambda payload: float.fromhex(payload["ideal_time"]))
 
@@ -293,31 +393,7 @@ class CampaignStore:
         ``data``/``indices``/``indptr`` arrays, so a warm build is
         byte-identical to a cold one.
         """
-        path = self._path("matrices", key, suffix=".npz")
-        try:
-            with np.load(path) as archive:
-                kind = str(archive["kind"])
-                shape = tuple(int(s) for s in archive["shape"])
-                data, indices, indptr, b = (archive["data"],
-                                            archive["indices"],
-                                            archive["indptr"], archive["b"])
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except (ValueError, OSError, KeyError, EOFError,
-                zipfile.BadZipFile):
-            # garbage, a missing member, an emptied or truncated
-            # archive, a failed zip CRC: what ``verify`` calls corrupt
-            self._discard(path)
-            self.misses += 1
-            return None
-        self._touch(path)
-        self.hits += 1
-        if kind == "operator":
-            from repro.matrices.sparse import SparseOperator
-            return SparseOperator(data, indices, indptr, shape), b
-        import scipy.sparse as sp
-        return sp.csr_matrix((data, indices, indptr), shape=shape), b
+        return self._get("matrices", key, _decode_matrix)
 
     def put_matrix(self, key: str, A, b) -> None:
         from repro.matrices.sparse import SparseOperator
@@ -451,65 +527,9 @@ class CampaignStore:
     # ------------------------------------------------------------------
     # integrity verification
     # ------------------------------------------------------------------
-    def _verify_json_entry(self, path: Path) -> Tuple[str, str]:
-        """``("ok"|"legacy"|"corrupt", reason)`` for one JSON artifact."""
-        try:
-            payload = json.loads(path.read_text())
-        except (ValueError, OSError) as exc:
-            return "corrupt", f"unreadable JSON: {exc}"
-        if not isinstance(payload, dict):
-            return "corrupt", "payload is not an object"
-        if payload.get("schema") != STORE_SCHEMA_VERSION:
-            return "corrupt", (f"schema v{payload.get('schema')}, "
-                               f"expected v{STORE_SCHEMA_VERSION}")
-        key = payload.get("key")
-        checksum = payload.get("checksum")
-        if key is None and checksum is None:
-            return "legacy", "entry predates embedded keys/checksums"
-        if key is not None and key != path.stem:
-            return "corrupt", (f"embedded key {key[:12]}... does not match "
-                               f"filename {path.stem[:12]}...")
-        if checksum is not None and checksum != _payload_checksum(payload):
-            return "corrupt", "payload checksum mismatch (bit rot?)"
-        return "ok", ""
-
-    def _verify_matrix_entry(self, path: Path) -> Tuple[str, str]:
-        try:
-            with np.load(path) as archive:
-                names = set(archive.files)
-                for name in names:
-                    _ = archive[name]  # force decompression => zip CRC check
-                key = str(archive["key"]) if "key" in names else None
-        except Exception as exc:  # noqa: BLE001 - any load failure = corrupt
-            return "corrupt", f"unreadable npz: {exc}"
-        if key is None:
-            return "legacy", "matrix predates embedded keys"
-        if key != path.stem:
-            return "corrupt", (f"embedded key {key[:12]}... does not match "
-                               f"filename {path.stem[:12]}...")
-        return "ok", ""
-
-    def _verify_journal_entry(self, path: Path) -> Tuple[str, str]:
-        try:
-            lines = path.read_text().splitlines()
-        except (OSError, UnicodeDecodeError) as exc:
-            return "corrupt", f"unreadable journal: {exc}"
-        for position, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                json.loads(line)
-            except ValueError:
-                if position == len(lines) - 1:
-                    # Torn tail from a crash mid-append: expected, and
-                    # journal_events already skips it on read.
-                    return "ok", ""
-                return "corrupt", f"undecodable line {position + 1}"
-        return "ok", ""
-
     def verify(self, remove: bool = False) -> VerifyReport:
         """Re-check every stored entry against its content-token
-        filename and embedded checksum.
+        filename and embedded checksum — the check every read makes.
 
         JSON artifacts must parse, carry the current schema, and (for
         entries written by this version) embed a ``key`` equal to their
@@ -518,15 +538,14 @@ class CampaignStore:
         match their embedded key; journals must be line-decodable except
         for a torn trailing line.  ``remove=True`` deletes corrupt
         entries (they become plain cache misses — the store recomputes
-        them on the next campaign).
+        them on the next campaign, as a read of one would).
         """
         report = VerifyReport()
-        checkers = {kind: self._verify_json_entry for kind in _KINDS}
-        checkers["matrices"] = self._verify_matrix_entry
-        checkers["journals"] = self._verify_journal_entry
-        for kind, check in checkers.items():
+        judges = {kind: judge for kind, (_, judge) in _FORMATS.items()}
+        judges["journals"] = _judge_journal
+        for kind, judge in judges.items():
             for path in self._entries(kind):
-                verdict, reason = check(path)
+                verdict, reason, _ = judge(path)
                 self._verify_record(report, kind, path, verdict, reason,
                                     remove)
         return report

@@ -36,15 +36,6 @@ class RecoveryStats:
     checkpoints_written: int = 0
     recovery_work_time: float = 0.0
 
-    def merge(self, other: "RecoveryStats") -> None:
-        self.pages_recovered += other.pages_recovered
-        self.pages_unrecoverable += other.pages_unrecoverable
-        self.contributions_skipped += other.contributions_skipped
-        self.restarts += other.restarts
-        self.rollbacks += other.rollbacks
-        self.checkpoints_written += other.checkpoints_written
-        self.recovery_work_time += other.recovery_work_time
-
 
 @dataclass
 class RecoveryOutcome:
@@ -103,21 +94,16 @@ class RecoveryStrategy(abc.ABC):
         """
         return []
 
-    def recovery_probe(self, memory, monitor=None,
-                       label: str = "") -> Callable[[], int]:
-        """Real executable body of a recovery task for the threaded backend.
+    def recovery_probe(self, memory, monitor) -> Callable[[], None]:
+        """Real executable body of a recovery task for the re-enactment.
 
         The returned callable performs what the paper's recovery task does
         when executed: scan the protection bitmasks of every registered
-        vector for poisoned/lost pages, and report the count (to the
-        vulnerable-window ``monitor`` when one is attached).  Subclasses
-        with heavier real recovery work can override it.
+        vector for lost pages, and report the count to the
+        vulnerable-window ``monitor``.
         """
-        def probe() -> int:
-            lost = memory.lost_pages()
-            if monitor is not None:
-                monitor.record_scan(label or self.name, len(lost))
-            return len(lost)
+        def probe() -> None:
+            monitor.record_scan(len(memory.lost_pages()))
 
         return probe
 

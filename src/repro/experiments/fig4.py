@@ -54,18 +54,7 @@ class Fig4Result:
     cells: List[Fig4Cell]
     summary: Dict[Tuple[str, float], float]
     config: ExperimentConfig
-    campaign: Optional[CampaignResult] = None
-
-    def summary_rows(self) -> List[List[object]]:
-        rates = sorted({rate for (_, rate) in self.summary})
-        methods = sorted({method for (method, _) in self.summary})
-        rows = []
-        for method in methods:
-            row: List[object] = [method]
-            for rate in rates:
-                row.append(self.summary.get((method, rate), float("nan")))
-            rows.append(row)
-        return rows
+    campaign: CampaignResult
 
 
 def campaign_spec(config: ExperimentConfig,
@@ -121,7 +110,7 @@ def format_fig4(result: Fig4Result) -> str:
     headers = ["method"] + [f"rate {rate:g}" for rate in rates]
     label = "PCG" if result.config.knobs.preconditioned else "CG"
     return format_table(
-        headers, result.summary_rows(),
+        headers, result.campaign.summary_rows(),
         title=f"Figure 4 ({label} mean): slowdown % vs normalised error rate")
 
 

@@ -69,12 +69,5 @@ class FaultLog:
     def count(self) -> int:
         return len(self.events)
 
-    def by_vector(self) -> dict:
-        """Histogram of fault counts per vector name."""
-        out: dict = {}
-        for ev in self.events:
-            out[ev.vector] = out.get(ev.vector, 0) + 1
-        return out
-
     def __len__(self) -> int:
         return len(self.events)

@@ -9,8 +9,6 @@ the recovery code must agree; this module is that single source of truth.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
-
 import numpy as np
 
 from repro.config import PAGE_DOUBLES
@@ -87,11 +85,6 @@ class PagedVector:
         """The full underlying array (a view, not a copy)."""
         return self._data
 
-    def copy(self, name: Optional[str] = None) -> "PagedVector":
-        """Deep copy, optionally renamed."""
-        return PagedVector(self._data, name=name if name is not None else self.name,
-                           page_size=self.page_size)
-
     # ------------------------------------------------------------------
     # page access
     # ------------------------------------------------------------------
@@ -118,11 +111,6 @@ class PagedVector:
         """Blank a page, as the OS does when re-mapping a retired page."""
         self._data[self.page_slice(page)] = 0.0
 
-    def pages(self) -> Iterator[np.ndarray]:
-        """Iterate over page views in order."""
-        for p in range(self._npages):
-            yield self.page(p)
-
     # ------------------------------------------------------------------
     # whole-vector operations used by solvers
     # ------------------------------------------------------------------
@@ -133,10 +121,6 @@ class PagedVector:
             raise ValueError(
                 f"length mismatch: {self._data.size} vs {src.size}")
         np.copyto(self._data, src)
-
-    def norm(self) -> float:
-        """Euclidean norm of the full vector."""
-        return float(np.linalg.norm(self._data))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"PagedVector(name={self.name!r}, n={self.size}, "

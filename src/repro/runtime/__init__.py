@@ -9,16 +9,16 @@ and overhead — are claims about *task scheduling*.
 
 The runtime is one composition of three orthogonal axes, resolved into
 a :class:`~repro.runtime.runtime.RuntimeSpec` from which a solver
-builds its graph executor (:func:`make_executor`) and its kernel engine
+builds its plan executor (:func:`make_executor`) and its kernel engine
 (:func:`make_kernel_engine`):
 
-* **scheduler** — how compiled iteration plans run: ``"list"`` is the
-  deterministic discrete-event priority list scheduler over ``P``
-  workers with durations from a calibrated
+* **scheduler** — how compiled iteration plans
+  (:class:`~repro.runtime.plan.IterationPlan`, the executors' only
+  input) run: ``"list"`` is the deterministic discrete-event priority
+  list scheduler over ``P`` workers with durations from a calibrated
   :class:`~repro.runtime.cost_model.CostModel`; ``"threaded"``
   (:mod:`repro.runtime.async_exec`) additionally executes every plan
-  for real on a dependency-tracked priority thread pool with per-page
-  locks.
+  for real on a dependency-tracked priority thread pool.
 * **placement** — where the numerical kernels run: ``"local"`` is the
   single-address-space NumPy engine
   (:class:`~repro.runtime.kernels.LocalKernelEngine`); ``"ranks"``

@@ -12,21 +12,19 @@ scheduler times is executed on a persistent pool of OS threads with
   threads in priority order (recovery tasks carry the paper's lower
   priority, so reductions really start first, Section 3.3.2).  Nothing
   is rebuilt per run: what changes between two runs of a plan is the
-  action table and the durations vector;
-* per-page locks — tasks that declare a ``page`` serialise against other
-  tasks touching the same page.  This is the thread-safety backstop
-  *mutating* recovery actions will need once repairs run concurrently
-  with consumers; the resilient solver's current task actions are
-  deliberately read-only (bitwise neutrality across backends) and
-  declare no page, so today the locks are exercised by the backend's
-  own tests and by any custom graphs that opt in;
+  action table and the durations vector.  A completion is booked and
+  its successors released under the executor's one lock, which a worker
+  takes again to pop its next task: that hand-off is what orders two
+  dependent tasks, and the only synchronisation a task gets (the
+  solver's task actions are read-only, so the backends stay
+  bitwise-equal);
 * measured wall-clock intervals per task, written into plan-order
   columns, from which the backend reports real overlap (did recovery
   actually run while reductions ran?) and a measured per-state breakdown
   next to the simulated one;
-* an explicit :class:`VulnerableWindowMonitor` recording AFEIR's trade
+* an explicit :class:`VulnerableWindowMonitor` counting AFEIR's trade
   window — the wall-clock gap between a recovery task finishing and the
-  dependent scalar starting — and every DUE that lands *after* its
+  dependent scalar starting — and the DUEs that land *after* their
   page's recovery already ran (the paper's Section 5.4 coverage loss).
 
 The simulated timeline is still produced by the shared deterministic
@@ -41,81 +39,15 @@ from __future__ import annotations
 import heapq
 import threading
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
-                    Tuple, Union)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import resolve_worker_count
 from repro.runtime.backend import ExecutionBackend, ExecutionResult
 from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
-from repro.runtime.graph import TaskGraph
 from repro.runtime.plan import IterationPlan
 from repro.sanitize import (make_condition, make_lock,
                             record_task_accesses, sanitizer_enabled)
-
-
-#: What a task that declares no page holds while it runs.
-_NO_PAGE = nullcontext()
-
-
-class PageLockTable:
-    """Lazily-created per-page locks for tasks that declare a page.
-
-    Concurrency contract: :meth:`lock_for` is the **single audited
-    access path** to the underlying table — creation and lookup both
-    happen under the guard, so two workers racing on a fresh page can
-    never observe (or create) two different locks for it.  Nothing else
-    may touch ``_locks``: an unguarded read would race the dict resize
-    a concurrent insert can trigger.  Enforced by the regression test
-    ``tests/sanitize/test_page_lock_table.py``.
-    """
-
-    def __init__(self) -> None:
-        self._locks: Dict[int, threading.Lock] = {}
-        self._guard = make_lock("PageLockTable.guard")
-
-    def lock_for(self, page: int) -> threading.Lock:
-        """The page's lock (created on first use, under the guard)."""
-        with self._guard:
-            lock = self._locks.get(page)
-            if lock is None:
-                lock = self._locks[page] = make_lock(f"page:{page}.lock")
-            return lock
-
-    def holding(self, page: Optional[int]):
-        """Context manager: hold the page's lock, or nothing for ``None``."""
-        return _NO_PAGE if page is None else self.lock_for(int(page))
-
-    def __len__(self) -> int:
-        with self._guard:
-            return len(self._locks)
-
-
-@dataclass(frozen=True)
-class WindowRecord:
-    """One measured vulnerable window (wall-clock, seconds)."""
-
-    label: str
-    start: float
-    end: float
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-
-class DueRecord(NamedTuple):
-    """One DUE observation relative to the vulnerable window (a tuple:
-    every detected DUE makes one)."""
-
-    vector: str
-    page: int
-    sim_time: float
-    point: str
-    #: True when the DUE landed after its covering recovery task had
-    #: already run — too late to be repaired before the next scalar.
-    in_window: bool
 
 
 @dataclass
@@ -133,6 +65,8 @@ class MonitorSummary:
     windows: int = 0
     total_window: float = 0.0
     dues_observed: int = 0
+    #: DUEs that landed after their covering recovery task had already
+    #: run — too late to be repaired before the next scalar.
     dues_in_window: int = 0
 
     @property
@@ -161,84 +95,62 @@ class MonitorSummary:
 
 
 class VulnerableWindowMonitor:
-    """Thread-safe recorder of AFEIR's asynchrony and its cost.
+    """Thread-safe counters of AFEIR's asynchrony and its cost.
 
-    The monitor collects three kinds of evidence:
+    The monitor counts three kinds of evidence into one
+    :class:`MonitorSummary`:
 
     * **scans** — every recovery task that really executed reports in
-      (how many poisoned pages it found), proving recovery ran at all;
+      (how many lost pages it found), proving recovery ran at all;
     * **windows / overlaps** — from the measured wall intervals of a real
       execution: the gap between a recovery task finishing and its
       dependent scalar starting (the vulnerable window), and whether the
       recovery interval overlapped other tasks on other threads (the
       asynchrony the paper claims);
-    * **DUEs** — every materialised fault, flagged ``in_window`` when it
-      landed after its page's recovery already ran, i.e. exactly the
-      losses Section 5.4 attributes to the asynchronous schedule.
+    * **DUEs** — every materialised fault, and those that landed after
+      their page's recovery already ran, i.e. exactly the losses Section
+      5.4 attributes to the asynchronous schedule.
     """
 
     def __init__(self) -> None:
         self._lock = make_lock("VulnerableWindowMonitor.lock")
-        self.window_records: List[WindowRecord] = []
-        self.due_records: List[DueRecord] = []
         self._summary = MonitorSummary()
 
     # -- recording (called from worker threads and the solver) ----------
-    def record_scan(self, label: str, pages_found: int = 0) -> None:
+    def record_scan(self, pages_found: int) -> None:
         with self._lock:
             self._summary.recovery_scans += 1
-            self._summary.pages_seen_by_scans += int(pages_found)
+            self._summary.pages_seen_by_scans += pages_found
 
-    def record_window(self, label: str, start: float, end: float) -> None:
-        if end <= start:
-            return
+    def note_dues(self, observed: int, in_window: int) -> None:
+        """Count a check point's ``observed`` DUEs, ``in_window`` of them
+        too late for their scalar, under one lock acquisition."""
         with self._lock:
-            self.window_records.append(WindowRecord(label, start, end))
-            self._summary.windows += 1
-            self._summary.total_window += end - start
-
-    def note_dues(self, records: Sequence[DueRecord]) -> None:
-        """Record a check point's DUEs under one lock acquisition."""
-        in_window = sum(record.in_window for record in records)
-        with self._lock:
-            self.due_records.extend(records)
-            self._summary.dues_observed += len(records)
+            self._summary.dues_observed += observed
             self._summary.dues_in_window += in_window
 
     def observe(self, result: Optional[ExecutionResult],
-                pairs: Sequence[Tuple[str, int, int]] = ()) -> None:
+                pairs: Sequence[Tuple[int, int]] = ()) -> None:
         """Digest one real execution: overlap counts plus the measured
-        window of every ``(label, recovery index, scalar index)`` pair
-        (plan indices).  ``None`` counts a run whose wall side is not an
-        output (the simulated clock)."""
+        window of every ``(recovery index, scalar index)`` pair of plan
+        indices.  ``None`` counts a run whose wall side is not an output
+        (the simulated clock)."""
         overlaps = halo_overlaps = 0
+        windows: List[float] = []
         if result is not None:
             overlaps = result.recovery_overlaps()
             halo_overlaps = result.recovery_halo_overlaps()
+            windows = [result.starts[scalar] - result.ends[recovery]
+                       for recovery, scalar in pairs]
         with self._lock:
-            self._summary.runs += 1
-            self._summary.overlapped_recoveries += overlaps
-            self._summary.halo_overlapped_recoveries += halo_overlaps
-        if result is not None:
-            for label, recovery, scalar in pairs:
-                self.record_window(label, result.ends[recovery],
-                                   result.starts[scalar])
-
-    # -- queries --------------------------------------------------------
-    @property
-    def dues_in_window(self) -> int:
-        with self._lock:
-            return self._summary.dues_in_window
-
-    @property
-    def overlapped_recoveries(self) -> int:
-        with self._lock:
-            return self._summary.overlapped_recoveries
-
-    @property
-    def halo_overlapped_recoveries(self) -> int:
-        with self._lock:
-            return self._summary.halo_overlapped_recoveries
+            summary = self._summary
+            summary.runs += 1
+            summary.overlapped_recoveries += overlaps
+            summary.halo_overlapped_recoveries += halo_overlaps
+            for window in windows:
+                if window > 0.0:
+                    summary.windows += 1
+                    summary.total_window += window
 
     def summary(self) -> Dict[str, object]:
         with self._lock:
@@ -274,7 +186,6 @@ class ThreadedBackend(ExecutionBackend):
         self.pace = float(pace)
         self.thread_count = resolve_worker_count(
             max_threads if max_threads is not None else num_workers)
-        self.page_locks = PageLockTable()
         #: One lock under two conditions: workers wait on ``_cond`` for a
         #: ready task, the submitting thread on ``_done`` for the end of
         #: its run — so a completion wakes exactly the threads it has a
@@ -303,7 +214,7 @@ class ThreadedBackend(ExecutionBackend):
         self._error: Optional[BaseException] = None
 
     # ------------------------------------------------------------------
-    def execute(self, graph: Union[TaskGraph, IterationPlan],
+    def execute(self, plan: IterationPlan,
                 actions: Optional[Sequence[Optional[Callable]]] = None,
                 durations: Optional[Sequence[float]] = None
                 ) -> ExecutionResult:
@@ -318,12 +229,9 @@ class ThreadedBackend(ExecutionBackend):
         ready queue; the in-flight tasks drain and that error is
         re-raised here, leaving the pool usable.
         """
-        plan, actions, durations = self._bind(graph, actions, durations)
-        total = len(plan)
-        result = ExecutionResult(plan=plan, executed_real=True,
-                                 starts=[0.0] * total, ends=[0.0] * total,
-                                 workers=[0] * total, results=[None] * total)
-        if total == 0:
+        actions, durations = self._bind(plan, actions, durations)
+        result = ExecutionResult.blank(plan)
+        if len(plan) == 0:
             return result
         priorities = plan.priorities
         ready = [(-priorities[i], seq, i) for seq, i in enumerate(plan.roots)]
@@ -336,7 +244,7 @@ class ThreadedBackend(ExecutionBackend):
                 self._remaining = list(plan.indegree)
                 self._ready = ready
                 self._seq = len(ready)
-                self._unfinished = total
+                self._unfinished = len(plan)
                 self._cond.notify(len(ready))
                 try:
                     while self._unfinished:
@@ -395,39 +303,27 @@ class ThreadedBackend(ExecutionBackend):
 
     def _run_task(self, i: int, run: tuple
                   ) -> Tuple[float, float, Optional[BaseException]]:
-        """Run task ``i`` of ``run`` under its page lock; returns its
-        measured ``(began, ended)`` and the exception its action raised,
-        if any."""
-        plan, actions, durations, result, sanitized, t0 = run
-        page, reads, writes = plan.resources[i]
-        began = ended = None
+        """Run task ``i`` of ``run``; returns its measured ``(began,
+        ended)`` and the exception its action raised, if any."""
+        plan, actions, durations, _, sanitized, t0 = run
+        began = time.perf_counter() - t0  # repro-lint: allow[wall-clock] measured task interval, reported not fingerprinted
+        error = None
         try:
-            with self.page_locks.holding(page):
-                # The interval starts once the page lock is held, so
-                # lock-wait time is not mistaken for concurrent work.
-                began = time.perf_counter() - t0  # repro-lint: allow[wall-clock] measured task interval, reported not fingerprinted
-                if sanitized:
-                    # Bridge the task's declared resource sets into
-                    # dynamic accesses, from the thread that really runs
-                    # it and inside the page-lock critical section so
-                    # locksets include the page lock.
-                    record_task_accesses(reads, writes, task=plan.names[i])
-                try:
-                    action = actions[i]
-                    if action is not None:
-                        result.results[i] = action()
-                    if self.pace > 0.0 and durations[i] > 0.0:
-                        budget = durations[i] * self.pace
-                        remaining = budget - (time.perf_counter() - t0 - began)  # repro-lint: allow[wall-clock] pacing only shapes wall intervals, not iterates
-                        if remaining > 0:
-                            time.sleep(remaining)
-                finally:
-                    ended = time.perf_counter() - t0  # repro-lint: allow[wall-clock] measured task interval, reported not fingerprinted
+            if sanitized:
+                # Bridge the task's declared resource sets into dynamic
+                # accesses, from the thread that really runs it.
+                record_task_accesses(*plan.resources[i], task=plan.names[i])
+            action = actions[i]
+            if action is not None:
+                action()
+            if self.pace > 0.0 and durations[i] > 0.0:
+                budget = durations[i] * self.pace
+                remaining = budget - (time.perf_counter() - t0 - began)  # repro-lint: allow[wall-clock] pacing only shapes wall intervals, not iterates
+                if remaining > 0:
+                    time.sleep(remaining)
         except BaseException as exc:  # propagate to the caller
-            if began is None or ended is None:
-                began = ended = time.perf_counter() - t0  # repro-lint: allow[wall-clock] measured task interval, reported not fingerprinted
-            return began, ended, exc
-        return began, ended, None
+            error = exc
+        return began, time.perf_counter() - t0, error  # repro-lint: allow[wall-clock] measured task interval, reported not fingerprinted
 
     def _complete(self, idx: int, i: int, began: float, ended: float,
                   error: Optional[BaseException]) -> None:

@@ -1,96 +1,62 @@
-"""Execution backends: one task-graph contract, two ways to run it.
+"""Execution backends: one compiled-plan contract, two ways to run it.
 
 The discrete-event :class:`~repro.runtime.scheduler.ListScheduler` answers
-*"how long would this graph take on P workers?"* deterministically; the
+*"how long would this plan take on P workers?"* deterministically; the
 threaded backend (:mod:`repro.runtime.async_exec`) answers *"what happens
-when the same graph actually runs concurrently?"*.  Both sit behind the
+when the same plan actually runs concurrently?"*.  Both sit behind the
 :class:`ExecutionBackend` protocol so the solver runs on either one; the
 runtime's scheduler axis (:func:`repro.runtime.runtime.make_executor`)
 picks:
 
 * ``simulated`` (scheduler ``"list"``) — time plans with the list
-  scheduler; :meth:`~ExecutionBackend.execute` replays task actions
+  scheduler; :meth:`~ExecutionBackend.execute` replays the action table
   sequentially in launch order.  Deterministic, zero concurrency.
 * ``threaded`` (scheduler ``"threaded"``) — the same list scheduler for
   the *simulated* timeline (keeping every clock-dependent decision
   bit-identical to the simulated backend); ``execute`` runs the plan for
   real on a pool of worker threads: dependency-tracked dispatch,
-  priority ordering, per-page locks, measured wall-clock intervals per
-  task.
+  priority ordering, measured wall-clock intervals per task.
 
-Both halves consume a compiled :class:`~repro.runtime.plan.IterationPlan`
-(a :class:`~repro.runtime.graph.TaskGraph` is compiled on the way in):
-``simulate`` re-times it with a durations vector, ``execute`` runs it
-with an action table, and the measured side comes back as an
-:class:`ExecutionResult` of plan-order columns.
+Both halves take a compiled :class:`~repro.runtime.plan.IterationPlan`
+and nothing else: ``simulate`` re-times it with a durations vector,
+``execute`` runs it with an action table, and the measured side comes
+back as an :class:`ExecutionResult` of plan-order columns.
 """
 
 from __future__ import annotations
 
 import abc
 import time
-from dataclasses import dataclass, field
-from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
-from repro.runtime.graph import TaskGraph
-from repro.runtime.plan import IterationPlan, compile_plan
+from repro.runtime.plan import IterationPlan
 from repro.runtime.scheduler import ListScheduler, ScheduleResult
 from repro.runtime.task import TaskKind
 from repro.runtime.trace import ExecutionTrace, StateBreakdown
-
-
-@dataclass(frozen=True)
-class WallInterval:
-    """Measured wall-clock execution of one task (seconds, run-relative)."""
-
-    start: float
-    end: float
-    worker: int
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-    def overlaps(self, other: "WallInterval") -> bool:
-        """True if the two intervals intersect in wall-clock time."""
-        return self.start < other.end and other.start < self.end
 
 
 @dataclass
 class ExecutionResult:
     """Measured execution of one plan: columns in plan order.
 
-    ``starts``/``ends`` (run-relative seconds), ``workers`` and
-    ``results`` are indexed like the plan's tasks; the name-keyed views
-    (``wall_intervals``, ``values``) are derived on demand, so
-    re-enacting an iteration never pays for them.
+    ``starts``/``ends`` (run-relative seconds) and ``workers`` are
+    indexed like the plan's tasks; ``wall_time`` is the span from the
+    first start to the last end.
     """
 
     plan: IterationPlan
-    #: True when task actions ran concurrently on real threads.
-    executed_real: bool = False
-    starts: List[float] = field(default_factory=list)
-    ends: List[float] = field(default_factory=list)
-    workers: List[int] = field(default_factory=list)
-    #: Return values of the task actions.
-    results: List[object] = field(default_factory=list)
-    #: Wall-clock span of the execution.
+    starts: List[float]
+    ends: List[float]
+    workers: List[int]
     wall_time: float = 0.0
 
-    # -- name-keyed views -------------------------------------------------
-    @property
-    def wall_intervals(self) -> Dict[str, WallInterval]:
-        """Per-task measured intervals by task name."""
-        return {name: WallInterval(self.starts[i], self.ends[i],
-                                   self.workers[i])
-                for i, name in enumerate(self.plan.names)}
-
-    @property
-    def values(self) -> Dict[str, object]:
-        """Return values of the task actions by task name."""
-        return dict(zip(self.plan.names, self.results, strict=True))
+    @classmethod
+    def blank(cls, plan: IterationPlan) -> "ExecutionResult":
+        """Zeroed columns for ``plan``, for a backend to fill."""
+        total = len(plan)
+        return cls(plan, [0.0] * total, [0.0] * total, [0] * total)
 
     # -- measured-execution queries -------------------------------------
     def _overlap(self, a: int, b: int) -> bool:
@@ -132,7 +98,7 @@ class ExecutionResult:
 
 
 class ExecutionBackend(abc.ABC):
-    """Common contract of the simulated and threaded graph executors.
+    """Common contract of the simulated and threaded plan executors.
 
     Both backends share one deterministic :class:`ListScheduler`, so the
     *simulated* timeline (makespans, point times, traces) is bit-identical
@@ -149,59 +115,37 @@ class ExecutionBackend(abc.ABC):
         self.scheduler = ListScheduler(num_workers, cost_model=cost_model)
 
     # ------------------------------------------------------------------
-    def simulate(self, graph: Union[TaskGraph, IterationPlan],
-                 start_time: float = 0.0,
+    def simulate(self, plan: IterationPlan, start_time: float = 0.0,
                  durations: Optional[Sequence[float]] = None
                  ) -> ScheduleResult:
-        """Timing-only pass: schedule, execute nothing.
-
-        A :class:`TaskGraph` is compiled and scheduled from scratch; a
-        compiled :class:`IterationPlan` is only re-timed, with
-        ``durations`` (plan order) in place of its base durations.
-        """
-        if isinstance(graph, IterationPlan):
-            return self.scheduler.retime(graph, durations, start_time)
-        if durations is not None:
-            raise ValueError("durations re-time a compiled IterationPlan; "
-                             "a TaskGraph carries its own")
-        return self.scheduler.run(graph, start_time=start_time)
+        """Timing-only pass: re-time ``plan`` from ``start_time`` with
+        ``durations`` (plan order) in place of its base durations."""
+        return self.scheduler.retime(plan, durations, start_time)
 
     @abc.abstractmethod
-    def execute(self, graph: Union[TaskGraph, IterationPlan],
+    def execute(self, plan: IterationPlan,
                 actions: Optional[Sequence[Optional[Callable]]] = None,
                 durations: Optional[Sequence[float]] = None
                 ) -> ExecutionResult:
-        """Execute a plan's task bodies and measure their wall intervals
-        — the re-enactment's entry point; the simulated timeline is the
-        caller's (:meth:`simulate`).
-
-        A compiled :class:`IterationPlan` runs ``actions`` (plan order,
-        ``None`` for a task without a body) with ``durations`` in place
-        of its base durations; a :class:`TaskGraph` is compiled and
-        brings its tasks' own actions and durations.
-        """
+        """Run ``actions`` (plan order, ``None`` for a task without a
+        body) with ``durations`` in place of the plan's base durations,
+        and measure every task's wall interval — the re-enactment's
+        entry point; the simulated timeline is the caller's
+        (:meth:`simulate`)."""
 
     @staticmethod
-    def _bind(graph: Union[TaskGraph, IterationPlan],
+    def _bind(plan: IterationPlan,
               actions: Optional[Sequence[Optional[Callable]]],
               durations: Optional[Sequence[float]]
-              ) -> Tuple[IterationPlan, Sequence[Optional[Callable]],
-                         Sequence[float]]:
-        """Resolve :meth:`execute`'s arguments into a validated ``(plan,
-        actions, durations)``.  Compiling a graph validates it and runs
-        the opt-in ``REPRO_VERIFY_GRAPHS=1`` assertion."""
-        if isinstance(graph, IterationPlan):
-            if actions is None:
-                actions = (None,) * len(graph)
-            elif len(actions) != len(graph):
-                raise ValueError(f"plan has {len(graph)} tasks, got "
-                                 f"{len(actions)} actions")
-            return graph, actions, graph.checked_durations(durations)
-        if actions is not None or durations is not None:
-            raise ValueError("actions and durations run a compiled "
-                             "IterationPlan; a TaskGraph carries its own")
-        plan = compile_plan(graph)
-        return plan, [task.action for task in graph.tasks], plan.durations
+              ) -> Tuple[Sequence[Optional[Callable]], Sequence[float]]:
+        """:meth:`execute`'s ``actions`` and ``durations``, checked
+        against ``plan``."""
+        if actions is None:
+            actions = (None,) * len(plan)
+        elif len(actions) != len(plan):
+            raise ValueError(f"plan has {len(plan)} tasks, got "
+                             f"{len(actions)} actions")
+        return actions, plan.checked_durations(durations)
 
     def close(self) -> None:
         """Release any real resources (worker threads); idempotent."""
@@ -218,7 +162,7 @@ class SimulatedBackend(ExecutionBackend):
 
     name = "simulated"
 
-    def execute(self, graph: Union[TaskGraph, IterationPlan],
+    def execute(self, plan: IterationPlan,
                 actions: Optional[Sequence[Optional[Callable]]] = None,
                 durations: Optional[Sequence[float]] = None
                 ) -> ExecutionResult:
@@ -231,19 +175,16 @@ class SimulatedBackend(ExecutionBackend):
         against.  The list schedule derives the launch order only; its
         timing is discarded.
         """
-        plan, actions, durations = self._bind(graph, actions, durations)
+        actions, durations = self._bind(plan, actions, durations)
         order = self.simulate(plan, durations=durations).launch_order
-        total = len(plan)
-        result = ExecutionResult(plan=plan,
-                                 starts=[0.0] * total, ends=[0.0] * total,
-                                 workers=[0] * total, results=[None] * total)
-        starts, ends, results = result.starts, result.ends, result.results
+        result = ExecutionResult.blank(plan)
+        starts, ends = result.starts, result.ends
         t0 = time.perf_counter()  # repro-lint: allow[wall-clock] measured serial intervals, reported not fingerprinted
         for i in order:
             action = actions[i]
             starts[i] = time.perf_counter() - t0  # repro-lint: allow[wall-clock] measured serial intervals, reported not fingerprinted
             if action is not None:
-                results[i] = action()
+                action()
             ends[i] = time.perf_counter() - t0  # repro-lint: allow[wall-clock] measured serial intervals, reported not fingerprinted
         if order:
             result.wall_time = ends[order[-1]] - starts[order[0]]

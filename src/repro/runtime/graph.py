@@ -1,13 +1,15 @@
 """Task graphs: tasks plus data-flow dependencies.
 
-Besides construction and scheduling helpers, this module hosts the
-structural happens-before verifier (:func:`verify_graph`): every pair of
-tasks whose declared resource sets conflict (write/write or read/write
-on the same page or vector segment) must be ordered by a dependency
-path, otherwise the schedule is free to race them.  Set
-``REPRO_VERIFY_GRAPHS=1`` to run the check whenever a graph is compiled
-into a plan (:func:`~repro.runtime.plan.compile_plan`): once per
-iteration shape, and on every graph handed to an execution backend.
+A graph is what an iteration shape is built as; nothing runs it.
+:func:`~repro.runtime.plan.compile_plan` validates it and freezes it
+into the :class:`~repro.runtime.plan.IterationPlan` the scheduler and
+the execution backends take.  Besides construction, this module hosts
+the structural happens-before verifier (:func:`verify_graph`): every
+pair of tasks whose declared resource sets conflict (write/write or
+read/write on the same vector segment, partial or scalar) must be
+ordered by a dependency path, otherwise the schedule is free to race
+them.  Set ``REPRO_VERIFY_GRAPHS=1`` to run the check whenever a graph
+is compiled into a plan: once per iteration shape.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from repro.runtime.task import Task, TaskKind
 
@@ -44,15 +46,12 @@ class TaskGraph:
 
     def add_task(self, name: str, duration: float, *,
                  kind: TaskKind = TaskKind.COMPUTE, priority: int = 0,
-                 deps: Iterable[str] = (), action=None,
-                 page: Optional[int] = None,
-                 reads: Iterable[str] = (),
+                 deps: Iterable[str] = (), reads: Iterable[str] = (),
                  writes: Iterable[str] = ()) -> Task:
         """Convenience constructor + insert."""
         task = Task(name=name, duration=duration, kind=kind,
-                    priority=priority, action=action, page=page,
-                    deps=list(deps), reads=frozenset(reads),
-                    writes=frozenset(writes))
+                    priority=priority, deps=list(deps),
+                    reads=frozenset(reads), writes=frozenset(writes))
         return self.add(task)
 
     def task(self, name: str) -> Task:
@@ -107,22 +106,6 @@ class TaskGraph:
             raise ValueError(f"task graph has a cycle involving {remaining[:5]}")
         return order
 
-    # ------------------------------------------------------------------
-    def merge(self, other: "TaskGraph", link_from: Iterable[str] = (),
-              link_to: Iterable[str] = ()) -> None:
-        """Append ``other``'s tasks, optionally adding cross-graph edges.
-
-        Every task named in ``link_to`` (from ``other``) gains a
-        dependency on every task named in ``link_from`` (from ``self``).
-        Used to chain per-iteration graphs when simulating several
-        iterations as a single schedule.
-        """
-        for task in other.tasks:
-            self.add(task)
-        link_from = list(link_from)
-        for name in link_to:
-            self.task(name).depends_on(*link_from)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TaskGraph(tasks={len(self._tasks)})"
 
@@ -165,8 +148,8 @@ def find_races(graph: TaskGraph) -> List[GraphRace]:
     check is *structural*: it inspects the DAG only, so it is
     scheduler-independent — if a pair is unordered here, some interleaving
     of some backend can race it, even if today's schedules happen not to.
-    Tasks that declare no resources (and no page) are exempt; AFEIR's
-    read-only recovery probes deliberately overlap the reduction.
+    Tasks that declare no resources are exempt; AFEIR's read-only
+    recovery probes deliberately overlap the reduction.
     """
     graph.validate()
     order = graph.topological_order()
@@ -190,7 +173,7 @@ def find_races(graph: TaskGraph) -> List[GraphRace]:
     for task in graph.tasks:
         for res in task.reads:
             readers.setdefault(res, []).append(task.name)
-        for res in task.resources_written():
+        for res in task.writes:
             writers.setdefault(res, []).append(task.name)
 
     races: List[GraphRace] = []
@@ -229,6 +212,6 @@ def verification_enabled() -> bool:
 
 
 def maybe_verify_graph(graph: TaskGraph) -> None:
-    """Backend hook: verify only when the env knob is set."""
+    """Compile hook: verify only when the env knob is set."""
     if verification_enabled():
         verify_graph(graph)

@@ -14,7 +14,9 @@ it (:meth:`ExecutionBackend.execute
 <repro.runtime.backend.ExecutionBackend.execute>` with an action table
 in plan order — the threaded dispatch loop walks ``successors`` /
 ``indegree`` / ``priorities``), and
-:func:`~repro.runtime.graph.verify_graph` *checked* it at compile.
+:func:`~repro.runtime.graph.verify_graph` *checked* it at compile.  The
+plan is the runtime's only input: neither the scheduler nor a backend
+takes a graph.
 
 Frozen: task order, integer dependencies/successors/indegrees/roots,
 priorities, kinds, base durations, declared resources and the named
@@ -28,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import isfinite
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.runtime.graph import TaskGraph, maybe_verify_graph
 from repro.runtime.task import Task, TaskKind
@@ -56,11 +58,9 @@ class IterationPlan:
     priorities: Tuple[int, ...]
     kinds: Tuple[TaskKind, ...]
     durations: Tuple[float, ...]
-    #: The source tasks' declared ``(page, reads, writes)`` — ``writes``
-    #: with the implicit ``page:N`` write included — from which the
-    #: threaded executor takes the page lock and the sanitizer its
-    #: access bridge.
-    resources: Tuple[tuple, ...]
+    #: The source tasks' declared ``(reads, writes)``: what the threaded
+    #: executor bridges into the sanitizer's access records.
+    resources: Tuple[Tuple[FrozenSet[str], FrozenSet[str]], ...]
     roles: Mapping[str, Role]
 
     def __len__(self) -> int:
@@ -131,8 +131,7 @@ def compile_plan(graph: TaskGraph,
         priorities=tuple(task.priority for task in tasks),
         kinds=tuple(task.kind for task in tasks),
         durations=tuple(task.duration for task in tasks),
-        resources=tuple((task.page, task.reads, task.resources_written())
-                        for task in tasks),
+        resources=tuple((task.reads, task.writes) for task in tasks),
         roles=resolved)
     plan.checked_durations(plan.durations)
     return plan

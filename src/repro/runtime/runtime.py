@@ -96,7 +96,7 @@ def resolve_runtime_spec(scheduler: str = "list",
 def make_executor(spec: RuntimeSpec, num_workers: int,
                   cost_model: CostModel = DEFAULT_COST_MODEL,
                   pace: float = 1.0) -> ExecutionBackend:
-    """The graph executor of ``spec``'s scheduler axis.
+    """The plan executor of ``spec``'s scheduler axis.
 
     ``pace`` is the threaded executor's wall-clock pacing factor
     (:class:`~repro.runtime.async_exec.ThreadedBackend`, whose real

@@ -1,9 +1,8 @@
 """Deterministic priority list scheduler over ``P`` workers.
 
-This is the discrete-event core of the OmpSs stand-in.  It executes a
-compiled :class:`~repro.runtime.plan.IterationPlan` (or a
-:class:`~repro.runtime.graph.TaskGraph`, compiled on the way in) on a
-fixed number of workers using a work-conserving greedy policy:
+This is the discrete-event core of the OmpSs stand-in.  It times a
+compiled :class:`~repro.runtime.plan.IterationPlan` on a fixed number of
+workers using a work-conserving greedy policy:
 
 * a task becomes *ready* when all its dependencies have finished;
 * whenever a worker is free and ready tasks exist, the highest-priority
@@ -12,8 +11,8 @@ fixed number of workers using a work-conserving greedy policy:
 * starting a task charges the per-task runtime overhead of the cost
   model on that worker, in addition to the task's duration.
 
-The scheduler only times; task ``action`` callables are replayed by an
-execution backend, in the ``launch_order`` the schedule reports, so
+The scheduler only times; an execution backend runs a plan's action
+table, the serial one in the ``launch_order`` the schedule reports, so
 numerical side effects observe the same ordering the schedule implies.
 
 **Structure and replay.**  Recovery enlarges tasks; it rarely reorders
@@ -56,8 +55,7 @@ from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
-from repro.runtime.graph import TaskGraph
-from repro.runtime.plan import IterationPlan, compile_plan
+from repro.runtime.plan import IterationPlan
 from repro.runtime.task import ScheduledTask
 from repro.runtime.trace import WORK_STATE, WORK_STATES, ExecutionTrace
 
@@ -148,11 +146,10 @@ class ListScheduler:
         self.loop_runs = self.replays = 0
 
     # ------------------------------------------------------------------
-    def run(self, graph: TaskGraph,
+    def run(self, plan: IterationPlan,
             start_time: float = 0.0) -> ScheduleResult:
-        """Compile ``graph`` (validation, cycle check) and time the plan
-        with the event loop; a one-off plan's structure is not held."""
-        plan = compile_plan(graph)
+        """Time ``plan`` at its base durations with the event loop; the
+        structure of a one-off timing is not held."""
         return self._evaluate(self._discover(plan, plan.durations, start_time),
                               plan.durations, start_time)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, FrozenSet, List, Optional
+from typing import FrozenSet, List
 
 
 class TaskKind(enum.Enum):
@@ -39,30 +39,25 @@ class Task:
         Larger runs earlier among ready tasks.  The paper schedules
         recovery tasks "with a lower priority as to start all reduction
         tasks first" (Section 3.3.2); we reproduce that with priorities.
-    action:
-        Optional callable executed (in dependency order) when the
-        schedule is replayed numerically.  The runtime itself never
-        inspects the return value.
-    page:
-        Page index the task works on, if it is a per-page task.
     reads / writes:
         Declared resource access, for the structural happens-before
-        check (:func:`repro.runtime.graph.verify_graph`).  Resources are
-        opaque strings — vector segments (``"seg:g[2]"``), scalars
-        (``"scalar:alpha"``), reduction partials (``"part:rho[0]"``) —
-        and two tasks touching the same resource with at least one write
-        must be ordered by a dependency path.  A declared ``page`` also
-        counts as a write on ``"page:<n>"``.  Tasks that declare nothing
-        are exempt (e.g. read-only recovery probes that may deliberately
-        overlap the reduction).
+        check (:func:`repro.runtime.graph.verify_graph`) and the
+        sanitizer's access bridge.  Resources are opaque strings —
+        vector segments (``"seg:g[2]"``), scalars (``"scalar:alpha"``),
+        reduction partials (``"part:rho[0]"``) — and two tasks touching
+        the same resource with at least one write must be ordered by a
+        dependency path.  Tasks that declare nothing are exempt (e.g.
+        read-only recovery probes that may deliberately overlap the
+        reduction).
+
+    A task has no body: what runs is the action table handed to an
+    execution backend with the compiled plan.
     """
 
     name: str
     duration: float
     kind: TaskKind = TaskKind.COMPUTE
     priority: int = 0
-    action: Optional[Callable[[], None]] = None
-    page: Optional[int] = None
     deps: List[str] = field(default_factory=list)
     reads: FrozenSet[str] = frozenset()
     writes: FrozenSet[str] = frozenset()
@@ -72,19 +67,6 @@ class Task:
             raise ValueError(f"task {self.name!r} has negative duration")
         self.reads = frozenset(self.reads)
         self.writes = frozenset(self.writes)
-
-    def resources_written(self) -> FrozenSet[str]:
-        """Declared writes plus the implicit write on the task's page."""
-        if self.page is None:
-            return self.writes
-        return self.writes | {f"page:{self.page}"}
-
-    def depends_on(self, *names: str) -> "Task":
-        """Add dependencies and return self (builder style)."""
-        for name in names:
-            if name not in self.deps:
-                self.deps.append(name)
-        return self
 
 
 @dataclass(frozen=True)

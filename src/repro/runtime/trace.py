@@ -124,10 +124,3 @@ class ExecutionTrace:
         self.breakdown.add(other.breakdown)
         self.wall_time += other.wall_time
         self.task_count += other.task_count
-
-    def copy(self) -> "ExecutionTrace":
-        out = ExecutionTrace(num_workers=self.num_workers,
-                             wall_time=self.wall_time,
-                             task_count=self.task_count)
-        out.breakdown.add(self.breakdown)
-        return out

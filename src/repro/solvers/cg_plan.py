@@ -81,14 +81,14 @@ def _touch_chunk(u: np.ndarray) -> float:
     return float(np.sum(u))  # repro-lint: allow[paged-reduction] single-chunk touch probe; value discarded
 
 
-def _shipped_probe(probe: Callable[[], int], engine: KernelEngine, memory,
-                   iteration: List[int], num_pages: int) -> int:
+def _shipped_probe(probe: Callable[[], None], engine: KernelEngine, memory,
+                   iteration: List[int], num_pages: int) -> None:
     """The paper's locality rule: the recovery scan runs on the rank
     owning the (potentially) lost page.  ``run_on_rank`` ships the probe
     without counting it as a recovery dispatch."""
     lost = memory.lost_pages()
     page = lost[0][1] if lost else iteration[0] % num_pages
-    return engine.run_on_rank(engine.page_owner(page), probe)
+    engine.run_on_rank(engine.page_owner(page), probe)
 
 
 @dataclass(frozen=True)
@@ -509,7 +509,7 @@ class CGPlanner:
         roles = plan.roles
         pairs = (self.strategy.vulnerable_pairs()
                  if self.uses_recovery_tasks else ())
-        self.monitor.observe(result, [(recovery, roles[recovery], roles[scalar])
+        self.monitor.observe(result, [(roles[recovery], roles[scalar])
                                       for recovery, scalar in pairs])
         self._accumulate_wall(result)
 
@@ -543,14 +543,15 @@ class CGPlanner:
         if "halo" in roles:
             table[roles["halo"]] = partial(self.engine.halo_exchange,
                                            vectors[this_d].array)
-        for key in RECOVERY_TASKS if self.uses_recovery_tasks else ():
-            probe = self.strategy.recovery_probe(state.memory, self.monitor,
-                                                 label=key)
+        if self.uses_recovery_tasks:
+            # r1, r2 and r3 run the same stateless scan.
+            probe = self.strategy.recovery_probe(state.memory, self.monitor)
             if self.spec.placement == "ranks":
                 probe = partial(_shipped_probe, probe, self.engine,
                                 state.memory, self._iteration,
                                 vectors["x"].num_pages)
-            table[roles[key]] = probe
+            for key in RECOVERY_TASKS:
+                table[roles[key]] = probe
         return table
 
     def _accumulate_wall(self, result: ExecutionResult) -> None:

@@ -77,7 +77,6 @@ from repro.matrices.sparse import SparseOperator
 from repro.memory.manager import MemoryManager
 from repro.memory.pages import PagedVector
 from repro.precond.base import Preconditioner
-from repro.runtime.async_exec import DueRecord
 from repro.runtime.kernels import make_kernel_engine
 from repro.runtime.runtime import make_executor
 from repro.runtime.trace import ExecutionTrace
@@ -258,7 +257,7 @@ class ResilientCG:
         #: Runs the numerical kernels (placement axis).
         self.engine = make_kernel_engine(self.blocked, spec)
         #: Owns the iteration structure — builds, times and re-enacts it —
-        #: and the graph executor it runs on (scheduler + clock axes).
+        #: and the plan executor it runs on (scheduler + clock axes).
         self.planner = CGPlanner(
             self.blocked, cfg, strategy=strategy,
             preconditioned=preconditioner is not None,
@@ -618,20 +617,18 @@ class ResilientCG:
         memory.detect_batch(injections, it.time_of(point), it.number)
         work = service = 0.0
         late_after, late_vectors = self._late_window(point, it)
-        dues: List[DueRecord] = []
         in_time: List[Tuple[str, int]] = []
         for inj in injections:
             service += FAULT_SERVICE_TIME
             vector, page = inj.vector, inj.page
-            late = vector in late_vectors and inj.time > late_after
-            dues.append(DueRecord(vector, page, inj.time, point, late))
-            if late:
+            if vector in late_vectors and inj.time > late_after:
                 it.late["d" if vector == this_d else vector].add(page)
                 memory.mark_recovered(vector, page)
                 stats.contributions_skipped += 1
             else:
                 in_time.append((vector, page))
-        self.planner.monitor.note_dues(dues)
+        self.planner.monitor.note_dues(len(injections),
+                                       len(injections) - len(in_time))
 
         if not in_time:
             return PointOutcome(service=service)

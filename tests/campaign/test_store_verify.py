@@ -10,13 +10,15 @@ corrupt entries in the ways disks and tooling actually corrupt them
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.campaign.__main__ import main
 from repro.campaign.engine import run_campaign
 from repro.campaign.executors import SerialExecutor
 from repro.campaign.spec import CampaignSpec, SolverKnobs
-from repro.campaign.store import STORE_SCHEMA_VERSION, CampaignStore
+from repro.campaign.store import (STORE_SCHEMA_VERSION, CampaignCache,
+                                  CampaignStore)
 
 
 def tiny_spec(**overrides):
@@ -42,6 +44,78 @@ def one_entry(store, kind, suffix):
     paths = sorted((store.root / kind).glob(f"*/*{suffix}"))
     assert paths, f"expected at least one {kind} entry"
     return paths[0]
+
+
+def replace_once(path, old, new):
+    """Edit ``path``'s stored text in place, ``old`` occurring once."""
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+
+
+def flip_iterations(store):
+    """A trial whose iteration count is one more than it was: still
+    valid JSON, in its writer's layout, under its own key."""
+    path = one_entry(store, "trials", ".json")
+    iterations = json.loads(path.read_text())["trial"]["iterations"]
+    replace_once(path, f'"iterations": {iterations},',
+                 f'"iterations": {iterations + 1},')
+    return path
+
+
+def double_ideal_time(store):
+    path = one_entry(store, "baselines", ".json")
+    value = json.loads(path.read_text())["ideal_time"]
+    replace_once(path, f'"ideal_time": "{value}"',
+                 f'"ideal_time": "{(2 * float.fromhex(value)).hex()}"')
+    return path
+
+
+def overwrite(kind, suffix, data):
+    def corrupt(store):
+        path = one_entry(store, kind, suffix)
+        path.write_bytes(data(path.read_bytes()))
+        return path
+    return corrupt
+
+
+def copy_under_another_key(kind, suffix):
+    def corrupt(store):
+        source = one_entry(store, kind, suffix)
+        target = store._path(kind, "ab" + "0" * 62, suffix=suffix)
+        target.parent.mkdir(exist_ok=True)
+        target.write_bytes(source.read_bytes())
+        return target
+    return corrupt
+
+
+def reformat(data):
+    """The same members, indented: equal as JSON, not as stored text."""
+    return json.dumps(json.loads(data), sort_keys=True, indent=1).encode()
+
+
+#: Ways an entry goes bad, each ``(kind, corrupt)``: ``corrupt(store)``
+#: damages one entry of a populated store and returns its path.
+CORRUPTIONS = {
+    "trial-unparseable": ("trials", overwrite(
+        "trials", ".json", lambda data: b"{ definitely not json")),
+    "trial-not-an-object": ("trials", overwrite(
+        "trials", ".json", lambda data: b"[1, 2]")),
+    "trial-flipped-digit": ("trials", flip_iterations),
+    "trial-reformatted": ("trials", overwrite("trials", ".json", reformat)),
+    "trial-copied-under-another-key": (
+        "trials", copy_under_another_key("trials", ".json")),
+    "baseline-flipped-digit": ("baselines", double_ideal_time),
+    "matrix-truncated": ("matrices", overwrite(
+        "matrices", ".npz", lambda data: data[:100])),
+    "matrix-copied-under-another-key": (
+        "matrices", copy_under_another_key("matrices", ".npz")),
+}
+
+#: Each artifact kind's reader.
+READERS = {"trials": CampaignStore.get_trial,
+           "baselines": CampaignStore.get_baseline,
+           "matrices": CampaignStore.get_matrix}
 
 
 class TestCleanStore:
@@ -125,6 +199,118 @@ class TestJsonCorruption:
         report = populated.verify()
         assert report.ok
         assert report.legacy == 1
+        assert populated.get_baseline(path.stem) is not None
+
+
+class TestReadPath:
+    """A read makes the check ``verify`` makes: an entry it calls
+    corrupt is discarded and counted as a miss, so it is recomputed
+    instead of served."""
+
+    def test_a_flipped_digit_reads_as_a_miss(self, populated):
+        path = flip_iterations(populated)
+        assert "checksum mismatch" in populated.verify().corrupt[0][2]
+        store = CampaignStore(populated.root)
+        assert store.get_trial(path.stem) is None
+        assert not path.exists()
+        assert (store.hits, store.misses) == (0, 1)
+
+    def test_a_trial_copied_under_another_key_reads_as_a_miss(
+            self, populated):
+        source, target = sorted(populated.root.glob("trials/*/*.json"))[:2]
+        target.write_bytes(source.read_bytes())
+        store = CampaignStore(populated.root)
+        assert store.get_trial(target.stem) is None
+        assert not target.exists()
+        assert store.get_trial(source.stem) is not None
+        assert (store.hits, store.misses) == (1, 1)
+
+    def test_a_matrix_copied_under_another_key_reads_as_a_miss(
+            self, populated):
+        source = one_entry(populated, "matrices", ".npz")
+        key = "ab" + "0" * 62
+        target = populated._path("matrices", key, suffix=".npz")
+        target.parent.mkdir(exist_ok=True)
+        target.write_bytes(source.read_bytes())
+        assert "does not match" in populated.verify().corrupt[0][2]
+        store = CampaignStore(populated.root)
+        assert store.get_matrix(key) is None
+        assert not target.exists()
+        assert store.get_matrix(source.stem) is not None
+
+    @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+    def test_verify_and_the_read_path_agree(self, populated, case):
+        """One check decides "corrupt": the entry ``verify`` names is
+        the one a read discards, and nothing else is touched."""
+        kind, corrupt = CORRUPTIONS[case]
+        path = corrupt(populated)
+        [(found_kind, found_path, _)] = populated.verify().corrupt
+        assert (found_kind, found_path) == (kind, str(path))
+        store = CampaignStore(populated.root)
+        assert READERS[kind](store, path.stem) is None
+        assert not path.exists()
+        assert (store.hits, store.misses) == (0, 1)
+        assert store.verify().ok
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_a_legacy_entry_reads_as_a_hit(self, populated, kind):
+        """An entry written before keys and checksums were embedded is
+        ``legacy`` to ``verify`` and served by a read, not discarded."""
+        if kind == "matrices":
+            path = one_entry(populated, kind, ".npz")
+            with np.load(path) as archive:
+                members = {name: archive[name] for name in archive.files
+                           if name != "key"}
+            np.savez(path, **members)
+        else:
+            path = one_entry(populated, kind, ".json")
+            payload = json.loads(path.read_text())
+            del payload["key"], payload["checksum"]
+            path.write_text(json.dumps(payload, sort_keys=True))
+        report = populated.verify()
+        assert report.ok and report.legacy == 1
+        store = CampaignStore(populated.root)
+        assert READERS[kind](store, path.stem) is not None
+        assert path.exists()
+        assert (store.hits, store.misses) == (1, 0)
+
+    def test_every_entry_leads_with_its_checksum(self, populated):
+        """The read path hashes the text after the leading ``"checksum"``
+        member instead of re-serializing, so the writer must put it
+        first, and the rest must hash to it."""
+        paths = sorted(populated.root.glob("trials/*/*.json")) + \
+            sorted(populated.root.glob("baselines/*/*.json"))
+        assert len(paths) == tiny_spec().num_trials + 1
+        for path in paths:
+            text = path.read_text()
+            checksum = json.loads(text)["checksum"]
+            head = f'{{"checksum": "{checksum}", '
+            assert text.startswith(head)
+            body = json.loads("{" + text[len(head):])
+            assert "checksum" not in body
+            assert json.dumps(body, sort_keys=True) == "{" + text[len(head):]
+
+    def test_a_recomputed_entry_replaces_the_corrupt_one(self, populated):
+        key = one_entry(populated, "trials", ".json").stem
+        original = CampaignStore(populated.root).get_trial(key)
+        path = flip_iterations(populated)
+        cache = CampaignCache(CampaignStore(populated.root))
+        assert cache.get_trial(key) is None
+        assert cache.counts("trials")["misses"] == 1
+        cache.put_trial(key, original)
+        assert path.exists()
+        assert populated.verify().ok
+        assert CampaignStore(populated.root).get_trial(key) == original
+
+    def test_a_corrupted_trial_is_recomputed_by_the_next_run(
+            self, populated):
+        flip_iterations(populated)
+        rerun = run_campaign(tiny_spec(), executor=SerialExecutor(),
+                             store=CampaignStore(populated.root))
+        assert rerun.executed == 1
+        assert rerun.fingerprint() == run_campaign(
+            tiny_spec(), executor=SerialExecutor()).fingerprint()
+        assert populated.verify().ok
 
 
 class TestMatrixCorruption:

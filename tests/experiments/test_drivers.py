@@ -216,6 +216,15 @@ class TestFig4:
         text = format_fig4(result)
         assert "Figure 4" in text and "rate 10" in text
 
+    def test_the_table_rows_are_the_summary(self, result):
+        """``format_fig4`` prints the campaign's rows: one per method,
+        one column per rate, each the summary's value."""
+        rows = result.campaign.summary_rows()
+        assert [row[0] for row in rows] == ["AFEIR", "FEIR", "Lossy", "ckpt"]
+        assert {(row[0], rate): value for row in rows
+                for rate, value in zip((1.0, 10.0), row[1:], strict=True)} \
+            == result.summary
+
 
 #: The 11 runtime cells of tests/runtime/test_runtime_matrix.py.
 RUNTIME_CELLS = [

@@ -123,14 +123,6 @@ class TestFaultLifecycle:
         with pytest.raises(IndexError):
             mm.poison("x", 9, time=0.0)
 
-    def test_fault_log_by_vector(self, manager_with_vector):
-        mm, _ = manager_with_vector
-        mm.poison("x", 0, time=0.0)
-        mm.touch("x", 0, time=0.1)
-        mm.poison("x", 1, time=0.2)
-        mm.touch("x", 1, time=0.3)
-        assert mm.log.by_vector() == {"x": 2}
-
 
 def _manager(latent, lost):
     """Two vectors of 4 pages, some pages latently poisoned or LOST."""

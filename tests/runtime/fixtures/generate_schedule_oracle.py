@@ -29,6 +29,7 @@ from repro.matrices.laplacian import laplacian_2d
 from repro.runtime.cost_model import CostModel
 from repro.runtime.graph import TaskGraph
 from repro.runtime.kernels import make_kernel_engine
+from repro.runtime.plan import compile_plan
 from repro.runtime.runtime import RuntimeSpec, make_executor
 from repro.runtime.scheduler import ListScheduler
 from repro.runtime.task import TaskKind
@@ -134,7 +135,7 @@ def record(case: dict) -> dict:
                        deps=[names[d] for d in t["deps"]])
     scheduler = ListScheduler(case["workers"],
                               cost_model=CostModel(task_overhead=case["overhead"]))
-    result = scheduler.run(graph, start_time=case["start_time"])
+    result = scheduler.run(compile_plan(graph), start_time=case["start_time"])
     placed = [result.scheduled[name] for name in names]
     breakdown = result.trace.breakdown
     return {

@@ -3,17 +3,8 @@
 import pytest
 
 from repro.runtime.graph import TaskGraph
+from repro.runtime.plan import compile_plan
 from repro.runtime.task import Task, TaskKind
-
-
-def chain_graph(durations):
-    graph = TaskGraph()
-    prev = None
-    for i, dur in enumerate(durations):
-        deps = [prev] if prev else []
-        graph.add_task(f"t{i}", dur, deps=deps)
-        prev = f"t{i}"
-    return graph
 
 
 class TestTaskGraph:
@@ -58,19 +49,6 @@ class TestTaskGraph:
         order = graph.topological_order()
         assert order.index("a") < order.index("b") < order.index("c")
 
-    def test_depends_on_builder(self):
-        task = Task(name="t", duration=1.0)
-        task.depends_on("a", "b").depends_on("a")
-        assert task.deps == ["a", "b"]
-
-    def test_merge_graphs_with_links(self):
-        first = chain_graph([1.0, 1.0])
-        second = TaskGraph()
-        second.add_task("next", 2.0)
-        first.merge(second, link_from=["t1"], link_to=["next"])
-        assert first.task("next").deps == ["t1"]
-        assert len(first) == 3
-
     def test_task_kinds_default(self):
         graph = TaskGraph()
         t = graph.add_task("a", 1.0)
@@ -89,14 +67,15 @@ class TestTaskGraph:
         graph.add_task("join", 1.0, deps=["c", "a", "b"])
         assert graph.topological_order() == ["a", "b", "c", "join"]
 
-    def test_merge_rejects_duplicate_names(self):
-        first = chain_graph([1.0, 1.0])
-        with pytest.raises(ValueError):
-            first.merge(chain_graph([1.0]))
-
     def test_add_task_records_resources(self):
-        t = TaskGraph().add_task("w", 1.0, page=3, reads=["g", "g"],
-                                 writes=["x"])
+        t = TaskGraph().add_task("w", 1.0, reads=["g", "g"], writes=["x"])
         assert t.reads == frozenset({"g"})
         assert t.writes == frozenset({"x"})
-        assert t.page == 3
+
+    def test_a_compiled_plan_keeps_reads_and_writes_in_plan_order(self):
+        graph = TaskGraph()
+        graph.add_task("w", 1.0, reads=["g"], writes=["x"])
+        graph.add_task("bare", 1.0, deps=["w"])
+        assert compile_plan(graph).resources == (
+            (frozenset({"g"}), frozenset({"x"})),
+            (frozenset(), frozenset()))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.runtime.backend import SimulatedBackend
 from repro.runtime.cost_model import CostModel
 from repro.runtime.graph import TaskGraph
+from repro.runtime.plan import compile_plan
 from repro.runtime.scheduler import ListScheduler
 from repro.runtime.task import TaskKind
 
@@ -25,13 +26,13 @@ class TestBasicScheduling:
             ListScheduler(0)
 
     def test_empty_graph(self):
-        result = scheduler(4).run(TaskGraph())
+        result = scheduler(4).run(compile_plan(TaskGraph()))
         assert result.makespan == 0.0
 
     def test_single_task(self):
         graph = TaskGraph()
         graph.add_task("a", 2.0)
-        result = scheduler(1).run(graph)
+        result = scheduler(1).run(compile_plan(graph))
         assert result.makespan == pytest.approx(2.0)
 
     def test_chain_is_sequential(self):
@@ -39,34 +40,34 @@ class TestBasicScheduling:
         graph.add_task("a", 1.0)
         graph.add_task("b", 2.0, deps=["a"])
         graph.add_task("c", 3.0, deps=["b"])
-        result = scheduler(8).run(graph)
+        result = scheduler(8).run(compile_plan(graph))
         assert result.makespan == pytest.approx(6.0)
 
     def test_independent_tasks_run_in_parallel(self):
         graph = TaskGraph()
         for i in range(4):
             graph.add_task(f"t{i}", 1.0)
-        result = scheduler(4).run(graph)
+        result = scheduler(4).run(compile_plan(graph))
         assert result.makespan == pytest.approx(1.0)
 
     def test_more_tasks_than_workers(self):
         graph = TaskGraph()
         for i in range(4):
             graph.add_task(f"t{i}", 1.0)
-        result = scheduler(2).run(graph)
+        result = scheduler(2).run(compile_plan(graph))
         assert result.makespan == pytest.approx(2.0)
 
     def test_dependencies_are_respected(self):
         graph = TaskGraph()
         graph.add_task("a", 1.0)
         graph.add_task("b", 1.0, deps=["a"])
-        result = scheduler(2).run(graph)
+        result = scheduler(2).run(compile_plan(graph))
         assert result.start_of("b") >= result.end_of("a") - 1e-12
 
     def test_start_time_offset(self):
         graph = TaskGraph()
         graph.add_task("a", 1.0)
-        result = scheduler(1).run(graph, start_time=10.0)
+        result = scheduler(1).run(compile_plan(graph), start_time=10.0)
         assert result.start_of("a") == pytest.approx(10.0)
         assert result.makespan == pytest.approx(1.0)
 
@@ -74,15 +75,17 @@ class TestBasicScheduling:
         graph = TaskGraph()
         graph.add_task("low", 1.0, priority=-1)
         graph.add_task("high", 1.0, priority=5)
-        result = scheduler(1).run(graph)
+        result = scheduler(1).run(compile_plan(graph))
         assert result.start_of("high") < result.start_of("low")
 
     def test_actions_execute_in_start_order(self):
         order = []
         graph = TaskGraph()
-        graph.add_task("a", 1.0, action=lambda: order.append("a"))
-        graph.add_task("b", 1.0, deps=["a"], action=lambda: order.append("b"))
-        SimulatedBackend(2, cost_model=NO_OVERHEAD).execute(graph)
+        graph.add_task("a", 1.0)
+        graph.add_task("b", 1.0, deps=["a"])
+        SimulatedBackend(2, cost_model=NO_OVERHEAD).execute(
+            compile_plan(graph), [lambda: order.append("a"),
+                                  lambda: order.append("b")])
         assert order == ["a", "b"]
 
     def test_trace_and_replay_agree_on_equal_start_ties(self):
@@ -96,10 +99,12 @@ class TestBasicScheduling:
         order = []
         graph = TaskGraph()
         # Insertion order ("b" first) deliberately differs from name order.
-        graph.add_task("b", 1.0, action=lambda: order.append("b"))
-        graph.add_task("a", 1.0, action=lambda: order.append("a"))
-        result = scheduler(2).run(graph)
-        SimulatedBackend(2, cost_model=NO_OVERHEAD).execute(graph)
+        graph.add_task("b", 1.0)
+        graph.add_task("a", 1.0)
+        plan = compile_plan(graph)
+        result = scheduler(2).run(plan)
+        SimulatedBackend(2, cost_model=NO_OVERHEAD).execute(
+            plan, [lambda: order.append("b"), lambda: order.append("a")])
         assert result.start_of("a") == result.start_of("b")
         assert order == ["b", "a"]
         assert result.order_started() == order
@@ -110,31 +115,23 @@ class TestBasicScheduling:
         graph = TaskGraph()
         graph.add_task("b", 1.0)
         graph.add_task("a", 1.0)
-        result = scheduler(2).run(graph)
+        result = scheduler(2).run(compile_plan(graph))
         by_seq = sorted(result.scheduled.values(), key=lambda s: (s.start, s.seq))
         assert [s.name for s in by_seq] == result.order_started() == ["b", "a"]
-
-    def test_actions_can_be_disabled(self):
-        """Scheduling alone runs no action; a backend's execute does."""
-        called = []
-        graph = TaskGraph()
-        graph.add_task("a", 1.0, action=lambda: called.append(1))
-        scheduler(1).run(graph)
-        assert called == []
 
     def test_overhead_charged_per_task(self):
         cm = CostModel(task_overhead=0.5)
         graph = TaskGraph()
         graph.add_task("a", 1.0)
         graph.add_task("b", 1.0, deps=["a"])
-        result = ListScheduler(1, cost_model=cm).run(graph)
+        result = ListScheduler(1, cost_model=cm).run(compile_plan(graph))
         assert result.makespan == pytest.approx(3.0)
 
     def test_trace_accounts_for_idle_time(self):
         graph = TaskGraph()
         graph.add_task("long", 4.0)
         graph.add_task("short", 1.0)
-        result = scheduler(2).run(graph)
+        result = scheduler(2).run(compile_plan(graph))
         breakdown = result.trace.breakdown
         assert breakdown.idle == pytest.approx(3.0)
         assert breakdown.useful == pytest.approx(5.0)
@@ -142,7 +139,7 @@ class TestBasicScheduling:
     def test_recovery_tasks_tracked_separately(self):
         graph = TaskGraph()
         graph.add_task("r", 2.0, kind=TaskKind.RECOVERY)
-        result = scheduler(1).run(graph)
+        result = scheduler(1).run(compile_plan(graph))
         assert result.trace.breakdown.recovery == pytest.approx(2.0)
         assert result.trace.breakdown.useful == pytest.approx(0.0)
 
@@ -156,7 +153,7 @@ class TestSchedulerInvariants:
         graph = TaskGraph()
         for i, dur in enumerate(durations):
             graph.add_task(f"t{i}", dur)
-        result = scheduler(workers).run(graph)
+        result = scheduler(workers).run(compile_plan(graph))
         total = sum(durations)
         lower = max(total / workers, max(durations))
         assert result.makespan >= lower - 1e-9
@@ -178,7 +175,7 @@ class TestSchedulerInvariants:
         durations = [0.5, 1.5, 2.0, 0.25, 1.0]
         for i, dur in enumerate(durations):
             graph.add_task(f"t{i}", dur)
-        result = scheduler(workers).run(graph)
+        result = scheduler(workers).run(compile_plan(graph))
         breakdown = result.trace.breakdown
         busy = breakdown.useful + breakdown.recovery + breakdown.checkpoint \
             + breakdown.communication + breakdown.runtime

@@ -68,10 +68,3 @@ class TestExecutionTrace:
         t2 = ExecutionTrace(num_workers=4)
         with pytest.raises(ValueError):
             t1.accumulate(t2)
-
-    def test_copy_is_independent(self):
-        trace = make_trace([ScheduledTask("a", 0, 0.0, 1.0, TaskKind.COMPUTE)],
-                           workers=1)
-        clone = trace.copy()
-        clone.breakdown.useful += 5.0
-        assert trace.breakdown.useful == pytest.approx(1.0)

@@ -1,6 +1,6 @@
 """The structural happens-before verifier (`verify_graph`).
 
-Unit races on hand-built graphs, the REPRO_VERIFY_GRAPHS backend wiring,
+Unit races on hand-built graphs, the REPRO_VERIFY_GRAPHS compile wiring,
 a sweep over real solver iteration graphs for every runtime cell, and
 the regression the verifier exists for: deliberately dropping the
 halo-exchange dependency edge must raise a race naming both tasks.
@@ -15,11 +15,12 @@ from repro.faults.injector import Injection
 from repro.faults.scenarios import multi_error_scenario
 from repro.matrices.laplacian import laplacian_2d
 from repro.matrices.stencil import stencil_rhs
-from repro.runtime.backend import SimulatedBackend
 from repro.runtime.async_exec import ThreadedBackend
+from repro.runtime.backend import SimulatedBackend
 from repro.runtime.graph import (GraphRace, GraphRaceError, TaskGraph,
                                  VERIFY_GRAPHS_ENV, find_races,
                                  verification_enabled, verify_graph)
+from repro.runtime.plan import compile_plan
 from repro.runtime.task import TaskKind
 from repro.solvers.cg_plan import CGPlanner
 from repro.solvers.resilient_cg import ResilientCG, SolverConfig
@@ -30,6 +31,13 @@ def two_writer_graph():
     g.add_task("a", 1.0, writes={"seg:v[0]"})
     g.add_task("b", 1.0, writes={"seg:v[0]"})
     return g
+
+
+#: Both backends; the threaded one on one thread, so running the
+#: unordered pair is no race under REPRO_TSAN.
+BACKENDS = {"simulated": lambda: SimulatedBackend(num_workers=2),
+            "threaded": lambda: ThreadedBackend(num_workers=2, max_threads=1,
+                                                pace=0.0)}
 
 
 class TestFindRaces:
@@ -43,13 +51,13 @@ class TestFindRaces:
 
     def test_dependency_path_clears_the_race(self):
         g = two_writer_graph()
-        g.task("b").depends_on("a")
+        g.task("b").deps.append("a")
         assert find_races(g) == []
 
     def test_transitive_path_counts(self):
         g = two_writer_graph()
         g.add_task("mid", 1.0, deps=["a"])
-        g.task("b").depends_on("mid")
+        g.task("b").deps.append("mid")
         assert find_races(g) == []
 
     def test_unordered_read_write_is_a_race(self):
@@ -73,19 +81,10 @@ class TestFindRaces:
         g.add_task("r1", 1.0, kind=TaskKind.RECOVERY)
         assert find_races(g) == []
 
-    def test_declared_page_is_an_implicit_write(self):
+    def test_different_resources_do_not_conflict(self):
         g = TaskGraph()
-        g.add_task("p1", 1.0, page=3)
-        g.add_task("p2", 1.0, page=3)
-        races = find_races(g)
-        assert len(races) == 1 and races[0].resource == "page:3"
-        g.task("p2").depends_on("p1")
-        assert find_races(g) == []
-
-    def test_different_pages_do_not_conflict(self):
-        g = TaskGraph()
-        g.add_task("p1", 1.0, page=3)
-        g.add_task("p2", 1.0, page=4)
+        g.add_task("w1", 1.0, writes={"seg:v[0]"})
+        g.add_task("w2", 1.0, writes={"seg:v[1]"})
         assert find_races(g) == []
 
     def test_verify_graph_raises_with_both_names(self):
@@ -99,9 +98,10 @@ class TestEnvWiring:
     def test_disabled_by_default(self, monkeypatch):
         monkeypatch.delenv(VERIFY_GRAPHS_ENV, raising=False)
         assert not verification_enabled()
+        plan = compile_plan(two_writer_graph())  # no raise
         backend = SimulatedBackend(num_workers=2)
-        backend.simulate(two_writer_graph())  # no raise
-        backend.execute(two_writer_graph())   # no raise
+        backend.simulate(plan)
+        backend.execute(plan)
 
     @pytest.mark.parametrize("value,expected", [
         ("1", True), ("true", True), ("0", False), ("", False), ("no", False)])
@@ -109,18 +109,24 @@ class TestEnvWiring:
         monkeypatch.setenv(VERIFY_GRAPHS_ENV, value)
         assert verification_enabled() is expected
 
-    def test_simulated_backend_raises_when_enabled(self, monkeypatch):
+    def test_compile_raises_when_enabled(self, monkeypatch):
+        """A plan is the only thing either backend runs, so refusing the
+        graph at compile keeps it from both."""
         monkeypatch.setenv(VERIFY_GRAPHS_ENV, "1")
         with pytest.raises(GraphRaceError):
-            SimulatedBackend(num_workers=2).simulate(two_writer_graph())
-        with pytest.raises(GraphRaceError):
-            SimulatedBackend(num_workers=2).execute(two_writer_graph())
+            compile_plan(two_writer_graph())
 
-    def test_threaded_backend_raises_when_enabled(self, monkeypatch):
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_a_compiled_plan_is_not_checked_again(self, monkeypatch,
+                                                  backend):
+        """The check runs once per shape, at compile: a backend runs a
+        plan compiled with it off even after it is switched on."""
+        monkeypatch.delenv(VERIFY_GRAPHS_ENV, raising=False)
+        plan = compile_plan(two_writer_graph())
         monkeypatch.setenv(VERIFY_GRAPHS_ENV, "1")
-        with ThreadedBackend(num_workers=2) as backend:
-            with pytest.raises(GraphRaceError):
-                backend.execute(two_writer_graph())
+        with BACKENDS[backend]() as runner:
+            assert sorted(runner.simulate(plan).order_started()) == ["a", "b"]
+            assert runner.execute(plan).plan is plan
 
 
 # ----------------------------------------------------------------------

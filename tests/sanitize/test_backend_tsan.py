@@ -1,14 +1,15 @@
 """The sanitizer against the real threaded backend.
 
-Three properties the ISSUE pins:
+Three properties the suite pins:
 
 * a clean solve under ``REPRO_TSAN=1`` records accesses (the bridge is
   live) and reports **zero** races;
 * bit-identity holds with the sanitizer on — instrumentation observes,
   it never changes what the solver computes;
-* a dropped-lock mutation in the worker dispatch (no-op page locks) is
-  **caught**: the same workload that is silent with real page locks
-  produces a race report without them.
+* the executor's completion-to-dispatch hand-off is an ordering edge the
+  detector sees: two tasks that write one declared resource race when
+  nothing orders them (a barrier in their bodies forces the overlap),
+  and are silent when a dependency does.
 """
 
 from __future__ import annotations
@@ -18,55 +19,80 @@ import threading
 import pytest
 
 from repro.runtime.async_exec import ThreadedBackend
-from repro.runtime.graph import TaskGraph
+from repro.runtime.graph import VERIFY_GRAPHS_ENV, TaskGraph
+from repro.runtime.plan import compile_plan
 from repro.sanitize import analyze, enabled, instrument
 from repro.sanitize.explore import (ExploreProblem, _solve_cell,
                                     reference_token, solution_token)
 
+RESOURCE = "seg:v[0]"
 
-def _two_same_page_tasks(graph_action_a, graph_action_b):
+
+def two_writers(ordered: bool):
+    """Tasks ``a`` and ``b`` writing :data:`RESOURCE`, ``b`` after ``a``
+    when ``ordered``."""
     graph = TaskGraph()
-    graph.add_task("a", 0.0, page=0, action=graph_action_a)
-    graph.add_task("b", 0.0, page=0, action=graph_action_b)
-    return graph
+    graph.add_task("a", 0.0, writes={RESOURCE})
+    graph.add_task("b", 0.0, deps=["a"] if ordered else [],
+                   writes={RESOURCE})
+    return compile_plan(graph)
 
 
-class _NoOpPageLocks:
-    """The dropped-lock mutation: worker dispatch skips page locking."""
+def unordered(first, second):
+    """Tasks ``a`` and ``b`` that nothing orders, declaring
+    :data:`RESOURCE` as ``first`` and ``second`` (``"reads"`` or
+    ``"writes"``)."""
+    graph = TaskGraph()
+    graph.add_task("a", 0.0, **{first: {RESOURCE}})
+    graph.add_task("b", 0.0, **{second: {RESOURCE}})
+    return compile_plan(graph)
 
-    def holding(self, page):
-        import contextlib
-        return contextlib.nullcontext()
+
+def run_on_two_threads(plan, actions=None):
+    backend = ThreadedBackend(num_workers=2, max_threads=2, pace=0.0)
+    try:
+        backend.execute(plan, actions)
+    finally:
+        backend.close()
+    return analyze()
 
 
-class TestDroppedLockMutation:
-    def test_mutated_dispatch_is_flagged(self, tsan):
-        backend = ThreadedBackend(num_workers=2, max_threads=2, pace=0.0)
-        backend.page_locks = _NoOpPageLocks()
-        # Force genuine overlap: each action blocks until both tasks are
-        # in flight — only possible because the page lock is gone.
-        barrier = threading.Barrier(2)
-        graph = _two_same_page_tasks(lambda: barrier.wait(timeout=10.0),
-                                     lambda: barrier.wait(timeout=10.0))
-        try:
-            backend.execute(graph)
-        finally:
-            backend.close()
-        report = analyze()
-        assert not report.ok, "dropped page lock went undetected"
-        assert any(r.resource == "page:0" for r in report.races), \
+def run_overlapped(plan):
+    """Run ``plan``'s two tasks with bodies that each block until both
+    are in flight."""
+    barrier = threading.Barrier(2)
+    return run_on_two_threads(plan, [lambda: barrier.wait(timeout=10.0)] * 2)
+
+
+class TestDispatchOrdering:
+    def test_unordered_writers_are_flagged(self, tsan, monkeypatch):
+        # The structural check would refuse this plan at compile time.
+        monkeypatch.delenv(VERIFY_GRAPHS_ENV, raising=False)
+        # Each body blocks until both tasks are in flight: only two
+        # tasks nothing orders can get there.
+        report = run_overlapped(two_writers(ordered=False))
+        assert not report.ok, "unordered writers went undetected"
+        assert [r.resource for r in report.races] == [RESOURCE], \
             report.render()
 
-    def test_intact_dispatch_is_silent(self, tsan):
-        backend = ThreadedBackend(num_workers=2, max_threads=2, pace=0.0)
-        graph = _two_same_page_tasks(None, None)
-        try:
-            backend.execute(graph)
-        finally:
-            backend.close()
-        report = analyze()
+    def test_ordered_writers_are_silent(self, tsan):
+        report = run_on_two_threads(two_writers(ordered=True))
         assert report.ok, report.render()
-        assert report.accesses >= 2  # both page:0 writes were bridged
+        assert report.accesses >= 2  # both writes were bridged
+
+    def test_an_unordered_reader_and_writer_are_flagged(self, tsan,
+                                                        monkeypatch):
+        monkeypatch.delenv(VERIFY_GRAPHS_ENV, raising=False)
+        report = run_overlapped(unordered("reads", "writes"))
+        assert [r.resource for r in report.races] == [RESOURCE], \
+            report.render()
+
+    def test_unordered_readers_are_silent(self, tsan):
+        """Overlap alone is no race: two reads of one resource, forced
+        to run at once, stay silent."""
+        report = run_overlapped(unordered("reads", "reads"))
+        assert report.ok, report.render()
+        assert report.accesses >= 2  # both reads were bridged
 
 
 class TestCleanSolveUnderTsan:
@@ -102,8 +128,6 @@ class TestOffModeNeutrality:
         try:
             assert isinstance(backend._cond, threading.Condition)
             assert type(backend._run_lock) is type(threading.Lock())
-            lock = backend.page_locks.lock_for(0)
-            assert type(lock) is type(threading.Lock())
         finally:
             backend.close()
 

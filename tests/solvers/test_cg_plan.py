@@ -216,11 +216,11 @@ class TestRunShape:
         assert names[halo] == "halo{t}" and halo == len(timing)
         assert plan.kinds[halo] is TaskKind.COMMUNICATION
         assert plan.durations[halo] == 0.0
-        assert plan.resources[halo][2] == {"halo:d"}
+        assert plan.resources[halo][1] == {"halo:d"}   # (reads, writes)
         assert plan.deps[halo] == roles["d"]
         for q in roles["q"]:
             assert halo in plan.deps[q]
-            assert "halo:d" in plan.resources[q][1]
+            assert "halo:d" in plan.resources[q][0]   # (reads, writes)
         # every other task keeps its index, name, duration and kind
         assert names[:halo] == timing.names
         assert plan.durations[:halo] == timing.durations
