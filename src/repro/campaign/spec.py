@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -54,6 +55,28 @@ _FAMILY_PARAMS = {"laplacian1d": ("n",), "laplacian2d": ("nx", "ny"),
 # :class:`repro.campaign.store.CampaignStore` caches artifacts.  Tokens
 # use ``repr`` for floats (shortest exact round-trip), so two specs have
 # equal tokens iff they are numerically the same spec.
+#
+# The specs are frozen, so a token (and a trial's key) is computed once
+# per object and kept on it (:func:`_once`): ``dataclasses.replace``
+# builds a new object with no memo, and a pickle carries the memo to a
+# pool child.  A trial's key is therefore fixed when the trial is built.
+# The one mutable part of a spec is an ``ErrorScenario`` override: do
+# not mutate one once it is in a ``CampaignSpec``, or the stored keys
+# (and, as ever, the trial seeds) no longer describe what runs.
+
+def _once(method):
+    """Memoise the zero-argument ``method`` of a frozen spec in the
+    instance's ``__dict__`` (under ``_<name>``; not a dataclass field)."""
+    slot = f"_{method.__name__}"
+
+    @functools.wraps(method)
+    def once(self):
+        value = self.__dict__.get(slot)
+        if value is None:
+            value = self.__dict__[slot] = method(self)
+        return value
+    return once
+
 
 def content_hash(token: str) -> str:
     """SHA-256 content address of a canonical spec token."""
@@ -138,6 +161,7 @@ class MatrixSpec:
         inner = ",".join(f"{k}={v}" for k, v in self.params)
         return f"{self.family}({inner})"
 
+    @_once
     def content_token(self) -> str:
         """Canonical token over everything :meth:`build` depends on."""
         params = ",".join(f"{k}={v}" for k, v in self.params)
@@ -219,6 +243,7 @@ class SolverKnobs(SolverConfig):
     preconditioned: bool = False
     checkpoint_interval: Optional[int] = None
 
+    @_once
     def content_token(self) -> str:
         """Canonical token over every knob.
 
@@ -274,6 +299,7 @@ class TrialSpec:
         return (f"trial {self.index} ({self.matrix.label} {self.method} "
                 f"rate={self.rate:g} rep={self.repetition})")
 
+    @_once
     def cell_token(self) -> str:
         """Canonical token of the trial's campaign cell (no seed/knobs)."""
         return _cell_token(self.matrix, self.method, self.rate,
@@ -289,6 +315,7 @@ class TrialSpec:
         return (f"trial/v1|{self.cell_token()}|rep={self.repetition}|"
                 f"seed={_seed_token(self.seed)}|{self.knobs.content_token()}")
 
+    @_once
     def store_key(self) -> str:
         """Content address of this trial's result in the campaign store."""
         return content_hash(self.content_token())
@@ -348,9 +375,10 @@ class CampaignSpec:
         return (len(self.matrices) * len(self.methods) * len(self.rates)
                 * self.repetitions)
 
-    def trial_seed(self, matrix: MatrixSpec, method: str, rate: float,
+    def trial_seed(self, cell: str,
                    repetition: int) -> np.random.SeedSequence:
-        """The per-trial seed material, keyed on cell *content*.
+        """The per-trial seed material of repetition ``repetition`` of the
+        cell whose token (:meth:`TrialSpec.cell_token`) is ``cell``.
 
         The entropy is ``[campaign seed, sha256(cell token + repetition)
         words]`` rather than a spawn-by-flat-index child, so a trial's
@@ -360,27 +388,29 @@ class CampaignSpec:
         leaves every pre-existing trial's seed untouched, which is what
         makes warm-store campaigns incremental under grid growth.
         """
-        token = (f"{_cell_token(matrix, method, rate, self.scenario)}|"
-                 f"rep={repetition}")
+        token = f"{cell}|rep={repetition}"
         digest = hashlib.sha256(token.encode("utf-8")).digest()
         words = [int.from_bytes(digest[i:i + 4], "big")
                  for i in range(0, 16, 4)]
         return np.random.SeedSequence([self.seed, *words])
 
     def expand(self) -> List[TrialSpec]:
-        """The flat, deterministic trial list with content-keyed seeds."""
+        """The flat, deterministic trial list with content-keyed seeds.
+        Each cell's token is built once and shared by its repetitions'
+        seeds and keys."""
         trials: List[TrialSpec] = []
-        index = 0
         for matrix in self.matrices:
-            for rate in self.rates:
+            for rate in map(float, self.rates):
                 for method in self.methods:
+                    cell = _cell_token(matrix, method, rate, self.scenario)
                     for rep in range(self.repetitions):
-                        trials.append(TrialSpec(
-                            index=index, matrix=matrix, method=method,
-                            rate=float(rate), repetition=rep,
-                            seed=self.trial_seed(matrix, method, rate, rep),
-                            knobs=self.knobs, scenario=self.scenario))
-                        index += 1
+                        trial = TrialSpec(
+                            index=len(trials), matrix=matrix, method=method,
+                            rate=rate, repetition=rep,
+                            seed=self.trial_seed(cell, rep),
+                            knobs=self.knobs, scenario=self.scenario)
+                        trial.__dict__["_cell_token"] = cell  # cell_token() memo
+                        trials.append(trial)
         return trials
 
     def content_token(self) -> str:

@@ -123,16 +123,17 @@ def _seal_holds(data: bytes, checksum: object) -> bool:
 Verdict = Tuple[str, str, Optional[dict]]
 
 
-def _key_mismatch(key: object, path: Path) -> str:
-    return (f"embedded key {str(key)[:12]}... does not match filename "
-            f"{path.stem[:12]}...")
+def _key_mismatch(found: object, key: str) -> str:
+    return (f"embedded key {str(found)[:12]}... does not match filename "
+            f"{key[:12]}...")
 
 
-def _judge_json(path: Path) -> Verdict:
-    """The one integrity check of a stored JSON artifact, shared by the
-    read path and :meth:`CampaignStore.verify`."""
+def _judge_json(path: str, key: str) -> Verdict:
+    """The one integrity check of a stored JSON artifact filed under
+    ``key``, shared by the read path and :meth:`CampaignStore.verify`."""
     try:
-        data = path.read_bytes()
+        with open(path, "rb") as handle:
+            data = handle.read()
         payload = json.loads(data)
     except FileNotFoundError:
         return "missing", "entry is gone", None
@@ -144,21 +145,21 @@ def _judge_json(path: Path) -> Verdict:
     if found != STORE_SCHEMA_VERSION:
         return "schema", (f"schema v{found}, expected "
                           f"v{STORE_SCHEMA_VERSION}"), payload
-    key, checksum = payload.get("key"), payload.get("checksum")
-    if key is None and checksum is None:
+    found, checksum = payload.get("key"), payload.get("checksum")
+    if found is None and checksum is None:
         return "legacy", "entry predates embedded keys/checksums", payload
-    if key is not None and key != path.stem:
-        return "corrupt", _key_mismatch(key, path), None
+    if found is not None and found != key:
+        return "corrupt", _key_mismatch(found, key), None
     if checksum is not None and not _seal_holds(data, checksum):
         return "corrupt", "payload checksum mismatch (bit rot?)", None
     return "ok", "", payload
 
 
-def _judge_matrix(path: Path) -> Verdict:
-    """The one integrity check of a stored matrix archive, shared by the
-    read path and :meth:`CampaignStore.verify`: every member is
-    decompressed (which checks its zip CRC) and the embedded key must
-    match the filename."""
+def _judge_matrix(path: str, key: str) -> Verdict:
+    """The one integrity check of a stored matrix archive filed under
+    ``key``, shared by the read path and :meth:`CampaignStore.verify`:
+    every member is decompressed (which checks its zip CRC) and the
+    embedded key must match."""
     try:
         with np.load(path) as archive:
             members = {name: archive[name] for name in archive.files}
@@ -168,8 +169,8 @@ def _judge_matrix(path: Path) -> Verdict:
         return "corrupt", f"unreadable npz: {exc}", None
     if "key" not in members:
         return "legacy", "matrix predates embedded keys", members
-    if str(members["key"]) != path.stem:
-        return "corrupt", _key_mismatch(members["key"], path), None
+    if str(members["key"]) != key:
+        return "corrupt", _key_mismatch(members["key"], key), None
     return "ok", "", members
 
 
@@ -185,9 +186,9 @@ def _decode_matrix(members: dict):
     return sp.csr_matrix(arrays, shape=shape), members["b"]
 
 
-def _judge_journal(path: Path) -> Verdict:
+def _judge_journal(path: Path, key: str) -> Verdict:
     """The integrity check of a campaign journal: every line decodes but
-    a torn trailing one."""
+    a torn trailing one (``key`` is not embedded in a journal)."""
     try:
         lines = path.read_text().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
@@ -269,6 +270,9 @@ class CampaignStore:
                     f"v{found}, but this version of repro uses "
                     f"v{STORE_SCHEMA_VERSION}; delete the directory or "
                     f"point {STORE_ENV} at a fresh one")
+            # journal_append relies on it; a read-only store may refuse
+            with contextlib.suppress(OSError):
+                (self.root / "journals").mkdir(exist_ok=True)
             return
         # repro-lint: allow[unordered-iter] emptiness probe, order never observed
         if self.root.exists() and any(self.root.iterdir()):
@@ -280,22 +284,25 @@ class CampaignStore:
         for kind in (*_KINDS, "journals"):
             (self.root / kind).mkdir(exist_ok=True)
         schema = json.dumps({"schema": STORE_SCHEMA_VERSION}, sort_keys=True)
-        self._atomic_write(self._schema_path, "w",
+        self._atomic_write(str(self._schema_path), "w",
                            lambda handle: handle.write(schema + "\n"))
 
     # ------------------------------------------------------------------
     # low-level helpers
     # ------------------------------------------------------------------
-    def _path(self, kind: str, key: str, suffix: str = ".json") -> Path:
-        return self.root / kind / key[:2] / f"{key}{suffix}"
+    def _path(self, kind: str, key: str, suffix: str = ".json") -> str:
+        """The file of the entry under ``key`` — a plain string, as the
+        read path builds one per look-up."""
+        return f"{self.root}/{kind}/{key[:2]}/{key}{suffix}"
 
     @staticmethod
-    def _atomic_write(path: Path, mode: str, write) -> None:
+    def _atomic_write(path: str, mode: str, write) -> None:
         """``write(handle)`` into a same-directory temporary, then
         ``os.replace``: readers see the old entry or the new, never a
         torn one."""
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        directory = os.path.dirname(path)
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, mode) as handle:
                 write(handle)
@@ -306,18 +313,18 @@ class CampaignStore:
             raise
 
     @staticmethod
-    def _touch(path: Path) -> None:
+    def _touch(path: str) -> None:
         try:
             os.utime(path)
         except OSError:
             pass  # read-only shared store: hits still work, gc won't
 
     @staticmethod
-    def _discard(path: Path) -> None:
+    def _discard(path: str) -> None:
         """Drop a corrupt entry: the next read is a plain miss and the
         artifact is recomputed (what ``verify(remove=True)`` does)."""
         with contextlib.suppress(OSError):
-            path.unlink()
+            os.unlink(path)
 
     def _get(self, kind: str, key: str, decode):
         """``decode(content)`` of the entry under ``key``, counted as a
@@ -327,7 +334,7 @@ class CampaignStore:
         schema version fails loudly."""
         suffix, judge = _FORMATS[kind]
         path = self._path(kind, key, suffix)
-        verdict, reason, content = judge(path)
+        verdict, reason, content = judge(path, key)
         if verdict == "schema":
             raise StoreSchemaError(
                 f"artifact {path} carries {reason}; run `python -m "
@@ -418,9 +425,7 @@ class CampaignStore:
         after persisting a trial never leaves the journal behind the
         store.  The only loss mode is a torn *trailing* line (killed
         mid-append), which :meth:`journal_events` skips on read."""
-        path = self.journal_path(campaign_key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "a") as handle:
+        with open(self.journal_path(campaign_key), "a") as handle:
             handle.write(json.dumps(event, sort_keys=True) + "\n")
             handle.flush()
             os.fsync(handle.fileno())
@@ -545,7 +550,7 @@ class CampaignStore:
         judges["journals"] = _judge_journal
         for kind, judge in judges.items():
             for path in self._entries(kind):
-                verdict, reason, _ = judge(path)
+                verdict, reason, _ = judge(path, path.stem)
                 self._verify_record(report, kind, path, verdict, reason,
                                     remove)
         return report

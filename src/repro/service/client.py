@@ -108,12 +108,12 @@ class ServiceClient:
     def wait_until_up(self, timeout: float = 10.0,
                       interval: float = 0.1) -> Dict[str, object]:
         """Poll ``/healthz`` until the daemon answers (startup races)."""
-        deadline = time.time() + timeout
+        deadline = time.monotonic() + timeout
         while True:
             try:
                 return self.health()
             except ServiceError:
-                if time.time() >= deadline:
+                if time.monotonic() >= deadline:
                     raise
                 time.sleep(interval)
 
@@ -183,12 +183,12 @@ class ServiceClient:
     def wait(self, job_id: str, timeout: float = 600.0,
              interval: float = 0.1) -> Dict[str, object]:
         """Poll ``status`` until the job reaches a terminal state."""
-        deadline = time.time() + timeout
+        deadline = time.monotonic() + timeout
         while True:
             status = self.status(job_id)
             if status["state"] in TERMINAL_STATES:
                 return status
-            if time.time() >= deadline:
+            if time.monotonic() >= deadline:
                 raise ServiceError(
                     f"job {job_id} still {status['state']!r} after "
                     f"{timeout:g}s")

@@ -313,11 +313,11 @@ class CampaignService:
         if not first:
             self._stopped.wait(timeout=timeout)
             return
-        deadline = None if timeout is None else time.time() + timeout
+        deadline = None if timeout is None else time.monotonic() + timeout
 
         def remaining() -> Optional[float]:
             return (None if deadline is None
-                    else max(0.0, deadline - time.time()))
+                    else max(0.0, deadline - time.monotonic()))
 
         with self._drained:
             while self._unfinished():

@@ -9,6 +9,7 @@ executor ran the cold pass.
 import json
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +61,16 @@ class TestStoreBasics:
         assert store.verify().ok
         assert "scalars" not in store.entry_count()
 
+    def test_opening_a_store_without_journals_creates_them(self, tmp_path):
+        """``journal_append`` does not create ``journals/``: opening the
+        store does, for a store laid out without one too."""
+        root = tmp_path / "store"
+        CampaignStore(root)
+        (root / "journals").rmdir()
+        store = CampaignStore(root)
+        store.journal_append("ab" * 32, {"event": "start"})
+        assert list(store.journal_events("ab" * 32)) == [{"event": "start"}]
+
     def test_env_override_controls_default_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CAMPAIGN_STORE", str(tmp_path / "env"))
         assert default_store_root() == tmp_path / "env"
@@ -89,7 +100,7 @@ class TestStoreBasics:
         store = CampaignStore(tmp_path / "store")
         key = "ab" + "0" * 62
         store.put_baseline(key, 1.0)
-        path = store._path("baselines", key)
+        path = Path(store._path("baselines", key))
         payload = json.loads(path.read_text())
         payload["schema"] = 0
         path.write_text(json.dumps(payload))
@@ -100,9 +111,9 @@ class TestStoreBasics:
         store = CampaignStore(tmp_path / "store")
         key = "cd" + "0" * 62
         store.put_baseline(key, 1.0)
-        store._path("baselines", key).write_text("{torn")
+        Path(store._path("baselines", key)).write_text("{torn")
         assert store.get_baseline(key) is None
-        assert not store._path("baselines", key).exists()
+        assert not Path(store._path("baselines", key)).exists()
 
     @pytest.mark.parametrize("text", [
         "[1, 2]",                                   # not an object
@@ -119,7 +130,7 @@ class TestStoreBasics:
         read (out of a trial): unlink, count a miss, recompute."""
         store = CampaignStore(tmp_path / "store")
         key = "cd" + "0" * 62
-        path = store._path(kind, key)
+        path = Path(store._path(kind, key))
         path.parent.mkdir(parents=True)
         path.write_text(text)
         get = store.get_baseline if kind == "baselines" else store.get_trial
@@ -138,7 +149,7 @@ class TestStoreBasics:
         key = "aa" + "0" * 62
         A, b = MatrixSpec.parse("laplacian2d:9").build()
         store.put_matrix(key, A, b)
-        path = store._path("matrices", key, suffix=".npz")
+        path = Path(store._path("matrices", key, suffix=".npz"))
         path.write_bytes(damage(path.read_bytes()))
         assert store.get_matrix(key) is None
         assert not path.exists()
@@ -348,12 +359,30 @@ class TestGc:
     def test_reads_refresh_entry_age(self, tmp_path):
         store = CampaignStore(tmp_path / "store")
         store.put_baseline("aa" + "0" * 62, 7.0)
-        path = store._path("baselines", "aa" + "0" * 62)
+        path = Path(store._path("baselines", "aa" + "0" * 62))
         old = time.time() - 40 * 86400.0
         os.utime(path, (old, old))
         assert store.get_baseline("aa" + "0" * 62) == 7.0  # touches mtime
         removed, kept = store.gc(days=30)
         assert removed == 0 and kept == 1
+
+    def test_a_trial_hit_refreshes_its_entry_age(self, tmp_path):
+        """A sweep that still reads its trials keeps them through gc,
+        though it executes nothing (so its matrix and baseline age out)."""
+        store = CampaignStore(tmp_path / "store")
+        cold = run_campaign(tiny_spec(), executor=SerialExecutor(),
+                            store=store)
+        old = time.time() - 40 * 86400.0
+        for path in store.root.glob("*/*/*.*"):   # every artifact
+            os.utime(path, (old, old))
+        warm = run_campaign(tiny_spec(), executor=SerialExecutor(),
+                            store=CampaignStore(store.root))
+        assert warm.cache_hits == tiny_spec().num_trials
+        assert warm.fingerprint() == cold.fingerprint()
+        store.gc(days=30)
+        assert store.entry_count()["trials"] == tiny_spec().num_trials
+        assert store.entry_count()["baselines"] == 0
+        assert store.entry_count()["matrices"] == 0
 
     def test_gc_rejects_negative_age(self, tmp_path):
         with pytest.raises(ValueError):
@@ -377,5 +406,6 @@ class TestGc:
                          "--now", str(time.time() + 31 * 86400.0)])
         assert rc == 0
         assert store.entry_count()["baselines"] == 0
+        assert store.entry_count()["matrices"] == 0
         out = capsys.readouterr().out
         assert "removed 1" in out

@@ -9,6 +9,7 @@ corrupt entries in the ways disks and tooling actually corrupt them
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,7 +83,7 @@ def overwrite(kind, suffix, data):
 def copy_under_another_key(kind, suffix):
     def corrupt(store):
         source = one_entry(store, kind, suffix)
-        target = store._path(kind, "ab" + "0" * 62, suffix=suffix)
+        target = Path(store._path(kind, "ab" + "0" * 62, suffix=suffix))
         target.parent.mkdir(exist_ok=True)
         target.write_bytes(source.read_bytes())
         return target
@@ -229,7 +230,7 @@ class TestReadPath:
             self, populated):
         source = one_entry(populated, "matrices", ".npz")
         key = "ab" + "0" * 62
-        target = populated._path("matrices", key, suffix=".npz")
+        target = Path(populated._path("matrices", key, suffix=".npz"))
         target.parent.mkdir(exist_ok=True)
         target.write_bytes(source.read_bytes())
         assert "does not match" in populated.verify().corrupt[0][2]
