@@ -158,13 +158,13 @@ class RankKernelEngine(KernelEngine):
         #: orchestrator calls (the threaded scheduler dispatches halo
         #: re-enactments and owner probes from different backend worker
         #: threads) never consume each other's replies.
-        self._pending: Dict[int, "queue.Queue"] = {}
+        self._pending: Dict[int, "queue.SimpleQueue"] = {}
         self._post_lock = make_lock("RankKernelEngine.post_lock")
         #: Serialises collectives: the per-pair channels pair sends with
         #: receives positionally, so two collectives must never be in
         #: flight at once.
         self._collective_lock = make_lock("RankKernelEngine.collective_lock")
-        self._chan: Dict[Tuple[int, int], "queue.Queue"] = {
+        self._chan: Dict[Tuple[int, int], "queue.SimpleQueue"] = {
             (src, dst): make_queue(f"rank-chan:{src}->{dst}")
             for src in range(self.ranks)
             for dst in range(self.ranks) if src != dst}
@@ -364,6 +364,9 @@ class RankKernelEngine(KernelEngine):
 
     def comm_stats(self) -> RankCommStats:
         return self.stats
+
+    def reset_comm_stats(self) -> None:
+        self.stats = RankCommStats(ranks=self.ranks)
 
     def close(self) -> None:
         if self._closed:

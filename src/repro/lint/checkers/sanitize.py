@@ -30,6 +30,7 @@ FACTORY_FOR = {
     "queue.Queue": "repro.sanitize.make_queue",
     "queue.LifoQueue": "repro.sanitize.make_queue",
     "queue.PriorityQueue": "repro.sanitize.make_queue",
+    "queue.SimpleQueue": "repro.sanitize.make_queue",
 }
 
 

@@ -164,14 +164,16 @@ class MemoryManager:
         out: List[Tuple[str, int]] = []
         for vname in names:
             states = self._state[vname]
-            out.extend((vname, p) for p, s in enumerate(states)
-                       if s is not PageState.VALID)
+            # Count at C speed; walk only a vector with a non-valid page.
+            if states.count(PageState.VALID) != len(states):
+                out.extend((vname, p) for p, s in enumerate(states)
+                           if s is not PageState.VALID)
         return out
 
     def has_faults(self) -> bool:
         """True if any protected page is currently poisoned or lost."""
-        return any(s is not PageState.VALID
-                   for states in self._state.values() for s in states)
+        return any(states.count(PageState.VALID) != len(states)
+                   for states in self._state.values())
 
     def fault_count(self) -> int:
         """Total detected faults so far."""

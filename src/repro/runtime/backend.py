@@ -34,7 +34,7 @@ from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.runtime.plan import IterationPlan
 from repro.runtime.scheduler import ListScheduler, ScheduleResult
 from repro.runtime.task import TaskKind
-from repro.runtime.trace import ExecutionTrace, StateBreakdown
+from repro.runtime.trace import WORK_STATES, ExecutionTrace, StateBreakdown
 
 
 @dataclass
@@ -59,42 +59,45 @@ class ExecutionResult:
         return cls(plan, [0.0] * total, [0.0] * total, [0] * total)
 
     # -- measured-execution queries -------------------------------------
-    def _overlap(self, a: int, b: int) -> bool:
-        """True if tasks ``a`` and ``b`` measurably ran at the same time."""
-        return self.starts[a] < self.ends[b] and self.starts[b] < self.ends[a]
-
     def recovery_overlaps(self) -> int:
         """Recovery tasks whose wall interval overlapped a non-recovery
         task's interval on a different worker thread — the direct
         observation that recovery really ran off the critical path."""
-        by_kind = self.plan.by_kind
-        workers = self.workers
-        others = [i for kind, indices in by_kind.items()
-                  if kind is not TaskKind.RECOVERY for i in indices]
-        return sum(
-            any(workers[o] != workers[r] and self._overlap(r, o)
-                for o in others)
-            for r in by_kind.get(TaskKind.RECOVERY, ()))
+        columns = self.starts, self.ends, self.workers, self.plan.kinds
+        found = 0
+        for r in self.plan.by_kind.get(TaskKind.RECOVERY, ()):
+            begin, end, worker, _ = (column[r] for column in columns)
+            for o_begin, o_end, o_worker, kind in zip(*columns):
+                if (o_begin < end and begin < o_end and o_worker != worker
+                        and kind is not TaskKind.RECOVERY):
+                    found += 1
+                    break
+        return found
 
     def recovery_halo_overlaps(self) -> int:
         """Recovery tasks whose measured wall interval overlapped a
         communication task's interval (the re-enacted halo exchange of
         the ranks placement) — the paper's asynchrony claim at
         distributed scale, observed directly."""
-        by_kind = self.plan.by_kind
+        by_kind, starts, ends = self.plan.by_kind, self.starts, self.ends
         comm = by_kind.get(TaskKind.COMMUNICATION, ())
-        return sum(any(self._overlap(r, c) for c in comm)
+        return sum(any(starts[r] < ends[c] and starts[c] < ends[r]
+                       for c in comm)
                    for r in by_kind.get(TaskKind.RECOVERY, ()))
 
     def measured_breakdown(self, num_workers: int) -> StateBreakdown:
         """Per-state wall-clock accounting of the real execution,
         mirroring the simulated :class:`StateBreakdown` of Table 3 (the
         same kind-to-state accounting, with no runtime overhead)."""
-        return ExecutionTrace.from_spans(
-            ((end - start, 0.0, kind) for start, end, kind
-             in zip(self.starts, self.ends, self.plan.kinds, strict=True)),
-            num_workers=num_workers, start=0.0,
-            end=self.wall_time).breakdown
+        work = [0.0] * len(WORK_STATES)
+        busy = 0.0
+        for start, end, state in zip(self.starts, self.ends,
+                                     self.plan.work_states, strict=True):
+            busy += end - start
+            work[state] += end - start
+        return ExecutionTrace.from_sums(
+            work, 0.0, busy, len(self.plan), num_workers=num_workers,
+            start=0.0, end=self.wall_time).breakdown
 
 
 class ExecutionBackend(abc.ABC):

@@ -160,6 +160,9 @@ class KernelEngine(abc.ABC):
         engine performs no inter-rank communication."""
         return None
 
+    def reset_comm_stats(self) -> None:
+        """Give the next solve a fresh :meth:`comm_stats` object."""
+
     def close(self) -> None:
         """Release real resources (rank worker threads); idempotent."""
 

@@ -34,6 +34,7 @@ from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.runtime.graph import TaskGraph, maybe_verify_graph
 from repro.runtime.task import Task, TaskKind
+from repro.runtime.trace import WORK_STATE
 
 #: A role resolves to one task index or, for a group of tasks, a tuple.
 Role = Union[int, Tuple[int, ...]]
@@ -80,6 +81,12 @@ class IterationPlan:
         for i, kind in enumerate(self.kinds):
             groups.setdefault(kind, []).append(i)
         return {kind: tuple(indices) for kind, indices in groups.items()}
+
+    @cached_property
+    def work_states(self) -> Tuple[int, ...]:
+        """Each task's :data:`~repro.runtime.trace.WORK_STATES` index, in
+        plan order (read by the scheduler and the measured side)."""
+        return tuple(WORK_STATE[kind] for kind in self.kinds)
 
     def checked_durations(self, durations: Optional[Sequence[float]]
                           ) -> Sequence[float]:

@@ -57,7 +57,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.runtime.plan import IterationPlan
 from repro.runtime.task import ScheduledTask
-from repro.runtime.trace import WORK_STATE, WORK_STATES, ExecutionTrace
+from repro.runtime.trace import WORK_STATES, ExecutionTrace
 
 
 @dataclass
@@ -179,6 +179,7 @@ class ListScheduler:
         return the decisions taken (its floats only order the heaps)."""
         self.loop_runs += 1
         priorities, successors = plan.priorities, plan.successors
+        work_states = plan.work_states
         remaining_deps = list(plan.indegree)
         push, pop = heapq.heappush, heapq.heappop
         overhead = self.cost_model.task_overhead
@@ -201,7 +202,7 @@ class ListScheduler:
                 placed[i] = worker
                 push(running, (now + overhead + durations[i], len(launches),
                                i, worker))
-                launches.append((i, trigger, WORK_STATE[plan.kinds[i]]))
+                launches.append((i, trigger, work_states[i]))
             if not running:  # every worker is free and nothing is ready
                 missing = [plan.names[i] for i, w in enumerate(placed) if w < 0]
                 raise RuntimeError(
@@ -221,7 +222,7 @@ class ListScheduler:
     def _evaluate(self, structure: _Structure, durations: Sequence[float],
                   start_time: float) -> ScheduleResult:
         """The schedule ``structure`` implies: the one site of the timeline's
-        arithmetic (trace sums as :meth:`ExecutionTrace.from_spans` adds them)."""
+        arithmetic (trace sums in launch order, then ``from_sums``)."""
         plan, overhead = structure.plan, self.cost_model.task_overhead
         starts = [start_time] * len(plan)
         ends = [start_time] * (len(plan) + 1)  # [-1]: the start, trigger -1

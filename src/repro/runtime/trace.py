@@ -15,7 +15,7 @@ is idle time.  Traces from successive iterations can be accumulated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, Sequence
 
 from repro.runtime.task import ScheduledTask, TaskKind
 
@@ -81,28 +81,16 @@ class ExecutionTrace:
     @classmethod
     def from_schedule(cls, scheduled: Iterable[ScheduledTask], *,
                       num_workers: int, start: float, end: float) -> "ExecutionTrace":
-        """Build a trace from one schedule covering ``[start, end]``."""
-        return cls.from_spans(((st.duration, st.overhead, st.kind)
-                               for st in scheduled),
-                              num_workers=num_workers, start=start, end=end)
-
-    @classmethod
-    def from_spans(cls, spans: Iterable[Tuple[float, float, TaskKind]], *,
-                   num_workers: int, start: float, end: float) -> "ExecutionTrace":
-        """Build a trace from ``(occupied, overhead, kind)`` per task.
-
-        ``occupied`` is the time the task held its worker (overhead
-        included).  The sums run in iteration order, so callers that need
-        bit-reproducible breakdowns pass spans in launch order.
-        """
+        """Build a trace from one schedule covering ``[start, end]``: a
+        task holds its worker for its duration, overhead included."""
         runtime = busy = 0.0
         work = [0.0] * len(WORK_STATES)
         count = 0
-        for occupied, overhead, kind in spans:
+        for st in scheduled:
             count += 1
-            runtime += overhead
-            busy += occupied
-            work[WORK_STATE[kind]] += occupied - overhead
+            runtime += st.overhead
+            busy += st.duration
+            work[WORK_STATE[st.kind]] += st.duration - st.overhead
         return cls.from_sums(work, runtime, busy, count,
                              num_workers=num_workers, start=start, end=end)
 

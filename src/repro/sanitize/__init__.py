@@ -8,7 +8,7 @@ Three layers (the dynamic complement of ``repro.lint`` and
 
 * :mod:`repro.sanitize.instrument` — drop-in factories for
   ``threading.Lock``/``RLock``/``Condition``/``Event`` and
-  ``queue.Queue``.  Off (``REPRO_TSAN`` unset) they return the raw
+  ``queue.SimpleQueue``.  Off (``REPRO_TSAN`` unset) they return the raw
   stdlib primitives at zero steady-state cost; on, every operation is
   recorded into an event log, and task ``reads``/``writes`` annotations
   are bridged in as memory accesses.

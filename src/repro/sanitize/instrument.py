@@ -3,7 +3,7 @@
 The threaded backend, the rank runtime, the campaign engine and the
 daemon — everything under ``repro/`` — construct their locks,
 conditions, events and queues through these factories instead of
-calling ``threading.Lock()`` / ``queue.Queue()`` directly
+calling ``threading.Lock()`` / ``queue.SimpleQueue()`` directly
 (the ``sanitizer-factory`` lint rule enforces it).  The contract:
 
 * **sanitizer off** (``REPRO_TSAN`` unset, the default) the factory
@@ -312,12 +312,12 @@ class _Tagged:
 
 
 class TSanQueue:
-    """Instrumented ``queue.Queue``; put -> get is a happens-before edge
-    paired exactly by token (robust to concurrent producers)."""
+    """Instrumented ``queue.SimpleQueue``; put -> get is a happens-before
+    edge paired exactly by token (robust to concurrent producers)."""
 
-    def __init__(self, name: str, maxsize: int = 0) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.raw = queue.Queue(maxsize)
+        self.raw = queue.SimpleQueue()
 
     def put(self, item, block: bool = True,
             timeout: Optional[float] = None) -> None:
@@ -344,15 +344,6 @@ class TSanQueue:
 
     def empty(self) -> bool:
         return self.raw.empty()
-
-    def full(self) -> bool:
-        return self.raw.full()
-
-    def task_done(self) -> None:
-        self.raw.task_done()
-
-    def join(self) -> None:
-        self.raw.join()
 
 
 # ----------------------------------------------------------------------
@@ -392,11 +383,11 @@ def make_event(name: Optional[str] = None):
     return TSanEvent(_auto_name("event", name))
 
 
-def make_queue(name: Optional[str] = None, maxsize: int = 0):
-    """A FIFO channel: raw ``queue.Queue`` off, wrapper on."""
+def make_queue(name: Optional[str] = None):
+    """An unbounded FIFO channel: raw ``queue.SimpleQueue`` off, wrapper on."""
     if not sanitizer_enabled():
-        return queue.Queue(maxsize)
-    return TSanQueue(_auto_name("queue", name), maxsize)
+        return queue.SimpleQueue()
+    return TSanQueue(_auto_name("queue", name))
 
 
 def held_locks() -> Tuple[str, ...]:

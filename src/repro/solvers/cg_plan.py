@@ -78,7 +78,7 @@ def _dot_chunk(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def _touch_chunk(u: np.ndarray) -> float:
-    return float(np.sum(u))  # repro-lint: allow[paged-reduction] single-chunk touch probe; value discarded
+    return float(np.add.reduce(u))  # repro-lint: allow[paged-reduction] single-chunk touch probe; value discarded
 
 
 def _shipped_probe(probe: Callable[[], None], engine: KernelEngine, memory,
@@ -170,8 +170,9 @@ class CGPlanner:
         self.begin_solve()
 
     def begin_solve(self) -> None:
-        """Start a fresh measured side (monitor, wall clock, wall trace)
-        and drop the previous solve's action tables."""
+        """Start a fresh measured side (monitor, wall clock, wall trace,
+        comm stats) and drop the previous solve's action tables."""
+        self.engine.reset_comm_stats()
         self.monitor = VulnerableWindowMonitor()
         #: Measured wall-clock seconds of the re-enactments so far.
         self.wall_clock = 0.0

@@ -133,6 +133,23 @@ class TestMeasuredCommunication:
         summary = st.summary()
         assert summary["halo_ms_per_exchange"] > 0.0
 
+    def test_each_solve_reports_only_its_own_traffic(self, problem):
+        A, b = problem
+        cfg = SolverConfig(page_size=PAGE, tolerance=1e-10, ranks=2)
+
+        def counts(st):
+            return (st.halo_exchanges, st.halo_bytes, st.allreduces,
+                    st.allreduce_bytes, st.probe_exchanges, st.recoveries,
+                    len(st.message_samples))
+        with ResilientCG(A, b, config=cfg) as solver:
+            first = solver.solve()
+            seen = counts(first.rank_stats)
+            second = solver.solve()
+        assert seen[0] > 0
+        assert counts(second.rank_stats) == seen
+        assert counts(first.rank_stats) == seen
+        assert first.rank_stats is not second.rank_stats
+
     def test_preconditioned_solve_reduces_three_times(self, problem):
         """<g, z> and <g, g> differ once z = M^-1 g: both are reduced."""
         A, b = problem

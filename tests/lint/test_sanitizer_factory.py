@@ -19,8 +19,9 @@ class TestSanitizerFactoryRule:
         src = "import threading\nlock = threading.Lock()\n"
         assert "sanitizer-factory" in codes(lint_source(src, THREADED))
 
-    def test_raw_queue_flagged_in_threaded_module(self):
-        src = "import queue\nq = queue.Queue()\n"
+    @pytest.mark.parametrize("ctor", ["Queue", "SimpleQueue"])
+    def test_raw_queue_flagged_in_threaded_module(self, ctor):
+        src = f"import queue\nq = queue.{ctor}()\n"
         assert "sanitizer-factory" in codes(lint_source(src, THREADED))
 
     @pytest.mark.parametrize("module", [

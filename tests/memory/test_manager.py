@@ -174,3 +174,33 @@ class TestDetectBatch:
             batched.detect_batch(batch, 1.0)
         assert batched._state == looped._state
         assert batched.log.events == looped.log.events
+
+
+class TestRecoveryScan:
+    """``lost_pages``/``has_faults`` count VALID pages at C speed and walk
+    only a vector that has a non-valid page: the same list, in the same
+    order, as a page-by-page scan."""
+
+    @given(vectors=st.lists(st.lists(st.sampled_from(list(PageState)),
+                                     min_size=1, max_size=9),
+                            min_size=1, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_scan_equals_a_page_by_page_scan(self, vectors):
+        mm = MemoryManager()
+        names = [f"v{i}" for i in range(len(vectors))]
+        for name, states in zip(names, vectors, strict=True):
+            mm.register(PagedVector(np.zeros(4 * len(states)), name=name,
+                                    page_size=4))
+            for page, state in enumerate(states):
+                if state is not PageState.VALID:
+                    mm.poison(name, page, time=0.0)
+                if state is PageState.LOST:
+                    mm.touch(name, page, time=1.0)
+        expected = [(name, page) for name in names
+                    for page in range(mm.vector(name).num_pages)
+                    if mm.state(name, page) is not PageState.VALID]
+        assert mm.lost_pages() == expected
+        for name in names:
+            assert mm.lost_pages(name) == [e for e in expected
+                                           if e[0] == name]
+        assert mm.has_faults() is bool(expected)

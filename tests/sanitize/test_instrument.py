@@ -28,7 +28,7 @@ class TestOffMode:
             assert type(make_rlock("x")) is type(threading.RLock())
             assert isinstance(make_condition(name="x"), threading.Condition)
             assert isinstance(make_event("x"), threading.Event)
-            assert type(make_queue("x")) is queue.Queue
+            assert type(make_queue("x")) is queue.SimpleQueue
 
     def test_condition_over_raw_lock(self):
         with enabled(False):
@@ -68,6 +68,16 @@ class TestOnMode:
             assert isinstance(make_condition(name="x"), TSanCondition)
             assert isinstance(make_event("x"), TSanEvent)
             assert isinstance(make_queue("x"), TSanQueue)
+
+    def test_both_queue_modes_expose_one_surface(self):
+        def public(obj):
+            return {name for name in dir(obj) if not name.startswith("_")}
+        with enabled(False):
+            raw = make_queue("x")
+        with enabled(True):
+            wrapped = make_queue("x")
+        # The wrapper adds only its own bookkeeping attributes.
+        assert public(wrapped) - {"name", "raw"} == public(raw)
 
     def test_enabled_context_nests_and_restores(self, monkeypatch):
         # Its own baseline: the sanitizer CI job runs with REPRO_TSAN=1.
