@@ -52,17 +52,27 @@ def max_workers_override() -> Optional[int]:
     return value
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set (which ``taskset``
+    and a cgroup cpuset narrow), or the host's count where the OS keeps
+    none."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return max(1, os.cpu_count() or 1)
+
+
 def resolve_worker_count(requested: Optional[int] = None) -> int:
     """Real (OS-level) worker count for pools and thread backends.
 
-    ``requested=None`` means "all cores".  The result is always capped by
-    :func:`max_workers_override` and is at least 1.  An explicit
-    non-positive request is an error rather than a silent fallback.
+    ``requested=None`` means "every usable CPU" (:func:`usable_cpus`).
+    The result is always capped by :func:`max_workers_override` and is
+    at least 1.  An explicit non-positive request is an error rather
+    than a silent fallback.
     """
     if requested is not None and requested <= 0:
         raise ValueError(f"worker count must be positive, got {requested}")
-    cores = max(1, os.cpu_count() or 1)
-    count = requested if requested is not None else cores
+    count = requested if requested is not None else usable_cpus()
     cap = max_workers_override()
     if cap is not None:
         count = min(count, cap)

@@ -110,6 +110,9 @@ class ExecutionBackend(abc.ABC):
     """
 
     name: str = "abstract"
+    #: Real threads :meth:`execute` runs a plan's tasks on: the workers a
+    #: measured breakdown spreads the wall time over.
+    thread_count: int
 
     def __init__(self, num_workers: int,
                  cost_model: CostModel = DEFAULT_COST_MODEL):
@@ -164,6 +167,7 @@ class SimulatedBackend(ExecutionBackend):
     """The discrete-event backend: time plans, replay actions serially."""
 
     name = "simulated"
+    thread_count = 1
 
     def execute(self, plan: IterationPlan,
                 actions: Optional[Sequence[Optional[Callable]]] = None,

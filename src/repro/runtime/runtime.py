@@ -98,10 +98,12 @@ def make_executor(spec: RuntimeSpec, num_workers: int,
                   pace: float = 1.0) -> ExecutionBackend:
     """The plan executor of ``spec``'s scheduler axis.
 
-    ``pace`` is the threaded executor's wall-clock pacing factor
-    (:class:`~repro.runtime.async_exec.ThreadedBackend`, whose real
-    thread count ``REPRO_MAX_WORKERS`` caps); the list executor ignores
-    it.
+    ``pace`` is the threaded executor's wall-clock pacing factor; the
+    list executor ignores it.  Both time ``num_workers`` simulated
+    workers.  The threaded executor
+    (:class:`~repro.runtime.async_exec.ThreadedBackend`) runs a plan on
+    one lane per usable CPU, at least two and at most ``num_workers``,
+    the calling thread included; ``REPRO_MAX_WORKERS`` caps that count.
     """
     if spec.scheduler == "threaded":
         from repro.runtime.async_exec import ThreadedBackend

@@ -557,8 +557,7 @@ class CGPlanner:
 
     def _accumulate_wall(self, result: ExecutionResult) -> None:
         self.wall_clock += result.wall_time
-        threads = getattr(self.executor, "thread_count",
-                          self.executor.num_workers)
+        threads = self.executor.thread_count
         step = ExecutionTrace(num_workers=threads)
         step.breakdown.add(result.measured_breakdown(threads))
         step.wall_time = result.wall_time

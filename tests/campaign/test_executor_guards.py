@@ -9,7 +9,7 @@ import pytest
 from repro.campaign.executors import (EXECUTOR_NAMES, ProcessPoolExecutor,
                                       SerialExecutor, make_executor)
 from repro.config import (MAX_WORKERS_ENV, max_workers_override,
-                          resolve_worker_count)
+                          resolve_worker_count, usable_cpus)
 
 
 def double(x):
@@ -28,6 +28,21 @@ class TestWorkerResolution:
     def test_env_override_caps_explicit_requests(self, monkeypatch):
         monkeypatch.setenv(MAX_WORKERS_ENV, "3")
         assert ProcessPoolExecutor(max_workers=16).max_workers == 3
+
+    def test_default_counts_the_cpus_this_process_may_use(self,
+                                                          monkeypatch):
+        """Under ``taskset`` or a cgroup cpuset the affinity set, not the
+        host's CPU count, sizes a default pool."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
+        monkeypatch.delenv(MAX_WORKERS_ENV, raising=False)
+        assert usable_cpus() == 1
+        assert resolve_worker_count(None) == 1
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(6)))
+        monkeypatch.setenv(MAX_WORKERS_ENV, "4")
+        assert resolve_worker_count(None) == 4
 
     def test_blank_env_is_ignored(self, monkeypatch):
         monkeypatch.setenv(MAX_WORKERS_ENV, "  ")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,21 @@ def sanitizer_verdict():
     reset()
     if not report.ok:
         pytest.fail(report.render())
+
+
+@pytest.fixture
+def one_cpu():
+    """Pin the test's thread, and every thread it starts, to one CPU (as
+    the benchmark runs the wall-clock cells); the affinity is restored
+    afterwards."""
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("the platform has no CPU affinity")
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(allowed)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, allowed)
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,12 @@
 """Tests for the execution backends: protocol, threaded runtime, monitor."""
 
+import os
 import threading
 import time
 
 import pytest
 
+from repro.config import MAX_WORKERS_ENV
 from repro.runtime.async_exec import ThreadedBackend, VulnerableWindowMonitor
 from repro.runtime.backend import ExecutionResult, SimulatedBackend
 from repro.runtime.cost_model import CostModel
@@ -106,6 +108,63 @@ class TestFactoryAndProtocol:
                 backend.execute(plan, [None])
             with pytest.raises(ValueError, match="'b' has negative duration"):
                 backend.execute(plan, durations=[0.0, -1.0])
+
+
+class TestLanes:
+    """A plan runs on one lane per usable CPU, at most ``num_workers``
+    and at least two; ``max_threads`` and ``REPRO_MAX_WORKERS`` win."""
+
+    @pytest.fixture(autouse=True)
+    def uncapped(self, monkeypatch):
+        monkeypatch.delenv(MAX_WORKERS_ENV, raising=False)
+
+    @staticmethod
+    def lanes(monkeypatch, cpus, workers=8, **kwargs):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        with ThreadedBackend(workers, **kwargs) as backend:
+            return backend.thread_count
+
+    def test_one_usable_cpu_still_gets_two_lanes(self, monkeypatch):
+        assert self.lanes(monkeypatch, cpus=1) == 2
+
+    def test_one_lane_per_usable_cpu_up_to_the_simulated_workers(
+            self, monkeypatch):
+        assert self.lanes(monkeypatch, cpus=16) == 8
+        assert self.lanes(monkeypatch, cpus=3) == 3
+        assert self.lanes(monkeypatch, cpus=16, workers=1) == 1
+
+    def test_max_threads_wins(self, monkeypatch):
+        assert self.lanes(monkeypatch, cpus=1, max_threads=5) == 5
+        assert self.lanes(monkeypatch, cpus=16, max_threads=3) == 3
+
+    def test_the_env_cap_runs_the_plan_on_the_caller_alone(self,
+                                                           monkeypatch):
+        monkeypatch.setenv(MAX_WORKERS_ENV, "1")
+        ran = []
+        plan, actions = compiled([
+            (name, 0.0,
+             lambda name=name: ran.append((name, threading.get_ident())),
+             {"priority": priority})
+            for name, priority in (("low", -1), ("high", 5), ("mid", 0))])
+        threads = threading.active_count()
+        with ThreadedBackend(8, cost_model=NO_OVERHEAD,
+                             pace=0.0) as backend:
+            assert backend.thread_count == 1
+            result = backend.execute(plan, actions)
+            assert threading.active_count() == threads
+        assert ran == [(name, threading.get_ident())
+                       for name in ("high", "mid", "low")]
+        assert result.workers == [0, 0, 0]
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_a_closed_backend_refuses_to_execute(self, lanes):
+        plan, actions = compiled([("a", 0.0, None, {})])
+        backend = ThreadedBackend(2, max_threads=lanes, pace=0.0)
+        backend.execute(plan, actions)
+        backend.close()
+        with pytest.raises(RuntimeError, match="backend is closed"):
+            backend.execute(plan, actions)
 
 
 class TestThreadedExecution:
@@ -296,28 +355,37 @@ class TestHandOff:
 
     def test_interrupted_wait_drains_before_the_next_run(
             self, threads, monkeypatch):
-        """The submitter leaving its wait on an exception stops the run
-        like a task error: no successor is released, the in-flight task
-        is drained, and no stale completion reaches the next run."""
-        with ThreadedBackend(threads, cost_model=NO_OVERHEAD,
-                             max_threads=threads, pace=0.0) as backend:
+        """The caller leaving its wait on an exception stops the run like
+        a task error: no successor is released, the in-flight task is
+        drained, and no stale completion reaches the next run.  Only a
+        caller with a pool lane ever waits, so one lane runs as two."""
+        lanes = max(threads, 2)
+        with ThreadedBackend(lanes, cost_model=NO_OVERHEAD,
+                             max_threads=lanes, pace=0.0) as backend:
             started, release = threading.Event(), threading.Event()
             ran = []
+            caller = threading.current_thread()
 
-            def blocker():
+            def root():
+                # On a pool lane, block; on the caller, hold the caller
+                # until the pool lane has its root in flight, so that it
+                # then finds nothing ready and waits.
+                if threading.current_thread() is caller:
+                    started.wait(10.0)
+                    return
                 started.set()
                 release.wait(10.0)
                 ran.append("a")
 
             plan, actions = compiled([
-                ("a", 0.0, blocker, {}),
-                ("b", 0.0, lambda: ran.append("b"), {"deps": ["a"]})])
+                ("a0", 0.0, root, {}), ("a1", 0.0, root, {}),
+                ("b", 0.0, lambda: ran.append("b"),
+                 {"deps": ["a0", "a1"]})])
             wait = backend._done.wait
 
             def interrupted(timeout=None):
                 monkeypatch.setattr(backend._done, "wait", wait)
-                while not started.is_set():     # "a" is in flight
-                    wait(0.01)
+                assert started.is_set()   # a pool lane's root is in flight
                 threading.Timer(0.05, release.set).start()
                 raise KeyboardInterrupt
 

@@ -172,6 +172,12 @@ class TestEquivalenceMatrix:
         assert afeir.window_summary["halo_overlapped_recoveries"] > 0
         assert feir.window_summary["halo_overlapped_recoveries"] == 0
 
+    def test_threaded_ranks_wall_measures_halo_overlap_on_one_cpu(
+            self, problem, one_cpu):
+        """One usable CPU still gives the backend two lanes, so the
+        overlap is still there to measure."""
+        self.test_threaded_ranks_wall_measures_halo_overlap(problem)
+
     def test_simulated_clock_reports_no_wall_data(self, problem):
         A, b = problem
         res = solve_cell(A, b, "AFEIR", ("threaded", "ranks", "simulated", 2))

@@ -18,8 +18,10 @@ from repro.campaign.spec import CampaignSpec, SolverKnobs
 from repro.core.manager import make_strategy
 from repro.faults.injector import Injection
 from repro.faults.scenarios import multi_error_scenario
-from repro.matrices.laplacian import laplacian_2d
+from repro.matrices.laplacian import laplacian_2d, laplacian_3d
 from repro.matrices.stencil import stencil_rhs
+from repro.runtime.backend import SimulatedBackend
+from repro.runtime.trace import ExecutionTrace
 from repro.solvers.resilient_cg import ResilientCG, SolverConfig
 
 
@@ -77,6 +79,33 @@ class TestFaultFreeEquivalence:
         # Overlap/window *positivity* is asserted in the stress suite —
         # it depends on real thread timing, which a loaded CI runner can
         # starve; tier-1 keeps only the deterministic observations.
+
+    def test_serial_wall_replay_is_measured_on_one_worker(self,
+                                                          monkeypatch):
+        """The list scheduler's wall clock replays each plan on the
+        calling thread, so its measured trace spreads the wall time over
+        one worker, not over the simulated eight."""
+        runs = []
+        execute = SimulatedBackend.execute
+
+        def recording(backend, *args, **kwargs):
+            runs.append(execute(backend, *args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(SimulatedBackend, "execute", recording)
+        A = laplacian_3d(16)
+        b = stencil_rhs(A, kind="random", seed=7)
+        with ResilientCG(A, b, config=SolverConfig(
+                num_workers=8, page_size=64, scheduler="list",
+                clock="wall")) as solver:
+            trace = solver.solve().wall_trace
+        expected = ExecutionTrace(num_workers=1)
+        for run in runs:
+            expected.accumulate(ExecutionTrace(
+                1, run.measured_breakdown(1), run.wall_time, len(run.plan)))
+        assert trace.num_workers == 1
+        assert trace == expected
+        assert trace.breakdown.total == pytest.approx(trace.wall_time)
 
     def test_feir_barrier_never_records_windows(self, problem):
         feir = solve(problem, "FEIR", "threaded")
@@ -212,3 +241,9 @@ class TestRaceStress:
             assert summary["overlapped_recoveries"] > 0
             assert summary["windows"] > 0
             assert summary["mean_window"] > 0.0
+
+    def test_observed_concurrency_is_stable_on_one_cpu(self, problem,
+                                                       one_cpu):
+        """One usable CPU still gives the backend two lanes, so recovery
+        still overlaps other tasks."""
+        self.test_observed_concurrency_is_stable(problem)
