@@ -10,9 +10,8 @@ Not a paper table/figure, but the knobs the paper discusses qualitatively:
 
 import numpy as np
 
-from repro.core.interpolation import (exact_block_interpolation,
-                                      least_squares_interpolation)
 from repro.core.manager import make_strategy
+from repro.core.relations import MatVecRelation
 from repro.matrices.blocked import PageBlockedMatrix
 from repro.matrices.laplacian import laplacian_2d
 from repro.matrices.stencil import stencil_rhs
@@ -57,8 +56,9 @@ def test_ablation_direct_vs_least_squares(benchmark):
     damaged[blocked.block_slice(3)] = 0.0
 
     def run_both():
-        direct = exact_block_interpolation(blocked, 3, q, damaged)
-        lsq = least_squares_interpolation(blocked, 3, q, damaged)
+        relation = MatVecRelation(blocked)
+        direct = relation.recover_rhs_page(3, q, damaged)
+        lsq = relation.recover_rhs_page_least_squares(3, q, damaged)
         return direct, lsq
 
     direct, lsq = benchmark.pedantic(run_both, rounds=3, iterations=1)

@@ -510,7 +510,7 @@ class CampaignStore:
         on survives indefinitely while abandoned grids age out.
         Returns ``(removed, kept)``.
         """
-        if days < 0:
+        if not days >= 0:  # also refuses NaN, which compares false
             raise ValueError(f"gc age must be non-negative, got {days}")
         # repro-lint: allow[wall-clock] gc cutoff default; callers/CLI pass now= for determinism
         cutoff = (now if now is not None else time.time()) - days * 86400.0

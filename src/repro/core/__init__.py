@@ -3,10 +3,10 @@
 This package is the paper's primary contribution:
 
 * :mod:`repro.core.relations` — the block redundancy relations of
-  Table 1, usable for any iterative solver.
-* :mod:`repro.core.interpolation` — exact forward interpolation of a
-  lost block (direct diagonal-block solve, least-squares fallback and
-  the coupled multi-block solve of Section 2.4).
+  Table 1, usable for any iterative solver, and the only place their
+  algebra is written: exact forward interpolation of a lost block
+  (direct diagonal-block solve, the coupled multi-block solve of Section
+  2.4 and a least-squares fallback).
 * :mod:`repro.core.feir` / :mod:`repro.core.afeir` — the Forward Exact
   Interpolation Recovery, with recovery tasks in the critical path
   (FEIR) or overlapped with reductions (AFEIR).

@@ -1,7 +1,8 @@
 """Asynchronous Forward Exact Interpolation Recovery (AFEIR).
 
-AFEIR uses exactly the same algebraic recoveries as FEIR; the difference
-is purely in scheduling (Section 3.3.2 and Figure 2):
+AFEIR repairs a page that is lost *in time* with exactly the same
+algebraic recoveries as FEIR; the difference is in scheduling (Section
+3.3.2 and Figure 2):
 
 * recovery tasks are scheduled *concurrently* with the reduction
   (partial dot-product) tasks, at lower priority, instead of as barriers;
@@ -11,19 +12,18 @@ is purely in scheduling (Section 3.3.2 and Figure 2):
   in time — the affected page's contribution to that reduction is
   skipped, which slows convergence at high error rates (Section 5.4).
 
-The class overrides the scheduling flags (the algebra is inherited from
-FEIR unchanged) and names the (recovery task, scalar task) role pairs whose
-gap *is* the vulnerable window, so the threaded execution backend can
-measure that window on real threads and the monitor can attribute every
-late DUE to it.  The window's *enforcement* — skipping the lost page's
-reduction contribution — still lives in the resilient solver, which asks
-the strategy whether a fault detected at a given simulated time is
-covered.
+A page lost that late is not handed to this class at all: the resilient
+solver defers it and repairs it at the end of the iteration with its own
+per-page table (``ResilientCG._repair_deferred``), which orders and
+couples pages differently from :meth:`FEIRStrategy.handle_lost_pages`.
+The two windows — which check point, which scalar, which vectors — are
+declared once, as :data:`repro.solvers.cg_plan.LATE_WINDOWS`, and read
+both by the solver (to decide which DUEs are late) and by the planner
+(to have the threaded backend measure the windows on real threads).
+This class only sets the scheduling flags.
 """
 
 from __future__ import annotations
-
-from typing import List, Tuple
 
 from repro.core.feir import FEIRStrategy
 
@@ -34,9 +34,3 @@ class AFEIRStrategy(FEIRStrategy):
     name = "AFEIR"
     uses_recovery_tasks = True
     recovery_in_critical_path = False
-
-    def vulnerable_pairs(self) -> List[Tuple[str, str]]:
-        """The two overlapped windows of one iteration (Figure 2):
-        ``r2`` may finish before the rho/beta scalar consumes the
-        reduction it guards, and ``r1`` before the alpha scalar."""
-        return [("r2", "beta"), ("r1", "alpha")]

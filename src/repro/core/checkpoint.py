@@ -46,7 +46,6 @@ class CheckpointStrategy(RecoveryStrategy):
     name = "ckpt"
     uses_recovery_tasks = False
     recovery_in_critical_path = False
-    uses_checkpoints = True
 
     def __init__(self, interval: Optional[int] = None,
                  cost_model: CostModel = DEFAULT_COST_MODEL):

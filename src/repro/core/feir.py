@@ -37,7 +37,7 @@ the price of load imbalance (Table 3).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Set, Tuple
 
 from repro.core.strategy import RecoveryOutcome, RecoveryStrategy
 from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
@@ -46,10 +46,10 @@ from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
 class FEIRStrategy(RecoveryStrategy):
     """Exact forward recovery with recovery tasks in the critical path.
 
-    FEIR's recovery is a barrier before each scalar, so it keeps the
-    base class's empty ``vulnerable_pairs`` — there is no window in
-    which a DUE can land "after recovery ran", and the threaded backend
-    records no windows for it.
+    FEIR's recovery is a barrier before each scalar, so it has no
+    vulnerable window: no DUE can land "after recovery ran" and before
+    the scalar that reads the page (AFEIR's windows are
+    :data:`repro.solvers.cg_plan.LATE_WINDOWS`).
     """
 
     name = "FEIR"
@@ -68,54 +68,82 @@ class FEIRStrategy(RecoveryStrategy):
         outcome = RecoveryOutcome()
         if not lost:
             return outcome
-        by_vector: Dict[str, List[int]] = {}
+        by_vector: Dict[str, Set[int]] = {}
         for vector, page in lost:
-            by_vector.setdefault(vector, []).append(page)
-        for vector in by_vector:
-            by_vector[vector] = sorted(set(by_vector[vector]))
+            by_vector.setdefault(vector, set()).add(page)
 
-        d_name = state.current_d_name
-        xg_conflict = sorted(set(by_vector.get("x", ()))
-                             & set(by_vector.get("g", ())))
-        dq_conflict = sorted(set(by_vector.get(d_name, ()))
-                             & set(by_vector.get("q", ())))
-
-        # 1) iterate pages that are exactly recoverable (their g page is intact)
-        x_pages = [p for p in by_vector.pop("x", []) if p not in xg_conflict]
-        if x_pages:
-            outcome.work_time += self._recover_vector_pages(state, "x",
-                                                            x_pages, outcome)
-        # 2) x&g conflicts: blank the iterate page, then re-derive the whole
-        #    residual from the blanked iterate so g = b - Ax keeps holding.
-        g_pages = [p for p in by_vector.pop("g", []) if p not in xg_conflict]
-        if xg_conflict:
-            outcome.work_time += self._conflict_fallback(
-                state, "x", "g", xg_conflict, g_pages, outcome)
-        elif g_pages:
-            outcome.work_time += self._recover_vector_pages(state, "g",
-                                                            g_pages, outcome)
-        # 3) search-direction pages recoverable from q
-        d_pages = [p for p in by_vector.pop(d_name, []) if p not in dq_conflict]
-        if d_pages:
-            outcome.work_time += self._recover_vector_pages(state, d_name,
-                                                            d_pages, outcome)
-        # 4) d&q conflicts: blank the direction page, recompute q = A d.
-        q_pages = [p for p in by_vector.pop("q", []) if p not in dq_conflict]
-        if dq_conflict:
-            outcome.work_time += self._conflict_fallback(
-                state, d_name, "q", dq_conflict, q_pages, outcome)
-        elif q_pages:
-            outcome.work_time += self._recover_vector_pages(state, "q",
-                                                            q_pages, outcome)
+        residual, matvec = state.residual_relation, state.matvec_relation
+        # One pass per relation, g = b - Ax first: the inverted side
+        # (x, d) needs only its own pages of the product side (g, q), and
+        # the product side is then rebuilt from the whole repaired vector.
+        for rhs, lhs, solve, product in (
+                ("x", "g", residual.recover_iterate_pages,
+                 residual.recover_residual_page),
+                (state.current_d_name, "q", matvec.recover_rhs_pages,
+                 matvec.recover_lhs_page)):
+            rhs_lost = by_vector.pop(rhs, set())
+            lhs_lost = by_vector.pop(lhs, set())
+            conflict = sorted(rhs_lost & lhs_lost)
+            rhs_pages = sorted(rhs_lost.difference(conflict))
+            lhs_pages = sorted(lhs_lost.difference(conflict))
+            if rhs_pages:
+                outcome.work_time += self._solve_pages(
+                    state, rhs, rhs_pages, solve, lhs, outcome)
+            # Both sides lost at one index: blank the rhs page, then
+            # re-derive the whole lhs vector so the relation keeps holding.
+            if conflict:
+                outcome.work_time += self._conflict_fallback(
+                    state, rhs, lhs, conflict, lhs_pages, outcome)
+            elif lhs_pages:
+                outcome.work_time += self._product_pages(
+                    state, lhs, lhs_pages, product, rhs, outcome)
         # Anything left (e.g. the stale double-buffer copy of d) is about to
         # be overwritten; blanking it is exact for the algorithm's purposes.
         for vector, pages in by_vector.items():
-            for page in pages:
+            for page in sorted(pages):
                 state.vectors[vector].zero_page(page)
                 state.memory.mark_recovered(vector, page)
                 outcome.recovered.append((vector, page))
                 outcome.work_time += self.cost_model.recovery_check()
         return outcome
+
+    # ------------------------------------------------------------------
+    # exact recoveries, one relation side at a time
+    # ------------------------------------------------------------------
+    def _solve_pages(self, state, vector: str, pages: List[int],
+                     solve: Callable, lhs: str,
+                     outcome: RecoveryOutcome) -> float:
+        """Rebuild ``pages`` of ``vector`` with one inverted-relation solve
+        from ``lhs``; returns the simulated work time."""
+        blocked = state.blocked
+        factored_already = all(blocked.has_cached_factor(p) for p in pages)
+        target = state.vectors[vector]
+        for page, values in zip(pages, solve(pages, state.vectors[lhs].array,
+                                             target.array), strict=True):
+            target.set_page(page, values)
+        time_spent = 0.0
+        for page in pages:
+            state.memory.mark_recovered(vector, page)
+            outcome.recovered.append((vector, page))
+            time_spent += self.cost_model.block_solve(
+                blocked.block_size(page), factorized=factored_already)
+            time_spent += self.cost_model.spmv_block(blocked.nnz_of_block(page))
+        return time_spent
+
+    def _product_pages(self, state, vector: str, pages: List[int],
+                       product: Callable, rhs: str,
+                       outcome: RecoveryOutcome) -> float:
+        """Rebuild ``pages`` of ``vector`` by a block-row product with the
+        (repaired) ``rhs``; returns the simulated work time."""
+        time_spent = 0.0
+        source = state.vectors[rhs].array
+        for page in pages:
+            state.vectors[vector].set_page(page, product(page, source))
+            state.memory.mark_recovered(vector, page)
+            outcome.recovered.append((vector, page))
+            time_spent += self.cost_model.spmv_block(
+                state.blocked.nnz_of_block(page))
+        return time_spent
 
     # ------------------------------------------------------------------
     # conflicts: both sides of a relation lost at the same block index
@@ -153,93 +181,3 @@ class FEIRStrategy(RecoveryStrategy):
         n = state.blocked.n
         return self.cost_model.kernel_time(2.0 * nnz, 12.0 * nnz + 8.0 * n) \
             * self.work_scale
-
-    # ------------------------------------------------------------------
-    # exact per-page recoveries
-    # ------------------------------------------------------------------
-    def _recover_vector_pages(self, state, vector: str, pages: Sequence[int],
-                              outcome: RecoveryOutcome) -> float:
-        """Repair ``pages`` of ``vector`` exactly; returns simulated work time."""
-        blocked = state.blocked
-        vectors = state.vectors
-        d_name = state.current_d_name
-        time_spent = 0.0
-
-        if vector == "g":
-            for page in pages:
-                values = state.residual_relation.recover_residual_page(
-                    page, vectors["x"].array)
-                vectors["g"].set_page(page, values)
-                state.memory.mark_recovered("g", page)
-                outcome.recovered.append(("g", page))
-                time_spent += self.cost_model.spmv_block(blocked.nnz_of_block(page))
-        elif vector == "q":
-            for page in pages:
-                values = state.matvec_relation.recover_lhs_page(
-                    page, vectors[d_name].array)
-                vectors["q"].set_page(page, values)
-                state.memory.mark_recovered("q", page)
-                outcome.recovered.append(("q", page))
-                time_spent += self.cost_model.spmv_block(blocked.nnz_of_block(page))
-        elif vector == "x":
-            time_spent += self._recover_inverted(
-                state, "x", pages, outcome,
-                solver=lambda pgs: self._solve_x_pages(state, pgs))
-        elif vector == d_name:
-            time_spent += self._recover_inverted(
-                state, d_name, pages, outcome,
-                solver=lambda pgs: self._solve_d_pages(state, d_name, pgs))
-        else:
-            for page in pages:
-                vectors[vector].zero_page(page)
-                state.memory.mark_recovered(vector, page)
-                outcome.recovered.append((vector, page))
-                time_spent += self.cost_model.recovery_check()
-        return time_spent
-
-    def _recover_inverted(self, state, vector: str, pages: Sequence[int],
-                          outcome: RecoveryOutcome, solver) -> float:
-        """Common path for the inverted (diag-block solve) relations."""
-        time_spent = 0.0
-        pages = sorted(set(int(p) for p in pages))
-        factored_already = all(state.blocked.has_cached_factor(p) for p in pages)
-        solver(pages)
-        for page in pages:
-            state.memory.mark_recovered(vector, page)
-            outcome.recovered.append((vector, page))
-            time_spent += self.cost_model.block_solve(
-                state.blocked.block_size(page), factorized=factored_already)
-            time_spent += self.cost_model.spmv_block(state.blocked.nnz_of_block(page))
-        return time_spent
-
-    def _solve_x_pages(self, state, pages: Sequence[int]) -> None:
-        x = state.vectors["x"]
-        g = state.vectors["g"]
-        if len(pages) == 1:
-            for page in pages:
-                values = state.residual_relation.recover_iterate_page(
-                    page, g.array, x.array)
-                x.set_page(page, values)
-        else:
-            values = state.residual_relation.recover_iterate_pages_coupled(
-                pages, g.array, x.array)
-            offset = 0
-            for page in sorted(pages):
-                width = state.blocked.block_size(page)
-                x.set_page(page, values[offset:offset + width])
-                offset += width
-
-    def _solve_d_pages(self, state, d_name: str, pages: Sequence[int]) -> None:
-        d = state.vectors[d_name]
-        q = state.vectors["q"]
-        from repro.core.interpolation import (coupled_block_interpolation,
-                                              scatter_coupled_solution)
-        if len(pages) == 1:
-            for page in pages:
-                values = state.matvec_relation.recover_rhs_page(
-                    page, q.array, d.array)
-                d.set_page(page, values)
-        else:
-            values = coupled_block_interpolation(state.blocked, pages,
-                                                 q.array, d.array)
-            scatter_coupled_solution(state.blocked, pages, values, d.array)

@@ -26,6 +26,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
+from repro.core.relations import MatVecRelation
 from repro.core.strategy import RecoveryOutcome, RecoveryStrategy
 from repro.matrices.blocked import PageBlockedMatrix
 from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
@@ -39,23 +40,21 @@ def lossy_interpolate(blocked: PageBlockedMatrix, b: np.ndarray, x: np.ndarray,
     """Block-Jacobi interpolation of the lost ``pages`` of the iterate.
 
     Returns a new iterate equal to ``x`` outside the lost pages and to
-    ``A_ii^{-1} (b_i - sum_{j != i} A_ij x_j)`` on each lost page.  The
-    contents of ``x`` on the lost pages are ignored (they are gone).
+    ``A_ii^{-1} (b_i - sum_{j != i} A_ij x_j)`` on each lost page: the
+    inverted ``b = A x`` relation, solved one page at a time with every
+    lost page read as zero.  The contents of ``x`` on the lost pages are
+    ignored (they are gone).
     """
     pages = sorted(set(int(p) for p in pages))
-    if not pages:
-        return np.array(x, copy=True)
     x_new = np.array(x, copy=True)
     # Zero the lost pages first so their (meaningless) contents do not
     # leak into the off-diagonal products of *other* lost pages.
     for page in pages:
         x_new[blocked.block_slice(page)] = 0.0
-    interpolated = {}
-    for page in pages:
-        sl = blocked.block_slice(page)
-        rhs = b[sl] - blocked.offdiag_product(page, x_new)
-        interpolated[page] = blocked.solve_diag(page, rhs)
-    for page, values in interpolated.items():
+    relation = MatVecRelation(blocked)
+    interpolated = [relation.recover_rhs_page(page, b, x_new)
+                    for page in pages]
+    for page, values in zip(pages, interpolated, strict=True):
         x_new[blocked.block_slice(page)] = values
     return x_new
 

@@ -10,10 +10,19 @@ recover the left-hand side        recover the right-hand side (inverted)
 ``g_i = b_i - sum_j A_ij x_j``    ``A_ii x_i = b_i - g_i - sum_{j!=i} A_ij x_j``
 ================================  ======================================
 
-Each relation object knows how to rebuild one lost page of either side,
-given the surviving data.  They are deliberately independent of any
-particular solver: CG, BiCGStab and GMRES all assemble their protection
-out of these three shapes (Section 3.1).
+Each relation object knows how to rebuild lost pages of either side,
+given the surviving data.  The resilient CG of this package protects its
+vectors with the first and third rows (FEIR, AFEIR's deferred repair and
+the Lossy Restart all recover through them) and its search direction at
+point B with the second; :class:`HessenbergRelation` adds the GMRES
+Arnoldi relation of Section 3.1.3.  The solver-independent shapes are
+demonstrated for BiCGStab and GMRES by
+``examples/krylov_recovery_relations.py``.
+
+Every inverted row goes through one function, :func:`_solve_inverted`:
+one lost page is a diagonal-block solve, several lost pages of one
+vector are one coupled solve over the union of their blocks (Section
+2.4, case 1).
 
 All matrix work goes through :class:`PageBlockedMatrix` block kernels,
 which dispatch to either a SciPy CSR backend or the SciPy-free
@@ -25,11 +34,37 @@ block row, never a dense ``n x n`` intermediate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.matrices.blocked import PageBlockedMatrix
+
+
+def _solve_inverted(blocked: PageBlockedMatrix, pages: Sequence[int],
+                    lhs: np.ndarray, v: np.ndarray) -> List[np.ndarray]:
+    """Solve ``A_ii v_i = lhs_i - sum_{j not lost} A_ij v_j`` over the lost
+    ``pages`` of ``v``; returns the recovered pages in ascending order.
+
+    The lost pages are masked to zero first, so whatever they hold is
+    ignored exactly.  One page is a solve with its diagonal block; several
+    are one solve with the principal submatrix over their union, which
+    also accounts for the coupling *between* the lost pages.
+    """
+    pages = sorted(set(int(p) for p in pages))
+    if not pages:
+        raise ValueError("need at least one page")
+    masked = np.array(v, copy=True)
+    slices = [blocked.block_slice(page) for page in pages]
+    for sl in slices:
+        masked[sl] = 0.0
+    rhs = [lhs[sl] - blocked.block_row_product(page, masked)
+           for page, sl in zip(pages, slices, strict=True)]
+    if len(pages) == 1:
+        return [blocked.solve_diag(pages[0], rhs[0])]
+    values = blocked.coupled_diag_solve(pages, np.concatenate(rhs))
+    bounds = np.cumsum([sl.stop - sl.start for sl in slices])[:-1]
+    return np.split(values, bounds)
 
 
 @dataclass
@@ -37,9 +72,10 @@ class MatVecRelation:
     """Relation ``q = A p`` between two paged vectors.
 
     ``recover_lhs_page`` rebuilds a page of ``q`` by recomputing the
-    block-row product; ``recover_rhs_page`` rebuilds a page of ``p`` by
-    solving with the diagonal block (valid whenever ``A_ii`` is
-    non-singular, in particular for SPD ``A``).
+    block-row product; ``recover_rhs_page(s)`` rebuilds pages of ``p`` by
+    solving with the diagonal block(s) (valid whenever ``A_ii`` is
+    non-singular, in particular for SPD ``A``).  The Lossy Restart's
+    interpolation is this relation with ``q = b``.
     """
 
     blocked: PageBlockedMatrix
@@ -54,9 +90,31 @@ class MatVecRelation:
         ``p`` is used only for its off-page entries; the contents of the
         lost page itself are ignored.
         """
-        sl = self.blocked.block_slice(page)
-        rhs = q[sl] - self.blocked.offdiag_product(page, p)
-        return self.blocked.solve_diag(page, rhs)
+        return _solve_inverted(self.blocked, [page], q, p)[0]
+
+    def recover_rhs_pages(self, pages: Sequence[int], q: np.ndarray,
+                          p: np.ndarray) -> List[np.ndarray]:
+        """Coupled recovery of several lost pages of ``p``, in ascending
+        page order (Section 2.4, case 1)."""
+        return _solve_inverted(self.blocked, pages, q, p)
+
+    def recover_rhs_page_least_squares(self, page: int, q: np.ndarray,
+                                       p: np.ndarray) -> np.ndarray:
+        """Least-squares recovery using the full columns of the lost page.
+
+        Solves ``min_y || A[:, page] y - (q - A p_masked) ||_2`` where
+        ``p_masked`` is ``p`` with the lost page zeroed: the variant used
+        "for the full columns of the matrix corresponding to the lost
+        memory page" when the diagonal block may be singular (Agullo et
+        al.).  Exact when the relation holds and the column block has
+        full rank.
+        """
+        masked = np.array(p, copy=True)
+        masked[self.blocked.block_slice(page)] = 0.0
+        residual = q - self.blocked.matvec(masked)
+        columns = self.blocked.column_block_dense(page)
+        solution, *_ = np.linalg.lstsq(columns, residual, rcond=None)
+        return solution
 
 
 @dataclass
@@ -102,30 +160,13 @@ class ResidualRelation:
     def recover_iterate_page(self, page: int, g: np.ndarray,
                              x: np.ndarray) -> np.ndarray:
         """``A_ii x_i = b_i - g_i - sum_{j != i} A_ij x_j``."""
-        sl = self.blocked.block_slice(page)
-        rhs = self.b[sl] - g[sl] - self.blocked.offdiag_product(page, x)
-        return self.blocked.solve_diag(page, rhs)
+        return self.recover_iterate_pages([page], g, x)[0]
 
-    def recover_iterate_pages_coupled(self, pages: Sequence[int], g: np.ndarray,
-                                      x: np.ndarray) -> np.ndarray:
-        """Coupled recovery of several lost ``x`` pages (Section 2.4, case 1).
-
-        Solves the principal submatrix system over the union of the lost
-        pages.  Returns the concatenated recovered values in page order.
-        """
-        pages = sorted(set(int(p) for p in pages))
-        if not pages:
-            raise ValueError("need at least one page")
-        x_masked = np.array(x, copy=True)
-        for page in pages:
-            x_masked[self.blocked.block_slice(page)] = 0.0
-        rhs_parts = []
-        for page in pages:
-            sl = self.blocked.block_slice(page)
-            rhs_parts.append(self.b[sl] - g[sl]
-                             - self.blocked.block_row_product(page, x_masked))
-        rhs = np.concatenate(rhs_parts)
-        return self.blocked.coupled_diag_solve(pages, rhs)
+    def recover_iterate_pages(self, pages: Sequence[int], g: np.ndarray,
+                              x: np.ndarray) -> List[np.ndarray]:
+        """Coupled recovery of several lost ``x`` pages, in ascending page
+        order (Section 2.4, case 1)."""
+        return _solve_inverted(self.blocked, pages, self.b - g, x)
 
 
 @dataclass

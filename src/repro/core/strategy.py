@@ -2,8 +2,12 @@
 
 A strategy describes *what to do about lost pages* and *how its actions
 appear in the task graph*.  The resilient solver owns the iteration
-structure; strategies plug into it through a small number of hooks, so
-adding a new recovery method does not require touching the solver.
+structure; strategies plug into it through a small number of hooks: the
+two scheduling flags below, :meth:`RecoveryStrategy.on_solve_start` and
+:meth:`RecoveryStrategy.handle_lost_pages`.  Checkpointing is the one
+method the solver and its planner also know by type (they configure its
+interval, add its checkpoint task and save its checkpoints), so a new
+method that needs periodic work of its own does touch the solver.
 
 The solver hands strategies a *solver state* object exposing (duck
 typed, to avoid a circular dependency on the solver module):
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, List, Tuple
 
 
 @dataclass
@@ -64,35 +68,9 @@ class RecoveryStrategy(abc.ABC):
     uses_recovery_tasks: bool = False
 
     #: True if the recovery tasks are barriers in the critical path
-    #: (FEIR); False if they are overlapped with reductions (AFEIR).
+    #: (FEIR); False if they are overlapped with reductions (AFEIR), at a
+    #: lower priority so every reduction task starts first (Section 3.3.2).
     recovery_in_critical_path: bool = False
-
-    #: True if the method periodically writes checkpoints.
-    uses_checkpoints: bool = False
-
-    # ------------------------------------------------------------------
-    # task-graph placement
-    # ------------------------------------------------------------------
-    @property
-    def recovery_task_priority(self) -> int:
-        """Scheduling priority of the r1/r2/r3 recovery tasks.
-
-        The paper schedules overlapped (AFEIR) recovery "with a lower
-        priority as to start all reduction tasks first" (Section 3.3.2);
-        critical-path (FEIR) recovery runs at normal priority.
-        """
-        return 0 if self.recovery_in_critical_path else -1
-
-    def vulnerable_pairs(self) -> List[Tuple[str, str]]:
-        """(recovery task, dependent scalar task) role pairs of the
-        iteration plan whose gap is the method's vulnerable window.
-
-        Critical-path methods have no window (the scalar waits for
-        recovery inside the critical path), so the default is empty;
-        overlapped methods override this so the threaded backend's
-        vulnerable-window monitor can measure the real gap.
-        """
-        return []
 
     def recovery_probe(self, memory, monitor) -> Callable[[], None]:
         """Real executable body of a recovery task for the re-enactment.
@@ -120,16 +98,6 @@ class RecoveryStrategy(abc.ABC):
         restored, approximately restored or zero-filled, and report which
         happened through the returned :class:`RecoveryOutcome`.
         """
-
-    # ------------------------------------------------------------------
-    def describe(self) -> Dict[str, object]:
-        """Summary of configuration, used in experiment manifests."""
-        return {
-            "name": self.name,
-            "uses_recovery_tasks": self.uses_recovery_tasks,
-            "recovery_in_critical_path": self.recovery_in_critical_path,
-            "uses_checkpoints": self.uses_checkpoints,
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

@@ -71,6 +71,13 @@ from repro.solvers.cg_types import CGState, SolverConfig
 #: one covers (the point's faults enlarge that task).
 RECOVERY_TASKS = ("r1", "r2", "r3")
 COVERING_TASK = {"A": "r2", "B": "r1", "C": "r1", "D": "r3"}
+#: AFEIR's vulnerable windows (Figure 2), by check point: the scalar
+#: that the point's covering task guards, and the vectors on which a DUE
+#: landing after that task started is too late for the scalar (``"d"``
+#: is the direction this iteration writes).  Such a page's contribution
+#: to the reduction is skipped and the page is repaired at point D.
+#: Critical-path recovery (FEIR) has no window.
+LATE_WINDOWS = {"A": ("beta", ("g",)), "C": ("alpha", ("d", "q"))}
 
 
 def _dot_chunk(u: np.ndarray, v: np.ndarray) -> float:
@@ -195,8 +202,8 @@ class CGPlanner:
         path or off it, and at which priority."""
         if self.strategy is None:
             return False, 0
-        return (self.strategy.recovery_in_critical_path,
-                self.strategy.recovery_task_priority)
+        critical = self.strategy.recovery_in_critical_path
+        return critical, 0 if critical else -1
 
     def _key(self, chunk_nnz: Sequence[int]) -> tuple:
         """Everything a :class:`_Compiled` entry is a function of: what
@@ -508,10 +515,12 @@ class CGPlanner:
             self.monitor.observe(None)
             return
         roles = plan.roles
-        pairs = (self.strategy.vulnerable_pairs()
-                 if self.uses_recovery_tasks else ())
-        self.monitor.observe(result, [(roles[recovery], roles[scalar])
-                                      for recovery, scalar in pairs])
+        windows = (LATE_WINDOWS if self.uses_recovery_tasks
+                   and not self.strategy.recovery_in_critical_path else {})
+        self.monitor.observe(result, [(roles[COVERING_TASK[point]],
+                                       roles[scalar])
+                                      for point, (scalar, _)
+                                      in windows.items()])
         self._accumulate_wall(result)
 
     def _action_table(self, plan: IterationPlan, checkpoint: bool,

@@ -80,8 +80,8 @@ from repro.precond.base import Preconditioner
 from repro.runtime.kernels import make_kernel_engine
 from repro.runtime.runtime import make_executor
 from repro.runtime.trace import ExecutionTrace
-from repro.solvers.cg_plan import (COVERING_TASK, RECOVERY_TASKS, CGPlanner,
-                                   IterationTiming)
+from repro.solvers.cg_plan import (COVERING_TASK, LATE_WINDOWS,
+                                   RECOVERY_TASKS, CGPlanner, IterationTiming)
 from repro.solvers.cg_types import CGState, SolveResult, SolverConfig
 
 #: Injection schedule horizon, as a multiple of the ideal solve time.
@@ -143,7 +143,7 @@ _NO_SKIP: FrozenSet[int] = frozenset()
 #: The containers of an iteration no injection reaches: read-only and
 #: shared, so an undisturbed iteration allocates none.
 _NO_INJECTIONS = MappingProxyType(dict.fromkeys("ABCD", ()))
-_NO_LATE = MappingProxyType(dict.fromkeys("gxdq", _NO_SKIP))
+_NO_LATE = MappingProxyType(dict.fromkeys("gdq", _NO_SKIP))
 _NO_WORK = MappingProxyType(dict.fromkeys(RECOVERY_TASKS, 0.0))
 
 
@@ -183,7 +183,7 @@ class _Iteration:
         it; returns its ``by_point``."""
         self.had_faults = True
         self.by_point = {"A": [], "B": [], "C": [], "D": []}
-        self.late = {"g": set(), "x": set(), "d": set(), "q": set()}
+        self.late = {"g": set(), "d": set(), "q": set()}
         self.recovery_work = dict.fromkeys(RECOVERY_TASKS, 0.0)
         return self.by_point
 
@@ -403,7 +403,7 @@ class ResilientCG:
 
             # ---------------- x and g updates --------------------------------
             # (pages whose update must be deferred are skipped)
-            engine.axpy(x, alpha, d_cur, it.late["x"] | it.late["d"])
+            engine.axpy(x, alpha, d_cur, it.late["d"])
             engine.axpy(g, -alpha, q, it.late["g"] | it.late["q"])
             run.rho_old = rho
 
@@ -624,7 +624,6 @@ class ResilientCG:
             if vector in late_vectors and inj.time > late_after:
                 it.late["d" if vector == this_d else vector].add(page)
                 memory.mark_recovered(vector, page)
-                stats.contributions_skipped += 1
             else:
                 in_time.append((vector, page))
         self.planner.monitor.note_dues(len(injections),
@@ -689,17 +688,15 @@ class ResilientCG:
 
     def _late_window(self, point: str,
                      it: _Iteration) -> Tuple[float, Tuple[str, ...]]:
-        """AFEIR's vulnerability window at ``point``: a DUE on one of the
-        returned vectors injected after the returned time is repaired too
-        late for the point's scalar."""
-        if (not self.planner.uses_recovery_tasks
+        """AFEIR's vulnerability window at ``point`` (``LATE_WINDOWS``): a
+        DUE on one of the returned vectors injected after the returned
+        time is repaired too late for the point's scalar."""
+        window = LATE_WINDOWS.get(point)
+        if (window is None or not self.planner.uses_recovery_tasks
                 or self.strategy.recovery_in_critical_path):
             return math.inf, ()
-        if point == "A":
-            return it.time_of("r2"), ("g",)
-        if point == "C":
-            return it.time_of("r1"), (it.this_d, "q")
-        return math.inf, ()
+        return it.time_of(COVERING_TASK[point]), tuple(
+            it.this_d if vector == "d" else vector for vector in window[1])
 
     def _repair_deferred(self, run: _Run, it: _Iteration,
                          alpha: float) -> None:
@@ -729,28 +726,26 @@ class ResilientCG:
             return cm.block_solve(blocked.block_size(page),
                                   factorized=blocked.has_cached_factor(page))
 
-        # q first (needed to repair d), then d (+ redo the x update), then g,
-        # then x; all relations hold exactly at the end of the iteration.
+        # q first (needed to repair d), then d (+ redo the x update), then
+        # g; all relations hold exactly at the end of the iteration.  (No
+        # late DUE lands on x: LATE_WINDOWS has no window over it.)
         # One row per vector: the relation that recovers a page, the update
         # of the current iteration that skipped it (target array, factor),
         # the cost charged, and the vector lost *with* it in a related-data
-        # conflict.  The second row of each pair owns the conflict: it
-        # blanks its page and resynchronises the residual afterwards so
-        # the invariants hold.
+        # conflict.  The d row owns the d&q conflict: it blanks its page
+        # and resynchronises the residual afterwards so the invariants hold.
         repairs = (
             ("q", "q", lambda p: matvec.recover_lhs_page(p, d_cur),
              (g, -alpha), spmv_cost, "d", False),
             ("d", this_d, lambda p: matvec.recover_rhs_page(p, q, d_cur),
              (x, alpha), solve_cost, "q", True),
             ("g", "g", lambda p: residual.recover_residual_page(p, x),
-             None, spmv_cost, "x", False),
-            ("x", "x", lambda p: residual.recover_iterate_page(p, g, x),
-             None, solve_cost, "g", True),
+             None, spmv_cost, None, False),
         )
         need_residual_resync = False
         for key, name, recover, redo, cost, related, owns_conflict in repairs:
             vector = vectors[name]
-            conflicts = late[related]
+            conflicts = late[related] if related else _NO_SKIP
             for pages in _owner_runs(sorted(late[key]), conflicts,
                                      self.engine.page_owner):
                 if pages[0] in conflicts:

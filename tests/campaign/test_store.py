@@ -388,6 +388,26 @@ class TestGc:
         with pytest.raises(ValueError):
             CampaignStore(tmp_path / "store").gc(days=-1)
 
+    def test_gc_rejects_nan_age_and_keeps_inf(self, tmp_path):
+        """NaN compares false with everything, so a bare ``days < 0``
+        check lets it through and gc silently keeps every entry."""
+        store = CampaignStore(tmp_path / "store")
+        store.put_baseline("aa" + "0" * 62, 7.0)
+        with pytest.raises(ValueError):
+            store.gc(days=float("nan"))
+        assert store.gc(days=float("inf")) == (0, 1)
+
+    def test_gc_nan_days_cli_exits_2(self, tmp_path, capsys):
+        from repro.campaign.__main__ import main_store
+
+        store = CampaignStore(tmp_path / "store")
+        store.put_baseline("aa" + "0" * 62, 7.0)
+        rc = main_store(["--store", str(store.root), "--gc", "--days", "nan",
+                         "--now", str(time.time() + 31 * 86400.0)])
+        assert rc == 2
+        assert "non-negative" in capsys.readouterr().err
+        assert store.entry_count()["baselines"] == 1
+
     def test_gc_now_cli_override(self, tmp_path, capsys):
         """`store --gc --now` pins the cutoff clock — no monkeypatching."""
         from repro.campaign.__main__ import main_store

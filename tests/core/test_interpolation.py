@@ -1,4 +1,5 @@
-"""Property-based tests for the exact forward interpolation.
+"""Property-based tests for the exact forward interpolation of Table 1's
+inverted relations (:mod:`repro.core.relations`).
 
 The paper's central numerical claim (Section 2.3): when the diagonal
 block is non-singular, the interpolation recovers "the exact same data
@@ -11,10 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.interpolation import (coupled_block_interpolation,
-                                      exact_block_interpolation,
-                                      least_squares_interpolation,
-                                      scatter_coupled_solution)
+from repro.core.relations import MatVecRelation
 from repro.matrices.blocked import PageBlockedMatrix
 from repro.matrices.laplacian import laplacian_2d
 from repro.matrices.random_spd import random_sparse_spd
@@ -37,7 +35,7 @@ class TestExactInterpolation:
         damaged = p.copy()
         damaged[blocked.block_slice(page)] = np.nan   # contents truly gone
         damaged[blocked.block_slice(page)] = 0.0
-        recovered = exact_block_interpolation(blocked, page, q, damaged)
+        recovered = MatVecRelation(blocked).recover_rhs_page(page, q, damaged)
         np.testing.assert_allclose(recovered, p[blocked.block_slice(page)],
                                    rtol=1e-8, atol=1e-10)
 
@@ -52,7 +50,7 @@ class TestExactInterpolation:
         page = seed % blocked.num_blocks
         damaged = p.copy()
         damaged[blocked.block_slice(page)] = 0.0
-        recovered = exact_block_interpolation(blocked, page, q, damaged)
+        recovered = MatVecRelation(blocked).recover_rhs_page(page, q, damaged)
         np.testing.assert_allclose(recovered, p[blocked.block_slice(page)],
                                    rtol=1e-6, atol=1e-8)
 
@@ -60,8 +58,8 @@ class TestExactInterpolation:
         blocked, p, q = make_case(7)
         damaged = p.copy()
         damaged[blocked.block_slice(1)] = 0.0
-        direct = exact_block_interpolation(blocked, 1, q, damaged)
-        lsq = least_squares_interpolation(blocked, 1, q, damaged)
+        direct = MatVecRelation(blocked).recover_rhs_page(1, q, damaged)
+        lsq = MatVecRelation(blocked).recover_rhs_page_least_squares(1, q, damaged)
         np.testing.assert_allclose(lsq, direct, atol=1e-7)
         np.testing.assert_allclose(lsq, p[blocked.block_slice(1)], atol=1e-7)
 
@@ -71,9 +69,10 @@ class TestExactInterpolation:
         damaged = p.copy()
         for page in pages:
             damaged[blocked.block_slice(page)] = 0.0
-        values = coupled_block_interpolation(blocked, pages, q, damaged)
+        values = MatVecRelation(blocked).recover_rhs_pages(pages, q, damaged)
         out = damaged.copy()
-        scatter_coupled_solution(blocked, pages, values, out)
+        for page, page_values in zip(pages, values, strict=True):
+            out[blocked.block_slice(page)] = page_values
         np.testing.assert_allclose(out, p, rtol=1e-8, atol=1e-9)
 
     def test_coupled_interpolation_adjacent_pages(self):
@@ -84,22 +83,21 @@ class TestExactInterpolation:
         damaged = p.copy()
         for page in pages:
             damaged[blocked.block_slice(page)] = 0.0
-        values = coupled_block_interpolation(blocked, pages, q, damaged)
+        values = MatVecRelation(blocked).recover_rhs_pages(pages, q, damaged)
         out = damaged.copy()
-        scatter_coupled_solution(blocked, pages, values, out)
+        for page, page_values in zip(pages, values, strict=True):
+            out[blocked.block_slice(page)] = page_values
         np.testing.assert_allclose(out, p, rtol=1e-8, atol=1e-9)
 
     def test_coupled_validation(self):
         blocked, p, q = make_case(0)
         with pytest.raises(ValueError):
-            coupled_block_interpolation(blocked, [], q, p)
-        with pytest.raises(ValueError):
-            scatter_coupled_solution(blocked, [0], np.zeros(3), p.copy())
+            MatVecRelation(blocked).recover_rhs_pages([], q, p)
 
     def test_single_page_coupled_equals_exact(self):
         blocked, p, q = make_case(5)
         damaged = p.copy()
         damaged[blocked.block_slice(3)] = 0.0
-        single = exact_block_interpolation(blocked, 3, q, damaged)
-        coupled = coupled_block_interpolation(blocked, [3], q, damaged)
+        single = MatVecRelation(blocked).recover_rhs_page(3, q, damaged)
+        coupled, = MatVecRelation(blocked).recover_rhs_pages([3], q, damaged)
         np.testing.assert_allclose(single, coupled, atol=1e-10)

@@ -70,12 +70,6 @@ class TestStrategyFactory:
         assert not AFEIRStrategy().recovery_in_critical_path
         assert AFEIRStrategy().uses_recovery_tasks
         assert not LossyRestartStrategy().uses_recovery_tasks
-        assert CheckpointStrategy(interval=10).uses_checkpoints
-
-    def test_describe(self):
-        desc = FEIRStrategy().describe()
-        assert desc["name"] == "FEIR"
-        assert desc["recovery_in_critical_path"] is True
 
 
 class TestFEIRExactRecovery:

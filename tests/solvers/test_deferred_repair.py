@@ -43,6 +43,7 @@ class _Probe(ResilientCG):
 
     times = None
     errors = None
+    result = None
 
     def _begin_iteration(self, run, number):
         it = super()._begin_iteration(run, number)
@@ -71,7 +72,7 @@ def solve(injections=()):
                     else None,
                     config=SolverConfig(page_size=GRID, tolerance=1e-10))
     with solver:
-        solver.solve()
+        solver.result = solver.solve()
     return solver
 
 
@@ -97,3 +98,19 @@ def test_relations_hold_after_the_deferred_repair(times, lost, window):
     assert solver.errors is not None
     for relation, error in solver.errors.items():
         assert error <= EXACT, f"{relation} off by {error:.2e}"
+
+
+def test_each_late_page_is_skipped_once(times):
+    """A late DUE removes its page from one reduction (rho for ``g``, the
+    ``<d, q>`` dot for ``d``/``q``), so ``contributions_skipped`` counts it
+    once: it equals the monitor's ``dues_in_window`` when no in-time
+    loss is unrecoverable."""
+    at_a = 0.5 * (times["r2"] + times["A"])
+    at_c = 0.5 * (times["r1"] + times["C"])
+    solver = solve([Injection(time=at_a, vector="g", page=2),
+                    Injection(time=at_c, vector="d0", page=5),
+                    Injection(time=at_c, vector="q", page=9)])
+    stats, summary = solver.result.stats, solver.result.window_summary
+    assert summary["dues_in_window"] == 3
+    assert stats.pages_unrecoverable == 0
+    assert stats.contributions_skipped == summary["dues_in_window"]
