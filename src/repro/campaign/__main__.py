@@ -219,8 +219,8 @@ def main_store(argv) -> int:
     corrupt_found = False
     if args.verify:
         report = store.verify(remove=args.remove)
-        print(f"verify: {report.verified} verified, {report.legacy} legacy "
-              f"(pre-checksum), {len(report.corrupt)} corrupt"
+        print(f"verify: {report.verified} verified, "
+              f"{len(report.corrupt)} corrupt"
               + (f", {report.removed} removed" if args.remove else ""))
         for kind, path, reason in report.corrupt:
             print(f"  corrupt {kind}: {path} — {reason}")

@@ -12,9 +12,10 @@ closes.  :func:`run_trial` is that plus the reduction to a slim
 The execution model keeps workers cheap and results deterministic:
 
 * a worker process rebuilds its problem from the :class:`MatrixSpec`
-  (matrices are never pickled across the pool) and keeps the built
-  matrix and the baseline in its process's cache, so a process touching
-  50 trials of the same cell pays for one build and one baseline solve;
+  (matrices are never pickled across the pool, nor stored) and keeps the
+  built matrix and the baseline in its process's cache, so a process
+  touching 50 trials of the same cell pays for one build and one
+  baseline solve;
 * the ideal baseline is fully deterministic, so every process computes
   the exact same ``ideal_time`` and trials agree bit-for-bit no matter
   where they ran;
@@ -24,7 +25,7 @@ The execution model keeps workers cheap and results deterministic:
   injector's private Generator.
 
 Over a :class:`~repro.campaign.store.CampaignStore` the cache's RAM tier
-has a persistent second level: built matrices, baselines and completed
+has a persistent second level for outcomes: baselines and completed
 trials are looked up by content address before any work happens,
 already-completed trials are *never dispatched at all*, and workers
 persist each finished trial immediately — which is what makes campaigns

@@ -23,6 +23,8 @@ campaign trials are (pure functions of their spec, read back from the
 store by the runner before they are run).  A
 pool that keeps breaking with nothing completing in between gives up
 with :class:`WorkerLost` after :data:`MAX_RESUBMITS` resubmissions.
+The children do not survive the pool's owner either: each watches its
+parent and exits once it is gone, ``kill -9`` included.
 
 A run puts all its items in the pool at once (the pool's call queue
 then always holds a child's next item), so ending one early is a
@@ -37,6 +39,7 @@ import concurrent.futures
 import multiprocessing
 import os
 import threading
+import time
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterator, List, Optional, Sequence, TypeVar
 
@@ -52,6 +55,9 @@ EXECUTOR_NAMES = ("serial", "process")
 #: How often in a row — with no result in between — ``run()`` resubmits
 #: what a broken pool lost before it gives up with :class:`WorkerLost`.
 MAX_RESUBMITS = 3
+
+#: How often a pool child checks that its pool's owner is alive (s).
+PARENT_POLL_S = 0.2
 
 
 class CampaignInterrupted(RuntimeError):
@@ -166,8 +172,13 @@ class ProcessPoolExecutor(CampaignExecutor):
         return self
 
     def _start(self, mp_context) -> concurrent.futures.ProcessPoolExecutor:
+        context = mp_context or multiprocessing.get_context()
+        # A forkserver child's parent is the server, which exits with us.
+        owner = (None if context.get_start_method() == "forkserver"
+                 else os.getpid())
         pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=self._workers, mp_context=mp_context)
+            max_workers=self._workers, mp_context=context,
+            initializer=_watch_parent, initargs=(owner,))
         try:
             for ready in [pool.submit(os.getpid)
                           for _ in range(self._workers)]:
@@ -297,6 +308,23 @@ class ProcessPoolExecutor(CampaignExecutor):
             self._reopen()
             items = [flights[future] for future in flights if future in broken]
             losses += 1
+
+
+def _watch_parent(parent: Optional[int]) -> None:
+    """Pool-child initializer: exit once this child's parent ``parent``
+    (``None``: whichever it has now) is no longer its parent.  An owner
+    killed outright never shuts its pool down, and the re-parented
+    children would wait on its call queue for ever.  A child that starts
+    after its owner died exits at once."""
+    threading.Thread(target=_exit_once_orphaned,
+                     args=(parent or os.getppid(),),
+                     name="pool-parent-watch", daemon=True).start()
+
+
+def _exit_once_orphaned(parent: int) -> None:
+    while os.getppid() == parent:
+        time.sleep(PARENT_POLL_S)
+    os._exit(1)
 
 
 def _is_set(stop: Optional[threading.Event]) -> bool:

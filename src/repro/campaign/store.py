@@ -1,11 +1,10 @@
 """Content-addressed on-disk store for campaign artifacts.
 
-Every artifact a campaign produces is a pure function of spec content:
-built matrices are functions of :class:`~repro.campaign.spec.MatrixSpec`,
-fault-free baselines of ``(matrix, knobs)``, and per-trial results of
-the full :meth:`~repro.campaign.spec.TrialSpec.content_token`.  The
-store exploits that by caching each artifact under the SHA-256 of its
-canonical token, which makes campaigns
+The store persists a campaign's outcomes, each a pure function of spec
+content: fault-free baselines of ``(matrix, knobs)`` and per-trial
+results of the full :meth:`~repro.campaign.spec.TrialSpec.content_token`.
+It files each under the SHA-256 of its canonical token, which makes
+campaigns
 
 * **incremental** — re-running a sweep after adding one error rate only
   executes the new cells (content-keyed seeds, see
@@ -21,16 +20,21 @@ via the ``REPRO_CAMPAIGN_STORE`` environment variable)::
     SCHEMA                      # {"schema": 1} — version guard
     trials/ab/<sha256>.json     # TrialResult payloads
     baselines/ab/<sha256>.json  # ideal fault-free solve times (hex floats)
-    matrices/ab/<sha256>.npz    # built CSR matrices + right-hand sides
     journals/<sha256>.jsonl     # per-campaign progress journal
-    scalars/                    # earlier versions only (the Figure 5
-                                # calibration, trials now): ignored
+    matrices/, scalars/         # earlier versions only: ignored
+
+The inputs are not stored.  Like the paper, which protects only the
+solver's dynamic state and reloads the matrix and right-hand side from
+their source, a process rebuilds a problem from its
+:class:`~repro.campaign.spec.MatrixSpec` on a RAM miss: a lost input
+costs a rebuild of a few milliseconds, never a bit.
 
 Correctness anchor: a cache hit must be *byte-identical* to a cold
-computation.  JSON floats round-trip exactly in Python (``repr``-based),
-baselines are stored as ``float.hex()``, and matrices as raw ``.npz``
-arrays — the equivalence tests assert cold and warm fingerprints match
-bit-for-bit.  Writes go through a same-directory temp file plus
+computation.  JSON floats round-trip exactly in Python (``repr``-based)
+and baselines are stored as ``float.hex()`` — the equivalence tests
+assert cold and warm fingerprints match bit-for-bit.  Every entry is
+sealed: it embeds its own key and a checksum, and one without both is
+corrupt.  Writes go through a same-directory temp file plus
 ``os.replace``, so concurrent workers (process pools, parallel shards
 on a shared filesystem) never observe half-written artifacts.
 
@@ -55,8 +59,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
-import numpy as np
-
 from repro.sanitize import make_lock
 
 #: Version of the on-disk layout and of every artifact payload.  Bump on
@@ -70,7 +72,7 @@ STORE_ENV = "REPRO_CAMPAIGN_STORE"
 DEFAULT_STORE_PATH = "~/.cache/repro-campaign"
 
 #: Artifact kinds and their subdirectories.
-_KINDS = ("trials", "baselines", "matrices")
+_KINDS = ("trials", "baselines")
 
 #: Default age beyond which ``gc`` prunes unreferenced entries (days).
 GC_DEFAULT_DAYS = 30
@@ -114,23 +116,17 @@ def _seal_holds(data: bytes, checksum: object) -> bool:
 
 
 #: What an integrity check returns: ``(verdict, reason, content)``.  The
-#: verdict is ``"ok"``; ``"legacy"`` for an entry written before keys
-#: (and checksums) were embedded, readable but not re-hashable;
-#: ``"schema"`` for another schema version (a read raises, ``verify``
-#: counts it corrupt); ``"missing"``; or ``"corrupt"``.  ``content`` is
-#: the parsed entry, ``None`` unless it is ok, legacy or of another
-#: schema.
+#: verdict is ``"ok"``; ``"schema"`` for another schema version (a read
+#: raises, ``verify`` counts it corrupt); ``"missing"``; or
+#: ``"corrupt"``.  ``content`` is the parsed entry, ``None`` unless it
+#: is ok or of another schema.
 Verdict = Tuple[str, str, Optional[dict]]
 
 
-def _key_mismatch(found: object, key: str) -> str:
-    return (f"embedded key {str(found)[:12]}... does not match filename "
-            f"{key[:12]}...")
-
-
 def _judge_json(path: str, key: str) -> Verdict:
-    """The one integrity check of a stored JSON artifact filed under
-    ``key``, shared by the read path and :meth:`CampaignStore.verify`."""
+    """The one integrity check of a stored artifact filed under ``key``,
+    shared by the read path and :meth:`CampaignStore.verify`: it must
+    carry the current schema, embed ``key`` and hold its seal."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
@@ -146,44 +142,14 @@ def _judge_json(path: str, key: str) -> Verdict:
         return "schema", (f"schema v{found}, expected "
                           f"v{STORE_SCHEMA_VERSION}"), payload
     found, checksum = payload.get("key"), payload.get("checksum")
-    if found is None and checksum is None:
-        return "legacy", "entry predates embedded keys/checksums", payload
-    if found is not None and found != key:
-        return "corrupt", _key_mismatch(found, key), None
-    if checksum is not None and not _seal_holds(data, checksum):
+    if found is None or checksum is None:
+        return "corrupt", "unsealed: no embedded key or checksum", None
+    if found != key:
+        return "corrupt", (f"embedded key {str(found)[:12]}... does not "
+                           f"match filename {key[:12]}..."), None
+    if not _seal_holds(data, checksum):
         return "corrupt", "payload checksum mismatch (bit rot?)", None
     return "ok", "", payload
-
-
-def _judge_matrix(path: str, key: str) -> Verdict:
-    """The one integrity check of a stored matrix archive filed under
-    ``key``, shared by the read path and :meth:`CampaignStore.verify`:
-    every member is decompressed (which checks its zip CRC) and the
-    embedded key must match."""
-    try:
-        with np.load(path) as archive:
-            members = {name: archive[name] for name in archive.files}
-    except FileNotFoundError:
-        return "missing", "entry is gone", None
-    except Exception as exc:  # noqa: BLE001 - any load failure = corrupt
-        return "corrupt", f"unreadable npz: {exc}", None
-    if "key" not in members:
-        return "legacy", "matrix predates embedded keys", members
-    if str(members["key"]) != key:
-        return "corrupt", _key_mismatch(members["key"], key), None
-    return "ok", "", members
-
-
-def _decode_matrix(members: dict):
-    """The ``(A, b)`` problem of a matrix archive's members, in the CSR
-    backend it was stored from."""
-    shape = tuple(int(s) for s in members["shape"])
-    arrays = (members["data"], members["indices"], members["indptr"])
-    if str(members["kind"]) == "operator":
-        from repro.matrices.sparse import SparseOperator
-        return SparseOperator(*arrays, shape), members["b"]
-    import scipy.sparse as sp
-    return sp.csr_matrix(arrays, shape=shape), members["b"]
 
 
 def _judge_journal(path: Path, key: str) -> Verdict:
@@ -207,21 +173,12 @@ def _judge_journal(path: Path, key: str) -> Verdict:
     return "ok", "", None
 
 
-#: Each artifact kind's file suffix and integrity check.
-_FORMATS = {"trials": (".json", _judge_json),
-            "baselines": (".json", _judge_json),
-            "matrices": (".npz", _judge_matrix)}
-
-
 @dataclass
 class VerifyReport:
     """Outcome of :meth:`CampaignStore.verify`."""
 
     #: Entries whose integrity was positively confirmed.
     verified: int = 0
-    #: Readable entries written before keys/checksums were embedded;
-    #: they parse and carry the right schema but cannot be re-hashed.
-    legacy: int = 0
     #: ``(kind, path, reason)`` of every corrupt entry found.
     corrupt: List[Tuple[str, str, str]] = field(default_factory=list)
     #: Corrupt entries deleted (``verify(remove=True)``).
@@ -290,10 +247,10 @@ class CampaignStore:
     # ------------------------------------------------------------------
     # low-level helpers
     # ------------------------------------------------------------------
-    def _path(self, kind: str, key: str, suffix: str = ".json") -> str:
+    def _path(self, kind: str, key: str) -> str:
         """The file of the entry under ``key`` — a plain string, as the
         read path builds one per look-up."""
-        return f"{self.root}/{kind}/{key[:2]}/{key}{suffix}"
+        return f"{self.root}/{kind}/{key[:2]}/{key}.json"
 
     @staticmethod
     def _atomic_write(path: str, mode: str, write) -> None:
@@ -332,9 +289,8 @@ class CampaignStore:
         whose content does not decode (a missing or mistyped field), is
         discarded and read as a miss, so it is recomputed; another
         schema version fails loudly."""
-        suffix, judge = _FORMATS[kind]
-        path = self._path(kind, key, suffix)
-        verdict, reason, content = judge(path, key)
+        path = self._path(kind, key)
+        verdict, reason, content = _judge_json(path, key)
         if verdict == "schema":
             raise StoreSchemaError(
                 f"artifact {path} carries {reason}; run `python -m "
@@ -358,8 +314,7 @@ class CampaignStore:
         # Self-describing integrity: the entry carries its own content
         # address ("key" — must match the filename) and a checksum over
         # the canonical serialization, so a misplaced or bit-rotted entry
-        # is caught, on every read and by ``verify``.  Entries without
-        # either field stay readable ("legacy").
+        # is caught, on every read and by ``verify``.
         text = _sealed({"schema": STORE_SCHEMA_VERSION, "key": key,
                         **payload})
         self._atomic_write(self._path(kind, key), "w",
@@ -389,29 +344,6 @@ class CampaignStore:
     def put_baseline(self, key: str, ideal_time: float) -> None:
         self._put_json("baselines", key,
                        {"ideal_time": float(ideal_time).hex()})
-
-    # ------------------------------------------------------------------
-    # built matrices
-    # ------------------------------------------------------------------
-    def get_matrix(self, key: str):
-        """The cached ``(A, b)`` problem under ``key``, or ``None``.
-
-        Round-trips both CSR backends exactly: ``.npz`` stores the raw
-        ``data``/``indices``/``indptr`` arrays, so a warm build is
-        byte-identical to a cold one.
-        """
-        return self._get("matrices", key, _decode_matrix)
-
-    def put_matrix(self, key: str, A, b) -> None:
-        from repro.matrices.sparse import SparseOperator
-        kind = "operator" if isinstance(A, SparseOperator) else "scipy"
-        self._atomic_write(
-            self._path("matrices", key, suffix=".npz"), "wb",
-            lambda handle: np.savez(
-                handle, kind=kind, key=key,
-                shape=np.asarray(A.shape, dtype=np.int64),
-                data=A.data, indices=A.indices, indptr=A.indptr,
-                b=np.asarray(b)))
 
     # ------------------------------------------------------------------
     # journal
@@ -493,8 +425,7 @@ class CampaignStore:
         """Committed entries of ``kind``, sorted: what ``os.replace``
         has put under its final name.  A ``tmp*.tmp`` beside them (a
         writer killed mid-write) is not an entry; ``gc`` ages it out."""
-        pattern = {"journals": "*.jsonl", "matrices": "*/*.npz"}.get(
-            kind, "*/*.json")
+        pattern = "*.jsonl" if kind == "journals" else "*/*.json"
         return sorted((self.root / kind).glob(pattern))
 
     def entry_count(self) -> Dict[str, int]:
@@ -536,40 +467,27 @@ class CampaignStore:
         """Re-check every stored entry against its content-token
         filename and embedded checksum — the check every read makes.
 
-        JSON artifacts must parse, carry the current schema, and (for
-        entries written by this version) embed a ``key`` equal to their
-        filename plus a checksum over their canonical serialization.
-        Matrices must pass the ``.npz`` zip CRC on every member and
-        match their embedded key; journals must be line-decodable except
-        for a torn trailing line.  ``remove=True`` deletes corrupt
+        Trials and baselines must parse, carry the current schema, and
+        embed a ``key`` equal to their filename plus a checksum over
+        their canonical serialization; journals must be line-decodable
+        except for a torn trailing line.  ``remove=True`` deletes corrupt
         entries (they become plain cache misses — the store recomputes
         them on the next campaign, as a read of one would).
         """
         report = VerifyReport()
-        judges = {kind: judge for kind, (_, judge) in _FORMATS.items()}
-        judges["journals"] = _judge_journal
-        for kind, judge in judges.items():
+        for kind in (*_KINDS, "journals"):
+            judge = _judge_journal if kind == "journals" else _judge_json
             for path in self._entries(kind):
                 verdict, reason, _ = judge(path, path.stem)
-                self._verify_record(report, kind, path, verdict, reason,
-                                    remove)
+                if verdict == "ok":
+                    report.verified += 1
+                    continue
+                report.corrupt.append((kind, str(path), reason))
+                if remove:
+                    with contextlib.suppress(OSError):
+                        path.unlink()
+                        report.removed += 1
         return report
-
-    @staticmethod
-    def _verify_record(report: VerifyReport, kind: str, path: Path,
-                       verdict: str, reason: str, remove: bool) -> None:
-        if verdict == "ok":
-            report.verified += 1
-        elif verdict == "legacy":
-            report.legacy += 1
-        else:
-            report.corrupt.append((kind, str(path), reason))
-            if remove:
-                try:
-                    path.unlink()
-                    report.removed += 1
-                except OSError:
-                    pass
 
 
 # ----------------------------------------------------------------------
@@ -596,11 +514,13 @@ def store_from_args(args: argparse.Namespace) -> Optional[CampaignStore]:
 # the read-through cache: a RAM tier over an optional store
 # ----------------------------------------------------------------------
 class CampaignCache:
-    """Matrices, baselines and trials by content address: a RAM tier
-    over an optional :class:`CampaignStore`.
+    """Baselines and trials by content address, a RAM tier over an
+    optional :class:`CampaignStore`, and the built problems, in RAM only.
 
-    A RAM miss falls through to the store (when there is one) and a
-    store hit is promoted into RAM; a ``put_*`` writes through to both.
+    A baseline or trial RAM miss falls through to the store (when there
+    is one) and a store hit is promoted into RAM; a ``put_*`` writes
+    through to both.  A built problem never leaves its process: a miss
+    is a rebuild from the spec (``engine._problem``).
     Callers hand one in rather than reach for one: ``run_campaign``
     makes one per call around the store it is given, the daemon holds
     one for its lifetime (the only instance more than one thread uses:
@@ -631,9 +551,9 @@ class CampaignCache:
         return process_cache, (None if self.store is None
                                else str(self.store.root),)
 
-    def _get(self, kind: str, key: str, load):
+    def _get(self, kind: str, key: str, load=None):
         value = self._ram[kind].get(key)
-        if value is None and self.store is not None:
+        if value is None and load is not None and self.store is not None:
             value = load(self.store, key)
             if value is not None:
                 self._ram[kind][key] = value
@@ -642,7 +562,7 @@ class CampaignCache:
         return value
 
     def get_matrix(self, key: str):
-        return self._get("matrices", key, CampaignStore.get_matrix)
+        return self._get("matrices", key)
 
     def get_baseline(self, key: str) -> Optional[float]:
         return self._get("baselines", key, CampaignStore.get_baseline)
@@ -652,8 +572,6 @@ class CampaignCache:
 
     def put_matrix(self, key: str, A, b) -> None:
         self._ram["matrices"][key] = (A, b)
-        if self.store is not None:
-            self.store.put_matrix(key, A, b)
 
     def put_baseline(self, key: str, ideal_time: float) -> None:
         self._ram["baselines"][key] = ideal_time

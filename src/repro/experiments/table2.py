@@ -64,8 +64,8 @@ def run_table2(config: Optional[ExperimentConfig] = None,
     The simulated overhead column is deterministic and identical on both
     execution backends; with ``config.knobs.clock == "wall"`` a measured
     wall-clock overhead column is reported alongside it.  ``store`` (a
-    :class:`~repro.campaign.store.CampaignStore`) keeps the built
-    matrices and baselines across runs and shares them with Figure 4.
+    :class:`~repro.campaign.store.CampaignStore`) keeps the baselines
+    across runs and shares them with Figure 4; the matrices are rebuilt.
     """
     config = config or ExperimentConfig()
     cache = CampaignCache(store)

@@ -5,8 +5,6 @@ a block is the set of rows whose vector entries live on one memory page
 (512 values).  This class provides, for a CSR matrix ``A``:
 
 * ``diag_block(i)``     — the dense diagonal block ``A_ii``,
-* ``offdiag_product(i, v)`` — ``sum_{j != i} A_ij v_j`` computed as the
-  full block-row product minus the diagonal-block contribution,
 * cached LU factorisations of the diagonal blocks, shared between the
   block-Jacobi preconditioner and the recovery interpolations (the paper
   notes this sharing makes recovery cheaper when block-Jacobi is used).
@@ -151,13 +149,6 @@ class PageBlockedMatrix:
         if self.uses_sparse_operator:
             return self.A.dense_block(0, self.n, sl.start, sl.stop)
         return self.A[:, sl.start:sl.stop].toarray()
-
-    def offdiag_product(self, block: int, v: np.ndarray) -> np.ndarray:
-        """``sum_{j != i} A_ij v_j`` for rows in block ``i``."""
-        sl = self.block_slice(block)
-        full = self.block_row_product(block, v)
-        diag_part = self.diag_block(block) @ v[sl.start:sl.stop]
-        return full - diag_part
 
     def solve_diag(self, block: int, rhs: np.ndarray) -> np.ndarray:
         """Solve ``A_ii y = rhs`` with the cached LU factors.

@@ -81,12 +81,12 @@ class TestOnePipeline:
 
     def test_fresh_stores_are_fresh_caches(self, tmp_path):
         """No module state: two runs of one spec on two empty stores each
-        write their own matrix and baseline artifact."""
+        write their own baseline artifact."""
         for name in ("a", "b"):
             store = CampaignStore(tmp_path / name)
             run_campaign(tiny_spec(), store=store)
             counts = store.entry_count()
-            assert counts["matrices"] == counts["baselines"] == 1
+            assert counts["baselines"] == 1
             assert counts["trials"] == tiny_spec().num_trials
 
     def test_an_ideal_trial_is_its_own_baseline_and_solves_once(

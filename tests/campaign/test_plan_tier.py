@@ -346,7 +346,7 @@ class TestNeverPickled:
     def test_nothing_of_it_reaches_the_store(self, tmp_path):
         store = CampaignStore(tmp_path / "store")
         run_campaign(bench_grid(repetitions=1), SerialExecutor(), store=store)
-        assert set(store.entry_count()) == {"matrices", "baselines",
-                                            "trials", "journals"}
+        assert set(store.entry_count()) == {"baselines", "trials",
+                                            "journals"}
         assert not [path for path in store.root.rglob("*") if path.is_file()
                     and b"IterationPlan" in path.read_bytes()]

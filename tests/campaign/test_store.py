@@ -14,13 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.campaign.engine import run_campaign
+from repro.campaign.engine import _problem, run_campaign
 from repro.campaign.executors import ProcessPoolExecutor, SerialExecutor
-from repro.campaign.results import CampaignResult
+from repro.campaign.results import CampaignResult, TrialResult
 from repro.campaign.spec import CampaignSpec, MatrixSpec, SolverKnobs
-from repro.campaign.store import (STORE_SCHEMA_VERSION, CampaignStore,
-                                  StoreSchemaError, default_store_root,
-                                  process_cache)
+from repro.campaign.store import (STORE_SCHEMA_VERSION, CampaignCache,
+                                  CampaignStore, StoreSchemaError,
+                                  default_store_root, process_cache)
 
 
 def tiny_spec(**overrides):
@@ -34,19 +34,30 @@ def tiny_spec(**overrides):
     return CampaignSpec(**defaults)
 
 
+#: A trial outcome whose floats have no short decimal representation.
+TRIAL = TrialResult(
+    index=3, matrix="laplacian2d:10", method="FEIR", rate=2.0,
+    repetition=1, converged=True, iterations=57, solve_time=0.1 + 0.2,
+    ideal_time=0.25, final_residual=1e-9 / 3, faults_injected=2,
+    faults_detected=2, pages_recovered=3, wall_time=0.01)
+
+
 class TestStoreBasics:
     def test_creates_layout_and_schema(self, tmp_path):
         store = CampaignStore(tmp_path / "store")
         schema = json.loads((store.root / "SCHEMA").read_text())
         assert schema["schema"] == STORE_SCHEMA_VERSION
-        for kind in ("trials", "baselines", "matrices"):
+        for kind in ("trials", "baselines", "journals"):
             assert (store.root / kind).is_dir()
         assert not (store.root / "scalars").exists()
+        assert not (store.root / "matrices").exists()
 
     def test_a_scalars_directory_from_an_older_version_is_ignored(
             self, tmp_path):
         """A store laid out before Figure 5's calibration became trials
-        may carry ``scalars/``: it opens, verifies and is not counted."""
+        may carry ``scalars/``, and one laid out before built problems
+        stayed in RAM ``matrices/``: it opens, verifies and neither is
+        counted."""
         root = tmp_path / "store"
         for kind in ("trials", "baselines", "matrices", "scalars",
                      "journals"):
@@ -57,9 +68,16 @@ class TestStoreBasics:
         (root / "scalars" / "ab").mkdir()
         (root / "scalars" / "ab" / f"{key}.json").write_text(json.dumps(
             {"schema": STORE_SCHEMA_VERSION, "key": key, "value": 27}))
+        (root / "matrices" / "ab").mkdir()
+        A, b = MatrixSpec.parse("laplacian2d:9").build()
+        np.savez(root / "matrices" / "ab" / f"{key}.npz", kind="operator",
+                 key=key, data=A.data, indices=A.indices, indptr=A.indptr,
+                 shape=np.asarray(A.shape), b=b)
         store = CampaignStore(root)
-        assert store.verify().ok
-        assert "scalars" not in store.entry_count()
+        report = store.verify()
+        assert report.ok and report.verified == 0
+        assert set(store.entry_count()) == {"trials", "baselines",
+                                            "journals"}
 
     def test_opening_a_store_without_journals_creates_them(self, tmp_path):
         """``journal_append`` does not create ``journals/``: opening the
@@ -141,21 +159,28 @@ class TestStoreBasics:
     @pytest.mark.parametrize("damage", [
         lambda raw: raw[:len(raw) // 2],            # torn write
         lambda raw: b"",                            # emptied
-        lambda raw: raw[:200] + bytes([raw[200] ^ 0xFF]) + raw[201:],
-        lambda raw: b"not a zip archive",
+        lambda raw: (raw[:len(raw) * 3 // 4]
+                     + bytes([raw[len(raw) * 3 // 4] ^ 0x01])
+                     + raw[len(raw) * 3 // 4 + 1:]),
+        lambda raw: b"not a json document",
     ], ids=["truncated", "empty", "bit-flip", "garbage"])
-    def test_a_damaged_matrix_archive_is_a_miss(self, tmp_path, damage):
+    @pytest.mark.parametrize("kind", ["baselines", "trials"])
+    def test_a_damaged_entry_is_a_miss(self, tmp_path, kind, damage):
+        """A sealed entry damaged on disk is discarded and read as a
+        miss; the recomputed entry is then served."""
         store = CampaignStore(tmp_path / "store")
         key = "aa" + "0" * 62
-        A, b = MatrixSpec.parse("laplacian2d:9").build()
-        store.put_matrix(key, A, b)
-        path = Path(store._path("matrices", key, suffix=".npz"))
+        get, put, value = {
+            "baselines": (store.get_baseline, store.put_baseline, 0.1 + 0.2),
+            "trials": (store.get_trial, store.put_trial, TRIAL)}[kind]
+        put(key, value)
+        path = Path(store._path(kind, key))
         path.write_bytes(damage(path.read_bytes()))
-        assert store.get_matrix(key) is None
+        assert get(key) is None
         assert not path.exists()
         assert (store.hits, store.misses) == (0, 1)
-        store.put_matrix(key, A, b)                 # ... and recomputes
-        assert np.array_equal(store.get_matrix(key)[1], b)
+        put(key, value)                             # ... and recomputes
+        assert get(key) == value
 
     def test_process_cache_is_one_per_root(self, tmp_path):
         a = process_cache(str(tmp_path / "store"))
@@ -174,26 +199,34 @@ class TestArtifactRoundTrips:
 
     @pytest.mark.parametrize("text,sparse", [("laplacian2d:9", True),
                                              ("qa8fm", False)])
-    def test_matrix_roundtrip_is_bit_exact(self, tmp_path, text, sparse):
+    def test_a_rebuilt_problem_is_bit_exact(self, tmp_path, text, sparse):
+        """A built problem is never stored: another process's cache over
+        the same store rebuilds it, bit for bit, and the store holds
+        nothing of it."""
         store = CampaignStore(tmp_path / "store")
         matrix = MatrixSpec.parse(text, sparse=sparse)
-        A, b = matrix.build()
-        store.put_matrix("aa" + "0" * 62, A, b)
-        A2, b2 = store.get_matrix("aa" + "0" * 62)
-        assert type(A2).__name__ == type(A).__name__
+        first, second = CampaignCache(store), CampaignCache(store)
+        A, b = _problem(matrix, first)
+        assert _problem(matrix, first)[0] is A      # a RAM hit
+        A2, b2 = _problem(matrix, second)
+        assert A2 is not A
+        assert (first.hits["matrices"], first.misses["matrices"]) == (1, 1)
+        assert (second.hits["matrices"], second.misses["matrices"]) == (0, 1)
+        assert type(A2) is type(A)
         assert A2.shape == A.shape
         assert np.array_equal(A2.data, A.data)
         assert np.array_equal(A2.indices, A.indices)
         assert np.array_equal(A2.indptr, A.indptr)
         assert np.array_equal(b2, b)
         assert b2.dtype == b.dtype
+        assert sum(store.entry_count().values()) == 0
+        assert not list(store.root.rglob("*.npz"))
 
     def test_missing_entries_are_none(self, tmp_path):
         store = CampaignStore(tmp_path / "store")
         key = "ff" + "0" * 62
         assert store.get_trial(key) is None
         assert store.get_baseline(key) is None
-        assert store.get_matrix(key) is None
 
 
 class TestWarmCampaigns:
@@ -232,15 +265,25 @@ class TestWarmCampaigns:
         assert warm.executed == 0
         assert warm.fingerprint() == cold.fingerprint()
 
+    def test_a_pool_campaign_stores_outcomes_only(self, tmp_path):
+        """A built problem stays in the process that built it: pool
+        children on a fresh store write trials and a baseline, no
+        matrix."""
+        store = CampaignStore(tmp_path / "store")
+        run_campaign(tiny_spec(), executor=ProcessPoolExecutor(max_workers=2),
+                     store=store)
+        assert sorted(path.name for path in store.root.iterdir()) == [
+            "SCHEMA", "baselines", "journals", "trials"]
+        assert not list(store.root.rglob("*.npz"))
+        assert store.entry_count()["trials"] == tiny_spec().num_trials
+
     def test_a_damaged_entry_of_each_kind_costs_a_recompute_and_nothing_else(
             self, tmp_path):
         store = CampaignStore(tmp_path / "store")
         cold = run_campaign(tiny_spec(), executor=SerialExecutor(),
                             store=store)
-        [matrix] = store._entries("matrices")
         [baseline] = store._entries("baselines")
         trial = store._entries("trials")[0]
-        matrix.write_bytes(matrix.read_bytes()[:100])
         baseline.write_text(json.dumps({"schema": STORE_SCHEMA_VERSION}))
         trial.write_text("[1, 2]")
         healed = run_campaign(tiny_spec(), executor=SerialExecutor(),
@@ -328,11 +371,12 @@ class TestCliStoreLine:
     def test_cold_counts_every_miss_and_warm_hits(self, tmp_path, capsys):
         root = tmp_path / "store"
         cold, executed = self.run(root, capsys)
-        # one matrix, one baseline, and each of the two trials twice:
-        # when the run splits cached from pending, and when the runner
-        # reads through before it executes (what makes a resubmitted
-        # trial a hit, see TestReadThroughRunner in test_worker_death.py)
-        assert (cold["hits"], cold["misses"]) == ("0", "6")
+        # one baseline, and each of the two trials twice: when the run
+        # splits cached from pending, and when the runner reads through
+        # before it executes (what makes a resubmitted trial a hit, see
+        # TestReadThroughRunner in test_worker_death.py); the matrix is
+        # never looked up in the store
+        assert (cold["hits"], cold["misses"]) == ("0", "5")
         assert executed.startswith("executed: 2 ")
         warm, executed = self.run(root, capsys)
         assert executed.startswith("executed: 0 ")
@@ -368,7 +412,7 @@ class TestGc:
 
     def test_a_trial_hit_refreshes_its_entry_age(self, tmp_path):
         """A sweep that still reads its trials keeps them through gc,
-        though it executes nothing (so its matrix and baseline age out)."""
+        though it executes nothing (so its baseline ages out)."""
         store = CampaignStore(tmp_path / "store")
         cold = run_campaign(tiny_spec(), executor=SerialExecutor(),
                             store=store)
@@ -382,7 +426,6 @@ class TestGc:
         store.gc(days=30)
         assert store.entry_count()["trials"] == tiny_spec().num_trials
         assert store.entry_count()["baselines"] == 0
-        assert store.entry_count()["matrices"] == 0
 
     def test_gc_rejects_negative_age(self, tmp_path):
         with pytest.raises(ValueError):
@@ -426,6 +469,5 @@ class TestGc:
                          "--now", str(time.time() + 31 * 86400.0)])
         assert rc == 0
         assert store.entry_count()["baselines"] == 0
-        assert store.entry_count()["matrices"] == 0
         out = capsys.readouterr().out
         assert "removed 1" in out

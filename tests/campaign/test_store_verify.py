@@ -11,15 +11,13 @@ corrupt entries in the ways disks and tooling actually corrupt them
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.campaign.__main__ import main
 from repro.campaign.engine import run_campaign
 from repro.campaign.executors import SerialExecutor
 from repro.campaign.spec import CampaignSpec, SolverKnobs
-from repro.campaign.store import (STORE_SCHEMA_VERSION, CampaignCache,
-                                  CampaignStore)
+from repro.campaign.store import CampaignCache, CampaignStore
 
 
 def tiny_spec(**overrides):
@@ -41,8 +39,8 @@ def populated(tmp_path):
     return store
 
 
-def one_entry(store, kind, suffix):
-    paths = sorted((store.root / kind).glob(f"*/*{suffix}"))
+def one_entry(store, kind):
+    paths = sorted((store.root / kind).glob("*/*.json"))
     assert paths, f"expected at least one {kind} entry"
     return paths[0]
 
@@ -57,7 +55,7 @@ def replace_once(path, old, new):
 def flip_iterations(store):
     """A trial whose iteration count is one more than it was: still
     valid JSON, in its writer's layout, under its own key."""
-    path = one_entry(store, "trials", ".json")
+    path = one_entry(store, "trials")
     iterations = json.loads(path.read_text())["trial"]["iterations"]
     replace_once(path, f'"iterations": {iterations},',
                  f'"iterations": {iterations + 1},')
@@ -65,29 +63,40 @@ def flip_iterations(store):
 
 
 def double_ideal_time(store):
-    path = one_entry(store, "baselines", ".json")
+    path = one_entry(store, "baselines")
     value = json.loads(path.read_text())["ideal_time"]
     replace_once(path, f'"ideal_time": "{value}"',
                  f'"ideal_time": "{(2 * float.fromhex(value)).hex()}"')
     return path
 
 
-def overwrite(kind, suffix, data):
+def overwrite(kind, data):
     def corrupt(store):
-        path = one_entry(store, kind, suffix)
+        path = one_entry(store, kind)
         path.write_bytes(data(path.read_bytes()))
         return path
     return corrupt
 
 
-def copy_under_another_key(kind, suffix):
+def copy_under_another_key(kind):
     def corrupt(store):
-        source = one_entry(store, kind, suffix)
-        target = Path(store._path(kind, "ab" + "0" * 62, suffix=suffix))
+        source = one_entry(store, kind)
+        target = Path(store._path(kind, "ab" + "0" * 62))
         target.parent.mkdir(exist_ok=True)
         target.write_bytes(source.read_bytes())
         return target
     return corrupt
+
+
+def unseal(*members):
+    """The same payload without the named members (by default both of
+    its embedded key and checksum)."""
+    def strip(data):
+        payload = json.loads(data)
+        for member in members or ("key", "checksum"):
+            del payload[member]
+        return json.dumps(payload, sort_keys=True).encode()
+    return strip
 
 
 def reformat(data):
@@ -99,24 +108,25 @@ def reformat(data):
 #: damages one entry of a populated store and returns its path.
 CORRUPTIONS = {
     "trial-unparseable": ("trials", overwrite(
-        "trials", ".json", lambda data: b"{ definitely not json")),
+        "trials", lambda data: b"{ definitely not json")),
     "trial-not-an-object": ("trials", overwrite(
-        "trials", ".json", lambda data: b"[1, 2]")),
+        "trials", lambda data: b"[1, 2]")),
     "trial-flipped-digit": ("trials", flip_iterations),
-    "trial-reformatted": ("trials", overwrite("trials", ".json", reformat)),
+    "trial-reformatted": ("trials", overwrite("trials", reformat)),
     "trial-copied-under-another-key": (
-        "trials", copy_under_another_key("trials", ".json")),
+        "trials", copy_under_another_key("trials")),
+    "trial-unsealed": ("trials", overwrite("trials", unseal())),
+    "trial-without-checksum": ("trials", overwrite(
+        "trials", unseal("checksum"))),
     "baseline-flipped-digit": ("baselines", double_ideal_time),
-    "matrix-truncated": ("matrices", overwrite(
-        "matrices", ".npz", lambda data: data[:100])),
-    "matrix-copied-under-another-key": (
-        "matrices", copy_under_another_key("matrices", ".npz")),
+    "baseline-unsealed": ("baselines", overwrite("baselines", unseal())),
+    "baseline-without-key": ("baselines", overwrite(
+        "baselines", unseal("key"))),
 }
 
 #: Each artifact kind's reader.
 READERS = {"trials": CampaignStore.get_trial,
-           "baselines": CampaignStore.get_baseline,
-           "matrices": CampaignStore.get_matrix}
+           "baselines": CampaignStore.get_baseline}
 
 
 class TestCleanStore:
@@ -124,10 +134,8 @@ class TestCleanStore:
         report = populated.verify()
         assert report.ok
         assert report.corrupt == []
-        assert report.legacy == 0
         counts = populated.entry_count()
-        assert set(counts) == {"trials", "matrices", "baselines",
-                               "journals"}
+        assert set(counts) == {"trials", "baselines", "journals"}
         assert report.verified == sum(counts.values())
 
     def test_empty_store_verifies(self, tmp_path):
@@ -145,7 +153,7 @@ class TestTornTemporary:
         committed = populated.entry_count()
         verified = populated.verify().verified
         for kind, tail in (("trials", '{"schema": 1, "tri'),
-                           ("matrices", "PK\x03\x04")):
+                           ("baselines", '{"checksum": "')):
             torn = populated.root / kind / "ab" / "tmp7dq_x3kz.tmp"
             torn.parent.mkdir(exist_ok=True)
             torn.write_text(tail)
@@ -159,7 +167,7 @@ class TestTornTemporary:
 
 class TestJsonCorruption:
     def test_unparseable_trial_is_corrupt(self, populated):
-        path = one_entry(populated, "trials", ".json")
+        path = one_entry(populated, "trials")
         path.write_text("{ definitely not json")
         report = populated.verify()
         assert not report.ok
@@ -169,7 +177,7 @@ class TestJsonCorruption:
     def test_bit_flip_fails_the_checksum(self, populated):
         """Valid JSON, silently altered payload — only the embedded
         checksum can catch this."""
-        path = one_entry(populated, "trials", ".json")
+        path = one_entry(populated, "trials")
         payload = json.loads(path.read_text())
         payload["trial"]["iterations"] = 10 ** 6
         path.write_text(json.dumps(payload, sort_keys=True))
@@ -180,27 +188,13 @@ class TestJsonCorruption:
     def test_renamed_entry_fails_the_key_check(self, populated):
         """`cp` between content addresses: the payload is pristine but
         lives under the wrong name."""
-        path = one_entry(populated, "trials", ".json")
+        path = one_entry(populated, "trials")
         impostor = path.with_name("f" * 64 + ".json")
         impostor.write_bytes(path.read_bytes())
         report = populated.verify()
         assert not report.ok
         assert any("does not match" in reason
                    for _, _, reason in report.corrupt)
-
-    def test_legacy_entry_is_reported_not_corrupt(self, populated):
-        """Pre-checksum entries (no embedded key/checksum) stay readable
-        and count as legacy, never as corruption."""
-        path = one_entry(populated, "baselines", ".json")
-        payload = json.loads(path.read_text())
-        payload.pop("key", None)
-        payload.pop("checksum", None)
-        assert payload["schema"] == STORE_SCHEMA_VERSION
-        path.write_text(json.dumps(payload, sort_keys=True))
-        report = populated.verify()
-        assert report.ok
-        assert report.legacy == 1
-        assert populated.get_baseline(path.stem) is not None
 
 
 class TestReadPath:
@@ -226,19 +220,6 @@ class TestReadPath:
         assert store.get_trial(source.stem) is not None
         assert (store.hits, store.misses) == (1, 1)
 
-    def test_a_matrix_copied_under_another_key_reads_as_a_miss(
-            self, populated):
-        source = one_entry(populated, "matrices", ".npz")
-        key = "ab" + "0" * 62
-        target = Path(populated._path("matrices", key, suffix=".npz"))
-        target.parent.mkdir(exist_ok=True)
-        target.write_bytes(source.read_bytes())
-        assert "does not match" in populated.verify().corrupt[0][2]
-        store = CampaignStore(populated.root)
-        assert store.get_matrix(key) is None
-        assert not target.exists()
-        assert store.get_matrix(source.stem) is not None
-
     @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
     def test_verify_and_the_read_path_agree(self, populated, case):
         """One check decides "corrupt": the entry ``verify`` names is
@@ -252,28 +233,6 @@ class TestReadPath:
         assert not path.exists()
         assert (store.hits, store.misses) == (0, 1)
         assert store.verify().ok
-
-    @pytest.mark.parametrize("kind", sorted(READERS))
-    def test_a_legacy_entry_reads_as_a_hit(self, populated, kind):
-        """An entry written before keys and checksums were embedded is
-        ``legacy`` to ``verify`` and served by a read, not discarded."""
-        if kind == "matrices":
-            path = one_entry(populated, kind, ".npz")
-            with np.load(path) as archive:
-                members = {name: archive[name] for name in archive.files
-                           if name != "key"}
-            np.savez(path, **members)
-        else:
-            path = one_entry(populated, kind, ".json")
-            payload = json.loads(path.read_text())
-            del payload["key"], payload["checksum"]
-            path.write_text(json.dumps(payload, sort_keys=True))
-        report = populated.verify()
-        assert report.ok and report.legacy == 1
-        store = CampaignStore(populated.root)
-        assert READERS[kind](store, path.stem) is not None
-        assert path.exists()
-        assert (store.hits, store.misses) == (1, 0)
 
     def test_every_entry_leads_with_its_checksum(self, populated):
         """The read path hashes the text after the leading ``"checksum"``
@@ -292,7 +251,7 @@ class TestReadPath:
             assert json.dumps(body, sort_keys=True) == "{" + text[len(head):]
 
     def test_a_recomputed_entry_replaces_the_corrupt_one(self, populated):
-        key = one_entry(populated, "trials", ".json").stem
+        key = one_entry(populated, "trials").stem
         original = CampaignStore(populated.root).get_trial(key)
         path = flip_iterations(populated)
         cache = CampaignCache(CampaignStore(populated.root))
@@ -314,14 +273,21 @@ class TestReadPath:
         assert populated.verify().ok
 
 
-class TestMatrixCorruption:
-    def test_truncated_npz_is_corrupt(self, populated):
-        path = one_entry(populated, "matrices", ".npz")
-        path.write_bytes(path.read_bytes()[:100])
-        report = populated.verify()
-        assert not report.ok
-        assert [c[0] for c in report.corrupt] == ["matrices"]
-        assert "unreadable npz" in report.corrupt[0][2]
+    def test_unsealed_entries_are_recomputed_by_the_next_run(
+            self, populated):
+        """An entry without an embedded key and checksum is not served:
+        a run that needs it recomputes it, with the cold fingerprint."""
+        for case in ("trial-unsealed", "baseline-unsealed"):
+            CORRUPTIONS[case][1](populated)
+        store = CampaignStore(populated.root)
+        rerun = run_campaign(tiny_spec(), executor=SerialExecutor(),
+                             store=store)
+        assert rerun.executed == 1
+        # the sound trial, then the unsealed one twice and its baseline
+        assert (store.hits, store.misses) == (1, 3)
+        assert rerun.fingerprint() == run_campaign(
+            tiny_spec(), executor=SerialExecutor()).fingerprint()
+        assert populated.verify().ok
 
 
 class TestJournalVerdicts:
@@ -344,7 +310,7 @@ class TestJournalVerdicts:
 
 class TestRemove:
     def test_remove_degrades_to_cache_miss(self, populated, tmp_path):
-        path = one_entry(populated, "trials", ".json")
+        path = one_entry(populated, "trials")
         path.write_text("garbage")
         before = populated.entry_count()["trials"]
 
@@ -372,7 +338,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert "0 corrupt" in out
 
-        path = one_entry(populated, "trials", ".json")
+        path = one_entry(populated, "trials")
         path.write_text("garbage")
         assert main(["store", "--store", root, "--verify"]) == 1
         out = capsys.readouterr().out

@@ -11,11 +11,16 @@ with :class:`WorkerLost` instead of looping.
 
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.campaign import engine
 from repro.campaign.engine import TrialRunner, run_campaign
 from repro.campaign.executors import (MAX_RESUBMITS, ProcessPoolExecutor,
@@ -192,6 +197,55 @@ class TestOneBreakOneReopen:
         assert executor.pids() == []
         with pytest.raises(RuntimeError, match="not open"):
             executor.submit(die, None)
+
+
+#: A pool owner that is about to be killed: it opens a two-child pool
+#: (``reopen``: then replaces it with a spawned one, as after a lost
+#: child beside a live thread), prints the children's pids and waits.
+OWNER = """
+import sys, threading, time
+from repro.campaign.executors import ProcessPoolExecutor
+pool = ProcessPoolExecutor(max_workers=2).open()
+if sys.argv[1] == "reopen":
+    threading.Thread(target=time.sleep, args=(60,), daemon=True).start()
+    pool._reopen()
+print(*pool.pids(), flush=True)
+time.sleep(60)
+"""
+
+
+def running(pid: int) -> bool:
+    """``pid`` is a live process; a zombie nobody reaps is not one."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+class TestOwnerKilled:
+    @pytest.mark.parametrize("pool", ["open", "reopen"])
+    def test_the_children_of_a_sigkilled_owner_exit(self, pool):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        owner = subprocess.Popen([sys.executable, "-c", OWNER, pool],
+                                 stdout=subprocess.PIPE, text=True, env=env)
+        try:
+            children = [int(pid) for pid in owner.stdout.readline().split()]
+        finally:
+            owner.send_signal(signal.SIGKILL)
+            owner.wait()
+            owner.stdout.close()
+        assert len(children) == 2
+        deadline = time.monotonic() + 5.0
+        while (any(running(pid) for pid in children)
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        orphans = [pid for pid in children if running(pid)]
+        for pid in orphans:  # leave nothing behind for the next test
+            os.kill(pid, signal.SIGKILL)
+        assert orphans == []
 
 
 class TestReadThroughRunner:

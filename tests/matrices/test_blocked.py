@@ -54,13 +54,6 @@ class TestProducts:
         np.testing.assert_allclose(blocked.block_row_product(1, v),
                                    full[64:128])
 
-    def test_offdiag_product(self, blocked):
-        v = np.random.default_rng(1).standard_normal(256)
-        sl = blocked.block_slice(1)
-        expected = (blocked.A @ v)[sl] - blocked.diag_block(1) @ v[sl]
-        np.testing.assert_allclose(blocked.offdiag_product(1, v), expected,
-                                   atol=1e-12)
-
 
 class TestSolves:
     def test_solve_diag_roundtrip(self, blocked):

@@ -195,9 +195,6 @@ class TestBlockedDualBackend:
                 - op_blocked.block_row_product(block, v))) < PARITY
             assert np.array_equal(scipy_blocked.diag_block(block),
                                   op_blocked.diag_block(block))
-            assert np.max(np.abs(
-                scipy_blocked.offdiag_product(block, v)
-                - op_blocked.offdiag_product(block, v))) < PARITY
 
     def test_matvec_and_nnz_agree(self, pair):
         scipy_blocked, op_blocked = pair

@@ -723,8 +723,8 @@ class TestParentSideWork:
             assert store.put_trial_calls == 0
             assert store.trial_events == spec.num_trials
         assert store.entry_count()["trials"] == spec.num_trials
-        report = store.verify()
-        assert report.ok and report.legacy == 0
+        assert store.verify().ok
+        assert not (store.root / "matrices").exists()
 
     def test_ram_only_daemon_keeps_every_trial(self):
         spec = tiny_spec()
