@@ -197,15 +197,21 @@ class MatrixSpec:
                              f"laplacian2d:64x32)") from None
         if not dims:
             raise ValueError(f"matrix spec {text!r} has no dimensions")
+        if family not in _FAMILY_PARAMS:
+            raise ValueError(f"unknown matrix family {family!r}")
+        takes = len(_FAMILY_PARAMS[family])
+        if len(dims) > takes:
+            plural = "s" if takes > 1 else ""
+            raise ValueError(f"matrix spec {text!r}: family {family!r} "
+                             f"takes at most {takes} dimension{plural}, "
+                             f"got {len(dims)}")
         if family == "laplacian1d":
             return cls.parametric("laplacian1d", sparse=sparse, n=dims[0])
         if family in ("laplacian2d", "poisson2d"):
             nx = dims[0]
             ny = dims[1] if len(dims) > 1 else dims[0]
             return cls.parametric(family, sparse=sparse, nx=nx, ny=ny)
-        if family == "poisson3d27":
-            return cls.parametric("poisson3d27", sparse=sparse, nx=dims[0])
-        raise ValueError(f"unknown matrix family {family!r}")
+        return cls.parametric("poisson3d27", sparse=sparse, nx=dims[0])
 
     def build(self):
         """Materialise ``(A, b)`` for this spec (runs inside workers):

@@ -86,9 +86,9 @@ class SparseOperator:
     @classmethod
     def from_scipy(cls, A) -> "SparseOperator":
         """Convert anything SciPy-sparse-like (has ``tocsr``)."""
-        csr = A.tocsr()
-        if hasattr(csr, "sort_indices"):
-            csr.sort_indices()
+        csr = A.tocsr()     # may be ``A`` itself: sort a copy, not it
+        if not getattr(csr, "has_sorted_indices", True):
+            csr = csr.sorted_indices()
         return cls(np.array(csr.data, dtype=np.float64, copy=True),
                    np.array(csr.indices, dtype=np.int64, copy=True),
                    np.array(csr.indptr, dtype=np.int64, copy=True),

@@ -32,6 +32,17 @@ class TestMatrixSpec:
         with pytest.raises(ValueError):
             MatrixSpec.parse("laplacian2d:")
 
+    @pytest.mark.parametrize("text, takes", [
+        ("poisson3d27:6x5x4", "1 dimension,"),
+        ("laplacian2d:10x12x99", "2 dimensions,"),
+        ("laplacian1d:5x7", "1 dimension,"),
+    ])
+    def test_parse_rejects_extra_dimensions(self, text, takes):
+        """A dimension the family would not read is an error, not a
+        silently smaller grid."""
+        with pytest.raises(ValueError, match=f"takes at most {takes} got"):
+            MatrixSpec.parse(text)
+
     def test_unknown_family_rejected_at_construction(self):
         with pytest.raises(ValueError):
             MatrixSpec(family="dense")

@@ -35,6 +35,20 @@ class TestConstruction:
         assert np.array_equal(op.toarray(), dense)
         assert op.nnz == np.count_nonzero(dense)
 
+    def test_from_scipy_leaves_an_unsorted_input_alone(self):
+        """``tocsr`` of a CSR input is the input itself: the conversion
+        sorts a copy, never the caller's arrays."""
+        import scipy.sparse as sp
+        A = sp.csr_matrix((np.array([2.0, 3.0]), np.array([1, 0]),
+                           np.array([0, 2, 2])), shape=(2, 2))
+        assert not A.has_sorted_indices
+        op = SparseOperator.from_scipy(A)
+        assert A.indices.tolist() == [1, 0]
+        assert not A.has_sorted_indices
+        assert op.indices.tolist() == [0, 1]
+        x = np.array([5.0, 7.0])
+        assert np.array_equal(op.matvec(x), A @ x)
+
     def test_from_dense_roundtrip(self, poisson_pair):
         dense = poisson_pair[2]
         assert np.array_equal(SparseOperator.from_dense(dense).toarray(),

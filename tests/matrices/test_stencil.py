@@ -1,5 +1,7 @@
 """Tests for stencil and Laplacian generators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,6 +10,69 @@ from repro.matrices.laplacian import (graph_laplacian, laplacian_1d,
                                       laplacian_2d, laplacian_3d)
 from repro.matrices.properties import is_spd, is_symmetric
 from repro.matrices.stencil import poisson_3d_27pt, stencil_rhs
+
+
+def coo_poisson_3d_27pt(nx, ny, nz):
+    """The 27-point stencil through COO triplets and ``tocsr``: the
+    straightforward construction, kept as the reference the direct CSR
+    builder must reproduce byte for byte."""
+    idx = np.arange(nx * ny * nz).reshape(nz, ny, nx)
+    n = nx * ny * nz
+    rows, cols, vals = [], [], []
+    offsets = [(dz, dy, dx)
+               for dz in (-1, 0, 1) for dy in (-1, 0, 1) for dx in (-1, 0, 1)
+               if not (dx == 0 and dy == 0 and dz == 0)]
+    for dz, dy, dx in offsets:
+        zs = slice(max(0, -dz), nz - max(0, dz))
+        ys = slice(max(0, -dy), ny - max(0, dy))
+        xs = slice(max(0, -dx), nx - max(0, dx))
+        src = idx[zs, ys, xs].ravel()
+        zs2 = slice(max(0, dz), nz - max(0, -dz))
+        ys2 = slice(max(0, dy), ny - max(0, -dy))
+        xs2 = slice(max(0, dx), nx - max(0, -dx))
+        dst = idx[zs2, ys2, xs2].ravel()
+        rows.append(src)
+        cols.append(dst)
+        vals.append(np.full(src.size, -1.0))
+    rows.append(np.arange(n))
+    cols.append(np.arange(n))
+    vals.append(np.full(n, 26.0))
+    A = sp.coo_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n, n))
+    return A.tocsr()
+
+
+@pytest.mark.parametrize("grid", [(1, 1, 1), (1, 1, 7), (7, 1, 1), (2, 3, 4),
+                                  (3, 4, 5), (5, 5, 5), (16, 16, 16),
+                                  (48, 48, 48)],
+                         ids=lambda grid: "x".join(map(str, grid)))
+def test_direct_csr_is_byte_identical_to_coo_reference(grid):
+    A = poisson_3d_27pt(*grid)
+    ref = coo_poisson_3d_27pt(*grid)
+    assert A.shape == ref.shape
+    assert A.indptr.dtype == ref.indptr.dtype
+    assert A.indices.dtype == ref.indices.dtype
+    assert A.data.dtype == ref.data.dtype == np.float64
+    assert np.array_equal(A.indptr, ref.indptr)
+    assert np.array_equal(A.indices, ref.indices)
+    assert np.array_equal(A.data.view(np.int64), ref.data.view(np.int64))
+    assert A.has_sorted_indices and ref.has_sorted_indices
+    assert A.has_canonical_format and ref.has_canonical_format
+
+
+def test_build_peak_memory_is_close_to_the_matrix():
+    """The build allocates each CSR array once; its transient stays
+    within a quarter of the finished matrix's bytes."""
+    poisson_3d_27pt(2)                  # warm any lazy imports
+    tracemalloc.start()
+    try:
+        A = poisson_3d_27pt(24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    final = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+    assert peak <= 1.25 * final, f"build peak {peak / final:.2f}x the matrix"
 
 
 class TestPoisson27:
