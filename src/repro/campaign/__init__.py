@@ -13,7 +13,8 @@ workload first-class:
   :class:`CampaignResult`;
 * aggregation is deterministic: identical statistics (bit-for-bit)
   regardless of executor and completion order, because every trial owns
-  a :class:`numpy.random.SeedSequence` spawned from the campaign seed.
+  a :class:`numpy.random.SeedSequence` keyed on the campaign seed and
+  on what the trial is.
 
 Quick start::
 

@@ -34,7 +34,7 @@ machines (see ``campaign.store``).  There is no module state here: a
 fresh cache (a fresh ``run_campaign`` call, a fresh store) is a cold one.
 
 One loop takes a campaign from spec to fingerprint, :class:`CampaignRun`
-(expand, cached/pending split, record, journal, finish), into a
+(key, cached/pending split, record, journal, finish), into a
 :class:`CampaignResult` whose aggregation is order-independent:
 ``run_campaign`` drives one to completion as its executor completes
 trials, the daemon (``repro.service``) one per job, all its pending
@@ -53,7 +53,7 @@ import numpy as np
 from repro.campaign.executors import CampaignExecutor, SerialExecutor
 from repro.campaign.results import CampaignResult, TrialResult
 from repro.campaign.spec import (CampaignSpec, MatrixSpec, SolverKnobs,
-                                 TrialSpec, content_hash, shard_trials)
+                                 TrialSpec, content_hash)
 from repro.campaign.store import CampaignCache, CampaignStore
 from repro.sanitize import make_lock
 
@@ -211,10 +211,11 @@ class CampaignRun:
     cached trials are split from pending ones, results are recorded and
     the journal is written.
 
-    Constructing one expands ``spec``, restricts it to ``shard``, serves
-    what ``cache`` already holds and journals ``start``; :attr:`pending`
-    is what is left to execute.  Whoever drives it (from any number of
-    threads) hands each result to :meth:`record` and ends with
+    Constructing one enumerates the store keys of ``spec``'s trials
+    (of ``shard``'s), serves what ``cache`` already holds and journals
+    ``start``; :attr:`pending` is what is left to execute, the only
+    trials built as :class:`TrialSpec`.  Whoever drives it (from any
+    number of threads) hands each result to :meth:`record` and ends with
     :meth:`finish` or :meth:`abandon`.  ``executor`` names the driver in
     the result; ``stamp`` is added to every journal line.
     """
@@ -227,26 +228,27 @@ class CampaignRun:
         self.key = spec.store_key()
         self._stamp = {"key": self.key, **(stamp or {})}
         self._lock = make_lock("CampaignRun.lock")
-        trials = spec.expand()
+        keys = spec.trial_keys(shard)
         self.result = CampaignResult(name=spec.name, executor=executor,
                                      spec_key=self.key,
-                                     total_trials=len(trials), shard=shard)
-        if shard is not None:
-            trials = shard_trials(trials, *shard)
+                                     total_trials=spec.num_trials,
+                                     shard=shard)
         #: Trials this run answers for (the shard's, under ``shard``).
-        self.total = len(trials)
-        self.pending: List[TrialSpec] = []
+        self.total = len(keys)
         #: Index -> store key of every pending trial not yet recorded.
         self._awaited: Dict[int, str] = {}
-        for trial in trials:
-            key = trial.store_key()
-            cached = _cached_trial(cache, key, trial.index)
+        hits: List[TrialResult] = []
+        for index, key in keys:
+            cached = _cached_trial(cache, key, index)
             if cached is not None:
-                self.result.add(cached)
+                hits.append(cached)
             else:
-                self.pending.append(trial)
-                self._awaited[trial.index] = key
-        self.cached = self.result.cache_hits = len(self.result)
+                self._awaited[index] = key
+        self.result.extend(hits)
+        # Only a trial the cache does not answer is built (its seed too).
+        self.pending: List[TrialSpec] = (spec.trials_at(self._awaited)
+                                         if self._awaited else [])
+        self.cached = self.result.cache_hits = len(hits)
         self.executed = 0
         self.fingerprint: Optional[str] = None
         self._journal({"event": "start", "spec": spec.describe(),

@@ -12,7 +12,7 @@ executors under the same campaign seed.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -61,6 +61,28 @@ class TrialResult:
     def scored_slowdown(self) -> float:
         """Overhead used for aggregation; diverged trials are capped."""
         return self.overhead_percent if self.converged else DIVERGED_SLOWDOWN
+
+
+#: The field names of :class:`TrialResult`.
+_TRIAL_FIELDS = frozenset(f.name for f in fields(TrialResult))
+
+
+def trial_from_payload(payload: dict) -> TrialResult:
+    """The :class:`TrialResult` a stored or serialized trial payload
+    describes.
+
+    A payload with exactly the dataclass's fields (what ``asdict``
+    writes) becomes the new object's ``__dict__``, without the generated
+    frozen ``__init__``, which sets one field at a time.  Any other key
+    set goes through ``TrialResult(**payload)``: a field with a default
+    may be absent, an unknown one or a missing required one raises
+    ``TypeError``.
+    """
+    if type(payload) is dict and payload.keys() == _TRIAL_FIELDS:
+        trial = object.__new__(TrialResult)
+        trial.__dict__.update(payload)
+        return trial
+    return TrialResult(**payload)
 
 
 @dataclass
@@ -138,7 +160,8 @@ class CampaignResult:
             grouped.setdefault(key, []).append(trial)
         cells: Dict[Tuple[str, str, float], CellStats] = {}
         for key, members in grouped.items():
-            slowdowns = [t.scored_slowdown for t in members]
+            slowdowns = np.array([t.scored_slowdown for t in members],
+                                 dtype=np.float64)
             mean, std = mean_and_std(slowdowns)
             cells[key] = CellStats(
                 matrix=key[0], method=key[1], rate=key[2],
@@ -147,8 +170,10 @@ class CampaignResult:
                 mean_slowdown=mean, std_slowdown=std,
                 harmonic_slowdown=harmonic_mean_overhead(
                     np.maximum(slowdowns, 0.0)),
-                mean_iterations=float(np.mean([t.iterations
-                                               for t in members])),
+                # An exact integer sum over an exact count: the bits of
+                # ``np.mean`` of the iteration counts.
+                mean_iterations=(sum(t.iterations for t in members)
+                                 / len(members)),
                 faults_injected=sum(t.faults_injected for t in members),
                 faults_detected=sum(t.faults_detected for t in members))
         self.__dict__["_cells_cache"] = cells
@@ -265,7 +290,7 @@ class CampaignResult:
                      shard=tuple(shard) if shard else None,
                      cache_hits=int(payload.get("cache_hits", 0)),
                      executed=int(payload.get("executed", 0)))
-        result.extend(TrialResult(**t) for t in payload["trials"])
+        result.extend(trial_from_payload(t) for t in payload["trials"])
         return result
 
     def save(self, path) -> None:

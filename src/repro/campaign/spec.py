@@ -10,9 +10,11 @@ them).  :class:`CampaignSpec` describes the grid declaratively;
 :meth:`CampaignSpec.expand` turns it into a flat list of picklable
 :class:`TrialSpec` objects, each carrying everything a worker process
 needs to rebuild its problem and run its solve — including a private
-:class:`numpy.random.SeedSequence` spawned from the campaign seed, so
-results do not depend on which executor (serial, process pool) runs the
-trials or in which order they complete.
+:class:`numpy.random.SeedSequence` keyed on the campaign seed and on what
+the trial is, so results do not depend on which executor (serial,
+process pool) runs the trials or in which order they complete.
+:meth:`CampaignSpec.trial_keys` enumerates the same grid as bare
+``(index, store key)`` pairs, which is all a cached trial needs.
 """
 
 from __future__ import annotations
@@ -22,8 +24,10 @@ import dataclasses
 import functools
 import hashlib
 import math
+import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, Iterator, List, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -101,11 +105,16 @@ def _cell_token(matrix: MatrixSpec, method: Optional[str], rate: float,
             f"rate={float(rate)!r}|scenario={_scenario_token(scenario)}")
 
 
-def _seed_token(seed: np.random.SeedSequence) -> str:
-    entropy = seed.entropy
+def _trial_token(cell: str, repetition: int, entropy, spawn_key,
+                 knobs: "SolverKnobs") -> str:
+    """Canonical token of one trial, the one definition of its address:
+    its cell, its repetition, the material of its
+    :class:`~numpy.random.SeedSequence` (``entropy`` and ``spawn_key``)
+    and every solver knob."""
     if isinstance(entropy, (list, tuple)):
-        entropy = ",".join(str(int(e)) for e in entropy)
-    return f"{entropy}/{tuple(seed.spawn_key)}"
+        entropy = ",".join([str(int(e)) for e in entropy])
+    return (f"trial/v1|{cell}|rep={repetition}|"
+            f"seed={entropy}/{tuple(spawn_key)}|{knobs.content_token()}")
 
 
 @dataclass(frozen=True)
@@ -318,8 +327,9 @@ class TrialSpec:
         ``index`` is deliberately absent: it is an enumeration position,
         not an input to the numerics, so a trial keeps its content
         address when the surrounding grid grows."""
-        return (f"trial/v1|{self.cell_token()}|rep={self.repetition}|"
-                f"seed={_seed_token(self.seed)}|{self.knobs.content_token()}")
+        return _trial_token(self.cell_token(), self.repetition,
+                            self.seed.entropy, self.seed.spawn_key,
+                            self.knobs)
 
     @_once
     def store_key(self) -> str:
@@ -338,14 +348,30 @@ class TrialSpec:
             normalized_rate=float(self.rate), seed=self.seed)
 
 
+def _distinct(axis: str, values, identity, show) -> None:
+    """Refuse a grid axis that lists one value twice, values being the
+    same when ``identity`` maps them to equal keys (``show`` names one)."""
+    seen = set()
+    for value in values:
+        same = identity(value)
+        if same in seen:
+            raise ValueError(f"the campaign {axis} list {show(value)} more "
+                             f"than once; every value of a grid axis must "
+                             f"be distinct")
+        seen.add(same)
+
+
 @dataclass
 class CampaignSpec:
     """The declarative campaign grid.
 
     ``expand()`` enumerates matrices (outer) x rates x methods x
-    repetitions (inner) in a deterministic order and spawns one
-    independent child :class:`~numpy.random.SeedSequence` per trial from
-    ``seed``.
+    repetitions (inner) in a deterministic order and gives each trial
+    its own :class:`~numpy.random.SeedSequence`, keyed on ``seed`` and
+    on what the trial is (:meth:`trial_seed`); :meth:`trial_keys`
+    enumerates the same order as ``(index, store key)`` pairs without
+    building a trial.  Every value of an axis must be distinct and the
+    seed a non-negative integer; ``__post_init__`` refuses anything else.
     """
 
     matrices: Sequence[Union[MatrixSpec, str]] = ()
@@ -361,6 +387,10 @@ class CampaignSpec:
         if self.repetitions <= 0:
             raise ValueError(f"repetitions must be positive, "
                              f"got {self.repetitions}")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, int)
+                or self.seed < 0):
+            raise ValueError(f"the campaign seed must be a non-negative "
+                             f"integer, got {self.seed!r}")
         self.matrices = tuple(
             m if isinstance(m, MatrixSpec) else MatrixSpec.parse(m)
             for m in self.matrices)
@@ -375,11 +405,24 @@ class CampaignSpec:
             if not (math.isfinite(rate) and rate >= 0):
                 raise ValueError(f"error rates must be finite and "
                                  f"non-negative, got {rate!r}")
+        # A repeated value would run each of its trials twice, under one
+        # seed, and count both copies as repetitions of its cell.
+        _distinct("matrices", self.matrices, MatrixSpec.content_token,
+                  lambda m: m.label)
+        _distinct("methods", self.methods, str, str)
+        _distinct("rates", self.rates, float, lambda r: f"{float(r):g}")
 
     @property
     def num_trials(self) -> int:
         return (len(self.matrices) * len(self.methods) * len(self.rates)
                 * self.repetitions)
+
+    def _entropy(self, cell: str, repetition: int) -> List[int]:
+        """``[campaign seed, sha256(cell token + repetition) words]``:
+        the entropy of :meth:`trial_seed`, and a trial key's seed part."""
+        token = f"{cell}|rep={repetition}"
+        digest = hashlib.sha256(token.encode("utf-8")).digest()
+        return [self.seed, *struct.unpack_from(">4I", digest)]
 
     def trial_seed(self, cell: str,
                    repetition: int) -> np.random.SeedSequence:
@@ -394,29 +437,63 @@ class CampaignSpec:
         leaves every pre-existing trial's seed untouched, which is what
         makes warm-store campaigns incremental under grid growth.
         """
-        token = f"{cell}|rep={repetition}"
-        digest = hashlib.sha256(token.encode("utf-8")).digest()
-        words = [int.from_bytes(digest[i:i + 4], "big")
-                 for i in range(0, 16, 4)]
-        return np.random.SeedSequence([self.seed, *words])
+        return np.random.SeedSequence(self._entropy(cell, repetition))
 
-    def expand(self) -> List[TrialSpec]:
-        """The flat, deterministic trial list with content-keyed seeds.
-        Each cell's token is built once and shared by its repetitions'
-        seeds and keys."""
-        trials: List[TrialSpec] = []
+    def _grid(self) -> Iterator[Tuple[int, MatrixSpec, float, str, str,
+                                      int]]:
+        """Every trial's ``(index, matrix, rate, method, cell token,
+        repetition)`` in expansion order; each cell's token is built once
+        and shared by its repetitions."""
+        index = 0
         for matrix in self.matrices:
             for rate in map(float, self.rates):
                 for method in self.methods:
                     cell = _cell_token(matrix, method, rate, self.scenario)
                     for rep in range(self.repetitions):
-                        trial = TrialSpec(
-                            index=len(trials), matrix=matrix, method=method,
-                            rate=rate, repetition=rep,
-                            seed=self.trial_seed(cell, rep),
-                            knobs=self.knobs, scenario=self.scenario)
-                        trial.__dict__["_cell_token"] = cell  # cell_token() memo
-                        trials.append(trial)
+                        yield index, matrix, rate, method, cell, rep
+                        index += 1
+
+    def _trial(self, index: int, matrix: MatrixSpec, rate: float,
+               method: str, cell: str, rep: int) -> TrialSpec:
+        trial = TrialSpec(index=index, matrix=matrix, method=method,
+                          rate=rate, repetition=rep,
+                          seed=self.trial_seed(cell, rep),
+                          knobs=self.knobs, scenario=self.scenario)
+        trial.__dict__["_cell_token"] = cell  # cell_token() memo
+        return trial
+
+    def expand(self) -> List[TrialSpec]:
+        """The flat, deterministic trial list with content-keyed seeds."""
+        return [self._trial(*at) for at in self._grid()]
+
+    def trial_keys(self, shard: Optional[Tuple[int, int]] = None
+                   ) -> List[Tuple[int, str]]:
+        """``(index, store key)`` of every trial of the grid (of shard
+        ``(i, N)``'s under ``shard``) in expansion order: what
+        ``[(t.index, t.store_key()) for t in expand()]`` lists, from the
+        entropy words alone — no :class:`TrialSpec`, no
+        :class:`~numpy.random.SeedSequence`."""
+        if shard is not None:
+            shard = _check_shard(*shard)
+        keys: List[Tuple[int, str]] = []
+        for index, _, _, _, cell, rep in self._grid():
+            if shard is None or _in_shard(index, *shard):
+                token = _trial_token(cell, rep, self._entropy(cell, rep),
+                                     (), self.knobs)
+                keys.append((index, content_hash(token)))
+        return keys
+
+    def trials_at(self, keys: Dict[int, str]) -> List[TrialSpec]:
+        """The trials whose indices ``keys`` maps to their store keys, in
+        expansion order, each with that key preset as its
+        :meth:`TrialSpec.store_key` (so it is never hashed again)."""
+        trials: List[TrialSpec] = []
+        for at in self._grid():
+            key = keys.get(at[0])
+            if key is not None:
+                trial = self._trial(*at)
+                trial.__dict__["_store_key"] = key  # store_key() memo
+                trials.append(trial)
         return trials
 
     def content_token(self) -> str:
@@ -469,24 +546,37 @@ def parse_shard(text: str) -> Tuple[int, int]:
     return index, count
 
 
-def shard_trials(trials: Sequence[TrialSpec], index: int,
-                 count: int) -> List[TrialSpec]:
-    """Shard ``index`` of ``count`` of an expanded trial list.
-
-    Round-robin over the trial index, so every shard sees a balanced
-    mix of cells (contiguous strips would give one shard all the
-    expensive high-rate trials).  The selection depends only on the
-    expansion order, which is deterministic, so N shard runs partition
-    the campaign exactly; merging their partial results reproduces the
-    unsharded fingerprint byte-for-byte.
-    """
+def _check_shard(index: int, count: int) -> Tuple[int, int]:
+    """``(index, count)`` as integers, refused unless a shard exists."""
     index, count = int(index), int(count)
     if count <= 0:
         raise ValueError(f"shard count must be positive, got {count}")
     if not 0 <= index < count:
         raise ValueError(f"shard index {index} out of range for "
                          f"{count} shards")
-    return [t for t in trials if t.index % count == index]
+    return index, count
+
+
+def _in_shard(trial_index: int, index: int, count: int) -> bool:
+    """Whether trial ``trial_index`` belongs to shard ``index`` of
+    ``count``: the one sharding rule, round-robin over the trial index.
+
+    Round-robin gives every shard a balanced mix of cells (contiguous
+    strips would give one shard all the expensive high-rate trials).
+    The selection depends only on the expansion order, which is
+    deterministic, so N shard runs partition the campaign exactly;
+    merging their partial results reproduces the unsharded fingerprint
+    byte-for-byte.
+    """
+    return trial_index % count == index
+
+
+def shard_trials(trials: Sequence[TrialSpec], index: int,
+                 count: int) -> List[TrialSpec]:
+    """Shard ``index`` of ``count`` of an expanded trial list
+    (:func:`_in_shard`)."""
+    index, count = _check_shard(index, count)
+    return [t for t in trials if _in_shard(t.index, index, count)]
 
 
 # ----------------------------------------------------------------------
@@ -508,7 +598,8 @@ def add_spec_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trials", type=int, default=1,
                         help="repetitions per (matrix, method, rate) cell")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="campaign master seed")
+                        help="campaign master seed (a non-negative "
+                             "integer)")
     parser.add_argument("--tolerance", type=float, default=1e-8)
     parser.add_argument("--max-iterations", type=int, default=20000)
     parser.add_argument("--page-size", type=int, default=128)

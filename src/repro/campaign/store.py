@@ -59,6 +59,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.campaign.results import trial_from_payload
 from repro.sanitize import make_lock
 
 #: Version of the on-disk layout and of every artifact payload.  Bump on
@@ -128,8 +129,14 @@ def _judge_json(path: str, key: str) -> Verdict:
     shared by the read path and :meth:`CampaignStore.verify`: it must
     carry the current schema, embed ``key`` and hold its seal."""
     try:
-        with open(path, "rb") as handle:
-            data = handle.read()
+        # One unbuffered read of the whole entry: an entry is never
+        # rewritten in place (``os.replace``), so its size is fixed once
+        # it is open, and a short read would fail the seal, not pass it.
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            data = os.read(fd, os.fstat(fd).st_size)
+        finally:
+            os.close(fd)
         payload = json.loads(data)
     except FileNotFoundError:
         return "missing", "entry is gone", None
@@ -325,9 +332,8 @@ class CampaignStore:
     # ------------------------------------------------------------------
     def get_trial(self, key: str):
         """The cached :class:`TrialResult` under ``key``, or ``None``."""
-        from repro.campaign.results import TrialResult
-        return self._get(
-            "trials", key, lambda payload: TrialResult(**payload["trial"]))
+        return self._get("trials", key,
+                         lambda payload: trial_from_payload(payload["trial"]))
 
     def put_trial(self, key: str, result) -> None:
         from dataclasses import asdict

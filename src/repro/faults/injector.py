@@ -5,9 +5,10 @@ Seeding hygiene
 No module-level RNG state is used anywhere: every injector owns exactly
 one :class:`numpy.random.Generator`, built by :func:`derive_rng` from
 whatever seed material the caller threads through — an integer, a
-:class:`numpy.random.SeedSequence` (the campaign engine spawns one child
-sequence per trial from the campaign seed, so parallel trials are
-reproducible and statistically independent), or an existing Generator.
+:class:`numpy.random.SeedSequence` (the campaign engine keys one per
+trial on the campaign seed and the trial's content, so parallel trials
+are reproducible and statistically independent), or an existing
+Generator.
 """
 
 from __future__ import annotations

@@ -31,10 +31,10 @@ class ErrorScenario:
     for targeted tests).
 
     ``seed`` may be a plain integer or a
-    :class:`numpy.random.SeedSequence`; the campaign engine spawns one
-    child sequence per trial from the campaign seed and threads it here,
-    so every trial owns an independent, reproducible Generator no matter
-    which executor (serial or process pool) runs it.
+    :class:`numpy.random.SeedSequence`; the campaign engine keys one
+    sequence per trial on the campaign seed and the trial's content and
+    threads it here, so every trial owns an independent, reproducible
+    Generator no matter which executor (serial or process pool) runs it.
     """
 
     name: str = "fault-free"

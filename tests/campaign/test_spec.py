@@ -1,6 +1,7 @@
 """Tests for the declarative campaign spec and its expansion."""
 
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -185,6 +186,40 @@ class TestCampaignSpec:
     def test_rejects_a_negative_or_non_finite_rate(self, rate):
         with pytest.raises(ValueError, match="error rates"):
             self.make_spec(rates=(1.0, rate))
+
+    @pytest.mark.parametrize("axis, values, named", [
+        ("matrices", ["laplacian2d:8", "laplacian1d:20", "laplacian2d:8x8"],
+         "laplacian2d(nx=8,ny=8)"),
+        ("methods", ("FEIR", "Lossy", "FEIR"), "FEIR"),
+        ("rates", (1, 10.0, 1.0), "1"),
+    ])
+    def test_rejects_a_repeated_grid_value(self, axis, values, named):
+        """A repeated value would run each of its trials twice under one
+        seed and count both copies as repetitions of the cell."""
+        with pytest.raises(ValueError,
+                           match=rf"{axis} list {re.escape(named)} more "):
+            self.make_spec(**{axis: values})
+
+    def test_distinct_values_keep_their_keys(self):
+        """Values that only look alike are distinct, and a valid grid's
+        keys are those of the grid without the check."""
+        spec = self.make_spec(matrices=["laplacian2d:8", "laplacian2d:8x9"],
+                              methods=("FEIR", "feir"), rates=(0.0, 1e-3))
+        assert spec.num_trials == 2 * 2 * 2 * 3
+        keys = [t.store_key() for t in spec.expand()]
+        assert len(set(keys)) == len(keys)
+        assert [k for _, k in spec.trial_keys()] == keys
+
+    @pytest.mark.parametrize("seed", [-1, -5, 1.5, 7.0, True, "7", None,
+                                      np.int64(7)])
+    def test_rejects_a_seed_that_is_not_a_non_negative_int(self, seed):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            self.make_spec(seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32, 2**70])
+    def test_accepts_any_non_negative_int_seed(self, seed):
+        trial = self.make_spec(seed=seed).expand()[0]
+        assert trial.seed.entropy[0] == seed
 
     def test_make_scenario_threads_trial_seed(self):
         trial = self.make_spec().expand()[0]

@@ -126,6 +126,23 @@ class TestRejections:
         with pytest.raises(ProtocolError):
             spec_from_payload({"version": PROTOCOL_VERSION})
 
+    @pytest.mark.parametrize("seed", [-1, -5])
+    def test_negative_seed(self, seed):
+        """Refused when the spec is built (a 400), not when a trial of
+        the accepted job first builds its seed."""
+        payload = spec_to_payload(CampaignSpec(matrices=["laplacian2d:10"]))
+        payload["seed"] = seed
+        with pytest.raises(ProtocolError, match="non-negative integer"):
+            spec_from_payload(payload)
+
+    @pytest.mark.parametrize("axis, value", [("rates", [1.0, 1.0]),
+                                             ("methods", ["FEIR", "FEIR"])])
+    def test_repeated_grid_value(self, axis, value):
+        payload = spec_to_payload(CampaignSpec(matrices=["laplacian2d:10"]))
+        payload[axis] = value
+        with pytest.raises(ProtocolError, match="more than once"):
+            spec_from_payload(payload)
+
 
 class TestJobIdsAndEvents:
     @pytest.mark.parametrize("good", ["j1-ab12cd34", "job_7", "A-1"])
