@@ -13,6 +13,8 @@ from typing import List
 
 import numpy as np
 
+from repro.analysis.overheads import overhead_percent
+
 
 @dataclass
 class ResidualHistory:
@@ -65,9 +67,7 @@ class ConvergenceRecord:
 
     def slowdown_vs(self, baseline: "ConvergenceRecord") -> float:
         """Relative slowdown versus a baseline record, in percent."""
-        if baseline.solve_time <= 0:
-            raise ValueError("baseline solve time must be positive")
-        return 100.0 * (self.solve_time - baseline.solve_time) / baseline.solve_time
+        return overhead_percent(self.solve_time, baseline.solve_time)
 
     def summary(self) -> str:
         status = "converged" if self.converged else "NOT converged"

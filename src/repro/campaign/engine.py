@@ -120,7 +120,7 @@ def solve_trial(trial: TrialSpec, cache: CampaignCache):
     strategy = scenario = ideal_time = None
     if trial.method is not None:
         ideal_time = _ideal_time(trial.matrix, knobs, cache)
-        strategy = make_strategy(trial.method, cost_model=knobs.cost_model,
+        strategy = make_strategy(trial.method,
                                  checkpoint_interval=knobs.checkpoint_interval)
         scenario = trial.make_scenario()
     preconditioner = None

@@ -18,6 +18,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.analysis.overheads import overhead_percent
 from repro.analysis.stats import harmonic_mean_overhead, mean_and_std
 
 #: Slowdown (percent) assigned to trials that failed to converge, the
@@ -53,9 +54,7 @@ class TrialResult:
     @property
     def overhead_percent(self) -> float:
         """Slowdown versus the fault-free ideal run, in percent."""
-        if self.ideal_time <= 0:
-            raise ValueError("ideal time must be positive")
-        return 100.0 * (self.solve_time - self.ideal_time) / self.ideal_time
+        return overhead_percent(self.solve_time, self.ideal_time)
 
     @property
     def scored_slowdown(self) -> float:

@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.strategy import RecoveryOutcome, RecoveryStrategy
-from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
 
 
 def optimal_checkpoint_interval(mtbe: float, checkpoint_cost: float,
@@ -47,25 +46,25 @@ class CheckpointStrategy(RecoveryStrategy):
     uses_recovery_tasks = False
     recovery_in_critical_path = False
 
-    def __init__(self, interval: Optional[int] = None,
-                 cost_model: CostModel = DEFAULT_COST_MODEL):
+    def __init__(self, interval: Optional[int] = None):
         """``interval`` is in iterations; ``None`` means "choose optimally"
         once the solver knows the iteration time and MTBE."""
         if interval is not None and interval < 1:
             raise ValueError("checkpoint interval must be >= 1 iteration")
         self.interval = interval
-        self.cost_model = cost_model
         self._saved: Optional[Dict[str, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     def configure_interval(self, mtbe: float, iteration_time: float,
-                           checkpoint_bytes: float) -> int:
-        """Pick the optimal interval for a given error rate (Section 5.4)."""
-        cost = self.cost_model.checkpoint_write(checkpoint_bytes)
-        self.interval = optimal_checkpoint_interval(mtbe, cost, iteration_time)
+                           write_time: float) -> int:
+        """Pick the optimal interval for a given error rate (Section 5.4),
+        given the simulated time of one checkpoint write."""
+        self.interval = optimal_checkpoint_interval(mtbe, write_time,
+                                                    iteration_time)
         return self.interval
 
-    def checkpoint_bytes(self, n: int) -> float:
+    @staticmethod
+    def checkpoint_bytes(n: float) -> float:
         """Bytes written per checkpoint: the iterate and the search direction."""
         return 2.0 * 8.0 * n
 
@@ -101,9 +100,13 @@ class CheckpointStrategy(RecoveryStrategy):
         state.vectors[state.current_d_name].fill_from(self._saved["d"])
         for vector, page in lost:
             state.memory.mark_recovered(vector, page)
-        n = state.blocked.n
         outcome.rolled_back = True
         outcome.restart_required = True
-        outcome.work_time += self.cost_model.checkpoint_read(self.checkpoint_bytes(n))
+        # The read is priced at the unscaled volume while the write is
+        # priced at ``work_scale`` times it: the same data, read at
+        # 1/work_scale of its written size.  Left as is because scaling it
+        # moves every ckpt solve time (a store-schema change).
+        outcome.work_time += state.config.cost_model.checkpoint_read(
+            self.checkpoint_bytes(state.blocked.n))
         outcome.recovered.extend(lost)
         return outcome

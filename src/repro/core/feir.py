@@ -40,7 +40,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Set, Tuple
 
 from repro.core.strategy import RecoveryOutcome, RecoveryStrategy
-from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
 
 
 class FEIRStrategy(RecoveryStrategy):
@@ -55,12 +54,6 @@ class FEIRStrategy(RecoveryStrategy):
     name = "FEIR"
     uses_recovery_tasks = True
     recovery_in_critical_path = True
-
-    def __init__(self, cost_model: CostModel = DEFAULT_COST_MODEL):
-        self.cost_model = cost_model
-        #: Timing scale of full-vector recomputations (set by the solver so
-        #: conflict fallbacks are charged at the simulated problem scale).
-        self.work_scale = 1.0
 
     # ------------------------------------------------------------------
     def handle_lost_pages(self, state, lost: List[Tuple[str, int]],
@@ -104,7 +97,7 @@ class FEIRStrategy(RecoveryStrategy):
                 state.vectors[vector].zero_page(page)
                 state.memory.mark_recovered(vector, page)
                 outcome.recovered.append((vector, page))
-                outcome.work_time += self.cost_model.recovery_check()
+                outcome.work_time += state.config.cost_model.recovery_check()
         return outcome
 
     # ------------------------------------------------------------------
@@ -115,7 +108,7 @@ class FEIRStrategy(RecoveryStrategy):
                      outcome: RecoveryOutcome) -> float:
         """Rebuild ``pages`` of ``vector`` with one inverted-relation solve
         from ``lhs``; returns the simulated work time."""
-        blocked = state.blocked
+        blocked, cm = state.blocked, state.config.cost_model
         factored_already = all(blocked.has_cached_factor(p) for p in pages)
         target = state.vectors[vector]
         for page, values in zip(pages, solve(pages, state.vectors[lhs].array,
@@ -125,9 +118,9 @@ class FEIRStrategy(RecoveryStrategy):
         for page in pages:
             state.memory.mark_recovered(vector, page)
             outcome.recovered.append((vector, page))
-            time_spent += self.cost_model.block_solve(
-                blocked.block_size(page), factorized=factored_already)
-            time_spent += self.cost_model.spmv_block(blocked.nnz_of_block(page))
+            time_spent += cm.block_solve(blocked.block_size(page),
+                                         factorized=factored_already)
+            time_spent += cm.spmv_block(blocked.nnz_of_block(page))
         return time_spent
 
     def _product_pages(self, state, vector: str, pages: List[int],
@@ -136,13 +129,13 @@ class FEIRStrategy(RecoveryStrategy):
         """Rebuild ``pages`` of ``vector`` by a block-row product with the
         (repaired) ``rhs``; returns the simulated work time."""
         time_spent = 0.0
+        cm = state.config.cost_model
         source = state.vectors[rhs].array
         for page in pages:
             state.vectors[vector].set_page(page, product(page, source))
             state.memory.mark_recovered(vector, page)
             outcome.recovered.append((vector, page))
-            time_spent += self.cost_model.spmv_block(
-                state.blocked.nnz_of_block(page))
+            time_spent += cm.spmv_block(state.blocked.nnz_of_block(page))
         return time_spent
 
     # ------------------------------------------------------------------
@@ -173,11 +166,8 @@ class FEIRStrategy(RecoveryStrategy):
             state.memory.mark_recovered(lhs_name, page)
             outcome.recovered.append((lhs_name, page))
         outcome.restart_required = True
-        return self._full_spmv_time(state)
-
-    def _full_spmv_time(self, state) -> float:
-        """Simulated cost of recomputing a full residual / mat-vec product."""
-        nnz = state.blocked.A.nnz
-        n = state.blocked.n
-        return self.cost_model.kernel_time(2.0 * nnz, 12.0 * nnz + 8.0 * n) \
-            * self.work_scale
+        # A full-vector recomputation, charged at the simulated problem
+        # scale like the solver's own compute tasks.
+        blocked, config = state.blocked, state.config
+        return config.cost_model.spmv(blocked.A.nnz, blocked.n) \
+            * config.work_scale

@@ -29,7 +29,6 @@ import scipy.sparse as sp
 from repro.core.relations import MatVecRelation
 from repro.core.strategy import RecoveryOutcome, RecoveryStrategy
 from repro.matrices.blocked import PageBlockedMatrix
-from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
 
 
 # ----------------------------------------------------------------------
@@ -97,9 +96,6 @@ class LossyRestartStrategy(RecoveryStrategy):
     uses_recovery_tasks = False
     recovery_in_critical_path = False
 
-    def __init__(self, cost_model: CostModel = DEFAULT_COST_MODEL):
-        self.cost_model = cost_model
-
     def handle_lost_pages(self, state, lost: List[Tuple[str, int]],
                           iteration: int) -> RecoveryOutcome:
         outcome = RecoveryOutcome()
@@ -109,18 +105,18 @@ class LossyRestartStrategy(RecoveryStrategy):
         other = [(vector, page) for vector, page in lost if vector != "x"]
 
         if x_pages:
+            blocked, cm = state.blocked, state.config.cost_model
             x_vec = state.vectors["x"]
-            interpolated = lossy_interpolate(state.blocked, state.b,
+            interpolated = lossy_interpolate(blocked, state.b,
                                              x_vec.array, x_pages)
             x_vec.fill_from(interpolated)
             for page in x_pages:
                 state.memory.mark_recovered("x", page)
                 outcome.recovered.append(("x", page))
-                outcome.work_time += self.cost_model.block_solve(
-                    state.blocked.block_size(page),
-                    factorized=state.blocked.has_cached_factor(page))
-                outcome.work_time += self.cost_model.spmv_block(
-                    state.blocked.nnz_of_block(page))
+                outcome.work_time += cm.block_solve(
+                    blocked.block_size(page),
+                    factorized=blocked.has_cached_factor(page))
+                outcome.work_time += cm.spmv_block(blocked.nnz_of_block(page))
 
         # Non-iterate losses: the data will be rebuilt by the restart
         # (g recomputed, d reset to the new residual, q recomputed), so the

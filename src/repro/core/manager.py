@@ -10,30 +10,29 @@ from repro.core.feir import FEIRStrategy
 from repro.core.lossy import LossyRestartStrategy
 from repro.core.strategy import RecoveryStrategy
 from repro.core.trivial import TrivialStrategy
-from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
 
 #: Canonical method names, in the order the paper's figures list them.
 STRATEGY_NAMES = ("AFEIR", "FEIR", "Lossy", "ckpt", "Trivial")
 
 
-def make_strategy(name: str, *, cost_model: CostModel = DEFAULT_COST_MODEL,
+def make_strategy(name: str, *,
                   checkpoint_interval: Optional[int] = None) -> RecoveryStrategy:
     """Build a recovery strategy by its paper name (case-insensitive).
 
     ``checkpoint_interval`` only applies to the checkpointing method; when
     omitted the solver configures the optimal interval from the error
-    rate (Section 5.4).
+    rate (Section 5.4).  A strategy holds no prices: it charges its work
+    with the solve's ``SolverConfig.cost_model``.
     """
     key = name.strip().lower()
     if key == "feir":
-        return FEIRStrategy(cost_model=cost_model)
+        return FEIRStrategy()
     if key == "afeir":
-        return AFEIRStrategy(cost_model=cost_model)
+        return AFEIRStrategy()
     if key in ("lossy", "lossy restart", "lossy-restart"):
-        return LossyRestartStrategy(cost_model=cost_model)
+        return LossyRestartStrategy()
     if key in ("ckpt", "checkpoint", "checkpointing", "checkpoint-rollback"):
-        return CheckpointStrategy(interval=checkpoint_interval,
-                                  cost_model=cost_model)
+        return CheckpointStrategy(interval=checkpoint_interval)
     if key == "trivial":
         return TrivialStrategy()
     raise ValueError(f"unknown recovery strategy {name!r}; "

@@ -19,6 +19,10 @@ typed, to avoid a circular dependency on the solver module):
 ``memory``             the :class:`~repro.memory.manager.MemoryManager`
 ``residual_relation``  a :class:`~repro.core.relations.ResidualRelation`
 ``matvec_relation``    a :class:`~repro.core.relations.MatVecRelation`
+``config``             the solve's :class:`~repro.solvers.cg_types.SolverConfig`,
+                       the only source of prices: a strategy charges its
+                       work with ``config.cost_model`` (and full-vector work
+                       at ``config.work_scale``) and holds no prices itself
 """
 
 from __future__ import annotations

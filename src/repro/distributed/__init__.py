@@ -17,8 +17,11 @@ This package now covers that setup from two complementary angles:
 * :class:`~repro.distributed.cluster.ClusterModel` projects the same
   iteration structure analytically to the paper's 512^3 problem on up
   to 1024 cores, from iteration counts the Figure 5 driver measures
-  and hands it, using a :class:`~repro.distributed.comm.CommunicationModel`
-  whose interconnect constants default to InfiniBand-era values and can
-  be calibrated from the measured rank-runtime exchanges
-  (:func:`~repro.distributed.comm.fit_communication_model`).
+  and hands it, pricing every term with one
+  :class:`~repro.runtime.cost_model.CostModel` — whose interconnect
+  constants (``message``, ``halo_exchange``, ``allreduce``) default to
+  InfiniBand-era values and can be calibrated from the measured
+  rank-runtime exchanges
+  (:func:`~repro.distributed.comm.fit_communication_model` returns the
+  fitted ``CostModel``).
 """

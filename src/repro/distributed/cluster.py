@@ -25,11 +25,12 @@ count (64 cores = 8 ranks), exactly as in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
+from repro.core.checkpoint import CheckpointStrategy
 from repro.core.manager import STRATEGY_NAMES
-from repro.distributed.comm import CommunicationModel
-from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
+from repro.runtime.cost_model import (CostModel, DEFAULT_COST_MODEL,
+                                      FAULT_SERVICE_TIME)
 
 
 @dataclass
@@ -60,16 +61,15 @@ class ClusterModel:
     #: iteration counts on (kept small so it calibrates in seconds).
     calibration_points: int = 24
     workers_per_rank: int = 8
+    #: Prices every term, the halo and allreduce ones included.  Its
+    #: interconnect constants default to InfiniBand-era values; pass one
+    #: calibrated by
+    #: :func:`~repro.distributed.comm.fit_communication_model` to anchor
+    #: the projection on *measured* rank-runtime exchanges.
     cost_model: CostModel = DEFAULT_COST_MODEL
     #: Convergence threshold of the calibration solves.
     tolerance: float = 1e-10
     checkpoint_interval: int = 50
-    #: Interconnect model used for halo/allreduce terms.  Defaults to the
-    #: InfiniBand-ish constants of :class:`CommunicationModel`; pass one
-    #: calibrated by
-    #: :func:`~repro.distributed.comm.fit_communication_model` to anchor
-    #: the projection on *measured* rank-runtime exchanges.
-    comm_model: Optional[CommunicationModel] = None
 
     # ------------------------------------------------------------------
     # analytic per-iteration time at the target scale
@@ -99,7 +99,7 @@ class ClusterModel:
         elif method == "AFEIR":
             time += 1.0 * cm.task_overhead
         elif method == "ckpt":
-            volume = 2.0 * 8.0 * rows
+            volume = CheckpointStrategy.checkpoint_bytes(rows)
             time += cm.checkpoint_write(volume) / self.checkpoint_interval
         return time
 
@@ -122,14 +122,14 @@ class ClusterModel:
 
     def comm_time_per_iteration(self, num_ranks: int) -> float:
         """Halo + allreduce share of one CG iteration at ``num_ranks``."""
-        comm = self.comm_model or CommunicationModel(self.cost_model)
-        return (comm.halo_exchange(self.neighbour_planes(num_ranks))
-                + 2.0 * comm.allreduce(num_ranks))
+        cm = self.cost_model
+        return (cm.halo_exchange(self.neighbour_planes(num_ranks))
+                + 2.0 * cm.allreduce(8.0, num_ranks))
 
     def _per_error_cost(self, method: str, num_ranks: int) -> float:
         """Critical-path time added by servicing one DUE at the target scale."""
         cm = self.cost_model
-        service = 0.5e-3
+        service = FAULT_SERVICE_TIME
         block = cm.block_solve(512, factorized=False)
         if method == "FEIR":
             return service + block
@@ -140,7 +140,8 @@ class ClusterModel:
             return service + block + self.iteration_time(num_ranks, "ideal")
         if method == "ckpt":
             rows = self._target_rows() / num_ranks
-            return service + cm.checkpoint_read(2.0 * 8.0 * rows)
+            return service + cm.checkpoint_read(
+                CheckpointStrategy.checkpoint_bytes(rows))
         return service                  # Trivial
 
     # ------------------------------------------------------------------

@@ -26,8 +26,9 @@ iteration's kernels concurrently, with
 
 Every message transfer is wall-clock timed; the per-solve
 :class:`RankCommStats` feeds the measured Figure 5 mode and the
-calibration of the analytic cluster model's interconnect constants
-(:func:`~repro.distributed.comm.fit_communication_model`).
+calibration of the interconnect constants of the
+:class:`~repro.runtime.cost_model.CostModel` the analytic cluster model
+prices with (:func:`~repro.distributed.comm.fit_communication_model`).
 
 The simulated timeline of the solver is untouched: ranks change *where*
 numerics execute, never what the discrete-event clock decides, which is

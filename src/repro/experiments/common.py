@@ -19,6 +19,8 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.analysis.convergence import ConvergenceRecord
+from repro.analysis.overheads import (measured_overhead_percent,
+                                      overhead_percent)
 from repro.campaign.engine import keep_baseline, solve_trial
 from repro.campaign.spec import MatrixSpec, SolverKnobs, TrialSpec
 from repro.campaign.store import CampaignCache
@@ -97,9 +99,7 @@ class MethodRun:
 
     @property
     def overhead_percent(self) -> float:
-        if self.ideal_time <= 0:
-            raise ValueError("ideal time must be positive")
-        return 100.0 * (self.result.solve_time - self.ideal_time) / self.ideal_time
+        return overhead_percent(self.result.solve_time, self.ideal_time)
 
     @property
     def measured_overhead_percent(self) -> Optional[float]:
@@ -107,7 +107,6 @@ class MethodRun:
         run's real execution, or ``None`` under the simulated clock."""
         if self.ideal_wall <= 0 or self.result.wall_clock <= 0:
             return None
-        from repro.analysis.overheads import measured_overhead_percent
         return measured_overhead_percent(self.result.wall_clock,
                                          self.ideal_wall)
 

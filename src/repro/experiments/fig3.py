@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.analysis.convergence import ResidualHistory
+from repro.analysis.overheads import overhead_percent
 from repro.analysis.report import format_table
 from repro.campaign.engine import solve_trial
 from repro.campaign.store import CampaignCache
@@ -72,8 +73,7 @@ def format_fig3(result: Fig3Result) -> str:
     ideal_time = result.final_times["Ideal"]
     for method, time in result.final_times.items():
         history = result.histories[method]
-        rows.append([method, time,
-                     100.0 * (time - ideal_time) / ideal_time,
+        rows.append([method, time, overhead_percent(time, ideal_time),
                      history.final_residual,
                      len(history)])
     return format_table(

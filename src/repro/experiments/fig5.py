@@ -28,14 +28,14 @@ from repro.campaign.store import CampaignCache
 from repro.core.manager import STRATEGY_NAMES
 from repro.distributed.cluster import (Calibration, ClusterModel,
                                        ScalingResult)
-from repro.distributed.comm import (CommunicationModel,
-                                    fit_communication_model)
+from repro.distributed.comm import fit_communication_model
 from repro.distributed.partition import StripPartition
 from repro.distributed.ranks import RankCommStats
 from repro.experiments.common import driver_cell, solve_cell
 from repro.faults.injector import Injection
 from repro.faults.scenarios import ErrorScenario, multi_error_scenario
 from repro.memory.pages import page_count
+from repro.runtime.cost_model import DEFAULT_COST_MODEL, CostModel
 
 #: Paper reference speedups on 1024 cores for quick comparison.
 PAPER_FIG5_1024 = {
@@ -168,8 +168,8 @@ class MeasuredRankRow:
     #: (critical path across ranks, from the rank runtime's clocks).
     measured_halo_ms: float
     measured_allreduce_ms: float
-    #: The analytic CommunicationModel's prediction for the *same* small
-    #: problem and partition (worst rank's per-neighbour halo sizes).
+    #: The default cost model's prediction for the *same* small problem
+    #: and partition (worst rank's per-neighbour halo sizes).
     model_halo_ms: float
     model_allreduce_ms: float
     halo_bytes: int
@@ -190,10 +190,10 @@ class MeasuredFig5Result:
     points: int
     n: int
     page_size: int
-    #: Interconnect constants fitted from the measured transfers.
-    fitted_latency: float
-    fitted_bandwidth: float
-    calibrated: CommunicationModel
+    #: The default cost model with its interconnect constants
+    #: (``network_latency``, ``network_bandwidth``) fitted to the
+    #: measured transfers.
+    calibrated: CostModel
     #: Per-iteration communication time of the ideal CG at the paper's
     #: 512^3 / 1024-core point, under the default and the calibrated
     #: interconnect constants.
@@ -220,8 +220,7 @@ def run_fig5_measured(ranks: Sequence[int] = (1, 2, 4),
     strip, real halo exchange of the search direction, reproducibly-
     ordered tree allreduces, recovery on the page owner — and the
     measured wall times of the exchanges are reported next to what the
-    analytic
-    :class:`~repro.distributed.comm.CommunicationModel` predicts for the
+    default :class:`~repro.runtime.cost_model.CostModel` predicts for the
     same partition.  The measured point-to-point transfers then
     calibrate the interconnect constants of the 512^3 projection
     (:func:`~repro.distributed.comm.fit_communication_model`).
@@ -241,7 +240,7 @@ def run_fig5_measured(ranks: Sequence[int] = (1, 2, 4),
     A, _ = matrix.build()       # partitioned for the model's columns
     n = A.shape[0]
     num_pages = page_count(n, page_size)
-    comm_default = CommunicationModel()
+    cm = DEFAULT_COST_MODEL
     ideal = solve_trial(driver_cell(matrix, knobs, None), cache)
     one_error = multi_error_scenario(
         [Injection(time=ideal.solve_time * 0.5, vector="x",
@@ -251,9 +250,9 @@ def run_fig5_measured(ranks: Sequence[int] = (1, 2, 4),
     samples: List[Tuple[float, float]] = []
     for r in ranks:
         part = StripPartition(A, r, align=page_size)
-        model_halo = max(comm_default.halo_exchange(p.halo_sizes())
+        model_halo = max(cm.halo_exchange(p.halo_sizes())
                          for p in part.partitions)
-        model_allreduce = comm_default.allreduce(r, values=num_pages)
+        model_allreduce = cm.allreduce(8.0 * num_pages, r)
         for method in methods:
             # Ideal rows (and single-strip runs, which have no halo to
             # overlap) stay on the cheap list cell; the others take the
@@ -289,18 +288,13 @@ def run_fig5_measured(ranks: Sequence[int] = (1, 2, 4),
                 halo_overlapped=int(
                     window.get("halo_overlapped_recoveries", 0) or 0)))
 
-    if samples:
-        calibrated, latency, bandwidth = fit_communication_model(samples)
-    else:                               # single-rank-only sweep
-        calibrated, latency, bandwidth = (
-            comm_default, comm_default.cost_model.network_latency,
-            comm_default.cost_model.network_bandwidth)
+    # A single-rank-only sweep measured no transfer: keep the defaults.
+    calibrated = fit_communication_model(samples) if samples else cm
     base = ClusterModel(target_points=target_points)
     calibrated_model = ClusterModel(target_points=target_points,
-                                    comm_model=calibrated)
+                                    cost_model=calibrated)
     return MeasuredFig5Result(
         rows=rows, points=points, n=n, page_size=page_size,
-        fitted_latency=latency, fitted_bandwidth=bandwidth,
         calibrated=calibrated,
         default_comm_per_iter_1024=_comm_per_iteration(base, 1024),
         calibrated_comm_per_iter_1024=_comm_per_iteration(
@@ -347,8 +341,8 @@ def format_fig5_measured(result: MeasuredFig5Result) -> str:
             f"communication, FEIR's critical-path recovery cannot.")
     lines.append(
         f"Interconnect constants fitted from {len(result.rows)} runs' "
-        f"measured transfers: latency {1e6 * result.fitted_latency:.1f} us, "
-        f"bandwidth {result.fitted_bandwidth / 1e6:.1f} MB/s "
+        f"measured transfers: latency {1e6 * result.calibrated.network_latency:.1f} us, "
+        f"bandwidth {result.calibrated.network_bandwidth / 1e6:.1f} MB/s "
         f"(shared-memory queues, so expect queue-hop latency, not "
         f"InfiniBand).")
     lines.append(

@@ -12,13 +12,24 @@ reports (1 to 100 s per solve, Section 5.3) and so that the fault-free
 overheads of FEIR/AFEIR versus checkpointing reproduce the ordering of
 Table 2.  Absolute values are not meant to match the Xeon E5-2670; only
 ratios matter for the reproduction.
+
+This module is the one owner of every simulated price: the solver's
+tasks, the strategies' recovery work (read from the solve's
+``SolverConfig.cost_model``), the checkpoint write and read, the
+per-DUE fault service and the interconnect of the Figure 5 projection.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 from repro.config import PAGE_BYTES, PAGE_DOUBLES
+
+#: Extra simulated cost of servicing one page fault (signal delivery,
+#: page re-mapping by the OS), charged per detected DUE.
+FAULT_SERVICE_TIME = 0.5e-3
 
 
 @dataclass(frozen=True)
@@ -69,6 +80,11 @@ class CostModel:
     # ------------------------------------------------------------------
     # solver building blocks (durations per *page-sized block* of rows)
     # ------------------------------------------------------------------
+    def spmv(self, nnz: int, rows: int) -> float:
+        """Sparse matrix-vector product over ``rows`` rows holding ``nnz``
+        non-zeros (values + column indices in, the output rows out)."""
+        return self.kernel_time(2.0 * nnz, 12.0 * nnz + 8.0 * rows)
+
     def spmv_block(self, nnz_block: int) -> float:
         """Sparse matrix-vector product restricted to one block of rows."""
         flops = 2.0 * nnz_block
@@ -119,11 +135,28 @@ class CostModel:
         """Point-to-point message between two ranks."""
         return self.network_latency + num_bytes / self.network_bandwidth
 
+    def halo_exchange(self, sizes: Sequence[int]) -> float:
+        """Time for one rank to exchange its halo with its neighbours.
+
+        ``sizes`` are the per-neighbour entry counts (straight from
+        :meth:`~repro.distributed.partition.RankPartition.halo_sizes`).
+        Messages to different neighbours overlap (they use different
+        links and are posted together), so the exchange costs a single
+        message of the *largest* per-neighbour share — not one
+        serialised message per neighbour.
+        """
+        sizes = [int(s) for s in sizes]
+        if any(s < 0 for s in sizes):
+            raise ValueError("per-neighbour halo sizes must be >= 0")
+        largest = max(sizes, default=0)
+        return self.message(8.0 * largest) if largest else 0.0
+
     def allreduce(self, num_bytes: float, num_ranks: int) -> float:
-        """Tree allreduce across ``num_ranks`` ranks."""
+        """Tree allreduce of ``num_bytes`` across ``num_ranks`` ranks."""
+        if num_bytes < 0:
+            raise ValueError(f"num_bytes must be >= 0, got {num_bytes}")
         if num_ranks <= 1:
             return 0.0
-        import math
         stages = math.ceil(math.log2(num_ranks))
         return stages * self.message(num_bytes)
 

@@ -14,26 +14,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional, Sequence
 
 from repro.sanitize.canary import canary_verdict
 from repro.sanitize.explore import DEFAULT_PREEMPT_RATE, explore
-from repro.sanitize.instrument import SANITIZE_SEED_ENV
 
 DEFAULT_SEED = 20150715
-
-
-def _default_seed() -> int:
-    raw = os.environ.get(SANITIZE_SEED_ENV, "").strip()
-    if not raw:
-        return DEFAULT_SEED
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(f"{SANITIZE_SEED_ENV} must be an integer, "
-                         f"got {raw!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,9 +32,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ex = sub.add_parser("explore", help="run seeded schedules of one "
                                         "runtime cell under the sanitizer")
-    ex.add_argument("--seed", type=int, default=None,
-                    help=f"root seed (default: ${SANITIZE_SEED_ENV} "
-                         f"or {DEFAULT_SEED})")
+    ex.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                    help=f"root seed (default {DEFAULT_SEED})")
     ex.add_argument("--schedules", type=int, default=10,
                     help="number of seeded schedules to run (default 10)")
     ex.add_argument("--scheduler", default="threaded",
@@ -88,7 +74,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(line)
         return 0
 
-    seed = args.seed if args.seed is not None else _default_seed()
     if args.schedules < 1:
         raise SystemExit("--schedules must be >= 1")
 
@@ -103,7 +88,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                   f"{record['lock_cycles']} lock-order cycle(s))",
                   file=sys.stderr)
 
-    verdict = explore(seed, args.schedules, scheduler=args.scheduler,
+    verdict = explore(args.seed, args.schedules, scheduler=args.scheduler,
                       placement=args.placement, clock=args.clock,
                       ranks=args.ranks, points=args.points,
                       page_size=args.page_size,

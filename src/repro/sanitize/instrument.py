@@ -37,8 +37,6 @@ from repro.sanitize.events import (EventLog, ThreadLockState, OP_ACCESS,
 
 #: Enable switch (documented in the README's ``REPRO_*`` table).
 TSAN_ENV = "REPRO_TSAN"
-#: Seed for the schedule explorer (CLI ``--seed`` overrides).
-SANITIZE_SEED_ENV = "REPRO_SANITIZE_SEED"
 
 #: Programmatic override: tests and the explorer flip this instead of
 #: mutating ``os.environ`` (None = follow the environment variable).

@@ -154,10 +154,13 @@ class CGPlanner:
         indptr = blocked.A.indptr
         chunk_nnz = [int(indptr[hi] - indptr[lo])
                      for lo, hi in self.chunk_bounds]
-        #: Bytes of one checkpoint write at the simulated problem scale
-        #: (``None``: the strategy writes none).
-        self._checkpoint_volume = (
-            strategy.checkpoint_bytes(blocked.n) * config.work_scale
+        #: Simulated time of one checkpoint write, its volume taken at
+        #: the simulated problem scale: the ``ckpt`` task's duration, and
+        #: what the optimal interval is chosen from (``None``: the
+        #: strategy writes none).
+        self.checkpoint_write_time = (
+            config.cost_model.checkpoint_write(
+                strategy.checkpoint_bytes(blocked.n) * config.work_scale)
             if isinstance(strategy, CheckpointStrategy) else None)
         if compiled is None:
             compiled = {}  # handed no table: compile for this planner alone
@@ -215,7 +218,7 @@ class CGPlanner:
                 cfg.cost_model, cfg.work_scale, cfg.page_size,
                 executor.num_workers, executor.cost_model,
                 self.preconditioned, self.uses_recovery_tasks,
-                self._recovery_shape(), self._checkpoint_volume)
+                self._recovery_shape(), self.checkpoint_write_time)
 
     def _chunk_costs(self, chunk_nnz: Sequence[int]
                      ) -> Dict[str, List[float]]:
@@ -227,10 +230,8 @@ class CGPlanner:
         for (start, stop), nnz in zip(self.chunk_bounds, chunk_nnz,
                                       strict=True):
             rows = stop - start
-            costs["spmv"].append(
-                cm.kernel_time(2.0 * nnz, nnz * 12.0 + rows * 8.0) * scale)
-            costs["axpy"].append(
-                cm.kernel_time(2.0 * rows, 24.0 * rows) * scale)
+            costs["spmv"].append(cm.spmv(nnz, rows) * scale)
+            costs["axpy"].append(cm.axpy_block(rows) * scale)
             costs["dot"].append(
                 cm.kernel_time(2.0 * rows, 16.0 * rows) * scale)
             # Block-Jacobi triangular solves: ~2 * page_size flops/row.
@@ -370,9 +371,8 @@ class CGPlanner:
                            priority=rec_priority, deps=r3_deps)
 
         # --- checkpoint write ----------------------------------------------------
-        if checkpoint and self._checkpoint_volume is not None:
-            graph.add_task(f"ckpt{t}",
-                           cm.checkpoint_write(self._checkpoint_volume),
+        if checkpoint and self.checkpoint_write_time is not None:
+            graph.add_task(f"ckpt{t}", self.checkpoint_write_time,
                            kind=TaskKind.CHECKPOINT, deps=update_parts,
                            reads={f"seg:{v}[{c}]"
                                   for v in ("x", "g")

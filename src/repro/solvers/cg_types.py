@@ -89,6 +89,8 @@ class CGState:
     memory: MemoryManager
     residual_relation: ResidualRelation
     matvec_relation: MatVecRelation
+    #: The solve's configuration: what a strategy prices its work with.
+    config: SolverConfig
     current_d_name: str = "d0"
     previous_d_name: str = "d1"
 

@@ -77,6 +77,7 @@ from repro.matrices.sparse import SparseOperator
 from repro.memory.manager import MemoryManager
 from repro.memory.pages import PagedVector
 from repro.precond.base import Preconditioner
+from repro.runtime.cost_model import FAULT_SERVICE_TIME
 from repro.runtime.kernels import make_kernel_engine
 from repro.runtime.runtime import make_executor
 from repro.runtime.trace import ExecutionTrace
@@ -86,9 +87,6 @@ from repro.solvers.cg_types import CGState, SolveResult, SolverConfig
 
 #: Injection schedule horizon, as a multiple of the ideal solve time.
 HORIZON_FACTOR = 50.0
-#: Extra simulated cost of servicing one page fault (signal delivery,
-#: page re-mapping by the OS), charged per detected DUE.
-FAULT_SERVICE_TIME = 0.5e-3
 
 
 class PointOutcome(NamedTuple):
@@ -264,10 +262,6 @@ class ResilientCG:
             executor=make_executor(spec, cfg.num_workers, cfg.cost_model,
                                    cfg.pace),
             engine=self.engine, compiled=compiled)
-        if self.strategy is not None and hasattr(self.strategy, "work_scale"):
-            # Conflict fallbacks recompute a full vector; charge them at the
-            # same simulated problem scale as the solver's compute tasks.
-            self.strategy.work_scale = cfg.work_scale
 
     # ==================================================================
     # public API
@@ -294,7 +288,7 @@ class ResilientCG:
         state = CGState(
             blocked=self.blocked, b=self.b, vectors=vectors, memory=memory,
             residual_relation=ResidualRelation(self.blocked, self.b),
-            matvec_relation=MatVecRelation(self.blocked))
+            matvec_relation=MatVecRelation(self.blocked), config=cfg)
 
         b_norm = float(np.linalg.norm(self.b))
         if b_norm == 0.0:
@@ -315,10 +309,9 @@ class ResilientCG:
         t_iter_ideal = planner.ideal_iteration_time()
         if isinstance(self.strategy, CheckpointStrategy):
             if self.strategy.interval is None:
-                mtbe = self._scenario_mtbe(ideal_time)
                 self.strategy.configure_interval(
-                    mtbe, t_iter_ideal,
-                    self.strategy.checkpoint_bytes(self.n) * cfg.work_scale)
+                    self._scenario_mtbe(ideal_time), t_iter_ideal,
+                    planner.checkpoint_write_time)
         if self.strategy is not None:
             self.strategy.on_solve_start(state)
 
@@ -769,9 +762,7 @@ class ResilientCG:
                     stats.pages_recovered += 1
         if need_residual_resync:
             self.engine.residual(x, self.b, g)
-            work += cm.kernel_time(2.0 * self.A.nnz,
-                                   12.0 * self.A.nnz + 8.0 * self.n) \
-                * self.config.work_scale
+            work += cm.spmv(self.A.nnz, self.n) * self.config.work_scale
         for key in late:
             late[key].clear()
         stats.recovery_work_time += work

@@ -108,7 +108,7 @@ def standalone(trial):
         result = ideal.solve()
     if trial.method is None:
         return result
-    strategy = make_strategy(trial.method, cost_model=knobs.cost_model,
+    strategy = make_strategy(trial.method,
                              checkpoint_interval=knobs.checkpoint_interval)
     with solver(strategy=strategy, scenario=trial.make_scenario()) as cg:
         return cg.solve(ideal_time=result.solve_time)

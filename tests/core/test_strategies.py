@@ -14,7 +14,7 @@ from repro.matrices.blocked import PageBlockedMatrix
 from repro.matrices.laplacian import laplacian_2d
 from repro.memory.manager import MemoryManager
 from repro.memory.pages import PagedVector
-from repro.solvers.resilient_cg import CGState
+from repro.solvers.resilient_cg import CGState, SolverConfig
 
 
 def make_state(page_size=32, seed=0):
@@ -37,6 +37,7 @@ def make_state(page_size=32, seed=0):
     state = CGState(blocked=blocked, b=b, vectors=vectors, memory=memory,
                     residual_relation=ResidualRelation(blocked, b),
                     matvec_relation=MatVecRelation(blocked),
+                    config=SolverConfig(page_size=page_size),
                     current_d_name="d0", previous_d_name="d1")
     return state, A
 
@@ -224,6 +225,6 @@ class TestCheckpointStrategy:
     def test_configure_interval_from_error_rate(self):
         strat = CheckpointStrategy()
         interval = strat.configure_interval(mtbe=10.0, iteration_time=1e-3,
-                                            checkpoint_bytes=1e6)
+                                            write_time=0.01)
         assert interval >= 1
         assert strat.interval == interval

@@ -5,7 +5,6 @@ import pytest
 
 from repro.campaign.store import CampaignCache
 from repro.distributed.cluster import ClusterModel
-from repro.distributed.comm import CommunicationModel
 from repro.distributed.partition import StripPartition
 from repro.experiments.fig5 import calibrate
 from repro.matrices.stencil import poisson_3d_27pt
@@ -43,25 +42,25 @@ class TestStripPartition:
             StripPartition(A, 2).partition(5)
 
 
-class TestCommunicationModel:
+class TestCostModelCommunication:
     def test_halo_exchange_zero_cases(self):
-        comm = CommunicationModel(DEFAULT_COST_MODEL)
-        assert comm.halo_exchange(0, 2) == 0.0
-        assert comm.halo_exchange(100, 0) == 0.0
+        cm = DEFAULT_COST_MODEL
+        assert cm.halo_exchange([0, 0]) == 0.0
+        assert cm.halo_exchange([]) == 0.0
 
     def test_halo_exchange_grows_with_volume(self):
-        comm = CommunicationModel(DEFAULT_COST_MODEL)
-        assert comm.halo_exchange(10_000, 2) > comm.halo_exchange(100, 2)
+        cm = DEFAULT_COST_MODEL
+        assert cm.halo_exchange([5000, 5000]) > cm.halo_exchange([50, 50])
 
     def test_halo_validation(self):
-        comm = CommunicationModel(DEFAULT_COST_MODEL)
         with pytest.raises(ValueError):
-            comm.halo_exchange(-1, 1)
+            DEFAULT_COST_MODEL.halo_exchange([-1])
 
     def test_allreduce_log_scaling(self):
-        comm = CommunicationModel(DEFAULT_COST_MODEL)
-        assert comm.allreduce(1) == 0.0
-        assert comm.allreduce(16) == pytest.approx(comm.allreduce(2) * 4)
+        cm = DEFAULT_COST_MODEL
+        assert cm.allreduce(8.0, 1) == 0.0
+        assert cm.allreduce(8.0, 16) == pytest.approx(
+            cm.allreduce(8.0, 2) * 4)
 
 
 class TestClusterModel:
@@ -150,7 +149,7 @@ class TestClusterModel:
                     and not name.startswith("__")]
         assert {f.name for f in dataclasses.fields(model)} == {
             "target_points", "calibration_points", "workers_per_rank",
-            "cost_model", "tolerance", "checkpoint_interval", "comm_model"}
+            "cost_model", "tolerance", "checkpoint_interval"}
 
 
 class TestClusterModelFixes:
@@ -170,13 +169,13 @@ class TestClusterModelFixes:
 
     def test_two_ranks_charge_one_neighbour_plane(self):
         model = ClusterModel(target_points=256, calibration_points=12)
-        comm = CommunicationModel(model.cost_model)
+        cm = model.cost_model
         plane = 256 ** 2
         two = model.iteration_time(2)
         one = model.iteration_time(1)
         # t(2) has half the compute of t(1) plus one plane of halo and
         # the rank-2 allreduces; the halo share matches the comm model.
-        halo_and_reduce = comm.halo_exchange([plane]) + 2 * comm.allreduce(2)
+        halo_and_reduce = cm.halo_exchange([plane]) + 2 * cm.allreduce(8.0, 2)
         compute_1 = one - 6.0 * model.cost_model.task_overhead
         expected = (compute_1 / 2 + halo_and_reduce
                     + 6.0 * model.cost_model.task_overhead)
@@ -193,11 +192,10 @@ class TestClusterModelFixes:
         with pytest.raises(ValueError, match="num_ranks"):
             model.iteration_time(0)
 
-    def test_comm_model_is_injectable(self):
-        slow = CommunicationModel(
-            DEFAULT_COST_MODEL.scaled(network_bandwidth=1e6))
+    def test_interconnect_constants_are_injectable(self):
+        slow = DEFAULT_COST_MODEL.scaled(network_bandwidth=1e6)
         base = ClusterModel(target_points=256, calibration_points=12)
         calibrated = ClusterModel(target_points=256, calibration_points=12,
-                                  comm_model=slow)
+                                  cost_model=slow)
         assert calibrated.iteration_time(8) > base.iteration_time(8)
         assert calibrated.iteration_time(1) == base.iteration_time(1)

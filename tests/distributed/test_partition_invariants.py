@@ -1,5 +1,6 @@
 """Partition invariants over random sparse and stencil matrices, plus
-the communication-model edge cases (satellites of the rank runtime)."""
+the cost model's communication edge cases and their calibration
+(satellites of the rank runtime)."""
 
 from __future__ import annotations
 
@@ -7,8 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.distributed.comm import (CommunicationModel,
-                                    fit_communication_model)
+from repro.distributed.comm import fit_communication_model
 from repro.distributed.partition import StripPartition
 from repro.matrices.laplacian import laplacian_2d
 from repro.matrices.random_spd import random_sparse_spd
@@ -104,36 +104,29 @@ class TestPartitionValidation:
 
 class TestCommunicationEdgeCases:
     @pytest.fixture(scope="class")
-    def comm(self):
-        return CommunicationModel(DEFAULT_COST_MODEL)
+    def cm(self):
+        return DEFAULT_COST_MODEL
 
-    def test_allreduce_edges(self, comm):
-        assert comm.allreduce(0) == 0.0
-        assert comm.allreduce(1) == 0.0
-        assert comm.allreduce(2, values=0) == pytest.approx(
-            DEFAULT_COST_MODEL.network_latency)
+    def test_allreduce_edges(self, cm):
+        assert cm.allreduce(8.0, 0) == 0.0
+        assert cm.allreduce(8.0, 1) == 0.0
+        assert cm.allreduce(0.0, 2) == pytest.approx(cm.network_latency)
         with pytest.raises(ValueError):
-            comm.allreduce(4, values=-1)
+            cm.allreduce(-8.0, 4)
 
-    def test_allreduce_payload_scales(self, comm):
-        assert comm.allreduce(4, values=1000) > comm.allreduce(4, values=1)
+    def test_allreduce_payload_scales(self, cm):
+        assert cm.allreduce(8.0 * 1000, 4) > cm.allreduce(8.0, 4)
 
-    def test_halo_per_neighbour_sizes(self, comm):
-        cm = DEFAULT_COST_MODEL
+    def test_halo_per_neighbour_sizes(self, cm):
         # Documented semantics: one latency plus the largest share.
         expected = cm.network_latency + 8.0 * 300 / cm.network_bandwidth
-        assert comm.halo_exchange([100, 300, 200]) == pytest.approx(expected)
+        assert cm.halo_exchange([100, 300, 200]) == expected
         # Zero-size neighbours contribute nothing.
-        assert comm.halo_exchange([0, 300]) == \
-            pytest.approx(comm.halo_exchange([300]))
-        assert comm.halo_exchange([]) == 0.0
-        assert comm.halo_exchange([0, 0]) == 0.0
+        assert cm.halo_exchange([0, 300]) == cm.halo_exchange([300])
+        assert cm.halo_exchange([]) == 0.0
+        assert cm.halo_exchange([0, 0]) == 0.0
         with pytest.raises(ValueError):
-            comm.halo_exchange([-1, 5])
-
-    def test_halo_even_split_matches_sequence_form(self, comm):
-        assert comm.halo_exchange(600, 3) == \
-            pytest.approx(comm.halo_exchange([200, 200, 200]))
+            cm.halo_exchange([-1, 5])
 
 
 class TestCommCalibration:
@@ -141,17 +134,19 @@ class TestCommCalibration:
         latency, bandwidth = 40e-6, 2e8
         samples = [(b, latency + b / bandwidth)
                    for b in (1e3, 1e4, 1e5, 1e6)]
-        model, fit_lat, fit_bw = fit_communication_model(samples)
-        assert fit_lat == pytest.approx(latency, rel=1e-6)
-        assert fit_bw == pytest.approx(bandwidth, rel=1e-6)
-        assert model.cost_model.network_latency == pytest.approx(latency,
-                                                                 rel=1e-6)
+        model = fit_communication_model(samples)
+        assert model.network_latency == pytest.approx(latency, rel=1e-6)
+        assert model.network_bandwidth == pytest.approx(bandwidth, rel=1e-6)
+        # Only the interconnect constants are fitted.
+        assert model.scaled(network_latency=DEFAULT_COST_MODEL.network_latency,
+                            network_bandwidth=DEFAULT_COST_MODEL
+                            .network_bandwidth) == DEFAULT_COST_MODEL
 
     def test_fit_degenerate_single_size(self):
         samples = [(4096.0, 50e-6), (4096.0, 52e-6)]
-        model, fit_lat, fit_bw = fit_communication_model(samples)
-        assert fit_bw == DEFAULT_COST_MODEL.network_bandwidth
-        assert fit_lat > 0
+        model = fit_communication_model(samples)
+        assert model.network_bandwidth == DEFAULT_COST_MODEL.network_bandwidth
+        assert model.network_latency > 0
 
     def test_fit_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -382,8 +382,8 @@ class TestFig5Measured:
         assert any(r.recoveries_by_rank for r in afeir_multi)
 
     def test_calibration_produced(self, result):
-        assert result.fitted_latency > 0
-        assert result.fitted_bandwidth > 0
+        assert result.calibrated.network_latency > 0
+        assert result.calibrated.network_bandwidth > 0
         assert result.calibrated_comm_per_iter_1024 > 0
         assert result.default_comm_per_iter_1024 > 0
 

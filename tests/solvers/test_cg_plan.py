@@ -70,7 +70,8 @@ def make_state(blocked):
         vec.fill_from(np.arange(blocked.n, dtype=np.float64) + k)
     return CGState(blocked=blocked, b=b, vectors=vectors, memory=memory,
                    residual_relation=ResidualRelation(blocked, b),
-                   matvec_relation=MatVecRelation(blocked))
+                   matvec_relation=MatVecRelation(blocked),
+                   config=SolverConfig(page_size=PAGE))
 
 
 class TestShapes:
