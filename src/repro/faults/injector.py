@@ -14,6 +14,7 @@ Generator.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 from typing import Iterable, List, NamedTuple, Sequence, Tuple, Union
 
@@ -91,6 +92,23 @@ class InjectionQueue:
             raise IndexError("pop from an empty injection queue")
         self._next = k + 1
         return Injection(self._times[k], *self._pages[self._picks[k]])
+
+    def take_through(self, time: float) -> List[Injection]:
+        """Take every injection due at or before ``time``, in order: what
+        :meth:`popleft` gives while :meth:`next_time` is at most ``time``
+        (the drawn times are sorted, so one bisection finds where they
+        stop)."""
+        front = self._front
+        taken = []
+        while front and front[0].time <= time:
+            taken.append(front.popleft())
+        if not front:
+            times, picks, pages = self._times, self._picks, self._pages
+            k = self._next
+            self._next = stop = bisect_right(times, time, k)
+            taken += [Injection(times[j], *pages[picks[j]])
+                      for j in range(k, stop)]
+        return taken
 
     def push_front(self, injections: Iterable[Injection]) -> None:
         """Hand back time-sorted injections, each at or before every one

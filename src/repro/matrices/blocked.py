@@ -18,6 +18,7 @@ the fast path used by large fault-injection campaigns.
 
 from __future__ import annotations
 
+import warnings
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -26,10 +27,11 @@ import scipy.sparse as sp
 
 from repro.config import PAGE_DOUBLES
 from repro.matrices.sparse import SparseOperator
-from repro.memory.pages import page_count, page_slice
+from repro.memory.pages import checked_page, page_count, page_slices
 
-#: Double-precision LU solve (the routine ``lu_solve`` picks for float64).
-_GETRS, = la.get_lapack_funcs(("getrs",), (np.empty((1, 1)),))
+#: Double-precision LU factor and solve (the routines ``lu_factor`` and
+#: ``lu_solve`` pick for float64).
+_GETRF, _GETRS = la.get_lapack_funcs(("getrf", "getrs"), (np.empty((1, 1)),))
 
 
 class PageBlockedMatrix:
@@ -47,6 +49,7 @@ class PageBlockedMatrix:
         self.n = A.shape[0]
         self.page_size = int(page_size)
         self.num_blocks = page_count(self.n, self.page_size)
+        self._block_slices = page_slices(self.n, self.page_size)
         self._diag_blocks: Dict[int, np.ndarray] = {}
         self._lu_factors: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._slab_cache: Dict[Tuple[int, int], sp.csr_matrix] = {}
@@ -54,7 +57,7 @@ class PageBlockedMatrix:
     # ------------------------------------------------------------------
     def block_slice(self, block: int) -> slice:
         """Row/column index slice of ``block``."""
-        return page_slice(block, self.n, self.page_size)
+        return checked_page(block, self._block_slices)
 
     def block_size(self, block: int) -> int:
         sl = self.block_slice(block)
@@ -78,10 +81,28 @@ class PageBlockedMatrix:
         return self._diag_blocks[block]
 
     def diag_factor(self, block: int):
-        """LU factorisation of the diagonal block (cached)."""
-        if block not in self._lu_factors:
-            self._lu_factors[block] = la.lu_factor(self.diag_block(block))
-        return self._lu_factors[block]
+        """LU factorisation of the diagonal block (cached).
+
+        LAPACK ``getrf`` called directly: what ``scipy.linalg.lu_factor``
+        calls after its checks, bit for bit, with the checks kept — a
+        non-finite block raises its ``ValueError``, a singular one warns
+        its ``LinAlgWarning`` — and without its per-call dispatch.
+        """
+        factor = self._lu_factors.get(block)
+        if factor is None:
+            a = self.diag_block(block)
+            if not np.isfinite(a).all():
+                raise ValueError("array must not contain infs or NaNs")
+            lu, piv, info = _GETRF(a)  # a copy: the cached block is kept
+            if info < 0:
+                raise ValueError(f"illegal value in {-info}th argument of "
+                                 f"internal getrf (lu_factor)")
+            if info > 0:
+                warnings.warn(f"Diagonal number {info} is exactly zero. "
+                              f"Singular matrix.", la.LinAlgWarning,
+                              stacklevel=2)
+            factor = self._lu_factors[block] = (lu, piv)
+        return factor
 
     def has_cached_factor(self, block: int) -> bool:
         """True if the diagonal block's factorisation is already available."""

@@ -45,7 +45,7 @@ class SparseOperator:
         Matrix shape ``(rows, cols)``.
     """
 
-    __slots__ = ("data", "indices", "indptr", "shape", "_rows")
+    __slots__ = ("data", "indices", "indptr", "shape", "_rows", "_empty_rows")
 
     def __init__(self, data: np.ndarray, indices: np.ndarray,
                  indptr: np.ndarray, shape: Tuple[int, int]):
@@ -64,6 +64,9 @@ class SparseOperator:
         if self.indices.size and not (
                 0 <= self.indices.min() and self.indices.max() < self.shape[1]):
             raise ValueError(f"column indices must lie in [0, {self.shape[1]})")
+        #: Decided once: without empty rows a slab's rows are its
+        #: ``reduceat`` segments, so no product looks for them.
+        self._empty_rows = bool(np.any(self.indptr[1:] == self.indptr[:-1]))
 
     def __reduce__(self):  # the arrays only: a pickle carries no ``_rows``
         return type(self), (self.data, self.indices, self.indptr, self.shape)
@@ -137,14 +140,15 @@ class SparseOperator:
     # products
     # ------------------------------------------------------------------
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """``A @ v`` for a 1-d vector ``v`` (its row offsets computed once)."""
-        if self._rows is None:
+        """``A @ v`` for a 1-d vector ``v`` (the row offsets of an operator
+        with empty rows computed once; one without needs none)."""
+        if self._rows is None and self._empty_rows:
             self._rows = self._row_offsets(0, self.shape[0])
         return self._slab_matvec(0, self.shape[0], v, self._rows)
 
     def has_empty_rows(self) -> bool:
         """True if some row holds no nonzero (:meth:`matvec_into` needs none)."""
-        return bool(np.any(self.indptr[1:] == self.indptr[:-1]))
+        return self._empty_rows
 
     def matvec_into(self, v: np.ndarray, out: np.ndarray,
                     scratch: np.ndarray) -> None:
@@ -162,7 +166,8 @@ class SparseOperator:
 
     def row_slab_matvec(self, start: int, stop: int,
                         v: np.ndarray) -> np.ndarray:
-        """``(A @ v)[start:stop]`` touching only the slab's nonzeros."""
+        """``(A @ v)[start:stop]`` touching only the slab's nonzeros; the
+        row offsets are looked for only if the operator has empty rows."""
         return self._slab_matvec(start, stop, v, None)
 
     def _row_offsets(self, start: int, stop: int):
@@ -180,13 +185,16 @@ class SparseOperator:
                              f"expected {self.shape[1]}")
         p0 = int(self.indptr[start])
         p1 = int(self.indptr[stop])
-        out = np.zeros(stop - start, dtype=np.float64)
         if p1 == p0:
-            return out
+            return np.zeros(stop - start, dtype=np.float64)
         prod = self.data[p0:p1] * v[self.indices[p0:p1]]
         # reduceat over the offsets of the non-empty rows: consecutive
         # offsets delimit exactly one row's nonzeros (empty rows own none).
+        if not self._empty_rows:  # every row is non-empty: its own offset
+            offsets = self.indptr[start:stop]
+            return np.add.reduceat(prod, offsets - p0 if p0 else offsets)
         nonempty, offsets = rows or self._row_offsets(start, stop)
+        out = np.zeros(stop - start, dtype=np.float64)
         out[nonempty] = np.add.reduceat(prod, offsets)
         return out
 
@@ -224,20 +232,29 @@ class SparseOperator:
         return out
 
     def gather_dense(self, indices: Sequence[int]) -> np.ndarray:
-        """Dense principal submatrix ``A[indices][:, indices]``."""
+        """Dense principal submatrix ``A[indices][:, indices]``, in any
+        index order, repeats included: one scatter of the gathered rows'
+        nonzeros that fall in a gathered column."""
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size == 0:
             raise ValueError("need at least one index")
         sorter = np.argsort(idx, kind="stable")
         sorted_idx = idx[sorter]
+        first = self.indptr[idx]
+        counts = self.indptr[idx + 1] - first
+        # Every gathered nonzero: its storage position and output row.
+        before = np.cumsum(counts) - counts
+        pos = np.arange(counts.sum()) + np.repeat(first - before, counts)
+        rows = np.repeat(np.arange(idx.size), counts)
+        cols = self.indices[pos]
+        # The sorted slots ``lo, lo + 1, ...`` hold each column's copies.
+        lo = np.searchsorted(sorted_idx, cols, side="left")
+        copies = np.searchsorted(sorted_idx, cols, side="right") - lo
+        hit = np.repeat(np.arange(pos.size), copies)
+        slot = np.arange(hit.size) + np.repeat(lo - (np.cumsum(copies) - copies),
+                                               copies)
         out = np.zeros((idx.size, idx.size))
-        for k, row in enumerate(idx):
-            seg = slice(int(self.indptr[row]), int(self.indptr[row + 1]))
-            cols = self.indices[seg]
-            pos = np.searchsorted(sorted_idx, cols)
-            pos = np.minimum(pos, idx.size - 1)
-            hit = sorted_idx[pos] == cols
-            out[k, sorter[pos[hit]]] = self.data[seg][hit]
+        out[rows[hit], sorter[slot]] = self.data[pos[hit]]
         return out
 
     def diagonal(self) -> np.ndarray:

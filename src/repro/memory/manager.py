@@ -114,27 +114,30 @@ class MemoryManager:
         ``LOST`` and its event is logged.  A page may appear more than
         once: each item is a DUE of its own.
         """
-        events = self.log.events
+        events, pending = self.log.events, self._pending
+        vectors, states = self._vectors, self._state
         for inject_time, name, page in injections:
-            vec = self.vector(name)
+            vec = vectors[name] if name in vectors else self.vector(name)
             if not 0 <= page < vec.num_pages:
                 raise IndexError(f"page {page} out of range for vector "
                                  f"{name!r} ({vec.num_pages} pages)")
             vec.zero_page(page)
-            self._pending.pop((name, page), None)
-            self._state[name][page] = PageState.LOST
+            if pending:
+                pending.pop((name, page), None)
+            states[name][page] = PageState.LOST
             events.append(PageFaultEvent(name, page, inject_time, time,
                                          iteration))
 
     def mark_recovered(self, name: str, page: int) -> None:
         """A recovery method has restored this page's contents."""
-        if self.state(name, page) is PageState.POISONED:
+        states = self._states(name, page)
+        if self._pending and states[page] is PageState.POISONED:
             # Recovering a still-poisoned page implies it was discovered
             # through the recovery scan itself: retire it first.
             self._vectors[name].zero_page(page)
             event = self._pending.pop((name, page))
             self.log.record(event)
-        self._state[name][page] = PageState.VALID
+        states[page] = PageState.VALID
 
     def overwrite_vector(self, name: str) -> None:
         """The solver fully overwrote every page of the vector: any latent
@@ -144,19 +147,27 @@ class MemoryManager:
         overwritten completely" before being read (Section 3.1).
         """
         states = self._state[name]
-        for key in [key for key in self._pending if key[0] == name]:
-            del self._pending[key]
-        states[:] = [PageState.VALID] * len(states)
+        if self._pending:  # nothing is poisoned unless something is pending
+            for key in [key for key in self._pending if key[0] == name]:
+                del self._pending[key]
+        if states.count(PageState.VALID) != len(states):
+            states[:] = [PageState.VALID] * len(states)
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     def state(self, name: str, page: int) -> PageState:
         """Current lifecycle state of a page."""
-        vec = self.vector(name)
-        if not 0 <= page < vec.num_pages:
+        return self._states(name, page)[page]
+
+    def _states(self, name: str, page: int) -> List[PageState]:
+        """The page states of vector ``name``, once ``page`` is in range."""
+        states = self._state.get(name)
+        if states is None:
+            self.vector(name)  # raises the KeyError naming the known ones
+        if not 0 <= page < len(states):
             raise IndexError(f"page {page} out of range for vector {name!r}")
-        return self._state[name][page]
+        return states
 
     def lost_pages(self, name: Optional[str] = None) -> List[Tuple[str, int]]:
         """(vector, page) pairs in POISONED or LOST state."""

@@ -9,6 +9,9 @@ the recovery code must agree; this module is that single source of truth.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from typing import Tuple
+
 import numpy as np
 
 from repro.config import PAGE_DOUBLES
@@ -33,6 +36,27 @@ def page_slice(page: int, n: int, page_size: int = PAGE_DOUBLES) -> slice:
     return slice(start, stop)
 
 
+@lru_cache(maxsize=64)
+def page_slices(n: int, page_size: int = PAGE_DOUBLES) -> Tuple[slice, ...]:
+    """Every page's :func:`page_slice`, in page order (a zero-length range
+    has one page, empty): what a page-blocked object looks its pages up in.
+
+    One tuple per ``(n, page_size)`` is shared by every object of that
+    shape.  Slices are objects the cyclic garbage collector tracks, so a
+    tuple per vector would be a page count of them per vector, living as
+    long as a solve and so reaching the oldest generation, which the
+    collector then sweeps in full every few dozen solves."""
+    return tuple(page_slice(page, n, page_size)
+                 for page in range(max(page_count(n, page_size), 1)))
+
+
+def checked_page(page: int, slices: Tuple[slice, ...]) -> slice:
+    """``slices[page]``, refusing a page :func:`page_slice` would refuse."""
+    if not 0 <= page < len(slices):
+        raise IndexError(f"page {page} out of range for {len(slices)} pages")
+    return slices[page]
+
+
 class PagedVector:
     """A dense ``float64`` vector partitioned into memory pages.
 
@@ -51,7 +75,7 @@ class PagedVector:
         Values per page; defaults to the 4 KiB page of the paper.
     """
 
-    __slots__ = ("name", "page_size", "_data", "_npages")
+    __slots__ = ("name", "page_size", "_data", "_npages", "_slices")
 
     def __init__(self, data, name: str = "", page_size: int = PAGE_DOUBLES):
         if page_size <= 0:
@@ -63,6 +87,7 @@ class PagedVector:
         self.name = name
         self.page_size = int(page_size)
         self._npages = page_count(len(self._data), self.page_size)
+        self._slices = page_slices(len(self._data), self.page_size)
 
     # ------------------------------------------------------------------
     # basic container protocol
@@ -90,7 +115,7 @@ class PagedVector:
     # ------------------------------------------------------------------
     def page_slice(self, page: int) -> slice:
         """Index slice covered by ``page``."""
-        return page_slice(page, len(self._data), self.page_size)
+        return checked_page(page, self._slices)
 
     def page(self, page: int) -> np.ndarray:
         """View of the values in ``page``."""

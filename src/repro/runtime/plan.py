@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import isfinite
+from math import inf
 from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.runtime.graph import TaskGraph, maybe_verify_graph
@@ -92,16 +92,22 @@ class IterationPlan:
                           ) -> Sequence[float]:
         """``durations`` (plan order) or, for ``None``, the base
         durations; a wrong length or a negative or non-finite entry (a
-        NaN leaves a heap's order undefined) is rejected on every use."""
+        NaN leaves a heap's order undefined) is rejected on every use.
+        The check runs at C speed: a NaN or an infinity makes the sum
+        non-finite, a negative entry the minimum; only then does a loop
+        look for the task to name (a finite sum that overflows finds
+        none, and passes)."""
         if durations is None:
             return self.durations
         if len(durations) != len(self):
             raise ValueError(f"plan has {len(self)} tasks, got "
                              f"{len(durations)} durations")
-        for name, d in zip(self.names, durations, strict=True):
-            if not (d >= 0 and isfinite(d)):  # a NaN is neither
-                kind = "negative" if d < 0 else "non-finite"
-                raise ValueError(f"task {name!r} has {kind} duration")
+        if durations and not (min(durations) >= 0.0
+                              and sum(durations) < inf):
+            for name, d in zip(self.names, durations, strict=True):
+                if not 0.0 <= d < inf:
+                    kind = "negative" if d < 0 else "non-finite"
+                    raise ValueError(f"task {name!r} has {kind} duration")
         return durations
 
 

@@ -23,8 +23,11 @@ whose completion started it, ``-1`` for the start), worker column,
 completion order, and whether each completion's end *tied* with the one
 before (the first: with ``start_time``) — and one evaluator
 (:meth:`ListScheduler._evaluate`) turns a structure, durations and a
-start time into ``starts``, ``ends`` and trace, for the loop's fresh
-structure and for one held from an earlier timing (a *replay*).  A
+start time into ``starts``, ``ends`` and the makespan, for the loop's
+fresh structure and for one held from an earlier timing (a *replay*).
+The per-state breakdown (:attr:`ScheduleResult.trace`) is derived from
+those on first read, so a timing nobody asks the breakdown of never
+pays for it.  A
 launch starts at ``ends[trigger]`` because in the loop worker free times
 and task ready times are ends of completions already popped (or
 ``start_time``) and ``now + overhead + duration`` is never before
@@ -60,28 +63,67 @@ from repro.runtime.task import ScheduledTask
 from repro.runtime.trace import WORK_STATES, ExecutionTrace
 
 
+#: What a schedule's per-state breakdown is summed from, and nothing
+#: else: ``(work_states, launch_order, starts, ends, overhead,
+#: num_workers, start_time)``, the plan's work states in plan order.  A
+#: plain tuple of numbers and tuples of numbers, which the cyclic garbage
+#: collector stops tracking: a solve holding one per iteration for
+#: ``SolveResult.trace`` neither keeps its solver's plans alive nor adds
+#: to the work of a full collection.
+Timeline = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[float, ...],
+                 Tuple[float, ...], float, int, float]
+
+
+def breakdown(timeline: Timeline) -> ExecutionTrace:
+    """Per-state accounting of a :data:`Timeline`, summed in launch
+    order: a task holds its worker from its start to its end, the runtime
+    overhead included."""
+    states, order, starts, ends, overhead, num_workers, start_time = timeline
+    work = [0.0] * len(WORK_STATES)
+    runtime = busy = 0.0
+    for i in order:
+        occupied = ends[i] - starts[i]
+        runtime += overhead
+        busy += occupied
+        work[states[i]] += occupied - overhead
+    return ExecutionTrace.from_sums(
+        work, runtime, busy, len(states), num_workers=num_workers,
+        start=start_time, end=max(ends, default=start_time))
+
+
 @dataclass
 class ScheduleResult:
     """Outcome of scheduling one plan: placements as arrays in plan order.
 
     ``starts``/``ends``/``workers`` are indexed like the plan's tasks;
-    the name-keyed views (``scheduled``, ``start_of`` ...) are derived on
-    demand, so re-timing a plan never pays for them.
+    the per-state breakdown (``trace``) and the name-keyed views
+    (``scheduled``, ``start_of`` ...) are derived on first read, so
+    re-timing a plan never pays for them.
     """
 
     plan: IterationPlan
     makespan: float
-    starts: List[float]
-    ends: List[float]
+    starts: Tuple[float, ...]
+    ends: Tuple[float, ...]
     workers: Sequence[int]
     #: Task indices in the exact order the scheduler launched them.  This
     #: is the order action replay uses and ``order_started()`` reports,
     #: so the trace and the numerical replay can never disagree.
-    launch_order: Sequence[int]
-    trace: ExecutionTrace
+    launch_order: Tuple[int, ...]
     num_workers: int
     start_time: float = 0.0
     overhead: float = 0.0
+
+    @cached_property
+    def timeline(self) -> Timeline:
+        """What :attr:`trace` is derived from, without the plan."""
+        return (self.plan.work_states, self.launch_order, self.starts,
+                self.ends, self.overhead, self.num_workers, self.start_time)
+
+    @cached_property
+    def trace(self) -> ExecutionTrace:
+        """Per-state accounting of the schedule (:func:`breakdown`)."""
+        return breakdown(self.timeline)
 
     @cached_property
     def scheduled(self) -> Dict[str, ScheduledTask]:
@@ -112,7 +154,7 @@ class _Structure(NamedTuple):
     """The event loop's decisions for one plan: no float, so replayable."""
 
     plan: IterationPlan  # referenced, so the ``id()`` it is held by is its own
-    launches: Tuple[Tuple[int, int, int], ...]  # (task, trigger, work state)
+    launches: Tuple[Tuple[int, int], ...]  # (task, trigger)
     workers: Tuple[int, ...]  # plan order
     completions: Tuple[Tuple[int, bool], ...]  # (task, tied)
     order: Tuple[int, ...]  # the launches' tasks: the launch order
@@ -179,7 +221,6 @@ class ListScheduler:
         return the decisions taken (its floats only order the heaps)."""
         self.loop_runs += 1
         priorities, successors = plan.priorities, plan.successors
-        work_states = plan.work_states
         remaining_deps = list(plan.indegree)
         push, pop = heapq.heappush, heapq.heappop
         overhead = self.cost_model.task_overhead
@@ -202,7 +243,7 @@ class ListScheduler:
                 placed[i] = worker
                 push(running, (now + overhead + durations[i], len(launches),
                                i, worker))
-                launches.append((i, trigger, work_states[i]))
+                launches.append((i, trigger))
             if not running:  # every worker is free and nothing is ready
                 missing = [plan.names[i] for i, w in enumerate(placed) if w < 0]
                 raise RuntimeError(
@@ -222,27 +263,16 @@ class ListScheduler:
     def _evaluate(self, structure: _Structure, durations: Sequence[float],
                   start_time: float) -> ScheduleResult:
         """The schedule ``structure`` implies: the one site of the timeline's
-        arithmetic (trace sums in launch order, then ``from_sums``)."""
+        arithmetic (starts, ends, makespan; the breakdown is derived from
+        them on first read)."""
         plan, overhead = structure.plan, self.cost_model.task_overhead
         starts = [start_time] * len(plan)
         ends = [start_time] * (len(plan) + 1)  # [-1]: the start, trigger -1
-        work = [0.0] * len(WORK_STATES)
-        runtime = busy = 0.0
-        for i, trigger, state in structure.launches:
+        for i, trigger in structure.launches:
             starts[i] = begin = ends[trigger]
-            ends[i] = end = begin + overhead + durations[i]
-            occupied = end - begin
-            runtime += overhead
-            busy += occupied
-            work[state] += occupied - overhead
+            ends[i] = begin + overhead + durations[i]
         del ends[-1]
-        makespan = max(ends, default=start_time)
-        trace = ExecutionTrace.from_sums(
-            work, runtime, busy, len(plan), num_workers=self.num_workers,
-            start=start_time, end=makespan)
-        return ScheduleResult(
-            plan=plan, makespan=makespan - start_time, starts=starts,
-            ends=ends, workers=structure.workers,
-            launch_order=structure.order,
-            trace=trace, num_workers=self.num_workers,
-            start_time=start_time, overhead=overhead)
+        return ScheduleResult(plan, max(ends, default=start_time) - start_time,
+                              tuple(starts), tuple(ends), structure.workers,
+                              structure.order, self.num_workers, start_time,
+                              overhead)

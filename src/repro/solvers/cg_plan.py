@@ -106,7 +106,8 @@ class IterationTiming:
     #: Start of check points ``A``-``D`` and of ``r1``/``r2``/``r3``
     #: (without recovery tasks the covering scalar's point stands in).
     points: Dict[str, float]
-    trace: ExecutionTrace
+    #: The schedule timed (its ``trace`` is derived on first read).
+    schedule: ScheduleResult
 
 
 @dataclass
@@ -455,13 +456,13 @@ class CGPlanner:
         """Check-point times relative to the schedule's start time."""
         roles, starts, base = sched.plan.roles, sched.starts, sched.start_time
         points = {"A": starts[roles["beta"]] - base,
-                  "B": min(starts[i] for i in roles["q"]) - base,
+                  "B": min(map(starts.__getitem__, roles["q"])) - base,
                   "C": starts[roles["alpha"]] - base,
                   "D": sched.makespan}
         for key, point in (("r1", "C"), ("r2", "A"), ("r3", "D")):
             points[key] = (starts[roles[key]] - base if key in roles
                            else points[point])
-        return IterationTiming(sched.makespan, points, sched.trace)
+        return IterationTiming(sched.makespan, points, sched)
 
     def recovery_durations(self, checkpoint: bool,
                            recovery_work: Dict[str, float]) -> List[float]:

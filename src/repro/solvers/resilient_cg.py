@@ -80,7 +80,7 @@ from repro.precond.base import Preconditioner
 from repro.runtime.cost_model import FAULT_SERVICE_TIME
 from repro.runtime.kernels import make_kernel_engine
 from repro.runtime.runtime import make_executor
-from repro.runtime.trace import ExecutionTrace
+from repro.runtime.scheduler import Timeline
 from repro.solvers.cg_plan import (COVERING_TASK, LATE_WINDOWS,
                                    RECOVERY_TASKS, CGPlanner, IterationTiming)
 from repro.solvers.cg_types import CGState, SolveResult, SolverConfig
@@ -199,11 +199,12 @@ class _Iteration:
 class _Run:
     """What one solve carries from iteration to iteration."""
 
-    __slots__ = ("state", "stats", "pending", "b_norm", "history", "trace",
-                 "clock", "rel", "rho_old", "restart_next", "converged")
+    __slots__ = ("state", "stats", "pending", "b_norm", "history",
+                 "timelines", "clock", "rel", "true_rel", "rho_old",
+                 "restart_next", "converged")
 
     def __init__(self, state: CGState, pending: InjectionQueue,
-                 b_norm: float, num_workers: int):
+                 b_norm: float):
         self.state = state
         self.stats = RecoveryStats()
         #: Time-sorted injections; each iteration takes its batch off the
@@ -211,9 +212,14 @@ class _Run:
         self.pending = pending
         self.b_norm = b_norm
         self.history = ResidualHistory()
-        self.trace = ExecutionTrace(num_workers)
+        #: The timeline of the schedule each iteration advanced the clock
+        #: by, in order: what ``SolveResult.trace`` is derived from.
+        self.timelines: List[Timeline] = []
         self.clock = 0.0
         self.rel = math.inf
+        #: The true relative residual of the final iterate, once a
+        #: convergence check computed it (``None`` until then).
+        self.true_rel: Optional[float] = None
         self.rho_old = 0.0
         self.restart_next = True   # first iteration behaves like a restart
         self.converged = False
@@ -297,12 +303,12 @@ class ResilientCG:
                                        method=self._method_name(),
                                        matrix=self.matrix_name)
             return SolveResult(x=np.zeros(self.n), record=record,
-                               trace=ExecutionTrace(cfg.num_workers),
                                stats=RecoveryStats(),
+                               num_workers=cfg.num_workers,
                                window_summary=planner.monitor.summary())
 
         run = _Run(state, self._build_injection_schedule(memory, ideal_time),
-                   b_norm, cfg.num_workers)
+                   b_norm)
         stats = run.stats
         faults_injected = len(run.pending)
 
@@ -352,6 +358,7 @@ class ResilientCG:
                 self._advance_clock(run, it)
                 if true_rel <= cfg.tolerance * 10:
                     run.converged = True
+                    run.true_rel = true_rel
                     self._close_iteration(run, it, rel=true_rel)
                     break
                 self._resync(run)
@@ -416,21 +423,24 @@ class ResilientCG:
                 true_rel = self._true_relative_residual(run)
                 if true_rel <= cfg.tolerance * 10:
                     run.converged = True
-                    run.rel = true_rel
+                    run.rel = run.true_rel = true_rel
                 else:
                     self._resync(run)
 
+        # A convergence check that ended the loop left ``x`` as it found it.
+        final_residual = (self._true_relative_residual(run)
+                          if run.true_rel is None else run.true_rel)
         record = ConvergenceRecord(
             converged=run.converged, iterations=iteration,
-            solve_time=run.clock,
-            final_residual=self._true_relative_residual(run),
+            solve_time=run.clock, final_residual=final_residual,
             history=run.history,
             method=self._method_name(), matrix=self.matrix_name,
             faults_injected=faults_injected,
             faults_detected=memory.fault_count(),
             restarts=stats.restarts, rollbacks=stats.rollbacks)
         return SolveResult(x=np.array(x, copy=True), record=record,
-                           trace=run.trace, stats=stats,
+                           stats=stats, num_workers=cfg.num_workers,
+                           timelines=run.timelines,
                            ideal_iteration_time=t_iter_ideal,
                            wall_clock=planner.wall_clock,
                            wall_trace=planner.wall_trace,
@@ -482,15 +492,15 @@ class ResilientCG:
         checkpoint = (isinstance(self.strategy, CheckpointStrategy)
                       and self.strategy.should_checkpoint(number))
         pending = run.pending
+        next_fault = pending.next_time()
         timing = self.planner.time_iteration(run.clock, checkpoint,
-                                             next_fault=pending.next_time())
+                                             next_fault=next_fault)
         it = _Iteration(number, checkpoint, run.clock, timing)
         horizon_end = run.clock + timing.makespan
-        if pending.next_time() <= horizon_end:
+        if next_fault <= horizon_end:
             by_point = it.disturb()
             at_a, at_b, at_c = it.time_of("A"), it.time_of("B"), it.time_of("C")
-            while pending.next_time() <= horizon_end:
-                inj = pending.popleft()
+            for inj in pending.take_through(horizon_end):
                 t = inj.time
                 by_point["A" if t <= at_a else "B" if t <= at_b
                          else "C" if t <= at_c else "D"].append(inj)
@@ -517,16 +527,16 @@ class ResilientCG:
             planner.reenact(it.number, it.checkpoint, run.state, it.this_d,
                             durations)
         if not disturbed:
-            run.trace.accumulate(it.timing.trace)
+            run.timelines.append(it.timing.schedule.timeline)
             run.clock = it.start + it.timing.makespan
         elif durations is not None:
             sched = planner.retime(it.start, it.checkpoint, durations)
-            run.trace.accumulate(sched.trace)
+            run.timelines.append(sched.timeline)
             run.clock = it.start + sched.makespan + it.fault_service
         else:
             # Signal-handler methods (Lossy/ckpt/Trivial): the recovery work
             # is done in the handler, serialising the faulting worker.
-            run.trace.accumulate(it.timing.trace)
+            run.timelines.append(it.timing.schedule.timeline)
             run.clock = (it.start + it.timing.makespan
                          + sum(it.recovery_work.values()) + it.fault_service)
 
@@ -542,9 +552,11 @@ class ResilientCG:
     def _relative_residual(self, run: _Run) -> float:
         """``||g|| / ||b||`` of the recursive residual.  ``sqrt(g . g)`` is
         what ``np.linalg.norm`` computes for a 1-d float64 vector, without
-        its dispatch; it stays a reduction of its own, apart from ``rho``."""
+        its dispatch; it stays a reduction of its own, apart from ``rho``.
+        It decides ``converged``: a CG scalar, whose BLAS ``dot`` makes
+        that decision depend on the BLAS thread count at large ``n``."""
         g = run.state.vectors["g"].array
-        return math.sqrt(g.dot(g)) / run.b_norm  # repro-lint: allow[paged-reduction] the reduction np.linalg.norm performs: a residual norm, not a CG scalar
+        return math.sqrt(g.dot(g)) / run.b_norm  # repro-lint: allow[paged-reduction] the reduction np.linalg.norm performs; it decides `converged`, a CG scalar whose bits follow the BLAS thread count until it moves onto the paged reduction with a store-schema bump
 
     def _true_relative_residual(self, run: _Run) -> float:
         """``||b - A x|| / ||b||`` recomputed from the iterate."""
@@ -699,7 +711,7 @@ class ResilientCG:
         conflict additionally asks for a restart of the Krylov recurrence.
         """
         late = it.late
-        if not any(late.values()):
+        if not (it.had_faults and any(late.values())):
             return
         state, stats, this_d = run.state, run.stats, it.this_d
         cm = self.config.cost_model

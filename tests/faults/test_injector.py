@@ -147,3 +147,29 @@ class TestVectorisedDraw:
         assert queue.next_time() == math.inf
         with pytest.raises(IndexError):
             queue.popleft()
+
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           cuts=st.lists(st.floats(0.0, 25.0), min_size=1, max_size=8),
+           handed_back=st.integers(0, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_take_through_is_popleft_while_due(self, seed, cuts, handed_back):
+        """``take_through(t)`` takes what ``popleft`` takes while
+        ``next_time() <= t``, handed-back injections first."""
+        pages = [("x", 0), ("x", 1), ("g", 0)]
+
+        def queue():
+            return ExponentialInjector(
+                mtbe=0.3, rng=np.random.default_rng(seed)).queue(20.0, pages)
+
+        ours, oracle = queue(), queue()
+        for q in (ours, oracle):
+            back = [q.popleft() for _ in range(min(handed_back, len(q)))]
+            q.push_front(back)
+        for cut in sorted(cuts):
+            expected = []
+            while oracle.next_time() <= cut:
+                expected.append(oracle.popleft())
+            assert ours.take_through(cut) == expected
+            assert len(ours) == len(oracle)
+            assert ours.next_time() == oracle.next_time()
+        assert ours.drain() == oracle.drain()

@@ -120,3 +120,55 @@ class TestSolves:
         with pytest.raises(ValueError) as theirs:
             la.lu_solve(blocked.diag_factor(1), rhs)
         assert str(ours.value) == str(theirs.value)
+
+
+class TestDiagFactor:
+    """``diag_factor`` calls ``getrf`` itself: what ``lu_factor`` returns
+    and raises, bit for bit."""
+
+    @given(n=st.integers(1, 90), page_size=st.integers(1, 50),
+           seed=st.integers(0, 2 ** 32 - 1), sparse=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_diag_factor_is_lu_factor(self, n, page_size, seed, sparse):
+        rng = np.random.default_rng(seed)
+        dense = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.4)
+        dense += np.diag(rng.uniform(-2.0, 2.0, n))
+        A = SparseOperator.from_dense(dense) if sparse else sp.csr_matrix(dense)
+        blocked = PageBlockedMatrix(A, page_size=page_size)
+        for block in range(blocked.num_blocks):
+            kept = blocked.diag_block(block).copy()
+            lu, piv = blocked.diag_factor(block)
+            want_lu, want_piv = la.lu_factor(kept)
+            assert lu.tobytes() == want_lu.tobytes()
+            assert lu.flags.f_contiguous == want_lu.flags.f_contiguous
+            assert (piv.dtype, piv.tobytes()) == (want_piv.dtype,
+                                                  want_piv.tobytes())
+            # the cached block is factored in a copy, never in place
+            assert blocked.diag_block(block).tobytes() == kept.tobytes()
+            assert blocked.diag_factor(block)[0] is lu
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_block_raises_what_lu_factor_raises(self, bad):
+        dense = laplacian_2d(4).toarray()
+        dense[1, 2] = bad
+        blocked = PageBlockedMatrix(sp.csr_matrix(dense), page_size=8)
+        with pytest.raises(ValueError) as ours:
+            blocked.diag_factor(0)
+        with pytest.raises(ValueError) as theirs:
+            la.lu_factor(blocked.diag_block(0))
+        assert str(ours.value) == str(theirs.value)
+        assert not blocked.has_cached_factor(0)
+
+    def test_a_singular_block_warns_what_lu_factor_warns(self):
+        dense = laplacian_2d(4).toarray()
+        dense[:, 3] = 0.0  # column 3 of block 0 is zero: U[3, 3] is 0
+        dense[3, :] = 0.0
+        blocked = PageBlockedMatrix(SparseOperator.from_dense(dense),
+                                    page_size=8)
+        with pytest.warns(la.LinAlgWarning) as ours:
+            lu, _ = blocked.diag_factor(0)
+        with pytest.warns(la.LinAlgWarning) as theirs:
+            want, _ = la.lu_factor(blocked.diag_block(0))
+        assert [str(w.message) for w in ours] == \
+            [str(w.message) for w in theirs]
+        assert lu.tobytes() == want.tobytes()

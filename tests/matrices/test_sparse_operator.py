@@ -154,13 +154,19 @@ class TestProducts:
             op.matvec_into(v, out, scratch)
             assert out.tobytes() == op.matvec(v).tobytes()
 
+    @pytest.mark.parametrize("empty_row", [False, True])
     def test_pickle_neither_carries_nor_needs_the_row_offsets(self,
                                                               poisson_pair,
-                                                              vector):
-        op = SparseOperator.from_scipy(poisson_pair[0])
+                                                              vector,
+                                                              empty_row):
+        dense = poisson_pair[2].copy()
+        if empty_row:
+            dense[7] = 0.0
+        op = SparseOperator.from_dense(dense)
         cold = pickle.dumps(op)
         expected = op.matvec(vector)
-        assert op._rows is not None
+        # cached where a product needs them: only with an empty row
+        assert (op._rows is not None) == empty_row
         assert len(pickle.dumps(op)) == len(cold)
         for clone in (pickle.loads(pickle.dumps(op)), copy.deepcopy(op)):
             assert type(clone) is SparseOperator and clone._rows is None
@@ -274,3 +280,66 @@ class TestSolverFastPath:
         assert ref.converged and fast.converged
         assert ref.iterations == fast.iterations
         assert np.max(np.abs(ref.x - fast.x)) < PARITY
+
+
+def _random_operator(rng, n, density, empty_rows):
+    """A random square operator with (``empty_rows``) or without a row
+    that holds no nonzero."""
+    dense = (rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3, (n, n))
+             * (rng.random((n, n)) < density))
+    np.fill_diagonal(dense, 1.0 + np.abs(np.diag(dense)))
+    if empty_rows:
+        dense[rng.choice(n, size=max(1, n // 4), replace=False)] = 0.0
+    return dense
+
+
+class TestRewrittenKernels:
+    """The vectorised gather and the row-offset-free slab products against
+    references that share no code with them."""
+
+    @given(n=st.integers(1, 40), density=st.floats(0.0, 0.6),
+           empty_rows=st.booleans(), order=st.sampled_from(
+               ["random", "unsorted", "duplicates"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_gather_dense_is_scipy_fancy_indexing(self, n, density,
+                                                  empty_rows, order, seed):
+        import scipy.sparse as sp
+        rng = np.random.default_rng(seed)
+        dense = _random_operator(rng, n, density, empty_rows)
+        op, A = SparseOperator.from_dense(dense), sp.csr_matrix(dense)
+        assert op.has_empty_rows() == empty_rows
+        k = int(rng.integers(1, n + 1))
+        if order == "random":
+            idx = np.sort(rng.choice(n, size=k, replace=False))
+        elif order == "unsorted":
+            idx = rng.permutation(n)[:k]
+        else:
+            idx = rng.integers(0, n, size=2 * k)
+        assert np.array_equal(op.gather_dense(idx),
+                              A[idx][:, idx].toarray())
+
+    def test_gather_dense_refuses_no_index(self, poisson_pair):
+        with pytest.raises(ValueError):
+            poisson_pair[1].gather_dense([])
+
+    @given(n=st.integers(1, 60), density=st.floats(0.0, 0.6),
+           empty_rows=st.booleans(), page_size=st.integers(1, 25),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_slab_products_are_slices_of_the_full_matvec(
+            self, n, density, empty_rows, page_size, seed):
+        rng = np.random.default_rng(seed)
+        op = SparseOperator.from_dense(
+            _random_operator(rng, n, density, empty_rows))
+        assert op.has_empty_rows() == empty_rows
+        v = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
+        full = op.matvec(v)
+        for _ in range(4):
+            start, stop = sorted(int(i) for i in rng.integers(0, n + 1, 2))
+            assert op.row_slab_matvec(start, stop, v).tobytes() == \
+                full[start:stop].tobytes()
+        blocked = PageBlockedMatrix(op, page_size=page_size)
+        for block in range(blocked.num_blocks):
+            assert blocked.block_row_product(block, v).tobytes() == \
+                full[blocked.block_slice(block)].tobytes()

@@ -123,6 +123,23 @@ class TestFaultLifecycle:
         with pytest.raises(IndexError):
             mm.poison("x", 9, time=0.0)
 
+    @pytest.mark.parametrize("latent", [False, True])
+    def test_mark_recovered_checks_its_page_with_or_without_poison(
+            self, manager_with_vector, latent):
+        """The poison model is skipped while nothing is pending; the
+        argument checks are not."""
+        mm, _ = manager_with_vector
+        if latent:
+            mm.poison("x", 1, time=0.0)
+        for page in (-1, 4):
+            with pytest.raises(IndexError):
+                mm.mark_recovered("x", page)
+        with pytest.raises(KeyError):
+            mm.mark_recovered("nope", 0)
+        mm.detect_batch([(0.0, "x", 2)], 1.0)
+        mm.mark_recovered("x", 2)
+        assert mm.lost_pages() == ([("x", 1)] if latent else [])
+
 
 def _manager(latent, lost):
     """Two vectors of 4 pages, some pages latently poisoned or LOST."""

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import PAGE_DOUBLES
-from repro.memory.pages import PagedVector, page_count, page_slice
+from repro.matrices.blocked import PageBlockedMatrix
+from repro.memory.pages import (PagedVector, page_count, page_slice,
+                                page_slices)
 
 
 class TestPageArithmetic:
@@ -46,6 +48,21 @@ class TestPageArithmetic:
             sl = page_slice(p, n, page_size)
             covered.extend(range(sl.start, sl.stop))
         assert covered == list(range(n))
+
+    def test_page_slices_are_page_slice_in_order(self):
+        assert page_slices(1000, 512) == (page_slice(0, 1000, 512),
+                                          page_slice(1, 1000, 512))
+        assert page_slices(0, 512) == (slice(0, 0),)
+
+    def test_one_tuple_of_page_slices_per_shape(self):
+        """Vectors and matrices of one shape share their page slices:
+        slices are objects the garbage collector tracks, and one tuple
+        per object would reach the oldest generation with every solve."""
+        a = PagedVector(256, name="a", page_size=64)
+        b = PagedVector(np.ones(256), name="b", page_size=64)
+        matrix = PageBlockedMatrix(np.eye(256), page_size=64)
+        assert a.page_slice(3) is b.page_slice(3) is matrix.block_slice(3)
+        assert PagedVector(256, page_size=32).page_slice(3) == slice(96, 128)
 
 
 class TestPagedVector:

@@ -171,3 +171,43 @@ def test_relative_residual_is_the_norm_it_replaced(n, seed, b_norm):
     solver = ResilientCG(np.eye(1), np.ones(1))
     assert solver._relative_residual(run).hex() == \
         float(np.linalg.norm(g) / b_norm).hex()
+
+
+class TestFinalResidual:
+    """``final_residual`` is ``||b - A x|| / ||b||`` of the returned ``x``,
+    bit for bit: reused from the convergence check that ended the solve,
+    recomputed on any other exit."""
+
+    @staticmethod
+    def fresh(solver, result, b):
+        return float(np.linalg.norm(b - solver.A @ result.x)
+                     / float(np.linalg.norm(b)))
+
+    @pytest.mark.parametrize("method", [None, "FEIR", "Lossy"])
+    def test_a_converged_exit_reuses_its_true_residual(self, problem, method,
+                                                       monkeypatch):
+        A, b = problem
+        solver = ResilientCG(A, b, config=config(),
+                             strategy=make_strategy(method) if method else None)
+        computed = []
+        original = ResilientCG._true_relative_residual
+
+        def counting(self, run):
+            computed.append(original(self, run))
+            return computed[-1]
+
+        monkeypatch.setattr(ResilientCG, "_true_relative_residual", counting)
+        result = solver.solve()
+        assert result.converged
+        assert result.record.final_residual.hex() == \
+            self.fresh(solver, result, b).hex()
+        # the check that converged is the last computation, not a repeat
+        assert computed[-1] is result.record.final_residual
+
+    def test_a_max_iterations_exit_recomputes_it(self, problem):
+        A, b = problem
+        solver = ResilientCG(A, b, config=config(max_iterations=7))
+        result = solver.solve()
+        assert not result.converged and result.record.iterations == 7
+        assert result.record.final_residual.hex() == \
+            self.fresh(solver, result, b).hex()
