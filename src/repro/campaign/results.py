@@ -12,7 +12,7 @@ executors under the same campaign seed.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -62,8 +62,15 @@ class TrialResult:
         return self.overhead_percent if self.converged else DIVERGED_SLOWDOWN
 
 
-#: The field names of :class:`TrialResult`.
-_TRIAL_FIELDS = frozenset(f.name for f in fields(TrialResult))
+#: The field names of :class:`TrialResult`, in declaration order.
+_TRIAL_NAMES = tuple(f.name for f in fields(TrialResult))
+_TRIAL_FIELDS = frozenset(_TRIAL_NAMES)
+
+
+def trial_payload(trial: TrialResult) -> dict:
+    """What ``asdict(trial)`` gives, read field by field: every field is
+    a scalar, so the recursive copy ``asdict`` makes buys nothing."""
+    return {name: getattr(trial, name) for name in _TRIAL_NAMES}
 
 
 def trial_from_payload(payload: dict) -> TrialResult:
@@ -264,7 +271,7 @@ class CampaignResult:
             "shard": list(self.shard) if self.shard else None,
             "cache_hits": self.cache_hits,
             "executed": self.executed,
-            "trials": [asdict(t) for t in self.sorted_trials()],
+            "trials": [trial_payload(t) for t in self.sorted_trials()],
         }
 
     @classmethod

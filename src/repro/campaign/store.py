@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.campaign.results import trial_from_payload
+from repro.campaign.results import trial_from_payload, trial_payload
 from repro.sanitize import make_lock
 
 #: Version of the on-disk layout and of every artifact payload.  Bump on
@@ -248,8 +248,7 @@ class CampaignStore:
         for kind in (*_KINDS, "journals"):
             (self.root / kind).mkdir(exist_ok=True)
         schema = json.dumps({"schema": STORE_SCHEMA_VERSION}, sort_keys=True)
-        self._atomic_write(str(self._schema_path), "w",
-                           lambda handle: handle.write(schema + "\n"))
+        self._atomic_write(str(self._schema_path), schema + "\n")
 
     # ------------------------------------------------------------------
     # low-level helpers
@@ -260,16 +259,16 @@ class CampaignStore:
         return f"{self.root}/{kind}/{key[:2]}/{key}.json"
 
     @staticmethod
-    def _atomic_write(path: str, mode: str, write) -> None:
-        """``write(handle)`` into a same-directory temporary, then
+    def _atomic_write(path: str, text: str) -> None:
+        """``text`` (UTF-8) into a same-directory temporary, then
         ``os.replace``: readers see the old entry or the new, never a
         torn one."""
         directory = os.path.dirname(path)
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
-            with os.fdopen(fd, mode) as handle:
-                write(handle)
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(text.encode("utf-8"))
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(OSError):
@@ -324,8 +323,7 @@ class CampaignStore:
         # is caught, on every read and by ``verify``.
         text = _sealed({"schema": STORE_SCHEMA_VERSION, "key": key,
                         **payload})
-        self._atomic_write(self._path(kind, key), "w",
-                           lambda handle: handle.write(text))
+        self._atomic_write(self._path(kind, key), text)
 
     # ------------------------------------------------------------------
     # trials
@@ -336,8 +334,7 @@ class CampaignStore:
                          lambda payload: trial_from_payload(payload["trial"]))
 
     def put_trial(self, key: str, result) -> None:
-        from dataclasses import asdict
-        self._put_json("trials", key, {"trial": asdict(result)})
+        self._put_json("trials", key, {"trial": trial_payload(result)})
 
     # ------------------------------------------------------------------
     # fault-free baselines
@@ -362,11 +359,17 @@ class CampaignStore:
         fsynced before returning, so a daemon (or worker) killed right
         after persisting a trial never leaves the journal behind the
         store.  The only loss mode is a torn *trailing* line (killed
-        mid-append), which :meth:`journal_events` skips on read."""
-        with open(self.journal_path(campaign_key), "a") as handle:
-            handle.write(json.dumps(event, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        mid-append), which :meth:`journal_events` skips on read.  The
+        line goes down as bytes, through no Python file object."""
+        line = (json.dumps(event, sort_keys=True) + "\n").encode("utf-8")
+        fd = os.open(f"{self.root}/journals/{campaign_key}.jsonl",
+                     os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            while line:
+                line = line[os.write(fd, line):]
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
     def journal_events(self, campaign_key: str) -> Iterator[dict]:
         """Parsed journal events, oldest first.

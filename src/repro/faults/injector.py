@@ -163,23 +163,36 @@ class ExponentialInjector:
         """Error times in ``[0, horizon)`` drawn from the Poisson process.
 
         The times are the running sums of exponential gaps up to the first
-        one at or past the horizon, at most ``max_events`` of them.  All
-        candidate gaps are drawn in one call and summed by ``np.cumsum``
-        (sequential, so each time has the bits of ``t += gap``); then the
-        generator is rewound and advanced by exactly the gaps a draw-one-
-        at-a-time loop would have taken, crossing gap included, so what it
-        draws next is unchanged.
+        one at or past the horizon, at most ``max_events`` of them.  The
+        gaps are drawn in chunks of about the expected count and summed by
+        ``np.cumsum``, each chunk's first gap added to the last time before
+        (sequential, so each time has the bits of ``t += gap``), until a
+        time reaches the horizon; then the generator is rewound and
+        advanced by exactly the gaps a draw-one-at-a-time loop would have
+        taken, crossing gap included, so what it draws next is unchanged.
         """
         if horizon <= 0:
             return []
         # The number of draws is O(horizon / mtbe), bounded for sanity.
         max_events = max(16, int(8 * horizon / self.mtbe) + 16)
-        bit_generator = self._rng.bit_generator
-        rewind = bit_generator.state
-        times = np.cumsum(self._rng.exponential(self.mtbe, size=max_events))
+        expected = horizon / self.mtbe
+        chunk = int(expected + 4 * math.sqrt(expected)) + 16
+        rng = self._rng
+        rewind = rng.bit_generator.state
+        chunks: List[np.ndarray] = []
+        drawn, last = 0, 0.0
+        while drawn < max_events and last < horizon:
+            gaps = rng.exponential(self.mtbe, size=min(chunk,
+                                                       max_events - drawn))
+            if chunks:
+                gaps[0] += last
+            chunks.append(np.cumsum(gaps, out=gaps))
+            drawn += gaps.shape[0]
+            last = gaps[-1]
+        times = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
         count = int(np.searchsorted(times, horizon))  # first time >= horizon
-        bit_generator.state = rewind
-        self._rng.exponential(self.mtbe, size=min(count + 1, max_events))
+        rng.bit_generator.state = rewind
+        rng.exponential(self.mtbe, size=min(count + 1, max_events))
         return times[:count].tolist()
 
     def queue(self, horizon: float,

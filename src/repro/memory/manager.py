@@ -61,10 +61,8 @@ class MemoryManager:
 
     def page_universe(self) -> List[Tuple[str, int]]:
         """Every (vector, page) pair that a DUE could hit."""
-        out: List[Tuple[str, int]] = []
-        for name, vec in self._vectors.items():
-            out.extend((name, p) for p in range(vec.num_pages))
-        return out
+        return [(name, p) for name, vec in self._vectors.items()
+                for p in range(vec.num_pages)]
 
     # ------------------------------------------------------------------
     # fault lifecycle

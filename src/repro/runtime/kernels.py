@@ -201,13 +201,24 @@ class LocalKernelEngine(KernelEngine):
         self._prod = scratch[:n]
         self._parts = scratch[n:n + pages]
         self._gather = scratch[n:n + A.nnz] if fast_product else None
+        # The views :func:`page_partials` takes of its buffers, once.
+        full = n // self.page_size
+        self._by_page = self._prod[:full * self.page_size].reshape(
+            full, self.page_size)
+        self._full_parts = self._parts[:full]
+        self._tail = self._prod[full * self.page_size:] if full < pages else None
 
     def dot(self, u: np.ndarray, v: np.ndarray,
             skip_pages: Set[int] = frozenset()) -> float:
-        """:func:`paged_dot` into the engine's scratch."""
-        return reduce_partials(
-            page_partials(u, v, self.page_size, self._prod, self._parts),
-            skip_pages)
+        """:func:`paged_dot` into the engine's scratch: the ufunc calls of
+        :func:`page_partials`, on views taken once."""
+        if u.shape[0] != self.n or v.shape[0] != self.n:
+            raise ValueError(f"length mismatch: {u.shape[0]} vs {v.shape[0]}")
+        np.multiply(u, v, out=self._prod)
+        np.add.reduce(self._by_page, axis=1, out=self._full_parts)  # repro-lint: allow[paged-reduction] page_partials' per-page reduction on its views
+        if self._tail is not None:
+            self._parts[-1] = np.add.reduce(self._tail)  # repro-lint: allow[paged-reduction] page_partials' ragged last page
+        return reduce_partials(self._parts, skip_pages)
 
     def spmv(self, d: np.ndarray, out: np.ndarray) -> None:
         if self._gather is not None:

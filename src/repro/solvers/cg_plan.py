@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -78,6 +78,15 @@ COVERING_TASK = {"A": "r2", "B": "r1", "C": "r1", "D": "r3"}
 #: to the reduction is skipped and the page is repaired at point D.
 #: Critical-path recovery (FEIR) has no window.
 LATE_WINDOWS = {"A": ("beta", ("g",)), "C": ("alpha", ("d", "q"))}
+
+
+@lru_cache(maxsize=64)
+def _chunk_bounds(n: int, workers: int) -> Tuple[Tuple[int, int], ...]:
+    """The non-empty row ranges of ``n`` rows strip-mined over
+    ``workers`` chunks: a function of the two alone, so built once."""
+    bounds = np.linspace(0, n, workers + 1).astype(int)
+    return tuple((int(lo), int(hi)) for lo, hi
+                 in zip(bounds[:-1], bounds[1:], strict=True) if hi > lo)
 
 
 def _dot_chunk(u: np.ndarray, v: np.ndarray) -> float:
@@ -147,11 +156,8 @@ class CGPlanner:
         self.spec = config.runtime_spec()
         self.executor = executor
         self.engine = engine
-        bounds = np.linspace(0, blocked.n, config.num_workers + 1).astype(int)
         #: The row range strip-mined into one chunk per worker.
-        self.chunk_bounds = [(int(lo), int(hi)) for lo, hi
-                             in zip(bounds[:-1], bounds[1:], strict=True)
-                             if hi > lo]
+        self.chunk_bounds = _chunk_bounds(blocked.n, config.num_workers)
         indptr = blocked.A.indptr
         chunk_nnz = [int(indptr[hi] - indptr[lo])
                      for lo, hi in self.chunk_bounds]
@@ -215,7 +221,7 @@ class CGPlanner:
         the scheduler the shapes are timed on.  Contents, not identities,
         so the same shape built twice is one entry."""
         cfg, executor = self.config, self.executor
-        return (self.blocked.n, tuple(self.chunk_bounds), tuple(chunk_nnz),
+        return (self.blocked.n, self.chunk_bounds, tuple(chunk_nnz),
                 cfg.cost_model, cfg.work_scale, cfg.page_size,
                 executor.num_workers, executor.cost_model,
                 self.preconditioned, self.uses_recovery_tasks,

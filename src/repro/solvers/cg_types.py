@@ -72,13 +72,15 @@ class SolverConfig:
     ranks: int = 1
 
     def __post_init__(self):
-        self.runtime_spec()
+        # Resolved (and so validated) once: not a field, and a frozen
+        # config's cell cannot change.
+        object.__setattr__(self, "_runtime_spec", resolve_runtime_spec(
+            scheduler=self.scheduler, placement=self.placement,
+            clock=self.clock, ranks=self.ranks))
 
     def runtime_spec(self) -> RuntimeSpec:
         """The resolved (scheduler x placement x clock) cell."""
-        return resolve_runtime_spec(scheduler=self.scheduler,
-                                    placement=self.placement,
-                                    clock=self.clock, ranks=self.ranks)
+        return self._runtime_spec
 
 
 @dataclass

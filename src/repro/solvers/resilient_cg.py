@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from types import MappingProxyType
 from typing import (Callable, Dict, FrozenSet, Iterator, List, NamedTuple,
                     Optional, Sequence, Set, Tuple)
 
@@ -138,15 +137,13 @@ def _repair_pages(pages: Sequence[int], vector: PagedVector,
 
 
 _NO_SKIP: FrozenSet[int] = frozenset()
-#: The containers of an iteration no injection reaches: read-only and
-#: shared, so an undisturbed iteration allocates none.
-_NO_INJECTIONS = MappingProxyType(dict.fromkeys("ABCD", ()))
-_NO_LATE = MappingProxyType(dict.fromkeys("gdq", _NO_SKIP))
-_NO_WORK = MappingProxyType(dict.fromkeys(RECOVERY_TASKS, 0.0))
 
 
 class _Iteration:
-    """One iteration's timing, its faults and what handling them cost."""
+    """One iteration's timing, its faults and what handling them cost.
+
+    An iteration no injection reaches (``had_faults`` false) has no
+    ``by_point``, ``late`` or ``recovery_work``: nothing reads them."""
 
     __slots__ = ("number", "this_d", "last_d", "checkpoint", "start",
                  "timing", "by_point", "had_faults", "late", "recovery_work",
@@ -163,25 +160,22 @@ class _Iteration:
         #: The simulated clock when the iteration started.
         self.start = start
         self.timing = timing
-        #: The injections each check point materialises.
-        self.by_point = _NO_INJECTIONS
         self.had_faults = False
-        #: AFEIR pages hit too late for their scalar: contribution
-        #: skipped, update deferred, repaired exactly at point D.
-        self.late = _NO_LATE
-        #: Simulated work added to each recovery task by this
-        #: iteration's faults.
-        self.recovery_work = _NO_WORK
         self.fault_service = 0.0
         self.restart = False
         self.rolled_back = False
 
     def disturb(self) -> Dict[str, List[Injection]]:
-        """Give the iteration containers of its own, as injections reach
+        """Give the iteration its fault containers, as injections reach
         it; returns its ``by_point``."""
         self.had_faults = True
+        #: The injections each check point materialises.
         self.by_point = {"A": [], "B": [], "C": [], "D": []}
+        #: AFEIR pages hit too late for their scalar: contribution
+        #: skipped, update deferred, repaired exactly at point D.
         self.late = {"g": set(), "d": set(), "q": set()}
+        #: Simulated work added to each recovery task by this
+        #: iteration's faults.
         self.recovery_work = dict.fromkeys(RECOVERY_TASKS, 0.0)
         return self.by_point
 
@@ -268,6 +262,11 @@ class ResilientCG:
             executor=make_executor(spec, cfg.num_workers, cfg.cost_model,
                                    cfg.pace),
             engine=self.engine, compiled=compiled)
+        #: What every iteration asks of the strategy and the cell.
+        self._checkpointing = isinstance(strategy, CheckpointStrategy)
+        self._reenacts = spec.runs_reenactment
+        #: The planner begins its first solve when it is built.
+        self._solved = False
 
     # ==================================================================
     # public API
@@ -288,7 +287,9 @@ class ResilientCG:
         """Run the solver; returns the solution, record, trace and stats."""
         cfg = self.config
         planner = self.planner
-        planner.begin_solve()
+        if self._solved:
+            planner.begin_solve()
+        self._solved = True
         memory = MemoryManager()
         vectors = self._allocate_vectors(memory, x0)
         state = CGState(
@@ -313,7 +314,7 @@ class ResilientCG:
         faults_injected = len(run.pending)
 
         t_iter_ideal = planner.ideal_iteration_time()
-        if isinstance(self.strategy, CheckpointStrategy):
+        if self._checkpointing:
             if self.strategy.interval is None:
                 self.strategy.configure_interval(
                     self._scenario_mtbe(ideal_time), t_iter_ideal,
@@ -333,23 +334,28 @@ class ResilientCG:
         run.converged = run.rel <= cfg.tolerance
         iteration = 0
 
+        # An iteration no injection reaches (``not disturbed``) has no
+        # check point to handle, no late page and nothing to repair.
         while not run.converged and iteration < cfg.max_iterations:
             iteration += 1
             it = self._begin_iteration(run, iteration)
+            disturbed = it.had_faults
             d_cur = vectors[it.this_d].array
             d_prev = vectors[it.last_d].array
 
             # ---------------- point A: before rho ---------------------------
             state.current_d_name, state.previous_d_name = it.last_d, it.this_d
-            skip_rho = it.late["g"] | self._check_point(run, it, "A")
-            if it.restart:
-                self._abort_to_restart(run, it, unprocessed="BCD")
-                continue
+            skip_rho = _NO_SKIP
+            if disturbed:
+                skip_rho = it.late["g"] | self._check_point(run, it, "A")
+                if it.restart:
+                    self._abort_to_restart(run, it, unprocessed="BCD")
+                    continue
+                stats.contributions_skipped += len(skip_rho)
 
             # ---------------- rho / beta ------------------------------------
             z = self.preconditioner.apply(g) if self.preconditioner else g
             rho = engine.dot(g, z, skip_rho)
-            stats.contributions_skipped += len(skip_rho)
             # Unpreconditioned, z is g: the same reduction, the same bits.
             norm_g_sq = rho if z is g else engine.dot(g, g, skip_rho)
             rel_recursive = math.sqrt(max(norm_g_sq, 0.0)) / b_norm
@@ -375,24 +381,30 @@ class ResilientCG:
             memory.overwrite_vector(it.this_d)
 
             # ---------------- point B: before the mat-vec -------------------
-            self._check_point(run, it, "B", z=z, beta=beta)
-            if it.restart:
-                self._abort_to_restart(run, it, unprocessed="CD")
-                continue
+            if disturbed:
+                self._check_point(run, it, "B", z=z, beta=beta)
+                if it.restart:
+                    self._abort_to_restart(run, it, unprocessed="CD")
+                    continue
 
             # ---------------- q = A d (halo exchange of d in rank mode) -----
             engine.spmv(d_cur, q)
             memory.overwrite_vector("q")
 
             # ---------------- point C: before alpha -------------------------
-            skip_c = self._check_point(run, it, "C")
-            if it.restart:
-                self._abort_to_restart(run, it, unprocessed="D")
-                continue
+            skip_dq = skip_x = skip_g = _NO_SKIP
+            if disturbed:
+                skip_c = self._check_point(run, it, "C")
+                if it.restart:
+                    self._abort_to_restart(run, it, unprocessed="D")
+                    continue
+                late = it.late
+                skip_dq = late["d"] | late["q"] | skip_c
+                stats.contributions_skipped += len(skip_dq)
+                # (pages whose x / g update must be deferred are skipped)
+                skip_x, skip_g = late["d"], late["g"] | late["q"]
 
-            skip_dq = it.late["d"] | it.late["q"] | skip_c
             dq = engine.dot(d_cur, q, skip_dq)
-            stats.contributions_skipped += len(skip_dq)
             if dq <= 0.0:
                 # Breakdown after unrecovered corruption: resynchronise.
                 self._resync(run)
@@ -402,14 +414,14 @@ class ResilientCG:
             alpha = rho / dq
 
             # ---------------- x and g updates --------------------------------
-            # (pages whose update must be deferred are skipped)
-            engine.axpy(x, alpha, d_cur, it.late["d"])
-            engine.axpy(g, -alpha, q, it.late["g"] | it.late["q"])
+            engine.axpy(x, alpha, d_cur, skip_x)
+            engine.axpy(g, -alpha, q, skip_g)
             run.rho_old = rho
 
             # ---------------- point D: end of the iteration ------------------
-            self._check_point(run, it, "D")
-            self._repair_deferred(run, it, alpha)
+            if disturbed:
+                self._check_point(run, it, "D")
+                self._repair_deferred(run, it, alpha)
 
             if it.checkpoint:
                 self.strategy.save(state)
@@ -489,7 +501,7 @@ class ResilientCG:
     # ==================================================================
     def _begin_iteration(self, run: _Run, number: int) -> _Iteration:
         """Timing pass 1, then this iteration's faults by check point."""
-        checkpoint = (isinstance(self.strategy, CheckpointStrategy)
+        checkpoint = (self._checkpointing
                       and self.strategy.should_checkpoint(number))
         pending = run.pending
         next_fault = pending.next_time()
@@ -523,7 +535,7 @@ class ResilientCG:
         if disturbed and planner.uses_recovery_tasks:
             durations = planner.recovery_durations(it.checkpoint,
                                                    it.recovery_work)
-        if planner.spec.runs_reenactment:
+        if self._reenacts:
             planner.reenact(it.number, it.checkpoint, run.state, it.this_d,
                             durations)
         if not disturbed:
@@ -711,7 +723,7 @@ class ResilientCG:
         conflict additionally asks for a restart of the Krylov recurrence.
         """
         late = it.late
-        if not (it.had_faults and any(late.values())):
+        if not any(late.values()):
             return
         state, stats, this_d = run.state, run.stats, it.this_d
         cm = self.config.cost_model

@@ -30,6 +30,23 @@ def mark(item):
     return index
 
 
+def mark_when(item):
+    """``(directory, index, markers, dies)``: leave ``ran-<index>``, wait
+    until every file named in ``markers`` exists in ``directory`` (a
+    minute at most), then return the index — or exit hard."""
+    directory, index, markers, dies = item
+    with open(os.path.join(directory, f"ran-{index}"), "a") as marker:
+        marker.write("x")
+    deadline = time.monotonic() + 60.0
+    while (time.monotonic() < deadline and not all(
+            os.path.exists(os.path.join(directory, name))
+            for name in markers)):
+        time.sleep(0.01)
+    if dies:
+        os._exit(1)
+    return index
+
+
 def items_in(directory, seconds, dies=()):
     return [(str(directory), index, pause, index in dies)
             for index, pause in enumerate(seconds)]
@@ -38,21 +55,25 @@ def items_in(directory, seconds, dies=()):
 def ran(directory):
     """Index -> how often the item ran."""
     return {int(name.split("-")[1]): os.path.getsize(directory / name)
-            for name in os.listdir(directory)}
+            for name in os.listdir(directory) if name.startswith("ran-")}
 
 
-def consume(executor, items, stop, stop_after=1, timeout=120):
-    """Drive ``run`` on a thread (a wind-down that hangs fails the test
-    instead of the session); ``stop`` is set after ``stop_after``
-    results."""
+def consume(executor, items, stop, stop_after=1, timeout=120, fn=mark,
+            stopped=None):
+    """Drive ``run(fn, ...)`` on a thread (a wind-down that hangs fails
+    the test instead of the session); ``stop`` is set after
+    ``stop_after`` results, and then the file ``stopped`` (if given)
+    is created, for the children to see."""
     results, errors = [], []
 
     def drive():
         try:
-            for result in executor.run(mark, items, stop=stop):
+            for result in executor.run(fn, items, stop=stop):
                 results.append(result)
                 if len(results) == stop_after:
                     stop.set()
+                    if stopped is not None:
+                        stopped.touch()
         except BaseException as exc:  # noqa: BLE001 - reported below
             errors.append(exc)
 
@@ -100,17 +121,20 @@ class TestStop:
 
     def test_a_break_during_the_wind_down_is_not_resubmitted(self, tmp_path):
         """Item 1 is running when the stop arrives and takes its child
-        down 0.2 s later, before the other child (0.5 s into item 2) has
-        completed anything more — so the cancelled futures are still in
-        the stdlib pool when it breaks, which on CPython 3.11 kills the
-        pool's manager thread unless they have been told to ignore the
-        news (``executors._cancel``): the run would end, but with a child
-        of the broken pool left alive."""
-        items = items_in(tmp_path, [0.0, 0.2] + [0.5] * 3 + [0.0] * 11,
-                         dies={1})
+        down once the stop is set and the other child has started item
+        2, which it holds until the broken pool takes it down — so the
+        cancelled futures are still in the stdlib pool when it breaks,
+        which on CPython 3.11 kills the pool's manager thread unless
+        they have been told to ignore the news (``executors._cancel``):
+        the run would end, but with a child of the broken pool left
+        alive.  Marker files order the events, not the host's speed."""
+        markers = [(), ("stopped", "ran-2"), ("never",)] + [()] * 13
+        items = [(str(tmp_path), index, waits, index == 1)
+                 for index, waits in enumerate(markers)]
         with ProcessPoolExecutor(max_workers=2) as executor:
             before = executor.pids()
-            results = consume(executor, items, threading.Event())
+            results = consume(executor, items, threading.Event(),
+                              fn=mark_when, stopped=tmp_path / "stopped")
             assert 0 in results and 1 not in results
             counts = ran(tmp_path)
             assert counts[1] == 1 and set(counts.values()) == {1}

@@ -6,7 +6,9 @@ trial records, same aggregates, same fingerprint — no matter which
 executor ran the cold pass.
 """
 
+import dataclasses
 import json
+import math
 import os
 import time
 from pathlib import Path
@@ -19,7 +21,7 @@ from repro.campaign.executors import ProcessPoolExecutor, SerialExecutor
 from repro.campaign.results import CampaignResult, TrialResult
 from repro.campaign.spec import CampaignSpec, MatrixSpec, SolverKnobs
 from repro.campaign.store import (STORE_SCHEMA_VERSION, CampaignCache,
-                                  CampaignStore, StoreSchemaError,
+                                  CampaignStore, StoreSchemaError, _sealed,
                                   default_store_root, process_cache)
 
 
@@ -221,6 +223,28 @@ class TestArtifactRoundTrips:
         assert b2.dtype == b.dtype
         assert sum(store.entry_count().values()) == 0
         assert not list(store.root.rglob("*.npz"))
+
+    @pytest.mark.parametrize("result", [
+        TRIAL,
+        dataclasses.replace(TRIAL, method=None, rate=0.0),
+        dataclasses.replace(TRIAL, converged=False, iterations=2000,
+                            final_residual=0.5 + 1e-17),
+        dataclasses.replace(TRIAL, converged=False, final_residual=math.inf),
+        dataclasses.replace(TRIAL, converged=False, final_residual=math.nan),
+    ], ids=["feir", "ideal", "diverged", "inf-residual", "nan-residual"])
+    def test_a_stored_trial_is_the_sealed_text_of_its_asdict(self, tmp_path,
+                                                              result):
+        """A trial's stored bytes are the seal of ``asdict(result)``, the
+        spelling the pinned store addresses were written with, whatever
+        the payload is built from."""
+        store = CampaignStore(tmp_path / "store")
+        key = "ab" + "0" * 62
+        store.put_trial(key, result)
+        expected = _sealed({"schema": STORE_SCHEMA_VERSION, "key": key,
+                            "trial": dataclasses.asdict(result)})
+        path = store.root / "trials" / key[:2] / f"{key}.json"
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert repr(store.get_trial(key)) == repr(result)
 
     def test_missing_entries_are_none(self, tmp_path):
         store = CampaignStore(tmp_path / "store")

@@ -173,3 +173,59 @@ class TestVectorisedDraw:
             assert len(ours) == len(oracle)
             assert ours.next_time() == oracle.next_time()
         assert ours.drain() == oracle.drain()
+
+
+def overdraw_sample_times(rng: np.random.Generator, mtbe: float,
+                          horizon: float) -> list:
+    """The single over-draw the chunked ``sample_times`` replaced: all
+    ``max_events`` gaps at once, one ``cumsum``, then the rewind and the
+    advance by the gaps a one-at-a-time loop takes.  The reference of
+    the chunked draw."""
+    if horizon <= 0:
+        return []
+    max_events = max(16, int(8 * horizon / mtbe) + 16)
+    rewind = rng.bit_generator.state
+    times = np.cumsum(rng.exponential(mtbe, size=max_events))
+    count = int(np.searchsorted(times, horizon))
+    rng.bit_generator.state = rewind
+    rng.exponential(mtbe, size=min(count + 1, max_events))
+    return times[:count].tolist()
+
+
+class TestChunkedDraw:
+    """A campaign trial's schedule spans 50 ideal solve times at its
+    rate, drawn in chunks of about the expected count."""
+
+    PAGES = [(name, page) for name in ("x", "g", "d0", "d1", "q")
+             for page in range(8)]
+    IDEAL = 0.0172
+
+    @pytest.mark.parametrize("rate", [0.5, 1.0, 5.0, 20.0, 50.0])
+    def test_queue_is_the_overdraw(self, rate):
+        """Every time (``float.hex``), every page pick and the generator
+        state after ``queue()`` equal the over-draw's, over 24 seeds."""
+        mtbe, horizon = self.IDEAL / rate, 50 * self.IDEAL
+        for seed in range(24):
+            def rng():
+                return np.random.default_rng(
+                    np.random.SeedSequence([seed, int(rate * 10)]))
+            ours, oracle = rng(), rng()
+            queue = ExponentialInjector(mtbe, rng=ours).queue(horizon,
+                                                              self.PAGES)
+            times = overdraw_sample_times(oracle, mtbe, horizon)
+            picks = oracle.integers(0, len(self.PAGES), size=len(times))
+            assert [t.hex() for t in queue._times] == [t.hex() for t in times]
+            assert queue._picks == picks.tolist()
+            assert ours.bit_generator.state == oracle.bit_generator.state
+
+    def test_the_cap_binds_as_before(self):
+        """Gaps too short to reach the horizon: ``max_events`` times, in
+        several chunks, and the generator advanced by ``max_events``."""
+        mtbe, horizon = self.IDEAL / 20.0, 50 * self.IDEAL
+        ours = _TinyGaps(np.random.PCG64(5))
+        oracle = _TinyGaps(np.random.PCG64(5))
+        times = ExponentialInjector(mtbe, rng=ours).sample_times(horizon)
+        expected = overdraw_sample_times(oracle, mtbe, horizon)
+        assert len(times) == max(16, int(8 * horizon / mtbe) + 16) == 8016
+        assert [t.hex() for t in times] == [t.hex() for t in expected]
+        assert ours.bit_generator.state == oracle.bit_generator.state
