@@ -111,18 +111,24 @@ def solve_trial(trial: TrialSpec, cache: CampaignCache):
 
     The only place a cell's solver is put together.  ``method=None`` is
     the ideal run: no strategy, no scenario and no baseline of its own.
+    A trial's solver is handed the cache's prefix tapes of its problem,
+    knobs and method (``CampaignCache.tapes``): it starts at the latest
+    snapshot before its first injection, bit for bit as from iteration 0.
     """
     from repro.core.manager import make_strategy
     from repro.precond.block_jacobi import BlockJacobiPreconditioner
     from repro.solvers.resilient_cg import ResilientCG
     knobs = trial.knobs
     A, b = _problem(trial.matrix, cache)
-    strategy = scenario = ideal_time = None
+    strategy = scenario = ideal_time = tapes = None
     if trial.method is not None:
         ideal_time = _ideal_time(trial.matrix, knobs, cache)
         strategy = make_strategy(trial.method,
                                  checkpoint_interval=knobs.checkpoint_interval)
         scenario = trial.make_scenario()
+        tapes = cache.tapes.setdefault((trial.matrix.content_token(),
+                                        knobs.content_token(),
+                                        trial.method), {})
     preconditioner = None
     if knobs.preconditioned:
         preconditioner = BlockJacobiPreconditioner(A,
@@ -131,7 +137,7 @@ def solve_trial(trial: TrialSpec, cache: CampaignCache):
                          preconditioner=preconditioner, scenario=scenario,
                          config=knobs,
                          matrix_name=trial.matrix.label,
-                         compiled=cache.compiled)
+                         compiled=cache.compiled, tapes=tapes)
     try:
         return solver.solve(ideal_time=ideal_time)
     finally:

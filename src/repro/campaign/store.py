@@ -529,7 +529,9 @@ class CampaignCache:
     A baseline or trial RAM miss falls through to the store (when there
     is one) and a store hit is promoted into RAM; a ``put_*`` writes
     through to both.  A built problem never leaves its process: a miss
-    is a rebuild from the spec (``engine._problem``).
+    is a rebuild from the spec (``engine._problem``); nor do the compiled
+    iteration shapes and the prefix tapes, where a later trial of a
+    method starts at its first injection instead of at iteration 0.
     Callers hand one in rather than reach for one: ``run_campaign``
     makes one per call around the store it is given, the daemon holds
     one for its lifetime (the only instance more than one thread uses:
@@ -549,6 +551,12 @@ class CampaignCache:
         #: child grows its own.  No eviction: an entry is a few KB per
         #: distinct shape.
         self.compiled: dict = {}
+        #: Prefix tapes (``solvers.resilient_cg.PrefixTape``) by problem,
+        #: knobs and method, then by checkpoint interval, filled by the
+        #: trials ``solve_trial`` hands them to.  RAM only, like
+        #: ``compiled``; at most 8 snapshots of the five protected
+        #: vectors per tape.
+        self.tapes: dict = {}
         #: Look-ups per kind, whichever tier answered (``/metrics``).
         self.hits = dict.fromkeys(self.KINDS, 0)
         self.misses = dict.fromkeys(self.KINDS, 0)

@@ -52,7 +52,9 @@ class CheckpointStrategy(RecoveryStrategy):
         if interval is not None and interval < 1:
             raise ValueError("checkpoint interval must be >= 1 iteration")
         self.interval = interval
-        self._saved: Optional[Dict[str, np.ndarray]] = None
+        #: The last checkpoint written; replaced, never changed in place
+        #: (a solve's prefix snapshot holds it).
+        self.saved: Optional[Dict[str, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     def configure_interval(self, mtbe: float, iteration_time: float,
@@ -82,7 +84,7 @@ class CheckpointStrategy(RecoveryStrategy):
 
     def save(self, state) -> None:
         """Write a checkpoint (deep copies of x and the current d buffer)."""
-        self._saved = {
+        self.saved = {
             "x": np.array(state.vectors["x"].array, copy=True),
             "d": np.array(state.vectors[state.current_d_name].array, copy=True),
         }
@@ -92,12 +94,12 @@ class CheckpointStrategy(RecoveryStrategy):
         outcome = RecoveryOutcome()
         if not lost:
             return outcome
-        if self._saved is None:
+        if self.saved is None:
             raise RuntimeError("rollback requested before any checkpoint was taken")
         # Restore x and d from the checkpoint; g and q are recomputed by the
         # solver after the rollback (restart_required semantics).
-        state.vectors["x"].fill_from(self._saved["x"])
-        state.vectors[state.current_d_name].fill_from(self._saved["d"])
+        state.vectors["x"].fill_from(self.saved["x"])
+        state.vectors[state.current_d_name].fill_from(self.saved["d"])
         for vector, page in lost:
             state.memory.mark_recovered(vector, page)
         outcome.rolled_back = True

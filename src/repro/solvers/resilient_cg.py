@@ -87,6 +87,9 @@ from repro.solvers.cg_types import CGState, SolveResult, SolverConfig
 #: Injection schedule horizon, as a multiple of the ideal solve time.
 HORIZON_FACTOR = 50.0
 
+#: Snapshots a :class:`PrefixTape` holds at most.
+TAPE_LENGTH = 8
+
 
 class PointOutcome(NamedTuple):
     """What handling the faults of one check point cost and decided."""
@@ -219,6 +222,66 @@ class _Run:
         self.converged = False
 
 
+class _Snapshot(NamedTuple):
+    """A solve at the start of an iteration of its fault-free prefix."""
+
+    #: Iterations completed.
+    iteration: int
+    clock: float
+    rel: float
+    rho_old: float
+    restart_next: bool
+    #: Copies of ``ResilientCG.PROTECTED``, in that order.
+    vectors: Tuple[np.ndarray, ...]
+    timelines: Tuple[Timeline, ...]
+    #: ``(iteration, time, residual)`` of each history entry.
+    history: Tuple[Tuple[int, float, float], ...]
+    checkpoints_written: int
+    #: ckpt's saved checkpoint (``None`` for the other methods).
+    checkpoint: Optional[Dict[str, np.ndarray]]
+
+
+class PrefixTape:
+    """Snapshots of one fault-free trajectory, taken at the start of
+    every ``stride``-th iteration, for a solve to start from instead of
+    iteration 0.
+
+    Every iteration that ends before a solve's first injection is
+    undisturbed and advances the clock by the same fault-free timing (a
+    checkpoint iteration is re-timed at the same clock), so that stretch
+    is one trajectory for every solve of a key (problem, knobs, method,
+    checkpoint interval).  A snapshot is recorded only while every
+    iteration so far took that shared timing or was an undisturbed
+    checkpoint, which puts its clock strictly before the recording
+    solve's first injection, and a solve resumes from the latest one
+    strictly before its own: nothing it returns moves by a bit.  At most
+    :data:`TAPE_LENGTH` snapshots: when one more is due, every other one
+    is dropped and the stride doubles.  A snapshot is never changed once
+    recorded, so whoever recorded it, it is safe to resume from.
+    """
+
+    def __init__(self) -> None:
+        self.snapshots: List[_Snapshot] = []
+        self.stride = 1
+
+    def resume_point(self, first_fault: float) -> Optional[_Snapshot]:
+        """The latest snapshot whose clock is before ``first_fault``."""
+        before = [s for s in self.snapshots if s.clock < first_fault]
+        return before[-1] if before else None
+
+    def due(self, iteration: int) -> bool:
+        """Whether the snapshot after ``iteration`` iterations extends
+        the tape; a full tape first halves itself."""
+        snapshots = self.snapshots
+        last = snapshots[-1].iteration if snapshots else 0
+        if iteration <= last or iteration % self.stride:
+            return False
+        if len(snapshots) == TAPE_LENGTH:
+            del snapshots[::2]
+            self.stride *= 2
+        return iteration % self.stride == 0
+
+
 class ResilientCG:
     """Page-blocked, task-scheduled CG/PCG with pluggable DUE recovery."""
 
@@ -231,11 +294,16 @@ class ResilientCG:
                  scenario: Optional[ErrorScenario] = None,
                  config: Optional[SolverConfig] = None,
                  matrix_name: str = "",
-                 compiled: Optional[dict] = None):
+                 compiled: Optional[dict] = None,
+                 tapes: Optional[Dict[Optional[int], PrefixTape]] = None):
         """``compiled`` is the table iteration shapes are compiled into
         and read from (see :mod:`repro.solvers.cg_plan`): a campaign
         hands every solver its cache's, so a process compiles each shape
-        once; a solver handed none compiles for itself."""
+        once; a solver handed none compiles for itself.  ``tapes`` are
+        the :class:`PrefixTape` of this problem, configuration and
+        method, by checkpoint interval (``None`` but for ckpt): a
+        campaign hands every trial its cache's; a solver handed none, or
+        in a cell other than list/local/simulated, keeps no tape."""
         self.config = cfg = config or SolverConfig()
         self.blocked = PageBlockedMatrix(A, page_size=cfg.page_size)
         self.A = self.blocked.A
@@ -265,6 +333,10 @@ class ResilientCG:
         #: What every iteration asks of the strategy and the cell.
         self._checkpointing = isinstance(strategy, CheckpointStrategy)
         self._reenacts = spec.runs_reenactment
+        #: Only this cell's every output is a function of the numerics
+        #: and the simulated clock alone.
+        self._tapes = (tapes if not self._reenacts
+                       and spec.placement == "local" else None)
         #: The planner begins its first solve when it is built.
         self._solved = False
 
@@ -284,7 +356,12 @@ class ResilientCG:
 
     def solve(self, x0: Optional[np.ndarray] = None,
               ideal_time: Optional[float] = None) -> SolveResult:
-        """Run the solver; returns the solution, record, trace and stats."""
+        """Run the solver; returns the solution, record, trace and stats.
+
+        Handed ``tapes`` and no ``x0``, the solve starts from the latest
+        snapshot of its :class:`PrefixTape` strictly before its first
+        injection and records the snapshots due before it; the result
+        is bit for bit that of a solve from iteration 0."""
         cfg = self.config
         planner = self.planner
         if self._solved:
@@ -321,25 +398,42 @@ class ResilientCG:
                     planner.checkpoint_write_time)
         if self.strategy is not None:
             self.strategy.on_solve_start(state)
+        tape = resume = None
+        if self._tapes is not None and x0 is None:
+            tape = self._tapes.setdefault(
+                self.strategy.interval if self._checkpointing else None,
+                PrefixTape())
+            resume = tape.resume_point(run.pending.next_time())
+            shared = planner.time_iteration(0.0, False)  # fault-free timing
 
         x = vectors["x"].array
         g = vectors["g"].array
         q = vectors["q"].array
         engine = self.engine
-        engine.residual(x, self.b, g)
-        run.rel = self._relative_residual(run)
-        # The iteration-0 entry is always recorded; _close_iteration
-        # records the others, under cfg.record_history.
-        run.history.append(0, run.clock, run.rel)
-        run.converged = run.rel <= cfg.tolerance
-        iteration = 0
+        if resume is None:
+            engine.residual(x, self.b, g)
+            run.rel = self._relative_residual(run)
+            # The iteration-0 entry is always recorded; _close_iteration
+            # records the others, under cfg.record_history.
+            run.history.append(0, run.clock, run.rel)
+            run.converged = run.rel <= cfg.tolerance
+            iteration = 0
+        else:
+            iteration = self._resume(run, resume)
 
         # An iteration no injection reaches (``not disturbed``) has no
         # check point to handle, no late page and nothing to repair.
         while not run.converged and iteration < cfg.max_iterations:
+            if tape is not None and tape.due(iteration):
+                tape.snapshots.append(self._snapshot(run, iteration))
             iteration += 1
             it = self._begin_iteration(run, iteration)
             disturbed = it.had_faults
+            # The fault-free prefix ends with the first iteration that
+            # leaves the shared timing (undisturbed checkpoints aside).
+            if tape is not None and not (it.timing is shared or (
+                    it.checkpoint and not disturbed)):
+                tape = None
             d_cur = vectors[it.this_d].array
             d_prev = vectors[it.last_d].array
 
@@ -517,6 +611,35 @@ class ResilientCG:
                 by_point["A" if t <= at_a else "B" if t <= at_b
                          else "C" if t <= at_c else "D"].append(inj)
         return it
+
+    def _snapshot(self, run: _Run, iteration: int) -> _Snapshot:
+        """The solve at the start of the iteration after ``iteration``."""
+        vectors, history = run.state.vectors, run.history
+        return _Snapshot(
+            iteration, run.clock, run.rel, run.rho_old, run.restart_next,
+            tuple(vectors[name].array.copy() for name in self.PROTECTED),
+            tuple(run.timelines),
+            tuple(zip(history.iterations, history.times, history.residuals,
+                      strict=True)),
+            run.stats.checkpoints_written,
+            self.strategy.saved if self._checkpointing else None)
+
+    def _resume(self, run: _Run, snapshot: _Snapshot) -> int:
+        """Put the fresh ``run`` where ``snapshot`` was taken; returns
+        the iterations it had completed."""
+        for name, values in zip(self.PROTECTED, snapshot.vectors,
+                                strict=True):
+            run.state.vectors[name].fill_from(values)
+        run.clock, run.rel = snapshot.clock, snapshot.rel
+        run.rho_old = snapshot.rho_old
+        run.restart_next = snapshot.restart_next
+        run.timelines.extend(snapshot.timelines)
+        for entry in snapshot.history:
+            run.history.append(*entry)
+        run.stats.checkpoints_written = snapshot.checkpoints_written
+        if self._checkpointing:
+            self.strategy.saved = snapshot.checkpoint
+        return snapshot.iteration
 
     def _advance_clock(self, run: _Run, it: _Iteration) -> None:
         """Timing pass 2: advance the clock past this iteration, charging

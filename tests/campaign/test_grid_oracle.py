@@ -59,6 +59,23 @@ def test_trial_matches_the_recorded_grid(index, cache):
     assert observed == {key: case[key] for key in observed}
 
 
+def test_the_grid_in_reversed_order_matches_too():
+    """Through one fresh cache from the last trial to the first: the
+    prefix tapes are recorded by other trials than in expansion order,
+    and each trial still reads as recorded."""
+    if generator.numerics_stack() != ORACLE["stack"]:
+        pytest.skip(f"iterates were recorded on {ORACLE['stack']}")
+    if generator.blas_threads() != ORACLE["blas_threads"]:
+        pytest.skip("iterates were recorded under another "
+                    "OPENBLAS_NUM_THREADS setting")
+    reversed_cache = CampaignCache()
+    for case, trial in reversed(list(zip(ORACLE["cases"], TRIALS,
+                                         strict=True))):
+        observed = generator.observed(solve_trial(trial, reversed_cache))
+        assert observed == {key: case[key] for key in observed}, (
+            trial.method, trial.rate, trial.repetition)
+
+
 def test_the_grid_reaches_both_kinds_of_iteration():
     """The oracle pins undisturbed iterations (the ideal run) and
     disturbed ones at every rate."""

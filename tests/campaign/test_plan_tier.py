@@ -9,11 +9,17 @@ event-loop runs per campaign), that a trial solved through a warm table
 equals a standalone solver bit for bit, that the key separates what it
 must, that ``REPRO_VERIFY_GRAPHS=1`` still sees every shape — once — and
 that none of it travels with a pickled cache.
+
+``CampaignCache.tapes`` is the other RAM-only table: the prefix tapes a
+trial resumes from at its first injection.  The same transparency is
+asked of it, over orders, methods, knobs and hand-placed first
+injections, and its bounds and scope are pinned by counts.
 """
 
 import dataclasses
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.campaign.engine import (CampaignRun, TrialRunner, run_campaign,
@@ -22,6 +28,7 @@ from repro.campaign.executors import SerialExecutor
 from repro.campaign.spec import CampaignSpec, MatrixSpec, SolverKnobs
 from repro.campaign.store import CampaignCache, CampaignStore, process_cache
 from repro.core.manager import make_strategy
+from repro.faults.scenarios import single_error_scenario
 from repro.matrices.blocked import PageBlockedMatrix
 from repro.matrices.laplacian import laplacian_2d
 from repro.precond.block_jacobi import BlockJacobiPreconditioner
@@ -33,7 +40,8 @@ from repro.runtime.graph import (VERIFY_GRAPHS_ENV, GraphRaceError,
 from repro.runtime.kernels import make_kernel_engine
 from repro.runtime.scheduler import ListScheduler
 from repro.solvers.cg_plan import CGPlanner
-from repro.solvers.resilient_cg import ResilientCG, SolverConfig
+from repro.solvers.resilient_cg import (TAPE_LENGTH, ResilientCG,
+                                       SolverConfig)
 
 METHODS = ("FEIR", "AFEIR", "Lossy", "ckpt")
 
@@ -62,6 +70,35 @@ def tiny_grid(**knobs):
     trials = spec.expand()
     ideal = dataclasses.replace(trials[0], method=None, rate=0.0)
     return [ideal, *trials]
+
+
+def prefix_grid(seed=20150715, **knobs):
+    """The benchmark's grid with two repetitions, on knobs of choice: at
+    rate 1 about 40 % of a trial's iterations come before its first
+    injection."""
+    knobs = SolverKnobs(tolerance=1e-8, max_iterations=4000, page_size=50,
+                        **knobs)
+    return bench_grid(seed=seed, repetitions=2, knobs=knobs).expand()
+
+
+def tape_key(trial):
+    """Where ``solve_trial`` files the tapes of ``trial``'s method."""
+    return (trial.matrix.content_token(), trial.knobs.content_token(),
+            trial.method)
+
+
+@pytest.fixture()
+def resumes(monkeypatch):
+    """Every snapshot a solve resumed from, process-wide."""
+    seen = []
+    resume = ResilientCG._resume
+
+    def counting(self, run, snapshot):
+        seen.append(snapshot)
+        return resume(self, run, snapshot)
+
+    monkeypatch.setattr(ResilientCG, "_resume", counting)
+    return seen
 
 
 @pytest.fixture()
@@ -118,13 +155,19 @@ def bits(result):
     """Everything of a solve the simulated timeline and the numerics
     determine."""
     record, breakdown = result.record, result.trace.breakdown
+    history = record.history
     return (result.x.tobytes(), record.iterations, record.converged,
-            record.solve_time.hex(), record.faults_injected,
-            record.faults_detected, result.ideal_iteration_time.hex(),
+            record.solve_time.hex(), record.final_residual.hex(),
+            record.faults_injected, record.faults_detected,
+            record.restarts, record.rollbacks,
+            dataclasses.astuple(result.stats),
+            result.ideal_iteration_time.hex(),
             {state: value.hex() for state, value
              in sorted(vars(breakdown).items())
              if isinstance(value, float)},
-            result.trace.task_count)
+            result.trace.task_count,
+            (history.iterations, [t.hex() for t in history.times],
+             [r.hex() for r in history.residuals]))
 
 
 # ----------------------------------------------------------------------
@@ -185,6 +228,75 @@ class TestTransparency:
         self.check(tiny_grid(scheduler="threaded", placement="ranks",
                              clock="wall", ranks=2, pace=0.0))
 
+    @pytest.mark.parametrize("order", ["forward", "reversed",
+                                       "interleaved"])
+    def test_a_prefix_tape_changes_no_bit(self, order, resumes):
+        """The grid through one cache in three orders: which trial
+        records a stretch of tape and which resumes from it moves, the
+        bits do not.  ckpt at Young's interval has a tape per rate."""
+        grid = prefix_grid()
+        trials = {"forward": grid, "reversed": grid[::-1],
+                  "interleaved": grid[0::3] + grid[1::3] + grid[2::3]}[order]
+        cache = self.check(trials)
+        assert len(resumes) >= len(grid) // 2
+        assert len(cache.tapes[tape_key(grid[0])]) == 1
+        ckpt = next(trial for trial in grid if trial.method == "ckpt")
+        assert len(cache.tapes[tape_key(ckpt)]) == 3
+
+    @pytest.mark.parametrize("knobs", [
+        dict(checkpoint_interval=5),
+        dict(preconditioned=True, record_history=True),
+    ], ids=["ckpt-interval-5", "preconditioned-history"])
+    def test_a_prefix_tape_changes_no_bit_on_other_knobs(self, knobs,
+                                                         resumes):
+        self.check(prefix_grid(**knobs))
+        assert resumes
+
+    def test_where_the_first_injection_lands(self, resumes):
+        """FEIR trials with one hand-placed DUE.  Through one cache: past
+        convergence (the trial records the whole trajectory), in
+        iteration 1, in the middle of a stride and exactly at a
+        snapshot's clock (the resume is from the one before it).
+        Through a fresh one, whose tape starts one iteration apart: in
+        iteration 1 (nothing precedes it) and in iteration 2 (the
+        snapshot after iteration 1 does)."""
+        base = next(t for t in prefix_grid() if t.method == "FEIR")
+        ideal = standalone(dataclasses.replace(base, method=None, rate=0.0))
+
+        def solve_with_a_due_at(time, cache):
+            trial = dataclasses.replace(
+                base, scenario=single_error_scenario("g", 3, time))
+            result = solve_trial(trial, cache)
+            assert bits(result) == bits(standalone(trial))
+            return result
+
+        cache = CampaignCache()
+        late = solve_with_a_due_at(100 * ideal.solve_time, cache)
+        assert late.record.faults_detected == 0 and resumes == []
+        [tape] = cache.tapes[tape_key(base)].values()
+        snapshots = list(tape.snapshots)
+        assert [s.iteration for s in snapshots] == list(range(8, 57, 8))
+        step = snapshots[0].clock / snapshots[0].iteration
+        solve_with_a_due_at(0.5 * step, cache)
+        assert resumes == []
+        solve_with_a_due_at(snapshots[2].clock + 3.5 * step, cache)
+        assert resumes[-1] is snapshots[2]
+        solve_with_a_due_at(snapshots[3].clock, cache)
+        assert resumes[-1] is snapshots[2]
+        solve_with_a_due_at(100 * ideal.solve_time, cache)
+        assert resumes[-1] is snapshots[-1]
+        assert tape.snapshots == snapshots
+
+        fresh = CampaignCache()
+        solve_with_a_due_at(3.5 * step, fresh)
+        [tape] = fresh.tapes[tape_key(base)].values()
+        assert [s.iteration for s in tape.snapshots] == [1, 2, 3]
+        resumed = len(resumes)
+        solve_with_a_due_at(0.5 * step, fresh)
+        assert len(resumes) == resumed
+        solve_with_a_due_at(1.5 * step, fresh)
+        assert resumes[-1] is tape.snapshots[0]
+
     def test_a_trial_replays_a_structure_another_one_replaced(self, counts):
         """Recovery enlarges the last task of its phase, so in the CG
         shapes an enlarged r1/r2/r3 does not reorder completions (no
@@ -216,6 +328,69 @@ class TestTransparency:
         for trial, reference in zip(trials, references, strict=True):
             assert bits(solve_trial(trial, cache)) == reference
         assert counts["loops"] > loops  # the odd structure was rejected
+
+
+class TestPrefixTape:
+    def test_a_long_prefix_keeps_at_most_eight_snapshots(self):
+        """114 fault-free iterations: the stride doubles from 1 to 16 and
+        the tape ends at every 16th."""
+        A, b = MatrixSpec.parametric("laplacian2d", nx=40, ny=40,
+                                     rhs_seed=3).build()
+        tapes = {}
+        with ResilientCG(A, b, strategy=make_strategy("FEIR"),
+                         config=SolverConfig(tolerance=1e-8, page_size=50),
+                         tapes=tapes) as cg:
+            assert cg.solve().record.iterations == 114
+        [tape] = tapes.values()
+        assert TAPE_LENGTH == 8 and tape.stride == 16
+        assert [s.iteration for s in tape.snapshots] == list(
+            range(16, 113, 16))
+
+    def test_a_fresh_cache_is_a_cold_one(self, resumes):
+        """What one cache's trials recorded, another's do not see: a
+        warm tape would resume the first trial of each method too."""
+        drive(bench_grid(repetitions=2), CampaignCache())
+        first = len(resumes)
+        drive(bench_grid(repetitions=2), CampaignCache())
+        assert first > 0 and len(resumes) == 2 * first
+
+    def test_a_solve_from_x0_never_resumes(self, resumes):
+        trial = next(t for t in prefix_grid() if t.method == "FEIR")
+        A, b = trial.matrix.build()
+        ideal_time = standalone(dataclasses.replace(
+            trial, method=None, rate=0.0)).solve_time
+        tapes = {}
+
+        def solve(x0):
+            with ResilientCG(A, b, strategy=make_strategy("FEIR"),
+                             scenario=trial.make_scenario(),
+                             config=trial.knobs, tapes=tapes) as cg:
+                return cg.solve(x0, ideal_time=ideal_time)
+
+        for _ in range(2):
+            solve(np.zeros_like(b))
+        assert resumes == [] and tapes == {}
+        for _ in range(2):
+            solve(None)
+        assert len(resumes) == 1
+
+    @pytest.mark.parametrize("cell", [
+        dict(scheduler="threaded", clock="wall", pace=0.0),
+        pytest.param(dict(scheduler="threaded", placement="ranks", ranks=2,
+                          clock="wall", pace=0.0), marks=pytest.mark.ranks),
+    ], ids=["threaded-local-wall", "threaded-ranks-wall"])
+    def test_a_wall_clock_cell_never_resumes(self, cell, resumes):
+        """Its outputs include measured ones, so it keeps no tape; the
+        same trials in the list cell do resume."""
+        cache = CampaignCache()
+        for knobs in (cell, {}):
+            for trial in prefix_grid(**knobs):
+                if trial.rate == 1.0 and trial.method in ("FEIR", "AFEIR"):
+                    solve_trial(trial, cache)
+            if knobs:
+                assert resumes == []
+                assert not any(cache.tapes.values())
+        assert len(resumes) == 2
 
 
 # ----------------------------------------------------------------------
@@ -339,9 +514,11 @@ class TestNeverPickled:
         payload = pickle.dumps(TrialRunner(cache))
         assert len(payload) < 400
         assert b"IterationPlan" not in payload and b"_Compiled" not in payload
+        assert b"PrefixTape" not in payload and b"_Snapshot" not in payload
         arrived = pickle.loads(payload).cache
         assert arrived is process_cache(str(tmp_path / "store"))
         assert arrived is not cache and arrived.compiled == {}
+        assert arrived.tapes == {}
 
     def test_nothing_of_it_reaches_the_store(self, tmp_path):
         store = CampaignStore(tmp_path / "store")

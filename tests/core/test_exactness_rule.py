@@ -10,8 +10,9 @@ conflicts of Section 2.4 (case 2) and AFEIR's late DUEs (Section 5.4).
 
 The grid is the benchmark's campaign grid (a 20 x 20 Laplacian with
 50-double pages, tolerance 1e-8), rebuilt here with its own seed
-derivation, at two seeds, three repetitions and the rates 1, 5 and 20.
-A recovery formula perturbed by a relative 1e-3 breaks the rule on
+derivation, at two seeds, three repetitions and the rates 1, 5 and 20,
+through one cache in expansion order, and again in reversed order.  A
+recovery formula perturbed by a relative 1e-3 breaks the rule on
 several of its trials.
 """
 
@@ -47,17 +48,17 @@ def grid_spec(seed: int) -> CampaignSpec:
         name="exactness")
 
 
-@pytest.fixture(scope="module")
-def trials():
+def solve_grid(reverse: bool = False) -> list:
     """``(label, iterations, fault-free iterations, unrecoverable,
-    skipped)`` of every trial of the grid."""
+    skipped)`` of every trial of the grid, through one cache, each seed's
+    trials in expansion order or (``reverse``) the other way round."""
     cache = CampaignCache()
     rows = []
     for seed in SEEDS:
         specs = grid_spec(seed).expand()
         ideal = solve_trial(dataclasses.replace(specs[0], method=None,
                                                 rate=0.0), cache)
-        for spec in specs:
+        for spec in reversed(specs) if reverse else specs:
             result = solve_trial(spec, cache)
             rows.append((f"seed {seed} {spec.method} rate {spec.rate:g} "
                          f"rep {spec.repetition}",
@@ -65,6 +66,11 @@ def trials():
                          result.stats.pages_unrecoverable,
                          result.stats.contributions_skipped))
     return rows
+
+
+@pytest.fixture(scope="module")
+def trials():
+    return solve_grid()
 
 
 def test_a_trial_that_loses_nothing_takes_the_fault_free_iteration_count(
@@ -76,6 +82,12 @@ def test_a_trial_that_loses_nothing_takes_the_fault_free_iteration_count(
                   if unrecoverable == 0 and skipped == 0
                   and iterations != ideal]
     assert violations == []
+
+
+def test_the_grid_in_reversed_order_reads_the_same(trials):
+    """Other trials record the prefix tapes the others resume from, and
+    every row, the rule's verdict with it, stays as it was."""
+    assert sorted(solve_grid(reverse=True)) == sorted(trials)
 
 
 def test_both_excuses_occur_on_the_grid(trials):
