@@ -3,8 +3,8 @@
 Not a paper table/figure, but the knobs the paper discusses qualitatively:
 
 * FEIR (critical path) versus AFEIR (overlapped) fault-free cost,
-* direct diagonal-block solve versus least-squares interpolation,
-* cached (block-Jacobi) factors versus factorising at recovery time,
+* the direct diagonal-block solve on cached (block-Jacobi) factors
+  versus factorising at recovery time,
 * checkpoint interval sensitivity.
 """
 
@@ -45,8 +45,8 @@ def test_ablation_recovery_task_placement(benchmark):
     assert afeir < feir
 
 
-def test_ablation_direct_vs_least_squares(benchmark):
-    """Both interpolations are exact; the direct solve is cheaper."""
+def test_ablation_direct_solve(benchmark):
+    """The direct interpolation is exact, and cheap on a cached factor."""
     A = laplacian_2d(32)
     blocked = PageBlockedMatrix(A, page_size=128)
     rng = np.random.default_rng(0)
@@ -55,16 +55,11 @@ def test_ablation_direct_vs_least_squares(benchmark):
     damaged = p.copy()
     damaged[blocked.block_slice(3)] = 0.0
 
-    def run_both():
-        relation = MatVecRelation(blocked)
-        direct = relation.recover_rhs_page(3, q, damaged)
-        lsq = relation.recover_rhs_page_least_squares(3, q, damaged)
-        return direct, lsq
+    def run_direct():
+        return MatVecRelation(blocked).recover_rhs_page(3, q, damaged)
 
-    direct, lsq = benchmark.pedantic(run_both, rounds=3, iterations=1)
-    truth = p[blocked.block_slice(3)]
-    assert np.allclose(direct, truth, atol=1e-8)
-    assert np.allclose(lsq, truth, atol=1e-6)
+    direct = benchmark.pedantic(run_direct, rounds=3, iterations=1)
+    assert np.allclose(direct, p[blocked.block_slice(3)], atol=1e-8)
     # Modelled cost: the direct solve on a cached factorisation is far
     # cheaper than a factorisation from scratch (the paper's argument for
     # pairing the recovery with a block-Jacobi preconditioner).

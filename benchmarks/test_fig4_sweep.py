@@ -1,6 +1,6 @@
 """Benchmark regenerating Figure 4: slowdown versus normalised error rate."""
 
-from repro.experiments.fig4 import format_fig4, format_fig4_per_matrix, run_fig4
+from repro.experiments.fig4 import format_fig4, run_fig4
 
 
 def test_fig4_error_rate_sweep(benchmark, bench_config, bench_rates):
@@ -9,8 +9,6 @@ def test_fig4_error_rate_sweep(benchmark, bench_config, bench_rates):
         rounds=1, iterations=1)
     print()
     print(format_fig4(result))
-    print()
-    print(format_fig4_per_matrix(result))
 
     lowest = min(bench_rates)
     highest = max(bench_rates)

@@ -38,10 +38,6 @@ class ResidualHistory:
     def final_residual(self) -> float:
         return self.residuals[-1] if self.residuals else float("inf")
 
-    @property
-    def final_iteration(self) -> int:
-        return self.iterations[-1] if self.iterations else 0
-
     def log_residuals(self) -> np.ndarray:
         """``log10`` of the residuals (the y-axis of Figure 3)."""
         res = np.asarray(self.residuals, dtype=np.float64)

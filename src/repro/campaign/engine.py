@@ -61,6 +61,12 @@ from repro.sanitize import make_lock
 # ----------------------------------------------------------------------
 # one cell: problem, baseline, solver, solve
 # ----------------------------------------------------------------------
+#: Prefix-tape keys (problem, knobs, method) a cache keeps, the least
+#: recently used dropped first: a benchmark pass uses 4, and a cache that
+#: outlives its grid (a daemon's pool child) stays bounded.
+TAPE_KEYS = 8
+
+
 def _problem(matrix: MatrixSpec, cache: CampaignCache) -> tuple:
     key = content_hash(matrix.content_token())
     problem = cache.get_matrix(key)
@@ -112,8 +118,9 @@ def solve_trial(trial: TrialSpec, cache: CampaignCache):
     The only place a cell's solver is put together.  ``method=None`` is
     the ideal run: no strategy, no scenario and no baseline of its own.
     A trial's solver is handed the cache's prefix tapes of its problem,
-    knobs and method (``CampaignCache.tapes``): it starts at the latest
-    snapshot before its first injection, bit for bit as from iteration 0.
+    knobs and method (``CampaignCache.tapes``, at most :data:`TAPE_KEYS`
+    keys): it starts at the latest snapshot before its first injection,
+    bit for bit as from iteration 0.
     """
     from repro.core.manager import make_strategy
     from repro.precond.block_jacobi import BlockJacobiPreconditioner
@@ -126,9 +133,11 @@ def solve_trial(trial: TrialSpec, cache: CampaignCache):
         strategy = make_strategy(trial.method,
                                  checkpoint_interval=knobs.checkpoint_interval)
         scenario = trial.make_scenario()
-        tapes = cache.tapes.setdefault((trial.matrix.content_token(),
-                                        knobs.content_token(),
-                                        trial.method), {})
+        key = (trial.matrix.content_token(), knobs.content_token(),
+               trial.method)
+        tapes = cache.tapes[key] = cache.tapes.pop(key, {})  # now newest
+        if len(cache.tapes) > TAPE_KEYS:
+            del cache.tapes[next(iter(cache.tapes))]
     preconditioner = None
     if knobs.preconditioned:
         preconditioner = BlockJacobiPreconditioner(A,

@@ -571,13 +571,6 @@ def _in_shard(trial_index: int, index: int, count: int) -> bool:
     return trial_index % count == index
 
 
-def shard_trials(trials: Sequence[TrialSpec], index: int,
-                 count: int) -> List[TrialSpec]:
-    """Shard ``index`` of ``count`` of an expanded trial list
-    (:func:`_in_shard`)."""
-    index, count = _check_shard(index, count)
-    return [t for t in trials if _in_shard(t.index, index, count)]
-
 
 # ----------------------------------------------------------------------
 # command-line spelling of the grid

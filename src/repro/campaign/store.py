@@ -553,7 +553,8 @@ class CampaignCache:
         self.compiled: dict = {}
         #: Prefix tapes (``solvers.resilient_cg.PrefixTape``) by problem,
         #: knobs and method, then by checkpoint interval, filled by the
-        #: trials ``solve_trial`` hands them to.  RAM only, like
+        #: trials ``solve_trial`` hands them to, which keeps the
+        #: ``engine.TAPE_KEYS`` most recently used keys.  RAM only, like
         #: ``compiled``; at most 8 snapshots of the five protected
         #: vectors per tape.
         self.tapes: dict = {}

@@ -5,8 +5,8 @@ This package is the paper's primary contribution:
 * :mod:`repro.core.relations` — the block redundancy relations of
   Table 1, usable for any iterative solver, and the only place their
   algebra is written: exact forward interpolation of a lost block
-  (direct diagonal-block solve, the coupled multi-block solve of Section
-  2.4 and a least-squares fallback).
+  (a direct diagonal-block solve, or the coupled multi-block solve of
+  Section 2.4).
 * :mod:`repro.core.feir` / :mod:`repro.core.afeir` — the Forward Exact
   Interpolation Recovery, with recovery tasks in the critical path
   (FEIR) or overlapped with reductions (AFEIR).

@@ -10,9 +10,8 @@ After the interpolation the residual is outdated, so the Krylov method
 must restart from the interpolated iterate.  Losses in any other dynamic
 vector are handled by restarting with the intact iterate.
 
-The module also provides the quantities used by the theorems of
-Section 4.3: the A-norm of the error and the interpolation operator, so
-the property-based tests can check
+:func:`lossy_interpolate` is the interpolation operator the theorems of
+Section 4.3 are about, so the property-based tests can check it:
 
 * Theorem 1/2: the interpolation does not increase ``||e||_A`` (SPD case);
 * Theorem 3: it *minimises* ``||e||_A`` over all possible values of the
@@ -24,7 +23,6 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.core.relations import MatVecRelation
 from repro.core.strategy import RecoveryOutcome, RecoveryStrategy
@@ -32,7 +30,7 @@ from repro.matrices.blocked import PageBlockedMatrix
 
 
 # ----------------------------------------------------------------------
-# pure functions (used by the strategy and by the theorem tests)
+# the interpolation (used by the strategy and by the theorem tests)
 # ----------------------------------------------------------------------
 def lossy_interpolate(blocked: PageBlockedMatrix, b: np.ndarray, x: np.ndarray,
                       pages: Sequence[int]) -> np.ndarray:
@@ -57,28 +55,6 @@ def lossy_interpolate(blocked: PageBlockedMatrix, b: np.ndarray, x: np.ndarray,
         x_new[blocked.block_slice(page)] = values
     return x_new
 
-
-def a_norm(A: sp.spmatrix, v: np.ndarray) -> float:
-    """``sqrt(v^T A v)`` — the energy norm used by Theorems 2 and 3."""
-    value = float(v @ (A @ v))
-    # Guard against tiny negative values from round-off on SPD matrices.
-    return float(np.sqrt(max(value, 0.0)))
-
-
-def interpolation_error_norm(A: sp.spmatrix, blocked: PageBlockedMatrix,
-                             b: np.ndarray, x_true: np.ndarray,
-                             x_damaged: np.ndarray,
-                             pages: Sequence[int]) -> Tuple[float, float]:
-    """A-norms of the error before and after the lossy interpolation.
-
-    Returns ``(||x* - x||_A, ||x* - x_I||_A)`` where ``x`` is the damaged
-    iterate and ``x_I`` the interpolated one.  Used to validate
-    Theorems 2 and 3 experimentally.
-    """
-    x_interp = lossy_interpolate(blocked, b, x_damaged, pages)
-    e_before = x_true - x_damaged
-    e_after = x_true - x_interp
-    return a_norm(A, e_before), a_norm(A, e_after)
 
 
 # ----------------------------------------------------------------------

@@ -10,14 +10,14 @@ recover the left-hand side        recover the right-hand side (inverted)
 ``g_i = b_i - sum_j A_ij x_j``    ``A_ii x_i = b_i - g_i - sum_{j!=i} A_ij x_j``
 ================================  ======================================
 
-Each relation object knows how to rebuild lost pages of either side,
-given the surviving data.  The resilient CG of this package protects its
-vectors with the first and third rows (FEIR, AFEIR's deferred repair and
-the Lossy Restart all recover through them) and its search direction at
-point B with the second; :class:`HessenbergRelation` adds the GMRES
-Arnoldi relation of Section 3.1.3.  The solver-independent shapes are
-demonstrated for BiCGStab and GMRES by
-``examples/krylov_recovery_relations.py``.
+Each relation object rebuilds lost pages from the surviving data, for
+the sides the resilient CG of this package recovers: both sides of the
+first and third rows (FEIR, AFEIR's deferred repair and the Lossy
+Restart all recover through them), and the left-hand side of the second,
+for its search direction at point B.  The BiCGStab and GMRES relations
+of Section 3.1 (Listings 3-4) run in no solver here;
+``examples/krylov_recovery_relations.py`` applies these objects to
+BiCGStab's ``s = g - alpha q``.
 
 Every inverted row goes through one function, :func:`_solve_inverted`:
 one lost page is a diagonal-block solve, several lost pages of one
@@ -34,7 +34,7 @@ block row, never a dense ``n x n`` intermediate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -98,24 +98,6 @@ class MatVecRelation:
         page order (Section 2.4, case 1)."""
         return _solve_inverted(self.blocked, pages, q, p)
 
-    def recover_rhs_page_least_squares(self, page: int, q: np.ndarray,
-                                       p: np.ndarray) -> np.ndarray:
-        """Least-squares recovery using the full columns of the lost page.
-
-        Solves ``min_y || A[:, page] y - (q - A p_masked) ||_2`` where
-        ``p_masked`` is ``p`` with the lost page zeroed: the variant used
-        "for the full columns of the matrix corresponding to the lost
-        memory page" when the diagonal block may be singular (Agullo et
-        al.).  Exact when the relation holds and the column block has
-        full rank.
-        """
-        masked = np.array(p, copy=True)
-        masked[self.blocked.block_slice(page)] = 0.0
-        residual = q - self.blocked.matvec(masked)
-        columns = self.blocked.column_block_dense(page)
-        solution, *_ = np.linalg.lstsq(columns, residual, rcond=None)
-        return solution
-
 
 @dataclass
 class LinearCombinationRelation:
@@ -131,12 +113,6 @@ class LinearCombinationRelation:
     def recover_lhs_page(self, v_page: np.ndarray, w_page: np.ndarray) -> np.ndarray:
         """``u_i = alpha v_i + beta w_i``."""
         return self.alpha * v_page + self.beta * w_page
-
-    def recover_w_page(self, u_page: np.ndarray, v_page: np.ndarray) -> np.ndarray:
-        """``w_i = (u_i - alpha v_i) / beta``."""
-        if self.beta == 0.0:
-            raise ZeroDivisionError("cannot invert the relation when beta == 0")
-        return (u_page - self.alpha * v_page) / self.beta
 
 
 @dataclass
@@ -167,32 +143,3 @@ class ResidualRelation:
         """Coupled recovery of several lost ``x`` pages, in ascending page
         order (Section 2.4, case 1)."""
         return _solve_inverted(self.blocked, pages, self.b - g, x)
-
-
-@dataclass
-class HessenbergRelation:
-    """GMRES Arnoldi-basis relation (Section 3.1.3).
-
-    At step ``t`` of the Arnoldi process, every earlier basis vector
-    satisfies ``v_l = (A v_{l-1} - sum_{k<l} h_{k,l-1} v_k) / h_{l,l-1}``,
-    so any lost ``v_l`` (0 < l < t) is recoverable from the Hessenberg
-    matrix and the other basis vectors.
-    """
-
-    blocked: Optional[PageBlockedMatrix] = None
-
-    def recover_basis_vector(self, l: int, V: np.ndarray, H: np.ndarray,
-                             A=None) -> np.ndarray:
-        """Rebuild column ``l`` (>= 1) of the Arnoldi basis ``V``."""
-        if l < 1:
-            raise ValueError("only basis vectors with index >= 1 are recoverable "
-                             "from the Hessenberg relation")
-        if H[l, l - 1] == 0.0:
-            raise ZeroDivisionError("h[l, l-1] is zero; Arnoldi broke down here")
-        operator = self.blocked.A if self.blocked is not None else A
-        if operator is None:
-            raise ValueError("need the system matrix A (or a blocked view)")
-        w = operator @ V[:, l - 1]
-        for k in range(l):
-            w = w - H[k, l - 1] * V[:, k]
-        return w / H[l, l - 1]

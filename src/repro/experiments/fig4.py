@@ -113,11 +113,3 @@ def format_fig4(result: Fig4Result) -> str:
         headers, result.campaign.summary_rows(),
         title=f"Figure 4 ({label} mean): slowdown % vs normalised error rate")
 
-
-def format_fig4_per_matrix(result: Fig4Result) -> str:
-    """Render every (matrix, method, rate) cell, mirroring the full figure."""
-    rows = [[c.matrix, c.method, c.rate, c.mean_slowdown, c.std_slowdown]
-            for c in result.cells]
-    return format_table(
-        ["matrix", "method", "rate", "slowdown %", "std %"], rows,
-        title="Figure 4: per-matrix slowdowns")

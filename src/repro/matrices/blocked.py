@@ -159,18 +159,6 @@ class PageBlockedMatrix:
         sl = self.block_slice(block)
         return self.range_product(sl.start, sl.stop, v)
 
-    def column_block_dense(self, block: int) -> np.ndarray:
-        """Dense copy of the full columns of ``block`` (n x block_size).
-
-        Only the least-squares interpolation needs this tall-skinny
-        block; both backends produce it without an ``n x n`` dense
-        intermediate.
-        """
-        sl = self.block_slice(block)
-        if self.uses_sparse_operator:
-            return self.A.dense_block(0, self.n, sl.start, sl.stop)
-        return self.A[:, sl.start:sl.stop].toarray()
-
     def solve_diag(self, block: int, rhs: np.ndarray) -> np.ndarray:
         """Solve ``A_ii y = rhs`` with the cached LU factors.
 

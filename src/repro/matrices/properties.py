@@ -49,12 +49,6 @@ def smallest_eigenvalue(A: sp.spmatrix) -> float:
         return float(np.min(diag - off))
 
 
-def nnz_per_row(A: sp.spmatrix) -> float:
-    """Average number of nonzeros per row."""
-    A = sp.csr_matrix(A)
-    return A.nnz / A.shape[0]
-
-
 @dataclass(frozen=True)
 class SpdReport:
     """Summary of an SPD check (returned by :func:`spd_check`)."""

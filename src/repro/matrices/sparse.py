@@ -14,8 +14,8 @@ the page-blocked solver and the Table 1 recovery relations need:
   ``matvec_into`` is ``matvec`` into the caller's output and scratch (the
   operator holds no scratch of its own: it is immutable, and rank
   threads multiply with one operator concurrently);
-* ``dense_block`` — a dense rectangular sub-block (diagonal blocks for
-  the LU solves, column slabs for least-squares interpolation);
+* ``dense_block`` — a dense rectangular sub-block (the diagonal blocks
+  for the LU solves);
 * ``gather_dense`` — the dense principal submatrix over a set of rows
   (the coupled multi-page recovery solve of Section 2.4).
 
@@ -27,7 +27,7 @@ relations are backend-agnostic.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -72,20 +72,8 @@ class SparseOperator:
         return type(self), (self.data, self.indices, self.indptr, self.shape)
 
     # ------------------------------------------------------------------
-    # constructors
+    # constructor
     # ------------------------------------------------------------------
-    @classmethod
-    def from_dense(cls, array: np.ndarray) -> "SparseOperator":
-        """CSR view of a dense 2-d array (zeros dropped)."""
-        array = np.asarray(array, dtype=np.float64)
-        if array.ndim != 2:
-            raise ValueError("from_dense needs a 2-d array")
-        rows, cols = np.nonzero(array)
-        counts = np.bincount(rows, minlength=array.shape[0])
-        indptr = np.zeros(array.shape[0] + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return cls(array[rows, cols], cols, indptr, array.shape)
-
     @classmethod
     def from_scipy(cls, A) -> "SparseOperator":
         """Convert anything SciPy-sparse-like (has ``tocsr``)."""
@@ -96,30 +84,6 @@ class SparseOperator:
                    np.array(csr.indices, dtype=np.int64, copy=True),
                    np.array(csr.indptr, dtype=np.int64, copy=True),
                    csr.shape)
-
-    @classmethod
-    def from_coo(cls, rows: Iterable[int], cols: Iterable[int],
-                 values: Iterable[float],
-                 shape: Tuple[int, int]) -> "SparseOperator":
-        """Build from COO triplets; duplicate entries are summed."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        if not (rows.shape == cols.shape == values.shape):
-            raise ValueError("rows, cols and values must have the same length")
-        order = np.lexsort((cols, rows))
-        rows, cols, values = rows[order], cols[order], values[order]
-        if rows.size:
-            fresh = np.empty(rows.size, dtype=bool)
-            fresh[0] = True
-            fresh[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-            starts = np.flatnonzero(fresh)
-            values = np.add.reduceat(values, starts)
-            rows, cols = rows[starts], cols[starts]
-        counts = np.bincount(rows, minlength=shape[0])
-        indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return cls(values, cols, indptr, shape)
 
     # ------------------------------------------------------------------
     # basic properties

@@ -179,11 +179,6 @@ class MemoryManager:
                            if s is not PageState.VALID)
         return out
 
-    def has_faults(self) -> bool:
-        """True if any protected page is currently poisoned or lost."""
-        return any(states.count(PageState.VALID) != len(states)
-                   for states in self._state.values())
-
     def fault_count(self) -> int:
         """Total detected faults so far."""
         return self.log.count()

@@ -139,9 +139,6 @@ class ScheduleResult:
     def start_of(self, name: str) -> float:
         return self.starts[self.plan.index(name)]
 
-    def end_of(self, name: str) -> float:
-        return self.ends[self.plan.index(name)]
-
     def order_started(self) -> List[str]:
         """Task names in launch order: by simulated start time, ties
         (equal start times) broken by launch sequence — the same

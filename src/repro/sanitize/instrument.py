@@ -239,26 +239,6 @@ class TSanCondition:
             LOG.append(_thread_name(), OP_ACQUIRE, lock,
                        held=_lock_state().snapshot())
 
-    def wait_for(self, predicate, timeout: Optional[float] = None):
-        result = predicate()
-        if result:
-            return result
-        endtime = None
-        waittime = timeout
-        while not result:
-            if waittime is not None:
-                if endtime is None:
-                    import time
-                    endtime = time.monotonic() + waittime  # repro-lint: allow[wall-clock] stdlib Condition.wait_for deadline semantics, never fingerprinted
-                else:
-                    import time
-                    waittime = endtime - time.monotonic()  # repro-lint: allow[wall-clock] stdlib Condition.wait_for deadline semantics, never fingerprinted
-                    if waittime <= 0:
-                        break
-            self.wait(waittime)
-            result = predicate()
-        return result
-
     def notify(self, n: int = 1) -> None:
         LOG.append(_thread_name(), OP_NOTIFY, self.name,
                    held=_lock_state().snapshot())
@@ -324,21 +304,12 @@ class TSanQueue:
                            held=_lock_state().snapshot())
         self.raw.put(_Tagged(token, item), block, timeout)
 
-    def put_nowait(self, item) -> None:
-        self.put(item, block=False)
-
     def get(self, block: bool = True, timeout: Optional[float] = None):
         _visit(OP_GET, self.name)
         tagged = self.raw.get(block, timeout)   # raises queue.Empty as-is
         LOG.append(_thread_name(), OP_GET, self.name, token=tagged.token,
                    held=_lock_state().snapshot())
         return tagged.item
-
-    def get_nowait(self):
-        return self.get(block=False)
-
-    def qsize(self) -> int:
-        return self.raw.qsize()
 
     def empty(self) -> bool:
         return self.raw.empty()

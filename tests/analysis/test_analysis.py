@@ -94,7 +94,7 @@ class TestResidualHistory:
         h.append(1, 0.5, 0.1)
         assert len(h) == 2
         assert h.final_residual == 0.1
-        assert h.final_iteration == 1
+        assert h.iterations[-1] == 1
 
     def test_negative_residual_rejected(self):
         with pytest.raises(ValueError):
@@ -109,7 +109,6 @@ class TestResidualHistory:
     def test_empty_history_defaults(self):
         h = ResidualHistory()
         assert h.final_residual == float("inf")
-        assert h.final_iteration == 0
 
     def test_log_residuals_of_an_exact_zero_is_finite(self):
         h = ResidualHistory()

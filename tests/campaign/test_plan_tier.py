@@ -22,8 +22,8 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.campaign.engine import (CampaignRun, TrialRunner, run_campaign,
-                                   solve_trial)
+from repro.campaign.engine import (TAPE_KEYS, CampaignRun, TrialRunner,
+                                   run_campaign, solve_trial)
 from repro.campaign.executors import SerialExecutor
 from repro.campaign.spec import CampaignSpec, MatrixSpec, SolverKnobs
 from repro.campaign.store import CampaignCache, CampaignStore, process_cache
@@ -345,6 +345,26 @@ class TestPrefixTape:
         assert TAPE_LENGTH == 8 and tape.stride == 16
         assert [s.iteration for s in tape.snapshots] == list(
             range(16, 113, 16))
+
+    def test_a_cache_keeps_the_most_recently_used_tape_keys(self):
+        """FEIR trials on more right-hand sides than the bound: the cache
+        keeps the newest keys, the oldest go first, and every trial —
+        the one whose tape was dropped too — equals its standalone
+        solve.  A benchmark pass uses fewer keys than the bound."""
+        assert len({tape_key(t) for t in bench_grid().expand()}) < TAPE_KEYS
+        knobs = SolverKnobs(tolerance=1e-8, max_iterations=2000,
+                            num_workers=4, page_size=20)
+        trials = [CampaignSpec(
+            matrices=[MatrixSpec.parametric("laplacian2d", nx=10, ny=10,
+                                            rhs_seed=seed)],
+            methods=("FEIR",), rates=(5.0,), repetitions=1, seed=99,
+            knobs=knobs).expand()[0] for seed in range(TAPE_KEYS + 2)]
+        cache = CampaignCache()
+        for trial in [*trials, trials[0]]:
+            assert bits(solve_trial(trial, cache)) == bits(standalone(trial))
+            assert len(cache.tapes) <= TAPE_KEYS
+        assert list(cache.tapes) == [tape_key(t) for t in
+                                     trials[3:] + trials[:1]]
 
     def test_a_fresh_cache_is_a_cold_one(self, resumes):
         """What one cache's trials recorded, another's do not see: a

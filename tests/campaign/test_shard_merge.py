@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from repro.campaign.engine import run_campaign
 from repro.campaign.executors import SerialExecutor
 from repro.campaign.results import CampaignResult
-from repro.campaign.spec import (CampaignSpec, SolverKnobs, parse_shard,
-                                 shard_trials)
+from repro.campaign.spec import CampaignSpec, SolverKnobs, parse_shard
 
 
 def tiny_spec(**overrides):
@@ -40,26 +39,25 @@ class TestShardPartition:
 
     @pytest.mark.parametrize("count", [1, 2, 3, 5, 8, 11])
     def test_shards_partition_disjoint_and_complete(self, count):
-        trials = tiny_spec().expand()
-        shards = [shard_trials(trials, i, count) for i in range(count)]
-        indices = [t.index for shard in shards for t in shard]
-        assert sorted(indices) == [t.index for t in trials]
+        spec = tiny_spec()
+        indices = [index for i in range(count)
+                   for index, _ in spec.trial_keys((i, count))]
+        assert sorted(indices) == list(range(spec.num_trials))
 
     def test_round_robin_balances_shards(self):
-        trials = tiny_spec().expand()  # 8 trials
-        a, b = (shard_trials(trials, i, 2) for i in range(2))
-        assert abs(len(a) - len(b)) <= 1
+        spec = tiny_spec()  # 8 trials
+        a, b = ([index for index, _ in spec.trial_keys((i, 2))]
+                for i in range(2))
         # Round-robin: consecutive indices alternate shards, so each
         # shard samples every region of the grid.
-        assert [t.index for t in a] == [0, 2, 4, 6]
-        assert [t.index for t in b] == [1, 3, 5, 7]
+        assert a == [0, 2, 4, 6]
+        assert b == [1, 3, 5, 7]
 
     def test_shard_rejects_bad_indices(self):
-        trials = tiny_spec().expand()
         with pytest.raises(ValueError):
-            shard_trials(trials, 2, 2)
+            tiny_spec().trial_keys((2, 2))
         with pytest.raises(ValueError):
-            shard_trials(trials, 0, 0)
+            tiny_spec().trial_keys((0, 0))
 
 
 def run_shards(spec, count):

@@ -18,8 +18,7 @@ from repro.campaign import spec as spec_module
 from repro.campaign.engine import CampaignRun, run_campaign
 from repro.campaign.executors import SerialExecutor
 from repro.campaign.results import TrialResult
-from repro.campaign.spec import (CampaignSpec, SolverKnobs, TrialSpec,
-                                 shard_trials)
+from repro.campaign.spec import CampaignSpec, SolverKnobs, TrialSpec
 from repro.campaign.store import CampaignCache, CampaignStore
 from repro.faults.injector import Injection
 from repro.faults.scenarios import ErrorScenario, multi_error_scenario
@@ -35,6 +34,12 @@ def small_grid(**overrides):
         name="warm")
     defaults.update(overrides)
     return CampaignSpec(**defaults)
+
+
+def shard_trials(trials, index, count):
+    """Shard ``index`` of ``count`` of an expanded trial list: the
+    round-robin rule over the trial index, written out independently."""
+    return [t for t in trials if t.index % count == index]
 
 
 #: Grids whose keys must agree between the two enumerations: several

@@ -12,10 +12,23 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.lossy import a_norm, interpolation_error_norm, lossy_interpolate
+from repro.core.lossy import lossy_interpolate
 from repro.matrices.blocked import PageBlockedMatrix
 from repro.matrices.laplacian import laplacian_2d
 from repro.matrices.random_spd import random_sparse_spd
+
+
+def a_norm(A, v):
+    """``sqrt(v^T A v)`` — the energy norm of Theorems 2 and 3."""
+    # Guard against tiny negative values from round-off on SPD matrices.
+    return float(np.sqrt(max(float(v @ (A @ v)), 0.0)))
+
+
+def interpolation_error_norm(A, blocked, b, x_true, x_damaged, pages):
+    """``(||x* - x||_A, ||x* - x_I||_A)``: the A-norm of the error of the
+    damaged iterate ``x`` and of its interpolation ``x_I``."""
+    x_interp = lossy_interpolate(blocked, b, x_damaged, pages)
+    return a_norm(A, x_true - x_damaged), a_norm(A, x_true - x_interp)
 
 
 def make_problem(seed, n_grid=10, page_size=20):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.relations import (HessenbergRelation, LinearCombinationRelation,
-                                  MatVecRelation, ResidualRelation)
+from repro.core.relations import (LinearCombinationRelation, MatVecRelation,
+                                  ResidualRelation)
 from repro.matrices.blocked import PageBlockedMatrix
 from repro.matrices.laplacian import laplacian_2d
 
@@ -41,18 +41,12 @@ class TestMatVecRelation:
 
 
 class TestLinearCombinationRelation:
-    def test_both_recovery_directions(self):
+    def test_recover_lhs_page(self):
         rng = np.random.default_rng(1)
         v, w = rng.standard_normal(64), rng.standard_normal(64)
         rel = LinearCombinationRelation(alpha=0.7, beta=-1.3)
         u = 0.7 * v - 1.3 * w
         np.testing.assert_allclose(rel.recover_lhs_page(v, w), u, atol=1e-13)
-        np.testing.assert_allclose(rel.recover_w_page(u, v), w, atol=1e-12)
-
-    def test_zero_coefficients_rejected(self):
-        rel = LinearCombinationRelation(alpha=0.0, beta=0.0)
-        with pytest.raises(ZeroDivisionError):
-            rel.recover_w_page(np.zeros(4), np.zeros(4))
 
 
 class TestResidualRelation:
@@ -94,42 +88,3 @@ class TestResidualRelation:
         with pytest.raises(ValueError):
             rel.recover_iterate_pages([], x, x)
 
-
-class TestHessenbergRelation:
-    def test_recover_arnoldi_vector(self, system):
-        A, blocked, b, _ = system
-        n = A.shape[0]
-        m = 6
-        V = np.zeros((n, m + 1))
-        H = np.zeros((m + 1, m))
-        V[:, 0] = b / np.linalg.norm(b)
-        for k in range(m):
-            w = A @ V[:, k]
-            for i in range(k + 1):
-                H[i, k] = w @ V[:, i]
-                w -= H[i, k] * V[:, i]
-            H[k + 1, k] = np.linalg.norm(w)
-            V[:, k + 1] = w / H[k + 1, k]
-        rel = HessenbergRelation(blocked)
-        for l in range(1, m + 1):
-            recovered = rel.recover_basis_vector(l, V, H)
-            np.testing.assert_allclose(recovered, V[:, l], atol=1e-9)
-
-    def test_v0_not_recoverable(self, system):
-        _, blocked, _, _ = system
-        rel = HessenbergRelation(blocked)
-        with pytest.raises(ValueError):
-            rel.recover_basis_vector(0, np.zeros((4, 2)), np.zeros((2, 1)))
-
-    def test_breakdown_detected(self, system):
-        _, blocked, _, _ = system
-        rel = HessenbergRelation(blocked)
-        H = np.zeros((3, 2))
-        with pytest.raises(ZeroDivisionError):
-            rel.recover_basis_vector(1, np.zeros((blocked.n, 3)), H)
-
-    def test_requires_operator(self):
-        rel = HessenbergRelation(None)
-        H = np.ones((2, 1))
-        with pytest.raises(ValueError):
-            rel.recover_basis_vector(1, np.zeros((4, 2)), H)

@@ -84,7 +84,7 @@ class TestFEIRExactRecovery:
         assert not outcome.restart_required
         np.testing.assert_allclose(state.vectors[vector].array, original,
                                    rtol=1e-7, atol=1e-9)
-        assert not state.memory.has_faults()
+        assert not state.memory.lost_pages()
 
     def test_multiple_pages_same_vector(self):
         state, A = make_state()
@@ -167,7 +167,7 @@ class TestTrivialStrategy:
         outcome = TrivialStrategy().handle_lost_pages(state, lost, 1)
         assert set(outcome.unrecoverable) == {("g", 0), ("x", 3)}
         assert np.all(state.vectors["g"].page(0) == 0.0)
-        assert not state.memory.has_faults()
+        assert not state.memory.lost_pages()
 
 
 class TestCheckpointStrategy:

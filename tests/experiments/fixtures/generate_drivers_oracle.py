@@ -66,7 +66,7 @@ def observed(config: ExperimentConfig) -> dict:
             "injection_time": fig3.injection_time.hex(),
             "final_times": {method: value.hex()
                             for method, value in fig3.final_times.items()},
-            "iterations": {method: history.final_iteration
+            "iterations": {method: history.iterations[-1]
                            for method, history in fig3.histories.items()},
         },
     }

@@ -102,7 +102,9 @@ class TestSolves:
         rng = np.random.default_rng(seed)
         dense = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.4)
         dense += np.diag(np.abs(dense).sum(axis=1) + rng.uniform(0.1, 2.0, n))
-        A = SparseOperator.from_dense(dense) if sparse else sp.csr_matrix(dense)
+        A = sp.csr_matrix(dense)
+        if sparse:
+            A = SparseOperator.from_scipy(A)
         blocked = PageBlockedMatrix(A, page_size=page_size)
         for block in range(blocked.num_blocks):
             rhs = rng.standard_normal(blocked.block_size(block)) * 1e3
@@ -133,7 +135,9 @@ class TestDiagFactor:
         rng = np.random.default_rng(seed)
         dense = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.4)
         dense += np.diag(rng.uniform(-2.0, 2.0, n))
-        A = SparseOperator.from_dense(dense) if sparse else sp.csr_matrix(dense)
+        A = sp.csr_matrix(dense)
+        if sparse:
+            A = SparseOperator.from_scipy(A)
         blocked = PageBlockedMatrix(A, page_size=page_size)
         for block in range(blocked.num_blocks):
             kept = blocked.diag_block(block).copy()
@@ -163,8 +167,8 @@ class TestDiagFactor:
         dense = laplacian_2d(4).toarray()
         dense[:, 3] = 0.0  # column 3 of block 0 is zero: U[3, 3] is 0
         dense[3, :] = 0.0
-        blocked = PageBlockedMatrix(SparseOperator.from_dense(dense),
-                                    page_size=8)
+        blocked = PageBlockedMatrix(
+            SparseOperator.from_scipy(sp.csr_matrix(dense)), page_size=8)
         with pytest.warns(la.LinAlgWarning) as ours:
             lu, _ = blocked.diag_factor(0)
         with pytest.warns(la.LinAlgWarning) as theirs:

@@ -5,8 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from repro.matrices.laplacian import laplacian_2d
-from repro.matrices.properties import (is_spd, is_symmetric, nnz_per_row,
-                                       smallest_eigenvalue, spd_check)
+from repro.matrices.properties import (is_spd, is_symmetric, smallest_eigenvalue,
+                                       spd_check)
 from repro.matrices.random_spd import random_sparse_spd
 
 
@@ -35,9 +35,6 @@ class TestProperties:
         A = random_sparse_spd(700, density=0.005, seed=1)
         assert smallest_eigenvalue(A) > 0
 
-    def test_nnz_per_row(self):
-        assert nnz_per_row(sp.eye(10).tocsr()) == pytest.approx(1.0)
-
     def test_spd_check_report(self):
         report = spd_check(laplacian_2d(5))
         assert report.symmetric and report.smallest_eigenvalue > 0
@@ -64,8 +61,7 @@ class TestProperties:
 
     def test_nnz_per_row_of_the_5pt_stencil(self):
         k = 6
-        assert nnz_per_row(laplacian_2d(k)) == pytest.approx(
-            (5 * k * k - 4 * k) / (k * k))
+        assert laplacian_2d(k).nnz == 5 * k * k - 4 * k
 
     def test_spd_check_of_asymmetric_matrix(self):
         report = spd_check(sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 2.0]])))

@@ -5,6 +5,7 @@ import pickle
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,7 +39,6 @@ class TestConstruction:
     def test_from_scipy_leaves_an_unsorted_input_alone(self):
         """``tocsr`` of a CSR input is the input itself: the conversion
         sorts a copy, never the caller's arrays."""
-        import scipy.sparse as sp
         A = sp.csr_matrix((np.array([2.0, 3.0]), np.array([1, 0]),
                            np.array([0, 2, 2])), shape=(2, 2))
         assert not A.has_sorted_indices
@@ -49,14 +49,11 @@ class TestConstruction:
         x = np.array([5.0, 7.0])
         assert np.array_equal(op.matvec(x), A @ x)
 
-    def test_from_dense_roundtrip(self, poisson_pair):
-        dense = poisson_pair[2]
-        assert np.array_equal(SparseOperator.from_dense(dense).toarray(),
-                              dense)
-
-    def test_from_coo_sums_duplicates(self):
-        op = SparseOperator.from_coo([0, 0, 1], [1, 1, 0], [2.0, 3.0, 1.0],
-                                     (2, 2))
+    def test_from_scipy_sums_the_duplicates_of_a_coo_input(self):
+        A = sp.coo_matrix(([2.0, 3.0, 1.0], ([0, 0, 1], [1, 1, 0])),
+                          shape=(2, 2))
+        op = SparseOperator.from_scipy(A)
+        assert op.nnz == 2
         assert np.array_equal(op.toarray(), [[0.0, 5.0], [1.0, 0.0]])
 
     def test_validation(self):
@@ -68,12 +65,10 @@ class TestConstruction:
     def test_out_of_range_columns_refused(self, col):
         """``matvec_into`` gathers unchecked; no operator reaches it with
         a column it would clip."""
+        indptr = np.array([0, 1, 1, 1])
         with pytest.raises(ValueError, match="column indices"):
-            SparseOperator.from_coo([0], [col], [1.0], (3, 3))
-        with pytest.raises(ValueError, match="column indices"):
-            SparseOperator(np.ones(1), np.array([col]), np.array([0, 1, 1, 1]),
-                           (3, 3))
-        assert SparseOperator.from_coo([0], [2], [1.0], (3, 3)).nnz == 1
+            SparseOperator(np.ones(1), np.array([col]), indptr, (3, 3))
+        assert SparseOperator(np.ones(1), np.array([2]), indptr, (3, 3)).nnz == 1
 
 
 class TestProducts:
@@ -103,7 +98,7 @@ class TestProducts:
         dense = np.zeros((5, 5))
         dense[0, 1] = 2.0
         dense[3, 4] = -1.0
-        op = SparseOperator.from_dense(dense)
+        op = SparseOperator.from_scipy(sp.csr_matrix(dense))
         v = np.arange(5.0)
         assert np.array_equal(op.row_slab_matvec(0, 5, v), dense @ v)
         assert np.array_equal(op.row_slab_matvec(1, 3, v), np.zeros(2))
@@ -122,9 +117,9 @@ class TestProducts:
         rng = np.random.default_rng(7)
         gappy = rng.standard_normal((9, 9)) * (rng.random((9, 9)) < 0.3)
         gappy[[0, 4, 8]] = 0.0                  # empty first, inner, last row
-        for op in (poisson_pair[1], SparseOperator.from_dense(gappy),
-                   SparseOperator.from_dense(np.zeros((4, 4))),
-                   SparseOperator.from_dense(np.zeros((0, 0)))):
+        for op in (poisson_pair[1], *(
+                SparseOperator.from_scipy(sp.csr_matrix(dense))
+                for dense in (gappy, np.zeros((4, 4)), np.zeros((0, 0))))):
             for _ in range(3):                  # derived, then reused
                 v = rng.standard_normal(op.n)
                 assert op.matvec(v).tobytes() == \
@@ -143,10 +138,10 @@ class TestProducts:
         rng = np.random.default_rng(seed)
         dense = (rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-6, 6, (n, n))
                  * (rng.random((n, n)) < density))
-        op = SparseOperator.from_dense(dense)
+        op = SparseOperator.from_scipy(sp.csr_matrix(dense))
         assert op.has_empty_rows() == (not np.all(dense.any(axis=1)))
         np.fill_diagonal(dense, 1.0 + np.abs(np.diag(dense)))
-        op = SparseOperator.from_dense(dense)
+        op = SparseOperator.from_scipy(sp.csr_matrix(dense))
         assert not op.has_empty_rows()
         out, scratch = np.full(n, np.nan), np.full(op.nnz, np.nan)
         for _ in range(2):                      # scratch reused
@@ -162,7 +157,7 @@ class TestProducts:
         dense = poisson_pair[2].copy()
         if empty_row:
             dense[7] = 0.0
-        op = SparseOperator.from_dense(dense)
+        op = SparseOperator.from_scipy(sp.csr_matrix(dense))
         cold = pickle.dumps(op)
         expected = op.matvec(vector)
         # cached where a product needs them: only with an empty row
@@ -237,10 +232,34 @@ class TestBlockedDualBackend:
             scipy_blocked.coupled_diag_solve([0, 2], coupled_rhs),
             op_blocked.coupled_diag_solve([0, 2], coupled_rhs), atol=PARITY)
 
-    def test_column_block_dense_agree(self, pair):
+    def test_row_slabs_agree(self, pair):
+        """The rank runtime's strips: the same CSR rows on either
+        backend, built once per range, and no range past the matrix."""
         scipy_blocked, op_blocked = pair
-        assert np.array_equal(scipy_blocked.column_block_dense(2),
-                              op_blocked.column_block_dense(2))
+        n = scipy_blocked.n
+        for start, stop in [(0, n), (0, 16), (17, 53), (n - 5, n), (9, 9)]:
+            a = scipy_blocked.row_slab(start, stop)
+            b = op_blocked.row_slab(start, stop)
+            assert a.shape == b.shape == (stop - start, n)
+            assert np.array_equal(a.toarray(), b.toarray())
+            assert np.array_equal(
+                a.toarray(), scipy_blocked.A.toarray()[start:stop])
+            assert op_blocked.row_slab(start, stop) is b
+        for start, stop in [(-1, 4), (5, 4), (0, n + 1)]:
+            for blocked in pair:
+                with pytest.raises(ValueError, match="out of range"):
+                    blocked.row_slab(start, stop)
+
+    def test_range_products_are_slices_of_the_full_matvec(self, pair):
+        """Strip products reassemble the full product bit for bit on
+        each backend."""
+        v = np.random.default_rng(11).standard_normal(pair[0].n)
+        for blocked in pair:
+            full = blocked.matvec(v)
+            strips = [blocked.range_product(start, min(start + 37, blocked.n),
+                                            v)
+                      for start in range(0, blocked.n, 37)]
+            assert np.concatenate(strips).tobytes() == full.tobytes()
 
 
 class TestSolverFastPath:
@@ -304,10 +323,10 @@ class TestRewrittenKernels:
     @settings(max_examples=120, deadline=None)
     def test_gather_dense_is_scipy_fancy_indexing(self, n, density,
                                                   empty_rows, order, seed):
-        import scipy.sparse as sp
         rng = np.random.default_rng(seed)
         dense = _random_operator(rng, n, density, empty_rows)
-        op, A = SparseOperator.from_dense(dense), sp.csr_matrix(dense)
+        A = sp.csr_matrix(dense)
+        op = SparseOperator.from_scipy(A)
         assert op.has_empty_rows() == empty_rows
         k = int(rng.integers(1, n + 1))
         if order == "random":
@@ -330,8 +349,8 @@ class TestRewrittenKernels:
     def test_slab_products_are_slices_of_the_full_matvec(
             self, n, density, empty_rows, page_size, seed):
         rng = np.random.default_rng(seed)
-        op = SparseOperator.from_dense(
-            _random_operator(rng, n, density, empty_rows))
+        op = SparseOperator.from_scipy(sp.csr_matrix(
+            _random_operator(rng, n, density, empty_rows)))
         assert op.has_empty_rows() == empty_rows
         v = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
         full = op.matvec(v)

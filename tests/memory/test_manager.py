@@ -73,7 +73,7 @@ class TestFaultLifecycle:
         mm.touch("x", 0, time=1.0)
         mm.mark_recovered("x", 0)
         assert mm.state("x", 0) is PageState.VALID
-        assert not mm.has_faults()
+        assert not mm.lost_pages()
 
     def test_mark_recovered_on_latent_poison_logs_event(self, manager_with_vector):
         mm, vec = manager_with_vector
@@ -194,9 +194,9 @@ class TestDetectBatch:
 
 
 class TestRecoveryScan:
-    """``lost_pages``/``has_faults`` count VALID pages at C speed and walk
-    only a vector that has a non-valid page: the same list, in the same
-    order, as a page-by-page scan."""
+    """``lost_pages`` counts VALID pages at C speed and walks only a
+    vector that has a non-valid page: the same list, in the same order,
+    as a page-by-page scan."""
 
     @given(vectors=st.lists(st.lists(st.sampled_from(list(PageState)),
                                      min_size=1, max_size=9),
@@ -220,4 +220,3 @@ class TestRecoveryScan:
         for name in names:
             assert mm.lost_pages(name) == [e for e in expected
                                            if e[0] == name]
-        assert mm.has_faults() is bool(expected)

@@ -86,7 +86,7 @@ class TestFactoryAndProtocol:
         plan, _ = compiled([("a", 1.0, None, {})])
         schedule = threaded.simulate(plan)
         assert schedule.start_of("a") == 0.0
-        assert schedule.end_of("a") == pytest.approx(1.0)
+        assert schedule.ends[plan.index("a")] == pytest.approx(1.0)
         result = threaded.execute(plan)
         assert isinstance(result, ExecutionResult)
         assert result.plan is plan

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -193,7 +194,8 @@ class TestEngineScratchDifferential:
 
     def test_an_empty_row_takes_the_allocating_product(self):
         rows, cols = [0, 0, 2, 2], [0, 2, 0, 2]
-        A = SparseOperator.from_coo(rows, cols, [2.0, -1.0, -1.0, 3.0], (3, 3))
+        A = SparseOperator.from_scipy(sp.csr_matrix(
+            ([2.0, -1.0, -1.0, 3.0], (rows, cols)), shape=(3, 3)))
         assert A.has_empty_rows()
         engine = LocalKernelEngine(A, 3, 2)
         assert engine._gather is None

@@ -61,8 +61,9 @@ class TestBasicScheduling:
         graph = TaskGraph()
         graph.add_task("a", 1.0)
         graph.add_task("b", 1.0, deps=["a"])
-        result = scheduler(2).run(compile_plan(graph))
-        assert result.start_of("b") >= result.end_of("a") - 1e-12
+        plan = compile_plan(graph)
+        result = scheduler(2).run(plan)
+        assert result.start_of("b") >= result.ends[plan.index("a")] - 1e-12
 
     def test_start_time_offset(self):
         graph = TaskGraph()
