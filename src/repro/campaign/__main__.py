@@ -26,7 +26,8 @@ same spec and seed, which the CI jobs assert.
 The content-addressed store (default ``~/.cache/repro-campaign``,
 overridable via ``REPRO_CAMPAIGN_STORE``) is on by default: re-running
 an unchanged campaign executes zero trials, and an interrupted campaign
-resumes from its last persisted trial.  ``--no-store`` opts out.
+resumes from its last persisted trial; a ``resume:`` line says what the
+previous run's journal recorded.  ``--no-store`` opts out.
 """
 
 from __future__ import annotations
@@ -64,12 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the (possibly partial) campaign result "
                              "to FILE as JSON")
     add_store_arguments(parser)
-    parser.add_argument("--resume", action="store_true",
-                        help="report what a previous (possibly interrupted) "
-                             "run of this campaign already persisted before "
-                             "continuing from it; purely informational — "
-                             "with the store on, completed trials are "
-                             "always reused")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress per-trial progress lines")
     return parser
@@ -135,15 +130,11 @@ def main_run(argv) -> int:
     print(f"executor: {executor.describe()}")
     if args.shard:
         print(f"shard: {args.shard[0]}/{args.shard[1]}")
-    if store is not None and args.resume:
-        summary = store.journal_summary(spec.store_key())
-        if summary is None:
-            print("resume: no previous journal for this campaign — "
-                  "starting fresh")
-        else:
-            print(f"resume: previous run persisted "
-                  f"{summary['persisted']} trial(s) "
-                  f"(last event: {summary['last'].get('event')})")
+    summary = store.journal_summary(spec.store_key()) if store is not None else None
+    if summary is not None:
+        print(f"resume: previous run persisted "
+              f"{summary['persisted']} trial(s) "
+              f"(last event: {summary['last'].get('event')})")
 
     def progress(trial, done, total):
         status = "ok" if trial.converged else "DIVERGED"

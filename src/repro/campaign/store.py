@@ -374,7 +374,7 @@ class CampaignStore:
     def journal_events(self, campaign_key: str) -> Iterator[dict]:
         """Parsed journal events, oldest first.
 
-        Resilient by construction — ``--resume``'s journal summary reads
+        Resilient by construction — the CLI's ``resume:`` line reads
         it: a missing journal yields nothing, a truncated trailing line
         (crash mid-append) is skipped instead of raising, and so is any
         earlier undecodable line (torn by a crash of a pre-fsync

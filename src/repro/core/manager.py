@@ -29,9 +29,9 @@ def make_strategy(name: str, *,
         return FEIRStrategy()
     if key == "afeir":
         return AFEIRStrategy()
-    if key in ("lossy", "lossy restart", "lossy-restart"):
+    if key == "lossy":
         return LossyRestartStrategy()
-    if key in ("ckpt", "checkpoint", "checkpointing", "checkpoint-rollback"):
+    if key == "ckpt":
         return CheckpointStrategy(interval=checkpoint_interval)
     if key == "trivial":
         return TrivialStrategy()

@@ -150,12 +150,10 @@ class ExponentialInjector:
         A normalised frequency ``n`` means ``n`` expected errors per ideal
         convergence time ``tau``, i.e. MTBE = tau / n (Section 5.4).
         """
-        if rate < 0:
-            raise ValueError(f"normalised rate must be non-negative, got {rate}")
+        if rate <= 0:
+            raise ValueError(f"normalised rate must be positive, got {rate}")
         if ideal_time <= 0:
             raise ValueError(f"ideal time must be positive, got {ideal_time}")
-        if rate == 0:
-            return _NullInjector(rng)
         return cls(ideal_time / rate, rng=rng)
 
     # ------------------------------------------------------------------
@@ -209,20 +207,3 @@ class ExponentialInjector:
         times = self.sample_times(horizon)
         picks = self._rng.integers(0, len(pages), size=len(times))
         return InjectionQueue(times, picks.tolist(), pages)
-
-
-class _NullInjector(ExponentialInjector):
-    """Injector that never fires (normalised rate zero)."""
-
-    def __init__(self, rng: SeedLike = DEFAULT_SEED):
-        # Bypass the parent validation: represent "never" directly.
-        self.mtbe = float("inf")
-        self._rng = derive_rng(rng)
-
-    def sample_times(self, horizon: float) -> List[float]:
-        return []
-
-
-def null_injector(rng: SeedLike = DEFAULT_SEED) -> ExponentialInjector:
-    """An injector that injects nothing (used for fault-free baselines)."""
-    return _NullInjector(rng)

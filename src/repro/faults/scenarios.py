@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.config import DEFAULT_SEED
 from repro.faults.injector import (ExponentialInjector, Injection,
-                                   InjectionQueue, SeedLike, null_injector)
+                                   InjectionQueue, SeedLike)
 
 #: The normalised error frequencies of Figure 4.
 PAPER_ERROR_RATES: Tuple[float, ...] = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0)
@@ -47,15 +47,6 @@ class ErrorScenario:
         """Copy of this scenario driven by different seed material."""
         return replace(self, seed=seed, name=name or self.name)
 
-    def injector(self, ideal_time: float) -> ExponentialInjector:
-        """Injector realising this scenario for a solve of ``ideal_time``."""
-        if self.fixed_injections:
-            return null_injector(self.seed)
-        if self.normalized_rate <= 0:
-            return null_injector(self.seed)
-        return ExponentialInjector.from_normalized_rate(
-            self.normalized_rate, ideal_time, rng=self.seed)
-
     def queue(self, ideal_time: float, horizon: float,
               pages: Sequence[Tuple[str, int]]) -> InjectionQueue:
         """Concrete injection schedule for this scenario, as a queue that
@@ -63,7 +54,11 @@ class ErrorScenario:
         if self.fixed_injections:
             return InjectionQueue(front=sorted(self.fixed_injections,
                                                key=lambda inj: inj.time))
-        return self.injector(ideal_time).queue(horizon, pages)
+        if self.is_fault_free:
+            return InjectionQueue()
+        return ExponentialInjector.from_normalized_rate(
+            self.normalized_rate, ideal_time, rng=self.seed
+        ).queue(horizon, pages)
 
     @property
     def is_fault_free(self) -> bool:

@@ -53,7 +53,12 @@ from repro.sanitize import (make_condition, make_lock,
 
 @dataclass
 class MonitorSummary:
-    """Picklable digest of one solve's monitor observations."""
+    """Picklable digest of one solve's monitor observations.
+
+    ``pages_seen_by_scans`` is 0 in a solve by construction: every loss
+    is repaired at its check point before the iteration is re-enacted,
+    so a re-enacted recovery scan never finds a lost page.
+    """
 
     runs: int = 0
     recovery_scans: int = 0

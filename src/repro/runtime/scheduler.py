@@ -55,7 +55,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.runtime.plan import IterationPlan
@@ -96,9 +96,9 @@ class ScheduleResult:
     """Outcome of scheduling one plan: placements as arrays in plan order.
 
     ``starts``/``ends``/``workers`` are indexed like the plan's tasks;
-    the per-state breakdown (``trace``) and the name-keyed views
-    (``scheduled``, ``start_of`` ...) are derived on first read, so
-    re-timing a plan never pays for them.
+    the per-state breakdown (``trace``) and the name-keyed view
+    (``scheduled``) are derived on first read, so re-timing a plan never
+    pays for them.
     """
 
     plan: IterationPlan
@@ -106,8 +106,9 @@ class ScheduleResult:
     starts: Tuple[float, ...]
     ends: Tuple[float, ...]
     workers: Sequence[int]
-    #: Task indices in the exact order the scheduler launched them.  This
-    #: is the order action replay uses and ``order_started()`` reports,
+    #: Task indices in the exact order the scheduler launched them: by
+    #: simulated start time, ties broken by launch sequence, not by task
+    #: name.  This is the order action replay uses and the trace sums in,
     #: so the trace and the numerical replay can never disagree.
     launch_order: Tuple[int, ...]
     num_workers: int
@@ -135,16 +136,6 @@ class ScheduleResult:
                     start=self.starts[i], end=self.ends[i], kind=kinds[i],
                     overhead=self.overhead, seq=seq)
                 for seq, i in enumerate(self.launch_order)}
-
-    def start_of(self, name: str) -> float:
-        return self.starts[self.plan.index(name)]
-
-    def order_started(self) -> List[str]:
-        """Task names in launch order: by simulated start time, ties
-        (equal start times) broken by launch sequence — the same
-        tie-break the action replay uses — not by task name."""
-        names = self.plan.names
-        return [names[i] for i in self.launch_order]
 
 
 class _Structure(NamedTuple):

@@ -97,14 +97,14 @@ def _touch_chunk(u: np.ndarray) -> float:
     return float(np.add.reduce(u))  # repro-lint: allow[paged-reduction] single-chunk touch probe; value discarded
 
 
-def _shipped_probe(probe: Callable[[], None], engine: KernelEngine, memory,
+def _shipped_probe(probe: Callable[[], None], engine: KernelEngine,
                    iteration: List[int], num_pages: int) -> None:
-    """The paper's locality rule: the recovery scan runs on the rank
-    owning the (potentially) lost page.  ``run_on_rank`` ships the probe
-    without counting it as a recovery dispatch."""
-    lost = memory.lost_pages()
-    page = lost[0][1] if lost else iteration[0] % num_pages
-    engine.run_on_rank(engine.page_owner(page), probe)
+    """The paper's locality rule puts a recovery on the rank owning the
+    lost page.  Every loss is repaired at its check point before the
+    iteration is re-enacted, so the re-enacted scan has none to follow:
+    it runs on the owner of page ``iteration % num_pages``.
+    ``run_on_rank`` ships it without counting a recovery dispatch."""
+    engine.run_on_rank(engine.page_owner(iteration[0] % num_pages), probe)
 
 
 @dataclass(frozen=True)
@@ -565,8 +565,7 @@ class CGPlanner:
             probe = self.strategy.recovery_probe(state.memory, self.monitor)
             if self.spec.placement == "ranks":
                 probe = partial(_shipped_probe, probe, self.engine,
-                                state.memory, self._iteration,
-                                vectors["x"].num_pages)
+                                self._iteration, vectors["x"].num_pages)
             for key in RECOVERY_TASKS:
                 table[roles[key]] = probe
         return table

@@ -178,9 +178,9 @@ class TestCampaignSpec:
     def test_method_spelling_is_kept_verbatim(self):
         """Validation goes through ``make_strategy``; it does not
         normalise, so no content token moves."""
-        spec = self.make_spec(methods=("feir", "lossy restart"))
-        assert spec.methods == ("feir", "lossy restart")
-        assert "methods=[feir,lossy restart]" in spec.content_token()
+        spec = self.make_spec(methods=("feir", "lossy"))
+        assert spec.methods == ("feir", "lossy")
+        assert "methods=[feir,lossy]" in spec.content_token()
 
     @pytest.mark.parametrize("rate", [-1.0, float("nan"), float("inf")])
     def test_rejects_a_negative_or_non_finite_rate(self, rate):

@@ -407,6 +407,18 @@ class TestCliStoreLine:
         assert warm["misses"] == "0"
         assert float(warm["hit-rate"].rstrip("%")) >= 90.0
 
+    def test_a_rerun_reports_the_previous_journal(self, tmp_path, capsys):
+        """A run with no journal prints no ``resume:`` line; a re-run
+        prints what the previous run persisted, unasked."""
+        from repro.campaign.__main__ import main
+        resumes = []
+        for _ in range(2):
+            assert main([*self.ARGS, "--store", str(tmp_path / "store")]) == 0
+            resumes.append([line for line in capsys.readouterr().out.splitlines()
+                            if line.startswith("resume: ")])
+        assert resumes == [[], ["resume: previous run persisted 2 trial(s) "
+                                "(last event: done)"]]
+
 
 class TestGc:
     def test_gc_prunes_old_entries_keeps_fresh(self, tmp_path):

@@ -57,7 +57,7 @@ class TestStrategyFactory:
 
     @pytest.mark.parametrize("name,cls", [
         ("FEIR", FEIRStrategy), ("afeir", AFEIRStrategy),
-        ("lossy", LossyRestartStrategy), ("checkpoint", CheckpointStrategy),
+        ("lossy", LossyRestartStrategy), ("CKPT", CheckpointStrategy),
         ("Trivial", TrivialStrategy)])
     def test_factory_dispatch(self, name, cls):
         assert isinstance(make_strategy(name), cls)
@@ -65,6 +65,13 @@ class TestStrategyFactory:
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             make_strategy("magic")
+
+    @pytest.mark.parametrize("alias", [
+        "lossy restart", "lossy-restart", "checkpoint", "checkpointing",
+        "checkpoint-rollback"])
+    def test_one_name_per_method(self, alias):
+        with pytest.raises(ValueError, match="unknown recovery strategy"):
+            make_strategy(alias)
 
     def test_scheduling_flags(self):
         assert FEIRStrategy().recovery_in_critical_path

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults.injector import ExponentialInjector, Injection, null_injector
+from repro.faults.injector import ExponentialInjector, Injection
 
 
 class TestExponentialInjector:
@@ -53,19 +53,13 @@ class TestExponentialInjector:
         inj = ExponentialInjector.from_normalized_rate(rate=5.0, ideal_time=10.0)
         assert inj.mtbe == pytest.approx(2.0)
 
-    def test_from_normalized_rate_zero_gives_null(self):
-        inj = ExponentialInjector.from_normalized_rate(rate=0.0, ideal_time=10.0)
-        assert inj.sample_times(100.0) == []
-
     def test_from_normalized_rate_validation(self):
         with pytest.raises(ValueError):
             ExponentialInjector.from_normalized_rate(rate=-1.0, ideal_time=1.0)
         with pytest.raises(ValueError):
+            ExponentialInjector.from_normalized_rate(rate=0.0, ideal_time=1.0)
+        with pytest.raises(ValueError):
             ExponentialInjector.from_normalized_rate(rate=1.0, ideal_time=0.0)
-
-    def test_null_injector(self):
-        inj = null_injector()
-        assert inj.sample_times(1e9) == []
 
 
 class TestPageTargetingDistribution:

@@ -43,9 +43,9 @@ class TestScenarioInjector:
         n_high = len(high.queue(1.0, 50.0, pages))
         assert n_high > 5 * max(n_low, 1)
 
-    def test_zero_rate_gives_null_injector(self):
+    def test_zero_rate_queues_nothing(self):
         scen = ErrorScenario(normalized_rate=0.0)
-        assert scen.injector(1.0).sample_times(100.0) == []
+        assert len(scen.queue(1.0, 100.0, [("x", 0)])) == 0
 
     def test_fixed_injections_take_priority(self):
         scen = ErrorScenario(normalized_rate=10.0,

@@ -52,7 +52,7 @@ class TestWallClock:
         assert active_codes(src, "tests/test_something.py") == []
 
     def test_arbitrary_tempfile_is_not_exempt(self):
-        # the CI canary writes a violation to a temp dir; the rule must
+        # the CLI canary writes a violation to a temp dir; the rule must
         # still fire outside the repo layout
         src = "import time\nt = time.time()\n"
         assert active_codes(src, "/tmp/tmpabc123/canary.py") == ["wall-clock"]

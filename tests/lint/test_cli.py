@@ -1,5 +1,5 @@
 """CLI behaviour: exit codes, --explain, --list-rules, and the canary
-property the CI job relies on (a violating tempfile fails the lint)."""
+property (a violating tempfile fails the lint)."""
 
 import subprocess
 import sys
@@ -24,12 +24,21 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_violating_tempfile_exits_nonzero(self, tmp_path):
-        # the CI canary: a silently no-op linter would return 0 here
+        # the canary: a silently no-op linter would return 0 here
         canary = tmp_path / "canary.py"
         canary.write_text("import time\nt = time.time()\n")
         proc = run_lint(str(canary))
         assert proc.returncode == 1
         assert "wall-clock" in proc.stdout
+
+    def test_raw_queue_under_repro_exits_nonzero(self, tmp_path):
+        # the sanitizer-factory rule reaches a file under any repro/
+        canary = tmp_path / "repro" / "canary.py"
+        canary.parent.mkdir()
+        canary.write_text("import queue\nq = queue.SimpleQueue()\n")
+        proc = run_lint(str(canary))
+        assert proc.returncode == 1
+        assert "sanitizer-factory" in proc.stdout
 
     def test_unknown_rule_code_exits_two(self):
         proc = run_lint("--explain", "no-such-rule")

@@ -148,7 +148,8 @@ def record(case: dict) -> dict:
         "start": [s.start.hex() for s in placed],
         "end": [s.end.hex() for s in placed],
         "worker": [s.worker for s in placed],
-        "order": [names.index(name) for name in result.order_started()],
+        "order": [names.index(result.plan.names[i])
+                  for i in result.launch_order],
         "breakdown": {key: getattr(breakdown, key).hex() for key in
                       ("useful", "runtime", "idle", "recovery", "checkpoint",
                        "communication")},

@@ -70,7 +70,8 @@ class TestFactoryAndProtocol:
         result = backend.execute(plan, actions)
         assert log[0] == "a" and log[-1] == "d"
         assert sorted(log) == ["a", "b", "c", "d"]
-        assert log == backend.simulate(plan).order_started()
+        assert log == [plan.names[i]
+                       for i in backend.simulate(plan).launch_order]
         assert set(result.workers) == {0}
 
     def test_simulated_and_threaded_schedules_match(self, threaded):
@@ -79,13 +80,13 @@ class TestFactoryAndProtocol:
         sim = SimulatedBackend(4, cost_model=NO_OVERHEAD).simulate(plan)
         real = threaded.simulate(plan)
         assert real.makespan == sim.makespan
-        assert real.order_started() == sim.order_started()
+        assert real.launch_order == sim.launch_order
 
     def test_simulate_answers_schedule_queries_execute_measures(self,
                                                                 threaded):
         plan, _ = compiled([("a", 1.0, None, {})])
         schedule = threaded.simulate(plan)
-        assert schedule.start_of("a") == 0.0
+        assert schedule.starts[plan.index("a")] == 0.0
         assert schedule.ends[plan.index("a")] == pytest.approx(1.0)
         result = threaded.execute(plan)
         assert isinstance(result, ExecutionResult)

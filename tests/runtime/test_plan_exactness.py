@@ -83,8 +83,9 @@ class TestOracle:
         assert_matches(case, ran)
         # the named views agree with the arrays
         names = [t[0] for t in case["tasks"]]
-        assert ran.order_started() == [names[i] for i in case["order"]]
-        for seq, name in enumerate(ran.order_started()):
+        started = [ran.plan.names[i] for i in ran.launch_order]
+        assert started == [names[i] for i in case["order"]]
+        for seq, name in enumerate(started):
             placed = ran.scheduled[name]
             assert (placed.seq, placed.start.hex(), placed.end.hex()) == \
                 (seq, case["start"][names.index(name)],

@@ -63,21 +63,22 @@ class TestBasicScheduling:
         graph.add_task("b", 1.0, deps=["a"])
         plan = compile_plan(graph)
         result = scheduler(2).run(plan)
-        assert result.start_of("b") >= result.ends[plan.index("a")] - 1e-12
+        assert result.starts[plan.index("b")] >= result.ends[plan.index("a")] - 1e-12
 
     def test_start_time_offset(self):
         graph = TaskGraph()
         graph.add_task("a", 1.0)
         result = scheduler(1).run(compile_plan(graph), start_time=10.0)
-        assert result.start_of("a") == pytest.approx(10.0)
+        assert result.starts[result.plan.index("a")] == pytest.approx(10.0)
         assert result.makespan == pytest.approx(1.0)
 
     def test_priorities_order_ready_tasks(self):
         graph = TaskGraph()
         graph.add_task("low", 1.0, priority=-1)
         graph.add_task("high", 1.0, priority=5)
-        result = scheduler(1).run(compile_plan(graph))
-        assert result.start_of("high") < result.start_of("low")
+        plan = compile_plan(graph)
+        result = scheduler(1).run(plan)
+        assert result.starts[plan.index("high")] < result.starts[plan.index("low")]
 
     def test_actions_execute_in_start_order(self):
         order = []
@@ -93,7 +94,7 @@ class TestBasicScheduling:
         """Regression: two equal-priority tasks starting at the same time.
 
         The backend's action replay runs in launch order (insertion order
-        for ties) while ``order_started()`` used to sort ties by task *name*
+        for ties) while the trace used to sort ties by task *name*
         — so a graph whose insertion order differs from its name order made
         the trace and the numerical replay disagree.  They must be identical.
         """
@@ -106,9 +107,9 @@ class TestBasicScheduling:
         result = scheduler(2).run(plan)
         SimulatedBackend(2, cost_model=NO_OVERHEAD).execute(
             plan, [lambda: order.append("b"), lambda: order.append("a")])
-        assert result.start_of("a") == result.start_of("b")
+        assert result.starts[plan.index("a")] == result.starts[plan.index("b")]
         assert order == ["b", "a"]
-        assert result.order_started() == order
+        assert [plan.names[i] for i in result.launch_order] == order
 
     def test_scheduled_seq_is_the_launch_order(self):
         """Sorting the materialised placements by (start, seq) gives the
@@ -116,9 +117,11 @@ class TestBasicScheduling:
         graph = TaskGraph()
         graph.add_task("b", 1.0)
         graph.add_task("a", 1.0)
-        result = scheduler(2).run(compile_plan(graph))
+        plan = compile_plan(graph)
+        result = scheduler(2).run(plan)
         by_seq = sorted(result.scheduled.values(), key=lambda s: (s.start, s.seq))
-        assert [s.name for s in by_seq] == result.order_started() == ["b", "a"]
+        assert [s.name for s in by_seq] \
+            == [plan.names[i] for i in result.launch_order] == ["b", "a"]
 
     def test_overhead_charged_per_task(self):
         cm = CostModel(task_overhead=0.5)

@@ -125,7 +125,7 @@ class TestEnvWiring:
         plan = compile_plan(two_writer_graph())
         monkeypatch.setenv(VERIFY_GRAPHS_ENV, "1")
         with BACKENDS[backend]() as runner:
-            assert sorted(runner.simulate(plan).order_started()) == ["a", "b"]
+            assert sorted(runner.simulate(plan).launch_order) == [0, 1]
             assert runner.execute(plan).plan is plan
 
 
@@ -161,7 +161,7 @@ def make_solver(method="afeir", **overrides):
 @pytest.mark.ranks
 class TestSolverGraphs:
     @pytest.mark.parametrize("cell", CELLS, ids=lambda c: "-".join(map(str, c)))
-    @pytest.mark.parametrize("method", [None, "feir", "afeir", "checkpoint"])
+    @pytest.mark.parametrize("method", [None, "feir", "afeir", "ckpt"])
     def test_every_cell_verifies_clean(self, monkeypatch, cell, method):
         """Every iteration graph the solver executes passes verify_graph."""
         monkeypatch.setenv(VERIFY_GRAPHS_ENV, "1")

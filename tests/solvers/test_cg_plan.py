@@ -355,12 +355,15 @@ def test_closed_solver_is_freed_without_the_cycle_collector(blocked):
         planner = solver.planner
         assert len(planner._actions) == 2          # bound for d0 and d1
         table = next(iter(planner._actions.values()))
-        # the shipped r1 probe holds the solve's memory (all its vectors)
-        memory = table[planner.run_plan(False).roles["r1"]].args[2]
+        # the shipped r1 probe's scan holds the solve's memory (all its
+        # vectors)
+        scan = table[planner.run_plan(False).roles["r1"]].args[0]
+        memory = scan.__closure__[
+            scan.__code__.co_freevars.index("memory")].cell_contents
         alive = [weakref.ref(obj) for obj in (
             solver, planner, planner.executor, planner.monitor,
             solver.engine, memory)]
-        del table, memory
+        del table, scan, memory
         solver.close()
         assert planner._actions == {}
         del solver, planner

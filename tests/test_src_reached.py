@@ -10,8 +10,7 @@ What it does flag, nothing in the library or its examples names.
 
 Both directories are found through ``repro.__file__``: with
 ``PYTHONPATH`` at a copy of ``src/`` that has a copy of ``examples/``
-beside it, the scan reads the copy (CI's seeded unreached-definition
-canary does this).
+beside it, the scan reads the copy.
 """
 
 from __future__ import annotations
