@@ -20,12 +20,18 @@ def test_fig4_error_rate_sweep(benchmark, bench_config, bench_rates):
     assert summary[("FEIR", lowest)] < summary[("ckpt", lowest)]
     assert summary[("FEIR", lowest)] < 25.0
 
-    # At every rate the exact recoveries beat checkpointing and the trivial
-    # method; the trivial method blows up at high rates.
+    # At every rate the exact recoveries beat checkpointing.  They beat
+    # the trivial method wherever one of its trials detected a DUE; where
+    # none did, its solves are the fault-free ones (0 %), below FEIR's
+    # recovery-task overhead.  The trivial method blows up at high rates.
     for rate in bench_rates:
         assert summary[("FEIR", rate)] < summary[("ckpt", rate)]
         assert summary[("AFEIR", rate)] < summary[("ckpt", rate)]
-        assert summary[("FEIR", rate)] < summary[("Trivial", rate)]
+        if any(trial.method == "Trivial" and trial.rate == rate
+               and trial.faults_detected for trial in result.campaign.trials):
+            assert summary[("FEIR", rate)] < summary[("Trivial", rate)]
+        else:
+            assert summary[("Trivial", rate)] == 0.0
     assert summary[("Trivial", highest)] > 100.0
 
     # Slowdowns grow (weakly) with the error rate for the exact recoveries.

@@ -538,12 +538,7 @@ def parse_shard(text: str) -> Tuple[int, int]:
     except ValueError:
         raise ValueError(f"shard spec {text!r}: both halves of i/N must "
                          f"be integers") from None
-    if count <= 0:
-        raise ValueError(f"shard count must be positive, got {count}")
-    if not 0 <= index < count:
-        raise ValueError(f"shard index {index} out of range for "
-                         f"{count} shards (valid: 0..{count - 1})")
-    return index, count
+    return _check_shard(index, count)
 
 
 def _check_shard(index: int, count: int) -> Tuple[int, int]:
@@ -553,7 +548,7 @@ def _check_shard(index: int, count: int) -> Tuple[int, int]:
         raise ValueError(f"shard count must be positive, got {count}")
     if not 0 <= index < count:
         raise ValueError(f"shard index {index} out of range for "
-                         f"{count} shards")
+                         f"{count} shards (valid: 0..{count - 1})")
     return index, count
 
 

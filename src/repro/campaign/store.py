@@ -199,7 +199,7 @@ class VerifyReport:
 class CampaignStore:
     """Content-addressed artifact store rooted at ``root``.
 
-    Opening validates (or stamps) the schema version; all reads touch
+    Opening validates (or stamps) the schema version; all reads refresh
     the entry's mtime so garbage collection can prune entries that no
     campaign has referenced for :data:`GC_DEFAULT_DAYS`.
     """

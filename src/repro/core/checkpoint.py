@@ -100,8 +100,6 @@ class CheckpointStrategy(RecoveryStrategy):
         # solver after the rollback (restart_required semantics).
         state.vectors["x"].fill_from(self.saved["x"])
         state.vectors[state.current_d_name].fill_from(self.saved["d"])
-        for vector, page in lost:
-            state.memory.mark_recovered(vector, page)
         outcome.rolled_back = True
         outcome.restart_required = True
         # The read is priced at the unscaled volume while the write is

@@ -95,7 +95,6 @@ class FEIRStrategy(RecoveryStrategy):
         for vector, pages in by_vector.items():
             for page in sorted(pages):
                 state.vectors[vector].zero_page(page)
-                state.memory.mark_recovered(vector, page)
                 outcome.recovered.append((vector, page))
                 outcome.work_time += state.config.cost_model.recovery_check()
         return outcome
@@ -116,7 +115,6 @@ class FEIRStrategy(RecoveryStrategy):
             target.set_page(page, values)
         time_spent = 0.0
         for page in pages:
-            state.memory.mark_recovered(vector, page)
             outcome.recovered.append((vector, page))
             time_spent += cm.block_solve(blocked.block_size(page),
                                          factorized=factored_already)
@@ -133,7 +131,6 @@ class FEIRStrategy(RecoveryStrategy):
         source = state.vectors[rhs].array
         for page in pages:
             state.vectors[vector].set_page(page, product(page, source))
-            state.memory.mark_recovered(vector, page)
             outcome.recovered.append((vector, page))
             time_spent += cm.spmv_block(state.blocked.nnz_of_block(page))
         return time_spent
@@ -155,7 +152,6 @@ class FEIRStrategy(RecoveryStrategy):
         rhs_vec = state.vectors[rhs_name]
         for page in conflict_pages:
             rhs_vec.zero_page(page)
-            state.memory.mark_recovered(rhs_name, page)
             outcome.unrecoverable.append((rhs_name, page))
         lhs_vec = state.vectors[lhs_name]
         if lhs_name == "g":
@@ -163,7 +159,6 @@ class FEIRStrategy(RecoveryStrategy):
         else:
             lhs_vec.fill_from(state.blocked.matvec(rhs_vec.array))
         for page in set(lhs_pages) | set(conflict_pages):
-            state.memory.mark_recovered(lhs_name, page)
             outcome.recovered.append((lhs_name, page))
         outcome.restart_required = True
         # A full-vector recomputation, charged at the simulated problem

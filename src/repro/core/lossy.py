@@ -87,7 +87,6 @@ class LossyRestartStrategy(RecoveryStrategy):
                                              x_vec.array, x_pages)
             x_vec.fill_from(interpolated)
             for page in x_pages:
-                state.memory.mark_recovered("x", page)
                 outcome.recovered.append(("x", page))
                 outcome.work_time += cm.block_solve(
                     blocked.block_size(page),
@@ -99,7 +98,6 @@ class LossyRestartStrategy(RecoveryStrategy):
         # pages are simply blanked here.
         for vector, page in other:
             state.vectors[vector].zero_page(page)
-            state.memory.mark_recovered(vector, page)
             outcome.recovered.append((vector, page))
 
         outcome.restart_required = True

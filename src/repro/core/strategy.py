@@ -7,7 +7,7 @@ two scheduling flags below, :meth:`RecoveryStrategy.on_solve_start` and
 :meth:`RecoveryStrategy.handle_lost_pages`.  Checkpointing is the one
 method the solver and its planner also know by type (they configure its
 interval, add its checkpoint task and save its checkpoints), so a new
-method that needs periodic work of its own does touch the solver.
+method that needs periodic work of its own does change the solver.
 
 The solver hands strategies a *solver state* object exposing (duck
 typed, to avoid a circular dependency on the solver module):
@@ -16,7 +16,6 @@ typed, to avoid a circular dependency on the solver module):
 ``b``                  the right-hand side array
 ``vectors``            mapping name -> :class:`~repro.memory.pages.PagedVector`
                        for ``x``, ``g``, ``q`` and the two ``d`` buffers
-``memory``             the :class:`~repro.memory.manager.MemoryManager`
 ``residual_relation``  a :class:`~repro.core.relations.ResidualRelation`
 ``matvec_relation``    a :class:`~repro.core.relations.MatVecRelation`
 ``config``             the solve's :class:`~repro.solvers.cg_types.SolverConfig`,
@@ -29,7 +28,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Callable, List, Tuple
+from typing import List, Tuple
 
 
 @dataclass
@@ -75,19 +74,6 @@ class RecoveryStrategy(abc.ABC):
     #: (FEIR); False if they are overlapped with reductions (AFEIR), at a
     #: lower priority so every reduction task starts first (Section 3.3.2).
     recovery_in_critical_path: bool = False
-
-    def recovery_probe(self, memory, monitor) -> Callable[[], None]:
-        """Real executable body of a recovery task for the re-enactment.
-
-        The returned callable performs what the paper's recovery task does
-        when executed: scan the protection bitmasks of every registered
-        vector for lost pages, and report the count to the
-        vulnerable-window ``monitor``.
-        """
-        def probe() -> None:
-            monitor.record_scan(len(memory.lost_pages()))
-
-        return probe
 
     # ------------------------------------------------------------------
     def on_solve_start(self, state) -> None:

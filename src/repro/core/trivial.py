@@ -26,10 +26,7 @@ class TrivialStrategy(RecoveryStrategy):
                           iteration: int) -> RecoveryOutcome:
         outcome = RecoveryOutcome()
         for vector, page in lost:
-            # The memory manager already re-mapped a blank page when the
-            # fault was detected; just acknowledge it so the solver stops
-            # treating the page as missing.
-            state.vectors[vector].zero_page(page)
-            state.memory.mark_recovered(vector, page)
+            # Detection already blanked the page (the OS re-mapped it);
+            # Trivial keeps the blank.
             outcome.unrecoverable.append((vector, page))
         return outcome

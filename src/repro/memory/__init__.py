@@ -7,7 +7,7 @@ This package reproduces that *contract* in pure Python:
 
 * :class:`~repro.memory.pages.PagedVector` partitions a ``float64``
   vector into pages of 512 values.
-* :class:`~repro.memory.manager.MemoryManager` registers vectors,
-  poisons pages (the injected DUE), retires and re-maps them (blank
-  replacement page) and records fault events.
+* :class:`~repro.memory.manager.MemoryManager` registers vectors and
+  detects DUEs: each lost page is blanked (the re-mapped replacement
+  page) and counted.
 """

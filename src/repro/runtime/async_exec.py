@@ -55,14 +55,13 @@ from repro.sanitize import (make_condition, make_lock,
 class MonitorSummary:
     """Picklable digest of one solve's monitor observations.
 
-    ``pages_seen_by_scans`` is 0 in a solve by construction: every loss
-    is repaired at its check point before the iteration is re-enacted,
-    so a re-enacted recovery scan never finds a lost page.
+    ``recovery_scans`` counts the recovery tasks that really executed.
+    They find no lost page to report: every loss is repaired at its
+    check point before the iteration is re-enacted.
     """
 
     runs: int = 0
     recovery_scans: int = 0
-    pages_seen_by_scans: int = 0
     overlapped_recoveries: int = 0
     #: Recovery tasks whose measured interval overlapped the re-enacted
     #: halo exchange of the ranks placement (0 without a halo task, and
@@ -88,7 +87,6 @@ class MonitorSummary:
         return {
             "runs": self.runs,
             "recovery_scans": self.recovery_scans,
-            "pages_seen_by_scans": self.pages_seen_by_scans,
             "overlapped_recoveries": self.overlapped_recoveries,
             "halo_overlapped_recoveries": self.halo_overlapped_recoveries,
             "windows": self.windows,
@@ -106,8 +104,8 @@ class VulnerableWindowMonitor:
     The monitor counts three kinds of evidence into one
     :class:`MonitorSummary`:
 
-    * **scans** — every recovery task that really executed reports in
-      (how many lost pages it found), proving recovery ran at all;
+    * **scans** — every recovery task that really executed reports in,
+      proving recovery ran at all;
     * **windows / overlaps** — from the measured wall intervals of a real
       execution: the gap between a recovery task finishing and its
       dependent scalar starting (the vulnerable window), and whether the
@@ -123,10 +121,10 @@ class VulnerableWindowMonitor:
         self._summary = MonitorSummary()
 
     # -- recording (called from worker threads and the solver) ----------
-    def record_scan(self, pages_found: int) -> None:
+    def record_scan(self) -> None:
+        """The body of a re-enacted recovery task: count that it ran."""
         with self._lock:
             self._summary.recovery_scans += 1
-            self._summary.pages_seen_by_scans += pages_found
 
     def note_dues(self, observed: int, in_window: int) -> None:
         """Count a check point's ``observed`` DUEs, ``in_window`` of them

@@ -143,7 +143,7 @@ class GraphRaceError(ValueError):
 def find_races(graph: TaskGraph) -> List[GraphRace]:
     """All conflicting task pairs not ordered by a dependency path.
 
-    Two tasks conflict when they touch the same declared resource (see
+    Two tasks conflict when they access the same declared resource (see
     :class:`~repro.runtime.task.Task`) and at least one writes it.  The
     check is *structural*: it inspects the DAG only, so it is
     scheduler-independent — if a pair is unordered here, some interleaving

@@ -94,16 +94,18 @@ def _dot_chunk(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def _touch_chunk(u: np.ndarray) -> float:
-    return float(np.add.reduce(u))  # repro-lint: allow[paged-reduction] single-chunk touch probe; value discarded
+    return float(np.add.reduce(u))  # repro-lint: allow[paged-reduction] single-chunk read probe; value discarded
 
 
 def _shipped_probe(probe: Callable[[], None], engine: KernelEngine,
                    iteration: List[int], num_pages: int) -> None:
-    """The paper's locality rule puts a recovery on the rank owning the
-    lost page.  Every loss is repaired at its check point before the
-    iteration is re-enacted, so the re-enacted scan has none to follow:
-    it runs on the owner of page ``iteration % num_pages``.
-    ``run_on_rank`` ships it without counting a recovery dispatch."""
+    """Run a re-enacted recovery task's body, the monitor's
+    ``record_scan``, on a rank.  The paper's locality rule puts a
+    recovery on the rank owning the lost page; every loss is repaired at
+    its check point before the iteration is re-enacted, so the scan has
+    none to follow: it runs on the owner of page
+    ``iteration % num_pages``.  ``run_on_rank`` ships it without
+    counting a recovery dispatch."""
     engine.run_on_rank(engine.page_owner(iteration[0] % num_pages), probe)
 
 
@@ -561,8 +563,8 @@ class CGPlanner:
             table[roles["halo"]] = partial(self.engine.halo_exchange,
                                            vectors[this_d].array)
         if self.uses_recovery_tasks:
-            # r1, r2 and r3 run the same stateless scan.
-            probe = self.strategy.recovery_probe(state.memory, self.monitor)
+            # r1, r2 and r3 each count one scan: the evidence they ran.
+            probe = self.monitor.record_scan
             if self.spec.placement == "ranks":
                 probe = partial(_shipped_probe, probe, self.engine,
                                 self._iteration, vectors["x"].num_pages)

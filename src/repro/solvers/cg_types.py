@@ -21,7 +21,6 @@ from repro.config import (DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE,
 from repro.core.relations import MatVecRelation, ResidualRelation
 from repro.core.strategy import RecoveryStats
 from repro.matrices.blocked import PageBlockedMatrix
-from repro.memory.manager import MemoryManager
 from repro.memory.pages import PagedVector
 from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.runtime.runtime import RuntimeSpec, resolve_runtime_spec
@@ -90,7 +89,6 @@ class CGState:
     blocked: PageBlockedMatrix
     b: np.ndarray
     vectors: Dict[str, PagedVector]
-    memory: MemoryManager
     residual_relation: ResidualRelation
     matvec_relation: MatVecRelation
     #: The solve's configuration: what a strategy prices its work with.

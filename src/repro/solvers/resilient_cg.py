@@ -196,13 +196,15 @@ class _Iteration:
 class _Run:
     """What one solve carries from iteration to iteration."""
 
-    __slots__ = ("state", "stats", "pending", "b_norm", "history",
-                 "timelines", "clock", "rel", "true_rel", "rho_old",
-                 "restart_next", "converged")
+    __slots__ = ("state", "memory", "stats", "pending", "b_norm",
+                 "history", "timelines", "clock", "rel", "true_rel",
+                 "rho_old", "restart_next", "converged")
 
-    def __init__(self, state: CGState, pending: InjectionQueue,
-                 b_norm: float):
+    def __init__(self, state: CGState, memory: MemoryManager,
+                 pending: InjectionQueue, b_norm: float):
         self.state = state
+        #: Detects the solve's DUEs: blanks and counts each lost page.
+        self.memory = memory
         self.stats = RecoveryStats()
         #: Time-sorted injections; each iteration takes its batch off the
         #: front.
@@ -370,7 +372,7 @@ class ResilientCG:
         memory = MemoryManager()
         vectors = self._allocate_vectors(memory, x0)
         state = CGState(
-            blocked=self.blocked, b=self.b, vectors=vectors, memory=memory,
+            blocked=self.blocked, b=self.b, vectors=vectors,
             residual_relation=ResidualRelation(self.blocked, self.b),
             matvec_relation=MatVecRelation(self.blocked), config=cfg)
 
@@ -385,8 +387,8 @@ class ResilientCG:
                                num_workers=cfg.num_workers,
                                window_summary=planner.monitor.summary())
 
-        run = _Run(state, self._build_injection_schedule(memory, ideal_time),
-                   b_norm)
+        run = _Run(state, memory,
+                   self._build_injection_schedule(memory, ideal_time), b_norm)
         stats = run.stats
         faults_injected = len(run.pending)
 
@@ -472,7 +474,6 @@ class ResilientCG:
             # ---------------- d update (double buffered) --------------------
             state.current_d_name, state.previous_d_name = it.this_d, it.last_d
             engine.update_direction(d_cur, z, beta, d_prev)
-            memory.overwrite_vector(it.this_d)
 
             # ---------------- point B: before the mat-vec -------------------
             if disturbed:
@@ -483,7 +484,6 @@ class ResilientCG:
 
             # ---------------- q = A d (halo exchange of d in rank mode) -----
             engine.spmv(d_cur, q)
-            memory.overwrite_vector("q")
 
             # ---------------- point C: before alpha -------------------------
             skip_dq = skip_x = skip_g = _NO_SKIP
@@ -711,7 +711,6 @@ class ResilientCG:
         if it.rolled_back:
             run.stats.rollbacks += 1
         self._resync(run)
-        run.state.memory.overwrite_vector("g")
 
     def _abort_to_restart(self, run: _Run, it: _Iteration,
                           unprocessed: str) -> None:
@@ -752,9 +751,8 @@ class ResilientCG:
         """Materialise and handle the faults assigned to one check point:
         the access at the point detects every one of them."""
         state, stats = run.state, run.stats
-        memory = state.memory
         this_d = it.this_d
-        memory.detect_batch(injections, it.time_of(point), it.number)
+        run.memory.detect_batch(injections)
         work = service = 0.0
         late_after, late_vectors = self._late_window(point, it)
         in_time: List[Tuple[str, int]] = []
@@ -763,7 +761,6 @@ class ResilientCG:
             vector, page = inj.vector, inj.page
             if vector in late_vectors and inj.time > late_after:
                 it.late["d" if vector == this_d else vector].add(page)
-                memory.mark_recovered(vector, page)
             else:
                 in_time.append((vector, page))
         self.planner.monitor.note_dues(len(injections),
@@ -772,10 +769,7 @@ class ResilientCG:
         if not in_time:
             return PointOutcome(service=service)
 
-        if self.strategy is None:
-            for vector, page in in_time:
-                state.vectors[vector].zero_page(page)
-                memory.mark_recovered(vector, page)
+        if self.strategy is None:  # detection blanked the pages
             return PointOutcome(service=service)
 
         # Point B: a lost page of the freshly updated d is rebuilt from the
@@ -793,7 +787,6 @@ class ResilientCG:
                         d_vec.set_page(page, direction.recover_lhs_page(
                             z[sl], d_prev[sl]))
                     self.engine.run_on_owner(page, rebuild)
-                    memory.mark_recovered(this_d, page)
                     stats.pages_recovered += 1
                     sl = state.vectors[this_d].page_slice(page)
                     work += self.config.cost_model.axpy_block(
@@ -891,8 +884,6 @@ class ResilientCG:
                 if pages[0] in conflicts:
                     if owns_conflict:
                         vector.zero_page(pages[0])
-                        state.memory.mark_recovered(name, pages[0])
-                        state.memory.mark_recovered(related, pages[0])
                         stats.pages_unrecoverable += 1
                         need_residual_resync = True
                     continue
@@ -904,7 +895,6 @@ class ResilientCG:
                     pages[0], partial(_repair_pages, pages, vector, recover,
                                       redo))
                 for page in pages:
-                    state.memory.mark_recovered(name, page)
                     work += cost(page)
                     stats.pages_recovered += 1
         if need_residual_resync:

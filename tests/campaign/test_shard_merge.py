@@ -37,6 +37,14 @@ class TestShardPartition:
         with pytest.raises(ValueError):
             parse_shard(text)
 
+    @pytest.mark.parametrize("index, count", [(4, 4), (-1, 4), (0, 0)])
+    def test_the_cli_and_the_spec_refuse_a_shard_alike(self, index, count):
+        with pytest.raises(ValueError) as cli:
+            parse_shard(f"{index}/{count}")
+        with pytest.raises(ValueError) as spec:
+            tiny_spec().trial_keys((index, count))
+        assert str(cli.value) == str(spec.value)
+
     @pytest.mark.parametrize("count", [1, 2, 3, 5, 8, 11])
     def test_shards_partition_disjoint_and_complete(self, count):
         spec = tiny_spec()

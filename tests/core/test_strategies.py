@@ -25,16 +25,11 @@ def make_state(page_size=32, seed=0):
     x = rng.standard_normal(144)
     d = rng.standard_normal(144)
     b = A @ rng.standard_normal(144)
-    memory = MemoryManager()
-    vectors = {
-        "x": memory.register(PagedVector(x, name="x", page_size=page_size)),
-        "g": memory.register(PagedVector(b - A @ x, name="g", page_size=page_size)),
-        "d0": memory.register(PagedVector(d, name="d0", page_size=page_size)),
-        "d1": memory.register(PagedVector(rng.standard_normal(144), name="d1",
-                                          page_size=page_size)),
-        "q": memory.register(PagedVector(A @ d, name="q", page_size=page_size)),
-    }
-    state = CGState(blocked=blocked, b=b, vectors=vectors, memory=memory,
+    vectors = {name: PagedVector(values, name=name, page_size=page_size)
+               for name, values in (("x", x), ("g", b - A @ x), ("d0", d),
+                                    ("d1", rng.standard_normal(144)),
+                                    ("q", A @ d))}
+    state = CGState(blocked=blocked, b=b, vectors=vectors,
                     residual_relation=ResidualRelation(blocked, b),
                     matvec_relation=MatVecRelation(blocked),
                     config=SolverConfig(page_size=page_size),
@@ -43,9 +38,11 @@ def make_state(page_size=32, seed=0):
 
 
 def lose(state, vector, page):
-    """Simulate a detected DUE: the page is re-mapped blank."""
-    state.memory.poison(vector, page, time=0.0)
-    state.memory.touch(vector, page, time=0.0)
+    """Detect a DUE the solver's way: the page is re-mapped blank."""
+    memory = MemoryManager()
+    memory.register(state.vectors[vector])
+    memory.detect_batch([(0.0, vector, page)])
+    assert np.all(state.vectors[vector].page(page) == 0.0)
     return (vector, page)
 
 
@@ -91,7 +88,6 @@ class TestFEIRExactRecovery:
         assert not outcome.restart_required
         np.testing.assert_allclose(state.vectors[vector].array, original,
                                    rtol=1e-7, atol=1e-9)
-        assert not state.memory.lost_pages()
 
     def test_multiple_pages_same_vector(self):
         state, A = make_state()
@@ -174,7 +170,16 @@ class TestTrivialStrategy:
         outcome = TrivialStrategy().handle_lost_pages(state, lost, 1)
         assert set(outcome.unrecoverable) == {("g", 0), ("x", 3)}
         assert np.all(state.vectors["g"].page(0) == 0.0)
-        assert not state.memory.lost_pages()
+        assert np.all(state.vectors["x"].page(3) == 0.0)
+
+    def test_keeps_what_detection_left(self):
+        """Trivial writes nothing: detection's blank is the repair."""
+        state, A = make_state()
+        lost = [lose(state, "d0", 1), lose(state, "q", 2)]
+        before = {name: vec.array.copy() for name, vec in state.vectors.items()}
+        TrivialStrategy().handle_lost_pages(state, lost, 1)
+        for name, vec in state.vectors.items():
+            assert vec.array.tobytes() == before[name].tobytes()
 
 
 class TestCheckpointStrategy:

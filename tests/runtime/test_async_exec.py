@@ -441,7 +441,7 @@ class TestVulnerableWindowMonitor:
     def test_thread_safe_scan_recording(self):
         monitor = VulnerableWindowMonitor()
         threads = [threading.Thread(
-            target=lambda: [monitor.record_scan(1) for _ in range(100)])
+            target=lambda: [monitor.record_scan() for _ in range(100)])
             for _ in range(4)]
         for t in threads:
             t.start()
@@ -449,7 +449,6 @@ class TestVulnerableWindowMonitor:
             t.join()
         summary = monitor.summary()
         assert summary["recovery_scans"] == 400
-        assert summary["pages_seen_by_scans"] == 400
 
     def test_thread_safe_due_counting(self):
         monitor = VulnerableWindowMonitor()

@@ -19,7 +19,6 @@ from repro.core.relations import MatVecRelation, ResidualRelation
 from repro.matrices.blocked import PageBlockedMatrix
 from repro.matrices.laplacian import laplacian_2d
 from repro.matrices.stencil import stencil_rhs
-from repro.memory.manager import MemoryManager
 from repro.memory.pages import PagedVector
 from repro.runtime.backend import SimulatedBackend
 from repro.runtime.graph import TaskGraph, find_races, verify_graph
@@ -62,13 +61,11 @@ def make_planner(blocked, method, **axes):
 
 def make_state(blocked):
     b = stencil_rhs(blocked.A, kind="random", seed=11)
-    memory = MemoryManager()
-    vectors = {name: memory.register(PagedVector(blocked.n, name=name,
-                                                 page_size=PAGE))
+    vectors = {name: PagedVector(blocked.n, name=name, page_size=PAGE)
                for name in ResilientCG.PROTECTED}
     for k, vec in enumerate(vectors.values()):
         vec.fill_from(np.arange(blocked.n, dtype=np.float64) + k)
-    return CGState(blocked=blocked, b=b, vectors=vectors, memory=memory,
+    return CGState(blocked=blocked, b=b, vectors=vectors,
                    residual_relation=ResidualRelation(blocked, b),
                    matvec_relation=MatVecRelation(blocked),
                    config=SolverConfig(page_size=PAGE))
@@ -355,15 +352,12 @@ def test_closed_solver_is_freed_without_the_cycle_collector(blocked):
         planner = solver.planner
         assert len(planner._actions) == 2          # bound for d0 and d1
         table = next(iter(planner._actions.values()))
-        # the shipped r1 probe's scan holds the solve's memory (all its
-        # vectors)
-        scan = table[planner.run_plan(False).roles["r1"]].args[0]
-        memory = scan.__closure__[
-            scan.__code__.co_freevars.index("memory")].cell_contents
+        # the halo exchange's entry holds a search-direction buffer
+        d = table[planner.run_plan(False).roles["halo"]].args[0]
         alive = [weakref.ref(obj) for obj in (
             solver, planner, planner.executor, planner.monitor,
-            solver.engine, memory)]
-        del table, scan, memory
+            solver.engine, d)]
+        del table, d
         solver.close()
         assert planner._actions == {}
         del solver, planner

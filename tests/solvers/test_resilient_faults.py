@@ -166,3 +166,15 @@ class TestRateBasedInjection:
                       max_iterations=3000)
             counts.append(res.record.faults_detected)
         assert counts[1] > counts[0]
+
+    @pytest.mark.parametrize("method", ["FEIR", "AFEIR", "Lossy", "Trivial",
+                                        "ckpt"])
+    def test_every_detected_due_is_counted_once(self, problem, ideal, method):
+        """The memory manager counts each DUE its check point detects,
+        exactly as the vulnerable-window monitor observes it, and never
+        more than were injected."""
+        res = run(problem, method, ErrorScenario(normalized_rate=10.0, seed=5),
+                  ideal, max_iterations=3000)
+        detected = res.record.faults_detected
+        assert 0 < detected <= res.record.faults_injected
+        assert detected == res.window_summary["dues_observed"]

@@ -115,6 +115,16 @@ MUTANTS = (
     Mutant("restart_next_not_restored", "solvers/resilient_cg.py",
            "run.restart_next = snapshot.restart_next\n",
            "pass  # restart_next not restored\n", (TRANSPARENCY, GRID)),
+    # A detected DUE blanks its page (the OS re-maps it), and Trivial
+    # keeps that blank.  A DUE that leaves its page intact turns Trivial's
+    # recorded history and its iteration penalty red.
+    Mutant("due_keeps_its_page", "memory/manager.py",
+           "self.vector(name).zero_page(page)\n",
+           "self.vector(name).page_slice(page)  # the page is kept\n",
+           ("tests/solvers/test_record_history.py::"
+            "test_history_on_matches_the_parent_commit",
+            "tests/solvers/test_resilient_faults.py::TestSingleError::"
+            "test_trivial_is_worst_in_iterations")),
 )
 
 
