@@ -321,14 +321,15 @@ def run_campaign(spec: CampaignSpec,
                  progress: Optional[Callable[[TrialResult, int, int],
                                              None]] = None,
                  store: Optional[CampaignStore] = None,
-                 shard: Optional[Tuple[int, int]] = None,
-                 trip: Optional[Callable[[int], None]] = None
+                 shard: Optional[Tuple[int, int]] = None
                  ) -> CampaignResult:
     """Expand ``spec`` and execute every trial through ``executor``.
 
-    ``progress`` (if given) is called after each completed trial with
-    ``(trial_result, completed_count, total_count)`` — trials may
-    complete out of order under the pool executors.
+    ``progress`` (if given) is called after each executed trial is
+    recorded with ``(trial_result, completed_count, total_count)`` —
+    trials may complete out of order under the pool executors.  An
+    exception it raises stops the campaign there, every trial recorded
+    so far persisted.
 
     ``store`` (a :class:`~repro.campaign.store.CampaignStore`) enables
     the content-addressed cache: trials already stored are loaded
@@ -341,11 +342,6 @@ def run_campaign(spec: CampaignSpec,
     of the expanded trial list; :meth:`CampaignResult.merge` combines
     the partial results into an aggregate byte-identical to an
     unsharded run.
-
-    ``trip`` (if given) is called with the number of *executed* (not
-    cached) trials after each one; raising
-    :class:`~repro.campaign.executors.CampaignInterrupted` from it
-    simulates an interruption (see ``TripAfter``).
     """
     executor = executor or SerialExecutor()
     cache = CampaignCache(store)
@@ -354,6 +350,4 @@ def run_campaign(spec: CampaignSpec,
         completed = run.record(trial_result)
         if progress is not None:
             progress(trial_result, completed, run.total)
-        if trip is not None:
-            trip(run.executed)
     return run.finish()

@@ -60,21 +60,6 @@ MAX_RESUBMITS = 3
 PARENT_POLL_S = 0.2
 
 
-class CampaignInterrupted(RuntimeError):
-    """A campaign was aborted mid-run (trip hook, operator interrupt).
-
-    Carries the number of trials executed before the abort.  Workers
-    persist trials to the campaign store as each one finishes, so
-    everything executed before the interruption survives it — a re-run
-    with the same store resumes from the last persisted trial.
-    """
-
-    def __init__(self, executed: int):
-        super().__init__(f"campaign interrupted after {executed} "
-                         f"executed trial(s)")
-        self.executed = executed
-
-
 class WorkerLost(RuntimeError):
     """The pool broke under ``item`` ``losses`` times in a row, one more
     than ``run()`` resubmits."""
@@ -83,27 +68,6 @@ class WorkerLost(RuntimeError):
         super().__init__(f"{item} lost its worker {losses} times; giving up")
         self.item = item
         self.losses = losses
-
-
-class TripAfter:
-    """Trip hook aborting a campaign after ``limit`` executed trials.
-
-    Pass as ``run_campaign(..., trip=TripAfter(k))`` to simulate a
-    mid-campaign crash deterministically: the engine calls the hook
-    after every *executed* (non-cached) trial, and the hook raises
-    :class:`CampaignInterrupted` once the limit is reached.  The
-    interruption/resume tests use this to assert that a killed-and-
-    resumed campaign reproduces an uninterrupted run's fingerprint.
-    """
-
-    def __init__(self, limit: int):
-        if limit <= 0:
-            raise ValueError(f"trip limit must be positive, got {limit}")
-        self.limit = limit
-
-    def __call__(self, executed: int) -> None:
-        if executed >= self.limit:
-            raise CampaignInterrupted(executed)
 
 
 class CampaignExecutor:

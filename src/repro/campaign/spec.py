@@ -380,7 +380,6 @@ class CampaignSpec:
     repetitions: int = 1
     seed: int = DEFAULT_SEED
     knobs: SolverKnobs = field(default_factory=SolverKnobs)
-    scenario: Optional[ErrorScenario] = None
     name: str = "campaign"
 
     def __post_init__(self):
@@ -448,7 +447,7 @@ class CampaignSpec:
         for matrix in self.matrices:
             for rate in map(float, self.rates):
                 for method in self.methods:
-                    cell = _cell_token(matrix, method, rate, self.scenario)
+                    cell = _cell_token(matrix, method, rate, None)
                     for rep in range(self.repetitions):
                         yield index, matrix, rate, method, cell, rep
                         index += 1
@@ -458,7 +457,7 @@ class CampaignSpec:
         trial = TrialSpec(index=index, matrix=matrix, method=method,
                           rate=rate, repetition=rep,
                           seed=self.trial_seed(cell, rep),
-                          knobs=self.knobs, scenario=self.scenario)
+                          knobs=self.knobs)
         trial.__dict__["_cell_token"] = cell  # cell_token() memo
         return trial
 
@@ -504,7 +503,7 @@ class CampaignSpec:
         return (f"campaign/v1|seed={self.seed}|matrices=[{mats}]|"
                 f"methods=[{','.join(self.methods)}]|rates=[{rates}]|"
                 f"reps={self.repetitions}|"
-                f"scenario={_scenario_token(self.scenario)}|"
+                f"scenario={_scenario_token(None)}|"
                 f"{self.knobs.content_token()}")
 
     def store_key(self) -> str:

@@ -89,8 +89,8 @@ class CheckpointStrategy(RecoveryStrategy):
             "d": np.array(state.vectors[state.current_d_name].array, copy=True),
         }
 
-    def handle_lost_pages(self, state, lost: List[Tuple[str, int]],
-                          iteration: int) -> RecoveryOutcome:
+    def handle_lost_pages(self, state, lost: List[Tuple[str, int]]
+                          ) -> RecoveryOutcome:
         outcome = RecoveryOutcome()
         if not lost:
             return outcome

@@ -56,8 +56,8 @@ class FEIRStrategy(RecoveryStrategy):
     recovery_in_critical_path = True
 
     # ------------------------------------------------------------------
-    def handle_lost_pages(self, state, lost: List[Tuple[str, int]],
-                          iteration: int) -> RecoveryOutcome:
+    def handle_lost_pages(self, state, lost: List[Tuple[str, int]]
+                          ) -> RecoveryOutcome:
         outcome = RecoveryOutcome()
         if not lost:
             return outcome
@@ -82,7 +82,7 @@ class FEIRStrategy(RecoveryStrategy):
             if rhs_pages:
                 outcome.work_time += self._solve_pages(
                     state, rhs, rhs_pages, solve, lhs, outcome)
-            # Both sides lost at one index: blank the rhs page, then
+            # Both sides lost at one index: keep the rhs page blank, then
             # re-derive the whole lhs vector so the relation keeps holding.
             if conflict:
                 outcome.work_time += self._conflict_fallback(
@@ -91,10 +91,10 @@ class FEIRStrategy(RecoveryStrategy):
                 outcome.work_time += self._product_pages(
                     state, lhs, lhs_pages, product, rhs, outcome)
         # Anything left (e.g. the stale double-buffer copy of d) is about to
-        # be overwritten; blanking it is exact for the algorithm's purposes.
+        # be overwritten; the blank detection made is exact for the
+        # algorithm's purposes, and is kept.
         for vector, pages in by_vector.items():
             for page in sorted(pages):
-                state.vectors[vector].zero_page(page)
                 outcome.recovered.append((vector, page))
                 outcome.work_time += state.config.cost_model.recovery_check()
         return outcome
@@ -141,7 +141,8 @@ class FEIRStrategy(RecoveryStrategy):
     def _conflict_fallback(self, state, rhs_name: str, lhs_name: str,
                            conflict_pages: List[int], lhs_pages: List[int],
                            outcome: RecoveryOutcome) -> float:
-        """Blank the rhs pages, then rebuild the whole lhs vector from the rhs.
+        """Keep the rhs pages blank, then rebuild the whole lhs vector
+        from the rhs.
 
         Used for simultaneous x&g (lhs ``g = b - Ax``) and d&q (lhs
         ``q = A d``) losses.  Information in the blanked rhs pages is lost,
@@ -150,8 +151,8 @@ class FEIRStrategy(RecoveryStrategy):
         describes — so convergence degrades instead of stalling.
         """
         rhs_vec = state.vectors[rhs_name]
+        # Detection blanked the rhs pages; the fallback keeps the blank.
         for page in conflict_pages:
-            rhs_vec.zero_page(page)
             outcome.unrecoverable.append((rhs_name, page))
         lhs_vec = state.vectors[lhs_name]
         if lhs_name == "g":

@@ -72,8 +72,8 @@ class LossyRestartStrategy(RecoveryStrategy):
     uses_recovery_tasks = False
     recovery_in_critical_path = False
 
-    def handle_lost_pages(self, state, lost: List[Tuple[str, int]],
-                          iteration: int) -> RecoveryOutcome:
+    def handle_lost_pages(self, state, lost: List[Tuple[str, int]]
+                          ) -> RecoveryOutcome:
         outcome = RecoveryOutcome()
         if not lost:
             return outcome
@@ -94,10 +94,9 @@ class LossyRestartStrategy(RecoveryStrategy):
                 outcome.work_time += cm.spmv_block(blocked.nnz_of_block(page))
 
         # Non-iterate losses: the data will be rebuilt by the restart
-        # (g recomputed, d reset to the new residual, q recomputed), so the
-        # pages are simply blanked here.
+        # (g recomputed, d reset to the new residual, q recomputed), so
+        # the blank detection made is kept.
         for vector, page in other:
-            state.vectors[vector].zero_page(page)
             outcome.recovered.append((vector, page))
 
         outcome.restart_required = True

@@ -80,13 +80,14 @@ class RecoveryStrategy(abc.ABC):
         """Called once before the first iteration (e.g. initial checkpoint)."""
 
     @abc.abstractmethod
-    def handle_lost_pages(self, state, lost: List[Tuple[str, int]],
-                          iteration: int) -> RecoveryOutcome:
+    def handle_lost_pages(self, state, lost: List[Tuple[str, int]]
+                          ) -> RecoveryOutcome:
         """React to the detected loss of ``lost`` (vector, page) pairs.
 
-        Implementations must leave every lost page either exactly
-        restored, approximately restored or zero-filled, and report which
-        happened through the returned :class:`RecoveryOutcome`.
+        Each lost page arrives blank (detection zero-filled it).
+        Implementations restore it exactly or approximately, or keep the
+        blank, and report which happened through the returned
+        :class:`RecoveryOutcome`.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

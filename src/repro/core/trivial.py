@@ -22,8 +22,8 @@ class TrivialStrategy(RecoveryStrategy):
     uses_recovery_tasks = False
     recovery_in_critical_path = False
 
-    def handle_lost_pages(self, state, lost: List[Tuple[str, int]],
-                          iteration: int) -> RecoveryOutcome:
+    def handle_lost_pages(self, state, lost: List[Tuple[str, int]]
+                          ) -> RecoveryOutcome:
         outcome = RecoveryOutcome()
         for vector, page in lost:
             # Detection already blanked the page (the OS re-mapped it);

@@ -31,11 +31,13 @@ Findings are suppressible only via justified inline pragmas::
     t0 = time.perf_counter()  # repro-lint: allow[wall-clock] measured wall interval, not a clock decision
 
 Run it with ``python -m repro.lint src/ tests/``; ``--explain CODE``
-documents each rule, ``--show-unused-pragmas`` lists stale grants.
+documents each rule.  A grant that suppresses nothing is itself a
+finding (``unused-pragma``, which no pragma can suppress), so a stale
+``allow[...]`` fails every run.
 
-The dynamic counterparts: for *executed* task graphs,
+The other two layers: for iteration task graphs,
 :func:`repro.runtime.graph.verify_graph` — a structural happens-before
-check (set ``REPRO_VERIFY_GRAPHS=1`` to run it inside both execution
-backends); for real threads, ``repro.sanitize`` (``REPRO_TSAN=1``) —
-data races and lock-order cycles, which no static pass here looks for.
+check the test suite runs on every graph the CG planner can build; for
+real threads, ``repro.sanitize`` (``REPRO_TSAN=1``) — data races and
+lock-order cycles, which no static pass here looks for.
 """

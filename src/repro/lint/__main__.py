@@ -1,6 +1,7 @@
 """CLI: ``python -m repro.lint src/ tests/``.
 
-Exit codes: 0 clean, 1 unsuppressed findings, 2 usage error.
+Exit codes: 0 clean, 1 unsuppressed findings (a stale ``allow[...]``
+is one), 2 usage error.
 """
 
 from __future__ import annotations
@@ -30,12 +31,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="list rule codes and exit",
     )
-    parser.add_argument(
-        "--show-unused-pragmas",
-        action="store_true",
-        help="list allow[...] pragmas that no longer suppress any finding "
-        "and exit non-zero if any exist (CI keeps src/ free of them)",
-    )
     return parser
 
 
@@ -61,12 +56,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"no such path(s): {', '.join(str(p) for p in missing)}")
 
     result = lint_paths(args.paths)
-    print(render_human(result, show_unused_pragmas=args.show_unused_pragmas))
-    if not result.ok:
-        return 1
-    if args.show_unused_pragmas and result.unused_pragmas:
-        return 1
-    return 0
+    print(render_human(result))
+    return 0 if result.ok else 1
 
 
 if __name__ == "__main__":

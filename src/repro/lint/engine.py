@@ -22,10 +22,6 @@ class LintResult:
     findings: List[Finding] = field(default_factory=list)
     files_checked: int = 0
     parse_errors: int = 0
-    #: ``allow[...]`` grants that suppressed nothing this run (stale
-    #: pragmas).  Tracked apart from ``findings`` so they do not affect
-    #: ``ok`` — the CLI's ``--show-unused-pragmas`` opts into failing.
-    unused_pragmas: List[Finding] = field(default_factory=list)
 
     @property
     def active(self) -> List[Finding]:
@@ -43,7 +39,6 @@ class LintResult:
         self.findings.extend(other.findings)
         self.files_checked += other.files_checked
         self.parse_errors += other.parse_errors
-        self.unused_pragmas.extend(other.unused_pragmas)
 
 
 def lint_source(source: str, path: str) -> LintResult:
@@ -75,7 +70,8 @@ def lint_source(source: str, path: str) -> LintResult:
     for finding in raw:
         reason = sheet.reason_for(finding.line, finding.code)
         result.findings.append(finding if reason is None else finding.suppress(reason))
-    result.unused_pragmas.extend(sheet.unused_findings(path))
+    # A grant that suppressed nothing is stale: itself a finding.
+    result.findings.extend(sheet.unused_findings(path))
     result.findings.sort(key=Finding.sort_key)
     return result
 

@@ -8,18 +8,14 @@ from repro.lint.checkers import ALL_CHECKERS
 from repro.lint.engine import LintResult
 
 
-def render_human(result: LintResult, *, show_unused_pragmas: bool = False) -> str:
+def render_human(result: LintResult) -> str:
     lines: List[str] = [f.format_human() for f in result.active]
-    if show_unused_pragmas:
-        lines.extend(f.format_human() for f in result.unused_pragmas)
     summary = (
         f"{len(result.active)} finding(s), {len(result.suppressed)} suppressed, "
         f"{result.files_checked} file(s) checked"
     )
     if result.parse_errors:
         summary += f", {result.parse_errors} parse error(s)"
-    if show_unused_pragmas:
-        summary += f", {len(result.unused_pragmas)} unused pragma(s)"
     lines.append(summary)
     return "\n".join(lines)
 

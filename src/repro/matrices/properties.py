@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -47,22 +45,3 @@ def smallest_eigenvalue(A: sp.spmatrix) -> float:
         diag = A.diagonal()
         off = np.asarray(abs(A).sum(axis=1)).ravel() - np.abs(diag)
         return float(np.min(diag - off))
-
-
-@dataclass(frozen=True)
-class SpdReport:
-    """Summary of an SPD check (returned by :func:`spd_check`)."""
-
-    symmetric: bool
-    smallest_eigenvalue: float
-    n: int
-    nnz: int
-
-
-def spd_check(A: sp.spmatrix) -> SpdReport:
-    """Full SPD report for a matrix (used by the suite self-tests)."""
-    A = sp.csr_matrix(A)
-    sym = is_symmetric(A, tol=1e-9)
-    lam = smallest_eigenvalue(A) if sym else float("nan")
-    return SpdReport(symmetric=sym, smallest_eigenvalue=lam,
-                     n=A.shape[0], nnz=A.nnz)

@@ -1,12 +1,14 @@
 """SciPy-free CSR operator with row-slab kernels (the campaign fast path).
 
-Large fault-injection campaigns run thousands of solver trials, many of
-them inside worker processes of a process pool.  Shipping SciPy sparse
-matrices through the pool (or materialising dense ``n x n`` arrays for
-the recovery relations) dominates the trial cost long before the solver
-does at ``n >= 10^4``.  :class:`SparseOperator` is a minimal CSR
-container built only on NumPy arrays that provides exactly the kernels
-the page-blocked solver and the Table 1 recovery relations need:
+Large fault-injection campaigns run thousands of solver trials, and
+every exact recovery multiplies block rows of the matrix; materialising
+dense ``n x n`` arrays for the recovery relations would dominate the
+trial cost long before the solver does at ``n >= 10^4``.  (No matrix
+crosses a process pool: each process builds its own from its
+:class:`~repro.campaign.spec.MatrixSpec`.)  :class:`SparseOperator` is
+a minimal CSR container built only on NumPy arrays that provides
+exactly the kernels the page-blocked solver and the Table 1 recovery
+relations need:
 
 * ``matvec`` / ``row_slab_matvec`` — full and row-range products, both
   implemented with one ``np.add.reduceat`` over the slab's nonzeros, so
@@ -22,7 +24,10 @@ the page-blocked solver and the Table 1 recovery relations need:
 :class:`~repro.matrices.blocked.PageBlockedMatrix` accepts either a
 SciPy sparse matrix or a :class:`SparseOperator` and dispatches every
 block kernel accordingly, so the solver, FEIR/AFEIR recovery and the
-relations are backend-agnostic.
+relations are backend-agnostic — in code, not in bits: ``matvec`` adds
+a row's products in another order than SciPy's ``A @ v``, and the two
+differ in at least one bit for almost every ``v``.  ``MatrixSpec.sparse``
+therefore selects results as well as speed.
 """
 
 from __future__ import annotations
@@ -95,10 +100,6 @@ class SparseOperator:
     @property
     def nnz(self) -> int:
         return int(self.indptr[-1])
-
-    @property
-    def dtype(self):
-        return self.data.dtype
 
     # ------------------------------------------------------------------
     # products

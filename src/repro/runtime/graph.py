@@ -8,22 +8,18 @@ the structural happens-before verifier (:func:`verify_graph`): every
 pair of tasks whose declared resource sets conflict (write/write or
 read/write on the same vector segment, partial or scalar) must be
 ordered by a dependency path, otherwise the schedule is free to race
-them.  Set ``REPRO_VERIFY_GRAPHS=1`` to run the check whenever a graph
-is compiled into a plan: once per iteration shape.
+them.  The test suite runs it on every graph
+:meth:`~repro.solvers.cg_plan.CGPlanner.build_iteration_graph` can build
+(``tests/runtime/test_verify_graph.py``); nothing runs it at compile.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List
 
 from repro.runtime.task import Task, TaskKind
-
-#: Opt-in switch for the runtime happens-before assertion.
-VERIFY_GRAPHS_ENV = "REPRO_VERIFY_GRAPHS"
-
 
 class TaskGraph:
     """A DAG of :class:`~repro.runtime.task.Task` objects.
@@ -204,14 +200,3 @@ def verify_graph(graph: TaskGraph) -> None:
     if races:
         raise GraphRaceError(races)
 
-
-def verification_enabled() -> bool:
-    """True when ``REPRO_VERIFY_GRAPHS`` requests runtime verification."""
-    return os.environ.get(VERIFY_GRAPHS_ENV, "").strip().lower() not in (
-        "", "0", "false", "no")
-
-
-def maybe_verify_graph(graph: TaskGraph) -> None:
-    """Compile hook: verify only when the env knob is set."""
-    if verification_enabled():
-        verify_graph(graph)

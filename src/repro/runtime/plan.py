@@ -3,20 +3,19 @@
 A CG iteration's graph has one of a handful of *shapes* (resilient or
 not, with or without a checkpoint task); between iterations only the
 start time and a few recovery durations change.  :func:`compile_plan`
-therefore pays for validation, the cycle check, the opt-in structural
-race check and the name-to-index resolution **once** per shape and
-freezes the result as an :class:`IterationPlan`.  The plan then has
-three consumers, all reading its integer arrays directly: the list
-scheduler *times* it
+therefore pays for validation, the cycle check and the name-to-index
+resolution **once** per shape and freezes the result as an
+:class:`IterationPlan`.  The plan then has two consumers, both reading
+its integer arrays directly: the list scheduler *times* it
 (:meth:`ListScheduler.retime <repro.runtime.scheduler.ListScheduler.retime>`
-with a durations vector and a start time), the execution backends *run*
-it (:meth:`ExecutionBackend.execute
+with a durations vector and a start time) and the execution backends
+*run* it (:meth:`ExecutionBackend.execute
 <repro.runtime.backend.ExecutionBackend.execute>` with an action table
 in plan order — the threaded dispatch loop walks ``successors`` /
-``indegree`` / ``priorities``), and
-:func:`~repro.runtime.graph.verify_graph` *checked* it at compile.  The
-plan is the runtime's only input: neither the scheduler nor a backend
-takes a graph.
+``indegree`` / ``priorities``).  The plan is the runtime's only input:
+neither the scheduler nor a backend takes a graph.  The structural race
+check (:func:`~repro.runtime.graph.verify_graph`) is not run here: the
+test suite runs it on every graph the CG planner can build.
 
 Frozen: task order, integer dependencies/successors/indegrees/roots,
 priorities, kinds, base durations, declared resources and the named
@@ -32,7 +31,7 @@ from functools import cached_property
 from math import inf
 from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.runtime.graph import TaskGraph, maybe_verify_graph
+from repro.runtime.graph import TaskGraph
 from repro.runtime.task import Task, TaskKind
 from repro.runtime.trace import WORK_STATE
 
@@ -117,13 +116,11 @@ def compile_plan(graph: TaskGraph,
     """Validate ``graph`` and freeze it into an :class:`IterationPlan`.
 
     Raises ``ValueError`` for a dangling dependency, a cycle or a
-    negative or non-finite duration, and (under ``REPRO_VERIFY_GRAPHS=1``)
-    :class:`~repro.runtime.graph.GraphRaceError` for unordered
-    conflicting accesses.  ``roles`` maps a role to a task name, or to a
-    sequence of names for a group; it is stored resolved to indices.
+    negative or non-finite duration.  ``roles`` maps a role to a task
+    name, or to a sequence of names for a group; it is stored resolved
+    to indices.
     """
     graph.validate()
-    maybe_verify_graph(graph)
     tasks: Sequence[Task] = graph.tasks
     index: Dict[str, int] = {task.name: i for i, task in enumerate(tasks)}
     deps = tuple(tuple(index[d] for d in task.deps) for task in tasks)

@@ -3,8 +3,10 @@ analysis and seeded schedule exploration for every thread the library
 starts — the threaded backend, the rank runtime, the campaign engine's
 pool and the daemon.
 
-Three layers (the dynamic complement of ``repro.lint`` and
-``verify_graph``):
+The third of the repo's three checking layers: ``repro.lint`` reads
+the source on every run, ``verify_graph`` checks every iteration graph
+the CG planner can build in the test suite, and this one watches real
+threads.  It has three parts:
 
 * :mod:`repro.sanitize.instrument` — drop-in factories for
   ``threading.Lock``/``RLock``/``Condition``/``Event`` and

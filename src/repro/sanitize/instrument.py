@@ -176,9 +176,6 @@ class TSanLock:
         _lock_state().pop(self.name)
         self.raw.release()
 
-    def locked(self) -> bool:
-        return self.raw.locked()
-
     def __enter__(self) -> bool:
         return self.acquire()  # repro-lint: allow[lock-discipline] __enter__/__exit__ are the with-statement pairing itself
 

@@ -111,13 +111,7 @@ def _knobs_from_payload(payload: Dict[str, object]) -> SolverKnobs:
 
 def spec_to_payload(spec: CampaignSpec) -> Dict[str, object]:
     """JSON-safe payload of ``spec`` (content-token exact, see module
-    docstring).  Scenario overrides are not wire-expressible in v1 —
-    the service runs rate-based campaigns, which is every CLI-reachable
-    campaign today."""
-    if spec.scenario is not None:
-        raise ProtocolError(
-            "campaign specs with a scenario override cannot be submitted "
-            "to the service (protocol v1 carries rate-based grids only)")
+    docstring)."""
     return {
         "version": PROTOCOL_VERSION,
         "name": spec.name,

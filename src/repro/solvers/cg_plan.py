@@ -408,8 +408,8 @@ class CGPlanner:
     def plan(self, resilient: bool, checkpoint: bool,
              halo: bool = False) -> IterationPlan:
         """The compiled plan of one iteration shape, built on first use
-        by any planner sharing this one's table: validated, cycle-checked
-        and (``REPRO_VERIFY_GRAPHS=1``) verified exactly once."""
+        by any planner sharing this one's table: validated and
+        cycle-checked exactly once."""
         plans, shape = self._compiled.plans, (resilient, checkpoint, halo)
         plan = plans.get(shape)
         if plan is None:

@@ -356,21 +356,21 @@ class ResilientCG:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def solve(self, x0: Optional[np.ndarray] = None,
-              ideal_time: Optional[float] = None) -> SolveResult:
-        """Run the solver; returns the solution, record, trace and stats.
+    def solve(self, ideal_time: Optional[float] = None) -> SolveResult:
+        """Run the solver from ``x = 0``; returns the solution, record,
+        trace and stats.
 
-        Handed ``tapes`` and no ``x0``, the solve starts from the latest
-        snapshot of its :class:`PrefixTape` strictly before its first
-        injection and records the snapshots due before it; the result
-        is bit for bit that of a solve from iteration 0."""
+        Handed ``tapes``, the solve starts from the latest snapshot of
+        its :class:`PrefixTape` strictly before its first injection and
+        records the snapshots due before it; the result is bit for bit
+        that of a solve from iteration 0."""
         cfg = self.config
         planner = self.planner
         if self._solved:
             planner.begin_solve()
         self._solved = True
         memory = MemoryManager()
-        vectors = self._allocate_vectors(memory, x0)
+        vectors = self._allocate_vectors(memory)
         state = CGState(
             blocked=self.blocked, b=self.b, vectors=vectors,
             residual_relation=ResidualRelation(self.blocked, self.b),
@@ -401,7 +401,7 @@ class ResilientCG:
         if self.strategy is not None:
             self.strategy.on_solve_start(state)
         tape = resume = None
-        if self._tapes is not None and x0 is None:
+        if self._tapes is not None:
             tape = self._tapes.setdefault(
                 self.strategy.interval if self._checkpointing else None,
                 PrefixTape())
@@ -562,13 +562,11 @@ class ResilientCG:
             return f"{base}-ideal"
         return f"{base}-{self.strategy.name}"
 
-    def _allocate_vectors(self, memory: MemoryManager,
-                          x0: Optional[np.ndarray]) -> Dict[str, PagedVector]:
+    def _allocate_vectors(self, memory: MemoryManager
+                          ) -> Dict[str, PagedVector]:
         vectors: Dict[str, PagedVector] = {}
         for name in self.PROTECTED:
             vec = PagedVector(self.n, name=name, page_size=self.config.page_size)
-            if name == "x" and x0 is not None:
-                vec.fill_from(np.asarray(x0, dtype=np.float64))
             vectors[name] = memory.register(vec)
         return vectors
 
@@ -805,8 +803,7 @@ class ResilientCG:
         # single-page event this is exactly the paper's owner-local rule.
         outcome = self.engine.run_on_owner(
             in_time[0][1],
-            lambda: self.strategy.handle_lost_pages(state, in_time,
-                                                    it.number))
+            lambda: self.strategy.handle_lost_pages(state, in_time))
         stats.pages_recovered += len(outcome.recovered)
         stats.pages_unrecoverable += len(outcome.unrecoverable)
         stats.recovery_work_time += outcome.work_time

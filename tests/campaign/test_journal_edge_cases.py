@@ -11,13 +11,22 @@ import json
 import pytest
 
 from repro.campaign.engine import run_campaign
-from repro.campaign.executors import (CampaignInterrupted, SerialExecutor,
-                                      TripAfter)
+from repro.campaign.executors import SerialExecutor
 from repro.campaign.spec import CampaignSpec, SolverKnobs
 from repro.campaign.store import CampaignStore
 
 KEY_A = "a" * 64
 KEY_B = "b" * 64
+
+
+class Killed(Exception):
+    """The simulated kill."""
+
+
+def kill_at_once(result, completed, total):
+    """A ``progress`` callback that kills the campaign right after its
+    first executed trial is recorded."""
+    raise Killed
 
 
 def tiny_spec(**overrides):
@@ -148,9 +157,9 @@ class TestEngineIntegration:
                                                       tmp_path):
         spec = tiny_spec()
         key = spec.store_key()
-        with pytest.raises(CampaignInterrupted):
+        with pytest.raises(Killed):
             run_campaign(spec, executor=SerialExecutor(), store=store,
-                         trip=TripAfter(1))
+                         progress=kill_at_once)
         with open(store.journal_path(key), "a") as handle:
             handle.write('{"event": "trial", "ind')
 

@@ -7,8 +7,8 @@ scheduler's structure table, the fault-free timing and the ideal
 makespan there.  These tests pin the counts that buys (graph builds and
 event-loop runs per campaign), that a trial solved through a warm table
 equals a standalone solver bit for bit, that the key separates what it
-must, that ``REPRO_VERIFY_GRAPHS=1`` still sees every shape — once — and
-that none of it travels with a pickled cache.
+must, that every shape reaching the table passes the structural race
+check, and that none of it travels with a pickled cache.
 
 ``CampaignCache.tapes`` is the other RAM-only table: the prefix tapes a
 trial resumes from at its first injection.  The same transparency is
@@ -19,7 +19,6 @@ injections, and its bounds and scope are pinned by counts.
 import dataclasses
 import pickle
 
-import numpy as np
 import pytest
 
 from repro.campaign.engine import (TAPE_KEYS, CampaignRun, TrialRunner,
@@ -32,11 +31,9 @@ from repro.faults.scenarios import single_error_scenario
 from repro.matrices.blocked import PageBlockedMatrix
 from repro.matrices.laplacian import laplacian_2d
 from repro.precond.block_jacobi import BlockJacobiPreconditioner
-from repro.runtime import graph as graph_module
 from repro.runtime.backend import SimulatedBackend
 from repro.runtime.cost_model import CostModel
-from repro.runtime.graph import (VERIFY_GRAPHS_ENV, GraphRaceError,
-                                 TaskGraph)
+from repro.runtime.graph import GraphRaceError, TaskGraph, verify_graph
 from repro.runtime.kernels import make_kernel_engine
 from repro.runtime.scheduler import ListScheduler
 from repro.solvers.cg_plan import CGPlanner
@@ -374,26 +371,6 @@ class TestPrefixTape:
         drive(bench_grid(repetitions=2), CampaignCache())
         assert first > 0 and len(resumes) == 2 * first
 
-    def test_a_solve_from_x0_never_resumes(self, resumes):
-        trial = next(t for t in prefix_grid() if t.method == "FEIR")
-        A, b = trial.matrix.build()
-        ideal_time = standalone(dataclasses.replace(
-            trial, method=None, rate=0.0)).solve_time
-        tapes = {}
-
-        def solve(x0):
-            with ResilientCG(A, b, strategy=make_strategy("FEIR"),
-                             scenario=trial.make_scenario(),
-                             config=trial.knobs, tapes=tapes) as cg:
-                return cg.solve(x0, ideal_time=ideal_time)
-
-        for _ in range(2):
-            solve(np.zeros_like(b))
-        assert resumes == [] and tapes == {}
-        for _ in range(2):
-            solve(None)
-        assert len(resumes) == 1
-
     @pytest.mark.parametrize("cell", [
         dict(scheduler="threaded", clock="wall", pace=0.0),
         pytest.param(dict(scheduler="threaded", placement="ranks", ranks=2,
@@ -480,34 +457,43 @@ class TestKey:
 
 
 # ----------------------------------------------------------------------
-# (d) REPRO_VERIFY_GRAPHS=1
+# (d) the shapes that reach the table are race-free
 # ----------------------------------------------------------------------
-class TestVerification:
-    def test_a_shared_shape_is_verified_exactly_once(self, monkeypatch):
-        monkeypatch.setenv(VERIFY_GRAPHS_ENV, "1")
-        verified = []
-        verify = graph_module.verify_graph
-        monkeypatch.setattr(graph_module, "verify_graph",
-                            lambda graph: verified.append(graph)
-                            or verify(graph))
-        spec = bench_grid(methods=("FEIR",), rates=(5.0,), repetitions=4)
-        cache = CampaignCache()
-        drive(spec, cache)
-        # the baseline's plain shape, then FEIR's plain and resilient ones
-        assert len(verified) == 3
-        drive(bench_grid(methods=("FEIR",), rates=(5.0,), repetitions=4,
-                         seed=7), cache)
-        assert len(verified) == 3
+@pytest.fixture()
+def built(monkeypatch):
+    """Every ``(shape, graph)`` a planner builds, process-wide."""
+    seen = []
+    build = CGPlanner.build_iteration_graph
 
-    def test_a_dropped_edge_is_still_reported(self, monkeypatch):
-        """Lose the beta -> d-update dependency and the shape that
-        reaches the table is refused when it is compiled, for the first
-        trial and — nothing having been kept — for the next."""
-        monkeypatch.setenv(VERIFY_GRAPHS_ENV, "1")
-        original = CGPlanner.build_iteration_graph
+    def recording(self, **shape):
+        graph, roles = build(self, **shape)
+        seen.append((shape, graph))
+        return graph, roles
+
+    monkeypatch.setattr(CGPlanner, "build_iteration_graph", recording)
+    return seen
+
+
+class TestVerification:
+    def test_every_shape_a_campaign_shares_is_race_free(self, built):
+        """The grid's 8 shapes are built once each, through the table,
+        and each passes the structural race check."""
+        cache = CampaignCache()
+        drive(bench_grid(rates=(5.0,), repetitions=2), cache)
+        assert len(built) == 8
+        for _, graph in built:
+            verify_graph(graph)
+        drive(bench_grid(rates=(5.0,), repetitions=2, seed=7), cache)
+        assert len(built) == 8
+
+    def test_a_dropped_edge_in_a_shared_shape_is_reported(self, built,
+                                                          monkeypatch):
+        """Lose the beta -> d-update dependency and every shape that
+        reaches the table races on the scalar."""
+        build = CGPlanner.build_iteration_graph
 
         def drop_edge(self, **shape):
-            graph, roles = original(self, **shape)
+            graph, roles = build(self, **shape)
             for task in graph.tasks:
                 if task.name.startswith("d{t}:"):
                     task.deps.remove("beta{t}")
@@ -516,10 +502,12 @@ class TestVerification:
         monkeypatch.setattr(CGPlanner, "build_iteration_graph", drop_edge)
         cache = CampaignCache()
         for trial in tiny_grid()[:2]:
+            solve_trial(trial, cache)
+        assert built
+        for _, graph in built:
             with pytest.raises(GraphRaceError) as err:
-                solve_trial(trial, cache)
+                verify_graph(graph)
             assert err.value.races[0].resource == "scalar:beta"
-        assert not any(entry.plans for entry in cache.compiled.values())
 
 
 # ----------------------------------------------------------------------

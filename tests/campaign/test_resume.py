@@ -4,16 +4,15 @@ Workers persist every finished trial into the content-addressed store
 the moment it completes, so killing a campaign mid-stream loses only
 in-flight work: a re-run serves the persisted trials as cache hits and
 executes just the remainder, converging on a fingerprint identical to a
-never-interrupted run.  :class:`TripAfter` simulates the kill
-deterministically (a real SIGKILL would race the pool).
+never-interrupted run.  A ``progress`` callback that raises
+(:func:`kill_after`) simulates the kill deterministically, right after
+a trial is recorded (a real SIGKILL would race the pool).
 """
 
 import pytest
 
 from repro.campaign.engine import run_campaign
-from repro.campaign.executors import (CampaignInterrupted,
-                                      ProcessPoolExecutor, SerialExecutor,
-                                      TripAfter)
+from repro.campaign.executors import ProcessPoolExecutor, SerialExecutor
 from repro.campaign.spec import CampaignSpec, SolverKnobs
 from repro.campaign.store import CampaignStore
 
@@ -29,18 +28,30 @@ def tiny_spec(**overrides):
     return CampaignSpec(**defaults)
 
 
-class TestTripAfter:
-    def test_trips_at_the_limit(self):
-        trip = TripAfter(3)
-        trip(1)
-        trip(2)
-        with pytest.raises(CampaignInterrupted) as info:
-            trip(3)
-        assert info.value.executed == 3
+class Killed(Exception):
+    """The simulated kill."""
 
-    def test_rejects_non_positive_limit(self):
-        with pytest.raises(ValueError):
-            TripAfter(0)
+
+def kill_after(limit):
+    """A ``progress`` callback that kills the campaign once ``limit``
+    trials have executed (cached trials never reach it)."""
+    executed = []
+
+    def progress(result, completed, total):
+        executed.append(result)
+        if len(executed) >= limit:
+            raise Killed(len(executed))
+    return progress
+
+
+class TestKillAfter:
+    def test_a_campaign_stops_right_after_the_limit(self, tmp_path):
+        store = CampaignStore(tmp_path / "store")
+        with pytest.raises(Killed) as info:
+            run_campaign(tiny_spec(), executor=SerialExecutor(),
+                         store=store, progress=kill_after(3))
+        assert info.value.args == (3,)
+        assert store.entry_count()["trials"] == 3
 
 
 class TestResume:
@@ -53,16 +64,16 @@ class TestResume:
         reference = run_campaign(tiny_spec(), executor=SerialExecutor())
 
         store = CampaignStore(tmp_path / "store")
-        kill_after = 3
-        with pytest.raises(CampaignInterrupted):
+        limit = 3
+        with pytest.raises(Killed):
             run_campaign(tiny_spec(), executor=make_executor(),
-                         store=store, trip=TripAfter(kill_after))
+                         store=store, progress=kill_after(limit))
 
         # The killed run persisted at least the trials the parent saw
         # complete (pool trials in flight may finish a few more — on a
         # grid this small possibly even all of them).
         survivors = store.entry_count()["trials"]
-        assert kill_after <= survivors <= tiny_spec().num_trials
+        assert limit <= survivors <= tiny_spec().num_trials
 
         resumed = run_campaign(tiny_spec(), executor=make_executor(),
                                store=CampaignStore(tmp_path / "store"))
@@ -73,9 +84,9 @@ class TestResume:
     def test_journal_records_the_interrupted_run(self, tmp_path):
         store = CampaignStore(tmp_path / "store")
         key = tiny_spec().store_key()
-        with pytest.raises(CampaignInterrupted):
+        with pytest.raises(Killed):
             run_campaign(tiny_spec(), executor=SerialExecutor(),
-                         store=store, trip=TripAfter(2))
+                         store=store, progress=kill_after(2))
         summary = store.journal_summary(key)
         assert summary is not None
         assert summary["persisted"] == 2
@@ -94,9 +105,9 @@ class TestResume:
         counts = []
         for limit in (2, 3):
             store = CampaignStore(tmp_path / "store")
-            with pytest.raises(CampaignInterrupted):
+            with pytest.raises(Killed):
                 run_campaign(tiny_spec(), executor=SerialExecutor(),
-                             store=store, trip=TripAfter(limit))
+                             store=store, progress=kill_after(limit))
             counts.append(store.entry_count()["trials"])
         assert counts[1] > counts[0]
 
@@ -105,12 +116,12 @@ class TestResume:
         assert final.fingerprint() == reference.fingerprint()
         assert final.executed == tiny_spec().num_trials - counts[1]
 
-    def test_trip_counts_only_executed_trials(self, tmp_path):
-        """A fully warm campaign executes nothing, so a trip hook never
+    def test_a_kill_counts_only_executed_trials(self, tmp_path):
+        """A fully warm campaign executes nothing, so the callback never
         fires — cache hits must not count toward the interruption."""
         store = CampaignStore(tmp_path / "store")
         run_campaign(tiny_spec(), executor=SerialExecutor(), store=store)
         warm = run_campaign(tiny_spec(), executor=SerialExecutor(),
                             store=CampaignStore(tmp_path / "store"),
-                            trip=TripAfter(1))
+                            progress=kill_after(1))
         assert warm.executed == 0

@@ -83,7 +83,7 @@ class TestFEIRExactRecovery:
         state, A = make_state()
         original = state.vectors[vector].array.copy()
         lost = [lose(state, vector, 2)]
-        outcome = FEIRStrategy().handle_lost_pages(state, lost, iteration=1)
+        outcome = FEIRStrategy().handle_lost_pages(state, lost)
         assert outcome.recovered == [(vector, 2)]
         assert not outcome.restart_required
         np.testing.assert_allclose(state.vectors[vector].array, original,
@@ -93,7 +93,7 @@ class TestFEIRExactRecovery:
         state, A = make_state()
         original = state.vectors["x"].array.copy()
         lost = [lose(state, "x", 0), lose(state, "x", 3)]
-        FEIRStrategy().handle_lost_pages(state, lost, iteration=1)
+        FEIRStrategy().handle_lost_pages(state, lost)
         np.testing.assert_allclose(state.vectors["x"].array, original,
                                    rtol=1e-7, atol=1e-9)
 
@@ -101,7 +101,7 @@ class TestFEIRExactRecovery:
         state, A = make_state()
         originals = {v: state.vectors[v].array.copy() for v in ("x", "g", "q")}
         lost = [lose(state, "x", 1), lose(state, "g", 2), lose(state, "q", 0)]
-        FEIRStrategy().handle_lost_pages(state, lost, iteration=1)
+        FEIRStrategy().handle_lost_pages(state, lost)
         for vector, original in originals.items():
             np.testing.assert_allclose(state.vectors[vector].array, original,
                                        rtol=1e-7, atol=1e-9)
@@ -109,7 +109,7 @@ class TestFEIRExactRecovery:
     def test_xg_conflict_preserves_residual_invariant(self):
         state, A = make_state()
         lost = [lose(state, "x", 1), lose(state, "g", 1)]
-        outcome = FEIRStrategy().handle_lost_pages(state, lost, iteration=1)
+        outcome = FEIRStrategy().handle_lost_pages(state, lost)
         assert ("x", 1) in outcome.unrecoverable
         x = state.vectors["x"].array
         g = state.vectors["g"].array
@@ -118,7 +118,7 @@ class TestFEIRExactRecovery:
     def test_dq_conflict_preserves_matvec_invariant(self):
         state, A = make_state()
         lost = [lose(state, "d0", 2), lose(state, "q", 2)]
-        outcome = FEIRStrategy().handle_lost_pages(state, lost, iteration=1)
+        outcome = FEIRStrategy().handle_lost_pages(state, lost)
         assert ("d0", 2) in outcome.unrecoverable
         d = state.vectors["d0"].array
         q = state.vectors["q"].array
@@ -127,19 +127,19 @@ class TestFEIRExactRecovery:
     def test_stale_buffer_is_blanked(self):
         state, A = make_state()
         lost = [lose(state, "d1", 0)]
-        outcome = FEIRStrategy().handle_lost_pages(state, lost, iteration=1)
+        outcome = FEIRStrategy().handle_lost_pages(state, lost)
         assert ("d1", 0) in outcome.recovered
         assert np.all(state.vectors["d1"].page(0) == 0.0)
 
     def test_recovery_reports_work_time(self):
         state, A = make_state()
         lost = [lose(state, "x", 1)]
-        outcome = FEIRStrategy().handle_lost_pages(state, lost, iteration=1)
+        outcome = FEIRStrategy().handle_lost_pages(state, lost)
         assert outcome.work_time > 0
 
     def test_empty_loss_list_is_noop(self):
         state, A = make_state()
-        outcome = AFEIRStrategy().handle_lost_pages(state, [], iteration=1)
+        outcome = AFEIRStrategy().handle_lost_pages(state, [])
         assert outcome.recovered == [] and outcome.work_time == 0.0
 
 
@@ -147,7 +147,7 @@ class TestLossyStrategy:
     def test_x_loss_interpolates_and_requests_restart(self):
         state, A = make_state()
         lost = [lose(state, "x", 2)]
-        outcome = LossyRestartStrategy().handle_lost_pages(state, lost, 1)
+        outcome = LossyRestartStrategy().handle_lost_pages(state, lost)
         assert outcome.restart_required
         assert ("x", 2) in outcome.recovered
         # The interpolated block zeroes the block residual (Theorem 3 proof).
@@ -158,7 +158,7 @@ class TestLossyStrategy:
     def test_non_x_loss_blanks_and_restarts(self):
         state, A = make_state()
         lost = [lose(state, "q", 1)]
-        outcome = LossyRestartStrategy().handle_lost_pages(state, lost, 1)
+        outcome = LossyRestartStrategy().handle_lost_pages(state, lost)
         assert outcome.restart_required
         assert np.all(state.vectors["q"].page(1) == 0.0)
 
@@ -167,7 +167,7 @@ class TestTrivialStrategy:
     def test_pages_blanked_and_marked(self):
         state, A = make_state()
         lost = [lose(state, "g", 0), lose(state, "x", 3)]
-        outcome = TrivialStrategy().handle_lost_pages(state, lost, 1)
+        outcome = TrivialStrategy().handle_lost_pages(state, lost)
         assert set(outcome.unrecoverable) == {("g", 0), ("x", 3)}
         assert np.all(state.vectors["g"].page(0) == 0.0)
         assert np.all(state.vectors["x"].page(3) == 0.0)
@@ -177,7 +177,7 @@ class TestTrivialStrategy:
         state, A = make_state()
         lost = [lose(state, "d0", 1), lose(state, "q", 2)]
         before = {name: vec.array.copy() for name, vec in state.vectors.items()}
-        TrivialStrategy().handle_lost_pages(state, lost, 1)
+        TrivialStrategy().handle_lost_pages(state, lost)
         for name, vec in state.vectors.items():
             assert vec.array.tobytes() == before[name].tobytes()
 
@@ -222,7 +222,7 @@ class TestCheckpointStrategy:
         state.vectors["x"].array[:] += 1.0
         state.vectors["d0"].array[:] -= 2.0
         lost = [lose(state, "x", 1)]
-        outcome = strat.handle_lost_pages(state, lost, iteration=3)
+        outcome = strat.handle_lost_pages(state, lost)
         assert outcome.rolled_back and outcome.restart_required
         np.testing.assert_allclose(state.vectors["x"].array, saved_x)
         np.testing.assert_allclose(state.vectors["d0"].array, saved_d)
@@ -232,7 +232,7 @@ class TestCheckpointStrategy:
         state, A = make_state()
         strat = CheckpointStrategy(interval=5)
         with pytest.raises(RuntimeError):
-            strat.handle_lost_pages(state, [lose(state, "x", 0)], 1)
+            strat.handle_lost_pages(state, [lose(state, "x", 0)])
 
     def test_configure_interval_from_error_rate(self):
         strat = CheckpointStrategy()

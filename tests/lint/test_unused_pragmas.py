@@ -1,4 +1,5 @@
-"""Stale-pragma detection: allow[...] grants that suppress nothing."""
+"""Stale-pragma detection: an allow[...] grant that suppresses nothing
+is itself an (unsuppressible) ``unused-pragma`` finding on every run."""
 
 from __future__ import annotations
 
@@ -10,6 +11,10 @@ from repro.lint.engine import lint_source
 
 PATH = "src/repro/x.py"
 REPO = Path(__file__).resolve().parents[2]
+
+
+def stale_of(result):
+    return [f for f in result.active if f.code == "unused-pragma"]
 
 
 def run_lint(*argv, cwd=REPO):
@@ -24,13 +29,13 @@ class TestEngine:
     def test_used_pragma_not_reported(self):
         src = "import time\nt = time.time()  # repro-lint: allow[wall-clock] measured, not fingerprinted\n"
         result = lint_source(src, PATH)
-        assert result.unused_pragmas == []
+        assert stale_of(result) == []
         assert len(result.suppressed) == 1
 
     def test_stale_pragma_reported_at_its_own_line(self):
         src = "import time\nx = 1  # repro-lint: allow[wall-clock] the call this guarded is gone\n"
         result = lint_source(src, PATH)
-        [stale] = result.unused_pragmas
+        [stale] = stale_of(result)
         assert stale.code == "unused-pragma"
         assert stale.line == 2
         assert "wall-clock" in stale.message
@@ -41,7 +46,7 @@ class TestEngine:
             "x = 1\n"
         )
         result = lint_source(src, PATH)
-        [stale] = result.unused_pragmas
+        [stale] = stale_of(result)
         assert stale.line == 1
 
     def test_multi_code_pragma_reports_only_stale_codes(self):
@@ -50,49 +55,54 @@ class TestEngine:
             "t = time.time()  # repro-lint: allow[wall-clock, unseeded-rng] half stale\n"
         )
         result = lint_source(src, PATH)
-        [stale] = result.unused_pragmas
+        [stale] = stale_of(result)
         assert "unseeded-rng" in stale.message
         assert len(result.suppressed) == 1  # wall-clock half still works
 
     def test_unknown_code_is_always_stale(self):
         src = "x = 1  # repro-lint: allow[no-such-rule] typo'd code\n"
         result = lint_source(src, PATH)
-        [stale] = result.unused_pragmas
+        [stale] = stale_of(result)
         assert "no-such-rule" in stale.message
 
-    def test_stale_pragmas_do_not_fail_ok(self):
+    def test_a_stale_pragma_fails_ok(self):
         src = "x = 1  # repro-lint: allow[wall-clock] stale\n"
         result = lint_source(src, PATH)
-        assert result.ok  # opt-in via --show-unused-pragmas
-        assert result.unused_pragmas
+        assert not result.ok
+        assert result.active == stale_of(result)
 
     def test_unused_pragma_findings_are_unsuppressible(self):
         # a pragma cannot allowlist its own staleness: both grants come
         # back stale (no checker is named `unused-pragma`)
         src = "x = 1  # repro-lint: allow[wall-clock, unused-pragma] nice try\n"
         result = lint_source(src, PATH)
-        assert len(result.unused_pragmas) == 2
-        assert all(f.code == "unused-pragma" for f in result.unused_pragmas)
+        assert [f.code for f in result.active] == ["unused-pragma"] * 2
+        assert result.suppressed == []
 
 
 class TestCli:
-    def test_show_unused_pragmas_fails_on_stale(self, tmp_path):
-        stale = tmp_path / "stale.py"
-        stale.write_text("x = 1  # repro-lint: allow[wall-clock] long gone\n")
-        proc = run_lint("--show-unused-pragmas", str(stale))
+    def test_a_stale_pragma_fails_the_run(self, tmp_path):
+        stale_file = tmp_path / "stale.py"
+        stale_file.write_text("x = 1  # repro-lint: allow[wall-clock] long gone\n")
+        proc = run_lint(str(stale_file))
         assert proc.returncode == 1
         assert "unused-pragma" in proc.stdout
 
-    def test_show_unused_pragmas_clean_exits_zero(self, tmp_path):
+    def test_a_used_pragma_exits_zero(self, tmp_path):
         clean = tmp_path / "clean.py"
         clean.write_text(
             "import time\n"
             "t = time.time()  # repro-lint: allow[wall-clock] measured\n")
-        proc = run_lint("--show-unused-pragmas", str(clean))
+        proc = run_lint(str(clean))
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
-    def test_without_flag_stale_pragma_does_not_fail(self, tmp_path):
-        stale = tmp_path / "stale.py"
-        stale.write_text("x = 1  # repro-lint: allow[wall-clock] long gone\n")
-        proc = run_lint(str(stale))
-        assert proc.returncode == 0
+    def test_a_stale_pragma_counts_as_a_finding(self, tmp_path):
+        stale_file = tmp_path / "stale.py"
+        stale_file.write_text(
+            "import time\n"
+            "t = time.time()  # repro-lint: allow[wall-clock] measured\n"
+            "x = 1  # repro-lint: allow[unseeded-rng] long gone\n")
+        proc = run_lint(str(stale_file))
+        assert proc.returncode == 1
+        assert f"{stale_file.as_posix()}:3:" in proc.stdout
+        assert "1 finding(s), 1 suppressed" in proc.stdout

@@ -5,8 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.matrices.laplacian import laplacian_2d
-from repro.matrices.properties import (is_spd, is_symmetric, smallest_eigenvalue,
-                                       spd_check)
+from repro.matrices.properties import is_spd, is_symmetric, smallest_eigenvalue
 from repro.matrices.random_spd import random_sparse_spd
 
 
@@ -35,12 +34,6 @@ class TestProperties:
         A = random_sparse_spd(700, density=0.005, seed=1)
         assert smallest_eigenvalue(A) > 0
 
-    def test_spd_check_report(self):
-        report = spd_check(laplacian_2d(5))
-        assert report.symmetric and report.smallest_eigenvalue > 0
-        assert report.n == 25
-        assert report.nnz > 0
-
     def test_is_symmetric_within_tolerance(self):
         A = laplacian_2d(4).tolil()
         A[0, 1] += 1e-14
@@ -62,12 +55,6 @@ class TestProperties:
     def test_nnz_per_row_of_the_5pt_stencil(self):
         k = 6
         assert laplacian_2d(k).nnz == 5 * k * k - 4 * k
-
-    def test_spd_check_of_asymmetric_matrix(self):
-        report = spd_check(sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 2.0]])))
-        assert not report.symmetric
-        assert np.isnan(report.smallest_eigenvalue)
-        assert (report.n, report.nnz) == (2, 3)
 
 
 class TestRandomSPD:

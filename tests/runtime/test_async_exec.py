@@ -10,7 +10,7 @@ from repro.config import MAX_WORKERS_ENV
 from repro.runtime.async_exec import ThreadedBackend, VulnerableWindowMonitor
 from repro.runtime.backend import ExecutionResult, SimulatedBackend
 from repro.runtime.cost_model import CostModel
-from repro.runtime.graph import TaskGraph
+from repro.runtime.graph import TaskGraph, verify_graph
 from repro.runtime.plan import compile_plan
 from repro.runtime.runtime import RuntimeSpec, make_executor
 from repro.runtime.task import TaskKind
@@ -27,10 +27,12 @@ def threaded():
 
 def compiled(tasks):
     """The plan of ``(name, duration, action, graph keywords)`` tasks
-    and its action table, in plan order."""
+    and its action table, in plan order; the graph is checked race-free
+    first."""
     graph = TaskGraph()
     for name, duration, _, keywords in tasks:
         graph.add_task(name, duration, **keywords)
+    verify_graph(graph)
     return compile_plan(graph), [action for _, _, action, _ in tasks]
 
 

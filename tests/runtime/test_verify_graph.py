@@ -1,25 +1,30 @@
-"""The structural happens-before verifier (`verify_graph`).
+"""The structural happens-before verifier (`find_races`, `verify_graph`).
 
-Unit races on hand-built graphs, the REPRO_VERIFY_GRAPHS compile wiring,
-a sweep over real solver iteration graphs for every runtime cell, and
-the regression the verifier exists for: deliberately dropping the
-halo-exchange dependency edge must raise a race naming both tasks.
+Unit races on hand-built graphs; every graph the CG planner can build,
+checked race-free (each shape x strategy x preconditioner x chunk
+count); the shapes each runtime cell's solve compiles; and the
+regression the verifier exists for: dropping the halo-exchange
+dependency edge must be reported as a race naming both tasks.
 """
 
 from __future__ import annotations
 
+import itertools
+from contextlib import closing
+
 import pytest
 
-from repro.core.manager import make_strategy
+from repro.core.manager import STRATEGY_NAMES, make_strategy
 from repro.faults.injector import Injection
 from repro.faults.scenarios import multi_error_scenario
+from repro.matrices.blocked import PageBlockedMatrix
 from repro.matrices.laplacian import laplacian_2d
 from repro.matrices.stencil import stencil_rhs
 from repro.runtime.async_exec import ThreadedBackend
 from repro.runtime.backend import SimulatedBackend
 from repro.runtime.graph import (GraphRace, GraphRaceError, TaskGraph,
-                                 VERIFY_GRAPHS_ENV, find_races,
-                                 verification_enabled, verify_graph)
+                                 find_races, verify_graph)
+from repro.runtime.kernels import make_kernel_engine
 from repro.runtime.plan import compile_plan
 from repro.runtime.task import TaskKind
 from repro.solvers.cg_plan import CGPlanner
@@ -94,43 +99,80 @@ class TestFindRaces:
         assert err.value.races == [GraphRace("a", "b", "seg:v[0]", "write/write")]
 
 
-class TestEnvWiring:
-    def test_disabled_by_default(self, monkeypatch):
-        monkeypatch.delenv(VERIFY_GRAPHS_ENV, raising=False)
-        assert not verification_enabled()
-        plan = compile_plan(two_writer_graph())  # no raise
-        backend = SimulatedBackend(num_workers=2)
-        backend.simulate(plan)
-        backend.execute(plan)
-
-    @pytest.mark.parametrize("value,expected", [
-        ("1", True), ("true", True), ("0", False), ("", False), ("no", False)])
-    def test_env_values(self, monkeypatch, value, expected):
-        monkeypatch.setenv(VERIFY_GRAPHS_ENV, value)
-        assert verification_enabled() is expected
-
-    def test_compile_raises_when_enabled(self, monkeypatch):
-        """A plan is the only thing either backend runs, so refusing the
-        graph at compile keeps it from both."""
-        monkeypatch.setenv(VERIFY_GRAPHS_ENV, "1")
-        with pytest.raises(GraphRaceError):
-            compile_plan(two_writer_graph())
-
-    @pytest.mark.parametrize("backend", sorted(BACKENDS))
-    def test_a_compiled_plan_is_not_checked_again(self, monkeypatch,
-                                                  backend):
-        """The check runs once per shape, at compile: a backend runs a
-        plan compiled with it off even after it is switched on."""
-        monkeypatch.delenv(VERIFY_GRAPHS_ENV, raising=False)
-        plan = compile_plan(two_writer_graph())
-        monkeypatch.setenv(VERIFY_GRAPHS_ENV, "1")
-        with BACKENDS[backend]() as runner:
-            assert sorted(runner.simulate(plan).launch_order) == [0, 1]
-            assert runner.execute(plan).plan is plan
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_compile_leaves_the_race_check_to_the_tests(backend):
+    """``compile_plan`` refuses dangling edges and cycles, not races:
+    a racy plan compiles, and both backends run it."""
+    plan = compile_plan(two_writer_graph())
+    with BACKENDS[backend]() as runner:
+        assert sorted(runner.simulate(plan).launch_order) == [0, 1]
+        assert runner.execute(plan).plan is plan
 
 
 # ----------------------------------------------------------------------
-# real solver graphs
+# every graph the planner can build
+# ----------------------------------------------------------------------
+
+#: Every ``(resilient, checkpoint, halo)`` a graph can be built for.
+SHAPES = tuple(itertools.product((False, True), repeat=3))
+
+
+def shape_planner(method, *, preconditioned, chunks, page=8):
+    """A planner over a 36-unknown Laplacian strip-mined into ``chunks``
+    chunks, under ``method`` (``None``: no strategy)."""
+    blocked = PageBlockedMatrix(laplacian_2d(6), page_size=page)
+    config = SolverConfig(page_size=page, num_workers=chunks)
+    strategy = (make_strategy(method, checkpoint_interval=5)
+                if method else None)
+    return CGPlanner(blocked, config, strategy=strategy,
+                     preconditioned=preconditioned,
+                     executor=SimulatedBackend(chunks, config.cost_model),
+                     engine=make_kernel_engine(blocked, config.runtime_spec()))
+
+
+@pytest.mark.parametrize("chunks", [1, 2, 3, 8])
+@pytest.mark.parametrize("preconditioned", [False, True],
+                         ids=["cg", "pcg"])
+@pytest.mark.parametrize("method", [None, *STRATEGY_NAMES], ids=str)
+def test_every_planner_graph_is_race_free(method, preconditioned, chunks):
+    """Each of the eight shapes, built by the planner, has no unordered
+    conflicting pair — with the tasks each shape switch adds present."""
+    with closing(shape_planner(method, preconditioned=preconditioned,
+                               chunks=chunks)) as planner:
+        assert len(planner.chunk_bounds) == chunks
+        for resilient, checkpoint, halo in SHAPES:
+            graph, _ = planner.build_iteration_graph(
+                resilient=resilient, checkpoint=checkpoint, halo=halo)
+            assert ("r1_{t}" in graph) is resilient
+            assert ("halo{t}" in graph) is halo
+            assert ("ckpt{t}" in graph) is (checkpoint and method == "ckpt")
+            assert ("z{t}:0" in graph) is preconditioned
+            races = find_races(graph)
+            assert races == [], (
+                f"shape (resilient={resilient}, checkpoint={checkpoint}, "
+                f"halo={halo}): " + "; ".join(map(str, races)))
+
+
+def test_dropped_halo_edge_is_reported():
+    """The regression the verifier exists for: lose the halo -> spmv
+    dependency in a refactor and the planner-built run shape races,
+    the race naming the halo task and an spmv chunk."""
+    with closing(shape_planner("AFEIR", preconditioned=False,
+                               chunks=4)) as planner:
+        graph, _ = planner.build_iteration_graph(
+            resilient=True, checkpoint=False, halo=True)
+    for task in graph.tasks:
+        if task.name.startswith("q{t}:"):
+            task.deps.remove("halo{t}")
+    races = find_races(graph)
+    assert races and all(race.resource == "halo:d" for race in races)
+    names = {race.task_a for race in races} | {race.task_b for race in races}
+    assert "halo{t}" in names
+    assert any(name.startswith("q{t}:") for name in names)
+
+
+# ----------------------------------------------------------------------
+# the shapes a solve compiles, in every runtime cell
 # ----------------------------------------------------------------------
 
 PAGE = 16
@@ -159,49 +201,29 @@ def make_solver(method="afeir", **overrides):
 
 
 @pytest.mark.ranks
-class TestSolverGraphs:
-    @pytest.mark.parametrize("cell", CELLS, ids=lambda c: "-".join(map(str, c)))
-    @pytest.mark.parametrize("method", [None, "feir", "afeir", "ckpt"])
-    def test_every_cell_verifies_clean(self, monkeypatch, cell, method):
-        """Every iteration graph the solver executes passes verify_graph."""
-        monkeypatch.setenv(VERIFY_GRAPHS_ENV, "1")
-        scheduler, placement, clock, ranks = cell
-        with make_solver(method, scheduler=scheduler, placement=placement,
-                         clock=clock, ranks=ranks) as solver:
-            result = solver.solve(ideal_time=0.001 if method else None)
-        assert result.record.converged
+@pytest.mark.parametrize("cell", CELLS, ids=lambda c: "-".join(map(str, c)))
+@pytest.mark.parametrize("method", [None, "feir", "afeir", "ckpt"])
+def test_every_shape_a_cell_compiles_verifies_clean(monkeypatch, cell,
+                                                    method):
+    """Every iteration graph a solve builds in ``cell`` passes
+    verify_graph; the ranks cells that re-enact build the halo run
+    shape among them."""
+    built = []
+    original = CGPlanner.build_iteration_graph
 
-    @pytest.mark.parametrize("scheduler", ["list", "threaded"])
-    def test_dropped_halo_edge_is_reported(self, monkeypatch, scheduler):
-        """The regression verify_graph exists for: lose the halo->spmv
-        dependency in a refactor and the race is caught structurally,
-        naming both the halo task and the spmv chunk — when the ranks run
-        shape is compiled, before anything executes."""
-        monkeypatch.setenv(VERIFY_GRAPHS_ENV, "1")
-        original = CGPlanner.build_iteration_graph
+    def record(self, **shape):
+        graph, roles = original(self, **shape)
+        built.append((shape, graph))
+        return graph, roles
 
-        def drop_edge(self, **shape):
-            graph, roles = original(self, **shape)
-            if shape.get("halo"):
-                for task in graph.tasks:
-                    if task.name.startswith("q{t}:"):
-                        task.deps.remove("halo{t}")
-            return graph, roles
-
-        monkeypatch.setattr(CGPlanner, "build_iteration_graph", drop_edge)
-        # The halo task only exists in the run shape, which only a cell
-        # that re-enacts (clock="wall") under the ranks placement compiles.
-        with make_solver("afeir", scheduler=scheduler, placement="ranks",
-                         clock="wall", ranks=2) as solver:
-            executed = []
-            monkeypatch.setattr(solver.planner.executor, "execute",
-                                lambda *args: executed.append(args))
-            with pytest.raises(GraphRaceError) as err:
-                solver.solve(ideal_time=0.001)
-            assert not executed
-            solver.planner.plan(True, False)      # the timing shape is clean
-        race = err.value.races[0]
-        assert race.resource == "halo:d"
-        names = {race.task_a, race.task_b}
-        assert any(n.startswith("halo") for n in names)
-        assert any(":" in n and n.startswith("q") for n in names)
+    monkeypatch.setattr(CGPlanner, "build_iteration_graph", record)
+    scheduler, placement, clock, ranks = cell
+    with make_solver(method, scheduler=scheduler, placement=placement,
+                     clock=clock, ranks=ranks) as solver:
+        result = solver.solve(ideal_time=0.001 if method else None)
+    assert result.record.converged
+    assert built
+    for _, graph in built:
+        verify_graph(graph)
+    halo = placement == "ranks" and clock == "wall"
+    assert any(shape["halo"] for shape, _ in built) is halo

@@ -19,7 +19,7 @@ import threading
 import pytest
 
 from repro.runtime.async_exec import ThreadedBackend
-from repro.runtime.graph import VERIFY_GRAPHS_ENV, TaskGraph
+from repro.runtime.graph import TaskGraph
 from repro.runtime.plan import compile_plan
 from repro.sanitize import analyze, enabled, instrument
 from repro.sanitize.explore import (ExploreProblem, _solve_cell,
@@ -65,11 +65,10 @@ def run_overlapped(plan):
 
 
 class TestDispatchOrdering:
-    def test_unordered_writers_are_flagged(self, tsan, monkeypatch):
-        # The structural check would refuse this plan at compile time.
-        monkeypatch.delenv(VERIFY_GRAPHS_ENV, raising=False)
-        # Each body blocks until both tasks are in flight: only two
-        # tasks nothing orders can get there.
+    def test_unordered_writers_are_flagged(self, tsan):
+        # find_races would report this graph; compile_plan runs no race
+        # check, so the backend gets it.  Each body blocks until both
+        # tasks are in flight: only two tasks nothing orders can get there.
         report = run_overlapped(two_writers(ordered=False))
         assert not report.ok, "unordered writers went undetected"
         assert [r.resource for r in report.races] == [RESOURCE], \
@@ -80,9 +79,7 @@ class TestDispatchOrdering:
         assert report.ok, report.render()
         assert report.accesses >= 2  # both writes were bridged
 
-    def test_an_unordered_reader_and_writer_are_flagged(self, tsan,
-                                                        monkeypatch):
-        monkeypatch.delenv(VERIFY_GRAPHS_ENV, raising=False)
+    def test_an_unordered_reader_and_writer_are_flagged(self, tsan):
         report = run_overlapped(unordered("reads", "writes"))
         assert [r.resource for r in report.races] == [RESOURCE], \
             report.render()

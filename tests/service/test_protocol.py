@@ -12,7 +12,6 @@ import json
 import pytest
 
 from repro.campaign.spec import CampaignSpec, MatrixSpec, SolverKnobs
-from repro.faults.scenarios import ErrorScenario
 from repro.runtime.cost_model import CostModel
 from repro.service.protocol import (PROTOCOL_VERSION, ProtocolError,
                                     parse_event_line, spec_from_payload,
@@ -84,13 +83,6 @@ class TestSpecRoundTrip:
 
 
 class TestRejections:
-    def test_scenario_specs_are_not_wire_expressible(self):
-        spec = CampaignSpec(matrices=["laplacian2d:10"],
-                            scenario=ErrorScenario(name="x",
-                                                   normalized_rate=1.0))
-        with pytest.raises(ProtocolError, match="scenario"):
-            spec_to_payload(spec)
-
     def test_version_mismatch(self):
         payload = spec_to_payload(CampaignSpec(matrices=["laplacian2d:10"]))
         payload["version"] = PROTOCOL_VERSION + 1

@@ -68,12 +68,6 @@ class TestIdealSolver:
         res = ResilientCG(A, np.zeros(A.shape[0]), config=config()).solve()
         assert res.converged and res.record.iterations == 0
 
-    def test_initial_guess_is_used(self, problem):
-        A, b = problem
-        ref = conjugate_gradient(A, b)
-        res = ResilientCG(A, b, config=config()).solve(x0=ref.x)
-        assert res.record.iterations <= 2
-
     def test_more_workers_is_not_slower(self, problem):
         A, b = problem
         t2, t8 = (ResilientCG(A, b, config=config(num_workers=workers))

@@ -115,9 +115,18 @@ MUTANTS = (
     Mutant("restart_next_not_restored", "solvers/resilient_cg.py",
            "run.restart_next = snapshot.restart_next\n",
            "pass  # restart_next not restored\n", (TRANSPARENCY, GRID)),
-    # A detected DUE blanks its page (the OS re-maps it), and Trivial
-    # keeps that blank.  A DUE that leaves its page intact turns Trivial's
-    # recorded history and its iteration penalty red.
+    # Every graph the planner can build is race-free.  An spmv chunk
+    # that reads the exchanged halo without waiting for the exchange
+    # turns the exhaustive shape check red.
+    Mutant("dropped_halo_edge", "solvers/cg_plan.py",
+           'q_deps, q_reads = [*d_parts, f"halo{t}"], d_segments | {"halo:d"}',
+           'q_deps, q_reads = d_parts, d_segments | {"halo:d"}',
+           ("tests/runtime/test_verify_graph.py::"
+            "test_every_planner_graph_is_race_free",)),
+    # A detected DUE blanks its page (the OS re-maps it); Trivial, and
+    # the pages Lossy and FEIR do not rebuild, keep that blank.  A DUE
+    # that leaves its page intact turns Trivial's recorded history and
+    # its iteration penalty red.
     Mutant("due_keeps_its_page", "memory/manager.py",
            "self.vector(name).zero_page(page)\n",
            "self.vector(name).page_slice(page)  # the page is kept\n",

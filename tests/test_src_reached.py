@@ -2,11 +2,12 @@
 reach belongs in the tests.
 
 Every non-dunder function, class and method under ``src/`` must be
-named, as a whole word, by some line of ``src/`` or ``examples/``
-outside its own body (its decorators included).  A comment, a docstring
-or a package ``__init__``'s re-export counts as naming it, so the scan
-is blunt: a dead name that collides with any other word goes unseen.
-What it does flag, nothing in the library or its examples names.
+referenced by the code of ``src/`` or ``examples/`` outside its own body
+(its decorators included): as a name, an attribute, an imported name or
+a string of a module's ``__all__``.  Comments and docstrings do not
+count, so a definition only prose mentions is flagged.  The scan matches
+bare names, so a dead name that collides with a live one (any
+``x.touch`` keeps every ``touch`` method) still goes unseen.
 
 Both directories are found through ``repro.__file__``: with
 ``PYTHONPATH`` at a copy of ``src/`` that has a copy of ``examples/``
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import ast
 import collections
-import re
 import shutil
 from pathlib import Path
 
@@ -28,10 +28,10 @@ import repro
 SRC = Path(repro.__file__).resolve().parents[1]
 EXAMPLES = SRC.parent / "examples"
 
-#: Definitions that nothing in ``src/`` or ``examples/`` names, kept on
-#: purpose, by ``<path under src/>::<qualified name>``.  An entry must
-#: stay unreached: one that is gone, or that something now names, is
-#: stale and fails the scan.
+#: Definitions that nothing in ``src/`` or ``examples/`` references,
+#: kept on purpose, by ``<path under src/>::<qualified name>``.  An entry
+#: must stay unreached: one that is gone, or that something now
+#: references, is stale and fails the scan.
 ALLOWED = {
     "repro/service/server.py::_Handler.do_GET":
         "BaseHTTPRequestHandler callback: http.server calls it by name",
@@ -49,7 +49,15 @@ ALLOWED = {
         "test oracle: random SPD systems for the property tests",
     "repro/solvers/reference.py::conjugate_gradient":
         "test oracle: textbook CG, the reference of the solver tests",
+    "repro/runtime/kernels.py::paged_dot":
+        "test oracle: the allocating reduction the engine's dot is "
+        "compared against",
+    "repro/runtime/graph.py::verify_graph":
+        "test oracle: the race check run on every graph the planner "
+        "can build",
     "repro/runtime/trace.py::ExecutionTrace.from_schedule":
+        "bench/trace.py wraps it as a tracing target; goes with it",
+    "repro/campaign/spec.py::CampaignSpec.expand":
         "bench/trace.py wraps it as a tracing target; goes with it",
     "repro/service/client.py::ServiceClient.wait_until_up":
         "bench/workloads.py waits for the daemon with it; goes with it",
@@ -58,8 +66,6 @@ ALLOWED = {
     "repro/memory/manager.py::MemoryManager.poison":
         "makes the latent DUE MemoryManager.touch detects; goes with it",
 }
-
-_WORD = re.compile(r"\w+")
 
 
 def _definitions(tree: ast.AST):
@@ -79,20 +85,42 @@ def _definitions(tree: ast.AST):
     yield from walk(tree, "")
 
 
+def _references(tree: ast.AST):
+    """``(name, line)`` of every reference in ``tree``'s code: each name,
+    attribute, imported name (every dotted part) and string of an
+    ``__all__`` assignment."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            for part in node.name.split("."):
+                yield part, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            if node.value is not None and any(
+                    isinstance(target, ast.Name) and target.id == "__all__"
+                    for target in targets):
+                for item in ast.walk(node.value):
+                    if (isinstance(item, ast.Constant)
+                            and isinstance(item.value, str)):
+                        yield item.value, item.lineno
+
+
 def unreached(src: Path, examples: Path) -> list:
-    """Every ``<path>::<qualified name>`` under ``src`` that no line of
-    ``src`` or ``examples`` outside its own body names."""
-    # word -> the (file, line number) pairs that name it
+    """Every ``<path>::<qualified name>`` under ``src`` that no code of
+    ``src`` or ``examples`` outside its own body references."""
+    # name -> the (file, line number) pairs that reference it
     where = collections.defaultdict(list)
-    texts = {}
+    trees = {}
     for path in sorted([*src.rglob("*.py"), *examples.rglob("*.py")]):
-        texts[path] = path.read_text()
-        for lineno, line in enumerate(texts[path].splitlines(), 1):
-            for word in _WORD.findall(line):
-                where[word].append((path, lineno))
+        trees[path] = ast.parse(path.read_text())
+        for name, lineno in _references(trees[path]):
+            where[name].append((path, lineno))
     found = []
     for path in sorted(src.rglob("*.py")):
-        for qual, name, first, last in _definitions(ast.parse(texts[path])):
+        for qual, name, first, last in _definitions(trees[path]):
             if name.startswith("__") and name.endswith("__"):
                 continue
             if all(at == path and first <= lineno <= last
@@ -110,20 +138,20 @@ def test_every_definition_is_reached():
     extra = [entry for entry in unreached(SRC, EXAMPLES)
              if entry not in ALLOWED]
     assert not extra, (
-        "defined under src/ but named by nothing in src/ or examples/ "
-        "outside its own body: delete it, or move it into the tests "
+        "defined under src/ but referenced by no code in src/ or "
+        "examples/ outside its own body: delete it, or move it into the tests "
         "that use it:\n  " + "\n  ".join(extra))
 
 
 def test_every_allowlist_entry_is_still_needed():
     entries = stale(set(unreached(SRC, EXAMPLES)))
     assert not entries, (
-        "allowlisted, but gone or now named by src/ or examples/: "
+        "allowlisted, but gone or now referenced by src/ or examples/: "
         "drop the entry:\n  " + "\n  ".join(entries))
 
 
 def test_the_allowlist_is_short_and_every_entry_says_why():
-    assert len(ALLOWED) <= 12
+    assert len(ALLOWED) <= 15
     assert all(reason.strip() for reason in ALLOWED.values())
 
 
@@ -150,7 +178,14 @@ def test_the_scan_sees_a_definition_only_its_own_body_names(tmp_path):
         "        return inner()\n"
         "\n"
         "    def __repr__(self):\n"
-        "        return 'Kept'\n")
+        "        return 'Kept'\n"
+        "\n"
+        "\n"
+        "def listed():\n"
+        "    \"\"\"Unlike Kept.unused, exported.\"\"\"\n"
+        "\n"
+        "\n"
+        "__all__ = ['listed']  # recursive is not\n")
     (examples / "demo.py").write_text(
         "from pkg.mod import Kept\nprint(Kept().used())\n")
     assert unreached(src, examples) == ["pkg/mod.py::recursive",
@@ -181,13 +216,22 @@ def test_a_seeded_unreached_definition_fails_the_scan(copy):
         entry for entry in unreached(src, examples) if entry not in ALLOWED]
 
 
-def test_an_allowlisted_definition_something_names_is_stale(copy):
+def test_an_allowlisted_definition_something_references_is_stale(copy):
     src, examples = copy
     server = src / "repro" / "service" / "server.py"
     server.write_text(server.read_text()
-                      + "# see ServiceClient.wait_until_up\n")
+                      + "\nseeded = (lambda client: client.wait_until_up)\n")
     assert stale(set(unreached(src, examples))) == [
         "repro/service/client.py::ServiceClient.wait_until_up"]
+
+
+def test_a_comment_or_a_docstring_is_no_reference(copy):
+    src, examples = copy
+    server = src / "repro" / "service" / "server.py"
+    server.write_text(server.read_text()
+                      + "# see ServiceClient.wait_until_up\n"
+                      + '"""ServiceClient.wait_until_up, in prose."""\n')
+    assert stale(set(unreached(src, examples))) == []
 
 
 def test_an_allowlisted_definition_that_is_gone_is_stale(copy):
