@@ -7,12 +7,15 @@ Usage::
 
     python -m repro.campaign --matrix qa8fm --trials 4 --executor serial
 
-    # shard a campaign across machines, then merge the partials:
-    python -m repro.campaign --matrix qa8fm --trials 8 \
-        --shard 0/2 --out shard0.json
-    python -m repro.campaign --matrix qa8fm --trials 8 \
-        --shard 1/2 --out shard1.json
-    python -m repro.campaign merge shard0.json shard1.json
+    # shard a campaign across machines, each shard into its own store;
+    # combine the stores with a no-clobber copy, and an unsharded run
+    # over the result executes nothing and prints the same fingerprint:
+    python -m repro.campaign --matrix qa8fm --trials 8 --shard 0/2 \
+        --store a
+    python -m repro.campaign --matrix qa8fm --trials 8 --shard 1/2 \
+        --store b
+    cp -rn b/trials b/baselines a/
+    python -m repro.campaign --matrix qa8fm --trials 8 --store a
 
     # store maintenance:
     python -m repro.campaign store --info
@@ -20,14 +23,15 @@ Usage::
 
 Prints the aggregated slowdown table plus the result fingerprint; the
 fingerprint is identical across executors — and across cold/warm store
-runs, and across shard-and-merge versus single-process runs — for the
-same spec and seed, which the CI jobs assert.
+runs, and across sharded versus single-process runs — for the same spec
+and seed, which the CI jobs assert.
 
 The content-addressed store (default ``~/.cache/repro-campaign``,
 overridable via ``REPRO_CAMPAIGN_STORE``) is on by default: re-running
 an unchanged campaign executes zero trials, and an interrupted campaign
 resumes from its last persisted trial; a ``resume:`` line says what the
-previous run's journal recorded.  ``--no-store`` opts out.
+previous run's journal recorded.  ``--no-store`` opts out; a ``--shard``
+run refuses it, since the store is where its trials are kept.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ import sys
 
 from repro.campaign.engine import run_campaign
 from repro.campaign.executors import EXECUTOR_NAMES, make_executor
-from repro.campaign.results import CampaignResult
 from repro.campaign.spec import (add_spec_arguments, parse_shard,
                                  spec_from_args)
 from repro.campaign.store import (GC_DEFAULT_DAYS, CampaignStore,
@@ -57,32 +60,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--shard", type=parse_shard, default=None,
                         metavar="I/N",
                         help="run only the I-th of N round-robin shards of "
-                             "the trial grid; write the partial result with "
-                             "--out and combine the shards with the merge "
-                             "subcommand (byte-identical to an unsharded "
-                             "run)")
-    parser.add_argument("--out", default=None, metavar="FILE",
-                        help="write the (possibly partial) campaign result "
-                             "to FILE as JSON")
+                             "the trial grid, persisting its trials into the "
+                             "store; an unsharded run over a store holding "
+                             "every shard's trials executes none of them")
     add_store_arguments(parser)
     parser.add_argument("--quiet", action="store_true",
                         help="suppress per-trial progress lines")
-    return parser
-
-
-def build_merge_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.campaign merge",
-        description="Merge sharded partial campaign results into one "
-                    "aggregate whose fingerprint is byte-identical to an "
-                    "unsharded run.")
-    parser.add_argument("partials", nargs="+", metavar="PARTIAL.json",
-                        help="partial result files written by --shard/--out")
-    parser.add_argument("--out", default=None, metavar="FILE",
-                        help="write the merged result to FILE as JSON")
-    parser.add_argument("--allow-incomplete", action="store_true",
-                        help="merge even if the shards do not cover the "
-                             "full campaign grid")
     return parser
 
 
@@ -109,15 +92,16 @@ def build_store_parser() -> argparse.ArgumentParser:
                         help=f"gc age threshold in days (default "
                              f"{GC_DEFAULT_DAYS}; reads refresh an entry's "
                              f"age)")
-    parser.add_argument("--now", type=float, default=None, metavar="EPOCH",
-                        help="with --gc: epoch seconds to treat as the "
-                             "current time (default: the wall clock); "
-                             "makes cutoff behaviour reproducible")
     return parser
 
 
 def main_run(argv) -> int:
     args = build_parser().parse_args(argv)
+    if args.shard and args.no_store:
+        print("error: --shard needs the campaign store: a shard's trials "
+              "are kept only there, so a --no-store shard could never be "
+              "combined", file=sys.stderr)
+        return 2
     try:
         spec = spec_from_args(args, name="cli")
         executor = make_executor(args.executor, max_workers=args.workers)
@@ -160,30 +144,6 @@ def main_run(argv) -> int:
         print(f"worker-deaths: {executor.deaths} "
               f"resubmitted: {executor.resubmitted}")
     print(f"fingerprint: {result.fingerprint()}")
-    if args.out:
-        result.save(args.out)
-        print(f"wrote: {args.out}")
-    return 0
-
-
-def main_merge(argv) -> int:
-    args = build_merge_parser().parse_args(argv)
-    try:
-        parts = [CampaignResult.load(path) for path in args.partials]
-        merged = CampaignResult.merge(
-            parts, require_complete=not args.allow_incomplete)
-    except StoreSchemaError as exc:
-        print(f"error: incompatible result schema — {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(merged.format())
-    print(f"\ntrials: {len(merged)} (from {len(parts)} partials)")
-    print(f"fingerprint: {merged.fingerprint()}")
-    if args.out:
-        merged.save(args.out)
-        print(f"wrote: {args.out}")
     return 0
 
 
@@ -218,7 +178,7 @@ def main_store(argv) -> int:
         corrupt_found = not report.ok
     if args.gc:
         try:
-            removed, kept = store.gc(days=args.days, now=args.now)
+            removed, kept = store.gc(days=args.days)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -229,8 +189,6 @@ def main_store(argv) -> int:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "merge":
-        return main_merge(argv[1:])
     if argv and argv[0] == "store":
         return main_store(argv[1:])
     if argv and argv[0] == "run":

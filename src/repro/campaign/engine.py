@@ -30,8 +30,9 @@ trials are looked up by content address before any work happens,
 already-completed trials are *never dispatched at all*, and workers
 persist each finished trial immediately — which is what makes campaigns
 incremental, resumable after an interruption, and shardable across
-machines (see ``campaign.store``).  There is no module state here: a
-fresh cache (a fresh ``run_campaign`` call, a fresh store) is a cold one.
+machines, the shards meeting in the store (see ``campaign.store``).
+There is no module state here: a fresh cache (a fresh ``run_campaign``
+call, a fresh store) is a cold one.
 
 One loop takes a campaign from spec to fingerprint, :class:`CampaignRun`
 (key, cached/pending split, record, journal, finish), into a
@@ -244,10 +245,7 @@ class CampaignRun:
         self._stamp = {"key": self.key, **(stamp or {})}
         self._lock = make_lock("CampaignRun.lock")
         keys = spec.trial_keys(shard)
-        self.result = CampaignResult(name=spec.name, executor=executor,
-                                     spec_key=self.key,
-                                     total_trials=spec.num_trials,
-                                     shard=shard)
+        self.result = CampaignResult(name=spec.name, executor=executor)
         #: Trials this run answers for (the shard's, under ``shard``).
         self.total = len(keys)
         #: Index -> store key of every pending trial not yet recorded.
@@ -267,7 +265,7 @@ class CampaignRun:
         self.executed = 0
         self.fingerprint: Optional[str] = None
         self._journal({"event": "start", "spec": spec.describe(),
-                       "total": self.result.total_trials,
+                       "total": spec.num_trials,
                        "shard": list(shard) if shard else None,
                        "cached": self.cached, "pending": len(self.pending)})
         self._started = time.perf_counter()  # repro-lint: allow[wall-clock] campaign wall_time metric, reported not fingerprinted
@@ -338,10 +336,11 @@ def run_campaign(spec: CampaignSpec,
     campaign executes zero trials and reproduces the cold fingerprint
     byte-for-byte.
 
-    ``shard=(i, N)`` restricts execution to the i-th round-robin shard
-    of the expanded trial list; :meth:`CampaignResult.merge` combines
-    the partial results into an aggregate byte-identical to an
-    unsharded run.
+    ``shard=(i, N)`` restricts the run to the i-th round-robin shard of
+    the expanded trial list.  Shards meet in the store: an unsharded run
+    over a store holding every shard's trials (one store, or several
+    combined by a no-clobber copy of ``trials/`` and ``baselines/``)
+    executes nothing and is byte-identical to a cold unsharded run.
     """
     executor = executor or SerialExecutor()
     cache = CampaignCache(store)

@@ -11,10 +11,8 @@ executors under the same campaign seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -74,8 +72,7 @@ def trial_payload(trial: TrialResult) -> dict:
 
 
 def trial_from_payload(payload: dict) -> TrialResult:
-    """The :class:`TrialResult` a stored or serialized trial payload
-    describes.
+    """The :class:`TrialResult` a stored trial payload describes.
 
     A payload with exactly the dataclass's fields (what ``asdict``
     writes) becomes the new object's ``__dict__``, without the generated
@@ -110,21 +107,19 @@ class CellStats:
 
 @dataclass
 class CampaignResult:
-    """All trial results of one campaign plus deterministic aggregates."""
+    """All trial results of one campaign (or one shard of it) plus
+    deterministic aggregates.
+
+    A result is never written anywhere: shards meet in the
+    content-addressed store, and an unsharded run over the store their
+    trials went to serves them all and prints the unsharded fingerprint.
+    """
 
     name: str = "campaign"
     trials: List[TrialResult] = field(default_factory=list)
     #: Wall-clock duration of the whole campaign (seconds); informational.
     wall_time: float = 0.0
     executor: str = "serial"
-    #: Content address of the producing :class:`CampaignSpec`; lets
-    #: ``merge`` refuse to combine partials from different campaigns.
-    spec_key: Optional[str] = None
-    #: Trial count of the *full* campaign grid (a shard run records the
-    #: whole grid's size here, so merges can verify completeness).
-    total_trials: Optional[int] = None
-    #: ``(index, count)`` when this result covers one shard only.
-    shard: Optional[Tuple[int, int]] = None
     #: Trials served from the content-addressed store / actually
     #: executed this run.  Diagnostics only — never part of the
     #: fingerprint, which must not see where a trial's bytes came from.
@@ -248,122 +243,3 @@ class CampaignResult:
             title=title or (f"Campaign {self.name!r}: harmonic-mean "
                             f"slowdown % ({len(self.trials)} trials, "
                             f"{self.executor} executor)"))
-
-    # ------------------------------------------------------------------
-    # serialization (shard emit / merge)
-    # ------------------------------------------------------------------
-    def to_payload(self) -> Dict[str, object]:
-        """JSON-safe payload carrying every trial bit-exactly.
-
-        Python's ``json`` emits floats via ``repr`` (shortest exact
-        round-trip), so a load of a dump reproduces the identical
-        fingerprint — the property the shard/merge protocol rests on.
-        """
-        from repro.campaign.store import STORE_SCHEMA_VERSION
-        return {
-            "schema": STORE_SCHEMA_VERSION,
-            "kind": "campaign-result",
-            "name": self.name,
-            "executor": self.executor,
-            "wall_time": self.wall_time,
-            "spec_key": self.spec_key,
-            "total_trials": self.total_trials,
-            "shard": list(self.shard) if self.shard else None,
-            "cache_hits": self.cache_hits,
-            "executed": self.executed,
-            "trials": [trial_payload(t) for t in self.sorted_trials()],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, object],
-                     source: str = "payload") -> "CampaignResult":
-        from repro.campaign.store import STORE_SCHEMA_VERSION, StoreSchemaError
-        if not isinstance(payload, dict) or \
-                payload.get("kind") != "campaign-result":
-            raise ValueError(f"{source} is not a serialized campaign "
-                             f"result")
-        found = payload.get("schema")
-        if found != STORE_SCHEMA_VERSION:
-            raise StoreSchemaError(
-                f"{source} was written by result schema v{found}, but "
-                f"this version of repro reads v{STORE_SCHEMA_VERSION}; "
-                f"re-run the shard that produced it")
-        shard = payload.get("shard")
-        result = cls(name=payload["name"], executor=payload["executor"],
-                     wall_time=float(payload.get("wall_time", 0.0)),
-                     spec_key=payload.get("spec_key"),
-                     total_trials=payload.get("total_trials"),
-                     shard=tuple(shard) if shard else None,
-                     cache_hits=int(payload.get("cache_hits", 0)),
-                     executed=int(payload.get("executed", 0)))
-        result.extend(trial_from_payload(t) for t in payload["trials"])
-        return result
-
-    def save(self, path) -> None:
-        """Write this (possibly partial) result to ``path`` as JSON."""
-        Path(path).write_text(json.dumps(self.to_payload(), sort_keys=True)
-                              + "\n")
-
-    @classmethod
-    def load(cls, path) -> "CampaignResult":
-        try:
-            payload = json.loads(Path(path).read_text())
-        except ValueError as exc:
-            raise ValueError(f"{path} is not valid JSON: {exc}") from None
-        return cls.from_payload(payload, source=str(path))
-
-    # ------------------------------------------------------------------
-    # shard merge
-    # ------------------------------------------------------------------
-    @classmethod
-    def merge(cls, parts: Sequence["CampaignResult"],
-              require_complete: bool = True) -> "CampaignResult":
-        """Combine shard partials into one aggregate result.
-
-        Deterministic fingerprints make the merge order-independent:
-        aggregation sorts by trial index, so any permutation of the same
-        shard set merges to an aggregate byte-identical to the
-        single-process run.  Validates that all parts come from the same
-        campaign (``spec_key``), that no trial index appears twice, and
-        (``require_complete``) that the union covers the full grid.
-        """
-        parts = list(parts)
-        if not parts:
-            raise ValueError("nothing to merge: no partial results given")
-        spec_keys = {p.spec_key for p in parts if p.spec_key is not None}
-        if len(spec_keys) > 1:
-            raise ValueError(
-                f"refusing to merge partial results from "
-                f"{len(spec_keys)} different campaigns (distinct spec "
-                f"keys: {', '.join(sorted(k[:12] for k in spec_keys))}...)")
-        merged = cls(name=parts[0].name,
-                     executor=f"merge({len(parts)} partials)",
-                     spec_key=parts[0].spec_key,
-                     total_trials=parts[0].total_trials,
-                     cache_hits=sum(p.cache_hits for p in parts),
-                     executed=sum(p.executed for p in parts),
-                     wall_time=max(p.wall_time for p in parts))
-        seen: Dict[int, str] = {}
-        for part in parts:
-            for trial in part.trials:
-                if trial.index in seen:
-                    raise ValueError(
-                        f"trial index {trial.index} appears in more than "
-                        f"one partial result (shards must be disjoint — "
-                        f"did the same shard get merged twice?)")
-                seen[trial.index] = part.executor
-            merged.extend(part.trials)
-        totals = {p.total_trials for p in parts if p.total_trials}
-        if len(totals) > 1:
-            raise ValueError(f"partial results disagree on the campaign "
-                             f"size: {sorted(totals)}")
-        if require_complete and totals:
-            expected = totals.pop()
-            if len(merged.trials) != expected:
-                missing = expected - len(merged.trials)
-                raise ValueError(
-                    f"merge is incomplete: {len(merged.trials)} of "
-                    f"{expected} trials present ({missing} missing — "
-                    f"pass every shard, or require_complete=False for a "
-                    f"partial aggregate)")
-        return merged

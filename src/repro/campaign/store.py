@@ -12,7 +12,12 @@ campaigns
 * **resumable** — workers persist every completed trial immediately, so
   an interrupted campaign restarts from its last persisted trial;
 * **shared** — a quick sub-grid campaign warms the cache for the full
-  sweep, across processes and across days.
+  sweep, across processes and across days;
+* **shardable** — ``--shard i/N`` runs persist into a store; shards run
+  into separate stores combine by a no-clobber copy of ``trials/`` and
+  ``baselines/`` (entries are content-addressed and deterministic), and
+  an unsharded run over the combined store executes only what is
+  missing.
 
 Layout under the root (default ``~/.cache/repro-campaign``, overridable
 via the ``REPRO_CAMPAIGN_STORE`` environment variable)::
@@ -441,8 +446,7 @@ class CampaignStore:
         return {kind: len(self._entries(kind))
                 for kind in (*_KINDS, "journals")}
 
-    def gc(self, days: float = GC_DEFAULT_DAYS,
-           now: Optional[float] = None) -> Tuple[int, int]:
+    def gc(self, days: float = GC_DEFAULT_DAYS) -> Tuple[int, int]:
         """Prune entries unreferenced for ``days`` days.
 
         "Referenced" means read or written: every cache hit refreshes
@@ -452,8 +456,8 @@ class CampaignStore:
         """
         if not days >= 0:  # also refuses NaN, which compares false
             raise ValueError(f"gc age must be non-negative, got {days}")
-        # repro-lint: allow[wall-clock] gc cutoff default; callers/CLI pass now= for determinism
-        cutoff = (now if now is not None else time.time()) - days * 86400.0
+        # repro-lint: allow[wall-clock] gc ages entries by mtime, a wall-clock stamp
+        cutoff = time.time() - days * 86400.0
         removed = kept = 0
         for kind in (*_KINDS, "journals"):
             # Everything by age, a writer's stale ``tmp*.tmp`` included.

@@ -2,7 +2,7 @@
 
 Syntax (one comment, one or more codes, mandatory justification)::
 
-    x = time.time()  # repro-lint: allow[wall-clock] gc cutoff default, overridable via now=
+    x = time.time()  # repro-lint: allow[wall-clock] gc ages entries by mtime, a wall-clock stamp
 
     # repro-lint: allow[unseeded-rng] deliberate global-state perturbation for the test
     np.random.seed(0)

@@ -59,7 +59,6 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.runtime.plan import IterationPlan
-from repro.runtime.task import ScheduledTask
 from repro.runtime.trace import WORK_STATES, ExecutionTrace
 
 
@@ -96,9 +95,8 @@ class ScheduleResult:
     """Outcome of scheduling one plan: placements as arrays in plan order.
 
     ``starts``/``ends``/``workers`` are indexed like the plan's tasks;
-    the per-state breakdown (``trace``) and the name-keyed view
-    (``scheduled``) are derived on first read, so re-timing a plan never
-    pays for them.
+    the per-state breakdown (``trace``) is derived on first read, so
+    re-timing a plan never pays for it.
     """
 
     plan: IterationPlan
@@ -125,17 +123,6 @@ class ScheduleResult:
     def trace(self) -> ExecutionTrace:
         """Per-state accounting of the schedule (:func:`breakdown`)."""
         return breakdown(self.timeline)
-
-    @cached_property
-    def scheduled(self) -> Dict[str, ScheduledTask]:
-        """Per-task placements by name, in launch order (``seq`` is the
-        launch sequence number)."""
-        names, kinds = self.plan.names, self.plan.kinds
-        return {names[i]: ScheduledTask(
-                    name=names[i], worker=self.workers[i],
-                    start=self.starts[i], end=self.ends[i], kind=kinds[i],
-                    overhead=self.overhead, seq=seq)
-                for seq, i in enumerate(self.launch_order)}
 
 
 class _Structure(NamedTuple):

@@ -17,6 +17,8 @@ import json
 import sys
 from typing import Optional, Sequence
 
+from repro.runtime.runtime import (add_runtime_arguments,
+                                   resolve_runtime_spec, runtime_axes)
 from repro.sanitize.canary import canary_verdict
 from repro.sanitize.explore import DEFAULT_PREEMPT_RATE, explore
 
@@ -36,13 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"root seed (default {DEFAULT_SEED})")
     ex.add_argument("--schedules", type=int, default=10,
                     help="number of seeded schedules to run (default 10)")
-    ex.add_argument("--scheduler", default="threaded",
-                    choices=("list", "threaded"))
-    ex.add_argument("--placement", default="local",
-                    choices=("local", "ranks"))
-    ex.add_argument("--clock", default="wall",
-                    choices=("simulated", "wall"))
-    ex.add_argument("--ranks", type=int, default=1)
+    add_runtime_arguments(ex)
+    ex.set_defaults(scheduler="threaded", clock="wall")
     ex.add_argument("--points", type=int, default=16,
                     help="2-D Poisson grid points per side (default 16)")
     ex.add_argument("--page-size", type=int, default=32)
@@ -76,6 +73,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.schedules < 1:
         raise SystemExit("--schedules must be >= 1")
+    try:
+        cell = resolve_runtime_spec(**runtime_axes(args))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     def progress(record):
         if not args.quiet:
@@ -88,9 +90,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                   f"{record['lock_cycles']} lock-order cycle(s))",
                   file=sys.stderr)
 
-    verdict = explore(args.seed, args.schedules, scheduler=args.scheduler,
-                      placement=args.placement, clock=args.clock,
-                      ranks=args.ranks, points=args.points,
+    verdict = explore(args.seed, args.schedules, scheduler=cell.scheduler,
+                      placement=cell.placement, clock=cell.clock,
+                      ranks=cell.ranks, points=args.points,
                       page_size=args.page_size,
                       preempt_rate=args.preempt_rate, progress=progress)
     rendered = json.dumps(verdict, indent=2, sort_keys=True)

@@ -179,17 +179,3 @@ class ServiceClient:
                     return
         finally:
             conn.close()
-
-    def wait(self, job_id: str, timeout: float = 600.0,
-             interval: float = 0.1) -> Dict[str, object]:
-        """Poll ``status`` until the job reaches a terminal state."""
-        deadline = time.monotonic() + timeout
-        while True:
-            status = self.status(job_id)
-            if status["state"] in TERMINAL_STATES:
-                return status
-            if time.monotonic() >= deadline:
-                raise ServiceError(
-                    f"job {job_id} still {status['state']!r} after "
-                    f"{timeout:g}s")
-            time.sleep(interval)

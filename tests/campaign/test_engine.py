@@ -185,12 +185,14 @@ class TestCampaignRun:
         assert last == {"event": "cancelled", "key": run.key,
                         "completed": 1, "error": None}
 
-    def test_a_shard_run_answers_for_its_shard_only(self):
+    def test_a_shard_run_answers_for_its_shard_only(self, tmp_path):
         spec = tiny_spec()
-        run = CampaignRun(spec, CampaignCache(), shard=(1, 3))
+        store = CampaignStore(tmp_path / "store")
+        run = CampaignRun(spec, CampaignCache(store), shard=(1, 3))
         assert [t.index for t in run.pending] == [1, 4, 7]
-        assert run.total == 3 and run.result.total_trials == 8
-        assert run.result.shard == (1, 3)
+        assert run.total == 3
+        [start] = store.journal_events(spec.store_key())
+        assert (start["total"], start["shard"]) == (spec.num_trials, [1, 3])
 
     def test_concurrent_recording_counts_every_trial_once(self):
         """More recorders than cores, each offering every result: a lost

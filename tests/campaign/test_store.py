@@ -18,7 +18,7 @@ import pytest
 
 from repro.campaign.engine import _problem, run_campaign
 from repro.campaign.executors import ProcessPoolExecutor, SerialExecutor
-from repro.campaign.results import CampaignResult, TrialResult
+from repro.campaign.results import TrialResult
 from repro.campaign.spec import CampaignSpec, MatrixSpec, SolverKnobs
 from repro.campaign.store import (STORE_SCHEMA_VERSION, CampaignCache,
                                   CampaignStore, StoreSchemaError, _sealed,
@@ -323,14 +323,16 @@ class TestWarmCampaigns:
                              executor=SerialExecutor(),
                              store=CampaignStore(tmp_path / "store"))
         assert grown.cache_hits == tiny_spec().num_trials
-        assert grown.executed == grown.total_trials - grown.cache_hits
+        assert grown.executed == \
+            tiny_spec(rates=(2.0, 5.0, 20.0)).num_trials - grown.cache_hits
 
     @pytest.mark.parametrize("reps", [3, 4, 5])
     def test_a_grid_served_from_another_grids_store_is_its_own_cold_run(
             self, tmp_path, reps):
         """Results persisted under another grid's enumeration are
-        renumbered by the cached/pending split: the grown grid sorts,
-        fingerprints and shard-merges exactly like its own cold run."""
+        renumbered by the cached/pending split: the grown grid sorts and
+        fingerprints exactly like its own cold run, and its shards, run
+        into the same store, leave a full warm run nothing to execute."""
         grid = dict(matrices=["laplacian2d:16"], methods=("FEIR", "Lossy"),
                     knobs=SolverKnobs(tolerance=1e-8))
         grown = tiny_spec(rates=(10.0,), repetitions=reps, **grid)
@@ -348,8 +350,9 @@ class TestWarmCampaigns:
         parts = [run_campaign(grown, store=store, shard=(i, 2))
                  for i in range(2)]
         assert sum(p.executed for p in parts) == 0
-        assert CampaignResult.merge(parts).fingerprint() == \
-            cold.fingerprint()
+        full = run_campaign(grown, store=store)
+        assert full.executed == 0
+        assert full.fingerprint() == cold.fingerprint()
 
     def test_different_seed_misses_the_cache(self, tmp_path):
         store = CampaignStore(tmp_path / "store")
@@ -420,6 +423,14 @@ class TestCliStoreLine:
                                 "(last event: done)"]]
 
 
+def age_all(store, days):
+    """Set the mtime of every file of ``store`` ``days`` days back."""
+    old = time.time() - days * 86400.0
+    for path in store.root.rglob("*"):
+        if path.is_file():
+            os.utime(path, (old, old))
+
+
 class TestGc:
     def test_gc_prunes_old_entries_keeps_fresh(self, tmp_path):
         store = CampaignStore(tmp_path / "store")
@@ -429,9 +440,9 @@ class TestGc:
         # Nothing is older than 30 days: gc keeps everything.
         removed, kept = store.gc(days=30)
         assert removed == 0 and kept > 0
-        # Pretend a month passes: everything is unreferenced and pruned.
-        removed, kept = store.gc(days=30,
-                                 now=time.time() + 31 * 86400.0)
+        # Age every entry a month: everything is unreferenced and pruned.
+        age_all(store, 31)
+        removed, kept = store.gc(days=30)
         assert kept == 0
         assert removed == sum(counts.values())
         assert store.entry_count()["trials"] == 0
@@ -481,28 +492,28 @@ class TestGc:
 
         store = CampaignStore(tmp_path / "store")
         store.put_baseline("aa" + "0" * 62, 7.0)
-        rc = main_store(["--store", str(store.root), "--gc", "--days", "nan",
-                         "--now", str(time.time() + 31 * 86400.0)])
+        age_all(store, 31)
+        rc = main_store(["--store", str(store.root), "--gc", "--days", "nan"])
         assert rc == 2
         assert "non-negative" in capsys.readouterr().err
         assert store.entry_count()["baselines"] == 1
 
-    def test_gc_now_cli_override(self, tmp_path, capsys):
-        """`store --gc --now` pins the cutoff clock — no monkeypatching."""
+    def test_gc_cli_prunes_only_entries_older_than_days(self, tmp_path,
+                                                        capsys):
+        """`store --gc --days` against entries aged with ``os.utime``."""
         from repro.campaign.__main__ import main_store
 
         store = CampaignStore(tmp_path / "store")
         store.put_baseline("aa" + "0" * 62, 7.0)
         root = str(tmp_path / "store")
-        # From the perspective of "now" = one second from now, nothing
-        # is 30 days old yet.
-        rc = main_store(["--store", root, "--gc", "--days", "30",
-                         "--now", str(time.time() + 1.0)])
+        # A day-old entry is not 30 days old yet.
+        age_all(store, 1)
+        rc = main_store(["--store", root, "--gc", "--days", "30"])
         assert rc == 0
         assert store.entry_count()["baselines"] == 1
-        # A "now" 31 days in the future ages everything out.
-        rc = main_store(["--store", root, "--gc", "--days", "30",
-                         "--now", str(time.time() + 31 * 86400.0)])
+        # A month-old one is.
+        age_all(store, 31)
+        rc = main_store(["--store", root, "--gc", "--days", "30"])
         assert rc == 0
         assert store.entry_count()["baselines"] == 0
         out = capsys.readouterr().out

@@ -9,6 +9,8 @@ corrupt entries in the ways disks and tooling actually corrupt them
 """
 
 import json
+import os
+import time
 from pathlib import Path
 
 import pytest
@@ -160,7 +162,11 @@ class TestTornTemporary:
         assert populated.entry_count() == committed
         report = populated.verify()
         assert report.ok and report.verified == verified
-        removed, kept = populated.gc(days=0, now=2e10)
+        old = time.time() - 86400.0
+        for path in populated.root.rglob("*"):
+            if path.is_file():
+                os.utime(path, (old, old))
+        removed, kept = populated.gc(days=0)
         assert removed == sum(committed.values()) + 2 and kept == 0
         assert not list(populated.root.glob("*/ab/*"))
 

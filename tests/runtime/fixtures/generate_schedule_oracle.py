@@ -136,7 +136,7 @@ def record(case: dict) -> dict:
     scheduler = ListScheduler(case["workers"],
                               cost_model=CostModel(task_overhead=case["overhead"]))
     result = scheduler.run(compile_plan(graph), start_time=case["start_time"])
-    placed = [result.scheduled[name] for name in names]
+    placed = [result.plan.names.index(name) for name in names]
     breakdown = result.trace.breakdown
     return {
         "label": case["label"], "workers": case["workers"],
@@ -145,9 +145,9 @@ def record(case: dict) -> dict:
         "tasks": [[t["name"], t["duration"].hex(), t["kind"], t["priority"],
                    t["deps"]] for t in case["tasks"]],
         "makespan": result.makespan.hex(),
-        "start": [s.start.hex() for s in placed],
-        "end": [s.end.hex() for s in placed],
-        "worker": [s.worker for s in placed],
+        "start": [result.starts[i].hex() for i in placed],
+        "end": [result.ends[i].hex() for i in placed],
+        "worker": [result.workers[i] for i in placed],
         "order": [names.index(result.plan.names[i])
                   for i in result.launch_order],
         "breakdown": {key: getattr(breakdown, key).hex() for key in

@@ -85,10 +85,9 @@ class TestOracle:
         names = [t[0] for t in case["tasks"]]
         started = [ran.plan.names[i] for i in ran.launch_order]
         assert started == [names[i] for i in case["order"]]
-        for seq, name in enumerate(started):
-            placed = ran.scheduled[name]
-            assert (placed.seq, placed.start.hex(), placed.end.hex()) == \
-                (seq, case["start"][names.index(name)],
+        for i, name in zip(ran.launch_order, started, strict=True):
+            assert (ran.starts[i].hex(), ran.ends[i].hex()) == \
+                (case["start"][names.index(name)],
                  case["end"][names.index(name)])
 
         # Re-time a plan compiled at *other* durations with this case's.

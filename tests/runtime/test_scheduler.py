@@ -9,10 +9,21 @@ from repro.runtime.cost_model import CostModel
 from repro.runtime.graph import TaskGraph
 from repro.runtime.plan import compile_plan
 from repro.runtime.scheduler import ListScheduler
-from repro.runtime.task import TaskKind
+from repro.runtime.task import ScheduledTask, TaskKind
 
 #: Cost model with no per-task overhead, for exact makespan arithmetic.
 NO_OVERHEAD = CostModel(task_overhead=0.0)
+
+
+def scheduled(result):
+    """Per-task placements by name, in launch order (``seq`` is the
+    launch sequence number)."""
+    names, kinds = result.plan.names, result.plan.kinds
+    return {names[i]: ScheduledTask(
+                name=names[i], worker=result.workers[i],
+                start=result.starts[i], end=result.ends[i], kind=kinds[i],
+                overhead=result.overhead, seq=seq)
+            for seq, i in enumerate(result.launch_order)}
 
 
 def scheduler(workers, overhead=False):
@@ -119,7 +130,7 @@ class TestBasicScheduling:
         graph.add_task("a", 1.0)
         plan = compile_plan(graph)
         result = scheduler(2).run(plan)
-        by_seq = sorted(result.scheduled.values(), key=lambda s: (s.start, s.seq))
+        by_seq = sorted(scheduled(result).values(), key=lambda s: (s.start, s.seq))
         assert [s.name for s in by_seq] \
             == [plan.names[i] for i in result.launch_order] == ["b", "a"]
 
@@ -164,7 +175,7 @@ class TestSchedulerInvariants:
         assert result.makespan <= total + 1e-9
         # No worker executes two tasks at once.
         by_worker = {}
-        for st_task in result.scheduled.values():
+        for st_task in scheduled(result).values():
             by_worker.setdefault(st_task.worker, []).append(st_task)
         for tasks in by_worker.values():
             tasks.sort(key=lambda s: s.start)

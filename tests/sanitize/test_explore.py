@@ -77,3 +77,19 @@ class TestCli:
         assert schedule["races"] == [] and schedule["lock_cycles"] == 0
         # stdout carries the same JSON
         assert json.loads(capsys.readouterr().out) == payload
+
+    def test_explore_infers_the_ranks_placement_from_ranks(self, capsys):
+        """``--ranks 2`` alone picks the ranks placement, as on every other
+        CLI, and the verdict names the resolved cell."""
+        code = sanitize_main(["explore", "--ranks", "2", "--schedules", "1",
+                              "--points", "8", "--quiet"])
+        assert code == 0
+        cell = json.loads(capsys.readouterr().out)["cell"]
+        assert cell == {"scheduler": "threaded", "placement": "ranks",
+                        "clock": "wall", "ranks": 2}
+
+    def test_explore_refuses_a_local_placement_with_ranks(self, capsys):
+        code = sanitize_main(["explore", "--placement", "local", "--ranks",
+                              "2", "--schedules", "1", "--quiet"])
+        assert code == 2
+        assert "placement='local'" in capsys.readouterr().err

@@ -1,8 +1,9 @@
-"""The client's poll deadlines run on the monotonic clock: a step of the
-wall clock (NTP, a suspended VM, an operator's ``date -s``) neither
-stretches nor cuts ``wait`` / ``wait_until_up``."""
+"""The poll deadlines run on the monotonic clock: a step of the wall
+clock (NTP, a suspended VM, an operator's ``date -s``) neither stretches
+nor cuts ``ServiceClient.wait_until_up`` or the service tests' ``wait``."""
 
 import pytest
+import test_service
 
 from repro.service import ServiceClient
 from repro.service import client as client_module
@@ -48,13 +49,14 @@ class ForeverRunning(ServiceClient):
 def clock(monkeypatch):
     fake = SteppedClock()
     monkeypatch.setattr(client_module, "time", fake)
+    monkeypatch.setattr(test_service, "time", fake)
     return fake
 
 
 def test_wait_times_out_across_a_wall_clock_step(clock):
     client = ForeverRunning("http://127.0.0.1:1")
     with pytest.raises(ServiceError, match="still 'running' after 0.3s"):
-        client.wait("job-1", timeout=0.3, interval=0.1)
+        test_service.wait(client, "job-1", timeout=0.3, interval=0.1)
     assert clock.sleeps <= 4
 
 

@@ -23,6 +23,7 @@ import multiprocessing
 import os
 import socket
 import threading
+import time
 
 import pytest
 
@@ -61,6 +62,19 @@ def running_daemon(workers=2, store=None, chaos=None):
         svc.shutdown(drain=False, timeout=30)
 
 
+def wait(client, job_id, timeout=600.0, interval=0.1):
+    """Poll ``client.status`` until the job reaches a terminal state."""
+    deadline = time.monotonic() + timeout
+    while True:
+        status = client.status(job_id)
+        if status["state"] in TERMINAL_STATES:
+            return status
+        if time.monotonic() >= deadline:
+            raise ServiceError(f"job {job_id} still {status['state']!r} "
+                               f"after {timeout:g}s")
+        time.sleep(interval)
+
+
 def assert_nothing_left_behind(svc, pool_pids):
     """The daemon's children, threads and socket are gone."""
     assert pool_pids, "the daemon under test never had a pool"
@@ -97,7 +111,7 @@ class TestFingerprintInvariant:
         spec = tiny_spec()
         reference = offline_fingerprint(spec)
         job = client.submit(spec)
-        status = client.wait(job["id"], timeout=120)
+        status = wait(client, job["id"], timeout=120)
         assert status["state"] == "done"
         assert status["executed"] == spec.num_trials
         assert status["cached"] == 0
@@ -110,7 +124,7 @@ class TestFingerprintInvariant:
         campaign is fully warm and fingerprint-identical."""
         spec = tiny_spec()
         job = client.submit(spec)
-        status = client.wait(job["id"], timeout=120)
+        status = wait(client, job["id"], timeout=120)
         assert status["state"] == "done"
 
         offline = run_campaign(spec, executor=SerialExecutor(),
@@ -123,8 +137,8 @@ class TestFingerprintInvariant:
 class TestWarmResubmission:
     def test_second_submission_executes_nothing(self, client):
         spec = tiny_spec()
-        first = client.wait(client.submit(spec)["id"], timeout=120)
-        second = client.wait(client.submit(spec)["id"], timeout=120)
+        first = wait(client, client.submit(spec)["id"], timeout=120)
+        second = wait(client, client.submit(spec)["id"], timeout=120)
         assert second["state"] == "done"
         assert second["executed"] == 0
         assert second["cached"] == spec.num_trials
@@ -142,13 +156,13 @@ class TestWarmResubmission:
         """A restarted daemon (cold RAM, same store root) still executes
         zero trials — persistence, not process memory, carries the heat."""
         spec = tiny_spec()
-        first = client.wait(client.submit(spec)["id"], timeout=120)
+        first = wait(client, client.submit(spec)["id"], timeout=120)
         assert first["state"] == "done"
         service.shutdown(drain=True, timeout=30)
 
         with running_daemon(store=CampaignStore(tmp_path / "store")) \
                 as (_, c2):
-            resumed = c2.wait(c2.submit(spec)["id"], timeout=120)
+            resumed = wait(c2, c2.submit(spec)["id"], timeout=120)
             assert resumed["state"] == "done"
             assert resumed["executed"] == 0
             assert resumed["cached"] == spec.num_trials
@@ -164,7 +178,7 @@ class TestWorkerDeath:
         reference = offline_fingerprint(spec)
         with running_daemon(chaos=ChaosMonkey(2)) as (svc, client):
             original_pids = svc._pool.pids()
-            status = client.wait(client.submit(spec)["id"], timeout=120)
+            status = wait(client, client.submit(spec)["id"], timeout=120)
             assert status["state"] == "done"
             assert status["fingerprint"] == reference
             assert status["shard_retries"] >= 1
@@ -182,7 +196,7 @@ class TestWorkerDeath:
             assert not set(rebuilt_pids) & set(original_pids)
             # ...that runs a second job to the right answer
             other = tiny_spec(seed=123, name="tiny-b")
-            second = client.wait(client.submit(other)["id"], timeout=120)
+            second = wait(client, client.submit(other)["id"], timeout=120)
             assert second["state"] == "done"
             assert second["executed"] == other.num_trials
             assert second["fingerprint"] == offline_fingerprint(other)
@@ -196,7 +210,7 @@ class TestWorkerDeath:
         reference = offline_fingerprint(spec)
         with running_daemon(store=CampaignStore(tmp_path / "store"),
                             chaos=ChaosMonkey(3)) as (_, client):
-            status = client.wait(client.submit(spec)["id"], timeout=120)
+            status = wait(client, client.submit(spec)["id"], timeout=120)
             assert status["state"] == "done"
             assert status["fingerprint"] == reference
             assert status["completed"] == spec.num_trials
@@ -223,7 +237,7 @@ class TestWorkerDeath:
         monkeypatch.setattr(server.ChaosMonkey, "strikes", lambda self: True)
         spec = tiny_spec()
         with running_daemon(workers=1, chaos=ChaosMonkey(1)) as (svc, client):
-            status = client.wait(client.submit(spec)["id"], timeout=120)
+            status = wait(client, client.submit(spec)["id"], timeout=120)
             assert status["state"] == "failed"
             assert status["error"].startswith("WorkerLost: trial 0 ")
             assert "lost its worker" in status["error"]
@@ -271,7 +285,7 @@ class TestWatchStream:
         """Attaching after completion still yields the full event log."""
         spec = tiny_spec()
         job = client.submit(spec)
-        client.wait(job["id"], timeout=120)
+        wait(client, job["id"], timeout=120)
         events = list(client.watch(job["id"], read_timeout=30))
         assert events[-1]["event"] == "done"
         assert len([e for e in events if e["event"] == "trial"]) == \
@@ -281,7 +295,7 @@ class TestWatchStream:
         """A job served in part by what another grid persisted numbers
         its cached ``trial`` events, like its fingerprint, as its own
         cold run would."""
-        client.wait(client.submit(tiny_spec())["id"], timeout=120)
+        wait(client, client.submit(tiny_spec())["id"], timeout=120)
         grown = tiny_spec(rates=(20.0,), repetitions=4)
         job = client.submit(grown)
         events = list(client.watch(job["id"], read_timeout=120))
@@ -305,7 +319,7 @@ class TestCancelAndShutdown:
         spec = tiny_spec(repetitions=25)  # 100 trials: long enough to hit
         job = client.submit(spec)
         client.cancel(job["id"])
-        final = client.wait(job["id"], timeout=120)
+        final = wait(client, job["id"], timeout=120)
         assert final["state"] == "cancelled"
         assert final["completed"] < spec.num_trials
         assert final["fingerprint"] is None
@@ -324,7 +338,7 @@ class TestCancelAndShutdown:
     def test_jobs_listing_and_bad_ids(self, client):
         spec = tiny_spec()
         job = client.submit(spec)
-        client.wait(job["id"], timeout=120)
+        wait(client, job["id"], timeout=120)
         listed = client.jobs()
         assert [j["id"] for j in listed] == [job["id"]]
         with pytest.raises(ServiceError):
@@ -428,7 +442,7 @@ class TestMetricsAndHealth:
 
     def test_metrics_shape(self, client):
         spec = tiny_spec()
-        client.wait(client.submit(spec)["id"], timeout=120)
+        wait(client, client.submit(spec)["id"], timeout=120)
         m = client.metrics()
         assert m["workers"] == 2
         assert m["jobs"]["done"] == 1
@@ -450,8 +464,8 @@ class TestConcurrentSubmissions:
         ref_b = offline_fingerprint(spec_b)
         job_a = client.submit(spec_a)
         job_b = client.submit(spec_b)
-        done_a = client.wait(job_a["id"], timeout=120)
-        done_b = client.wait(job_b["id"], timeout=120)
+        done_a = wait(client, job_a["id"], timeout=120)
+        done_b = wait(client, job_b["id"], timeout=120)
         assert done_a["fingerprint"] == ref_a
         assert done_b["fingerprint"] == ref_b
         assert done_a["fingerprint"] != done_b["fingerprint"]
@@ -515,7 +529,7 @@ class TestLifecycle:
 
         monkeypatch.setattr(os, "fork", spying_fork)
         with running_daemon(chaos=ChaosMonkey(2)) as (_, client):
-            status = client.wait(client.submit(tiny_spec())["id"],
+            status = wait(client, client.submit(tiny_spec())["id"],
                                  timeout=120)
             assert status["state"] == "done"
             assert client.metrics()["worker_deaths"] == 1
@@ -542,9 +556,9 @@ class TestLifecycle:
         job is done while a cold one still has the pool."""
         warm_spec = tiny_spec()
         with running_daemon() as (_, client):
-            client.wait(client.submit(warm_spec)["id"], timeout=120)
+            wait(client, client.submit(warm_spec)["id"], timeout=120)
             cold = client.submit(tiny_spec(seed=7, repetitions=500))
-            warm = client.wait(client.submit(warm_spec)["id"], timeout=30)
+            warm = wait(client, client.submit(warm_spec)["id"], timeout=30)
             assert (warm["state"], warm["executed"]) == ("done", 0)
             assert client.status(cold["id"])["state"] == "running"
 
@@ -558,7 +572,7 @@ class TestLifecycle:
         gc.disable()
         try:
             with running_daemon() as (svc, client):
-                status = client.wait(client.submit(tiny_spec())["id"],
+                status = wait(client, client.submit(tiny_spec())["id"],
                                      timeout=120)
                 assert status["state"] == "done"
             freed = weakref.ref(svc)
@@ -588,7 +602,7 @@ class TestOneFingerprint:
         reference = offline_fingerprint(spec)
         store = CampaignStore(tmp_path / "store") if stored else None
         with running_daemon(workers=workers, store=store) as (_, client):
-            status = client.wait(client.submit(spec)["id"], timeout=120)
+            status = wait(client, client.submit(spec)["id"], timeout=120)
         assert status["state"] == "done"
         assert status["executed"] == spec.num_trials
         assert status["fingerprint"] == reference
@@ -640,7 +654,7 @@ class TestOneLoopTwoDrivers:
         served = CampaignStore(tmp_path / "served")
         with running_daemon(store=served) as (_, client):
             for _ in range(runs):
-                status = client.wait(client.submit(spec)["id"], timeout=120)
+                status = wait(client, client.submit(spec)["id"], timeout=120)
                 assert status["state"] == "done"
         events = list(served.journal_events(spec.store_key()))
         assert all(e["source"] == "service" and e["job"] for e in events)
@@ -661,7 +675,7 @@ class TestOneLoopTwoDrivers:
                 if event["event"] == "trial":
                     client.cancel(job["id"])
                     break
-            final = client.wait(job["id"], timeout=120)
+            final = wait(client, job["id"], timeout=120)
         assert final["state"] == "cancelled"
         last = list(store.journal_events(spec.store_key()))[-1]
         assert last["event"] == "cancelled"
@@ -695,8 +709,8 @@ class TestDispatch:
         monkeypatch.setattr(server.Job, "emit", spying_emit)
         spec = tiny_spec()
         with running_daemon(workers=workers) as (_, client):
-            status = client.wait(client.submit(spec)["id"], timeout=120)
-            warm = client.wait(client.submit(spec)["id"], timeout=120)
+            status = wait(client, client.submit(spec)["id"], timeout=120)
+            warm = wait(client, client.submit(spec)["id"], timeout=120)
         assert status["state"] == warm["state"] == "done"
         assert (status["shards"], warm["shards"]) == (1, 0)
         every = list(range(spec.num_trials))
@@ -710,14 +724,14 @@ class TestParentSideWork:
         spec = tiny_spec()
         store = CountingStore(tmp_path / "store")
         with running_daemon(store=store) as (svc, client):
-            cold = client.wait(client.submit(spec)["id"], timeout=120)
+            cold = wait(client, client.submit(spec)["id"], timeout=120)
             assert cold["executed"] == spec.num_trials
             assert store.put_trial_calls == 0
             assert store.trial_events == spec.num_trials
             # The resubmission is served from the daemon's RAM tier: it
             # reads the store no more than it writes it.
             reads = store.get_trial_calls
-            warm = client.wait(client.submit(spec)["id"], timeout=120)
+            warm = wait(client, client.submit(spec)["id"], timeout=120)
             assert warm["executed"] == 0
             assert store.get_trial_calls == reads
             assert store.put_trial_calls == 0
@@ -729,10 +743,10 @@ class TestParentSideWork:
     def test_ram_only_daemon_keeps_every_trial(self):
         spec = tiny_spec()
         with running_daemon() as (svc, client):
-            cold = client.wait(client.submit(spec)["id"], timeout=120)
+            cold = wait(client, client.submit(spec)["id"], timeout=120)
             assert cold["executed"] == spec.num_trials
             assert svc.cache.store is None
-            warm = client.wait(client.submit(spec)["id"], timeout=120)
+            warm = wait(client, client.submit(spec)["id"], timeout=120)
             assert warm["executed"] == 0
             assert warm["cached"] == spec.num_trials
             assert warm["fingerprint"] == cold["fingerprint"]

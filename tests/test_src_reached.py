@@ -7,7 +7,10 @@ referenced by the code of ``src/`` or ``examples/`` outside its own body
 a string of a module's ``__all__``.  Comments and docstrings do not
 count, so a definition only prose mentions is flagged.  The scan matches
 bare names, so a dead name that collides with a live one (any
-``x.touch`` keeps every ``touch`` method) still goes unseen.
+``x.touch`` keeps every ``touch`` method) still goes unseen: any
+reference with the same name counts, as other objects' ``.wait(`` calls
+hid a ``ServiceClient.wait`` and a ``scheduled`` parameter hid a
+``ScheduleResult.scheduled`` that only tests called.
 
 Both directories are found through ``repro.__file__``: with
 ``PYTHONPATH`` at a copy of ``src/`` that has a copy of ``examples/``
