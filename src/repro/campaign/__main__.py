@@ -116,7 +116,9 @@ def main_run(argv) -> int:
         print(f"shard: {args.shard[0]}/{args.shard[1]}")
     summary = store.journal_summary(spec.store_key()) if store is not None else None
     if summary is not None:
-        print(f"resume: previous run persisted "
+        shard = summary["shard"]
+        of = f" of shard {shard[0]}/{shard[1]}" if shard else ""
+        print(f"resume: previous run{of} persisted "
               f"{summary['persisted']} trial(s) "
               f"(last event: {summary['last'].get('event')})")
 

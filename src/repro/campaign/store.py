@@ -41,7 +41,12 @@ assert cold and warm fingerprints match bit-for-bit.  Every entry is
 sealed: it embeds its own key and a checksum, and one without both is
 corrupt.  Writes go through a same-directory temp file plus
 ``os.replace``, so concurrent workers (process pools, parallel shards
-on a shared filesystem) never observe half-written artifacts.
+on a shared filesystem) never observe half-written artifacts.  Nothing
+is fsynced: a killed process loses nothing it has handed to
+``os.write``, and what a machine crash loses is recomputed, as the
+paper rebuilds a lost page instead of reading it back from disk.
+Entries are created ``0o666`` less the umask, like the journals, so a
+store shared across users is readable by all of them.
 
 Nothing reads the store directly on the trial path: :class:`CampaignCache`
 puts a RAM tier in front of it (or of nothing, for a storeless run) and
@@ -58,7 +63,6 @@ import contextlib
 import hashlib
 import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -267,13 +271,23 @@ class CampaignStore:
     def _atomic_write(path: str, text: str) -> None:
         """``text`` (UTF-8) into a same-directory temporary, then
         ``os.replace``: readers see the old entry or the new, never a
-        torn one."""
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        torn one.  The temporary is ``<entry>.<random hex>.tmp``, unique
+        across hosts sharing the store; the bucket directory is made
+        only when the temporary cannot be opened without it."""
+        data = text.encode("utf-8")
+        tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+        flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
         try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(text.encode("utf-8"))
+            fd = os.open(tmp, flags, 0o666)
+        except FileNotFoundError:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            fd = os.open(tmp, flags, 0o666)
+        try:
+            try:
+                while data:
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(OSError):
@@ -360,19 +374,18 @@ class CampaignStore:
         return self.root / "journals" / f"{campaign_key}.jsonl"
 
     def journal_append(self, campaign_key: str, event: dict) -> None:
-        """Append one event, crash-safely: the line is flushed and
-        fsynced before returning, so a daemon (or worker) killed right
-        after persisting a trial never leaves the journal behind the
-        store.  The only loss mode is a torn *trailing* line (killed
-        mid-append), which :meth:`journal_events` skips on read.  The
-        line goes down as bytes, through no Python file object."""
+        """Append one event as one line of bytes, through no Python file
+        object.  A line this has returned survives the death of its
+        process (the kernel holds it); it is not fsynced, since no entry
+        is, and a flushed journal could only run ahead of the store.
+        The only debris a crash leaves is a torn or missing *trailing*
+        line, which :meth:`journal_events` and ``verify`` tolerate."""
         line = (json.dumps(event, sort_keys=True) + "\n").encode("utf-8")
         fd = os.open(f"{self.root}/journals/{campaign_key}.jsonl",
                      os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
         try:
             while line:
                 line = line[os.write(fd, line):]
-            os.fsync(fd)
         finally:
             os.close(fd)
 
@@ -382,8 +395,8 @@ class CampaignStore:
         Resilient by construction — the CLI's ``resume:`` line reads
         it: a missing journal yields nothing, a truncated trailing line
         (crash mid-append) is skipped instead of raising, and so is any
-        earlier undecodable line (torn by a crash of a pre-fsync
-        version, or bit rot — ``verify`` reports those).
+        earlier undecodable line (a torn tail a later run appended
+        past, or bit rot — ``verify`` reports those).
         """
         try:
             with open(self.journal_path(campaign_key)) as handle:
@@ -403,7 +416,8 @@ class CampaignStore:
                 continue
 
     def journal_summary(self, campaign_key: str) -> Optional[Dict]:
-        """Completed-trial count and last event of a prior run, if any.
+        """Completed-trial count, last event and the ``shard`` of the
+        last ``start`` event (``None``: unsharded) of a prior run, if any.
 
         Events stamped with a campaign ``key`` must match
         ``campaign_key``: a journal file that was copied, renamed or
@@ -412,7 +426,7 @@ class CampaignStore:
         resume report.
         """
         persisted = set()
-        last = None
+        last = shard = None
         for event in self.journal_events(campaign_key):
             stamped = event.get("key")
             if stamped is not None and stamped != campaign_key:
@@ -420,9 +434,11 @@ class CampaignStore:
             last = event
             if event.get("event") == "trial":
                 persisted.add(event.get("index"))
+            elif event.get("event") == "start":
+                shard = event.get("shard")
         if last is None:
             return None
-        return {"persisted": len(persisted), "last": last}
+        return {"persisted": len(persisted), "last": last, "shard": shard}
 
     # ------------------------------------------------------------------
     # stats / maintenance
@@ -437,8 +453,9 @@ class CampaignStore:
 
     def _entries(self, kind: str) -> List[Path]:
         """Committed entries of ``kind``, sorted: what ``os.replace``
-        has put under its final name.  A ``tmp*.tmp`` beside them (a
-        writer killed mid-write) is not an entry; ``gc`` ages it out."""
+        has put under its final name.  A ``<entry>.<hex>.tmp`` beside
+        them (a writer killed mid-write) is not an entry; ``gc`` ages it
+        out."""
         pattern = "*.jsonl" if kind == "journals" else "*/*.json"
         return sorted((self.root / kind).glob(pattern))
 
@@ -460,7 +477,7 @@ class CampaignStore:
         cutoff = time.time() - days * 86400.0
         removed = kept = 0
         for kind in (*_KINDS, "journals"):
-            # Everything by age, a writer's stale ``tmp*.tmp`` included.
+            # Everything by age, a writer's stale ``*.tmp`` included.
             pattern = "*.jsonl" if kind == "journals" else "*/*"
             for path in sorted((self.root / kind).glob(pattern)):
                 try:

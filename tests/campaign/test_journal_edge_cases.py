@@ -1,9 +1,11 @@
 """Journal robustness: the resume path must survive real crash debris.
 
-``journal_append`` fsyncs every line, so the only artifact a crash can
-leave is a torn *trailing* line — and the daemon or a resumed offline
-run must shrug at empty files, torn tails and journals that belong to a
-different campaign entirely (copied or renamed by tooling).
+``journal_append`` writes each line whole before it returns, so the only
+artifact a crash can leave is a torn or missing *trailing* line — and
+the daemon or a resumed offline run must shrug at empty files, torn
+tails and journals that belong to a different campaign entirely (copied
+or renamed by tooling).  What a SIGKILL leaves is
+``test_kill_durability.py``'s.
 """
 
 import json
@@ -176,9 +178,9 @@ class TestEngineIntegration:
         assert events, "campaign with a store must journal"
         assert all(e["key"] == spec.store_key() for e in events)
 
-    def test_append_is_durable_on_return(self, store):
-        """flush+fsync per append: the line is on disk (visible through
-        a fresh handle) the moment journal_append returns."""
+    def test_append_is_visible_on_return(self, store):
+        """The line is whole and visible through a fresh handle the
+        moment journal_append returns."""
         store.journal_append(KEY_A, {"event": "start", "key": KEY_A})
         raw = store.journal_path(KEY_A).read_text()
         assert raw.endswith("\n")

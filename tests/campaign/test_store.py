@@ -10,6 +10,7 @@ import dataclasses
 import json
 import math
 import os
+import stat
 import time
 from pathlib import Path
 
@@ -45,6 +46,24 @@ TRIAL = TrialResult(
 
 
 class TestStoreBasics:
+    def test_entries_take_the_journal_mode(self, tmp_path):
+        """SCHEMA, a trial and a baseline are created ``0o666`` less the
+        umask, as a journal is, so every user of a shared store can
+        read them."""
+        umask = os.umask(0o022)
+        try:
+            store = CampaignStore(tmp_path / "store")
+            key = "ab" + "0" * 62
+            store.put_trial(key, TRIAL)
+            store.put_baseline(key, 0.25)
+            store.journal_append(key, {"event": "start", "key": key})
+        finally:
+            os.umask(umask)
+        paths = [store.root / "SCHEMA", store._path("trials", key),
+                 store._path("baselines", key), store.journal_path(key)]
+        assert [stat.S_IMODE(os.stat(path).st_mode) for path in paths] \
+            == [0o644] * 4
+
     def test_creates_layout_and_schema(self, tmp_path):
         store = CampaignStore(tmp_path / "store")
         schema = json.loads((store.root / "SCHEMA").read_text())
@@ -421,6 +440,22 @@ class TestCliStoreLine:
                             if line.startswith("resume: ")])
         assert resumes == [[], ["resume: previous run persisted 2 trial(s) "
                                 "(last event: done)"]]
+
+    def test_a_shard_journal_is_named_on_resume(self, tmp_path, capsys):
+        """The unsharded spec over a store shard 0/2 ran into says whose
+        journal it read, then executes the other shard's trials."""
+        from repro.campaign.__main__ import main
+        args = ["--matrix", "laplacian2d:10", "--methods", "FEIR", "Lossy",
+                "--rates", "1", "10", "--trials", "2", "--quiet",
+                "--store", str(tmp_path / "store")]
+        assert main([*args, "--shard", "0/2"]) == 0
+        capsys.readouterr()
+        assert main(args) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith(("resume: ", "executed: "))]
+        assert lines[0] == ("resume: previous run of shard 0/2 persisted 4 "
+                            "trial(s) (last event: done)")
+        assert lines[1].startswith("executed: 4 ")
 
 
 def age_all(store, days):

@@ -147,16 +147,18 @@ class TestCleanStore:
 
 
 class TestTornTemporary:
-    """A writer killed between ``mkstemp`` and ``os.replace`` (a pool
-    sibling terminated with the broken pool) leaves a ``tmp*.tmp`` beside
-    the entries.  It was never committed, so it is not an entry."""
+    """A writer killed between opening its temporary and ``os.replace``
+    (a pool sibling terminated with the broken pool) leaves a
+    ``<entry>.<hex>.tmp`` beside the entries.  It was never committed,
+    so it is not an entry."""
 
     def test_it_is_not_counted_not_corrupt_and_ages_out(self, populated):
         committed = populated.entry_count()
         verified = populated.verify().verified
         for kind, tail in (("trials", '{"schema": 1, "tri'),
                            ("baselines", '{"checksum": "')):
-            torn = populated.root / kind / "ab" / "tmp7dq_x3kz.tmp"
+            torn = (populated.root / kind / "ab"
+                    / f"ab{'0' * 62}.json.5f0c2e9a17d4b3e8.tmp")
             torn.parent.mkdir(exist_ok=True)
             torn.write_text(tail)
         assert populated.entry_count() == committed

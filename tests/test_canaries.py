@@ -134,6 +134,14 @@ MUTANTS = (
             "test_history_on_matches_the_parent_commit",
             "tests/solvers/test_resilient_faults.py::TestSingleError::"
             "test_trivial_is_worst_in_iterations")),
+    # A journal line journal_append has returned survives a SIGKILL of
+    # its process.  A line never handed to os.write turns the kill test
+    # red.
+    Mutant("journal_line_unwritten", "campaign/store.py",
+           "line = line[os.write(fd, line):]",
+           'line = b""',
+           ("tests/campaign/test_kill_durability.py::"
+            "test_a_killed_writer_leaves_its_entries_and_journal_line",)),
 )
 
 
