@@ -232,6 +232,10 @@ class CampaignStore:
             try:
                 payload = json.loads(self._schema_path.read_text())
                 found = int(payload["schema"])
+            except OSError as exc:
+                raise StoreSchemaError(
+                    f"cannot read {self._schema_path} ({exc.strerror}): make "
+                    f"it readable (chmod) or point {STORE_ENV} elsewhere") from None
             except (ValueError, KeyError, TypeError):
                 raise StoreSchemaError(
                     f"campaign store at {self.root} has an unreadable "

@@ -6,6 +6,9 @@ defaults to ``REPRO_SERVICE_URL`` and falls back to the daemon's own
 host/port defaults, so a client on the daemon's machine needs no
 configuration at all.
 
+A client keeps its HTTP/1.1 connections alive for its next request: one
+used from one thread opens a single connection for its whole life.
+
     from repro.service import ServiceClient
     client = ServiceClient()
     job = client.submit(spec)
@@ -57,47 +60,76 @@ class ServiceClient:
         self.host = parsed.hostname or DEFAULT_HOST
         self.port = parsed.port or DEFAULT_PORT
         self.timeout = timeout
+        #: Idle kept-alive connections (LIFO); one in use is never here.
+        self._idle: List[http.client.HTTPConnection] = []
 
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
+    def _send(self, method: str, path: str, body: Optional[dict],
+              timeout: float):
+        """Send a request on an idle connection, else a new one: return
+        it and the response, headers read.  A reused one that fails before
+        the response (the daemon closed it) is replaced once by a new one."""
+        payload = None if body is None else json.dumps(body).encode("utf-8")
+        headers = {} if body is None else {"Content-Type": "application/json"}
+        try:
+            conn = self._idle.pop()
+            conn.sock.settimeout(timeout)
+        except IndexError:
+            conn = None
+        while True:
+            reused = conn is not None
+            conn = conn or http.client.HTTPConnection(self.host, self.port,
+                                                      timeout=timeout)
+            try:
+                conn.request(method, path, body=payload, headers=headers)
+                return conn, conn.getresponse()
+            except OSError as exc:
+                conn.close()
+                if not (reused and isinstance(
+                        exc, (ConnectionResetError, BrokenPipeError))):
+                    raise self._unreachable(path, exc) from None
+            conn = None
+
+    def _unreachable(self, path: str, exc: OSError) -> ServiceError:
+        return ServiceError(f"cannot reach campaign service at "
+                            f"http://{self.host}:{self.port}{path}: {exc}")
+
+    def _release(self, conn: http.client.HTTPConnection,
+                 response: http.client.HTTPResponse) -> None:
+        """Pool ``conn`` if its response is read and it stays open."""
+        if response.isclosed() and not response.will_close:
+            self._idle.append(conn)
+        else:
+            conn.close()
+
     def _request(self, method: str, path: str,
                  body: Optional[dict] = None,
                  timeout: Optional[float] = None) -> Dict[str, object]:
-        conn = http.client.HTTPConnection(
-            self.host, self.port,
-            timeout=timeout if timeout is not None else self.timeout)
+        conn, response = self._send(
+            method, path, body, self.timeout if timeout is None else timeout)
         try:
-            payload = None
-            headers = {}
-            if body is not None:
-                payload = json.dumps(body).encode("utf-8")
-                headers["Content-Type"] = "application/json"
-            try:
-                conn.request(method, path, body=payload, headers=headers)
-                response = conn.getresponse()
-                raw = response.read()
-            except OSError as exc:
-                raise ServiceError(
-                    f"cannot reach campaign service at "
-                    f"http://{self.host}:{self.port}{path}: {exc}") from None
-            try:
-                parsed = json.loads(raw.decode("utf-8"))
-            except ValueError:
-                raise ServiceError(
-                    f"non-JSON response from {path} "
-                    f"(HTTP {response.status})") from None
-            if response.status >= 400:
-                raise ServiceError(parsed.get("error")
-                                   or f"HTTP {response.status} from {path}")
-            found = parsed.get("version")
-            if found != PROTOCOL_VERSION:
-                raise ServiceError(
-                    f"daemon speaks protocol v{found}, this client "
-                    f"v{PROTOCOL_VERSION} — upgrade one of them")
-            return parsed
+            raw = response.read()
+        except OSError as exc:
+            raise self._unreachable(path, exc) from None
         finally:
-            conn.close()
+            self._release(conn, response)
+        try:
+            parsed = json.loads(raw.decode("utf-8"))
+        except ValueError:
+            raise ServiceError(
+                f"non-JSON response from {path} "
+                f"(HTTP {response.status})") from None
+        if response.status >= 400:
+            raise ServiceError(parsed.get("error")
+                               or f"HTTP {response.status} from {path}")
+        found = parsed.get("version")
+        if found != PROTOCOL_VERSION:
+            raise ServiceError(
+                f"daemon speaks protocol v{found}, this client "
+                f"v{PROTOCOL_VERSION} — upgrade one of them")
+        return parsed
 
     # ------------------------------------------------------------------
     # API
@@ -146,19 +178,14 @@ class ServiceClient:
         """Stream the job's event log as it grows.
 
         Yields each JSONL event dict; returns after the job's terminal
-        event.  Blank keep-alive lines are swallowed.
+        event, with the body read to its end, so the connection serves
+        the next request.  One left early, or whose read fails, is
+        closed.  Blank keep-alive lines are swallowed.
         """
         job_id = validate_job_id(job_id)
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=read_timeout)
+        conn, response = self._send("GET", f"/jobs/{job_id}/watch", None,
+                                    read_timeout)
         try:
-            try:
-                conn.request("GET", f"/jobs/{job_id}/watch")
-                response = conn.getresponse()
-            except OSError as exc:
-                raise ServiceError(
-                    f"cannot reach campaign service at "
-                    f"http://{self.host}:{self.port}: {exc}") from None
             if response.status >= 400:
                 raw = response.read()
                 try:
@@ -166,16 +193,17 @@ class ServiceClient:
                 except ValueError:
                     message = f"HTTP {response.status}"
                 raise ServiceError(message or f"HTTP {response.status}")
-            while True:
-                line = response.readline()
-                if not line:
-                    return
-                event = parse_event_line(line.decode("utf-8"))
-                if event is None:
-                    continue
-                yield event
-                if event.get("event") in TERMINAL_STATES \
-                        or event.get("event") == "done":
-                    return
+            tail = b""
+            while data := response.read1():
+                *lines, tail = (tail + data).split(b"\n")
+                for line in lines:
+                    event = parse_event_line(line.decode("utf-8"))
+                    if event is None:
+                        continue
+                    if event.get("event") in TERMINAL_STATES:
+                        response.read()  # the zero chunk that ends the body
+                    yield event
+                    if response.isclosed():
+                        return
         finally:
-            conn.close()
+            self._release(conn, response)

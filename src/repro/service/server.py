@@ -39,9 +39,11 @@ Robustness model (worker loss is routine, not fatal):
   persisted trial;
 * ``/shutdown`` stops accepting submissions, then drains every job or
   cancels it (journalled ``interrupted``; trials no child holds yet are
-  withdrawn, those one holds awaited and recorded), closes the socket
-  and joins the ``service-*`` threads and the pool: no thread, socket
-  or child outlives the daemon.
+  withdrawn, those one holds awaited and recorded), closes the listening
+  socket, hangs up every kept-alive connection (its handler thread,
+  waiting for a next request, reads EOF and ends) and joins the
+  ``service-*`` threads and the pool: no thread, socket or child
+  outlives the daemon.
 
 Correctness anchor: a campaign executed through the daemon produces a
 fingerprint **byte-identical** to the same spec run offline — the same
@@ -51,8 +53,10 @@ The service tests and the ``campaign-service`` CI job assert it.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import socket
 import threading
 import time
 from dataclasses import dataclass, field
@@ -68,8 +72,8 @@ from repro.campaign.results import TrialResult
 from repro.campaign.spec import CampaignSpec, TrialSpec
 from repro.campaign.store import CampaignCache, CampaignStore
 from repro.config import resolve_worker_count
-from repro.sanitize import (make_condition, make_event, make_queue,
-                            make_rlock)
+from repro.sanitize import (make_condition, make_event, make_lock,
+                            make_queue, make_rlock)
 from repro.service.protocol import (PROTOCOL_VERSION, TERMINAL_STATES,
                                     ProtocolError, describe_states,
                                     event_line, job_status_payload,
@@ -254,6 +258,9 @@ class CampaignService:
         self._job_queue = make_queue("CampaignService.job_queue")
         self._threads: List[threading.Thread] = []
         self._httpd: Optional[ThreadingHTTPServer] = None
+        #: The connections the HTTP handlers serve; None once hung up.
+        self._connections: Optional[set] = set()
+        self._connections_lock = make_lock("CampaignService.connections")
         self._stopped = make_event()
 
     # ------------------------------------------------------------------
@@ -335,6 +342,11 @@ class CampaignService:
             self._httpd.shutdown()
             self._httpd.server_close()
             self._httpd = None  # it points back here: no cycle outlives us
+            with self._connections_lock:
+                held, self._connections = list(self._connections), None
+            for connection in held:  # its handler reads EOF and ends
+                with contextlib.suppress(OSError):
+                    connection.shutdown(socket.SHUT_RDWR)
         for thread in self._threads:
             thread.join(timeout=remaining())
         self._pool.close()
@@ -502,10 +514,27 @@ class CampaignService:
 # HTTP plumbing
 # ----------------------------------------------------------------------
 class _Handler(BaseHTTPRequestHandler):
-    """The daemon's routes; the daemon is the server's, not the class's."""
+    """The daemon's routes; the daemon is the server's, not the class's.
+    No Nagle: on a kept-alive connection it holds an answer's body, its
+    second write, back for the client's delayed ACK (≈ 40 ms)."""
 
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
     service = property(lambda handler: handler.server.service)
+
+    def __init__(self, request, client_address, server):
+        """Serve one connection (socketserver's call) the daemon holds."""
+        service = server.service
+        with service._connections_lock:
+            held = service._connections
+            if held is None:  # the daemon has hung up
+                return
+            held.add(request)
+        try:
+            super().__init__(request, client_address, server)
+        finally:
+            with service._connections_lock:
+                held.discard(request)
 
     # Silence per-request stderr lines; the daemon has /metrics.
     def log_message(self, format, *args):  # noqa: A002
@@ -608,8 +637,6 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Transfer-Encoding", "chunked")
-        # The watcher hangs up on the terminal event: expect no more.
-        self.send_header("Connection", "close")
         self.end_headers()
         index = 0
         try:
@@ -631,4 +658,4 @@ class _Handler(BaseHTTPRequestHandler):
                     break
             self.wfile.write(b"0\r\n\r\n")
         except (BrokenPipeError, ConnectionResetError):
-            pass  # watcher went away; the job does not care
+            self.close_connection = True  # the watcher went away

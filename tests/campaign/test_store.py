@@ -128,6 +128,24 @@ class TestStoreBasics:
         with pytest.raises(StoreSchemaError, match="unreadable"):
             CampaignStore(root)
 
+    def test_a_schema_it_may_not_read_is_a_schema_error(self, tmp_path,
+                                                         monkeypatch):
+        """A store another user wrote owner-only: an operator problem
+        that names the path and the fix, not a raw ``PermissionError``.
+        (``read_text`` is patched: a ``chmod 000`` does not stop root.)"""
+        root = tmp_path / "store"
+        CampaignStore(root)
+
+        def denied(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(Path, "read_text", denied)
+        with pytest.raises(StoreSchemaError) as raised:
+            CampaignStore(root)
+        message = str(raised.value)
+        assert str(root) in message and "Permission denied" in message
+        assert "chmod" in message and "REPRO_CAMPAIGN_STORE" in message
+
     def test_refuses_to_adopt_foreign_directory(self, tmp_path):
         root = tmp_path / "not-a-store"
         root.mkdir()

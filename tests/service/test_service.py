@@ -75,8 +75,16 @@ def wait(client, job_id, timeout=600.0, interval=0.1):
         time.sleep(interval)
 
 
-def assert_nothing_left_behind(svc, pool_pids):
-    """The daemon's children, threads and socket are gone."""
+def request_threads():
+    """The HTTP server's per-connection handler threads still alive."""
+    return [t.name for t in threading.enumerate()
+            if "process_request_thread" in t.name]
+
+
+def assert_nothing_left_behind(svc, pool_pids, client):
+    """The daemon's children, threads and sockets are gone: the
+    listening one, and the kept-alive connections ``client`` holds,
+    whose handler threads have ended."""
     assert pool_pids, "the daemon under test never had a pool"
     alive = {child.pid for child in multiprocessing.active_children()}
     assert not alive & set(pool_pids)
@@ -85,6 +93,14 @@ def assert_nothing_left_behind(svc, pool_pids):
                 if t.name.startswith("service-")]
     with pytest.raises(OSError):
         socket.create_connection((svc.host, svc.port), timeout=5).close()
+    deadline = time.monotonic() + 5
+    while request_threads() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not request_threads()
+    assert client._idle, "the client under test kept no connection"
+    for conn in client._idle:
+        conn.sock.settimeout(5)
+        assert conn.sock.recv(1) == b""  # EOF: the daemon hung up
 
 
 def offline_fingerprint(spec):
@@ -200,7 +216,7 @@ class TestWorkerDeath:
             assert second["state"] == "done"
             assert second["executed"] == other.num_trials
             assert second["fingerprint"] == offline_fingerprint(other)
-        assert_nothing_left_behind(svc, original_pids + rebuilt_pids)
+        assert_nothing_left_behind(svc, original_pids + rebuilt_pids, client)
 
     def test_chaos_kill_with_a_store_recovers_persisted_trials(self,
                                                                tmp_path):
@@ -496,7 +512,7 @@ class TestLifecycle:
             svc.shutdown(drain=drain, timeout=120)
             assert svc.job(job["id"]).state in (("done",) if drain
                                                 else ("done", "cancelled"))
-            assert_nothing_left_behind(svc, pids)
+            assert_nothing_left_behind(svc, pids, client)
             svc.shutdown(drain=drain, timeout=5)  # idempotent
 
     def test_no_drain_awaits_the_trial_in_flight(self, tmp_path):
@@ -591,6 +607,107 @@ class TestLifecycle:
         with pytest.raises(OSError):
             clash.start()
         assert clash._pool.pids() == []
+
+
+class TestKeptAliveConnection:
+    """A client sends every request over one kept-alive connection, and
+    the daemon answers it without waiting out Nagle's algorithm."""
+
+    @staticmethod
+    def count_accepted(monkeypatch):
+        """The connections the daemon's HTTP server accepts from now on."""
+        from repro.service.server import ThreadingHTTPServer
+        accepted = []
+        process_request = ThreadingHTTPServer.process_request
+
+        def counting(httpd, request, client_address):
+            accepted.append(client_address)
+            return process_request(httpd, request, client_address)
+
+        monkeypatch.setattr(ThreadingHTTPServer, "process_request", counting)
+        return accepted
+
+    def test_every_request_shares_one_connection(self, monkeypatch):
+        accepted = self.count_accepted(monkeypatch)
+        spec = tiny_spec()
+        with running_daemon() as (_, client):
+            client.health()
+            jobs = []
+            for _ in range(4):  # a cold job, then three warm ones
+                job = client.submit(spec)
+                events = list(client.watch(job["id"], read_timeout=120))
+                assert events[-1]["event"] == "done"
+                jobs.append(job["id"])
+            assert client.status(jobs[-1])["executed"] == 0
+            assert client.metrics()["jobs"]["done"] == 4
+        assert len(accepted) == 1
+
+    def test_a_connection_the_daemon_closed_is_retried(self, monkeypatch):
+        accepted = self.count_accepted(monkeypatch)
+        with running_daemon() as (svc, client):
+            client.health()
+            with svc._connections_lock:
+                held = list(svc._connections)
+            assert len(held) == 1
+            held[0].shutdown(socket.SHUT_RDWR)  # as a restart would
+            deadline = time.monotonic() + 5
+            while svc._connections and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not svc._connections
+            assert client.health()["ok"]
+        assert len(accepted) == 2
+
+    def test_a_half_read_watch_is_not_reused(self):
+        """A watch left after its first trial has the rest of the job's
+        stream on its connection: the next request must not read it."""
+        with running_daemon() as (_, client):
+            job = client.submit(tiny_spec(repetitions=25))
+            for event in client.watch(job["id"], read_timeout=120):
+                if event["event"] == "trial":
+                    break
+            assert client.status(job["id"])["id"] == job["id"]
+
+    def test_threads_never_share_a_connection(self, monkeypatch):
+        """Eight threads on two CPUs hammer one client, switching often:
+        a connection two threads shared would garble an answer or raise
+        ``ResponseNotReady``; every connection ends up idle again."""
+        import sys
+        accepted = self.count_accepted(monkeypatch)
+        answers, errors = [], []
+
+        def hammer(client):
+            try:
+                for _ in range(25):
+                    answers.append(client.health()["ok"])
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with running_daemon(workers=1) as (_, client):
+                threads = [threading.Thread(target=hammer, args=(client,))
+                           for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert not errors, errors
+                assert answers == [True] * 200
+                assert 1 <= len(accepted) <= 8
+                assert len(client._idle) == len(accepted)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_no_nagle_stall(self):
+        """Each answer leaves in two writes; with Nagle on, the second
+        waits out the client's delayed ACK, ≈ 44 ms a request."""
+        with running_daemon() as (_, client):
+            started = time.monotonic()
+            for _ in range(50):
+                client.health()
+            assert time.monotonic() - started < 1.0
 
 
 class TestOneFingerprint:

@@ -43,6 +43,7 @@ SOLVE = "tests/solvers/test_plan_timing.py"
 SCHEDULE = "tests/runtime/test_plan_exactness.py"
 GRID = "tests/campaign/test_grid_oracle.py"
 TRANSPARENCY = "tests/campaign/test_plan_tier.py::TestTransparency"
+KEPT_ALIVE = "tests/service/test_service.py::TestKeptAliveConnection::"
 
 MUTANTS = (
     # Table 1 is written once, in core/relations.py.  A relative 1e-3 in
@@ -142,6 +143,19 @@ MUTANTS = (
            'line = b""',
            ("tests/campaign/test_kill_durability.py::"
             "test_a_killed_writer_leaves_its_entries_and_journal_line",)),
+    # A client pools a connection only once its response is read to the
+    # end.  Pooling the one a watch's consumer left early (the watch's
+    # finally releases it) turns the next request on that client red ...
+    Mutant("half_read_watch_pooled", "service/client.py",
+           "if response.isclosed() and not response.will_close:",
+           "if not response.will_close:  # pooled half read",
+           (KEPT_ALIVE + "test_a_half_read_watch_is_not_reused",)),
+    # ... and a kept-alive connection answers without waiting out Nagle's
+    # algorithm: with it on, each answer's body waits for a delayed ACK.
+    Mutant("nagle_on", "service/server.py",
+           "disable_nagle_algorithm = True\n",
+           "disable_nagle_algorithm = False\n",
+           (KEPT_ALIVE + "test_no_nagle_stall",)),
 )
 
 
