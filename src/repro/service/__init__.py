@@ -22,11 +22,10 @@ spec run offline through ``python -m repro.campaign run``.
 """
 
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.server import CampaignService, ChaosMonkey
+from repro.service.server import CampaignService
 
 __all__ = [
     "CampaignService",
-    "ChaosMonkey",
     "ServiceClient",
     "ServiceError",
 ]

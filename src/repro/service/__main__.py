@@ -29,6 +29,7 @@ import argparse
 import json
 import signal
 import sys
+from contextlib import closing
 
 from repro.campaign.spec import add_spec_arguments, spec_from_args
 from repro.campaign.store import (StoreSchemaError, add_store_arguments,
@@ -151,11 +152,11 @@ def main_submit(argv) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    client = ServiceClient(args.url)
-    job = client.submit(spec)
-    print(f"submitted: {job['id']} ({job['total']} trials, "
-          f"spec key {job['spec_key'][:12]})")
-    return _follow(client, job["id"]) if args.watch else 0
+    with closing(ServiceClient(args.url)) as client:
+        job = client.submit(spec)
+        print(f"submitted: {job['id']} ({job['total']} trials, "
+              f"spec key {job['spec_key'][:12]})")
+        return _follow(client, job["id"]) if args.watch else 0
 
 
 def main_status(argv) -> int:
@@ -165,8 +166,9 @@ def main_status(argv) -> int:
     add_client_arguments(parser)
     parser.add_argument("job", nargs="?", default=None)
     args = parser.parse_args(argv)
-    client = ServiceClient(args.url)
-    jobs = client.jobs() if args.job is None else [client.status(args.job)]
+    with closing(ServiceClient(args.url)) as client:
+        jobs = (client.jobs() if args.job is None
+                else [client.status(args.job)])
     for status in jobs:
         _print_status(status)
     if not jobs:
@@ -183,7 +185,8 @@ def main_watch(argv) -> int:
     parser.add_argument("--raw", action="store_true",
                         help="print the JSONL lines instead of a summary")
     args = parser.parse_args(argv)
-    return _follow(ServiceClient(args.url), args.job, raw=args.raw)
+    with closing(ServiceClient(args.url)) as client:
+        return _follow(client, args.job, raw=args.raw)
 
 
 def main_cancel(argv) -> int:
@@ -193,7 +196,8 @@ def main_cancel(argv) -> int:
     add_client_arguments(parser)
     parser.add_argument("job")
     args = parser.parse_args(argv)
-    _print_status(ServiceClient(args.url).cancel(args.job))
+    with closing(ServiceClient(args.url)) as client:
+        _print_status(client.cancel(args.job))
     return 0
 
 
@@ -205,7 +209,8 @@ def main_shutdown(argv) -> int:
     parser.add_argument("--now", action="store_true",
                         help="cancel in-flight jobs instead of draining")
     args = parser.parse_args(argv)
-    response = ServiceClient(args.url).shutdown(drain=not args.now)
+    with closing(ServiceClient(args.url)) as client:
+        response = client.shutdown(drain=not args.now)
     print(f"shutting down (drain={response['drain']})")
     return 0
 
@@ -216,7 +221,8 @@ def main_metrics(argv) -> int:
         description="Print the daemon's /metrics payload as JSON.")
     add_client_arguments(parser)
     args = parser.parse_args(argv)
-    metrics = ServiceClient(args.url).metrics()
+    with closing(ServiceClient(args.url)) as client:
+        metrics = client.metrics()
     print(json.dumps(metrics, indent=2, sort_keys=True))
     return 0
 

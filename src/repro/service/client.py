@@ -7,7 +7,8 @@ host/port defaults, so a client on the daemon's machine needs no
 configuration at all.
 
 A client keeps its HTTP/1.1 connections alive for its next request: one
-used from one thread opens a single connection for its whole life.
+used from one thread opens a single connection for its whole life, and
+:meth:`ServiceClient.close` closes what it keeps.
 
     from repro.service import ServiceClient
     client = ServiceClient()
@@ -130,6 +131,12 @@ class ServiceClient:
                 f"daemon speaks protocol v{found}, this client "
                 f"v{PROTOCOL_VERSION} — upgrade one of them")
         return parsed
+
+    def close(self) -> None:
+        """Close every idle connection; a later request opens a new one."""
+        idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
     # ------------------------------------------------------------------
     # API

@@ -12,7 +12,7 @@ offline pool workers do, and the daemon holds one for its lifetime as
 its tier of completed trials.
 
 What is here is the daemon's own: HTTP, the job table, the job queue,
-cancel, the ``watch`` event log, ``/metrics`` and the chaos hook.  A job
+cancel, the ``watch`` event log and ``/metrics``.  A job
 *is* a :class:`~repro.campaign.engine.CampaignRun` — the cached/pending
 split, recording, journal and fingerprint of an offline
 ``run_campaign``.  ``submit`` opens it and serves the cached trials at
@@ -84,7 +84,6 @@ from repro.service.protocol import (PROTOCOL_VERSION, TERMINAL_STATES,
 SERVICE_HOST_ENV = "REPRO_SERVICE_HOST"
 SERVICE_PORT_ENV = "REPRO_SERVICE_PORT"
 SERVICE_URL_ENV = "REPRO_SERVICE_URL"
-SERVICE_CHAOS_ENV = "REPRO_SERVICE_CHAOS"
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8642
@@ -101,45 +100,6 @@ def default_port() -> int:
     except ValueError:
         raise ValueError(f"{SERVICE_PORT_ENV} must be an integer, "
                          f"got {raw!r}") from None
-
-
-def _die(trial: TrialSpec) -> None:
-    """What the chaos hook runs in place of a trial: the child that
-    receives it exits hard, as an OOM kill or a segfault would."""
-    os._exit(1)
-
-
-class ChaosMonkey:
-    """Deterministic worker-loss injection for tests and the CI job.
-
-    ``REPRO_SERVICE_CHAOS=kill-worker:N`` makes the pool process that
-    receives the N-th trial the daemon submits exit hard (once) —
-    exercising the broken-pool, reopen and resubmit path end to end.
-    """
-
-    def __init__(self, kill_after: int):
-        if kill_after <= 0:
-            raise ValueError(f"chaos kill-after must be positive, "
-                             f"got {kill_after}")
-        self.kill_after = kill_after
-        self._dispatched = 0
-
-    @classmethod
-    def from_env(cls) -> Optional["ChaosMonkey"]:
-        raw = os.environ.get(SERVICE_CHAOS_ENV, "").strip()
-        if not raw:
-            return None
-        kind, _, arg = raw.partition(":")
-        if kind != "kill-worker":
-            raise ValueError(f"{SERVICE_CHAOS_ENV} must look like "
-                             f"kill-worker:N, got {raw!r}")
-        return cls(int(arg))
-
-    def strikes(self) -> bool:
-        """Count one submitted trial; true for the N-th, exactly once.
-        Only the pool's one caller, the scheduler thread, counts."""
-        self._dispatched += 1
-        return self._dispatched == self.kill_after
 
 
 # ----------------------------------------------------------------------
@@ -201,12 +161,7 @@ class _Dispatch:
 class _ServicePool(ProcessPoolExecutor):
     """The daemon's pool.  Everything that reaches a child passes through
     :meth:`submit`, a resubmission after a lost worker included: that is
-    where the chaos hook strikes (a resubmission is a fresh draw) and
     where a retry becomes visible to the job's watchers."""
-
-    def __init__(self, workers: int, chaos: Optional[ChaosMonkey]):
-        super().__init__(workers)
-        self.chaos = chaos
 
     def submit(self, fn, item: _Dispatch):
         if item.attempt:  # on the scheduler thread, the only writer
@@ -216,8 +171,6 @@ class _ServicePool(ProcessPoolExecutor):
                 "attempt": item.attempt,
                 "reason": f"a pool process died with {item} in flight"})
         item.attempt += 1
-        if self.chaos is not None and self.chaos.strikes():
-            fn = _die
         return super().submit(fn, item.trial)
 
 
@@ -236,17 +189,14 @@ class CampaignService:
 
     def __init__(self, host: Optional[str] = None, port: Optional[int] = None,
                  workers: Optional[int] = None,
-                 store: Optional[CampaignStore] = None,
-                 chaos: Optional[ChaosMonkey] = None):
+                 store: Optional[CampaignStore] = None):
         self.host = host if host is not None else default_host()
         self.port = port if port is not None else default_port()
         self.workers = resolve_worker_count(workers)
         #: The daemon's trial tier; pool children unpickle their own.
         self.cache = CampaignCache(store)
         self._runner = TrialRunner(self.cache)
-        self._pool = _ServicePool(
-            self.workers,
-            chaos if chaos is not None else ChaosMonkey.from_env())
+        self._pool = _ServicePool(self.workers)
         self.started = time.time()
         self.accepting = True
         self.executed_wall = 0.0

@@ -7,6 +7,7 @@ executor ran the cold pass.
 """
 
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -352,6 +353,39 @@ class TestWarmCampaigns:
         assert healed.fingerprint() == cold.fingerprint()
         assert healed.executed == 1
         assert CampaignStore(tmp_path / "store").verify().ok
+
+    def test_a_full_disk_mid_write_leaves_no_entry_and_no_temporary(
+            self, tmp_path, monkeypatch):
+        """ENOSPC once part of an entry is in its temporary: the put
+        fails loudly and leaves neither the entry nor the torn
+        temporary, and once the disk has room again a run over the
+        store is the cold one."""
+        spec = tiny_spec()
+        store = CampaignStore(tmp_path / "store")
+        key = spec.expand()[0].store_key()
+        real_write, written = os.write, []
+
+        def full_disk(fd, data):
+            if written:  # the first write took part, the next finds no room
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            written.append(real_write(fd, data[:len(data) // 2]))
+            return written[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.campaign.store.os.write", full_disk)
+            with pytest.raises(OSError) as info:
+                store.put_trial(key, TRIAL)
+        assert info.value.errno == errno.ENOSPC
+        assert written and written[0] > 0
+        bucket = Path(store._path("trials", key)).parent
+        assert list(bucket.iterdir()) == []
+        assert not list(store.root.rglob("*.tmp"))
+        assert store.verify().ok
+        rerun = run_campaign(spec, executor=SerialExecutor(),
+                             store=CampaignStore(tmp_path / "store"))
+        assert rerun.executed == spec.num_trials
+        assert rerun.fingerprint() == \
+            run_campaign(spec, executor=SerialExecutor()).fingerprint()
 
     def test_grid_growth_only_executes_new_cells(self, tmp_path):
         store = CampaignStore(tmp_path / "store")

@@ -21,9 +21,13 @@ of them behind.
 import contextlib
 import multiprocessing
 import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -31,9 +35,14 @@ from repro.campaign.engine import run_campaign
 from repro.campaign.executors import SerialExecutor
 from repro.campaign.spec import CampaignSpec, SolverKnobs
 from repro.campaign.store import CampaignStore
-from repro.service import (CampaignService, ChaosMonkey, ServiceClient,
-                           ServiceError)
+from repro.service import CampaignService, ServiceClient, ServiceError, server
 from repro.service.protocol import ProtocolError, TERMINAL_STATES
+
+# The worker-death suite's killing mixin, shared: a daemon reopens its
+# pool with spawn, and a spawned child (which inherits this sys.path)
+# must import the struck submission's ``die`` by name.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "campaign"))
+from test_worker_death import Struck, running  # noqa: E402
 
 
 def tiny_spec(**overrides):
@@ -47,19 +56,32 @@ def tiny_spec(**overrides):
     return CampaignSpec(**defaults)
 
 
+class StruckServicePool(Struck, server._ServicePool):
+    """The daemon's pool, losing the child that receives its ``strike``-th
+    submission (a resubmission included)."""
+
+
+def struck(monkeypatch, strike):
+    """Every daemon started from now on loses the child that receives its
+    pool's ``strike``-th submission, or every one for ``strike=0``."""
+    monkeypatch.setattr(StruckServicePool, "strike", strike)
+    monkeypatch.setattr(server, "_ServicePool", StruckServicePool)
+
+
 @contextlib.contextmanager
-def running_daemon(workers=2, store=None, chaos=None):
+def running_daemon(workers=2, store=None):
     """A started daemon and a client that has seen it answer; shut down
-    (no drain) on the way out."""
+    (no drain), then the client closed, on the way out."""
     svc = CampaignService(host="127.0.0.1", port=0, workers=workers,
-                          store=store, chaos=chaos)
+                          store=store)
     svc.start()
+    client = ServiceClient(svc.url())
     try:
-        client = ServiceClient(svc.url())
         client.wait_until_up()
         yield svc, client
     finally:
         svc.shutdown(drain=False, timeout=30)
+        client.close()
 
 
 def wait(client, job_id, timeout=600.0, interval=0.1):
@@ -117,9 +139,9 @@ def service(tmp_path):
 
 @pytest.fixture()
 def client(service):
-    c = ServiceClient(service.url())
-    c.wait_until_up()
-    return c
+    with contextlib.closing(ServiceClient(service.url())) as c:
+        c.wait_until_up()
+        yield c
 
 
 class TestFingerprintInvariant:
@@ -186,13 +208,14 @@ class TestWarmResubmission:
 
 
 class TestWorkerDeath:
-    def test_chaos_kill_is_absorbed(self):
+    def test_a_struck_worker_is_absorbed(self, monkeypatch):
         """A pool process dying mid-shard must not fail the job or change
         one bit of the result: the pool reopens itself once and the
         trials in flight are resubmitted, visibly."""
         spec = tiny_spec()
         reference = offline_fingerprint(spec)
-        with running_daemon(chaos=ChaosMonkey(2)) as (svc, client):
+        struck(monkeypatch, 2)
+        with running_daemon() as (svc, client):
             original_pids = svc._pool.pids()
             status = wait(client, client.submit(spec)["id"], timeout=120)
             assert status["state"] == "done"
@@ -216,16 +239,19 @@ class TestWorkerDeath:
             assert second["state"] == "done"
             assert second["executed"] == other.num_trials
             assert second["fingerprint"] == offline_fingerprint(other)
-        assert_nothing_left_behind(svc, original_pids + rebuilt_pids, client)
+            svc.shutdown(drain=False, timeout=30)
+            assert_nothing_left_behind(svc, original_pids + rebuilt_pids,
+                                       client)
 
-    def test_chaos_kill_with_a_store_recovers_persisted_trials(self,
-                                                               tmp_path):
+    def test_a_struck_worker_with_a_store_recovers_persisted_trials(
+            self, monkeypatch, tmp_path):
         """What a lost child had persisted comes back from the store;
         nothing is executed twice into the result."""
         spec = tiny_spec()
         reference = offline_fingerprint(spec)
-        with running_daemon(store=CampaignStore(tmp_path / "store"),
-                            chaos=ChaosMonkey(3)) as (_, client):
+        struck(monkeypatch, 3)
+        with running_daemon(store=CampaignStore(tmp_path / "store")) \
+                as (_, client):
             status = wait(client, client.submit(spec)["id"], timeout=120)
             assert status["state"] == "done"
             assert status["fingerprint"] == reference
@@ -249,10 +275,9 @@ class TestWorkerDeath:
         resubmits all of it: retries count trials, not rounds (with one
         trial in flight per shard the two were the same number)."""
         from repro.campaign.executors import MAX_RESUBMITS
-        from repro.service import server
-        monkeypatch.setattr(server.ChaosMonkey, "strikes", lambda self: True)
+        struck(monkeypatch, 0)
         spec = tiny_spec()
-        with running_daemon(workers=1, chaos=ChaosMonkey(1)) as (svc, client):
+        with running_daemon(workers=1) as (svc, client):
             status = wait(client, client.submit(spec)["id"], timeout=120)
             assert status["state"] == "failed"
             assert status["error"].startswith("WorkerLost: trial 0 ")
@@ -264,21 +289,6 @@ class TestWorkerDeath:
             assert metrics["worker_deaths"] == MAX_RESUBMITS + 1
             # the pool that gave up is whole again for the next job
             assert len(svc._pool.pids()) == 1
-
-    def test_chaos_monkey_fires_exactly_once(self):
-        chaos = ChaosMonkey(3)
-        assert [chaos.strikes() for _ in range(5)] == \
-            [False, False, True, False, False]
-
-    def test_chaos_monkey_env_parsing(self, monkeypatch):
-        from repro.service.server import SERVICE_CHAOS_ENV
-        monkeypatch.delenv(SERVICE_CHAOS_ENV, raising=False)
-        assert ChaosMonkey.from_env() is None
-        monkeypatch.setenv(SERVICE_CHAOS_ENV, "kill-worker:5")
-        assert ChaosMonkey.from_env().kill_after == 5
-        monkeypatch.setenv(SERVICE_CHAOS_ENV, "set-fire-to:everything")
-        with pytest.raises(ValueError):
-            ChaosMonkey.from_env()
 
 
 class TestWatchStream:
@@ -544,7 +554,8 @@ class TestLifecycle:
             return real_fork()
 
         monkeypatch.setattr(os, "fork", spying_fork)
-        with running_daemon(chaos=ChaosMonkey(2)) as (_, client):
+        struck(monkeypatch, 2)
+        with running_daemon() as (_, client):
             status = wait(client, client.submit(tiny_spec())["id"],
                                  timeout=120)
             assert status["state"] == "done"
@@ -671,7 +682,6 @@ class TestKeptAliveConnection:
         """Eight threads on two CPUs hammer one client, switching often:
         a connection two threads shared would garble an answer or raise
         ``ResponseNotReady``; every connection ends up idle again."""
-        import sys
         accepted = self.count_accepted(monkeypatch)
         answers, errors = [], []
 
@@ -809,7 +819,6 @@ class TestDispatch:
         the scheduler's round trip — so when the job records its first
         ``trial`` event every pending trial has passed
         ``_ServicePool.submit``, exactly once."""
-        from repro.service import server
         submitted, first = [], []
         submit, emit = server._ServicePool.submit, server.Job.emit
 
@@ -869,29 +878,66 @@ class TestParentSideWork:
             assert warm["fingerprint"] == cold["fingerprint"]
 
 
-class TestServeCommand:
-    def test_sigterm_is_a_shutdown_that_reaps_the_pool(self):
-        """``kill <daemon>`` must not orphan the worker processes."""
-        import signal
-        import subprocess
-        import sys
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        daemon = subprocess.Popen(
+@contextlib.contextmanager
+def serving(*args):
+    """``python -m repro.service serve --port 0 --workers 2 *args`` as a
+    child process, once it listens: the process, its URL and its pool's
+    pids.  Killed on the way out if still running."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    with subprocess.Popen(
             [sys.executable, "-m", "repro.service", "serve", "--port", "0",
-             "--workers", "2", "--no-store"],
-            stdout=subprocess.PIPE, text=True, env=env)
+             "--workers", "2", *args],
+            stdout=subprocess.PIPE, text=True, env=env) as daemon:
         try:
-            assert "listening on" in daemon.stdout.readline()
+            listening = daemon.stdout.readline()
+            assert "listening on" in listening
             children = subprocess.run(
                 ["pgrep", "-P", str(daemon.pid)], capture_output=True,
                 text=True).stdout.split()
+            yield daemon, listening.split()[4], [int(p) for p in children]
+        finally:
+            daemon.kill()
+            daemon.wait(timeout=60)
+
+
+class TestServeCommand:
+    def test_sigterm_is_a_shutdown_that_reaps_the_pool(self):
+        """``kill <daemon>`` must not orphan the worker processes."""
+        with serving("--no-store") as (daemon, _, children):
             assert len(children) == 2
             daemon.send_signal(signal.SIGTERM)
             assert daemon.wait(timeout=60) == 0
             assert "campaign service stopped" in daemon.stdout.read()
             for pid in children:
                 with pytest.raises(ProcessLookupError):
-                    os.kill(int(pid), 0)
-        finally:
-            daemon.kill()
-            daemon.wait(timeout=60)
+                    os.kill(pid, 0)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+    def test_a_sigkilled_daemon_leaves_a_store_an_offline_run_resumes(
+            self, tmp_path):
+        """``kill -9`` of the daemon mid-job loses only what its children
+        held: every trial they persisted stays, and an offline run over
+        the store executes the rest, to the serial fingerprint."""
+        spec = tiny_spec(repetitions=25)
+        root = tmp_path / "store"
+        with serving("--store", str(root)) as (daemon, url, children):
+            with contextlib.closing(ServiceClient(url)) as client:
+                job = client.submit(spec)
+                seen = 0
+                for event in client.watch(job["id"], read_timeout=120):
+                    seen += event["event"] == "trial"
+                    if seen == 2:
+                        daemon.send_signal(signal.SIGKILL)
+                        break
+            assert daemon.wait(timeout=60) == -signal.SIGKILL
+        # The orphaned children exit on their own; none may still write.
+        deadline = time.monotonic() + 5.0
+        while (any(running(pid) for pid in children)
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        assert not [pid for pid in children if running(pid)]
+        resumed = run_campaign(spec, executor=SerialExecutor(),
+                               store=CampaignStore(root))
+        assert 0 < resumed.executed < spec.num_trials
+        assert resumed.fingerprint() == offline_fingerprint(spec)
+        assert CampaignStore(root).verify().ok

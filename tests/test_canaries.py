@@ -156,6 +156,14 @@ MUTANTS = (
            "disable_nagle_algorithm = True\n",
            "disable_nagle_algorithm = False\n",
            (KEPT_ALIVE + "test_no_nagle_stall",)),
+    # A pool that lost a child resubmits what the break took with it.  A
+    # pool that skips the resubmission turns the daemon's struck-worker
+    # test red (the job never records the lost trials).
+    Mutant("resubmission_skipped", "campaign/executors.py",
+           "items = [flights[future] for future in flights if future in broken]",
+           "items = []",
+           ("tests/service/test_service.py::TestWorkerDeath::"
+            "test_a_struck_worker_is_absorbed",)),
 )
 
 
