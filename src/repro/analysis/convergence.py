@@ -58,8 +58,6 @@ class ConvergenceRecord:
     matrix: str = ""
     faults_injected: int = 0
     faults_detected: int = 0
-    restarts: int = 0
-    rollbacks: int = 0
 
     def slowdown_vs(self, baseline: "ConvergenceRecord") -> float:
         """Relative slowdown versus a baseline record, in percent."""

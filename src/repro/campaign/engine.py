@@ -166,7 +166,7 @@ def run_trial(trial: TrialSpec, cache: CampaignCache) -> TrialResult:
     else:
         ideal_time = _ideal_time(trial.matrix, trial.knobs, cache)
         result = solve_trial(trial, cache)
-    record = result.record
+    record, stats = result.record, result.stats
     return TrialResult(
         index=trial.index, matrix=trial.matrix.label, method=trial.method,
         rate=trial.rate, repetition=trial.repetition,
@@ -175,9 +175,9 @@ def run_trial(trial: TrialSpec, cache: CampaignCache) -> TrialResult:
         final_residual=record.final_residual,
         faults_injected=record.faults_injected,
         faults_detected=record.faults_detected,
-        restarts=record.restarts, rollbacks=record.rollbacks,
-        pages_recovered=result.stats.pages_recovered,
-        pages_unrecoverable=result.stats.pages_unrecoverable,
+        restarts=stats.restarts, rollbacks=stats.rollbacks,
+        pages_recovered=stats.pages_recovered,
+        pages_unrecoverable=stats.pages_unrecoverable,
         wall_time=time.perf_counter() - started)  # repro-lint: allow[wall-clock] trial wall_time metric, reported not fingerprinted
 
 

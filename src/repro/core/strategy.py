@@ -40,7 +40,6 @@ class RecoveryStats:
     contributions_skipped: int = 0
     restarts: int = 0
     rollbacks: int = 0
-    checkpoints_written: int = 0
     recovery_work_time: float = 0.0
 
 

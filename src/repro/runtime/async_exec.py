@@ -23,10 +23,11 @@ persistent pool of OS threads, one lane per usable CPU — with
   columns, from which the backend reports real overlap (did recovery
   actually run while reductions ran?) and a measured per-state breakdown
   next to the simulated one;
-* an explicit :class:`VulnerableWindowMonitor` counting AFEIR's trade
+* an explicit :class:`VulnerableWindowMonitor` measuring AFEIR's trade
   window — the wall-clock gap between a recovery task finishing and the
-  dependent scalar starting — and the DUEs that land *after* their
-  page's recovery already ran (the paper's Section 5.4 coverage loss).
+  dependent scalar starting.  The DUEs that land *after* their page's
+  recovery already ran (the paper's Section 5.4 coverage loss) are a
+  fact of the simulated clock: the solve's ledger counts them.
 
 The simulated timeline is still produced by the shared deterministic
 scheduler (see :class:`~repro.runtime.backend.ExecutionBackend`), so a
@@ -57,7 +58,8 @@ class MonitorSummary:
 
     ``recovery_scans`` counts the recovery tasks that really executed.
     They find no lost page to report: every loss is repaired at its
-    check point before the iteration is re-enacted.
+    check point before the iteration is re-enacted.  Everything here is
+    measured on the wall clock; a solve's DUE counts are in its ledger.
     """
 
     runs: int = 0
@@ -69,10 +71,6 @@ class MonitorSummary:
     halo_overlapped_recoveries: int = 0
     windows: int = 0
     total_window: float = 0.0
-    dues_observed: int = 0
-    #: DUEs that landed after their covering recovery task had already
-    #: run — too late to be repaired before the next scalar.
-    dues_in_window: int = 0
 
     @property
     def mean_window(self) -> float:
@@ -92,8 +90,6 @@ class MonitorSummary:
             "windows": self.windows,
             "total_window": self.total_window,
             "mean_window": self.mean_window,
-            "dues_observed": self.dues_observed,
-            "dues_in_window": self.dues_in_window,
             "concurrency_observed": self.concurrency_observed,
         }
 
@@ -101,8 +97,8 @@ class MonitorSummary:
 class VulnerableWindowMonitor:
     """Thread-safe counters of AFEIR's asynchrony and its cost.
 
-    The monitor counts three kinds of evidence into one
-    :class:`MonitorSummary`:
+    The monitor counts two kinds of evidence, both measured on the wall
+    clock, into one :class:`MonitorSummary`:
 
     * **scans** — every recovery task that really executed reports in,
       proving recovery ran at all;
@@ -110,10 +106,7 @@ class VulnerableWindowMonitor:
       execution: the gap between a recovery task finishing and its
       dependent scalar starting (the vulnerable window), and whether the
       recovery interval overlapped other tasks on other threads (the
-      asynchrony the paper claims);
-    * **DUEs** — every materialised fault, and those that landed after
-      their page's recovery already ran, i.e. exactly the losses Section
-      5.4 attributes to the asynchronous schedule.
+      asynchrony the paper claims).
     """
 
     def __init__(self) -> None:
@@ -125,13 +118,6 @@ class VulnerableWindowMonitor:
         """The body of a re-enacted recovery task: count that it ran."""
         with self._lock:
             self._summary.recovery_scans += 1
-
-    def note_dues(self, observed: int, in_window: int) -> None:
-        """Count a check point's ``observed`` DUEs, ``in_window`` of them
-        too late for their scalar, under one lock acquisition."""
-        with self._lock:
-            self._summary.dues_observed += observed
-            self._summary.dues_in_window += in_window
 
     def observe(self, result: Optional[ExecutionResult],
                 pairs: Sequence[Tuple[int, int]] = ()) -> None:

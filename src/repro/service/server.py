@@ -169,7 +169,7 @@ class _ServicePool(ProcessPoolExecutor):
             item.job.emit({
                 "event": "shard-retry", "shard": 0,
                 "attempt": item.attempt,
-                "reason": f"a pool process died with {item} in flight"})
+                "reason": f"{item} resubmitted after the pool lost a worker"})
         item.attempt += 1
         return super().submit(fn, item.trial)
 

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -65,7 +65,7 @@ from repro.runtime.plan import IterationPlan, compile_plan
 from repro.runtime.scheduler import ScheduleResult
 from repro.runtime.task import TaskKind
 from repro.runtime.trace import ExecutionTrace
-from repro.solvers.cg_types import CGState, SolverConfig
+from repro.solvers.cg_types import CGState, LedgerEntry, SolverConfig
 
 #: The recovery tasks of a resilient iteration, and the check point each
 #: one covers (the point's faults enlarge that task).
@@ -119,6 +119,11 @@ class IterationTiming:
     points: Dict[str, float]
     #: The schedule timed (its ``trace`` is derived on first read).
     schedule: ScheduleResult
+
+    @cached_property
+    def entry(self) -> LedgerEntry:
+        """The one entry of every iteration this timing advances undisturbed."""
+        return LedgerEntry(self.schedule.timeline, self.makespan, 0.0, 0.0, 0)
 
 
 @dataclass

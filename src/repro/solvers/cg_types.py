@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Optional, Sequence
+from typing import Dict, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -97,24 +97,40 @@ class CGState:
     previous_d_name: str = "d1"
 
 
+class LedgerEntry(NamedTuple):
+    """Where one iteration's simulated time went: it advanced the clock
+    by ``makespan + handler_work + service``, added in that order."""
+
+    #: The schedule the clock advanced by, without its plan.
+    timeline: Timeline
+    makespan: float
+    #: Recovery work done in a signal handler (Lossy, ckpt, Trivial)
+    #: after the schedule, serialising the faulting worker.
+    handler_work: float
+    #: Page-fault service time of the iteration's detected DUEs.
+    service: float
+    #: DUEs too late for their point's scalar (AFEIR's skipped pages).
+    late: int
+
+
 @dataclass
 class SolveResult:
     """Everything produced by one resilient solve.
 
-    The simulated per-state breakdown, :attr:`trace`, is derived on first
-    read from ``timelines``, summed in iteration order: a solve nobody
-    asks it of (a campaign trial) never computes it.  A timeline
-    (:data:`~repro.runtime.scheduler.Timeline`) is the part of an
-    iteration's schedule the breakdown is summed from.  An undisturbed
-    iteration's is the fault-free one every such iteration shares, so
-    what the solve holds for the breakdown is one reference per
-    iteration plus the ``starts``/``ends`` of each iteration timed at
-    its own clock (one a fault reached or might reach, or one writing a
-    checkpoint): about 2.3 KiB each for a 50-task iteration plan.  A
-    timeline holds no plan, so the solver's plans are freed with the
-    solver however long the result is kept, and the garbage collector
-    tracks none of them.  A pickle carries the derived trace instead of
-    the timelines.
+    ``ledger`` holds one :class:`LedgerEntry` per iteration, in order;
+    ``solve_time`` is its in-order fold.  The simulated per-state
+    breakdown, :attr:`trace`, is derived on first read from each entry's
+    timeline, summed in iteration order: a solve nobody asks it of (a
+    campaign trial) never computes it.  Every undisturbed iteration
+    shares the fault-free entry, so the solve holds one reference per
+    iteration plus an entry and the ``starts``/``ends`` of each
+    iteration timed at its own clock (one a fault reached or might
+    reach, or one writing a checkpoint): about 2.3 KiB each for a
+    50-task iteration plan.  A timeline
+    (:data:`~repro.runtime.scheduler.Timeline`) holds no plan, so the
+    solver's plans are freed with the solver however long the result is
+    kept, and the garbage collector tracks no timeline.  A pickle
+    carries the derived trace instead of the ledger.
     """
 
     x: np.ndarray
@@ -122,9 +138,7 @@ class SolveResult:
     stats: RecoveryStats
     #: Workers of the simulated timeline: the breakdown's worker count.
     num_workers: int
-    #: What :attr:`trace` sums: the timeline of the schedule each
-    #: iteration advanced the clock by, in iteration order.
-    timelines: Sequence[Timeline] = ()
+    ledger: Sequence[LedgerEntry] = ()
     ideal_iteration_time: float = 0.0
     #: Measured wall-clock seconds of real graph execution: filled by
     #: every ``clock="wall"`` cell, the list scheduler's serial replay
@@ -134,7 +148,7 @@ class SolveResult:
     #: the simulated ``trace`` (``clock="wall"`` cells only).
     wall_trace: Optional[ExecutionTrace] = None
     #: Digest of the vulnerable-window monitor: recovery scans executed,
-    #: measured windows, observed real overlap, DUEs landing in-window.
+    #: measured windows and observed real overlap.
     window_summary: Optional[Dict[str, object]] = None
     #: Measured inter-rank communication of the rank-parallel engine
     #: (:class:`~repro.distributed.ranks.RankCommStats`); ``None`` for
@@ -146,16 +160,16 @@ class SolveResult:
         """Per-state accounting of the simulated timeline, summed over
         the iterations in order."""
         trace, parts = ExecutionTrace(self.num_workers), {}
-        for timeline in self.timelines:
-            part = parts.get(id(timeline))  # each shared one derived once
+        for entry in self.ledger:
+            part = parts.get(id(entry.timeline))  # each shared one derived once
             if part is None:
-                part = parts[id(timeline)] = breakdown(timeline)
+                part = parts[id(entry.timeline)] = breakdown(entry.timeline)
             trace.accumulate(part)
         return trace
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        state["trace"], state["timelines"] = self.trace, ()
+        state["trace"], state["ledger"] = self.trace, ()
         return state
 
     @property

@@ -30,8 +30,10 @@ tasks genuinely overlap the reductions, wall-clock time and per-state
 shares are measured, and the vulnerable-window monitor records the gap
 between each recovery task and its dependent scalar — while the
 simulated timeline stays authoritative for every clock-dependent
-decision, so all runtime cells agree bit-for-bit.  Within an iteration,
-faults are materialised at four check points:
+decision, so all runtime cells agree bit-for-bit.  Each iteration leaves
+one entry in the solve's ledger (its timeline, makespan, handler work,
+fault service and late DUEs), and the clock is the ledger's in-order
+fold.  Within an iteration, faults are materialised at four check points:
 
 =====  ==============================  =========================
 point  position in the iteration       covering recovery task
@@ -79,10 +81,10 @@ from repro.precond.base import Preconditioner
 from repro.runtime.cost_model import FAULT_SERVICE_TIME
 from repro.runtime.kernels import make_kernel_engine
 from repro.runtime.runtime import make_executor
-from repro.runtime.scheduler import Timeline
 from repro.solvers.cg_plan import (COVERING_TASK, LATE_WINDOWS,
                                    RECOVERY_TASKS, CGPlanner, IterationTiming)
-from repro.solvers.cg_types import CGState, SolveResult, SolverConfig
+from repro.solvers.cg_types import (CGState, LedgerEntry, SolveResult,
+                                    SolverConfig)
 
 #: Injection schedule horizon, as a multiple of the ideal solve time.
 HORIZON_FACTOR = 50.0
@@ -149,8 +151,8 @@ class _Iteration:
     ``by_point``, ``late`` or ``recovery_work``: nothing reads them."""
 
     __slots__ = ("number", "this_d", "last_d", "checkpoint", "start",
-                 "timing", "by_point", "had_faults", "late", "recovery_work",
-                 "fault_service", "restart", "rolled_back")
+                 "timing", "by_point", "had_faults", "late", "late_dues",
+                 "recovery_work", "fault_service", "restart", "rolled_back")
 
     def __init__(self, number: int, checkpoint: bool, start: float,
                  timing: IterationTiming):
@@ -177,6 +179,8 @@ class _Iteration:
         #: AFEIR pages hit too late for their scalar: contribution
         #: skipped, update deferred, repaired exactly at point D.
         self.late = {"g": set(), "d": set(), "q": set()}
+        #: The DUEs behind those pages (one page may take several).
+        self.late_dues = 0
         #: Simulated work added to each recovery task by this
         #: iteration's faults.
         self.recovery_work = dict.fromkeys(RECOVERY_TASKS, 0.0)
@@ -197,7 +201,7 @@ class _Run:
     """What one solve carries from iteration to iteration."""
 
     __slots__ = ("state", "memory", "stats", "pending", "b_norm",
-                 "history", "timelines", "clock", "rel", "true_rel",
+                 "history", "ledger", "clock", "rel", "true_rel",
                  "rho_old", "restart_next", "converged")
 
     def __init__(self, state: CGState, memory: MemoryManager,
@@ -211,9 +215,8 @@ class _Run:
         self.pending = pending
         self.b_norm = b_norm
         self.history = ResidualHistory()
-        #: The timeline of the schedule each iteration advanced the clock
-        #: by, in order: what ``SolveResult.trace`` is derived from.
-        self.timelines: List[Timeline] = []
+        #: One entry per iteration, in order: ``clock`` is its fold.
+        self.ledger: List[LedgerEntry] = []
         self.clock = 0.0
         self.rel = math.inf
         #: The true relative residual of the final iterate, once a
@@ -227,18 +230,16 @@ class _Run:
 class _Snapshot(NamedTuple):
     """A solve at the start of an iteration of its fault-free prefix."""
 
-    #: Iterations completed.
-    iteration: int
     clock: float
     rel: float
     rho_old: float
     restart_next: bool
     #: Copies of ``ResilientCG.PROTECTED``, in that order.
     vectors: Tuple[np.ndarray, ...]
-    timelines: Tuple[Timeline, ...]
+    #: One entry per iteration completed.
+    ledger: Tuple[LedgerEntry, ...]
     #: ``(iteration, time, residual)`` of each history entry.
     history: Tuple[Tuple[int, float, float], ...]
-    checkpoints_written: int
     #: ckpt's saved checkpoint (``None`` for the other methods).
     checkpoint: Optional[Dict[str, np.ndarray]]
 
@@ -275,7 +276,7 @@ class PrefixTape:
         """Whether the snapshot after ``iteration`` iterations extends
         the tape; a full tape first halves itself."""
         snapshots = self.snapshots
-        last = snapshots[-1].iteration if snapshots else 0
+        last = len(snapshots[-1].ledger) if snapshots else 0
         if iteration <= last or iteration % self.stride:
             return False
         if len(snapshots) == TAPE_LENGTH:
@@ -427,7 +428,7 @@ class ResilientCG:
         # check point to handle, no late page and nothing to repair.
         while not run.converged and iteration < cfg.max_iterations:
             if tape is not None and tape.due(iteration):
-                tape.snapshots.append(self._snapshot(run, iteration))
+                tape.snapshots.append(self._snapshot(run))
             iteration += 1
             it = self._begin_iteration(run, iteration)
             disturbed = it.had_faults
@@ -519,7 +520,6 @@ class ResilientCG:
 
             if it.checkpoint:
                 self.strategy.save(state)
-                stats.checkpoints_written += 1
 
             self._advance_clock(run, it)
             if it.restart:
@@ -542,11 +542,10 @@ class ResilientCG:
             history=run.history,
             method=self._method_name(), matrix=self.matrix_name,
             faults_injected=faults_injected,
-            faults_detected=memory.fault_count(),
-            restarts=stats.restarts, rollbacks=stats.rollbacks)
+            faults_detected=memory.fault_count())
         return SolveResult(x=np.array(x, copy=True), record=record,
                            stats=stats, num_workers=cfg.num_workers,
-                           timelines=run.timelines,
+                           ledger=run.ledger,
                            ideal_iteration_time=t_iter_ideal,
                            wall_clock=planner.wall_clock,
                            wall_trace=planner.wall_trace,
@@ -610,16 +609,15 @@ class ResilientCG:
                          else "C" if t <= at_c else "D"].append(inj)
         return it
 
-    def _snapshot(self, run: _Run, iteration: int) -> _Snapshot:
-        """The solve at the start of the iteration after ``iteration``."""
+    def _snapshot(self, run: _Run) -> _Snapshot:
+        """The solve at the start of its next iteration."""
         vectors, history = run.state.vectors, run.history
         return _Snapshot(
-            iteration, run.clock, run.rel, run.rho_old, run.restart_next,
+            run.clock, run.rel, run.rho_old, run.restart_next,
             tuple(vectors[name].array.copy() for name in self.PROTECTED),
-            tuple(run.timelines),
+            tuple(run.ledger),
             tuple(zip(history.iterations, history.times, history.residuals,
                       strict=True)),
-            run.stats.checkpoints_written,
             self.strategy.saved if self._checkpointing else None)
 
     def _resume(self, run: _Run, snapshot: _Snapshot) -> int:
@@ -631,17 +629,16 @@ class ResilientCG:
         run.clock, run.rel = snapshot.clock, snapshot.rel
         run.rho_old = snapshot.rho_old
         run.restart_next = snapshot.restart_next
-        run.timelines.extend(snapshot.timelines)
+        run.ledger.extend(snapshot.ledger)
         for entry in snapshot.history:
             run.history.append(*entry)
-        run.stats.checkpoints_written = snapshot.checkpoints_written
         if self._checkpointing:
             self.strategy.saved = snapshot.checkpoint
-        return snapshot.iteration
+        return len(snapshot.ledger)
 
     def _advance_clock(self, run: _Run, it: _Iteration) -> None:
-        """Timing pass 2: advance the clock past this iteration, charging
-        the recovery work its faults actually caused.
+        """Timing pass 2: enter the iteration in the ledger, with the
+        recovery work its faults actually caused; advance the clock by it.
 
         This is the single per-iteration choke point, so the real
         re-enactment also runs here — with the *actual* recovery
@@ -660,18 +657,19 @@ class ResilientCG:
             planner.reenact(it.number, it.checkpoint, run.state, it.this_d,
                             durations)
         if not disturbed:
-            run.timelines.append(it.timing.schedule.timeline)
-            run.clock = it.start + it.timing.makespan
+            entry = it.timing.entry
         elif durations is not None:
             sched = planner.retime(it.start, it.checkpoint, durations)
-            run.timelines.append(sched.timeline)
-            run.clock = it.start + sched.makespan + it.fault_service
+            entry = LedgerEntry(sched.timeline, sched.makespan, 0.0,
+                                it.fault_service, it.late_dues)
         else:
             # Signal-handler methods (Lossy/ckpt/Trivial): the recovery work
             # is done in the handler, serialising the faulting worker.
-            run.timelines.append(it.timing.schedule.timeline)
-            run.clock = (it.start + it.timing.makespan
-                         + sum(it.recovery_work.values()) + it.fault_service)
+            entry = LedgerEntry(it.timing.schedule.timeline, it.timing.makespan,
+                                sum(it.recovery_work.values()), it.fault_service,
+                                it.late_dues)
+        run.ledger.append(entry)
+        run.clock = it.start + entry.makespan + entry.handler_work + entry.service
 
     def _close_iteration(self, run: _Run, it: _Iteration,
                          rel: Optional[float] = None) -> None:
@@ -761,8 +759,7 @@ class ResilientCG:
                 it.late["d" if vector == this_d else vector].add(page)
             else:
                 in_time.append((vector, page))
-        self.planner.monitor.note_dues(len(injections),
-                                       len(injections) - len(in_time))
+        it.late_dues += len(injections) - len(in_time)
 
         if not in_time:
             return PointOutcome(service=service)

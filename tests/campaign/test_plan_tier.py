@@ -156,8 +156,9 @@ def bits(result):
     return (result.x.tobytes(), record.iterations, record.converged,
             record.solve_time.hex(), record.final_residual.hex(),
             record.faults_injected, record.faults_detected,
-            record.restarts, record.rollbacks,
             dataclasses.astuple(result.stats),
+            [(entry.timeline, entry.makespan.hex(), entry.handler_work.hex(),
+              entry.service.hex(), entry.late) for entry in result.ledger],
             result.ideal_iteration_time.hex(),
             {state: value.hex() for state, value
              in sorted(vars(breakdown).items())
@@ -272,8 +273,8 @@ class TestTransparency:
         assert late.record.faults_detected == 0 and resumes == []
         [tape] = cache.tapes[tape_key(base)].values()
         snapshots = list(tape.snapshots)
-        assert [s.iteration for s in snapshots] == list(range(8, 57, 8))
-        step = snapshots[0].clock / snapshots[0].iteration
+        assert [len(s.ledger) for s in snapshots] == list(range(8, 57, 8))
+        step = snapshots[0].clock / len(snapshots[0].ledger)
         solve_with_a_due_at(0.5 * step, cache)
         assert resumes == []
         solve_with_a_due_at(snapshots[2].clock + 3.5 * step, cache)
@@ -287,7 +288,7 @@ class TestTransparency:
         fresh = CampaignCache()
         solve_with_a_due_at(3.5 * step, fresh)
         [tape] = fresh.tapes[tape_key(base)].values()
-        assert [s.iteration for s in tape.snapshots] == [1, 2, 3]
+        assert [len(s.ledger) for s in tape.snapshots] == [1, 2, 3]
         resumed = len(resumes)
         solve_with_a_due_at(0.5 * step, fresh)
         assert len(resumes) == resumed
@@ -340,7 +341,7 @@ class TestPrefixTape:
             assert cg.solve().record.iterations == 114
         [tape] = tapes.values()
         assert TAPE_LENGTH == 8 and tape.stride == 16
-        assert [s.iteration for s in tape.snapshots] == list(
+        assert [len(s.ledger) for s in tape.snapshots] == list(
             range(16, 113, 16))
 
     def test_a_cache_keeps_the_most_recently_used_tape_keys(self):

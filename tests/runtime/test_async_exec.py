@@ -402,7 +402,7 @@ class TestHandOff:
 
 
 class TestVulnerableWindowMonitor:
-    def test_records_windows_and_dues(self):
+    def test_records_windows_and_nothing_of_the_simulated_clock(self):
         monitor = VulnerableWindowMonitor()
         plan, _ = compiled([("r2_1", 0.0, None, {}),
                             ("beta1", 0.0, None, {})])
@@ -411,13 +411,11 @@ class TestVulnerableWindowMonitor:
                                         [0, 0]), [(0, 1)])
         monitor.observe(ExecutionResult(plan, [0.0, 2.0], [2.0, 2.1],
                                         [0, 0]), [(0, 1)])
-        monitor.note_dues(2, 1)
-        monitor.note_dues(0, 0)
         summary = monitor.summary()
         assert summary["windows"] == 1
         assert summary["total_window"] == pytest.approx(0.5)
-        assert summary["dues_observed"] == 2
-        assert summary["dues_in_window"] == 1
+        # DUE counts are the solve ledger's, not a wall-side measurement
+        assert not any("due" in key for key in summary)
 
     def test_observe_measures_pairs_and_overlap(self):
         monitor = VulnerableWindowMonitor()
@@ -452,15 +450,20 @@ class TestVulnerableWindowMonitor:
         summary = monitor.summary()
         assert summary["recovery_scans"] == 400
 
-    def test_thread_safe_due_counting(self):
+    def test_thread_safe_observation(self):
         monitor = VulnerableWindowMonitor()
+        plan, _ = compiled([("r2_1", 0.0, None, {}),
+                            ("beta1", 0.0, None, {})])
+        result = ExecutionResult(plan, [0.0, 1.5], [1.0, 1.6], [0, 0])
         threads = [threading.Thread(
-            target=lambda: [monitor.note_dues(3, 1) for _ in range(100)])
+            target=lambda: [monitor.observe(result, [(0, 1)])
+                            for _ in range(100)])
             for _ in range(4)]
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=30)
+            assert not t.is_alive()
         summary = monitor.summary()
-        assert summary["dues_observed"] == 1200
-        assert summary["dues_in_window"] == 400
+        assert summary["runs"] == summary["windows"] == 400
+        assert summary["total_window"] == pytest.approx(200.0)

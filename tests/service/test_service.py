@@ -225,7 +225,8 @@ class TestWorkerDeath:
                        if e["event"] == "shard-retry"]
             assert len(retries) == status["shard_retries"]
             assert {e["attempt"] for e in retries} == {1}
-            assert all("trial " in e["reason"] for e in retries)
+            assert all(e["reason"].startswith("trial ") and e["reason"].endswith(
+                " resubmitted after the pool lost a worker") for e in retries)
             metrics = client.metrics()
             assert metrics["worker_deaths"] == 1  # one break, counted once
             assert metrics["shard_retries"] == status["shard_retries"]

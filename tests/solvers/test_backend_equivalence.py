@@ -147,17 +147,28 @@ class TestFaultedEquivalence:
         assert sim.stats.restarts == real.stats.restarts
         assert sim.stats.rollbacks == real.stats.rollbacks
 
-    def test_due_monitoring_is_backend_independent(self, problem):
+    def test_the_ledger_is_backend_independent(self, problem):
+        """Every entry — its timeline, makespan, handler work, fault
+        service and late DUEs — is a fact of the simulated clock, so the
+        list/simulated, threaded/wall and threaded-ranks/wall cells hold
+        the same ledger."""
         ideal = solve(problem, None, "simulated")
-        scenario = multi_error_scenario(self.INJECTIONS)
-        sim = solve(problem, "AFEIR", "simulated", scenario=scenario,
-                    ideal_time=ideal.solve_time)
-        real = solve(problem, "AFEIR", "threaded", scenario=scenario,
-                     ideal_time=ideal.solve_time)
-        assert sim.window_summary["dues_observed"] == \
-            real.window_summary["dues_observed"]
-        assert sim.window_summary["dues_in_window"] == \
-            real.window_summary["dues_in_window"]
+        # In iteration 3, after r1 started and before point C: too late
+        # for the alpha reduction.
+        late = Injection(time=0.0013885, vector="q", page=2)
+        scenario = multi_error_scenario([late, *self.INJECTIONS])
+        ledgers = [[(entry.timeline, entry.makespan.hex(),
+                     entry.handler_work.hex(), entry.service.hex(),
+                     entry.late) for entry in solve(
+                         problem, "AFEIR", backend, scenario=scenario,
+                         ideal_time=ideal.solve_time, **cell).ledger]
+                   for backend, cell in (("simulated", {}), ("threaded", {}),
+                                         ("threaded", dict(placement="ranks",
+                                                           ranks=2)))]
+        assert ledgers[0] == ledgers[1] == ledgers[2]
+        serviced = [entry for entry in ledgers[0] if entry[3] != "0x0.0p+0"]
+        assert len(serviced) > 1  # the injections reached the ledger
+        assert [entry[-1] for entry in serviced].count(1) == 1  # one late
 
 
 class TestCampaignFingerprints:

@@ -103,14 +103,15 @@ def test_relations_hold_after_the_deferred_repair(times, lost, window):
 def test_each_late_page_is_skipped_once(times):
     """A late DUE removes its page from one reduction (rho for ``g``, the
     ``<d, q>`` dot for ``d``/``q``), so ``contributions_skipped`` counts it
-    once: it equals the monitor's ``dues_in_window`` when no in-time
-    loss is unrecoverable."""
+    once: it equals the late DUEs of the ledger when no in-time loss is
+    unrecoverable."""
     at_a = 0.5 * (times["r2"] + times["A"])
     at_c = 0.5 * (times["r1"] + times["C"])
     solver = solve([Injection(time=at_a, vector="g", page=2),
                     Injection(time=at_c, vector="d0", page=5),
                     Injection(time=at_c, vector="q", page=9)])
-    stats, summary = solver.result.stats, solver.result.window_summary
-    assert summary["dues_in_window"] == 3
+    stats, ledger = solver.result.stats, solver.result.ledger
+    assert {number: entry.late for number, entry in enumerate(ledger, 1)
+            if entry.late} == {ITERATION: 3}
     assert stats.pages_unrecoverable == 0
-    assert stats.contributions_skipped == summary["dues_in_window"]
+    assert stats.contributions_skipped == sum(entry.late for entry in ledger)

@@ -64,10 +64,10 @@ def test_history_off_records_only_the_initial_entry(method, seed):
     on = solve(method, seed, record_history=True)
     assert off.x.tobytes() == on.x.tobytes()
     assert (off.record.iterations, off.record.solve_time,
-            off.record.final_residual, off.record.restarts,
+            off.record.final_residual, off.stats.restarts,
             off.stats.pages_recovered) == \
         (on.record.iterations, on.record.solve_time,
-         on.record.final_residual, on.record.restarts,
+         on.record.final_residual, on.stats.restarts,
          on.stats.pages_recovered)
 
 

@@ -9,6 +9,8 @@ from repro.faults.scenarios import (ErrorScenario, multi_error_scenario,
                                     single_error_scenario)
 from repro.matrices.laplacian import laplacian_2d
 from repro.matrices.stencil import stencil_rhs
+from repro.memory.manager import MemoryManager
+from repro.runtime.cost_model import FAULT_SERVICE_TIME
 from repro.solvers.resilient_cg import ResilientCG, SolverConfig
 
 
@@ -62,14 +64,14 @@ class TestSingleError:
 
     def test_lossy_restart_needs_more_iterations(self, results, ideal):
         assert results["Lossy"].record.iterations > ideal.record.iterations
-        assert results["Lossy"].record.restarts >= 1
+        assert results["Lossy"].stats.restarts >= 1
 
     def test_trivial_is_worst_in_iterations(self, results):
         assert results["Trivial"].record.iterations >= \
             results["Lossy"].record.iterations
 
     def test_checkpoint_rolls_back(self, results, ideal):
-        assert results["ckpt"].record.rollbacks >= 1
+        assert results["ckpt"].stats.rollbacks >= 1
         assert results["ckpt"].record.iterations >= ideal.record.iterations
 
     def test_exact_methods_are_fastest(self, results):
@@ -169,12 +171,21 @@ class TestRateBasedInjection:
 
     @pytest.mark.parametrize("method", ["FEIR", "AFEIR", "Lossy", "Trivial",
                                         "ckpt"])
-    def test_every_detected_due_is_counted_once(self, problem, ideal, method):
-        """The memory manager counts each DUE its check point detects,
-        exactly as the vulnerable-window monitor observes it, and never
-        more than were injected."""
+    def test_every_detected_due_is_counted_once(self, problem, ideal, method,
+                                                monkeypatch):
+        """The memory manager counts each DUE its check points hand it,
+        never more than were injected, and the ledger charges each one
+        page-fault service time once (AFEIR's late ones among them)."""
+        handed = []
+        detect = MemoryManager.detect_batch
+        monkeypatch.setattr(MemoryManager, "detect_batch", lambda self, batch: (
+            handed.append(len(batch)), detect(self, batch)))
         res = run(problem, method, ErrorScenario(normalized_rate=10.0, seed=5),
                   ideal, max_iterations=3000)
         detected = res.record.faults_detected
         assert 0 < detected <= res.record.faults_injected
-        assert detected == res.window_summary["dues_observed"]
+        assert detected == sum(handed)
+        assert sum(entry.service for entry in res.ledger) == \
+            pytest.approx(detected * FAULT_SERVICE_TIME, rel=1e-12)
+        late = sum(entry.late for entry in res.ledger)
+        assert (late > 0) if method == "AFEIR" else (late == 0)

@@ -1,10 +1,10 @@
 """A solve's per-state breakdown is derived on first read.
 
-``SolveResult.trace`` sums the timelines of the schedules the solve
-made, in iteration order, when someone reads it: a campaign trial never
-does, so it never pays for it.  These tests count the derivations, pin
-the derived breakdown to the solve oracle, and check what the solve
-holds for it.
+``SolveResult.trace`` sums the timelines of the solve's ledger, one
+entry per iteration, in iteration order, when someone reads it: a
+campaign trial never does, so it never pays for it.  These tests count
+the derivations, pin the derived breakdown to the solve oracle, and
+check what the solve holds for it.
 """
 
 import gc
@@ -96,7 +96,7 @@ def test_a_campaign_trial_derives_no_breakdown(derivations):
     ids=lambda c: f"{c['method']}-rate{c['rate']:g}")
 def test_a_solve_derives_its_breakdown_once_on_read(case, derivations):
     """Nothing is derived until ``trace`` is read, then each timeline the
-    solve holds once; the sum is the solve oracle's, bit for bit (the
+    ledger holds once; the sum is the solve oracle's, bit for bit (the
     oracle's whole-solve test reads it the same way, uncounted)."""
     result = generator.solve(case["method"], case["rate"], case["seed"],
                              case["preconditioned"],
@@ -105,7 +105,7 @@ def test_a_solve_derives_its_breakdown_once_on_read(case, derivations):
     trace = result.trace
     assert derivations.count("SolveResult") == 1
     assert derivations.count("Timeline") == \
-        len({id(t) for t in result.timelines})
+        len({id(entry.timeline) for entry in result.ledger})
     assert result.trace is trace and derivations.count("SolveResult") == 1
     if (generator.numerics_stack() == ORACLE["stack"]
             and generator.blas_threads() == generator.RECORDED_BLAS_THREADS):
@@ -121,36 +121,40 @@ def test_a_pickled_result_round_trips_its_trace(read_first, ideal_time):
         result.trace
     clone = pickle.loads(pickle.dumps(result))
     assert trace_bits(clone.trace) == trace_bits(result.trace)
-    assert clone.timelines == ()  # the derived trace travels, not its parts
+    assert clone.ledger == ()  # the derived trace travels, not its parts
     assert clone.x.tobytes() == result.x.tobytes()
 
 
-def test_undisturbed_iterations_share_one_timeline(ideal_time):
-    """What the solve holds for its breakdown: one timeline reference per
-    iteration; the fault-free ones are one shared timeline, so a
-    disturbed iteration is the only one that keeps a timeline of its
-    own."""
+def test_undisturbed_iterations_share_one_entry(ideal_time):
+    """What the solve holds: one ledger reference per iteration; the
+    fault-free ones are one shared entry, so a disturbed iteration is
+    the only one that keeps an entry, and a timeline, of its own."""
     clean = generator.solve(None)
-    assert len(clean.timelines) == clean.record.iterations
-    assert len({id(t) for t in clean.timelines}) == 1
+    assert len(clean.ledger) == clean.record.iterations
+    assert len({id(entry) for entry in clean.ledger}) == 1
+    assert clean.ledger[0][1:] == (clean.ledger[0].makespan, 0.0, 0.0, 0)
 
     faulted = generator.solve("FEIR", 5.0, 11, ideal_time=ideal_time)
     assert faulted.record.faults_detected > 0
-    assert len(faulted.timelines) == faulted.record.iterations
-    shared = max(set(map(id, faulted.timelines)),
-                 key=[id(t) for t in faulted.timelines].count)
-    own = [t for t in faulted.timelines if id(t) != shared]
+    assert len(faulted.ledger) == faulted.record.iterations
+    ids = [id(entry) for entry in faulted.ledger]
+    shared = max(set(ids), key=ids.count)
+    own = [entry for entry in faulted.ledger if id(entry) != shared]
     assert 0 < len(own) < faulted.record.iterations
-    assert len({id(t) for t in own}) == len(own)  # none held twice
+    assert len({id(entry) for entry in own}) == len(own)  # none held twice
+    assert len({id(entry.timeline) for entry in own}) == len(own)
+    assert all(entry.service > 0.0 for entry in own)
 
 
-def test_the_held_timelines_keep_no_plan_alive(ideal_time):
+def test_the_held_entries_keep_no_plan_alive(ideal_time):
     """A timeline is a plain tuple of numbers: once the collector has
-    looked at them it tracks none of them, so a kept result holds no
-    reference to its solver's plans and adds nothing to a full
-    collection's work."""
+    looked at them it tracks none of them, and an entry holds nothing
+    else but numbers, so a kept result holds no reference to its
+    solver's plans and adds one small object per disturbed iteration to
+    a full collection's work."""
     faulted = generator.solve("AFEIR", 20.0, 11, ideal_time=ideal_time)
-    assert len({id(t) for t in faulted.timelines}) > 1
+    assert len({id(entry.timeline) for entry in faulted.ledger}) > 1
     gc.collect()  # a tuple is untracked once its items are: one pass
     gc.collect()  # per level of nesting, whatever order the list is in
-    assert not any(gc.is_tracked(t) for t in faulted.timelines)
+    assert not any(gc.is_tracked(item) for entry in faulted.ledger
+                   for item in entry)

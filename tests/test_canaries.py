@@ -42,6 +42,7 @@ EXACTNESS = "tests/core/test_exactness_rule.py"
 SOLVE = "tests/solvers/test_plan_timing.py"
 SCHEDULE = "tests/runtime/test_plan_exactness.py"
 GRID = "tests/campaign/test_grid_oracle.py"
+LEDGER = "tests/solvers/test_ledger.py"
 TRANSPARENCY = "tests/campaign/test_plan_tier.py::TestTransparency"
 KEPT_ALIVE = "tests/service/test_service.py::TestKeptAliveConnection::"
 
@@ -92,19 +93,30 @@ MUTANTS = (
     # A solve's breakdown sums in iteration order; reversed, the solve
     # oracle goes red.
     Mutant("breakdown_in_reversed_iterations", "solvers/cg_types.py",
-           "for timeline in self.timelines:",
-           "for timeline in reversed(self.timelines):", (SOLVE,)),
+           "for entry in self.ledger:",
+           "for entry in reversed(self.ledger):", (SOLVE,)),
     # An iteration no injection reaches skips the fault machinery and
-    # steps the clock by the shared fault-free timing.  Dropping that
-    # branch's timeline turns the solve and grid oracles red ...
+    # steps the clock by the shared fault-free ledger entry.  Leaving
+    # that entry out of the ledger turns the solve and grid oracles red,
+    # and the clock no longer folds from the ledger ...
     Mutant("undisturbed_timeline_dropped", "solvers/resilient_cg.py",
-           "if not disturbed:\n"
-           "            run.timelines.append(it.timing.schedule.timeline)\n",
-           "if not disturbed:\n            pass  # timeline dropped\n", (SOLVE, GRID)),
-    # ... and so does lengthening its clock step by a relative 2**-52.
-    Mutant("undisturbed_clock_lengthened", "solvers/resilient_cg.py",
-           "run.clock = it.start + it.timing.makespan\n",
-           "run.clock = it.start + it.timing.makespan * (1 + 2**-52)\n", (SOLVE, GRID)),
+           "        run.ledger.append(entry)\n",
+           "        if disturbed:  # undisturbed entry dropped\n"
+           "            run.ledger.append(entry)\n", (SOLVE, GRID, LEDGER)),
+    # ... and lengthening its clock step by a relative 2**-52 turns the
+    # solve and grid oracles red.
+    Mutant("undisturbed_clock_lengthened", "solvers/cg_plan.py",
+           "LedgerEntry(self.schedule.timeline, self.makespan, 0.0, 0.0, 0)",
+           "LedgerEntry(self.schedule.timeline, self.makespan * (1 + 2**-52),"
+           " 0.0, 0.0, 0)", (SOLVE, GRID)),
+    # A disturbed FEIR/AFEIR iteration charges its DUEs' page-fault
+    # service after the re-timed schedule.  An entry built with service
+    # 0.0 turns the solve and grid oracles red.
+    Mutant("fault_service_dropped", "solvers/resilient_cg.py",
+           "entry = LedgerEntry(sched.timeline, sched.makespan, 0.0,\n"
+           "                                it.fault_service,",
+           "entry = LedgerEntry(sched.timeline, sched.makespan, 0.0,\n"
+           "                                0.0,", (SOLVE, GRID)),
     # A campaign trial resumes from the latest prefix-tape snapshot
     # before its first injection.  Resuming from the first one at or
     # after it turns transparency and the grid oracle red ...
