@@ -52,6 +52,10 @@ from repro.runtime.kernels import (KernelEngine, page_partials,
                                    reduce_partials)
 from repro.sanitize import make_lock, make_queue
 
+#: Seconds a collective, a message or a closing rank thread is waited
+#: for before the rank runtime gives up with a :class:`RankError`.
+RANK_TIMEOUT = 60.0
+
 
 @dataclass
 class RankCommStats:
@@ -143,15 +147,13 @@ class RankKernelEngine(KernelEngine):
 
     name = "ranks"
 
-    def __init__(self, blocked: PageBlockedMatrix, ranks: int,
-                 timeout: float = 60.0):
+    def __init__(self, blocked: PageBlockedMatrix, ranks: int):
         if ranks < 1:
             raise ValueError(f"ranks must be >= 1, got {ranks}")
         self.blocked = blocked
         self.n = blocked.n
         self.page_size = blocked.page_size
         self.ranks = int(ranks)
-        self.timeout = float(timeout)
         self.partition = StripPartition(blocked.A, self.ranks,
                                         align=self.page_size)
         self.stats = RankCommStats(ranks=self.ranks)
@@ -236,7 +238,7 @@ class RankKernelEngine(KernelEngine):
                 self._states[r].inbox.put((op, seq, payload))
             replies: Dict[int, object] = {}
             failure: Optional[BaseException] = None
-            deadline = perf_counter() + self.timeout  # repro-lint: allow[wall-clock] collective timeout deadline, never fingerprinted
+            deadline = perf_counter() + RANK_TIMEOUT  # repro-lint: allow[wall-clock] collective timeout deadline, never fingerprinted
             while len(replies) < len(ranks):
                 remaining = deadline - perf_counter()  # repro-lint: allow[wall-clock] collective timeout deadline, never fingerprinted
                 try:
@@ -244,7 +246,7 @@ class RankKernelEngine(KernelEngine):
                         timeout=max(remaining, 1e-3))
                 except queue.Empty:
                     raise RankError(
-                        f"rank runtime timed out after {self.timeout}s "
+                        f"rank runtime timed out after {RANK_TIMEOUT}s "
                         f"waiting for op {op!r} (ranks {ranks})") from None
                 if exc is not None and failure is None:
                     failure = exc
@@ -376,7 +378,7 @@ class RankKernelEngine(KernelEngine):
         for st in self._states:
             st.inbox.put(None)
         for t in self._threads:
-            t.join(timeout=self.timeout)
+            t.join(timeout=RANK_TIMEOUT)
 
     def __enter__(self) -> "RankKernelEngine":
         return self
@@ -425,11 +427,11 @@ class RankKernelEngine(KernelEngine):
 
     def _recv(self, src: int, dst: int):
         try:
-            return self._chan[(src, dst)].get(timeout=self.timeout)
+            return self._chan[(src, dst)].get(timeout=RANK_TIMEOUT)
         except queue.Empty:
             raise RankError(
                 f"rank {dst} timed out waiting for a message from rank "
-                f"{src} after {self.timeout}s") from None
+                f"{src} after {RANK_TIMEOUT}s") from None
 
     def _halo_local(self, rank: int, d: np.ndarray):
         """One rank's leg of the halo exchange of ``d``: send owned

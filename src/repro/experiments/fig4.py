@@ -23,35 +23,24 @@ the trials out over a process pool with identical statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import format_table
 from repro.campaign.engine import run_campaign
 from repro.campaign.executors import CampaignExecutor
-from repro.campaign.results import CampaignResult, TrialResult
+from repro.campaign.results import CampaignResult, CellStats
 from repro.campaign.spec import CampaignSpec
 from repro.experiments.common import ExperimentConfig
 from repro.faults.scenarios import PAPER_ERROR_RATES
 
 
 @dataclass
-class Fig4Cell:
-    """One (matrix, method, rate) aggregate."""
-
-    matrix: str
-    method: str
-    rate: float
-    mean_slowdown: float
-    std_slowdown: float
-    runs: List[TrialResult] = field(default_factory=list)
-
-
-@dataclass
 class Fig4Result:
     """Full sweep plus per-method/rate summary (the "CG mean" columns)."""
 
-    cells: List[Fig4Cell]
+    #: The campaign's (matrix, method, rate) aggregates, in trial order.
+    cells: List[CellStats]
     summary: Dict[Tuple[str, float], float]
     config: ExperimentConfig
     campaign: CampaignResult
@@ -88,19 +77,8 @@ def run_fig4(config: Optional[ExperimentConfig] = None,
     spec = campaign_spec(config, rates=rates, matrices=matrices,
                          methods=methods)
     campaign = run_campaign(spec, executor=executor, store=store)
-
-    grouped: Dict[Tuple[str, str, float], List[TrialResult]] = {}
-    for trial in campaign.sorted_trials():
-        grouped.setdefault((trial.matrix, trial.method, trial.rate),
-                           []).append(trial)
-    cells = [Fig4Cell(matrix=matrix, method=method, rate=rate,
-                      mean_slowdown=campaign.cell(matrix, method,
-                                                  rate).mean_slowdown,
-                      std_slowdown=campaign.cell(matrix, method,
-                                                 rate).std_slowdown,
-                      runs=members)
-             for (matrix, method, rate), members in grouped.items()]
-    return Fig4Result(cells=cells, summary=campaign.summary(), config=config,
+    return Fig4Result(cells=list(campaign.cells().values()),
+                      summary=campaign.summary(), config=config,
                       campaign=campaign)
 
 

@@ -229,7 +229,7 @@ def run_fig5_measured(ranks: Sequence[int] = (1, 2, 4),
     composition made expressible — ``scheduler="threaded"``,
     ``placement="ranks"``, ``clock="wall"`` — so each iteration is
     additionally re-enacted on real threads with the halo exchange
-    spliced in, and the vulnerable-window monitor measures whether the
+    spliced in, and the solve's measured side tells whether the
     recovery scan's wall interval overlapped the halo exchange on the
     owning rank (AFEIR: yes; FEIR: structurally never).
     """

@@ -20,14 +20,11 @@ persistent pool of OS threads, one lane per usable CPU — with
   solver's task actions are read-only, so the backends stay
   bitwise-equal);
 * measured wall-clock intervals per task, written into plan-order
-  columns, from which the backend reports real overlap (did recovery
-  actually run while reductions ran?) and a measured per-state breakdown
-  next to the simulated one;
-* an explicit :class:`VulnerableWindowMonitor` measuring AFEIR's trade
-  window — the wall-clock gap between a recovery task finishing and the
-  dependent scalar starting.  The DUEs that land *after* their page's
-  recovery already ran (the paper's Section 5.4 coverage loss) are a
-  fact of the simulated clock: the solve's ledger counts them.
+  columns of an :class:`~repro.runtime.backend.ExecutionResult`, from
+  which a solve's :class:`~repro.runtime.backend.ExecutionFold` reads
+  real overlap (did recovery actually run while reductions ran?),
+  AFEIR's vulnerable windows and a measured per-state breakdown next to
+  the simulated one.
 
 The simulated timeline is still produced by the shared deterministic
 scheduler (see :class:`~repro.runtime.backend.ExecutionBackend`), so a
@@ -41,8 +38,7 @@ from __future__ import annotations
 import heapq
 import threading
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.config import resolve_worker_count, usable_cpus
 from repro.runtime.backend import ExecutionBackend, ExecutionResult
@@ -50,101 +46,6 @@ from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.runtime.plan import IterationPlan
 from repro.sanitize import (make_condition, make_lock,
                             record_task_accesses, sanitizer_enabled)
-
-
-@dataclass
-class MonitorSummary:
-    """Picklable digest of one solve's monitor observations.
-
-    ``recovery_scans`` counts the recovery tasks that really executed.
-    They find no lost page to report: every loss is repaired at its
-    check point before the iteration is re-enacted.  Everything here is
-    measured on the wall clock; a solve's DUE counts are in its ledger.
-    """
-
-    runs: int = 0
-    recovery_scans: int = 0
-    overlapped_recoveries: int = 0
-    #: Recovery tasks whose measured interval overlapped the re-enacted
-    #: halo exchange of the ranks placement (0 without a halo task, and
-    #: structurally 0 for FEIR, whose recovery barriers the reduction).
-    halo_overlapped_recoveries: int = 0
-    windows: int = 0
-    total_window: float = 0.0
-
-    @property
-    def mean_window(self) -> float:
-        return self.total_window / self.windows if self.windows else 0.0
-
-    @property
-    def concurrency_observed(self) -> bool:
-        """True when recovery measurably ran while other tasks ran."""
-        return self.overlapped_recoveries > 0
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "runs": self.runs,
-            "recovery_scans": self.recovery_scans,
-            "overlapped_recoveries": self.overlapped_recoveries,
-            "halo_overlapped_recoveries": self.halo_overlapped_recoveries,
-            "windows": self.windows,
-            "total_window": self.total_window,
-            "mean_window": self.mean_window,
-            "concurrency_observed": self.concurrency_observed,
-        }
-
-
-class VulnerableWindowMonitor:
-    """Thread-safe counters of AFEIR's asynchrony and its cost.
-
-    The monitor counts two kinds of evidence, both measured on the wall
-    clock, into one :class:`MonitorSummary`:
-
-    * **scans** — every recovery task that really executed reports in,
-      proving recovery ran at all;
-    * **windows / overlaps** — from the measured wall intervals of a real
-      execution: the gap between a recovery task finishing and its
-      dependent scalar starting (the vulnerable window), and whether the
-      recovery interval overlapped other tasks on other threads (the
-      asynchrony the paper claims).
-    """
-
-    def __init__(self) -> None:
-        self._lock = make_lock("VulnerableWindowMonitor.lock")
-        self._summary = MonitorSummary()
-
-    # -- recording (called from worker threads and the solver) ----------
-    def record_scan(self) -> None:
-        """The body of a re-enacted recovery task: count that it ran."""
-        with self._lock:
-            self._summary.recovery_scans += 1
-
-    def observe(self, result: Optional[ExecutionResult],
-                pairs: Sequence[Tuple[int, int]] = ()) -> None:
-        """Digest one real execution: overlap counts plus the measured
-        window of every ``(recovery index, scalar index)`` pair of plan
-        indices.  ``None`` counts a run whose wall side is not an output
-        (the simulated clock)."""
-        overlaps = halo_overlaps = 0
-        windows: List[float] = []
-        if result is not None:
-            overlaps = result.recovery_overlaps()
-            halo_overlaps = result.recovery_halo_overlaps()
-            windows = [result.starts[scalar] - result.ends[recovery]
-                       for recovery, scalar in pairs]
-        with self._lock:
-            summary = self._summary
-            summary.runs += 1
-            summary.overlapped_recoveries += overlaps
-            summary.halo_overlapped_recoveries += halo_overlaps
-            for window in windows:
-                if window > 0.0:
-                    summary.windows += 1
-                    summary.total_window += window
-
-    def summary(self) -> Dict[str, object]:
-        with self._lock:
-            return self._summary.as_dict()
 
 
 class ThreadedBackend(ExecutionBackend):
@@ -156,8 +57,8 @@ class ThreadedBackend(ExecutionBackend):
     (:func:`~repro.config.usable_cpus`), never more than ``num_workers``
     and never fewer than two, since one lane could not overlap a
     recovery task with anything; lanes beyond the cores would only race
-    for the interpreter lock.  ``max_threads`` replaces that default,
-    and the ``REPRO_MAX_WORKERS`` environment override caps either.
+    for the interpreter lock.  The ``REPRO_MAX_WORKERS`` environment
+    override caps that count.
 
     Lane 0 is the thread that calls :meth:`execute`.  The other
     ``thread_count - 1`` lanes are pool threads, started lazily on the
@@ -169,7 +70,6 @@ class ThreadedBackend(ExecutionBackend):
 
     def __init__(self, num_workers: int,
                  cost_model: CostModel = DEFAULT_COST_MODEL,
-                 max_threads: Optional[int] = None,
                  pace: float = 1.0):
         super().__init__(num_workers, cost_model=cost_model)
         if pace < 0:
@@ -181,9 +81,8 @@ class ThreadedBackend(ExecutionBackend):
         #: reductions, FEIR's barrier serialisation — are physically
         #: measurable; 0.0 runs actions back-to-back as fast as possible.
         self.pace = float(pace)
-        if max_threads is None:
-            max_threads = min(self.num_workers, max(2, usable_cpus()))
-        self.thread_count = resolve_worker_count(max_threads)
+        self.thread_count = resolve_worker_count(
+            min(self.num_workers, max(2, usable_cpus())))
         #: One lock under two conditions: pool lanes wait on ``_cond`` for
         #: a ready task, the caller's lane 0 on ``_done`` (``_parked``
         #: while it does) — so a completion wakes exactly the lanes it
@@ -246,7 +145,7 @@ class ThreadedBackend(ExecutionBackend):
             self._ensure_pool()
             with self._cond:
                 self._run = (plan, actions, durations, sanitizer_enabled(),
-                             time.perf_counter())  # repro-lint: allow[wall-clock] wall-interval origin for the overlap monitor, never fingerprinted
+                             time.perf_counter())  # repro-lint: allow[wall-clock] wall-interval origin of the measured side, never fingerprinted
                 self._starts, self._ends = result.starts, result.ends
                 self._workers = result.workers
                 self._successors, self._priorities = plan.successors, priorities

@@ -20,7 +20,8 @@ picks:
 Both halves take a compiled :class:`~repro.runtime.plan.IterationPlan`
 and nothing else: ``simulate`` re-times it with a durations vector,
 ``execute`` runs it with an action table, and the measured side comes
-back as an :class:`ExecutionResult` of plan-order columns.
+back as an :class:`ExecutionResult` of plan-order columns.  A solve's
+measured side is the :class:`ExecutionFold` of its runs' results.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.runtime.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.runtime.plan import IterationPlan
@@ -98,6 +99,78 @@ class ExecutionResult:
         return ExecutionTrace.from_sums(
             work, 0.0, busy, len(self.plan), num_workers=num_workers,
             start=0.0, end=self.wall_time).breakdown
+
+
+@dataclass
+class ExecutionFold:
+    """A solve's measured side: the in-order fold of the
+    :class:`ExecutionResult` of each of its runs, fed by the thread that
+    executes them.
+
+    Every run counts, and so does each of its recovery tasks:
+    ``execute`` returns only once every task's body ran, and a recovery
+    scan finds no lost page to report (every loss is repaired at its
+    check point before the iteration is re-enacted).  The rest is
+    measured on the wall clock and folded only where that is an output
+    (``wall``): real overlaps, the vulnerable windows and the measured
+    per-state :attr:`trace`.
+    """
+
+    #: Lanes a run's measured breakdown spreads its wall time over.
+    threads: int
+    #: Whether the wall side is an output (the ``wall`` clock).
+    wall: bool = True
+    runs: int = 0
+    recovery_scans: int = 0
+    overlapped_recoveries: int = 0
+    #: Recovery tasks whose measured interval overlapped the re-enacted
+    #: halo exchange of the ranks placement (0 without a halo task, and
+    #: structurally 0 for FEIR, whose recovery barriers the reduction).
+    halo_overlapped_recoveries: int = 0
+    windows: int = 0
+    total_window: float = 0.0
+    #: Measured per-state accounting, summed in run order; ``None``
+    #: until a run's wall side is folded.
+    trace: Optional[ExecutionTrace] = None
+
+    def add(self, result: ExecutionResult,
+            pairs: Sequence[Tuple[int, int]] = ()) -> None:
+        """Fold one run.  ``pairs`` are the ``(recovery, scalar)`` plan
+        indices whose measured gap, where positive, is a vulnerable
+        window."""
+        self.runs += 1
+        self.recovery_scans += len(
+            result.plan.by_kind.get(TaskKind.RECOVERY, ()))
+        if not self.wall:
+            return
+        self.overlapped_recoveries += result.recovery_overlaps()
+        self.halo_overlapped_recoveries += result.recovery_halo_overlaps()
+        for recovery, scalar in pairs:
+            window = result.starts[scalar] - result.ends[recovery]
+            if window > 0.0:
+                self.windows += 1
+                self.total_window += window
+        trace = self.trace
+        if trace is None:
+            trace = self.trace = ExecutionTrace(self.threads)
+        trace.breakdown.add(result.measured_breakdown(self.threads))
+        trace.wall_time += result.wall_time
+        trace.task_count += len(result.plan)
+
+    def summary(self) -> Dict[str, object]:
+        """The counts, with the mean window and whether recovery
+        measurably ran while other tasks ran."""
+        return {
+            "runs": self.runs,
+            "recovery_scans": self.recovery_scans,
+            "overlapped_recoveries": self.overlapped_recoveries,
+            "halo_overlapped_recoveries": self.halo_overlapped_recoveries,
+            "windows": self.windows,
+            "total_window": self.total_window,
+            "mean_window": (self.total_window / self.windows
+                            if self.windows else 0.0),
+            "concurrency_observed": self.overlapped_recoveries > 0,
+        }
 
 
 class ExecutionBackend(abc.ABC):

@@ -25,9 +25,10 @@ the three questions the solver asks of it:
     shape* — the timing plan itself, or under the ranks placement its
     halo-exchange variant, compiled once like every other shape — with
     a table of real (read-only) task bodies bound once per solve, and
-    feeds the measured side (vulnerable-window monitor, wall clock, wall
-    trace).  Per iteration it passes a durations vector and an
-    iteration number; it builds no graph and formats no name.
+    folds the measured result into the solve's one record of it
+    (:class:`~repro.runtime.backend.ExecutionFold`).  Per iteration it
+    passes a durations vector and an iteration number; it builds no
+    graph and formats no name.
 
 The solver (:mod:`repro.solvers.resilient_cg`) therefore holds a plan
 instead of building one: the recurrence and the fault-point state
@@ -57,14 +58,12 @@ import numpy as np
 from repro.core.checkpoint import CheckpointStrategy
 from repro.core.strategy import RecoveryStrategy
 from repro.matrices.blocked import PageBlockedMatrix
-from repro.runtime.async_exec import VulnerableWindowMonitor
-from repro.runtime.backend import ExecutionBackend, ExecutionResult
+from repro.runtime.backend import ExecutionBackend, ExecutionFold
 from repro.runtime.graph import TaskGraph
 from repro.runtime.kernels import KernelEngine
 from repro.runtime.plan import IterationPlan, compile_plan
 from repro.runtime.scheduler import ScheduleResult
 from repro.runtime.task import TaskKind
-from repro.runtime.trace import ExecutionTrace
 from repro.solvers.cg_types import CGState, LedgerEntry, SolverConfig
 
 #: The recovery tasks of a resilient iteration, and the check point each
@@ -97,13 +96,16 @@ def _touch_chunk(u: np.ndarray) -> float:
     return float(np.add.reduce(u))  # repro-lint: allow[paged-reduction] single-chunk read probe; value discarded
 
 
+def _scan() -> None:
+    """A re-enacted recovery task's body: every loss was repaired at its
+    check point, so the scan finds none."""
+
+
 def _shipped_probe(probe: Callable[[], None], engine: KernelEngine,
                    iteration: List[int], num_pages: int) -> None:
-    """Run a re-enacted recovery task's body, the monitor's
-    ``record_scan``, on a rank.  The paper's locality rule puts a
-    recovery on the rank owning the lost page; every loss is repaired at
-    its check point before the iteration is re-enacted, so the scan has
-    none to follow: it runs on the owner of page
+    """Run a re-enacted recovery task's body on a rank.  The paper's
+    locality rule puts a recovery on the rank owning the lost page; the
+    scan has none to follow, so it runs on the owner of page
     ``iteration % num_pages``.  ``run_on_rank`` ships it without
     counting a recovery dispatch."""
     engine.run_on_rank(engine.page_owner(iteration[0] % num_pages), probe)
@@ -194,13 +196,12 @@ class CGPlanner:
         self.begin_solve()
 
     def begin_solve(self) -> None:
-        """Start a fresh measured side (monitor, wall clock, wall trace,
-        comm stats) and drop the previous solve's action tables."""
+        """Start a fresh measured side (the execution fold, comm stats)
+        and drop the previous solve's action tables."""
         self.engine.reset_comm_stats()
-        self.monitor = VulnerableWindowMonitor()
-        #: Measured wall-clock seconds of the re-enactments so far.
-        self.wall_clock = 0.0
-        self.wall_trace: Optional[ExecutionTrace] = None
+        #: The solve's re-enactments so far, folded.
+        self.measured = ExecutionFold(self.executor.thread_count,
+                                      wall=self.spec.measures_wall)
         #: Task bodies in run-plan order by ``(checkpoint, this_d)``,
         #: bound to one solve's vectors: dropped here and by ``close()``.
         self._actions: Dict[Tuple[bool, str], List[Optional[Callable]]] = {}
@@ -280,7 +281,7 @@ class CGPlanner:
         that exact forward recovery overlaps the neighbour
         communication.  Critical-path strategies (FEIR) keep their
         reduction-chain dependencies, so they structurally cannot
-        overlap the halo — the measured contrast the monitor reports.
+        overlap the halo — the measured contrast the solve reports.
         """
         cm = self.config.cost_model
         graph = TaskGraph()
@@ -511,12 +512,11 @@ class CGPlanner:
         the latter comes last and takes 0.0.)  Every task carries a real
         (read-only, bitwise-neutral) action: partial dot products for
         the reduction chunks, memory touches for the vector-update
-        chunks, and the strategy's recovery scan for the r1/r2/r3 tasks
-        — shipped to the owning rank under the ranks placement.
-        Measured wall intervals feed the vulnerable-window monitor and
-        the wall-clock overhead accounting; cells with the simulated
-        clock discard them (the execution still happens, so races and
-        ordering are exercised, but wall time is not an output).
+        chunks, and a scan that finds nothing for the r1/r2/r3 tasks —
+        shipped to the owning rank under the ranks placement.  The
+        solve's fold takes the measured result; under the simulated
+        clock it keeps only the counts (the execution still happens, so
+        races and ordering are exercised).
         """
         plan = self.run_plan(checkpoint)
         if durations is not None and "halo" in plan.roles:
@@ -525,17 +525,12 @@ class CGPlanner:
         result = self.executor.execute(
             plan, self._action_table(plan, checkpoint, state, this_d),
             durations)
-        if not self.spec.measures_wall:
-            self.monitor.observe(None)
-            return
         roles = plan.roles
         windows = (LATE_WINDOWS if self.uses_recovery_tasks
                    and not self.strategy.recovery_in_critical_path else {})
-        self.monitor.observe(result, [(roles[COVERING_TASK[point]],
-                                       roles[scalar])
-                                      for point, (scalar, _)
-                                      in windows.items()])
-        self._accumulate_wall(result)
+        self.measured.add(result, [(roles[COVERING_TASK[point]],
+                                    roles[scalar])
+                                   for point, (scalar, _) in windows.items()])
 
     def _action_table(self, plan: IterationPlan, checkpoint: bool,
                       state: CGState, this_d: str
@@ -568,23 +563,10 @@ class CGPlanner:
             table[roles["halo"]] = partial(self.engine.halo_exchange,
                                            vectors[this_d].array)
         if self.uses_recovery_tasks:
-            # r1, r2 and r3 each count one scan: the evidence they ran.
-            probe = self.monitor.record_scan
+            probe = _scan
             if self.spec.placement == "ranks":
                 probe = partial(_shipped_probe, probe, self.engine,
                                 self._iteration, vectors["x"].num_pages)
             for key in RECOVERY_TASKS:
                 table[roles[key]] = probe
         return table
-
-    def _accumulate_wall(self, result: ExecutionResult) -> None:
-        self.wall_clock += result.wall_time
-        threads = self.executor.thread_count
-        step = ExecutionTrace(num_workers=threads)
-        step.breakdown.add(result.measured_breakdown(threads))
-        step.wall_time = result.wall_time
-        step.task_count = len(result.plan)
-        if self.wall_trace is None:
-            self.wall_trace = step
-        else:
-            self.wall_trace.accumulate(step)

@@ -140,15 +140,13 @@ class SolveResult:
     num_workers: int
     ledger: Sequence[LedgerEntry] = ()
     ideal_iteration_time: float = 0.0
-    #: Measured wall-clock seconds of real graph execution: filled by
-    #: every ``clock="wall"`` cell, the list scheduler's serial replay
-    #: included; 0.0 under the simulated clock.
-    wall_clock: float = 0.0
     #: Measured per-state accounting of the real execution, mirroring
-    #: the simulated ``trace`` (``clock="wall"`` cells only).
+    #: the simulated ``trace``: filled by every ``clock="wall"`` cell,
+    #: the list scheduler's serial replay included.
     wall_trace: Optional[ExecutionTrace] = None
-    #: Digest of the vulnerable-window monitor: recovery scans executed,
-    #: measured windows and observed real overlap.
+    #: The solve's :class:`~repro.runtime.backend.ExecutionFold`
+    #: summary: runs and recovery scans executed, measured windows and
+    #: observed real overlap.
     window_summary: Optional[Dict[str, object]] = None
     #: Measured inter-rank communication of the rank-parallel engine
     #: (:class:`~repro.distributed.ranks.RankCommStats`); ``None`` for
@@ -171,6 +169,12 @@ class SolveResult:
         state = dict(self.__dict__)
         state["trace"], state["ledger"] = self.trace, ()
         return state
+
+    @property
+    def wall_clock(self) -> float:
+        """Measured wall-clock seconds of real graph execution; 0.0
+        under the simulated clock."""
+        return 0.0 if self.wall_trace is None else self.wall_trace.wall_time
 
     @property
     def converged(self) -> bool:

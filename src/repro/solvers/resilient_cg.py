@@ -26,8 +26,9 @@ and, on the cells that execute for real, to re-enact it.  Fault
 injection times are interpreted on the simulated clock.  With
 ``SolverConfig(scheduler="threaded")`` or ``clock="wall"`` the same
 plans are *additionally* executed for real each iteration — recovery
-tasks genuinely overlap the reductions, wall-clock time and per-state
-shares are measured, and the vulnerable-window monitor records the gap
+tasks genuinely overlap the reductions, and each run's measured result
+is folded into one record (:class:`~repro.runtime.backend.ExecutionFold`)
+that gives the wall-clock time, the per-state shares and the gap
 between each recovery task and its dependent scalar — while the
 simulated timeline stays authoritative for every clock-dependent
 decision, so all runtime cells agree bit-for-bit.  Each iteration leaves
@@ -386,7 +387,7 @@ class ResilientCG:
             return SolveResult(x=np.zeros(self.n), record=record,
                                stats=RecoveryStats(),
                                num_workers=cfg.num_workers,
-                               window_summary=planner.monitor.summary())
+                               window_summary=planner.measured.summary())
 
         run = _Run(state, memory,
                    self._build_injection_schedule(memory, ideal_time), b_norm)
@@ -547,9 +548,8 @@ class ResilientCG:
                            stats=stats, num_workers=cfg.num_workers,
                            ledger=run.ledger,
                            ideal_iteration_time=t_iter_ideal,
-                           wall_clock=planner.wall_clock,
-                           wall_trace=planner.wall_trace,
-                           window_summary=planner.monitor.summary(),
+                           wall_trace=planner.measured.trace,
+                           window_summary=planner.measured.summary(),
                            rank_stats=engine.comm_stats())
 
     # ==================================================================

@@ -213,7 +213,7 @@ class TestFig4:
         for cell in result.cells:
             assert cell.mean_slowdown >= 0.0 or math.isnan(cell.mean_slowdown)
             assert cell.std_slowdown >= 0.0
-            assert len(cell.runs) == 1
+            assert cell.trials == 1
 
     def test_formatting(self, result):
         text = format_fig4(result)

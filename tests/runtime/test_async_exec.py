@@ -1,4 +1,5 @@
-"""Tests for the execution backends: protocol, threaded runtime, monitor."""
+"""Tests for the execution backends: protocol, threaded runtime, and
+the fold of a solve's measured side."""
 
 import os
 import threading
@@ -7,8 +8,9 @@ import time
 import pytest
 
 from repro.config import MAX_WORKERS_ENV
-from repro.runtime.async_exec import ThreadedBackend, VulnerableWindowMonitor
-from repro.runtime.backend import ExecutionResult, SimulatedBackend
+from repro.runtime.async_exec import ThreadedBackend
+from repro.runtime.backend import (ExecutionFold, ExecutionResult,
+                                   SimulatedBackend)
 from repro.runtime.cost_model import CostModel
 from repro.runtime.graph import TaskGraph, verify_graph
 from repro.runtime.plan import compile_plan
@@ -48,6 +50,14 @@ def diamond(log, lock):
                      ("b", 0.0, record("b"), {"deps": ["a"]}),
                      ("c", 0.0, record("c"), {"deps": ["a"]}),
                      ("d", 0.0, record("d"), {"deps": ["b", "c"]})])
+
+
+def on_lanes(monkeypatch, lanes):
+    """A backend of ``lanes`` simulated workers on as many usable CPUs:
+    ``lanes`` lanes, unless ``REPRO_MAX_WORKERS`` caps them."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(lanes)), raising=False)
+    return ThreadedBackend(lanes, cost_model=NO_OVERHEAD, pace=0.0)
 
 
 def overlap(result, a, b):
@@ -115,17 +125,17 @@ class TestFactoryAndProtocol:
 
 class TestLanes:
     """A plan runs on one lane per usable CPU, at most ``num_workers``
-    and at least two; ``max_threads`` and ``REPRO_MAX_WORKERS`` win."""
+    and at least two; ``REPRO_MAX_WORKERS`` caps that."""
 
     @pytest.fixture(autouse=True)
     def uncapped(self, monkeypatch):
         monkeypatch.delenv(MAX_WORKERS_ENV, raising=False)
 
     @staticmethod
-    def lanes(monkeypatch, cpus, workers=8, **kwargs):
+    def lanes(monkeypatch, cpus, workers=8):
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(cpus)), raising=False)
-        with ThreadedBackend(workers, **kwargs) as backend:
+        with ThreadedBackend(workers) as backend:
             return backend.thread_count
 
     def test_one_usable_cpu_still_gets_two_lanes(self, monkeypatch):
@@ -136,10 +146,6 @@ class TestLanes:
         assert self.lanes(monkeypatch, cpus=16) == 8
         assert self.lanes(monkeypatch, cpus=3) == 3
         assert self.lanes(monkeypatch, cpus=16, workers=1) == 1
-
-    def test_max_threads_wins(self, monkeypatch):
-        assert self.lanes(monkeypatch, cpus=1, max_threads=5) == 5
-        assert self.lanes(monkeypatch, cpus=16, max_threads=3) == 3
 
     def test_the_env_cap_runs_the_plan_on_the_caller_alone(self,
                                                            monkeypatch):
@@ -163,7 +169,7 @@ class TestLanes:
     @pytest.mark.parametrize("lanes", [1, 2])
     def test_a_closed_backend_refuses_to_execute(self, lanes):
         plan, actions = compiled([("a", 0.0, None, {})])
-        backend = ThreadedBackend(2, max_threads=lanes, pace=0.0)
+        backend = ThreadedBackend(lanes, pace=0.0)
         backend.execute(plan, actions)
         backend.close()
         with pytest.raises(RuntimeError, match="backend is closed"):
@@ -212,8 +218,7 @@ class TestThreadedExecution:
         assert result.wall_time < 0.098  # strictly less than serial
 
     def test_priority_orders_dispatch_with_one_thread(self):
-        backend = ThreadedBackend(1, cost_model=NO_OVERHEAD, max_threads=1,
-                                  pace=0.0)
+        backend = ThreadedBackend(1, cost_model=NO_OVERHEAD, pace=0.0)
         try:
             log, lock = [], threading.Lock()
 
@@ -321,28 +326,27 @@ class TestHandOff:
                 assert result.ends[d] <= result.starts[i]
         assert set(result.workers) <= set(range(backend.thread_count))
 
-    def test_wide_then_deep_runs_every_task_once(self, threads):
-        with ThreadedBackend(threads, cost_model=NO_OVERHEAD,
-                             max_threads=threads, pace=0.0) as backend:
+    def test_wide_then_deep_runs_every_task_once(self, threads,
+                                                 monkeypatch):
+        with on_lanes(monkeypatch, threads) as backend:
             self.run_once(backend)
 
     @pytest.mark.stress
     def test_wide_then_deep_repeated_under_a_short_switch_interval(
-            self, threads):
+            self, threads, monkeypatch):
         import sys
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with ThreadedBackend(threads, cost_model=NO_OVERHEAD,
-                                 max_threads=threads, pace=0.0) as backend:
+            with on_lanes(monkeypatch, threads) as backend:
                 for _ in range(50):
                     self.run_once(backend)
         finally:
             sys.setswitchinterval(interval)
 
-    def test_error_mid_graph_clears_drains_and_reraises(self, threads):
-        with ThreadedBackend(threads, cost_model=NO_OVERHEAD,
-                             max_threads=threads, pace=0.0) as backend:
+    def test_error_mid_graph_clears_drains_and_reraises(self, threads,
+                                                        monkeypatch):
+        with on_lanes(monkeypatch, threads) as backend:
             counts = {}
             with pytest.raises(RuntimeError, match="link3 exploded"):
                 backend.execute(*wide_then_deep(counts, fail_at="link3"))
@@ -362,9 +366,7 @@ class TestHandOff:
         a task error: no successor is released, the in-flight task is
         drained, and no stale completion reaches the next run.  Only a
         caller with a pool lane ever waits, so one lane runs as two."""
-        lanes = max(threads, 2)
-        with ThreadedBackend(lanes, cost_model=NO_OVERHEAD,
-                             max_threads=lanes, pace=0.0) as backend:
+        with on_lanes(monkeypatch, max(threads, 2)) as backend:
             started, release = threading.Event(), threading.Event()
             ran = []
             caller = threading.current_thread()
@@ -401,69 +403,57 @@ class TestHandOff:
             self.run_once(backend)
 
 
-class TestVulnerableWindowMonitor:
+class TestExecutionFold:
+    """A solve's measured side is the in-order fold of its runs."""
+
+    @staticmethod
+    def recovery_then_beta():
+        plan, _ = compiled([
+            ("r2_1", 0.0, None, {"kind": TaskKind.RECOVERY}),
+            ("rho1:0", 0.0, None, {"kind": TaskKind.REDUCTION}),
+            ("beta1", 0.0, None, {"kind": TaskKind.REDUCTION})])
+        return ExecutionResult(plan, starts=[0.0, 0.0, 0.7],
+                               ends=[0.4, 0.6, 0.8], workers=[1, 0, 0],
+                               wall_time=0.8)
+
     def test_records_windows_and_nothing_of_the_simulated_clock(self):
-        monitor = VulnerableWindowMonitor()
+        fold = ExecutionFold(threads=1)
         plan, _ = compiled([("r2_1", 0.0, None, {}),
                             ("beta1", 0.0, None, {})])
         # a gap of 0.5 s, and a pair that does not open a window
-        monitor.observe(ExecutionResult(plan, [0.0, 1.5], [1.0, 1.6],
-                                        [0, 0]), [(0, 1)])
-        monitor.observe(ExecutionResult(plan, [0.0, 2.0], [2.0, 2.1],
-                                        [0, 0]), [(0, 1)])
-        summary = monitor.summary()
+        fold.add(ExecutionResult(plan, [0.0, 1.5], [1.0, 1.6], [0, 0]),
+                 [(0, 1)])
+        fold.add(ExecutionResult(plan, [0.0, 2.0], [2.0, 2.1], [0, 0]),
+                 [(0, 1)])
+        summary = fold.summary()
         assert summary["windows"] == 1
         assert summary["total_window"] == pytest.approx(0.5)
         # DUE counts are the solve ledger's, not a wall-side measurement
         assert not any("due" in key for key in summary)
 
-    def test_observe_measures_pairs_and_overlap(self):
-        monitor = VulnerableWindowMonitor()
-        plan, _ = compiled([
-            ("r2_1", 0.0, None, {"kind": TaskKind.RECOVERY}),
-            ("rho1:0", 0.0, None, {"kind": TaskKind.REDUCTION}),
-            ("beta1", 0.0, None, {"kind": TaskKind.REDUCTION})])
-        result = ExecutionResult(plan, starts=[0.0, 0.0, 0.7],
-                                 ends=[0.4, 0.6, 0.8], workers=[1, 0, 0],
-                                 wall_time=0.8)
-        monitor.observe(result, [(0, 2)])
-        summary = monitor.summary()
-        assert summary["runs"] == 1
-        assert summary["overlapped_recoveries"] == 1
-        assert summary["windows"] == 1
+    def test_folds_pairs_overlap_scans_and_the_trace(self):
+        fold = ExecutionFold(threads=2)
+        result = self.recovery_then_beta()
+        fold.add(result, [(0, 2)])
+        summary = fold.summary()
+        assert summary == {
+            "runs": 1, "recovery_scans": 1, "overlapped_recoveries": 1,
+            "halo_overlapped_recoveries": 0, "windows": 1,
+            "total_window": summary["total_window"],
+            "mean_window": summary["total_window"],
+            "concurrency_observed": True}
         assert summary["total_window"] == pytest.approx(0.3)
-        assert summary["concurrency_observed"]
-        # a run whose wall side is not an output still counts as a run
-        monitor.observe(None)
-        assert monitor.summary()["runs"] == 2
-        assert monitor.summary()["windows"] == 1
+        assert fold.trace.num_workers == 2
+        assert fold.trace.breakdown == result.measured_breakdown(2)
+        assert (fold.trace.wall_time, fold.trace.task_count) == (0.8, 3)
+        fold.add(result, [(0, 2)])
+        assert fold.summary()["recovery_scans"] == 2
+        assert fold.trace.task_count == 6
 
-    def test_thread_safe_scan_recording(self):
-        monitor = VulnerableWindowMonitor()
-        threads = [threading.Thread(
-            target=lambda: [monitor.record_scan() for _ in range(100)])
-            for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        summary = monitor.summary()
-        assert summary["recovery_scans"] == 400
-
-    def test_thread_safe_observation(self):
-        monitor = VulnerableWindowMonitor()
-        plan, _ = compiled([("r2_1", 0.0, None, {}),
-                            ("beta1", 0.0, None, {})])
-        result = ExecutionResult(plan, [0.0, 1.5], [1.0, 1.6], [0, 0])
-        threads = [threading.Thread(
-            target=lambda: [monitor.observe(result, [(0, 1)])
-                            for _ in range(100)])
-            for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-            assert not t.is_alive()
-        summary = monitor.summary()
-        assert summary["runs"] == summary["windows"] == 400
-        assert summary["total_window"] == pytest.approx(200.0)
+    def test_without_the_wall_clock_a_run_only_counts(self):
+        fold = ExecutionFold(threads=2, wall=False)
+        fold.add(self.recovery_then_beta(), [(0, 2)])
+        summary = fold.summary()
+        assert (summary["runs"], summary["recovery_scans"]) == (1, 1)
+        assert summary["windows"] == summary["overlapped_recoveries"] == 0
+        assert fold.trace is None

@@ -12,7 +12,9 @@ event loop, and the checks that must be able to fail.
 
 import dataclasses
 import json
+import os
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings
@@ -182,8 +184,11 @@ class TestScheduleInvariants:
         plan = compile_plan(graph_of(tasks))
         ran = []
         actions = [lambda i=i: ran.append(i) for i in range(len(plan))]
-        with ThreadedBackend(threads, max_threads=threads,
-                             pace=0.0) as threaded:
+        # one lane per simulated worker: the backend sees as many CPUs
+        with mock.patch.object(os, "sched_getaffinity", create=True,
+                               new=lambda pid: set(range(threads))):
+            threaded = ThreadedBackend(threads, pace=0.0)
+        with threaded:
             for backend in (SimulatedBackend(threads), threaded):
                 del ran[:]
                 result = backend.execute(plan, actions)

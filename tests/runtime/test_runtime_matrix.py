@@ -86,6 +86,21 @@ def result_key(res):
             res.stats.restarts, res.stats.rollbacks)
 
 
+def assert_one_fold(res, cell):
+    """A cell's measured side is one fold of its runs: one run per
+    re-enacted iteration, three recovery scans per run, and the wall
+    clock read from the wall trace."""
+    scheduler, _, clock, _ = cell
+    summary = res.window_summary
+    reenacted = scheduler == "threaded" or clock == "wall"
+    assert summary["runs"] == (res.record.iterations if reenacted else 0)
+    assert summary["recovery_scans"] == 3 * summary["runs"]
+    if clock == "wall":
+        assert res.wall_clock == res.wall_trace.wall_time > 0.0
+    else:
+        assert (res.wall_clock, res.wall_trace) == (0.0, None)
+
+
 class TestSpecResolution:
     def test_defaults_are_the_reference_cell(self):
         assert resolve_runtime_spec() == RuntimeSpec(
@@ -143,10 +158,14 @@ class TestEquivalenceMatrix:
     @pytest.mark.parametrize("method", ["FEIR", "AFEIR"])
     def test_all_cells_bit_identical_scipy(self, problem, method):
         A, b = problem
-        reference = result_key(solve_cell(A, b, method, CELLS[0]))
+        first = solve_cell(A, b, method, CELLS[0])
+        assert_one_fold(first, CELLS[0])
+        reference = result_key(first)
         for cell in CELLS[1:]:
-            assert result_key(solve_cell(A, b, method, cell)) == reference, \
+            res = solve_cell(A, b, method, cell)
+            assert result_key(res) == reference, \
                 f"cell {cell} diverged from the reference cell"
+            assert_one_fold(res, cell)
 
     @pytest.mark.parametrize("method", ["FEIR", "AFEIR"])
     def test_all_cells_bit_identical_sparse_operator(self, sparse_problem,

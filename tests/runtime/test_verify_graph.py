@@ -38,11 +38,10 @@ def two_writer_graph():
     return g
 
 
-#: Both backends; the threaded one on one thread, so running the
-#: unordered pair is no race under REPRO_TSAN.
+#: Both backends; the threaded one on one simulated worker, so one
+#: lane, and running the unordered pair is no race under REPRO_TSAN.
 BACKENDS = {"simulated": lambda: SimulatedBackend(num_workers=2),
-            "threaded": lambda: ThreadedBackend(num_workers=2, max_threads=1,
-                                                pace=0.0)}
+            "threaded": lambda: ThreadedBackend(num_workers=1, pace=0.0)}
 
 
 class TestFindRaces:

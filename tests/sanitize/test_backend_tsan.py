@@ -49,7 +49,7 @@ def unordered(first, second):
 
 
 def run_on_two_threads(plan, actions=None):
-    backend = ThreadedBackend(num_workers=2, max_threads=2, pace=0.0)
+    backend = ThreadedBackend(num_workers=2, pace=0.0)
     try:
         backend.execute(plan, actions)
     finally:
@@ -121,7 +121,7 @@ class TestCleanSolveUnderTsan:
 class TestOffModeNeutrality:
     def test_tsan_unset_backend_uses_raw_primitives(self, monkeypatch):
         monkeypatch.delenv(instrument.TSAN_ENV, raising=False)
-        backend = ThreadedBackend(num_workers=2, max_threads=2, pace=0.0)
+        backend = ThreadedBackend(num_workers=2, pace=0.0)
         try:
             assert isinstance(backend._cond, threading.Condition)
             assert type(backend._run_lock) is type(threading.Lock())

@@ -20,6 +20,7 @@ from repro.faults.injector import Injection
 from repro.faults.scenarios import multi_error_scenario
 from repro.matrices.laplacian import laplacian_2d, laplacian_3d
 from repro.matrices.stencil import stencil_rhs
+from repro.runtime.async_exec import ThreadedBackend
 from repro.runtime.backend import SimulatedBackend
 from repro.runtime.trace import ExecutionTrace
 from repro.solvers.resilient_cg import ResilientCG, SolverConfig
@@ -106,6 +107,45 @@ class TestFaultFreeEquivalence:
         assert trace.num_workers == 1
         assert trace == expected
         assert trace.breakdown.total == pytest.approx(trace.wall_time)
+
+    def test_the_measured_side_is_the_fold_of_the_runs(self, problem,
+                                                       monkeypatch):
+        """A threaded/wall AFEIR solve's window summary and wall trace
+        are what its runs' results give, recomputed in run order."""
+        runs, lanes = [], set()
+        execute = ThreadedBackend.execute
+
+        def recording(backend, *args, **kwargs):
+            lanes.add(backend.thread_count)
+            runs.append(execute(backend, *args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(ThreadedBackend, "execute", recording)
+        real = solve(problem, "AFEIR", "threaded")
+        (threads,) = lanes
+        expected = ExecutionTrace(num_workers=threads)
+        windows, total, overlaps, halo = 0, 0.0, 0, 0
+        for run in runs:
+            expected.accumulate(ExecutionTrace(
+                threads, run.measured_breakdown(threads), run.wall_time,
+                len(run.plan)))
+            roles = run.plan.roles
+            for recovery, scalar in (("r2", "beta"), ("r1", "alpha")):
+                gap = run.starts[roles[scalar]] - run.ends[roles[recovery]]
+                if gap > 0.0:
+                    windows, total = windows + 1, total + gap
+            overlaps += run.recovery_overlaps()
+            halo += run.recovery_halo_overlaps()
+        assert len(runs) == real.record.iterations
+        assert real.wall_trace == expected
+        assert real.wall_clock == expected.wall_time
+        assert real.window_summary == {
+            "runs": len(runs), "recovery_scans": 3 * len(runs),
+            "overlapped_recoveries": overlaps,
+            "halo_overlapped_recoveries": halo,
+            "windows": windows, "total_window": total,
+            "mean_window": total / windows if windows else 0.0,
+            "concurrency_observed": overlaps > 0}
 
     def test_feir_barrier_never_records_windows(self, problem):
         feir = solve(problem, "FEIR", "threaded")

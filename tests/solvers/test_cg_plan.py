@@ -265,9 +265,9 @@ class TestReenactment:
                    or ":" in plan.names[i])
         verify_graph(planner.build_iteration_graph(
             resilient=planner.uses_recovery_tasks, checkpoint=False)[0])
-        assert planner.monitor.summary()["runs"] == 1
-        assert planner.wall_trace is not None
-        assert planner.wall_trace.task_count == len(plan)
+        assert planner.measured.summary()["runs"] == 1
+        assert planner.measured.trace is not None
+        assert planner.measured.trace.task_count == len(plan)
 
     def test_action_table_is_bound_once_per_buffer_and_solve(
             self, blocked, monkeypatch):
@@ -287,9 +287,10 @@ class TestReenactment:
         tables = [actions for _, actions, _ in executed]
         assert tables[0] is tables[2] and tables[1] is tables[3]
         assert tables[0] is not tables[1]       # d0 / d1 buffers
-        assert planner.monitor.summary()["recovery_scans"] == 12
+        assert planner.measured.summary()["recovery_scans"] == 12
         planner.begin_solve()                   # a new solve, new vectors
         assert planner._actions == {}
+        assert planner.measured.summary()["runs"] == 0
 
     @pytest.mark.ranks
     def test_ranks_probe_reads_the_iteration_number(self, blocked):
@@ -329,16 +330,19 @@ class TestReenactment:
         planner = make_planner(blocked, "AFEIR", scheduler="threaded")
         planner.executor.close()          # RecordingBackend stands in
         planner.reenact(1, False, make_state(blocked), "d0")
-        assert planner.monitor.summary()["runs"] == 1
-        assert planner.wall_clock == 0.0 and planner.wall_trace is None
+        summary = planner.measured.summary()
+        assert (summary["runs"], summary["recovery_scans"]) == (1, 3)
+        assert summary["overlapped_recoveries"] == summary["windows"] == 0
+        assert planner.measured.trace is None
 
 
 @pytest.mark.ranks
 def test_closed_solver_is_freed_without_the_cycle_collector(blocked):
-    """The action tables hold closures over the solve's vectors, the
-    engine and the monitor; none may lead back to their owner, or every
-    closed solver would wait for the cycle collector with its vectors,
-    matrix strips and threads (measured: +10 MiB on ``solve_cells``)."""
+    """The action tables hold closures over the solve's vectors and the
+    engine; neither they nor the measured fold may lead back to their
+    owner, or every closed solver would wait for the cycle collector
+    with its vectors, matrix strips and threads (measured: +10 MiB on
+    ``solve_cells``)."""
     b = stencil_rhs(blocked.A, kind="random", seed=11)
     config = SolverConfig(page_size=PAGE, num_workers=WORKERS, pace=0.0,
                           scheduler="threaded", placement="ranks",
@@ -355,7 +359,7 @@ def test_closed_solver_is_freed_without_the_cycle_collector(blocked):
         # the halo exchange's entry holds a search-direction buffer
         d = table[planner.run_plan(False).roles["halo"]].args[0]
         alive = [weakref.ref(obj) for obj in (
-            solver, planner, planner.executor, planner.monitor,
+            solver, planner, planner.executor, planner.measured,
             solver.engine, d)]
         del table, d
         solver.close()

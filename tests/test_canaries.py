@@ -136,6 +136,17 @@ MUTANTS = (
            'q_deps, q_reads = d_parts, d_segments | {"halo:d"}',
            ("tests/runtime/test_verify_graph.py::"
             "test_every_planner_graph_is_race_free",)),
+    # A solve's measured side is one fold of its runs, each counting the
+    # recovery tasks it executed.  A fold that counts none turns the
+    # threaded backend's measurement red.
+    Mutant("recovery_scans_uncounted", "runtime/backend.py",
+           "self.recovery_scans += len(\n"
+           "            result.plan.by_kind.get(TaskKind.RECOVERY, ()))",
+           "self.recovery_scans += 0 * len(\n"
+           "            result.plan.by_kind.get(TaskKind.RECOVERY, ()))",
+           ("tests/solvers/test_backend_equivalence.py::"
+            "TestFaultFreeEquivalence::"
+            "test_threaded_backend_measures_what_simulation_cannot",)),
     # A detected DUE blanks its page (the OS re-maps it); Trivial, and
     # the pages Lossy and FEIR do not rebuild, keep that blank.  A DUE
     # that leaves its page intact turns Trivial's recorded history and
